@@ -211,14 +211,12 @@ type Engine struct {
 	// emit root-level spans.
 	parentSpan *obs.Span
 
-	// paths and classes are computed lazily and shared across primitives.
-	paths   []topo.Path
-	classes []header.Prefix
-	fecs    []topo.FEC
-	// fecSrc is the streaming FEC index used instead of fecs when
-	// Opts.Shards > 1; Before-derived, so it is shared with derived
-	// verification engines and survives UpdateAfter.
+	// fecSrc, computed lazily, is the forwarding index — one walk of
+	// Before's routing DAG yielding paths, classes and the FEC grouping —
+	// and fecs its full materialization (never built under sharded
+	// streaming). Shared with derived engines and kept by UpdateAfter.
 	fecSrc *topo.FECSource
+	fecs   []topo.FEC
 
 	// depIdx is the lazily built dependency index (binding ID -> FEC
 	// indices) of the change-impact analysis; Before-derived, so it is
@@ -298,19 +296,13 @@ func (e *Engine) derived(after *topo.Network, parent *obs.Span) *Engine {
 	return &Engine{
 		Before: e.Before, After: after, Scope: e.Scope,
 		Controls: e.Controls, Opts: opts, parentSpan: parent,
-		paths: e.paths, classes: e.classes, fecs: e.fecs,
-		fecSrc: e.fecSrc, depIdx: e.depIdx, slotIdx: e.slotIdx,
+		fecSrc: e.fecSrc, fecs: e.fecs, depIdx: e.depIdx, slotIdx: e.slotIdx,
 		sess: e.sess,
 	}
 }
 
 // Paths returns the structural path set P_Ω, computed once.
-func (e *Engine) Paths() []topo.Path {
-	if e.paths == nil {
-		e.paths = e.Before.AllPaths(e.Scope)
-	}
-	return e.paths
-}
+func (e *Engine) Paths() []topo.Path { return e.fecSource().Paths() }
 
 // controlPrefixes collects the prefixes named in control intents so
 // traffic classes are atomized against them (§6: "isolate and open
@@ -326,18 +318,13 @@ func (e *Engine) controlPrefixes() []header.Prefix {
 }
 
 // Classes returns X_Ω, the entering-traffic destination classes.
-func (e *Engine) Classes() []header.Prefix {
-	if e.classes == nil {
-		e.classes = e.Before.EnteringTraffic(e.Scope, e.controlPrefixes()...)
-	}
-	return e.classes
-}
+func (e *Engine) Classes() []header.Prefix { return e.fecSource().Classes() }
 
 // FECs returns the forwarding equivalence classes of the entering
-// traffic.
+// traffic: the forwarding index, fully materialized.
 func (e *Engine) FECs() []topo.FEC {
 	if e.fecs == nil {
-		e.fecs = topo.ComputeFECs(e.Paths(), e.Classes())
+		e.fecs = e.fecSource().All()
 		if !e.sharded() && e.Opts.Verdicts != nil {
 			// Derive the binding slot index alongside the FEC structure it
 			// mirrors: both are fixed for the engine's lifetime, and doing
@@ -352,12 +339,14 @@ func (e *Engine) FECs() []topo.FEC {
 // sharded reports whether Check streams through FEC shards.
 func (e *Engine) sharded() bool { return e.Opts.Shards > 1 }
 
-// fecSource returns the streaming FEC index, built once. It yields the
-// same FECs in the same order as FECs() but stores only index vectors;
-// FEC values are materialized per shard.
+// fecSource returns the forwarding index, built once by walking
+// Before's routing DAG with the FIB atoms refined by the control
+// prefixes. Paths, Classes and FECs are views of it.
 func (e *Engine) fecSource() *topo.FECSource {
 	if e.fecSrc == nil {
-		e.fecSrc = topo.NewFECSource(e.Paths(), e.Classes())
+		classes := e.Before.EnteringTraffic(e.Scope, e.controlPrefixes()...)
+		e.fecSrc = e.Before.ForwardingIndex(e.Scope, classes)
+		e.obsv().Gauge("topo.paths.truncated").Set(int64(e.fecSrc.Truncated()))
 	}
 	return e.fecSrc
 }
@@ -365,10 +354,7 @@ func (e *Engine) fecSource() *topo.FECSource {
 // NumFECs returns the number of forwarding equivalence classes without
 // forcing a full materialization in sharded mode.
 func (e *Engine) NumFECs() int {
-	if e.fecs != nil {
-		return len(e.fecs)
-	}
-	if e.sharded() || e.fecSrc != nil {
+	if e.sharded() {
 		return e.fecSource().NumFECs()
 	}
 	return len(e.FECs())

@@ -1,11 +1,14 @@
 package core_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"jinjing/internal/core"
+	"jinjing/internal/header"
 	"jinjing/internal/papernet"
+	"jinjing/internal/topo"
 )
 
 func TestEngineLazyCaches(t *testing.T) {
@@ -26,6 +29,37 @@ func TestEngineLazyCaches(t *testing.T) {
 	f := e.FECs()
 	if len(f) != 5 {
 		t.Fatalf("FECs = %d", len(f))
+	}
+}
+
+// TestEngineIndexUsesControlRefinedClasses pins the engine's one walk to
+// its own classes: control prefixes finer and coarser than the FIB atoms
+// (and one no FIB routes) refine the FECs but leave the paths alone.
+func TestEngineIndexUsesControlRefinedClasses(t *testing.T) {
+	before := papernet.Build()
+	e := core.New(before, nil, papernet.Scope(), core.DefaultOptions())
+	for _, dst := range []string{"1.2.0.0/16", "0.0.0.0/5", "99.0.0.0/8"} {
+		e.Controls = append(e.Controls, core.Control{
+			Mode: core.Maintain, Match: header.DstMatch(header.MustParsePrefix(dst)),
+		})
+	}
+	plain := before.AllPaths(papernet.Scope())
+	if len(e.Paths()) != len(plain) {
+		t.Fatalf("paths = %d, want the %d of the unrefined walk", len(e.Paths()), len(plain))
+	}
+	for i, p := range e.Paths() {
+		if p.Key() != plain[i].Key() {
+			t.Fatalf("path %d = %v, want %v", i, p, plain[i])
+		}
+	}
+	if len(e.Classes()) <= 7 {
+		t.Fatalf("classes = %v, want the 7 /8s refined by the control prefixes", e.Classes())
+	}
+	if want := topo.ComputeFECs(e.Paths(), e.Classes()); !reflect.DeepEqual(e.FECs(), want) {
+		t.Fatalf("FECs = %+v, want %+v", e.FECs(), want)
+	}
+	if len(e.FECs()) != 5 {
+		t.Fatalf("FECs = %d, want 5: refined classes forward like the atoms they split", len(e.FECs()))
 	}
 }
 

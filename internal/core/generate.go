@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"jinjing/internal/acl"
 	"jinjing/internal/faultinject"
@@ -141,22 +140,8 @@ func (e *Engine) GenerateContext(callCtx context.Context, sources []topo.ACLBind
 	// output identical to the sequential loop.
 	sp := startPhase(root, res.Timings, "solve")
 	task := o.StartTask("generate: AECs", int64(len(aecs)))
-	paths := e.Paths()
-	var fwdMu sync.Mutex
-	fwdCache := map[header.Prefix][]topo.Path{}
-	fwdFor := func(dst header.Prefix) []topo.Path {
-		// The memo is keyed by destination prefix and its values are
-		// deterministic, so it doesn't matter which worker fills an
-		// entry first.
-		fwdMu.Lock()
-		defer fwdMu.Unlock()
-		if p, ok := fwdCache[dst]; ok {
-			return p
-		}
-		p := topo.PathsForClass(paths, dst)
-		fwdCache[dst] = p
-		return p
-	}
+	src := e.fecSource()
+	paths := src.Paths()
 	type aecOutcome struct {
 		decSplit   bool
 		stats      sat.Stats
@@ -177,20 +162,19 @@ func (e *Engine) GenerateContext(callCtx context.Context, sources []topo.ACLBind
 			a.solved = true
 			return out
 		}
-		// DEC split: group the AEC's classes by forwarding behavior.
+		// DEC split: group the AEC's classes by forwarding behavior — the
+		// FEC their destination falls in (-1: no path forwards it).
 		out.decSplit = true
-		groups := map[string]*decGroup{}
-		var order []string
+		groups := map[int]*decGroup{}
+		var order []int
 		for _, c := range a.classes {
-			fp := fwdFor(c.Dst)
-			keyParts := make([]string, len(fp))
-			for i, p := range fp {
-				keyParts[i] = p.Key()
-			}
-			key := strings.Join(keyParts, "|")
+			key := src.FECOf(c.Dst)
 			g, ok := groups[key]
 			if !ok {
-				g = &decGroup{paths: fp}
+				g = &decGroup{}
+				if key >= 0 {
+					g.paths = src.Materialize(key).Paths
+				}
 				groups[key] = g
 				order = append(order, key)
 			}

@@ -361,31 +361,18 @@ func (vc *VerdictCache) dropWitnessPacket(ent *fecVerdict) {
 func (e *Engine) depIndex() map[string][]int {
 	if e.depIdx == nil {
 		idx := map[string][]int{}
-		add := func(i int, paths []topo.Path) {
+		// Stream over the index vectors: no FEC materialization.
+		src, paths := e.fecSource(), e.Paths()
+		for i := 0; i < src.NumFECs(); i++ {
 			seen := map[string]bool{}
-			for _, p := range paths {
-				for _, b := range p.Bindings() {
+			for _, pi := range src.PathIndices(i) {
+				for _, b := range paths[pi].Bindings() {
 					id := b.ID()
 					if !seen[id] {
 						seen[id] = true
 						idx[id] = append(idx[id], i)
 					}
 				}
-			}
-		}
-		if e.sharded() {
-			// Stream over the index vectors: no FEC materialization.
-			src, paths := e.fecSource(), e.Paths()
-			for i := 0; i < src.NumFECs(); i++ {
-				fecPaths := make([]topo.Path, 0, len(src.PathIndices(i)))
-				for _, pi := range src.PathIndices(i) {
-					fecPaths = append(fecPaths, paths[pi])
-				}
-				add(i, fecPaths)
-			}
-		} else {
-			for i, fec := range e.FECs() {
-				add(i, fec.Paths)
 			}
 		}
 		e.depIdx = idx

@@ -91,6 +91,9 @@ func TestCheckObservability(t *testing.T) {
 	if snap.Gauges["smt.nodes"] <= 0 {
 		t.Fatal("smt.nodes gauge not set")
 	}
+	if v, ok := snap.Gauges["topo.paths.truncated"]; !ok || v != 0 {
+		t.Fatalf("topo.paths.truncated gauge = %d (set: %v), want 0 reported", v, ok)
+	}
 	if !strings.Contains(progress.String(), "check: FECs") {
 		t.Fatalf("no progress lines: %q", progress.String())
 	}

@@ -21,10 +21,15 @@ func BenchmarkAllPathsFigure1(b *testing.B) {
 	}
 }
 
+// wanSizes includes the large tier on purpose: the classes × paths term
+// the forwarding index removes is invisible at medium.
+var wanSizes = []netgen.Size{netgen.Small, netgen.Medium, netgen.Large}
+
 func BenchmarkAllPathsWAN(b *testing.B) {
-	for _, size := range []netgen.Size{netgen.Small, netgen.Medium} {
+	for _, size := range wanSizes {
 		w := netgen.Build(netgen.DefaultConfig(size, 1))
 		b.Run(size.String(), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if len(w.Net.AllPaths(w.Scope)) == 0 {
 					b.Fatal("no paths")
@@ -35,14 +40,36 @@ func BenchmarkAllPathsWAN(b *testing.B) {
 }
 
 func BenchmarkComputeFECs(b *testing.B) {
-	w := netgen.Build(netgen.DefaultConfig(netgen.Medium, 1))
-	paths := w.Net.AllPaths(w.Scope)
-	classes := w.Net.EnteringTraffic(w.Scope)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if len(topo.ComputeFECs(paths, classes)) == 0 {
-			b.Fatal("no FECs")
-		}
+	for _, size := range wanSizes {
+		w := netgen.Build(netgen.DefaultConfig(size, 1))
+		paths := w.Net.AllPaths(w.Scope)
+		classes := w.Net.EnteringTraffic(w.Scope)
+		b.Run(size.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if len(topo.ComputeFECs(paths, classes)) == 0 {
+					b.Fatal("no FECs")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkForwardingIndex is the layer the operator benchmark reports
+// as topo.paths_ms + topo.fecs_ms: one routing-DAG walk, the FEC
+// grouping, and the materialization of every FEC.
+func BenchmarkForwardingIndex(b *testing.B) {
+	for _, size := range wanSizes {
+		w := netgen.Build(netgen.DefaultConfig(size, 1))
+		classes := w.Net.EnteringTraffic(w.Scope)
+		b.Run(size.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if len(w.Net.ForwardingIndex(w.Scope, classes).All()) == 0 {
+					b.Fatal("no FECs")
+				}
+			}
+		})
 	}
 }
 

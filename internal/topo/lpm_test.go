@@ -67,7 +67,7 @@ func TestLPMTrieAgainstLinearReference(t *testing.T) {
 	}
 }
 
-func TestLPMClassCacheInvalidation(t *testing.T) {
+func TestLPMInvalidatedByAddRoute(t *testing.T) {
 	n := topo.NewNetwork()
 	d := n.Device("R")
 	i1, i2 := d.Interface("1"), d.Interface("2")
@@ -76,12 +76,12 @@ func TestLPMClassCacheInvalidation(t *testing.T) {
 	if got := d.LongestMatchClass(p); len(got) != 1 || got[0] != i1 {
 		t.Fatalf("first lookup: %v", got)
 	}
-	// Adding a more specific route must invalidate the memo — the class
+	// Adding a more specific route must rebuild the LPM trie — the class
 	// is no longer atomic and the lookup must now panic.
 	d.AddRoute(header.MustParsePrefix("1.2.3.0/24"), i2)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("stale cache: expected atomicity panic after route insertion")
+			t.Fatal("stale trie: expected atomicity panic after route insertion")
 		}
 	}()
 	d.LongestMatchClass(p)

@@ -2,6 +2,7 @@ package topo
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"jinjing/internal/header"
@@ -72,76 +73,142 @@ func (p Path) Key() string { return p.String() }
 
 // maxPathDevices bounds structural path enumeration; cloud WAN paths are
 // short (the paper's footnote 1: paths are enumerable in polynomial time
-// over the routing DAG).
+// over the routing DAG). Walks cut off here are counted: Truncated.
 const maxPathDevices = 12
 
 // AllPaths enumerates P_Ω, the paths of the scope's routing DAG: every
 // loop-free border-to-border route that the forwarding tables support for
-// at least one class of entering traffic (the paper's footnote 1 — paths
-// come "from the perspective of routing DAGs", which keeps enumeration
-// polynomial in layered networks by pruning valley routes no traffic can
-// take). Each device traversal goes from an ingress interface to an
-// egress interface that either leaves the scope (ending the path) or
-// links to another in-scope device. Results are deterministic.
+// at least one class of entering traffic.
 func (n *Network) AllPaths(s *Scope) []Path {
-	classes := n.EnteringTraffic(s)
-	var out []Path
+	return n.ForwardingIndex(s, n.EnteringTraffic(s)).Paths()
+}
+
+// ForwardingIndex walks the scope's routing DAG once (the paper's
+// footnote 1 — paths come "from the perspective of routing DAGs", which
+// keeps enumeration polynomial in layered networks by pruning valley
+// routes no traffic can take) and indexes both products of the walk: the
+// paths, and which of them forward each class. Each device traversal goes
+// from an ingress interface to an egress interface that either leaves
+// the scope (ending the path) or links to another in-scope device. The
+// walk carries the classes still routed along the partial path and
+// prunes a branch when none is left, so at a leaf the carried set is
+// exactly the classes the path forwards: O(DAG nodes visited × classes
+// alive there), not O(classes × paths × hops). classes must be atomic
+// wrt every in-scope FIB, as EnteringTraffic returns them; refining
+// them changes the FECs, not the paths. Results are deterministic.
+func (n *Network) ForwardingIndex(s *Scope, classes []header.Prefix) *FECSource {
+	x := newIndexer(classes)
+	x.n, x.s = n, s
 	for _, entry := range n.BorderInterfaces(s) {
 		if !s.AllowsEntry(entry.ID()) {
 			continue
 		}
 		// Traffic can enter here if the interface is an edge or its
 		// upstream is out of scope.
-		up := n.Upstream(entry)
-		if up != nil && s.ContainsDevice(up.Device.Name) {
+		if up := n.Upstream(entry); up != nil && s.ContainsDevice(up.Device.Name) {
 			continue // this border interface only sends traffic out
 		}
-		visited := map[string]bool{}
-		n.extendPaths(s, entry, visited, nil, classes, &out)
+		x.extend(entry, x.all)
 	}
-	return out
+	return x.group(x.paths)
 }
 
-// extendPaths extends a partial path entering dev through in. alive is
-// the set of traffic classes the forwarding tables could still route
-// along the partial path; a branch with no alive classes is pruned.
-func (n *Network) extendPaths(s *Scope, in *Interface, visited map[string]bool, hops []Hop, alive []header.Prefix, out *[]Path) {
-	dev := in.Device
-	if visited[dev.Name] || len(hops) >= maxPathDevices {
-		return
-	}
-	visited[dev.Name] = true
-	defer delete(visited, dev.Name)
+// indexer builds a FECSource. It resolves LongestMatchClass once per
+// (device, class), on the first visit to a device, so every hop indexes
+// a slice instead of descending the LPM trie; fwd collects the result.
+type indexer struct {
+	classes []header.Prefix
+	all     []int32 // every class index: the alive set at an entry
+	rows    map[*Device]*fibRow
+	fwd     [][]int32 // per class: the paths forwarding it, ascending
 
-	for _, o := range dev.SortedInterfaces() {
-		if o == in {
-			continue
-		}
-		// Keep only the classes this device actually forwards to o.
-		var next []header.Prefix
-		for _, c := range alive {
-			for _, lpmOut := range dev.LongestMatchClass(c) {
-				if lpmOut == o {
-					next = append(next, c)
-					break
-				}
+	// The state of ForwardingIndex's walk.
+	n         *Network
+	s         *Scope
+	hops      []Hop  // the partial path
+	paths     []Path // completed paths, in discovery order
+	truncated int
+}
+
+type fibRow struct {
+	ifaces []*Interface // name-sorted
+	// outs[c] holds class c's egress interfaces as indices into ifaces,
+	// each once: a FIB may hold the same entry twice, and a duplicate
+	// here would emit the path twice.
+	outs [][]int32
+	// While the walk has the device on its partial path: the alive
+	// classes split by egress interface, and the loop guard.
+	next   [][]int32
+	onPath bool
+}
+
+func newIndexer(classes []header.Prefix) *indexer {
+	x := &indexer{classes: classes, all: make([]int32, len(classes)),
+		rows: make(map[*Device]*fibRow), fwd: make([][]int32, len(classes))}
+	for i := range x.all {
+		x.all[i] = int32(i)
+	}
+	return x
+}
+
+func (x *indexer) row(d *Device) *fibRow {
+	if r, ok := x.rows[d]; ok {
+		return r
+	}
+	ifaces := d.SortedInterfaces()
+	r := &fibRow{ifaces: ifaces, outs: make([][]int32, len(x.classes)), next: make([][]int32, len(ifaces))}
+	x.rows[d] = r
+	for c, class := range x.classes {
+		for _, o := range d.LongestMatchClass(class) {
+			if oi := int32(slices.Index(ifaces, o)); oi >= 0 && !slices.Contains(r.outs[c], oi) {
+				r.outs[c] = append(r.outs[c], oi)
 			}
 		}
-		if len(next) == 0 {
-			continue
-		}
-		peer := n.Peer(o)
-		cur := append(append([]Hop(nil), hops...), Hop{In: in, Out: o})
-		switch {
-		case peer == nil:
-			// Network edge: the path leaves the scope here.
-			*out = append(*out, Path{Hops: cur})
-		case !s.ContainsDevice(peer.Device.Name):
-			*out = append(*out, Path{Hops: cur})
-		default:
-			n.extendPaths(s, peer, visited, cur, next, out)
+	}
+	return r
+}
+
+// extend continues the partial path into in's device. alive holds the
+// classes the forwarding tables still route along the partial path.
+func (x *indexer) extend(in *Interface, alive []int32) {
+	row := x.row(in.Device)
+	if row.onPath {
+		return
+	}
+	if len(x.hops) >= maxPathDevices {
+		x.truncated++
+		return
+	}
+	row.onPath = true
+	// Bucket alive by egress once per node, reusing the row's buckets: a
+	// device is on the path at most once.
+	for oi := range row.next {
+		row.next[oi] = row.next[oi][:0]
+	}
+	for _, c := range alive {
+		for _, oi := range row.outs[c] {
+			row.next[oi] = append(row.next[oi], c)
 		}
 	}
+	for oi, classes := range row.next {
+		o := row.ifaces[oi]
+		if o == in || len(classes) == 0 {
+			continue
+		}
+		x.hops = append(x.hops, Hop{In: in, Out: o})
+		if peer := x.n.Peer(o); peer != nil && x.s.ContainsDevice(peer.Device.Name) {
+			x.extend(peer, classes)
+		} else {
+			// The path leaves the scope, forwarding the classes carried.
+			pi := int32(len(x.paths))
+			x.paths = append(x.paths, Path{Hops: slices.Clone(x.hops)})
+			for _, c := range classes {
+				x.fwd[c] = append(x.fwd[c], pi)
+			}
+		}
+		x.hops = x.hops[:len(x.hops)-1]
+	}
+	row.onPath = false
 }
 
 // ForwardsClass reports whether the network's forwarding tables route the
@@ -150,15 +217,7 @@ func (n *Network) extendPaths(s *Scope, in *Interface, visited map[string]bool, 
 // with respect to every on-path FIB.
 func (p Path) ForwardsClass(class header.Prefix) bool {
 	for _, h := range p.Hops {
-		outs := h.In.Device.LongestMatchClass(class)
-		found := false
-		for _, o := range outs {
-			if o == h.Out {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !slices.Contains(h.In.Device.LongestMatchClass(class), h.Out) {
 			return false
 		}
 	}

@@ -1,75 +1,119 @@
 package topo
 
-import "jinjing/internal/header"
+import (
+	"encoding/binary"
+	"slices"
+	"sort"
 
-// FECSource is a streaming equivalent of ComputeFECs: it performs the
-// same grouping of atomized traffic classes by forwarding behavior
-// (Equation 2 specialized to destination-based forwarding), but stores
-// only index vectors into the shared paths/classes slices instead of
-// materialized FEC values. A scope with F FECs over C classes and P
-// paths costs O(C + Σ|paths per FEC|) int32s to index, while the
-// FEC values themselves are materialized one at a time (Materialize) or
-// one contiguous shard window at a time (Shards), bounding live memory
-// by the largest shard rather than the whole scope.
+	"jinjing/internal/header"
+)
+
+// FECSource is the forwarding index of a scope: the structural path set
+// P_Ω, the traffic classes, and — as index vectors into those two slices
+// — the paths that forward each class, grouped into forwarding
+// equivalence classes (Equation 2 specialized to destination-based
+// forwarding: two classes are equivalent iff the same paths forward
+// them). Network.ForwardingIndex builds it in one walk of the routing
+// DAG; AllPaths, ComputeFECs, the engine's accessors and generate's DEC
+// split are all views of it. Indexing F FECs over C classes costs
+// O(C + Σ|paths per FEC|) int32s; FEC values are materialized one at a
+// time (Materialize), a contiguous shard window at a time (Shards), or
+// all at once (All).
 //
-// The FEC order, per-FEC class order, and per-FEC path order are
-// identical to ComputeFECs: classes are scanned in order, groups appear
-// in first-seen order, and a group's paths are the forwarding subset of
-// the first member class (all members forward the same subset, by
-// construction). ComputeFECs keys groups on the joined Path.Key()
-// strings; grouping on path-index sequences is equivalent because the
-// structural path set never contains two distinct walks with the same
-// interface sequence (a path is its interface sequence). This
-// equivalence is pinned by TestFECSourceMatchesComputeFECs.
+// Classes are scanned in order, so FECs appear in first-seen order with
+// member classes ascending and paths in path-slice order; grouping on
+// path-index vectors is grouping on path sets because no two structural
+// paths share an interface sequence. TestFECSourceMatchesComputeFECs
+// pins this against the definitional classes × paths scan.
 type FECSource struct {
-	paths   []Path
-	classes []header.Prefix
+	paths     []Path
+	classes   []header.Prefix
+	truncated int
 
+	fecOf    []int32   // per class: its FEC, or -1 when no path forwards it
 	classIdx [][]int32 // per FEC: ascending indices into classes
 	pathIdx  [][]int32 // per FEC: ascending indices into paths
 }
 
-// NewFECSource scans classes once and groups them into FECs by the set
-// of structural paths that forward them. Classes forwarded by no path
-// are dropped, exactly as in ComputeFECs.
+// NewFECSource indexes a given path slice by replaying each path through
+// the FIBs it crosses (every class must be atomic with respect to them).
+// Classes no path forwards belong to no FEC: they never transit the scope.
 func NewFECSource(paths []Path, classes []header.Prefix) *FECSource {
-	s := &FECSource{paths: paths, classes: classes}
-	buckets := make(map[uint64][]int)
-	var fwd []int32
-	for ci, c := range classes {
-		fwd = fwd[:0]
-		for pi := range paths {
-			if paths[pi].ForwardsClass(c) {
-				fwd = append(fwd, int32(pi))
-			}
+	x := newIndexer(classes)
+	alive := make([]int32, 0, len(classes))
+	for pi, p := range paths {
+		alive = append(alive[:0], x.all...)
+		for _, h := range p.Hops {
+			row := x.row(h.In.Device)
+			oi := int32(slices.Index(row.ifaces, h.Out))
+			alive = slices.DeleteFunc(alive, func(c int32) bool { return !slices.Contains(row.outs[c], oi) })
 		}
-		if len(fwd) == 0 {
+		for _, c := range alive {
+			x.fwd[c] = append(x.fwd[c], int32(pi))
+		}
+	}
+	return x.group(paths)
+}
+
+// group finishes the index: classes with equal lists form one FEC.
+func (x *indexer) group(paths []Path) *FECSource {
+	s := &FECSource{paths: paths, classes: x.classes, truncated: x.truncated, fecOf: make([]int32, len(x.classes))}
+	byPaths := make(map[string]int32) // little-endian bytes of a path-index vector -> FEC
+	var key []byte
+	for ci, idx := range x.fwd {
+		if len(idx) == 0 {
+			s.fecOf[ci] = -1
 			continue
 		}
-		h := hashIdx(fwd)
-		gi := -1
-		for _, g := range buckets[h] {
-			if equalIdx(s.pathIdx[g], fwd) {
-				gi = g
-				break
-			}
+		key = key[:0]
+		for _, pi := range idx {
+			key = binary.LittleEndian.AppendUint32(key, uint32(pi))
 		}
-		if gi < 0 {
-			gi = len(s.pathIdx)
-			s.pathIdx = append(s.pathIdx, append([]int32(nil), fwd...))
+		gi, ok := byPaths[string(key)]
+		if !ok {
+			gi = int32(len(s.pathIdx))
+			byPaths[string(key)] = gi
+			s.pathIdx = append(s.pathIdx, idx)
 			s.classIdx = append(s.classIdx, nil)
-			buckets[h] = append(buckets[h], gi)
 		}
 		s.classIdx[gi] = append(s.classIdx[gi], int32(ci))
+		s.fecOf[ci] = gi
 	}
 	return s
+}
+
+// Paths and Classes return what was indexed. Callers must not mutate it.
+func (s *FECSource) Paths() []Path            { return s.paths }
+func (s *FECSource) Classes() []header.Prefix { return s.classes }
+
+// Truncated counts the walks ForwardingIndex abandoned at maxPathDevices
+// with traffic still alive: routes no verdict over this index looked at.
+func (s *FECSource) Truncated() int { return s.truncated }
+
+// FECOf returns the FEC of the class containing dst, or -1 when dst lies
+// in no class or in one no path forwards. It relies on the classes being
+// sorted and pairwise disjoint, as EnteringTraffic returns them.
+func (s *FECSource) FECOf(dst header.Prefix) int {
+	i := sort.Search(len(s.classes), func(i int) bool { return s.classes[i].Addr > dst.Addr }) - 1
+	if i < 0 || !s.classes[i].Contains(dst) {
+		return -1
+	}
+	return int(s.fecOf[i])
+}
+
+// All materializes every FEC, in order.
+func (s *FECSource) All() []FEC {
+	out := make([]FEC, s.NumFECs())
+	for i := range out {
+		out[i] = s.Materialize(i)
+	}
+	return out
 }
 
 // NumFECs returns the number of forwarding equivalence classes.
 func (s *FECSource) NumFECs() int { return len(s.pathIdx) }
 
-// Materialize builds FEC i with fresh Classes/Paths slices. The result
-// is value-identical to ComputeFECs(paths, classes)[i].
+// Materialize builds FEC i with fresh Classes/Paths slices.
 func (s *FECSource) Materialize(i int) FEC {
 	f := FEC{
 		Classes: make([]header.Prefix, len(s.classIdx[i])),
@@ -145,28 +189,4 @@ func (s *FECSource) Shards(k int) []ShardRange {
 		}
 	}
 	return append(out, ShardRange{Lo: lo, Hi: n})
-}
-
-// hashIdx is FNV-1a over the little-endian bytes of an index vector.
-func hashIdx(idx []int32) uint64 {
-	h := uint64(14695981039346656037)
-	for _, v := range idx {
-		for s := 0; s < 32; s += 8 {
-			h ^= uint64(byte(v >> s))
-			h *= 1099511628211
-		}
-	}
-	return h
-}
-
-func equalIdx(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -73,8 +73,7 @@ type Device struct {
 	Interfaces map[string]*Interface
 	FIB        []FIBEntry
 
-	lpm        *lpmNode                       // lazily built LPM trie over FIB
-	classCache map[header.Prefix][]*Interface // memoized LongestMatchClass results
+	lpm *lpmNode // lazily built LPM trie over FIB
 }
 
 // lpmNode is one node of the binary LPM trie. outs holds the ECMP set of
@@ -108,11 +107,6 @@ func (d *Device) lpmTrie() *lpmNode {
 	return root
 }
 
-func (d *Device) invalidateLPM() {
-	d.lpm = nil
-	d.classCache = nil
-}
-
 // Interface returns the named interface, creating it on first use.
 func (d *Device) Interface(name string) *Interface {
 	if i, ok := d.Interfaces[name]; ok {
@@ -129,7 +123,7 @@ func (d *Device) AddRoute(p header.Prefix, out *Interface) {
 		panic(fmt.Sprintf("topo: route on %s via foreign interface %s", d.Name, out.ID()))
 	}
 	d.FIB = append(d.FIB, FIBEntry{Prefix: p, Out: out})
-	d.invalidateLPM()
+	d.lpm = nil // rebuilt on the next lookup
 }
 
 // LongestMatch returns the out-interfaces selected by longest-prefix
@@ -159,9 +153,6 @@ func (d *Device) LongestMatch(addr uint32) []*Interface {
 // panics otherwise, because a non-atomic class has no uniform forwarding
 // behavior.
 func (d *Device) LongestMatchClass(class header.Prefix) []*Interface {
-	if outs, ok := d.classCache[class]; ok {
-		return outs
-	}
 	n := d.lpmTrie()
 	var outs []*Interface
 	for i := 0; ; i++ {
@@ -182,10 +173,6 @@ func (d *Device) LongestMatchClass(class header.Prefix) []*Interface {
 	if n != nil && n.subtree > len(n.outs) {
 		panic(fmt.Sprintf("topo: class %v not atomic wrt FIB on %s", class, d.Name))
 	}
-	if d.classCache == nil {
-		d.classCache = make(map[header.Prefix][]*Interface)
-	}
-	d.classCache[class] = outs
 	return outs
 }
 
