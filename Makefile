@@ -27,13 +27,13 @@ test: vet
 test-full:
 	JINJING_EXPERIMENTS_LARGE=1 $(GO) test -timeout 30m ./...
 
-# Race-detector pass over the fast suite (CheckParallel, obs sinks).
+# Race-detector pass over the fast suite (the check worker pool, obs sinks).
 race:
 	$(GO) test -race -short ./...
 
 # Bounded differential-fuzz corpus: the full (non-short) randomized
-# harness pinning Check == CheckParallel(k) == monolithic, plus the
-# sequential-vs-parallel fix agreement corpus.
+# harness pinning Check at Workers = 1 == Workers = k == Shards = s ==
+# monolithic, plus the sequential-vs-parallel fix agreement corpus.
 fuzz:
 	$(GO) test -count=1 -run 'TestFuzz|TestFixParallelMatchesSequential' ./internal/core
 
@@ -96,7 +96,10 @@ bench-check:
 # Regenerate the shard-scaling baseline (BENCH_shard.json): the full
 # small→xlarge grid with the xlarge tier opted in. The xlarge
 # monolithic arm is the multi-minute, memory-heavy cell the figure
-# exists to demonstrate against — budget several minutes.
+# exists to demonstrate against — budget several minutes. The same
+# command validates what it wrote (experiments.ValidateShardRows:
+# identical output, consistent FEC counts, envelope-exceeding sizes
+# rescued) and exits 1 on a violated invariant.
 bench-shard:
 	JINJING_EXPERIMENTS_LARGE=1 $(GO) run ./cmd/jinjing-experiments \
 		-figures shard -large -json BENCH_shard.json

@@ -65,6 +65,7 @@ func main() {
 	}
 
 	var report experiments.BenchReport
+	var shardErr error // a violated shard-figure invariant: exit 1 once the artifacts are written
 	if want["4a"] {
 		report.Checks = experiments.Fig4aCheck(sizes)
 		experiments.PrintCheckRows(os.Stdout, report.Checks)
@@ -152,6 +153,7 @@ func main() {
 		report.Shard = experiments.FigShardCheck(shardSizes, []int{1, 4, 16})
 		experiments.PrintShardRows(os.Stdout, report.Shard)
 		fmt.Println()
+		shardErr = experiments.ValidateShardRows(report.Shard)
 	}
 	if want["snap"] {
 		// Like "inc", the snapshot figure skips the small network: both
@@ -199,6 +201,11 @@ func main() {
 			fatal(err)
 		}
 		f.Close()
+	}
+	if shardErr != nil {
+		pprof.StopCPUProfile() // os.Exit skips the deferred stop
+		fmt.Fprintln(os.Stderr, "jinjing-experiments: shard figure:", shardErr)
+		os.Exit(1)
 	}
 }
 

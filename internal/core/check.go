@@ -52,7 +52,7 @@ type CheckResult struct {
 	Forensics []FECForensics
 	// SolverStats aggregates the full SAT counters (decisions,
 	// propagations, conflicts, restarts, learned, deleted) across every
-	// solver the check spun up — including all CheckParallel workers.
+	// solver the check spun up — including every pool worker's.
 	SolverStats sat.Stats
 	// Conflicts totals SAT conflict counts across all queries, the
 	// stand-in for the paper's "DPLL recursive calls" (§9). It equals
@@ -70,9 +70,14 @@ type CheckResult struct {
 
 // Check verifies packet (or desired, when controls are present)
 // reachability consistency between the engine's Before and After
-// snapshots, per Algorithm 1. With Options.Workers > 1 the per-FEC
-// queries run concurrently (see CheckParallel). Repeated calls on the
-// same engine reuse the encoded queries and warmed solvers.
+// snapshots, per Algorithm 1. One pipeline (see solve) serves every
+// configuration: Options.Workers > 1 fans the per-FEC queries out across
+// forked solvers, Options.Shards > 1 streams the FECs through bounded
+// shards. Verdict, violations and SolvedFECs are identical at every
+// worker and shard count: counterexamples come from a deterministic
+// witness pass over the violating FECs in FEC order, independent of
+// scheduling. Repeated calls on the same engine reuse the encoded
+// queries and warmed solvers.
 func (e *Engine) Check() *CheckResult {
 	return e.CheckContext(context.Background())
 }
@@ -82,39 +87,17 @@ func (e *Engine) Check() *CheckResult {
 // the call has in flight. FECs left without a verdict are reported in
 // CheckResult.Unknown with Complete=false, in canonical FEC order, and
 // are never cached — a later unrestricted call re-solves them.
-func (e *Engine) CheckContext(ctx context.Context) *CheckResult {
-	return e.checkWith(ctx, e.Opts.Workers)
-}
-
-// CheckParallel is Check with the per-FEC Equation-3 queries fanned out
-// across the given number of workers, overriding Options.Workers. The
-// ACL cones are Tseitin-clausified once into a prototype solver and
-// deep-copied to each worker (smt.Fork), so clausification is paid once
-// per distinct ACL rather than once per worker; worker solvers persist
-// on the engine and are reused by later calls. Verdict, violations, and
-// SolvedFECs are identical to the sequential path: counterexamples come
-// from a deterministic witness pass over the violating FECs in FEC
-// order, independent of worker scheduling.
-func (e *Engine) CheckParallel(workers int) *CheckResult {
-	return e.checkWith(context.Background(), workers)
-}
-
-// CheckParallelContext is CheckParallel under a cancellation scope (see
-// CheckContext).
-func (e *Engine) CheckParallelContext(ctx context.Context, workers int) *CheckResult {
-	return e.checkWith(ctx, workers)
-}
-
-func (e *Engine) checkWith(callCtx context.Context, workers int) *CheckResult {
+func (e *Engine) CheckContext(callCtx context.Context) *CheckResult {
 	o := e.obsv()
 	ls := e.ledgerBegin()
 	cn, endCall := e.beginCall(callCtx)
 	defer endCall()
-	attrs := []obs.Attr{obs.KV("mode", "sequential")}
-	if workers > 1 {
-		attrs = []obs.Attr{obs.KV("mode", "parallel"), obs.KV("workers", workers)}
+	mode := "sequential"
+	if e.Opts.Workers > 1 {
+		mode = "parallel"
 	}
-	root := e.startSpan("check", attrs...)
+	root := e.startSpan("check", obs.KV("mode", mode),
+		obs.KV("workers", max(e.Opts.Workers, 1)), obs.KV("shards", max(e.Opts.Shards, 1)))
 	res := &CheckResult{Consistent: true, Complete: true, Timings: Timings{}}
 
 	pre := startPhase(root, res.Timings, "preprocess")
@@ -134,23 +117,15 @@ func (e *Engine) checkWith(callCtx context.Context, workers int) *CheckResult {
 	res.FECs = ctx.nfec
 	fp.end(obs.KV("fecs", ctx.nfec))
 	statsBase := ctx.stats
-	ctx.peakHeap = 0
+	ctx.maxNodes, ctx.peakHeap = 0, 0
 
 	// Detection: resolve each FEC (differential skip, cached-verdict
-	// replay, SAT-free pre-filter) and decide the remaining queries.
-	// hits is ascending violating FEC indices; in first-violation mode
-	// it has at most one entry — the lowest violating FEC, exactly what
-	// the sequential scan finds. last is the highest FEC index the scan
-	// semantically examined (early stops leave the tail unexamined).
-	var hits []int
-	var last int
-	if e.sharded() {
-		hits, last = e.solveSharded(cn, ctx, res, root, o, workers)
-	} else if workers > 1 {
-		hits, last = e.solveParallel(cn, ctx, res, root, o, workers)
-	} else {
-		hits, last = e.solveSequential(cn, ctx, res, root, o)
-	}
+	// replay, SAT-free pre-filter, pset) and decide the remaining
+	// queries. hits is ascending violating FEC indices; in
+	// first-violation mode it has at most one entry — the lowest
+	// violating FEC. last is the highest FEC index the scan semantically
+	// examined (early stops leave the tail unexamined).
+	hits, last := e.solve(cn, ctx, res, root, o)
 	res.SolvedFECs = solvedFECs(ctx, last)
 	collectUnknown(ctx, res, last, o)
 
@@ -181,12 +156,10 @@ func (e *Engine) checkWith(callCtx context.Context, workers int) *CheckResult {
 	o.Gauge("impact.affected_fecs").Set(int64(res.Stats.AffectedFECs))
 
 	res.Conflicts = res.SolverStats.Conflicts
-	if e.sharded() {
-		// Shard builders are gone by now; report the largest one seen.
-		o.Gauge("smt.nodes").Set(ctx.maxNodes)
-	} else {
-		recordBuilderSize(o, ctx.sess.enc)
-	}
+	// The largest formula DAG a range closed on: the session builder
+	// unsharded, the biggest shard's otherwise (a proxy for encoding
+	// work, compared across encodings in the benches).
+	o.Gauge("smt.nodes").Set(ctx.maxNodes)
 	if e.sharded() || e.Opts.Forensics || e.Opts.DecisionLog != nil {
 		ctx.sampleHeap()
 		res.PeakHeapBytes = ctx.peakHeap
@@ -207,78 +180,6 @@ func (e *Engine) checkWith(callCtx context.Context, workers int) *CheckResult {
 	root.End()
 	e.logCheckDecision(ls, res)
 	return res
-}
-
-// solveSequential scans the FECs in order — replaying cached verdicts,
-// discharging pre-filtered FECs, and deciding pending queries on the
-// session's persistent incremental solver — stopping at the first
-// violation unless FindAllViolations is set. Resolution is lazy, so an
-// early stop skips all work for the remaining FECs. A budget-exhausted
-// FEC is marked Unknown and the scan continues (one pathological query
-// must not starve the rest); a cancellation marks everything undecided
-// Unknown and stops. Returns ascending violating FEC indices and the
-// last FEC index examined.
-func (e *Engine) solveSequential(cn *canceller, ctx *checkCtx, res *CheckResult, root *obs.Span, o *obs.Observer) ([]int, int) {
-	sp := startPhase(root, res.Timings, "solve")
-	sess := ctx.sess
-	if sess.seq == nil {
-		sess.seq = smt.SolverOn(sess.enc.b)
-	}
-	solver := sess.seq
-	cn.register(solver)
-	base := solver.Stats()
-	task := o.StartTask("check: FECs", int64(ctx.nfec))
-	so := solveObsFor(o, sp.sp)
-	ctx.resolveSpan = sp.sp
-	defer func() { ctx.resolveSpan = nil }()
-
-	var hits []int
-	last := ctx.nfec - 1
-	decided := 0
-scan:
-	for i := 0; i < ctx.nfec; i++ {
-		if cn.cancelled() {
-			// The call is dead: everything not yet decided in the scan's
-			// range is Unknown — including unresolved FECs, whose verdicts
-			// this call can no longer establish.
-			for ; i < ctx.nfec; i++ {
-				if st := ctx.states[i]; st == fecUnresolved || st == fecPending {
-					ctx.markUnknown(i, reasonCancelled)
-				}
-			}
-			break
-		}
-		switch e.resolveFEC(ctx, i) {
-		case fecViolating:
-			// Replayed (or decided by an earlier call) violating verdict:
-			// the scan stops here exactly as if the solver had just said
-			// SAT.
-			hits = append(hits, i)
-			if !e.Opts.FindAllViolations {
-				last = i
-				break scan
-			}
-		case fecPending:
-			j := ctx.jobs[ctx.jobOf[i]]
-			gotVerdict, satisfiable := e.decideJob(cn, solver, ctx, j, o, so)
-			if !gotVerdict {
-				continue
-			}
-			decided++
-			task.Add(1)
-			if satisfiable {
-				hits = append(hits, i)
-				if !e.Opts.FindAllViolations {
-					last = i
-					break scan
-				}
-			}
-		}
-	}
-	task.Done()
-	recordSolverStats(o, &res.SolverStats, statsSince(solver.Stats(), base))
-	sp.end(obs.KV("decided", decided), obs.KV("violations", len(hits)))
-	return hits, last
 }
 
 // fecTouchesDiff reports whether any differential rule can match traffic

@@ -32,6 +32,14 @@ func runningExampleUpdate(n *topo.Network) *topo.Network {
 	return after
 }
 
+// checkWorkers runs e.Check with Options.Workers set to workers for
+// this call only, so one engine can be checked at several worker counts.
+func checkWorkers(e *core.Engine, workers int) *core.CheckResult {
+	defer func(w int) { e.Opts.Workers = w }(e.Opts.Workers)
+	e.Opts.Workers = workers
+	return e.Check()
+}
+
 func newRunningEngine(t *testing.T, opts core.Options) *core.Engine {
 	t.Helper()
 	before := papernet.Build()

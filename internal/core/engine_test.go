@@ -125,7 +125,7 @@ func TestCheckParallelAgreesWithSequential(t *testing.T) {
 	seq := e.Check()
 	for _, workers := range []int{1, 2, 4, 8} {
 		e2 := newRunningEngine(t, opts)
-		par := e2.CheckParallel(workers)
+		par := checkWorkers(e2, workers)
 		if par.Consistent != seq.Consistent {
 			t.Fatalf("workers=%d: verdict %v != %v", workers, par.Consistent, seq.Consistent)
 		}
@@ -141,7 +141,7 @@ func TestCheckParallelAgreesWithSequential(t *testing.T) {
 	// Consistent case.
 	before := papernet.Build()
 	same := core.New(before, before.Clone(), papernet.Scope(), core.DefaultOptions())
-	if !same.CheckParallel(4).Consistent {
+	if !checkWorkers(same, 4).Consistent {
 		t.Fatal("parallel check flagged an unchanged network")
 	}
 }
@@ -174,5 +174,45 @@ func TestExplainViolation(t *testing.T) {
 		if !found && !x.After.Permitted {
 			t.Errorf("after-trace should blame A:1's new deny:\n%s", x)
 		}
+	}
+}
+
+// TestFirstViolationResolvesNothingPastTheHit pins the laziness of the
+// one-worker, unsharded path: resolve is interleaved with decide, so a
+// cold first-violation check sends to a complete backend exactly the
+// solver-bound FECs at or below the hit — no formula is built, and no
+// set algebra run, for anything past it.
+func TestFirstViolationResolvesNothingPastTheHit(t *testing.T) {
+	all := core.DefaultOptions()
+	all.FindAllViolations = true
+	all.Forensics = true
+	full := newRunningEngine(t, all).Check()
+
+	first := core.DefaultOptions()
+	first.Forensics = true
+	res := newRunningEngine(t, first).Check()
+	if res.Consistent || len(res.Forensics) == 0 {
+		t.Fatalf("running example must be inconsistent with forensics: %+v", res)
+	}
+	hit := res.Forensics[len(res.Forensics)-1].FEC // the scan examined nothing past it
+	var want, bound int64
+	for _, f := range full.Forensics {
+		switch f.Route {
+		case "pset", "sat", "sat-bailout":
+			bound++
+			if f.FEC <= hit {
+				want++
+			}
+		}
+	}
+	if want == bound {
+		t.Fatalf("first violating FEC %d is the last solver-bound one: the case cannot show laziness", hit)
+	}
+	if got := full.Stats.SatSelected + full.Stats.PsetDecided; got != bound {
+		t.Fatalf("find-all run resolved %d solver-bound FECs, forensics list %d", got, bound)
+	}
+	if got := res.Stats.SatSelected + res.Stats.PsetDecided; got != want {
+		t.Fatalf("first-violation run resolved %d solver-bound FECs, want %d (at or below FEC %d) of %d",
+			got, want, hit, bound)
 	}
 }

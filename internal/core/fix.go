@@ -110,7 +110,7 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 
 	sp := startPhase(root, res.Timings, "solve")
 	iterations := o.Counter("fix.iterations")
-	nfec := ctx.numFECs()
+	nfec := ctx.nfec
 	task := o.StartTask("fix: FECs", int64(nfec))
 
 	apply := func(out fecFixOutcome) error {
@@ -148,7 +148,7 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 	var blocked []UnknownFEC
 	if workers := e.Opts.Workers; workers > 1 {
 		outcomes := make([]fecFixOutcome, nfec)
-		runParallel(o, workers, nfec, func(i int) {
+		runParallel(o, workers, nfec, func(_, i int) {
 			outcomes[i] = e.fixFEC(cn, ctx, i, &cons, allowSet, maxN)
 			task.Add(1)
 		})

@@ -388,14 +388,10 @@ func (e *Engine) prepareIncremental(ctx *checkCtx) {
 		return
 	}
 	ctx.incReady = true
-	if ctx.fecs == nil && ctx.src == nil {
-		if e.sharded() {
-			ctx.src = e.fecSource()
-			ctx.nfec = ctx.src.NumFECs()
-		} else {
-			ctx.fecs = e.FECs()
-			ctx.nfec = len(ctx.fecs)
-		}
+	ctx.src = e.fecSource()
+	ctx.nfec = ctx.src.NumFECs()
+	if !e.sharded() {
+		ctx.window = e.FECs()
 	}
 	n := ctx.nfec
 	ctx.states = make([]fecState, n)
@@ -636,10 +632,11 @@ func (e *Engine) fecPrefiltered(ctx *checkCtx, fec topo.FEC) bool {
 // resolveFEC classifies FEC i for this generation: the differential
 // skip first (never cached — it depends on the global diff), then the
 // change-impact replay and the verdict cache, then the SAT-free
-// pre-filter, and only then formula construction. Must be called from
-// one goroutine at a time (the solve phases resolve before fanning
-// out); the resulting state is memoized.
-func (e *Engine) resolveFEC(ctx *checkCtx, i int) fecState {
+// pre-filter, and only then formula construction, on enc — the open
+// range's encoder. Must be called from one goroutine at a time
+// (solveRange resolves before fanning out); the resulting state is
+// memoized.
+func (e *Engine) resolveFEC(ctx *checkCtx, enc *encoder, i int) fecState {
 	if st := ctx.states[i]; st != fecUnresolved {
 		if st != fecUnknown {
 			return st
@@ -718,7 +715,6 @@ func (e *Engine) resolveFEC(ctx *checkCtx, i int) fecState {
 	if ctx.routes[i] == routeNone {
 		ctx.routes[i] = routeSAT
 	}
-	enc := ctx.enc()
 	viol := e.fecViolationFormula(enc, fec, ctx.encodeACLs)
 	ctx.jobOf[i] = int32(len(ctx.jobs))
 	ctx.jobs = append(ctx.jobs, checkJob{

@@ -122,11 +122,11 @@ func TestWarmParallelRecheckMatchesCold(t *testing.T) {
 		opts.FindAllViolations = findAll
 		opts.Verdicts = core.NewVerdictCache()
 		warm := core.New(before, after, papernet.Scope(), opts)
-		warm.CheckParallel(4)
+		checkWorkers(warm, 4)
 
 		edited := editAfter(t, after, "D:2", papernet.Traffic(7))
 		warm.UpdateAfter(edited)
-		got := warm.CheckParallel(4)
+		got := checkWorkers(warm, 4)
 
 		coldOpts := core.DefaultOptions()
 		coldOpts.FindAllViolations = findAll

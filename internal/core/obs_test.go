@@ -124,11 +124,18 @@ func TestCheckParallelObservability(t *testing.T) {
 			snap.Counters["sat.propagations"], res.SolverStats.Propagations)
 	}
 	spans := decodeSpans(t, trace)
-	if len(spans["check"]) != 1 || spans["check"][0].Attrs["mode"] != "parallel" {
-		t.Fatalf("parallel root span wrong: %+v", spans["check"])
+	root := spans["check"]
+	if len(root) != 1 || root[0].Attrs["mode"] != "parallel" ||
+		root[0].Attrs["workers"] != float64(4) || root[0].Attrs["shards"] != float64(1) {
+		t.Fatalf("parallel root span wrong: %+v", root)
 	}
-	if len(spans["encode"]) != 1 {
-		t.Fatalf("parallel check must have an encode phase: %v", spans)
+	// Resolution runs under solve in every mode: no separate encode
+	// phase, and decided counts the jobs that reached a verdict.
+	if len(spans["encode"]) != 0 {
+		t.Fatalf("check must not emit an encode phase: %v", spans["encode"])
+	}
+	if sv := spans["solve"]; len(sv) != 1 || sv[0].Attrs["decided"] != float64(res.SolvedFECs) {
+		t.Fatalf("solve span wrong (want decided=%d): %+v", res.SolvedFECs, sv)
 	}
 	if got := snap.Histograms["check.fec_solve_ns"].Count; got != int64(res.SolvedFECs) {
 		t.Fatalf("solve histogram count %d != solved FECs %d", got, res.SolvedFECs)

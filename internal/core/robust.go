@@ -240,51 +240,34 @@ func (e *Engine) solveWithRetries(cn *canceller, solver *smt.Solver, o *obs.Obse
 	}
 }
 
-// solveObs bundles the observability hooks of one check solve phase:
-// the all-backends and SAT-only decision-latency histograms, plus the
-// phase span that parents per-FEC solve spans. The zero value no-ops.
-type solveObs struct {
-	hist    *obs.Histogram // check.fec_solve_ns (every complete-backend decision)
-	satHist *obs.Histogram // fec.solve.ns{backend=sat}
-	span    *obs.Span      // parent of per-FEC "fec.solve" spans
-}
-
-// solveObsFor resolves the phase's histograms once, outside the job
-// loop.
-func solveObsFor(o *obs.Observer, span *obs.Span) solveObs {
-	return solveObs{
-		hist:    o.Histogram("check.fec_solve_ns"),
-		satHist: o.Histogram("fec.solve.ns{backend=sat}"),
-		span:    span,
-	}
-}
-
 // decideJob decides one pending Equation-3 query for check, recording
 // the verdict (finishJob) or the Unknown (markUnknown — never cached),
 // the per-FEC solve forensics, and a per-FEC span linking the FEC to
-// its backend-selector decision. Safe to call concurrently for distinct
-// jobs.
-func (e *Engine) decideJob(cn *canceller, solver *smt.Solver, ctx *checkCtx, j checkJob, o *obs.Observer, so solveObs) (decided, satisfiable bool) {
-	fsp := so.span.Child("fec.solve", obs.KV("fec", j.fecIdx), obs.KV("backend", "sat"))
+// its backend-selector decision. Returns the FEC's resulting state:
+// fecOK, fecViolating, or fecUnknown. Safe to call concurrently for
+// distinct jobs.
+func (e *Engine) decideJob(c *solveCall, solver *smt.Solver, j checkJob) fecState {
+	ctx := c.ctx
+	fsp := c.span.Child("fec.solve", obs.KV("fec", j.fecIdx), obs.KV("backend", "sat"))
 	if ctx.routes[j.fecIdx] == routeSATBail {
 		fsp.SetAttr("pset_bailout", true)
 	}
 	t1 := time.Now()
-	r := e.solveWithRetries(cn, solver, o, faultinject.CheckSolve, false, j.query)
+	r := e.solveWithRetries(c.cn, solver, c.o, faultinject.CheckSolve, false, j.query)
 	ns := time.Since(t1).Nanoseconds()
 	ctx.solveNS[j.fecIdx] += ns
-	so.hist.Observe(ns)
-	so.satHist.Observe(ns)
+	c.hist.Observe(ns)
+	c.satHist.Observe(ns)
 	if r.Outcome == sat.Unknown {
 		ctx.markUnknown(j.fecIdx, r.Reason)
 		fsp.SetAttr("verdict", "unknown")
-		fsp.End()
-		return false, false
+	} else {
+		c.decided.Add(1)
+		ctx.finishJob(j, r.Outcome == sat.Sat)
+		fsp.SetAttr("verdict", verdictString(ctx.states[j.fecIdx]))
 	}
-	ctx.finishJob(j, r.Outcome == sat.Sat)
-	fsp.SetAttr("verdict", verdictString(ctx.states[j.fecIdx]))
 	fsp.End()
-	return true, r.Outcome == sat.Sat
+	return ctx.states[j.fecIdx]
 }
 
 // collectUnknown gathers the FECs left without a verdict in [0, last]

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -34,6 +35,51 @@ func findAllOpts() core.Options {
 	opts.FindAllViolations = true
 	opts.Backend = core.BackendSAT
 	return opts
+}
+
+// eachFaultMode runs fn at every (workers, shards) corner of the one
+// check pipeline — calling goroutine or pool, session or per-shard
+// solvers — with findAllOpts configured for that corner. The running
+// example has three solver-bound FECs (0, 1 and 4); at four shards the
+// first shard holds two of them, so the sharded pool is a real pool.
+func eachFaultMode(t *testing.T, fn func(t *testing.T, opts core.Options)) {
+	for _, m := range []struct{ workers, shards int }{{1, 1}, {2, 1}, {1, 4}, {2, 4}} {
+		t.Run(fmt.Sprintf("workers=%d/shards=%d", m.workers, m.shards), func(t *testing.T) {
+			defer faultinject.Reset()
+			opts := findAllOpts()
+			opts.Workers, opts.Shards = m.workers, m.shards
+			fn(t, opts)
+		})
+	}
+}
+
+// poolChunks counts the chunks the cold find-all check hands to worker
+// pools under opts — the units a ParallelJob fault can crash. With one
+// worker there is no pool; a range's lone pending job runs inline, so
+// only ranges holding at least two count, each cut into one contiguous
+// chunk per worker slot.
+func poolChunks(t *testing.T, opts core.Options) int {
+	t.Helper()
+	if opts.Workers <= 1 {
+		return 0
+	}
+	ref := findAllOpts()
+	ref.Forensics = true
+	e := newRunningEngine(t, ref)
+	res := e.Check()
+	chunks := 0
+	for _, sr := range e.Before.ForwardingIndex(e.Scope, e.Classes()).Shards(opts.Shards) {
+		n := 0
+		for _, f := range res.Forensics {
+			if f.FEC >= sr.Lo && f.FEC < sr.Hi && f.Route == "sat" {
+				n++
+			}
+		}
+		if n >= 2 {
+			chunks += min(opts.Workers, n)
+		}
+	}
+	return chunks
 }
 
 // TestFaultTimeoutRetryRecovers injects one solver timeout into the
@@ -113,48 +159,48 @@ func TestFaultTransientExhaustsRetries(t *testing.T) {
 // on the same warm engine must re-solve them and land on the cold-run
 // answer, violations and all.
 func TestFaultUnknownNeverCachedAndRepaired(t *testing.T) {
-	defer faultinject.Reset()
-	opts := findAllOpts()
-	opts.MaxRetries = 0
-	opts.Verdicts = core.NewVerdictCache()
-	_, _, m := obsHarness(&opts)
+	eachFaultMode(t, func(t *testing.T, opts core.Options) {
+		opts.MaxRetries = 0
+		opts.Verdicts = core.NewVerdictCache()
+		_, _, m := obsHarness(&opts)
 
-	cancel := faultinject.Schedule(faultinject.CheckSolve, faultinject.Timeout)
-	warm := newRunningEngine(t, opts)
-	res1 := warm.Check()
-	if res1.Complete {
-		t.Fatal("every query timed out, yet the check claims completeness")
-	}
-	if !res1.Consistent {
-		t.Fatalf("no query got a verdict, yet violations appeared: %v", res1.Violations)
-	}
-	if len(res1.Unknown) == 0 {
-		t.Fatal("no Unknown FECs reported")
-	}
-	for _, u := range res1.Unknown {
-		if u.Reason != sat.ReasonInterrupted {
-			t.Fatalf("Unknown reason = %q, want %q", u.Reason, sat.ReasonInterrupted)
+		cancel := faultinject.Schedule(faultinject.CheckSolve, faultinject.Timeout)
+		warm := newRunningEngine(t, opts)
+		res1 := warm.Check()
+		if res1.Complete {
+			t.Fatal("every query timed out, yet the check claims completeness")
 		}
-	}
-	if n := m.Snapshot().Counters["fec.unknown"]; n != int64(len(res1.Unknown)) {
-		t.Fatalf("fec.unknown counter = %d, want %d", n, len(res1.Unknown))
-	}
+		if !res1.Consistent {
+			t.Fatalf("no query got a verdict, yet violations appeared: %v", res1.Violations)
+		}
+		if len(res1.Unknown) == 0 {
+			t.Fatal("no Unknown FECs reported")
+		}
+		for _, u := range res1.Unknown {
+			if u.Reason != sat.ReasonInterrupted {
+				t.Fatalf("Unknown reason = %q, want %q", u.Reason, sat.ReasonInterrupted)
+			}
+		}
+		if n := m.Snapshot().Counters["fec.unknown"]; n != int64(len(res1.Unknown)) {
+			t.Fatalf("fec.unknown counter = %d, want %d", n, len(res1.Unknown))
+		}
 
-	// Lift the faults; the warm engine must now repair itself. If any
-	// Unknown had been cached as "consistent", this re-check would replay
-	// it and miss the running example's violations.
-	cancel()
-	res2 := warm.Check()
-	cold := newRunningEngine(t, findAllOpts()).Check()
-	if got, want := checkSignature(res2), checkSignature(cold); got != want {
-		t.Fatalf("post-fault re-check diverged from cold run:\n%s\nwant:\n%s", got, want)
-	}
-	if res2.Consistent {
-		t.Fatal("running example is inconsistent; a cached Unknown masked it")
-	}
-	if res2.SolvedFECs != cold.SolvedFECs {
-		t.Fatalf("warm repair SolvedFECs=%d, cold=%d", res2.SolvedFECs, cold.SolvedFECs)
-	}
+		// Lift the faults; the warm engine must now repair itself. If any
+		// Unknown had been cached as "consistent", this re-check would
+		// replay it and miss the running example's violations.
+		cancel()
+		res2 := warm.Check()
+		cold := newRunningEngine(t, findAllOpts()).Check()
+		if got, want := checkSignature(res2), checkSignature(cold); got != want {
+			t.Fatalf("post-fault re-check diverged from cold run:\n%s\nwant:\n%s", got, want)
+		}
+		if res2.Consistent {
+			t.Fatal("running example is inconsistent; a cached Unknown masked it")
+		}
+		if res2.SolvedFECs != cold.SolvedFECs {
+			t.Fatalf("warm repair SolvedFECs=%d, cold=%d", res2.SolvedFECs, cold.SolvedFECs)
+		}
+	})
 }
 
 // TestFaultDeadlineCancelsPromptly wedges the solver (every query times
@@ -162,28 +208,28 @@ func TestFaultUnknownNeverCachedAndRepaired(t *testing.T) {
 // cut the call loose: the check must return promptly with every
 // undecided FEC marked cancelled.
 func TestFaultDeadlineCancelsPromptly(t *testing.T) {
-	defer faultinject.Reset()
-	opts := findAllOpts()
-	opts.MaxRetries = 1 << 30
-	opts.Deadline = 50 * time.Millisecond
-	faultinject.Schedule(faultinject.CheckSolve, faultinject.Timeout)
+	eachFaultMode(t, func(t *testing.T, opts core.Options) {
+		opts.MaxRetries = 1 << 30
+		opts.Deadline = 50 * time.Millisecond
+		faultinject.Schedule(faultinject.CheckSolve, faultinject.Timeout)
 
-	start := time.Now()
-	res := newRunningEngine(t, opts).Check()
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("deadline did not cut the wedged call loose: took %v", elapsed)
-	}
-	if res.Complete {
-		t.Fatal("a deadline-cancelled check cannot be complete")
-	}
-	if len(res.Unknown) == 0 {
-		t.Fatal("no Unknown FECs reported")
-	}
-	for _, u := range res.Unknown {
-		if u.Reason != "cancelled" {
-			t.Fatalf("Unknown reason = %q, want \"cancelled\"", u.Reason)
+		start := time.Now()
+		res := newRunningEngine(t, opts).Check()
+		if elapsed := time.Since(start); elapsed > 10*time.Second {
+			t.Fatalf("deadline did not cut the wedged call loose: took %v", elapsed)
 		}
-	}
+		if res.Complete {
+			t.Fatal("a deadline-cancelled check cannot be complete")
+		}
+		if len(res.Unknown) == 0 {
+			t.Fatal("no Unknown FECs reported")
+		}
+		for _, u := range res.Unknown {
+			if u.Reason != "cancelled" {
+				t.Fatalf("Unknown reason = %q, want \"cancelled\"", u.Reason)
+			}
+		}
+	})
 }
 
 // TestFaultCancelledContextMarksUnknown runs a check under an
@@ -192,98 +238,138 @@ func TestFaultDeadlineCancelsPromptly(t *testing.T) {
 // engine must repair to the cold answer — cancelled verdicts are never
 // cached either.
 func TestFaultCancelledContextMarksUnknown(t *testing.T) {
-	defer faultinject.Reset()
-	opts := findAllOpts()
-	opts.MaxRetries = 1 << 30
-	opts.Verdicts = core.NewVerdictCache()
-	cancelFault := faultinject.Schedule(faultinject.CheckSolve, faultinject.Timeout)
+	eachFaultMode(t, func(t *testing.T, opts core.Options) {
+		opts.MaxRetries = 1 << 30
+		opts.Verdicts = core.NewVerdictCache()
+		cancelFault := faultinject.Schedule(faultinject.CheckSolve, faultinject.Timeout)
 
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	warm := newRunningEngine(t, opts)
-	res := warm.CheckContext(ctx)
-	if res.Complete {
-		t.Fatal("a cancelled check cannot be complete")
-	}
-	for _, u := range res.Unknown {
-		if u.Reason != "cancelled" {
-			t.Fatalf("Unknown reason = %q, want \"cancelled\"", u.Reason)
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		warm := newRunningEngine(t, opts)
+		res := warm.CheckContext(ctx)
+		if res.Complete {
+			t.Fatal("a cancelled check cannot be complete")
 		}
-	}
+		// The dead call resolved nothing: every FEC of the scope — in
+		// shards it never opened, too — is Unknown.
+		if len(res.Unknown) != res.FECs {
+			t.Fatalf("%d of %d FECs Unknown: %v", len(res.Unknown), res.FECs, res.Unknown)
+		}
+		for _, u := range res.Unknown {
+			if u.Reason != "cancelled" {
+				t.Fatalf("Unknown reason = %q, want \"cancelled\"", u.Reason)
+			}
+		}
 
-	cancelFault()
-	res2 := warm.Check()
-	cold := newRunningEngine(t, findAllOpts()).Check()
-	if got, want := checkSignature(res2), checkSignature(cold); got != want {
-		t.Fatalf("post-cancel re-check diverged from cold run:\n%s\nwant:\n%s", got, want)
-	}
+		cancelFault()
+		res2 := warm.Check()
+		cold := newRunningEngine(t, findAllOpts()).Check()
+		if got, want := checkSignature(res2), checkSignature(cold); got != want {
+			t.Fatalf("post-cancel re-check diverged from cold run:\n%s\nwant:\n%s", got, want)
+		}
+	})
 }
 
-// TestFaultWorkerPanicRecovered crashes one parallel check worker on
-// its first job: the survivors must drain the requeue and the result
-// must equal the clean sequential run.
+// TestFaultWorkerPanicRecovered crashes the check's first solver query
+// mid-decision. In a pool the crash costs one worker its solver and
+// nothing else: the job is parked, re-run once the pool drains, and the
+// result equals the clean sequential run. With one worker the query runs
+// on the calling goroutine, which has nobody to hand the job to — the
+// panic surfaces instead of being swallowed.
 func TestFaultWorkerPanicRecovered(t *testing.T) {
+	want := checkSignature(newRunningEngine(t, findAllOpts()).Check())
+	eachFaultMode(t, func(t *testing.T, opts core.Options) {
+		_, _, m := obsHarness(&opts)
+		faultinject.Schedule(faultinject.CheckSolve, faultinject.Panic, 1)
+		e := newRunningEngine(t, opts)
+		if opts.Workers == 1 {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("a one-worker check swallowed the injected panic")
+				}
+				if n := m.Snapshot().Counters["worker.panic.recovered"]; n != 0 {
+					t.Fatalf("worker.panic.recovered = %d without a pool", n)
+				}
+			}()
+		}
+		res := e.Check()
+		if got := checkSignature(res); got != want {
+			t.Fatalf("panic-recovered parallel check diverged:\n%s\nwant:\n%s", got, want)
+		}
+		if !res.Complete {
+			t.Fatalf("worker crash must not lose verdicts: Unknown=%v", res.Unknown)
+		}
+		if n := m.Snapshot().Counters["worker.panic.recovered"]; n != 1 {
+			t.Fatalf("worker.panic.recovered = %d, want 1", n)
+		}
+	})
+}
+
+// TestFaultPanicMidChunkDecidesEachJobOnce crashes the last solver query
+// of a two-worker find-all pool. The running example's three jobs are cut
+// into the chunks {0} and {1, 2}, so — scheduling permitting — the third
+// query is job 2, behind job 1 already settled in the same chunk: the
+// chunk's retry must decide only what the panic left pending.
+func TestFaultPanicMidChunkDecidesEachJobOnce(t *testing.T) {
 	defer faultinject.Reset()
 	want := checkSignature(newRunningEngine(t, findAllOpts()).Check())
-
 	opts := findAllOpts()
-	_, _, m := obsHarness(&opts)
-	faultinject.Schedule(faultinject.CheckSolve, faultinject.Panic, 1)
-	res := newRunningEngine(t, opts).CheckParallel(2)
+	opts.Workers = 2
+	trace, _, m := obsHarness(&opts)
+	faultinject.Schedule(faultinject.CheckSolve, faultinject.Panic, 3)
+	res := newRunningEngine(t, opts).Check()
 	if got := checkSignature(res); got != want {
-		t.Fatalf("panic-recovered parallel check diverged:\n%s\nwant:\n%s", got, want)
+		t.Fatalf("panic-recovered check diverged:\n%s\nwant:\n%s", got, want)
 	}
-	if !res.Complete {
-		t.Fatalf("worker crash must not lose verdicts: Unknown=%v", res.Unknown)
-	}
-	if n := m.Snapshot().Counters["worker.panic.recovered"]; n != 1 {
+	snap := m.Snapshot()
+	if n := snap.Counters["worker.panic.recovered"]; n != 1 {
 		t.Fatalf("worker.panic.recovered = %d, want 1", n)
+	}
+	if sv := decodeSpans(t, trace)["solve"]; len(sv) != 1 || sv[0].Attrs["decided"] != float64(res.SolvedFECs) {
+		t.Fatalf("solve span wrong (want decided=%d): %+v", res.SolvedFECs, sv)
+	}
+	if got := snap.Histograms["check.fec_solve_ns"].Count; got != int64(res.SolvedFECs) {
+		t.Fatalf("%d solver decisions for %d solver-bound FECs: the retry re-decided a settled job", got, res.SolvedFECs)
 	}
 }
 
-// TestFaultPoolCollapseSequentialFallback kills every parallel worker
-// on its first job (the first W fires are distinct workers' first
-// solves; a crashed worker never fires again) and asserts the
-// sequential fallback finishes the check with a report byte-identical
-// to the one-worker run.
+// TestFaultPoolCollapseSequentialFallback crashes every chunk a pool
+// worker picks up (the every-hit ParallelJob schedule; the sequential
+// re-run does not fire it) and asserts the fallback finishes the check
+// with a report byte-identical to the clean one-worker run — in every
+// pool of a sharded check, too. With one worker there is no pool:
+// nothing fires, nothing is recovered, same bytes.
 func TestFaultPoolCollapseSequentialFallback(t *testing.T) {
-	defer faultinject.Reset()
 	ref := newRunningEngine(t, findAllOpts()).Check()
 	want := checkSignature(ref)
 	var wantOut bytes.Buffer
 	(&core.Report{Checks: []*core.CheckResult{ref}}).Print(&wantOut)
 
-	// On a cold engine every solver-decided FEC is one pending job, so
-	// SolvedFECs is the pending-job count — the worker count that gives
-	// each worker exactly one job.
-	workers := ref.SolvedFECs
-	if workers < 2 {
-		t.Fatalf("running example needs >= 2 solver-bound FECs for a pool collapse, got %d", workers)
-	}
-	hits := make([]int64, workers)
-	for i := range hits {
-		hits[i] = int64(i + 1)
-	}
-	opts := findAllOpts()
-	_, _, m := obsHarness(&opts)
-	faultinject.Schedule(faultinject.CheckSolve, faultinject.Panic, hits...)
+	eachFaultMode(t, func(t *testing.T, opts core.Options) {
+		chunks := poolChunks(t, opts)
+		if opts.Workers > 1 && chunks < 2 {
+			t.Fatalf("running example needs >= 2 pool chunks for a pool collapse, got %d", chunks)
+		}
+		_, _, m := obsHarness(&opts)
+		faultinject.Schedule(faultinject.ParallelJob, faultinject.Panic)
 
-	res := newRunningEngine(t, opts).CheckParallel(workers)
-	if got := checkSignature(res); got != want {
-		t.Fatalf("collapsed-pool check diverged:\n%s\nwant:\n%s", got, want)
-	}
-	if !res.Complete {
-		t.Fatalf("fallback must decide everything: Unknown=%v", res.Unknown)
-	}
-	var gotOut bytes.Buffer
-	(&core.Report{Checks: []*core.CheckResult{res}}).Print(&gotOut)
-	if !bytes.Equal(gotOut.Bytes(), wantOut.Bytes()) {
-		t.Fatalf("collapsed-pool report differs from one-worker report:\n%s\nwant:\n%s",
-			gotOut.String(), wantOut.String())
-	}
-	if n := m.Snapshot().Counters["worker.panic.recovered"]; n != int64(workers) {
-		t.Fatalf("worker.panic.recovered = %d, want %d (every worker died once)", n, workers)
-	}
+		res := newRunningEngine(t, opts).Check()
+		if got := checkSignature(res); got != want {
+			t.Fatalf("collapsed-pool check diverged:\n%s\nwant:\n%s", got, want)
+		}
+		if !res.Complete {
+			t.Fatalf("fallback must decide everything: Unknown=%v", res.Unknown)
+		}
+		var gotOut bytes.Buffer
+		(&core.Report{Checks: []*core.CheckResult{res}}).Print(&gotOut)
+		if !bytes.Equal(gotOut.Bytes(), wantOut.Bytes()) {
+			t.Fatalf("collapsed-pool report differs from one-worker report:\n%s\nwant:\n%s",
+				gotOut.String(), wantOut.String())
+		}
+		if n := m.Snapshot().Counters["worker.panic.recovered"]; n != int64(chunks) {
+			t.Fatalf("worker.panic.recovered = %d, want %d (every pool chunk died once)", n, chunks)
+		}
+	})
 }
 
 // TestFaultFixPoolRetriesPanickedJobs crashes one job of fix's generic
@@ -395,7 +481,7 @@ func TestFaultLimitsInertOnHappyPath(t *testing.T) {
 	if got := checkSignature(newRunningEngine(t, opts).Check()); got != want {
 		t.Fatalf("limits changed the sequential result:\n%s\nwant:\n%s", got, want)
 	}
-	if got := checkSignature(newRunningEngine(t, opts).CheckParallel(4)); got != want {
+	if got := checkSignature(checkWorkers(newRunningEngine(t, opts), 4)); got != want {
 		t.Fatalf("limits changed the parallel result:\n%s\nwant:\n%s", got, want)
 	}
 	snap := m.Snapshot()

@@ -56,7 +56,7 @@ func TestFuzzShardAgreement(t *testing.T) {
 			for _, workers := range []int{1, 4} {
 				o := opts
 				o.Shards = shards
-				res := core.New(before, after, scope, o).CheckParallel(workers)
+				res := checkWorkers(core.New(before, after, scope, o), workers)
 				if got := checkSignature(res); got != want {
 					t.Fatalf("case %d: Shards=%d Workers=%d diverged\nsharded:\n%s\nunsharded:\n%s",
 						iter, shards, workers, got, want)
@@ -73,7 +73,7 @@ func TestFuzzShardAgreement(t *testing.T) {
 				// per-shard formulas, so the second call must rebuild and
 				// still agree byte for byte.
 				warm := core.New(before, after, scope, o)
-				warm.CheckParallel(workers)
+				checkWorkers(warm, workers)
 				if got := checkSignature(warm.Check()); got != want {
 					t.Fatalf("case %d: Shards=%d warm re-check diverged\ngot:\n%s\nwant:\n%s",
 						iter, shards, got, want)
@@ -102,7 +102,7 @@ func TestFuzzShardAgreement(t *testing.T) {
 		warmOpts.Verdicts = core.NewVerdictCache()
 
 		warm := core.New(before, before.Clone(), scope, warmOpts)
-		warm.CheckParallel(1 + 3*(iter%2)) // 1 or 4
+		checkWorkers(warm, 1+3*(iter%2)) // 1 or 4
 
 		cur := before
 		for step := 0; step < steps; step++ {
@@ -114,7 +114,7 @@ func TestFuzzShardAgreement(t *testing.T) {
 			want := checkSignature(cold)
 
 			warm.UpdateAfter(cur)
-			res := warm.CheckParallel(1 + 3*(iter%2))
+			res := checkWorkers(warm, 1+3*(iter%2))
 			if got := checkSignature(res); got != want {
 				t.Fatalf("warm case %d step %d: sharded warm diverged\nwarm:\n%s\ncold:\n%s",
 					iter, step, got, want)
@@ -147,7 +147,7 @@ func TestShardCheckWAN(t *testing.T) {
 	for _, shards := range []int{2, 4, 16} {
 		o := opts
 		o.Shards = shards
-		res := core.New(w.Net, after, w.Scope, o).CheckParallel(2)
+		res := checkWorkers(core.New(w.Net, after, w.Scope, o), 2)
 		if got := checkSignature(res); got != want {
 			t.Fatalf("Shards=%d diverged\nsharded:\n%s\nunsharded:\n%s", shards, got, want)
 		}

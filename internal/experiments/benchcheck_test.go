@@ -68,6 +68,9 @@ func TestBenchCheck(t *testing.T) {
 			t.Fatal("baseline has no shard rows")
 		}
 		fresh := FigShardCheck(sizes, []int{1, 4, 16})
+		if err := ValidateShardRows(fresh); err != nil {
+			t.Error(err)
+		}
 		mono := findShard(fresh, netgen.Medium, 1)
 		if mono == nil {
 			t.Fatal("fresh run missing the medium monolithic row")
@@ -84,9 +87,6 @@ func TestBenchCheck(t *testing.T) {
 			if got == nil {
 				t.Errorf("fresh run missing row %s/shards=%d", base.Size, base.Shards)
 				continue
-			}
-			if !got.Identical {
-				t.Errorf("%s/shards=%d: sharded output diverged from monolithic", base.Size, base.Shards)
 			}
 			if got.FECs != base.FECs {
 				t.Errorf("%s/shards=%d: FEC count changed: baseline %d, fresh %d",
@@ -139,6 +139,36 @@ func TestBenchCheck(t *testing.T) {
 				base.Size, base.Backend, base.ColdSpeedupVsSat, got.ColdSpeedupVsSat)
 		}
 	})
+}
+
+// TestValidateShardRows holds the committed shard baseline to the
+// figure's invariants and checks that each violation is reported.
+func TestValidateShardRows(t *testing.T) {
+	var baseline struct {
+		Shard []ShardRow `json:"shard"`
+	}
+	readJSON(t, filepath.Join(repoRoot(t), "BENCH_shard.json"), &baseline)
+	if err := ValidateShardRows(baseline.Shard); err != nil {
+		t.Fatalf("committed BENCH_shard.json: %v", err)
+	}
+	if ValidateShardRows(nil) == nil {
+		t.Error("an empty figure validated")
+	}
+	for name, breakRow := range map[string]func(*ShardRow){
+		"diverged output": func(r *ShardRow) { r.Identical = false },
+		"FEC count drift": func(r *ShardRow) { r.SolvedFECs++ },
+		"nothing rescued": func(r *ShardRow) { r.PeakHeapBytes = MonolithicHeapEnvelope + 1 },
+	} {
+		rows := append([]ShardRow(nil), baseline.Shard...)
+		for i := range rows {
+			if rows[i].Shards > 1 {
+				breakRow(&rows[i])
+			}
+		}
+		if ValidateShardRows(rows) == nil {
+			t.Errorf("%s: validated", name)
+		}
+	}
 }
 
 func findIncremental(rows []IncrementalRow, size netgen.Size, site string) *IncrementalRow {

@@ -17,6 +17,7 @@ package experiments
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -362,9 +363,9 @@ func Fig4dOpen(sizes []netgen.Size, perDevice []int) []GenerateRow {
 }
 
 // ParallelRow is one parallel-check measurement: the same workload run
-// sequentially (workers=1, via Check) and fanned out across a worker
-// pool (via CheckParallel), with the encoder-cache traffic captured
-// from a per-row metrics registry.
+// sequentially (Options.Workers = 1) and fanned out across a worker
+// pool, with the encoder-cache traffic captured from a per-row metrics
+// registry.
 type ParallelRow struct {
 	Size       netgen.Size `json:"size"`
 	PerturbPct float64     `json:"perturb_pct"`
@@ -434,6 +435,7 @@ func FigParallelCheck(sizes []netgen.Size, workerCounts []int) []ParallelRow {
 			opts.UseDifferential = false
 			opts.UseTournament = true
 			opts.FindAllViolations = true
+			opts.Workers = workers
 			m := obs.NewMetrics()
 			opts.Obs = obs.NewObserver(nil, m, nil)
 			e := core.New(w.Net, after, w.Scope, opts)
@@ -442,12 +444,7 @@ func FigParallelCheck(sizes []netgen.Size, workerCounts []int) []ParallelRow {
 		}
 		call := func(c *cell) (*core.CheckResult, time.Duration) {
 			t0 := time.Now()
-			var res *core.CheckResult
-			if c.workers <= 1 {
-				res = c.e.Check()
-			} else {
-				res = c.e.CheckParallel(c.workers)
-			}
+			res := c.e.Check()
 			return res, time.Since(t0)
 		}
 		for _, c := range cells {
@@ -1118,6 +1115,7 @@ func FigShardCheck(sizes []netgen.Size, shardCounts []int) []ShardRow {
 			opts.UseTournament = true
 			opts.FindAllViolations = true
 			opts.Shards = shards
+			opts.Workers = workers
 			e := core.New(w.Net, after, w.Scope, opts)
 			e.NumFECs()
 
@@ -1126,7 +1124,7 @@ func FigShardCheck(sizes []netgen.Size, shardCounts []int) []ShardRow {
 			var elapsed time.Duration
 			peak := sampleHeapDuring(func() {
 				t0 := time.Now()
-				res = e.CheckParallel(workers)
+				res = e.Check()
 				elapsed = time.Since(t0)
 			})
 			if res.PeakHeapBytes > peak {
@@ -1149,6 +1147,49 @@ func FigShardCheck(sizes []netgen.Size, shardCounts []int) []ShardRow {
 		}
 	}
 	return rows
+}
+
+// ValidateShardRows checks a shard-scaling figure (a fresh
+// FigShardCheck run or the rows of BENCH_shard.json) against the
+// invariants it exists to pin: every row's check signature matched its
+// size's monolithic row (sharding never changes output), the per-size
+// FEC counts agree across shard counts, and wherever a monolithic row
+// exceeded the heap envelope (MonolithicInfeasible) at least one sharded
+// row of the same size fit under it — sharding actually rescued the
+// size. The error joins one diagnostic per violated invariant.
+func ValidateShardRows(rows []ShardRow) error {
+	if len(rows) == 0 {
+		return errors.New("no shard rows")
+	}
+	mono := map[netgen.Size]ShardRow{}
+	rescued := map[netgen.Size]bool{}
+	for _, row := range rows {
+		if row.Shards <= 1 {
+			mono[row.Size] = row
+		} else if row.PeakHeapBytes <= MonolithicHeapEnvelope {
+			rescued[row.Size] = true
+		}
+	}
+	var errs []error
+	for _, row := range rows {
+		if !row.Identical {
+			errs = append(errs, fmt.Errorf("%s/shards=%d: output diverged from the monolithic row", row.Size, row.Shards))
+		}
+		m, ok := mono[row.Size]
+		if !ok {
+			errs = append(errs, fmt.Errorf("%s/shards=%d: no monolithic row for this size", row.Size, row.Shards))
+			continue
+		}
+		if row.FECs != m.FECs || row.SolvedFECs != m.SolvedFECs {
+			errs = append(errs, fmt.Errorf("%s/shards=%d: FEC counts diverged: %d/%d vs monolithic %d/%d",
+				row.Size, row.Shards, row.FECs, row.SolvedFECs, m.FECs, m.SolvedFECs))
+		}
+		if row.MonolithicInfeasible && !rescued[row.Size] {
+			errs = append(errs, fmt.Errorf("%s: monolithic run exceeded the %d MiB envelope and no sharded run fit under it",
+				row.Size, MonolithicHeapEnvelope>>20))
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // Table5Row is one LAI program-size measurement.

@@ -33,11 +33,10 @@ const (
 	// the sequential path and inside pool workers. Timeout interrupts
 	// the solver mid-decision; Panic crashes the calling worker.
 	CheckSolve Site = "check.solve"
-	// ParallelJob guards each job of the core worker pools: the generic
-	// runParallel pool used by fix and generate, and check's forked-
-	// solver pool. Panic crashes the worker running the job; sequential
-	// fallback paths do not fire it, so an every-hit panic schedule
-	// collapses the pool without looping forever.
+	// ParallelJob guards each job of the core worker pool (runParallel),
+	// which check, fix and generate share. Panic crashes the job; the
+	// sequential re-run of crashed jobs does not fire it, so an every-hit
+	// panic schedule collapses the pool without looping forever.
 	ParallelJob Site = "core.parallel.job"
 	// FixSeek guards each neighborhood-seeking solve of the fix
 	// primitive. Timeout interrupts it; Transient makes it fail with a
