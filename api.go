@@ -166,6 +166,9 @@ type (
 	// ErrUnknownVerdicts is returned by fix and generate when unknown
 	// verdicts block the plan; it names the blocking FECs or AECs.
 	ErrUnknownVerdicts = core.ErrUnknownVerdicts
+	// ErrOverlapBound is returned by generate when one AEC's overlap
+	// field expands past the per-row synthesis bound; it names the AEC.
+	ErrOverlapBound = core.ErrOverlapBound
 )
 
 // Control modes.

@@ -3,6 +3,7 @@ package jinjing_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"jinjing"
+	"jinjing/internal/papernet"
 )
 
 // buildTool compiles one of the cmd/ binaries into a shared temp dir.
@@ -674,5 +676,66 @@ fix
 	}
 	if !strings.Contains(string(out), "ip access-list extended JINJING-") {
 		t.Fatalf("-emit-ios produced no IOS output:\n%s", out)
+	}
+}
+
+// TestCLIGenerateOverlapBound feeds generate a rule set whose overlap
+// field outgrows the per-row bound (two single-group ACLs of 66 rules on
+// orthogonal fields, crossed by one AEC): the CLI must exit with its
+// error status and one diagnostic line, not a stack trace.
+func TestCLIGenerateOverlapBound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI run builds binaries; skipped in -short mode")
+	}
+	jinjingBin := buildTool(t, "jinjing")
+	dir := t.TempDir()
+
+	net := papernet.Build()
+	var srcs, ports []string
+	for i := 0; i < 66; i++ {
+		srcs = append(srcs, "deny src 10.0."+strconv.Itoa(i)+".0/24")
+		ports = append(ports, "deny dport "+strconv.Itoa(1000+2*i))
+	}
+	for id, rules := range map[string][]string{"A:1": srcs, "C:1": ports} {
+		iface, err := net.LookupInterface(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := jinjing.ParseACL(strings.Join(rules, ", ") + ", permit all")
+		if err != nil {
+			t.Fatal(err)
+		}
+		iface.SetACL(jinjing.In, a)
+	}
+	data, err := json.Marshal(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topoPath := filepath.Join(dir, "net.json")
+	progPath := filepath.Join(dir, "generate.lai")
+	prog := "scope A:*, B:*, C:*, D:*\nentry A:1\nallow C:1, C:2, D:1\nmodify A:1 to permit-all\ngenerate\n"
+	for path, content := range map[string][]byte{topoPath: data, progPath: []byte(prog)} {
+		if err := os.WriteFile(path, content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	cmd := exec.Command(jinjingBin, "-topo", topoPath, "-program", progPath)
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err = cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("want exit status 2, got %v\nstderr:\n%s", err, stderr.String())
+	}
+	msg := stderr.String()
+	if !strings.HasPrefix(msg, "jinjing: core: generate: the overlap field of AEC ") || !strings.Contains(msg, "4096") {
+		t.Fatalf("stderr does not carry the structured error:\n%s", msg)
+	}
+	if strings.Contains(msg, "goroutine ") || strings.Contains(msg, "panic") || strings.Count(msg, "\n") != 1 {
+		t.Fatalf("stderr reads like a crash, not a diagnostic:\n%s", msg)
+	}
+	if stdout.Len() != 0 {
+		t.Fatalf("no plan must be printed:\n%s", stdout.String())
 	}
 }

@@ -1,6 +1,8 @@
 package acl
 
 import (
+	"slices"
+
 	"jinjing/internal/header"
 	"jinjing/internal/smt"
 )
@@ -72,19 +74,19 @@ func SimplifyFast(a *ACL) *ACL {
 
 func simplifyFastPass(a *ACL) *ACL {
 	out := &ACL{Default: a.Default}
-	kept := newDstIndex()
+	kept := &DstIndex{rules: a.Rules}
 	// laterOpp indexes, right to left, the not-yet-visited rules whose
 	// action differs from the default (the only rules a default-agreeing
 	// rule could guard).
-	laterOpp := newDstIndex()
-	for _, r := range a.Rules {
+	laterOpp := &DstIndex{rules: a.Rules}
+	for i, r := range a.Rules {
 		if r.Action != a.Default {
-			laterOpp.add(r)
+			laterOpp.add(i)
 		}
 	}
-	for _, r := range a.Rules {
+	for i, r := range a.Rules {
 		if r.Action != a.Default {
-			laterOpp.remove(r)
+			laterOpp.remove(i)
 		}
 		// Shadowed: an earlier kept rule contains this one. Only rules
 		// whose destination prefix is an ancestor of (or equal to) this
@@ -99,123 +101,139 @@ func simplifyFastPass(a *ACL) *ACL {
 			continue
 		}
 		out.Rules = append(out.Rules, r)
-		kept.add(r)
+		kept.add(i)
 	}
 	return out
 }
 
-// dstIndex buckets rules by their destination prefix so containment and
-// overlap queries touch only candidate buckets: ancestors of the query
-// destination for containment, ancestors plus the descendant subtree for
-// overlap.
-type dstIndex struct {
-	buckets map[header.Prefix][]Rule
-	trie    *dstTrieNode
+// DstIndex indexes rules of one list by destination prefix in a binary
+// trie. A rule sits on the node of its exact destination, so the rules
+// that can contain a match are those on the walk root → its destination,
+// and the rules that can overlap it are those plus the subtree below:
+// both queries touch only candidates and hash nothing.
+type DstIndex struct {
+	rules []Rule
+	root  dstTrieNode
 }
 
 type dstTrieNode struct {
 	children [2]*dstTrieNode
-	count    int // rules at or below this node
+	at       []int32 // indexed rules with exactly this destination, in insertion order
+	count    int     // indexed rules at or below this node
 }
 
-func newDstIndex() *dstIndex {
-	return &dstIndex{buckets: map[header.Prefix][]Rule{}, trie: &dstTrieNode{}}
+// NewDstIndex indexes every rule of the list; FirstContaining answers in
+// rule-list positions.
+func NewDstIndex(rules []Rule) *DstIndex {
+	ix := &DstIndex{rules: rules}
+	for i := range rules {
+		ix.add(i)
+	}
+	return ix
 }
 
-func (ix *dstIndex) walk(p header.Prefix, delta int) {
-	n := ix.trie
-	n.count += delta
-	for i := 0; i < p.Len; i++ {
-		bit := p.Addr >> (31 - i) & 1
+// add indexes rules[i]. Callers add in ascending i, which keeps every
+// node's list ascending.
+func (ix *DstIndex) add(i int) {
+	p := ix.rules[i].Match.Dst
+	n := &ix.root
+	n.count++
+	for d := 0; d < p.Len; d++ {
+		bit := p.Addr >> (31 - d) & 1
 		if n.children[bit] == nil {
-			if delta < 0 {
-				return
-			}
 			n.children[bit] = &dstTrieNode{}
 		}
 		n = n.children[bit]
-		n.count += delta
+		n.count++
 	}
+	n.at = append(n.at, int32(i))
 }
 
-func (ix *dstIndex) add(r Rule) {
-	ix.buckets[r.Match.Dst] = append(ix.buckets[r.Match.Dst], r)
-	ix.walk(r.Match.Dst, 1)
-}
-
-func (ix *dstIndex) remove(r Rule) {
-	b := ix.buckets[r.Match.Dst]
-	for i := range b {
-		if ruleEq(b[i], r) {
-			ix.buckets[r.Match.Dst] = append(b[:i], b[i+1:]...)
-			ix.walk(r.Match.Dst, -1)
+// remove drops rules[i] from the index if present. Removing a node's
+// oldest rule — the order simplifyFastPass removes in — is a re-slice.
+func (ix *DstIndex) remove(i int) {
+	p := ix.rules[i].Match.Dst
+	var path [33]*dstTrieNode
+	n := &ix.root
+	path[0] = n
+	for d := 0; d < p.Len; d++ {
+		if n = n.children[p.Addr>>(31-d)&1]; n == nil {
 			return
 		}
+		path[d+1] = n
 	}
+	switch k := slices.Index(n.at, int32(i)); {
+	case k < 0:
+		return
+	case k == 0:
+		n.at = n.at[1:]
+	default:
+		n.at = slices.Delete(n.at, k, k+1)
+	}
+	for _, n := range path[:p.Len+1] {
+		n.count--
+	}
+}
+
+// FirstContaining returns the position of the first indexed rule whose
+// match contains m, or len(rules) when none does.
+func (ix *DstIndex) FirstContaining(m header.Match) int {
+	best := len(ix.rules)
+	n := &ix.root
+	for d := 0; n != nil && n.count > 0; d++ {
+		for _, i := range n.at {
+			if int(i) >= best {
+				break
+			}
+			if ix.rules[i].Match.Contains(m) {
+				best = int(i)
+				break
+			}
+		}
+		if d == m.Dst.Len {
+			break
+		}
+		n = n.children[m.Dst.Addr>>(31-d)&1]
+	}
+	return best
 }
 
 // anyContaining reports whether an indexed rule's match contains m.
-func (ix *dstIndex) anyContaining(m header.Match) bool {
-	p := m.Dst
-	for {
-		for _, r := range ix.buckets[p] {
-			if r.Match.Contains(m) {
-				return true
-			}
-		}
-		if p.Len == 0 {
+func (ix *DstIndex) anyContaining(m header.Match) bool {
+	return ix.FirstContaining(m) < len(ix.rules)
+}
+
+// anyOverlapping reports whether an indexed rule's match overlaps m:
+// one on an ancestor of m.Dst, on m.Dst's own node, or in the subtree
+// below it.
+func (ix *DstIndex) anyOverlapping(m header.Match) bool {
+	n := &ix.root
+	for d := 0; d < m.Dst.Len; d++ {
+		if n.count == 0 {
 			return false
 		}
-		p = p.Parent()
+		if ix.overlapsAt(n, &m) {
+			return true
+		}
+		if n = n.children[m.Dst.Addr>>(31-d)&1]; n == nil {
+			return false
+		}
 	}
+	return ix.overlapsBelow(n, &m)
 }
 
-// anyOverlapping reports whether an indexed rule's match overlaps m.
-// Candidates have destinations that are ancestors of m.Dst or lie in its
-// subtree.
-func (ix *dstIndex) anyOverlapping(m header.Match) bool {
-	// Ancestors (including m.Dst itself).
-	p := m.Dst
-	for {
-		for _, r := range ix.buckets[p] {
-			if r.Match.Overlaps(m) {
-				return true
-			}
-		}
-		if p.Len == 0 {
-			break
-		}
-		p = p.Parent()
-	}
-	// Descendants: walk to m.Dst's trie node, then scan its subtree.
-	n := ix.trie
-	for i := 0; i < m.Dst.Len && n != nil; i++ {
-		n = n.children[m.Dst.Addr>>(31-i)&1]
-	}
-	if n == nil || n.count == 0 {
-		return false
-	}
-	return ix.subtreeOverlaps(n, m.Dst, m)
-}
-
-func (ix *dstIndex) subtreeOverlaps(n *dstTrieNode, at header.Prefix, m header.Match) bool {
-	if n.count == 0 {
-		return false
-	}
-	for _, r := range ix.buckets[at] {
-		if r.Match.Overlaps(m) {
+func (ix *DstIndex) overlapsAt(n *dstTrieNode, m *header.Match) bool {
+	for _, i := range n.at {
+		if ix.rules[i].Match.Overlaps(*m) {
 			return true
 		}
 	}
-	if at.Len >= 32 {
+	return false
+}
+
+func (ix *DstIndex) overlapsBelow(n *dstTrieNode, m *header.Match) bool {
+	if n == nil || n.count == 0 {
 		return false
 	}
-	left, right := at.Halves()
-	if c := n.children[0]; c != nil && ix.subtreeOverlaps(c, left, m) {
-		return true
-	}
-	if c := n.children[1]; c != nil && ix.subtreeOverlaps(c, right, m) {
-		return true
-	}
-	return false
+	return ix.overlapsAt(n, m) || ix.overlapsBelow(n.children[0], m) || ix.overlapsBelow(n.children[1], m)
 }

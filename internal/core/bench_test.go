@@ -7,6 +7,7 @@ import (
 
 	"jinjing/internal/core"
 	"jinjing/internal/netgen"
+	"jinjing/internal/obs"
 	"jinjing/internal/papernet"
 	"jinjing/internal/topo"
 )
@@ -84,6 +85,40 @@ func BenchmarkGenerateFigure1(b *testing.B) {
 		if !res.Verified {
 			b.Fatal("generate must verify")
 		}
+	}
+}
+
+// BenchmarkGenerateWAN is one cold generate on the medium WAN per
+// iteration — a fresh engine, so paths, FECs, the per-call index and the
+// verification check are all inside the op, as they are for the CLI: the
+// two operator-benchmark generate workloads (Fig. 4c migration, Fig. 4d
+// control-open with 4 prefixes per edge device) without the process.
+func BenchmarkGenerateWAN(b *testing.B) {
+	w := netgenMediumOnce()
+	for _, bc := range []struct {
+		name string
+		mk   func(opts core.Options) (*core.Engine, []topo.ACLBinding)
+	}{
+		{"migration", func(opts core.Options) (*core.Engine, []topo.ACLBinding) { return core.WANMigration(w, opts) }},
+		{"open-4", func(opts core.Options) (*core.Engine, []topo.ACLBinding) { return core.WANOpen(w, 4, opts) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			opts := core.DefaultOptions()
+			m := obs.NewMetrics()
+			opts.Obs = obs.NewObserver(nil, m, nil)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				e, sources := bc.mk(opts)
+				res, err := e.Generate(sources)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !res.Verified {
+					b.Fatal("generate must verify")
+				}
+			}
+			b.ReportMetric(float64(m.Snapshot().Gauges["generate.path_shapes"]), "path_shapes")
+		})
 	}
 }
 

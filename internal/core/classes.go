@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"jinjing/internal/acl"
 	"jinjing/internal/header"
 	"jinjing/internal/topo"
 )
@@ -178,16 +177,6 @@ func protoAtoms(ranges []header.ProtoMatch) []header.ProtoMatch {
 			hi = keys[i+1] - 1
 		}
 		out = append(out, header.ProtoMatch{Lo: uint8(k), Hi: uint8(hi)})
-	}
-	return out
-}
-
-// classDecisions computes the decision vector of a class across the given
-// bindings' original ACLs (the AEC signature of §5.1).
-func classDecisions(bindings []topo.ACLBinding, class header.Match) []acl.Action {
-	out := make([]acl.Action, len(bindings))
-	for i, b := range bindings {
-		out[i] = decideOn(b.Iface.ACL(b.Dir), class)
 	}
 	return out
 }

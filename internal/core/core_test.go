@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"errors"
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -312,6 +314,49 @@ func TestGenerateUnsolvableIntent(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("traffic 2 should be among the unsolvable classes: %v", res.Unsolvable)
+	}
+}
+
+// overlapBombNet is Figure 1 with 66 source-prefix denies on A1 and 66
+// destination-port denies on C1. Each list is one §5.5 group, so the AEC
+// denied at both carries 66 × 66 = 4,356 distinct overlap intersections
+// in one synthesis row — past maxOverlapsPerRow (4,096).
+func overlapBombNet() *topo.Network {
+	n := papernet.Build()
+	var srcs, ports []string
+	for i := 0; i < 66; i++ {
+		srcs = append(srcs, fmt.Sprintf("deny src 10.0.%d.0/24", i))
+		ports = append(ports, fmt.Sprintf("deny dport %d", 1000+2*i))
+	}
+	a1, _ := n.LookupInterface("A:1")
+	a1.SetACL(topo.In, acl.MustParse(strings.Join(srcs, ", ")+", permit all"))
+	c1, _ := n.LookupInterface("C:1")
+	c1.SetACL(topo.In, acl.MustParse(strings.Join(ports, ", ")+", permit all"))
+	return n
+}
+
+func TestGenerateOverlapBoundIsAnError(t *testing.T) {
+	// An input-reachable blow-up of the overlap field must come back as a
+	// structured error naming the AEC and the bound — never a panic.
+	before := overlapBombNet()
+	a1, _ := before.LookupInterface("A:1")
+	e := core.New(before, before.Clone(), papernet.Scope(), core.DefaultOptions())
+	for _, id := range []string{"C:1", "C:2", "D:1"} {
+		iface, _ := before.LookupInterface(id)
+		e.Allow = append(e.Allow, topo.ACLBinding{Iface: iface, Dir: topo.In})
+	}
+	res, err := e.Generate([]topo.ACLBinding{{Iface: a1, Dir: topo.In}})
+	var bound *core.ErrOverlapBound
+	if !errors.As(err, &bound) {
+		t.Fatalf("want *ErrOverlapBound, got res=%+v err=%v", res, err)
+	}
+	if bound.Bound != 4096 || bound.AEC < 0 || bound.AEC >= 8 {
+		t.Fatalf("error names AEC %d, bound %d", bound.AEC, bound.Bound)
+	}
+	for _, want := range []string{fmt.Sprintf("AEC %d", bound.AEC), "4096"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("message %q does not name %q", err, want)
+		}
 	}
 }
 

@@ -2,9 +2,10 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
 
 	"jinjing/internal/acl"
 	"jinjing/internal/faultinject"
@@ -50,13 +51,17 @@ type GenerateResult struct {
 
 // aec is one ACL equivalence class with its solving state.
 type aec struct {
-	key     string
 	classes []header.Match
 	// decisions is the vector of original-ACL decisions across the
 	// encoding bindings (the class signature).
 	decisions []acl.Action
 	// ctrlIn[i] reports whether the class lies inside control i's match.
 	ctrlIn []bool
+	// hits[i] lists the distinct first-match rule positions of the member
+	// classes in encoding binding i's ACL (len(Rules) for the default), in
+	// first-seen order: all that synthesis needs of the classes × bindings
+	// lookups deriveAECs makes.
+	hits [][]int32
 
 	solved bool            // true when one decision per target suffices
 	dec    map[string]bool // target binding ID -> permit?
@@ -67,7 +72,6 @@ type aec struct {
 // classes sharing a forwarding behavior, with their own decisions.
 type decGroup struct {
 	classes []header.Match
-	paths   []topo.Path
 	dec     map[string]bool
 }
 
@@ -94,30 +98,12 @@ func (e *Engine) GenerateContext(callCtx context.Context, sources []topo.ACLBind
 	defer root.End() // idempotent; covers the error returns
 	res := &GenerateResult{ACLs: map[string]*acl.ACL{}, Timings: Timings{}}
 
-	srcSet := map[string]bool{}
-	for _, b := range sources {
-		srcSet[b.ID()] = true
-	}
-	tgtSet := map[string]bool{}
-	var targetIDs []string
-	for _, b := range e.Allow {
-		if !tgtSet[b.ID()] {
-			tgtSet[b.ID()] = true
-			targetIDs = append(targetIDs, b.ID())
-		}
-	}
-	sort.Strings(targetIDs)
-	if len(targetIDs) == 0 {
+	if len(e.Allow) == 0 {
 		return nil, fmt.Errorf("core: generate needs at least one allowed target binding")
 	}
-
 	// Encoding bindings: every original ACL attachment in Ω (the columns
 	// of Table 4a).
 	encBindings := e.Before.ACLGroup(e.Scope)
-	encIdx := map[string]int{}
-	for i, b := range encBindings {
-		encIdx[b.ID()] = i
-	}
 
 	// Phase 1: derive classes and group them into AECs (§5.1).
 	dp := startPhase(root, res.Timings, "derive-aec")
@@ -141,7 +127,7 @@ func (e *Engine) GenerateContext(callCtx context.Context, sources []topo.ACLBind
 	sp := startPhase(root, res.Timings, "solve")
 	task := o.StartTask("generate: AECs", int64(len(aecs)))
 	src := e.fecSource()
-	paths := src.Paths()
+	ix := e.compileGenerate(src.Paths(), sources, encBindings)
 	type aecOutcome struct {
 		decSplit   bool
 		stats      sat.Stats
@@ -150,7 +136,7 @@ func (e *Engine) GenerateContext(callCtx context.Context, sources []topo.ACLBind
 	}
 	solveOne := func(a *aec) aecOutcome {
 		var out aecOutcome
-		ok, unk, st := e.solveAEC(cn, o, a, paths, encIdx, srcSet, tgtSet, targetIDs)
+		ok, unk, st := e.solveAEC(cn, o, ix, a, ix.allShapes)
 		out.stats.Add(st)
 		if unk != "" {
 			// Undecided is not unsatisfiable: a DEC split on an Unknown
@@ -172,9 +158,6 @@ func (e *Engine) GenerateContext(callCtx context.Context, sources []topo.ACLBind
 			g, ok := groups[key]
 			if !ok {
 				g = &decGroup{}
-				if key >= 0 {
-					g.paths = src.Materialize(key).Paths
-				}
 				groups[key] = g
 				order = append(order, key)
 			}
@@ -182,8 +165,12 @@ func (e *Engine) GenerateContext(callCtx context.Context, sources []topo.ACLBind
 		}
 		for _, key := range order {
 			g := groups[key]
-			sub := &aec{key: a.key, classes: g.classes, decisions: a.decisions, ctrlIn: a.ctrlIn}
-			ok, unk, st := e.solveAEC(cn, o, sub, g.paths, encIdx, srcSet, tgtSet, targetIDs)
+			var shapes []int32
+			if key >= 0 {
+				shapes = ix.shapesOn(src.PathIndices(key))
+			}
+			sub := &aec{decisions: a.decisions, ctrlIn: a.ctrlIn}
+			ok, unk, st := e.solveAEC(cn, o, ix, sub, shapes)
 			out.stats.Add(st)
 			if unk != "" {
 				out.unknown = unk
@@ -220,7 +207,9 @@ func (e *Engine) GenerateContext(callCtx context.Context, sources []topo.ACLBind
 	}
 	task.Done()
 	res.Conflicts = res.SolverStats.Conflicts
-	sp.end(obs.KV("dec_splits", res.DECSplitAECs), obs.KV("unsolvable", len(res.Unsolvable)))
+	o.Gauge("generate.path_shapes").Set(int64(len(ix.shapes)))
+	sp.end(obs.KV("dec_splits", res.DECSplitAECs), obs.KV("unsolvable", len(res.Unsolvable)),
+		obs.KV("paths", len(ix.shapeOf)), obs.KV("path_shapes", len(ix.shapes)))
 
 	if len(blockedAECs) > 0 {
 		err := &ErrUnknownVerdicts{Stage: "generate", AECs: blockedAECs}
@@ -236,8 +225,12 @@ func (e *Engine) GenerateContext(callCtx context.Context, sources []topo.ACLBind
 	// Phase 3: synthesize ACLs at each target (§5.4, with §5.5
 	// optimizations).
 	syp := startPhase(root, res.Timings, "synthesize")
-	rows := e.buildRows(aecs, encBindings)
-	for _, id := range targetIDs {
+	rows, err := e.buildRows(aecs, encBindings)
+	if err != nil {
+		e.logGenerateDecision(ls, nil, err)
+		return nil, err
+	}
+	for _, id := range ix.targetIDs {
 		synth := e.synthesizeTarget(id, rows)
 		res.RulesGenerated += len(synth.Rules)
 		if e.Opts.SimplifyOutput {
@@ -291,80 +284,258 @@ func (e *Engine) GenerateContext(callCtx context.Context, sources []topo.ACLBind
 }
 
 // deriveAECs groups classes by their decision vector across the original
-// ACLs plus their control membership (§5.1, extended per §6).
+// ACLs plus their control membership (§5.1, extended per §6). It makes
+// generate's one first-match pass: the first rule of every encoding
+// binding containing each class gives the class's decision there (the
+// signature) and is recorded on the class's AEC for synthesis (aec.hits).
+// Classes are atomic with respect to every in-scope rule by construction
+// (deriveClasses), so the first containing rule is the first matching one.
 func (e *Engine) deriveAECs(encBindings []topo.ACLBinding, classes []header.Match) ([]*aec, error) {
+	indexers := make([]*hitIndexer, len(encBindings))
+	for i, b := range encBindings {
+		indexers[i] = newHitIndexer(b.Iface.ACL(b.Dir), e.Opts.UseSearchTree)
+	}
 	groups := map[string]*aec{}
-	var order []string
+	var out []*aec
+	hits := make([]int32, len(encBindings))
+	key := make([]byte, 0, len(encBindings)+len(e.Controls))
 	for _, c := range classes {
-		decs := classDecisions(encBindings, c)
-		var key strings.Builder
-		for _, d := range decs {
-			if d == acl.Permit {
-				key.WriteByte('p')
+		key = key[:0]
+		for i, h := range indexers {
+			hit := h.hit(c)
+			hits[i] = int32(hit)
+			if h.action(hit) == acl.Permit {
+				key = append(key, 'p')
 			} else {
-				key.WriteByte('d')
+				key = append(key, 'd')
 			}
 		}
-		ctrlIn := make([]bool, len(e.Controls))
-		for i, ctrl := range e.Controls {
+		for _, ctrl := range e.Controls {
 			switch {
 			case ctrl.Match.Contains(c):
-				ctrlIn[i] = true
-				key.WriteByte('1')
+				key = append(key, '1')
 			case !ctrl.Match.Overlaps(c):
-				key.WriteByte('0')
+				key = append(key, '0')
 			default:
 				return nil, fmt.Errorf("core: class %v not atomic wrt control match %v", c, ctrl.Match)
 			}
 		}
-		k := key.String()
-		g, ok := groups[k]
+		g, ok := groups[string(key)]
 		if !ok {
-			g = &aec{key: k, decisions: decs, ctrlIn: ctrlIn}
-			groups[k] = g
-			order = append(order, k)
+			g = &aec{
+				decisions: make([]acl.Action, len(encBindings)),
+				ctrlIn:    make([]bool, len(e.Controls)),
+				hits:      make([][]int32, len(encBindings)),
+			}
+			for i := range g.decisions {
+				g.decisions[i] = key[i] == 'p'
+			}
+			for i := range g.ctrlIn {
+				g.ctrlIn[i] = key[len(encBindings)+i] == '1'
+			}
+			groups[string(key)] = g
+			out = append(out, g)
 		}
 		g.classes = append(g.classes, c)
-	}
-	out := make([]*aec, 0, len(order))
-	for _, k := range order {
-		out = append(out, groups[k])
+		for i, hit := range hits {
+			if !slices.Contains(g.hits[i], hit) {
+				g.hits[i] = append(g.hits[i], hit)
+			}
+		}
 	}
 	return out, nil
 }
 
-// solveAEC finds per-target decisions for one AEC (or DEC) over the given
-// path set, per Equations 8–10. Decision variables are phrased as "deny"
-// variables so that unconstrained targets default to permit (the SAT
-// solver branches false-first). Returns ok=false when unsatisfiable, or
-// unknown != "" (and ok=false) when the query reached no verdict under
-// the call's budget/cancellation, along with the attempt's full solver
-// counters.
-func (e *Engine) solveAEC(cn *canceller, o *obs.Observer, a *aec, paths []topo.Path, encIdx map[string]int, srcSet, tgtSet map[string]bool, targetIDs []string) (ok bool, unknown string, st sat.Stats) {
-	s := smt.NewSolver()
-	cn.register(s)
-	b := s.B
-	denyVars := map[string]smt.F{}
-	for _, id := range targetIDs {
-		denyVars[id] = b.Var()
+// genIndex is what one GenerateContext call resolves before its AEC loop:
+// everything Equations 8–10 need of the network that does not depend on
+// the AEC. A path enters an AEC's constraint only through which targets,
+// sources and ACL-carrying bindings it crosses and which controls govern
+// it — its shape — and a WAN's thousands of paths share a few dozen, so
+// solveAEC asserts one constraint per shape. Read-only once built: the
+// AEC loop shares it across workers.
+type genIndex struct {
+	targetIDs []string    // distinct Allow binding IDs, sorted
+	controls  []Control   // the engine's, for their modes
+	shapes    []pathShape // distinct, in first-occurrence order over the paths
+	shapeOf   []int32     // per path: its index into shapes
+	allShapes []int32     // 0..len(shapes)-1: the shapes of the full path set
+}
+
+// pathShape is the part of a path the AEC constraint reads. Every list is
+// in traversal order except ctrls, which is in control (precedence) order.
+type pathShape struct {
+	targets []int32 // target bindings crossed, as indices into targetIDs
+	others  []int32 // encoding bindings crossed that are neither target nor source
+	enc     []int32 // every encoding binding crossed (the original path decision)
+	ctrls   []int32 // controls applying to the path's (entry, exit) pair
+}
+
+// compileGenerate builds the index: each binding is resolved to its roles
+// once (by ID, as the engine's binding sets are keyed), each (entry, exit)
+// border pair to its controls once, and each path to a shape by integer
+// walks over those.
+func (e *Engine) compileGenerate(paths []topo.Path, sources, encBindings []topo.ACLBinding) *genIndex {
+	ix := &genIndex{controls: e.Controls, shapeOf: make([]int32, len(paths))}
+	type role struct {
+		target, enc int32 // -1: not one
+		source      bool
+	}
+	roleOf := map[string]*role{}
+	roleFor := func(id string) *role {
+		r := roleOf[id]
+		if r == nil {
+			r = &role{target: -1, enc: -1}
+			roleOf[id] = r
+		}
+		return r
+	}
+	for _, b := range e.Allow {
+		ix.targetIDs = append(ix.targetIDs, b.ID())
+	}
+	sort.Strings(ix.targetIDs)
+	ix.targetIDs = slices.Compact(ix.targetIDs)
+	for i, id := range ix.targetIDs {
+		roleFor(id).target = int32(i)
+	}
+	for _, b := range sources {
+		roleFor(b.ID()).source = true
+	}
+	for i, b := range encBindings {
+		roleFor(b.ID()).enc = int32(i)
 	}
 
-	for _, p := range paths {
-		lhs := smt.True
-		for _, bind := range p.Bindings() {
-			id := bind.ID()
-			switch {
-			case tgtSet[id]:
-				lhs = b.And(lhs, denyVars[id].Not())
-			case srcSet[id]:
-				// Source interfaces permit all traffic after migration.
-			default:
-				if i, ok := encIdx[id]; ok {
-					lhs = b.And(lhs, b.Const(a.decisions[i] == acl.Permit))
+	interned := map[topo.ACLBinding]*role{}
+	type borderPair struct{ in, out *topo.Interface }
+	ctrlsOf := map[borderPair][]int32{}
+	shapeIdx := map[string]int32{}
+	var sh pathShape
+	var key []byte
+	for pi, p := range paths {
+		sh.targets, sh.others, sh.enc = sh.targets[:0], sh.others[:0], sh.enc[:0]
+		for _, h := range p.Hops {
+			for _, b := range [2]topo.ACLBinding{{Iface: h.In, Dir: topo.In}, {Iface: h.Out, Dir: topo.Out}} {
+				r, ok := interned[b]
+				if !ok {
+					r = roleOf[b.ID()] // nil: a binding in no set
+					interned[b] = r
+				}
+				if r == nil {
+					continue
+				}
+				if r.enc >= 0 {
+					sh.enc = append(sh.enc, r.enc)
+				}
+				switch {
+				case r.target >= 0:
+					sh.targets = append(sh.targets, r.target)
+				case r.source:
+					// Source interfaces permit all traffic after migration.
+				case r.enc >= 0:
+					sh.others = append(sh.others, r.enc)
 				}
 			}
 		}
-		s.Assert(b.Iff(lhs, b.Const(e.desiredForAEC(a, p, encIdx))))
+		pair := borderPair{p.Src(), p.Dst()}
+		ctrls, ok := ctrlsOf[pair]
+		if !ok {
+			from, to := pair.in.ID(), pair.out.ID()
+			for i, c := range e.Controls {
+				if c.From[from] && c.To[to] {
+					ctrls = append(ctrls, int32(i))
+				}
+			}
+			ctrlsOf[pair] = ctrls
+		}
+		sh.ctrls = ctrls
+
+		key = key[:0]
+		for _, l := range [][]int32{sh.targets, sh.others, sh.enc, sh.ctrls} {
+			key = binary.LittleEndian.AppendUint32(key, uint32(len(l)))
+			for _, v := range l {
+				key = binary.LittleEndian.AppendUint32(key, uint32(v))
+			}
+		}
+		si, ok := shapeIdx[string(key)]
+		if !ok {
+			si = int32(len(ix.shapes))
+			shapeIdx[string(key)] = si
+			ix.allShapes = append(ix.allShapes, si)
+			ix.shapes = append(ix.shapes, pathShape{
+				targets: slices.Clone(sh.targets), others: slices.Clone(sh.others),
+				enc: slices.Clone(sh.enc), ctrls: ctrls,
+			})
+		}
+		ix.shapeOf[pi] = si
+	}
+	return ix
+}
+
+// shapesOn returns the distinct shapes of the given paths, in
+// first-occurrence order.
+func (ix *genIndex) shapesOn(pathIdx []int32) []int32 {
+	seen := make([]bool, len(ix.shapes))
+	var out []int32
+	for _, pi := range pathIdx {
+		if si := ix.shapeOf[pi]; !seen[si] {
+			seen[si] = true
+			out = append(out, si)
+		}
+	}
+	return out
+}
+
+// constraint builds the Equation 8–10 constraint of one shape for an AEC:
+// the conjunction of the crossed bindings' post-generation decisions —
+// the target's decision variable, permit at a source, the AEC's original
+// decision elsewhere — must equal the desired decision, which is the
+// original path decision unless the first applicable control whose match
+// covers the AEC says otherwise (§6).
+func (ix *genIndex) constraint(b *smt.Builder, denyVars []smt.F, a *aec, sh *pathShape) smt.F {
+	lhs := smt.True
+	for _, t := range sh.targets {
+		lhs = b.And(lhs, denyVars[t].Not())
+	}
+	for _, i := range sh.others {
+		lhs = b.And(lhs, b.Const(a.decisions[i] == acl.Permit))
+	}
+	desired := true
+	for _, i := range sh.enc {
+		if a.decisions[i] == acl.Deny {
+			desired = false
+			break
+		}
+	}
+	for _, i := range sh.ctrls {
+		if !a.ctrlIn[i] {
+			continue
+		}
+		switch ix.controls[i].Mode {
+		case Isolate:
+			desired = false
+		case Open:
+			desired = true
+		}
+		break // Maintain keeps the original decision
+	}
+	return b.Iff(lhs, b.Const(desired))
+}
+
+// solveAEC finds per-target decisions for one AEC (or DEC) over the paths
+// of the given shapes, per Equations 8–10. Decision variables are phrased
+// as "deny" variables so that unconstrained targets default to permit (the
+// SAT solver branches false-first). Returns ok=false when unsatisfiable, or
+// unknown != "" (and ok=false) when the query reached no verdict under
+// the call's budget/cancellation, along with the attempt's full solver
+// counters.
+func (e *Engine) solveAEC(cn *canceller, o *obs.Observer, ix *genIndex, a *aec, shapes []int32) (ok bool, unknown string, st sat.Stats) {
+	s := smt.NewSolver()
+	cn.register(s)
+	denyVars := make([]smt.F, len(ix.targetIDs))
+	for i := range denyVars {
+		denyVars[i] = s.B.Var()
+	}
+	for _, si := range shapes {
+		s.Assert(ix.constraint(s.B, denyVars, a, &ix.shapes[si]))
 	}
 	r := e.solveWithRetries(cn, s, o, faultinject.GenerateAEC, true)
 	if r.Outcome == sat.Unknown {
@@ -373,36 +544,9 @@ func (e *Engine) solveAEC(cn *canceller, o *obs.Observer, a *aec, paths []topo.P
 	if r.Outcome != sat.Sat {
 		return false, "", s.Stats()
 	}
-	a.dec = make(map[string]bool, len(targetIDs))
-	for _, id := range targetIDs {
-		a.dec[id] = !s.Value(denyVars[id])
+	a.dec = make(map[string]bool, len(ix.targetIDs))
+	for i, id := range ix.targetIDs {
+		a.dec[id] = !s.Value(denyVars[i])
 	}
 	return true, "", s.Stats()
-}
-
-// desiredForAEC computes the (constant) desired decision of path p on an
-// AEC: the original path decision, overridden by the first applicable
-// control whose match covers the class (§6).
-func (e *Engine) desiredForAEC(a *aec, p topo.Path, encIdx map[string]int) bool {
-	orig := true
-	for _, bind := range p.Bindings() {
-		if i, ok := encIdx[bind.ID()]; ok && a.decisions[i] == acl.Deny {
-			orig = false
-			break
-		}
-	}
-	for i, ctrl := range e.Controls {
-		if !ctrl.AppliesTo(p) || !a.ctrlIn[i] {
-			continue
-		}
-		switch ctrl.Mode {
-		case Isolate:
-			return false
-		case Open:
-			return true
-		case Maintain:
-			return orig
-		}
-	}
-	return orig
 }

@@ -1,0 +1,805 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"os"
+	"slices"
+	"sort"
+	"strings"
+	"testing"
+
+	"jinjing/internal/acl"
+	"jinjing/internal/faultinject"
+	"jinjing/internal/header"
+	"jinjing/internal/netgen"
+	"jinjing/internal/papernet"
+	"jinjing/internal/sat"
+	"jinjing/internal/smt"
+	"jinjing/internal/topo"
+)
+
+// This file is the oracle for generate's per-call index (genIndex) and
+// its single first-match pass. The reference below is the code generate
+// ran before the index existed, kept word for word: one constraint per
+// path per AEC, built by walking the path's bindings by "dev:if:dir"
+// string through three string-keyed sets, the desired decision from
+// Control.AppliesTo per path, the AEC signature from acl.DecideMatch
+// (with its straddle check), and the synthesis table from one first-match
+// scan per class per binding. The engine must agree with it on every AEC
+// and every DEC group: the same constraint formulas in the same
+// first-occurrence order, the same decisions, the same AECs in the same
+// order, the same rows.
+
+// --- reference implementation (the pre-index generate path) ---
+
+type refAEC struct {
+	classes   []header.Match
+	decisions []acl.Action
+	ctrlIn    []bool
+}
+
+type refSets struct {
+	encIdx         map[string]int
+	srcSet, tgtSet map[string]bool
+	targetIDs      []string
+}
+
+func refSetsOf(e *Engine, sources, encBindings []topo.ACLBinding) refSets {
+	rs := refSets{encIdx: map[string]int{}, srcSet: map[string]bool{}, tgtSet: map[string]bool{}}
+	for _, b := range sources {
+		rs.srcSet[b.ID()] = true
+	}
+	for _, b := range e.Allow {
+		if !rs.tgtSet[b.ID()] {
+			rs.tgtSet[b.ID()] = true
+			rs.targetIDs = append(rs.targetIDs, b.ID())
+		}
+	}
+	sort.Strings(rs.targetIDs)
+	for i, b := range encBindings {
+		rs.encIdx[b.ID()] = i
+	}
+	return rs
+}
+
+func refClassDecisions(t *testing.T, bindings []topo.ACLBinding, class header.Match) []acl.Action {
+	out := make([]acl.Action, len(bindings))
+	for i, b := range bindings {
+		act, ok := b.Iface.ACL(b.Dir).DecideMatch(class)
+		if !ok {
+			t.Fatalf("class %v not atomic wrt ACL %v", class, b.Iface.ACL(b.Dir))
+		}
+		out[i] = act
+	}
+	return out
+}
+
+func refDeriveAECs(t *testing.T, e *Engine, encBindings []topo.ACLBinding, classes []header.Match) []*refAEC {
+	groups := map[string]*refAEC{}
+	var order []string
+	for _, c := range classes {
+		decs := refClassDecisions(t, encBindings, c)
+		var key strings.Builder
+		for _, d := range decs {
+			if d == acl.Permit {
+				key.WriteByte('p')
+			} else {
+				key.WriteByte('d')
+			}
+		}
+		ctrlIn := make([]bool, len(e.Controls))
+		for i, ctrl := range e.Controls {
+			switch {
+			case ctrl.Match.Contains(c):
+				ctrlIn[i] = true
+				key.WriteByte('1')
+			case !ctrl.Match.Overlaps(c):
+				key.WriteByte('0')
+			default:
+				t.Fatalf("class %v not atomic wrt control match %v", c, ctrl.Match)
+			}
+		}
+		k := key.String()
+		g, ok := groups[k]
+		if !ok {
+			g = &refAEC{decisions: decs, ctrlIn: ctrlIn}
+			groups[k] = g
+			order = append(order, k)
+		}
+		g.classes = append(g.classes, c)
+	}
+	out := make([]*refAEC, 0, len(order))
+	for _, k := range order {
+		out = append(out, groups[k])
+	}
+	return out
+}
+
+func refDesired(e *Engine, a *refAEC, p topo.Path, encIdx map[string]int) bool {
+	orig := true
+	for _, bind := range p.Bindings() {
+		if i, ok := encIdx[bind.ID()]; ok && a.decisions[i] == acl.Deny {
+			orig = false
+			break
+		}
+	}
+	for i, ctrl := range e.Controls {
+		if !ctrl.AppliesTo(p) || !a.ctrlIn[i] {
+			continue
+		}
+		switch ctrl.Mode {
+		case Isolate:
+			return false
+		case Open:
+			return true
+		case Maintain:
+			return orig
+		}
+	}
+	return orig
+}
+
+// refConstraints returns one formula per path, in path order.
+func refConstraints(e *Engine, b *smt.Builder, denyVars map[string]smt.F, a *refAEC, paths []topo.Path, rs refSets) []smt.F {
+	var out []smt.F
+	for _, p := range paths {
+		lhs := smt.True
+		for _, bind := range p.Bindings() {
+			id := bind.ID()
+			switch {
+			case rs.tgtSet[id]:
+				lhs = b.And(lhs, denyVars[id].Not())
+			case rs.srcSet[id]:
+				// Source interfaces permit all traffic after migration.
+			default:
+				if i, ok := rs.encIdx[id]; ok {
+					lhs = b.And(lhs, b.Const(a.decisions[i] == acl.Permit))
+				}
+			}
+		}
+		out = append(out, b.Iff(lhs, b.Const(refDesired(e, a, p, rs.encIdx))))
+	}
+	return out
+}
+
+// refHit is the definitional first match of an atomic class.
+func refHit(rules []acl.Rule, class header.Match) int {
+	for i, r := range rules {
+		if r.Match.Contains(class) {
+			return i
+		}
+	}
+	return len(rules)
+}
+
+type refRow struct {
+	seq      []int
+	overlaps []header.Match
+	aec      int
+}
+
+func refIntersectAll(as, bs []header.Match) []header.Match {
+	var out []header.Match
+	for _, a := range as {
+		for _, b := range bs {
+			if m, ok := a.Intersect(b); ok && !containsMatch(out, m) {
+				out = append(out, m)
+			}
+		}
+	}
+	return out
+}
+
+func refBuildRows(e *Engine, aecs []*refAEC, encBindings []topo.ACLBinding) []refRow {
+	type bindState struct {
+		grouping ruleGrouping
+		rules    []acl.Rule
+	}
+	states := make([]bindState, len(encBindings))
+	for i, b := range encBindings {
+		a := b.Iface.ACL(b.Dir)
+		states[i] = bindState{grouping: groupRules(a.Rules, e.Opts.UseGrouping), rules: a.Rules}
+	}
+	var rows []refRow
+	for ai, a := range aecs {
+		dims := make([]map[int][]header.Match, len(encBindings))
+		for i := range dims {
+			dims[i] = map[int][]header.Match{}
+		}
+		for _, c := range a.classes {
+			for i := range encBindings {
+				st := &states[i]
+				hit := refHit(st.rules, c)
+				grp := st.grouping.numGroups
+				contrib := header.MatchAll
+				if hit < len(st.rules) {
+					grp = st.grouping.groupOf[hit]
+					contrib = st.rules[hit].Match
+				}
+				if !containsMatch(dims[i][grp], contrib) {
+					dims[i][grp] = append(dims[i][grp], contrib)
+				}
+			}
+		}
+		entries := []refRow{{overlaps: []header.Match{header.MatchAll}, aec: ai}}
+		for i := range encBindings {
+			keys := make([]int, 0, len(dims[i]))
+			for k := range dims[i] {
+				keys = append(keys, k)
+			}
+			sort.Ints(keys)
+			var next []refRow
+			for _, en := range entries {
+				for _, k := range keys {
+					ov := refIntersectAll(en.overlaps, dims[i][k])
+					if len(ov) == 0 {
+						continue
+					}
+					seq := append(append([]int(nil), en.seq...), k)
+					next = append(next, refRow{seq: seq, overlaps: ov, aec: ai})
+				}
+			}
+			entries = next
+		}
+		for i, ctrl := range e.Controls {
+			for j := range entries {
+				if a.ctrlIn[i] {
+					entries[j].seq = append(entries[j].seq, 0)
+					entries[j].overlaps = refIntersectAll(entries[j].overlaps, []header.Match{ctrl.Match})
+				} else {
+					entries[j].seq = append(entries[j].seq, 1)
+				}
+			}
+			keep := entries[:0]
+			for _, en := range entries {
+				if len(en.overlaps) > 0 {
+					keep = append(keep, en)
+				}
+			}
+			entries = keep
+		}
+		rows = append(rows, entries...)
+	}
+	sort.SliceStable(rows, func(i, j int) bool { return seqLess(rows[i].seq, rows[j].seq) })
+	return rows
+}
+
+// --- the comparison ---
+
+// oracleCase builds one engine + source set; it is called once for the
+// reference and once per option combination, so it must be deterministic.
+type oracleCase struct {
+	name string
+	mk   func(opts Options) (*Engine, []topo.ACLBinding)
+}
+
+// distinct drops repeated formulas, keeping first occurrences.
+func distinct(fs []smt.F) []smt.F {
+	seen := map[smt.F]bool{}
+	var out []smt.F
+	for _, f := range fs {
+		if !seen[f] {
+			seen[f] = true
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// compareSolve builds the reference and the compiled constraints of one
+// AEC (or DEC group) in one builder, requires them equal after dropping
+// repeats, solves the reference its own way and the engine through
+// solveAEC, and requires the same verdict and decisions.
+func compareSolve(t *testing.T, what string, e *Engine, ix *genIndex, rs refSets, ra *refAEC, a *aec, paths []topo.Path, shapes []int32) bool {
+	t.Helper()
+	s := smt.NewSolver()
+	b := s.B
+	byID := map[string]smt.F{}
+	vars := make([]smt.F, len(rs.targetIDs))
+	for i, id := range rs.targetIDs {
+		vars[i] = b.Var()
+		byID[id] = vars[i]
+	}
+	ref := refConstraints(e, b, byID, ra, paths, rs)
+	got := make([]smt.F, 0, len(shapes))
+	for _, si := range shapes {
+		got = append(got, ix.constraint(b, vars, a, &ix.shapes[si]))
+	}
+	if want, have := distinct(ref), distinct(got); !slices.Equal(want, have) {
+		t.Fatalf("%s: constraint sequences differ\nreference (%d paths -> %d distinct): %v\ncompiled  (%d shapes -> %d distinct): %v",
+			what, len(paths), len(want), want, len(shapes), len(have), have)
+	}
+	for _, f := range ref {
+		s.Assert(f)
+	}
+	r := e.solveWithRetries(nil, s, e.obsv(), faultinject.GenerateAEC, true)
+	refOK := r.Outcome == sat.Sat
+	ok, unknown, _ := e.solveAEC(nil, e.obsv(), ix, a, shapes)
+	if unknown != "" || r.Outcome == sat.Unknown {
+		t.Fatalf("%s: unexpected unknown verdict", what)
+	}
+	if ok != refOK {
+		t.Fatalf("%s: solvable=%v, reference %v", what, ok, refOK)
+	}
+	if !ok {
+		return false
+	}
+	for i, id := range rs.targetIDs {
+		if want := !s.Value(vars[i]); a.dec[id] != want {
+			t.Fatalf("%s: decision at %s = %v, reference %v", what, id, a.dec[id], want)
+		}
+	}
+	if len(a.dec) != len(rs.targetIDs) {
+		t.Fatalf("%s: dec has %d entries for %d targets", what, len(a.dec), len(rs.targetIDs))
+	}
+	return true
+}
+
+func runOracleCase(t *testing.T, c oracleCase) {
+	refE, refSources := c.mk(DefaultOptions())
+	refEnc := refE.Before.ACLGroup(refE.Scope)
+	classes, err := refE.deriveClasses()
+	if err != nil {
+		t.Fatal(err)
+	}
+	refAECs := refDeriveAECs(t, refE, refEnc, classes)
+	rs := refSetsOf(refE, refSources, refEnc)
+	refRows := map[bool][]refRow{}
+
+	for _, tree := range []bool{true, false} {
+		for _, grouping := range []bool{true, false} {
+			opts := DefaultOptions()
+			opts.UseSearchTree, opts.UseGrouping = tree, grouping
+			e, sources := c.mk(opts)
+			enc := e.Before.ACLGroup(e.Scope)
+			what := fmt.Sprintf("tree=%v grouping=%v", tree, grouping)
+
+			// AEC signatures, membership and order.
+			aecs, err := e.deriveAECs(enc, classes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(aecs) != len(refAECs) {
+				t.Fatalf("%s: %d AECs, reference %d", what, len(aecs), len(refAECs))
+			}
+			for i, a := range aecs {
+				ra := refAECs[i]
+				if !slices.Equal(a.decisions, ra.decisions) || !slices.Equal(a.ctrlIn, ra.ctrlIn) ||
+					!slices.EqualFunc(a.classes, ra.classes, header.Match.Equal) {
+					t.Fatalf("%s: AEC %d differs from reference (signature %v/%v vs %v/%v, %d vs %d classes)",
+						what, i, a.decisions, a.ctrlIn, ra.decisions, ra.ctrlIn, len(a.classes), len(ra.classes))
+				}
+			}
+
+			// Constraints and decisions, per AEC and per DEC group. They do
+			// not depend on the two options, so one pass per case suffices;
+			// it runs on the default combination.
+			if tree && grouping {
+				src := e.fecSource()
+				ix := e.compileGenerate(src.Paths(), sources, enc)
+				if !slices.Equal(ix.targetIDs, rs.targetIDs) {
+					t.Fatalf("targets %v, reference %v", ix.targetIDs, rs.targetIDs)
+				}
+				for i, a := range aecs {
+					if compareSolve(t, fmt.Sprintf("AEC %d", i), e, ix, rs, refAECs[i], a, src.Paths(), ix.allShapes) {
+						continue
+					}
+					// Unsolvable as one AEC on both sides: the DEC split.
+					seen := map[int]bool{}
+					for _, cl := range a.classes {
+						k := src.FECOf(cl.Dst)
+						if seen[k] {
+							continue
+						}
+						seen[k] = true
+						var decPaths []topo.Path
+						var shapes []int32
+						if k >= 0 {
+							decPaths = src.Materialize(k).Paths
+							shapes = ix.shapesOn(src.PathIndices(k))
+						}
+						sub := &aec{decisions: a.decisions, ctrlIn: a.ctrlIn}
+						compareSolve(t, fmt.Sprintf("AEC %d DEC %d", i, k), e, ix, rs, refAECs[i], sub, decPaths, shapes)
+					}
+				}
+			}
+
+			// The synthesis table.
+			rows, err := e.buildRows(aecs, enc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, ok := refRows[grouping]
+			if !ok {
+				refE.Opts.UseGrouping = grouping
+				want = refBuildRows(refE, refAECs, refEnc)
+				refRows[grouping] = want
+			}
+			if len(rows) != len(want) {
+				t.Fatalf("%s: %d rows, reference %d", what, len(rows), len(want))
+			}
+			for i, r := range rows {
+				if !slices.Equal(r.seq, want[i].seq) || r.a != aecs[want[i].aec] ||
+					!slices.EqualFunc(r.overlaps, want[i].overlaps, header.Match.Equal) {
+					t.Fatalf("%s: row %d = seq %v overlaps %v, reference seq %v overlaps %v (AEC %d)",
+						what, i, r.seq, r.overlaps, want[i].seq, want[i].overlaps, want[i].aec)
+				}
+			}
+		}
+	}
+}
+
+// --- cases ---
+
+func papernetBindings(n *topo.Network, dir topo.Direction, ids ...string) []topo.ACLBinding {
+	var out []topo.ACLBinding
+	for _, id := range ids {
+		iface, err := n.LookupInterface(id)
+		if err != nil {
+			panic(err)
+		}
+		out = append(out, topo.ACLBinding{Iface: iface, Dir: dir})
+	}
+	return out
+}
+
+func papernetCases() []oracleCase {
+	pair := func(from, to string) (map[string]bool, map[string]bool) {
+		return map[string]bool{from: true}, map[string]bool{to: true}
+	}
+	mk := func(name string, set func(e *Engine) []topo.ACLBinding) oracleCase {
+		return oracleCase{"papernet/" + name, func(opts Options) (*Engine, []topo.ACLBinding) {
+			before := papernet.Build()
+			e := New(before, before.Clone(), papernet.Scope(), opts)
+			return e, set(e)
+		}}
+	}
+	return []oracleCase{
+		mk("migration", func(e *Engine) []topo.ACLBinding {
+			e.Allow = papernetBindings(e.Before, topo.In, "C:1", "C:2", "D:1")
+			return papernetBindings(e.Before, topo.In, "A:1", "D:2")
+		}),
+		mk("isolate", func(e *Engine) []topo.ACLBinding {
+			e.Allow = papernetBindings(e.Before, topo.In, "B:1", "B:2")
+			from, to := pair("A:1", "D:3")
+			e.Controls = []Control{{From: from, To: to, Mode: Isolate, Match: header.DstMatch(papernet.Traffic(5))}}
+			return nil
+		}),
+		mk("open", func(e *Engine) []topo.ACLBinding {
+			e.Allow = papernetBindings(e.Before, topo.In, "A:1")
+			from, to := pair("A:1", "D:3")
+			e.Controls = []Control{{From: from, To: to, Mode: Open, Match: header.DstMatch(papernet.Traffic(6))}}
+			return papernetBindings(e.Before, topo.In, "A:1")
+		}),
+		mk("maintain", func(e *Engine) []topo.ACLBinding {
+			e.Allow = papernetBindings(e.Before, topo.Out, "A:2", "A:3")
+			from, to := pair("A:1", "C:3")
+			e.Controls = []Control{
+				{From: from, To: to, Mode: Maintain, Match: header.DstMatch(papernet.Traffic(7))},
+				{From: from, To: to, Mode: Isolate, Match: header.MatchAll},
+			}
+			return nil
+		}),
+	}
+}
+
+// WANMigration is the Fig. 4c setup on a generated WAN: move every
+// aggregation ACL down to the edge. Exported from the test binary for
+// the external benchmarks.
+func WANMigration(w *netgen.WAN, opts Options) (*Engine, []topo.ACLBinding) {
+	after := w.Net.Clone()
+	cleared, err := netgen.Bindings(after, w.AggACLs)
+	if err != nil {
+		panic(err)
+	}
+	for _, b := range cleared {
+		b.Iface.SetACL(b.Dir, nil)
+	}
+	sources, _ := netgen.Bindings(w.Net, w.AggACLs)
+	e := New(w.Net, after, w.Scope, opts)
+	e.Allow, _ = netgen.Bindings(w.Net, w.EdgeACLs)
+	return e, sources
+}
+
+// WANOpen is the Fig. 4d setup: open perDevice prefixes per edge device
+// from the core uplinks to the edge customer side, regenerating the core
+// and aggregation ACLs.
+func WANOpen(w *netgen.WAN, perDevice int, opts Options) (*Engine, []topo.ACLBinding) {
+	from, to := map[string]bool{}, map[string]bool{}
+	for _, cn := range w.CoreNames {
+		from[cn+":up"] = true
+	}
+	for _, en := range w.EdgeNames {
+		to[en+":ext"] = true
+	}
+	srcs, err := netgen.Bindings(w.Net, append(slices.Clone(w.CoreACLs), w.AggACLs...))
+	if err != nil {
+		panic(err)
+	}
+	e := New(w.Net, w.Net.Clone(), w.Scope, opts)
+	e.Allow = srcs
+	for _, p := range w.OpenSelections(w.Config.Seed, perDevice) {
+		e.Controls = append(e.Controls, Control{From: from, To: to, Mode: Open, Match: header.DstMatch(p)})
+	}
+	return e, srcs
+}
+
+func wanCases(size netgen.Size, seeds ...int64) []oracleCase {
+	var out []oracleCase
+	for _, seed := range seeds {
+		// One WAN per case, not per seed: cases run in parallel, and a
+		// network fills lazy caches (the per-device LPM trie) on first use.
+		build := func() *netgen.WAN { return netgen.Build(netgen.DefaultConfig(size, seed)) }
+		name := fmt.Sprintf("%v-%d/", size, seed)
+		w := build()
+		out = append(out, oracleCase{name + "migration", func(opts Options) (*Engine, []topo.ACLBinding) {
+			return WANMigration(w, opts)
+		}})
+		for _, k := range []int{1, 2, 4} {
+			w := build()
+			out = append(out, oracleCase{fmt.Sprintf("%sopen-%d", name, k), func(opts Options) (*Engine, []topo.ACLBinding) {
+				return WANOpen(w, k, opts)
+			}})
+		}
+	}
+	return out
+}
+
+// oracleMesh draws a random layered mesh with everything the index has
+// to get right: several entry and exit borders, controls with
+// overlapping From/To sets in a random precedence order (including pairs
+// no path connects), bindings that are target and source at once, paths
+// that cross no target, unbound target bindings, and black-holed
+// prefixes — classes that enter the scope but that no path forwards, so
+// their FEC is -1.
+func oracleMesh(seed int64, opts Options) (*Engine, []topo.ACLBinding) {
+	r := rand.New(rand.NewSource(seed))
+	n := topo.NewNetwork()
+	nLayers, nPref := 2+r.Intn(2), 3+r.Intn(3)
+	pref := func(i int) header.Prefix { return header.Prefix{Addr: uint32(10+i) << 24, Len: 8} }
+	randPrefix := func() header.Prefix {
+		p := pref(r.Intn(nPref))
+		if r.Intn(3) == 0 {
+			lo, hi := p.Halves()
+			p = [2]header.Prefix{lo, hi}[r.Intn(2)]
+		}
+		return p
+	}
+
+	var layers [][]*topo.Device
+	var names, entries, exits []string
+	downs := map[string][]*topo.Interface{}
+	for l := 0; l < nLayers; l++ {
+		var layer []*topo.Device
+		for k := 0; k < 1+r.Intn(3); k++ {
+			d := n.Device(fmt.Sprintf("L%dD%d", l, k))
+			layer = append(layer, d)
+			names = append(names, d.Name)
+		}
+		layers = append(layers, layer)
+	}
+	for _, d := range layers[0] {
+		d.Interface("e")
+		entries = append(entries, d.Name+":e")
+	}
+	for l := 0; l+1 < nLayers; l++ {
+		for _, u := range layers[l] {
+			for j, v := range layers[l+1] {
+				ui := u.Interface(fmt.Sprintf("d%d", j))
+				n.AddLink(ui, v.Interface("u"+u.Name))
+				downs[u.Name] = append(downs[u.Name], ui)
+			}
+		}
+	}
+	for _, d := range layers[nLayers-1] {
+		downs[d.Name] = append(downs[d.Name], d.Interface("x"))
+		exits = append(exits, d.Name+":x")
+	}
+	for l, layer := range layers {
+		for _, d := range layer {
+			for i := 0; i < nPref; i++ {
+				if l > 0 && r.Intn(6) == 0 {
+					continue // black hole below the entry layer
+				}
+				for _, o := range downs[d.Name] {
+					if r.Intn(2) == 0 {
+						d.AddRoute(pref(i), o)
+					}
+				}
+				if r.Intn(3) == 0 {
+					half, _ := pref(i).Halves()
+					d.AddRoute(half, downs[d.Name][r.Intn(len(downs[d.Name]))])
+				}
+			}
+		}
+	}
+
+	randMatch := func() header.Match {
+		m := header.DstMatch(randPrefix())
+		switch r.Intn(6) {
+		case 0:
+			m.DstPort = header.PortRange{Lo: 80, Hi: 80}
+		case 1:
+			m.DstPort = header.PortRange{Lo: 1024, Hi: 2048}
+		}
+		return m
+	}
+	// Sparse meshes leave many bindings without any role, so paths that
+	// differ only there share a shape; dense ones give every path its own.
+	sparsity := 2 + r.Intn(11)
+	var all, bound []topo.ACLBinding
+	for _, layer := range layers {
+		for _, d := range layer {
+			for _, i := range d.SortedInterfaces() {
+				for _, dir := range []topo.Direction{topo.In, topo.Out} {
+					b := topo.ACLBinding{Iface: i, Dir: dir}
+					all = append(all, b)
+					if r.Intn(sparsity) != 0 {
+						continue
+					}
+					a := &acl.ACL{Default: acl.Action(r.Intn(4) != 0)}
+					for k := 0; k < 1+r.Intn(4); k++ {
+						a.Rules = append(a.Rules, acl.Rule{Action: acl.Action(r.Intn(2) == 0), Match: randMatch()})
+					}
+					i.SetACL(dir, a)
+					bound = append(bound, b)
+				}
+			}
+		}
+	}
+
+	e := New(n, n.Clone(), topo.NewScope(names...).WithEntries(entries...), opts)
+	pick := func(from []topo.ACLBinding, oneIn int) []topo.ACLBinding {
+		var out []topo.ACLBinding
+		for _, b := range from {
+			if r.Intn(oneIn) == 0 {
+				out = append(out, b)
+			}
+		}
+		return out
+	}
+	sources := pick(bound, 3)
+	e.Allow = pick(all, 1+sparsity)
+	if r.Intn(2) == 0 {
+		e.Allow = append(e.Allow, pick(sources, 2)...) // target and source at once
+	}
+	if len(e.Allow) == 0 {
+		e.Allow = []topo.ACLBinding{all[r.Intn(len(all))]}
+	}
+	subset := func(ids []string) map[string]bool {
+		out := map[string]bool{ids[r.Intn(len(ids))]: true}
+		for _, id := range ids {
+			if r.Intn(2) == 0 {
+				out[id] = true
+			}
+		}
+		return out
+	}
+	for k := r.Intn(5); k > 0; k-- {
+		m := randMatch()
+		if r.Intn(8) == 0 {
+			m = header.MatchAll
+		}
+		e.Controls = append(e.Controls, Control{
+			From: subset(entries), To: subset(exits), Mode: ControlMode(r.Intn(3)), Match: m,
+		})
+	}
+	return e, sources
+}
+
+func TestGenerateIndexMatchesPerPathOracle(t *testing.T) {
+	cases := papernetCases()
+	cases = append(cases, wanCases(netgen.Small, 1, 2, 42)...)
+	// The reference is the old per-path walk, so a medium case costs what
+	// generate used to: seconds. The default suite runs one medium seed;
+	// the weekly full lane (make test-full) runs all three.
+	switch {
+	case os.Getenv("JINJING_EXPERIMENTS_LARGE") != "":
+		cases = append(cases, wanCases(netgen.Medium, 1, 2, 42)...)
+	case !testing.Short():
+		cases = append(cases, wanCases(netgen.Medium, 42)...)
+	}
+	for i := 0; i < 240; i++ {
+		seed := int64(i)
+		cases = append(cases, oracleCase{fmt.Sprintf("mesh-%d", i), func(opts Options) (*Engine, []topo.ACLBinding) {
+			return oracleMesh(seed, opts)
+		}})
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			runOracleCase(t, c)
+		})
+	}
+}
+
+// TestGenerateOracleMeshesCoverTheHardCases keeps the random meshes
+// honest: the properties the oracle is there to exercise must actually
+// occur in the drawn population.
+func TestGenerateOracleMeshesCoverTheHardCases(t *testing.T) {
+	var noTarget, fecless, decSplit, multiCtrl, shapesShared int
+	for i := 0; i < 240; i++ {
+		e, sources := oracleMesh(int64(i), DefaultOptions())
+		enc := e.Before.ACLGroup(e.Scope)
+		src := e.fecSource()
+		ix := e.compileGenerate(src.Paths(), sources, enc)
+		if len(ix.shapes) < len(ix.shapeOf) {
+			shapesShared++
+		}
+		for _, sh := range ix.shapes {
+			if len(sh.targets) == 0 {
+				noTarget++
+				break
+			}
+		}
+		for _, sh := range ix.shapes {
+			if len(sh.ctrls) > 1 {
+				multiCtrl++
+				break
+			}
+		}
+		classes, err := e.deriveClasses()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range classes {
+			if src.FECOf(c.Dst) < 0 {
+				fecless++
+				break
+			}
+		}
+		res, err := e.Generate(sources)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.DECSplitAECs > 0 {
+			decSplit++
+		}
+	}
+	t.Logf("of 240 meshes: %d with a path crossing no target, %d with a FEC-less class, %d with a DEC split, %d with a path under several controls, %d where paths share shapes",
+		noTarget, fecless, decSplit, multiCtrl, shapesShared)
+	for name, n := range map[string]int{"no-target path": noTarget, "FEC-less class": fecless, "DEC split": decSplit,
+		"several controls on one path": multiCtrl, "shared shapes": shapesShared} {
+		if n < 20 {
+			t.Errorf("only %d of 240 meshes have a %s", n, name)
+		}
+	}
+}
+
+// TestGenerateClassesAreAtomic pins the precondition the first-match pass
+// rests on, now that no per-lookup straddle check runs on the generate
+// path: every derived class is contained in or disjoint from every
+// in-scope rule match and every control match.
+func TestGenerateClassesAreAtomic(t *testing.T) {
+	cases := append(papernetCases(), wanCases(netgen.Small, 1, 2, 42)...)
+	for i := 0; i < 240; i++ {
+		seed := int64(i)
+		cases = append(cases, oracleCase{fmt.Sprintf("mesh-%d", i), func(opts Options) (*Engine, []topo.ACLBinding) {
+			return oracleMesh(seed, opts)
+		}})
+	}
+	for _, c := range cases {
+		e, _ := c.mk(DefaultOptions())
+		var cuts []header.Match
+		for _, b := range e.Before.ACLGroup(e.Scope) {
+			for _, r := range b.Iface.ACL(b.Dir).Rules {
+				cuts = append(cuts, r.Match)
+			}
+		}
+		for _, ctrl := range e.Controls {
+			cuts = append(cuts, ctrl.Match)
+		}
+		classes, err := e.deriveClasses()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for _, cl := range classes {
+			for _, m := range cuts {
+				if m.Overlaps(cl) && !m.Contains(cl) {
+					t.Fatalf("%s: class %v straddles %v", c.name, cl, m)
+				}
+			}
+		}
+	}
+}

@@ -208,16 +208,33 @@ func TestGenerateObservability(t *testing.T) {
 		t.Fatalf("generate root span wrong: %+v", spans["generate"])
 	}
 	genID := spans["generate"][0].ID
-	for _, phase := range []string{"derive-aec", "synthesize"} {
-		found := false
-		for _, s := range spans[phase] {
+	// Exactly these four phases: the per-call index compiles inside
+	// "solve" and the first-match pass runs inside "derive-aec", so the
+	// operator benchmark's layer attribution keeps adding up.
+	phases := map[string]obs.SpanRecord{}
+	for name, recs := range spans {
+		for _, s := range recs {
 			if s.Parent == genID {
-				found = true
+				phases[name] = s
 			}
 		}
-		if !found {
+	}
+	for _, phase := range []string{"derive-aec", "solve", "synthesize", "verify"} {
+		if _, ok := phases[phase]; !ok {
 			t.Fatalf("generate has no %q child span", phase)
 		}
+	}
+	if len(phases) != 4 {
+		t.Fatalf("generate has phase spans beyond the four the benchmark attributes: %v", phases)
+	}
+	// Figure 1 has four paths from A1 (p0–p3), no two crossing the same
+	// targets and ACL bindings: four shapes.
+	solve := phases["solve"].Attrs
+	if solve["paths"] != float64(4) || solve["path_shapes"] != float64(4) {
+		t.Fatalf("solve span attrs paths=%v path_shapes=%v, want 4 and 4", solve["paths"], solve["path_shapes"])
+	}
+	if got := snap.Gauges["generate.path_shapes"]; got != 4 {
+		t.Fatalf("generate.path_shapes gauge = %d, want 4", got)
 	}
 }
 

@@ -20,6 +20,20 @@ type row struct {
 // maxOverlapsPerRow bounds the overlap-field expansion of one row.
 const maxOverlapsPerRow = 4096
 
+// ErrOverlapBound is generate's refusal to synthesize an AEC whose
+// overlap field (§5.4 step 2) expands past Bound matches in one row: the
+// original ACLs cut the AEC's traffic into too many distinct
+// intersections for the rule-per-overlap emission to stay bounded.
+type ErrOverlapBound struct {
+	AEC   int // index of the AEC, in derivation order
+	Bound int
+}
+
+func (e *ErrOverlapBound) Error() string {
+	return fmt.Sprintf("core: generate: the overlap field of AEC %d expands past the bound of %d matches per synthesis row; narrow the scope or migrate fewer ACLs at once",
+		e.AEC, e.Bound)
+}
+
 // ruleGrouping maps each rule of a source ACL to a group index (§5.5
 // "grouping ACL rules before sequence encoding"). Groups are consecutive
 // rule runs in which any two rules with different actions are
@@ -67,21 +81,17 @@ func groupRules(rules []acl.Rule, enabled bool) ruleGrouping {
 
 // hitIndexer finds, per traffic class, the first rule of an ACL that
 // contains it. With the §5.5 search tree enabled, candidate rules are
-// found by walking the class's destination-prefix ancestors in a prefix
-// index instead of scanning the whole rule list.
+// found by walking a destination-prefix trie from the root to the class's
+// destination instead of scanning the whole rule list.
 type hitIndexer struct {
-	rules    []acl.Rule
-	dstIndex map[header.Prefix][]int // rule indices by rule destination prefix
+	acl  *acl.ACL
+	tree *acl.DstIndex // nil: linear scan (the UseSearchTree=false ablation)
 }
 
 func newHitIndexer(a *acl.ACL, useTree bool) *hitIndexer {
-	h := &hitIndexer{rules: a.Rules}
+	h := &hitIndexer{acl: a}
 	if useTree {
-		h.dstIndex = make(map[header.Prefix][]int)
-		for i, r := range a.Rules {
-			d := r.Match.Dst
-			h.dstIndex[d] = append(h.dstIndex[d], i)
-		}
+		h.tree = acl.NewDstIndex(a.Rules)
 	}
 	return h
 }
@@ -89,69 +99,51 @@ func newHitIndexer(a *acl.ACL, useTree bool) *hitIndexer {
 // hit returns the index of the first rule containing the class, or
 // len(rules) for the default.
 func (h *hitIndexer) hit(class header.Match) int {
-	if h.dstIndex == nil {
-		for i, r := range h.rules {
-			if r.Match.Contains(class) {
-				return i
-			}
-		}
-		return len(h.rules)
+	if h.tree != nil {
+		return h.tree.FirstContaining(class)
 	}
-	// Only rules whose destination prefix contains the class destination
-	// can contain the class; those prefixes are exactly the ancestors of
-	// class.Dst (including itself).
-	best := len(h.rules)
-	p := class.Dst
-	for {
-		for _, i := range h.dstIndex[p] {
-			if i < best && h.rules[i].Match.Contains(class) {
-				best = i
-			}
+	for i, r := range h.acl.Rules {
+		if r.Match.Contains(class) {
+			return i
 		}
-		if p.Len == 0 {
-			break
-		}
-		p = p.Parent()
 	}
-	return best
+	return len(h.acl.Rules)
+}
+
+// action returns the ACL's decision on a class whose first match is hit.
+func (h *hitIndexer) action(hit int) acl.Action {
+	if hit < len(h.acl.Rules) {
+		return h.acl.Rules[hit].Action
+	}
+	return h.acl.Default
 }
 
 // buildRows performs synthesis steps 1 and 2 (§5.4): sequence encoding
 // over the original ACL-carrying bindings (plus virtual positions for
 // control intents) and overlap-field computation, with the §5.5 grouping
-// and search-tree optimizations when enabled.
-func (e *Engine) buildRows(aecs []*aec, encBindings []topo.ACLBinding) []row {
-	type bindState struct {
-		grouping ruleGrouping
-		indexer  *hitIndexer
-		rules    []acl.Rule
-	}
-	states := make([]bindState, len(encBindings))
+// optimization when enabled. Which rules an AEC's classes hit was
+// recorded when the AECs were derived (aec.hits), so no class is looked
+// up again here. A row whose overlap field outgrows maxOverlapsPerRow
+// fails the call with an *ErrOverlapBound.
+func (e *Engine) buildRows(aecs []*aec, encBindings []topo.ACLBinding) ([]row, error) {
+	groupings := make([]ruleGrouping, len(encBindings))
 	for i, b := range encBindings {
-		a := b.Iface.ACL(b.Dir)
-		states[i] = bindState{
-			grouping: groupRules(a.Rules, e.Opts.UseGrouping),
-			indexer:  newHitIndexer(a, e.Opts.UseSearchTree),
-			rules:    a.Rules,
-		}
+		groupings[i] = groupRules(b.Iface.ACL(b.Dir).Rules, e.Opts.UseGrouping)
 	}
 
 	var rows []row
-	for _, a := range aecs {
+	for ai, a := range aecs {
 		// Per binding: group index -> union of member matches hit.
 		dims := make([]map[int][]header.Match, len(encBindings))
-		for i := range dims {
+		for i, b := range encBindings {
 			dims[i] = map[int][]header.Match{}
-		}
-		for _, c := range a.classes {
-			for i := range encBindings {
-				st := &states[i]
-				hit := st.indexer.hit(c)
-				grp := st.grouping.numGroups // default group
+			rules := b.Iface.ACL(b.Dir).Rules
+			for _, hit := range a.hits[i] {
+				grp := groupings[i].numGroups // default group
 				contrib := header.MatchAll
-				if hit < len(st.rules) {
-					grp = st.grouping.groupOf[hit]
-					contrib = st.rules[hit].Match
+				if int(hit) < len(rules) {
+					grp = groupings[i].groupOf[hit]
+					contrib = rules[hit].Match
 				}
 				if !containsMatch(dims[i][grp], contrib) {
 					dims[i][grp] = append(dims[i][grp], contrib)
@@ -170,7 +162,10 @@ func (e *Engine) buildRows(aecs []*aec, encBindings []topo.ACLBinding) []row {
 			var next []row
 			for _, en := range entries {
 				for _, k := range keys {
-					ov := intersectAll(en.overlaps, dims[i][k])
+					ov, ok := intersectAll(en.overlaps, dims[i][k])
+					if !ok {
+						return nil, &ErrOverlapBound{AEC: ai, Bound: maxOverlapsPerRow}
+					}
 					if len(ov) == 0 {
 						continue
 					}
@@ -184,7 +179,8 @@ func (e *Engine) buildRows(aecs []*aec, encBindings []topo.ACLBinding) []row {
 			for j := range entries {
 				if a.ctrlIn[i] {
 					entries[j].seq = append(entries[j].seq, 0)
-					entries[j].overlaps = intersectAll(entries[j].overlaps, []header.Match{ctrl.Match})
+					// Intersecting with one match cannot grow the union.
+					entries[j].overlaps, _ = intersectAll(entries[j].overlaps, []header.Match{ctrl.Match})
 				} else {
 					entries[j].seq = append(entries[j].seq, 1)
 				}
@@ -202,7 +198,7 @@ func (e *Engine) buildRows(aecs []*aec, encBindings []topo.ACLBinding) []row {
 	}
 
 	sort.SliceStable(rows, func(i, j int) bool { return seqLess(rows[i].seq, rows[j].seq) })
-	return rows
+	return rows, nil
 }
 
 func seqLess(a, b []int) bool {
@@ -218,20 +214,19 @@ func seqLess(a, b []int) bool {
 }
 
 // intersectAll intersects two match unions, dropping empty and duplicate
-// results.
-func intersectAll(as, bs []header.Match) []header.Match {
-	var out []header.Match
+// results; ok is false when more than maxOverlapsPerRow remain.
+func intersectAll(as, bs []header.Match) (out []header.Match, ok bool) {
 	for _, a := range as {
 		for _, b := range bs {
 			if m, ok := a.Intersect(b); ok && !containsMatch(out, m) {
 				out = append(out, m)
 				if len(out) > maxOverlapsPerRow {
-					panic(fmt.Sprintf("core: overlap expansion exceeded %d matches", maxOverlapsPerRow))
+					return nil, false
 				}
 			}
 		}
 	}
-	return out
+	return out, true
 }
 
 func containsMatch(ms []header.Match, m header.Match) bool {
