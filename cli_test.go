@@ -460,6 +460,49 @@ func TestCLIResourceLimits(t *testing.T) {
 	}
 }
 
+// TestCLIFixPlanError runs fix into the one plan error a CLI input can
+// reach — an expired deadline leaves the seeks without verdicts, and
+// FixContext refuses the plan — and requires what every error carried out
+// of the fix path must look like from outside: exit status 2, one
+// diagnostic line on stderr, no stack trace, and no plan on stdout.
+func TestCLIFixPlanError(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI run builds binaries; skipped in -short mode")
+	}
+	netgenBin := buildTool(t, "jinjing-netgen")
+	jinjingBin := buildTool(t, "jinjing")
+	dir := t.TempDir()
+
+	before := filepath.Join(dir, "net.json")
+	after := filepath.Join(dir, "net-after.json")
+	run(t, netgenBin, "-size", "small", "-seed", "9", "-out", before)
+	run(t, netgenBin, "-size", "small", "-seed", "9", "-perturb", "4", "-out", after)
+	prog := filepath.Join(dir, "fix.lai")
+	writeProgram(t, prog, "fix\n")
+
+	for _, workers := range []string{"1", "4"} {
+		cmd := exec.Command(jinjingBin, "-topo", before, "-updated", after, "-program", prog,
+			"-timeout", "1ns", "-workers", workers)
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("workers=%s: want exit status 2, got %v\nstderr:\n%s", workers, err, stderr.String())
+		}
+		msg := stderr.String()
+		if !strings.HasPrefix(msg, "jinjing: core: fix refuses to emit a plan built on unknown verdicts:") {
+			t.Fatalf("workers=%s: stderr does not carry the structured error:\n%s", workers, msg)
+		}
+		if strings.Contains(msg, "goroutine ") || strings.Contains(msg, "panic") || strings.Count(msg, "\n") != 1 {
+			t.Fatalf("workers=%s: stderr reads like a crash, not a diagnostic:\n%s", workers, msg)
+		}
+		if stdout.Len() != 0 {
+			t.Fatalf("workers=%s: no plan must be printed:\n%s", workers, stdout.String())
+		}
+	}
+}
+
 // TestCLITelemetryGolden drives the -decision-log/-listen/-slow-fecs
 // flags end to end: all three must be byte-inert on stdout (the ledger
 // goes to its file, the server and the slow-FEC table to stderr), the

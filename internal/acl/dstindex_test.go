@@ -43,8 +43,8 @@ func TestDstIndexMatchesLinearScan(t *testing.T) {
 				if got := ix.anyContaining(m); got != (first < len(a.Rules)) {
 					t.Fatalf("anyContaining(%v) = %v\nrules=%v live=%v", m, got, a, live)
 				}
-				if got := ix.anyOverlapping(m); got != overlap {
-					t.Fatalf("anyOverlapping(%v) = %v, want %v\nrules=%v live=%v", m, got, overlap, a, live)
+				if got := ix.AnyOverlapping(m); got != overlap {
+					t.Fatalf("AnyOverlapping(%v) = %v, want %v\nrules=%v live=%v", m, got, overlap, a, live)
 				}
 			}
 		}
@@ -55,6 +55,88 @@ func TestDstIndexMatchesLinearScan(t *testing.T) {
 			live[i] = false
 		}
 		check()
+	}
+}
+
+// TestDstIndexDecideMatchMatchesLinearScan pins FirstMatch against
+// ACL.DecideMatch, the linear scan whose contract it carries: the same
+// decision and the same atomicity verdict on every query. The rule lists
+// mix nested destinations with same-destination buckets whose members
+// differ only in source, port or protocol, and the queries are drawn to
+// land above, on and below rule destinations and to straddle port and
+// protocol boundaries — a straddler can sit on an ancestor of the
+// query's destination, on its node, or in the subtree below it.
+func TestDstIndexDecideMatchMatchesLinearScan(t *testing.T) {
+	r := rand.New(rand.NewSource(1606))
+	randRule := func() Rule {
+		m := header.MatchAll
+		m.Dst = header.Prefix{Addr: uint32(10+r.Intn(3))<<24 | uint32(r.Intn(4))<<22, Len: []int{0, 7, 8, 8, 10, 12}[r.Intn(6)]}.Canonical()
+		if r.Intn(3) == 0 {
+			m.Src = header.Prefix{Addr: uint32(172+r.Intn(2)) << 24, Len: 7 + r.Intn(3)}.Canonical()
+		}
+		switch r.Intn(5) {
+		case 0:
+			m.DstPort = header.PortRange{Lo: 80, Hi: 80}
+		case 1:
+			m.DstPort = header.PortRange{Lo: uint16(r.Intn(2000)), Hi: uint16(2000 + r.Intn(2000))}
+		}
+		if r.Intn(5) == 0 {
+			m.SrcPort = header.PortRange{Lo: 1024, Hi: 65535}
+		}
+		if r.Intn(4) == 0 {
+			m.Proto = header.Proto([]uint8{header.ProtoTCP, header.ProtoUDP}[r.Intn(2)])
+		}
+		return Rule{Action: Action(r.Intn(2) == 0), Match: m}
+	}
+	var atomics, straddles int
+	for iter := 0; iter < 400; iter++ {
+		a := &ACL{Default: Action(r.Intn(2) == 0)}
+		for n := 1 + r.Intn(40); n > 0; n-- {
+			rule := randRule()
+			if len(a.Rules) > 0 && r.Intn(3) == 0 {
+				rule.Match.Dst = a.Rules[r.Intn(len(a.Rules))].Match.Dst // same-destination bucket
+			}
+			a.Rules = append(a.Rules, rule)
+		}
+		ix := NewDstIndex(a.Rules)
+		for q := 0; q < 60; q++ {
+			m := randRule().Match
+			switch r.Intn(4) {
+			case 0: // a neighborhood: narrow in every field
+				m = a.Rules[r.Intn(len(a.Rules))].Match
+				m.Dst = header.Prefix{Addr: m.Dst.Addr | r.Uint32()>>uint(m.Dst.Len+1), Len: m.Dst.Len + r.Intn(33-m.Dst.Len)}.Canonical()
+				m.DstPort = header.PortRange{Lo: m.DstPort.Lo, Hi: m.DstPort.Lo}
+				m.Proto = header.Proto(m.Proto.Lo)
+			case 1: // a rule's own match, widened one step in the destination
+				m = a.Rules[r.Intn(len(a.Rules))].Match
+				if m.Dst.Len > 0 {
+					m.Dst = m.Dst.Parent()
+				}
+			}
+			wantAct, wantOK := a.DecideMatch(m)
+			pos, ok := ix.FirstMatch(m)
+			if ok != wantOK {
+				t.Fatalf("FirstMatch(%v) atomic = %v, DecideMatch says %v\nrules=%v", m, ok, wantOK, a)
+			}
+			if pos != ix.FirstContaining(m) {
+				t.Fatalf("FirstMatch(%v) pos = %d, FirstContaining %d\nrules=%v", m, pos, ix.FirstContaining(m), a)
+			}
+			if !ok {
+				straddles++
+				continue
+			}
+			atomics++
+			act := a.Default
+			if pos < len(a.Rules) {
+				act = a.Rules[pos].Action
+			}
+			if act != wantAct {
+				t.Fatalf("FirstMatch(%v) = rule %d (%v), DecideMatch says %v\nrules=%v", m, pos, act, wantAct, a)
+			}
+		}
+	}
+	if atomics < 2000 || straddles < 2000 {
+		t.Fatalf("queries are lopsided: %d atomic, %d straddling", atomics, straddles)
 	}
 }
 

@@ -97,7 +97,7 @@ func simplifyFastPass(a *ACL) *ACL {
 		// A rule agreeing with the default is droppable iff no later rule
 		// with a different action overlaps it (otherwise it guards that
 		// later rule).
-		if r.Action == a.Default && !laterOpp.anyOverlapping(r.Match) {
+		if r.Action == a.Default && !laterOpp.AnyOverlapping(r.Match) {
 			continue
 		}
 		out.Rules = append(out.Rules, r)
@@ -198,32 +198,75 @@ func (ix *DstIndex) FirstContaining(m header.Match) int {
 	return best
 }
 
+// FirstMatch is ACL.DecideMatch on the index: pos is FirstContaining(m),
+// and atomic reports that no indexed rule before pos straddles m —
+// overlaps it without containing it — so every packet of m first-matches
+// rule pos. A rule overlapping m sits on the walk root → m.Dst or in the
+// subtree below m.Dst; only the former can contain m, so pos is final
+// once the walk ends and the subtree is searched for positions below it.
+func (ix *DstIndex) FirstMatch(m header.Match) (pos int, atomic bool) {
+	best := len(ix.rules)
+	straddle := best // lowest position seen of a rule overlapping m, not containing it
+	n := &ix.root
+	for d := 0; ; d++ {
+		if n == nil || n.count == 0 {
+			return best, straddle >= best
+		}
+		for _, i := range n.at {
+			if int(i) >= best {
+				break
+			}
+			r := &ix.rules[i].Match
+			if r.Contains(m) {
+				best = int(i)
+				break
+			}
+			if int(i) < straddle && r.Overlaps(m) {
+				straddle = int(i)
+			}
+		}
+		if d == m.Dst.Len {
+			break
+		}
+		n = n.children[m.Dst.Addr>>(31-d)&1]
+	}
+	if straddle < best {
+		return best, false
+	}
+	return best, !ix.overlapsBelow(n.children[0], &m, best) && !ix.overlapsBelow(n.children[1], &m, best)
+}
+
 // anyContaining reports whether an indexed rule's match contains m.
 func (ix *DstIndex) anyContaining(m header.Match) bool {
 	return ix.FirstContaining(m) < len(ix.rules)
 }
 
-// anyOverlapping reports whether an indexed rule's match overlaps m:
+// AnyOverlapping reports whether an indexed rule's match overlaps m:
 // one on an ancestor of m.Dst, on m.Dst's own node, or in the subtree
 // below it.
-func (ix *DstIndex) anyOverlapping(m header.Match) bool {
+func (ix *DstIndex) AnyOverlapping(m header.Match) bool {
 	n := &ix.root
 	for d := 0; d < m.Dst.Len; d++ {
 		if n.count == 0 {
 			return false
 		}
-		if ix.overlapsAt(n, &m) {
+		if ix.overlapsAt(n, &m, len(ix.rules)) {
 			return true
 		}
 		if n = n.children[m.Dst.Addr>>(31-d)&1]; n == nil {
 			return false
 		}
 	}
-	return ix.overlapsBelow(n, &m)
+	return ix.overlapsBelow(n, &m, len(ix.rules))
 }
 
-func (ix *DstIndex) overlapsAt(n *dstTrieNode, m *header.Match) bool {
+// overlapsAt reports whether a rule indexed on n, at a position below
+// limit, overlaps m.
+func (ix *DstIndex) overlapsAt(n *dstTrieNode, m *header.Match, limit int) bool {
 	for _, i := range n.at {
+		if int(i) >= limit {
+			break
+		}
 		if ix.rules[i].Match.Overlaps(*m) {
 			return true
 		}
@@ -231,9 +274,10 @@ func (ix *DstIndex) overlapsAt(n *dstTrieNode, m *header.Match) bool {
 	return false
 }
 
-func (ix *DstIndex) overlapsBelow(n *dstTrieNode, m *header.Match) bool {
+// overlapsBelow is overlapsAt over n and the subtree under it.
+func (ix *DstIndex) overlapsBelow(n *dstTrieNode, m *header.Match, limit int) bool {
 	if n == nil || n.count == 0 {
 		return false
 	}
-	return ix.overlapsAt(n, m) || ix.overlapsBelow(n.children[0], m) || ix.overlapsBelow(n.children[1], m)
+	return ix.overlapsAt(n, m, limit) || ix.overlapsBelow(n.children[0], m, limit) || ix.overlapsBelow(n.children[1], m, limit)
 }

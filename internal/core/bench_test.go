@@ -122,6 +122,35 @@ func BenchmarkGenerateWAN(b *testing.B) {
 	}
 }
 
+// BenchmarkFixWAN is one cold fix on the medium WAN per iteration — a
+// fresh engine, so paths, FECs, the per-call index and the verification
+// check are all inside the op, as they are for the CLI: the Fig. 4b
+// setup at its two ends, without the process.
+func BenchmarkFixWAN(b *testing.B) {
+	w := netgenMediumOnce()
+	for _, pct := range []float64{1, 5} {
+		b.Run("perturb-"+itoa(int(pct)), func(b *testing.B) {
+			opts := core.DefaultOptions()
+			m := obs.NewMetrics()
+			opts.Obs = obs.NewObserver(nil, m, nil)
+			var neighborhoods int
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := core.WANFix(w, pct, opts).Fix()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !res.Verified {
+					b.Fatalf("fix must verify (%d unfixable)", len(res.Unfixable))
+				}
+				neighborhoods = len(res.Neighborhoods)
+			}
+			b.ReportMetric(float64(neighborhoods), "neighborhoods")
+			b.ReportMetric(float64(m.Snapshot().Gauges["fix.path_shapes"]), "path_shapes")
+		})
+	}
+}
+
 func BenchmarkConservativeCheck(b *testing.B) {
 	before := papernet.Build()
 	after := runningExampleUpdate(before)

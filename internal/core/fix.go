@@ -3,12 +3,14 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"jinjing/internal/acl"
 	"jinjing/internal/faultinject"
 	"jinjing/internal/header"
 	"jinjing/internal/obs"
+	"jinjing/internal/pset"
 	"jinjing/internal/sat"
 	"jinjing/internal/smt"
 	"jinjing/internal/topo"
@@ -87,25 +89,20 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 	ctx := e.checkContext(o)
 	e.prepareIncremental(ctx)
 
-	// The Equation 6 constancy criterion ranges over every decision model
-	// in F_Ω ∪ F'_Ω (full ACLs, not just related rules), plus the control
-	// matches.
-	cons := constancy{ctrls: e.Controls}
-	for _, p := range ctx.pairs {
-		cons.acls = append(cons.acls, orPermitAll(p.before), orPermitAll(p.after))
-	}
-	cons.computeBounds()
+	ix := e.compileFix(ctx)
 	pre.end(obs.KV("diff_rules", ctx.diffRules), obs.KV("acl_pairs", ctx.aclPairs))
 
 	fixed := e.After.Clone()
-	allowSet := map[string]bool{}
-	for _, b := range e.Allow {
-		allowSet[b.ID()] = true
-	}
 
 	maxN := e.Opts.MaxNeighborhoods
 	if maxN == 0 {
 		maxN = 10000
+	}
+
+	// Every failure after this point is recorded in the decision ledger.
+	fail := func(err error) (*FixResult, error) {
+		e.logFixDecision(ls, nil, err)
+		return nil, err
 	}
 
 	sp := startPhase(root, res.Timings, "solve")
@@ -113,10 +110,12 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 	nfec := ctx.nfec
 	task := o.StartTask("fix: FECs", int64(nfec))
 
-	apply := func(out fecFixOutcome) error {
+	var probes int64
+	apply := func(out fecFixOutcome) {
 		// Merge one FEC's entries in discovery order, honoring the
 		// global neighborhood budget.
 		iterations.Add(out.iters)
+		probes += out.probes
 		res.Stats.add(out.cache)
 		recordSolverStats(o, &res.SolverStats, out.seek)
 		for _, nb := range out.entries {
@@ -129,12 +128,8 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 				continue
 			}
 			res.Neighborhoods = append(res.Neighborhoods, nb.nb)
-			if err := applyFixActions(fixed, nb.actions); err != nil {
-				return err
-			}
 			res.Actions = append(res.Actions, nb.actions...)
 		}
-		return nil
 	}
 
 	// Each per-FEC sub-problem is independent (FEC destination classes
@@ -149,73 +144,60 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 	if workers := e.Opts.Workers; workers > 1 {
 		outcomes := make([]fecFixOutcome, nfec)
 		runParallel(o, workers, nfec, func(_, i int) {
-			outcomes[i] = e.fixFEC(cn, ctx, i, &cons, allowSet, maxN)
+			outcomes[i] = e.fixFEC(cn, ctx, ix, i, maxN)
 			task.Add(1)
 		})
 		for i, out := range outcomes {
 			if out.err != nil {
-				return nil, out.err
+				return fail(out.err)
 			}
 			if out.unknown != "" {
 				blocked = append(blocked, UnknownFEC{FEC: i, Classes: ctx.fec(i).Classes, Reason: out.unknown})
 				continue
 			}
-			if err := apply(out); err != nil {
-				return nil, err
-			}
+			apply(out)
 		}
 	} else {
 		for i := 0; i < nfec; i++ {
 			task.Add(1)
-			out := e.fixFEC(cn, ctx, i, &cons, allowSet,
-				maxN-len(res.Neighborhoods)-len(res.Unfixable))
+			out := e.fixFEC(cn, ctx, ix, i, maxN-len(res.Neighborhoods)-len(res.Unfixable))
 			if out.err != nil {
-				return nil, out.err
+				return fail(out.err)
 			}
 			if out.unknown != "" {
 				blocked = append(blocked, UnknownFEC{FEC: i, Classes: ctx.fec(i).Classes, Reason: out.unknown})
 				continue
 			}
-			if err := apply(out); err != nil {
-				return nil, err
-			}
+			apply(out)
 		}
 	}
 	task.Done()
-	sp.end(obs.KV("neighborhoods", len(res.Neighborhoods)),
-		obs.KV("unfixable", len(res.Unfixable)))
+	o.Gauge("fix.path_shapes").Set(int64(len(ix.shapes)))
+	o.Counter("fix.expand.probes").Add(probes)
+	sp.end(obs.KV("neighborhoods", len(res.Neighborhoods)), obs.KV("unfixable", len(res.Unfixable)),
+		obs.KV("path_shapes", len(ix.shapes)), obs.KV("distinct_acls", len(ix.acls)))
 	if len(blocked) > 0 {
 		sortUnknown(blocked)
-		err := &ErrUnknownVerdicts{Stage: "fix", FECs: blocked}
-		e.logFixDecision(ls, nil, err)
-		return nil, err
+		return fail(&ErrUnknownVerdicts{Stage: "fix", FECs: blocked})
+	}
+	// Placement reads only the Before/After snapshots, never the fixed
+	// one, so the whole plan is applied at once.
+	touched, err := applyFixActions(fixed, res.Actions)
+	if err != nil {
+		return fail(err)
 	}
 
 	// Simplify the ACLs the plan touched (§4.2 extension).
 	if e.Opts.SimplifyOutput {
 		sim := startPhase(root, res.Timings, "simplify")
-		touched := map[string]topo.ACLBinding{}
-		for _, a := range res.Actions {
-			// Re-derive the binding from its ID on the fixed network.
-			id := a.BindingID
-			dir := topo.In
-			if len(id) > 4 && id[len(id)-4:] == ":out" {
-				dir = topo.Out
-				id = id[:len(id)-4]
-			} else {
-				id = id[:len(id)-3]
-			}
-			iface, err := fixed.LookupInterface(id)
-			if err == nil {
-				touched[a.BindingID] = topo.ACLBinding{Iface: iface, Dir: dir}
-			}
-		}
+		var st pset.SimplifyStats
 		for _, b := range touched {
-			if a := b.Iface.ACL(b.Dir); a != nil {
-				b.Iface.SetACL(b.Dir, simplifyBounded(a))
-			}
+			a, bst := simplifyBounded(b.Iface.ACL(b.Dir))
+			b.Iface.SetACL(b.Dir, a)
+			st.Cube += bst.Cube
+			st.SAT += bst.SAT
 		}
-		sim.end(obs.KV("touched", len(touched)))
+		sim.end(obs.KV("touched", len(touched)), obs.KV("exact_cube", st.Cube), obs.KV("exact_sat", st.SAT))
 	}
 
 	res.Fixed = fixed
@@ -246,15 +228,16 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 }
 
 // simplifyBounded applies exact simplification to small ACLs and the fast
-// syntactic pass to large ones (exact simplification runs one SMT
-// equivalence query per rule).
-func simplifyBounded(a *acl.ACL) *acl.ACL {
+// syntactic pass to large ones (exact simplification decides one
+// equivalence question per rule per pass), and reports how the exact
+// decisions were made.
+func simplifyBounded(a *acl.ACL) (*acl.ACL, pset.SimplifyStats) {
 	const exactLimit = 64
 	fast := acl.SimplifyFast(a)
 	if len(fast.Rules) <= exactLimit {
-		return acl.Simplify(fast)
+		return pset.Simplify(fast)
 	}
-	return fast
+	return fast, pset.SimplifyStats{}
 }
 
 // nbOutcome is the solved placement for one neighborhood: the fixing
@@ -271,13 +254,15 @@ type nbOutcome struct {
 }
 
 // fecFixOutcome is one FEC's complete fix sub-result: neighborhood
-// outcomes in discovery order, the seeking solver's counters, and the
-// incremental-verification skips taken for this FEC. unknown != ""
-// means a seek or placement query reached no verdict and says why; the
-// FEC blocks the whole plan (see FixContext).
+// outcomes in discovery order, the seeking solver's counters, the
+// validity queries expansion asked, and the incremental-verification
+// skips taken for this FEC. unknown != "" means a seek or placement
+// query reached no verdict and says why; the FEC blocks the whole plan
+// (see FixContext). err fails the call.
 type fecFixOutcome struct {
 	entries []nbOutcome
 	iters   int64
+	probes  int64
 	seek    sat.Stats
 	cache   CacheStats
 	err     error
@@ -286,11 +271,11 @@ type fecFixOutcome struct {
 
 // seekNeighborhoods runs the §4.2 loop for one FEC on the given shared
 // encoder and solver: find a counterexample, enlarge it, solve its
-// placement, exclude it, repeat until the violation formula is
-// exhausted or budget outcomes have accumulated. It only reads engine
-// state, so it is safe to call from worker goroutines as long as each
-// worker owns its encoder and solver.
-func (e *Engine) seekNeighborhoods(cn *canceller, fec topo.FEC, diff []acl.Rule, encodeACLs map[string][2]*acl.ACL, consBase *constancy, allowSet map[string]bool, budget int, enc *encoder, solver *smt.Solver) fecFixOutcome {
+// placement over the FEC's path shapes, exclude it, repeat until the
+// violation formula is exhausted or budget outcomes have accumulated. It
+// only reads engine state, so it is safe to call from worker goroutines
+// as long as each worker owns its encoder and solver.
+func (e *Engine) seekNeighborhoods(cn *canceller, fec topo.FEC, shapes []int32, diff []acl.Rule, encodeACLs map[string][2]*acl.ACL, ix *fixIndex, budget int, enc *encoder, solver *smt.Solver) fecFixOutcome {
 	var out fecFixOutcome
 	if budget <= 0 {
 		return out
@@ -306,7 +291,7 @@ func (e *Engine) seekNeighborhoods(cn *canceller, fec topo.FEC, diff []acl.Rule,
 	cn.register(solver)
 	seekBase := solver.Stats()
 	base := enc.b.And(viol, enc.classPred(fec.Classes))
-	consBase.priors = consBase.priors[:0]
+	cons := ix.constancyOn(fec)
 	for len(out.entries) < budget {
 		out.iters++
 		r := e.solveWithRetries(cn, solver, o, faultinject.FixSeek, true, base)
@@ -324,12 +309,12 @@ func (e *Engine) seekNeighborhoods(cn *canceller, fec topo.FEC, diff []acl.Rule,
 		if e.Opts.DisableExpansion {
 			nb = exactMatch(h)
 		} else {
-			nb = expandNeighborhood(h, fec, consBase)
+			nb = expandNeighborhood(h, fec, cons)
 		}
-		no, err := e.solveNeighborhood(cn, fec, nb, allowSet)
+		no, err := e.solveNeighborhood(cn, ix, shapes, nb)
 		if err != nil {
 			out.err = err
-			return out
+			break
 		}
 		if no.unknown != "" {
 			out.unknown = no.unknown
@@ -338,19 +323,19 @@ func (e *Engine) seekNeighborhoods(cn *canceller, fec topo.FEC, diff []acl.Rule,
 		out.entries = append(out.entries, no)
 		// Later neighborhoods must stay disjoint from this one, or
 		// their fixing rules would shadow each other.
-		consBase.priors = append(consBase.priors, nb)
+		cons.priors = append(cons.priors, nb)
 		base = enc.b.And(base, enc.b.MatchPred(enc.pv, nb).Not())
 	}
+	out.probes = cons.probes
 	out.seek = statsSince(solver.Stats(), seekBase)
 	return out
 }
 
-// fixFEC runs seekNeighborhoods for one FEC on a fresh encoder,
-// builder, and solver, plus a private constancy view (shared read-only
-// ACL/control/bound data, local priors). With no shared mutable state,
-// the outcome is a pure function of the FEC — independent of the other
-// FECs, of scheduling, and of worker count — which is what makes the
-// sequential and parallel fix plans identical.
+// fixFEC runs seekNeighborhoods for one FEC on a fresh encoder, builder,
+// and solver, over the call's read-only fix index. With no shared
+// mutable state, the outcome is a pure function of the FEC — independent
+// of the other FECs, of scheduling, and of worker count — which is what
+// makes the sequential and parallel fix plans identical.
 //
 // Incremental skips come first: a consistent verdict — resolved earlier
 // this generation, replayed from the verdict cache, or discharged by
@@ -360,7 +345,7 @@ func (e *Engine) seekNeighborhoods(cn *canceller, fec topo.FEC, diff []acl.Rule,
 // cold run's. What fix learns (a seek verdict, a pre-filter discharge)
 // is inserted into the cache, warming the verification check and later
 // pipeline stages.
-func (e *Engine) fixFEC(cn *canceller, ctx *checkCtx, i int, consBase *constancy, allowSet map[string]bool, budget int) fecFixOutcome {
+func (e *Engine) fixFEC(cn *canceller, ctx *checkCtx, ix *fixIndex, i int, budget int) fecFixOutcome {
 	fec := ctx.fec(i)
 	if budget <= 0 || (e.Opts.UseDifferential && !e.fecTouchesDiff(fec, ctx.diff)) {
 		// Skip before paying for the per-FEC builder.
@@ -395,14 +380,10 @@ func (e *Engine) fixFEC(cn *canceller, ctx *checkCtx, i int, consBase *constancy
 		// the per-FEC builder just to have its first query interrupted.
 		return fecFixOutcome{unknown: reasonCancelled}
 	}
-	cons := constancy{
-		acls: consBase.acls, ctrls: consBase.ctrls,
-		dstLos: consBase.dstLos, dstHis: consBase.dstHis,
-		srcLos: consBase.srcLos, srcHis: consBase.srcHis,
-	}
 	enc := newEncoder(e.Opts.UseTournament, e.obsv())
 	solver := smt.SolverOn(enc.b)
-	out := e.seekNeighborhoods(cn, fec, ctx.diff, ctx.encodeACLs, &cons, allowSet, budget, enc, solver)
+	shapes := ix.shapesOn(ctx.src.PathIndices(i))
+	out := e.seekNeighborhoods(cn, fec, shapes, ctx.diff, ctx.encodeACLs, ix, budget, enc, solver)
 	if ctx.vc != nil && out.err == nil && out.unknown == "" {
 		// The seek verdict is the check verdict: the loop's base query is
 		// exactly the FEC's Equation-3 query, so iters==0 means a
@@ -417,70 +398,93 @@ func (e *Engine) fixFEC(cn *canceller, ctx *checkCtx, i int, consBase *constancy
 	return out
 }
 
-// solveNeighborhood solves the placement problem for one neighborhood
-// (Equations 3 and 7): find per-binding decisions D_{[h]_N}(ξ) on the
-// FEC's paths that restore the desired decision, minimizing the number
-// of bindings changed, honoring the allow constraints. It reads only
-// immutable engine state and returns the plan instead of applying it,
-// so sequential and parallel fix paths share it.
-func (e *Engine) solveNeighborhood(cn *canceller, fec topo.FEC, nb header.Match, allowSet map[string]bool) (nbOutcome, error) {
-	out := nbOutcome{nb: nb}
-	s := smt.NewSolver()
-	cn.register(s)
+// placement is one neighborhood's Equation 7 problem as stated on a
+// solver: per crossed binding D_{[h]_N}(ξ) — a decision variable where
+// the plan may place a rule, the update's decision elsewhere — and, per
+// variable, the cost literal that is true when it departs from the
+// update's decision.
+type placement struct {
+	vals  []smt.F      // per fixBinding: its variable or constant; set where seen
+	seen  []bool       // per fixBinding: some shape of the FEC crosses it
+	vars  []int32      // the bindings holding a variable, sorted by ID
+	after []acl.Action // per var: the update's decision on the neighborhood
+	costs []smt.F      // per var
+}
+
+// statePlacement asserts, for every shape, that the conjunction of its
+// bindings' decisions equals the desired decision on the neighborhood.
+// Paths of one shape state the same constraint, and the shapes come in
+// the order the paths first show them, so the bindings become variables
+// and the formulas nodes in the order a walk over every path would make
+// them; a repeated constraint adds nothing to a solver, so the model —
+// and the plan read off it — is that walk's.
+func (ix *fixIndex) statePlacement(s *smt.Solver, shapes []int32, nb header.Match) (*placement, error) {
 	b := s.B
-
-	// Decision variable or constant per binding on the FEC's paths.
-	vars := map[string]smt.F{}
-	consts := map[string]bool{}
-	var varIDs []string
-	bindingVal := func(bind topo.ACLBinding) smt.F {
-		id := bind.ID()
-		if f, ok := vars[id]; ok {
-			return f
-		}
-		if v, ok := consts[id]; ok {
-			return b.Const(v)
-		}
-		afterDec := decideOn(bindingACL(e.After, bind), nb)
-		if allowSet[id] {
-			f := b.Var()
-			vars[id] = f
-			varIDs = append(varIDs, id)
-			return f
-		}
-		consts[id] = bool(afterDec)
-		return b.Const(bool(afterDec))
-	}
-
-	for _, p := range fec.Paths {
+	dec := ix.decisionsOn(nb)
+	pl := &placement{vals: make([]smt.F, len(ix.bindings)), seen: make([]bool, len(ix.bindings))}
+	for _, si := range shapes {
+		sh := &ix.shapes[si]
 		lhs := smt.True
-		for _, bind := range p.Bindings() {
-			lhs = b.And(lhs, bindingVal(bind))
+		for _, bi := range sh.bindings {
+			if !pl.seen[bi] {
+				fb := &ix.bindings[bi]
+				after, err := dec.decide(fb.after)
+				switch {
+				case err != nil:
+					return nil, err
+				case !fb.allowed:
+					pl.vals[bi] = b.Const(bool(after))
+				case fb.err != nil:
+					return nil, fb.err
+				default:
+					pl.vals[bi] = b.Var()
+					pl.vars = append(pl.vars, bi)
+				}
+				pl.seen[bi] = true
+			}
+			lhs = b.And(lhs, pl.vals[bi])
 		}
-		s.Assert(b.Iff(lhs, b.Const(e.desiredOnClass(p, nb))))
+		desired, err := dec.desired(sh)
+		if err != nil {
+			return nil, err
+		}
+		s.Assert(b.Iff(lhs, b.Const(desired)))
 	}
 
 	// Minimize the number of bindings whose decision differs from the
 	// update's current decision (each difference costs one fixing rule).
-	sort.Strings(varIDs)
-	var costs []smt.F
-	for _, id := range varIDs {
-		bind, err := lookupBinding(e.After, id)
-		if err != nil {
-			return out, err
-		}
-		afterDec := decideOn(bindingACL(e.After, bind), nb)
-		if afterDec == acl.Permit {
-			costs = append(costs, vars[id].Not())
+	slices.SortFunc(pl.vars, func(x, y int32) int { return strings.Compare(ix.bindings[x].id, ix.bindings[y].id) })
+	for _, bi := range pl.vars {
+		after, _ := dec.decide(ix.bindings[bi].after) // decided above
+		pl.after = append(pl.after, after)
+		if after == acl.Permit {
+			pl.costs = append(pl.costs, pl.vals[bi].Not())
 		} else {
-			costs = append(costs, vars[id])
+			pl.costs = append(pl.costs, pl.vals[bi])
 		}
+	}
+	return pl, nil
+}
+
+// solveNeighborhood solves the placement problem for one neighborhood
+// (Equations 3 and 7): find per-binding decisions D_{[h]_N}(ξ) on the
+// FEC's paths that restore the desired decision, minimizing the number
+// of bindings changed, honoring the allow constraints. It reads only the
+// index and returns the plan instead of applying it, so sequential and
+// parallel fix paths share it.
+func (e *Engine) solveNeighborhood(cn *canceller, ix *fixIndex, shapes []int32, nb header.Match) (nbOutcome, error) {
+	out := nbOutcome{nb: nb}
+	s := smt.NewSolver()
+	cn.register(s)
+	pl, err := ix.statePlacement(s, shapes, nb)
+	if err != nil {
+		return out, err
 	}
 	var bgt sat.Budget
 	if e.Opts.PerFECBudget > 0 {
 		bgt.Conflicts = e.Opts.PerFECBudget
 	}
-	_, r := s.SolveMinimizeLimited(bgt, costs)
+	_, r := s.SolveMinimizeLimited(bgt, pl.costs)
 	out.stats = s.Stats()
 	if r.Outcome == sat.Unknown {
 		out.unknown = r.Reason
@@ -490,79 +494,46 @@ func (e *Engine) solveNeighborhood(cn *canceller, fec topo.FEC, nb header.Match,
 		return out, nil
 	}
 	out.ok = true
-	for _, id := range varIDs {
-		bind, err := lookupBinding(e.After, id)
-		if err != nil {
-			return out, err
+	for k, bi := range pl.vars {
+		if got := acl.Action(s.Value(pl.vals[bi])); got != pl.after[k] {
+			out.actions = append(out.actions, FixAction{BindingID: ix.bindings[bi].id, Rule: acl.Rule{Action: got, Match: nb}})
 		}
-		afterDec := decideOn(bindingACL(e.After, bind), nb)
-		got := acl.Action(s.Value(vars[id]))
-		if got == afterDec {
-			continue
-		}
-		out.actions = append(out.actions, FixAction{BindingID: id, Rule: acl.Rule{Action: got, Match: nb}})
 	}
 	return out, nil
 }
 
-// applyFixActions prepends each action's rule to its binding's ACL on
-// the fixed snapshot. Placement solving reads only the Before/After
-// snapshots, never the fixed one, so deferring application to merge
-// time is equivalent to the sequential apply-as-you-go order.
-func applyFixActions(fixed *topo.Network, actions []FixAction) error {
+// applyFixActions prepends the plan's rules to their bindings' ACLs on
+// the fixed snapshot, one prepend per binding: a later action lands above
+// an earlier one, as if each had been prepended in turn. It returns the
+// bindings touched, in first-action order.
+func applyFixActions(fixed *topo.Network, actions []FixAction) ([]topo.ACLBinding, error) {
+	var touched []topo.ACLBinding
+	slot := map[string]int{} // binding ID -> index into touched and rules
+	var rules [][]acl.Rule
 	for _, a := range actions {
-		fb, err := lookupBinding(fixed, a.BindingID)
-		if err != nil {
-			return err
+		k, ok := slot[a.BindingID]
+		if !ok {
+			fb, err := lookupBinding(fixed, a.BindingID)
+			if err != nil {
+				return nil, err
+			}
+			k = len(touched)
+			slot[a.BindingID] = k
+			touched = append(touched, fb)
+			rules = append(rules, nil)
 		}
+		rules[k] = append(rules[k], a.Rule)
+	}
+	for k, fb := range touched {
 		cur := fb.Iface.ACL(fb.Dir)
 		if cur == nil {
 			cur = acl.PermitAll()
 		}
-		cur.Rules = append([]acl.Rule{a.Rule}, cur.Rules...)
+		slices.Reverse(rules[k])
+		cur.Rules = append(rules[k], cur.Rules...)
 		fb.Iface.SetACL(fb.Dir, cur)
 	}
-	return nil
-}
-
-// desiredOnClass computes the desired (constant) decision of path p on
-// the neighborhood: the original path decision, overridden by the first
-// applicable control covering the class (§6).
-func (e *Engine) desiredOnClass(p topo.Path, nb header.Match) bool {
-	orig := true
-	for _, bind := range p.Bindings() {
-		if decideOn(bindingACL(e.Before, bind), nb) == acl.Deny {
-			orig = false
-			break
-		}
-	}
-	for _, c := range e.Controls {
-		if !c.AppliesTo(p) || !c.Match.Contains(nb) {
-			continue
-		}
-		switch c.Mode {
-		case Isolate:
-			return false
-		case Open:
-			return true
-		case Maintain:
-			return orig
-		}
-	}
-	return orig
-}
-
-// decideOn returns an ACL's uniform decision on a class that is atomic
-// with respect to it (guaranteed by neighborhood construction).
-func decideOn(a *acl.ACL, m header.Match) acl.Action {
-	if a == nil {
-		return acl.Permit
-	}
-	act, ok := a.DecideMatch(m)
-	if !ok {
-		panic(fmt.Sprintf("core: class %v not atomic wrt ACL %v", m, a))
-	}
-	return act
+	return touched, nil
 }
 
 // lookupBinding resolves a "device:interface:dir" ID on a network.
@@ -583,94 +554,6 @@ func lookupBinding(n *topo.Network, id string) (topo.ACLBinding, error) {
 		return topo.ACLBinding{}, err
 	}
 	return topo.ACLBinding{Iface: iface, Dir: dir}, nil
-}
-
-// constancy is the Equation 6 validity oracle for neighborhood
-// expansion: a candidate region is valid when every decision model in
-// F_Ω ∪ F'_Ω is constant on it (each ACL's first containing rule is
-// reached with no straddling rule before it), every control match
-// contains it or is disjoint from it, and it avoids every previously
-// fixed neighborhood.
-type constancy struct {
-	acls  []*acl.ACL
-	ctrls []Control
-	// priors holds the neighborhoods already fixed within the current
-	// FEC; cross-FEC neighborhoods are disjoint by construction (FEC
-	// destination classes are disjoint atoms), so the list is reset per
-	// FEC to keep validity checks cheap.
-	priors []header.Match
-
-	// Deduplicated port-boundary candidates per field, computed once per
-	// Fix run — the only places the validity criterion can flip during
-	// port expansion.
-	dstLos, dstHis []uint16
-	srcLos, srcHis []uint16
-}
-
-// computeBounds harvests the distinct port boundaries of every rule and
-// control match.
-func (cn *constancy) computeBounds() {
-	dLo := map[uint16]bool{0: true}
-	dHi := map[uint16]bool{65535: true}
-	sLo := map[uint16]bool{0: true}
-	sHi := map[uint16]bool{65535: true}
-	add := func(lo, hi map[uint16]bool, r header.PortRange) {
-		if r.IsAny() {
-			return
-		}
-		lo[r.Lo] = true
-		if r.Hi < 65535 {
-			lo[r.Hi+1] = true
-		}
-		hi[r.Hi] = true
-		if r.Lo > 0 {
-			hi[r.Lo-1] = true
-		}
-	}
-	for _, a := range cn.acls {
-		for _, r := range a.Rules {
-			add(dLo, dHi, r.Match.DstPort)
-			add(sLo, sHi, r.Match.SrcPort)
-		}
-	}
-	for _, c := range cn.ctrls {
-		add(dLo, dHi, c.Match.DstPort)
-		add(sLo, sHi, c.Match.SrcPort)
-	}
-	toSorted := func(m map[uint16]bool, desc bool) []uint16 {
-		out := make([]uint16, 0, len(m))
-		for k := range m {
-			out = append(out, k)
-		}
-		sort.Slice(out, func(i, j int) bool {
-			if desc {
-				return out[i] > out[j]
-			}
-			return out[i] < out[j]
-		})
-		return out
-	}
-	cn.dstLos, cn.dstHis = toSorted(dLo, false), toSorted(dHi, true)
-	cn.srcLos, cn.srcHis = toSorted(sLo, false), toSorted(sHi, true)
-}
-
-func (cn *constancy) valid(c header.Match) bool {
-	for _, a := range cn.acls {
-		if _, ok := a.DecideMatch(c); !ok {
-			return false
-		}
-	}
-	for _, ctrl := range cn.ctrls {
-		if !ctrl.Match.Contains(c) && ctrl.Match.Overlaps(c) {
-			return false
-		}
-	}
-	for _, p := range cn.priors {
-		if p.Overlaps(c) {
-			return false
-		}
-	}
-	return true
 }
 
 // exactMatch is the singleton region containing only h.
@@ -724,8 +607,8 @@ func expandNeighborhood(h header.Packet, fec topo.FEC, cons *constancy) header.M
 		}
 		m = cand
 	}
-	m.DstPort = expandPort(m, h.DstPort, false, valid, cons.dstLos, cons.dstHis)
-	m.SrcPort = expandPort(m, h.SrcPort, true, valid, cons.srcLos, cons.srcHis)
+	m.DstPort = expandPort(m, h.DstPort, false, valid, cons.ix.dstLos, cons.ix.dstHis)
+	m.SrcPort = expandPort(m, h.SrcPort, true, valid, cons.ix.srcLos, cons.ix.srcHis)
 	// Protocol: all-or-exact.
 	if cand := m; true {
 		cand.Proto = header.AnyProto

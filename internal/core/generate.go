@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
@@ -234,7 +233,7 @@ func (e *Engine) GenerateContext(callCtx context.Context, sources []topo.ACLBind
 		synth := e.synthesizeTarget(id, rows)
 		res.RulesGenerated += len(synth.Rules)
 		if e.Opts.SimplifyOutput {
-			synth = simplifyBounded(synth)
+			synth, _ = simplifyBounded(synth)
 		}
 		res.RulesAfterSimplify += len(synth.Rules)
 		res.ACLs[id] = synth
@@ -357,7 +356,7 @@ type genIndex struct {
 	targetIDs []string    // distinct Allow binding IDs, sorted
 	controls  []Control   // the engine's, for their modes
 	shapes    []pathShape // distinct, in first-occurrence order over the paths
-	shapeOf   []int32     // per path: its index into shapes
+	shapeSet              // per path: its index into shapes
 	allShapes []int32     // 0..len(shapes)-1: the shapes of the full path set
 }
 
@@ -371,23 +370,24 @@ type pathShape struct {
 }
 
 // compileGenerate builds the index: each binding is resolved to its roles
-// once (by ID, as the engine's binding sets are keyed), each (entry, exit)
-// border pair to its controls once, and each path to a shape by integer
-// walks over those.
+// once, each (entry, exit) border pair to its controls once (pathInterner),
+// and each path to a shape by integer walks over those.
 func (e *Engine) compileGenerate(paths []topo.Path, sources, encBindings []topo.ACLBinding) *genIndex {
-	ix := &genIndex{controls: e.Controls, shapeOf: make([]int32, len(paths))}
+	ix := &genIndex{controls: e.Controls}
 	type role struct {
 		target, enc int32 // -1: not one
 		source      bool
 	}
-	roleOf := map[string]*role{}
+	var roles []role
+	roleOf := map[string]int32{}
 	roleFor := func(id string) *role {
-		r := roleOf[id]
-		if r == nil {
-			r = &role{target: -1, enc: -1}
-			roleOf[id] = r
+		i, ok := roleOf[id]
+		if !ok {
+			i = int32(len(roles))
+			roleOf[id] = i
+			roles = append(roles, role{target: -1, enc: -1})
 		}
-		return r
+		return &roles[i]
 	}
 	for _, b := range e.Allow {
 		ix.targetIDs = append(ix.targetIDs, b.ID())
@@ -404,84 +404,41 @@ func (e *Engine) compileGenerate(paths []topo.Path, sources, encBindings []topo.
 		roleFor(b.ID()).enc = int32(i)
 	}
 
-	interned := map[topo.ACLBinding]*role{}
-	type borderPair struct{ in, out *topo.Interface }
-	ctrlsOf := map[borderPair][]int32{}
-	shapeIdx := map[string]int32{}
+	walk := newPathInterner(e.Controls, func(id string) int32 {
+		if i, ok := roleOf[id]; ok {
+			return i
+		}
+		return -1 // a binding in no set
+	})
 	var sh pathShape
-	var key []byte
-	for pi, p := range paths {
+	var crossed []int32
+	for _, p := range paths {
+		crossed = walk.crossed(crossed[:0], p)
 		sh.targets, sh.others, sh.enc = sh.targets[:0], sh.others[:0], sh.enc[:0]
-		for _, h := range p.Hops {
-			for _, b := range [2]topo.ACLBinding{{Iface: h.In, Dir: topo.In}, {Iface: h.Out, Dir: topo.Out}} {
-				r, ok := interned[b]
-				if !ok {
-					r = roleOf[b.ID()] // nil: a binding in no set
-					interned[b] = r
-				}
-				if r == nil {
-					continue
-				}
-				if r.enc >= 0 {
-					sh.enc = append(sh.enc, r.enc)
-				}
-				switch {
-				case r.target >= 0:
-					sh.targets = append(sh.targets, r.target)
-				case r.source:
-					// Source interfaces permit all traffic after migration.
-				case r.enc >= 0:
-					sh.others = append(sh.others, r.enc)
-				}
+		for _, ri := range crossed {
+			r := &roles[ri]
+			if r.enc >= 0 {
+				sh.enc = append(sh.enc, r.enc)
+			}
+			switch {
+			case r.target >= 0:
+				sh.targets = append(sh.targets, r.target)
+			case r.source:
+				// Source interfaces permit all traffic after migration.
+			case r.enc >= 0:
+				sh.others = append(sh.others, r.enc)
 			}
 		}
-		pair := borderPair{p.Src(), p.Dst()}
-		ctrls, ok := ctrlsOf[pair]
-		if !ok {
-			from, to := pair.in.ID(), pair.out.ID()
-			for i, c := range e.Controls {
-				if c.From[from] && c.To[to] {
-					ctrls = append(ctrls, int32(i))
-				}
-			}
-			ctrlsOf[pair] = ctrls
-		}
-		sh.ctrls = ctrls
-
-		key = key[:0]
-		for _, l := range [][]int32{sh.targets, sh.others, sh.enc, sh.ctrls} {
-			key = binary.LittleEndian.AppendUint32(key, uint32(len(l)))
-			for _, v := range l {
-				key = binary.LittleEndian.AppendUint32(key, uint32(v))
-			}
-		}
-		si, ok := shapeIdx[string(key)]
-		if !ok {
-			si = int32(len(ix.shapes))
-			shapeIdx[string(key)] = si
+		sh.ctrls = walk.ctrls(p)
+		if si, fresh := ix.add(sh.targets, sh.others, sh.enc, sh.ctrls); fresh {
 			ix.allShapes = append(ix.allShapes, si)
 			ix.shapes = append(ix.shapes, pathShape{
 				targets: slices.Clone(sh.targets), others: slices.Clone(sh.others),
-				enc: slices.Clone(sh.enc), ctrls: ctrls,
+				enc: slices.Clone(sh.enc), ctrls: sh.ctrls,
 			})
 		}
-		ix.shapeOf[pi] = si
 	}
 	return ix
-}
-
-// shapesOn returns the distinct shapes of the given paths, in
-// first-occurrence order.
-func (ix *genIndex) shapesOn(pathIdx []int32) []int32 {
-	seen := make([]bool, len(ix.shapes))
-	var out []int32
-	for _, pi := range pathIdx {
-		if si := ix.shapeOf[pi]; !seen[si] {
-			seen[si] = true
-			out = append(out, si)
-		}
-	}
-	return out
 }
 
 // constraint builds the Equation 8–10 constraint of one shape for an AEC:

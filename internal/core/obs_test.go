@@ -3,6 +3,8 @@ package core_test
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -177,6 +179,52 @@ func TestFixObservability(t *testing.T) {
 	}
 	if !seen {
 		t.Fatal("fix has no verify child span")
+	}
+
+	// Exactly the four phase spans, each once, directly under the root.
+	var phases []string
+	for name, recs := range spans {
+		for _, s := range recs {
+			if s.Parent == fixID {
+				phases = append(phases, name)
+			}
+		}
+	}
+	sort.Strings(phases)
+	if want := []string{"preprocess", "simplify", "solve", "verify"}; !slices.Equal(phases, want) {
+		t.Fatalf("fix phase spans %v, want %v", phases, want)
+	}
+	child := func(name string) obs.SpanRecord {
+		for _, s := range spans[name] {
+			if s.Parent == fixID {
+				return s
+			}
+		}
+		t.Fatalf("no %s span under fix", name)
+		return obs.SpanRecord{}
+	}
+	// The per-call index: shapes and distinct ACLs on the solve span and
+	// as a gauge; the validity queries expansion asked as a counter.
+	solve := child("solve")
+	shapes, _ := solve.Attrs["path_shapes"].(float64)
+	distinct, _ := solve.Attrs["distinct_acls"].(float64)
+	if shapes <= 0 || distinct <= 0 {
+		t.Fatalf("solve span attrs %v: want positive path_shapes and distinct_acls", solve.Attrs)
+	}
+	if got := snap.Gauges["fix.path_shapes"]; got != int64(shapes) {
+		t.Fatalf("fix.path_shapes gauge %d, solve span says %v", got, shapes)
+	}
+	// Every neighborhood is the product of at least one probe per field.
+	if got := snap.Counters["fix.expand.probes"]; got < 5*int64(len(res.Neighborhoods)) {
+		t.Fatalf("fix.expand.probes = %d for %d neighborhoods", got, len(res.Neighborhoods))
+	}
+	// The running example's touched ACLs are small: every redundancy
+	// decision is exact, and all of them fit the cube budget.
+	simplify := child("simplify")
+	cube, _ := simplify.Attrs["exact_cube"].(float64)
+	sat, hasSAT := simplify.Attrs["exact_sat"].(float64)
+	if cube <= 0 || !hasSAT || sat != 0 {
+		t.Fatalf("simplify span attrs %v: want exact_cube > 0 and exact_sat = 0", simplify.Attrs)
 	}
 }
 

@@ -110,6 +110,14 @@ func (h *hitIndexer) hit(class header.Match) int {
 	return len(h.acl.Rules)
 }
 
+// decide is acl.DecideMatch through the search tree (which it requires):
+// the ACL's decision on the class, and whether the class is atomic with
+// respect to the ACL — no rule before its first containing one straddles it.
+func (h *hitIndexer) decide(class header.Match) (acl.Action, bool) {
+	pos, atomic := h.tree.FirstMatch(class)
+	return h.action(pos), atomic
+}
+
 // action returns the ACL's decision on a class whose first match is hit.
 func (h *hitIndexer) action(hit int) acl.Action {
 	if hit < len(h.acl.Rules) {

@@ -160,6 +160,24 @@ type FixRow struct {
 	Verified      bool          `json:"verified"`
 	Stats         sat.Stats     `json:"stats"`
 	Elapsed       time.Duration `json:"elapsed_ns"`
+	Preprocess    time.Duration `json:"preprocess_ns"`
+	Solve         time.Duration `json:"solve_ns"`
+	Simplify      time.Duration `json:"simplify_ns"`
+	VerifyPhase   time.Duration `json:"verify_ns"`
+}
+
+// fixRow fills a FixRow from one Fix call's result.
+func fixRow(size netgen.Size, pct float64, mode string, res *core.FixResult, elapsed time.Duration) FixRow {
+	return FixRow{
+		Size: size, PerturbPct: pct, Mode: mode,
+		Neighborhoods: len(res.Neighborhoods),
+		Actions:       len(res.Actions),
+		Verified:      res.Verified,
+		Stats:         res.SolverStats,
+		Elapsed:       elapsed,
+		Preprocess:    res.Timings["preprocess"], Solve: res.Timings["solve"],
+		Simplify: res.Timings["simplify"], VerifyPhase: res.Timings["verify"],
+	}
 }
 
 // FixEngine builds the Fig. 4b engine for one cell. The unoptimized mode
@@ -198,14 +216,7 @@ func Fig4bNoExpansion(size netgen.Size, cap int) FixRow {
 	if err != nil {
 		panic(err)
 	}
-	return FixRow{
-		Size: size, PerturbPct: 1, Mode: "no-expansion",
-		Neighborhoods: len(res.Neighborhoods),
-		Actions:       len(res.Actions),
-		Verified:      res.Verified,
-		Stats:         res.SolverStats,
-		Elapsed:       time.Since(t0),
-	}
+	return fixRow(size, 1, "no-expansion", res, time.Since(t0))
 }
 
 // Fig4bFix runs the fixing experiment.
@@ -224,14 +235,7 @@ func Fig4bFix(sizes []netgen.Size, modes []bool) []FixRow {
 				if optimized {
 					mode = "optimized"
 				}
-				rows = append(rows, FixRow{
-					Size: size, PerturbPct: pct, Mode: mode,
-					Neighborhoods: len(res.Neighborhoods),
-					Actions:       len(res.Actions),
-					Verified:      res.Verified,
-					Stats:         res.SolverStats,
-					Elapsed:       time.Since(t0),
-				})
+				rows = append(rows, fixRow(size, pct, mode, res, time.Since(t0)))
 			}
 		}
 	}
@@ -1330,12 +1334,14 @@ func PrintCheckRows(w io.Writer, rows []CheckRow) {
 // PrintFixRows formats Fig. 4b results.
 func PrintFixRows(w io.Writer, rows []FixRow) {
 	fmt.Fprintf(w, "Figure 4b — fix turnaround (size × perturbation × mode)\n")
-	fmt.Fprintf(w, "%-8s %5s %-10s %6s %8s %9s %12s\n",
+	fmt.Fprintf(w, "%-8s %5s %-12s %6s %8s %9s %12s  (preprocess/solve/simplify/verify)\n",
 		"size", "pct", "mode", "nbhds", "actions", "verified", "time")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-8s %4.0f%% %-10s %6d %8d %9v %12v\n",
+		fmt.Fprintf(w, "%-8s %4.0f%% %-12s %6d %8d %9v %12v  (%v/%v/%v/%v)\n",
 			r.Size, r.PerturbPct, r.Mode, r.Neighborhoods, r.Actions, r.Verified,
-			r.Elapsed.Round(time.Millisecond))
+			r.Elapsed.Round(time.Millisecond),
+			r.Preprocess.Round(time.Millisecond), r.Solve.Round(time.Millisecond),
+			r.Simplify.Round(time.Millisecond), r.VerifyPhase.Round(time.Millisecond))
 	}
 }
 

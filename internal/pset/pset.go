@@ -686,3 +686,101 @@ func EquivalentACLsWitness(a, b *acl.ACL) (equal bool, witness header.Packet) {
 	}
 	return true, header.Packet{}
 }
+
+// SimplifyStats counts the per-rule redundancy decisions one Simplify
+// call made, by decider.
+type SimplifyStats struct {
+	Cube int // decided on cubes
+	SAT  int // cube budget overflowed: decided by acl.Equivalent
+}
+
+// simplifyMaxCubes bounds the fragment list of one redundancy decision.
+const simplifyMaxCubes = 2048
+
+// Simplify is acl.Simplify — the same greedy order, the same passes to a
+// fixpoint — with each "is the ACL unchanged without rule i" decided on
+// cubes instead of by a solver query: rule i is removable iff the region
+// it effectively claims, its match minus the matches above it, gets rule
+// i's action from what follows. A decision whose fragments outgrow the
+// cube budget falls back to acl.Equivalent; both deciders are exact, so
+// the result is acl.Simplify's, rule for rule.
+func Simplify(a *acl.ACL) (*acl.ACL, SimplifyStats) {
+	var st SimplifyStats
+	cur := a.Clone()
+	for changed := true; changed; {
+		changed = false
+		for i := 0; i < len(cur.Rules); {
+			redundant, decided := ruleRedundant(cur, i, simplifyMaxCubes)
+			if decided {
+				st.Cube++
+			} else {
+				st.SAT++
+				trial := &acl.ACL{Default: cur.Default}
+				trial.Rules = append(trial.Rules, cur.Rules[:i]...)
+				trial.Rules = append(trial.Rules, cur.Rules[i+1:]...)
+				redundant = acl.Equivalent(cur, trial)
+			}
+			if redundant {
+				cur.Rules = append(cur.Rules[:i], cur.Rules[i+1:]...) // drop rule i; do not advance
+				changed = true
+			} else {
+				i++
+			}
+		}
+	}
+	return cur, st
+}
+
+// ruleRedundant decides whether removing rule i leaves a's decision model
+// unchanged. Packets outside rule i's effective region never reach it, so
+// only that region matters: there, the rules after i (then the default)
+// take over, and the model is unchanged iff they decide rule i's action
+// on all of it. decided=false reports a cube-budget overflow.
+func ruleRedundant(a *acl.ACL, i, maxCubes int) (redundant, decided bool) {
+	rule := a.Rules[i]
+	// The effective region: disjoint fragments of the match that no
+	// earlier rule claims.
+	region := []header.Match{rule.Match}
+	for _, r := range a.Rules[:i] {
+		if region = subtractFrom(region, r.Match); len(region) > maxCubes {
+			return false, false
+		}
+	}
+	for _, r := range a.Rules[i+1:] {
+		if len(region) == 0 {
+			break
+		}
+		if r.Action != rule.Action {
+			for _, c := range region {
+				if c.Overlaps(r.Match) {
+					return false, true // r decides part of the region the other way
+				}
+			}
+			continue
+		}
+		if region = subtractFrom(region, r.Match); len(region) > maxCubes {
+			return false, false
+		}
+	}
+	return len(region) == 0 || a.Default == rule.Action, true
+}
+
+// subtractFrom returns the disjoint cubes of region with m removed,
+// leaving region untouched when nothing overlaps m.
+func subtractFrom(region []header.Match, m header.Match) []header.Match {
+	for k, c := range region {
+		if !c.Overlaps(m) {
+			continue
+		}
+		out := append(make([]header.Match, 0, len(region)+8), region[:k]...)
+		for _, c := range region[k:] {
+			if c.Overlaps(m) {
+				out = append(out, subtractCube(c, m)...)
+			} else {
+				out = append(out, c)
+			}
+		}
+		return out
+	}
+	return region
+}
