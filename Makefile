@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-full race fuzz fuzz-backends fuzz-snapshots faults daemon-test daemon-chaos lint bench bench-check bench-shard experiments examples vet fmt clean
+.PHONY: all build test test-full race fuzz fuzz-backends fuzz-snapshots faults daemon-test daemon-chaos lint bench bench-check bench-shard profile experiments examples vet fmt clean
 
 all: build vet test
 
@@ -103,6 +103,19 @@ bench-check:
 bench-shard:
 	JINJING_EXPERIMENTS_LARGE=1 $(GO) run ./cmd/jinjing-experiments \
 		-figures shard -large -json BENCH_shard.json
+
+# Profile one benchmark: CPU and heap profiles (and the test binary they
+# resolve against) under .bench_build/profile/, then the cumulative top
+# of the CPU profile — where to look before and after a performance change.
+#   make profile BENCH=GenerateWAN/migration PKG=./internal/core
+BENCH ?= GenerateWAN/migration
+PKG ?= ./internal/core
+profile:
+	mkdir -p .bench_build/profile
+	$(GO) test -run '^$$' -bench '$(BENCH)' -benchtime 5x -benchmem \
+		-o .bench_build/profile/bench.test -outputdir .bench_build/profile \
+		-cpuprofile cpu.pprof -memprofile mem.pprof $(PKG)
+	$(GO) tool pprof -top -cum -nodecount 40 .bench_build/profile/bench.test .bench_build/profile/cpu.pprof
 
 # Regenerate the evaluation tables (small+medium; add -large manually)
 # plus the machine-readable BENCH_experiments.json artifact.

@@ -9,7 +9,7 @@ import (
 
 // TestDstIndexMatchesLinearScan pins the trie's three queries against
 // their definitions over the indexed rule set, before and after
-// out-of-order removals (simplifyFastPass itself only ever removes a
+// out-of-order removals (SimplifyFastPass itself only ever removes a
 // node's oldest rule).
 func TestDstIndexMatchesLinearScan(t *testing.T) {
 	r := rand.New(rand.NewSource(77))

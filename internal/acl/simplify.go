@@ -64,15 +64,24 @@ func Simplify(a *ACL) *ACL {
 // to a fixpoint (dropping a guard rule can make an earlier rule
 // absorbable). It is a cheap pre-pass before the SMT-exact Simplify.
 func SimplifyFast(a *ACL) *ACL {
-	out := simplifyFastPass(a)
+	out := SimplifyFastPass(a)
 	for len(out.Rules) < len(a.Rules) {
 		a = out
-		out = simplifyFastPass(a)
+		out = SimplifyFastPass(a)
 	}
 	return out
 }
 
-func simplifyFastPass(a *ACL) *ACL {
+// SimplifyFastPass is one pass of SimplifyFast. It drops a rule iff an
+// earlier rule of the list contains it, or it agrees with the default and
+// no later rule with the other action overlaps it. (Testing against the
+// kept rules only decides the same: a dropped container was itself
+// contained in a kept rule, or absorbed — and then so is what it
+// contains.) Both tests read the same for every other rule when a rule
+// already in the list is repeated between its first and its last
+// occurrence, which is what lets generate emit a repeated rule group at
+// its two outermost positions only (core.buildRows).
+func SimplifyFastPass(a *ACL) *ACL {
 	out := &ACL{Default: a.Default}
 	kept := &DstIndex{rules: a.Rules}
 	// laterOpp indexes, right to left, the not-yet-visited rules whose
@@ -150,7 +159,7 @@ func (ix *DstIndex) add(i int) {
 }
 
 // remove drops rules[i] from the index if present. Removing a node's
-// oldest rule — the order simplifyFastPass removes in — is a re-slice.
+// oldest rule — the order SimplifyFastPass removes in — is a re-slice.
 func (ix *DstIndex) remove(i int) {
 	p := ix.rules[i].Match.Dst
 	var path [33]*dstTrieNode

@@ -117,7 +117,10 @@ func BenchmarkGenerateWAN(b *testing.B) {
 					b.Fatal("generate must verify")
 				}
 			}
-			b.ReportMetric(float64(m.Snapshot().Gauges["generate.path_shapes"]), "path_shapes")
+			snap := m.Snapshot()
+			b.ReportMetric(float64(snap.Gauges["generate.path_shapes"]), "path_shapes")
+			b.ReportMetric(float64(snap.Gauges["generate.rows"]), "rows")
+			b.ReportMetric(float64(snap.Gauges["generate.row_entries"]), "row_entries")
 		})
 	}
 }

@@ -34,7 +34,9 @@ type GenerateResult struct {
 
 	// RulesGenerated is the total synthesized rule count across targets
 	// (before/after simplification, for the Fig. 4c/4d "length of
-	// generated ACLs" comparison).
+	// generated ACLs" comparison). With simplification on, the "before"
+	// is counted, not built: repeated rule groups are emitted at their
+	// first and last position only (buildRows).
 	RulesGenerated     int
 	RulesAfterSimplify int
 
@@ -97,8 +99,14 @@ func (e *Engine) GenerateContext(callCtx context.Context, sources []topo.ACLBind
 	defer root.End() // idempotent; covers the error returns
 	res := &GenerateResult{ACLs: map[string]*acl.ACL{}, Timings: Timings{}}
 
+	// Every failure is recorded in the decision ledger.
+	fail := func(err error) (*GenerateResult, error) {
+		e.logGenerateDecision(ls, nil, err)
+		return nil, err
+	}
+
 	if len(e.Allow) == 0 {
-		return nil, fmt.Errorf("core: generate needs at least one allowed target binding")
+		return fail(fmt.Errorf("core: generate needs at least one allowed target binding"))
 	}
 	// Encoding bindings: every original ACL attachment in Ω (the columns
 	// of Table 4a).
@@ -108,12 +116,12 @@ func (e *Engine) GenerateContext(callCtx context.Context, sources []topo.ACLBind
 	dp := startPhase(root, res.Timings, "derive-aec")
 	classes, err := e.deriveClasses()
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
 	res.Classes = len(classes)
 	aecs, err := e.deriveAECs(encBindings, classes)
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
 	res.AECs = len(aecs)
 	dp.end(obs.KV("classes", res.Classes), obs.KV("aecs", res.AECs))
@@ -211,9 +219,7 @@ func (e *Engine) GenerateContext(callCtx context.Context, sources []topo.ACLBind
 		obs.KV("paths", len(ix.shapeOf)), obs.KV("path_shapes", len(ix.shapes)))
 
 	if len(blockedAECs) > 0 {
-		err := &ErrUnknownVerdicts{Stage: "generate", AECs: blockedAECs}
-		e.logGenerateDecision(ls, nil, err)
-		return nil, err
+		return fail(&ErrUnknownVerdicts{Stage: "generate", AECs: blockedAECs})
 	}
 	if len(res.Unsolvable) > 0 {
 		// No valid plan for the intent (§5.3); report without synthesis.
@@ -224,35 +230,38 @@ func (e *Engine) GenerateContext(callCtx context.Context, sources []topo.ACLBind
 	// Phase 3: synthesize ACLs at each target (§5.4, with §5.5
 	// optimizations).
 	syp := startPhase(root, res.Timings, "synthesize")
-	rows, err := e.buildRows(aecs, encBindings)
+	table, err := e.buildRows(aecs, encBindings)
 	if err != nil {
-		e.logGenerateDecision(ls, nil, err)
-		return nil, err
+		return fail(err)
 	}
 	for _, id := range ix.targetIDs {
-		synth := e.synthesizeTarget(id, rows)
-		res.RulesGenerated += len(synth.Rules)
+		synth, generated := e.synthesizeTarget(id, table)
+		res.RulesGenerated += generated
 		if e.Opts.SimplifyOutput {
 			synth, _ = simplifyBounded(synth)
 		}
 		res.RulesAfterSimplify += len(synth.Rules)
 		res.ACLs[id] = synth
 	}
-	syp.end(obs.KV("rules", res.RulesGenerated), obs.KV("rules_simplified", res.RulesAfterSimplify))
+	rows := table.vectors()
+	o.Gauge("generate.rows").Set(int64(rows))
+	o.Gauge("generate.row_entries").Set(int64(len(table.rows)))
+	syp.end(obs.KV("rules", res.RulesGenerated), obs.KV("rules_simplified", res.RulesAfterSimplify),
+		obs.KV("rows", rows), obs.KV("row_entries", len(table.rows)))
 
 	// Build the generated network.
 	gen := e.Before.Clone()
 	for _, b := range sources {
 		gb, err := lookupBinding(gen, b.ID())
 		if err != nil {
-			return nil, err
+			return fail(err)
 		}
 		gb.Iface.SetACL(gb.Dir, acl.PermitAll())
 	}
 	for id, a := range res.ACLs {
 		gb, err := lookupBinding(gen, id)
 		if err != nil {
-			return nil, err
+			return fail(err)
 		}
 		gb.Iface.SetACL(gb.Dir, a)
 	}

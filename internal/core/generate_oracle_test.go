@@ -30,6 +30,14 @@ import (
 // and every DEC group: the same constraint formulas in the same
 // first-occurrence order, the same decisions, the same AECs in the same
 // order, the same rows.
+//
+// It is also the oracle for the merged synthesis table. refBuildRows is
+// the unmerged row-per-vector table and refSynthesizeTarget the emission
+// that walked it, both as they were. The engine's table must be that one
+// grouped by (AEC, overlap list) — row for row when merging is off — and
+// per target it must count the reference's rules and simplify to the
+// reference's ACL, already after the one SimplifyFast pass the merge
+// argument is about.
 
 // --- reference implementation (the pre-index generate path) ---
 
@@ -265,6 +273,70 @@ func refBuildRows(e *Engine, aecs []*refAEC, encBindings []topo.ACLBinding) []re
 	return rows
 }
 
+func seqLess(a, b []int) bool {
+	for i := range a {
+		if i >= len(b) {
+			return false
+		}
+		if a[i] != b[i] {
+			return a[i] < b[i]
+		}
+	}
+	return len(a) < len(b)
+}
+
+// refSynthesizeTarget is synthesizeTarget as it was when the table held
+// one row per vector, kept word for word (a reference row names its AEC
+// by index into the engine's solved AECs).
+func refSynthesizeTarget(targetID string, rows []refRow, aecs []*aec) *acl.ACL {
+	out := &acl.ACL{Default: acl.Permit}
+	for _, r := range rows {
+		a := aecs[r.aec]
+		if a.solved {
+			act := acl.Action(a.dec[targetID])
+			for _, ov := range r.overlaps {
+				out.Rules = append(out.Rules, acl.Rule{Action: act, Match: ov})
+			}
+			continue
+		}
+		// DEC-split AEC: uniform if all groups agree at this target.
+		permits, denies := 0, 0
+		for _, g := range a.decs {
+			if g.dec[targetID] {
+				permits++
+			} else {
+				denies++
+			}
+		}
+		switch {
+		case denies == 0 || permits == 0:
+			act := acl.Action(denies == 0)
+			for _, ov := range r.overlaps {
+				out.Rules = append(out.Rules, acl.Rule{Action: act, Match: ov})
+			}
+		default:
+			// permit* handling: insert denies for the denied DECs'
+			// classes before the partial permit (§5.4 step 4).
+			for _, g := range a.decs {
+				if g.dec[targetID] {
+					continue
+				}
+				for _, c := range g.classes {
+					for _, ov := range r.overlaps {
+						if m, ok := c.Intersect(ov); ok {
+							out.Rules = append(out.Rules, acl.Rule{Action: acl.Deny, Match: m})
+						}
+					}
+				}
+			}
+			for _, ov := range r.overlaps {
+				out.Rules = append(out.Rules, acl.Rule{Action: acl.Permit, Match: ov})
+			}
+		}
+	}
+	return out
+}
+
 // --- the comparison ---
 
 // oracleCase builds one engine + source set; it is called once for the
@@ -336,6 +408,94 @@ func compareSolve(t *testing.T, what string, e *Engine, ix *genIndex, rs refSets
 	return true
 }
 
+// compareTable requires the engine's table to be the reference rows
+// grouped by (AEC, overlap list) when merged — every row a group of its
+// own when not: one entry per group, holding the group's lowest and
+// highest vector and its size, emitted where the reference has the
+// group's first row and, for a group of several, its last.
+func compareTable(t *testing.T, what string, table *synthTable, aecs []*aec, want []refRow, merged bool) {
+	t.Helper()
+	type group struct{ lo, hi, n int } // reference rows: first, last, how many
+	var groups []group
+	groupOf := make([]int, len(want))
+	byKey := map[string]int{}
+	for i, r := range want {
+		key := fmt.Sprint(i)
+		if merged {
+			key = fmt.Sprint(r.aec, r.overlaps)
+		}
+		g, ok := byKey[key]
+		if !ok {
+			g = len(groups)
+			byKey[key] = g
+			groups = append(groups, group{lo: i})
+		}
+		groups[g].hi = i
+		groups[g].n++
+		groupOf[i] = g
+	}
+	if len(table.rows) != len(groups) || table.vectors() != len(want) {
+		t.Fatalf("%s: %d entries for %d rows, reference %d groups of %d rows",
+			what, len(table.rows), table.vectors(), len(groups), len(want))
+	}
+	entryOf := make([]*row, len(groups))
+	next := 0
+	for i, w := range want {
+		g := groups[groupOf[i]]
+		if i != g.lo && i != g.hi {
+			continue
+		}
+		if next == len(table.order) {
+			t.Fatalf("%s: %d emission positions, reference has more", what, next)
+		}
+		p := table.order[next]
+		next++
+		if i == g.lo {
+			entryOf[groupOf[i]] = p.r
+		}
+		lo, hi := want[g.lo], want[g.hi]
+		if p.r != entryOf[groupOf[i]] || p.last != (i != g.lo) || !slices.Equal(p.seq(), w.seq) ||
+			!slices.Equal(p.r.first, lo.seq) || !slices.Equal(p.r.last, hi.seq) || p.r.n != g.n ||
+			p.r.a != aecs[w.aec] || !slices.EqualFunc(p.r.overlaps, w.overlaps, header.Match.Equal) {
+			t.Fatalf("%s: position %d = entry [%v .. %v] × %d at %v overlaps %v, reference row %d: group [%v .. %v] × %d at %v overlaps %v (AEC %d)",
+				what, next-1, p.r.first, p.r.last, p.r.n, p.seq(), p.r.overlaps, i, lo.seq, hi.seq, g.n, w.seq, w.overlaps, w.aec)
+		}
+	}
+	if next != len(table.order) {
+		t.Fatalf("%s: %d emission positions, reference %d", what, len(table.order), next)
+	}
+}
+
+// compareSynthesis requires, per target, the reference's rule count and
+// the reference's ACL: simplified, the same rules after one SimplifyFast
+// pass and the same final text; unsimplified, the same rules. It returns
+// what GenerateContext would report for the table.
+func compareSynthesis(t *testing.T, what string, e *Engine, ix *genIndex, table *synthTable, aecs []*aec, want []refRow) (acls map[string]*acl.ACL, generated int) {
+	t.Helper()
+	acls = map[string]*acl.ACL{}
+	for _, id := range ix.targetIDs {
+		got, n := e.synthesizeTarget(id, table)
+		ref := refSynthesizeTarget(id, want, aecs)
+		if n != len(ref.Rules) {
+			t.Fatalf("%s: %s counts %d generated rules, reference emits %d", what, id, n, len(ref.Rules))
+		}
+		generated += n
+		if e.Opts.SimplifyOutput {
+			if g, r := acl.SimplifyFastPass(got), acl.SimplifyFastPass(ref); !slices.Equal(g.Rules, r.Rules) {
+				t.Fatalf("%s: %s after one pass: %d rules from %d emitted, reference %d from %d\n got %v\nwant %v",
+					what, id, len(g.Rules), len(got.Rules), len(r.Rules), len(ref.Rules), g, r)
+			}
+			got, _ = simplifyBounded(got)
+			ref, _ = simplifyBounded(ref)
+		}
+		if !slices.Equal(got.Rules, ref.Rules) {
+			t.Fatalf("%s: %s synthesized\n got %v\nwant %v", what, id, got, ref)
+		}
+		acls[id] = got
+	}
+	return acls, generated
+}
+
 func runOracleCase(t *testing.T, c oracleCase) {
 	refE, refSources := c.mk(DefaultOptions())
 	refEnc := refE.Before.ACLGroup(refE.Scope)
@@ -346,6 +506,11 @@ func runOracleCase(t *testing.T, c oracleCase) {
 	refAECs := refDeriveAECs(t, refE, refEnc, classes)
 	rs := refSetsOf(refE, refSources, refEnc)
 	refRows := map[bool][]refRow{}
+	// The solving state of the default combination's AECs, as
+	// GenerateContext leaves it; the other combinations derive the same
+	// AECs in the same order and take it over.
+	var solved []*aec
+	unsolvable := false
 
 	for _, tree := range []bool{true, false} {
 		for _, grouping := range []bool{true, false} {
@@ -383,6 +548,7 @@ func runOracleCase(t *testing.T, c oracleCase) {
 				}
 				for i, a := range aecs {
 					if compareSolve(t, fmt.Sprintf("AEC %d", i), e, ix, rs, refAECs[i], a, src.Paths(), ix.allShapes) {
+						a.solved = true
 						continue
 					}
 					// Unsolvable as one AEC on both sides: the DEC split.
@@ -400,30 +566,64 @@ func runOracleCase(t *testing.T, c oracleCase) {
 							shapes = ix.shapesOn(src.PathIndices(k))
 						}
 						sub := &aec{decisions: a.decisions, ctrlIn: a.ctrlIn}
-						compareSolve(t, fmt.Sprintf("AEC %d DEC %d", i, k), e, ix, rs, refAECs[i], sub, decPaths, shapes)
+						if !compareSolve(t, fmt.Sprintf("AEC %d DEC %d", i, k), e, ix, rs, refAECs[i], sub, decPaths, shapes) {
+							unsolvable = true
+							continue
+						}
+						g := &decGroup{dec: sub.dec}
+						for _, cl := range a.classes {
+							if src.FECOf(cl.Dst) == k {
+								g.classes = append(g.classes, cl)
+							}
+						}
+						a.decs = append(a.decs, g)
 					}
 				}
+				solved = aecs
+			}
+			for i, a := range aecs {
+				a.solved, a.dec, a.decs = solved[i].solved, solved[i].dec, solved[i].decs
 			}
 
-			// The synthesis table.
-			rows, err := e.buildRows(aecs, enc)
-			if err != nil {
-				t.Fatal(err)
-			}
+			// The synthesis table and what each target makes of it: merged
+			// (the output is simplified) and row for row (it is not).
 			want, ok := refRows[grouping]
 			if !ok {
 				refE.Opts.UseGrouping = grouping
 				want = refBuildRows(refE, refAECs, refEnc)
 				refRows[grouping] = want
 			}
-			if len(rows) != len(want) {
-				t.Fatalf("%s: %d rows, reference %d", what, len(rows), len(want))
-			}
-			for i, r := range rows {
-				if !slices.Equal(r.seq, want[i].seq) || r.a != aecs[want[i].aec] ||
-					!slices.EqualFunc(r.overlaps, want[i].overlaps, header.Match.Equal) {
-					t.Fatalf("%s: row %d = seq %v overlaps %v, reference seq %v overlaps %v (AEC %d)",
-						what, i, r.seq, r.overlaps, want[i].seq, want[i].overlaps, want[i].aec)
+			ix := e.compileGenerate(nil, sources, enc) // for the target IDs
+			for _, simplify := range []bool{true, false} {
+				what := fmt.Sprintf("%s simplify=%v", what, simplify)
+				e.Opts.SimplifyOutput = simplify
+				table, err := e.buildRows(aecs, enc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				compareTable(t, what, table, aecs, want, simplify)
+				if unsolvable {
+					continue // GenerateContext stops before synthesis
+				}
+				acls, generated := compareSynthesis(t, what, e, ix, table, aecs, want)
+				if !(tree && grouping && simplify) {
+					continue
+				}
+				// The solving state above was put together by this test; a
+				// whole Generate ties it to the engine's own. (Once: verifying
+				// unsimplified ACLs takes the medium cases tens of seconds.)
+				res, err := e.Generate(sources)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.RulesGenerated != generated || len(res.ACLs) != len(acls) {
+					t.Fatalf("%s: Generate reports %d rules at %d targets, the table %d at %d",
+						what, res.RulesGenerated, len(res.ACLs), generated, len(acls))
+				}
+				for id, a := range res.ACLs {
+					if !slices.Equal(a.Rules, acls[id].Rules) {
+						t.Fatalf("%s: Generate at %s\n got %v\nwant %v", what, id, a, acls[id])
+					}
 				}
 			}
 		}
@@ -688,8 +888,76 @@ func oracleMesh(seed int64, opts Options) (*Engine, []topo.ACLBinding) {
 	return e, sources
 }
 
+// permutedOverlapsCase is a two-hop chain built so that one AEC has two
+// rows whose overlap lists hold the same matches in a different order — a
+// thing no network of the drawn population has. At R1:e:in the AEC's
+// classes hit group 0 = [dport 80, dport 443] (first seen in that order,
+// on 10.0/16) and group 2 = [8.0.0.0/5]; at R2:x:out they hit group 0 =
+// [10.1/16:443, 11.1/16:80]. Crossing gives [11.1/16:80, 10.1/16:443]
+// from the first pair and [10.1/16:443, 11.1/16:80] from the second.
+// The table merges lists equal as sequences; these two stay apart.
+func permutedOverlapsCase() oracleCase {
+	return oracleCase{"permuted-overlaps", func(opts Options) (*Engine, []topo.ACLBinding) {
+		n := topo.NewNetwork()
+		r1, r2 := n.Device("R1"), n.Device("R2")
+		e, d, u, x := r1.Interface("e"), r1.Interface("d"), r2.Interface("u"), r2.Interface("x")
+		n.AddLink(d, u)
+		for _, p := range []string{"10.0.0.0/8", "11.0.0.0/8"} {
+			r1.AddRoute(header.MustParsePrefix(p), d)
+			r2.AddRoute(header.MustParsePrefix(p), x)
+		}
+		e.SetACL(topo.In, acl.MustParse(
+			"deny dport 80, deny dport 443, permit dst 10.1.1.0/24, deny dst 8.0.0.0/5, permit all"))
+		x.SetACL(topo.Out, acl.MustParse(
+			"deny dst 10.1.0.0/16 dport 443, deny dst 11.1.0.0/16 dport 80, permit dst 10.1.5.0/24, deny dst 10.0.0.0/16, permit all"))
+		eng := New(n, n.Clone(), topo.NewScope("R1", "R2").WithEntries("R1:e"), opts)
+		eng.Allow = []topo.ACLBinding{{Iface: d, Dir: topo.Out}}
+		return eng, []topo.ACLBinding{{Iface: e, Dir: topo.In}, {Iface: x, Dir: topo.Out}}
+	}}
+}
+
+// tableOf derives the engine's classes and AECs and builds its synthesis
+// table, which reads nothing of the solving state.
+func tableOf(t *testing.T, e *Engine) *synthTable {
+	t.Helper()
+	enc := e.Before.ACLGroup(e.Scope)
+	classes, err := e.deriveClasses()
+	if err != nil {
+		t.Fatal(err)
+	}
+	aecs, err := e.deriveAECs(enc, classes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, err := e.buildRows(aecs, enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return table
+}
+
+// TestMergeKeepsPermutedOverlapListsApart checks the case above is what it
+// says: its table holds two entries of one AEC whose overlap lists are
+// permutations of each other, and not equal.
+func TestMergeKeepsPermutedOverlapListsApart(t *testing.T) {
+	e, _ := permutedOverlapsCase().mk(DefaultOptions())
+	table := tableOf(t, e)
+	for i := range table.rows {
+		for j := i + 1; j < len(table.rows); j++ {
+			a, b := table.rows[i], table.rows[j]
+			if a.a != b.a || len(a.overlaps) < 2 || len(a.overlaps) != len(b.overlaps) || slices.Equal(a.overlaps, b.overlaps) {
+				continue
+			}
+			if !slices.ContainsFunc(a.overlaps, func(m header.Match) bool { return !containsMatch(b.overlaps, m) }) {
+				return
+			}
+		}
+	}
+	t.Fatalf("no two entries of one AEC differ in the order of their overlaps only: %+v", table.rows)
+}
+
 func TestGenerateIndexMatchesPerPathOracle(t *testing.T) {
-	cases := papernetCases()
+	cases := append(papernetCases(), permutedOverlapsCase())
 	cases = append(cases, wanCases(netgen.Small, 1, 2, 42)...)
 	// The reference is the old per-path walk, so a medium case costs what
 	// generate used to: seconds. The default suite runs one medium seed;
@@ -802,4 +1070,19 @@ func TestGenerateClassesAreAtomic(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestMergedTableOnMediumMigration pins what merging is for, as exact
+// counts: the Fig. 4c migration on the medium WAN crosses its AECs into
+// 37,620 vectors, and the table holds under a thousand entries for them.
+func TestMergedTableOnMediumMigration(t *testing.T) {
+	if testing.Short() {
+		t.Skip("derives the medium WAN's classes")
+	}
+	e, _ := WANMigration(netgen.Build(netgen.DefaultConfig(netgen.Medium, 42)), DefaultOptions())
+	table := tableOf(t, e)
+	if rows, entries := table.vectors(), len(table.rows); rows != 37620 || entries > 1000 {
+		t.Fatalf("%d rows in %d entries, want 37620 rows in at most 1000", rows, entries)
+	}
+	t.Logf("%d rows in %d entries, %d emission positions", table.vectors(), len(table.rows), len(table.order))
 }

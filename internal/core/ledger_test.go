@@ -6,9 +6,12 @@ import (
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strings"
 	"testing"
 
+	"jinjing/internal/acl"
 	"jinjing/internal/core"
+	"jinjing/internal/header"
 	"jinjing/internal/obs/declog"
 	"jinjing/internal/topo"
 )
@@ -305,6 +308,42 @@ func TestLedgerFixSingleRecord(t *testing.T) {
 			t.Fatalf("neighborhoods %d != %d", rec.Neighborhoods, len(res.Neighborhoods))
 		}
 		return
+	}
+}
+
+// TestLedgerGenerateRefusal checks a generate call that fails before it
+// has solved anything still leaves its record: an ACL whose rules cut
+// sources and ports into more classes than deriveClasses will enumerate
+// (a hundred source prefixes × two hundred port atoms on either side, past
+// the 2,000,000 bound before any destination multiplies them) makes
+// generate refuse, and the ledger holds that one refusal.
+func TestLedgerGenerateRefusal(t *testing.T) {
+	l, path := openTestLedger(t)
+	opts := core.DefaultOptions()
+	opts.DecisionLog = l
+	e, sources := migrationEngine(opts)
+	wide := &acl.ACL{Default: acl.Permit}
+	for i := 0; i < 100; i++ {
+		wide.Rules = append(wide.Rules, acl.Rule{Action: acl.Deny, Match: header.Match{
+			Src:     header.Prefix{Addr: uint32(i+1) << 24, Len: 8},
+			SrcPort: header.PortRange{Lo: uint16(4*i + 2), Hi: uint16(4*i + 3)},
+			DstPort: header.PortRange{Lo: uint16(4 * i), Hi: uint16(4*i + 1)},
+			Proto:   header.AnyProto,
+		}})
+	}
+	sources[0].Iface.SetACL(topo.In, wide)
+
+	res, err := e.Generate(sources)
+	if err == nil || res != nil || !strings.Contains(err.Error(), "class space too large") {
+		t.Fatalf("generate over a 4M-class space: result %v, error %v", res, err)
+	}
+	l.Close()
+	recs, _, rerr := declog.ReadFile(path)
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	if len(recs) != 1 || recs[0].Primitive != "generate" || recs[0].Error != err.Error() {
+		t.Fatalf("want one generate record carrying %q, got %+v", err, recs)
 	}
 }
 

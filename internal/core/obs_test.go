@@ -284,6 +284,17 @@ func TestGenerateObservability(t *testing.T) {
 	if got := snap.Gauges["generate.path_shapes"]; got != 4 {
 		t.Fatalf("generate.path_shapes gauge = %d, want 4", got)
 	}
+	// The synthesis table: how many sequence vectors the AECs cross into
+	// and how many entries hold them once vectors of one AEC with equal
+	// overlap lists are merged. Table 4b has four rows, one per AEC, so
+	// nothing merges.
+	syn := phases["synthesize"].Attrs
+	if syn["rows"] != float64(4) || syn["row_entries"] != float64(4) {
+		t.Fatalf("synthesize span attrs rows=%v row_entries=%v, want 4 and 4", syn["rows"], syn["row_entries"])
+	}
+	if rows, entries := snap.Gauges["generate.rows"], snap.Gauges["generate.row_entries"]; rows != 4 || entries != 4 {
+		t.Fatalf("generate.rows / generate.row_entries gauges = %d / %d, want 4 and 4", rows, entries)
+	}
 }
 
 // TestObserverOffLeavesTimings pins the backward-compatible default: no

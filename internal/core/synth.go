@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"jinjing/internal/acl"
@@ -9,12 +11,52 @@ import (
 	"jinjing/internal/topo"
 )
 
-// row is one entry of the synthesis table (Table 4b): a sequence-encoding
-// vector, the overlap-field matches, and the AEC it came from.
+// row is one entry of the synthesis table (Table 4b): the overlap-field
+// matches of one AEC and the sequence-encoding vectors that lead to them.
+// Unmerged, an entry is one vector (n is 1, last is first). Merged, it
+// stands for the n vectors of its AEC whose overlap lists are equal as
+// sequences, of which it keeps the lexicographically lowest and highest:
+// every one of them emits the same rule group, and simplification reads
+// only a group's first and last occurrence (see buildRows).
 type row struct {
-	seq      []int
-	overlaps []header.Match
-	a        *aec
+	first, last []int
+	n           int
+	overlaps    []header.Match
+	a           *aec
+	ai          int // index of a, in derivation order
+}
+
+// rowPos is one position of the table's emission order: a row at its
+// first or its last vector.
+type rowPos struct {
+	r    *row
+	last bool
+}
+
+func (p rowPos) seq() []int {
+	if p.last {
+		return p.r.last
+	}
+	return p.r.first
+}
+
+// synthTable is what buildRows hands synthesizeTarget: the entries, and
+// the positions to emit them at in sequence order (AEC order among equal
+// vectors, as the stable sort of the unmerged rows had it). A merged
+// entry has two positions.
+type synthTable struct {
+	rows  []row
+	order []rowPos
+}
+
+// vectors is the number of sequence-encoding vectors the table stands
+// for: its size had nothing been merged.
+func (t *synthTable) vectors() int {
+	n := 0
+	for i := range t.rows {
+		n += t.rows[i].n
+	}
+	return n
 }
 
 // maxOverlapsPerRow bounds the overlap-field expansion of one row.
@@ -133,13 +175,25 @@ func (h *hitIndexer) action(hit int) acl.Action {
 // recorded when the AECs were derived (aec.hits), so no class is looked
 // up again here. A row whose overlap field outgrows maxOverlapsPerRow
 // fails the call with an *ErrOverlapBound.
-func (e *Engine) buildRows(aecs []*aec, encBindings []topo.ACLBinding) ([]row, error) {
+//
+// When the output will be simplified, rows of one AEC with equal overlap
+// lists are merged as the cross product grows (mergeRows): they extend
+// identically, emit identical rule groups, and acl.SimplifyFast's first
+// pass drops a rule iff an earlier rule of the list contains it, or it
+// agrees with the default and no later opposite-action rule overlaps it —
+// tests that read the same for every other rule whether a group occurs at
+// every one of its vectors or only at the lowest and the highest. The
+// first pass therefore returns the same list, and everything after it sees
+// the same input. Unsimplified output is the rows themselves, so
+// SimplifyOutput=false must not merge.
+func (e *Engine) buildRows(aecs []*aec, encBindings []topo.ACLBinding) (*synthTable, error) {
 	groupings := make([]ruleGrouping, len(encBindings))
 	for i, b := range encBindings {
 		groupings[i] = groupRules(b.Iface.ACL(b.Dir).Rules, e.Opts.UseGrouping)
 	}
+	merge := e.Opts.SimplifyOutput
 
-	var rows []row
+	t := &synthTable{}
 	for ai, a := range aecs {
 		// Per binding: group index -> union of member matches hit.
 		dims := make([]map[int][]header.Match, len(encBindings))
@@ -160,7 +214,7 @@ func (e *Engine) buildRows(aecs []*aec, encBindings []topo.ACLBinding) ([]row, e
 		}
 		// Cross product of per-binding group choices, then the control
 		// dimensions (one virtual two-row ACL per control intent).
-		entries := []row{{seq: nil, overlaps: []header.Match{header.MatchAll}, a: a}}
+		entries := []row{{n: 1, overlaps: []header.Match{header.MatchAll}, a: a, ai: ai}}
 		for i := range encBindings {
 			keys := make([]int, 0, len(dims[i]))
 			for k := range dims[i] {
@@ -177,48 +231,109 @@ func (e *Engine) buildRows(aecs []*aec, encBindings []topo.ACLBinding) ([]row, e
 					if len(ov) == 0 {
 						continue
 					}
-					seq := append(append([]int(nil), en.seq...), k)
-					next = append(next, row{seq: seq, overlaps: ov, a: a})
+					// One entry extends several ways: each gets vectors of
+					// its own.
+					x := en
+					x.overlaps = ov
+					x.first, x.last = slices.Clip(en.first), slices.Clip(en.last)
+					x.push(k)
+					next = append(next, x)
 				}
 			}
 			entries = next
+			if merge {
+				entries = mergeRows(entries)
+			}
 		}
 		for i, ctrl := range e.Controls {
-			for j := range entries {
-				if a.ctrlIn[i] {
-					entries[j].seq = append(entries[j].seq, 0)
-					// Intersecting with one match cannot grow the union.
-					entries[j].overlaps, _ = intersectAll(entries[j].overlaps, []header.Match{ctrl.Match})
-				} else {
-					entries[j].seq = append(entries[j].seq, 1)
-				}
-			}
-			// Drop entries whose overlap vanished against the control.
 			keep := entries[:0]
 			for _, en := range entries {
+				if a.ctrlIn[i] {
+					en.push(0)
+					// Intersecting with one match cannot grow the union.
+					en.overlaps, _ = intersectAll(en.overlaps, []header.Match{ctrl.Match})
+				} else {
+					en.push(1)
+				}
+				// Drop entries whose overlap vanished against the control.
 				if len(en.overlaps) > 0 {
 					keep = append(keep, en)
 				}
 			}
 			entries = keep
 		}
-		rows = append(rows, entries...)
+		if merge && len(e.Controls) > 0 {
+			entries = mergeRows(entries)
+		}
+		t.rows = append(t.rows, entries...)
 	}
 
-	sort.SliceStable(rows, func(i, j int) bool { return seqLess(rows[i].seq, rows[j].seq) })
-	return rows, nil
+	for i := range t.rows {
+		r := &t.rows[i]
+		t.order = append(t.order, rowPos{r: r})
+		if r.n > 1 {
+			t.order = append(t.order, rowPos{r: r, last: true})
+		}
+	}
+	// No two positions of one AEC share a vector, so (vector, AEC) is a
+	// total order.
+	sort.Slice(t.order, func(i, j int) bool {
+		p, q := t.order[i], t.order[j]
+		if c := slices.Compare(p.seq(), q.seq()); c != 0 {
+			return c < 0
+		}
+		return p.r.ai < q.r.ai
+	})
+	return t, nil
 }
 
-func seqLess(a, b []int) bool {
-	for i := range a {
-		if i >= len(b) {
-			return false
-		}
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
+// push appends k to the entry's vectors, in place; a single vector stays
+// one slice.
+func (r *row) push(k int) {
+	r.first = append(r.first, k)
+	if r.n > 1 {
+		r.last = append(r.last, k)
+	} else {
+		r.last = r.first
 	}
-	return len(a) < len(b)
+}
+
+// mergeRows folds, in place, the entries of one AEC whose overlap lists
+// are equal as sequences into the first of them, which keeps the lowest
+// and the highest vector of the lot and the number of rows it stands for.
+// Lists holding the same matches in another order emit permuted rule
+// groups, not identical ones, and stay apart. The cross product yields
+// entries in ascending order of first, and folding into the earliest
+// keeps it so; the highest last can come from any of the lot.
+func mergeRows(entries []row) []row {
+	if len(entries) < 2 {
+		return entries
+	}
+	idx := make(map[string]int, len(entries))
+	var key []byte
+	out := entries[:0]
+	for _, en := range entries {
+		key = key[:0]
+		for _, m := range en.overlaps {
+			key = binary.BigEndian.AppendUint32(append(key, byte(m.Src.Len)), m.Src.Addr)
+			key = binary.BigEndian.AppendUint32(append(key, byte(m.Dst.Len)), m.Dst.Addr)
+			key = binary.BigEndian.AppendUint16(binary.BigEndian.AppendUint16(key, m.SrcPort.Lo), m.SrcPort.Hi)
+			key = binary.BigEndian.AppendUint16(binary.BigEndian.AppendUint16(key, m.DstPort.Lo), m.DstPort.Hi)
+			key = append(key, m.Proto.Lo, m.Proto.Hi)
+		}
+		i, ok := idx[string(key)]
+		if !ok {
+			idx[string(key)] = len(out)
+			out = append(out, en)
+			continue
+		}
+		m := &out[i]
+		if slices.Compare(en.last, m.last) > 0 {
+			m.last = en.last
+		}
+		m.n += en.n
+	}
+	return out
 }
 
 // intersectAll intersects two match unions, dropping empty and duplicate
@@ -247,53 +362,64 @@ func containsMatch(ms []header.Match, m header.Match) bool {
 }
 
 // synthesizeTarget performs synthesis steps 3 and 4 (§5.4) for one
-// target binding: walk the sorted rows, emitting each row's decision over
-// its overlap matches, with deny insertions for partially-denied
-// DEC-split rows.
-func (e *Engine) synthesizeTarget(targetID string, rows []row) *acl.ACL {
-	out := &acl.ACL{Default: acl.Permit}
-	for _, r := range rows {
-		if r.a.solved {
-			act := acl.Action(r.a.dec[targetID])
-			for _, ov := range r.overlaps {
-				out.Rules = append(out.Rules, acl.Rule{Action: act, Match: ov})
-			}
-			continue
+// target binding: walk the table in emission order, emitting each row's
+// decision over its overlap matches, with deny insertions for
+// partially-denied DEC-split rows. generated is the rule count of the
+// unmerged table: every row's group times the vectors it stands for.
+func (e *Engine) synthesizeTarget(targetID string, t *synthTable) (out *acl.ACL, generated int) {
+	out = &acl.ACL{Default: acl.Permit}
+	for _, p := range t.order {
+		before := len(out.Rules)
+		out.Rules = appendRowRules(out.Rules, targetID, p.r)
+		if !p.last {
+			generated += p.r.n * (len(out.Rules) - before)
 		}
-		// DEC-split AEC: uniform if all groups agree at this target.
-		permits, denies := 0, 0
+	}
+	return out, generated
+}
+
+// appendRowRules appends the rule group of one row at one target.
+func appendRowRules(rules []acl.Rule, targetID string, r *row) []acl.Rule {
+	if r.a.solved {
+		act := acl.Action(r.a.dec[targetID])
+		for _, ov := range r.overlaps {
+			rules = append(rules, acl.Rule{Action: act, Match: ov})
+		}
+		return rules
+	}
+	// DEC-split AEC: uniform if all groups agree at this target.
+	permits, denies := 0, 0
+	for _, g := range r.a.decs {
+		if g.dec[targetID] {
+			permits++
+		} else {
+			denies++
+		}
+	}
+	switch {
+	case denies == 0 || permits == 0:
+		act := acl.Action(denies == 0)
+		for _, ov := range r.overlaps {
+			rules = append(rules, acl.Rule{Action: act, Match: ov})
+		}
+	default:
+		// permit* handling: insert denies for the denied DECs'
+		// classes before the partial permit (§5.4 step 4).
 		for _, g := range r.a.decs {
 			if g.dec[targetID] {
-				permits++
-			} else {
-				denies++
+				continue
 			}
-		}
-		switch {
-		case denies == 0 || permits == 0:
-			act := acl.Action(denies == 0)
-			for _, ov := range r.overlaps {
-				out.Rules = append(out.Rules, acl.Rule{Action: act, Match: ov})
-			}
-		default:
-			// permit* handling: insert denies for the denied DECs'
-			// classes before the partial permit (§5.4 step 4).
-			for _, g := range r.a.decs {
-				if g.dec[targetID] {
-					continue
-				}
-				for _, c := range g.classes {
-					for _, ov := range r.overlaps {
-						if m, ok := c.Intersect(ov); ok {
-							out.Rules = append(out.Rules, acl.Rule{Action: acl.Deny, Match: m})
-						}
+			for _, c := range g.classes {
+				for _, ov := range r.overlaps {
+					if m, ok := c.Intersect(ov); ok {
+						rules = append(rules, acl.Rule{Action: acl.Deny, Match: m})
 					}
 				}
 			}
-			for _, ov := range r.overlaps {
-				out.Rules = append(out.Rules, acl.Rule{Action: acl.Permit, Match: ov})
-			}
+		}
+		for _, ov := range r.overlaps {
+			rules = append(rules, acl.Rule{Action: acl.Permit, Match: ov})
 		}
 	}
-	return out
+	return rules
 }
