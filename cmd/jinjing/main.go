@@ -50,9 +50,9 @@ func main() {
 		noOpt       = flag.Bool("no-optimizations", false, "disable all optimizations (basic Algorithm 1)")
 		findAll     = flag.Bool("all-violations", false, "report one violation per forwarding equivalence class")
 		emitIOS     = flag.Bool("emit-ios", false, "print fixed/generated ACLs as Cisco-IOS access lists")
-		workers     = flag.Int("workers", 1, "parallel workers for check, fix, and generate")
+		workers     = flag.Int("workers", 1, "parallel workers for check (the FECs that reach the SAT solver), fix, and generate")
 		shards      = flag.Int("shards", 1, "verification shards: FECs are derived and solved one shard at a time with bounded live memory (1 = monolithic); output is identical at any shard count")
-		backendName = flag.String("backend", "auto", "per-FEC equivalence backend: auto, sat, or pset (verdicts and output are identical; only cost differs)")
+		backendName = flag.String("backend", "auto", "per-FEC decision procedure: auto (packet-set algebra, SAT on cube-budget overflow), sat (SAT for every FEC), or pset (same as auto); verdicts and output are identical, only cost differs")
 		explain     = flag.Bool("explain", false, "print hop-by-hop decision traces for each violation")
 
 		timeout    = flag.Duration("timeout", 0, "wall-clock deadline per primitive call (0 = none); expired checks report UNDECIDED FECs, fix/generate refuse their plan")

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"jinjing/internal/acl"
 	"jinjing/internal/header"
@@ -9,13 +10,13 @@ import (
 	"jinjing/internal/topo"
 )
 
-// This file is the per-FEC backend selector: the check pipeline can
-// answer an Equation-3 query either on the Tseitin+CDCL stack (the SAT
-// backend) or directly in the packet-set algebra (the pset backend),
-// and in auto mode picks per FEC from cheap structural heuristics. Both
-// backends are complete on the queries they accept; the pset backend
-// additionally bails out to SAT when a cube budget is exceeded
-// mid-solve, so the choice can never change a verdict — only its cost.
+// This file is the check pipeline's two decision procedures for a FEC's
+// Equation-3 query: the packet-set algebra (the pset backend), which
+// decides every FEC it can within a cube budget, and the Tseitin+CDCL
+// stack (the SAT backend), which takes what overflows the budget. Both
+// are complete on the queries they answer, so which one answers can
+// never change a verdict — only its cost. Either reads of a path only
+// its shape (see checkShape), and a FEC's hundreds of paths share a few.
 // Counterexamples always come from the canonical witness pass
 // (witnessFEC), which re-solves violating FECs on a fresh solver; that
 // keeps reported violations byte-identical across backends and doubles
@@ -23,18 +24,16 @@ import (
 // rather than mis-reports.
 
 // Backend selects the decision procedure for per-FEC Equation-3
-// queries. The zero value is auto-selection.
+// queries. The zero value is BackendAuto.
 type Backend uint8
 
 const (
-	// BackendAuto picks per FEC: the packet-set algebra when the FEC's
-	// structural profile (rule mass, field diversity) predicts a small
-	// cube count, the solver otherwise.
+	// BackendAuto decides each FEC in the packet-set algebra and hands it
+	// to the solver only when the algebra overflows its cube budget.
 	BackendAuto Backend = iota
 	// BackendSAT forces the Tseitin+CDCL stack for every query.
 	BackendSAT
-	// BackendPset forces the packet-set algebra wherever its cube budget
-	// allows, falling back to SAT only on bail-out.
+	// BackendPset is BackendAuto under its historical name.
 	BackendPset
 )
 
@@ -64,207 +63,133 @@ func ParseBackend(s string) (Backend, error) {
 }
 
 // psetCubeBudget is the hard cube cap for the pset backend: any set
-// construction or per-path difference that exceeds it abandons the FEC
-// to the solver. It bounds the algebra's worst case (cube counts can be
-// exponential in rule count) without giving up its common case.
+// construction or per-shape difference that exceeds it abandons the FEC
+// to the solver. It alone bounds the algebra's worst case (cube counts
+// can be exponential in rule count): every construction is restricted to
+// the FEC's class region, so cost follows the region, not the ACLs' mass,
+// and no predictor guesses ahead of it.
 const psetCubeBudget = 512
 
-// psetMaxRules gates per-binding set construction: an ACL pair beyond
-// this rule mass is not worth attempting even against the cube budget.
-const psetMaxRules = 192
-
-// Auto-selection thresholds, calibrated against the WAN generator's ACL
-// shapes (tens of rules per binding, mostly destination-prefix matches
-// with occasional source/port/protocol constraints): rule mass is the
-// dominant cost driver, and each non-destination constraint can split
-// cubes across one more dimension during subtraction. The limits are
-// generous because per-binding sets and per-path differences are
-// memoized across the FECs that share them — the selector only needs to
-// route the genuinely field-diverse, high-mass profiles (where cube
-// construction would mostly end in bail-outs) straight to the solver.
-const (
-	autoRuleLimit     = 2048
-	autoCubeEstimate  = 4096
-	autoFieldCubeCost = 3
-)
-
-// bindingSet memoizes one binding's encoded before/after decision
-// functions as packet sets — the single ACL→Set construction shared by
-// the SAT-free pre-filter's exact leg and the complete pset backend —
-// plus their symmetric difference, which falls out of the equality
-// subtraction for free and anchors the backend's per-FEC fast path.
-type bindingSet struct {
-	ok            bool // both sets built within psetCubeBudget
-	before, after pset.Set
-	equal         bool     // before and after denote the same packets
-	diff          pset.Set // before ⊖ after (empty when equal)
+// encPair is one distinct encoded (before, after) ACL pair of the
+// generation. unchanged is the purely syntactic equivalence test
+// (pairSynUnchanged): true means provably unchanged; false means "treat
+// as changed", which is always sound (a semantically equal pair
+// classified as changed contributes an empty difference and restricts
+// both products identically).
+type encPair struct {
+	acls      [2]*acl.ACL
+	unchanged bool
 }
 
-// aclSetEntry is one ACL's memoized bounded set construction.
-type aclSetEntry struct {
-	s  pset.Set
-	ok bool
+// checkShape is what Equation 3 reads of a path: the encoded pairs it
+// crosses, as sorted distinct indices into checkCtx.encPairs (a decision
+// conjunction has no order and no multiplicity), and the controls on its
+// border pair, in precedence order. Paths of one shape state the same
+// disjunct.
+type checkShape struct {
+	pairs []int32
+	ctrls []int32
 }
 
-// aclFPSetEntry is one fingerprint bucket member of the ACL-level set
-// cache: a representative ACL (for the Equal collision check) and its
-// construction result.
-type aclFPSetEntry struct {
-	a   *acl.ACL
-	ent aclSetEntry
-}
-
-// permittedSetOf returns the ACL's bounded permitted set, memoized by
-// pointer with a fingerprint+Equal fallback for structurally equal
-// clones — the pset mirror of encoder.encodeACL. Callers hold psetMu.
-func (ctx *checkCtx) permittedSetOf(a *acl.ACL) (pset.Set, bool) {
-	if ent, ok := ctx.aclSets[a]; ok {
-		return ent.s, ent.ok
+// pathWalk returns the generation's path interner: a binding resolves to
+// the index of its encoded pair in encPairs — interned by content, as the
+// encoder does, so the many bindings carrying one ACL are one pair — and
+// an unbound binding to nothing. Like resolveFEC and the witness pass,
+// its only users, it is single-goroutine.
+func (e *Engine) pathWalk(ctx *checkCtx) *pathInterner {
+	if ctx.walk != nil {
+		return ctx.walk
 	}
-	if ctx.aclSets == nil {
-		ctx.aclSets = map[*acl.ACL]aclSetEntry{}
-		ctx.aclSetsFP = map[uint64][]aclFPSetEntry{}
-	}
-	fp := a.Fingerprint()
-	for _, e := range ctx.aclSetsFP[fp] {
-		if e.a.Equal(a) {
-			ctx.aclSets[a] = e.ent
-			return e.ent.s, e.ent.ok
+	byFP := map[[2]uint64][]int32{}
+	ctx.walk = newPathInterner(e.Controls, func(id string) int32 {
+		pr, bound := ctx.encodeACLs[id]
+		if !bound {
+			return -1
 		}
-	}
-	var ent aclSetEntry
-	if len(a.Rules) <= psetMaxRules {
-		ent.s, ent.ok = pset.PermittedSetBounded(a, psetCubeBudget)
-	}
-	ctx.aclSets[a] = ent
-	ctx.aclSetsFP[fp] = append(ctx.aclSetsFP[fp], aclFPSetEntry{a: a, ent: ent})
-	return ent.s, ent.ok
-}
-
-// bindingSets returns (building and memoizing on first use) the
-// binding's packet-set view. Safe for concurrent use: fix workers probe
-// the pre-filter concurrently.
-func (ctx *checkCtx) bindingSets(id string) *bindingSet {
-	ctx.psetMu.Lock()
-	defer ctx.psetMu.Unlock()
-	if bs, ok := ctx.bindSets[id]; ok {
-		return bs
-	}
-	bs := &bindingSet{}
-	if pr, ok := ctx.encodeACLs[id]; ok {
-		switch {
-		case trivialPair(pr[0], pr[1], ctx.pairFPs[id]):
-			// Unchanged binding (the overwhelming majority under a small
-			// perturbation): one construction serves both sides and the
-			// difference is empty by construction — no subtraction runs.
-			if s, ok := ctx.permittedSetOf(pr[0]); ok {
-				bs.ok = true
-				bs.before, bs.after = s, s
-				bs.equal = true
-			}
-		default:
-			if before, ok := ctx.permittedSetOf(pr[0]); ok {
-				if after, ok := ctx.permittedSetOf(pr[1]); ok {
-					bs.ok = true
-					bs.before, bs.after = before, after
-					// The same ACL pair is bound at many interfaces;
-					// dedup the two subtractions by pointer pair.
-					if d, ok := ctx.pairDiffs[pr]; ok {
-						bs.diff = d
-					} else {
-						bs.diff = before.Subtract(after).Union(after.Subtract(before))
-						if ctx.pairDiffs == nil {
-							ctx.pairDiffs = map[[2]*acl.ACL]pset.Set{}
-						}
-						ctx.pairDiffs[pr] = bs.diff
-					}
-					bs.equal = bs.diff.IsEmpty()
-				}
+		fps := ctx.pairFPs[id]
+		for _, i := range byFP[fps] {
+			if q := ctx.encPairs[i].acls; q[0].Equal(pr[0]) && q[1].Equal(pr[1]) {
+				return i
 			}
 		}
-	} else {
-		// Unbound in both snapshots: permit-all either way.
-		bs.ok = true
-		bs.before, bs.after = pset.Universe(), pset.Universe()
-		bs.equal = true
-	}
-	if ctx.bindSets == nil {
-		ctx.bindSets = map[string]*bindingSet{}
-	}
-	ctx.bindSets[id] = bs
-	return bs
+		i := int32(len(ctx.encPairs))
+		ctx.encPairs = append(ctx.encPairs, encPair{acls: pr, unchanged: ctx.pairSynUnchanged(id)})
+		byFP[fps] = append(byFP[fps], i)
+		return i
+	})
+	return ctx.walk
 }
 
-// pairSynUnchanged memoizes the purely syntactic equivalence test for
-// one binding's encoded pair — trivialPair without the exact set-
-// algebra leg. It classifies bindings for the pset backend: true means
-// provably unchanged; false means "treat as changed", which is always
-// sound (a semantically equal pair classified as changed contributes an
-// empty difference and restricts both products identically).
-func (ctx *checkCtx) pairSynUnchanged(id string) bool {
-	ctx.trivMu.Lock()
-	defer ctx.trivMu.Unlock()
-	if v, ok := ctx.pairSyn[id]; ok {
-		return v
+// compileShapes reduces the FEC's paths to their distinct shapes, in
+// first-occurrence order.
+func (e *Engine) compileShapes(ctx *checkCtx, fec topo.FEC) []checkShape {
+	walk := e.pathWalk(ctx)
+	var (
+		set    shapeSet
+		shapes []checkShape
+		pairs  []int32
+	)
+	for _, p := range fec.Paths {
+		pairs = walk.crossed(pairs[:0], p)
+		slices.Sort(pairs)
+		pairs = slices.Compact(pairs)
+		ctrls := walk.ctrls(p)
+		if _, fresh := set.add(pairs, ctrls); fresh {
+			shapes = append(shapes, checkShape{pairs: slices.Clone(pairs), ctrls: ctrls})
+		}
 	}
-	v := true
-	if pr, ok := ctx.encodeACLs[id]; ok {
-		v = trivialPair(pr[0], pr[1], ctx.pairFPs[id])
-	}
-	if ctx.pairSyn == nil {
-		ctx.pairSyn = map[string]bool{}
-	}
-	ctx.pairSyn[id] = v
-	return v
+	return shapes
 }
 
-// diffBound returns (memoized per ACL pair) the union of the pair's
-// differential rule matches: by Theorem 4.1, any packet the two ACLs
-// decide differently matches a differential rule, so this cube union is
-// a sound overapproximation of the pair's semantic difference —
-// computed from the rule lists alone, with no permitted-set
-// construction.
-func (ctx *checkCtx) diffBound(pr [2]*acl.ACL) pset.Set {
+// diffMatches returns (memoized per ACL pair) the pair's differential
+// rule matches: by Theorem 4.1, any packet the two ACLs decide
+// differently matches a differential rule, so the union of these cubes
+// is a sound overapproximation of the pair's semantic difference —
+// read off the rule lists alone, with no permitted-set construction.
+// Callers intersect it with the region they care about
+// (Set.IntersectMatches); the union itself is never canonicalized, which
+// is quadratic in a rule count that synthesis can push past 10^4.
+func (ctx *checkCtx) diffMatches(pr [2]*acl.ACL) []header.Match {
 	ctx.psetMu.Lock()
 	defer ctx.psetMu.Unlock()
-	if d, ok := ctx.diffBounds[pr]; ok {
-		return d
+	if ms, ok := ctx.diffMs[pr]; ok {
+		return ms
 	}
 	rules := acl.Differential(pr[0], pr[1])
 	ms := make([]header.Match, len(rules))
 	for i, r := range rules {
 		ms[i] = r.Match
 	}
-	d := pset.FromMatches(ms)
-	if ctx.diffBounds == nil {
-		ctx.diffBounds = map[[2]*acl.ACL]pset.Set{}
+	if ctx.diffMs == nil {
+		ctx.diffMs = map[[2]*acl.ACL][]header.Match{}
 	}
-	ctx.diffBounds[pr] = d
-	return d
+	ctx.diffMs[pr] = ms
+	return ms
 }
 
 // pairExactEqual is the pre-filter's exact set-algebra leg, sharing
-// the selector's ACL→Set machinery (diffBound, PermittedSetWithin): by
-// Theorem 4.1 the pair's semantic difference lies inside its
-// differential-rule bound, so the pair is equivalent iff the two
-// region-restricted permitted sets within that bound coincide. Cost
-// scales with the differential, not with the ACL's global cube
-// complexity, so the leg stays usable on rule lists far past the
-// global-set budget. false means inconclusive (budget bail-out), never
-// "provably different" — sound for a pre-filter either way.
+// the pset backend's ACL→Set machinery (diffMatches,
+// PermittedSetWithin): by Theorem 4.1 the pair's semantic difference
+// lies inside its differential-rule bound, so the pair is equivalent
+// iff the two region-restricted permitted sets within that bound
+// coincide. Cost scales with the differential, not with the ACL's
+// global cube complexity, so the leg stays usable on rule lists far
+// past any global-set budget. false means inconclusive (budget
+// bail-out), never "provably different" — sound for a pre-filter either
+// way.
 func (ctx *checkCtx) pairExactEqual(id string) bool {
 	pr, bound := ctx.encodeACLs[id]
 	if !bound {
 		return true
 	}
-	d := ctx.diffBound(pr)
+	ms := ctx.diffMatches(pr)
 	ctx.psetMu.Lock()
 	defer ctx.psetMu.Unlock()
 	if v, ok := ctx.pairEq[pr]; ok {
 		return v
 	}
 	v := false
-	if d.IsEmpty() {
+	if d := pset.FromMatches(ms); d.IsEmpty() {
 		v = true
 	} else if wb, ok := pset.PermittedSetWithin(pr[0], d, psetCubeBudget); ok {
 		if wa, ok := pset.PermittedSetWithin(pr[1], d, psetCubeBudget); ok {
@@ -278,67 +203,42 @@ func (ctx *checkCtx) pairExactEqual(id string) bool {
 	return v
 }
 
-// pathViolates decides one path's Equation-3 disjunct in the
-// control-free case (desired_p = c_p): does the path decide any packet
-// of the class region differently across the update? The test is
-// hierarchical so consistent FECs — the overwhelming majority — never
-// build a permitted set at all:
+// pairsDiff computes the exact set of region packets that one path,
+// crossing the given encoded pairs with no control on it (desired_p =
+// c_p), decides differently across the update — the set the canonical
+// pset witness is drawn from (psetDecideFEC reaches the verdict per FEC,
+// not per path). Hierarchical like the decision:
 //
 //  1. The path's symmetric difference is contained in the union of its
-//     changed pairs' differential-rule bounds (a packet deciding
+//     changed pairs' differential-rule matches (a packet deciding
 //     differently in a conjunction must decide differently in some
 //     conjunct, and a conjunct's difference lies inside its
 //     differential rules by Theorem 4.1), so region' = ⋃ region ∩
-//     bound_i overapproximates the packets the path can possibly flip
-//     within the region. Empty region' — every FEC whose classes miss
-//     the edited traffic — discharges on a cube overlap scan against
-//     rule matches.
+//     matches_i overapproximates the packets the path can possibly flip
+//     within the region.
 //  2. Within region', the changed pairs' exact difference is
 //     (region' ∩ ⋂ before_i) ⊖ (region' ∩ ⋂ after_i), with each factor
 //     built by the region-restricted first-match fold
-//     (PermittedSetWithin) — cost scales with region', not with the
-//     ACL's global cube complexity.
-//  3. The surviving difference must still pass every unchanged binding
+//     (PermittedSetWithin).
+//  3. The surviving difference must still pass every unchanged pair
 //     (restriction distributes: (A∩X) ⊖ (B∩X) = (A⊖B) ∩ X), again by
 //     region-restricted folds with early exit on empty.
 //
-// ok=false reports a cube-budget bail-out; the caller falls back to the
-// solver.
-func (e *Engine) pathViolates(ctx *checkCtx, p topo.Path, region pset.Set) (violating, ok bool) {
-	diff, ok := e.pathDiff(ctx, p, region)
-	if !ok {
-		return false, false
-	}
-	return !diff.IsEmpty(), true
-}
-
-// pathDiff computes the exact set of region packets the path decides
-// differently across the update — the set behind pathViolates's
-// verdict, and the set the canonical pset witness is drawn from. The
-// result is exact, not an overapproximation: within region' the changed
-// pairs' product difference is computed outright, step 3's folds
-// intersect it with each unchanged binding's permitted set (restriction
-// distributes over ⊖), and outside region' the path provably cannot
-// flip (Theorem 4.1).
-func (e *Engine) pathDiff(ctx *checkCtx, p topo.Path, region pset.Set) (pset.Set, bool) {
-	bindings := p.Bindings()
-	changed := make([][2]*acl.ACL, 0, len(bindings))
-	var unchangedIDs []string
+// The result is exact, not an overapproximation: outside region' the
+// path provably cannot flip. ok=false reports a cube-budget bail-out;
+// the caller falls back to the solver.
+func (ctx *checkCtx) pairsDiff(pairs []int32, region pset.Set) (pset.Set, bool) {
+	var changed, unchanged [][2]*acl.ACL
 	regionPrime := pset.Empty()
-	for _, b := range bindings {
-		id := b.ID()
-		pr, bound := ctx.encodeACLs[id]
-		if !bound {
-			continue // no ACL in either snapshot
-		}
-		if ctx.pairSynUnchanged(id) {
-			unchangedIDs = append(unchangedIDs, id)
+	for _, pi := range pairs {
+		ep := &ctx.encPairs[pi]
+		if ep.unchanged {
+			unchanged = append(unchanged, ep.acls)
 			continue
 		}
-		changed = append(changed, pr)
-		db := ctx.diffBound(pr)
-		if region.Intersects(db) {
-			regionPrime = regionPrime.Union(region.Intersect(db))
+		changed = append(changed, ep.acls)
+		if in := region.IntersectMatches(ctx.diffMatches(ep.acls)); !in.IsEmpty() {
+			regionPrime = regionPrime.Union(in)
 		}
 	}
 	if regionPrime.IsEmpty() {
@@ -364,7 +264,7 @@ func (e *Engine) pathDiff(ctx *checkCtx, p topo.Path, region pset.Set) (pset.Set
 		}
 	}
 	diff := before.Subtract(after).Union(after.Subtract(before))
-	for _, id := range unchangedIDs {
+	for _, pr := range unchanged {
 		if diff.IsEmpty() {
 			return diff, true
 		}
@@ -372,10 +272,8 @@ func (e *Engine) pathDiff(ctx *checkCtx, p topo.Path, region pset.Set) (pset.Set
 			return pset.Empty(), false
 		}
 		// The unchanged ACL's permitted set restricted to the surviving
-		// difference, computed directly within that (small) region — the
-		// binding's global set is never materialized. The before ACL
-		// stands for both snapshots: the pair is semantically equal.
-		pr := ctx.encodeACLs[id]
+		// difference, computed directly within that (small) region. The
+		// before ACL stands for both snapshots: the pair is equivalent.
 		within, wok := pset.PermittedSetWithin(pr[0], diff, psetCubeBudget)
 		if !wok {
 			return pset.Empty(), false
@@ -385,121 +283,168 @@ func (e *Engine) pathDiff(ctx *checkCtx, p topo.Path, region pset.Set) (pset.Set
 	return diff, true
 }
 
-// backendForFEC picks the backend for one FEC. Force modes short-
-// circuit; auto estimates the pset cube blow-up from the FEC's
-// structural profile — total rule mass across the distinct encoded
-// pairs its paths traverse, weighted by how many non-destination fields
-// those rules constrain — and keeps the solver for FECs predicted to
-// blow past the cube budget anyway.
-func (e *Engine) backendForFEC(ctx *checkCtx, fec topo.FEC) Backend {
-	if e.Opts.Backend != BackendAuto {
-		return e.Opts.Backend
+// regionSets memoizes, for one FEC, each crossed pair's before and after
+// permitted sets restricted to a region of the FEC's traffic — built by
+// the region-seeded first-match fold, so no ACL's global set ever exists —
+// and whether the two differ there. A syntactically unchanged pair is
+// built once for both sides. The memo is only as good as its region: one
+// per FEC, never carried to the next.
+type regionSets struct {
+	region pset.Set
+	within map[int32]pairSets
+}
+
+type pairSets struct {
+	sides  [2]pset.Set // before, after
+	differ bool
+}
+
+func (rs *regionSets) of(ctx *checkCtx, pi int32) (ps pairSets, ok bool) {
+	if ps, ok = rs.within[pi]; ok {
+		return ps, true
 	}
-	rules, extra := 0, 0
-	// Iterate hops directly and dedup on the comparable binding value:
-	// Path.Bindings would allocate a slice per path and ACLBinding.ID a
-	// string per visit, which over a large FEC's path set turns the
-	// selector itself into measurable overhead — in exactly the regime
-	// where it routes everything to the solver. The ID string is built
-	// once per distinct binding, for the encoded-pair lookup only.
-	seen := map[topo.ACLBinding]bool{}
-	for _, p := range fec.Paths {
-		for _, h := range p.Hops {
-			for _, b := range [2]topo.ACLBinding{{Iface: h.In, Dir: topo.In}, {Iface: h.Out, Dir: topo.Out}} {
-				if seen[b] {
-					continue
-				}
-				seen[b] = true
-				pr, ok := ctx.encodeACLs[b.ID()]
-				if !ok {
-					continue
-				}
-				prof := ctx.pairProfile(pr)
-				rules += prof[0]
-				extra += prof[1]
-				// The accumulators only grow, so the first threshold
-				// crossing settles the answer.
-				if rules > autoRuleLimit || rules+autoFieldCubeCost*extra > autoCubeEstimate {
-					return BackendSAT
-				}
+	ep := &ctx.encPairs[pi]
+	if ps.sides[0], ok = pset.PermittedSetWithin(ep.acls[0], rs.region, psetCubeBudget); !ok {
+		return ps, false
+	}
+	ps.sides[1] = ps.sides[0]
+	if !ep.unchanged {
+		if ps.sides[1], ok = pset.PermittedSetWithin(ep.acls[1], rs.region, psetCubeBudget); !ok {
+			return ps, false
+		}
+		ps.differ = !ps.sides[0].Equal(ps.sides[1])
+	}
+	if rs.within == nil {
+		rs.within = map[int32]pairSets{}
+	}
+	rs.within[pi] = ps
+	return ps, true
+}
+
+// anyDiffer reports whether some pair of the list decides part of the
+// region differently across the update. Only changed pairs are built.
+func (rs *regionSets) anyDiffer(ctx *checkCtx, pairs []int32) (differ, ok bool) {
+	for _, pi := range pairs {
+		if ctx.encPairs[pi].unchanged {
+			continue
+		}
+		ps, ok := rs.of(ctx, pi)
+		if !ok {
+			return false, false
+		}
+		if ps.differ {
+			return true, true
+		}
+	}
+	return false, true
+}
+
+// decisionSets computes a shape's before/after decision sets within the
+// region: region ∩ ⋂ permitted(pair side), the conjunction pathFormulas
+// builds, over sets that never leave the region.
+func (rs *regionSets) decisionSets(ctx *checkCtx, pairs []int32) (before, after pset.Set, ok bool) {
+	before, after = rs.region, rs.region
+	for _, pi := range pairs {
+		ps, ok := rs.of(ctx, pi)
+		if !ok {
+			return before, after, false
+		}
+		before = before.Intersect(ps.sides[0])
+		after = after.Intersect(ps.sides[1])
+		if before.Cubes() > psetCubeBudget || after.Cubes() > psetCubeBudget {
+			return before, after, false
+		}
+	}
+	return before, after, true
+}
+
+// flipRegion bounds where, within the FEC's class region, any of its
+// shapes can have desired_p ≠ c'_p: a changed pair decides a packet
+// differently only inside its differential rules' matches (Theorem 4.1),
+// and a control rewrites a decision only inside its match; everywhere
+// else desired_p = c_p = c'_p on every shape. Computed from rule and
+// control matches alone — a cube overlap scan, no permitted set.
+func (e *Engine) flipRegion(ctx *checkCtx, region pset.Set, shapes []checkShape) pset.Set {
+	out := pset.Empty()
+	add := func(ms []header.Match) {
+		if in := region.IntersectMatches(ms); !in.IsEmpty() {
+			out = out.Union(in)
+		}
+	}
+	seenPair, seenCtrl := map[int32]bool{}, map[int32]bool{}
+	for _, sh := range shapes {
+		for _, pi := range sh.pairs {
+			if ep := &ctx.encPairs[pi]; !ep.unchanged && !seenPair[pi] {
+				seenPair[pi] = true
+				add(ctx.diffMatches(ep.acls))
+			}
+		}
+		for _, ci := range sh.ctrls {
+			if !seenCtrl[ci] {
+				seenCtrl[ci] = true
+				add([]header.Match{e.Controls[ci].Match})
 			}
 		}
 	}
-	return BackendPset
+	return out
 }
 
-// pairProfile returns (memoized by pointer pair) the pair's structural
-// profile for auto-selection: total rule mass and the count of
-// non-destination field constraints across both snapshots. The same
-// pair is bound at many interfaces and traversed by many FECs, so
-// without the memo the selector's rule scan becomes a per-FEC cost that
-// shows up as pure overhead exactly where auto routes everything to the
-// solver (large, field-diverse networks).
-func (ctx *checkCtx) pairProfile(pr [2]*acl.ACL) [2]int {
-	ctx.psetMu.Lock()
-	defer ctx.psetMu.Unlock()
-	if v, ok := ctx.pairProf[pr]; ok {
-		return v
-	}
-	rules, extra := 0, 0
-	for _, a := range pr {
-		rules += len(a.Rules)
-		for _, r := range a.Rules {
-			if !r.Match.Src.IsAny() {
-				extra++
-			}
-			if !r.Match.SrcPort.IsAny() {
-				extra++
-			}
-			if !r.Match.DstPort.IsAny() {
-				extra++
-			}
-			if r.Match.Proto != header.AnyProto {
-				extra++
-			}
-		}
-	}
-	v := [2]int{rules, extra}
-	if ctx.pairProf == nil {
-		ctx.pairProf = map[[2]*acl.ACL][2]int{}
-	}
-	ctx.pairProf[pr] = v
-	return v
-}
-
-// psetDecideFEC decides the FEC's Equation-3 query in the packet-set
-// algebra: violating iff some path's desired decision set differs from
-// its after set within the FEC's class region — the set-level mirror of
-// ⋁_p ¬(desired_p ⇔ c'_p) ∧ ψ. ok=false reports a cube-budget bail-out
-// mid-solve; the caller falls back to the solver, and the verdict (when
-// ok) is exactly the one the solver would return.
-func (e *Engine) psetDecideFEC(ctx *checkCtx, fec topo.FEC) (violating, ok bool) {
+// fecRegion is the FEC's class region as a packet set.
+func fecRegion(fec topo.FEC) pset.Set {
 	region := pset.Empty()
 	for _, c := range fec.Classes {
 		region = region.Union(pset.FromMatch(header.DstMatch(c)))
 	}
-	if len(e.Controls) == 0 {
-		// Without controls, desired_p = c_p, so the FEC violates iff
-		// some path decides part of the class region differently across
-		// the update — decided per path by the hierarchical difference
-		// test, which keeps consistent FECs on small-set arithmetic.
-		for _, p := range fec.Paths {
-			violating, ok := e.pathViolates(ctx, p, region)
+	return region
+}
+
+// psetDecideFEC decides the FEC's Equation-3 query in the packet-set
+// algebra, over its distinct path shapes: violating iff some shape's
+// desired decision set differs from its after set — the set-level mirror
+// of ⋁_p ¬(desired_p ⇔ c'_p) ∧ ψ. One procedure serves every shape, with
+// or without controls, and keeps consistent FECs — the overwhelming
+// majority — off set construction altogether:
+//
+//  1. Everything any shape can flip lies in the FEC's flip region (see
+//     flipRegion). Empty — every FEC whose classes miss the edited and
+//     the controlled traffic — discharges the FEC on a cube overlap scan.
+//  2. Within the flip region each crossed pair's before and after
+//     permitted sets are built once per FEC (regionSets): cost scales
+//     with the region, not with the ACL's global cube complexity.
+//  3. A shape with no control on it whose changed pairs all agree on
+//     the flip region is consistent as it stands: its unchanged pairs
+//     are never built.
+//  4. Otherwise the shape's decision sets are intersections of those
+//     small sets, its desired set the controls folded over the before
+//     set (desiredSet; the before set itself when none applies). The
+//     comparison is exact: outside the flip region no shape can differ.
+//
+// ok=false reports a cube-budget bail-out mid-solve; the caller falls
+// back to the solver, and the verdict (when ok) is exactly the one the
+// solver would return.
+func (e *Engine) psetDecideFEC(ctx *checkCtx, fec topo.FEC, shapes []checkShape) (violating, ok bool) {
+	rs := regionSets{region: e.flipRegion(ctx, fecRegion(fec), shapes)}
+	if rs.region.IsEmpty() {
+		return false, true
+	}
+	if rs.region.Cubes() > psetCubeBudget {
+		return false, false
+	}
+	for _, sh := range shapes {
+		if len(sh.ctrls) == 0 {
+			differ, ok := rs.anyDiffer(ctx, sh.pairs)
 			if !ok {
 				return false, false
 			}
-			if violating {
-				return true, true
+			if !differ {
+				continue
 			}
 		}
-		return false, true
-	}
-	for _, p := range fec.Paths {
-		before, after, bok := e.pathSets(ctx, p, region)
-		if !bok {
+		before, after, ok := rs.decisionSets(ctx, sh.pairs)
+		if !ok {
 			return false, false
 		}
-		desired := e.desiredSet(p, before, region)
+		desired := e.desiredSet(sh.ctrls, before, rs.region)
 		if desired.Cubes() > psetCubeBudget {
 			return false, false
 		}
@@ -510,11 +455,6 @@ func (e *Engine) psetDecideFEC(ctx *checkCtx, fec topo.FEC) (violating, ok bool)
 	return false, true
 }
 
-// pathSets computes the path's before/after decision sets restricted to
-// the FEC's class region: region ∩ ⋂_ξ permitted(ξ) over the encoded
-// bindings, mirroring the conjunction pathFormulas builds. Restricting
-// to the region first keeps intermediate cube counts near the region's
-// size instead of the full ACLs'.
 // psetWitnessFEC derives the canonical counterexample for a violating
 // control-free FEC in the set algebra: the least packet (pset.MinPacket
 // order) of the first violating path's exact difference set. Like
@@ -531,12 +471,12 @@ func (e *Engine) psetWitnessFEC(ctx *checkCtx, fec topo.FEC) (Violation, bool) {
 	if len(e.Controls) > 0 {
 		return Violation{}, false
 	}
-	region := pset.Empty()
-	for _, c := range fec.Classes {
-		region = region.Union(pset.FromMatch(header.DstMatch(c)))
-	}
+	region := fecRegion(fec)
+	walk := e.pathWalk(ctx)
+	var pairs []int32
 	for _, p := range fec.Paths {
-		diff, ok := e.pathDiff(ctx, p, region)
+		pairs = walk.crossed(pairs[:0], p)
+		diff, ok := ctx.pairsDiff(pairs, region)
 		if !ok {
 			return Violation{}, false
 		}
@@ -676,37 +616,15 @@ func (ctx *checkCtx) pathFlips(p topo.Path, pkt header.Packet) bool {
 	return before != after
 }
 
-func (e *Engine) pathSets(ctx *checkCtx, p topo.Path, region pset.Set) (before, after pset.Set, ok bool) {
-	before, after = region, region
-	for _, b := range p.Bindings() {
-		if _, bound := ctx.encodeACLs[b.ID()]; !bound {
-			continue // no ACL in either snapshot
-		}
-		bs := ctx.bindingSets(b.ID())
-		if !bs.ok {
-			return before, after, false
-		}
-		before = before.Intersect(bs.before)
-		after = after.Intersect(bs.after)
-		if before.Cubes() > psetCubeBudget || after.Cubes() > psetCubeBudget {
-			return before, after, false
-		}
-	}
-	return before, after, true
-}
-
-// desiredSet is desiredFormula in the set algebra: controls fold in
-// reverse priority order over the original decision set, each rewriting
+// desiredSet is desiredFormula in the set algebra: the applying controls
+// fold in reverse priority order over the original decision set, each rewriting
 // its matched region to the verb's value — Ite(match, val, out) becomes
 // (match ∩ val) ∪ (out ∖ match). All operands live inside the FEC's
 // class region, so Open's "true" is the region itself.
-func (e *Engine) desiredSet(p topo.Path, orig, region pset.Set) pset.Set {
+func (e *Engine) desiredSet(ctrls []int32, orig, region pset.Set) pset.Set {
 	out := orig
-	for i := len(e.Controls) - 1; i >= 0; i-- {
-		c := e.Controls[i]
-		if !c.AppliesTo(p) {
-			continue
-		}
+	for k := len(ctrls) - 1; k >= 0; k-- {
+		c := e.Controls[ctrls[k]]
 		var val pset.Set
 		switch c.Mode {
 		case Isolate:

@@ -168,8 +168,9 @@ func BenchmarkConservativeCheck(b *testing.B) {
 
 func BenchmarkCheckParallelWAN(b *testing.B) {
 	// Steady-state parallel scaling of the check primitive on the medium
-	// WAN with every FEC forced to the solver (FindAll + no differential
-	// skip). The engine persists across iterations — the regime the
+	// WAN with every FEC forced to the solver (FindAll, no differential
+	// skip, BackendSAT — by default the pool sees only what overflows the
+	// set algebra's cube budget). The engine persists across iterations — the regime the
 	// persistent worker pool targets (an operator session re-checking as
 	// the update is edited): encoding, clausification, and the worker
 	// forks are paid by the untimed warm-up call, and each timed call
@@ -184,6 +185,7 @@ func BenchmarkCheckParallelWAN(b *testing.B) {
 			opts := core.DefaultOptions()
 			opts.FindAllViolations = true
 			opts.UseDifferential = false
+			opts.Backend = core.BackendSAT
 			e := core.New(w.Net, after, w.Scope, opts)
 			if checkWorkers(e, workers).Consistent { // warm: encode + fork
 				b.Fatal("must be inconsistent")

@@ -117,7 +117,7 @@ func (e *Engine) CheckContext(callCtx context.Context) *CheckResult {
 	res.FECs = ctx.nfec
 	fp.end(obs.KV("fecs", ctx.nfec))
 	statsBase := ctx.stats
-	ctx.maxNodes, ctx.peakHeap = 0, 0
+	ctx.maxNodes, ctx.peakHeap, ctx.pathShapes = 0, 0, 0
 
 	// Detection: resolve each FEC (differential skip, cached-verdict
 	// replay, SAT-free pre-filter, pset) and decide the remaining
@@ -160,6 +160,7 @@ func (e *Engine) CheckContext(callCtx context.Context) *CheckResult {
 	// unsharded, the biggest shard's otherwise (a proxy for encoding
 	// work, compared across encodings in the benches).
 	o.Gauge("smt.nodes").Set(ctx.maxNodes)
+	o.Gauge("check.path_shapes").Set(ctx.pathShapes)
 	if e.sharded() || e.Opts.Forensics || e.Opts.DecisionLog != nil {
 		ctx.sampleHeap()
 		res.PeakHeapBytes = ctx.peakHeap
@@ -198,11 +199,30 @@ func (e *Engine) fecTouchesDiff(fec topo.FEC, diff []acl.Rule) bool {
 
 // fecViolationFormula builds ⋁_{p∈𝒴} ¬(desired_p ⇔ c'_p) for the FEC's
 // forwarding paths (Equation 3, with desired_p per §6 when controls are
-// present).
+// present), one disjunct per path in path order: the form whose models
+// are read — the witness pass and fix's seek loop — and so must not move.
 func (e *Engine) fecViolationFormula(enc *encoder, fec topo.FEC, encodeACLs map[string][2]*acl.ACL) smt.F {
 	out := smt.False
 	for _, p := range fec.Paths {
 		desired, after := e.pathFormulas(enc, p, encodeACLs)
+		out = enc.b.Or(out, enc.b.Iff(desired, after).Not())
+	}
+	return out
+}
+
+// shapesViolationFormula is the same disjunction with one disjunct per
+// distinct path shape — an equivalent, smaller query for the check's
+// solver jobs, of which only the verdict is read.
+func (e *Engine) shapesViolationFormula(enc *encoder, ctx *checkCtx, shapes []checkShape) smt.F {
+	out := smt.False
+	for _, sh := range shapes {
+		before, after := smt.True, smt.True
+		for _, pi := range sh.pairs {
+			pair := ctx.encPairs[pi].acls
+			before = enc.b.And(before, enc.encodeACL(pair[0]))
+			after = enc.b.And(after, enc.encodeACL(pair[1]))
+		}
+		desired := e.desiredFormula(enc, sh.ctrls, before)
 		out = enc.b.Or(out, enc.b.Iff(desired, after).Not())
 	}
 	return out
@@ -222,23 +242,31 @@ func (e *Engine) pathFormulas(enc *encoder, p topo.Path, encodeACLs map[string][
 		before = enc.b.And(before, enc.encodeACL(pair[0]))
 		after = enc.b.And(after, enc.encodeACL(pair[1]))
 	}
-	desired = e.desiredFormula(enc, p, before)
+	desired = e.desiredFormula(enc, e.ctrlsOn(p), before)
 	return desired, after
 }
 
+// ctrlsOn lists the controls governing p, in precedence order.
+func (e *Engine) ctrlsOn(p topo.Path) []int32 {
+	var cs []int32
+	for i, c := range e.Controls {
+		if c.AppliesTo(p) {
+			cs = append(cs, int32(i))
+		}
+	}
+	return cs
+}
+
 // desiredFormula composes the §6 reachability-update model r_p over the
-// original path decision: the first (highest-priority) control whose
-// From/To pair governs p and whose match covers the packet dictates the
-// outcome; otherwise the original decision is maintained.
-func (e *Engine) desiredFormula(enc *encoder, p topo.Path, orig smt.F) smt.F {
+// original path decision: of the controls governing the path (ctrls, in
+// precedence order), the first whose match covers the packet dictates
+// the outcome; otherwise the original decision is maintained.
+func (e *Engine) desiredFormula(enc *encoder, ctrls []int32, orig smt.F) smt.F {
 	out := orig
 	// Later controls have lower priority, so fold in reverse: the first
 	// control ends up outermost.
-	for i := len(e.Controls) - 1; i >= 0; i-- {
-		c := e.Controls[i]
-		if !c.AppliesTo(p) {
-			continue
-		}
+	for k := len(ctrls) - 1; k >= 0; k-- {
+		c := e.Controls[ctrls[k]]
 		var val smt.F
 		switch c.Mode {
 		case Isolate:

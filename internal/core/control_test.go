@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"jinjing/internal/acl"
@@ -169,5 +170,90 @@ func TestMaintainShieldsFromIsolate(t *testing.T) {
 	}
 	if len(res.Violations) == 0 || !pfx("2.0.0.0/8").Matches(res.Violations[0].Packet.DstIP) {
 		t.Fatalf("counterexample should be traffic 2: %+v", res.Violations)
+	}
+}
+
+// A control whose match is `all` joins the differential set like any
+// other (§6): with no ACL change at all, "isolate all from A:1 to D:3"
+// is violated by every reachable class on that pair, and check, fix and
+// a warm re-check must all see it whatever the optimization switches.
+var isolateAllA1D3 = core.Control{
+	From: map[string]bool{"A:1": true}, To: map[string]bool{"D:3": true},
+	Mode: core.Isolate, Match: header.MatchAll,
+}
+
+func TestControlIsolateAllCheck(t *testing.T) {
+	noDiff := core.DefaultOptions()
+	noDiff.UseDifferential = false
+	var want []string
+	for _, c := range []struct {
+		name string
+		opts core.Options
+	}{
+		{"no-optimizations", core.Options{}},
+		{"no-differential", noDiff},
+		{"default", core.DefaultOptions()},
+	} {
+		c.opts.FindAllViolations = true
+		c.opts.Forensics = true
+		before := papernet.Build()
+		e := core.New(before, before.Clone(), papernet.Scope(), c.opts)
+		e.Controls = []core.Control{isolateAllA1D3}
+		res := e.Check()
+		if res.Consistent || len(res.Violations) == 0 {
+			t.Fatalf("%s: an unchanged network cannot satisfy isolate-all", c.name)
+		}
+		var got []string
+		for _, v := range res.Violations {
+			got = append(got, v.Packet.String())
+		}
+		if want == nil {
+			want = got
+		} else if !slices.Equal(got, want) {
+			t.Errorf("%s: counterexamples %v, want %v", c.name, got, want)
+		}
+		// The route is on record: every violating FEC was decided by a
+		// complete procedure, none skipped by the differential fast path.
+		for _, f := range res.Forensics {
+			if f.Verdict == "violating" && f.Route != "pset" {
+				t.Errorf("%s: FEC %d violating by route %q, want pset", c.name, f.FEC, f.Route)
+			}
+		}
+	}
+}
+
+func TestControlIsolateAllFix(t *testing.T) {
+	before := papernet.Build()
+	e := core.New(before, before.Clone(), papernet.Scope(), core.DefaultOptions())
+	a1, _ := before.LookupInterface("A:1")
+	e.Allow = []topo.ACLBinding{{Iface: a1, Dir: topo.In}}
+	e.Controls = []core.Control{isolateAllA1D3}
+	res, err := e.Fix()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Actions) == 0 || !res.Verified {
+		t.Fatalf("fix must isolate the pair and verify; verified=%v actions=%v", res.Verified, res.Actions)
+	}
+}
+
+func TestControlIsolateAllWarmRecheck(t *testing.T) {
+	// The first generation satisfies the intent (deny all at A:1, which
+	// also keeps traffic 7's original denial); the edit back to the
+	// original network must be re-decided, not replayed or skipped.
+	before := papernet.Build()
+	isolated := before.Clone()
+	a1, _ := isolated.LookupInterface("A:1")
+	a1.SetACL(topo.In, acl.MustParse("deny all"))
+	opts := core.DefaultOptions()
+	opts.Verdicts = core.NewVerdictCache()
+	e := core.New(before, isolated, papernet.Scope(), opts)
+	e.Controls = []core.Control{isolateAllA1D3}
+	if res := e.Check(); !res.Consistent {
+		t.Fatalf("deny-all at A:1 satisfies isolate-all: %+v", res.Violations)
+	}
+	e.UpdateAfter(before.Clone())
+	if res := e.Check(); res.Consistent {
+		t.Fatal("warm re-check: the unchanged network cannot satisfy isolate-all")
 	}
 }

@@ -91,19 +91,22 @@ type Options struct {
 	// use together with a small MaxNeighborhoods.
 	DisableExpansion bool
 	// Backend selects the decision procedure for per-FEC Equation-3
-	// queries: the Tseitin+CDCL stack, the packet-set algebra, or (the
-	// zero value) per-FEC auto-selection. Verdicts, counterexamples, and
-	// every reported count are identical whichever backend answers — the
-	// pset backend is complete on the queries it accepts and bails out
-	// to the solver on a cube-budget blow-up — so the choice (like
-	// Workers) can never change a result, only its cost. Cached verdicts
+	// queries: (the zero value) the packet-set algebra first and the
+	// Tseitin+CDCL stack for what overflows its cube budget, or the
+	// solver for everything. Verdicts, counterexamples, and every
+	// reported count are identical whichever backend answers — the pset
+	// backend is complete on the queries it finishes and bails out to
+	// the solver on a cube-budget blow-up — so the choice (like Workers)
+	// can never change a result, only its cost. Cached verdicts
 	// are backend-agnostic for the same reason: the cache key doesn't
 	// mention the backend, and a verdict decided under one setting
 	// replays under any other.
 	Backend Backend
 	// Workers > 1 fans the solver loops of all three primitives out
 	// across that many goroutines: check's per-FEC Equation-3 queries
-	// (forked-solver pool; see decidePool), fix's per-FEC
+	// that reach the solver (forked-solver pool; see decidePool — under
+	// the default Backend that is only what overflowed the set algebra's
+	// cube budget), fix's per-FEC
 	// neighborhood seeking, and generate's per-AEC synthesis. Results
 	// merge in deterministic FEC/AEC order, so verdicts, violations,
 	// fixing plans, and generated ACLs are byte-identical for every

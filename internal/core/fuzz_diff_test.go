@@ -328,7 +328,8 @@ func TestFuzzBackendThreeWay(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(9351))
 	inconsistent := 0
-	var psetDecided, satDecided int64
+	var psetDecided, satDecided, bailouts int64
+	var satTime, psetTime time.Duration
 	for iter := 0; iter < cases; iter++ {
 		before, scope, nPref := fuzzNet(r, true)
 		after := before.Clone()
@@ -344,15 +345,20 @@ func TestFuzzBackendThreeWay(t *testing.T) {
 			return o
 		}
 
+		start := time.Now()
 		resSat := core.New(before, after, scope, mk(core.BackendSAT)).Check()
+		satTime += time.Since(start)
 		want := checkSignature(resSat)
 		satDecided += resSat.Stats.SatSelected
 		if !resSat.Consistent {
 			inconsistent++
 		}
 
+		start = time.Now()
 		resPset := core.New(before, after, scope, mk(core.BackendPset)).Check()
+		psetTime += time.Since(start)
 		psetDecided += resPset.Stats.PsetDecided
+		bailouts += resPset.Stats.PsetBailout
 		if got := checkSignature(resPset); got != want {
 			t.Fatalf("case %d: pset backend diverged from SAT\nsat:\n%s\npset:\n%s", iter, want, got)
 		}
@@ -396,8 +402,10 @@ func TestFuzzBackendThreeWay(t *testing.T) {
 	if satDecided == 0 {
 		t.Fatal("forced SAT never decided a query; the lane compares nothing")
 	}
-	t.Logf("%d cases, %d inconsistent, %d pset-decided FECs, %d sat jobs",
-		cases, inconsistent, psetDecided, satDecided)
+	// The budget is what bounds the algebra's worst case: the corpus's
+	// bail-out count and both arms' total time are its evidence.
+	t.Logf("%d cases, %d inconsistent, %d pset-decided FECs (%d bail-outs, %v), %d sat jobs (%v)",
+		cases, inconsistent, psetDecided, bailouts, psetTime, satDecided, satTime)
 }
 
 // TestFuzzFirstViolationAgreement covers the FindAllViolations=false

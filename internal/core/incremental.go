@@ -68,9 +68,9 @@ type CacheStats struct {
 	ChangedBindings     int
 	AffectedFECs        int
 
-	// Backend-selection activity: FECs the packet-set backend decided,
-	// FECs it abandoned mid-solve on a cube-budget bail-out, and FECs
-	// handed to the solver (whether selected for it or bailed out to it).
+	// Backend activity: FECs the packet-set backend decided, FECs it
+	// abandoned mid-solve on a cube-budget bail-out, and FECs handed to
+	// the solver (forced there or bailed out to it).
 	PsetDecided int64
 	PsetBailout int64
 	SatSelected int64
@@ -571,34 +571,50 @@ func (ctx *checkCtx) fecKey(i int, fec topo.FEC) []uint64 {
 // pre-filter. Safe for concurrent use (fix workers share the memo).
 func (ctx *checkCtx) pairTrivialID(id string) bool {
 	ctx.trivMu.Lock()
-	if v, ok := ctx.pairTriv[id]; ok {
-		ctx.trivMu.Unlock()
+	v, ok := ctx.pairTriv[id]
+	ctx.trivMu.Unlock()
+	if ok {
 		return v
 	}
-	ctx.trivMu.Unlock()
-	res := true
-	if pr, ok := ctx.encodeACLs[id]; ok {
-		res = trivialPair(pr[0], pr[1], ctx.pairFPs[id])
-		if !res {
-			// Exact set-algebra leg, sharing the pset backend's
-			// differential-bound construction (and its memo): the pair is
-			// equivalent iff its permitted sets coincide within the
-			// differential-rule bound.
-			res = ctx.pairExactEqual(id)
-		}
-	}
+	// Syntactic legs first; then the exact set-algebra leg, sharing the
+	// pset backend's differential-bound construction (and its memo): the
+	// pair is equivalent iff its permitted sets coincide within the
+	// differential-rule bound.
+	res := ctx.pairSynUnchanged(id) || ctx.pairExactEqual(id)
 	ctx.trivMu.Lock()
 	ctx.pairTriv[id] = res
 	ctx.trivMu.Unlock()
 	return res
 }
 
+// pairSynUnchanged reports (and memoizes) the pre-filter's syntactic legs
+// alone (trivialPair) for the binding's encoded pair: what the pre-filter
+// tries first, and the pset backend's changed/unchanged classification,
+// which must never trigger the exact leg's set construction. An unbound
+// binding is unchanged. Safe for concurrent use.
+func (ctx *checkCtx) pairSynUnchanged(id string) bool {
+	ctx.trivMu.Lock()
+	v, ok := ctx.pairSyn[id]
+	ctx.trivMu.Unlock()
+	if ok {
+		return v
+	}
+	v = true
+	if pr, bound := ctx.encodeACLs[id]; bound {
+		v = trivialPair(pr[0], pr[1], ctx.pairFPs[id])
+	}
+	ctx.trivMu.Lock()
+	ctx.pairSyn[id] = v
+	ctx.trivMu.Unlock()
+	return v
+}
+
 // trivialPair layers the pre-filter's syntactic legs cheapest-first:
 // fingerprint plus structural equality (the common cloned-but-unchanged
 // case), then normalization (acl.TriviallyEquivalent: interval
-// subsumption and canonical reordering). The exact set-algebra leg
-// lives in pairTrivialID, where its ACL→Set construction is shared with
-// the pset backend. Sound: true guarantees decision-model equivalence.
+// subsumption and canonical reordering). The exact set-algebra leg is
+// pairExactEqual, whose differential bound is shared with the pset
+// backend. Sound: true guarantees decision-model equivalence.
 func trivialPair(before, after *acl.ACL, fps [2]uint64) bool {
 	if before == after {
 		return true
@@ -674,21 +690,25 @@ func (e *Engine) resolveFEC(ctx *checkCtx, enc *encoder, i int) fecState {
 		ctx.routes[i] = routePrefilter
 		return fecDischarged
 	}
-	// Backend selection happens after the pre-filter discharge above, so
-	// the set of FECs that need a complete decision procedure — and with
-	// it SolvedFECs and every reported count — is identical whichever
-	// backend answers. The pset backend decides the query in the set
-	// algebra and skips formula construction, clausification, and CDCL
-	// search entirely; a cube-budget bail-out falls through to a solver
-	// job. (No backend consults the builder before this point: a formula-
-	// level discharge would force every FEC through formula construction
-	// and, being a property of encoder simplifications, could not be
-	// replicated exactly by the algebra — the solver disposes of the
-	// structurally-false queries the pre-filter misses just as cheaply.)
-	if e.backendForFEC(ctx, fec) == BackendPset {
-		fsp := ctx.resolveSpan.Child("fec.solve", obs.KV("fec", i), obs.KV("backend", "pset"))
+	// The complete procedures come after the pre-filter discharge above, so
+	// the set of FECs that need one — and with it SolvedFECs and every
+	// reported count — is identical whichever answers. Either reads the
+	// FEC's distinct path shapes, compiled here and nowhere earlier. The
+	// set algebra decides first and skips formula construction,
+	// clausification, and CDCL search entirely; only a cube-budget bail-out
+	// (or a forced BackendSAT) falls through to a solver job. (Neither
+	// consults the builder before this point: a formula-level discharge
+	// would force every FEC through formula construction and, being a
+	// property of encoder simplifications, could not be replicated exactly
+	// by the algebra — the solver disposes of the structurally-false queries
+	// the pre-filter misses just as cheaply.)
+	shapes := e.compileShapes(ctx, fec)
+	ctx.pathShapes += int64(len(shapes))
+	if e.Opts.Backend != BackendSAT {
+		fsp := ctx.resolveSpan.Child("fec.solve", obs.KV("fec", i), obs.KV("backend", "pset"),
+			obs.KV("paths", len(fec.Paths)), obs.KV("shapes", len(shapes)))
 		start := time.Now()
-		violating, ok := e.psetDecideFEC(ctx, fec)
+		violating, ok := e.psetDecideFEC(ctx, fec, shapes)
 		ns := time.Since(start).Nanoseconds()
 		ctx.solveNS[i] += ns
 		if ok {
@@ -715,12 +735,14 @@ func (e *Engine) resolveFEC(ctx *checkCtx, enc *encoder, i int) fecState {
 	if ctx.routes[i] == routeNone {
 		ctx.routes[i] = routeSAT
 	}
-	viol := e.fecViolationFormula(enc, fec, ctx.encodeACLs)
+	viol := e.shapesViolationFormula(enc, ctx, shapes)
 	ctx.jobOf[i] = int32(len(ctx.jobs))
 	ctx.jobs = append(ctx.jobs, checkJob{
 		fecIdx: i,
 		query:  enc.b.And(viol, enc.classPred(fec.Classes)),
 		key:    key,
+		paths:  len(fec.Paths),
+		shapes: len(shapes),
 	})
 	ctx.states[i] = fecPending
 	return fecPending

@@ -81,6 +81,7 @@ func TestCheckObservability(t *testing.T) {
 	}
 
 	snap := m.Snapshot()
+	assertCheckShapeSpans(t, spans, snap, "sat", res.SolvedFECs)
 	if got := snap.Counters["check.fecs"]; got != int64(res.FECs) {
 		t.Fatalf("check.fecs counter %d != result FECs %d", got, res.FECs)
 	}
@@ -98,6 +99,58 @@ func TestCheckObservability(t *testing.T) {
 	}
 	if !strings.Contains(progress.String(), "check: FECs") {
 		t.Fatalf("no progress lines: %q", progress.String())
+	}
+}
+
+// assertCheckShapeSpans checks what check reports of its path shapes: every
+// fec.solve span (one per decided FEC, all of the given backend) carries
+// the FEC's path count and its distinct-shape count, the
+// check.path_shapes gauge is their sum, and the root has exactly the
+// check's four phase spans under it — compiling shapes added none.
+func assertCheckShapeSpans(t *testing.T, spans map[string][]obs.SpanRecord, snap obs.Snapshot, backend string, solved int) {
+	t.Helper()
+	rootID := spans["check"][0].ID
+	var phases []string
+	for name, recs := range spans {
+		for _, s := range recs {
+			if s.Parent == rootID {
+				phases = append(phases, name)
+			}
+		}
+	}
+	sort.Strings(phases)
+	if want := []string{"fec", "preprocess", "solve", "witness"}; !slices.Equal(phases, want) {
+		t.Fatalf("check phase spans %v, want %v", phases, want)
+	}
+	if len(spans["fec.solve"]) != solved {
+		t.Fatalf("%d fec.solve spans, %d solved FECs", len(spans["fec.solve"]), solved)
+	}
+	sum := int64(0)
+	for _, s := range spans["fec.solve"] {
+		paths, _ := s.Attrs["paths"].(float64)
+		shapes, _ := s.Attrs["shapes"].(float64)
+		if s.Attrs["backend"] != backend || shapes < 1 || shapes > paths {
+			t.Fatalf("fec.solve span attrs %v: want backend=%s and 1 <= shapes <= paths", s.Attrs, backend)
+		}
+		sum += int64(shapes)
+	}
+	if got := snap.Gauges["check.path_shapes"]; got != sum {
+		t.Fatalf("check.path_shapes gauge %d, fec.solve spans sum to %d", got, sum)
+	}
+}
+
+// TestCheckPsetObservability is the default route's half of the above:
+// the set algebra decides every FEC of the running example, and its
+// fec.solve spans and counters say so.
+func TestCheckPsetObservability(t *testing.T) {
+	opts := core.DefaultOptions()
+	opts.FindAllViolations = true
+	trace, _, m := obsHarness(&opts)
+	res := newRunningEngine(t, opts).Check()
+	snap := m.Snapshot()
+	assertCheckShapeSpans(t, decodeSpans(t, trace), snap, "pset", res.SolvedFECs)
+	if got := snap.Counters["backend.pset.selected"]; got != int64(res.SolvedFECs) || snap.Counters["backend.bailout"] != 0 {
+		t.Fatalf("backend.pset.selected=%d backend.bailout=%d, want %d and 0", got, snap.Counters["backend.bailout"], res.SolvedFECs)
 	}
 }
 

@@ -6,8 +6,8 @@ import (
 	"sync/atomic"
 
 	"jinjing/internal/acl"
+	"jinjing/internal/header"
 	"jinjing/internal/obs"
-	"jinjing/internal/pset"
 	"jinjing/internal/sat"
 	"jinjing/internal/smt"
 	"jinjing/internal/topo"
@@ -22,6 +22,9 @@ type checkJob struct {
 	fecIdx int
 	query  smt.F
 	key    []uint64
+	// paths and shapes size the FEC the query was built from, for its
+	// fec.solve span.
+	paths, shapes int
 }
 
 // checkSession is the solver state a range of FECs is encoded and
@@ -97,6 +100,9 @@ type checkCtx struct {
 	// time. Workers write distinct indices concurrently.
 	routes  []fecRoute
 	solveNS []int64
+	// pathShapes sums the distinct path shapes of the FECs the current
+	// call compiled (the check.path_shapes gauge).
+	pathShapes int64
 	// resolveSpan parents the per-FEC spans resolveFEC emits for
 	// pset-backend decisions: the solve phase's span, set for its duration.
 	resolveSpan *obs.Span
@@ -108,29 +114,25 @@ type checkCtx struct {
 	// wit memoizes canonical witnesses per FEC for this generation.
 	wit map[int]*Violation
 
-	// trivMu guards pairTriv and pairSyn (fix workers probe the
-	// pre-filter concurrently). pairSyn memoizes the purely syntactic
-	// equivalence legs (trivialPair) — the pset backend's changed/
-	// unchanged classification, which must never trigger the exact leg's
-	// set construction.
+	// trivMu guards pairTriv and pairSyn, the pre-filter's per-binding
+	// memos (fix workers probe it concurrently): the full verdict and its
+	// syntactic legs alone (see pairSynUnchanged).
 	trivMu   sync.Mutex
 	pairTriv map[string]bool
 	pairSyn  map[string]bool
 
-	// psetMu guards bindSets and the ACL-level set cache shared by the
-	// pre-filter's exact leg and the complete pset backend. aclSets
-	// dedups set construction by ACL pointer (the same ACL is bound at
-	// many interfaces, so binding-level memoization alone rebuilds the
-	// same set per binding); aclSetsFP resolves structurally equal
-	// clones, mirroring the encoder's fingerprint fallback.
-	psetMu     sync.Mutex
-	bindSets   map[string]*bindingSet
-	aclSets    map[*acl.ACL]aclSetEntry
-	aclSetsFP  map[uint64][]aclFPSetEntry
-	pairDiffs  map[[2]*acl.ACL]pset.Set
-	diffBounds map[[2]*acl.ACL]pset.Set
-	pairEq     map[[2]*acl.ACL]bool
-	pairProf   map[[2]*acl.ACL][2]int
+	// psetMu guards the differential-match and exact-equivalence memos
+	// shared by the pre-filter's exact leg and the pset backend.
+	psetMu sync.Mutex
+	diffMs map[[2]*acl.ACL][]header.Match
+	pairEq map[[2]*acl.ACL]bool
+
+	// walk interns what the generation's paths cross for the complete
+	// procedures, and encPairs is the table of distinct encoded pairs its
+	// indices point into (see pathWalk). Both grow as FECs reach a
+	// procedure; neither is shared across goroutines.
+	walk     *pathInterner
+	encPairs []encPair
 
 	// Verdict-cache view for this generation: the bound cache, the
 	// change-impact bitmap (nil on the first generation), and the
@@ -164,7 +166,7 @@ func (e *Engine) checkContext(o *obs.Observer) *checkCtx {
 	if e.sess == nil {
 		e.sess = &checkSession{enc: newEncoder(e.Opts.UseTournament, o)}
 	}
-	ctx := &checkCtx{sess: e.sess, pairTriv: map[string]bool{}}
+	ctx := &checkCtx{sess: e.sess, pairTriv: map[string]bool{}, pairSyn: map[string]bool{}}
 	pairs := e.scopeACLPairs()
 	ctx.pairs = pairs
 	ctx.aclPairs = len(pairs)
@@ -174,11 +176,10 @@ func (e *Engine) checkContext(o *obs.Observer) *checkCtx {
 			ctx.diff = append(ctx.diff, acl.Differential(orPermitAll(p.before), orPermitAll(p.after))...)
 		}
 		// §6: control-related prefixes join the differential set so their
-		// related rules survive filtering.
+		// related rules survive filtering — an `all` control like any
+		// other, which leaves nothing filtered and no FEC skipped.
 		for _, c := range e.Controls {
-			if !c.Match.IsAll() {
-				ctx.diff = append(ctx.diff, acl.Rule{Action: acl.Permit, Match: c.Match})
-			}
+			ctx.diff = append(ctx.diff, acl.Rule{Action: acl.Permit, Match: c.Match})
 		}
 		if len(ctx.diff) == 0 && len(e.Controls) == 0 {
 			ctx.fastPath = true

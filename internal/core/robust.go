@@ -248,7 +248,8 @@ func (e *Engine) solveWithRetries(cn *canceller, solver *smt.Solver, o *obs.Obse
 // distinct jobs.
 func (e *Engine) decideJob(c *solveCall, solver *smt.Solver, j checkJob) fecState {
 	ctx := c.ctx
-	fsp := c.span.Child("fec.solve", obs.KV("fec", j.fecIdx), obs.KV("backend", "sat"))
+	fsp := c.span.Child("fec.solve", obs.KV("fec", j.fecIdx), obs.KV("backend", "sat"),
+		obs.KV("paths", j.paths), obs.KV("shapes", j.shapes))
 	if ctx.routes[j.fecIdx] == routeSATBail {
 		fsp.SetAttr("pset_bailout", true)
 	}

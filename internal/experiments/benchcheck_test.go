@@ -155,15 +155,23 @@ func TestValidateShardRows(t *testing.T) {
 		t.Error("an empty figure validated")
 	}
 	for name, breakRow := range map[string]func(*ShardRow){
-		"diverged output": func(r *ShardRow) { r.Identical = false },
-		"FEC count drift": func(r *ShardRow) { r.SolvedFECs++ },
-		"nothing rescued": func(r *ShardRow) { r.PeakHeapBytes = MonolithicHeapEnvelope + 1 },
+		"diverged output": func(r *ShardRow) { r.Identical = r.Shards <= 1 },
+		"FEC count drift": func(r *ShardRow) {
+			if r.Shards > 1 {
+				r.SolvedFECs++
+			}
+		},
+		// Every size over the envelope, monolithic and sharded alike (the
+		// committed grid no longer has a size the monolithic check does
+		// not fit, so the flag is set here, as FigShardCheck would).
+		"nothing rescued": func(r *ShardRow) {
+			r.PeakHeapBytes = MonolithicHeapEnvelope + 1
+			r.MonolithicInfeasible = r.Shards <= 1
+		},
 	} {
 		rows := append([]ShardRow(nil), baseline.Shard...)
 		for i := range rows {
-			if rows[i].Shards > 1 {
-				breakRow(&rows[i])
-			}
+			breakRow(&rows[i])
 		}
 		if ValidateShardRows(rows) == nil {
 			t.Errorf("%s: validated", name)

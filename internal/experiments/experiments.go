@@ -404,9 +404,11 @@ const parallelSteadyCalls = 13
 
 // FigParallelCheck measures check turnaround versus worker count. The
 // workload makes detection dominate end to end — basic mode (no Theorem
-// 4.1 filtering, so every FEC reaches a solver), tournament encoding,
-// and FindAllViolations (no early exit) on a 5% perturbation — i.e. the
-// historical worst case for fanning out. Each cell runs on a fresh
+// 4.1 filtering), the SAT backend forced (so every FEC reaches the
+// solver pool, which by default sees only what overflows the set
+// algebra's cube budget), tournament encoding, and FindAllViolations
+// (no early exit) on a 5% perturbation — i.e. the historical worst case
+// for fanning out. Each cell runs on a fresh
 // engine with its own metrics registry, so encoder-cache hits and
 // solver counters are per-cell. The first call (ColdElapsed) pays the
 // whole pipeline: encoding, prototype clausification, and the worker
@@ -439,6 +441,7 @@ func FigParallelCheck(sizes []netgen.Size, workerCounts []int) []ParallelRow {
 			opts.UseDifferential = false
 			opts.UseTournament = true
 			opts.FindAllViolations = true
+			opts.Backend = core.BackendSAT
 			opts.Workers = workers
 			m := obs.NewMetrics()
 			opts.Obs = obs.NewObserver(nil, m, nil)
@@ -851,9 +854,9 @@ func FigSnapshotRestore(sizes []netgen.Size) []SnapshotRow {
 	return rows
 }
 
-// BackendRow is one backend-selection measurement: the same workload
-// verified with the backend forced to SAT and with auto-selection (pset
-// where the per-FEC heuristic allows, SAT elsewhere). Cold and warm
+// BackendRow is one backend measurement: the same workload verified with
+// the backend forced to SAT and with the default (pset, SAT on a
+// cube-budget overflow). Cold and warm
 // medians are paired samples over interleaved calls, as in
 // FigIncrementalCheck.
 type BackendRow struct {
@@ -890,8 +893,9 @@ type BackendRow struct {
 // BackendRow's cold median.
 const backendColdCalls = 7
 
-// FigBackendCheck measures per-FEC backend auto-selection against the
-// SAT-only baseline on the detection-dominated workload of
+// FigBackendCheck measures the default backend — the set algebra first,
+// the solver on cube-budget overflow — against the SAT-only baseline on
+// the detection-dominated workload of
 // FigParallelCheck: basic mode (no Theorem 4.1 filtering, so every FEC
 // reaches a complete decision procedure), tournament encoding, find-all,
 // 5% perturbation, sequential. The cold arm builds a fresh engine for
@@ -1086,8 +1090,8 @@ func largeExperimentsEnabled() bool {
 // cold-check turnaround and peak live heap versus size × shard count,
 // at a fixed worker count. The workload is the memory-heaviest
 // detection regime, as in FigParallelCheck: basic mode (no Theorem 4.1
-// filtering, so every FEC's full ACL stack is encoded), tournament
-// encoding, find-all (no early exit). Monolithically that means every
+// filtering) on the forced SAT backend (so every FEC's full ACL stack
+// is encoded), tournament encoding, find-all (no early exit). Monolithically that means every
 // FEC's formula is live in one builder at solve time; sharded, only
 // one shard's worth ever is. Each cell is a fresh engine; input
 // preprocessing is prewarmed as in Fig. 4a (monolithic cells
@@ -1118,6 +1122,7 @@ func FigShardCheck(sizes []netgen.Size, shardCounts []int) []ShardRow {
 			opts.UseDifferential = false
 			opts.UseTournament = true
 			opts.FindAllViolations = true
+			opts.Backend = core.BackendSAT
 			opts.Shards = shards
 			opts.Workers = workers
 			e := core.New(w.Net, after, w.Scope, opts)
@@ -1289,7 +1294,7 @@ type BenchReport struct {
 	// Incremental is the warm-vs-cold re-check figure
 	// (BENCH_incremental.json when run with -figures inc).
 	Incremental []IncrementalRow `json:"incremental,omitempty"`
-	// Backend is the auto-vs-sat backend-selection figure
+	// Backend is the auto-vs-sat backend figure
 	// (BENCH_backend.json when run with -figures backend).
 	Backend []BackendRow `json:"backend,omitempty"`
 	// Shard is the shard-and-stream scaling figure (BENCH_shard.json
@@ -1420,9 +1425,9 @@ func PrintShardRows(w io.Writer, rows []ShardRow) {
 }
 
 // PrintTable5 formats Table 5.
-// PrintBackendRows formats backend auto-selection results.
+// PrintBackendRows formats the auto-vs-sat backend results.
 func PrintBackendRows(w io.Writer, rows []BackendRow) {
-	fmt.Fprintf(w, "Backend selection — auto (pset where eligible) vs sat-only (basic mode, find-all, 5%% perturbation)\n")
+	fmt.Fprintf(w, "Backend — auto (pset, sat on overflow) vs sat-only (basic mode, find-all, 5%% perturbation)\n")
 	fmt.Fprintf(w, "%-8s %-8s %6s %7s %6s %6s %8s %5s %10s %10s %9s %9s %9s\n",
 		"size", "backend", "FECs", "solved", "viols", "pset", "bailout", "sat", "cold", "warm", "cold-spd", "warm-spd", "identical")
 	for _, r := range rows {

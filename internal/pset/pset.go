@@ -113,20 +113,20 @@ func (s Set) Intersect(t Set) Set {
 	return Set{cubes: canonicalize(out)}
 }
 
-// Intersects reports whether s and t share any packet, without
-// materializing the intersection: the cube lists are scanned pairwise
-// for overlap. This is the check backend's hot test (a FEC's class
-// region against a path's before/after symmetric difference), where
-// building and canonicalizing the product would dwarf the answer.
-func (s Set) Intersects(t Set) bool {
-	for _, a := range s.cubes {
-		for _, b := range t.cubes {
-			if a.Overlaps(b) {
-				return true
+// IntersectMatches returns s ∩ ⋃ms without materializing ⋃ms: each match
+// is intersected with s's cubes directly, so the cost is |s| × |ms| cube
+// tests plus canonicalizing what actually overlaps — a long rule list
+// against a small region costs what the region catches of it.
+func (s Set) IntersectMatches(ms []header.Match) Set {
+	var out []header.Match
+	for _, m := range ms {
+		for _, c := range s.cubes {
+			if x, ok := c.Intersect(m); ok {
+				out = append(out, x)
 			}
 		}
 	}
-	return false
+	return Set{cubes: canonicalize(out)}
 }
 
 // SubtractMatch returns s ∖ m.
@@ -525,7 +525,7 @@ func cubeLess(a, b header.Match) bool {
 // folding its rules in priority order: each rule claims the part of its
 // match not already claimed above.
 func PermittedSet(a *acl.ACL) Set {
-	s, _ := permittedSet(a, 0)
+	s, _ := permittedSetFrom(a, []header.Match{header.MatchAll}, 0)
 	return s
 }
 
@@ -569,12 +569,6 @@ func disjointCubes(cubes []header.Match) []header.Match {
 	return out
 }
 
-// permittedSet is the shared first-match fold over the full header
-// space. See permittedSetFrom.
-func permittedSet(a *acl.ACL, maxCubes int) (Set, bool) {
-	return permittedSetFrom(a, []header.Match{header.MatchAll}, maxCubes)
-}
-
 // permittedSetFrom is the shared first-match fold. It tracks the
 // unclaimed remainder of the starting cubes (which must be pairwise
 // disjoint) rather than the claimed union: the remainder's cubes stay
@@ -594,8 +588,21 @@ func permittedSetFrom(a *acl.ACL, start []header.Match, maxCubes int) (Set, bool
 	var permitted []header.Match
 	remaining := start
 	for _, r := range a.Rules {
-		var keep []header.Match
-		for _, c := range remaining {
+		// A rule that overlaps nothing of what is left claims nothing: skip
+		// it without rebuilding the remainder — on a long rule list folded
+		// from a small region that is nearly every rule.
+		if len(remaining) == 0 {
+			break // everything is claimed
+		}
+		k := 0
+		for k < len(remaining) && !remaining[k].Overlaps(r.Match) {
+			k++
+		}
+		if k == len(remaining) {
+			continue
+		}
+		keep := append(make([]header.Match, 0, len(remaining)+4), remaining[:k]...)
+		for _, c := range remaining[k:] {
 			if !c.Overlaps(r.Match) {
 				keep = append(keep, c)
 				continue
@@ -627,39 +634,6 @@ func permittedSetFrom(a *acl.ACL, start []header.Match, maxCubes int) (Set, bool
 // Tseitin + CDCL).
 func EquivalentACLs(a, b *acl.ACL) bool {
 	return PermittedSet(a).Equal(PermittedSet(b))
-}
-
-// PermittedSetBounded is PermittedSet with a cube budget: it gives up
-// (ok=false) as soon as any intermediate set exceeds maxCubes, keeping
-// the worst case bounded for callers on a hot path — the check
-// pipeline's pre-filter and its complete packet-set backend, which fall
-// back to the solver when the budget is exhausted.
-func PermittedSetBounded(a *acl.ACL, maxCubes int) (Set, bool) {
-	s, ok := permittedSet(a, maxCubes)
-	if !ok {
-		return Set{}, false
-	}
-	if len(s.cubes) > maxCubes {
-		return Set{}, false
-	}
-	return s, true
-}
-
-// EquivalentACLsBounded is EquivalentACLs with a cube budget, for use
-// as an exact but cost-capped leg of the check pipeline's SAT-free
-// pre-filter. decided=false means the budget was exhausted before the
-// question was settled and the caller must fall back to the solver;
-// when decided=true, equal is the exact answer.
-func EquivalentACLsBounded(a, b *acl.ACL, maxCubes int) (equal, decided bool) {
-	pa, ok := PermittedSetBounded(a, maxCubes)
-	if !ok {
-		return false, false
-	}
-	pb, ok := PermittedSetBounded(b, maxCubes)
-	if !ok {
-		return false, false
-	}
-	return pa.Equal(pb), true
 }
 
 // DistinguishingPacket returns a packet in exactly one of s and t (a

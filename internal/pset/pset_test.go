@@ -277,34 +277,30 @@ func TestCanonicalSampleDeterminism(t *testing.T) {
 	}
 }
 
-// TestEquivalentACLsBounded: the budgeted variant must agree with the
-// unbounded one whenever it decides, and must decline (not lie) when the
-// cube budget is too small.
-func TestEquivalentACLsBounded(t *testing.T) {
+// TestPermittedSetWithin: the region-restricted fold — the one budgeted
+// set construction the check pipeline uses — must equal permitted(a) ∩
+// region whenever it decides, over regions with partially overlapping
+// cubes, and must decline (not lie) when the cube budget is too small.
+func TestPermittedSetWithin(t *testing.T) {
 	r := rand.New(rand.NewSource(577))
-	decidedCount, declined := 0, 0
+	decided, declined := 0, 0
 	for iter := 0; iter < 200; iter++ {
 		a := randomACL(r, 1+r.Intn(7))
-		var b *acl.ACL
-		if r.Intn(2) == 0 {
-			b = acl.SimplifyFast(a)
-		} else {
-			b = randomACL(r, 1+r.Intn(7))
-		}
-		eq, decided := pset.EquivalentACLsBounded(a, b, 64)
-		if !decided {
+		region := pset.PermittedSet(randomACL(r, 1+r.Intn(4))).Union(pset.PermittedSet(randomACL(r, 1+r.Intn(4))))
+		budget := []int{2, 64}[r.Intn(2)]
+		got, ok := pset.PermittedSetWithin(a, region, budget)
+		if !ok {
 			declined++
 			continue
 		}
-		decidedCount++
-		if want := pset.EquivalentACLs(a, b); eq != want {
-			t.Fatalf("iter %d: bounded=%v unbounded=%v\na=%v\nb=%v", iter, eq, want, a, b)
+		decided++
+		if want := pset.PermittedSet(a).Intersect(region); !got.Equal(want) {
+			t.Fatalf("iter %d: within=%v want=%v\na=%v", iter, got, want, a)
 		}
 	}
-	if decidedCount == 0 {
-		t.Fatal("bounded variant never decided anything with a 64-cube budget")
+	if decided == 0 || declined == 0 {
+		t.Fatalf("decided %d, declined %d: want both outcomes exercised", decided, declined)
 	}
-	t.Logf("decided %d, declined %d", decidedCount, declined)
 }
 
 // corpusACLs collects the parser fuzz corpus from PR 5 — the checked-in

@@ -51,8 +51,10 @@ type JobOverrides struct {
 	MaxRetries *int `json:"max_retries,omitempty"`
 	// Workers fans the job's solver loops out (core.Options.Workers).
 	Workers *int `json:"workers,omitempty"`
-	// Backend forces the per-FEC decision procedure: "auto", "sat", or
-	// "pset" (core.Options.Backend). Verdicts are backend-agnostic.
+	// Backend picks the per-FEC decision procedure: "auto" (the set
+	// algebra, SAT on cube-budget overflow), "sat" (SAT for every FEC),
+	// or "pset" (same as "auto") (core.Options.Backend). Verdicts are
+	// backend-agnostic.
 	Backend string `json:"backend,omitempty"`
 	// AllViolations toggles one-violation-per-FEC enumeration
 	// (core.Options.FindAllViolations).
