@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-full race fuzz fuzz-backends fuzz-snapshots faults daemon-test daemon-chaos lint bench bench-check bench-shard profile experiments examples vet fmt clean
+.PHONY: all build test test-full race fuzz fuzz-backends fuzz-snapshots faults daemon-test daemon-chaos lint bench bench-compare profile experiments examples vet fmt clean
 
 all: build vet test
 
@@ -32,8 +32,8 @@ race:
 	$(GO) test -race -short ./...
 
 # Bounded differential-fuzz corpus: the full (non-short) randomized
-# harness pinning Check at Workers = 1 == Workers = k == Shards = s ==
-# monolithic, plus the sequential-vs-parallel fix agreement corpus.
+# harness pinning Check at Workers = 1 == Workers = k == monolithic,
+# plus the sequential-vs-parallel fix agreement corpus.
 fuzz:
 	$(GO) test -count=1 -run 'TestFuzz|TestFixParallelMatchesSequential' ./internal/core
 
@@ -81,28 +81,18 @@ lint:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 
-# The Figure 4a–4d benchmark harness.
+# The operator benchmark (benchmark/README.md names the workloads): one
+# 10-second untraced run of workload W on the real binaries, appended to
+# .bench_build/runs.jsonl.
+#   make bench W=check-all-large
 bench:
-	$(GO) test -bench=. -benchmem ./...
+	bash benchmark/run.sh --workload $(W) --seconds 10 --trace 0 -out .bench_build/runs.jsonl
 
-# Bench regression gate: rerun the incremental, shard, and backend
-# figures (medium size) and fail if a speedup (or sharding-overhead)
-# ratio regresses >25% against the committed BENCH_incremental.json /
-# BENCH_shard.json / BENCH_backend.json baselines or the
-# identical-output invariant breaks. Part of the weekly CI lane.
-bench-check:
-	JINJING_BENCH_CHECK=1 $(GO) test -count=1 -v -run TestBenchCheck ./internal/experiments
-
-# Regenerate the shard-scaling baseline (BENCH_shard.json): the full
-# small→xlarge grid with the xlarge tier opted in. The xlarge
-# monolithic arm is the multi-minute, memory-heavy cell the figure
-# exists to demonstrate against — budget several minutes. The same
-# command validates what it wrote (experiments.ValidateShardRows:
-# identical output, consistent FEC counts, envelope-exceeding sizes
-# rescued) and exits 1 on a violated invariant.
-bench-shard:
-	JINJING_EXPERIMENTS_LARGE=1 $(GO) run ./cmd/jinjing-experiments \
-		-figures shard -large -json BENCH_shard.json
+# Compare two sets of benchmark runs (what the PR gate does): per-metric
+# medians, win counts and bounds. `make bench` builds jjbench.
+#   make bench-compare PARENT=a.jsonl CHANGE=b.jsonl
+bench-compare:
+	.bench_build/bin/jjbench compare $(PARENT) $(CHANGE)
 
 # Profile one benchmark: CPU and heap profiles (and the test binary they
 # resolve against) under .bench_build/profile/, then the cumulative top

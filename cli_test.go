@@ -258,63 +258,6 @@ func TestCLIWorkersGolden(t *testing.T) {
 	}
 }
 
-// TestCLIShardsGolden pins the sharding-identity contract at the CLI
-// surface: the same program run with -shards N (and any worker count)
-// must produce byte-identical stdout to the monolithic -shards 1 run.
-// Sharding changes only how much of the FEC pipeline is live at once —
-// classes, formulas, and solver state are derived per shard and
-// released — never a byte a user sees. The -metrics stderr of a
-// sharded run must additionally report the memory telemetry
-// (fec.materialized, shard.live, mem.heap_peak_bytes) that the
-// monolithic path never pays for.
-func TestCLIShardsGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("CLI run builds binaries; skipped in -short mode")
-	}
-	netgenBin := buildTool(t, "jinjing-netgen")
-	jinjingBin := buildTool(t, "jinjing")
-	dir := t.TempDir()
-
-	before := filepath.Join(dir, "net.json")
-	after := filepath.Join(dir, "net-after.json")
-	run(t, netgenBin, "-size", "small", "-seed", "9", "-out", before)
-	run(t, netgenBin, "-size", "small", "-seed", "9", "-perturb", "4", "-out", after)
-	prog := filepath.Join(dir, "checkfix.lai")
-	writeProgram(t, prog, "check\nfix\n")
-
-	outputs := map[int]string{}
-	stderrs := map[int]string{}
-	for _, shards := range []int{1, 4, 16} {
-		cmd := exec.Command(jinjingBin,
-			"-topo", before, "-updated", after, "-program", prog,
-			"-all-violations", "-workers", "2", "-shards", strconv.Itoa(shards),
-			"-metrics",
-		)
-		var stdout, stderr bytes.Buffer
-		cmd.Stdout = &stdout
-		cmd.Stderr = &stderr
-		if err := cmd.Run(); err != nil {
-			t.Fatalf("-shards %d failed: %v\n%s%s", shards, err, stdout.String(), stderr.String())
-		}
-		if !strings.Contains(stdout.String(), "verified=true") {
-			t.Fatalf("-shards %d: expected a verified fix:\n%s", shards, stdout.String())
-		}
-		outputs[shards] = stdout.String()
-		stderrs[shards] = stderr.String()
-	}
-	for _, shards := range []int{4, 16} {
-		if outputs[shards] != outputs[1] {
-			t.Errorf("-shards %d stdout differs from -shards 1:\n--- shards=1 ---\n%s\n--- shards=%d ---\n%s",
-				shards, outputs[1], shards, outputs[shards])
-		}
-		for _, gauge := range []string{"fec.materialized", "shard.live", "mem.heap_peak_bytes"} {
-			if !strings.Contains(stderrs[shards], gauge) {
-				t.Errorf("-shards %d -metrics missing %s:\n%s", shards, gauge, stderrs[shards])
-			}
-		}
-	}
-}
-
 // TestCLIBackendGolden pins the backend-identity contract at the CLI
 // surface: the same program run with -backend auto, sat, or pset — and
 // any worker count — must produce byte-identical stdout. The packet-set
@@ -642,6 +585,23 @@ func TestCLIExperimentsSmoke(t *testing.T) {
 	// programs, so the registry may be sparse — but the key must exist).
 	if report.Metrics == nil {
 		t.Fatalf("-json report missing the metrics snapshot:\n%s", data)
+	}
+
+	// An unknown figure name — a typo, or a study this tool no longer
+	// carries — is a usage error that names the valid set, not a silent
+	// empty run.
+	for _, name := range []string{"4e", "shard"} {
+		cmd := exec.Command(bin, "-figures", "t5,"+name)
+		out, err := cmd.CombinedOutput()
+		if cmd.ProcessState == nil || cmd.ProcessState.ExitCode() != 2 {
+			t.Fatalf("-figures t5,%s: want exit 2, got %v\n%s", name, err, out)
+		}
+		if !strings.Contains(string(out), `"`+name+`"`) || !strings.Contains(string(out), "4a,4b,4c,4d,t5") {
+			t.Fatalf("-figures t5,%s: error does not name the figure and the valid set:\n%s", name, out)
+		}
+		if strings.Contains(string(out), "Table 5") {
+			t.Fatalf("-figures t5,%s ran a figure before rejecting the list:\n%s", name, out)
+		}
 	}
 }
 

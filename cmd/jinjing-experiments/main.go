@@ -16,6 +16,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"jinjing/internal/experiments"
@@ -23,15 +24,38 @@ import (
 	"jinjing/internal/obs"
 )
 
+// figureNames is the valid -figures set: the paper's Figures 4a–4d and
+// Table 5.
+var figureNames = []string{"4a", "4b", "4c", "4d", "t5"}
+
+// parseFigures splits a -figures list, rejecting any name outside
+// figureNames.
+func parseFigures(list string) (map[string]bool, error) {
+	want := map[string]bool{}
+	for _, f := range strings.Split(list, ",") {
+		f = strings.TrimSpace(f)
+		if !slices.Contains(figureNames, f) {
+			return nil, fmt.Errorf("unknown figure %q (valid: %s)", f, strings.Join(figureNames, ","))
+		}
+		want[f] = true
+	}
+	return want, nil
+}
+
 func main() {
+	all := strings.Join(figureNames, ",")
 	var (
 		large      = flag.Bool("large", false, "include the large network (minutes of runtime)")
-		figures    = flag.String("figures", "4a,4b,4c,4d,t5", "comma-separated subset of 4a,4b,4c,4d,par,inc,backend,shard,snap,t5")
+		figures    = flag.String("figures", all, "comma-separated subset of "+all)
 		jsonPath   = flag.String("json", "", "also write the rows as JSON to this file")
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile to this file")
 	)
 	flag.Parse()
+	want, err := parseFigures(*figures)
+	if err != nil {
+		fatal(err)
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -59,13 +83,8 @@ func main() {
 	if *large {
 		sizes = append(sizes, netgen.Large)
 	}
-	want := map[string]bool{}
-	for _, f := range strings.Split(*figures, ",") {
-		want[strings.TrimSpace(f)] = true
-	}
 
 	var report experiments.BenchReport
-	var shardErr error // a violated shard-figure invariant: exit 1 once the artifacts are written
 	if want["4a"] {
 		report.Checks = experiments.Fig4aCheck(sizes)
 		experiments.PrintCheckRows(os.Stdout, report.Checks)
@@ -101,74 +120,6 @@ func main() {
 		report.Generates = append(report.Generates, rows...)
 		fmt.Println()
 	}
-	if want["par"] {
-		// The parallel-scaling figure skips the small network: its
-		// turnaround is microsecond-scale and worker startup dominates.
-		parSizes := make([]netgen.Size, 0, len(sizes))
-		for _, s := range sizes {
-			if s != netgen.Small {
-				parSizes = append(parSizes, s)
-			}
-		}
-		report.Parallel = experiments.FigParallelCheck(parSizes, []int{1, 2, 4, 8})
-		experiments.PrintParallelRows(os.Stdout, report.Parallel)
-		fmt.Println()
-	}
-	if want["inc"] {
-		// Like "par", the incremental figure skips the small network:
-		// both arms finish in microseconds there and timer granularity
-		// dominates the ratio.
-		incSizes := make([]netgen.Size, 0, len(sizes))
-		for _, s := range sizes {
-			if s != netgen.Small {
-				incSizes = append(incSizes, s)
-			}
-		}
-		report.Incremental = experiments.FigIncrementalCheck(incSizes)
-		experiments.PrintIncrementalRows(os.Stdout, report.Incremental)
-		fmt.Println()
-	}
-	if want["backend"] {
-		// Like "par", the backend figure skips the small network: its
-		// turnaround is microsecond-scale and fixed per-call costs
-		// dominate either backend's decision time.
-		beSizes := make([]netgen.Size, 0, len(sizes))
-		for _, s := range sizes {
-			if s != netgen.Small {
-				beSizes = append(beSizes, s)
-			}
-		}
-		report.Backend = experiments.FigBackendCheck(beSizes)
-		experiments.PrintBackendRows(os.Stdout, report.Backend)
-		fmt.Println()
-	}
-	if want["shard"] {
-		// The shard figure includes the extrapolated xlarge tier only
-		// when the weekly large lane opts in: its monolithic arm is the
-		// multi-gigabyte run the figure exists to demonstrate against.
-		shardSizes := sizes
-		if os.Getenv("JINJING_EXPERIMENTS_LARGE") == "1" {
-			shardSizes = append(append([]netgen.Size{}, sizes...), netgen.XLarge)
-		}
-		report.Shard = experiments.FigShardCheck(shardSizes, []int{1, 4, 16})
-		experiments.PrintShardRows(os.Stdout, report.Shard)
-		fmt.Println()
-		shardErr = experiments.ValidateShardRows(report.Shard)
-	}
-	if want["snap"] {
-		// Like "inc", the snapshot figure skips the small network: both
-		// arms finish in microseconds there and timer granularity
-		// dominates the restore-vs-cold ratio.
-		snapSizes := make([]netgen.Size, 0, len(sizes))
-		for _, s := range sizes {
-			if s != netgen.Small {
-				snapSizes = append(snapSizes, s)
-			}
-		}
-		report.Snapshot = experiments.FigSnapshotRestore(snapSizes)
-		experiments.PrintSnapshotRows(os.Stdout, report.Snapshot)
-		fmt.Println()
-	}
 	if want["t5"] {
 		report.Table5 = experiments.Table5Programs(sizes)
 		experiments.PrintTable5(os.Stdout, report.Table5)
@@ -201,11 +152,6 @@ func main() {
 			fatal(err)
 		}
 		f.Close()
-	}
-	if shardErr != nil {
-		pprof.StopCPUProfile() // os.Exit skips the deferred stop
-		fmt.Fprintln(os.Stderr, "jinjing-experiments: shard figure:", shardErr)
-		os.Exit(1)
 	}
 }
 

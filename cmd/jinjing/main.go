@@ -51,7 +51,6 @@ func main() {
 		findAll     = flag.Bool("all-violations", false, "report one violation per forwarding equivalence class")
 		emitIOS     = flag.Bool("emit-ios", false, "print fixed/generated ACLs as Cisco-IOS access lists")
 		workers     = flag.Int("workers", 1, "parallel workers for check (the FECs that reach the SAT solver), fix, and generate")
-		shards      = flag.Int("shards", 1, "verification shards: FECs are derived and solved one shard at a time with bounded live memory (1 = monolithic); output is identical at any shard count")
 		backendName = flag.String("backend", "auto", "per-FEC decision procedure: auto (packet-set algebra, SAT on cube-budget overflow), sat (SAT for every FEC), or pset (same as auto); verdicts and output are identical, only cost differs")
 		explain     = flag.Bool("explain", false, "print hop-by-hop decision traces for each violation")
 
@@ -117,9 +116,8 @@ func main() {
 	if *noOpt {
 		engineOpts = core.Options{FindAllViolations: *findAll, Workers: *workers}
 	}
-	// Resource limits, sharding, and the backend choice apply in every
-	// optimization mode, so set them after the -no-optimizations reset.
-	engineOpts.Shards = *shards
+	// Resource limits and the backend choice apply in every optimization
+	// mode, so set them after the -no-optimizations reset.
 	engineOpts.Deadline = *timeout
 	engineOpts.PerFECBudget = *fecBudget
 	engineOpts.MaxRetries = *maxRetries
@@ -307,9 +305,9 @@ func setupObservability(cfg obsConfig) (*obs.Observer, *declog.Logger, func(), e
 	}
 
 	finish := func() {
-		// Fold a final live-heap sample into the peak gauge so -metrics
-		// reports end-of-run memory even when no sharded check sampled it
-		// later than its own solve loop.
+		// Fold a final live-heap sample into the peak gauge (set only by
+		// checks that sampled it: -decision-log, -slow-fecs) so -metrics
+		// reports end-of-run memory too.
 		if g := observer.Gauge("mem.heap_peak_bytes"); g != nil && g.Value() > 0 {
 			var ms runtime.MemStats
 			runtime.ReadMemStats(&ms)

@@ -4,8 +4,8 @@
 // generate primitives over a network model with in-network ACLs, backed
 // by a pure-Go CDCL SAT solver.
 //
-// The root package only anchors the module documentation and the
-// benchmark harness (bench_test.go); the implementation lives under
+// The root package anchors the module documentation, the public facade
+// (api.go) and the end-to-end tests; the implementation lives under
 // internal/:
 //
 //	internal/sat          CDCL SAT solver (with DIMACS I/O)

@@ -176,8 +176,7 @@ func BenchmarkCheckParallelWAN(b *testing.B) {
 	// forks are paid by the untimed warm-up call, and each timed call
 	// re-decides every query on pooled solvers whose learned clauses and
 	// saved phases match their static job slice. The cold first call is
-	// encode-bound and favors 1 worker; FigParallelCheck records both
-	// regimes in BENCH_parallel.json.
+	// encode-bound and favors 1 worker.
 	w := netgenMediumOnce()
 	after := w.Perturb(1, 5)
 	for _, workers := range []int{1, 2, 4, 8} {

@@ -60,10 +60,9 @@ type CheckResult struct {
 	Conflicts int64
 	// PeakHeapBytes is the call's highest sampled live-heap size
 	// (runtime HeapAlloc). Sampled only when the sample is already paid
-	// for — sharded runs (once per shard, while the shard's window and
-	// builder are live), forensics, or an attached decision ledger —
-	// and 0 otherwise; the stop-the-world cost of a MemStats read never
-	// taxes the plain hot path.
+	// for — forensics, or an attached decision ledger — and 0 otherwise;
+	// the stop-the-world cost of a MemStats read never taxes the plain
+	// hot path.
 	PeakHeapBytes int64
 	Timings       Timings
 }
@@ -72,12 +71,11 @@ type CheckResult struct {
 // reachability consistency between the engine's Before and After
 // snapshots, per Algorithm 1. One pipeline (see solve) serves every
 // configuration: Options.Workers > 1 fans the per-FEC queries out across
-// forked solvers, Options.Shards > 1 streams the FECs through bounded
-// shards. Verdict, violations and SolvedFECs are identical at every
-// worker and shard count: counterexamples come from a deterministic
-// witness pass over the violating FECs in FEC order, independent of
-// scheduling. Repeated calls on the same engine reuse the encoded
-// queries and warmed solvers.
+// forked solvers. Verdict, violations and SolvedFECs are identical at
+// every worker count: counterexamples come from a deterministic witness
+// pass over the violating FECs in FEC order, independent of scheduling.
+// Repeated calls on the same engine reuse the encoded queries and warmed
+// solvers.
 func (e *Engine) Check() *CheckResult {
 	return e.CheckContext(context.Background())
 }
@@ -96,8 +94,7 @@ func (e *Engine) CheckContext(callCtx context.Context) *CheckResult {
 	if e.Opts.Workers > 1 {
 		mode = "parallel"
 	}
-	root := e.startSpan("check", obs.KV("mode", mode),
-		obs.KV("workers", max(e.Opts.Workers, 1)), obs.KV("shards", max(e.Opts.Shards, 1)))
+	root := e.startSpan("check", obs.KV("mode", mode), obs.KV("workers", max(e.Opts.Workers, 1)))
 	res := &CheckResult{Consistent: true, Complete: true, Timings: Timings{}}
 
 	pre := startPhase(root, res.Timings, "preprocess")
@@ -156,12 +153,11 @@ func (e *Engine) CheckContext(callCtx context.Context) *CheckResult {
 	o.Gauge("impact.affected_fecs").Set(int64(res.Stats.AffectedFECs))
 
 	res.Conflicts = res.SolverStats.Conflicts
-	// The largest formula DAG a range closed on: the session builder
-	// unsharded, the biggest shard's otherwise (a proxy for encoding
-	// work, compared across encodings in the benches).
+	// The session builder's formula DAG after the scan (a proxy for
+	// encoding work, compared across encodings in the benches).
 	o.Gauge("smt.nodes").Set(ctx.maxNodes)
 	o.Gauge("check.path_shapes").Set(ctx.pathShapes)
-	if e.sharded() || e.Opts.Forensics || e.Opts.DecisionLog != nil {
+	if e.Opts.Forensics || e.Opts.DecisionLog != nil {
 		ctx.sampleHeap()
 		res.PeakHeapBytes = ctx.peakHeap
 		o.Gauge("mem.heap_peak_bytes").Set(ctx.peakHeap)

@@ -74,43 +74,19 @@ func (e *Engine) deriveClasses() ([]header.Match, error) {
 	}
 	prAtoms := protoAtoms(prRanges)
 
-	// The cross-product guard. With sharding enabled the bound applies
-	// per destination shard — the cross product is derived (and later
-	// consumed) one contiguous dst-atom chunk at a time, so the guarded
-	// quantity is the largest chunk's product, not the global one. The
-	// output is the plain concatenation of the chunks in dst order,
-	// identical to the unsharded derivation.
-	shards := e.Opts.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	chunk := (len(dstAtoms) + shards - 1) / shards
-	if chunk < 1 {
-		chunk = 1
-	}
+	// The cross-product guard: refuse before allocating.
 	rest := int64(len(srcAtoms)) * int64(len(dpAtoms)) * int64(len(spAtoms)) * int64(len(prAtoms))
 	total := int64(len(dstAtoms)) * rest
-	if int64(chunk)*rest > maxGeneratedClasses {
+	if total > maxGeneratedClasses {
 		detail := fmt.Sprintf("%d = %d dst × %d src × %d dport × %d sport × %d proto atoms",
 			total, len(dstAtoms), len(srcAtoms), len(dpAtoms), len(spAtoms), len(prAtoms))
 		if rest > maxGeneratedClasses {
-			// No destination split can help: a single dst atom already
+			// Narrowing the scope cannot help: a single dst atom already
 			// exceeds the bound.
-			return nil, fmt.Errorf("core: class space too large (%s); even one destination atom yields %d classes, beyond the %d bound — -shards cannot split below that",
+			return nil, fmt.Errorf("core: class space too large (%s); even one destination atom yields %d classes, beyond the %d bound",
 				detail, rest, int64(maxGeneratedClasses))
 		}
-		need := (total + maxGeneratedClasses - 1) / maxGeneratedClasses
-		if fit := maxGeneratedClasses / rest; fit > 0 {
-			if k := (int64(len(dstAtoms)) + fit - 1) / fit; k > need {
-				need = k
-			}
-		}
-		if shards > 1 {
-			return nil, fmt.Errorf("core: class space too large per shard (%s across %d shards, %d classes in the largest; bound %d) — raise -shards to %d or more",
-				detail, shards, int64(chunk)*rest, int64(maxGeneratedClasses), need)
-		}
-		return nil, fmt.Errorf("core: class space too large (%s; bound %d) — pass -shards %d or more to bound the derivation per destination shard",
-			detail, int64(maxGeneratedClasses), need)
+		return nil, fmt.Errorf("core: class space too large (%s; bound %d)", detail, int64(maxGeneratedClasses))
 	}
 
 	out := make([]header.Match, 0, total)

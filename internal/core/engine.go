@@ -113,21 +113,6 @@ type Options struct {
 	// worker count (pinned by the differential fuzz harness and the CLI
 	// golden test).
 	Workers int
-	// Shards > 1 streams Check through that many contiguous FEC shards
-	// instead of materializing the whole scope at once: FECs are derived
-	// lazily from a streaming index (topo.FECSource), each shard gets its
-	// own encoder and solver whose formulas are released when the shard
-	// completes, and generate's class derivation bounds its cross-product
-	// guard per destination shard rather than globally. Shards are
-	// verified in FEC order and merged deterministically, so verdicts,
-	// counterexamples, and every reported count are byte-identical to the
-	// unsharded engine at any worker count (pinned by the shard fuzz lane
-	// and the CLI golden test) — like Workers, the setting can only
-	// change cost, never a result. The trade is warm-path speed for peak
-	// memory: sharded sessions rebuild per-shard formulas on every call
-	// (the verdict cache still short-circuits unchanged FECs), in
-	// exchange for live solver memory bounded by the largest shard.
-	Shards int
 	// Obs receives spans, metrics, and progress from every primitive.
 	// nil (the default) disables observability at zero cost: the no-op
 	// path adds no allocations to the solve hot loop (guarded by a
@@ -216,8 +201,8 @@ type Engine struct {
 
 	// fecSrc, computed lazily, is the forwarding index — one walk of
 	// Before's routing DAG yielding paths, classes and the FEC grouping —
-	// and fecs its full materialization (never built under sharded
-	// streaming). Shared with derived engines and kept by UpdateAfter.
+	// and fecs its full materialization. Shared with derived engines and
+	// kept by UpdateAfter.
 	fecSrc *topo.FECSource
 	fecs   []topo.FEC
 
@@ -230,8 +215,7 @@ type Engine struct {
 	// a dense index per on-path binding ID plus, per FEC, the index of
 	// each of its key slots in path order — so key derivation is slice
 	// indexing instead of per-slot string building and map hashing.
-	// Before-derived, shared with derived engines, unavailable (nil)
-	// under sharded streaming.
+	// Before-derived, shared with derived engines.
 	slotIdx *slotIndex
 
 	// snapDigest memoizes verdictSnapshotDigest for snapDigestN FECs:
@@ -328,7 +312,7 @@ func (e *Engine) Classes() []header.Prefix { return e.fecSource().Classes() }
 func (e *Engine) FECs() []topo.FEC {
 	if e.fecs == nil {
 		e.fecs = e.fecSource().All()
-		if !e.sharded() && e.Opts.Verdicts != nil {
+		if e.Opts.Verdicts != nil {
 			// Derive the binding slot index alongside the FEC structure it
 			// mirrors: both are fixed for the engine's lifetime, and doing
 			// it here keeps the first cache-addressed check — notably the
@@ -338,9 +322,6 @@ func (e *Engine) FECs() []topo.FEC {
 	}
 	return e.fecs
 }
-
-// sharded reports whether Check streams through FEC shards.
-func (e *Engine) sharded() bool { return e.Opts.Shards > 1 }
 
 // fecSource returns the forwarding index, built once by walking
 // Before's routing DAG with the FIB atoms refined by the control
@@ -354,14 +335,8 @@ func (e *Engine) fecSource() *topo.FECSource {
 	return e.fecSrc
 }
 
-// NumFECs returns the number of forwarding equivalence classes without
-// forcing a full materialization in sharded mode.
-func (e *Engine) NumFECs() int {
-	if e.sharded() {
-		return e.fecSource().NumFECs()
-	}
-	return len(e.FECs())
-}
+// NumFECs returns the number of forwarding equivalence classes.
+func (e *Engine) NumFECs() int { return len(e.FECs()) }
 
 // SessionWarm reports whether the engine currently holds warm solver
 // state (an encoder and persistent solvers from a previous Check). A

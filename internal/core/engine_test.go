@@ -178,7 +178,7 @@ func TestExplainViolation(t *testing.T) {
 }
 
 // TestFirstViolationResolvesNothingPastTheHit pins the laziness of the
-// one-worker, unsharded path: resolve is interleaved with decide, so a
+// one-worker path: resolve is interleaved with decide, so a
 // cold first-violation check sends to a complete backend exactly the
 // solver-bound FECs at or below the hit — no formula is built, and no
 // set algebra run, for anything past it.

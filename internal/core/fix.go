@@ -362,7 +362,7 @@ func (e *Engine) fixFEC(cn *canceller, ctx *checkCtx, ix *fixIndex, i int, budge
 	default:
 		var ent *fecVerdict
 		if ctx.vc != nil {
-			key = ctx.fecKey(i, fec)
+			key = ctx.fecKey(i)
 			ent = ctx.vc.lookup(i, key)
 		}
 		switch {
@@ -391,7 +391,7 @@ func (e *Engine) fixFEC(cn *canceller, ctx *checkCtx, ix *fixIndex, i int, budge
 		// a first-Solve UNSAT means a consistent solver verdict.
 		out.cache.FECCacheMisses = 1
 		if key == nil {
-			key = ctx.fecKey(i, fec)
+			key = ctx.fecKey(i)
 		}
 		ctx.vc.insert(i, &fecVerdict{key: key, hadJob: out.iters > 0, violating: len(out.entries) > 0})
 	}

@@ -389,10 +389,8 @@ func (e *Engine) prepareIncremental(ctx *checkCtx) {
 	}
 	ctx.incReady = true
 	ctx.src = e.fecSource()
-	ctx.nfec = ctx.src.NumFECs()
-	if !e.sharded() {
-		ctx.window = e.FECs()
-	}
+	ctx.fecs = e.FECs()
+	ctx.nfec = len(ctx.fecs)
 	n := ctx.nfec
 	ctx.states = make([]fecState, n)
 	ctx.entries = make([]*fecVerdict, n)
@@ -419,29 +417,28 @@ func (e *Engine) prepareIncremental(ctx *checkCtx) {
 	// slots so fecKey derives keys by slice indexing instead of per-slot
 	// string building and map hashing.
 	vc.mu.Lock()
-	ctx.pairRefs = make(map[string]uint64, len(ctx.pairFPs))
+	pairRefs := make(map[string]uint64, len(ctx.pairFPs))
 	for id, fp := range ctx.pairFPs {
-		ctx.pairRefs[id] = vc.internPairLocked(fp)
+		pairRefs[id] = vc.internPairLocked(fp)
 	}
 	vc.mu.Unlock()
-	if si := e.fecSlotIndex(); si != nil {
-		ctx.slots = si.slots
-		ctx.fpRef = make([]uint64, si.n)
-		for id, ref := range ctx.pairRefs {
-			if j, ok := si.ids[id]; ok {
-				ctx.fpRef[j] = ref
-			}
+	si := e.fecSlotIndex()
+	ctx.slots = si.slots
+	ctx.fpRef = make([]uint64, si.n)
+	for id, ref := range pairRefs {
+		if j, ok := si.ids[id]; ok {
+			ctx.fpRef[j] = ref
 		}
-		// Size one shared arena for every FEC's key (one word per slot,
-		// fixed for the generation): per-FEC key allocations otherwise
-		// dominate a fully-cached check.
-		off := make([]int, n+1)
-		for i, sl := range ctx.slots {
-			off[i+1] = off[i] + len(sl)
-		}
-		ctx.keyOff = off
-		ctx.keyArena = make([]uint64, off[n])
 	}
+	// Size one shared arena for every FEC's key (one word per slot,
+	// fixed for the generation): per-FEC key allocations otherwise
+	// dominate a fully-cached check.
+	off := make([]int, n+1)
+	for i, sl := range ctx.slots {
+		off[i+1] = off[i] + len(sl)
+	}
+	ctx.keyOff = off
+	ctx.keyArena = make([]uint64, off[n])
 
 	vc.mu.Lock()
 	lastPairs, lastGen := vc.lastPairs, vc.lastGen
@@ -492,17 +489,12 @@ type slotIndex struct {
 	slots [][]int32
 }
 
-// fecSlotIndex builds (once) the engine's binding-slot interning, or
-// returns nil when the FEC set is not materialized (sharded streaming),
-// in which case fecKey falls back to per-slot string lookups. Called
+// fecSlotIndex builds (once) the engine's binding-slot interning. Called
 // only from the single-goroutine resolve setup (prepareIncremental),
 // like depIndex.
 func (e *Engine) fecSlotIndex() *slotIndex {
 	if e.slotIdx != nil {
 		return e.slotIdx
-	}
-	if e.sharded() {
-		return nil
 	}
 	fecs := e.FECs()
 	si := &slotIndex{ids: map[string]int32{}, slots: make([][]int32, len(fecs))}
@@ -540,28 +532,17 @@ func (e *Engine) fecSlotIndex() *slotIndex {
 // Before-derived paths). Equal keys mean the check pipeline encodes
 // identical formulas for this FEC — same verdict, same canonical
 // counterexample.
-func (ctx *checkCtx) fecKey(i int, fec topo.FEC) []uint64 {
-	if ctx.slots != nil {
-		// Fill FEC i's region of the generation's shared key arena. The
-		// region is written only by the goroutine resolving FEC i (the
-		// same per-FEC ownership discipline as ctx.states[i]); repeated
-		// calls rewrite identical content. Callers that retain the key
-		// beyond the generation (cache inserts) must copy it — see
-		// ownKey — or the whole arena stays reachable.
-		sl := ctx.slots[i]
-		lo, hi := ctx.keyOff[i], ctx.keyOff[i+1]
-		key := ctx.keyArena[lo:lo:hi]
-		for _, s := range sl {
-			key = append(key, ctx.fpRef[s])
-		}
-		return key
-	}
-	var key []uint64
-	for _, p := range fec.Paths {
-		for _, b := range p.Bindings() {
-			// Missing bindings read as 0: unbound slot.
-			key = append(key, ctx.pairRefs[b.ID()])
-		}
+func (ctx *checkCtx) fecKey(i int) []uint64 {
+	// Fill FEC i's region of the generation's shared key arena. The
+	// region is written only by the goroutine resolving FEC i (the same
+	// per-FEC ownership discipline as ctx.states[i]); repeated calls
+	// rewrite identical content. Callers that retain the key beyond the
+	// generation (cache inserts) must copy it — see ownKey — or the whole
+	// arena stays reachable.
+	lo, hi := ctx.keyOff[i], ctx.keyOff[i+1]
+	key := ctx.keyArena[lo:lo:hi]
+	for _, s := range ctx.slots[i] {
+		key = append(key, ctx.fpRef[s])
 	}
 	return key
 }
@@ -648,11 +629,10 @@ func (e *Engine) fecPrefiltered(ctx *checkCtx, fec topo.FEC) bool {
 // resolveFEC classifies FEC i for this generation: the differential
 // skip first (never cached — it depends on the global diff), then the
 // change-impact replay and the verdict cache, then the SAT-free
-// pre-filter, and only then formula construction, on enc — the open
-// range's encoder. Must be called from one goroutine at a time
-// (solveRange resolves before fanning out); the resulting state is
-// memoized.
-func (e *Engine) resolveFEC(ctx *checkCtx, enc *encoder, i int) fecState {
+// pre-filter, and only then formula construction, on the session's
+// encoder. Must be called from one goroutine at a time (scan resolves
+// before fanning out); the resulting state is memoized.
+func (e *Engine) resolveFEC(ctx *checkCtx, i int) fecState {
 	if st := ctx.states[i]; st != fecUnresolved {
 		if st != fecUnknown {
 			return st
@@ -678,7 +658,7 @@ func (e *Engine) resolveFEC(ctx *checkCtx, enc *encoder, i int) fecState {
 		if ctx.affected != nil && !ctx.affected[i] && ctx.lastGen != nil && i < len(ctx.lastGen) && ctx.lastGen[i] != nil {
 			return ctx.adopt(i, ctx.lastGen[i], routeImpact)
 		}
-		key = ctx.fecKey(i, fec)
+		key = ctx.fecKey(i)
 		if ent := ctx.vc.lookup(i, key); ent != nil {
 			return ctx.adopt(i, ent, routeCache)
 		}
@@ -735,6 +715,7 @@ func (e *Engine) resolveFEC(ctx *checkCtx, enc *encoder, i int) fecState {
 	if ctx.routes[i] == routeNone {
 		ctx.routes[i] = routeSAT
 	}
+	enc := ctx.sess.enc
 	viol := e.shapesViolationFormula(enc, ctx, shapes)
 	ctx.jobOf[i] = int32(len(ctx.jobs))
 	ctx.jobs = append(ctx.jobs, checkJob{

@@ -157,9 +157,6 @@ func (e *Engine) logCheckDecision(ls *ledgerStart, res *CheckResult) {
 		SolvedFECs:   res.SolvedFECs,
 		Witnesses:    ledgerWitnesses(res),
 	}
-	if e.sharded() {
-		rec.Shards = e.Opts.Shards
-	}
 	rec.PeakHeapBytes = res.PeakHeapBytes
 	rec.FECLog, rec.Unknown = fecDecisions(res.Forensics)
 	e.ledgerFinish(ls, rec)

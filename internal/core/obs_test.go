@@ -180,8 +180,7 @@ func TestCheckParallelObservability(t *testing.T) {
 	}
 	spans := decodeSpans(t, trace)
 	root := spans["check"]
-	if len(root) != 1 || root[0].Attrs["mode"] != "parallel" ||
-		root[0].Attrs["workers"] != float64(4) || root[0].Attrs["shards"] != float64(1) {
+	if len(root) != 1 || root[0].Attrs["mode"] != "parallel" || root[0].Attrs["workers"] != float64(4) {
 		t.Fatalf("parallel root span wrong: %+v", root)
 	}
 	// Resolution runs under solve in every mode: no separate encode

@@ -27,14 +27,13 @@ type checkJob struct {
 	paths, shapes int
 }
 
-// checkSession is the solver state a range of FECs is encoded and
+// checkSession is the solver state the FECs of a check are encoded and
 // decided on: the content-addressed encoder, the sequential detection
 // solver, the fully clausified prototype pool workers fork from, and the
 // idle forks. The engine's session outlives a single After snapshot —
 // its builder grows monotonically, hash-consing unchanged cones across
 // edits, and UpdateAfter keeps it, so a warm re-check re-encodes only
-// what the edit changed. A sharded range opens a private one instead and
-// drops it at close (see solveRange).
+// what the edit changed.
 type checkSession struct {
 	enc   *encoder
 	seq   *smt.Solver
@@ -55,16 +54,13 @@ type checkCtx struct {
 	diff       []acl.Rule
 	encodeACLs map[string][2]*acl.ACL // binding ID -> {before, after}
 	pairFPs    map[string][2]uint64   // binding ID -> encoded pair fingerprints
-	// slots is the interned fast path of fecKey (see slotIndex),
-	// aliasing the engine's per-FEC slot lists. Built by
-	// prepareIncremental, read-only after.
+	// slots aliases the engine's per-FEC key slot lists (see slotIndex).
+	// Built by prepareIncremental, read-only after.
 	slots [][]int32
-	// pairRefs resolves a binding ID to its stable cache pair reference
-	// for this generation (0 / absent = unbound); fpRef is the same
-	// projection onto the dense slot indices for the interned fast path.
-	pairRefs map[string]uint64
-	fpRef    []uint64
-	// keyOff/keyArena back fecKey's fast path with one shared buffer:
+	// fpRef resolves a dense slot index to its binding's stable cache
+	// pair reference for this generation (0 = unbound).
+	fpRef []uint64
+	// keyOff/keyArena back fecKey with one shared buffer:
 	// FEC i's key occupies keyArena[keyOff[i]:keyOff[i+1]], written only
 	// by the goroutine resolving FEC i.
 	keyOff    []int
@@ -73,16 +69,13 @@ type checkCtx struct {
 	diffRules int
 	aclPairs  int
 
-	// src is the engine's forwarding index and nfec its FEC count. window
-	// is the materialized FECs [winLo, winLo+len(window)): every FEC
-	// (e.FECs()) on an unsharded engine, the open shard's on a sharded
-	// one and nil between shards — see fec.
-	src    *topo.FECSource
-	nfec   int
-	window []topo.FEC
-	winLo  int
-	// maxNodes is the largest formula builder a range of the current call
-	// closed on; peakHeap is the call's max sampled heap (see sampleHeap).
+	// src is the engine's forwarding index, fecs its materialization
+	// (e.FECs()) and nfec their count.
+	src  *topo.FECSource
+	fecs []topo.FEC
+	nfec int
+	// maxNodes is the size of the formula builder the current call's scan
+	// closed on; peakHeap is the call's sampled heap (see sampleHeap).
 	maxNodes int64
 	peakHeap int64
 
@@ -144,15 +137,8 @@ type checkCtx struct {
 	stats CacheStats
 }
 
-// fec returns FEC i: from the window when it covers i, else as a one-off
-// materialization from the forwarding index (fix and the witness pass
-// touch FECs of a sharded engine outside any open shard).
-func (ctx *checkCtx) fec(i int) topo.FEC {
-	if k := i - ctx.winLo; k >= 0 && k < len(ctx.window) {
-		return ctx.window[k]
-	}
-	return ctx.src.Materialize(i)
-}
+// fec returns FEC i.
+func (ctx *checkCtx) fec(i int) topo.FEC { return ctx.fecs[i] }
 
 // checkContext returns the engine's cached per-generation check state,
 // deriving it on first use: Theorem 4.1 preprocessing (differential
@@ -207,7 +193,7 @@ func (e *Engine) checkContext(o *obs.Observer) *checkCtx {
 }
 
 // solveCall is what one check call's solve phase shares across the
-// pipeline's stages (solve → solveRange → decidePool → decideJob): the
+// pipeline's stages (solve → scan → decidePool → decideJob): the
 // call's scope and result, its two parameters, and the observability
 // hooks — the phase span parenting the per-FEC "fec.solve" spans, the
 // all-backends and SAT-only decision-latency histograms, the progress
@@ -227,18 +213,14 @@ type solveCall struct {
 	decided atomic.Int64
 }
 
-// solve is the detection pipeline of Algorithm 1: shard → resolve →
-// decide → merge. The FEC index space is cut into contiguous ranges —
-// Options.Shards of them (topo.FECSource.Shards), or the single range
-// [0, nfec) when unsharded — and each runs through solveRange in
-// ascending order, stopping at the first range that reports a violation
-// unless FindAllViolations is set: the lowest violating FEC necessarily
-// lives in the earliest range that has one. Verdicts land in the per-FEC
+// solve is the detection pipeline of Algorithm 1: resolve → decide →
+// merge over the FEC index space [0, nfec), stopping at the first
+// violation unless FindAllViolations is set. Verdicts land in the per-FEC
 // states, so the merge — and with it hits, Unknown, SolvedFECs and the
-// witnesses — is a pure function of the states: identical at every
-// worker and shard count, whatever the scheduling. Returns the ascending
-// violating FEC indices (one at most in first-violation mode) and the
-// last FEC index the scan semantically examined.
+// witnesses — is a pure function of the states: identical at every worker
+// count, whatever the scheduling. Returns the ascending violating FEC
+// indices (one at most in first-violation mode) and the last FEC index
+// the scan semantically examined.
 func (e *Engine) solve(cn *canceller, ctx *checkCtx, res *CheckResult, root *obs.Span, o *obs.Observer) ([]int, int) {
 	sp := startPhase(root, res.Timings, "solve")
 	c := &solveCall{
@@ -249,27 +231,19 @@ func (e *Engine) solve(cn *canceller, ctx *checkCtx, res *CheckResult, root *obs
 		task:    o.StartTask("check: FECs", int64(ctx.nfec)),
 	}
 	ctx.resolveSpan = sp.sp
-	ranges := []topo.ShardRange{{Lo: 0, Hi: ctx.nfec}}
-	if e.sharded() {
-		ranges = ctx.src.Shards(e.Opts.Shards)
-	}
 	last := ctx.nfec - 1
-	for _, sr := range ranges {
-		if cn.cancelled() {
-			break
-		}
-		if first := e.solveRange(c, sr); first >= 0 {
+	if !cn.cancelled() {
+		if first := e.scan(c); first >= 0 {
 			last = first
-			break
 		}
 	}
 	ctx.resolveSpan = nil
 	c.task.Done()
 
 	if cn.cancelled() {
-		// The call is dead: whatever the scan's range still holds without
-		// a verdict — ranges never opened, FECs never resolved, jobs never
-		// decided — is Unknown; this call can no longer establish it.
+		// The call is dead: whatever the scan still holds without a verdict
+		// — FECs never resolved, jobs never decided — is Unknown; this call
+		// can no longer establish it.
 		for i := 0; i <= last; i++ {
 			if st := ctx.states[i]; st == fecUnresolved || st == fecPending {
 				ctx.markUnknown(i, reasonCancelled)
@@ -282,48 +256,22 @@ func (e *Engine) solve(cn *canceller, ctx *checkCtx, res *CheckResult, root *obs
 			hits = append(hits, i)
 		}
 	}
-	sp.end(obs.KV("decided", c.decided.Load()), obs.KV("violations", len(hits)), obs.KV("shards", len(ranges)))
+	sp.end(obs.KV("decided", c.decided.Load()), obs.KV("violations", len(hits)))
 	return hits, last
 }
 
-// solveRange runs one range of FECs through resolve and decide. The two
-// pipeline parameters act here and nowhere else:
-//
-//   - Sharding picks what the range builds on. Unsharded, that is the
-//     engine's session — the content-addressed encoder and the warmed
-//     solvers that persist across calls and edits — over the window of
-//     all FECs. Sharded, the range materializes only its own window and
-//     opens a private session that is released with it, so live formulas
-//     and clause databases are bounded by the largest shard; the price is
-//     that every call re-encodes the shards it visits (the verdict cache,
-//     change-impact analysis, pre-filter and pset backend — all builder-
-//     independent — still settle most FECs before any formula is built).
-//
-//   - Workers picks who decides. With one, each pending query is decided
-//     where it is resolved — on the calling goroutine and the session's
-//     sequential solver — so a first-violation stop builds no formula
-//     past the hit. With more, the range is resolved first and its
-//     pending queries fan out across decidePool.
+// scan runs every FEC through resolve and decide on the engine's session
+// — the content-addressed encoder and the warmed solvers that persist
+// across calls and edits. Workers picks who decides. With one, each
+// pending query is decided where it is resolved — on the calling
+// goroutine and the session's sequential solver — so a first-violation
+// stop builds no formula past the hit. With more, every FEC is resolved
+// first and the pending queries fan out across decidePool.
 //
 // Returns the FEC index of the violation the scan stops at, or -1 (always
 // -1 under FindAllViolations).
-func (e *Engine) solveRange(c *solveCall, sr topo.ShardRange) int {
+func (e *Engine) scan(c *solveCall) int {
 	ctx, sess := c.ctx, c.ctx.sess
-	if e.sharded() {
-		// fec.materialized counts FECs materialized from the forwarding
-		// index so far (monotone, ends at the scope's FEC count);
-		// shard.live counts shards whose formulas are live — ≤1 by
-		// construction, and that bound IS the memory claim, so it is
-		// reported rather than asserted.
-		sess = &checkSession{enc: newEncoder(e.Opts.UseTournament, c.o)}
-		ctx.window, ctx.winLo = make([]topo.FEC, sr.Hi-sr.Lo), sr.Lo
-		for k := range ctx.window {
-			ctx.window[k] = ctx.src.Materialize(sr.Lo + k)
-		}
-		c.o.Gauge("fec.materialized").Set(int64(sr.Hi))
-		c.o.Gauge("shard.live").Set(1)
-	}
-
 	var seq *smt.Solver
 	var seqBase sat.Stats
 	if c.workers == 1 {
@@ -341,8 +289,8 @@ func (e *Engine) solveRange(c *solveCall, sr topo.ShardRange) int {
 	// cancellation stops it, and solve marks what is left.
 	hit := -1
 	var pend []checkJob
-	for i := sr.Lo; i < sr.Hi && !c.cn.cancelled(); i++ {
-		st := e.resolveFEC(ctx, sess.enc, i)
+	for i := 0; i < ctx.nfec && !c.cn.cancelled(); i++ {
+		st := e.resolveFEC(ctx, i)
 		if st == fecPending {
 			j := ctx.jobs[ctx.jobOf[i]]
 			if seq == nil {
@@ -368,27 +316,7 @@ func (e *Engine) solveRange(c *solveCall, sr topo.ShardRange) int {
 			hit = first
 		}
 	}
-
-	ctx.maxNodes = max(ctx.maxNodes, int64(sess.enc.b.NumNodes()))
-	if e.sharded() {
-		// Sample while the shard's window and builder are both live — the
-		// per-call peak the memory envelope is judged by — then release
-		// them with every job query built on them. States still pending
-		// (skipped past a first violation, or dead on cancellation) and
-		// Unknowns drop their jobs: the smt.F handles point into the
-		// released builder and must never be replayed, so a later call
-		// re-resolves those FECs from scratch.
-		ctx.sampleHeap()
-		ctx.window, ctx.winLo = nil, 0
-		for i := sr.Lo; i < sr.Hi; i++ {
-			ctx.jobOf[i] = -1
-			if ctx.states[i] == fecPending {
-				ctx.states[i] = fecUnresolved
-			}
-		}
-		ctx.jobs, ctx.protoJobs = ctx.jobs[:0], 0
-		c.o.Gauge("shard.live").Set(0)
-	}
+	ctx.maxNodes = int64(sess.enc.b.NumNodes())
 	return hit
 }
 
@@ -419,14 +347,13 @@ func (w *poolWorker) release() *smt.Solver {
 	return s
 }
 
-// decidePool fans a range's pending jobs out across worker solvers. The
+// decidePool fans the scan's pending jobs out across worker solvers. The
 // jobs' cones are Tseitin-clausified once into the session's prototype
 // and each worker deep-copies the resulting clause database (smt.Fork)
 // inside its own goroutine, so clausification is paid once per distinct
 // ACL rather than once per worker and the copies — the dominant fixed
 // cost of fanning out — run concurrently. Forks return to the session
-// when the pool drains; on the engine's persistent session they are
-// reused, slot for slot, by later calls.
+// when the pool drains and are reused, slot for slot, by later calls.
 //
 // Work is handed out in chunks of consecutive jobs (runParallel pulls
 // chunks dynamically). A first-violation scan takes one job per chunk and
@@ -517,8 +444,8 @@ func (e *Engine) decidePool(c *solveCall, sess *checkSession, pend []checkJob) i
 
 // sampleHeap folds the current live-heap size into the call's peak.
 // ReadMemStats stops the world (~hundreds of microseconds), so callers
-// sample only where the cost is already bought: once per shard, or once
-// per call when forensics or a decision ledger is attached.
+// sample only where the cost is already bought: once per call, when
+// forensics or a decision ledger is attached.
 func (ctx *checkCtx) sampleHeap() {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)

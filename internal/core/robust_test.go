@@ -37,27 +37,25 @@ func findAllOpts() core.Options {
 	return opts
 }
 
-// eachFaultMode runs fn at every (workers, shards) corner of the one
-// check pipeline — calling goroutine or pool, session or per-shard
-// solvers — with findAllOpts configured for that corner. The running
-// example has three solver-bound FECs (0, 1 and 4); at four shards the
-// first shard holds two of them, so the sharded pool is a real pool.
+// eachFaultMode runs fn on both arms of the one check pipeline — calling
+// goroutine or pool — with findAllOpts configured for that arm. The
+// running example has three solver-bound FECs (0, 1 and 4), so the pool
+// is a real pool.
 func eachFaultMode(t *testing.T, fn func(t *testing.T, opts core.Options)) {
-	for _, m := range []struct{ workers, shards int }{{1, 1}, {2, 1}, {1, 4}, {2, 4}} {
-		t.Run(fmt.Sprintf("workers=%d/shards=%d", m.workers, m.shards), func(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			defer faultinject.Reset()
 			opts := findAllOpts()
-			opts.Workers, opts.Shards = m.workers, m.shards
+			opts.Workers = workers
 			fn(t, opts)
 		})
 	}
 }
 
-// poolChunks counts the chunks the cold find-all check hands to worker
-// pools under opts — the units a ParallelJob fault can crash. With one
-// worker there is no pool; a range's lone pending job runs inline, so
-// only ranges holding at least two count, each cut into one contiguous
-// chunk per worker slot.
+// poolChunks counts the chunks the cold find-all check hands to the
+// worker pool under opts — the units a ParallelJob fault can crash. With
+// one worker there is no pool, and a lone pending job runs inline; two or
+// more are cut into one contiguous chunk per worker slot.
 func poolChunks(t *testing.T, opts core.Options) int {
 	t.Helper()
 	if opts.Workers <= 1 {
@@ -65,21 +63,16 @@ func poolChunks(t *testing.T, opts core.Options) int {
 	}
 	ref := findAllOpts()
 	ref.Forensics = true
-	e := newRunningEngine(t, ref)
-	res := e.Check()
-	chunks := 0
-	for _, sr := range e.Before.ForwardingIndex(e.Scope, e.Classes()).Shards(opts.Shards) {
-		n := 0
-		for _, f := range res.Forensics {
-			if f.FEC >= sr.Lo && f.FEC < sr.Hi && f.Route == "sat" {
-				n++
-			}
-		}
-		if n >= 2 {
-			chunks += min(opts.Workers, n)
+	n := 0
+	for _, f := range newRunningEngine(t, ref).Check().Forensics {
+		if f.Route == "sat" {
+			n++
 		}
 	}
-	return chunks
+	if n < 2 {
+		return 0
+	}
+	return min(opts.Workers, n)
 }
 
 // TestFaultTimeoutRetryRecovers injects one solver timeout into the
@@ -250,8 +243,8 @@ func TestFaultCancelledContextMarksUnknown(t *testing.T) {
 		if res.Complete {
 			t.Fatal("a cancelled check cannot be complete")
 		}
-		// The dead call resolved nothing: every FEC of the scope — in
-		// shards it never opened, too — is Unknown.
+		// The dead call resolved nothing: every FEC of the scope is
+		// Unknown.
 		if len(res.Unknown) != res.FECs {
 			t.Fatalf("%d of %d FECs Unknown: %v", len(res.Unknown), res.FECs, res.Unknown)
 		}
@@ -336,9 +329,9 @@ func TestFaultPanicMidChunkDecidesEachJobOnce(t *testing.T) {
 // TestFaultPoolCollapseSequentialFallback crashes every chunk a pool
 // worker picks up (the every-hit ParallelJob schedule; the sequential
 // re-run does not fire it) and asserts the fallback finishes the check
-// with a report byte-identical to the clean one-worker run — in every
-// pool of a sharded check, too. With one worker there is no pool:
-// nothing fires, nothing is recovered, same bytes.
+// with a report byte-identical to the clean one-worker run. With one
+// worker there is no pool: nothing fires, nothing is recovered, same
+// bytes.
 func TestFaultPoolCollapseSequentialFallback(t *testing.T) {
 	ref := newRunningEngine(t, findAllOpts()).Check()
 	want := checkSignature(ref)

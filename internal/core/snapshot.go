@@ -131,42 +131,26 @@ func (e *Engine) verdictSnapshotDigest(nfec int) string {
 	// one ID string per unique binding plus integer slot references — is
 	// an order of magnitude less byte-hashing than the per-path hop
 	// walk, which matters because Import recomputes the digest from
-	// scratch on a freshly built engine after every restart. Sharded
-	// engines have no slot index and keep the per-path walk; the two
-	// forms digest differently, so a snapshot never crosses modes (the
-	// import refusal means a cold start, never a wrong replay).
-	if si := e.fecSlotIndex(); si != nil {
-		mix(strconv.Itoa(int(si.n)))
-		ids := make([]string, si.n)
-		for id, j := range si.ids {
-			ids[j] = id
+	// scratch on a freshly built engine after every restart.
+	si := e.fecSlotIndex()
+	mix(strconv.Itoa(int(si.n)))
+	ids := make([]string, si.n)
+	for id, j := range si.ids {
+		ids[j] = id
+	}
+	for _, id := range ids {
+		mix(id)
+	}
+	fecs := e.FECs()
+	mix(strconv.Itoa(len(fecs)))
+	for i, sl := range si.slots {
+		mixInt(uint64(len(fecs[i].Paths)))
+		for _, p := range fecs[i].Paths {
+			mixInt(uint64(len(p.Hops)))
 		}
-		for _, id := range ids {
-			mix(id)
-		}
-		fecs := e.FECs()
-		mix(strconv.Itoa(len(fecs)))
-		for i, sl := range si.slots {
-			mixInt(uint64(len(fecs[i].Paths)))
-			for _, p := range fecs[i].Paths {
-				mixInt(uint64(len(p.Hops)))
-			}
-			mixInt(uint64(len(sl)))
-			for _, s := range sl {
-				mixInt(uint64(s))
-			}
-		}
-	} else {
-		paths := e.Paths()
-		mix(strconv.Itoa(len(paths)))
-		for _, p := range paths {
-			mix(strconv.Itoa(len(p.Hops)))
-			for _, hop := range p.Hops {
-				mix(hop.In.Device.Name)
-				mix(hop.In.Name)
-				mix(hop.Out.Device.Name)
-				mix(hop.Out.Name)
-			}
+		mixInt(uint64(len(sl)))
+		for _, s := range sl {
+			mixInt(uint64(s))
 		}
 	}
 	mix(strconv.Itoa(nfec))

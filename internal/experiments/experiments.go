@@ -1,9 +1,8 @@
 // Package experiments reproduces the paper's evaluation (§8): one
 // function per figure or table, each returning structured rows and able
-// to print them in the paper's format. The benchmark harness
-// (bench_test.go), the experiment tests, and cmd/jinjing-experiments all
-// call into this package, so every number in EXPERIMENTS.md is
-// regenerable from one place.
+// to print them in the paper's format. The experiment tests and
+// cmd/jinjing-experiments both call into this package, so every number
+// in EXPERIMENTS.md is regenerable from one place.
 //
 // Workloads mirror §8's setup on the synthetic WANs of package netgen
 // (the substitution for the 8%/30%/80% Alibaba sub-networks):
@@ -17,37 +16,27 @@ package experiments
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"os"
-	"runtime"
-	"runtime/debug"
-	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"jinjing/internal/acl"
 	"jinjing/internal/core"
 	"jinjing/internal/header"
 	"jinjing/internal/lai"
 	"jinjing/internal/netgen"
 	"jinjing/internal/obs"
 	"jinjing/internal/sat"
-	"jinjing/internal/store"
 	"jinjing/internal/topo"
 )
 
 // Seed fixes all workloads; change it to resample.
 const Seed = 42
 
-// Observer, when set, instruments every experiment engine that does not
-// need a private metrics registry of its own (cmd/jinjing-experiments
-// sets it so -json can embed the run's aggregate metrics snapshot).
-// Experiments that read specific counters mid-run (FigParallelCheck,
-// FigBackendCheck) keep their per-cell registries and ignore it.
+// Observer, when set, instruments every experiment engine
+// (cmd/jinjing-experiments sets it so -json can embed the run's
+// aggregate metrics snapshot).
 var Observer *obs.Observer
 
 // defaultOptions is core.DefaultOptions with the package Observer
@@ -366,841 +355,6 @@ func Fig4dOpen(sizes []netgen.Size, perDevice []int) []GenerateRow {
 	return rows
 }
 
-// ParallelRow is one parallel-check measurement: the same workload run
-// sequentially (Options.Workers = 1) and fanned out across a worker
-// pool, with the encoder-cache traffic captured from a per-row metrics
-// registry.
-type ParallelRow struct {
-	Size       netgen.Size `json:"size"`
-	PerturbPct float64     `json:"perturb_pct"`
-	Workers    int         `json:"workers"`
-	Mode       string      `json:"mode"` // "sequential" or "parallel"
-	Consistent bool        `json:"consistent"`
-	FECs       int         `json:"fecs"`
-	SolvedFECs int         `json:"solved_fecs"`
-	Violations int         `json:"violations"`
-	// CacheHits/CacheMisses are the encoder cache counters over the
-	// whole cell (the hit rate is what makes re-encoding free for the
-	// unchanged ACL of every before/after pair).
-	CacheHits   int64     `json:"encoder_cache_hits"`
-	CacheMisses int64     `json:"encoder_cache_misses"`
-	Stats       sat.Stats `json:"stats"`
-	// ColdElapsed is the first call on a fresh engine: it pays encoding,
-	// clausification, and (parallel) the per-worker solver forks.
-	ColdElapsed time.Duration `json:"cold_elapsed_ns"`
-	// Elapsed is the steady-state turnaround — the median of the
-	// repeated calls after the first, where the encoder cache, job list,
-	// and worker pool persist on the engine. This is the regime the
-	// persistent pool targets: an operator session re-checks the same
-	// scope many times while editing an update.
-	Elapsed      time.Duration `json:"elapsed_ns"`
-	SpeedupVsSeq float64       `json:"speedup_vs_seq"`
-}
-
-// parallelSteadyCalls is the number of timed steady-state calls behind
-// each ParallelRow (after one untimed cold call); the row reports their
-// median, which is robust to scheduler noise on small networks.
-const parallelSteadyCalls = 13
-
-// FigParallelCheck measures check turnaround versus worker count. The
-// workload makes detection dominate end to end — basic mode (no Theorem
-// 4.1 filtering), the SAT backend forced (so every FEC reaches the
-// solver pool, which by default sees only what overflows the set
-// algebra's cube budget), tournament encoding, and FindAllViolations
-// (no early exit) on a 5% perturbation — i.e. the historical worst case
-// for fanning out. Each cell runs on a fresh
-// engine with its own metrics registry, so encoder-cache hits and
-// solver counters are per-cell. The first call (ColdElapsed) pays the
-// whole pipeline: encoding, prototype clausification, and the worker
-// forks; the steady-state median (Elapsed) shows the persistent pool
-// and shared encoding cache doing their job across repeated checks.
-// Rows carry SpeedupVsSeq relative to the workers=1 row of the same
-// size.
-func FigParallelCheck(sizes []netgen.Size, workerCounts []int) []ParallelRow {
-	const pct = 5
-	var rows []ParallelRow
-	for _, size := range sizes {
-		w := GetWAN(size)
-		after := w.Perturb(Seed+int64(pct*10), pct)
-
-		// One engine per worker count, all over the same inputs. The
-		// steady-state calls are interleaved round-robin across the
-		// engines so machine-wide drift (GC, neighbors) lands on every
-		// configuration equally — the medians form paired samples.
-		type cell struct {
-			workers int
-			e       *core.Engine
-			m       *obs.Metrics
-			res     *core.CheckResult
-			cold    time.Duration
-			durs    []time.Duration
-		}
-		cells := make([]*cell, 0, len(workerCounts))
-		for _, workers := range workerCounts {
-			opts := core.DefaultOptions()
-			opts.UseDifferential = false
-			opts.UseTournament = true
-			opts.FindAllViolations = true
-			opts.Backend = core.BackendSAT
-			opts.Workers = workers
-			m := obs.NewMetrics()
-			opts.Obs = obs.NewObserver(nil, m, nil)
-			e := core.New(w.Net, after, w.Scope, opts)
-			e.FECs() // prewarm shared input preprocessing, as in Fig. 4a
-			cells = append(cells, &cell{workers: workers, e: e, m: m})
-		}
-		call := func(c *cell) (*core.CheckResult, time.Duration) {
-			t0 := time.Now()
-			res := c.e.Check()
-			return res, time.Since(t0)
-		}
-		for _, c := range cells {
-			c.res, c.cold = call(c)
-		}
-		for i := 0; i < parallelSteadyCalls; i++ {
-			for _, c := range cells {
-				_, d := call(c)
-				c.durs = append(c.durs, d)
-			}
-		}
-
-		var seq time.Duration
-		for _, c := range cells {
-			sort.Slice(c.durs, func(i, j int) bool { return c.durs[i] < c.durs[j] })
-			elapsed := c.durs[len(c.durs)/2]
-			if c.workers <= 1 {
-				seq = elapsed
-			}
-			mode := "sequential"
-			if c.workers > 1 {
-				mode = "parallel"
-			}
-			snap := c.m.Snapshot()
-			row := ParallelRow{
-				Size: size, PerturbPct: pct, Workers: c.workers, Mode: mode,
-				Consistent: c.res.Consistent, FECs: c.res.FECs,
-				SolvedFECs: c.res.SolvedFECs, Violations: len(c.res.Violations),
-				CacheHits:   snap.Counters["encoder.cache.hits"],
-				CacheMisses: snap.Counters["encoder.cache.misses"],
-				Stats:       c.res.SolverStats,
-				ColdElapsed: c.cold,
-				Elapsed:     elapsed,
-			}
-			if seq > 0 && elapsed > 0 {
-				row.SpeedupVsSeq = float64(seq) / float64(elapsed)
-			}
-			rows = append(rows, row)
-		}
-	}
-	return rows
-}
-
-// IncrementalRow is one incremental re-check measurement: the same
-// single-ACL edit verified by a cold engine (fresh, no verdict cache)
-// and by a warm session engine whose VerdictCache carries the previous
-// generation's verdicts. ColdElapsed/WarmElapsed are paired-sample
-// medians over the interleaved calls.
-type IncrementalRow struct {
-	Size       netgen.Size `json:"size"`
-	PerturbPct float64     `json:"perturb_pct"`
-	// EditSite names the layer the per-iteration edit lands on:
-	// "edge-up" (an ACL attached on a destination-side edge uplink,
-	// whose FEC fan-in is bounded) or "agg-down" (an existing agg
-	// downlink ACL, which roughly half the FECs traverse).
-	EditSite   string `json:"edit_site"`
-	Iterations int    `json:"iterations"`
-	FECs       int    `json:"fecs"`
-	Consistent bool   `json:"consistent"`
-	// ColdSolved/WarmSolved are the solver verdict counts of the last
-	// iteration's cold and warm calls: the warm count is the number of
-	// FECs the cache could NOT discharge for a one-ACL edit.
-	ColdSolved int `json:"cold_solved_fecs"`
-	WarmSolved int `json:"warm_solved_fecs"`
-	// Verdict-cache and pre-filter traffic accumulated over all warm
-	// calls; HitRate = hits / (hits + misses).
-	CacheHits   int64   `json:"fec_cache_hits"`
-	CacheMisses int64   `json:"fec_cache_misses"`
-	Prefiltered int64   `json:"prefilter_discharged"`
-	HitRate     float64 `json:"hit_rate"`
-	// ChangedBindings/AffectedFECs are the last warm call's change
-	// impact (successive independent edits differ from the previous
-	// generation in the reverted and the newly edited binding).
-	ChangedBindings int           `json:"changed_bindings"`
-	AffectedFECs    int           `json:"affected_fecs"`
-	ColdElapsed     time.Duration `json:"cold_elapsed_ns"`
-	WarmElapsed     time.Duration `json:"warm_elapsed_ns"`
-	Speedup         float64       `json:"speedup"`
-	// Identical records that every warm result matched its cold twin
-	// (verdict, violation packets, and paths).
-	Identical bool `json:"identical"`
-}
-
-// resultSignature canonicalizes a check result for the warm-equals-cold
-// comparison behind IncrementalRow.Identical.
-func resultSignature(res *core.CheckResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "consistent=%v solved=%d\n", res.Consistent, res.SolvedFECs)
-	for _, v := range res.Violations {
-		fmt.Fprintf(&b, "pkt=%v classes=%v paths=[", v.Packet, v.Classes)
-		for _, p := range v.Paths {
-			b.WriteString(p.Key())
-			b.WriteString(" ")
-		}
-		b.WriteString("]\n")
-	}
-	return b.String()
-}
-
-// FigIncrementalCheck measures the verdict cache on the operator loop
-// the incremental engine targets: a session holds one verified update
-// open and re-checks after every edit. Basic mode (no Theorem 4.1
-// filtering) keeps the comparison conservative — the differential
-// filter would let the cold engine skip unchanged bindings too, so
-// disabling it isolates the cache — and find-all disables early exit,
-// as in FigParallelCheck. Each iteration applies one single-ACL edit (a
-// fresh deny prepended, rotating over bindings and prefixes) to the
-// 5%-perturbed update; the edited snapshot is then checked cold (a
-// fresh cacheless engine with prewarmed input preprocessing, as in
-// Fig. 4a) and warm (UpdateAfter on the session engine). Cold and warm
-// calls interleave so machine-wide drift lands on both arms equally
-// and the medians form paired samples; every warm result is compared
-// against its cold twin.
-//
-// Two edit sites bound the cache's reach from both ends. "edge-up"
-// attaches the deny on a destination-side edge uplink: only the paths
-// toward that edge traverse it, so the edit invalidates a handful of
-// FECs and the re-check replays nearly everything — the localized-edit
-// regime content addressing is built for. "agg-down" edits an existing
-// agg downlink ACL, which roughly half the FECs traverse — the
-// worst-case half of the spectrum (an entering-border edit would reach
-// every FEC, where no verdict cache can help and none should: those
-// verdicts genuinely change).
-func FigIncrementalCheck(sizes []netgen.Size) []IncrementalRow {
-	const pct = 5
-	var rows []IncrementalRow
-	for _, size := range sizes {
-		w := GetWAN(size)
-		after := w.Perturb(Seed+int64(pct*10), pct)
-		pool := w.AllPrefixes()
-
-		edgeUp := make([]string, 0, len(w.EdgeNames))
-		for _, en := range w.EdgeNames {
-			edgeUp = append(edgeUp, en+":u0:in")
-		}
-		sites := []struct {
-			label string
-			ids   []string
-		}{
-			{"edge-up", edgeUp},
-			{"agg-down", w.AggACLs},
-		}
-
-		mkOpts := func() core.Options {
-			o := defaultOptions()
-			o.UseDifferential = false
-			o.UseTournament = true
-			o.FindAllViolations = true
-			return o
-		}
-		for _, site := range sites {
-			bindings, err := netgen.Bindings(after, site.ids)
-			if err != nil {
-				panic(err)
-			}
-			warmOpts := mkOpts()
-			warmOpts.Verdicts = core.NewVerdictCache()
-			warm := core.New(w.Net, after, w.Scope, warmOpts)
-			warm.FECs()
-			warm.Check() // prime the cache on the base update (untimed)
-
-			// One single-ACL edit per iteration, built up front so
-			// snapshot cloning stays out of the timed regions.
-			edits := make([]*topo.Network, parallelSteadyCalls)
-			for i := range edits {
-				n := after.Clone()
-				b := bindings[i%len(bindings)]
-				iface, err := n.LookupInterface(b.Iface.ID())
-				if err != nil {
-					panic(err)
-				}
-				a := iface.ACL(b.Dir)
-				if a == nil {
-					a = acl.PermitAll()
-				}
-				deny := acl.Rule{Action: acl.Deny, Match: header.DstMatch(pool[i%len(pool)])}
-				a.Rules = append([]acl.Rule{deny}, a.Rules...)
-				iface.SetACL(b.Dir, a)
-				edits[i] = n
-			}
-
-			var (
-				hits, misses, pre  int64
-				coldDurs, warmDurs []time.Duration
-				coldRes, warmRes   *core.CheckResult
-				identical          = true
-			)
-			for _, edited := range edits {
-				cold := core.New(w.Net, edited, w.Scope, mkOpts())
-				cold.FECs() // prewarm shared input preprocessing, as in Fig. 4a
-				t0 := time.Now()
-				coldRes = cold.Check()
-				coldDurs = append(coldDurs, time.Since(t0))
-
-				t0 = time.Now()
-				warm.UpdateAfter(edited)
-				warmRes = warm.Check()
-				warmDurs = append(warmDurs, time.Since(t0))
-
-				if resultSignature(warmRes) != resultSignature(coldRes) {
-					identical = false
-				}
-				hits += warmRes.Stats.FECCacheHits
-				misses += warmRes.Stats.FECCacheMisses
-				pre += warmRes.Stats.PrefilterDischarged
-			}
-
-			median := func(ds []time.Duration) time.Duration {
-				sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-				return ds[len(ds)/2]
-			}
-			row := IncrementalRow{
-				Size: size, PerturbPct: pct, EditSite: site.label,
-				Iterations: parallelSteadyCalls,
-				FECs:       warmRes.FECs, Consistent: warmRes.Consistent,
-				ColdSolved: coldRes.SolvedFECs, WarmSolved: warmRes.SolvedFECs,
-				CacheHits: hits, CacheMisses: misses, Prefiltered: pre,
-				ChangedBindings: warmRes.Stats.ChangedBindings,
-				AffectedFECs:    warmRes.Stats.AffectedFECs,
-				ColdElapsed:     median(coldDurs),
-				WarmElapsed:     median(warmDurs),
-				Identical:       identical,
-			}
-			if hits+misses > 0 {
-				row.HitRate = float64(hits) / float64(hits+misses)
-			}
-			if row.WarmElapsed > 0 {
-				row.Speedup = float64(row.ColdElapsed) / float64(row.WarmElapsed)
-			}
-			rows = append(rows, row)
-		}
-	}
-	return rows
-}
-
-// SnapshotRow is one snapshot-restore measurement: the daemon-restart
-// scenario, timed. A warm session (primed on the base update, then
-// re-checked after a single-ACL edit) is snapshotted to disk through
-// internal/store; the "restore" arm then replays a restarted daemon's
-// first re-check — read + decode + import + check on a freshly built
-// engine — against a cold engine's check over the same inputs. Engine
-// construction and path/FEC derivation are untimed in both arms (a
-// restarted daemon pays them either way); the row isolates what
-// durability buys: verdict replay instead of re-solving.
-type SnapshotRow struct {
-	Size       netgen.Size `json:"size"`
-	PerturbPct float64     `json:"perturb_pct"`
-	Iterations int         `json:"iterations"`
-	FECs       int         `json:"fecs"`
-	Consistent bool        `json:"consistent"`
-	// Entries/Bytes size the persisted artifact.
-	Entries       int `json:"snapshot_entries"`
-	SnapshotBytes int `json:"snapshot_bytes"`
-	// SnapshotElapsed is the median cost of one full snapshot pass
-	// (export + encode + atomic write) — the daemon's periodic
-	// per-session overhead.
-	SnapshotElapsed time.Duration `json:"snapshot_elapsed_ns"`
-	// RestoreElapsed is the median read + decode + import + warm check;
-	// ColdElapsed the median cold check on the same inputs.
-	RestoreElapsed time.Duration `json:"restore_elapsed_ns"`
-	ColdElapsed    time.Duration `json:"cold_elapsed_ns"`
-	// CacheHits counts the last restored check's replayed verdicts —
-	// zero would mean the snapshot was dead weight.
-	CacheHits int64   `json:"fec_cache_hits"`
-	Speedup   float64 `json:"speedup"` // cold / restore
-	// Identical records that every restored result matched its cold
-	// twin (verdict, violation packets, and paths).
-	Identical bool `json:"identical"`
-}
-
-// FigSnapshotRestore measures the durable-warm-state path on the
-// operator workload of FigIncrementalCheck: base update primed, one
-// single-ACL edge-up edit re-checked warm, cache snapshotted to disk.
-// Each iteration interleaves a cold check (fresh cacheless engine,
-// prewarmed preprocessing, as in Fig. 4a) with a full restore (fresh
-// engine + store.Read + ImportVerdicts + check) so machine drift lands
-// on both arms and the medians form paired samples.
-func FigSnapshotRestore(sizes []netgen.Size) []SnapshotRow {
-	const pct = 5
-	var rows []SnapshotRow
-	for _, size := range sizes {
-		w := GetWAN(size)
-		after := w.Perturb(Seed+int64(pct*10), pct)
-		pool := w.AllPrefixes()
-
-		mkOpts := func() core.Options {
-			o := defaultOptions()
-			o.UseDifferential = false
-			o.UseTournament = true
-			o.FindAllViolations = true
-			return o
-		}
-
-		// The warm session: prime on the base update, then one edge-up
-		// single-ACL edit (the localized-edit regime the cache targets).
-		bindings, err := netgen.Bindings(after, []string{w.EdgeNames[0] + ":u0:in"})
-		if err != nil {
-			panic(err)
-		}
-		edited := after.Clone()
-		iface, err := edited.LookupInterface(bindings[0].Iface.ID())
-		if err != nil {
-			panic(err)
-		}
-		a := iface.ACL(bindings[0].Dir)
-		if a == nil {
-			a = acl.PermitAll()
-		}
-		deny := acl.Rule{Action: acl.Deny, Match: header.DstMatch(pool[0])}
-		a.Rules = append([]acl.Rule{deny}, a.Rules...)
-		iface.SetACL(bindings[0].Dir, a)
-
-		warmOpts := mkOpts()
-		warmOpts.Verdicts = core.NewVerdictCache()
-		warm := core.New(w.Net, after, w.Scope, warmOpts)
-		warm.FECs()
-		warm.Check()
-		warm.UpdateAfter(edited)
-		warm.Check()
-
-		snap := warm.ExportVerdicts()
-		if snap == nil {
-			panic("experiments: nothing to snapshot from a checked engine")
-		}
-		dir, err := os.MkdirTemp("", "jinjing-snap-bench-")
-		if err != nil {
-			panic(err)
-		}
-		defer os.RemoveAll(dir)
-		path := dir + "/cache.snap"
-
-		var (
-			snapDurs, restoreDurs, coldDurs []time.Duration
-			coldRes, restoredRes            *core.CheckResult
-			identical                       = true
-			hits                            int64
-		)
-		for i := 0; i < parallelSteadyCalls; i++ {
-			// Snapshot pass: export + encode + atomic write.
-			t0 := time.Now()
-			if err := store.Write(path, warm.ExportVerdicts()); err != nil {
-				panic(err)
-			}
-			snapDurs = append(snapDurs, time.Since(t0))
-
-			// Cold arm: the restarted daemon's first check with no snapshot
-			// to restore — a verdict cache is installed (jinjingd always
-			// runs with one; it feeds the next snapshot) but starts empty.
-			coldOpts := mkOpts()
-			coldOpts.Verdicts = core.NewVerdictCache()
-			cold := core.New(w.Net, edited, w.Scope, coldOpts)
-			cold.FECs()
-			t0 = time.Now()
-			coldRes = cold.Check()
-			coldDurs = append(coldDurs, time.Since(t0))
-
-			// Restore arm: the restarted daemon's first re-check.
-			resOpts := mkOpts()
-			resOpts.Verdicts = core.NewVerdictCache()
-			restored := core.New(w.Net, edited, w.Scope, resOpts)
-			restored.FECs()
-			t0 = time.Now()
-			loaded, err := store.Read(path)
-			if err != nil {
-				panic(err)
-			}
-			if err := restored.ImportVerdicts(loaded); err != nil {
-				panic(err)
-			}
-			restoredRes = restored.Check()
-			restoreDurs = append(restoreDurs, time.Since(t0))
-
-			if resultSignature(restoredRes) != resultSignature(coldRes) {
-				identical = false
-			}
-			hits = restoredRes.Stats.FECCacheHits
-		}
-
-		median := func(ds []time.Duration) time.Duration {
-			sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-			return ds[len(ds)/2]
-		}
-		encoded := store.Encode(snap)
-		row := SnapshotRow{
-			Size: size, PerturbPct: pct,
-			Iterations: parallelSteadyCalls,
-			FECs:       restoredRes.FECs, Consistent: restoredRes.Consistent,
-			Entries: snap.NumEntries(), SnapshotBytes: len(encoded),
-			SnapshotElapsed: median(snapDurs),
-			RestoreElapsed:  median(restoreDurs),
-			ColdElapsed:     median(coldDurs),
-			CacheHits:       hits,
-			Identical:       identical,
-		}
-		if row.RestoreElapsed > 0 {
-			row.Speedup = float64(row.ColdElapsed) / float64(row.RestoreElapsed)
-		}
-		rows = append(rows, row)
-	}
-	return rows
-}
-
-// BackendRow is one backend measurement: the same workload verified with
-// the backend forced to SAT and with the default (pset, SAT on a
-// cube-budget overflow). Cold and warm
-// medians are paired samples over interleaved calls, as in
-// FigIncrementalCheck.
-type BackendRow struct {
-	Size       netgen.Size `json:"size"`
-	PerturbPct float64     `json:"perturb_pct"`
-	Backend    string      `json:"backend"` // "sat" or "auto"
-	Consistent bool        `json:"consistent"`
-	FECs       int         `json:"fecs"`
-	SolvedFECs int         `json:"solved_fecs"`
-	Violations int         `json:"violations"`
-	// PsetDecided/PsetBailout/SatSelected are the backend counters of
-	// one cold call: how many complete decisions the packet-set engine
-	// took, how many it abandoned to SAT mid-solve on the cube budget,
-	// and how many went to a solver job.
-	PsetDecided int64 `json:"pset_decided"`
-	PsetBailout int64 `json:"pset_bailout"`
-	SatSelected int64 `json:"sat_selected"`
-	// ColdElapsed is the median over fresh-engine calls (each pays
-	// encoding plus its backend's decision procedure); WarmElapsed is
-	// the steady-state median on a persistent engine.
-	ColdElapsed time.Duration `json:"cold_elapsed_ns"`
-	WarmElapsed time.Duration `json:"warm_elapsed_ns"`
-	// ColdSpeedupVsSat/WarmSpeedupVsSat are relative to the sat row of
-	// the same size (1.0 on the sat row itself).
-	ColdSpeedupVsSat float64 `json:"cold_speedup_vs_sat"`
-	WarmSpeedupVsSat float64 `json:"warm_speedup_vs_sat"`
-	// Identical records that every result matched the sat arm's
-	// (verdict, violation packets, and paths) — the backends must be
-	// observationally indistinguishable.
-	Identical bool `json:"identical"`
-}
-
-// backendColdCalls is the number of fresh-engine calls behind each
-// BackendRow's cold median.
-const backendColdCalls = 7
-
-// FigBackendCheck measures the default backend — the set algebra first,
-// the solver on cube-budget overflow — against the SAT-only baseline on
-// the detection-dominated workload of
-// FigParallelCheck: basic mode (no Theorem 4.1 filtering, so every FEC
-// reaches a complete decision procedure), tournament encoding, find-all,
-// 5% perturbation, sequential. The cold arm builds a fresh engine for
-// every call — the one-shot CLI regime where the pset backend's skipped
-// clausification and CDCL search pay off most — and the warm arm holds
-// one engine per backend across repeated checks. Calls interleave
-// round-robin across the two arms so machine-wide drift lands on both
-// equally and the medians form paired samples; every result is compared
-// against the sat arm's signature.
-func FigBackendCheck(sizes []netgen.Size) []BackendRow {
-	const pct = 5
-	var rows []BackendRow
-	for _, size := range sizes {
-		w := GetWAN(size)
-		after := w.Perturb(Seed+int64(pct*10), pct)
-
-		mkOpts := func(b core.Backend, m *obs.Metrics) core.Options {
-			o := core.DefaultOptions()
-			o.UseDifferential = false
-			o.UseTournament = true
-			o.FindAllViolations = true
-			o.Backend = b
-			o.Obs = obs.NewObserver(nil, m, nil)
-			return o
-		}
-		type cell struct {
-			label              string
-			backend            core.Backend
-			m                  *obs.Metrics
-			res                *core.CheckResult
-			warm               *core.Engine
-			coldDurs, warmDurs []time.Duration
-			identical          bool
-		}
-		cells := []*cell{
-			{label: "sat", backend: core.BackendSAT, identical: true},
-			{label: "auto", backend: core.BackendAuto, identical: true},
-		}
-		for _, c := range cells {
-			c.m = obs.NewMetrics()
-		}
-
-		// Cold arm: a fresh engine per call, interleaved across backends.
-		// Engine construction and input preprocessing stay untimed (as in
-		// Fig. 4a); the timed region is encoding plus decision.
-		for i := 0; i < backendColdCalls; i++ {
-			for _, c := range cells {
-				e := core.New(w.Net, after, w.Scope, mkOpts(c.backend, c.m))
-				e.FECs()
-				t0 := time.Now()
-				c.res = e.Check()
-				c.coldDurs = append(c.coldDurs, time.Since(t0))
-			}
-		}
-		// Warm arm: persistent engines, one untimed priming call, then
-		// interleaved steady-state calls.
-		for _, c := range cells {
-			c.warm = core.New(w.Net, after, w.Scope, mkOpts(c.backend, c.m))
-			c.warm.FECs()
-			c.warm.Check()
-		}
-		for i := 0; i < parallelSteadyCalls; i++ {
-			for _, c := range cells {
-				t0 := time.Now()
-				res := c.warm.Check()
-				c.warmDurs = append(c.warmDurs, time.Since(t0))
-				if resultSignature(res) != resultSignature(c.res) {
-					c.identical = false
-				}
-			}
-		}
-		want := resultSignature(cells[0].res)
-
-		median := func(ds []time.Duration) time.Duration {
-			sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-			return ds[len(ds)/2]
-		}
-		var satCold, satWarm time.Duration
-		for _, c := range cells {
-			if resultSignature(c.res) != want {
-				c.identical = false
-			}
-			cold, warmD := median(c.coldDurs), median(c.warmDurs)
-			if c.label == "sat" {
-				satCold, satWarm = cold, warmD
-			}
-			row := BackendRow{
-				Size: size, PerturbPct: pct, Backend: c.label,
-				Consistent: c.res.Consistent, FECs: c.res.FECs,
-				SolvedFECs: c.res.SolvedFECs, Violations: len(c.res.Violations),
-				PsetDecided: c.res.Stats.PsetDecided,
-				PsetBailout: c.res.Stats.PsetBailout,
-				SatSelected: c.res.Stats.SatSelected,
-				ColdElapsed: cold, WarmElapsed: warmD,
-				Identical: c.identical,
-			}
-			if satCold > 0 && cold > 0 {
-				row.ColdSpeedupVsSat = float64(satCold) / float64(cold)
-			}
-			if satWarm > 0 && warmD > 0 {
-				row.WarmSpeedupVsSat = float64(satWarm) / float64(warmD)
-			}
-			rows = append(rows, row)
-		}
-	}
-	return rows
-}
-
-// ShardRow is one shard-scaling measurement: the same cold check run
-// monolithically (shards=1) and sharded, with wall time and peak live
-// heap. The sharded rows must be byte-identical in outcome to the
-// monolithic row; what sharding buys is the memory column.
-type ShardRow struct {
-	Size          netgen.Size   `json:"size"`
-	PerturbPct    float64       `json:"perturb_pct"`
-	Shards        int           `json:"shards"`
-	Workers       int           `json:"workers"`
-	Consistent    bool          `json:"consistent"`
-	FECs          int           `json:"fecs"`
-	SolvedFECs    int           `json:"solved_fecs"`
-	PeakHeapBytes int64         `json:"peak_heap_bytes"`
-	ColdElapsed   time.Duration `json:"cold_elapsed_ns"`
-	// Identical records the row's check signature matched the
-	// monolithic (shards=1) row's of the same size.
-	Identical bool `json:"identical"`
-	// MonolithicInfeasible marks a shards=1 row whose peak heap
-	// exceeded MonolithicHeapEnvelope — the regime the sharded pipeline
-	// exists for: past it, only bounded per-shard derivation fits the
-	// envelope a verification host is willing to give one check.
-	MonolithicInfeasible bool `json:"monolithic_infeasible,omitempty"`
-}
-
-// MonolithicHeapEnvelope is the live-heap budget a single check is
-// granted before its monolithic run is declared infeasible in the
-// FigShardCheck scaling study — the model of a per-check container
-// limit on a verification host. Calibrated against the measured curve
-// (find-all basic mode, GOGC≈10, 4 workers): monolithic peaks grow
-// with FEC count — large (193 FECs) ~38 MB, xlarge (577 FECs)
-// ~129 MB — because every FEC's formula is live in one encoder at
-// solve time, while sharded runs of the same sizes hold ~28 MB and
-// ~98 MB: the shared substrate (network, paths, classes, witnesses)
-// plus only one shard's formulas. The envelope sits between the
-// sharded and monolithic xlarge peaks with ~13% margin each way, so
-// the flag trips exactly where bounded per-shard derivation starts
-// being the only way to fit the budget.
-const MonolithicHeapEnvelope = int64(112) << 20 // 112 MiB
-
-// sampleHeapDuring runs f while polling the live heap, returning the
-// peak HeapAlloc observed. ReadMemStats stop-the-world pauses are
-// microseconds — negligible at this cadence against checks that run
-// milliseconds to minutes.
-func sampleHeapDuring(f func()) int64 {
-	var peak atomic.Int64
-	sample := func() {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		if v := int64(ms.HeapAlloc); v > peak.Load() {
-			peak.Store(v)
-		}
-	}
-	done := make(chan struct{})
-	finished := make(chan struct{})
-	go func() {
-		defer close(finished)
-		t := time.NewTicker(2 * time.Millisecond)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				sample()
-			}
-		}
-	}()
-	f()
-	close(done)
-	<-finished
-	sample()
-	return peak.Load()
-}
-
-// largeExperimentsEnabled gates the extrapolated xlarge/huge tiers: a
-// monolithic xlarge check allocates gigabytes and runs for minutes, so
-// those rows only run when JINJING_EXPERIMENTS_LARGE=1 (the weekly CI
-// lane), never on a default invocation.
-func largeExperimentsEnabled() bool {
-	return os.Getenv("JINJING_EXPERIMENTS_LARGE") == "1"
-}
-
-// FigShardCheck measures the shard-and-stream pipeline's scaling curve:
-// cold-check turnaround and peak live heap versus size × shard count,
-// at a fixed worker count. The workload is the memory-heaviest
-// detection regime, as in FigParallelCheck: basic mode (no Theorem 4.1
-// filtering) on the forced SAT backend (so every FEC's full ACL stack
-// is encoded), tournament encoding, find-all (no early exit). Monolithically that means every
-// FEC's formula is live in one builder at solve time; sharded, only
-// one shard's worth ever is. Each cell is a fresh engine; input
-// preprocessing is prewarmed as in Fig. 4a (monolithic cells
-// materialize the FEC slice, sharded cells only the index — that
-// asymmetry IS the system under measurement). A GC before each timed
-// region resets the heap floor so peaks are comparable across cells,
-// and the figure runs under an aggressive GC target (GOGC≈10) so
-// HeapAlloc tracks live memory instead of live-plus-garbage — without
-// it the default 100% growth target lets a released shard's garbage
-// linger and the curve measures the collector's laziness, not the
-// pipeline's footprint. Sizes beyond Large are skipped unless
-// JINJING_EXPERIMENTS_LARGE=1.
-func FigShardCheck(sizes []netgen.Size, shardCounts []int) []ShardRow {
-	const pct = 5
-	const workers = 4
-	defer debug.SetGCPercent(debug.SetGCPercent(10))
-	var rows []ShardRow
-	for _, size := range sizes {
-		if size > netgen.Large && !largeExperimentsEnabled() {
-			continue
-		}
-		w := GetWAN(size)
-		after := w.Perturb(Seed+int64(pct*10), pct)
-
-		var want string
-		for _, shards := range shardCounts {
-			opts := defaultOptions()
-			opts.UseDifferential = false
-			opts.UseTournament = true
-			opts.FindAllViolations = true
-			opts.Backend = core.BackendSAT
-			opts.Shards = shards
-			opts.Workers = workers
-			e := core.New(w.Net, after, w.Scope, opts)
-			e.NumFECs()
-
-			runtime.GC()
-			var res *core.CheckResult
-			var elapsed time.Duration
-			peak := sampleHeapDuring(func() {
-				t0 := time.Now()
-				res = e.Check()
-				elapsed = time.Since(t0)
-			})
-			if res.PeakHeapBytes > peak {
-				peak = res.PeakHeapBytes
-			}
-			sig := resultSignature(res)
-			if want == "" {
-				want = sig
-			}
-			row := ShardRow{
-				Size: size, PerturbPct: pct, Shards: shards, Workers: workers,
-				Consistent: res.Consistent, FECs: res.FECs,
-				SolvedFECs: res.SolvedFECs, PeakHeapBytes: peak,
-				ColdElapsed: elapsed, Identical: sig == want,
-			}
-			if shards <= 1 && peak > MonolithicHeapEnvelope {
-				row.MonolithicInfeasible = true
-			}
-			rows = append(rows, row)
-		}
-	}
-	return rows
-}
-
-// ValidateShardRows checks a shard-scaling figure (a fresh
-// FigShardCheck run or the rows of BENCH_shard.json) against the
-// invariants it exists to pin: every row's check signature matched its
-// size's monolithic row (sharding never changes output), the per-size
-// FEC counts agree across shard counts, and wherever a monolithic row
-// exceeded the heap envelope (MonolithicInfeasible) at least one sharded
-// row of the same size fit under it — sharding actually rescued the
-// size. The error joins one diagnostic per violated invariant.
-func ValidateShardRows(rows []ShardRow) error {
-	if len(rows) == 0 {
-		return errors.New("no shard rows")
-	}
-	mono := map[netgen.Size]ShardRow{}
-	rescued := map[netgen.Size]bool{}
-	for _, row := range rows {
-		if row.Shards <= 1 {
-			mono[row.Size] = row
-		} else if row.PeakHeapBytes <= MonolithicHeapEnvelope {
-			rescued[row.Size] = true
-		}
-	}
-	var errs []error
-	for _, row := range rows {
-		if !row.Identical {
-			errs = append(errs, fmt.Errorf("%s/shards=%d: output diverged from the monolithic row", row.Size, row.Shards))
-		}
-		m, ok := mono[row.Size]
-		if !ok {
-			errs = append(errs, fmt.Errorf("%s/shards=%d: no monolithic row for this size", row.Size, row.Shards))
-			continue
-		}
-		if row.FECs != m.FECs || row.SolvedFECs != m.SolvedFECs {
-			errs = append(errs, fmt.Errorf("%s/shards=%d: FEC counts diverged: %d/%d vs monolithic %d/%d",
-				row.Size, row.Shards, row.FECs, row.SolvedFECs, m.FECs, m.SolvedFECs))
-		}
-		if row.MonolithicInfeasible && !rescued[row.Size] {
-			errs = append(errs, fmt.Errorf("%s: monolithic run exceeded the %d MiB envelope and no sharded run fit under it",
-				row.Size, MonolithicHeapEnvelope>>20))
-		}
-	}
-	return errors.Join(errs...)
-}
-
 // Table5Row is one LAI program-size measurement.
 type Table5Row struct {
 	Size       netgen.Size `json:"size"`
@@ -1223,9 +377,7 @@ func Table5Programs(sizes []netgen.Size) []Table5Row {
 		aclPat := func(ids []string) []lai.IfPattern {
 			var out []lai.IfPattern
 			for _, id := range ids {
-				b := id[:len(id)-3] // strip :in
-				dev := b[:indexByte(b, ':')]
-				ifc := b[indexByte(b, ':')+1:]
+				dev, ifc, _ := strings.Cut(strings.TrimSuffix(id, ":in"), ":")
 				out = append(out, lai.IfPattern{Device: dev, Iface: ifc, Dir: lai.InOnly})
 			}
 			return out
@@ -1274,15 +426,6 @@ func Table5Programs(sizes []netgen.Size) []Table5Row {
 	return rows
 }
 
-func indexByte(s string, b byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == b {
-			return i
-		}
-	}
-	return -1
-}
-
 // BenchReport collects every experiment row of one run for
 // machine-readable output (the BENCH_experiments.json artifact written by
 // cmd/jinjing-experiments -json).
@@ -1290,21 +433,7 @@ type BenchReport struct {
 	Checks    []CheckRow    `json:"checks,omitempty"`
 	Fixes     []FixRow      `json:"fixes,omitempty"`
 	Generates []GenerateRow `json:"generates,omitempty"`
-	Parallel  []ParallelRow `json:"parallel,omitempty"`
-	// Incremental is the warm-vs-cold re-check figure
-	// (BENCH_incremental.json when run with -figures inc).
-	Incremental []IncrementalRow `json:"incremental,omitempty"`
-	// Backend is the auto-vs-sat backend figure
-	// (BENCH_backend.json when run with -figures backend).
-	Backend []BackendRow `json:"backend,omitempty"`
-	// Shard is the shard-and-stream scaling figure (BENCH_shard.json
-	// when run with -figures shard).
-	Shard []ShardRow `json:"shard,omitempty"`
-	// Snapshot is the durable verdict-cache restore-vs-cold figure
-	// (the snapshot_restore section of BENCH_robustness.json when run
-	// with -figures snap).
-	Snapshot []SnapshotRow `json:"snapshot,omitempty"`
-	Table5   []Table5Row   `json:"table5,omitempty"`
+	Table5    []Table5Row   `json:"table5,omitempty"`
 	// Metrics is the final metrics snapshot of the run's shared Observer
 	// (set by cmd/jinjing-experiments so -json output carries the same
 	// registry dump `jinjing -metrics` prints).
@@ -1364,80 +493,7 @@ func PrintGenerateRows(w io.Writer, title string, rows []GenerateRow) {
 	}
 }
 
-// PrintParallelRows formats the parallel-check scaling results.
-func PrintParallelRows(w io.Writer, rows []ParallelRow) {
-	fmt.Fprintf(w, "Parallel check — turnaround vs workers (basic mode, find-all, 5%% perturbation)\n")
-	fmt.Fprintf(w, "%-8s %7s %-11s %6s %7s %6s %12s %10s %10s %8s\n",
-		"size", "workers", "mode", "FECs", "solved", "viols", "cache h/m", "cold", "steady", "speedup")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-8s %7d %-11s %6d %7d %6d %6d/%-5d %10v %10v %7.2fx\n",
-			r.Size, r.Workers, r.Mode, r.FECs, r.SolvedFECs, r.Violations,
-			r.CacheHits, r.CacheMisses,
-			r.ColdElapsed.Round(time.Millisecond),
-			r.Elapsed.Round(100*time.Microsecond), r.SpeedupVsSeq)
-	}
-}
-
-// PrintIncrementalRows formats the incremental re-check results.
-func PrintIncrementalRows(w io.Writer, rows []IncrementalRow) {
-	fmt.Fprintf(w, "Incremental check — cold vs warm re-check after a single-ACL edit (basic mode, find-all, 5%% perturbation)\n")
-	fmt.Fprintf(w, "%-8s %-9s %6s %7s %7s %12s %5s %8s %10s %10s %8s %9s\n",
-		"size", "edit", "FECs", "cold#", "warm#", "cache h/m", "pre", "hitrate", "cold", "warm", "speedup", "identical")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-8s %-9s %6d %7d %7d %6d/%-5d %5d %7.1f%% %10v %10v %7.2fx %9v\n",
-			r.Size, r.EditSite, r.FECs, r.ColdSolved, r.WarmSolved,
-			r.CacheHits, r.CacheMisses, r.Prefiltered, 100*r.HitRate,
-			r.ColdElapsed.Round(time.Millisecond),
-			r.WarmElapsed.Round(100*time.Microsecond), r.Speedup, r.Identical)
-	}
-}
-
-// PrintSnapshotRows formats the snapshot-restore results.
-func PrintSnapshotRows(w io.Writer, rows []SnapshotRow) {
-	fmt.Fprintf(w, "Snapshot restore — restarted-daemon first re-check (read+import+check) vs cold check (basic mode, find-all, 5%% perturbation)\n")
-	fmt.Fprintf(w, "%-8s %6s %8s %9s %10s %10s %10s %6s %8s %9s\n",
-		"size", "FECs", "entries", "bytes", "snapshot", "cold", "restore", "hits", "speedup", "identical")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-8s %6d %8d %9d %10v %10v %10v %6d %7.2fx %9v\n",
-			r.Size, r.FECs, r.Entries, r.SnapshotBytes,
-			r.SnapshotElapsed.Round(10*time.Microsecond),
-			r.ColdElapsed.Round(time.Millisecond),
-			r.RestoreElapsed.Round(100*time.Microsecond),
-			r.CacheHits, r.Speedup, r.Identical)
-	}
-}
-
-// PrintShardRows formats the shard-scaling results.
-func PrintShardRows(w io.Writer, rows []ShardRow) {
-	fmt.Fprintf(w, "Shard scaling — cold check time and peak live heap vs size × shards (find-all, 5%% perturbation)\n")
-	fmt.Fprintf(w, "%-8s %7s %8s %6s %7s %12s %12s %9s %s\n",
-		"size", "shards", "workers", "FECs", "solved", "peak-heap", "cold", "identical", "")
-	for _, r := range rows {
-		note := ""
-		if r.MonolithicInfeasible {
-			note = "  << over envelope"
-		}
-		fmt.Fprintf(w, "%-8s %7d %8d %6d %7d %11.1fM %12v %9v%s\n",
-			r.Size, r.Shards, r.Workers, r.FECs, r.SolvedFECs,
-			float64(r.PeakHeapBytes)/(1<<20),
-			r.ColdElapsed.Round(time.Millisecond), r.Identical, note)
-	}
-}
-
 // PrintTable5 formats Table 5.
-// PrintBackendRows formats the auto-vs-sat backend results.
-func PrintBackendRows(w io.Writer, rows []BackendRow) {
-	fmt.Fprintf(w, "Backend — auto (pset, sat on overflow) vs sat-only (basic mode, find-all, 5%% perturbation)\n")
-	fmt.Fprintf(w, "%-8s %-8s %6s %7s %6s %6s %8s %5s %10s %10s %9s %9s %9s\n",
-		"size", "backend", "FECs", "solved", "viols", "pset", "bailout", "sat", "cold", "warm", "cold-spd", "warm-spd", "identical")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-8s %-8s %6d %7d %6d %6d %8d %5d %10v %10v %8.2fx %8.2fx %9v\n",
-			r.Size, r.Backend, r.FECs, r.SolvedFECs, r.Violations,
-			r.PsetDecided, r.PsetBailout, r.SatSelected,
-			r.ColdElapsed, r.WarmElapsed, r.ColdSpeedupVsSat, r.WarmSpeedupVsSat, r.Identical)
-	}
-}
-
 func PrintTable5(w io.Writer, rows []Table5Row) {
 	fmt.Fprintf(w, "Table 5 — LAI program line count per experiment\n")
 	fmt.Fprintf(w, "%-8s %-16s %6s\n", "size", "experiment", "lines")

@@ -24,11 +24,9 @@ import (
 type Size int
 
 // The three network scales of §8 ("8%, 30%, and 80% of our WAN"), plus
-// two extrapolated tiers (XLarge, Huge) past the paper's largest cut.
-// The extrapolated tiers exist for the sharded-verification scaling
-// study (FigShardCheck); generating them is cheap, but verifying them
-// monolithically is not — experiments gate them behind
-// JINJING_EXPERIMENTS_LARGE.
+// two extrapolated tiers (XLarge, Huge) past the paper's largest cut,
+// continuing the topology progression at Large's rule density (577 and
+// 961 FECs) for workloads at sizes where operations still take seconds.
 const (
 	Small Size = iota
 	Medium

@@ -85,10 +85,8 @@ type Record struct {
 	CPUNS      int64  `json:"cpu_ns,omitempty"`
 	Error      string `json:"error,omitempty"`
 
-	// Memory story (sharded or forensics-enabled checks): the shard
-	// count the call ran with and its peak sampled live heap, so
-	// BENCH_shard's bounded-memory claims replay from the ledger alone.
-	Shards        int   `json:"shards,omitempty"`
+	// Memory story: the check's sampled live heap (every ledgered check
+	// samples it once, at the end of the call).
 	PeakHeapBytes int64 `json:"peak_heap_bytes,omitempty"`
 }
 

@@ -17,8 +17,7 @@ import (
 // DAG; AllPaths, ComputeFECs, the engine's accessors and generate's DEC
 // split are all views of it. Indexing F FECs over C classes costs
 // O(C + Σ|paths per FEC|) int32s; FEC values are materialized one at a
-// time (Materialize), a contiguous shard window at a time (Shards), or
-// all at once (All).
+// time (Materialize) or all at once (All).
 //
 // Classes are scanned in order, so FECs appear in first-seen order with
 // member classes ascending and paths in path-slice order; grouping on
@@ -135,58 +134,3 @@ func (s *FECSource) PathIndices(i int) []int32 { return s.pathIdx[i] }
 // NumClasses returns the number of member classes of FEC i without
 // materializing it.
 func (s *FECSource) NumClasses(i int) int { return len(s.classIdx[i]) }
-
-// ShardRange is a half-open range [Lo, Hi) of FEC indices forming one
-// shard.
-type ShardRange struct {
-	Lo, Hi int
-}
-
-// Shards partitions the FEC index space into at most k contiguous
-// ranges, weight-balanced by per-FEC class+path counts (a proxy for
-// formula size). Because the engine's classes are sorted by destination
-// prefix and FECs appear in first-seen class order, contiguous FEC
-// ranges correspond to destination-prefix subtrees of the scope's
-// routable space — the partition axis named in §4.1's decomposition.
-// The partition is deterministic; fewer than k ranges are returned when
-// there are fewer FECs than shards.
-func (s *FECSource) Shards(k int) []ShardRange {
-	n := s.NumFECs()
-	if n == 0 {
-		return nil
-	}
-	if k < 1 {
-		k = 1
-	}
-	if k > n {
-		k = n
-	}
-	var total int64
-	weights := make([]int64, n)
-	for i := range weights {
-		w := int64(len(s.classIdx[i]) + len(s.pathIdx[i]))
-		weights[i] = w
-		total += w
-	}
-	out := make([]ShardRange, 0, k)
-	lo := 0
-	var acc, spent int64
-	for i := 0; i < n; i++ {
-		acc += weights[i]
-		rem := k - len(out)
-		if rem <= 1 {
-			break
-		}
-		// Close the shard once it reaches an even split of the weight
-		// still unassigned — but keep at least one FEC per open shard,
-		// and close unconditionally once only that minimum remains.
-		full := acc >= (total-spent)/int64(rem) && n-(i+1) >= rem-1
-		if full || n-(i+1) == rem-1 {
-			out = append(out, ShardRange{Lo: lo, Hi: i + 1})
-			lo = i + 1
-			spent += acc
-			acc = 0
-		}
-	}
-	return append(out, ShardRange{Lo: lo, Hi: n})
-}

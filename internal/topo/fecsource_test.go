@@ -307,55 +307,12 @@ func TestPathsTruncatedCounted(t *testing.T) {
 	}
 }
 
-// TestFECSourceShards checks the partition invariants: ranges cover
-// [0, NumFECs) exactly once in order, respect the requested count, and
-// are deterministic.
-func TestFECSourceShards(t *testing.T) {
-	w := netgen.Build(netgen.DefaultConfig(netgen.Small, 7))
-	paths := w.Net.AllPaths(w.Scope)
-	classes := w.Net.EnteringTraffic(w.Scope)
-	src := topo.NewFECSource(paths, classes)
-	n := src.NumFECs()
-	if n == 0 {
-		t.Fatal("no FECs generated")
-	}
-	for _, k := range []int{1, 2, 3, 8, n, n + 5, 1000} {
-		shards := src.Shards(k)
-		if len(shards) == 0 || len(shards) > k || len(shards) > n {
-			t.Fatalf("Shards(%d) over %d FECs returned %d ranges", k, n, len(shards))
-		}
-		next := 0
-		for _, sr := range shards {
-			if sr.Lo != next || sr.Hi <= sr.Lo || sr.Hi > n {
-				t.Fatalf("Shards(%d): bad range %+v (next=%d, n=%d)", k, sr, next, n)
-			}
-			next = sr.Hi
-		}
-		if next != n {
-			t.Fatalf("Shards(%d): covered [0,%d), want [0,%d)", k, next, n)
-		}
-		again := src.Shards(k)
-		if !reflect.DeepEqual(shards, again) {
-			t.Fatalf("Shards(%d) not deterministic", k)
-		}
-	}
-	if got := src.Shards(0); len(got) != 1 || got[0] != (topo.ShardRange{Lo: 0, Hi: n}) {
-		t.Fatalf("Shards(0) = %+v, want one full range", got)
-	}
-	// When k == n every shard is a single FEC.
-	for i, sr := range src.Shards(n) {
-		if sr.Lo != i || sr.Hi != i+1 {
-			t.Fatalf("Shards(n)[%d] = %+v", i, sr)
-		}
-	}
-}
-
 func TestFECSourceEmpty(t *testing.T) {
 	src := topo.NewFECSource(nil, nil)
 	if src.NumFECs() != 0 {
 		t.Fatalf("NumFECs = %d", src.NumFECs())
 	}
-	if got := src.Shards(4); got != nil {
-		t.Fatalf("Shards on empty source = %+v", got)
+	if got := src.All(); len(got) != 0 {
+		t.Fatalf("All on empty source = %+v", got)
 	}
 }
