@@ -16,8 +16,8 @@ fmt:
 	gofmt -l -w .
 
 # Default suite: vet, the fast (-short) tier, then a race-detector pass
-# over the concurrency-bearing packages (worker pool, parallel fix, obs
-# sinks). Stays well under the ~9 min full-suite budget.
+# over the concurrency-bearing packages (parallel fix and generate,
+# solver interrupts, obs sinks). Stays well under the ~9 min full-suite budget.
 test: vet
 	$(GO) test -short ./...
 	$(GO) test -race -short ./internal/core ./internal/sat ./internal/smt
@@ -27,18 +27,20 @@ test: vet
 test-full:
 	JINJING_EXPERIMENTS_LARGE=1 $(GO) test -timeout 30m ./...
 
-# Race-detector pass over the fast suite (the check worker pool, obs sinks).
+# Race-detector pass over the fast suite (the fix/generate worker pool,
+# the cancellation watcher, obs sinks).
 race:
 	$(GO) test -race -short ./...
 
 # Bounded differential-fuzz corpus: the full (non-short) randomized
-# harness pinning Check at Workers = 1 == Workers = k == monolithic,
-# plus the sequential-vs-parallel fix agreement corpus.
+# harness pinning Check at Workers = 1 == Workers = k (which check
+# ignores) == monolithic, plus the sequential-vs-parallel fix agreement
+# corpus.
 fuzz:
 	$(GO) test -count=1 -run 'TestFuzz|TestFixParallelMatchesSequential' ./internal/core
 
 # Three-way backend lane: the fixed 160-case differential corpus
-# (forced SAT vs forced pset vs auto-parallel vs monolithic, witness
+# (forced SAT vs auto vs monolithic, witness
 # replay included), then 30 seconds of open-ended native fuzzing over
 # random networks, edits, and option toggles.
 fuzz-backends:
@@ -54,7 +56,7 @@ fuzz-snapshots:
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotRestore -fuzztime 30s ./internal/store
 
 # Fault-injection lane: every TestFault* scenario (solver timeouts,
-# transient faults, worker panics, pool collapse, deadline
+# transient faults, check panics, fix-pool panics and collapse, deadline
 # cancellation, snapshot write/restore crashes) under the race
 # detector. The faultinject registry is process-global, so these tests
 # never run in parallel with each other.

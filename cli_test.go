@@ -215,9 +215,9 @@ func TestCLIObservability(t *testing.T) {
 // TestCLIWorkersGolden pins the determinism contract at the CLI surface:
 // the same program run with -workers N must produce byte-identical stdout
 // (verdict, violations, counterexample packets, fix report) for every N.
-// The parallel path may schedule solver queries in any order internally,
-// but witnesses come from a canonical pass in FEC order, so the output
-// a user sees cannot depend on worker count.
+// Check ignores the worker count; parallel fix may schedule its per-FEC
+// work in any order, but merges outcomes in FEC order, so the output a
+// user sees cannot depend on it.
 func TestCLIWorkersGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI run builds binaries; skipped in -short mode")
@@ -259,12 +259,13 @@ func TestCLIWorkersGolden(t *testing.T) {
 }
 
 // TestCLIBackendGolden pins the backend-identity contract at the CLI
-// surface: the same program run with -backend auto, sat, or pset — and
-// any worker count — must produce byte-identical stdout. The packet-set
-// backend answers the same Equation-3 queries the solver does and the
-// counterexamples come from the shared canonical witness pass, so the
-// backend can change only cost, never a byte a user sees. The -metrics
-// counters double-check the forced backends actually answered.
+// surface: the same program run with -backend auto, sat, or pset (an
+// alias of auto) — and any worker count — must produce byte-identical
+// stdout. The packet-set backend answers the same Equation-3 queries the
+// solver does and the counterexamples come from the shared canonical
+// witness pass, so the backend can change only cost, never a byte a user
+// sees. The -metrics counters double-check the forced backends actually
+// answered.
 func TestCLIBackendGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI run builds binaries; skipped in -short mode")
@@ -318,6 +319,16 @@ func TestCLIBackendGolden(t *testing.T) {
 		}
 		if c.backend == "pset" && c.workers == 1 {
 			psetMetrics = metrics
+		}
+		if c.backend == "sat" {
+			// Check runs one loop whatever -workers says, and fix's
+			// per-FEC work is a pure function of the FEC: the solver
+			// counters cannot depend on the worker count either.
+			for _, name := range []string{"sat.decisions", "sat.propagations", "sat.conflicts"} {
+				if got, want := metricValue(t, metrics, name), metricValue(t, satMetrics, name); got != want {
+					t.Errorf("-backend sat -workers %d: %s = %d, -workers 1 has %d", c.workers, name, got, want)
+				}
+			}
 		}
 	}
 	if v := metricValue(t, psetMetrics, "backend.pset.selected"); v == 0 {

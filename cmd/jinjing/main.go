@@ -50,8 +50,8 @@ func main() {
 		noOpt       = flag.Bool("no-optimizations", false, "disable all optimizations (basic Algorithm 1)")
 		findAll     = flag.Bool("all-violations", false, "report one violation per forwarding equivalence class")
 		emitIOS     = flag.Bool("emit-ios", false, "print fixed/generated ACLs as Cisco-IOS access lists")
-		workers     = flag.Int("workers", 1, "parallel workers for check (the FECs that reach the SAT solver), fix, and generate")
-		backendName = flag.String("backend", "auto", "per-FEC decision procedure: auto (packet-set algebra, SAT on cube-budget overflow), sat (SAT for every FEC), or pset (same as auto); verdicts and output are identical, only cost differs")
+		workers     = flag.Int("workers", 1, "parallel workers for fix and generate (check always runs on one goroutine)")
+		backendName = flag.String("backend", "auto", "per-FEC decision procedure: auto (packet-set algebra, SAT on cube-budget overflow; pset is an alias) or sat (SAT for every FEC); verdicts and output are identical, only cost differs")
 		explain     = flag.Bool("explain", false, "print hop-by-hop decision traces for each violation")
 
 		timeout    = flag.Duration("timeout", 0, "wall-clock deadline per primitive call (0 = none); expired checks report UNDECIDED FECs, fix/generate refuse their plan")

@@ -33,31 +33,24 @@ const (
 	BackendAuto Backend = iota
 	// BackendSAT forces the Tseitin+CDCL stack for every query.
 	BackendSAT
-	// BackendPset is BackendAuto under its historical name.
-	BackendPset
 )
 
 // String renders the backend the way the -backend flag spells it.
 func (b Backend) String() string {
-	switch b {
-	case BackendSAT:
+	if b == BackendSAT {
 		return "sat"
-	case BackendPset:
-		return "pset"
-	default:
-		return "auto"
 	}
+	return "auto"
 }
 
-// ParseBackend parses a -backend flag value.
+// ParseBackend parses a -backend flag value. "pset", the auto backend's
+// historical name, still parses to BackendAuto.
 func ParseBackend(s string) (Backend, error) {
 	switch s {
-	case "auto", "":
+	case "auto", "pset", "":
 		return BackendAuto, nil
 	case "sat":
 		return BackendSAT, nil
-	case "pset":
-		return BackendPset, nil
 	}
 	return BackendAuto, fmt.Errorf("unknown backend %q (want auto, sat, or pset)", s)
 }

@@ -165,36 +165,3 @@ func BenchmarkConservativeCheck(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkCheckParallelWAN(b *testing.B) {
-	// Steady-state parallel scaling of the check primitive on the medium
-	// WAN with every FEC forced to the solver (FindAll, no differential
-	// skip, BackendSAT — by default the pool sees only what overflows the
-	// set algebra's cube budget). The engine persists across iterations — the regime the
-	// persistent worker pool targets (an operator session re-checking as
-	// the update is edited): encoding, clausification, and the worker
-	// forks are paid by the untimed warm-up call, and each timed call
-	// re-decides every query on pooled solvers whose learned clauses and
-	// saved phases match their static job slice. The cold first call is
-	// encode-bound and favors 1 worker.
-	w := netgenMediumOnce()
-	after := w.Perturb(1, 5)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(itoa(workers)+"-workers", func(b *testing.B) {
-			opts := core.DefaultOptions()
-			opts.FindAllViolations = true
-			opts.UseDifferential = false
-			opts.Backend = core.BackendSAT
-			e := core.New(w.Net, after, w.Scope, opts)
-			if checkWorkers(e, workers).Consistent { // warm: encode + fork
-				b.Fatal("must be inconsistent")
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if checkWorkers(e, workers).Consistent {
-					b.Fatal("must be inconsistent")
-				}
-			}
-		})
-	}
-}

@@ -52,7 +52,7 @@ type CheckResult struct {
 	Forensics []FECForensics
 	// SolverStats aggregates the full SAT counters (decisions,
 	// propagations, conflicts, restarts, learned, deleted) across every
-	// solver the check spun up — including every pool worker's.
+	// solver the check ran: the detection solver and the witness pass's.
 	SolverStats sat.Stats
 	// Conflicts totals SAT conflict counts across all queries, the
 	// stand-in for the paper's "DPLL recursive calls" (§9). It equals
@@ -69,13 +69,12 @@ type CheckResult struct {
 
 // Check verifies packet (or desired, when controls are present)
 // reachability consistency between the engine's Before and After
-// snapshots, per Algorithm 1. One pipeline (see solve) serves every
-// configuration: Options.Workers > 1 fans the per-FEC queries out across
-// forked solvers. Verdict, violations and SolvedFECs are identical at
-// every worker count: counterexamples come from a deterministic witness
-// pass over the violating FECs in FEC order, independent of scheduling.
-// Repeated calls on the same engine reuse the encoded queries and warmed
-// solvers.
+// snapshots, per Algorithm 1: one loop over the FECs (see solve) on the
+// calling goroutine, whatever Options.Workers says — the worker count
+// applies to fix and generate only. Counterexamples come from a
+// deterministic witness pass over the violating FECs in FEC order.
+// Repeated calls on the same engine reuse the encoded queries and the
+// warmed solver.
 func (e *Engine) Check() *CheckResult {
 	return e.CheckContext(context.Background())
 }
@@ -90,11 +89,7 @@ func (e *Engine) CheckContext(callCtx context.Context) *CheckResult {
 	ls := e.ledgerBegin()
 	cn, endCall := e.beginCall(callCtx)
 	defer endCall()
-	mode := "sequential"
-	if e.Opts.Workers > 1 {
-		mode = "parallel"
-	}
-	root := e.startSpan("check", obs.KV("mode", mode), obs.KV("workers", max(e.Opts.Workers, 1)))
+	root := e.startSpan("check")
 	res := &CheckResult{Consistent: true, Complete: true, Timings: Timings{}}
 
 	pre := startPhase(root, res.Timings, "preprocess")
@@ -129,9 +124,9 @@ func (e *Engine) CheckContext(callCtx context.Context) *CheckResult {
 	// Witness extraction: each violating FEC's counterexample is the
 	// canonical one — re-derived on a fresh builder and solver, a pure
 	// function of the FEC and the encoded ACL contents — so reported
-	// violations are byte-identical across worker counts, across warm
-	// and cold runs, and across cache replays (which memoize exactly
-	// these witnesses).
+	// violations are byte-identical across backends, across warm and
+	// cold runs, and across cache replays (which memoize exactly these
+	// witnesses).
 	if len(hits) > 0 {
 		res.Consistent = false
 		wp := startPhase(root, res.Timings, "witness")

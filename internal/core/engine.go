@@ -96,22 +96,18 @@ type Options struct {
 	// solver for everything. Verdicts, counterexamples, and every
 	// reported count are identical whichever backend answers — the pset
 	// backend is complete on the queries it finishes and bails out to
-	// the solver on a cube-budget blow-up — so the choice (like Workers)
-	// can never change a result, only its cost. Cached verdicts
-	// are backend-agnostic for the same reason: the cache key doesn't
-	// mention the backend, and a verdict decided under one setting
-	// replays under any other.
+	// the solver on a cube-budget blow-up — so the choice can never
+	// change a result, only its cost. Cached verdicts are
+	// backend-agnostic for the same reason: the cache key doesn't mention
+	// the backend, and a verdict decided under one setting replays under
+	// any other.
 	Backend Backend
-	// Workers > 1 fans the solver loops of all three primitives out
-	// across that many goroutines: check's per-FEC Equation-3 queries
-	// that reach the solver (forked-solver pool; see decidePool — under
-	// the default Backend that is only what overflowed the set algebra's
-	// cube budget), fix's per-FEC
-	// neighborhood seeking, and generate's per-AEC synthesis. Results
-	// merge in deterministic FEC/AEC order, so verdicts, violations,
-	// fixing plans, and generated ACLs are byte-identical for every
-	// worker count (pinned by the differential fuzz harness and the CLI
-	// golden test).
+	// Workers > 1 fans fix's per-FEC neighborhood seeking and generate's
+	// per-AEC synthesis out across that many goroutines. Results merge in
+	// deterministic FEC/AEC order, so fixing plans and generated ACLs are
+	// byte-identical for every worker count (pinned by the differential
+	// fuzz harness and the CLI golden test). Check ignores it: its one
+	// loop over FECs runs on the calling goroutine.
 	Workers int
 	// Obs receives spans, metrics, and progress from every primitive.
 	// nil (the default) disables observability at zero cost: the no-op
@@ -231,8 +227,8 @@ type Engine struct {
 	// resolution. Invalidated by UpdateAfter; see checkCtx.
 	ckctx *checkCtx
 	// sess holds the solver state that outlives a generation — the
-	// content-addressed encoder and the persistent sequential/parallel
-	// solvers — so warm re-checks re-encode only what an edit changed.
+	// content-addressed encoder and the persistent detection solver — so
+	// warm re-checks re-encode only what an edit changed.
 	sess *checkSession
 }
 
@@ -259,12 +255,12 @@ func (e *Engine) UpdateAfter(after *topo.Network) {
 }
 
 // ReleaseSession drops the engine's warm solver state — the shared
-// encoder, the persistent sequential solver, the clausified prototype,
-// and the pooled worker forks — along with the current generation's
-// check state. A long-lived host (the jinjingd daemon) calls it when a
-// session is evicted or idles out, so solver memory is reclaimable
-// without discarding the engine or its bound verdict cache; the next
-// Check rebuilds the session cold but replays cached verdicts as usual.
+// encoder and the persistent detection solver — along with the current
+// generation's check state. A long-lived host (the jinjingd daemon) calls
+// it when a session is evicted or idles out, so solver memory is
+// reclaimable without discarding the engine or its bound verdict cache;
+// the next Check rebuilds the session cold but replays cached verdicts as
+// usual.
 func (e *Engine) ReleaseSession() {
 	e.sess = nil
 	e.ckctx = nil
@@ -339,7 +335,7 @@ func (e *Engine) fecSource() *topo.FECSource {
 func (e *Engine) NumFECs() int { return len(e.FECs()) }
 
 // SessionWarm reports whether the engine currently holds warm solver
-// state (an encoder and persistent solvers from a previous Check). A
+// state (an encoder and the persistent solver from a previous Check). A
 // host can use it to decide whether ReleaseSession would reclaim
 // anything.
 func (e *Engine) SessionWarm() bool { return e.sess != nil }

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -178,41 +179,51 @@ func TestExplainViolation(t *testing.T) {
 }
 
 // TestFirstViolationResolvesNothingPastTheHit pins the laziness of the
-// one-worker path: resolve is interleaved with decide, so a
-// cold first-violation check sends to a complete backend exactly the
+// check loop: resolve is interleaved with decide, so a cold
+// first-violation check sends to a complete backend exactly the
 // solver-bound FECs at or below the hit — no formula is built, and no
-// set algebra run, for anything past it.
+// set algebra run, for anything past it — whichever backend decides and
+// whatever the worker count, which check ignores.
 func TestFirstViolationResolvesNothingPastTheHit(t *testing.T) {
-	all := core.DefaultOptions()
-	all.FindAllViolations = true
-	all.Forensics = true
-	full := newRunningEngine(t, all).Check()
+	for _, backend := range []core.Backend{core.BackendAuto, core.BackendSAT} {
+		for _, workers := range []int{1, 2} {
+			t.Run(fmt.Sprintf("backend=%v,workers=%d", backend, workers), func(t *testing.T) {
+				all := core.DefaultOptions()
+				all.Backend = backend
+				all.FindAllViolations = true
+				all.Forensics = true
+				full := newRunningEngine(t, all).Check()
 
-	first := core.DefaultOptions()
-	first.Forensics = true
-	res := newRunningEngine(t, first).Check()
-	if res.Consistent || len(res.Forensics) == 0 {
-		t.Fatalf("running example must be inconsistent with forensics: %+v", res)
-	}
-	hit := res.Forensics[len(res.Forensics)-1].FEC // the scan examined nothing past it
-	var want, bound int64
-	for _, f := range full.Forensics {
-		switch f.Route {
-		case "pset", "sat", "sat-bailout":
-			bound++
-			if f.FEC <= hit {
-				want++
-			}
+				first := core.DefaultOptions()
+				first.Backend = backend
+				first.Workers = workers
+				first.Forensics = true
+				res := newRunningEngine(t, first).Check()
+				if res.Consistent || len(res.Forensics) == 0 {
+					t.Fatalf("running example must be inconsistent with forensics: %+v", res)
+				}
+				hit := res.Forensics[len(res.Forensics)-1].FEC // the scan examined nothing past it
+				var want, bound int64
+				for _, f := range full.Forensics {
+					switch f.Route {
+					case "pset", "sat", "sat-bailout":
+						bound++
+						if f.FEC <= hit {
+							want++
+						}
+					}
+				}
+				if want == bound {
+					t.Fatalf("first violating FEC %d is the last solver-bound one: the case cannot show laziness", hit)
+				}
+				if got := full.Stats.SatSelected + full.Stats.PsetDecided; got != bound {
+					t.Fatalf("find-all run resolved %d solver-bound FECs, forensics list %d", got, bound)
+				}
+				if got := res.Stats.SatSelected + res.Stats.PsetDecided; got != want {
+					t.Fatalf("first-violation run resolved %d solver-bound FECs, want %d (at or below FEC %d) of %d",
+						got, want, hit, bound)
+				}
+			})
 		}
-	}
-	if want == bound {
-		t.Fatalf("first violating FEC %d is the last solver-bound one: the case cannot show laziness", hit)
-	}
-	if got := full.Stats.SatSelected + full.Stats.PsetDecided; got != bound {
-		t.Fatalf("find-all run resolved %d solver-bound FECs, forensics list %d", got, bound)
-	}
-	if got := res.Stats.SatSelected + res.Stats.PsetDecided; got != want {
-		t.Fatalf("first-violation run resolved %d solver-bound FECs, want %d (at or below FEC %d) of %d",
-			got, want, hit, bound)
 	}
 }

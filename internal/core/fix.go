@@ -143,7 +143,7 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 	var blocked []UnknownFEC
 	if workers := e.Opts.Workers; workers > 1 {
 		outcomes := make([]fecFixOutcome, nfec)
-		runParallel(o, workers, nfec, func(_, i int) {
+		runParallel(o, workers, nfec, func(i int) {
 			outcomes[i] = e.fixFEC(cn, ctx, ix, i, maxN)
 			task.Add(1)
 		})

@@ -14,13 +14,12 @@ import (
 	"jinjing/internal/topo"
 )
 
-// This file is the differential fuzz harness for the parallel execution
-// layer: random small networks plus random ACL edits, with Check,
-// Check at several worker counts, and the monolithic baseline
-// required to agree. Any divergence between the sequential scan and the
-// forked-worker pool — a stale cache entry, a clause database corrupted
-// by Clone, a scheduling-dependent witness — shows up as a verdict or
-// violation-set mismatch here.
+// This file is the differential fuzz harness for the execution layer:
+// random small networks plus random ACL edits, with Check, Check at
+// several worker counts (which it ignores), fix at one worker and at
+// four, and the monolithic baseline required to agree. Any divergence —
+// a stale cache entry, a scheduling-dependent witness or plan — shows up
+// as a verdict, violation-set or plan mismatch here.
 
 // fuzzPrefix returns destination class i of the fuzz vocabulary:
 // (10+i).0.0.0/8.
@@ -235,10 +234,10 @@ func fecSet(res *core.CheckResult) map[string]bool {
 }
 
 // TestFuzzCheckParallelAgreement is the differential fuzz harness:
-// for each random case, Check at one worker (sequential), at 2, 4, and
-// 8 workers, and CheckMonolithic must agree on the consistency verdict
-// and on the set of violating FECs; the sequential and parallel
-// pipelines must additionally agree on the exact counterexamples.
+// for each random case, Check at one worker, at 2, 4, and 8 workers, and
+// CheckMonolithic must agree on the consistency verdict and on the set
+// of violating FECs; Check must additionally agree with itself on the
+// exact counterexamples at every worker count, which it ignores.
 func TestFuzzCheckParallelAgreement(t *testing.T) {
 	cases := 220
 	if testing.Short() {
@@ -272,9 +271,9 @@ func TestFuzzCheckParallelAgreement(t *testing.T) {
 		}
 
 		for _, workers := range []int{2, 4, 8} {
-			// Fresh engine per worker count: the point is that a cold
-			// parallel pipeline reproduces the sequential result, not that
-			// one engine is self-consistent.
+			// Fresh engine per worker count: the point is that a cold check
+			// reproduces the one-worker result, not that one engine is
+			// self-consistent.
 			par := checkWorkers(core.New(before, after, scope, opts), workers)
 			if got := checkSignature(par); got != want {
 				t.Fatalf("case %d: Check at Workers=%d diverged from Check\nseq:\n%s\npar:\n%s",
@@ -290,14 +289,14 @@ func TestFuzzCheckParallelAgreement(t *testing.T) {
 			}
 		}
 
-		// A warm engine mixing both call patterns must agree too: the
-		// cached encoder, job list, and pooled solvers are shared state.
+		// A warm engine mixing worker counts must agree too: the cached
+		// encoder, job list, and session solver are shared state.
 		warm := core.New(before, after, scope, opts)
 		if got := checkSignature(checkWorkers(warm, 4)); got != want {
 			t.Fatalf("case %d: warm Check at Workers=4 diverged:\n%s\nwant:\n%s", iter, got, want)
 		}
 		if got := checkSignature(warm.Check()); got != want {
-			t.Fatalf("case %d: one-worker Check after the pooled one diverged:\n%s\nwant:\n%s", iter, got, want)
+			t.Fatalf("case %d: one-worker Check after the four-worker one diverged:\n%s\nwant:\n%s", iter, got, want)
 		}
 
 		mono := core.New(before, after, scope, opts).CheckMonolithic()
@@ -312,11 +311,11 @@ func TestFuzzCheckParallelAgreement(t *testing.T) {
 }
 
 // TestFuzzBackendThreeWay is the backend agreement lane: for every
-// random case the three backend settings — forced SAT, forced pset, and
-// auto-selection (run through the parallel pipeline for good measure) —
-// must produce byte-identical check signatures: verdict, completeness,
-// counterexample packets, violating classes and paths, and SolvedFECs.
-// The monolithic baseline must agree on the verdict, and every reported
+// random case the two backend settings — forced SAT and auto (run at
+// Workers=4, which check ignores) — must produce byte-identical check
+// signatures: verdict, completeness, counterexample packets, violating
+// classes and paths, and SolvedFECs. The third way, the monolithic
+// baseline, must agree on the verdict, and every reported
 // counterexample is replayed against both snapshots with the concrete
 // ACL evaluator: the packet must actually be decided differently by the
 // before and after chains of each divergent path. A witness that fails
@@ -355,26 +354,18 @@ func TestFuzzBackendThreeWay(t *testing.T) {
 		}
 
 		start = time.Now()
-		resPset := core.New(before, after, scope, mk(core.BackendPset)).Check()
-		psetTime += time.Since(start)
-		psetDecided += resPset.Stats.PsetDecided
-		bailouts += resPset.Stats.PsetBailout
-		if got := checkSignature(resPset); got != want {
-			t.Fatalf("case %d: pset backend diverged from SAT\nsat:\n%s\npset:\n%s", iter, want, got)
-		}
-		if resPset.SolvedFECs != resSat.SolvedFECs {
-			t.Fatalf("case %d: pset SolvedFECs=%d, sat=%d", iter, resPset.SolvedFECs, resSat.SolvedFECs)
-		}
-
 		resAuto := checkWorkers(core.New(before, after, scope, mk(core.BackendAuto)), 4)
+		psetTime += time.Since(start)
+		psetDecided += resAuto.Stats.PsetDecided
+		bailouts += resAuto.Stats.PsetBailout
 		if got := checkSignature(resAuto); got != want {
-			t.Fatalf("case %d: auto backend (parallel) diverged from SAT\nsat:\n%s\nauto:\n%s", iter, want, got)
+			t.Fatalf("case %d: auto backend diverged from SAT\nsat:\n%s\nauto:\n%s", iter, want, got)
 		}
 		if resAuto.SolvedFECs != resSat.SolvedFECs {
 			t.Fatalf("case %d: auto SolvedFECs=%d, sat=%d", iter, resAuto.SolvedFECs, resSat.SolvedFECs)
 		}
 
-		mono := core.New(before, after, scope, mk(core.BackendPset)).CheckMonolithic()
+		mono := core.New(before, after, scope, opts).CheckMonolithic()
 		if mono.Consistent != resSat.Consistent {
 			t.Fatalf("case %d: CheckMonolithic=%v, backends=%v", iter, mono.Consistent, resSat.Consistent)
 		}
@@ -382,7 +373,7 @@ func TestFuzzBackendThreeWay(t *testing.T) {
 		// Witness validity replay: no controls in the fuzz vocabulary, so
 		// desired = before, and a genuine counterexample is decided
 		// differently by the two snapshots on every divergent path.
-		for _, v := range resPset.Violations {
+		for _, v := range resAuto.Violations {
 			if len(v.Paths) == 0 {
 				t.Fatalf("case %d: violation %v reports no divergent path", iter, v.Packet)
 			}
@@ -397,7 +388,7 @@ func TestFuzzBackendThreeWay(t *testing.T) {
 		t.Fatal("fuzz generator produced no inconsistent case; edits too weak to exercise violations")
 	}
 	if psetDecided == 0 {
-		t.Fatal("forced pset never decided a query; the complete backend is dead weight")
+		t.Fatal("auto never decided a query in the set algebra; the complete backend is dead weight")
 	}
 	if satDecided == 0 {
 		t.Fatal("forced SAT never decided a query; the lane compares nothing")
@@ -409,8 +400,8 @@ func TestFuzzBackendThreeWay(t *testing.T) {
 }
 
 // TestFuzzFirstViolationAgreement covers the FindAllViolations=false
-// path, whose parallel variant uses the min-hit early-exit: the first
-// violating FEC (and its counterexample) must match the sequential scan.
+// path: at every worker count, which check ignores, the first violating
+// FEC (and its counterexample) must match the one-worker scan.
 func TestFuzzFirstViolationAgreement(t *testing.T) {
 	cases := 80
 	if testing.Short() {
@@ -594,8 +585,8 @@ func TestFuzzFixOnRandomNetworks(t *testing.T) {
 // lane: random networks undergo random edit sequences, and at every
 // step a warm engine (shared VerdictCache, UpdateAfter per edit) must
 // agree with a fresh-engine cold check — verdict, violation signatures,
-// counterexamples, and SolvedFECs — on both the sequential and the
-// parallel pipeline. Divergence means a stale replay: a cache key that
+// counterexamples, and SolvedFECs — at one worker and at four, which
+// check ignores. Divergence means a stale replay: a cache key that
 // failed to capture something the verdict depends on.
 func TestFuzzIncrementalEditSequences(t *testing.T) {
 	cases, steps := 45, 4
@@ -667,11 +658,10 @@ func TestFuzzIncrementalEditSequences(t *testing.T) {
 // FuzzBackendAgreement is the open-ended three-way lane behind `make
 // fuzz-backends`: each fuzz input seeds the random network and edit
 // generators plus the option toggles, and the case asserts what
-// TestFuzzBackendThreeWay pins on its fixed corpus — forced SAT, forced
-// pset, and auto-selection (parallel) produce identical check
-// signatures and solved-FEC counts, the monolithic baseline agrees on
-// the verdict, and every reported witness distinguishes each of its
-// paths across the update.
+// TestFuzzBackendThreeWay pins on its fixed corpus — forced SAT and auto
+// (at Workers=4) produce identical check signatures and solved-FEC
+// counts, the monolithic baseline agrees on the verdict, and every
+// reported witness distinguishes each of its paths across the update.
 func FuzzBackendAgreement(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
 		f.Add(seed, uint8(seed%6))
@@ -695,28 +685,20 @@ func FuzzBackendAgreement(f *testing.F) {
 		resSat := core.New(before, after, scope, mk(core.BackendSAT)).Check()
 		want := checkSignature(resSat)
 
-		resPset := core.New(before, after, scope, mk(core.BackendPset)).Check()
-		if got := checkSignature(resPset); got != want {
-			t.Fatalf("pset backend diverged from SAT\nsat:\n%s\npset:\n%s", want, got)
-		}
-		if resPset.SolvedFECs != resSat.SolvedFECs {
-			t.Fatalf("pset SolvedFECs=%d, sat=%d", resPset.SolvedFECs, resSat.SolvedFECs)
-		}
-
 		resAuto := checkWorkers(core.New(before, after, scope, mk(core.BackendAuto)), 4)
 		if got := checkSignature(resAuto); got != want {
-			t.Fatalf("auto backend (parallel) diverged from SAT\nsat:\n%s\nauto:\n%s", want, got)
+			t.Fatalf("auto backend diverged from SAT\nsat:\n%s\nauto:\n%s", want, got)
 		}
 		if resAuto.SolvedFECs != resSat.SolvedFECs {
 			t.Fatalf("auto SolvedFECs=%d, sat=%d", resAuto.SolvedFECs, resSat.SolvedFECs)
 		}
 
-		mono := core.New(before, after, scope, mk(core.BackendPset)).CheckMonolithic()
+		mono := core.New(before, after, scope, opts).CheckMonolithic()
 		if mono.Consistent != resSat.Consistent {
 			t.Fatalf("CheckMonolithic=%v, backends=%v", mono.Consistent, resSat.Consistent)
 		}
 
-		for _, v := range resPset.Violations {
+		for _, v := range resAuto.Violations {
 			if len(v.Paths) == 0 {
 				t.Fatalf("violation %v reports no divergent path", v.Packet)
 			}

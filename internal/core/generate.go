@@ -197,7 +197,7 @@ func (e *Engine) GenerateContext(callCtx context.Context, sources []topo.ACLBind
 	if workers < 1 {
 		workers = 1
 	}
-	runParallel(o, workers, len(aecs), func(_, i int) {
+	runParallel(o, workers, len(aecs), func(i int) {
 		outcomes[i] = solveOne(aecs[i])
 		task.Add(1)
 	})

@@ -630,8 +630,8 @@ func (e *Engine) fecPrefiltered(ctx *checkCtx, fec topo.FEC) bool {
 // skip first (never cached — it depends on the global diff), then the
 // change-impact replay and the verdict cache, then the SAT-free
 // pre-filter, and only then formula construction, on the session's
-// encoder. Must be called from one goroutine at a time (scan resolves
-// before fanning out); the resulting state is memoized.
+// encoder. Must be called from one goroutine at a time; the resulting
+// state is memoized.
 func (e *Engine) resolveFEC(ctx *checkCtx, i int) fecState {
 	if st := ctx.states[i]; st != fecUnresolved {
 		if st != fecUnknown {
@@ -772,8 +772,7 @@ func (ctx *checkCtx) discharge(i int, key []uint64) {
 // markUnknown records that FEC i's query reached no verdict this call,
 // and why. Unlike finishJob it writes no cache entry: entries[i] stays
 // nil, so commitGeneration never publishes an Unknown as a verdict and
-// the next unrestricted run re-solves the FEC cold. Safe to call
-// concurrently for distinct FECs.
+// the next unrestricted run re-solves the FEC cold.
 func (ctx *checkCtx) markUnknown(i int, reason string) {
 	ctx.states[i] = fecUnknown
 	ctx.unknownReason[i] = reason
@@ -783,8 +782,7 @@ func (ctx *checkCtx) markUnknown(i int, reason string) {
 // packet-set engine's — for FEC i, caching it under its content key.
 // Cached entries are backend-agnostic: hadJob records only that the FEC
 // needed a complete decision procedure, so a verdict decided by one
-// backend replays identically under any other. Safe to call
-// concurrently for distinct FECs.
+// backend replays identically under any other.
 func (ctx *checkCtx) finishVerdict(i int, key []uint64, violating bool) {
 	if violating {
 		ctx.states[i] = fecViolating
@@ -798,8 +796,7 @@ func (ctx *checkCtx) finishVerdict(i int, key []uint64, violating bool) {
 	}
 }
 
-// finishJob records a solver verdict for one pending job. Safe to call
-// concurrently for distinct jobs (each job is decided exactly once).
+// finishJob records a solver verdict for one pending job.
 func (ctx *checkCtx) finishJob(j checkJob, satisfiable bool) {
 	ctx.finishVerdict(j.fecIdx, j.key, satisfiable)
 }
@@ -807,8 +804,7 @@ func (ctx *checkCtx) finishJob(j checkJob, satisfiable bool) {
 // solvedFECs counts the FECs in [0, last] whose Equation-3 query needed
 // a solver verdict — decided in this or an earlier call, or replayed
 // from the verdict cache. A pure function of the resolved states, so
-// warm, cold, sequential, and parallel runs all report the number the
-// cold sequential scan would have.
+// warm and cold runs report the same number.
 func solvedFECs(ctx *checkCtx, last int) int {
 	n := 0
 	for i := 0; i <= last && i < len(ctx.states); i++ {

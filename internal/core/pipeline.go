@@ -3,7 +3,6 @@ package core
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"jinjing/internal/acl"
 	"jinjing/internal/header"
@@ -28,17 +27,14 @@ type checkJob struct {
 }
 
 // checkSession is the solver state the FECs of a check are encoded and
-// decided on: the content-addressed encoder, the sequential detection
-// solver, the fully clausified prototype pool workers fork from, and the
-// idle forks. The engine's session outlives a single After snapshot —
-// its builder grows monotonically, hash-consing unchanged cones across
-// edits, and UpdateAfter keeps it, so a warm re-check re-encodes only
-// what the edit changed.
+// decided on: the content-addressed encoder and the detection solver.
+// The engine's session outlives a single After snapshot — its builder
+// grows monotonically, hash-consing unchanged cones across edits, and
+// UpdateAfter keeps it, so a warm re-check re-encodes only what the edit
+// changed.
 type checkSession struct {
-	enc   *encoder
-	seq   *smt.Solver
-	proto *smt.Solver
-	free  []*smt.Solver
+	enc *encoder
+	seq *smt.Solver
 }
 
 // checkCtx is one generation of the check pipeline — the derived state
@@ -84,13 +80,13 @@ type checkCtx struct {
 	states   []fecState
 	entries  []*fecVerdict
 	// unknownReason says why states[i] == fecUnknown (cancelled, budget
-	// exhausted, ...). Workers write distinct indices concurrently.
+	// exhausted, ...).
 	unknownReason []string
 	jobOf         []int32 // fecIdx -> index into jobs, -1 when none
 	jobs          []checkJob
 	// Solve forensics (see forensics.go): routes[i] records how FEC i's
 	// verdict was established, solveNS[i] its complete-backend decision
-	// time. Workers write distinct indices concurrently.
+	// time.
 	routes  []fecRoute
 	solveNS []int64
 	// pathShapes sums the distinct path shapes of the FECs the current
@@ -99,10 +95,6 @@ type checkCtx struct {
 	// resolveSpan parents the per-FEC spans resolveFEC emits for
 	// pset-backend decisions: the solve phase's span, set for its duration.
 	resolveSpan *obs.Span
-	// protoJobs counts the jobs already clausified into the prototype
-	// this generation (unchanged cones hash-cons to already-clausified
-	// nodes, so re-clausification across generations is cheap).
-	protoJobs int
 
 	// wit memoizes canonical witnesses per FEC for this generation.
 	wit map[int]*Violation
@@ -144,7 +136,7 @@ func (ctx *checkCtx) fec(i int) topo.FEC { return ctx.fecs[i] }
 // deriving it on first use: Theorem 4.1 preprocessing (differential
 // rules and related-rule filtering), the encoded-pair fingerprints the
 // verdict cache keys on, and the session (shared encoder + persistent
-// solvers), which is reused across generations.
+// solver), which is reused across generations.
 func (e *Engine) checkContext(o *obs.Observer) *checkCtx {
 	if e.ckctx != nil {
 		return e.ckctx
@@ -193,8 +185,8 @@ func (e *Engine) checkContext(o *obs.Observer) *checkCtx {
 }
 
 // solveCall is what one check call's solve phase shares across the
-// pipeline's stages (solve → scan → decidePool → decideJob): the
-// call's scope and result, its two parameters, and the observability
+// pipeline's stages (solve → scan → decideJob): the call's scope and
+// result, whether it finds every violation, and the observability
 // hooks — the phase span parenting the per-FEC "fec.solve" spans, the
 // all-backends and SAT-only decision-latency histograms, the progress
 // task, and the count of jobs that reached a verdict.
@@ -203,28 +195,26 @@ type solveCall struct {
 	ctx     *checkCtx
 	res     *CheckResult
 	o       *obs.Observer
-	workers int
 	findAll bool
 
 	span    *obs.Span
 	hist    *obs.Histogram // check.fec_solve_ns
 	satHist *obs.Histogram // fec.solve.ns{backend=sat}
 	task    *obs.Task      // "check: FECs": FECs settled, of the scope's FEC count
-	decided atomic.Int64
+	decided int
 }
 
 // solve is the detection pipeline of Algorithm 1: resolve → decide →
 // merge over the FEC index space [0, nfec), stopping at the first
 // violation unless FindAllViolations is set. Verdicts land in the per-FEC
 // states, so the merge — and with it hits, Unknown, SolvedFECs and the
-// witnesses — is a pure function of the states: identical at every worker
-// count, whatever the scheduling. Returns the ascending violating FEC
-// indices (one at most in first-violation mode) and the last FEC index
-// the scan semantically examined.
+// witnesses — is a pure function of the states. Returns the ascending
+// violating FEC indices (one at most in first-violation mode) and the last
+// FEC index the scan semantically examined.
 func (e *Engine) solve(cn *canceller, ctx *checkCtx, res *CheckResult, root *obs.Span, o *obs.Observer) ([]int, int) {
 	sp := startPhase(root, res.Timings, "solve")
 	c := &solveCall{
-		cn: cn, ctx: ctx, res: res, o: o, workers: max(e.Opts.Workers, 1), findAll: e.Opts.FindAllViolations,
+		cn: cn, ctx: ctx, res: res, o: o, findAll: e.Opts.FindAllViolations,
 		span:    sp.sp,
 		hist:    o.Histogram("check.fec_solve_ns"),
 		satHist: o.Histogram("fec.solve.ns{backend=sat}"),
@@ -256,48 +246,36 @@ func (e *Engine) solve(cn *canceller, ctx *checkCtx, res *CheckResult, root *obs
 			hits = append(hits, i)
 		}
 	}
-	sp.end(obs.KV("decided", c.decided.Load()), obs.KV("violations", len(hits)))
+	sp.end(obs.KV("decided", c.decided), obs.KV("violations", len(hits)))
 	return hits, last
 }
 
-// scan runs every FEC through resolve and decide on the engine's session
-// — the content-addressed encoder and the warmed solvers that persist
-// across calls and edits. Workers picks who decides. With one, each
-// pending query is decided where it is resolved — on the calling
-// goroutine and the session's sequential solver — so a first-violation
-// stop builds no formula past the hit. With more, every FEC is resolved
-// first and the pending queries fan out across decidePool.
+// scan runs every FEC through resolve and decide, in order, on the
+// engine's session — the content-addressed encoder and the sequential
+// solver that persist across calls and edits. A pending query is decided
+// where it is resolved, on the calling goroutine, so a first-violation
+// stop builds no formula past the hit.
 //
 // Returns the FEC index of the violation the scan stops at, or -1 (always
 // -1 under FindAllViolations).
 func (e *Engine) scan(c *solveCall) int {
 	ctx, sess := c.ctx, c.ctx.sess
-	var seq *smt.Solver
-	var seqBase sat.Stats
-	if c.workers == 1 {
-		if sess.seq == nil {
-			sess.seq = smt.SolverOn(sess.enc.b)
-		}
-		seq = sess.seq
-		c.cn.register(seq)
-		seqBase = seq.Stats()
+	if sess.seq == nil {
+		sess.seq = smt.SolverOn(sess.enc.b)
 	}
-	// Resolve in order: differential skip, cached-verdict replay,
-	// pre-filter and pset settle a FEC on the spot; the rest become
-	// pending solver jobs. A budget-exhausted job is Unknown and the scan
-	// continues (one pathological query must not starve the rest); a
-	// cancellation stops it, and solve marks what is left.
+	seq := sess.seq
+	c.cn.register(seq)
+	base := seq.Stats()
+	// Differential skip, cached-verdict replay, pre-filter and pset settle
+	// a FEC on the spot; the rest become solver jobs, decided right away.
+	// A budget-exhausted job is Unknown and the scan continues (one
+	// pathological query must not starve the rest); a cancellation stops
+	// it, and solve marks what is left.
 	hit := -1
-	var pend []checkJob
 	for i := 0; i < ctx.nfec && !c.cn.cancelled(); i++ {
 		st := e.resolveFEC(ctx, i)
 		if st == fecPending {
-			j := ctx.jobs[ctx.jobOf[i]]
-			if seq == nil {
-				pend = append(pend, j)
-				continue
-			}
-			st = e.decideJob(c, seq, j)
+			st = e.decideJob(c, seq, ctx.jobs[ctx.jobOf[i]])
 		}
 		c.task.Add(1)
 		if st == fecViolating && !c.findAll {
@@ -306,140 +284,9 @@ func (e *Engine) scan(c *solveCall) int {
 			break
 		}
 	}
-	if seq != nil {
-		recordSolverStats(c.o, &c.res.SolverStats, statsSince(seq.Stats(), seqBase))
-	}
-	if len(pend) > 0 {
-		// Every pending job lies below a replayed hit, so a violation the
-		// pool finds supersedes it.
-		if first := e.decidePool(c, sess, pend); first >= 0 {
-			hit = first
-		}
-	}
+	recordSolverStats(c.o, &c.res.SolverStats, statsSince(seq.Stats(), base))
 	ctx.maxNodes = int64(sess.enc.b.NumNodes())
 	return hit
-}
-
-// poolWorker is one worker slot of decidePool: its solver (nil until the
-// slot's first job, and again once a panic retires it), the stats
-// baseline taken when the solver was acquired, and the slot's tallies
-// for this call. runParallel hands a slot to one goroutine at a time, so
-// the fields need no lock.
-type poolWorker struct {
-	solver *smt.Solver
-	base   sat.Stats
-	stats  sat.Stats
-	jobs   int64
-}
-
-func (w *poolWorker) acquire(cn *canceller, s *smt.Solver) {
-	w.solver = s
-	cn.register(s)
-	w.base = s.Stats()
-}
-
-// release folds the solver's work since acquire into the slot's stats
-// and detaches it.
-func (w *poolWorker) release() *smt.Solver {
-	s := w.solver
-	w.stats.Add(statsSince(s.Stats(), w.base))
-	w.solver = nil
-	return s
-}
-
-// decidePool fans the scan's pending jobs out across worker solvers. The
-// jobs' cones are Tseitin-clausified once into the session's prototype
-// and each worker deep-copies the resulting clause database (smt.Fork)
-// inside its own goroutine, so clausification is paid once per distinct
-// ACL rather than once per worker and the copies — the dominant fixed
-// cost of fanning out — run concurrently. Forks return to the session
-// when the pool drains and are reused, slot for slot, by later calls.
-//
-// Work is handed out in chunks of consecutive jobs (runParallel pulls
-// chunks dynamically). A first-violation scan takes one job per chunk and
-// skips anything past the lowest violating job found so far — it cannot
-// be the answer. Under FindAllViolations every job must be decided
-// anyway (minHit is never lowered, so nothing is skipped), and the list
-// is cut into one contiguous chunk per slot instead: which solver decides
-// which query — and with it the clauses it learns and the search it does —
-// is then a function of the input rather than of goroutine timing, and
-// adjacent FECs share cones, so a contiguous slice learns better than an
-// interleaved one. Returns the FEC index of the lowest violation, or -1.
-func (e *Engine) decidePool(c *solveCall, sess *checkSession, pend []checkJob) int {
-	ctx := c.ctx
-	if sess.proto == nil {
-		sess.proto = smt.SolverOn(sess.enc.b)
-	}
-	for _, j := range ctx.jobs[ctx.protoJobs:] {
-		sess.proto.EnsureClausified(j.query)
-	}
-	ctx.protoJobs = len(ctx.jobs)
-	c.o.Gauge("smt.proto.clauses").Set(int64(sess.proto.NumClauses()))
-
-	ws := make([]poolWorker, min(c.workers, len(pend)))
-	take := min(len(ws), len(sess.free))
-	for w, s := range sess.free[:take] {
-		ws[w].acquire(c.cn, s)
-	}
-	idle := sess.free[take:]
-	sess.free = nil
-	chunks := len(pend)
-	if c.findAll {
-		chunks = len(ws)
-	}
-	var minHit atomic.Int64
-	minHit.Store(int64(len(pend)))
-	runParallel(c.o, len(ws), chunks, func(w, ch int) {
-		if c.findAll {
-			w = ch // slot ch owns chunk ch, on this call and the next
-		}
-		wk := &ws[w]
-		done := false
-		defer func() {
-			if !done && wk.solver != nil {
-				// A panic mid-search leaves the solver in an unspecified
-				// state: retire it, so it never rejoins the pool and the
-				// chunk's retry starts from a fresh fork.
-				wk.release()
-			}
-		}()
-		for k := ch * len(pend) / chunks; k < (ch+1)*len(pend)/chunks; k++ {
-			// A retried chunk (see runParallel) holds jobs settled before
-			// the panic.
-			if int64(k) > minHit.Load() || ctx.states[pend[k].fecIdx] != fecPending {
-				continue
-			}
-			if wk.solver == nil {
-				wk.acquire(c.cn, sess.proto.Fork())
-			}
-			wk.jobs++
-			c.task.Add(1)
-			if e.decideJob(c, wk.solver, pend[k]) == fecViolating && !c.findAll {
-				for {
-					cur := minHit.Load()
-					if int64(k) >= cur || minHit.CompareAndSwap(cur, int64(k)) {
-						break
-					}
-				}
-			}
-		}
-		done = true
-	})
-	jobsHist := c.o.Histogram("check.worker_jobs")
-	var agg sat.Stats
-	for w := range ws {
-		if ws[w].solver != nil {
-			sess.free = append(sess.free, ws[w].release())
-		}
-		agg.Add(ws[w].stats)
-		jobsHist.Observe(ws[w].jobs)
-	}
-	sess.free = append(sess.free, idle...)
-	recordSolverStats(c.o, &c.res.SolverStats, agg)
-	if h := minHit.Load(); h < int64(len(pend)) {
-		return pend[h].fecIdx
-	}
-	return -1
 }
 
 // sampleHeap folds the current live-heap size into the call's peak.
@@ -455,7 +302,7 @@ func (ctx *checkCtx) sampleHeap() {
 }
 
 // statsSince subtracts a baseline snapshot from cumulative solver
-// counters, so persistent solvers report per-call deltas.
+// counters, so the persistent solver reports per-call deltas.
 func statsSince(cur, base sat.Stats) sat.Stats {
 	return sat.Stats{
 		Decisions:    cur.Decisions - base.Decisions,

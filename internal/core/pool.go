@@ -9,25 +9,23 @@ import (
 	"jinjing/internal/obs"
 )
 
-// runParallel runs fn(w, i) for each i in [0, n) across at most workers
+// runParallel runs fn(i) for each i in [0, n) across at most workers
 // goroutines, returning when all calls complete. Work is handed out by
 // an atomic counter, so callers writing to out[i]-style slots need no
-// further synchronization; w < workers names the calling goroutine's
-// slot — no two concurrent calls share one — for callers that keep
-// per-worker state (check's forked solvers).
+// further synchronization.
 //
 // A panicking fn crashes only its worker: the panic is recovered (and
 // counted on worker.panic.recovered), the job is parked, and whatever
 // the dead workers left behind is re-run sequentially after the pool
-// drains — on slot 0, without recovery, so a deterministic bug surfaces
-// on the retry instead of being swallowed.
-func runParallel(o *obs.Observer, workers, n int, fn func(w, i int)) {
+// drains — without recovery, so a deterministic bug surfaces on the
+// retry instead of being swallowed.
+func runParallel(o *obs.Observer, workers, n int, fn func(int)) {
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			fn(0, i)
+			fn(i)
 		}
 		return
 	}
@@ -37,7 +35,7 @@ func runParallel(o *obs.Observer, workers, n int, fn func(w, i int)) {
 	var failed []int
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
@@ -56,14 +54,14 @@ func runParallel(o *obs.Observer, workers, n int, fn func(w, i int)) {
 					if faultinject.Fire(faultinject.ParallelJob) == faultinject.Panic {
 						panic("faultinject: injected panic at " + string(faultinject.ParallelJob))
 					}
-					fn(w, i)
+					fn(i)
 				}()
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	sort.Ints(failed)
 	for _, i := range failed {
-		fn(0, i)
+		fn(i)
 	}
 }

@@ -5,8 +5,8 @@ package core
 //
 //   - A canceller relays context cancellation to every solver a
 //     primitive call has in flight: solvers register on acquisition
-//     (which also clears any interrupt left by a previous cancelled
-//     call on a pooled solver), and the context watcher interrupts them
+//     (which also clears any interrupt a previous cancelled call left
+//     on a persistent solver), and the context watcher interrupts them
 //     all when the deadline fires.
 //
 //   - solveWithRetries wraps one solver query with the per-FEC conflict
@@ -96,9 +96,9 @@ type canceller struct {
 func (c *canceller) cancelled() bool { return c != nil && c.done.Load() }
 
 // register adds a solver to the interrupt fan-out. Registration also
-// clears any interrupt a previous cancelled call left on a pooled
-// solver; if this call is already cancelled the solver is interrupted
-// immediately instead.
+// clears any interrupt a previous cancelled call left on the session's
+// persistent solver; if this call is already cancelled the solver is
+// interrupted immediately instead.
 func (c *canceller) register(s *smt.Solver) {
 	if c == nil {
 		s.ClearInterrupt()
@@ -244,8 +244,7 @@ func (e *Engine) solveWithRetries(cn *canceller, solver *smt.Solver, o *obs.Obse
 // the verdict (finishJob) or the Unknown (markUnknown — never cached),
 // the per-FEC solve forensics, and a per-FEC span linking the FEC to
 // its backend-selector decision. Returns the FEC's resulting state:
-// fecOK, fecViolating, or fecUnknown. Safe to call concurrently for
-// distinct jobs.
+// fecOK, fecViolating, or fecUnknown.
 func (e *Engine) decideJob(c *solveCall, solver *smt.Solver, j checkJob) fecState {
 	ctx := c.ctx
 	fsp := c.span.Child("fec.solve", obs.KV("fec", j.fecIdx), obs.KV("backend", "sat"),
@@ -263,7 +262,7 @@ func (e *Engine) decideJob(c *solveCall, solver *smt.Solver, j checkJob) fecStat
 		ctx.markUnknown(j.fecIdx, r.Reason)
 		fsp.SetAttr("verdict", "unknown")
 	} else {
-		c.decided.Add(1)
+		c.decided++
 		ctx.finishJob(j, r.Outcome == sat.Sat)
 		fsp.SetAttr("verdict", verdictString(ctx.states[j.fecIdx]))
 	}

@@ -19,11 +19,11 @@ import (
 // This file is the fault lane: every test injects failures through
 // internal/faultinject and asserts the pipeline degrades exactly as
 // documented — retries recover, Unknown verdicts surface instead of
-// being silently cached, crashed workers hand their jobs to survivors,
-// and a fully collapsed pool falls back to the sequential scan with
-// byte-identical output. All tests are named TestFault* so `make
-// faults` can select the lane; none may call t.Parallel (the
-// faultinject registry is process-global).
+// being silently cached, crashed fix workers hand their jobs to a
+// sequential re-run, and a fully collapsed pool still yields the clean
+// plan. All tests are named TestFault* so `make faults` can select the
+// lane; none may call t.Parallel (the faultinject registry is
+// process-global).
 
 // findAllOpts is the fault lane's baseline configuration: the running
 // example with every violation reported, so partial results have
@@ -37,10 +37,9 @@ func findAllOpts() core.Options {
 	return opts
 }
 
-// eachFaultMode runs fn on both arms of the one check pipeline — calling
-// goroutine or pool — with findAllOpts configured for that arm. The
-// running example has three solver-bound FECs (0, 1 and 4), so the pool
-// is a real pool.
+// eachFaultMode runs fn with findAllOpts at one worker and at two. Check
+// runs on the calling goroutine whatever the count, so both arms must
+// degrade identically.
 func eachFaultMode(t *testing.T, fn func(t *testing.T, opts core.Options)) {
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -50,29 +49,6 @@ func eachFaultMode(t *testing.T, fn func(t *testing.T, opts core.Options)) {
 			fn(t, opts)
 		})
 	}
-}
-
-// poolChunks counts the chunks the cold find-all check hands to the
-// worker pool under opts — the units a ParallelJob fault can crash. With
-// one worker there is no pool, and a lone pending job runs inline; two or
-// more are cut into one contiguous chunk per worker slot.
-func poolChunks(t *testing.T, opts core.Options) int {
-	t.Helper()
-	if opts.Workers <= 1 {
-		return 0
-	}
-	ref := findAllOpts()
-	ref.Forensics = true
-	n := 0
-	for _, f := range newRunningEngine(t, ref).Check().Forensics {
-		if f.Route == "sat" {
-			n++
-		}
-	}
-	if n < 2 {
-		return 0
-	}
-	return min(opts.Workers, n)
 }
 
 // TestFaultTimeoutRetryRecovers injects one solver timeout into the
@@ -264,105 +240,65 @@ func TestFaultCancelledContextMarksUnknown(t *testing.T) {
 }
 
 // TestFaultWorkerPanicRecovered crashes the check's first solver query
-// mid-decision. In a pool the crash costs one worker its solver and
-// nothing else: the job is parked, re-run once the pool drains, and the
-// result equals the clean sequential run. With one worker the query runs
-// on the calling goroutine, which has nobody to hand the job to — the
-// panic surfaces instead of being swallowed.
+// mid-decision. Check decides on the calling goroutine at every worker
+// count, which has nobody to hand the job to — the panic surfaces
+// instead of being swallowed, and nothing counts as recovered.
 func TestFaultWorkerPanicRecovered(t *testing.T) {
-	want := checkSignature(newRunningEngine(t, findAllOpts()).Check())
 	eachFaultMode(t, func(t *testing.T, opts core.Options) {
 		_, _, m := obsHarness(&opts)
 		faultinject.Schedule(faultinject.CheckSolve, faultinject.Panic, 1)
 		e := newRunningEngine(t, opts)
-		if opts.Workers == 1 {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("a one-worker check swallowed the injected panic")
-				}
-				if n := m.Snapshot().Counters["worker.panic.recovered"]; n != 0 {
-					t.Fatalf("worker.panic.recovered = %d without a pool", n)
-				}
-			}()
-		}
-		res := e.Check()
-		if got := checkSignature(res); got != want {
-			t.Fatalf("panic-recovered parallel check diverged:\n%s\nwant:\n%s", got, want)
-		}
-		if !res.Complete {
-			t.Fatalf("worker crash must not lose verdicts: Unknown=%v", res.Unknown)
-		}
-		if n := m.Snapshot().Counters["worker.panic.recovered"]; n != 1 {
-			t.Fatalf("worker.panic.recovered = %d, want 1", n)
-		}
+		defer func() {
+			if recover() == nil {
+				t.Fatal("check swallowed the injected panic")
+			}
+			if n := m.Snapshot().Counters["worker.panic.recovered"]; n != 0 {
+				t.Fatalf("worker.panic.recovered = %d without a pool", n)
+			}
+		}()
+		e.Check()
 	})
 }
 
-// TestFaultPanicMidChunkDecidesEachJobOnce crashes the last solver query
-// of a two-worker find-all pool. The running example's three jobs are cut
-// into the chunks {0} and {1, 2}, so — scheduling permitting — the third
-// query is job 2, behind job 1 already settled in the same chunk: the
-// chunk's retry must decide only what the panic left pending.
-func TestFaultPanicMidChunkDecidesEachJobOnce(t *testing.T) {
-	defer faultinject.Reset()
-	want := checkSignature(newRunningEngine(t, findAllOpts()).Check())
-	opts := findAllOpts()
-	opts.Workers = 2
-	trace, _, m := obsHarness(&opts)
-	faultinject.Schedule(faultinject.CheckSolve, faultinject.Panic, 3)
-	res := newRunningEngine(t, opts).Check()
-	if got := checkSignature(res); got != want {
-		t.Fatalf("panic-recovered check diverged:\n%s\nwant:\n%s", got, want)
-	}
-	snap := m.Snapshot()
-	if n := snap.Counters["worker.panic.recovered"]; n != 1 {
-		t.Fatalf("worker.panic.recovered = %d, want 1", n)
-	}
-	if sv := decodeSpans(t, trace)["solve"]; len(sv) != 1 || sv[0].Attrs["decided"] != float64(res.SolvedFECs) {
-		t.Fatalf("solve span wrong (want decided=%d): %+v", res.SolvedFECs, sv)
-	}
-	if got := snap.Histograms["check.fec_solve_ns"].Count; got != int64(res.SolvedFECs) {
-		t.Fatalf("%d solver decisions for %d solver-bound FECs: the retry re-decided a settled job", got, res.SolvedFECs)
-	}
-}
-
-// TestFaultPoolCollapseSequentialFallback crashes every chunk a pool
+// TestFaultPoolCollapseSequentialFallback crashes every job a fix pool
 // worker picks up (the every-hit ParallelJob schedule; the sequential
-// re-run does not fire it) and asserts the fallback finishes the check
-// with a report byte-identical to the clean one-worker run. With one
-// worker there is no pool: nothing fires, nothing is recovered, same
-// bytes.
+// re-run does not fire it) and asserts the fallback finishes the fix with
+// the clean one-worker plan, every FEC's job having died exactly once.
+// With one worker there is no pool: nothing fires, nothing is recovered,
+// same plan.
 func TestFaultPoolCollapseSequentialFallback(t *testing.T) {
-	ref := newRunningEngine(t, findAllOpts()).Check()
-	want := checkSignature(ref)
-	var wantOut bytes.Buffer
-	(&core.Report{Checks: []*core.CheckResult{ref}}).Print(&wantOut)
-
-	eachFaultMode(t, func(t *testing.T, opts core.Options) {
-		chunks := poolChunks(t, opts)
-		if opts.Workers > 1 && chunks < 2 {
-			t.Fatalf("running example needs >= 2 pool chunks for a pool collapse, got %d", chunks)
-		}
-		_, _, m := obsHarness(&opts)
-		faultinject.Schedule(faultinject.ParallelJob, faultinject.Panic)
-
-		res := newRunningEngine(t, opts).Check()
-		if got := checkSignature(res); got != want {
-			t.Fatalf("collapsed-pool check diverged:\n%s\nwant:\n%s", got, want)
-		}
-		if !res.Complete {
-			t.Fatalf("fallback must decide everything: Unknown=%v", res.Unknown)
-		}
-		var gotOut bytes.Buffer
-		(&core.Report{Checks: []*core.CheckResult{res}}).Print(&gotOut)
-		if !bytes.Equal(gotOut.Bytes(), wantOut.Bytes()) {
-			t.Fatalf("collapsed-pool report differs from one-worker report:\n%s\nwant:\n%s",
-				gotOut.String(), wantOut.String())
-		}
-		if n := m.Snapshot().Counters["worker.panic.recovered"]; n != int64(chunks) {
-			t.Fatalf("worker.panic.recovered = %d, want %d (every pool chunk died once)", n, chunks)
-		}
-	})
+	clean, err := newRunningEngine(t, core.DefaultOptions()).Fix()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprint(clean.Actions)
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			defer faultinject.Reset()
+			opts := core.DefaultOptions()
+			opts.Workers = workers
+			_, _, m := obsHarness(&opts)
+			faultinject.Schedule(faultinject.ParallelJob, faultinject.Panic)
+			e := newRunningEngine(t, opts)
+			res, err := e.Fix()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Verified {
+				t.Fatalf("collapsed-pool fix must still verify; actions: %v", res.Actions)
+			}
+			if got := fmt.Sprint(res.Actions); got != want {
+				t.Fatalf("collapsed-pool plan differs from the one-worker plan:\n%s\nwant:\n%s", got, want)
+			}
+			jobs := int64(0)
+			if workers > 1 {
+				jobs = int64(e.NumFECs())
+			}
+			if n := m.Snapshot().Counters["worker.panic.recovered"]; n != jobs {
+				t.Fatalf("worker.panic.recovered = %d, want %d (every pool job died once)", n, jobs)
+			}
+		})
+	}
 }
 
 // TestFaultFixPoolRetriesPanickedJobs crashes one job of fix's generic

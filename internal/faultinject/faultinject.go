@@ -29,12 +29,12 @@ type Site string
 // Injection sites wired into the pipeline. The per-site meaning of each
 // fault kind is documented where the site is fired.
 const (
-	// CheckSolve guards the per-FEC Equation-3 decision solve, on both
-	// the sequential path and inside pool workers. Timeout interrupts
-	// the solver mid-decision; Panic crashes the calling worker.
+	// CheckSolve guards the per-FEC Equation-3 decision solve. Timeout
+	// interrupts the solver mid-decision; Panic crashes the check, which
+	// runs on the calling goroutine.
 	CheckSolve Site = "check.solve"
 	// ParallelJob guards each job of the core worker pool (runParallel),
-	// which check, fix and generate share. Panic crashes the job; the
+	// which fix and generate share. Panic crashes the job; the
 	// sequential re-run of crashed jobs does not fire it, so an every-hit
 	// panic schedule collapses the pool without looping forever.
 	ParallelJob Site = "core.parallel.job"

@@ -66,9 +66,6 @@ func (s *Solver) Interrupt() { s.interrupt.Store(true) }
 // ClearInterrupt re-arms the solver after an Interrupt.
 func (s *Solver) ClearInterrupt() { s.interrupt.Store(false) }
 
-// Interrupted reports whether the interrupt flag is set.
-func (s *Solver) Interrupted() bool { return s.interrupt.Load() }
-
 // SolveLimited decides satisfiability under the assumptions, giving up
 // with Unknown once b is exhausted or Interrupt is called. State is
 // preserved on Unknown: the trail unwinds to level 0 but learned

@@ -6,6 +6,33 @@ import (
 	"time"
 )
 
+// pigeonhole builds the unsatisfiable PHP(n+1, n) instance, a standard
+// workout that forces real conflict analysis.
+func pigeonhole(s *Solver, pigeons, holes int) [][]Var {
+	vars := make([][]Var, pigeons)
+	for p := range vars {
+		vars[p] = make([]Var, holes)
+		for h := range vars[p] {
+			vars[p][h] = s.NewVar()
+		}
+	}
+	for p := 0; p < pigeons; p++ {
+		lits := make([]Lit, holes)
+		for h := 0; h < holes; h++ {
+			lits[h] = Pos(vars[p][h])
+		}
+		s.AddClause(lits...)
+	}
+	for h := 0; h < holes; h++ {
+		for p1 := 0; p1 < pigeons; p1++ {
+			for p2 := p1 + 1; p2 < pigeons; p2++ {
+				s.AddClause(Neg(vars[p1][h]), Neg(vars[p2][h]))
+			}
+		}
+	}
+	return vars
+}
+
 func TestSolveLimitedUnlimitedMatchesSolve(t *testing.T) {
 	s := New()
 	pigeonhole(s, 5, 5)
@@ -129,17 +156,4 @@ func TestSolvePanicsWhenInterrupted(t *testing.T) {
 		}
 	}()
 	s.Solve()
-}
-
-func TestCloneDoesNotInheritInterrupt(t *testing.T) {
-	s := New()
-	pigeonhole(s, 5, 5)
-	s.Interrupt()
-	c := s.Clone()
-	if c.Interrupted() {
-		t.Fatal("clone must start with a clear interrupt flag")
-	}
-	if r := c.SolveLimited(Budget{}); r.Outcome != Sat {
-		t.Fatalf("clone outcome = %v, want sat", r.Outcome)
-	}
 }

@@ -89,7 +89,7 @@ type Stats struct {
 }
 
 // Add accumulates o's counters into s; engines use it to aggregate
-// stats across the many solvers one primitive spins up (per-worker,
+// stats across the many solvers one primitive spins up (witness,
 // per-neighborhood, per-AEC).
 func (s *Stats) Add(o Stats) {
 	s.Decisions += o.Decisions

@@ -66,8 +66,8 @@ type Config struct {
 	// DecisionLogDir, when set, attaches a rotating JSONL decision
 	// ledger per session at <dir>/<session>.jsonl.
 	DecisionLogDir string
-	// SessionTTL releases a session's warm solver state (the encoder,
-	// persistent solvers, and pooled forks — core.Engine.ReleaseSession)
+	// SessionTTL releases a session's warm solver state (the encoder and
+	// the persistent solver — core.Engine.ReleaseSession)
 	// after it has sat idle this long. The session itself stays loaded:
 	// its verdict cache, derived paths/FECs, and ledger survive, so the
 	// next job runs cold on the solver but still replays verdicts. 0

@@ -21,7 +21,7 @@ import (
 // session is one named warm verification context: a base network, the
 // LAI program configuring scope/allow/modify over it, and the warm
 // machinery the daemon exists to keep alive between operator edits —
-// the engine (persistent solver pool, shared encoder) and the
+// the engine (persistent solver, shared encoder) and the
 // cross-run verdict cache.
 //
 // All engine access is serialized under mu: the engine and the cache's

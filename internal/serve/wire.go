@@ -49,12 +49,13 @@ type JobOverrides struct {
 	// MaxRetries is the retry count for Unknown queries
 	// (core.Options.MaxRetries).
 	MaxRetries *int `json:"max_retries,omitempty"`
-	// Workers fans the job's solver loops out (core.Options.Workers).
+	// Workers fans a fix or generate job's per-FEC/per-AEC loop out
+	// (core.Options.Workers); check ignores it.
 	Workers *int `json:"workers,omitempty"`
-	// Backend picks the per-FEC decision procedure: "auto" (the set
-	// algebra, SAT on cube-budget overflow), "sat" (SAT for every FEC),
-	// or "pset" (same as "auto") (core.Options.Backend). Verdicts are
-	// backend-agnostic.
+	// Backend picks the per-FEC decision procedure
+	// (core.Options.Backend): "auto" (the set algebra, SAT on
+	// cube-budget overflow; "pset" is an alias) or "sat" (SAT for every
+	// FEC). Verdicts are backend-agnostic.
 	Backend string `json:"backend,omitempty"`
 	// AllViolations toggles one-violation-per-FEC enumeration
 	// (core.Options.FindAllViolations).

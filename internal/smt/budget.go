@@ -4,8 +4,7 @@ package smt
 // surface sat.Budget / sat.Result through the Tseitin layer unchanged:
 // the formula cache, clause database, and learned clauses all survive
 // an Unknown outcome, so retrying with a larger budget resumes the
-// underlying SAT search rather than restarting it. Forked solvers
-// (Fork) start with a clear interrupt flag and no budget in force.
+// underlying SAT search rather than restarting it.
 
 import "jinjing/internal/sat"
 
@@ -16,9 +15,6 @@ func (s *Solver) Interrupt() { s.sat.Interrupt() }
 
 // ClearInterrupt re-arms the solver after an Interrupt.
 func (s *Solver) ClearInterrupt() { s.sat.ClearInterrupt() }
-
-// Interrupted reports whether the interrupt flag is set.
-func (s *Solver) Interrupted() bool { return s.sat.Interrupted() }
 
 // SolveLimited is Solve with a resource budget: it decides the asserted
 // constraints plus assumptions, giving up with Unknown when b is

@@ -100,21 +100,6 @@ func TestInterruptSurfacesThroughSolver(t *testing.T) {
 	}
 }
 
-func TestForkStartsUnstoppered(t *testing.T) {
-	b := NewBuilder()
-	s := SolverOn(b)
-	assertPigeonhole(b, s, 5, 5)
-	s.EnsureClausified(True)
-	s.Interrupt()
-	f := s.Fork()
-	if f.Interrupted() {
-		t.Fatal("fork must not inherit the interrupt flag")
-	}
-	if r := f.DecideLimited(sat.Budget{}); r.Outcome != sat.Sat {
-		t.Fatalf("forked solver outcome = %v, want sat", r.Outcome)
-	}
-}
-
 func TestSolveMinimizeLimitedUnknown(t *testing.T) {
 	b := NewBuilder()
 	s := SolverOn(b)

@@ -256,8 +256,8 @@ func (s *Solver) varFor(idx int32) sat.Var {
 }
 
 // EnsureClausified emits the Tseitin clauses for f's whole cone without
-// asserting anything, so the clauses exist before the solver is forked
-// to worker goroutines.
+// asserting anything, so clausification can be paid (and timed) apart
+// from search.
 func (s *Solver) EnsureClausified(f F) {
 	s.varFor(f.idx())
 }
@@ -265,20 +265,6 @@ func (s *Solver) EnsureClausified(f F) {
 // NumClauses reports the problem-clause count of the underlying SAT
 // instance (after its level-0 simplification).
 func (s *Solver) NumClauses() int { return s.sat.NumClauses() }
-
-// Fork returns an independent copy of the solver sharing the (read-only
-// from here on, as far as the fork is concerned) Builder: the clause
-// database is deep-copied via sat.Clone instead of re-running Tseitin
-// conversion, which is what makes a pool of per-worker solvers cheaper
-// than clausifying once per worker. Fork must not be called while the
-// solver is inside Solve.
-func (s *Solver) Fork() *Solver {
-	return &Solver{
-		B:      s.B,
-		sat:    s.sat.Clone(),
-		satVar: append([]sat.Var(nil), s.satVar...),
-	}
-}
 
 // Assert permanently adds f to the solver's constraint set.
 func (s *Solver) Assert(f F) {

@@ -430,3 +430,24 @@ func BenchmarkSolveMatchOverlap(b *testing.B) {
 		}
 	}
 }
+
+func TestDecideMatchesSolve(t *testing.T) {
+	s := NewSolver()
+	b := s.B
+	x, y := b.Var(), b.Var()
+	s.Assert(b.Or(x, y))
+	if !s.Decide(x.Not()) {
+		t.Fatal("¬x should be SAT")
+	}
+	if s.Decide(x.Not(), y.Not()) {
+		t.Fatal("¬x ∧ ¬y should be UNSAT")
+	}
+	// Decide leaves no model behind.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Value after Decide should panic (no model)")
+		}
+	}()
+	s.Decide(x)
+	s.Value(x)
+}
