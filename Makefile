@@ -48,9 +48,10 @@ fuzz-backends:
 	$(GO) test -run '^$$' -fuzz FuzzBackendAgreement -fuzztime 30s ./internal/core
 
 # Snapshot-codec lane: the committed corpus plus the structured
-# mutation sweep (flags, lengths, pair refs, checksum, truncation) and
-# 30 seconds of open-ended native fuzzing over Decode — every accepted
-# input must round-trip byte-identically through Encode.
+# mutation sweep (flags, lengths, pair refs, checksum, truncation, and
+# resealed flips in the ACL section) and 30 seconds of open-ended native
+# fuzzing over Decode, each input also decoded with a matching checksum
+# so damage reaches the ACL texts and the pair table.
 fuzz-snapshots:
 	$(GO) test -count=1 -run 'TestSnapshotRestoreMutationSweep|TestFuzzSnapshotEditSequences' ./internal/store ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotRestore -fuzztime 30s ./internal/store

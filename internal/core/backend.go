@@ -64,12 +64,13 @@ func ParseBackend(s string) (Backend, error) {
 const psetCubeBudget = 512
 
 // encPair is one distinct encoded (before, after) ACL pair of the
-// generation. unchanged is the purely syntactic equivalence test
-// (pairSynUnchanged): true means provably unchanged; false means "treat
-// as changed", which is always sound (a semantically equal pair
-// classified as changed contributes an empty difference and restricts
-// both products identically).
+// generation: its table IDs and their contents. unchanged is the purely
+// syntactic equivalence test (pairSynUnchanged): true means provably
+// unchanged; false means "treat as changed", which is always sound (a
+// semantically equal pair classified as changed contributes an empty
+// difference and restricts both products identically).
 type encPair struct {
+	ids       [2]int32
 	acls      [2]*acl.ACL
 	unchanged bool
 }
@@ -85,29 +86,29 @@ type checkShape struct {
 }
 
 // pathWalk returns the generation's path interner: a binding resolves to
-// the index of its encoded pair in encPairs — interned by content, as the
-// encoder does, so the many bindings carrying one ACL are one pair — and
-// an unbound binding to nothing. Like resolveFEC and the witness pass,
-// its only users, it is single-goroutine.
+// the index of its encoded ID pair in encPairs — so the many bindings
+// carrying one ACL content are one pair — and an unbound binding to
+// nothing. Like resolveFEC and the witness pass, its only users, it is
+// single-goroutine.
 func (e *Engine) pathWalk(ctx *checkCtx) *pathInterner {
 	if ctx.walk != nil {
 		return ctx.walk
 	}
-	byFP := map[[2]uint64][]int32{}
+	index := map[[2]int32]int32{}
 	ctx.walk = newPathInterner(e.Controls, func(id string) int32 {
-		pr, bound := ctx.encodeACLs[id]
+		ids, bound := ctx.ids[id]
 		if !bound {
 			return -1
 		}
-		fps := ctx.pairFPs[id]
-		for _, i := range byFP[fps] {
-			if q := ctx.encPairs[i].acls; q[0].Equal(pr[0]) && q[1].Equal(pr[1]) {
-				return i
-			}
+		i, ok := index[ids]
+		if !ok {
+			i = int32(len(ctx.encPairs))
+			index[ids] = i
+			ctx.encPairs = append(ctx.encPairs, encPair{
+				ids: ids, acls: [2]*acl.ACL{ctx.acls[ids[0]], ctx.acls[ids[1]]},
+				unchanged: ctx.pairSynUnchanged(ids),
+			})
 		}
-		i := int32(len(ctx.encPairs))
-		ctx.encPairs = append(ctx.encPairs, encPair{acls: pr, unchanged: ctx.pairSynUnchanged(id)})
-		byFP[fps] = append(byFP[fps], i)
 		return i
 	})
 	return ctx.walk
@@ -134,7 +135,7 @@ func (e *Engine) compileShapes(ctx *checkCtx, fec topo.FEC) []checkShape {
 	return shapes
 }
 
-// diffMatches returns (memoized per ACL pair) the pair's differential
+// diffMatches returns (memoized per ID pair) the pair's differential
 // rule matches: by Theorem 4.1, any packet the two ACLs decide
 // differently matches a differential rule, so the union of these cubes
 // is a sound overapproximation of the pair's semantic difference —
@@ -142,21 +143,21 @@ func (e *Engine) compileShapes(ctx *checkCtx, fec topo.FEC) []checkShape {
 // Callers intersect it with the region they care about
 // (Set.IntersectMatches); the union itself is never canonicalized, which
 // is quadratic in a rule count that synthesis can push past 10^4.
-func (ctx *checkCtx) diffMatches(pr [2]*acl.ACL) []header.Match {
+func (ctx *checkCtx) diffMatches(ids [2]int32) []header.Match {
 	ctx.psetMu.Lock()
 	defer ctx.psetMu.Unlock()
-	if ms, ok := ctx.diffMs[pr]; ok {
+	if ms, ok := ctx.diffMs[ids]; ok {
 		return ms
 	}
-	rules := acl.Differential(pr[0], pr[1])
+	rules := acl.Differential(ctx.acls[ids[0]], ctx.acls[ids[1]])
 	ms := make([]header.Match, len(rules))
 	for i, r := range rules {
 		ms[i] = r.Match
 	}
 	if ctx.diffMs == nil {
-		ctx.diffMs = map[[2]*acl.ACL][]header.Match{}
+		ctx.diffMs = map[[2]int32][]header.Match{}
 	}
-	ctx.diffMs[pr] = ms
+	ctx.diffMs[ids] = ms
 	return ms
 }
 
@@ -170,29 +171,25 @@ func (ctx *checkCtx) diffMatches(pr [2]*acl.ACL) []header.Match {
 // past any global-set budget. false means inconclusive (budget
 // bail-out), never "provably different" — sound for a pre-filter either
 // way.
-func (ctx *checkCtx) pairExactEqual(id string) bool {
-	pr, bound := ctx.encodeACLs[id]
-	if !bound {
-		return true
-	}
-	ms := ctx.diffMatches(pr)
+func (ctx *checkCtx) pairExactEqual(ids [2]int32) bool {
+	ms := ctx.diffMatches(ids)
 	ctx.psetMu.Lock()
 	defer ctx.psetMu.Unlock()
-	if v, ok := ctx.pairEq[pr]; ok {
+	if v, ok := ctx.pairEq[ids]; ok {
 		return v
 	}
 	v := false
 	if d := pset.FromMatches(ms); d.IsEmpty() {
 		v = true
-	} else if wb, ok := pset.PermittedSetWithin(pr[0], d, psetCubeBudget); ok {
-		if wa, ok := pset.PermittedSetWithin(pr[1], d, psetCubeBudget); ok {
+	} else if wb, ok := pset.PermittedSetWithin(ctx.acls[ids[0]], d, psetCubeBudget); ok {
+		if wa, ok := pset.PermittedSetWithin(ctx.acls[ids[1]], d, psetCubeBudget); ok {
 			v = wb.Subtract(wa).IsEmpty() && wa.Subtract(wb).IsEmpty()
 		}
 	}
 	if ctx.pairEq == nil {
-		ctx.pairEq = map[[2]*acl.ACL]bool{}
+		ctx.pairEq = map[[2]int32]bool{}
 	}
-	ctx.pairEq[pr] = v
+	ctx.pairEq[ids] = v
 	return v
 }
 
@@ -230,7 +227,7 @@ func (ctx *checkCtx) pairsDiff(pairs []int32, region pset.Set) (pset.Set, bool) 
 			continue
 		}
 		changed = append(changed, ep.acls)
-		if in := region.IntersectMatches(ctx.diffMatches(ep.acls)); !in.IsEmpty() {
+		if in := region.IntersectMatches(ctx.diffMatches(ep.ids)); !in.IsEmpty() {
 			regionPrime = regionPrime.Union(in)
 		}
 	}
@@ -369,7 +366,7 @@ func (e *Engine) flipRegion(ctx *checkCtx, region pset.Set, shapes []checkShape)
 		for _, pi := range sh.pairs {
 			if ep := &ctx.encPairs[pi]; !ep.unchanged && !seenPair[pi] {
 				seenPair[pi] = true
-				add(ctx.diffMatches(ep.acls))
+				add(ctx.diffMatches(ep.ids))
 			}
 		}
 		for _, ci := range sh.ctrls {
@@ -478,8 +475,9 @@ func (e *Engine) psetWitnessFEC(ctx *checkCtx, fec topo.FEC) (Violation, bool) {
 		}
 		pkt, _ := diff.MinPacket()
 		v := Violation{Packet: pkt, Classes: fec.Classes}
+		memo := make(map[topo.ACLBinding]int8, 4*len(fec.Paths))
 		for _, q := range fec.Paths {
-			if ctx.pathFlips(q, pkt) {
+			if e.pathFlipsDesired(ctx, memo, q, pkt) {
 				v.Paths = append(v.Paths, q)
 			}
 		}
@@ -500,7 +498,7 @@ func (e *Engine) psetWitnessFEC(ctx *checkCtx, fec topo.FEC) (Violation, bool) {
 // class region and flip at least one path's desired-vs-after decision.
 // The flipped-path list is re-derived (never read from the snapshot),
 // and for an untampered snapshot it coincides with both cold
-// derivations — psetWitnessFEC's pathFlips scan and witnessFEC's
+// derivations — psetWitnessFEC's pathFlipsDesired scan and witnessFEC's
 // per-path model evaluation decide the same concrete predicate — so
 // replayed violations stay byte-identical to a cold run.
 func (e *Engine) replayWitness(ctx *checkCtx, i int, pkt header.Packet) (Violation, bool) {
@@ -531,7 +529,8 @@ func (e *Engine) replayWitness(ctx *checkCtx, i int, pkt header.Packet) (Violati
 	return v, true
 }
 
-// pathFlipsDesired is pathFlips generalized to control intents: the
+// pathFlipsDesired reports whether the path decides pkt differently from
+// its desired decision, by direct rule-list evaluation: the
 // desired decision is the before conjunction rewritten by the first
 // (highest-priority) applicable control whose match covers the packet —
 // the concrete evaluation of desiredFormula's Ite chain.
@@ -541,12 +540,12 @@ func (e *Engine) pathFlipsDesired(ctx *checkCtx, memo map[topo.ACLBinding]int8, 
 		d, ok := memo[b]
 		if !ok {
 			d = 4 | 1 | 2 // unbound in both snapshots: permit-all either way
-			if pr, bound := ctx.encodeACLs[b.ID()]; bound {
+			if ids, bound := ctx.ids[b.ID()]; bound {
 				d = 4
-				if pr[0].Permits(pkt) {
+				if ctx.acls[ids[0]].Permits(pkt) {
 					d |= 1
 				}
-				if pr[1].Permits(pkt) {
+				if ctx.acls[ids[1]].Permits(pkt) {
 					d |= 2
 				}
 			}
@@ -582,31 +581,6 @@ func (e *Engine) pathFlipsDesired(ctx *checkCtx, memo map[topo.ACLBinding]int8, 
 		break
 	}
 	return desired != after
-}
-
-// pathFlips reports whether the path decides pkt differently across the
-// update, by direct rule-list evaluation: in the control-free case the
-// desired decision is the before-snapshot conjunction, so a flip is a
-// disagreement between the before and after conjunctions over the
-// path's bindings.
-func (ctx *checkCtx) pathFlips(p topo.Path, pkt header.Packet) bool {
-	before, after := true, true
-	for _, b := range p.Bindings() {
-		pr, ok := ctx.encodeACLs[b.ID()]
-		if !ok {
-			continue // unbound in both snapshots: permit-all either way
-		}
-		if !pr[0].Permits(pkt) {
-			before = false
-		}
-		if !pr[1].Permits(pkt) {
-			after = false
-		}
-		if !before && !after {
-			return false
-		}
-	}
-	return before != after
 }
 
 // desiredSet is desiredFormula in the set algebra: the applying controls

@@ -29,8 +29,8 @@ import (
 func refShapeKey(e *Engine, ctx *checkCtx, p topo.Path) string {
 	var pairs []string
 	for _, b := range p.Bindings() {
-		if pr, ok := ctx.encodeACLs[b.ID()]; ok {
-			pairs = append(pairs, pr[0].String()+" => "+pr[1].String())
+		if ids, ok := ctx.ids[b.ID()]; ok {
+			pairs = append(pairs, ctx.acls[ids[0]].String()+" => "+ctx.acls[ids[1]].String())
 		}
 	}
 	slices.Sort(pairs)
@@ -139,9 +139,9 @@ func checkShapesOn(t *testing.T, name string, e *Engine) shapeStats {
 
 		// Deciding over shapes gives the verdict of deciding over every
 		// path, in the algebra and on the solver.
-		enc := newEncoder(e.Opts.UseTournament, e.obsv())
+		enc := newEncoder(e.Opts.UseTournament, ctx.acls, e.obsv())
 		class := enc.classPred(fec.Classes)
-		satPaths := smt.SolverOn(enc.b).Solve(enc.b.And(e.fecViolationFormula(enc, fec, ctx.encodeACLs), class))
+		satPaths := smt.SolverOn(enc.b).Solve(enc.b.And(e.fecViolationFormula(enc, fec, ctx.ids), class))
 		satShapes := smt.SolverOn(enc.b).Solve(enc.b.And(e.shapesViolationFormula(enc, ctx, shapes), class))
 		if satShapes != satPaths {
 			t.Fatalf("%s: FEC %d: formula over shapes violating=%v, over paths %v", name, i, satShapes, satPaths)

@@ -192,10 +192,10 @@ func (e *Engine) fecTouchesDiff(fec topo.FEC, diff []acl.Rule) bool {
 // forwarding paths (Equation 3, with desired_p per §6 when controls are
 // present), one disjunct per path in path order: the form whose models
 // are read — the witness pass and fix's seek loop — and so must not move.
-func (e *Engine) fecViolationFormula(enc *encoder, fec topo.FEC, encodeACLs map[string][2]*acl.ACL) smt.F {
+func (e *Engine) fecViolationFormula(enc *encoder, fec topo.FEC, ids map[string][2]int32) smt.F {
 	out := smt.False
 	for _, p := range fec.Paths {
-		desired, after := e.pathFormulas(enc, p, encodeACLs)
+		desired, after := e.pathFormulas(enc, p, ids)
 		out = enc.b.Or(out, enc.b.Iff(desired, after).Not())
 	}
 	return out
@@ -209,7 +209,7 @@ func (e *Engine) shapesViolationFormula(enc *encoder, ctx *checkCtx, shapes []ch
 	for _, sh := range shapes {
 		before, after := smt.True, smt.True
 		for _, pi := range sh.pairs {
-			pair := ctx.encPairs[pi].acls
+			pair := ctx.encPairs[pi].ids
 			before = enc.b.And(before, enc.encodeACL(pair[0]))
 			after = enc.b.And(after, enc.encodeACL(pair[1]))
 		}
@@ -221,12 +221,12 @@ func (e *Engine) shapesViolationFormula(enc *encoder, ctx *checkCtx, shapes []ch
 
 // pathFormulas returns (desired_p, c'_p): the desired decision model of
 // path p (the original c_p adjusted by control intents) and the
-// post-update decision model.
-func (e *Engine) pathFormulas(enc *encoder, p topo.Path, encodeACLs map[string][2]*acl.ACL) (desired, after smt.F) {
+// post-update decision model, over the bindings' encoded ID pairs.
+func (e *Engine) pathFormulas(enc *encoder, p topo.Path, ids map[string][2]int32) (desired, after smt.F) {
 	before := smt.True
 	after = smt.True
 	for _, bind := range p.Bindings() {
-		pair, ok := encodeACLs[bind.ID()]
+		pair, ok := ids[bind.ID()]
 		if !ok {
 			continue // no ACL in either snapshot
 		}

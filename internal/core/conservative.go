@@ -54,12 +54,11 @@ func (e *Engine) CheckConservative() *CheckResult {
 // counterexamplePacket finds one packet the two ACLs decide differently
 // (they are known inequivalent).
 func counterexamplePacket(a, b *acl.ACL) header.Packet {
-	enc := newEncoder(true, nil)
-	s := smt.SolverOn(enc.b)
-	fa := enc.encodeACL(a)
-	fb := enc.encodeACL(b)
-	if s.Solve(enc.b.Xor(fa, fb)) {
-		return s.Packet(enc.pv)
+	bld := smt.NewBuilder()
+	pv := bld.NewPacketVars()
+	s := smt.SolverOn(bld)
+	if s.Solve(bld.Xor(a.EncodeTournament(bld, pv), b.EncodeTournament(bld, pv))) {
+		return s.Packet(pv)
 	}
 	return header.Packet{}
 }

@@ -230,6 +230,9 @@ type Engine struct {
 	// content-addressed encoder and the persistent detection solver — so
 	// warm re-checks re-encode only what an edit changed.
 	sess *checkSession
+	// tab is the lineage's ACL table when no verdict cache is installed
+	// (see aclTable); shared with derived engines.
+	tab *aclTable
 }
 
 // New builds an engine. after may equal before (for pure generate tasks).
@@ -280,8 +283,22 @@ func (e *Engine) derived(after *topo.Network, parent *obs.Span) *Engine {
 		Before: e.Before, After: after, Scope: e.Scope,
 		Controls: e.Controls, Opts: opts, parentSpan: parent,
 		fecSrc: e.fecSrc, fecs: e.fecs, depIdx: e.depIdx, slotIdx: e.slotIdx,
-		sess: e.sess,
+		sess: e.sess, tab: e.aclTable(),
 	}
+}
+
+// aclTable returns the table the engine's lineage interns ACL contents in:
+// the verdict cache's when one is installed — the cache holds the
+// cross-engine identity of a Before — and otherwise the engine's own,
+// shared with the engines derived from it.
+func (e *Engine) aclTable() *aclTable {
+	if vc := e.Opts.Verdicts; vc != nil {
+		return &vc.acls
+	}
+	if e.tab == nil {
+		e.tab = &aclTable{}
+	}
+	return e.tab
 }
 
 // Paths returns the structural path set P_Ω, computed once.
@@ -389,70 +406,53 @@ func orPermitAll(a *acl.ACL) *acl.ACL {
 	return a
 }
 
-// encoder caches ACL circuit encodings over a shared builder and
-// symbolic packet. The cache is two-level: a pointer fast path, backed
-// by a canonical structural-fingerprint index so ACLs that are equal
-// rule-for-rule but reached through different pointers — the cloned but
-// unchanged bindings of an update, or one ACL template stamped across
-// many interfaces — are encoded exactly once. Fingerprint collisions
-// are resolved with acl.Equal. Cache effectiveness is observable
-// through the encoder.cache.{hits,misses} counters (nil counters when
-// metrics are off).
+// encoder memoizes ACL decision circuits over a shared builder and
+// symbolic packet, one formula per ACL-table ID: the many bindings that
+// carry one content — the cloned but unchanged bindings of an update, one
+// template stamped across many interfaces — are encoded exactly once.
+// Cache effectiveness is observable through the encoder.cache.{hits,misses}
+// counters (nil counters when metrics are off).
 type encoder struct {
 	b          *smt.Builder
 	pv         *smt.PacketVars
 	tournament bool
-	byPtr      map[*acl.ACL]smt.F
-	byFP       map[uint64][]fpEntry
+	acls       []*acl.ACL // the table's representatives, by ID
+	forms      []smt.F    // by ID; unencoded until first asked for
 	hits       *obs.Counter
 	misses     *obs.Counter
 }
 
-// fpEntry is one fingerprint bucket member: a representative ACL (for
-// the Equal collision check) and its encoding.
-type fpEntry struct {
-	a *acl.ACL
-	f smt.F
-}
+// unencoded marks an ID whose formula is not built yet (no node reference
+// is negative).
+const unencoded smt.F = -1
 
-func newEncoder(tournament bool, o *obs.Observer) *encoder {
+func newEncoder(tournament bool, acls []*acl.ACL, o *obs.Observer) *encoder {
 	b := smt.NewBuilder()
 	return &encoder{
-		b: b, pv: b.NewPacketVars(), tournament: tournament,
-		byPtr:  make(map[*acl.ACL]smt.F),
-		byFP:   make(map[uint64][]fpEntry),
+		b: b, pv: b.NewPacketVars(), tournament: tournament, acls: acls,
 		hits:   o.Counter("encoder.cache.hits"),
 		misses: o.Counter("encoder.cache.misses"),
 	}
 }
 
-// encodeACL returns the decision-model circuit f_ξ for a (possibly nil)
-// ACL.
-func (enc *encoder) encodeACL(a *acl.ACL) smt.F {
-	if a == nil {
-		return smt.True
+// encodeACL returns the decision-model circuit f_ξ of the ACL with the
+// given table ID.
+func (enc *encoder) encodeACL(id int32) smt.F {
+	for int(id) >= len(enc.forms) {
+		enc.forms = append(enc.forms, unencoded)
 	}
-	if f, ok := enc.byPtr[a]; ok {
+	if f := enc.forms[id]; f != unencoded {
 		enc.hits.Inc()
 		return f
-	}
-	fp := a.Fingerprint()
-	for _, e := range enc.byFP[fp] {
-		if e.a.Equal(a) {
-			enc.hits.Inc()
-			enc.byPtr[a] = e.f
-			return e.f
-		}
 	}
 	enc.misses.Inc()
 	var f smt.F
 	if enc.tournament {
-		f = a.EncodeTournament(enc.b, enc.pv)
+		f = enc.acls[id].EncodeTournament(enc.b, enc.pv)
 	} else {
-		f = a.EncodeSeq(enc.b, enc.pv)
+		f = enc.acls[id].EncodeSeq(enc.b, enc.pv)
 	}
-	enc.byPtr[a] = f
-	enc.byFP[fp] = append(enc.byFP[fp], fpEntry{a: a, f: f})
+	enc.forms[id] = f
 	return f
 }
 

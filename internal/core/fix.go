@@ -83,7 +83,7 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 	pre := startPhase(root, res.Timings, "preprocess")
 
 	// Fix shares the check pipeline's preprocessing — differential
-	// rules, related-filtered encoding pairs, pair fingerprints, and the
+	// rules, related-filtered encoding pairs as ACL-table IDs, and the
 	// incremental per-FEC state — so its verdict-cache consults see
 	// exactly the keys check stores under.
 	ctx := e.checkContext(o)
@@ -275,7 +275,7 @@ type fecFixOutcome struct {
 // violation formula is exhausted or budget outcomes have accumulated. It
 // only reads engine state, so it is safe to call from worker goroutines
 // as long as each worker owns its encoder and solver.
-func (e *Engine) seekNeighborhoods(cn *canceller, fec topo.FEC, shapes []int32, diff []acl.Rule, encodeACLs map[string][2]*acl.ACL, ix *fixIndex, budget int, enc *encoder, solver *smt.Solver) fecFixOutcome {
+func (e *Engine) seekNeighborhoods(cn *canceller, fec topo.FEC, shapes []int32, diff []acl.Rule, ids map[string][2]int32, ix *fixIndex, budget int, enc *encoder, solver *smt.Solver) fecFixOutcome {
 	var out fecFixOutcome
 	if budget <= 0 {
 		return out
@@ -283,7 +283,7 @@ func (e *Engine) seekNeighborhoods(cn *canceller, fec topo.FEC, shapes []int32, 
 	if e.Opts.UseDifferential && !e.fecTouchesDiff(fec, diff) {
 		return out
 	}
-	viol := e.fecViolationFormula(enc, fec, encodeACLs)
+	viol := e.fecViolationFormula(enc, fec, ids)
 	if viol == smt.False {
 		return out
 	}
@@ -380,10 +380,10 @@ func (e *Engine) fixFEC(cn *canceller, ctx *checkCtx, ix *fixIndex, i int, budge
 		// the per-FEC builder just to have its first query interrupted.
 		return fecFixOutcome{unknown: reasonCancelled}
 	}
-	enc := newEncoder(e.Opts.UseTournament, e.obsv())
+	enc := newEncoder(e.Opts.UseTournament, ctx.acls, e.obsv())
 	solver := smt.SolverOn(enc.b)
 	shapes := ix.shapesOn(ctx.src.PathIndices(i))
-	out := e.seekNeighborhoods(cn, fec, shapes, ctx.diff, ctx.encodeACLs, ix, budget, enc, solver)
+	out := e.seekNeighborhoods(cn, fec, shapes, ctx.diff, ctx.ids, ix, budget, enc, solver)
 	if ctx.vc != nil && out.err == nil && out.unknown == "" {
 		// The seek verdict is the check verdict: the loop's base query is
 		// exactly the FEC's Equation-3 query, so iters==0 means a

@@ -394,9 +394,9 @@ func runFixOracleCase(t *testing.T, c fixOracleCase) fixOracleStats {
 			continue // as seekNeighborhoods does
 		}
 		shapes := ix.shapesOn(ctx.src.PathIndices(i))
-		enc := newEncoder(e.Opts.UseTournament, e.obsv())
+		enc := newEncoder(e.Opts.UseTournament, ctx.acls, e.obsv())
 		solver := smt.SolverOn(enc.b)
-		viol := e.fecViolationFormula(enc, fec, ctx.encodeACLs)
+		viol := e.fecViolationFormula(enc, fec, ctx.ids)
 		if viol == smt.False {
 			continue
 		}

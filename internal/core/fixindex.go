@@ -61,27 +61,21 @@ type fixShape struct {
 func (e *Engine) compileFix(ctx *checkCtx) *fixIndex {
 	ix := &fixIndex{ctrls: e.Controls}
 
-	// Distinct ACLs, by pointer and then by content: an update clones the
-	// bindings it leaves alone, and one template is stamped on many.
-	byPtr := map[*acl.ACL]int32{}
-	byFP := map[uint64][]int32{}
+	// Distinct ACLs, by table ID: an update clones the bindings it leaves
+	// alone, and one template is stamped on many.
+	tab := e.aclTable()
+	local := map[int32]int32{} // table ID -> index into ix.acls
 	aclOf := func(a *acl.ACL) int32 {
 		if a == nil {
 			return -1
 		}
-		if i, ok := byPtr[a]; ok {
-			return i
+		id := tab.intern(a)
+		i, ok := local[id]
+		if !ok {
+			i = int32(len(ix.acls))
+			ix.acls = append(ix.acls, newHitIndexer(a, true))
+			local[id] = i
 		}
-		fp := a.Fingerprint()
-		for _, i := range byFP[fp] {
-			if ix.acls[i].acl.Equal(a) {
-				byPtr[a] = i
-				return i
-			}
-		}
-		i := int32(len(ix.acls))
-		ix.acls = append(ix.acls, newHitIndexer(a, true))
-		byPtr[a], byFP[fp] = i, append(byFP[fp], i)
 		return i
 	}
 	type pairACLs struct{ before, after int32 }

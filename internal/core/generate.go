@@ -298,21 +298,37 @@ func (e *Engine) GenerateContext(callCtx context.Context, sources []topo.ACLBind
 // signature) and is recorded on the class's AEC for synthesis (aec.hits).
 // Classes are atomic with respect to every in-scope rule by construction
 // (deriveClasses), so the first containing rule is the first matching one.
+// Bindings carrying one ACL content share its table ID, and the class is
+// looked up once per distinct ID.
 func (e *Engine) deriveAECs(encBindings []topo.ACLBinding, classes []header.Match) ([]*aec, error) {
-	indexers := make([]*hitIndexer, len(encBindings))
+	tab := e.aclTable()
+	local := map[int32]int{}               // table ID -> index into indexers
+	aclOf := make([]int, len(encBindings)) // binding -> index into indexers
+	var indexers []*hitIndexer
 	for i, b := range encBindings {
-		indexers[i] = newHitIndexer(b.Iface.ACL(b.Dir), e.Opts.UseSearchTree)
+		a := b.Iface.ACL(b.Dir)
+		id := tab.intern(a)
+		k, ok := local[id]
+		if !ok {
+			k = len(indexers)
+			local[id] = k
+			indexers = append(indexers, newHitIndexer(a, e.Opts.UseSearchTree))
+		}
+		aclOf[i] = k
 	}
 	groups := map[string]*aec{}
 	var out []*aec
 	hits := make([]int32, len(encBindings))
+	hitOf := make([]int32, len(indexers))
 	key := make([]byte, 0, len(encBindings)+len(e.Controls))
 	for _, c := range classes {
+		for k, h := range indexers {
+			hitOf[k] = int32(h.hit(c))
+		}
 		key = key[:0]
-		for i, h := range indexers {
-			hit := h.hit(c)
-			hits[i] = int32(hit)
-			if h.action(hit) == acl.Permit {
+		for i, k := range aclOf {
+			hits[i] = hitOf[k]
+			if indexers[k].action(int(hitOf[k])) == acl.Permit {
 				key = append(key, 'p')
 			} else {
 				key = append(key, 'd')

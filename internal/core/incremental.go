@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -137,10 +138,11 @@ type fecVerdict struct {
 // itself whenever a differently-configured engine touches it, so a
 // stale cache can never leak verdicts across incompatible
 // configurations. Within one configuration, entries are keyed by the
-// ordered tuple of encoded before/after ACL fingerprints along each
-// FEC's paths: any edit (an operator's update, a fix iteration's
-// repair rule) changes the keys of exactly the FECs it can affect, and
-// every other FEC replays its cached verdict. Safe for concurrent use.
+// ordered tuple of encoded before/after ACL contents along each FEC's
+// paths, as IDs of the cache's ACL table: any edit (an operator's
+// update, a fix iteration's repair rule) changes the keys of exactly the
+// FECs it can affect, and every other FEC replays its cached verdict.
+// Safe for concurrent use.
 type VerdictCache struct {
 	mu     sync.Mutex
 	bound  bool
@@ -152,22 +154,18 @@ type VerdictCache struct {
 	// comparison resolving hash collisions.
 	byFEC []map[uint64][]*fecVerdict
 
-	// lastPairs/lastGen snapshot the previous generation — the encoded
-	// pair fingerprints and the per-FEC entries of the last committed
+	// lastPairs/lastGen snapshot the previous generation — each binding's
+	// encoded ID pair and the per-FEC entries of the last committed
 	// check — powering the change-impact fast path: an unaffected FEC
 	// replays its previous entry without even hashing its key.
-	lastPairs map[string][2]uint64
+	lastPairs map[string][2]int32
 	lastGen   []*fecVerdict
 
-	// pairTab/pairIdx intern the (before, after) ACL fingerprint pairs
-	// that key words reference: a key holds one word per binding slot,
-	// 0 for an unbound slot or w for pairTab[w-1]. The table is append-
-	// only for the cache's lifetime (bind resets drop entries, never
-	// references), so equal refs always mean equal pairs and equal keys
-	// mean equal fingerprint tuples — at a third of the words the
-	// inline-pair form took.
-	pairTab [][2]uint64
-	pairIdx map[[2]uint64]uint64
+	// acls is the ACL table of every engine bound to the cache; key words
+	// name its IDs (see pairWord). It has its own lock and survives bind
+	// resets — it drops nothing, so an ID means one content for the
+	// cache's lifetime and equal keys mean equal encoded contents.
+	acls aclTable
 }
 
 // NewVerdictCache returns an empty cache. Share one across the engines
@@ -177,9 +175,9 @@ func NewVerdictCache() *VerdictCache { return &VerdictCache{} }
 
 // cacheConfig digests the engine state a cached verdict depends on
 // beyond the FEC content key: the encoding mode and the control
-// intents. (UseDifferential is deliberately absent — the key holds
-// fingerprints of the ACLs as encoded, related-filtered or not, so
-// equal keys mean equal formulas either way. Backend is absent for the
+// intents. (UseDifferential is deliberately absent — the key names the
+// contents of the ACLs as encoded, related-filtered or not, so equal
+// keys mean equal formulas either way. Backend is absent for the
 // same reason: both backends decide the same query, so a verdict is
 // backend-agnostic and survives a backend switch. Workers and
 // FindAllViolations cannot change any verdict.)
@@ -218,20 +216,16 @@ func (vc *VerdictCache) bind(e *Engine, nfec int) {
 	vc.lastPairs, vc.lastGen = nil, nil
 }
 
-// internPairLocked returns the stable key reference (table index + 1)
-// for a fingerprint pair, assigning the next index on first sight.
-// Caller holds vc.mu.
-func (vc *VerdictCache) internPairLocked(pair [2]uint64) uint64 {
-	if ref, ok := vc.pairIdx[pair]; ok {
-		return ref
-	}
-	if vc.pairIdx == nil {
-		vc.pairIdx = map[[2]uint64]uint64{}
-	}
-	vc.pairTab = append(vc.pairTab, pair)
-	ref := uint64(len(vc.pairTab))
-	vc.pairIdx[pair] = ref
-	return ref
+// pairWord is a bound binding slot's key word: its encoded (before,
+// after) ACL IDs in one word, never 0 (0 is an unbound slot).
+func pairWord(ids [2]int32) uint64 {
+	return (uint64(ids[0])<<32 | uint64(ids[1])) + 1
+}
+
+// wordPair inverts pairWord.
+func wordPair(w uint64) [2]int32 {
+	w--
+	return [2]int32{int32(w >> 32), int32(uint32(w))}
 }
 
 // hashKey is FNV-1a over the key words.
@@ -248,18 +242,6 @@ func hashKey(key []uint64) uint64 {
 	return h
 }
 
-func equalKey(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // lookup returns the entry for FEC i under the given key, or nil.
 func (vc *VerdictCache) lookup(i int, key []uint64) *fecVerdict {
 	vc.mu.Lock()
@@ -268,7 +250,7 @@ func (vc *VerdictCache) lookup(i int, key []uint64) *fecVerdict {
 		return nil
 	}
 	for _, ent := range vc.byFEC[i][hashKey(key)] {
-		if equalKey(ent.key, key) {
+		if slices.Equal(ent.key, key) {
 			return ent
 		}
 	}
@@ -295,7 +277,7 @@ func (vc *VerdictCache) insertLocked(i int, ent *fecVerdict) {
 	}
 	h := hashKey(ent.key)
 	for _, old := range m[h] {
-		if equalKey(old.key, ent.key) {
+		if slices.Equal(old.key, ent.key) {
 			return
 		}
 	}
@@ -403,31 +385,25 @@ func (e *Engine) prepareIncremental(ctx *checkCtx) {
 	}
 	ctx.wit = make(map[int]*Violation)
 	vc := e.Opts.Verdicts
-	if vc == nil || ctx.fastPath {
+	if vc == nil || ctx.fastPath || &vc.acls != ctx.sess.tab {
 		// fastPath generations (an empty differential) never consult or
-		// commit the cache — fix reaches here only to size the states.
+		// commit the cache — fix reaches here only to size the states. A
+		// cache installed after the generation's IDs were drawn from
+		// another table cannot read them.
 		return
 	}
 	vc.bind(e, n)
 	ctx.vc = vc
 
-	// Resolve this generation's pair fingerprints to their stable cache
-	// references in one locked batch (a few hundred pairs, not one lock
-	// per slot), then project the references onto the interned binding
-	// slots so fecKey derives keys by slice indexing instead of per-slot
-	// string building and map hashing.
-	vc.mu.Lock()
-	pairRefs := make(map[string]uint64, len(ctx.pairFPs))
-	for id, fp := range ctx.pairFPs {
-		pairRefs[id] = vc.internPairLocked(fp)
-	}
-	vc.mu.Unlock()
+	// Project the generation's key words onto the interned binding slots,
+	// so fecKey derives keys by slice indexing instead of per-slot string
+	// building and map hashing.
 	si := e.fecSlotIndex()
 	ctx.slots = si.slots
-	ctx.fpRef = make([]uint64, si.n)
-	for id, ref := range pairRefs {
+	ctx.slotWord = make([]uint64, si.n)
+	for id, ids := range ctx.ids {
 		if j, ok := si.ids[id]; ok {
-			ctx.fpRef[j] = ref
+			ctx.slotWord[j] = pairWord(ids)
 		}
 	}
 	// Size one shared arena for every FEC's key (one word per slot,
@@ -446,19 +422,19 @@ func (e *Engine) prepareIncremental(ctx *checkCtx) {
 	if lastPairs == nil {
 		return
 	}
-	// Change-impact analysis: a binding changed when its encoded pair
-	// fingerprints differ from the previous generation's (including
-	// bindings present in only one of the two); the affected FECs are
-	// those reachable from a changed binding through the dependency
-	// index. Everything else replays its previous entry directly.
+	// Change-impact analysis: a binding changed when its encoded ID pair
+	// differs from the previous generation's (including bindings present
+	// in only one of the two); the affected FECs are those reachable from
+	// a changed binding through the dependency index. Everything else
+	// replays its previous entry directly.
 	changed := map[string]bool{}
-	for id, fp := range ctx.pairFPs {
-		if old, ok := lastPairs[id]; !ok || old != fp {
+	for id, ids := range ctx.ids {
+		if old, ok := lastPairs[id]; !ok || old != ids {
 			changed[id] = true
 		}
 	}
 	for id := range lastPairs {
-		if _, ok := ctx.pairFPs[id]; !ok {
+		if _, ok := ctx.ids[id]; !ok {
 			changed[id] = true
 		}
 	}
@@ -526,23 +502,22 @@ func (e *Engine) fecSlotIndex() *slotIndex {
 }
 
 // fecKey is the FEC's content address: one word per binding slot along
-// its paths — 0 for an unbound slot, or the cache's stable reference
-// for the slot's encoded (before, after) ACL fingerprint pair (see
-// internPairLocked; the slot structure is fixed by the FEC's
-// Before-derived paths). Equal keys mean the check pipeline encodes
-// identical formulas for this FEC — same verdict, same canonical
-// counterexample.
+// its paths — 0 for an unbound slot, or the slot's encoded (before,
+// after) ACL IDs (see pairWord; the slot structure is fixed by the FEC's
+// Before-derived paths). IDs name contents exactly, so equal keys mean
+// the check pipeline encodes identical formulas for this FEC — same
+// verdict, same canonical counterexample.
 func (ctx *checkCtx) fecKey(i int) []uint64 {
 	// Fill FEC i's region of the generation's shared key arena. The
 	// region is written only by the goroutine resolving FEC i (the same
 	// per-FEC ownership discipline as ctx.states[i]); repeated calls
 	// rewrite identical content. Callers that retain the key beyond the
-	// generation (cache inserts) must copy it — see ownKey — or the whole
-	// arena stays reachable.
+	// generation (cache inserts) must copy it, or the whole arena stays
+	// reachable.
 	lo, hi := ctx.keyOff[i], ctx.keyOff[i+1]
 	key := ctx.keyArena[lo:lo:hi]
 	for _, s := range ctx.slots[i] {
-		key = append(key, ctx.fpRef[s])
+		key = append(key, ctx.slotWord[s])
 	}
 	return key
 }
@@ -560,50 +535,24 @@ func (ctx *checkCtx) pairTrivialID(id string) bool {
 	// Syntactic legs first; then the exact set-algebra leg, sharing the
 	// pset backend's differential-bound construction (and its memo): the
 	// pair is equivalent iff its permitted sets coincide within the
-	// differential-rule bound.
-	res := ctx.pairSynUnchanged(id) || ctx.pairExactEqual(id)
+	// differential-rule bound. An unbound binding is unchanged.
+	ids, bound := ctx.ids[id]
+	res := !bound || ctx.pairSynUnchanged(ids) || ctx.pairExactEqual(ids)
 	ctx.trivMu.Lock()
 	ctx.pairTriv[id] = res
 	ctx.trivMu.Unlock()
 	return res
 }
 
-// pairSynUnchanged reports (and memoizes) the pre-filter's syntactic legs
-// alone (trivialPair) for the binding's encoded pair: what the pre-filter
-// tries first, and the pset backend's changed/unchanged classification,
-// which must never trigger the exact leg's set construction. An unbound
-// binding is unchanged. Safe for concurrent use.
-func (ctx *checkCtx) pairSynUnchanged(id string) bool {
-	ctx.trivMu.Lock()
-	v, ok := ctx.pairSyn[id]
-	ctx.trivMu.Unlock()
-	if ok {
-		return v
-	}
-	v = true
-	if pr, bound := ctx.encodeACLs[id]; bound {
-		v = trivialPair(pr[0], pr[1], ctx.pairFPs[id])
-	}
-	ctx.trivMu.Lock()
-	ctx.pairSyn[id] = v
-	ctx.trivMu.Unlock()
-	return v
-}
-
-// trivialPair layers the pre-filter's syntactic legs cheapest-first:
-// fingerprint plus structural equality (the common cloned-but-unchanged
+// pairSynUnchanged is the pre-filter's syntactic legs alone for an encoded
+// ID pair, cheapest-first: equal IDs (the common cloned-but-unchanged
 // case), then normalization (acl.TriviallyEquivalent: interval
-// subsumption and canonical reordering). The exact set-algebra leg is
-// pairExactEqual, whose differential bound is shared with the pset
-// backend. Sound: true guarantees decision-model equivalence.
-func trivialPair(before, after *acl.ACL, fps [2]uint64) bool {
-	if before == after {
-		return true
-	}
-	if fps[0] == fps[1] && before.Equal(after) {
-		return true
-	}
-	return acl.TriviallyEquivalent(before, after)
+// subsumption and canonical reordering). It is what the pre-filter tries
+// first, and the pset backend's changed/unchanged classification, which
+// must never trigger the exact leg's set construction (pairExactEqual).
+// Sound: true guarantees decision-model equivalence.
+func (ctx *checkCtx) pairSynUnchanged(ids [2]int32) bool {
+	return ids[0] == ids[1] || acl.TriviallyEquivalent(ctx.acls[ids[0]], ctx.acls[ids[1]])
 }
 
 // fecPrefiltered reports whether the SAT-free pre-filter discharges the
@@ -747,23 +696,13 @@ func (ctx *checkCtx) adopt(i int, ent *fecVerdict, route fecRoute) fecState {
 	return st
 }
 
-// ownKey returns a key safe to retain beyond this generation: arena-
-// backed keys (see fecKey) are copied so a cached entry doesn't pin the
-// whole generation's arena; slow-path keys are per-key allocations
-// already and pass through. Only cache-miss inserts pay the copy.
-func (ctx *checkCtx) ownKey(key []uint64) []uint64 {
-	if ctx.keyArena == nil || len(key) == 0 {
-		return key
-	}
-	return append([]uint64(nil), key...)
-}
-
 // discharge records FEC i as provably consistent without a solver
-// verdict, caching the outcome under its content key.
+// verdict, caching the outcome under its content key. Cached keys are
+// copies, so an entry does not pin the generation's key arena.
 func (ctx *checkCtx) discharge(i int, key []uint64) {
 	ctx.states[i] = fecDischarged
 	if ctx.vc != nil {
-		ent := &fecVerdict{key: ctx.ownKey(key), hadJob: false}
+		ent := &fecVerdict{key: slices.Clone(key), hadJob: false}
 		ctx.entries[i] = ent
 		ctx.vc.insert(i, ent)
 	}
@@ -790,7 +729,7 @@ func (ctx *checkCtx) finishVerdict(i int, key []uint64, violating bool) {
 		ctx.states[i] = fecOK
 	}
 	if ctx.vc != nil {
-		ent := &fecVerdict{key: ctx.ownKey(key), hadJob: true, violating: violating}
+		ent := &fecVerdict{key: slices.Clone(key), hadJob: true, violating: violating}
 		ctx.entries[i] = ent
 		ctx.vc.insert(i, ent)
 	}
@@ -869,12 +808,12 @@ func (e *Engine) witnessFor(ctx *checkCtx, i int, res *CheckResult, o *obs.Obser
 // byte-identical to a fresh-engine cold run.
 func (e *Engine) witnessFEC(ctx *checkCtx, i int) (Violation, sat.Stats) {
 	fec := ctx.fec(i)
-	enc := newEncoder(e.Opts.UseTournament, e.obsv())
-	viol := e.fecViolationFormula(enc, fec, ctx.encodeACLs)
+	enc := newEncoder(e.Opts.UseTournament, ctx.acls, e.obsv())
+	viol := e.fecViolationFormula(enc, fec, ctx.ids)
 	query := enc.b.And(viol, enc.classPred(fec.Classes))
 	var iffs []smt.F
 	for _, p := range fec.Paths {
-		d, ap := e.pathFormulas(enc, p, ctx.encodeACLs)
+		d, ap := e.pathFormulas(enc, p, ctx.ids)
 		iffs = append(iffs, enc.b.Iff(d, ap))
 	}
 	s := smt.SolverOn(enc.b)
@@ -891,7 +830,7 @@ func (e *Engine) witnessFEC(ctx *checkCtx, i int) (Violation, sat.Stats) {
 }
 
 // commitGeneration publishes this generation as the cache's previous
-// one: the encoded pair fingerprints plus each FEC's entry — resolved
+// one: each binding's encoded ID pair plus each FEC's entry — resolved
 // this generation, or carried over when the change-impact analysis
 // proved the FEC unaffected. Idempotent; the last committing engine
 // (an operator check, a fix verification) wins, which is exactly the
@@ -913,5 +852,5 @@ func (ctx *checkCtx) commitGeneration() {
 		}
 	}
 	vc.lastGen = newGen
-	vc.lastPairs = ctx.pairFPs
+	vc.lastPairs = ctx.ids
 }

@@ -246,3 +246,72 @@ func TestPrefilterDischargesEqualPairs(t *testing.T) {
 		t.Fatalf("no solver verdict should be needed, yet SolvedFECs=%d", res.SolvedFECs)
 	}
 }
+
+// TestVerdictCacheKeysAreContentExact pins that a cached verdict replays
+// only for the same ACL contents. The two ACLs below survive parsing and
+// share a 64-bit structural fingerprint, yet decide differently: A only
+// adds rules for the unrouted 203.0.113.0/24, so the update stays
+// consistent, while B denies 4.0.0.0/8, which reaches D3 through A3 → C1.
+// A cache keyed by fingerprints replays A's verdicts for B, warm and
+// after a snapshot restore alike.
+func TestVerdictCacheKeysAreContentExact(t *testing.T) {
+	a := acl.MustParse("deny dst 203.0.113.5/32 dport 461-32949, deny dst 203.0.113.7/32, " +
+		"permit src 10.0.0.1/32 dst 203.0.113.9/32, deny dst 7.0.0.0/8, permit all")
+	b := acl.MustParse("deny dst 203.0.113.5/32 dport 39-32813, deny dst 4.0.0.0/8, " +
+		"permit src 225.30.165.161/32 dst 203.0.113.9/32, deny dst 7.0.0.0/8, permit all")
+	if a.Fingerprint() != b.Fingerprint() || a.Equal(b) {
+		t.Fatalf("want two different ACLs with one fingerprint, got %#x and %#x", a.Fingerprint(), b.Fingerprint())
+	}
+	before := papernet.Build()
+	withC1 := func(x *acl.ACL) *topo.Network {
+		n := before.Clone()
+		iface, err := n.LookupInterface("C:1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		iface.SetACL(topo.In, x.Clone())
+		return n
+	}
+	afterA, afterB := withC1(a), withC1(b)
+	opts := core.DefaultOptions()
+	opts.UseDifferential = false
+	opts.FindAllViolations = true
+	cached := func() core.Options {
+		o := opts
+		o.Verdicts = core.NewVerdictCache()
+		return o
+	}
+	if res := core.New(before, afterA, papernet.Scope(), opts).Check(); !res.Consistent {
+		t.Fatal("A must be consistent")
+	}
+	cold := core.New(before, afterB, papernet.Scope(), opts).Check()
+	if cold.Consistent {
+		t.Fatal("B must be inconsistent")
+	}
+	want := checkSignature(cold)
+
+	t.Run("warm", func(t *testing.T) {
+		warm := core.New(before, afterA, papernet.Scope(), cached())
+		warm.Check()
+		warm.UpdateAfter(afterB)
+		got := warm.Check()
+		if sig := checkSignature(got); sig != want {
+			t.Fatalf("warm re-check of B diverged from cold:\nwarm:\n%s\ncold:\n%s", sig, want)
+		}
+		if got.Stats.ChangedBindings != 1 {
+			t.Fatalf("C:1 changed, change-impact saw %d bindings", got.Stats.ChangedBindings)
+		}
+	})
+	t.Run("restored", func(t *testing.T) {
+		warm := core.New(before, afterA, papernet.Scope(), cached())
+		warm.Check()
+		snap := warm.ExportVerdicts()
+		restored := core.New(before.Clone(), afterB.Clone(), papernet.Scope(), cached())
+		if err := restored.ImportVerdicts(snap); err != nil {
+			t.Fatal(err)
+		}
+		if sig := checkSignature(restored.Check()); sig != want {
+			t.Fatalf("restored check of B diverged from cold:\nrestored:\n%s\ncold:\n%s", sig, want)
+		}
+	})
+}

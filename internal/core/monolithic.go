@@ -1,7 +1,6 @@
 package core
 
 import (
-	"jinjing/internal/acl"
 	"jinjing/internal/obs"
 	"jinjing/internal/smt"
 )
@@ -19,13 +18,14 @@ func (e *Engine) CheckMonolithic() *CheckResult {
 	res := &CheckResult{Consistent: true, Timings: Timings{}}
 
 	ep := startPhase(root, res.Timings, "encode")
+	tab := e.aclTable()
 	pairs := e.scopeACLPairs()
-	encodeACLs := make(map[string][2]*acl.ACL, len(pairs))
+	ids := make(map[string][2]int32, len(pairs))
 	for _, p := range pairs {
-		encodeACLs[p.binding.ID()] = [2]*acl.ACL{orPermitAll(p.before), orPermitAll(p.after)}
+		ids[p.binding.ID()] = [2]int32{tab.intern(p.before), tab.intern(p.after)}
 	}
 
-	enc := newEncoder(false /* sequential encoding */, o)
+	enc := newEncoder(false /* sequential encoding */, tab.view(), o)
 	solver := smt.SolverOn(enc.b)
 
 	// Traffic classes forwarded along each path (so the one big formula
@@ -53,7 +53,7 @@ func (e *Engine) CheckMonolithic() *CheckResult {
 		if !ok {
 			continue // no entering class is forwarded along p
 		}
-		desired, after := e.pathFormulas(enc, p, encodeACLs)
+		desired, after := e.pathFormulas(enc, p, ids)
 		viol = enc.b.Or(viol, enc.b.And(enc.b.Iff(desired, after).Not(), psi))
 	}
 	recordBuilderSize(o, enc)

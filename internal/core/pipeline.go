@@ -31,31 +31,35 @@ type checkJob struct {
 // The engine's session outlives a single After snapshot — its builder
 // grows monotonically, hash-consing unchanged cones across edits, and
 // UpdateAfter keeps it, so a warm re-check re-encodes only what the edit
-// changed.
+// changed. Its formulas are indexed by IDs of tab, the table the session
+// was built against.
 type checkSession struct {
+	tab *aclTable
 	enc *encoder
 	seq *smt.Solver
 }
 
 // checkCtx is one generation of the check pipeline — the derived state
-// for the engine's current Before/After pair: differential rules,
-// related-filtered encoding pairs and their fingerprints, and the
-// per-FEC incremental resolution state (see resolveFEC). It is cached
+// for the engine's current Before/After pair: differential rules, each
+// in-scope binding's related-filtered encoding pair as ACL-table IDs, and
+// the per-FEC incremental resolution state (see resolveFEC). It is cached
 // on the engine and invalidated by UpdateAfter; the checkSession it
 // points at survives across generations.
 type checkCtx struct {
 	sess *checkSession
 
-	pairs      []aclPair
-	diff       []acl.Rule
-	encodeACLs map[string][2]*acl.ACL // binding ID -> {before, after}
-	pairFPs    map[string][2]uint64   // binding ID -> encoded pair fingerprints
+	pairs []aclPair
+	diff  []acl.Rule
+	// ids resolves each in-scope binding to its encoded (before, after)
+	// ACL IDs, and acls the IDs to their contents.
+	ids  map[string][2]int32
+	acls []*acl.ACL
 	// slots aliases the engine's per-FEC key slot lists (see slotIndex).
 	// Built by prepareIncremental, read-only after.
 	slots [][]int32
-	// fpRef resolves a dense slot index to its binding's stable cache
-	// pair reference for this generation (0 = unbound).
-	fpRef []uint64
+	// slotWord resolves a dense slot index to its binding's key word for
+	// this generation (see pairWord; 0 = unbound).
+	slotWord []uint64
 	// keyOff/keyArena back fecKey with one shared buffer:
 	// FEC i's key occupies keyArena[keyOff[i]:keyOff[i+1]], written only
 	// by the goroutine resolving FEC i.
@@ -99,18 +103,16 @@ type checkCtx struct {
 	// wit memoizes canonical witnesses per FEC for this generation.
 	wit map[int]*Violation
 
-	// trivMu guards pairTriv and pairSyn, the pre-filter's per-binding
-	// memos (fix workers probe it concurrently): the full verdict and its
-	// syntactic legs alone (see pairSynUnchanged).
+	// trivMu guards pairTriv, the pre-filter's per-binding memo (fix
+	// workers probe it concurrently).
 	trivMu   sync.Mutex
 	pairTriv map[string]bool
-	pairSyn  map[string]bool
 
 	// psetMu guards the differential-match and exact-equivalence memos
 	// shared by the pre-filter's exact leg and the pset backend.
 	psetMu sync.Mutex
-	diffMs map[[2]*acl.ACL][]header.Match
-	pairEq map[[2]*acl.ACL]bool
+	diffMs map[[2]int32][]header.Match
+	pairEq map[[2]int32]bool
 
 	// walk interns what the generation's paths cross for the complete
 	// procedures, and encPairs is the table of distinct encoded pairs its
@@ -134,21 +136,22 @@ func (ctx *checkCtx) fec(i int) topo.FEC { return ctx.fecs[i] }
 
 // checkContext returns the engine's cached per-generation check state,
 // deriving it on first use: Theorem 4.1 preprocessing (differential
-// rules and related-rule filtering), the encoded-pair fingerprints the
-// verdict cache keys on, and the session (shared encoder + persistent
-// solver), which is reused across generations.
+// rules and related-rule filtering), each binding's encoded pair as the
+// ACL-table IDs every later stage and the verdict cache key on, and the
+// session (shared encoder + persistent solver), which is reused across
+// generations.
 func (e *Engine) checkContext(o *obs.Observer) *checkCtx {
 	if e.ckctx != nil {
 		return e.ckctx
 	}
-	if e.sess == nil {
-		e.sess = &checkSession{enc: newEncoder(e.Opts.UseTournament, o)}
+	tab := e.aclTable()
+	if e.sess == nil || e.sess.tab != tab {
+		e.sess = &checkSession{tab: tab, enc: newEncoder(e.Opts.UseTournament, nil, o)}
 	}
-	ctx := &checkCtx{sess: e.sess, pairTriv: map[string]bool{}, pairSyn: map[string]bool{}}
+	ctx := &checkCtx{sess: e.sess, pairTriv: map[string]bool{}}
 	pairs := e.scopeACLPairs()
 	ctx.pairs = pairs
 	ctx.aclPairs = len(pairs)
-	ctx.encodeACLs = make(map[string][2]*acl.ACL, len(pairs))
 	if e.Opts.UseDifferential {
 		for _, p := range pairs {
 			ctx.diff = append(ctx.diff, acl.Differential(orPermitAll(p.before), orPermitAll(p.after))...)
@@ -164,22 +167,17 @@ func (e *Engine) checkContext(o *obs.Observer) *checkCtx {
 			e.ckctx = ctx
 			return ctx
 		}
-		for _, p := range pairs {
-			ctx.encodeACLs[p.binding.ID()] = [2]*acl.ACL{
-				acl.Related(orPermitAll(p.before), ctx.diff),
-				acl.Related(orPermitAll(p.after), ctx.diff),
-			}
-		}
-	} else {
-		for _, p := range pairs {
-			ctx.encodeACLs[p.binding.ID()] = [2]*acl.ACL{orPermitAll(p.before), orPermitAll(p.after)}
-		}
 	}
+	ctx.ids = make(map[string][2]int32, len(pairs))
+	for _, p := range pairs {
+		before, after := orPermitAll(p.before), orPermitAll(p.after)
+		if e.Opts.UseDifferential {
+			before, after = acl.Related(before, ctx.diff), acl.Related(after, ctx.diff)
+		}
+		ctx.ids[p.binding.ID()] = [2]int32{tab.intern(before), tab.intern(after)}
+	}
+	ctx.acls = tab.view()
 	ctx.diffRules = len(ctx.diff)
-	ctx.pairFPs = make(map[string][2]uint64, len(ctx.encodeACLs))
-	for id, pr := range ctx.encodeACLs {
-		ctx.pairFPs[id] = [2]uint64{pr[0].Fingerprint(), pr[1].Fingerprint()}
-	}
 	e.ckctx = ctx
 	return ctx
 }
@@ -264,6 +262,9 @@ func (e *Engine) scan(c *solveCall) int {
 		sess.seq = smt.SolverOn(sess.enc.b)
 	}
 	seq := sess.seq
+	// Views of one append-only table agree on every ID they share, so the
+	// generation's own view resolves every formula it asks for.
+	sess.enc.acls = ctx.acls
 	c.cn.register(seq)
 	base := seq.Stats()
 	// Differential skip, cached-verdict replay, pre-filter and pset settle

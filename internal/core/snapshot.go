@@ -1,11 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 
+	"jinjing/internal/acl"
 	"jinjing/internal/header"
 )
 
@@ -21,8 +23,9 @@ import (
 // (networkFingerprint), the structural path set, and the FEC count —
 // and Import refuses to bind unless the rebuilt engine digests
 // identically. Within a matching configuration every entry still
-// self-validates: lookups compare full content keys, so a snapshot can
-// at worst miss, never replay a wrong verdict.
+// self-validates: the snapshot carries the ACL contents its keys name,
+// Import interns them by content, and lookups compare full keys, so an
+// entry replays only where the rebuilt engine encodes the same contents.
 //
 // Deliberately excluded from the snapshot:
 //   - The change-impact generation state (lastPairs/lastGen): adopting
@@ -49,7 +52,7 @@ import (
 // the verdict recorded under it. Key words reference the snapshot's
 // pair table — one word per binding slot along the FEC's paths, 0 for
 // an unbound slot or w for Pairs[w-1], the slot's encoded (before,
-// after) ACL fingerprint pair. Witness, when set, is the memoized
+// after) ACL pair. Witness, when set, is the memoized
 // counterexample's packet — only the packet; the flipped-path list is
 // re-derived and the packet itself concretely re-validated on first
 // use after a restore (see witnessFor).
@@ -61,19 +64,22 @@ type VerdictEntry struct {
 }
 
 // VerdictSnapshot is the exportable state of a bound VerdictCache.
-// Entries[i] lists FEC i's cached verdicts sorted by key, and the pair
-// table is rebuilt in first-reference order over them, so exporting
-// the same cache twice yields identical values (and identical encoded
-// bytes downstream).
+// ACLs keep the cache table's order, pairs are sorted by their ACL
+// indices, and Entries[i] lists FEC i's cached verdicts sorted by key, so
+// exporting the same cache twice yields identical values (and identical
+// encoded bytes downstream).
 type VerdictSnapshot struct {
 	// Config digests the configuration the entries were computed under;
 	// Import refuses an engine whose digest differs.
 	Config string
 	// NFEC is the FEC count of the generation structure (== len(Entries)).
 	NFEC int
-	// Pairs is the key alphabet: the fingerprint pairs that Entries'
-	// key words reference.
-	Pairs [][2]uint64
+	// ACLs holds each distinct encoded ACL content the pairs reference,
+	// once.
+	ACLs []*acl.ACL
+	// Pairs is the key alphabet: the (before, after) ACL pairs that
+	// Entries' key words reference, as indices into ACLs.
+	Pairs [][2]uint32
 	// Entries holds each FEC's cached verdicts.
 	Entries [][]VerdictEntry
 }
@@ -212,22 +218,39 @@ func (vc *VerdictCache) Export(e *Engine) *VerdictSnapshot {
 		}
 		snap.Entries[i] = ents
 	}
-	// Canonicalize the key alphabet: the snapshot's pair table holds
-	// only the referenced pairs, in value order, independent of the
-	// cache's intern history — logically equal caches export identical
-	// snapshots. Keys are rewritten to the canonical references, then
-	// each FEC's entries sort by rewritten key.
-	refs := make([]uint64, 0, len(used))
+	// Canonicalize the key alphabet: the referenced pairs in key-word order
+	// — by (before, after) table IDs — and the ACLs they name in table
+	// order. Keys are rewritten to the canonical pair references, then each
+	// FEC's entries sort by length and rewritten key. Import interns a
+	// snapshot's ACLs in its order, so a fresh cache exports again exactly
+	// what it imported.
+	words := make([]uint64, 0, len(used))
 	for w := range used {
-		refs = append(refs, w)
+		words = append(words, w)
 	}
-	sort.Slice(refs, func(a, b int) bool {
-		return lessPair(vc.pairTab[refs[a]-1], vc.pairTab[refs[b]-1])
-	})
-	remap := make(map[uint64]uint64, len(refs))
-	snap.Pairs = make([][2]uint64, len(refs))
-	for n, w := range refs {
-		snap.Pairs[n] = vc.pairTab[w-1]
+	slices.Sort(words)
+	aclIdx := map[int32]uint32{}
+	var ids []int32
+	for _, w := range words {
+		for _, id := range wordPair(w) {
+			if _, ok := aclIdx[id]; !ok {
+				aclIdx[id] = 0
+				ids = append(ids, id)
+			}
+		}
+	}
+	slices.Sort(ids)
+	reps := vc.acls.view()
+	snap.ACLs = make([]*acl.ACL, len(ids))
+	for n, id := range ids {
+		snap.ACLs[n] = reps[id].Clone()
+		aclIdx[id] = uint32(n)
+	}
+	remap := make(map[uint64]uint64, len(words))
+	snap.Pairs = make([][2]uint32, len(words))
+	for n, w := range words {
+		ids := wordPair(w)
+		snap.Pairs[n] = [2]uint32{aclIdx[ids[0]], aclIdx[ids[1]]}
 		remap[w] = uint64(n + 1)
 	}
 	for _, ents := range snap.Entries {
@@ -238,30 +261,11 @@ func (vc *VerdictCache) Export(e *Engine) *VerdictSnapshot {
 				}
 			}
 		}
-		sort.Slice(ents, func(a, b int) bool { return lessKey(ents[a].Key, ents[b].Key) })
+		slices.SortFunc(ents, func(a, b VerdictEntry) int {
+			return cmp.Or(cmp.Compare(len(a.Key), len(b.Key)), slices.Compare(a.Key, b.Key))
+		})
 	}
 	return snap
-}
-
-// lessPair orders fingerprint pairs lexicographically.
-func lessPair(a, b [2]uint64) bool {
-	if a[0] != b[0] {
-		return a[0] < b[0]
-	}
-	return a[1] < b[1]
-}
-
-// lessKey orders keys by length, then lexicographically by word.
-func lessKey(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return len(a) < len(b)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
 }
 
 // Import loads a snapshot into the cache and binds it to e, replacing
@@ -296,23 +300,32 @@ func (vc *VerdictCache) Import(e *Engine, snap *VerdictSnapshot) error {
 	if want := e.verdictSnapshotDigest(nfec); snap.Config != want {
 		return fmt.Errorf("core: verdict snapshot config %s does not match engine %s", snap.Config, want)
 	}
-	// Re-intern the snapshot's pair table and rewrite key words to this
-	// cache's stable references. remap[i] is the live reference for
-	// snapshot pair i.
+	// Intern the snapshot's ACLs by content and rewrite key words to this
+	// cache's IDs. remap[i] is the live key word for snapshot pair i.
+	ids := make([]int32, len(snap.ACLs))
+	for i, a := range snap.ACLs {
+		ids[i] = vc.acls.intern(a)
+	}
 	remap := make([]uint64, len(snap.Pairs))
 	for i, pair := range snap.Pairs {
-		remap[i] = vc.internPairLocked(pair)
+		if int(pair[0]) >= len(ids) || int(pair[1]) >= len(ids) {
+			return fmt.Errorf("core: verdict snapshot pair %d references ACL %d of %d", i, max(pair[0], pair[1]), len(ids))
+		}
+		remap[i] = pairWord([2]int32{ids[pair[0]], ids[pair[1]]})
 	}
+	// Keys are rewritten into one arena of live key words, leaving the
+	// snapshot as it was handed over.
+	nwords := 0
+	for _, ents := range snap.Entries {
+		for _, en := range ents {
+			nwords += len(en.Key)
+		}
+	}
+	arena := make([]uint64, 0, nwords)
 	for i, ents := range snap.Entries {
 		for _, en := range ents {
-			// The key slice is adopted and rewritten in place, not
-			// copied: Import's producers (store.Decode, Export) both
-			// hand over freshly built snapshots, and a snapshot must not
-			// be mutated after Import.
-			for k, w := range en.Key {
-				if w == 0 {
-					continue
-				}
+			lo := len(arena)
+			for _, w := range en.Key {
 				if w > uint64(len(remap)) {
 					// A key word referencing no pair can never equal a
 					// genuinely derived key; reject the snapshot rather
@@ -321,10 +334,13 @@ func (vc *VerdictCache) Import(e *Engine, snap *VerdictSnapshot) error {
 					vc.byFEC = make([]map[uint64][]*fecVerdict, nfec)
 					return fmt.Errorf("core: verdict snapshot key references pair %d of %d", w, len(snap.Pairs))
 				}
-				en.Key[k] = remap[w-1]
+				if w != 0 {
+					w = remap[w-1]
+				}
+				arena = append(arena, w)
 			}
 			ent := &fecVerdict{
-				key:       en.Key,
+				key:       arena[lo:len(arena):len(arena)],
 				hadJob:    en.HadJob,
 				violating: en.Violating,
 			}

@@ -21,8 +21,10 @@ import (
 
 var fuzzBaseline struct {
 	once sync.Once
-	// valid is the canonical encoded snapshot used to seed mutations.
-	valid []byte
+	// valid is the canonical encoded snapshot used to seed mutations, and
+	// [aclLo, aclHi) its ACL contents and pair table.
+	valid        []byte
+	aclLo, aclHi int
 	// want is the cold check signature every successful restore must
 	// reproduce.
 	want string
@@ -42,6 +44,7 @@ func baseline(tb testing.TB) ([]byte, string) {
 			tb.Fatal("no baseline snapshot")
 		}
 		fuzzBaseline.valid = store.Encode(snap)
+		fuzzBaseline.aclLo, fuzzBaseline.aclHi = aclSection(snap)
 
 		coldOpts := core.DefaultOptions()
 		coldOpts.FindAllViolations = true
@@ -117,9 +120,16 @@ func restoreAndCheck(t *testing.T, data []byte, want string) bool {
 	return true
 }
 
-// FuzzSnapshotRestore feeds arbitrary bytes to the restore path.
+// FuzzSnapshotRestore feeds arbitrary bytes to the restore path. The
+// checksum turns almost every mutation into a CorruptError before the
+// payload is parsed, so each input is also decoded resealed — with a
+// checksum matching its payload — which must not panic either, through
+// the ACL section, the pair table and the entries, Import and a check.
+// A resealed input is a deliberate forgery the checksum cannot catch, so
+// its verdicts are not held to the cold baseline.
 func FuzzSnapshotRestore(f *testing.F) {
 	valid, _ := baseline(f)
+	lo, hi := fuzzBaseline.aclLo, fuzzBaseline.aclHi
 	f.Add([]byte{})
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
@@ -130,16 +140,42 @@ func FuzzSnapshotRestore(f *testing.F) {
 	mut2 := append([]byte(nil), valid...)
 	mut2[len(mut2)-1] ^= 0x40 // payload bit flip
 	f.Add(mut2)
+	f.Add(reseal(valid[:(lo+hi)/2])) // cut inside the ACL section
+	mut3 := append([]byte(nil), valid...)
+	mut3[lo+4] = 2 // first ACL's text cut to two bytes
+	f.Add(reseal(mut3))
+	mut4 := append([]byte(nil), valid...)
+	mut4[hi-1] ^= 0x01 // last pair's after-ACL index
+	f.Add(reseal(mut4))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, want := baseline(t)
 		restoreAndCheck(t, data, want)
+		snap, err := store.Decode(reseal(data))
+		if err != nil {
+			if !store.IsCorrupt(err) && !store.IsStale(err) {
+				t.Fatalf("resealed input: unstructured error %v", err)
+			}
+			return
+		}
+		before := papernet.Build()
+		opts := core.DefaultOptions()
+		opts.FindAllViolations = true
+		opts.Verdicts = core.NewVerdictCache()
+		e := core.New(before, paperUpdate(before), papernet.Scope(), opts)
+		e.ImportVerdicts(snap) //nolint:errcheck // a refusal is a cold start
+		e.Check()
 	})
 }
 
 // TestSnapshotRestoreMutationSweep is the deterministic arm of the same
 // contract, run on every `go test`: the valid snapshot itself must
 // restore and replay byte-identically; every truncation and a sweep of
-// bit flips must yield cold start or an identical replay.
+// bit flips must yield cold start or an identical replay. The flips in
+// the ACL section and the pair table are also swept resealed, so they
+// reach the structural decoder. There a flip fails to decode, leaves the
+// content a key names as it was (acl.Parse canonicalizes a prefix with
+// host bits set), or changes it, which can only make the key miss — the
+// baseline holds one entry per FEC, so no key can become another entry's.
 func TestSnapshotRestoreMutationSweep(t *testing.T) {
 	valid, want := baseline(t)
 	if !restoreAndCheck(t, valid, want) {
@@ -152,5 +188,20 @@ func TestSnapshotRestoreMutationSweep(t *testing.T) {
 		mut := append([]byte(nil), valid...)
 		mut[off] ^= 1 << (off % 8)
 		restoreAndCheck(t, mut, want)
+	}
+	restored, corrupt := 0, 0
+	for off := fuzzBaseline.aclLo; off < fuzzBaseline.aclHi; off++ {
+		for bit := 0; bit < 8; bit++ {
+			mut := append([]byte(nil), valid...)
+			mut[off] ^= 1 << bit
+			if restoreAndCheck(t, reseal(mut), want) {
+				restored++
+			} else {
+				corrupt++
+			}
+		}
+	}
+	if restored == 0 || corrupt == 0 {
+		t.Fatalf("resealed ACL-section flips: %d restored, %d refused; the sweep should see both", restored, corrupt)
 	}
 }

@@ -14,7 +14,7 @@
 //
 //	offset  size  field
 //	0       8     magic "jjvcsnp\n"
-//	8       2     version (currently 1)
+//	8       2     version (currently 2)
 //	10      2     reserved (zero)
 //	12      8     CRC-32C of the payload (zero-extended)
 //	20      ...   payload
@@ -23,7 +23,8 @@
 //
 //	u32 len(config) + config bytes
 //	u32 nfec
-//	u32 npairs, npairs × (u64, u64)   fingerprint-pair table (Pairs)
+//	u32 nacls, nacls × (uvarint len + ACL text)   ACL contents (ACLs)
+//	u32 npairs, npairs × (uvarint, uvarint)      ACL-index pairs (Pairs)
 //	per FEC: uvarint count, then per entry:
 //	  u8 flags (bit0 hadJob, bit1 violating, bit2 witness,
 //	            bit3 rawKey; other bits invalid)
@@ -33,12 +34,22 @@
 //	  else:       uvarint nslots, nslots × uvarint key word
 //	              (0 = unbound slot, w ≤ npairs = Pairs[w-1])
 //
+// Each distinct ACL content the keys name is stored once, in the rule
+// syntax the network JSON already carries (acl.ACL.String, read back
+// with acl.Parse), and a pair names its before and after ACL by index.
+// An ACL text that does not parse, or a pair index past the ACL list, is
+// corrupt.
+//
 // Verdict key words are already references into the snapshot's pair
 // table (core.VerdictSnapshot.Pairs) — one per binding slot — so the
 // common case stores one varint per slot. The decoder validates every
 // reference against the table; an entry whose words exceed it (only
 // possible in a hand-built snapshot) is carried verbatim under the
 // rawKey flag, keeping the encoding lossless.
+//
+// Version 1 stored 64-bit ACL fingerprint pairs instead of contents, and
+// its keys could name two different ACLs alike. A version-1 file decodes
+// to a StaleError: its session restores cold.
 package store
 
 import (
@@ -49,6 +60,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"jinjing/internal/acl"
 	"jinjing/internal/core"
 	"jinjing/internal/faultinject"
 	"jinjing/internal/header"
@@ -57,7 +69,7 @@ import (
 // Version is the current snapshot format version. A file carrying any
 // other version decodes to a StaleError — the daemon falls back to a
 // cold start rather than guessing at another release's layout.
-const Version = 1
+const Version = 2
 
 const (
 	magic      = "jjvcsnp\n"
@@ -115,10 +127,16 @@ func Encode(snap *core.VerdictSnapshot) []byte {
 	u32(uint32(len(snap.Config)))
 	payload = append(payload, snap.Config...)
 	u32(uint32(snap.NFEC))
+	u32(uint32(len(snap.ACLs)))
+	for _, a := range snap.ACLs {
+		text := a.String()
+		uv(uint64(len(text)))
+		payload = append(payload, text...)
+	}
 	u32(uint32(len(snap.Pairs)))
 	for _, pair := range snap.Pairs {
-		u64(pair[0])
-		u64(pair[1])
+		uv(uint64(pair[0]))
+		uv(uint64(pair[1]))
 	}
 	npairs := uint64(len(snap.Pairs))
 	for _, ents := range snap.Entries {
@@ -273,25 +291,53 @@ func Decode(data []byte) (*core.VerdictSnapshot, error) {
 	if int64(nfec) > int64(d.remaining()) {
 		return nil, &CorruptError{Reason: fmt.Sprintf("fec count %d exceeds payload", nfec)}
 	}
+	nacls, err := d.u32("acl count")
+	if err != nil {
+		return nil, err
+	}
+	// Each ACL is at least a one-byte text length.
+	if int64(nacls) > int64(d.remaining()) {
+		return nil, &CorruptError{Reason: fmt.Sprintf("acl count %d exceeds payload", nacls)}
+	}
+	acls := make([]*acl.ACL, nacls)
+	for i := range acls {
+		n, err := d.uvarint("acl length")
+		if err != nil {
+			return nil, err
+		}
+		if n > uint64(d.remaining()) {
+			return nil, &CorruptError{Reason: fmt.Sprintf("acl %d: length %d exceeds payload", i, n)}
+		}
+		text := string(d.data[d.off : d.off+int(n)])
+		d.off += int(n)
+		if acls[i], err = acl.Parse(text); err != nil {
+			return nil, &CorruptError{Reason: fmt.Sprintf("acl %d: %v", i, err)}
+		}
+	}
 	npairs, err := d.u32("pair table size")
 	if err != nil {
 		return nil, err
 	}
-	if int64(npairs)*16 > int64(d.remaining()) {
+	if int64(npairs)*2 > int64(d.remaining()) {
 		return nil, &CorruptError{Reason: fmt.Sprintf("pair table size %d exceeds payload", npairs)}
 	}
-	table := make([][2]uint64, npairs)
+	table := make([][2]uint32, npairs)
 	for i := range table {
-		if table[i][0], err = d.u64("pair table entry"); err != nil {
-			return nil, err
-		}
-		if table[i][1], err = d.u64("pair table entry"); err != nil {
-			return nil, err
+		for k := range table[i] {
+			v, err := d.uvarint("pair table entry")
+			if err != nil {
+				return nil, err
+			}
+			if v >= uint64(nacls) {
+				return nil, &CorruptError{Reason: fmt.Sprintf("pair %d references acl %d of %d", i, v, nacls)}
+			}
+			table[i][k] = uint32(v)
 		}
 	}
 	snap := &core.VerdictSnapshot{
 		Config:  cfg,
 		NFEC:    int(nfec),
+		ACLs:    acls,
 		Pairs:   table,
 		Entries: make([][]core.VerdictEntry, nfec),
 	}

@@ -1,6 +1,9 @@
 package store_test
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -136,6 +139,92 @@ func TestStoreVersionGate(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "version") {
 		t.Fatalf("unhelpful stale error: %v", err)
+	}
+}
+
+// TestStoreVersion1IsStale pins the upgrade path: a snapshot written in
+// the version-1 layout, whose key alphabet was 64-bit fingerprint pairs
+// rather than ACL contents, decodes to a StaleError — its session
+// restores cold — never to a snapshot or a CorruptError.
+func TestStoreVersion1IsStale(t *testing.T) {
+	var payload []byte
+	payload = binary.LittleEndian.AppendUint32(payload, 16)
+	payload = append(payload, "0123456789abcdef"...)
+	payload = binary.LittleEndian.AppendUint32(payload, 1) // nfec
+	payload = binary.LittleEndian.AppendUint32(payload, 1) // npairs
+	payload = binary.LittleEndian.AppendUint64(payload, 0x733815246a473619)
+	payload = binary.LittleEndian.AppendUint64(payload, 0x733815246a473619)
+	payload = append(payload, 1, 1, 1, 1) // one entry: had-job, key [1]
+	data := []byte("jjvcsnp\n")
+	data = binary.LittleEndian.AppendUint16(data, 1)
+	data = binary.LittleEndian.AppendUint16(data, 0)
+	data = binary.LittleEndian.AppendUint64(data, uint64(crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli))))
+	data = append(data, payload...)
+	snap, err := store.Decode(data)
+	if !store.IsStale(err) || store.IsCorrupt(err) {
+		t.Fatalf("version-1 file: got %v, %v; want a StaleError", snap, err)
+	}
+	if !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("stale error does not name the version: %v", err)
+	}
+}
+
+// reseal rewrites a snapshot file's checksum to match its payload, so a
+// deliberately damaged payload reaches the structural decoder.
+func reseal(data []byte) []byte {
+	out := append([]byte(nil), data...)
+	if len(out) >= 20 {
+		binary.LittleEndian.PutUint64(out[12:], uint64(crc32.Checksum(out[20:], crc32.MakeTable(crc32.Castagnoli))))
+	}
+	return out
+}
+
+// aclSection returns the byte range of a valid snapshot file that holds
+// its ACL contents and pair table: after the config and the FEC count,
+// up to the first FEC's entry list.
+func aclSection(snap *core.VerdictSnapshot) (lo, hi int) {
+	bare := *snap
+	bare.Entries = make([][]core.VerdictEntry, snap.NFEC)
+	return 20 + 4 + len(snap.Config) + 4, len(store.Encode(&bare)) - snap.NFEC
+}
+
+// TestStoreACLDecodeIsStructured pins that an ACL text that does not
+// parse decodes to a CorruptError, never a panic or a snapshot — even
+// under a valid checksum.
+func TestStoreACLDecodeIsStructured(t *testing.T) {
+	snap := buildSnapshot(t)
+	if len(snap.ACLs) == 0 || len(snap.Pairs) == 0 {
+		t.Fatal("snapshot carries no ACL contents")
+	}
+	data := store.Encode(snap)
+	lo, hi := aclSection(snap)
+	// Same-length edits inside the ACL texts keep the framing intact.
+	edit := func(old, new string) []byte {
+		k := bytes.Index(data[lo:hi], []byte(old))
+		if k < 0 {
+			t.Fatalf("no %q in the ACL section", old)
+		}
+		mut := append([]byte(nil), data...)
+		copy(mut[lo+k:], new)
+		return mut
+	}
+	long := append([]byte(nil), data...)
+	copy(long[lo+4:], []byte{0xff, 0x7f}) // first text length past the payload
+	for name, mut := range map[string][]byte{
+		"bad action":          edit("deny", "dent"),
+		"unknown field":       edit("dst ", "dsx "),
+		"bad prefix length":   edit("/", "/x"),
+		"length past payload": long,
+	} {
+		if got, err := store.Decode(reseal(mut)); !store.IsCorrupt(err) {
+			t.Fatalf("%s: got %v, %v; want a CorruptError", name, got, err)
+		}
+	}
+	// A pair naming an ACL past the list.
+	bad := *snap
+	bad.Pairs = append([][2]uint32{{uint32(len(snap.ACLs)), 0}}, snap.Pairs[1:]...)
+	if got, err := store.Decode(store.Encode(&bad)); !store.IsCorrupt(err) {
+		t.Fatalf("pair past the ACL list: got %v, %v; want a CorruptError", got, err)
 	}
 }
 
