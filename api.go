@@ -156,8 +156,8 @@ type (
 	// snapshots, making re-checks after edits incremental (set
 	// Options.Verdicts).
 	VerdictCache = core.VerdictCache
-	// CacheStats reports one call's verdict-cache and pre-filter
-	// activity (see CheckResult.Stats / FixResult.Stats).
+	// CacheStats reports one call's verdict-cache, backend and
+	// change-impact activity (see CheckResult.Stats / FixResult.Stats).
 	CacheStats = core.CacheStats
 	// UnknownFEC identifies one FEC whose verdict could not be
 	// established within a call's deadline or budget (see

@@ -159,7 +159,7 @@ func TestCLIObservability(t *testing.T) {
 		t.Fatalf("-metrics output missing from stderr:\n%s", out)
 	}
 	for _, counter := range []string{
-		"fec.cache.hits", "fec.cache.misses", "prefilter.discharged",
+		"fec.cache.hits", "fec.cache.misses",
 		"backend.pset.selected", "backend.sat.selected", "backend.bailout",
 	} {
 		if !strings.Contains(string(out), counter) {

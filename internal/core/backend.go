@@ -64,11 +64,11 @@ func ParseBackend(s string) (Backend, error) {
 const psetCubeBudget = 512
 
 // encPair is one distinct encoded (before, after) ACL pair of the
-// generation: its table IDs and their contents. unchanged is the purely
-// syntactic equivalence test (pairSynUnchanged): true means provably
-// unchanged; false means "treat as changed", which is always sound (a
-// semantically equal pair classified as changed contributes an empty
-// difference and restricts both products identically).
+// generation: its table IDs and their contents. unchanged means the two
+// IDs are equal, so the contents are; false means "treat as changed",
+// which is always sound (a semantically equal pair classified as changed
+// contributes an empty difference and restricts both products
+// identically).
 type encPair struct {
 	ids       [2]int32
 	acls      [2]*acl.ACL
@@ -106,7 +106,7 @@ func (e *Engine) pathWalk(ctx *checkCtx) *pathInterner {
 			index[ids] = i
 			ctx.encPairs = append(ctx.encPairs, encPair{
 				ids: ids, acls: [2]*acl.ACL{ctx.acls[ids[0]], ctx.acls[ids[1]]},
-				unchanged: ctx.pairSynUnchanged(ids),
+				unchanged: ids[0] == ids[1],
 			})
 		}
 		return i
@@ -144,8 +144,6 @@ func (e *Engine) compileShapes(ctx *checkCtx, fec topo.FEC) []checkShape {
 // (Set.IntersectMatches); the union itself is never canonicalized, which
 // is quadratic in a rule count that synthesis can push past 10^4.
 func (ctx *checkCtx) diffMatches(ids [2]int32) []header.Match {
-	ctx.psetMu.Lock()
-	defer ctx.psetMu.Unlock()
 	if ms, ok := ctx.diffMs[ids]; ok {
 		return ms
 	}
@@ -159,38 +157,6 @@ func (ctx *checkCtx) diffMatches(ids [2]int32) []header.Match {
 	}
 	ctx.diffMs[ids] = ms
 	return ms
-}
-
-// pairExactEqual is the pre-filter's exact set-algebra leg, sharing
-// the pset backend's ACL→Set machinery (diffMatches,
-// PermittedSetWithin): by Theorem 4.1 the pair's semantic difference
-// lies inside its differential-rule bound, so the pair is equivalent
-// iff the two region-restricted permitted sets within that bound
-// coincide. Cost scales with the differential, not with the ACL's
-// global cube complexity, so the leg stays usable on rule lists far
-// past any global-set budget. false means inconclusive (budget
-// bail-out), never "provably different" — sound for a pre-filter either
-// way.
-func (ctx *checkCtx) pairExactEqual(ids [2]int32) bool {
-	ms := ctx.diffMatches(ids)
-	ctx.psetMu.Lock()
-	defer ctx.psetMu.Unlock()
-	if v, ok := ctx.pairEq[ids]; ok {
-		return v
-	}
-	v := false
-	if d := pset.FromMatches(ms); d.IsEmpty() {
-		v = true
-	} else if wb, ok := pset.PermittedSetWithin(ctx.acls[ids[0]], d, psetCubeBudget); ok {
-		if wa, ok := pset.PermittedSetWithin(ctx.acls[ids[1]], d, psetCubeBudget); ok {
-			v = wb.Subtract(wa).IsEmpty() && wa.Subtract(wb).IsEmpty()
-		}
-	}
-	if ctx.pairEq == nil {
-		ctx.pairEq = map[[2]int32]bool{}
-	}
-	ctx.pairEq[ids] = v
-	return v
 }
 
 // pairsDiff computes the exact set of region packets that one path,

@@ -35,14 +35,14 @@ type CheckResult struct {
 	Unknown  []UnknownFEC
 
 	// FECs is the number of forwarding equivalence classes examined;
-	// SolvedFECs counts those whose Equation-3 query needed a solver
-	// verdict — decided now or replayed from the verdict cache (the
-	// rest were discharged by the Theorem 4.1 fast path or the SAT-free
-	// pre-filter).
+	// SolvedFECs counts those in the scanned range that the Theorem 4.1
+	// fast path did not settle — each needed a complete decision
+	// procedure's verdict, decided now or replayed from the verdict cache
+	// (FECs left Unknown are not counted).
 	FECs       int
 	SolvedFECs int
 	// Stats reports the incremental-verification activity of this call:
-	// verdict-cache hits/misses, pre-filter discharges, and the
+	// verdict-cache hits/misses, the deciding backends, and the
 	// change-impact analysis of the current edit.
 	Stats CacheStats
 	// Forensics lists per-FEC solve forensics (verdict, route, deciding
@@ -112,14 +112,19 @@ func (e *Engine) CheckContext(callCtx context.Context) *CheckResult {
 	ctx.maxNodes, ctx.peakHeap, ctx.pathShapes = 0, 0, 0
 
 	// Detection: resolve each FEC (differential skip, cached-verdict
-	// replay, SAT-free pre-filter, pset) and decide the remaining
-	// queries. hits is ascending violating FEC indices; in
-	// first-violation mode it has at most one entry — the lowest
-	// violating FEC. last is the highest FEC index the scan semantically
-	// examined (early stops leave the tail unexamined).
-	hits, last := e.solve(cn, ctx, res, root, o)
+	// replay, pset) and decide the remaining queries. hits is ascending
+	// violating FEC indices; in first-violation mode it has at most one
+	// entry — the lowest violating FEC. last is the highest FEC index the
+	// scan semantically examined (early stops leave the tail unexamined).
+	sp := startPhase(root, res.Timings, "solve")
+	hits, last, decided := e.decide(cn, ctx, sp.sp, e.Opts.FindAllViolations, &res.SolverStats)
+	sp.end(obs.KV("decided", decided), obs.KV("violations", len(hits)))
 	res.SolvedFECs = solvedFECs(ctx, last)
-	collectUnknown(ctx, res, last, o)
+	res.Unknown = unknownFECs(ctx, last)
+	res.Complete = len(res.Unknown) == 0
+	if !res.Complete {
+		o.Counter("fec.unknown").Add(int64(len(res.Unknown)))
+	}
 
 	// Witness extraction: each violating FEC's counterexample is the
 	// canonical one — re-derived on a fresh builder and solver, a pure

@@ -135,9 +135,9 @@ type Options struct {
 	// becomes final. 0 means no retries. Cancellation is never retried.
 	MaxRetries int
 	// Forensics makes Check attach per-FEC solve forensics — the route
-	// that established each verdict (skip, cache replay, pre-filter,
-	// pset, SAT), the deciding backend's solve time, and unknown
-	// reasons — to CheckResult.Forensics. Off by default: the raw route
+	// that established each verdict (skip, cache replay, pset, SAT), the
+	// deciding backend's solve time, and unknown reasons — to
+	// CheckResult.Forensics. Off by default: the raw route
 	// and timing words are always recorded (two words per FEC), but the
 	// result slice is materialized only on demand. Implied by
 	// DecisionLog.

@@ -43,21 +43,23 @@ type FixResult struct {
 	// confirmed consistency.
 	Verified bool
 	// SolverStats aggregates the full SAT counters across every solver
-	// the fix spun up: the neighborhood-seeking solver, one placement
-	// solver per neighborhood, and the verification check.
+	// the fix spun up: the check loop's, the neighborhood-seeking
+	// solvers, one placement solver per neighborhood, and the
+	// verification check's.
 	SolverStats sat.Stats
-	// Stats aggregates the incremental-verification activity: the fix
-	// loop's own verdict-cache and pre-filter skips plus the
-	// verification check's (whose change-impact numbers reflect the
-	// FECs the fixing plan touched).
+	// Stats aggregates the incremental-verification activity: the fix's
+	// own check loop (verdict-cache traffic, deciding backends) plus the
+	// verification check's, whose change-impact numbers reflect the FECs
+	// the fixing plan touched.
 	Stats CacheStats
 	// Conflicts equals SolverStats.Conflicts (kept for compatibility).
 	Conflicts int64
 	Timings   Timings
 }
 
-// Fix runs the fix primitive (§4.2): it enumerates counterexample
-// neighborhoods and synthesizes a minimal fixing plan restricted to the
+// Fix runs the fix primitive (§4.2): it decides every FEC on the check
+// pipeline's loop, enumerates counterexample neighborhoods inside the
+// violating ones and synthesizes a minimal fixing plan restricted to the
 // engine's Allow bindings, then verifies the result.
 func (e *Engine) Fix() (*FixResult, error) {
 	return e.FixContext(context.Background())
@@ -82,10 +84,11 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 	res := &FixResult{Timings: Timings{}}
 	pre := startPhase(root, res.Timings, "preprocess")
 
-	// Fix shares the check pipeline's preprocessing — differential
-	// rules, related-filtered encoding pairs as ACL-table IDs, and the
-	// incremental per-FEC state — so its verdict-cache consults see
-	// exactly the keys check stores under.
+	// Fix shares the check pipeline's generation — differential rules,
+	// related-filtered encoding pairs as ACL-table IDs, and the
+	// incremental per-FEC state — so a check earlier on this engine has
+	// already settled what it decided, and what fix decides warms the
+	// verdict cache exactly as a check would.
 	ctx := e.checkContext(o)
 	e.prepareIncremental(ctx)
 
@@ -105,10 +108,19 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 		return nil, err
 	}
 
+	// The check pipeline's loop establishes every FEC's verdict, in
+	// find-all mode, exactly as a check does: §4.2 seeks neighborhoods
+	// only inside the FECs it finds violating. A FEC it leaves Unknown
+	// blocks the plan.
 	sp := startPhase(root, res.Timings, "solve")
+	statsBase := ctx.stats
+	hits, _, _ := e.decide(cn, ctx, sp.sp, true, &res.SolverStats)
+	res.Stats = ctx.stats.since(statsBase)
+	// The change-impact numbers are the verification check's to report.
+	res.Stats.ChangedBindings, res.Stats.AffectedFECs = 0, 0
+	blocked := unknownFECs(ctx, ctx.nfec-1)
 	iterations := o.Counter("fix.iterations")
-	nfec := ctx.nfec
-	task := o.StartTask("fix: FECs", int64(nfec))
+	task := o.StartTask("fix: FECs", int64(len(hits)))
 
 	var probes int64
 	apply := func(out fecFixOutcome) {
@@ -116,7 +128,6 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 		// global neighborhood budget.
 		iterations.Add(out.iters)
 		probes += out.probes
-		res.Stats.add(out.cache)
 		recordSolverStats(o, &res.SolverStats, out.seek)
 		for _, nb := range out.entries {
 			if len(res.Neighborhoods)+len(res.Unfixable) >= maxN {
@@ -140,36 +151,29 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 	// identical for every worker count — the property the CLI golden test
 	// pins. (A budget-b prefix of a budget-maxN run equals the budget-b
 	// run: the seek loop's iterations don't depend on the budget.)
-	var blocked []UnknownFEC
-	if workers := e.Opts.Workers; workers > 1 {
-		outcomes := make([]fecFixOutcome, nfec)
-		runParallel(o, workers, nfec, func(i int) {
-			outcomes[i] = e.fixFEC(cn, ctx, ix, i, maxN)
-			task.Add(1)
-		})
-		for i, out := range outcomes {
-			if out.err != nil {
-				return fail(out.err)
-			}
-			if out.unknown != "" {
-				blocked = append(blocked, UnknownFEC{FEC: i, Classes: ctx.fec(i).Classes, Reason: out.unknown})
-				continue
-			}
-			apply(out)
+	workers := e.Opts.Workers
+	seek := func(k, budget int) fecFixOutcome {
+		out := e.fixFEC(cn, ctx, ix, hits[k], budget)
+		task.Add(1)
+		return out
+	}
+	outcomes := make([]fecFixOutcome, len(hits))
+	if workers > 1 {
+		runParallel(o, workers, len(hits), func(k int) { outcomes[k] = seek(k, maxN) })
+	}
+	for k, i := range hits {
+		out := outcomes[k]
+		if workers <= 1 {
+			out = seek(k, maxN-len(res.Neighborhoods)-len(res.Unfixable))
 		}
-	} else {
-		for i := 0; i < nfec; i++ {
-			task.Add(1)
-			out := e.fixFEC(cn, ctx, ix, i, maxN-len(res.Neighborhoods)-len(res.Unfixable))
-			if out.err != nil {
-				return fail(out.err)
-			}
-			if out.unknown != "" {
-				blocked = append(blocked, UnknownFEC{FEC: i, Classes: ctx.fec(i).Classes, Reason: out.unknown})
-				continue
-			}
-			apply(out)
+		if out.err != nil {
+			return fail(out.err)
 		}
+		if out.unknown != "" {
+			blocked = append(blocked, UnknownFEC{FEC: i, Classes: ctx.fec(i).Classes, Reason: out.unknown})
+			continue
+		}
+		apply(out)
 	}
 	task.Done()
 	o.Gauge("fix.path_shapes").Set(int64(len(ix.shapes)))
@@ -206,7 +210,7 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 	// engine is derived from this one — same session, dependency index,
 	// and verdict cache — so it re-solves only the FECs the fixing plan
 	// touched and replays the rest.
-	recordCacheStats(o, res.Stats) // fix's own skips; the check records its own
+	recordCacheStats(o, res.Stats) // fix's own scan; the check records its own
 	vp := startPhase(root, res.Timings, "verify")
 	ver := e.derived(fixed, vp.sp)
 	cr := ver.CheckContext(callCtx)
@@ -254,43 +258,32 @@ type nbOutcome struct {
 }
 
 // fecFixOutcome is one FEC's complete fix sub-result: neighborhood
-// outcomes in discovery order, the seeking solver's counters, the
-// validity queries expansion asked, and the incremental-verification
-// skips taken for this FEC. unknown != "" means a seek or placement
-// query reached no verdict and says why; the FEC blocks the whole plan
-// (see FixContext). err fails the call.
+// outcomes in discovery order, the seeking solver's counters, and the
+// validity queries expansion asked. unknown != "" means a seek or
+// placement query reached no verdict and says why; the FEC blocks the
+// whole plan (see FixContext). err fails the call.
 type fecFixOutcome struct {
 	entries []nbOutcome
 	iters   int64
 	probes  int64
 	seek    sat.Stats
-	cache   CacheStats
 	err     error
 	unknown string
 }
 
-// seekNeighborhoods runs the §4.2 loop for one FEC on the given shared
+// seekNeighborhoods runs the §4.2 loop for one violating FEC on the given
 // encoder and solver: find a counterexample, enlarge it, solve its
 // placement over the FEC's path shapes, exclude it, repeat until the
-// violation formula is exhausted or budget outcomes have accumulated. It
-// only reads engine state, so it is safe to call from worker goroutines
-// as long as each worker owns its encoder and solver.
-func (e *Engine) seekNeighborhoods(cn *canceller, fec topo.FEC, shapes []int32, diff []acl.Rule, ids map[string][2]int32, ix *fixIndex, budget int, enc *encoder, solver *smt.Solver) fecFixOutcome {
+// violation formula is exhausted or budget outcomes have accumulated, so
+// the loop ends on one UNSAT. It only reads engine state, so it is safe
+// to call from worker goroutines as long as each worker owns its encoder
+// and solver.
+func (e *Engine) seekNeighborhoods(cn *canceller, fec topo.FEC, shapes []int32, ids map[string][2]int32, ix *fixIndex, budget int, enc *encoder, solver *smt.Solver) fecFixOutcome {
 	var out fecFixOutcome
-	if budget <= 0 {
-		return out
-	}
-	if e.Opts.UseDifferential && !e.fecTouchesDiff(fec, diff) {
-		return out
-	}
-	viol := e.fecViolationFormula(enc, fec, ids)
-	if viol == smt.False {
-		return out
-	}
 	o := e.obsv()
 	cn.register(solver)
 	seekBase := solver.Stats()
-	base := enc.b.And(viol, enc.classPred(fec.Classes))
+	base := enc.b.And(e.fecViolationFormula(enc, fec, ids), enc.classPred(fec.Classes))
 	cons := ix.constancyOn(fec)
 	for len(out.entries) < budget {
 		out.iters++
@@ -331,71 +324,26 @@ func (e *Engine) seekNeighborhoods(cn *canceller, fec topo.FEC, shapes []int32, 
 	return out
 }
 
-// fixFEC runs seekNeighborhoods for one FEC on a fresh encoder, builder,
-// and solver, over the call's read-only fix index. With no shared
-// mutable state, the outcome is a pure function of the FEC — independent
-// of the other FECs, of scheduling, and of worker count — which is what
-// makes the sequential and parallel fix plans identical.
-//
-// Incremental skips come first: a consistent verdict — resolved earlier
-// this generation, replayed from the verdict cache, or discharged by
-// the SAT-free pre-filter — means the seek loop's very first Solve
-// would return UNSAT and the outcome would be empty, so the per-FEC
-// builder is never built and the fixing plan is byte-identical to the
-// cold run's. What fix learns (a seek verdict, a pre-filter discharge)
-// is inserted into the cache, warming the verification check and later
-// pipeline stages.
+// fixFEC runs seekNeighborhoods for one FEC the check loop found
+// violating, on a fresh encoder, builder, and solver, over the call's
+// read-only fix index. With no shared mutable state, the outcome is a
+// pure function of the FEC — independent of the other FECs, of
+// scheduling, and of worker count — which is what makes the sequential
+// and parallel fix plans identical. The verdict that sent the FEC here is
+// the check loop's, so a seek never consults or writes the verdict cache.
 func (e *Engine) fixFEC(cn *canceller, ctx *checkCtx, ix *fixIndex, i int, budget int) fecFixOutcome {
-	fec := ctx.fec(i)
-	if budget <= 0 || (e.Opts.UseDifferential && !e.fecTouchesDiff(fec, ctx.diff)) {
-		// Skip before paying for the per-FEC builder.
+	if budget <= 0 {
 		return fecFixOutcome{}
 	}
-	var key []uint64
-	switch ctx.states[i] {
-	case fecOK, fecDischarged:
-		// Proved consistent earlier this generation (a prior check on
-		// this engine decided or replayed it).
-		return fecFixOutcome{cache: CacheStats{FECCacheHits: 1}}
-	case fecViolating, fecPending:
-		// Known violating, or encoded but undecided: seek.
-	default:
-		var ent *fecVerdict
-		if ctx.vc != nil {
-			key = ctx.fecKey(i)
-			ent = ctx.vc.lookup(i, key)
-		}
-		switch {
-		case ent != nil && (!ent.hadJob || !ent.violating):
-			return fecFixOutcome{cache: CacheStats{FECCacheHits: 1}}
-		case ent == nil && e.fecPrefiltered(ctx, fec):
-			if ctx.vc != nil {
-				ctx.vc.insert(i, &fecVerdict{key: key, hadJob: false})
-			}
-			return fecFixOutcome{cache: CacheStats{PrefilterDischarged: 1}}
-		}
-	}
 	if cn.cancelled() {
-		// The call is dead and this FEC would need solving: don't pay for
-		// the per-FEC builder just to have its first query interrupted.
+		// The call is dead: don't pay for the per-FEC builder just to have
+		// its first query interrupted.
 		return fecFixOutcome{unknown: reasonCancelled}
 	}
 	enc := newEncoder(e.Opts.UseTournament, ctx.acls, e.obsv())
 	solver := smt.SolverOn(enc.b)
 	shapes := ix.shapesOn(ctx.src.PathIndices(i))
-	out := e.seekNeighborhoods(cn, fec, shapes, ctx.diff, ctx.ids, ix, budget, enc, solver)
-	if ctx.vc != nil && out.err == nil && out.unknown == "" {
-		// The seek verdict is the check verdict: the loop's base query is
-		// exactly the FEC's Equation-3 query, so iters==0 means a
-		// structurally-False violation formula (check would discharge) and
-		// a first-Solve UNSAT means a consistent solver verdict.
-		out.cache.FECCacheMisses = 1
-		if key == nil {
-			key = ctx.fecKey(i)
-		}
-		ctx.vc.insert(i, &fecVerdict{key: key, hadJob: out.iters > 0, violating: len(out.entries) > 0})
-	}
-	return out
+	return e.seekNeighborhoods(cn, ctx.fec(i), shapes, ctx.ids, ix, budget, enc, solver)
 }
 
 // placement is one neighborhood's Equation 7 problem as stated on a

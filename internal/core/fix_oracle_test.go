@@ -391,7 +391,7 @@ func runFixOracleCase(t *testing.T, c fixOracleCase) fixOracleStats {
 	for i := 0; i < ctx.nfec; i++ {
 		fec := ctx.fec(i)
 		if e.Opts.UseDifferential && !e.fecTouchesDiff(fec, ctx.diff) {
-			continue // as seekNeighborhoods does
+			continue // as the check loop's differential skip does
 		}
 		shapes := ix.shapesOn(ctx.src.PathIndices(i))
 		enc := newEncoder(e.Opts.UseTournament, ctx.acls, e.obsv())

@@ -2,10 +2,10 @@ package core
 
 // Per-FEC solve forensics: every check generation records, per FEC, the
 // route that established its verdict (differential skip, change-impact
-// replay, verdict cache, SAT-free pre-filter, packet-set backend, SAT
-// solver, or a pset bail-out that fell through to SAT) and the time the
-// complete-backend decision took. The slices live on the generation's
-// checkCtx and cost two words per FEC; materializing them into
+// replay, verdict cache, packet-set backend, SAT solver, or a pset
+// bail-out that fell through to SAT) and the time the complete-backend
+// decision took. The slices live on the generation's checkCtx and cost
+// two words per FEC; materializing them into
 // CheckResult.Forensics happens only when Options.Forensics is set (or
 // a decision ledger is attached), so the default path stays allocation-
 // and output-inert.
@@ -17,14 +17,13 @@ package core
 type fecRoute uint8
 
 const (
-	routeNone      fecRoute = iota
-	routeSkip               // Theorem 4.1 differential fast path
-	routeImpact             // change-impact replay of the previous generation
-	routeCache              // verdict-cache replay
-	routePrefilter          // SAT-free pre-filter discharge
-	routePset               // packet-set backend decision
-	routeSAT                // SAT solver decision
-	routeSATBail            // pset attempt bailed out mid-solve; SAT decided
+	routeNone    fecRoute = iota
+	routeSkip             // Theorem 4.1 differential fast path
+	routeImpact           // change-impact replay of the previous generation
+	routeCache            // verdict-cache replay
+	routePset             // packet-set backend decision
+	routeSAT              // SAT solver decision
+	routeSATBail          // pset attempt bailed out mid-solve; SAT decided
 )
 
 func (r fecRoute) String() string {
@@ -35,8 +34,6 @@ func (r fecRoute) String() string {
 		return "impact"
 	case routeCache:
 		return "cache"
-	case routePrefilter:
-		return "prefilter"
 	case routePset:
 		return "pset"
 	case routeSAT:
@@ -62,7 +59,7 @@ type FECForensics struct {
 	CacheHit bool `json:"cache_hit,omitempty"`
 	// SolveNS is the complete-backend decision time in nanoseconds (the
 	// pset attempt plus, after a bail-out, the SAT solve; accumulated
-	// across retries). Zero for replayed and discharged FECs.
+	// across retries). Zero for skipped and replayed FECs.
 	SolveNS int64 `json:"solve_ns,omitempty"`
 	// Reason explains an "unknown" verdict.
 	Reason string `json:"reason,omitempty"`

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"jinjing/internal/acl"
 	"jinjing/internal/header"
 	"jinjing/internal/obs"
 	"jinjing/internal/sat"
@@ -38,9 +37,6 @@ const (
 	// overlaps the FEC. Depends on the global diff, so it is never
 	// cached across generations.
 	fecSkipped
-	// fecDischarged: provably consistent without a solver verdict (the
-	// SAT-free pre-filter, or a structurally-False violation formula).
-	fecDischarged
 	// fecPending: an encoded query awaiting a solver verdict.
 	fecPending
 	// fecOK: the query was UNSAT — decided now, in an earlier call, or
@@ -56,18 +52,17 @@ const (
 )
 
 // CacheStats reports the incremental-verification activity of one
-// primitive call: verdict-cache traffic, SAT-free pre-filter
-// discharges, and the change-impact analysis of the generation
-// (bindings whose encoded ACL pair changed since the cache's previous
-// generation, and the FECs reachable from them through the dependency
-// index). Counts are per-call deltas except ChangedBindings and
-// AffectedFECs, which describe the generation itself.
+// primitive call: verdict-cache traffic, the deciding backends, and the
+// change-impact analysis of the generation (bindings whose encoded ACL
+// pair changed since the cache's previous generation, and the FECs
+// reachable from them through the dependency index). Counts are
+// per-call deltas except ChangedBindings and AffectedFECs, which
+// describe the generation itself.
 type CacheStats struct {
-	FECCacheHits        int64
-	FECCacheMisses      int64
-	PrefilterDischarged int64
-	ChangedBindings     int
-	AffectedFECs        int
+	FECCacheHits    int64
+	FECCacheMisses  int64
+	ChangedBindings int
+	AffectedFECs    int
 
 	// Backend activity: FECs the packet-set backend decided, FECs it
 	// abandoned mid-solve on a cube-budget bail-out, and FECs handed to
@@ -77,12 +72,11 @@ type CacheStats struct {
 	SatSelected int64
 }
 
-// add folds another primitive's stats in (fix aggregates its own
-// consults plus its verification check's).
+// add folds another primitive's stats in (fix aggregates its own scan
+// plus its verification check's).
 func (s *CacheStats) add(t CacheStats) {
 	s.FECCacheHits += t.FECCacheHits
 	s.FECCacheMisses += t.FECCacheMisses
-	s.PrefilterDischarged += t.PrefilterDischarged
 	s.ChangedBindings += t.ChangedBindings
 	s.AffectedFECs += t.AffectedFECs
 	s.PsetDecided += t.PsetDecided
@@ -94,14 +88,13 @@ func (s *CacheStats) add(t CacheStats) {
 // carrying the generation-scoped impact numbers through unchanged.
 func (s CacheStats) since(base CacheStats) CacheStats {
 	return CacheStats{
-		FECCacheHits:        s.FECCacheHits - base.FECCacheHits,
-		FECCacheMisses:      s.FECCacheMisses - base.FECCacheMisses,
-		PrefilterDischarged: s.PrefilterDischarged - base.PrefilterDischarged,
-		ChangedBindings:     s.ChangedBindings,
-		AffectedFECs:        s.AffectedFECs,
-		PsetDecided:         s.PsetDecided - base.PsetDecided,
-		PsetBailout:         s.PsetBailout - base.PsetBailout,
-		SatSelected:         s.SatSelected - base.SatSelected,
+		FECCacheHits:    s.FECCacheHits - base.FECCacheHits,
+		FECCacheMisses:  s.FECCacheMisses - base.FECCacheMisses,
+		ChangedBindings: s.ChangedBindings,
+		AffectedFECs:    s.AffectedFECs,
+		PsetDecided:     s.PsetDecided - base.PsetDecided,
+		PsetBailout:     s.PsetBailout - base.PsetBailout,
+		SatSelected:     s.SatSelected - base.SatSelected,
 	}
 }
 
@@ -109,24 +102,21 @@ func (s CacheStats) since(base CacheStats) CacheStats {
 func recordCacheStats(o *obs.Observer, s CacheStats) {
 	o.Counter("fec.cache.hits").Add(s.FECCacheHits)
 	o.Counter("fec.cache.misses").Add(s.FECCacheMisses)
-	o.Counter("prefilter.discharged").Add(s.PrefilterDischarged)
 	o.Counter("backend.pset.selected").Add(s.PsetDecided)
 	o.Counter("backend.sat.selected").Add(s.SatSelected)
 	o.Counter("backend.bailout").Add(s.PsetBailout)
 }
 
-// fecVerdict is one cached verdict: the FEC's content key, whether its
-// Equation-3 query needed a solver verdict (hadJob) and how it came out
-// (violating), plus the lazily memoized canonical counterexample for
-// violating entries. witPkt is a witness packet restored from a
-// snapshot but not yet validated: witnessFor replays it only after
-// re-deriving the flipped-path set concretely (and drops it if the
-// packet is not a genuine counterexample), so stored bytes are never
-// trusted for correctness. Entries are immutable except wit/witPkt,
-// which are updated under the cache mutex.
+// fecVerdict is one cached verdict: the FEC's content key and how its
+// Equation-3 query came out (violating), plus the lazily memoized
+// canonical counterexample for violating entries. witPkt is a witness
+// packet restored from a snapshot but not yet validated: witnessFor
+// replays it only after re-deriving the flipped-path set concretely (and
+// drops it if the packet is not a genuine counterexample), so stored
+// bytes are never trusted for correctness. Entries are immutable except
+// wit/witPkt, which are updated under the cache mutex.
 type fecVerdict struct {
 	key       []uint64
-	hadJob    bool
 	violating bool
 	wit       *Violation
 	witPkt    *header.Packet
@@ -522,65 +512,11 @@ func (ctx *checkCtx) fecKey(i int) []uint64 {
 	return key
 }
 
-// pairTrivialID reports (and memoizes) whether the binding's encoded
-// before/after pair is trivially equivalent per the SAT-free
-// pre-filter. Safe for concurrent use (fix workers share the memo).
-func (ctx *checkCtx) pairTrivialID(id string) bool {
-	ctx.trivMu.Lock()
-	v, ok := ctx.pairTriv[id]
-	ctx.trivMu.Unlock()
-	if ok {
-		return v
-	}
-	// Syntactic legs first; then the exact set-algebra leg, sharing the
-	// pset backend's differential-bound construction (and its memo): the
-	// pair is equivalent iff its permitted sets coincide within the
-	// differential-rule bound. An unbound binding is unchanged.
-	ids, bound := ctx.ids[id]
-	res := !bound || ctx.pairSynUnchanged(ids) || ctx.pairExactEqual(ids)
-	ctx.trivMu.Lock()
-	ctx.pairTriv[id] = res
-	ctx.trivMu.Unlock()
-	return res
-}
-
-// pairSynUnchanged is the pre-filter's syntactic legs alone for an encoded
-// ID pair, cheapest-first: equal IDs (the common cloned-but-unchanged
-// case), then normalization (acl.TriviallyEquivalent: interval
-// subsumption and canonical reordering). It is what the pre-filter tries
-// first, and the pset backend's changed/unchanged classification, which
-// must never trigger the exact leg's set construction (pairExactEqual).
-// Sound: true guarantees decision-model equivalence.
-func (ctx *checkCtx) pairSynUnchanged(ids [2]int32) bool {
-	return ids[0] == ids[1] || acl.TriviallyEquivalent(ctx.acls[ids[0]], ctx.acls[ids[1]])
-}
-
-// fecPrefiltered reports whether the SAT-free pre-filter discharges the
-// FEC: no control intent governs any of its paths, and every encoded
-// before/after pair along them is trivially equivalent — so desired and
-// after decisions agree on every packet without building a formula.
-func (e *Engine) fecPrefiltered(ctx *checkCtx, fec topo.FEC) bool {
-	for _, p := range fec.Paths {
-		for _, c := range e.Controls {
-			if c.AppliesTo(p) {
-				return false
-			}
-		}
-		for _, b := range p.Bindings() {
-			if !ctx.pairTrivialID(b.ID()) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // resolveFEC classifies FEC i for this generation: the differential
 // skip first (never cached — it depends on the global diff), then the
-// change-impact replay and the verdict cache, then the SAT-free
-// pre-filter, and only then formula construction, on the session's
-// encoder. Must be called from one goroutine at a time; the resulting
-// state is memoized.
+// change-impact replay and the verdict cache, and only then a complete
+// decision procedure. Must be called from one goroutine at a time; the
+// resulting state is memoized.
 func (e *Engine) resolveFEC(ctx *checkCtx, i int) fecState {
 	if st := ctx.states[i]; st != fecUnresolved {
 		if st != fecUnknown {
@@ -613,24 +549,13 @@ func (e *Engine) resolveFEC(ctx *checkCtx, i int) fecState {
 		}
 		ctx.stats.FECCacheMisses++
 	}
-	if e.fecPrefiltered(ctx, fec) {
-		ctx.stats.PrefilterDischarged++
-		ctx.discharge(i, key)
-		ctx.routes[i] = routePrefilter
-		return fecDischarged
-	}
-	// The complete procedures come after the pre-filter discharge above, so
-	// the set of FECs that need one — and with it SolvedFECs and every
-	// reported count — is identical whichever answers. Either reads the
-	// FEC's distinct path shapes, compiled here and nowhere earlier. The
-	// set algebra decides first and skips formula construction,
-	// clausification, and CDCL search entirely; only a cube-budget bail-out
-	// (or a forced BackendSAT) falls through to a solver job. (Neither
-	// consults the builder before this point: a formula-level discharge
-	// would force every FEC through formula construction and, being a
-	// property of encoder simplifications, could not be replicated exactly
-	// by the algebra — the solver disposes of the structurally-false queries
-	// the pre-filter misses just as cheaply.)
+	// Every FEC past the skip and the replays needs a complete procedure,
+	// so SolvedFECs and every reported count are identical whichever
+	// answers. Either reads the FEC's distinct path shapes, compiled here
+	// and nowhere earlier. The set algebra decides first and skips formula
+	// construction, clausification, and CDCL search entirely; only a
+	// cube-budget bail-out (or a forced BackendSAT) falls through to a
+	// solver job.
 	shapes := e.compileShapes(ctx, fec)
 	ctx.pathShapes += int64(len(shapes))
 	if e.Opts.Backend != BackendSAT {
@@ -684,28 +609,11 @@ func (ctx *checkCtx) adopt(i int, ent *fecVerdict, route fecRoute) fecState {
 	ctx.stats.FECCacheHits++
 	ctx.entries[i] = ent
 	ctx.routes[i] = route
-	st := fecDischarged
-	if ent.hadJob {
-		if ent.violating {
-			st = fecViolating
-		} else {
-			st = fecOK
-		}
+	ctx.states[i] = fecOK
+	if ent.violating {
+		ctx.states[i] = fecViolating
 	}
-	ctx.states[i] = st
-	return st
-}
-
-// discharge records FEC i as provably consistent without a solver
-// verdict, caching the outcome under its content key. Cached keys are
-// copies, so an entry does not pin the generation's key arena.
-func (ctx *checkCtx) discharge(i int, key []uint64) {
-	ctx.states[i] = fecDischarged
-	if ctx.vc != nil {
-		ent := &fecVerdict{key: slices.Clone(key), hadJob: false}
-		ctx.entries[i] = ent
-		ctx.vc.insert(i, ent)
-	}
+	return ctx.states[i]
 }
 
 // markUnknown records that FEC i's query reached no verdict this call,
@@ -718,10 +626,12 @@ func (ctx *checkCtx) markUnknown(i int, reason string) {
 }
 
 // finishVerdict records a complete-backend verdict — a solver's or the
-// packet-set engine's — for FEC i, caching it under its content key.
-// Cached entries are backend-agnostic: hadJob records only that the FEC
-// needed a complete decision procedure, so a verdict decided by one
-// backend replays identically under any other.
+// packet-set engine's — for FEC i, caching it under its content key. It
+// is the only place a verdict decided in this process enters the cache
+// (Import restores snapshotted ones). Cached entries are
+// backend-agnostic, so a verdict decided by one backend replays
+// identically under any other; cached keys are copies, so an entry does
+// not pin the generation's key arena.
 func (ctx *checkCtx) finishVerdict(i int, key []uint64, violating bool) {
 	if violating {
 		ctx.states[i] = fecViolating
@@ -729,7 +639,7 @@ func (ctx *checkCtx) finishVerdict(i int, key []uint64, violating bool) {
 		ctx.states[i] = fecOK
 	}
 	if ctx.vc != nil {
-		ent := &fecVerdict{key: slices.Clone(key), hadJob: true, violating: violating}
+		ent := &fecVerdict{key: slices.Clone(key), violating: violating}
 		ctx.entries[i] = ent
 		ctx.vc.insert(i, ent)
 	}
@@ -740,10 +650,10 @@ func (ctx *checkCtx) finishJob(j checkJob, satisfiable bool) {
 	ctx.finishVerdict(j.fecIdx, j.key, satisfiable)
 }
 
-// solvedFECs counts the FECs in [0, last] whose Equation-3 query needed
-// a solver verdict — decided in this or an earlier call, or replayed
-// from the verdict cache. A pure function of the resolved states, so
-// warm and cold runs report the same number.
+// solvedFECs counts the FECs in [0, last] that the Theorem 4.1 skip did
+// not settle and that hold a verdict (or await one) — decided in this or
+// an earlier call, or replayed from the verdict cache. A pure function
+// of the resolved states, so warm and cold runs report the same number.
 func solvedFECs(ctx *checkCtx, last int) int {
 	n := 0
 	for i := 0; i <= last && i < len(ctx.states); i++ {

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"testing"
 
 	"jinjing/internal/acl"
@@ -175,50 +176,56 @@ func TestVerdictCacheResetsOnConfigChange(t *testing.T) {
 	}
 }
 
+// TestFixSkipsCachedConsistentFECs pins that fix seeks neighborhoods only
+// inside the FECs the check loop finds violating: each seek ends on one
+// UNSAT, so fix.iterations is the neighborhoods plus the violating FECs —
+// cold and after a prior check on the same engine, with and without the
+// differential filter. The plan after a check equals the cold plan.
 func TestFixSkipsCachedConsistentFECs(t *testing.T) {
-	// Without the differential filter every consistent FEC reaches the
-	// verdict cache, so a check-then-fix pipeline on one engine must
-	// replay the check's verdicts instead of re-seeking.
-	opts := core.DefaultOptions()
-	opts.UseDifferential = false
-	opts.FindAllViolations = true
-	opts.Verdicts = core.NewVerdictCache()
-	e := newRunningEngine(t, opts)
-	e.Check()
-	res, err := e.Fix()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Verified {
-		t.Fatal("fix did not verify")
-	}
-	if res.Stats.FECCacheHits == 0 {
-		t.Fatal("fix re-sought FECs the check already proved consistent")
-	}
-
-	// The fixing plan must equal the cold plan.
-	coldOpts := core.DefaultOptions()
-	coldOpts.UseDifferential = false
-	coldOpts.FindAllViolations = true
-	cold, err := newRunningEngine(t, coldOpts).Fix()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cold.Actions) != len(res.Actions) {
-		t.Fatalf("warm fix plan has %d actions, cold %d", len(res.Actions), len(cold.Actions))
-	}
-	for i := range cold.Actions {
-		if cold.Actions[i].String() != res.Actions[i].String() {
-			t.Fatalf("action %d differs: warm %v, cold %v", i, res.Actions[i], cold.Actions[i])
+	for _, differential := range []bool{true, false} {
+		base := core.DefaultOptions()
+		base.UseDifferential = differential
+		base.FindAllViolations = true
+		violating := len(newRunningEngine(t, base).Check().Violations)
+		if violating == 0 {
+			t.Fatal("the running example must be inconsistent")
+		}
+		var coldPlan string
+		for _, prior := range []bool{false, true} {
+			t.Run(fmt.Sprintf("differential=%v/prior-check=%v", differential, prior), func(t *testing.T) {
+				opts := base
+				opts.Verdicts = core.NewVerdictCache()
+				_, _, m := obsHarness(&opts)
+				e := newRunningEngine(t, opts)
+				if prior {
+					e.Check()
+				}
+				res, err := e.Fix()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !res.Verified {
+					t.Fatal("fix did not verify")
+				}
+				plan := fmt.Sprint(res.Actions)
+				if !prior {
+					coldPlan = plan
+				} else if plan != coldPlan {
+					t.Fatalf("plan after a check differs from the cold plan:\n%s\nwant:\n%s", plan, coldPlan)
+				}
+				c := m.Snapshot().Counters
+				if got, want := c["fix.iterations"], c["fix.neighborhoods"]+int64(violating); got != want {
+					t.Fatalf("fix.iterations = %d, want %d neighborhoods + %d violating FECs", got, c["fix.neighborhoods"], violating)
+				}
+			})
 		}
 	}
 }
 
-func TestPrefilterDischargesEqualPairs(t *testing.T) {
-	// Reordered disjoint rules and a redundant shadowed rule change the
-	// ACL's fingerprint but not its decision model: with the differential
-	// filter off, the SAT-free pre-filter must discharge the FECs without
-	// a formula.
+func TestDisjointReorderIsConsistentInPset(t *testing.T) {
+	// Reordered disjoint rules change the ACL's content but not its
+	// decision model: with the differential filter off, the set algebra
+	// must decide every FEC consistent.
 	before := papernet.Build()
 	after := before.Clone()
 	iface, err := after.LookupInterface("D:2")
@@ -235,15 +242,21 @@ func TestPrefilterDischargesEqualPairs(t *testing.T) {
 	opts.UseDifferential = false
 	opts.FindAllViolations = true
 	opts.Verdicts = core.NewVerdictCache()
+	opts.Forensics = true
 	res := core.New(before, after, papernet.Scope(), opts).Check()
-	if !res.Consistent {
+	if !res.Consistent || !res.Complete {
 		t.Fatalf("reordering disjoint rules broke consistency: %v", res.Violations)
 	}
-	if res.Stats.PrefilterDischarged == 0 {
-		t.Fatal("pre-filter discharged nothing")
+	if len(res.Forensics) != res.FECs {
+		t.Fatalf("%d forensics entries for %d FECs", len(res.Forensics), res.FECs)
 	}
-	if res.SolvedFECs != 0 {
-		t.Fatalf("no solver verdict should be needed, yet SolvedFECs=%d", res.SolvedFECs)
+	if res.SolvedFECs != res.FECs {
+		t.Fatalf("SolvedFECs=%d, want all %d: no FEC is skipped without the differential filter", res.SolvedFECs, res.FECs)
+	}
+	for _, f := range res.Forensics {
+		if f.Route != "pset" {
+			t.Fatalf("FEC %d took route %q, want pset", f.FEC, f.Route)
+		}
 	}
 }
 

@@ -231,7 +231,7 @@ func TestLedgerFuzzReplay(t *testing.T) {
 				solved++
 			}
 			switch d.Route {
-			case "skip", "impact", "cache", "prefilter", "pset", "sat", "sat-bailout":
+			case "skip", "impact", "cache", "pset", "sat", "sat-bailout":
 			default:
 				t.Fatalf("case %d: unexpected route %q", iter, d.Route)
 			}

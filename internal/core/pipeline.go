@@ -2,7 +2,6 @@ package core
 
 import (
 	"runtime"
-	"sync"
 
 	"jinjing/internal/acl"
 	"jinjing/internal/header"
@@ -103,23 +102,14 @@ type checkCtx struct {
 	// wit memoizes canonical witnesses per FEC for this generation.
 	wit map[int]*Violation
 
-	// trivMu guards pairTriv, the pre-filter's per-binding memo (fix
-	// workers probe it concurrently).
-	trivMu   sync.Mutex
-	pairTriv map[string]bool
-
-	// psetMu guards the differential-match and exact-equivalence memos
-	// shared by the pre-filter's exact leg and the pset backend.
-	psetMu sync.Mutex
-	diffMs map[[2]int32][]header.Match
-	pairEq map[[2]int32]bool
-
 	// walk interns what the generation's paths cross for the complete
 	// procedures, and encPairs is the table of distinct encoded pairs its
-	// indices point into (see pathWalk). Both grow as FECs reach a
-	// procedure; neither is shared across goroutines.
+	// indices point into (see pathWalk); diffMs memoizes each pair's
+	// differential-rule matches (see diffMatches). All three grow as FECs
+	// reach a procedure; none is shared across goroutines.
 	walk     *pathInterner
 	encPairs []encPair
+	diffMs   map[[2]int32][]header.Match
 
 	// Verdict-cache view for this generation: the bound cache, the
 	// change-impact bitmap (nil on the first generation), and the
@@ -148,7 +138,7 @@ func (e *Engine) checkContext(o *obs.Observer) *checkCtx {
 	if e.sess == nil || e.sess.tab != tab {
 		e.sess = &checkSession{tab: tab, enc: newEncoder(e.Opts.UseTournament, nil, o)}
 	}
-	ctx := &checkCtx{sess: e.sess, pairTriv: map[string]bool{}}
+	ctx := &checkCtx{sess: e.sess}
 	pairs := e.scopeACLPairs()
 	ctx.pairs = pairs
 	ctx.aclPairs = len(pairs)
@@ -182,18 +172,18 @@ func (e *Engine) checkContext(o *obs.Observer) *checkCtx {
 	return ctx
 }
 
-// solveCall is what one check call's solve phase shares across the
-// pipeline's stages (solve → scan → decideJob): the call's scope and
-// result, whether it finds every violation, and the observability
-// hooks — the phase span parenting the per-FEC "fec.solve" spans, the
-// all-backends and SAT-only decision-latency histograms, the progress
-// task, and the count of jobs that reached a verdict.
+// solveCall is what one call's solve phase shares across the pipeline's
+// stages (decide → scan → decideJob): the call's scope, whether it finds
+// every violation, the solver counters it reports into, and the
+// observability hooks — the phase span parenting the per-FEC "fec.solve"
+// spans, the all-backends and SAT-only decision-latency histograms, the
+// progress task, and the count of jobs that reached a verdict.
 type solveCall struct {
 	cn      *canceller
 	ctx     *checkCtx
-	res     *CheckResult
 	o       *obs.Observer
 	findAll bool
+	stats   *sat.Stats
 
 	span    *obs.Span
 	hist    *obs.Histogram // check.fec_solve_ns
@@ -202,24 +192,27 @@ type solveCall struct {
 	decided int
 }
 
-// solve is the detection pipeline of Algorithm 1: resolve → decide →
-// merge over the FEC index space [0, nfec), stopping at the first
-// violation unless FindAllViolations is set. Verdicts land in the per-FEC
-// states, so the merge — and with it hits, Unknown, SolvedFECs and the
-// witnesses — is a pure function of the states. Returns the ascending
-// violating FEC indices (one at most in first-violation mode) and the last
-// FEC index the scan semantically examined.
-func (e *Engine) solve(cn *canceller, ctx *checkCtx, res *CheckResult, root *obs.Span, o *obs.Observer) ([]int, int) {
-	sp := startPhase(root, res.Timings, "solve")
+// decide is the detection pipeline of Algorithm 1 and the one place a
+// FEC's verdict is established, for check and fix alike: resolve →
+// decide → merge over the FEC index space [0, nfec) under the caller's
+// solve-phase span, stopping at the first violation unless findAll.
+// Verdicts land in the per-FEC states, so the merge — and with it hits,
+// Unknown, SolvedFECs, the witnesses and the FECs fix seeks in — is a
+// pure function of the states. Solver counters accumulate into stats.
+// Returns the ascending violating FEC indices (one at most in
+// first-violation mode), the last FEC index the scan semantically
+// examined, and the count of jobs that reached a verdict.
+func (e *Engine) decide(cn *canceller, ctx *checkCtx, span *obs.Span, findAll bool, stats *sat.Stats) (hits []int, last, decided int) {
+	o := e.obsv()
 	c := &solveCall{
-		cn: cn, ctx: ctx, res: res, o: o, findAll: e.Opts.FindAllViolations,
-		span:    sp.sp,
+		cn: cn, ctx: ctx, o: o, findAll: findAll, stats: stats,
+		span:    span,
 		hist:    o.Histogram("check.fec_solve_ns"),
 		satHist: o.Histogram("fec.solve.ns{backend=sat}"),
 		task:    o.StartTask("check: FECs", int64(ctx.nfec)),
 	}
-	ctx.resolveSpan = sp.sp
-	last := ctx.nfec - 1
+	ctx.resolveSpan = span
+	last = ctx.nfec - 1
 	if !cn.cancelled() {
 		if first := e.scan(c); first >= 0 {
 			last = first
@@ -238,14 +231,12 @@ func (e *Engine) solve(cn *canceller, ctx *checkCtx, res *CheckResult, root *obs
 			}
 		}
 	}
-	var hits []int
 	for i := 0; i <= last; i++ {
 		if ctx.states[i] == fecViolating {
 			hits = append(hits, i)
 		}
 	}
-	sp.end(obs.KV("decided", c.decided), obs.KV("violations", len(hits)))
-	return hits, last
+	return hits, last, c.decided
 }
 
 // scan runs every FEC through resolve and decide, in order, on the
@@ -255,7 +246,7 @@ func (e *Engine) solve(cn *canceller, ctx *checkCtx, res *CheckResult, root *obs
 // stop builds no formula past the hit.
 //
 // Returns the FEC index of the violation the scan stops at, or -1 (always
-// -1 under FindAllViolations).
+// -1 in find-all mode).
 func (e *Engine) scan(c *solveCall) int {
 	ctx, sess := c.ctx, c.ctx.sess
 	if sess.seq == nil {
@@ -267,11 +258,11 @@ func (e *Engine) scan(c *solveCall) int {
 	sess.enc.acls = ctx.acls
 	c.cn.register(seq)
 	base := seq.Stats()
-	// Differential skip, cached-verdict replay, pre-filter and pset settle
-	// a FEC on the spot; the rest become solver jobs, decided right away.
+	// Differential skip, cached-verdict replay and pset settle a FEC on
+	// the spot; the rest become solver jobs, decided right away.
 	// A budget-exhausted job is Unknown and the scan continues (one
 	// pathological query must not starve the rest); a cancellation stops
-	// it, and solve marks what is left.
+	// it, and decide marks what is left.
 	hit := -1
 	for i := 0; i < ctx.nfec && !c.cn.cancelled(); i++ {
 		st := e.resolveFEC(ctx, i)
@@ -285,7 +276,7 @@ func (e *Engine) scan(c *solveCall) int {
 			break
 		}
 	}
-	recordSolverStats(c.o, &c.res.SolverStats, statsSince(seq.Stats(), base))
+	recordSolverStats(c.o, c.stats, statsSince(seq.Stats(), base))
 	ctx.maxNodes = int64(sess.enc.b.NumNodes())
 	return hit
 }

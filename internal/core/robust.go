@@ -270,23 +270,16 @@ func (e *Engine) decideJob(c *solveCall, solver *smt.Solver, j checkJob) fecStat
 	return ctx.states[j.fecIdx]
 }
 
-// collectUnknown gathers the FECs left without a verdict in [0, last]
-// into res.Unknown (ascending — the canonical order partial results are
-// reported in) and finalizes res.Complete plus the fec.unknown metric.
-func collectUnknown(ctx *checkCtx, res *CheckResult, last int, o *obs.Observer) {
+// unknownFECs lists the FECs left without a verdict in [0, last],
+// ascending — the canonical order partial results are reported in.
+func unknownFECs(ctx *checkCtx, last int) []UnknownFEC {
+	var out []UnknownFEC
 	for i := 0; i <= last && i < len(ctx.states); i++ {
 		if ctx.states[i] == fecUnknown {
-			res.Unknown = append(res.Unknown, UnknownFEC{
-				FEC:     i,
-				Classes: ctx.fec(i).Classes,
-				Reason:  ctx.unknownReason[i],
-			})
+			out = append(out, UnknownFEC{FEC: i, Classes: ctx.fec(i).Classes, Reason: ctx.unknownReason[i]})
 		}
 	}
-	res.Complete = len(res.Unknown) == 0
-	if !res.Complete {
-		o.Counter("fec.unknown").Add(int64(len(res.Unknown)))
-	}
+	return out
 }
 
 // sortUnknown orders blocking FECs ascending for deterministic refusal

@@ -263,15 +263,19 @@ func TestFaultWorkerPanicRecovered(t *testing.T) {
 // TestFaultPoolCollapseSequentialFallback crashes every job a fix pool
 // worker picks up (the every-hit ParallelJob schedule; the sequential
 // re-run does not fire it) and asserts the fallback finishes the fix with
-// the clean one-worker plan, every FEC's job having died exactly once.
-// With one worker there is no pool: nothing fires, nothing is recovered,
-// same plan.
+// the clean one-worker plan, every violating FEC's seek having died
+// exactly once. With one worker there is no pool: nothing fires, nothing
+// is recovered, same plan.
 func TestFaultPoolCollapseSequentialFallback(t *testing.T) {
 	clean, err := newRunningEngine(t, core.DefaultOptions()).Fix()
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := fmt.Sprint(clean.Actions)
+	violating := int64(len(newRunningEngine(t, findAllOpts()).Check().Violations))
+	if violating < 2 {
+		t.Fatalf("%d violating FECs: the pool needs two jobs to be a pool", violating)
+	}
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			defer faultinject.Reset()
@@ -292,7 +296,7 @@ func TestFaultPoolCollapseSequentialFallback(t *testing.T) {
 			}
 			jobs := int64(0)
 			if workers > 1 {
-				jobs = int64(e.NumFECs())
+				jobs = violating
 			}
 			if n := m.Snapshot().Counters["worker.panic.recovered"]; n != jobs {
 				t.Fatalf("worker.panic.recovered = %d, want %d (every pool job died once)", n, jobs)

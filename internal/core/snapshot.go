@@ -58,7 +58,6 @@ import (
 // use after a restore (see witnessFor).
 type VerdictEntry struct {
 	Key       []uint64
-	HadJob    bool
 	Violating bool
 	Witness   *header.Packet
 }
@@ -199,7 +198,6 @@ func (vc *VerdictCache) Export(e *Engine) *VerdictSnapshot {
 				}
 				ve := VerdictEntry{
 					Key:       append([]uint64(nil), ent.key...),
-					HadJob:    ent.hadJob,
 					Violating: ent.violating,
 				}
 				// Carry the witness packet: from the memoized violation,
@@ -341,13 +339,12 @@ func (vc *VerdictCache) Import(e *Engine, snap *VerdictSnapshot) error {
 			}
 			ent := &fecVerdict{
 				key:       arena[lo:len(arena):len(arena)],
-				hadJob:    en.HadJob,
 				violating: en.Violating,
 			}
 			// A restored witness packet stays unvalidated (witPkt, not
 			// wit) until witnessFor concretely re-checks it; packets on
 			// non-violating entries are meaningless and dropped.
-			if en.Witness != nil && en.HadJob && en.Violating {
+			if en.Witness != nil && en.Violating {
 				pkt := *en.Witness
 				ent.witPkt = &pkt
 			}

@@ -25,8 +25,8 @@ type FECDecision struct {
 	Verdict string `json:"verdict"`
 	// Route names how the verdict was established: "skip" (differential
 	// fast path), "impact" (change-impact replay), "cache" (verdict
-	// cache), "prefilter" (SAT-free discharge), "pset", "sat", or
-	// "sat-bailout" (pset attempt abandoned mid-solve).
+	// cache), "pset", "sat", or "sat-bailout" (pset attempt abandoned
+	// mid-solve).
 	Route string `json:"route"`
 	// CacheHit reports the verdict was replayed without solving.
 	CacheHit bool `json:"cache_hit,omitempty"`

@@ -3,8 +3,8 @@
 // prefix/range constraints), closed under intersection, subtraction, and
 // complement. It is an independent decision procedure for the questions
 // the SMT stack answers (ACL equivalence, region emptiness): the check
-// pipeline's complete packet-set backend and SAT-free pre-filter run on
-// it, and the tests cross-validate it against the solver pipeline — two
+// pipeline's complete packet-set backend runs on it, and the tests
+// cross-validate it against the solver pipeline — two
 // implementations with unrelated failure modes deciding the same
 // queries.
 package pset

@@ -304,9 +304,12 @@ func TestChaosSIGKILLMidJobRestart(t *testing.T) {
 		// Fire a job and kill while it may still be running; the tiny
 		// snapshot interval keeps the store's write path hot, so kills
 		// land mid-snapshot too.
+		// The URL is read here: the loop reassigns d while the POST may
+		// still be running.
+		url := d.url("/v1/sessions/fig1/check")
 		go func() {
 			body, _ := json.Marshal(&JobRequest{})
-			http.Post(d.url("/v1/sessions/fig1/check"), "application/json", bytes.NewReader(body)) //nolint:errcheck
+			http.Post(url, "application/json", bytes.NewReader(body)) //nolint:errcheck
 		}()
 		if last {
 			waitForFile(t, snapPath)

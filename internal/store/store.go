@@ -14,7 +14,7 @@
 //
 //	offset  size  field
 //	0       8     magic "jjvcsnp\n"
-//	8       2     version (currently 2)
+//	8       2     version (currently 3)
 //	10      2     reserved (zero)
 //	12      8     CRC-32C of the payload (zero-extended)
 //	20      ...   payload
@@ -26,8 +26,8 @@
 //	u32 nacls, nacls × (uvarint len + ACL text)   ACL contents (ACLs)
 //	u32 npairs, npairs × (uvarint, uvarint)      ACL-index pairs (Pairs)
 //	per FEC: uvarint count, then per entry:
-//	  u8 flags (bit0 hadJob, bit1 violating, bit2 witness,
-//	            bit3 rawKey; other bits invalid)
+//	  u8 flags (bit0 violating, bit1 witness, bit2 rawKey;
+//	            other bits invalid)
 //	  if witness: u32 SrcIP, u32 DstIP, u16 SrcPort, u16 DstPort,
 //	              u8 Proto (13 bytes)
 //	  if rawKey:  uvarint klen, klen × u64 key words
@@ -48,8 +48,10 @@
 // rawKey flag, keeping the encoding lossless.
 //
 // Version 1 stored 64-bit ACL fingerprint pairs instead of contents, and
-// its keys could name two different ACLs alike. A version-1 file decodes
-// to a StaleError: its session restores cold.
+// its keys could name two different ACLs alike. Version 2 carried a flag
+// for verdicts settled without a complete decision procedure, which no
+// entry has any more. A file of either version decodes to a StaleError:
+// its session restores cold.
 package store
 
 import (
@@ -69,7 +71,7 @@ import (
 // Version is the current snapshot format version. A file carrying any
 // other version decodes to a StaleError — the daemon falls back to a
 // cold start rather than guessing at another release's layout.
-const Version = 2
+const Version = 3
 
 const (
 	magic      = "jjvcsnp\n"
@@ -109,10 +111,9 @@ func IsStale(err error) bool {
 
 // entry flag bits.
 const (
-	flagHadJob    = 1 << 0
-	flagViolating = 1 << 1
-	flagWitness   = 1 << 2
-	flagRawKey    = 1 << 3
+	flagViolating = 1 << 0
+	flagWitness   = 1 << 1
+	flagRawKey    = 1 << 2
 )
 
 // Encode serializes a snapshot. The encoding is deterministic: equal
@@ -150,9 +151,6 @@ func Encode(snap *core.VerdictSnapshot) []byte {
 				}
 			}
 			var flags byte
-			if ent.HadJob {
-				flags |= flagHadJob
-			}
 			if ent.Violating {
 				flags |= flagViolating
 			}
@@ -368,13 +366,10 @@ func Decode(data []byte) (*core.VerdictSnapshot, error) {
 			if err != nil {
 				return nil, err
 			}
-			if flags&^byte(flagHadJob|flagViolating|flagWitness|flagRawKey) != 0 {
+			if flags&^byte(flagViolating|flagWitness|flagRawKey) != 0 {
 				return nil, &CorruptError{Reason: fmt.Sprintf("fec %d: invalid flags %#x", i, flags)}
 			}
-			ent := core.VerdictEntry{
-				HadJob:    flags&flagHadJob != 0,
-				Violating: flags&flagViolating != 0,
-			}
+			ent := core.VerdictEntry{Violating: flags&flagViolating != 0}
 			if flags&flagWitness != 0 {
 				var pkt header.Packet
 				if pkt.SrcIP, err = d.u32("witness src ip"); err != nil {

@@ -3,6 +3,7 @@ package store_test
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -32,8 +33,8 @@ func paperUpdate(n *topo.Network) *topo.Network {
 }
 
 // buildSnapshot runs the paper's running example warm and exports its
-// verdict cache — a realistic snapshot with both discharged and
-// solver-decided entries, violating and consistent verdicts.
+// verdict cache — a realistic snapshot with violating and consistent
+// verdicts.
 func buildSnapshot(t testing.TB) *core.VerdictSnapshot {
 	t.Helper()
 	before := papernet.Build()
@@ -142,30 +143,46 @@ func TestStoreVersionGate(t *testing.T) {
 	}
 }
 
-// TestStoreVersion1IsStale pins the upgrade path: a snapshot written in
-// the version-1 layout, whose key alphabet was 64-bit fingerprint pairs
-// rather than ACL contents, decodes to a StaleError — its session
-// restores cold — never to a snapshot or a CorruptError.
-func TestStoreVersion1IsStale(t *testing.T) {
-	var payload []byte
-	payload = binary.LittleEndian.AppendUint32(payload, 16)
-	payload = append(payload, "0123456789abcdef"...)
-	payload = binary.LittleEndian.AppendUint32(payload, 1) // nfec
-	payload = binary.LittleEndian.AppendUint32(payload, 1) // npairs
-	payload = binary.LittleEndian.AppendUint64(payload, 0x733815246a473619)
-	payload = binary.LittleEndian.AppendUint64(payload, 0x733815246a473619)
-	payload = append(payload, 1, 1, 1, 1) // one entry: had-job, key [1]
-	data := []byte("jjvcsnp\n")
-	data = binary.LittleEndian.AppendUint16(data, 1)
-	data = binary.LittleEndian.AppendUint16(data, 0)
-	data = binary.LittleEndian.AppendUint64(data, uint64(crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli))))
-	data = append(data, payload...)
-	snap, err := store.Decode(data)
-	if !store.IsStale(err) || store.IsCorrupt(err) {
-		t.Fatalf("version-1 file: got %v, %v; want a StaleError", snap, err)
+// TestStoreOldVersionsAreStale pins the upgrade path: a snapshot written
+// in an earlier layout decodes to a StaleError — its session restores
+// cold — never to a snapshot or a CorruptError. Version 1's key alphabet
+// was 64-bit fingerprint pairs rather than ACL contents; version 2 had a
+// flag bit for verdicts settled without a complete decision procedure.
+func TestStoreOldVersionsAreStale(t *testing.T) {
+	header := func(payload []byte) []byte {
+		var p []byte
+		p = binary.LittleEndian.AppendUint32(p, 16)
+		p = append(p, "0123456789abcdef"...)
+		p = binary.LittleEndian.AppendUint32(p, 1) // nfec
+		return append(p, payload...)
 	}
-	if !strings.Contains(err.Error(), "version 1") {
-		t.Fatalf("stale error does not name the version: %v", err)
+	var v1 []byte
+	v1 = binary.LittleEndian.AppendUint32(v1, 1) // npairs
+	v1 = binary.LittleEndian.AppendUint64(v1, 0x733815246a473619)
+	v1 = binary.LittleEndian.AppendUint64(v1, 0x733815246a473619)
+	v1 = append(v1, 1, 1, 1, 1) // one entry: had-job, key [1]
+	var v2 []byte
+	v2 = binary.LittleEndian.AppendUint32(v2, 1) // nacls
+	v2 = append(v2, byte(len("permit all")))
+	v2 = append(v2, "permit all"...)
+	v2 = binary.LittleEndian.AppendUint32(v2, 1) // npairs
+	v2 = append(v2, 0, 0)                        // pair (acl 0, acl 0)
+	v2 = append(v2, 1, 1, 1, 1)                  // one entry: had-job, key [1]
+	for version, payload := range map[uint16][]byte{1: header(v1), 2: header(v2)} {
+		t.Run(fmt.Sprintf("version=%d", version), func(t *testing.T) {
+			data := []byte("jjvcsnp\n")
+			data = binary.LittleEndian.AppendUint16(data, version)
+			data = binary.LittleEndian.AppendUint16(data, 0)
+			data = binary.LittleEndian.AppendUint64(data, uint64(crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli))))
+			data = append(data, payload...)
+			snap, err := store.Decode(data)
+			if !store.IsStale(err) || store.IsCorrupt(err) {
+				t.Fatalf("version-%d file: got %v, %v; want a StaleError", version, snap, err)
+			}
+			if !strings.Contains(err.Error(), fmt.Sprintf("version %d", version)) {
+				t.Fatalf("stale error does not name the version: %v", err)
+			}
+		})
 	}
 }
 
