@@ -153,8 +153,8 @@ type (
 	// Control is a resolved §6 reachability intent.
 	Control = core.Control
 	// VerdictCache caches per-FEC check verdicts across engines and
-	// snapshots, making re-checks after edits incremental (set
-	// Options.Verdicts).
+	// snapshots, making a session's re-checks after edits incremental
+	// (set Options.Verdicts; Run installs none).
 	VerdictCache = core.VerdictCache
 	// CacheStats reports one call's verdict-cache, backend and
 	// change-impact activity (see CheckResult.Stats / FixResult.Stats).
@@ -183,8 +183,8 @@ func DefaultOptions() Options { return core.DefaultOptions() }
 
 // NewVerdictCache returns an empty cross-engine FEC verdict cache.
 // Share one via Options.Verdicts across the engines of a session to
-// make re-checks after edits incremental; Run installs one
-// automatically.
+// make re-checks after edits incremental; Run, which checks each update
+// once, installs none.
 func NewVerdictCache() *VerdictCache { return core.NewVerdictCache() }
 
 // NewEngine builds an engine checking before against after within scope.

@@ -458,43 +458,6 @@ func (e *Engine) psetWitnessFEC(ctx *checkCtx, fec topo.FEC) (Violation, bool) {
 	return Violation{}, false
 }
 
-// replayWitness validates a snapshot-restored witness packet for FEC i
-// by concrete evaluation, returning the full canonical Violation when
-// the packet is a genuine counterexample: it must lie in the FEC's
-// class region and flip at least one path's desired-vs-after decision.
-// The flipped-path list is re-derived (never read from the snapshot),
-// and for an untampered snapshot it coincides with both cold
-// derivations — psetWitnessFEC's pathFlipsDesired scan and witnessFEC's
-// per-path model evaluation decide the same concrete predicate — so
-// replayed violations stay byte-identical to a cold run.
-func (e *Engine) replayWitness(ctx *checkCtx, i int, pkt header.Packet) (Violation, bool) {
-	fec := ctx.fec(i)
-	in := false
-	for _, c := range fec.Classes {
-		if c.Matches(pkt.DstIP) {
-			in = true
-			break
-		}
-	}
-	if !in {
-		return Violation{}, false
-	}
-	v := Violation{Packet: pkt, Classes: fec.Classes}
-	// A FEC's paths share hops, so the same binding's ACL pair decides
-	// the packet on many paths; memoize each binding's (before, after)
-	// decision for this packet across the flip scan.
-	memo := make(map[topo.ACLBinding]int8, 4*len(fec.Paths))
-	for _, p := range fec.Paths {
-		if e.pathFlipsDesired(ctx, memo, p, pkt) {
-			v.Paths = append(v.Paths, p)
-		}
-	}
-	if len(v.Paths) == 0 {
-		return Violation{}, false
-	}
-	return v, true
-}
-
 // pathFlipsDesired reports whether the path decides pkt differently from
 // its desired decision, by direct rule-list evaluation: the
 // desired decision is the before conjunction rewritten by the first

@@ -155,9 +155,10 @@ type Options struct {
 	// Scope/controls/encoding configuration replay cached per-FEC
 	// verdicts and memoized counterexamples for every FEC whose encoded
 	// ACL tuple is unchanged, byte-identical to a cold run. The cache
-	// resets itself when a differently-configured engine binds it. Run
-	// installs one automatically; direct Engine users opt in with
-	// NewVerdictCache. nil disables caching (every check is cold).
+	// resets itself when a differently-configured engine binds it. A
+	// jinjingd session installs one; Run does not, and direct Engine
+	// users opt in with NewVerdictCache. nil disables caching (every
+	// check is cold).
 	Verdicts *VerdictCache
 }
 

@@ -208,8 +208,8 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 
 	// Verify: the fixed snapshot must pass check. The verification
 	// engine is derived from this one — same session, dependency index,
-	// and verdict cache — so it re-solves only the FECs the fixing plan
-	// touched and replays the rest.
+	// and verdict cache, when one is installed — so a session re-solves
+	// only the FECs the fixing plan touched and replays the rest.
 	recordCacheStats(o, res.Stats) // fix's own scan; the check records its own
 	vp := startPhase(root, res.Timings, "verify")
 	ver := e.derived(fixed, vp.sp)

@@ -1,14 +1,13 @@
 package core
 
 // Per-FEC solve forensics: every check generation records, per FEC, the
-// route that established its verdict (differential skip, change-impact
-// replay, verdict cache, packet-set backend, SAT solver, or a pset
-// bail-out that fell through to SAT) and the time the complete-backend
-// decision took. The slices live on the generation's checkCtx and cost
-// two words per FEC; materializing them into
-// CheckResult.Forensics happens only when Options.Forensics is set (or
-// a decision ledger is attached), so the default path stays allocation-
-// and output-inert.
+// route that established its verdict (differential skip, verdict-cache
+// replay, packet-set backend, SAT solver, or a pset bail-out that fell
+// through to SAT) and the time the complete-backend decision took. The
+// slices live on the generation's checkCtx and cost two words per FEC;
+// materializing them into CheckResult.Forensics happens only when
+// Options.Forensics is set (or a decision ledger is attached), so the
+// default path stays allocation- and output-inert.
 
 // fecRoute names how a FEC's verdict was established within a
 // generation. Routes describe the first resolution: a warm re-Check on
@@ -19,8 +18,7 @@ type fecRoute uint8
 const (
 	routeNone    fecRoute = iota
 	routeSkip             // Theorem 4.1 differential fast path
-	routeImpact           // change-impact replay of the previous generation
-	routeCache            // verdict-cache replay
+	routeCache            // verdict-cache replay under a full key match
 	routePset             // packet-set backend decision
 	routeSAT              // SAT solver decision
 	routeSATBail          // pset attempt bailed out mid-solve; SAT decided
@@ -30,8 +28,6 @@ func (r fecRoute) String() string {
 	switch r {
 	case routeSkip:
 		return "skip"
-	case routeImpact:
-		return "impact"
 	case routeCache:
 		return "cache"
 	case routePset:
@@ -44,9 +40,6 @@ func (r fecRoute) String() string {
 	return "none"
 }
 
-// cacheHit reports the verdict was replayed rather than re-established.
-func (r fecRoute) cacheHit() bool { return r == routeImpact || r == routeCache }
-
 // FECForensics is one examined FEC's solve forensics.
 type FECForensics struct {
 	// FEC is the canonical FEC index.
@@ -55,7 +48,7 @@ type FECForensics struct {
 	Verdict string `json:"verdict"`
 	// Route names how the verdict was established; see fecRoute.
 	Route string `json:"route"`
-	// CacheHit reports a replayed verdict (route "impact" or "cache").
+	// CacheHit reports a replayed verdict (route "cache").
 	CacheHit bool `json:"cache_hit,omitempty"`
 	// SolveNS is the complete-backend decision time in nanoseconds (the
 	// pset attempt plus, after a bail-out, the SAT solve; accumulated
@@ -87,12 +80,10 @@ func (ctx *checkCtx) forensicsList(last int) []FECForensics {
 			continue
 		}
 		f := FECForensics{
-			FEC:     i,
-			Verdict: verdictString(st),
-			Route:   ctx.routes[i].String(),
-		}
-		if ctx.routes[i].cacheHit() {
-			f.CacheHit = true
+			FEC:      i,
+			Verdict:  verdictString(st),
+			Route:    ctx.routes[i].String(),
+			CacheHit: ctx.routes[i] == routeCache,
 		}
 		if ctx.solveNS != nil {
 			f.SolveNS = ctx.solveNS[i]

@@ -269,8 +269,9 @@ func (e *Engine) GenerateContext(callCtx context.Context, sources []topo.ACLBind
 
 	// Verify: the generated snapshot must pass check. The verification
 	// engine is derived from this one — same session, dependency index,
-	// and verdict cache — so repeated generate/verify rounds in a session
-	// re-solve only the FECs whose synthesized ACLs changed.
+	// and verdict cache, when one is installed — so repeated
+	// generate/verify rounds in a session re-solve only the FECs whose
+	// synthesized ACLs changed.
 	vp := startPhase(root, res.Timings, "verify")
 	ver := e.derived(gen, vp.sp)
 	cr := ver.CheckContext(callCtx)

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"jinjing/internal/header"
 	"jinjing/internal/obs"
 	"jinjing/internal/sat"
 	"jinjing/internal/smt"
@@ -16,14 +15,15 @@ import (
 )
 
 // This file is the incremental-verification subsystem: a cross-engine
-// FEC verdict cache, the change-impact analysis that decides which FECs
+// FEC verdict cache, the change-impact analysis that reports which FECs
 // an edit can reach, and the glue that lets check replay cached
 // verdicts (and memoized counterexamples) byte-identically to a cold
 // run. The design is content-addressed: a FEC's verdict is a pure
 // function of the encoded before/after ACL contents along its paths
 // (plus the engine's controls and encoding mode, which bind the cache),
-// so "invalidation" is simply a changed key — repair iterations and
-// operator edits miss only on the FECs they actually touch.
+// so "invalidation" is simply a changed key — operator edits miss only
+// on the FECs they actually touch. Every replay compares the full key;
+// the change-impact analysis only reports the scope of an edit.
 
 // fecState classifies one FEC within a check generation (one After
 // snapshot). States are resolved lazily in FEC order and memoized on
@@ -45,9 +45,9 @@ const (
 	// fecViolating: the query was SAT.
 	fecViolating
 	// fecUnknown: the query reached no verdict this call — its budget
-	// survived every retry or the call was cancelled. Never cached (the
-	// FEC's entry stays nil, so commitGeneration publishes nothing for
-	// it) and retried from scratch by the next call on this generation.
+	// survived every retry or the call was cancelled. Never cached (see
+	// markUnknown) and retried from scratch by the next call on this
+	// generation.
 	fecUnknown
 )
 
@@ -109,17 +109,12 @@ func recordCacheStats(o *obs.Observer, s CacheStats) {
 
 // fecVerdict is one cached verdict: the FEC's content key and how its
 // Equation-3 query came out (violating), plus the lazily memoized
-// canonical counterexample for violating entries. witPkt is a witness
-// packet restored from a snapshot but not yet validated: witnessFor
-// replays it only after re-deriving the flipped-path set concretely (and
-// drops it if the packet is not a genuine counterexample), so stored
-// bytes are never trusted for correctness. Entries are immutable except
-// wit/witPkt, which are updated under the cache mutex.
+// canonical counterexample for violating entries. Entries are immutable
+// except wit, which is set under the cache mutex.
 type fecVerdict struct {
 	key       []uint64
 	violating bool
 	wit       *Violation
-	witPkt    *header.Packet
 }
 
 // VerdictCache caches per-FEC check verdicts across engines and After
@@ -130,9 +125,10 @@ type fecVerdict struct {
 // configurations. Within one configuration, entries are keyed by the
 // ordered tuple of encoded before/after ACL contents along each FEC's
 // paths, as IDs of the cache's ACL table: any edit (an operator's
-// update, a fix iteration's repair rule) changes the keys of exactly the
-// FECs it can affect, and every other FEC replays its cached verdict.
-// Safe for concurrent use.
+// update, a fix's repair rules) changes the keys of exactly the FECs it
+// can affect, and every other FEC replays its cached verdict. A jinjingd
+// session holds one; a one-shot Run installs none. Safe for concurrent
+// use.
 type VerdictCache struct {
 	mu     sync.Mutex
 	bound  bool
@@ -144,12 +140,10 @@ type VerdictCache struct {
 	// comparison resolving hash collisions.
 	byFEC []map[uint64][]*fecVerdict
 
-	// lastPairs/lastGen snapshot the previous generation — each binding's
-	// encoded ID pair and the per-FEC entries of the last committed
-	// check — powering the change-impact fast path: an unaffected FEC
-	// replays its previous entry without even hashing its key.
+	// lastPairs is each binding's encoded ID pair in the last committed
+	// check: the baseline the change-impact analysis measures an edit
+	// against.
 	lastPairs map[string][2]int32
-	lastGen   []*fecVerdict
 
 	// acls is the ACL table of every engine bound to the cache; key words
 	// name its IDs (see pairWord). It has its own lock and survives bind
@@ -159,8 +153,8 @@ type VerdictCache struct {
 }
 
 // NewVerdictCache returns an empty cache. Share one across the engines
-// of an interactive session (Run installs one automatically) to make
-// re-checks after edits incremental.
+// of an interactive session to make re-checks after edits incremental;
+// Run, which checks each update once, installs none.
 func NewVerdictCache() *VerdictCache { return &VerdictCache{} }
 
 // cacheConfig digests the engine state a cached verdict depends on
@@ -203,7 +197,7 @@ func (vc *VerdictCache) bind(e *Engine, nfec int) {
 	vc.bound = true
 	vc.before, vc.scope, vc.cfg = e.Before, e.Scope, cfg
 	vc.byFEC = make([]map[uint64][]*fecVerdict, nfec)
-	vc.lastPairs, vc.lastGen = nil, nil
+	vc.lastPairs = nil
 }
 
 // pairWord is a bound binding slot's key word: its encoded (before,
@@ -307,25 +301,6 @@ func (vc *VerdictCache) memoWitness(ent *fecVerdict, v *Violation) {
 	}
 }
 
-// witnessPacket returns the entry's restored-but-unvalidated witness
-// packet (nil when none), cleared once a memoized witness exists.
-func (vc *VerdictCache) witnessPacket(ent *fecVerdict) *header.Packet {
-	vc.mu.Lock()
-	defer vc.mu.Unlock()
-	if ent.wit != nil {
-		return nil
-	}
-	return ent.witPkt
-}
-
-// dropWitnessPacket discards a restored witness packet that failed
-// concrete validation, so later calls go straight to re-derivation.
-func (vc *VerdictCache) dropWitnessPacket(ent *fecVerdict) {
-	vc.mu.Lock()
-	defer vc.mu.Unlock()
-	ent.witPkt = nil
-}
-
 // depIndex maps each binding ID to the (deduplicated, ascending) FEC
 // indices whose paths traverse it — the dependency index of the
 // change-impact analysis. Built once per engine and shared with
@@ -354,7 +329,9 @@ func (e *Engine) depIndex() map[string][]int {
 
 // prepareIncremental sizes the generation's per-FEC resolution state,
 // binds the verdict cache, and runs the change-impact analysis against
-// the cache's previous generation. Idempotent per context.
+// the cache's previous generation — a scope report (ChangedBindings,
+// AffectedFECs); every replay still goes through fecKey. Idempotent per
+// context.
 func (e *Engine) prepareIncremental(ctx *checkCtx) {
 	if ctx.incReady {
 		return
@@ -407,7 +384,7 @@ func (e *Engine) prepareIncremental(ctx *checkCtx) {
 	ctx.keyArena = make([]uint64, off[n])
 
 	vc.mu.Lock()
-	lastPairs, lastGen := vc.lastPairs, vc.lastGen
+	lastPairs := vc.lastPairs
 	vc.mu.Unlock()
 	if lastPairs == nil {
 		return
@@ -415,8 +392,7 @@ func (e *Engine) prepareIncremental(ctx *checkCtx) {
 	// Change-impact analysis: a binding changed when its encoded ID pair
 	// differs from the previous generation's (including bindings present
 	// in only one of the two); the affected FECs are those reachable from
-	// a changed binding through the dependency index. Everything else
-	// replays its previous entry directly.
+	// a changed binding through the dependency index.
 	changed := map[string]bool{}
 	for id, ids := range ctx.ids {
 		if old, ok := lastPairs[id]; !ok || old != ids {
@@ -430,18 +406,17 @@ func (e *Engine) prepareIncremental(ctx *checkCtx) {
 	}
 	ctx.stats.ChangedBindings = len(changed)
 	dep := e.depIndex()
-	ctx.affected = make([]bool, n)
+	affected := make([]bool, n)
 	naff := 0
 	for id := range changed {
 		for _, i := range dep[id] {
-			if !ctx.affected[i] {
-				ctx.affected[i] = true
+			if !affected[i] {
+				affected[i] = true
 				naff++
 			}
 		}
 	}
 	ctx.stats.AffectedFECs = naff
-	ctx.lastGen = lastGen
 }
 
 // slotIndex interns fecKey's binding slots: ids assigns every on-path
@@ -514,9 +489,9 @@ func (ctx *checkCtx) fecKey(i int) []uint64 {
 
 // resolveFEC classifies FEC i for this generation: the differential
 // skip first (never cached — it depends on the global diff), then the
-// change-impact replay and the verdict cache, and only then a complete
-// decision procedure. Must be called from one goroutine at a time; the
-// resulting state is memoized.
+// verdict cache under the FEC's full content key, and only then a
+// complete decision procedure. Must be called from one goroutine at a
+// time; the resulting state is memoized.
 func (e *Engine) resolveFEC(ctx *checkCtx, i int) fecState {
 	if st := ctx.states[i]; st != fecUnresolved {
 		if st != fecUnknown {
@@ -540,16 +515,13 @@ func (e *Engine) resolveFEC(ctx *checkCtx, i int) fecState {
 	}
 	var key []uint64
 	if ctx.vc != nil {
-		if ctx.affected != nil && !ctx.affected[i] && ctx.lastGen != nil && i < len(ctx.lastGen) && ctx.lastGen[i] != nil {
-			return ctx.adopt(i, ctx.lastGen[i], routeImpact)
-		}
 		key = ctx.fecKey(i)
 		if ent := ctx.vc.lookup(i, key); ent != nil {
-			return ctx.adopt(i, ent, routeCache)
+			return ctx.adopt(i, ent)
 		}
 		ctx.stats.FECCacheMisses++
 	}
-	// Every FEC past the skip and the replays needs a complete procedure,
+	// Every FEC past the skip and the replay needs a complete procedure,
 	// so SolvedFECs and every reported count are identical whichever
 	// answers. Either reads the FEC's distinct path shapes, compiled here
 	// and nowhere earlier. The set algebra decides first and skips formula
@@ -603,12 +575,11 @@ func (e *Engine) resolveFEC(ctx *checkCtx, i int) fecState {
 	return fecPending
 }
 
-// adopt replays a cached entry as FEC i's state for this generation,
-// recording the replay route (change-impact or verdict-cache).
-func (ctx *checkCtx) adopt(i int, ent *fecVerdict, route fecRoute) fecState {
+// adopt replays a cached entry as FEC i's state for this generation.
+func (ctx *checkCtx) adopt(i int, ent *fecVerdict) fecState {
 	ctx.stats.FECCacheHits++
 	ctx.entries[i] = ent
-	ctx.routes[i] = route
+	ctx.routes[i] = routeCache
 	ctx.states[i] = fecOK
 	if ent.violating {
 		ctx.states[i] = fecViolating
@@ -617,9 +588,9 @@ func (ctx *checkCtx) adopt(i int, ent *fecVerdict, route fecRoute) fecState {
 }
 
 // markUnknown records that FEC i's query reached no verdict this call,
-// and why. Unlike finishJob it writes no cache entry: entries[i] stays
-// nil, so commitGeneration never publishes an Unknown as a verdict and
-// the next unrestricted run re-solves the FEC cold.
+// and why. Unlike finishJob it writes no cache entry, so an Unknown is
+// never replayed as a verdict and the next unrestricted run re-solves
+// the FEC cold.
 func (ctx *checkCtx) markUnknown(i int, reason string) {
 	ctx.states[i] = fecUnknown
 	ctx.unknownReason[i] = reason
@@ -667,7 +638,8 @@ func solvedFECs(ctx *checkCtx, last int) int {
 
 // witnessFor returns FEC i's counterexample, replaying the generation
 // memo or the cache entry's memoized witness when present and computing
-// the canonical witness otherwise. The bool reports a replay.
+// the canonical witness otherwise (a snapshot-restored entry carries
+// none). The bool reports a replay.
 func (e *Engine) witnessFor(ctx *checkCtx, i int, res *CheckResult, o *obs.Observer) (Violation, bool) {
 	if v, ok := ctx.wit[i]; ok {
 		return *v, true
@@ -677,20 +649,6 @@ func (e *Engine) witnessFor(ctx *checkCtx, i int, res *CheckResult, o *obs.Obser
 		if w := ctx.vc.witness(ent); w != nil {
 			ctx.wit[i] = w
 			return *w, true
-		}
-		// A snapshot-restored witness packet replays only after concrete
-		// validation: the flipped-path set is re-derived by direct
-		// rule-list evaluation, and a packet that flips nothing (damage,
-		// tampering) is dropped and the witness re-derived from scratch —
-		// stored bytes are never trusted for correctness.
-		if pkt := ctx.vc.witnessPacket(ent); pkt != nil {
-			if v, ok := e.replayWitness(ctx, i, *pkt); ok {
-				w := &v
-				ctx.wit[i] = w
-				ctx.vc.memoWitness(ent, w)
-				return v, true
-			}
-			ctx.vc.dropWitnessPacket(ent)
 		}
 	}
 	// The set-algebra witness is attempted first for every violating FEC
@@ -739,28 +697,15 @@ func (e *Engine) witnessFEC(ctx *checkCtx, i int) (Violation, sat.Stats) {
 	return v, s.Stats()
 }
 
-// commitGeneration publishes this generation as the cache's previous
-// one: each binding's encoded ID pair plus each FEC's entry — resolved
-// this generation, or carried over when the change-impact analysis
-// proved the FEC unaffected. Idempotent; the last committing engine
-// (an operator check, a fix verification) wins, which is exactly the
-// snapshot the next edit diffs against.
+// commitGeneration publishes this generation's binding pairs as the
+// baseline the next change-impact analysis measures against. Idempotent;
+// the last committing engine (an operator check, a fix verification)
+// wins, which is exactly the snapshot the next edit diffs against.
 func (ctx *checkCtx) commitGeneration() {
 	if ctx.vc == nil {
 		return
 	}
-	vc := ctx.vc
-	vc.mu.Lock()
-	defer vc.mu.Unlock()
-	newGen := make([]*fecVerdict, ctx.nfec)
-	for i := range newGen {
-		switch {
-		case ctx.entries[i] != nil:
-			newGen[i] = ctx.entries[i]
-		case ctx.affected != nil && !ctx.affected[i] && i < len(ctx.lastGen):
-			newGen[i] = ctx.lastGen[i]
-		}
-	}
-	vc.lastGen = newGen
-	vc.lastPairs = ctx.ids
+	ctx.vc.mu.Lock()
+	ctx.vc.lastPairs = ctx.ids
+	ctx.vc.mu.Unlock()
 }

@@ -231,12 +231,12 @@ func TestLedgerFuzzReplay(t *testing.T) {
 				solved++
 			}
 			switch d.Route {
-			case "skip", "impact", "cache", "pset", "sat", "sat-bailout":
+			case "skip", "cache", "pset", "sat", "sat-bailout":
 			default:
 				t.Fatalf("case %d: unexpected route %q", iter, d.Route)
 			}
-			if d.CacheHit && (d.Route != "impact" && d.Route != "cache") {
-				t.Fatalf("case %d: cache hit on route %q", iter, d.Route)
+			if d.CacheHit != (d.Route == "cache") {
+				t.Fatalf("case %d: cache_hit=%v on route %q", iter, d.CacheHit, d.Route)
 			}
 		}
 	}

@@ -111,12 +111,8 @@ type checkCtx struct {
 	encPairs []encPair
 	diffMs   map[[2]int32][]header.Match
 
-	// Verdict-cache view for this generation: the bound cache, the
-	// change-impact bitmap (nil on the first generation), and the
-	// previous generation's entries.
-	vc       *VerdictCache
-	affected []bool
-	lastGen  []*fecVerdict
+	// vc is the bound verdict cache (nil when none is installed).
+	vc *VerdictCache
 
 	stats CacheStats
 }

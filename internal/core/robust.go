@@ -16,10 +16,9 @@ package core
 //
 //   - A query that still has no verdict yields Unknown. Unknown is a
 //     first-class outcome: check reports the FEC in CheckResult.Unknown
-//     (and never caches it — see commitGeneration, which only publishes
-//     resolved entries), while fix and generate refuse to build plans
-//     on top of it and return ErrUnknownVerdicts naming what blocked
-//     them.
+//     (and never caches it — see markUnknown), while fix and generate
+//     refuse to build plans on top of it and return ErrUnknownVerdicts
+//     naming what blocked them.
 //
 // faultinject hooks sit on the same paths so the fault lane can drive
 // injected timeouts, panics, and transient errors through exactly the

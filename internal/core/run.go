@@ -63,14 +63,9 @@ func Run(r *lai.Resolved, opts Options) (*Report, error) {
 // Options.Deadline, applied per primitive call) bounds every command.
 // A check left incomplete is reported in its CheckResult (see Print's
 // UNDECIDED line); a fix or generate blocked by unknown verdicts
-// aborts the run with an *ErrUnknownVerdicts.
+// aborts the run with an *ErrUnknownVerdicts. A run installs no verdict
+// cache: it checks one update, and Options.Verdicts is used as given.
 func RunContext(ctx context.Context, r *lai.Resolved, opts Options) (*Report, error) {
-	if opts.Verdicts == nil {
-		// One program run is one session: check → fix → check pipelines
-		// share verdicts, so later stages re-solve only what earlier
-		// stages' edits touched.
-		opts.Verdicts = NewVerdictCache()
-	}
 	e := FromResolved(r, opts)
 	rep := &Report{Final: r.After}
 	root := opts.Obs.StartSpan("run", obs.KV("commands", len(r.Commands)))

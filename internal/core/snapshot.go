@@ -8,7 +8,6 @@ import (
 	"strconv"
 
 	"jinjing/internal/acl"
-	"jinjing/internal/header"
 )
 
 // This file is the durable-warm-state surface of the verdict cache:
@@ -27,39 +26,20 @@ import (
 // Import interns them by content, and lookups compare full keys, so an
 // entry replays only where the rebuilt engine encodes the same contents.
 //
-// Deliberately excluded from the snapshot:
-//   - The change-impact generation state (lastPairs/lastGen): adopting
-//     a lastGen entry replays it without re-deriving its key, so a
-//     tampered-but-well-formed snapshot could otherwise inject wrong
-//     verdicts through the one path that skips key validation. The
-//     first post-restore check runs key-addressed lookups instead —
-//     the same hit rate, one extra key derivation per FEC.
-//   - Unknown verdicts: they are never cached in memory either
-//     (entries stay nil), so the invariant survives the round trip.
-//
-// Memoized witnesses ARE carried — as bare packets, never as trusted
-// violations. Re-deriving a counterexample costs a solver (or
-// set-algebra) pass per violating FEC, which would make the first
-// post-restore find-all check nearly as slow as a cold one; instead
-// witnessFor validates a restored packet by direct concrete evaluation
-// (it must flip a path's desired-vs-after decision inside the FEC's
-// class region) and re-derives the flipped-path list itself, falling
-// back to full recomputation when validation fails. Stored bytes still
-// decide nothing: a damaged or tampered packet is dropped, and an
-// accepted one is by construction a genuine counterexample.
+// A snapshot holds verdicts only. The change-impact baseline
+// (lastPairs) is not carried, so the first post-restore check reports
+// no edit scope; unknown verdicts are never cached, in memory or on
+// disk; and memoized witnesses are not carried, so a restored violating
+// FEC re-derives its counterexample exactly as a cold run does.
 
 // VerdictEntry is one exported cache entry: the FEC's content key and
 // the verdict recorded under it. Key words reference the snapshot's
 // pair table — one word per binding slot along the FEC's paths, 0 for
 // an unbound slot or w for Pairs[w-1], the slot's encoded (before,
-// after) ACL pair. Witness, when set, is the memoized
-// counterexample's packet — only the packet; the flipped-path list is
-// re-derived and the packet itself concretely re-validated on first
-// use after a restore (see witnessFor).
+// after) ACL pair.
 type VerdictEntry struct {
 	Key       []uint64
 	Violating bool
-	Witness   *header.Packet
 }
 
 // VerdictSnapshot is the exportable state of a bound VerdictCache.
@@ -196,22 +176,10 @@ func (vc *VerdictCache) Export(e *Engine) *VerdictSnapshot {
 						used[w] = true
 					}
 				}
-				ve := VerdictEntry{
+				ents = append(ents, VerdictEntry{
 					Key:       append([]uint64(nil), ent.key...),
 					Violating: ent.violating,
-				}
-				// Carry the witness packet: from the memoized violation,
-				// or forward a restored-but-never-replayed packet so a
-				// snapshot→restore→snapshot cycle does not shed it.
-				switch {
-				case ent.wit != nil:
-					pkt := ent.wit.Packet
-					ve.Witness = &pkt
-				case ent.witPkt != nil:
-					pkt := *ent.witPkt
-					ve.Witness = &pkt
-				}
-				ents = append(ents, ve)
+				})
 			}
 		}
 		snap.Entries[i] = ents
@@ -291,7 +259,7 @@ func (vc *VerdictCache) Import(e *Engine, snap *VerdictSnapshot) error {
 	vc.bound = true
 	vc.before, vc.scope, vc.cfg = e.Before, e.Scope, cfg
 	vc.byFEC = make([]map[uint64][]*fecVerdict, nfec)
-	vc.lastPairs, vc.lastGen = nil, nil
+	vc.lastPairs = nil
 	if snap.NFEC != nfec || len(snap.Entries) != nfec {
 		return fmt.Errorf("core: verdict snapshot has %d FECs, engine has %d", snap.NFEC, nfec)
 	}
@@ -337,18 +305,10 @@ func (vc *VerdictCache) Import(e *Engine, snap *VerdictSnapshot) error {
 				}
 				arena = append(arena, w)
 			}
-			ent := &fecVerdict{
+			vc.insertLocked(i, &fecVerdict{
 				key:       arena[lo:len(arena):len(arena)],
 				violating: en.Violating,
-			}
-			// A restored witness packet stays unvalidated (witPkt, not
-			// wit) until witnessFor concretely re-checks it; packets on
-			// non-violating entries are meaningless and dropped.
-			if en.Witness != nil && en.Violating {
-				pkt := *en.Witness
-				ent.witPkt = &pkt
-			}
-			vc.insertLocked(i, ent)
+			})
 		}
 	}
 	return nil

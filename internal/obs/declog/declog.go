@@ -24,9 +24,8 @@ type FECDecision struct {
 	// Verdict is "consistent", "violating", or "unknown".
 	Verdict string `json:"verdict"`
 	// Route names how the verdict was established: "skip" (differential
-	// fast path), "impact" (change-impact replay), "cache" (verdict
-	// cache), "pset", "sat", or "sat-bailout" (pset attempt abandoned
-	// mid-solve).
+	// fast path), "cache" (verdict-cache replay under a full key match),
+	// "pset", "sat", or "sat-bailout" (pset attempt abandoned mid-solve).
 	Route string `json:"route"`
 	// CacheHit reports the verdict was replayed without solving.
 	CacheHit bool `json:"cache_hit,omitempty"`

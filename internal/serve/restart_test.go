@@ -128,6 +128,28 @@ func TestDaemonRestartWarm(t *testing.T) {
 	}
 }
 
+// TestRestartKeepsStickyUpdated pins that a restart keeps the updated
+// snapshot a job made sticky, not the one the PUT loaded: after PUT
+// (edit1), a POST of edit2 and a drain, a bodyless re-check on the
+// restarted daemon reports edit2, exactly as a cold run on edit2 does.
+func TestRestartKeepsStickyUpdated(t *testing.T) {
+	want, put := coldReport(t, edit2), coldReport(t, edit1)
+	if want == put {
+		t.Fatal("edit1 and edit2 must report differently")
+	}
+	dir := t.TempDir()
+	warmSessionThenClose(t, dir)
+
+	_, ts2 := restartDaemon(t, Config{StateDir: dir})
+	status, res, raw := postCheck(t, ts2, "fig1", &JobRequest{})
+	if status != http.StatusOK {
+		t.Fatalf("post-restart check: status %d, body %s", status, raw)
+	}
+	if res.Report != want {
+		t.Fatalf("restart reverted the sticky updated snapshot:\ngot:\n%s\nwant (edit2):\n%s", res.Report, want)
+	}
+}
+
 // TestDaemonRestartKillRecovery simulates a SIGKILL: the daemon is
 // never closed — only the periodic snapshot pass has run — and a second
 // daemon over the same directory must still restore warm.

@@ -77,11 +77,14 @@ type Config struct {
 	// restarts: each PUT persists the session's build recipe (manifest)
 	// and the verdict cache is snapshotted on a periodic interval, on
 	// idle eviction, and at shutdown — all atomically, so a crash at
-	// any moment leaves readable state. After a restart, a request
-	// naming a persisted session rehydrates it lazily on first use;
-	// torn, corrupt, or version-mismatched state degrades to a cold
-	// start (counted in daemon.restore.{ok,corrupt,stale}), never a
-	// wrong verdict.
+	// any moment leaves readable state. Those persists also rewrite the
+	// manifest when a job has posted a new sticky updated snapshot, so a
+	// restart checks the snapshot in effect at the last persist (after a
+	// drain, the last one accepted; after a crash, possibly an earlier
+	// one). After a restart, a request naming a persisted session
+	// rehydrates it lazily on first use; torn, corrupt, or
+	// version-mismatched state degrades to a cold start (counted in
+	// daemon.restore.{ok,corrupt,stale}), never a wrong verdict.
 	StateDir string
 	// SnapshotInterval is the cadence of the periodic verdict-cache
 	// snapshot pass when StateDir is set. 0 defaults to 30s; negative
@@ -440,12 +443,16 @@ func (s *Server) snapshotAll() {
 	}
 }
 
-// persistLocked snapshots one session's verdict cache (sess.mu held).
+// persistLocked snapshots one session's verdict cache (sess.mu held),
+// after rewriting its manifest when a job's sticky edit has changed it.
 // A cache with nothing to export (never bound — no job ran yet) is
 // skipped silently; a write failure is counted and the dirty flag kept
 // so the next pass retries.
 func (s *Server) persistLocked(name string, sess *session) {
 	if s.state == nil {
+		return
+	}
+	if sess.recipeDirty && !s.saveRecipeLocked(name, sess) {
 		return
 	}
 	snap := sess.engine.ExportVerdicts()
@@ -460,11 +467,23 @@ func (s *Server) persistLocked(name string, sess *session) {
 	s.observer.Counter("daemon.snapshots.written").Inc()
 }
 
+// saveRecipeLocked writes the session's manifest (sess.mu held),
+// reporting success; a failure is counted.
+func (s *Server) saveRecipeLocked(name string, sess *session) bool {
+	if err := s.state.saveManifest(name, sess.recipe); err != nil {
+		s.observer.Counter("daemon.snapshots.errors").Inc()
+		return false
+	}
+	sess.recipeDirty = false
+	return true
+}
+
 // rehydrate rebuilds a persisted session after a restart: the manifest
-// replays the original PUT, and the verdict snapshot — when readable
-// and matching the rebuilt engine's configuration digest — re-warms the
-// cache. Any damage along the way degrades to a cold session (or, for
-// a damaged manifest, no session), never a wrong verdict.
+// replays the PUT (with the last persisted sticky updated snapshot),
+// and the verdict snapshot — when readable and matching the rebuilt
+// engine's configuration digest — re-warms the cache. Any damage along
+// the way degrades to a cold session (or, for a damaged manifest, no
+// session), never a wrong verdict.
 func (s *Server) rehydrate(name string) *session {
 	if s.state == nil || !validSessionName(name) || s.draining.Load() {
 		return nil
@@ -621,12 +640,14 @@ func (s *Server) handleSessionPut(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusOK
 	}
 	if s.state != nil {
-		// Persist the build recipe; the old snapshot (if any) belongs to
-		// the replaced session's configuration and must not linger.
+		// Persist the build recipe under the session lock, so it cannot
+		// overwrite a sticky edit a job has persisted meanwhile; the old
+		// snapshot (if any) belongs to the replaced session's
+		// configuration and must not linger.
+		sess.mu.Lock()
 		s.state.removeSnapshot(name)
-		if err := s.state.saveManifest(name, req); err != nil {
-			s.observer.Counter("daemon.snapshots.errors").Inc()
-		}
+		s.saveRecipeLocked(name, sess)
+		sess.mu.Unlock()
 	}
 	s.observer.Counter("daemon.sessions.loaded").Inc()
 	writeJSON(w, status, sess.info())

@@ -38,8 +38,14 @@ type session struct {
 	// posts an Updated snapshot, which then stays in effect ("sticky")
 	// for subsequent jobs until replaced — the operator loop's edit.
 	current *lai.Resolved
-	engine  *core.Engine
-	cache   *core.VerdictCache
+	// recipe is the session's manifest: the PUT request with Updated
+	// replaced by the last snapshot a job posted, so a restart rebuilds
+	// the session in effect. recipeDirty marks a sticky edit the manifest
+	// on disk does not hold yet; the next persist writes it.
+	recipe      *SessionRequest
+	recipeDirty bool
+	engine      *core.Engine
+	cache       *core.VerdictCache
 	// baseOpts is the per-job option template: paper defaults plus the
 	// session's PUT-time defaults, observer, ledger, and cache. Each job
 	// layers its own overrides on a copy.
@@ -126,6 +132,7 @@ func newSession(name string, req *SessionRequest, o *obs.Observer, ledger *declo
 		program:    prog,
 		programSrc: req.Program,
 		current:    resolved,
+		recipe:     req,
 		cache:      cache,
 		baseOpts:   opts,
 		ledger:     ledger,
@@ -204,6 +211,9 @@ func (s *session) runLocked(ctx context.Context, jobID, kind string, req *JobReq
 		// warm path.
 		s.engine.UpdateAfter(r.After)
 		s.current = r
+		recipe := *s.recipe
+		recipe.Updated = req.Updated
+		s.recipe, s.recipeDirty = &recipe, true
 	}
 
 	// Per-job options: session template, then the job's overrides, then

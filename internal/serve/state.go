@@ -14,8 +14,9 @@ import (
 )
 
 // stateStore is the daemon's durable state directory: per session, a
-// JSON manifest (the exact PUT-time SessionRequest, enough to rebuild
-// the engine from scratch) and a binary verdict-cache snapshot
+// JSON manifest (the PUT-time SessionRequest carrying the sticky updated
+// snapshot last persisted, enough to rebuild the session from scratch)
+// and a binary verdict-cache snapshot
 // (internal/store's checksummed format). Both files are written
 // atomically, so a crash at any moment leaves each at its previous
 // complete contents. Layout:

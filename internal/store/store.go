@@ -1,6 +1,7 @@
-// Package store persists core.VerdictSnapshot values durably: a
-// versioned, checksummed binary encoding written atomically (temp file
-// + fsync + rename + parent-directory fsync), so a reader sees either
+// Package store persists core.VerdictSnapshot values — a daemon
+// session's cached verdicts and nothing else — durably: a versioned,
+// checksummed binary encoding written atomically (temp file + fsync +
+// rename + parent-directory fsync), so a reader sees either
 // the previous complete snapshot or the new complete snapshot, never a
 // torn one. The decoder is defensive — every length field is validated
 // against the remaining payload before allocation, a checksum guards
@@ -14,7 +15,7 @@
 //
 //	offset  size  field
 //	0       8     magic "jjvcsnp\n"
-//	8       2     version (currently 3)
+//	8       2     version (currently 4)
 //	10      2     reserved (zero)
 //	12      8     CRC-32C of the payload (zero-extended)
 //	20      ...   payload
@@ -26,13 +27,9 @@
 //	u32 nacls, nacls × (uvarint len + ACL text)   ACL contents (ACLs)
 //	u32 npairs, npairs × (uvarint, uvarint)      ACL-index pairs (Pairs)
 //	per FEC: uvarint count, then per entry:
-//	  u8 flags (bit0 violating, bit1 witness, bit2 rawKey;
-//	            other bits invalid)
-//	  if witness: u32 SrcIP, u32 DstIP, u16 SrcPort, u16 DstPort,
-//	              u8 Proto (13 bytes)
-//	  if rawKey:  uvarint klen, klen × u64 key words
-//	  else:       uvarint nslots, nslots × uvarint key word
-//	              (0 = unbound slot, w ≤ npairs = Pairs[w-1])
+//	  u8 flags (bit0 violating; other bits invalid)
+//	  uvarint nslots, nslots × uvarint key word
+//	  (0 = unbound slot, w ≤ npairs = Pairs[w-1])
 //
 // Each distinct ACL content the keys name is stored once, in the rule
 // syntax the network JSON already carries (acl.ACL.String, read back
@@ -41,17 +38,16 @@
 // corrupt.
 //
 // Verdict key words are already references into the snapshot's pair
-// table (core.VerdictSnapshot.Pairs) — one per binding slot — so the
-// common case stores one varint per slot. The decoder validates every
-// reference against the table; an entry whose words exceed it (only
-// possible in a hand-built snapshot) is carried verbatim under the
-// rawKey flag, keeping the encoding lossless.
+// table (core.VerdictSnapshot.Pairs) — one per binding slot — so each
+// slot is one varint. The decoder validates every reference against the
+// table; a word past it (which Export never produces) is corrupt.
 //
 // Version 1 stored 64-bit ACL fingerprint pairs instead of contents, and
 // its keys could name two different ACLs alike. Version 2 carried a flag
 // for verdicts settled without a complete decision procedure, which no
-// entry has any more. A file of either version decodes to a StaleError:
-// its session restores cold.
+// entry has any more. Version 3 carried memoized witness packets and an
+// escape for key words past the pair table. A file of any of these
+// versions decodes to a StaleError: its session restores cold.
 package store
 
 import (
@@ -65,13 +61,12 @@ import (
 	"jinjing/internal/acl"
 	"jinjing/internal/core"
 	"jinjing/internal/faultinject"
-	"jinjing/internal/header"
 )
 
 // Version is the current snapshot format version. A file carrying any
 // other version decodes to a StaleError — the daemon falls back to a
 // cold start rather than guessing at another release's layout.
-const Version = 3
+const Version = 4
 
 const (
 	magic      = "jjvcsnp\n"
@@ -109,21 +104,16 @@ func IsStale(err error) bool {
 	return errors.As(err, &s)
 }
 
-// entry flag bits.
-const (
-	flagViolating = 1 << 0
-	flagWitness   = 1 << 1
-	flagRawKey    = 1 << 2
-)
+// flagViolating is an entry's one flag bit.
+const flagViolating = 1 << 0
 
 // Encode serializes a snapshot. The encoding is deterministic: equal
 // snapshots (core.Export canonicalizes the pair table and sorts each
-// FEC's entries) encode to equal bytes.
+// FEC's entries) encode to equal bytes. A key word past the pair table,
+// which Export never produces, encodes but does not decode.
 func Encode(snap *core.VerdictSnapshot) []byte {
 	var payload []byte
 	u32 := func(v uint32) { payload = binary.LittleEndian.AppendUint32(payload, v) }
-	u64 := func(v uint64) { payload = binary.LittleEndian.AppendUint64(payload, v) }
-	u16 := func(v uint16) { payload = binary.LittleEndian.AppendUint16(payload, v) }
 	uv := func(v uint64) { payload = binary.AppendUvarint(payload, v) }
 	u32(uint32(len(snap.Config)))
 	payload = append(payload, snap.Config...)
@@ -139,42 +129,17 @@ func Encode(snap *core.VerdictSnapshot) []byte {
 		uv(uint64(pair[0]))
 		uv(uint64(pair[1]))
 	}
-	npairs := uint64(len(snap.Pairs))
 	for _, ents := range snap.Entries {
 		uv(uint64(len(ents)))
 		for _, ent := range ents {
-			raw := false
-			for _, w := range ent.Key {
-				if w > npairs {
-					raw = true
-					break
-				}
-			}
 			var flags byte
 			if ent.Violating {
 				flags |= flagViolating
 			}
-			if ent.Witness != nil {
-				flags |= flagWitness
-			}
-			if raw {
-				flags |= flagRawKey
-			}
 			payload = append(payload, flags)
-			if ent.Witness != nil {
-				u32(ent.Witness.SrcIP)
-				u32(ent.Witness.DstIP)
-				u16(ent.Witness.SrcPort)
-				u16(ent.Witness.DstPort)
-				payload = append(payload, ent.Witness.Proto)
-			}
 			uv(uint64(len(ent.Key)))
 			for _, w := range ent.Key {
-				if raw {
-					u64(w)
-				} else {
-					uv(w)
-				}
+				uv(w)
 			}
 		}
 	}
@@ -212,24 +177,6 @@ func (d *decoder) u32(what string) (uint32, error) {
 	}
 	v := binary.LittleEndian.Uint32(d.data[d.off:])
 	d.off += 4
-	return v, nil
-}
-
-func (d *decoder) u64(what string) (uint64, error) {
-	if d.remaining() < 8 {
-		return 0, &CorruptError{Reason: "truncated " + what}
-	}
-	v := binary.LittleEndian.Uint64(d.data[d.off:])
-	d.off += 8
-	return v, nil
-}
-
-func (d *decoder) u16(what string) (uint16, error) {
-	if d.remaining() < 2 {
-		return 0, &CorruptError{Reason: "truncated " + what}
-	}
-	v := binary.LittleEndian.Uint16(d.data[d.off:])
-	d.off += 2
 	return v, nil
 }
 
@@ -339,15 +286,11 @@ func Decode(data []byte) (*core.VerdictSnapshot, error) {
 		Pairs:   table,
 		Entries: make([][]core.VerdictEntry, nfec),
 	}
-	// All key words accumulate into one arena, and entries get their
-	// slices carved out after the walk (append may relocate the backing
-	// array) — per-key allocations and growth copies dominate decode
-	// time otherwise. len(payload) words is a capacity heuristic, not a
-	// bound (a 1-byte slot reference expands to 3 words); append grows
-	// past it in the rare snapshots that exceed it.
-	arena := make([]uint64, 0, len(payload))
-	type keyRef struct{ fec, idx, lo, hi int }
-	var refs []keyRef
+	// All key words go into one arena — per-key allocations dominate
+	// decode time otherwise. Every word takes at least one payload byte,
+	// so the remaining payload bounds the arena, append never relocates
+	// it, and each entry's key is carved out as soon as it is read.
+	arena := make([]uint64, 0, d.remaining())
 	for i := 0; i < int(nfec); i++ {
 		count, err := d.uvarint("entry count")
 		if err != nil {
@@ -366,70 +309,35 @@ func Decode(data []byte) (*core.VerdictSnapshot, error) {
 			if err != nil {
 				return nil, err
 			}
-			if flags&^byte(flagViolating|flagWitness|flagRawKey) != 0 {
+			if flags&^byte(flagViolating) != 0 {
 				return nil, &CorruptError{Reason: fmt.Sprintf("fec %d: invalid flags %#x", i, flags)}
-			}
-			ent := core.VerdictEntry{Violating: flags&flagViolating != 0}
-			if flags&flagWitness != 0 {
-				var pkt header.Packet
-				if pkt.SrcIP, err = d.u32("witness src ip"); err != nil {
-					return nil, err
-				}
-				if pkt.DstIP, err = d.u32("witness dst ip"); err != nil {
-					return nil, err
-				}
-				if pkt.SrcPort, err = d.u16("witness src port"); err != nil {
-					return nil, err
-				}
-				if pkt.DstPort, err = d.u16("witness dst port"); err != nil {
-					return nil, err
-				}
-				if pkt.Proto, err = d.byte("witness proto"); err != nil {
-					return nil, err
-				}
-				ent.Witness = &pkt
 			}
 			lo := len(arena)
 			klen, err := d.uvarint("key length")
 			if err != nil {
 				return nil, err
 			}
-			if flags&flagRawKey != 0 {
-				if klen*8 > uint64(d.remaining()) {
-					return nil, &CorruptError{Reason: fmt.Sprintf("fec %d: key length %d exceeds payload", i, klen)}
-				}
-				for k := uint64(0); k < klen; k++ {
-					w, err := d.u64("key word")
-					if err != nil {
-						return nil, err
-					}
-					arena = append(arena, w)
-				}
-			} else {
-				// Each key word is at least 1 byte.
-				if klen > uint64(d.remaining()) {
-					return nil, &CorruptError{Reason: fmt.Sprintf("fec %d: key length %d exceeds payload", i, klen)}
-				}
-				for k := uint64(0); k < klen; k++ {
-					w, err := d.uvarint("key word")
-					if err != nil {
-						return nil, err
-					}
-					if w > uint64(len(table)) {
-						return nil, &CorruptError{Reason: fmt.Sprintf("fec %d: key word %d exceeds pair table (%d)", i, w, len(table))}
-					}
-					arena = append(arena, w)
-				}
+			// Each key word is at least 1 byte.
+			if klen > uint64(d.remaining()) {
+				return nil, &CorruptError{Reason: fmt.Sprintf("fec %d: key length %d exceeds payload", i, klen)}
 			}
+			for k := uint64(0); k < klen; k++ {
+				w, err := d.uvarint("key word")
+				if err != nil {
+					return nil, err
+				}
+				if w > uint64(len(table)) {
+					return nil, &CorruptError{Reason: fmt.Sprintf("fec %d: key word %d exceeds pair table (%d)", i, w, len(table))}
+				}
+				arena = append(arena, w)
+			}
+			ent := core.VerdictEntry{Violating: flags&flagViolating != 0}
 			if hi := len(arena); hi > lo {
-				refs = append(refs, keyRef{fec: i, idx: len(ents), lo: lo, hi: hi})
+				ent.Key = arena[lo:hi:hi]
 			}
 			ents = append(ents, ent)
 		}
 		snap.Entries[i] = ents
-	}
-	for _, r := range refs {
-		snap.Entries[r.fec][r.idx].Key = arena[r.lo:r.hi:r.hi]
 	}
 	if d.remaining() != 0 {
 		return nil, &CorruptError{Reason: fmt.Sprintf("%d trailing payload bytes", d.remaining())}

@@ -143,39 +143,52 @@ func TestStoreVersionGate(t *testing.T) {
 	}
 }
 
+// sealed frames a payload as a snapshot file of the given version, with
+// a matching checksum.
+func sealed(version uint16, payload []byte) []byte {
+	data := []byte("jjvcsnp\n")
+	data = binary.LittleEndian.AppendUint16(data, version)
+	data = binary.LittleEndian.AppendUint16(data, 0)
+	data = binary.LittleEndian.AppendUint64(data, uint64(crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli))))
+	return append(data, payload...)
+}
+
+// onePairPayload is a one-FEC payload whose ACL list and pair table
+// hold one "permit all" pair, followed by the given entry bytes.
+func onePairPayload(entries ...byte) []byte {
+	var p []byte
+	p = binary.LittleEndian.AppendUint32(p, 16)
+	p = append(p, "0123456789abcdef"...)
+	p = binary.LittleEndian.AppendUint32(p, 1) // nfec
+	p = binary.LittleEndian.AppendUint32(p, 1) // nacls
+	p = append(p, byte(len("permit all")))
+	p = append(p, "permit all"...)
+	p = binary.LittleEndian.AppendUint32(p, 1) // npairs
+	p = append(p, 0, 0)                        // pair (acl 0, acl 0)
+	return append(p, entries...)
+}
+
 // TestStoreOldVersionsAreStale pins the upgrade path: a snapshot written
 // in an earlier layout decodes to a StaleError — its session restores
 // cold — never to a snapshot or a CorruptError. Version 1's key alphabet
 // was 64-bit fingerprint pairs rather than ACL contents; version 2 had a
-// flag bit for verdicts settled without a complete decision procedure.
+// flag bit for verdicts settled without a complete decision procedure;
+// version 3 carried witness packets and raw keys.
 func TestStoreOldVersionsAreStale(t *testing.T) {
-	header := func(payload []byte) []byte {
-		var p []byte
-		p = binary.LittleEndian.AppendUint32(p, 16)
-		p = append(p, "0123456789abcdef"...)
-		p = binary.LittleEndian.AppendUint32(p, 1) // nfec
-		return append(p, payload...)
-	}
 	var v1 []byte
+	v1 = binary.LittleEndian.AppendUint32(v1, 16)
+	v1 = append(v1, "0123456789abcdef"...)
+	v1 = binary.LittleEndian.AppendUint32(v1, 1) // nfec
 	v1 = binary.LittleEndian.AppendUint32(v1, 1) // npairs
 	v1 = binary.LittleEndian.AppendUint64(v1, 0x733815246a473619)
 	v1 = binary.LittleEndian.AppendUint64(v1, 0x733815246a473619)
-	v1 = append(v1, 1, 1, 1, 1) // one entry: had-job, key [1]
-	var v2 []byte
-	v2 = binary.LittleEndian.AppendUint32(v2, 1) // nacls
-	v2 = append(v2, byte(len("permit all")))
-	v2 = append(v2, "permit all"...)
-	v2 = binary.LittleEndian.AppendUint32(v2, 1) // npairs
-	v2 = append(v2, 0, 0)                        // pair (acl 0, acl 0)
-	v2 = append(v2, 1, 1, 1, 1)                  // one entry: had-job, key [1]
-	for version, payload := range map[uint16][]byte{1: header(v1), 2: header(v2)} {
+	v1 = append(v1, 1, 1, 1, 1)      // one entry: had-job, key [1]
+	v2 := onePairPayload(1, 1, 1, 1) // one entry: had-job, key [1]
+	// One violating entry with a 13-byte witness packet, key [1].
+	v3 := onePairPayload(1, 0x03, 10, 0, 0, 1, 10, 0, 0, 2, 0, 80, 1, 187, 6, 1, 1)
+	for version, payload := range map[uint16][]byte{1: v1, 2: v2, 3: v3} {
 		t.Run(fmt.Sprintf("version=%d", version), func(t *testing.T) {
-			data := []byte("jjvcsnp\n")
-			data = binary.LittleEndian.AppendUint16(data, version)
-			data = binary.LittleEndian.AppendUint16(data, 0)
-			data = binary.LittleEndian.AppendUint64(data, uint64(crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli))))
-			data = append(data, payload...)
-			snap, err := store.Decode(data)
+			snap, err := store.Decode(sealed(version, payload))
 			if !store.IsStale(err) || store.IsCorrupt(err) {
 				t.Fatalf("version-%d file: got %v, %v; want a StaleError", version, snap, err)
 			}
@@ -183,6 +196,34 @@ func TestStoreOldVersionsAreStale(t *testing.T) {
 				t.Fatalf("stale error does not name the version: %v", err)
 			}
 		})
+	}
+}
+
+// TestStoreRejectsRetiredFlags pins that an entry flag other than
+// "violating" is corrupt: bits 1 and 2 once announced a witness packet
+// and a raw key, and a current snapshot holds verdicts only. Each entry
+// below is well-formed under the retired meaning of its flags.
+func TestStoreRejectsRetiredFlags(t *testing.T) {
+	for _, flags := range []byte{0x00, 0x01} {
+		snap, err := store.Decode(sealed(store.Version, onePairPayload(1, flags, 1, 1)))
+		if err != nil {
+			t.Fatalf("flags %#x: %v", flags, err)
+		}
+		if got := snap.Entries[0][0].Violating; got != (flags == 0x01) {
+			t.Fatalf("flags %#x decoded violating=%v", flags, got)
+		}
+	}
+	witness := []byte{10, 0, 0, 1, 10, 0, 0, 2, 0, 80, 1, 187, 6}
+	rawKey := []byte{1, 1, 0, 0, 0, 0, 0, 0, 0} // key length 1, one u64 word
+	for name, entry := range map[string][]byte{
+		"witness":           append(append([]byte{1, 0x03}, witness...), 1, 1),
+		"raw key":           append([]byte{1, 0x04}, rawKey...),
+		"witness + raw key": append(append([]byte{1, 0x06}, witness...), rawKey...),
+	} {
+		snap, err := store.Decode(sealed(store.Version, onePairPayload(entry...)))
+		if !store.IsCorrupt(err) || !strings.Contains(err.Error(), "invalid flags") {
+			t.Fatalf("%s: got %v, %v; want a CorruptError naming the flags", name, snap, err)
+		}
 	}
 }
 
