@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-full race fuzz fuzz-backends fuzz-snapshots faults daemon-test daemon-chaos lint bench bench-compare profile experiments examples vet fmt clean
+.PHONY: all build test test-full race fuzz fuzz-backends fuzz-snapshots faults daemon-test lint bench bench-compare profile experiments examples vet fmt clean
 
 all: build vet test
 
@@ -67,16 +67,11 @@ faults:
 # jinjingd daemon lane: the end-to-end warm-session suite (including
 # the warm-daemon vs cold-CLI byte-identity check, which builds the
 # jinjing binary — hence no -short), the concurrency/admission tests,
-# the restart-recovery suite, and the serve.job fault scenarios, all
-# under the race detector.
+# the restart-recovery suite, the process-level crash-and-restart chaos
+# tests (TestChaos*), and the serve.job fault scenarios, all under the
+# race detector.
 daemon-test:
 	$(GO) test -race -count=1 ./internal/serve ./internal/obs/serve
-
-# jinjingd chaos lane: crash-and-restart cycles under the race
-# detector — kill-during-snapshot, kill-during-drain, and repeated
-# crash/restore loops driven by the store fault-injection sites.
-daemon-chaos:
-	$(GO) test -race -count=1 -run 'TestChaos' ./internal/serve
 
 # Formatting + static checks; fails when any file needs gofmt.
 lint:

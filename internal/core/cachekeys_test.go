@@ -2,71 +2,69 @@ package core
 
 import (
 	"testing"
-	"unsafe"
 
 	"jinjing/internal/acl"
 	"jinjing/internal/header"
 	"jinjing/internal/netgen"
+	"jinjing/internal/topo"
 )
 
-// TestCacheKeysOwnTheirStorage pins that no verdict-cache entry's key
-// shares backing storage with a generation's key arena (see fecKey). An
-// entry holding an arena slice keeps the whole arena — one word per
-// binding slot of every FEC's paths — reachable for the cache's
-// lifetime, and a daemon session adds one arena per job.
-func TestCacheKeysOwnTheirStorage(t *testing.T) {
-	w := netgen.Build(netgen.DefaultConfig(netgen.Small, 9))
+// TestCacheKeyIsOneWordPerBinding pins the key layout: a cached verdict's
+// key holds one word per distinct binding its FEC's paths cross, however
+// many paths cross it. After a check and two cumulative edits on netgen
+// small, every entry's key is as long as its FEC's distinct on-path
+// binding count.
+func TestCacheKeyIsOneWordPerBinding(t *testing.T) {
+	w := netgen.Build(netgen.DefaultConfig(netgen.Small, 42))
 	opts := DefaultOptions()
+	opts.UseDifferential = false
+	opts.FindAllViolations = true
 	opts.Verdicts = NewVerdictCache()
-	e := WANFix(w, 3, opts)
-
-	type span struct{ lo, hi uintptr }
-	extent := func(s []uint64) span {
-		lo := uintptr(unsafe.Pointer(unsafe.SliceData(s)))
-		return span{lo, lo + uintptr(cap(s))*unsafe.Sizeof(uint64(0))}
-	}
-	var arenas [][]uint64 // holds every arena live until the scan below
-	generation := func() {
-		if e.ckctx != nil && cap(e.ckctx.keyArena) > 0 {
-			arenas = append(arenas, e.ckctx.keyArena)
-		}
-	}
-
-	if e.Check().Consistent {
-		t.Fatal("the perturbed WAN must be inconsistent")
-	}
-	generation()
-	res, err := e.Fix()
-	if err != nil {
-		t.Fatal(err)
-	}
-	generation()
-	e.UpdateAfter(res.Fixed)
+	cur := w.Perturb(43, 3)
+	e := New(w.Net, cur, w.Scope, opts)
 	e.Check()
-	generation()
-	if len(arenas) == 0 {
-		t.Fatal("no generation derived a key arena")
+	for k, id := range w.AggACLs[:2] {
+		cur = cur.Clone()
+		bs, err := netgen.Bindings(cur, []string{id})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := bs[0].Iface.ACL(bs[0].Dir)
+		deny := acl.Rule{Action: acl.Deny, Match: header.DstMatch(w.EdgePrefixes[w.EdgeNames[k]][0])}
+		a.Rules = append([]acl.Rule{deny}, a.Rules...)
+		e.UpdateAfter(cur)
+		e.Check()
 	}
 
+	distinct := make([]int, e.NumFECs())
+	slots, words := 0, 0
+	for i, fec := range e.FECs() {
+		seen := map[topo.ACLBinding]bool{}
+		for _, p := range fec.Paths {
+			for _, b := range p.Bindings() {
+				seen[b] = true
+				slots++
+			}
+		}
+		distinct[i] = len(seen)
+		words += len(seen)
+	}
+	if slots == words {
+		t.Fatalf("no FEC's paths share a binding (%d slots): the layout is untested", slots)
+	}
 	entries := 0
 	for i, m := range opts.Verdicts.byFEC {
 		for _, bucket := range m {
 			for _, ent := range bucket {
-				if cap(ent.key) == 0 {
-					continue
-				}
 				entries++
-				k := extent(ent.key)
-				for _, a := range arenas {
-					if x := extent(a); k.lo < x.hi && x.lo < k.hi {
-						t.Fatalf("FEC %d: cached key shares a generation's key arena", i)
-					}
+				if len(ent.key) != distinct[i] {
+					t.Fatalf("FEC %d: key of %d words, want one per distinct binding (%d)", i, len(ent.key), distinct[i])
 				}
 			}
 		}
 	}
-	if entries == 0 {
-		t.Fatal("the cache holds no keyed entries")
+	if entries <= e.NumFECs() {
+		t.Fatalf("%d cached entries over %d FECs: the edits added none", entries, e.NumFECs())
 	}
 }
 

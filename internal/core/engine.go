@@ -153,8 +153,8 @@ type Options struct {
 	// Verdicts, when set, is the cross-engine FEC verdict cache that
 	// makes re-checks incremental: engines bound to the same Before/
 	// Scope/controls/encoding configuration replay cached per-FEC
-	// verdicts and memoized counterexamples for every FEC whose encoded
-	// ACL tuple is unchanged, byte-identical to a cold run. The cache
+	// verdicts and memoized counterexamples for every FEC whose bindings
+	// carry unchanged encoded ACLs, byte-identical to a cold run. The cache
 	// resets itself when a differently-configured engine binds it. A
 	// jinjingd session installs one; Run does not, and direct Engine
 	// users opt in with NewVerdictCache. nil disables caching (every
@@ -203,20 +203,15 @@ type Engine struct {
 	fecSrc *topo.FECSource
 	fecs   []topo.FEC
 
-	// depIdx is the lazily built dependency index (binding ID -> FEC
-	// indices) of the change-impact analysis; Before-derived, so it is
-	// shared with derived verification engines and survives UpdateAfter.
-	depIdx map[string][]int
-
-	// slotIdx is the lazily built binding-slot interning behind fecKey:
-	// a dense index per on-path binding ID plus, per FEC, the index of
-	// each of its key slots in path order — so key derivation is slice
-	// indexing instead of per-slot string building and map hashing.
-	// Before-derived, shared with derived engines.
-	slotIdx *slotIndex
+	// bindIdx is the lazily built binding index: a dense index per
+	// on-path binding, each FEC's distinct bindings (its key layout and its
+	// change-impact reach), and the structure word a snapshot digests.
+	// Before-derived, so it is shared with derived verification engines
+	// and survives UpdateAfter.
+	bindIdx *bindingIndex
 
 	// snapDigest memoizes verdictSnapshotDigest for snapDigestN FECs:
-	// the digest hashes the engine's full path set, and a snapshotting
+	// the digest fingerprints every scoped Before ACL, and a snapshotting
 	// daemon recomputes it on every periodic Export. Engine-lifetime
 	// state like paths/fecs (everything it digests is Before-derived
 	// and fixed at construction).
@@ -246,7 +241,7 @@ func New(before, after *topo.Network, scope *topo.Scope, opts Options) *Engine {
 
 // UpdateAfter replaces the engine's After snapshot in place — the
 // incremental edit entry point. Every Before-derived artifact (paths,
-// classes, FECs, the dependency index), the solver session, and the
+// classes, FECs, the binding index), the solver session, and the
 // bound verdict cache survive; only the per-generation check state is
 // rebuilt, so the next Check re-solves just the FECs the edit can
 // reach and replays cached verdicts for the rest.
@@ -272,7 +267,7 @@ func (e *Engine) ReleaseSession() {
 
 // derived builds a verification engine over a new After snapshot that
 // shares the parent's Before-derived artifacts — paths, classes, FECs,
-// dependency index — and its solver session and verdict cache, so the
+// binding index — and its solver session and verdict cache, so the
 // verification re-checks of fix and generate only re-solve the FECs
 // their edits touched.
 func (e *Engine) derived(after *topo.Network, parent *obs.Span) *Engine {
@@ -283,7 +278,7 @@ func (e *Engine) derived(after *topo.Network, parent *obs.Span) *Engine {
 	return &Engine{
 		Before: e.Before, After: after, Scope: e.Scope,
 		Controls: e.Controls, Opts: opts, parentSpan: parent,
-		fecSrc: e.fecSrc, fecs: e.fecs, depIdx: e.depIdx, slotIdx: e.slotIdx,
+		fecSrc: e.fecSrc, fecs: e.fecs, bindIdx: e.bindIdx,
 		sess: e.sess, tab: e.aclTable(),
 	}
 }
@@ -327,11 +322,11 @@ func (e *Engine) FECs() []topo.FEC {
 	if e.fecs == nil {
 		e.fecs = e.fecSource().All()
 		if e.Opts.Verdicts != nil {
-			// Derive the binding slot index alongside the FEC structure it
+			// Derive the binding index alongside the FEC structure it
 			// mirrors: both are fixed for the engine's lifetime, and doing
 			// it here keeps the first cache-addressed check — notably the
 			// first check after a snapshot restore — off the hook.
-			e.fecSlotIndex()
+			e.bindingIndex()
 		}
 	}
 	return e.fecs

@@ -207,7 +207,7 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 	res.Fixed = fixed
 
 	// Verify: the fixed snapshot must pass check. The verification
-	// engine is derived from this one — same session, dependency index,
+	// engine is derived from this one — same session, binding index,
 	// and verdict cache, when one is installed — so a session re-solves
 	// only the FECs the fixing plan touched and replays the rest.
 	recordCacheStats(o, res.Stats) // fix's own scan; the check records its own

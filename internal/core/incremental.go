@@ -19,11 +19,11 @@ import (
 // an edit can reach, and the glue that lets check replay cached
 // verdicts (and memoized counterexamples) byte-identically to a cold
 // run. The design is content-addressed: a FEC's verdict is a pure
-// function of the encoded before/after ACL contents along its paths
-// (plus the engine's controls and encoding mode, which bind the cache),
-// so "invalidation" is simply a changed key — operator edits miss only
-// on the FECs they actually touch. Every replay compares the full key;
-// the change-impact analysis only reports the scope of an edit.
+// function of the encoded before/after ACL contents at the bindings its
+// paths cross (plus the engine's controls and encoding mode, which bind
+// the cache), so "invalidation" is simply a changed key — operator edits
+// miss only on the FECs they actually touch. Every replay compares the
+// full key; the change-impact analysis only reports the scope of an edit.
 
 // fecState classifies one FEC within a check generation (one After
 // snapshot). States are resolved lazily in FEC order and memoized on
@@ -54,10 +54,9 @@ const (
 // CacheStats reports the incremental-verification activity of one
 // primitive call: verdict-cache traffic, the deciding backends, and the
 // change-impact analysis of the generation (bindings whose encoded ACL
-// pair changed since the cache's previous generation, and the FECs
-// reachable from them through the dependency index). Counts are
-// per-call deltas except ChangedBindings and AffectedFECs, which
-// describe the generation itself.
+// pair changed since the cache's previous generation, and the FECs whose
+// paths cross one of them). Counts are per-call deltas except
+// ChangedBindings and AffectedFECs, which describe the generation itself.
 type CacheStats struct {
 	FECCacheHits    int64
 	FECCacheMisses  int64
@@ -123,12 +122,12 @@ type fecVerdict struct {
 // itself whenever a differently-configured engine touches it, so a
 // stale cache can never leak verdicts across incompatible
 // configurations. Within one configuration, entries are keyed by the
-// ordered tuple of encoded before/after ACL contents along each FEC's
-// paths, as IDs of the cache's ACL table: any edit (an operator's
-// update, a fix's repair rules) changes the keys of exactly the FECs it
-// can affect, and every other FEC replays its cached verdict. A jinjingd
-// session holds one; a one-shot Run installs none. Safe for concurrent
-// use.
+// encoded before/after ACL contents at each distinct binding the FEC's
+// paths cross (see fecKey), as IDs of the cache's ACL table: any edit
+// (an operator's update, a fix's repair rules) changes the keys of
+// exactly the FECs it can affect, and every other FEC replays its cached
+// verdict. A jinjingd session holds one; a one-shot Run installs none.
+// Safe for concurrent use.
 type VerdictCache struct {
 	mu     sync.Mutex
 	bound  bool
@@ -200,8 +199,8 @@ func (vc *VerdictCache) bind(e *Engine, nfec int) {
 	vc.lastPairs = nil
 }
 
-// pairWord is a bound binding slot's key word: its encoded (before,
-// after) ACL IDs in one word, never 0 (0 is an unbound slot).
+// pairWord is a bound binding's key word: its encoded (before, after)
+// ACL IDs in one word, never 0 (0 is an unbound binding).
 func pairWord(ids [2]int32) uint64 {
 	return (uint64(ids[0])<<32 | uint64(ids[1])) + 1
 }
@@ -212,12 +211,15 @@ func wordPair(w uint64) [2]int32 {
 	return [2]int32{int32(w >> 32), int32(uint32(w))}
 }
 
+// FNV-1a parameters: hashKey, the binding index's structure word and the
+// fingerprints fold words with them.
+const (
+	offset64 = 14695981039346656037
+	prime64  = 1099511628211
+)
+
 // hashKey is FNV-1a over the key words.
 func hashKey(key []uint64) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
 	h := uint64(offset64)
 	for _, w := range key {
 		h ^= w
@@ -301,32 +303,6 @@ func (vc *VerdictCache) memoWitness(ent *fecVerdict, v *Violation) {
 	}
 }
 
-// depIndex maps each binding ID to the (deduplicated, ascending) FEC
-// indices whose paths traverse it — the dependency index of the
-// change-impact analysis. Built once per engine and shared with
-// derived verification engines.
-func (e *Engine) depIndex() map[string][]int {
-	if e.depIdx == nil {
-		idx := map[string][]int{}
-		// Stream over the index vectors: no FEC materialization.
-		src, paths := e.fecSource(), e.Paths()
-		for i := 0; i < src.NumFECs(); i++ {
-			seen := map[string]bool{}
-			for _, pi := range src.PathIndices(i) {
-				for _, b := range paths[pi].Bindings() {
-					id := b.ID()
-					if !seen[id] {
-						seen[id] = true
-						idx[id] = append(idx[id], i)
-					}
-				}
-			}
-		}
-		e.depIdx = idx
-	}
-	return e.depIdx
-}
-
 // prepareIncremental sizes the generation's per-FEC resolution state,
 // binds the verdict cache, and runs the change-impact analysis against
 // the cache's previous generation — a scope report (ChangedBindings,
@@ -362,26 +338,17 @@ func (e *Engine) prepareIncremental(ctx *checkCtx) {
 	vc.bind(e, n)
 	ctx.vc = vc
 
-	// Project the generation's key words onto the interned binding slots,
-	// so fecKey derives keys by slice indexing instead of per-slot string
+	// Resolve the generation's key word for every indexed binding, so
+	// fecKey derives keys by slice indexing instead of per-binding string
 	// building and map hashing.
-	si := e.fecSlotIndex()
-	ctx.slots = si.slots
-	ctx.slotWord = make([]uint64, si.n)
+	bi := e.bindingIndex()
+	ctx.binds = bi.binds
+	ctx.bindWord = make([]uint64, len(bi.ids))
 	for id, ids := range ctx.ids {
-		if j, ok := si.ids[id]; ok {
-			ctx.slotWord[j] = pairWord(ids)
+		if j, ok := bi.ids[id]; ok {
+			ctx.bindWord[j] = pairWord(ids)
 		}
 	}
-	// Size one shared arena for every FEC's key (one word per slot,
-	// fixed for the generation): per-FEC key allocations otherwise
-	// dominate a fully-cached check.
-	off := make([]int, n+1)
-	for i, sl := range ctx.slots {
-		off[i+1] = off[i] + len(sl)
-	}
-	ctx.keyOff = off
-	ctx.keyArena = make([]uint64, off[n])
 
 	vc.mu.Lock()
 	lastPairs := vc.lastPairs
@@ -391,98 +358,121 @@ func (e *Engine) prepareIncremental(ctx *checkCtx) {
 	}
 	// Change-impact analysis: a binding changed when its encoded ID pair
 	// differs from the previous generation's (including bindings present
-	// in only one of the two); the affected FECs are those reachable from
-	// a changed binding through the dependency index.
-	changed := map[string]bool{}
+	// in only one of the two); the affected FECs are those whose binding
+	// list holds a changed binding.
+	changed := make([]uint64, (len(bi.ids)+63)/64)
+	mark := func(id string) {
+		ctx.stats.ChangedBindings++
+		if j, ok := bi.ids[id]; ok {
+			changed[j/64] |= 1 << (j % 64)
+		}
+	}
 	for id, ids := range ctx.ids {
 		if old, ok := lastPairs[id]; !ok || old != ids {
-			changed[id] = true
+			mark(id)
 		}
 	}
 	for id := range lastPairs {
 		if _, ok := ctx.ids[id]; !ok {
-			changed[id] = true
+			mark(id)
 		}
 	}
-	ctx.stats.ChangedBindings = len(changed)
-	dep := e.depIndex()
-	affected := make([]bool, n)
 	naff := 0
-	for id := range changed {
-		for _, i := range dep[id] {
-			if !affected[i] {
-				affected[i] = true
+	for _, binds := range bi.binds {
+		for _, j := range binds {
+			if changed[j/64]&(1<<(j%64)) != 0 {
 				naff++
+				break
 			}
 		}
 	}
 	ctx.stats.AffectedFECs = naff
 }
 
-// slotIndex interns fecKey's binding slots: ids assigns every on-path
-// binding ID a dense index, and slots[i] lists FEC i's key slots (in
-// fecKey's path order) as indices into ids. Before-derived and
-// immutable once built, so it is shared across generations and with
-// derived verification engines.
-type slotIndex struct {
-	ids   map[string]int32
-	n     int32
-	slots [][]int32
+// bindingIndex is the Before-derived index of the bindings the FECs'
+// paths cross: ids assigns every on-path binding ID a dense index, binds[i]
+// lists FEC i's distinct bindings in first-crossing order as indices into
+// ids, and structure digests what a key's meaning rests on — every path's
+// binding sequence and every FEC's classes. Built once per engine and
+// shared across generations and with derived verification engines.
+type bindingIndex struct {
+	ids       map[string]int32
+	binds     [][]int32
+	structure uint64
 }
 
-// fecSlotIndex builds (once) the engine's binding-slot interning. Called
-// only from the single-goroutine resolve setup (prepareIncremental),
-// like depIndex.
-func (e *Engine) fecSlotIndex() *slotIndex {
-	if e.slotIdx != nil {
-		return e.slotIdx
+// bindingIndex builds (once) the engine's binding index in one walk of
+// the FECs' paths. Called from FECs when a cache is installed and from
+// the single-goroutine resolve setup (prepareIncremental).
+func (e *Engine) bindingIndex() *bindingIndex {
+	if e.bindIdx != nil {
+		return e.bindIdx
 	}
 	fecs := e.FECs()
-	si := &slotIndex{ids: map[string]int32{}, slots: make([][]int32, len(fecs))}
-	// Intern by binding identity (interface pointer + direction) so the
-	// ID string is built once per unique binding, not once per slot —
-	// paths share *Interface values, and building per-slot ID strings
-	// would cost as much as the string-keyed fecKey this index replaces.
+	bi := &bindingIndex{ids: map[string]int32{}, binds: make([][]int32, len(fecs))}
+	h := uint64(offset64)
+	mix := func(v uint64) {
+		h ^= v
+		h *= prime64
+	}
+	// Intern by binding identity (interface pointer + direction) so the ID
+	// string is built once per binding, not once per path crossing — paths
+	// share *Interface values.
 	byBind := map[topo.ACLBinding]int32{}
+	// stamp[j] is 1 + the last FEC that listed binding j: the per-FEC
+	// deduplication, without sorting.
+	var stamp []int32
 	for i, fec := range fecs {
-		var sl []int32
+		mix(uint64(len(fec.Classes)))
+		for _, c := range fec.Classes {
+			mix(uint64(c.Addr)<<8 | uint64(c.Len))
+		}
+		mix(uint64(len(fec.Paths)))
+		var binds []int32
 		for _, p := range fec.Paths {
-			for _, h := range p.Hops {
-				for _, b := range [2]topo.ACLBinding{{Iface: h.In, Dir: topo.In}, {Iface: h.Out, Dir: topo.Out}} {
+			mix(uint64(len(p.Hops)))
+			for _, hop := range p.Hops {
+				for _, b := range [2]topo.ACLBinding{{Iface: hop.In, Dir: topo.In}, {Iface: hop.Out, Dir: topo.Out}} {
 					j, ok := byBind[b]
 					if !ok {
-						j = si.n
+						j = int32(len(stamp))
 						byBind[b] = j
-						si.ids[b.ID()] = j
-						si.n++
+						id := b.ID()
+						bi.ids[id] = j
+						stamp = append(stamp, 0)
+						for k := 0; k < len(id); k++ {
+							mix(uint64(id[k]))
+						}
+						mix(0x1f) // ID separator: "ab"+"c" != "a"+"bc"
 					}
-					sl = append(sl, j)
+					mix(uint64(j))
+					if stamp[j] != int32(i+1) {
+						stamp[j] = int32(i + 1)
+						binds = append(binds, j)
+					}
 				}
 			}
 		}
-		si.slots[i] = sl
+		bi.binds[i] = binds
 	}
-	e.slotIdx = si
-	return si
+	bi.structure = h
+	e.bindIdx = bi
+	return bi
 }
 
-// fecKey is the FEC's content address: one word per binding slot along
-// its paths — 0 for an unbound slot, or the slot's encoded (before,
-// after) ACL IDs (see pairWord; the slot structure is fixed by the FEC's
-// Before-derived paths). IDs name contents exactly, so equal keys mean
-// the check pipeline encodes identical formulas for this FEC — same
-// verdict, same canonical counterexample.
+// fecKey is the FEC's content address: one word per distinct binding its
+// paths cross, in the index's first-crossing order — 0 for an unbound
+// binding, or its encoded (before, after) ACL IDs (see pairWord). Equation
+// 3 reads the FEC only through the ACLs at those bindings, and the path
+// structure that places them is fixed by the Before-derived index, so
+// equal keys mean the check pipeline encodes identical formulas for this
+// FEC — same verdict, same canonical counterexample. Each call allocates
+// the key afresh; a cache entry stores it as is.
 func (ctx *checkCtx) fecKey(i int) []uint64 {
-	// Fill FEC i's region of the generation's shared key arena. The
-	// region is written only by the goroutine resolving FEC i (the same
-	// per-FEC ownership discipline as ctx.states[i]); repeated calls
-	// rewrite identical content. Callers that retain the key beyond the
-	// generation (cache inserts) must copy it, or the whole arena stays
-	// reachable.
-	lo, hi := ctx.keyOff[i], ctx.keyOff[i+1]
-	key := ctx.keyArena[lo:lo:hi]
-	for _, s := range ctx.slots[i] {
-		key = append(key, ctx.slotWord[s])
+	binds := ctx.binds[i]
+	key := make([]uint64, len(binds))
+	for k, j := range binds {
+		key[k] = ctx.bindWord[j]
 	}
 	return key
 }
@@ -601,8 +591,7 @@ func (ctx *checkCtx) markUnknown(i int, reason string) {
 // is the only place a verdict decided in this process enters the cache
 // (Import restores snapshotted ones). Cached entries are
 // backend-agnostic, so a verdict decided by one backend replays
-// identically under any other; cached keys are copies, so an entry does
-// not pin the generation's key arena.
+// identically under any other.
 func (ctx *checkCtx) finishVerdict(i int, key []uint64, violating bool) {
 	if violating {
 		ctx.states[i] = fecViolating
@@ -610,7 +599,7 @@ func (ctx *checkCtx) finishVerdict(i int, key []uint64, violating bool) {
 		ctx.states[i] = fecOK
 	}
 	if ctx.vc != nil {
-		ent := &fecVerdict{key: slices.Clone(key), violating: violating}
+		ent := &fecVerdict{key: key, violating: violating}
 		ctx.entries[i] = ent
 		ctx.vc.insert(i, ent)
 	}

@@ -60,10 +60,6 @@ func (e *Engine) networkFingerprint(n *topo.Network) string {
 	if n == nil {
 		return ""
 	}
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
 	ids := make([]string, 0, 16)
 	fps := map[string]uint64{}
 	for _, b := range n.ACLGroup(e.Scope) {

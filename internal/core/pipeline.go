@@ -53,17 +53,12 @@ type checkCtx struct {
 	// ACL IDs, and acls the IDs to their contents.
 	ids  map[string][2]int32
 	acls []*acl.ACL
-	// slots aliases the engine's per-FEC key slot lists (see slotIndex).
-	// Built by prepareIncremental, read-only after.
-	slots [][]int32
-	// slotWord resolves a dense slot index to its binding's key word for
-	// this generation (see pairWord; 0 = unbound).
-	slotWord []uint64
-	// keyOff/keyArena back fecKey with one shared buffer:
-	// FEC i's key occupies keyArena[keyOff[i]:keyOff[i+1]], written only
-	// by the goroutine resolving FEC i.
-	keyOff    []int
-	keyArena  []uint64
+	// binds aliases the engine's per-FEC distinct binding lists (see
+	// bindingIndex), and bindWord resolves a dense binding index to its key
+	// word for this generation (see pairWord; 0 = unbound). Built by
+	// prepareIncremental, read-only after.
+	binds     [][]int32
+	bindWord  []uint64
 	fastPath  bool
 	diffRules int
 	aclPairs  int

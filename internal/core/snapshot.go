@@ -19,7 +19,8 @@ import (
 // restart; the snapshot instead carries a content digest of everything
 // a cached verdict depends on — the encoding mode and control intents
 // (cacheConfig), the scoped ACL content of the Before snapshot
-// (networkFingerprint), the structural path set, and the FEC count —
+// (networkFingerprint), the binding index's structure word (every path's
+// binding sequence and every FEC's classes), and the FEC count —
 // and Import refuses to bind unless the rebuilt engine digests
 // identically. Within a matching configuration every entry still
 // self-validates: the snapshot carries the ACL contents its keys name,
@@ -34,9 +35,9 @@ import (
 
 // VerdictEntry is one exported cache entry: the FEC's content key and
 // the verdict recorded under it. Key words reference the snapshot's
-// pair table — one word per binding slot along the FEC's paths, 0 for
-// an unbound slot or w for Pairs[w-1], the slot's encoded (before,
-// after) ACL pair.
+// pair table — one word per distinct binding the FEC's paths cross, in
+// first-crossing order, 0 for an unbound binding or w for Pairs[w-1],
+// the binding's encoded (before, after) ACL pair.
 type VerdictEntry struct {
 	Key       []uint64
 	Violating bool
@@ -74,22 +75,17 @@ func (s *VerdictSnapshot) NumEntries() int {
 
 // verdictSnapshotDigest fingerprints everything a cached verdict
 // depends on beyond its own content key: the cacheConfig (encoding
-// mode + control intents), the scoped ACL content of Before, the
-// structural path set (each FEC's key vector is parsed positionally
-// against its paths' binding slots, so the path structure is part of
-// the addressing scheme), and the FEC count.
+// mode + control intents), the scoped ACL content of Before, the binding
+// index's structure word (a key word is read against its FEC's distinct
+// bindings, and what those bindings mean to Equation 3 rests on every
+// path's binding sequence and every FEC's classes), and the FEC count.
 // Memoized on the engine: everything digested is fixed at engine
-// construction (Before, scope, controls, encoding mode, the
-// Before-derived path set), and a snapshotting daemon recomputes the
-// digest on every periodic Export.
+// construction, and a snapshotting daemon recomputes the digest on every
+// periodic Export.
 func (e *Engine) verdictSnapshotDigest(nfec int) string {
 	if e.snapDigest != "" && e.snapDigestN == nfec {
 		return e.snapDigest
 	}
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
 	h := uint64(offset64)
 	mix := func(s string) {
 		for i := 0; i < len(s); i++ {
@@ -99,45 +95,10 @@ func (e *Engine) verdictSnapshotDigest(nfec int) string {
 		h ^= 0x1f // field separator: "ab"+"c" != "a"+"bc"
 		h *= prime64
 	}
-	// One absorb per word: fixed-width values are self-delimiting, so no
-	// separator — and no byte loop, since this runs once per slot over
-	// tens of thousands of slots.
-	mixInt := func(v uint64) {
-		h ^= v
-		h *= prime64
-	}
 	mix(e.cacheConfig())
 	mix(e.networkFingerprint(e.Before))
-	// The structural part digests the key-addressing scheme itself:
-	// every interned binding ID (in dense-index order), each FEC's slot
-	// vector, and each FEC's path shape (keys are parsed positionally
-	// against the FEC's flattened binding slots, so this is exactly what
-	// a cached key's meaning depends on). Mixing the interned index —
-	// one ID string per unique binding plus integer slot references — is
-	// an order of magnitude less byte-hashing than the per-path hop
-	// walk, which matters because Import recomputes the digest from
-	// scratch on a freshly built engine after every restart.
-	si := e.fecSlotIndex()
-	mix(strconv.Itoa(int(si.n)))
-	ids := make([]string, si.n)
-	for id, j := range si.ids {
-		ids[j] = id
-	}
-	for _, id := range ids {
-		mix(id)
-	}
-	fecs := e.FECs()
-	mix(strconv.Itoa(len(fecs)))
-	for i, sl := range si.slots {
-		mixInt(uint64(len(fecs[i].Paths)))
-		for _, p := range fecs[i].Paths {
-			mixInt(uint64(len(p.Hops)))
-		}
-		mixInt(uint64(len(sl)))
-		for _, s := range sl {
-			mixInt(uint64(s))
-		}
-	}
+	h ^= e.bindingIndex().structure
+	h *= prime64
 	mix(strconv.Itoa(nfec))
 	e.snapDigest, e.snapDigestN = fmt.Sprintf("%016x", h), nfec
 	return e.snapDigest
@@ -279,19 +240,12 @@ func (vc *VerdictCache) Import(e *Engine, snap *VerdictSnapshot) error {
 		}
 		remap[i] = pairWord([2]int32{ids[pair[0]], ids[pair[1]]})
 	}
-	// Keys are rewritten into one arena of live key words, leaving the
-	// snapshot as it was handed over.
-	nwords := 0
-	for _, ents := range snap.Entries {
-		for _, en := range ents {
-			nwords += len(en.Key)
-		}
-	}
-	arena := make([]uint64, 0, nwords)
+	// Keys are rewritten into fresh live key words, leaving the snapshot
+	// as it was handed over.
 	for i, ents := range snap.Entries {
 		for _, en := range ents {
-			lo := len(arena)
-			for _, w := range en.Key {
+			key := make([]uint64, len(en.Key))
+			for k, w := range en.Key {
 				if w > uint64(len(remap)) {
 					// A key word referencing no pair can never equal a
 					// genuinely derived key; reject the snapshot rather
@@ -301,14 +255,10 @@ func (vc *VerdictCache) Import(e *Engine, snap *VerdictSnapshot) error {
 					return fmt.Errorf("core: verdict snapshot key references pair %d of %d", w, len(snap.Pairs))
 				}
 				if w != 0 {
-					w = remap[w-1]
+					key[k] = remap[w-1]
 				}
-				arena = append(arena, w)
 			}
-			vc.insertLocked(i, &fecVerdict{
-				key:       arena[lo:len(arena):len(arena)],
-				violating: en.Violating,
-			})
+			vc.insertLocked(i, &fecVerdict{key: key, violating: en.Violating})
 		}
 	}
 	return nil

@@ -5,8 +5,11 @@ import (
 	"reflect"
 	"testing"
 
+	"jinjing/internal/acl"
 	"jinjing/internal/core"
+	"jinjing/internal/header"
 	"jinjing/internal/papernet"
+	"jinjing/internal/topo"
 )
 
 // These tests pin the durable-warm-state contract: exporting a bound
@@ -134,6 +137,52 @@ func TestSnapshotImportRefusesMismatch(t *testing.T) {
 	bad2.Config = "0000000000000000"
 	if err := same.ImportVerdicts(&bad2); err == nil {
 		t.Fatal("import accepted a snapshot with a mismatched config digest")
+	}
+
+	// Same ACLs, paths and FEC count, different classes: with class 7
+	// routed as 7.0.0.0/9, C:1's narrowed deny still blocks all of it, so
+	// the FEC a /8 route leaves violating is consistent. Refuse, and
+	// check as a cold run does.
+	narrowC1 := func(n *topo.Network) *topo.Network {
+		out := n.Clone()
+		c1, err := out.LookupInterface("C:1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		c1.SetACL(topo.In, acl.MustParse("deny dst 7.0.0.0/9, permit all"))
+		return out
+	}
+	unfiltered := func(vc *core.VerdictCache) core.Options {
+		o := core.DefaultOptions()
+		o.UseDifferential = false
+		o.FindAllViolations = true
+		o.Verdicts = vc
+		return o
+	}
+	wide := core.New(before, narrowC1(before), papernet.Scope(), unfiltered(core.NewVerdictCache()))
+	if wide.Check().Consistent {
+		t.Fatal("C:1's narrowed deny must leave 7.128.0.0/9 violating")
+	}
+	narrow := papernet.Build()
+	for _, d := range narrow.Devices {
+		for k := range d.FIB {
+			if d.FIB[k].Prefix == papernet.Traffic(7) {
+				d.FIB[k].Prefix = header.Prefix{Addr: 7 << 24, Len: 9}
+			}
+		}
+	}
+	coldEngine := core.New(narrow, narrowC1(narrow), papernet.Scope(), unfiltered(nil))
+	cold := coldEngine.Check()
+	if !cold.Consistent || coldEngine.NumFECs() != wide.NumFECs() {
+		t.Fatalf("the /9 network must be consistent with %d FECs: %s", wide.NumFECs(), checkSignature(cold))
+	}
+	restored := core.New(narrow, narrowC1(narrow), papernet.Scope(), unfiltered(core.NewVerdictCache()))
+	if err := restored.ImportVerdicts(wide.ExportVerdicts()); err == nil {
+		t.Fatal("import accepted a snapshot taken over different FEC classes")
+	}
+	res = restored.Check()
+	if got, want := checkSignature(res), checkSignature(cold); got != want || res.Stats.FECCacheHits != 0 {
+		t.Fatalf("post-refusal check replayed %d verdicts:\n%s\ncold:\n%s", res.Stats.FECCacheHits, got, want)
 	}
 }
 

@@ -22,8 +22,8 @@ import (
 // SIGTERM it (graceful drain) and SIGKILL it (crash) against one
 // -state-dir, and pin that a restarted daemon recovers — warm when the
 // snapshot survived, cold but correct otherwise, byte-identical to the
-// cold one-shot `jinjing` CLI either way. `make daemon-chaos` runs this
-// lane on its own.
+// cold one-shot `jinjing` CLI either way. `make daemon-test` runs them
+// under the race detector; -short skips them.
 
 var chaosBins struct {
 	once     sync.Once

@@ -15,7 +15,7 @@
 //
 //	offset  size  field
 //	0       8     magic "jjvcsnp\n"
-//	8       2     version (currently 4)
+//	8       2     version (currently 5)
 //	10      2     reserved (zero)
 //	12      8     CRC-32C of the payload (zero-extended)
 //	20      ...   payload
@@ -28,8 +28,8 @@
 //	u32 npairs, npairs × (uvarint, uvarint)      ACL-index pairs (Pairs)
 //	per FEC: uvarint count, then per entry:
 //	  u8 flags (bit0 violating; other bits invalid)
-//	  uvarint nslots, nslots × uvarint key word
-//	  (0 = unbound slot, w ≤ npairs = Pairs[w-1])
+//	  uvarint nwords, nwords × uvarint key word
+//	  (0 = unbound binding, w ≤ npairs = Pairs[w-1])
 //
 // Each distinct ACL content the keys name is stored once, in the rule
 // syntax the network JSON already carries (acl.ACL.String, read back
@@ -38,16 +38,19 @@
 // corrupt.
 //
 // Verdict key words are already references into the snapshot's pair
-// table (core.VerdictSnapshot.Pairs) — one per binding slot — so each
-// slot is one varint. The decoder validates every reference against the
-// table; a word past it (which Export never produces) is corrupt.
+// table (core.VerdictSnapshot.Pairs) — one per distinct binding the
+// FEC's paths cross — so each binding is one varint. The decoder
+// validates every reference against the table; a word past it (which
+// Export never produces) is corrupt.
 //
 // Version 1 stored 64-bit ACL fingerprint pairs instead of contents, and
 // its keys could name two different ACLs alike. Version 2 carried a flag
 // for verdicts settled without a complete decision procedure, which no
 // entry has any more. Version 3 carried memoized witness packets and an
-// escape for key words past the pair table. A file of any of these
-// versions decodes to a StaleError: its session restores cold.
+// escape for key words past the pair table. Version 4 keyed an entry by
+// one word per (path, binding) slot, and its digest left out the FECs'
+// classes. A file of any of these versions decodes to a StaleError: its
+// session restores cold.
 package store
 
 import (
@@ -66,7 +69,7 @@ import (
 // Version is the current snapshot format version. A file carrying any
 // other version decodes to a StaleError — the daemon falls back to a
 // cold start rather than guessing at another release's layout.
-const Version = 4
+const Version = 5
 
 const (
 	magic      = "jjvcsnp\n"
@@ -296,7 +299,7 @@ func Decode(data []byte) (*core.VerdictSnapshot, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Each entry is at least flags(1) + key/slot length(1) bytes.
+		// Each entry is at least flags(1) + key length(1) bytes.
 		if count*2 > uint64(d.remaining()) {
 			return nil, &CorruptError{Reason: fmt.Sprintf("fec %d: entry count %d exceeds payload", i, count)}
 		}

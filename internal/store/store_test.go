@@ -173,7 +173,8 @@ func onePairPayload(entries ...byte) []byte {
 // cold — never to a snapshot or a CorruptError. Version 1's key alphabet
 // was 64-bit fingerprint pairs rather than ACL contents; version 2 had a
 // flag bit for verdicts settled without a complete decision procedure;
-// version 3 carried witness packets and raw keys.
+// version 3 carried witness packets and raw keys; version 4 had today's
+// layout with one key word per (path, binding) slot.
 func TestStoreOldVersionsAreStale(t *testing.T) {
 	var v1 []byte
 	v1 = binary.LittleEndian.AppendUint32(v1, 16)
@@ -186,7 +187,8 @@ func TestStoreOldVersionsAreStale(t *testing.T) {
 	v2 := onePairPayload(1, 1, 1, 1) // one entry: had-job, key [1]
 	// One violating entry with a 13-byte witness packet, key [1].
 	v3 := onePairPayload(1, 0x03, 10, 0, 0, 1, 10, 0, 0, 2, 0, 80, 1, 187, 6, 1, 1)
-	for version, payload := range map[uint16][]byte{1: v1, 2: v2, 3: v3} {
+	v4 := onePairPayload(1, 0x01, 2, 1, 1) // one violating entry, slot key [1, 1]
+	for version, payload := range map[uint16][]byte{1: v1, 2: v2, 3: v3, 4: v4} {
 		t.Run(fmt.Sprintf("version=%d", version), func(t *testing.T) {
 			snap, err := store.Decode(sealed(version, payload))
 			if !store.IsStale(err) || store.IsCorrupt(err) {
