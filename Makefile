@@ -20,7 +20,7 @@ fmt:
 # solver interrupts, obs sinks). Stays well under the ~9 min full-suite budget.
 test: vet
 	$(GO) test -short ./...
-	$(GO) test -race -short ./internal/core ./internal/sat ./internal/smt
+	$(GO) test -race -short ./internal/core ./internal/sat ./internal/smt ./internal/obs/...
 
 # Full suite: everything, including the §8 experiment tables with the
 # large WAN (tens of minutes on a single-core machine).
@@ -71,7 +71,7 @@ faults:
 # tests (TestChaos*), and the serve.job fault scenarios, all under the
 # race detector.
 daemon-test:
-	$(GO) test -race -count=1 ./internal/serve ./internal/obs/serve
+	$(GO) test -race -count=1 ./internal/serve ./internal/obs/stats
 
 # Formatting + static checks; fails when any file needs gofmt.
 lint:

@@ -11,7 +11,7 @@ import (
 	"jinjing/internal/netgen"
 	"jinjing/internal/obs"
 	"jinjing/internal/obs/declog"
-	"jinjing/internal/obs/serve"
+	"jinjing/internal/obs/stats"
 	daemon "jinjing/internal/serve"
 	"jinjing/internal/topo"
 )
@@ -275,22 +275,22 @@ func OpenDecisionLog(path string, opts DecisionLogOptions) (*DecisionLogger, err
 // failing the whole replay.
 func ParseDecisionLog(data []byte) ([]DecisionRecord, int) { return declog.Parse(data) }
 
-// Live telemetry over HTTP (see internal/obs/serve).
+// Live telemetry over HTTP (see internal/obs/stats).
 type (
 	// StatsServer serves /metrics (Prometheus text format), /healthz,
 	// /events (SSE), and /debug/pprof for a metrics registry and hub.
-	StatsServer = serve.Server
+	StatsServer = stats.Server
 	// EventHub fans spans, metrics snapshots, and progress lines out to
 	// /events subscribers; it is a TraceSink and an io.Writer.
-	EventHub = serve.Hub
+	EventHub = stats.Hub
 )
 
 // NewEventHub returns an empty event hub.
-func NewEventHub() *EventHub { return serve.NewHub() }
+func NewEventHub() *EventHub { return stats.NewHub() }
 
 // NewStatsServer builds a telemetry server over a registry and hub
 // (either may be nil); bind it with Listen, stop it with Close.
-func NewStatsServer(m *Metrics, hub *EventHub) *StatsServer { return serve.New(m, hub) }
+func NewStatsServer(m *Metrics, hub *EventHub) *StatsServer { return stats.New(m, hub) }
 
 // The warm-session verification daemon (see internal/serve and
 // cmd/jinjingd).

@@ -35,7 +35,7 @@ import (
 	"jinjing/internal/lai"
 	"jinjing/internal/obs"
 	"jinjing/internal/obs/declog"
-	"jinjing/internal/obs/serve"
+	"jinjing/internal/obs/stats"
 	"jinjing/internal/topo"
 )
 
@@ -235,11 +235,11 @@ func setupObservability(cfg obsConfig) (*obs.Observer, *declog.Logger, func(), e
 
 	// The -listen hub receives finished spans (alongside any file sink)
 	// and progress lines, and the server reads the metrics registry live.
-	var hub *serve.Hub
-	var server *serve.Server
+	var hub *stats.Hub
+	var server *stats.Server
 	sink := fileSink
 	if cfg.listenAddr != "" {
-		hub = serve.NewHub()
+		hub = stats.NewHub()
 		sink = obs.MultiSink(fileSink, hub)
 	}
 	var m *obs.Metrics
@@ -262,7 +262,7 @@ func setupObservability(cfg obsConfig) (*obs.Observer, *declog.Logger, func(), e
 	observer := obs.NewObserver(obs.NewTracer(sink), m, p)
 
 	if cfg.listenAddr != "" {
-		server = serve.New(m, hub)
+		server = stats.New(m, hub)
 		addr, err := server.Listen(cfg.listenAddr)
 		if err != nil {
 			if ledger != nil {

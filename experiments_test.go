@@ -6,6 +6,7 @@ package jinjing_test
 import (
 	"os"
 	"testing"
+	"time"
 
 	"jinjing/internal/experiments"
 	"jinjing/internal/netgen"
@@ -115,6 +116,37 @@ func TestExperimentFig4d(t *testing.T) {
 	for _, r := range rows {
 		if !r.Verified {
 			t.Errorf("%s/%s: open plan did not verify", r.Size, r.Label)
+		}
+	}
+}
+
+// TestExperimentPhasesFromSpans pins the phase columns to the engine's
+// phase spans: on the small WAN, every phase of an optimized fix and an
+// optimized migration row is timed, and the phases fit in the row's
+// turnaround. Unlike the tables above it runs under -short.
+func TestExperimentPhasesFromSpans(t *testing.T) {
+	small := []netgen.Size{netgen.Small}
+	fix := experiments.Fig4bFix(small, []bool{true})[0]
+	gen := experiments.Fig4cGenerate(small, []bool{true})[0]
+	for _, c := range []struct {
+		row     string
+		elapsed time.Duration
+		phases  map[string]time.Duration
+	}{
+		{"fix", fix.Elapsed, map[string]time.Duration{
+			"preprocess": fix.Preprocess, "solve": fix.Solve, "simplify": fix.Simplify, "verify": fix.VerifyPhase}},
+		{"generate", gen.Elapsed, map[string]time.Duration{
+			"derive-aec": gen.DeriveAEC, "solve": gen.Solve, "synthesize": gen.Synthesize, "verify": gen.VerifyPhase}},
+	} {
+		var sum time.Duration
+		for name, d := range c.phases {
+			if d <= 0 {
+				t.Errorf("%s row: phase %s = %v, want > 0", c.row, name, d)
+			}
+			sum += d
+		}
+		if sum > c.elapsed {
+			t.Errorf("%s row: phases sum to %v, more than the %v turnaround", c.row, sum, c.elapsed)
 		}
 	}
 }

@@ -53,18 +53,15 @@ type CheckResult struct {
 	// SolverStats aggregates the full SAT counters (decisions,
 	// propagations, conflicts, restarts, learned, deleted) across every
 	// solver the check ran: the detection solver and the witness pass's.
+	// Its Conflicts total is the stand-in for the paper's "DPLL
+	// recursive calls" (§9).
 	SolverStats sat.Stats
-	// Conflicts totals SAT conflict counts across all queries, the
-	// stand-in for the paper's "DPLL recursive calls" (§9). It equals
-	// SolverStats.Conflicts and is kept for compatibility.
-	Conflicts int64
 	// PeakHeapBytes is the call's highest sampled live-heap size
 	// (runtime HeapAlloc). Sampled only when the sample is already paid
 	// for — forensics, or an attached decision ledger — and 0 otherwise;
 	// the stop-the-world cost of a MemStats read never taxes the plain
 	// hot path.
 	PeakHeapBytes int64
-	Timings       Timings
 }
 
 // Check verifies packet (or desired, when controls are present)
@@ -90,24 +87,24 @@ func (e *Engine) CheckContext(callCtx context.Context) *CheckResult {
 	cn, endCall := e.beginCall(callCtx)
 	defer endCall()
 	root := e.startSpan("check")
-	res := &CheckResult{Consistent: true, Complete: true, Timings: Timings{}}
+	res := &CheckResult{Consistent: true, Complete: true}
 
-	pre := startPhase(root, res.Timings, "preprocess")
+	pre := root.Child("preprocess")
 	ctx := e.checkContext(o)
 	if ctx.fastPath {
 		// No rule changed anywhere: trivially consistent.
-		pre.end(obs.KV("diff_rules", 0))
+		pre.End(obs.KV("diff_rules", 0))
 		root.SetAttr("fast_path", true)
 		root.End()
 		e.logCheckDecision(ls, res)
 		return res
 	}
-	pre.end(obs.KV("diff_rules", ctx.diffRules), obs.KV("acl_pairs", ctx.aclPairs))
+	pre.End(obs.KV("diff_rules", ctx.diffRules), obs.KV("acl_pairs", ctx.aclPairs))
 
-	fp := startPhase(root, res.Timings, "fec")
+	fp := root.Child("fec")
 	e.prepareIncremental(ctx)
 	res.FECs = ctx.nfec
-	fp.end(obs.KV("fecs", ctx.nfec))
+	fp.End(obs.KV("fecs", ctx.nfec))
 	statsBase := ctx.stats
 	ctx.maxNodes, ctx.peakHeap, ctx.pathShapes = 0, 0, 0
 
@@ -116,9 +113,9 @@ func (e *Engine) CheckContext(callCtx context.Context) *CheckResult {
 	// violating FEC indices; in first-violation mode it has at most one
 	// entry — the lowest violating FEC. last is the highest FEC index the
 	// scan semantically examined (early stops leave the tail unexamined).
-	sp := startPhase(root, res.Timings, "solve")
-	hits, last, decided := e.decide(cn, ctx, sp.sp, e.Opts.FindAllViolations, &res.SolverStats)
-	sp.end(obs.KV("decided", decided), obs.KV("violations", len(hits)))
+	sp := root.Child("solve")
+	hits, last, decided := e.decide(cn, ctx, sp, e.Opts.FindAllViolations, &res.SolverStats)
+	sp.End(obs.KV("decided", decided), obs.KV("violations", len(hits)))
 	res.SolvedFECs = solvedFECs(ctx, last)
 	res.Unknown = unknownFECs(ctx, last)
 	res.Complete = len(res.Unknown) == 0
@@ -134,7 +131,7 @@ func (e *Engine) CheckContext(callCtx context.Context) *CheckResult {
 	// witnesses).
 	if len(hits) > 0 {
 		res.Consistent = false
-		wp := startPhase(root, res.Timings, "witness")
+		wp := root.Child("witness")
 		cached := 0
 		for _, i := range hits {
 			v, memo := e.witnessFor(ctx, i, res, o)
@@ -143,7 +140,7 @@ func (e *Engine) CheckContext(callCtx context.Context) *CheckResult {
 			}
 			res.Violations = append(res.Violations, v)
 		}
-		wp.end(obs.KV("violations", len(res.Violations)), obs.KV("cached", cached))
+		wp.End(obs.KV("violations", len(res.Violations)), obs.KV("cached", cached))
 	}
 
 	ctx.commitGeneration()
@@ -152,7 +149,6 @@ func (e *Engine) CheckContext(callCtx context.Context) *CheckResult {
 	o.Gauge("impact.changed_bindings").Set(int64(res.Stats.ChangedBindings))
 	o.Gauge("impact.affected_fecs").Set(int64(res.Stats.AffectedFECs))
 
-	res.Conflicts = res.SolverStats.Conflicts
 	// The session builder's formula DAG after the scan (a proxy for
 	// encoding work, compared across encodings in the benches).
 	o.Gauge("smt.nodes").Set(ctx.maxNodes)

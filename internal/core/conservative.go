@@ -23,8 +23,8 @@ func (e *Engine) CheckConservative() *CheckResult {
 		panic("core: CheckConservative cannot decide per-path control intents")
 	}
 	root := e.startSpan("check.conservative")
-	res := &CheckResult{Consistent: true, Timings: Timings{}}
-	sp := startPhase(root, res.Timings, "solve")
+	res := &CheckResult{Consistent: true, Complete: true}
+	sp := root.Child("solve")
 	for _, p := range e.scopeACLPairs() {
 		before, after := orPermitAll(p.before), orPermitAll(p.after)
 		var equal bool
@@ -45,7 +45,7 @@ func (e *Engine) CheckConservative() *CheckResult {
 			})
 		}
 	}
-	sp.end(obs.KV("violations", len(res.Violations)))
+	sp.End(obs.KV("violations", len(res.Violations)))
 	root.SetAttr("consistent", res.Consistent)
 	root.End()
 	return res

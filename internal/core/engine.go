@@ -7,9 +7,6 @@
 package core
 
 import (
-	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"jinjing/internal/acl"
@@ -458,43 +455,6 @@ func (enc *encoder) classPred(classes []header.Prefix) smt.F {
 	out := smt.False
 	for _, c := range classes {
 		out = enc.b.Or(out, enc.b.MatchPred(enc.pv, header.DstMatch(c)))
-	}
-	return out
-}
-
-// Timings records per-phase wall-clock durations for the experiment
-// harness. It is a derived view of the tracer spans (each phase span
-// accumulates its duration here as it ends), kept so existing
-// experiment code and logs need no observer.
-type Timings map[string]time.Duration
-
-// timingsMu serializes Timings writes. Phase helpers normally run on
-// the primitive's goroutine, but nested spans (a verify check inside a
-// parallel fix, observers shared across engines) can end phases from
-// different goroutines; a single global mutex keeps the map type — and
-// with it the public API — unchanged.
-var timingsMu sync.Mutex
-
-func (t Timings) add(phase string, d time.Duration) {
-	timingsMu.Lock()
-	t[phase] += d
-	timingsMu.Unlock()
-}
-
-// String renders timings compactly with sorted phase keys, so
-// experiment logs are stable across runs.
-func (t Timings) String() string {
-	keys := make([]string, 0, len(t))
-	for k := range t {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := ""
-	for _, k := range keys {
-		if out != "" {
-			out += " "
-		}
-		out += fmt.Sprintf("%s=%v", k, t[k])
 	}
 	return out
 }

@@ -64,15 +64,6 @@ func TestEngineIndexUsesControlRefinedClasses(t *testing.T) {
 	}
 }
 
-func TestTimingsString(t *testing.T) {
-	e := newRunningEngine(t, core.DefaultOptions())
-	res := e.Check()
-	s := res.Timings.String()
-	if !strings.Contains(s, "=") {
-		t.Fatalf("timings string %q", s)
-	}
-}
-
 func TestControlModeString(t *testing.T) {
 	if core.Isolate.String() != "isolate" || core.Open.String() != "open" ||
 		core.Maintain.String() != "maintain" {

@@ -52,9 +52,6 @@ type FixResult struct {
 	// verification check's, whose change-impact numbers reflect the FECs
 	// the fixing plan touched.
 	Stats CacheStats
-	// Conflicts equals SolverStats.Conflicts (kept for compatibility).
-	Conflicts int64
-	Timings   Timings
 }
 
 // Fix runs the fix primitive (§4.2): it decides every FEC on the check
@@ -81,8 +78,8 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 	defer endCall()
 	root := e.startSpan("fix")
 	defer root.End() // idempotent; covers the error returns
-	res := &FixResult{Timings: Timings{}}
-	pre := startPhase(root, res.Timings, "preprocess")
+	res := &FixResult{}
+	pre := root.Child("preprocess")
 
 	// Fix shares the check pipeline's generation — differential rules,
 	// related-filtered encoding pairs as ACL-table IDs, and the
@@ -93,7 +90,7 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 	e.prepareIncremental(ctx)
 
 	ix := e.compileFix(ctx)
-	pre.end(obs.KV("diff_rules", ctx.diffRules), obs.KV("acl_pairs", ctx.aclPairs))
+	pre.End(obs.KV("diff_rules", ctx.diffRules), obs.KV("acl_pairs", ctx.aclPairs))
 
 	fixed := e.After.Clone()
 
@@ -112,9 +109,9 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 	// find-all mode, exactly as a check does: §4.2 seeks neighborhoods
 	// only inside the FECs it finds violating. A FEC it leaves Unknown
 	// blocks the plan.
-	sp := startPhase(root, res.Timings, "solve")
+	sp := root.Child("solve")
 	statsBase := ctx.stats
-	hits, _, _ := e.decide(cn, ctx, sp.sp, true, &res.SolverStats)
+	hits, _, _ := e.decide(cn, ctx, sp, true, &res.SolverStats)
 	res.Stats = ctx.stats.since(statsBase)
 	// The change-impact numbers are the verification check's to report.
 	res.Stats.ChangedBindings, res.Stats.AffectedFECs = 0, 0
@@ -178,7 +175,7 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 	task.Done()
 	o.Gauge("fix.path_shapes").Set(int64(len(ix.shapes)))
 	o.Counter("fix.expand.probes").Add(probes)
-	sp.end(obs.KV("neighborhoods", len(res.Neighborhoods)), obs.KV("unfixable", len(res.Unfixable)),
+	sp.End(obs.KV("neighborhoods", len(res.Neighborhoods)), obs.KV("unfixable", len(res.Unfixable)),
 		obs.KV("path_shapes", len(ix.shapes)), obs.KV("distinct_acls", len(ix.acls)))
 	if len(blocked) > 0 {
 		sortUnknown(blocked)
@@ -193,7 +190,7 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 
 	// Simplify the ACLs the plan touched (§4.2 extension).
 	if e.Opts.SimplifyOutput {
-		sim := startPhase(root, res.Timings, "simplify")
+		sim := root.Child("simplify")
 		var st pset.SimplifyStats
 		for _, b := range touched {
 			a, bst := simplifyBounded(b.Iface.ACL(b.Dir))
@@ -201,7 +198,7 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 			st.Cube += bst.Cube
 			st.SAT += bst.SAT
 		}
-		sim.end(obs.KV("touched", len(touched)), obs.KV("exact_cube", st.Cube), obs.KV("exact_sat", st.SAT))
+		sim.End(obs.KV("touched", len(touched)), obs.KV("exact_cube", st.Cube), obs.KV("exact_sat", st.SAT))
 	}
 
 	res.Fixed = fixed
@@ -211,16 +208,15 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 	// and verdict cache, when one is installed — so a session re-solves
 	// only the FECs the fixing plan touched and replays the rest.
 	recordCacheStats(o, res.Stats) // fix's own scan; the check records its own
-	vp := startPhase(root, res.Timings, "verify")
-	ver := e.derived(fixed, vp.sp)
+	vp := root.Child("verify")
+	ver := e.derived(fixed, vp)
 	cr := ver.CheckContext(callCtx)
 	res.Verified = cr.Consistent && cr.Complete
 	// The verification check recorded its own sat.* metrics; fold its
 	// counters into this primitive's aggregate too.
 	res.SolverStats.Add(cr.SolverStats)
 	res.Stats.add(cr.Stats)
-	res.Conflicts = res.SolverStats.Conflicts
-	vp.end(obs.KV("verified", res.Verified))
+	vp.End(obs.KV("verified", res.Verified))
 
 	o.Counter("fix.neighborhoods").Add(int64(len(res.Neighborhoods)))
 	o.Counter("fix.actions").Add(int64(len(res.Actions)))

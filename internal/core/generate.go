@@ -45,9 +45,6 @@ type GenerateResult struct {
 	// the generation spun up: one per AEC/DEC solving attempt plus the
 	// verification check.
 	SolverStats sat.Stats
-	// Conflicts equals SolverStats.Conflicts (kept for compatibility).
-	Conflicts int64
-	Timings   Timings
 }
 
 // aec is one ACL equivalence class with its solving state.
@@ -97,7 +94,7 @@ func (e *Engine) GenerateContext(callCtx context.Context, sources []topo.ACLBind
 	defer endCall()
 	root := e.startSpan("generate", obs.KV("sources", len(sources)))
 	defer root.End() // idempotent; covers the error returns
-	res := &GenerateResult{ACLs: map[string]*acl.ACL{}, Timings: Timings{}}
+	res := &GenerateResult{ACLs: map[string]*acl.ACL{}}
 
 	// Every failure is recorded in the decision ledger.
 	fail := func(err error) (*GenerateResult, error) {
@@ -113,7 +110,7 @@ func (e *Engine) GenerateContext(callCtx context.Context, sources []topo.ACLBind
 	encBindings := e.Before.ACLGroup(e.Scope)
 
 	// Phase 1: derive classes and group them into AECs (§5.1).
-	dp := startPhase(root, res.Timings, "derive-aec")
+	dp := root.Child("derive-aec")
 	classes, err := e.deriveClasses()
 	if err != nil {
 		return fail(err)
@@ -124,14 +121,14 @@ func (e *Engine) GenerateContext(callCtx context.Context, sources []topo.ACLBind
 		return fail(err)
 	}
 	res.AECs = len(aecs)
-	dp.end(obs.KV("classes", res.Classes), obs.KV("aecs", res.AECs))
+	dp.End(obs.KV("classes", res.Classes), obs.KV("aecs", res.AECs))
 
 	// Phase 2: solve each AEC, falling back to DECs (§5.2, §5.3). Each
 	// AEC is solved on its own fresh solver, a pure function of the AEC,
 	// so with Options.Workers > 1 the loop fans out across goroutines
 	// and — after the deterministic AEC-order merge below — produces
 	// output identical to the sequential loop.
-	sp := startPhase(root, res.Timings, "solve")
+	sp := root.Child("solve")
 	task := o.StartTask("generate: AECs", int64(len(aecs)))
 	src := e.fecSource()
 	ix := e.compileGenerate(src.Paths(), sources, encBindings)
@@ -213,9 +210,8 @@ func (e *Engine) GenerateContext(callCtx context.Context, sources []topo.ACLBind
 		res.Unsolvable = append(res.Unsolvable, out.unsolvable...)
 	}
 	task.Done()
-	res.Conflicts = res.SolverStats.Conflicts
 	o.Gauge("generate.path_shapes").Set(int64(len(ix.shapes)))
-	sp.end(obs.KV("dec_splits", res.DECSplitAECs), obs.KV("unsolvable", len(res.Unsolvable)),
+	sp.End(obs.KV("dec_splits", res.DECSplitAECs), obs.KV("unsolvable", len(res.Unsolvable)),
 		obs.KV("paths", len(ix.shapeOf)), obs.KV("path_shapes", len(ix.shapes)))
 
 	if len(blockedAECs) > 0 {
@@ -229,7 +225,7 @@ func (e *Engine) GenerateContext(callCtx context.Context, sources []topo.ACLBind
 
 	// Phase 3: synthesize ACLs at each target (§5.4, with §5.5
 	// optimizations).
-	syp := startPhase(root, res.Timings, "synthesize")
+	syp := root.Child("synthesize")
 	table, err := e.buildRows(aecs, encBindings)
 	if err != nil {
 		return fail(err)
@@ -246,7 +242,7 @@ func (e *Engine) GenerateContext(callCtx context.Context, sources []topo.ACLBind
 	rows := table.vectors()
 	o.Gauge("generate.rows").Set(int64(rows))
 	o.Gauge("generate.row_entries").Set(int64(len(table.rows)))
-	syp.end(obs.KV("rules", res.RulesGenerated), obs.KV("rules_simplified", res.RulesAfterSimplify),
+	syp.End(obs.KV("rules", res.RulesGenerated), obs.KV("rules_simplified", res.RulesAfterSimplify),
 		obs.KV("rows", rows), obs.KV("row_entries", len(table.rows)))
 
 	// Build the generated network.
@@ -272,15 +268,14 @@ func (e *Engine) GenerateContext(callCtx context.Context, sources []topo.ACLBind
 	// and verdict cache, when one is installed — so repeated
 	// generate/verify rounds in a session re-solve only the FECs whose
 	// synthesized ACLs changed.
-	vp := startPhase(root, res.Timings, "verify")
-	ver := e.derived(gen, vp.sp)
+	vp := root.Child("verify")
+	ver := e.derived(gen, vp)
 	cr := ver.CheckContext(callCtx)
 	res.Verified = cr.Consistent && cr.Complete
 	// The verification check recorded its own sat.* metrics; fold its
 	// counters into this primitive's aggregate too.
 	res.SolverStats.Add(cr.SolverStats)
-	res.Conflicts = res.SolverStats.Conflicts
-	vp.end(obs.KV("verified", res.Verified))
+	vp.End(obs.KV("verified", res.Verified))
 
 	o.Counter("generate.classes").Add(int64(res.Classes))
 	o.Counter("generate.aecs").Add(int64(res.AECs))

@@ -15,9 +15,9 @@ import (
 func (e *Engine) CheckMonolithic() *CheckResult {
 	o := e.obsv()
 	root := e.startSpan("check.monolithic")
-	res := &CheckResult{Consistent: true, Timings: Timings{}}
+	res := &CheckResult{Consistent: true, Complete: true}
 
-	ep := startPhase(root, res.Timings, "encode")
+	ep := root.Child("encode")
 	tab := e.aclTable()
 	pairs := e.scopeACLPairs()
 	ids := make(map[string][2]int32, len(pairs))
@@ -57,17 +57,16 @@ func (e *Engine) CheckMonolithic() *CheckResult {
 		viol = enc.b.Or(viol, enc.b.And(enc.b.Iff(desired, after).Not(), psi))
 	}
 	recordBuilderSize(o, enc)
-	ep.end(obs.KV("fecs", res.FECs))
+	ep.End(obs.KV("fecs", res.FECs))
 
-	sp := startPhase(root, res.Timings, "solve")
+	sp := root.Child("solve")
 	res.SolvedFECs = res.FECs // everything reaches the solver at once
 	if solver.Solve(viol) {
 		res.Consistent = false
 		res.Violations = append(res.Violations, Violation{Packet: solver.Packet(enc.pv)})
 	}
 	recordSolverStats(o, &res.SolverStats, solver.Stats())
-	res.Conflicts = res.SolverStats.Conflicts
-	sp.end(obs.KV("violations", len(res.Violations)))
+	sp.End(obs.KV("violations", len(res.Violations)))
 	root.SetAttr("consistent", res.Consistent)
 	root.End()
 	return res

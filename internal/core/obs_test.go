@@ -10,6 +10,7 @@ import (
 
 	"jinjing/internal/core"
 	"jinjing/internal/obs"
+	"jinjing/internal/sat"
 )
 
 // obsHarness wires a full observer (JSONL trace + metrics + unthrottled
@@ -55,9 +56,6 @@ func TestCheckObservability(t *testing.T) {
 	if res.Consistent {
 		t.Fatal("running example must be inconsistent")
 	}
-	if res.Conflicts != res.SolverStats.Conflicts {
-		t.Fatalf("Conflicts %d != SolverStats.Conflicts %d", res.Conflicts, res.SolverStats.Conflicts)
-	}
 	if res.SolverStats.Decisions == 0 && res.SolverStats.Propagations == 0 {
 		t.Fatalf("solver stats empty: %+v", res.SolverStats)
 	}
@@ -74,9 +72,6 @@ func TestCheckObservability(t *testing.T) {
 		}
 		if ps[0].Parent != root[0].ID {
 			t.Fatalf("phase %q not parented to check: %+v", phase, ps[0])
-		}
-		if res.Timings[phase] <= 0 {
-			t.Fatalf("Timings[%q] not populated alongside the span", phase)
 		}
 	}
 
@@ -211,9 +206,6 @@ func TestFixObservability(t *testing.T) {
 	if !res.Verified {
 		t.Fatal("fix must verify on the running example")
 	}
-	if res.Conflicts != res.SolverStats.Conflicts {
-		t.Fatalf("Conflicts %d != SolverStats.Conflicts %d", res.Conflicts, res.SolverStats.Conflicts)
-	}
 	snap := m.Snapshot()
 	if snap.Counters["fix.iterations"] <= 0 {
 		t.Fatal("fix.iterations not counted")
@@ -296,9 +288,6 @@ func TestGenerateObservability(t *testing.T) {
 	if !res.Verified {
 		t.Fatal("generate must verify on the migration example")
 	}
-	if res.Conflicts != res.SolverStats.Conflicts {
-		t.Fatalf("Conflicts %d != SolverStats.Conflicts %d", res.Conflicts, res.SolverStats.Conflicts)
-	}
 	snap := m.Snapshot()
 	if snap.Counters["generate.aecs"] != int64(res.AECs) {
 		t.Fatalf("generate.aecs %d != %d", snap.Counters["generate.aecs"], res.AECs)
@@ -352,16 +341,13 @@ func TestGenerateObservability(t *testing.T) {
 	}
 }
 
-// TestObserverOffLeavesTimings pins the backward-compatible default: no
-// observer, but Timings still populated.
-func TestObserverOffLeavesTimings(t *testing.T) {
+// TestObserverOffStillAggregatesSolverStats pins that the result's
+// solver counters do not depend on an observer being attached.
+func TestObserverOffStillAggregatesSolverStats(t *testing.T) {
 	opts := core.DefaultOptions()
-	e := newRunningEngine(t, opts)
-	res := e.Check()
-	if res.Timings["solve"] <= 0 || res.Timings["preprocess"] <= 0 {
-		t.Fatalf("Timings must be populated without an observer: %v", res.Timings)
-	}
-	if res.SolverStats.Conflicts != res.Conflicts {
+	opts.Backend = core.BackendSAT
+	res := newRunningEngine(t, opts).Check()
+	if res.SolverStats == (sat.Stats{}) {
 		t.Fatal("SolverStats must be aggregated even without an observer")
 	}
 }

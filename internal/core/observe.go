@@ -1,18 +1,15 @@
 package core
 
 import (
-	"time"
-
 	"jinjing/internal/obs"
 	"jinjing/internal/sat"
 )
 
 // This file is the engine's glue to the observability layer
-// (internal/obs): phase spans that also feed the legacy Timings view,
-// and solver-stats aggregation into both result structs and the
-// metrics registry. Everything here is nil-safe — with Options.Obs
-// unset the spans are no-op and only Timings is populated, exactly as
-// before.
+// (internal/obs): primitive root spans, and solver-stats aggregation into
+// both result structs and the metrics registry. A phase is a plain child
+// span of its primitive's root. Everything here is nil-safe — with
+// Options.Obs unset the spans are no-op.
 
 // obsv returns the engine's observer (nil when observability is off).
 func (e *Engine) obsv() *obs.Observer { return e.Opts.Obs }
@@ -24,30 +21,6 @@ func (e *Engine) startSpan(name string, attrs ...obs.Attr) *obs.Span {
 		return e.parentSpan.Child(name, attrs...)
 	}
 	return e.obsv().StartSpan(name, attrs...)
-}
-
-// phaseSpan times one pipeline phase: a tracer child span plus the
-// Timings entry derived from the same interval.
-type phaseSpan struct {
-	sp   *obs.Span
-	tm   Timings
-	name string
-	t0   time.Time
-}
-
-// startPhase opens a phase under parent (nil parent = tracing off).
-func startPhase(parent *obs.Span, tm Timings, name string) phaseSpan {
-	return phaseSpan{sp: parent.Child(name), tm: tm, name: name, t0: time.Now()}
-}
-
-// end closes the phase, accumulating its duration into Timings and
-// attaching any final attributes to the span.
-func (p phaseSpan) end(attrs ...obs.Attr) {
-	p.tm.add(p.name, time.Since(p.t0))
-	for _, a := range attrs {
-		p.sp.SetAttr(a.Key, a.Value)
-	}
-	p.sp.End()
 }
 
 // recordSolverStats folds one solver's counters into the primitive's

@@ -207,16 +207,17 @@ func TestCheckConservative(t *testing.T) {
 	a1.SetACL(topo.In, acl.MustParse(
 		"deny dst 6.0.0.0/9, deny dst 6.128.0.0/9, permit all"))
 	e := core.New(before, after, papernet.Scope(), core.DefaultOptions())
-	if res := e.CheckConservative(); !res.Consistent {
-		t.Fatal("conservative check flagged an equivalent rewrite")
+	// It solves unbounded, so every result it returns is decided.
+	if res := e.CheckConservative(); !res.Consistent || !res.Complete {
+		t.Fatalf("conservative check on an equivalent rewrite: consistent=%v complete=%v", res.Consistent, res.Complete)
 	}
 
 	// Semantic change: must be flagged (and is also a real violation).
 	after2 := runningExampleUpdate(before)
 	e2 := core.New(before, after2, papernet.Scope(), core.DefaultOptions())
 	res := e2.CheckConservative()
-	if res.Consistent {
-		t.Fatal("conservative check missed a real change")
+	if res.Consistent || !res.Complete {
+		t.Fatalf("conservative check on a real change: consistent=%v complete=%v", res.Consistent, res.Complete)
 	}
 	if len(res.Violations) == 0 {
 		t.Fatal("no counterexample packets reported")
@@ -230,8 +231,8 @@ func TestCheckConservative(t *testing.T) {
 	a13.SetACL(topo.In, acl.MustParse(
 		"deny dst 9.0.0.0/8, deny dst 6.0.0.0/8, permit all"))
 	e3 := core.New(before, after3, papernet.Scope(), core.DefaultOptions())
-	if e3.CheckConservative().Consistent {
-		t.Fatal("expected the conservative false positive")
+	if res := e3.CheckConservative(); res.Consistent || !res.Complete {
+		t.Fatalf("expected the conservative false positive: consistent=%v complete=%v", res.Consistent, res.Complete)
 	}
 	if !e3.Check().Consistent {
 		t.Fatal("the exact check must see through the unrouted rule")
@@ -240,8 +241,8 @@ func TestCheckConservative(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.UseDifferential = false
 	e4 := core.New(before, after3, papernet.Scope(), opts)
-	if e4.CheckConservative().Consistent {
-		t.Fatal("basic conservative check should match")
+	if res := e4.CheckConservative(); res.Consistent || !res.Complete {
+		t.Fatalf("basic conservative check should match: consistent=%v complete=%v", res.Consistent, res.Complete)
 	}
 }
 

@@ -36,7 +36,8 @@ const Seed = 42
 
 // Observer, when set, instruments every experiment engine
 // (cmd/jinjing-experiments sets it so -json can embed the run's
-// aggregate metrics snapshot).
+// aggregate metrics snapshot). The Fig. 4b–4d engines share only its
+// metrics registry: their tracer feeds the row's phaseTimes.
 var Observer *obs.Observer
 
 // defaultOptions is core.DefaultOptions with the package Observer
@@ -45,6 +46,41 @@ func defaultOptions() core.Options {
 	o := core.DefaultOptions()
 	o.Obs = Observer
 	return o
+}
+
+// phaseTimes is the obs.Sink the Fig. 4b–4d rows read their phase
+// columns from: it sums span durations by name for the spans at depth 1,
+// the phases of a primitive called directly. The nested verification
+// check's spans sit deeper and are not counted.
+type phaseTimes struct {
+	mu sync.Mutex
+	d  map[string]time.Duration
+}
+
+// timePhases traces e into a fresh phaseTimes, keeping the package
+// Observer's metrics registry.
+func timePhases(e *core.Engine) *phaseTimes {
+	p := &phaseTimes{d: map[string]time.Duration{}}
+	e.Opts.Obs = obs.NewObserver(obs.NewTracer(p), Observer.Metrics(), nil)
+	return p
+}
+
+func (p *phaseTimes) Span(r obs.SpanRecord) {
+	if r.Depth != 1 {
+		return
+	}
+	p.mu.Lock()
+	p.d[r.Name] += time.Duration(r.DurUS) * time.Microsecond
+	p.mu.Unlock()
+}
+
+func (p *phaseTimes) Metrics(obs.Snapshot) {}
+
+// get returns the summed duration of the named phase.
+func (p *phaseTimes) get(name string) time.Duration {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.d[name]
 }
 
 // wanCache shares built networks across experiments and benchmark
@@ -86,7 +122,6 @@ type CheckRow struct {
 	Consistent bool          `json:"consistent"`
 	FECs       int           `json:"fecs"`
 	SolvedFECs int           `json:"solved_fecs"`
-	Conflicts  int64         `json:"conflicts"`
 	Stats      sat.Stats     `json:"stats"`
 	Elapsed    time.Duration `json:"elapsed_ns"`
 }
@@ -129,9 +164,9 @@ func Fig4aCheck(sizes []netgen.Size) []CheckRow {
 				rows = append(rows, CheckRow{
 					Size: size, PerturbPct: pct, Mode: mode,
 					Consistent: res.Consistent, FECs: res.FECs,
-					SolvedFECs: res.SolvedFECs, Conflicts: res.Conflicts,
-					Stats:   res.SolverStats,
-					Elapsed: time.Since(t0),
+					SolvedFECs: res.SolvedFECs,
+					Stats:      res.SolverStats,
+					Elapsed:    time.Since(t0),
 				})
 			}
 		}
@@ -155,8 +190,8 @@ type FixRow struct {
 	VerifyPhase   time.Duration `json:"verify_ns"`
 }
 
-// fixRow fills a FixRow from one Fix call's result.
-func fixRow(size netgen.Size, pct float64, mode string, res *core.FixResult, elapsed time.Duration) FixRow {
+// fixRow fills a FixRow from one Fix call's result and phase times.
+func fixRow(size netgen.Size, pct float64, mode string, res *core.FixResult, ph *phaseTimes, elapsed time.Duration) FixRow {
 	return FixRow{
 		Size: size, PerturbPct: pct, Mode: mode,
 		Neighborhoods: len(res.Neighborhoods),
@@ -164,8 +199,8 @@ func fixRow(size netgen.Size, pct float64, mode string, res *core.FixResult, ela
 		Verified:      res.Verified,
 		Stats:         res.SolverStats,
 		Elapsed:       elapsed,
-		Preprocess:    res.Timings["preprocess"], Solve: res.Timings["solve"],
-		Simplify: res.Timings["simplify"], VerifyPhase: res.Timings["verify"],
+		Preprocess:    ph.get("preprocess"), Solve: ph.get("solve"),
+		Simplify: ph.get("simplify"), VerifyPhase: ph.get("verify"),
 	}
 }
 
@@ -200,12 +235,13 @@ func Fig4bNoExpansion(size netgen.Size, cap int) FixRow {
 	opts.MaxNeighborhoods = cap
 	e := core.New(w.Net, after, w.Scope, opts)
 	e.Allow = allACLBindings(w, w.Net)
+	ph := timePhases(e)
 	t0 := time.Now()
 	res, err := e.Fix()
 	if err != nil {
 		panic(err)
 	}
-	return fixRow(size, 1, "no-expansion", res, time.Since(t0))
+	return fixRow(size, 1, "no-expansion", res, ph, time.Since(t0))
 }
 
 // Fig4bFix runs the fixing experiment.
@@ -215,6 +251,7 @@ func Fig4bFix(sizes []netgen.Size, modes []bool) []FixRow {
 		for _, pct := range []float64{1, 3, 5} {
 			for _, optimized := range modes {
 				e := FixEngine(size, pct, optimized)
+				ph := timePhases(e)
 				t0 := time.Now()
 				res, err := e.Fix()
 				if err != nil {
@@ -224,7 +261,7 @@ func Fig4bFix(sizes []netgen.Size, modes []bool) []FixRow {
 				if optimized {
 					mode = "optimized"
 				}
-				rows = append(rows, fixRow(size, pct, mode, res, time.Since(t0)))
+				rows = append(rows, fixRow(size, pct, mode, res, ph, time.Since(t0)))
 			}
 		}
 	}
@@ -281,18 +318,19 @@ func Fig4cGenerate(sizes []netgen.Size, modes []bool) []GenerateRow {
 	for _, size := range sizes {
 		for _, optimized := range modes {
 			e, sources := MigrationSetup(size, optimized)
+			ph := timePhases(e)
 			t0 := time.Now()
 			res, err := e.Generate(sources)
 			if err != nil {
 				panic(err)
 			}
-			rows = append(rows, genRow(size, "migration", optimized, res, time.Since(t0)))
+			rows = append(rows, genRow(size, "migration", optimized, res, ph, time.Since(t0)))
 		}
 	}
 	return rows
 }
 
-func genRow(size netgen.Size, label string, optimized bool, res *core.GenerateResult, elapsed time.Duration) GenerateRow {
+func genRow(size netgen.Size, label string, optimized bool, res *core.GenerateResult, ph *phaseTimes, elapsed time.Duration) GenerateRow {
 	mode := "unoptimized"
 	if optimized {
 		mode = "optimized"
@@ -303,8 +341,8 @@ func genRow(size netgen.Size, label string, optimized bool, res *core.GenerateRe
 		Rules: res.RulesGenerated, RulesSimpl: res.RulesAfterSimplify,
 		Verified: res.Verified && len(res.Unsolvable) == 0,
 		Stats:    res.SolverStats, Elapsed: elapsed,
-		DeriveAEC: res.Timings["derive-aec"], Solve: res.Timings["solve"],
-		Synthesize: res.Timings["synthesize"], VerifyPhase: res.Timings["verify"],
+		DeriveAEC: ph.get("derive-aec"), Solve: ph.get("solve"),
+		Synthesize: ph.get("synthesize"), VerifyPhase: ph.get("verify"),
 	}
 }
 
@@ -344,12 +382,13 @@ func Fig4dOpen(sizes []netgen.Size, perDevice []int) []GenerateRow {
 	for _, size := range sizes {
 		for _, k := range perDevice {
 			e, srcs := OpenSetup(size, k)
+			ph := timePhases(e)
 			t0 := time.Now()
 			res, err := e.Generate(srcs)
 			if err != nil {
 				panic(err)
 			}
-			rows = append(rows, genRow(size, fmt.Sprintf("open-%d", k), true, res, time.Since(t0)))
+			rows = append(rows, genRow(size, fmt.Sprintf("open-%d", k), true, res, ph, time.Since(t0)))
 		}
 	}
 	return rows
@@ -460,7 +499,7 @@ func PrintCheckRows(w io.Writer, rows []CheckRow) {
 			result = "violation"
 		}
 		fmt.Fprintf(w, "%-8s %4.0f%% %-13s %-11s %6d %7d %10d %12v\n",
-			r.Size, r.PerturbPct, r.Mode, result, r.FECs, r.SolvedFECs, r.Conflicts,
+			r.Size, r.PerturbPct, r.Mode, result, r.FECs, r.SolvedFECs, r.Stats.Conflicts,
 			r.Elapsed.Round(time.Millisecond))
 	}
 }

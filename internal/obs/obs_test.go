@@ -19,7 +19,8 @@ func TestJSONLRoundTrip(t *testing.T) {
 	root := o.StartSpan("check", KV("mode", "sequential"))
 	child := root.Child("solve")
 	child.SetAttr("fecs", 7)
-	child.End()
+	child.End(KV("decided", 3))
+	child.End(KV("decided", 4)) // ended already: neither emits nor overrides
 	root.SetAttr("consistent", true)
 	root.End()
 
@@ -46,7 +47,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if solve.Parent != check.ID || solve.Depth != check.Depth+1 {
 		t.Fatalf("solve not a child of check: %+v vs %+v", solve, check)
 	}
-	if v, ok := solve.Attrs["fecs"].(float64); !ok || v != 7 {
+	if solve.Attrs["fecs"] != float64(7) || solve.Attrs["decided"] != float64(3) {
 		t.Fatalf("solve attrs lost: %+v", solve.Attrs)
 	}
 	if check.Name != "check" || check.Attrs["mode"] != "sequential" || check.Attrs["consistent"] != true {
@@ -94,7 +95,7 @@ func TestConcurrentInstruments(t *testing.T) {
 				h.Observe(int64(i))
 			}
 			sp.SetAttr("n", perWorker)
-			sp.End()
+			sp.End(KV("w", w))
 		}(w)
 	}
 	wg.Wait()
@@ -120,7 +121,7 @@ func TestNoopZeroAlloc(t *testing.T) {
 		sp := o.StartSpan("check")
 		child := sp.Child("solve")
 		child.SetAttr("fecs", 7)
-		child.End()
+		child.End(KV("decided", 3))
 		sp.End()
 	}); avg != 0 {
 		t.Fatalf("nil-observer span path allocates %.1f/op", avg)

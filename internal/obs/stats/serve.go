@@ -1,10 +1,10 @@
-// Package serve exposes the internal/obs telemetry surface over HTTP:
+// Package stats exposes the internal/obs telemetry surface over HTTP:
 // /metrics in the Prometheus text exposition format, /healthz,
 // /debug/pprof/*, and /events streaming progress lines and finished
 // spans as server-sent events. It is the stats endpoint the jinjingd
 // daemon (ROADMAP item 1) will mount; the CLI mounts it behind
 // `jinjing -listen ADDR` for the lifetime of a run.
-package serve
+package stats
 
 import (
 	"context"

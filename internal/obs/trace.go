@@ -142,9 +142,9 @@ func (s *Span) SetAttr(key string, value any) {
 	s.mu.Unlock()
 }
 
-// End finishes the span and emits its record. Safe to call more than
-// once; only the first call emits.
-func (s *Span) End() {
+// End attaches any final attributes, finishes the span and emits its
+// record. Safe to call more than once; only the first call emits.
+func (s *Span) End(final ...Attr) {
 	if s == nil {
 		return
 	}
@@ -155,6 +155,7 @@ func (s *Span) End() {
 		return
 	}
 	s.ended = true
+	s.attrs = append(s.attrs, final...)
 	attrs := s.attrs
 	s.mu.Unlock()
 

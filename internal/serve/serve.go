@@ -16,7 +16,7 @@
 //	POST   /v1/sessions/{name}/fix            an optional updated snapshot
 //	POST   /v1/sessions/{name}/generate       and per-job option overrides
 //	GET    /v1/jobs[/{id}]                    job records
-//	GET    /metrics /healthz /events /debug/pprof/   (internal/obs/serve)
+//	GET    /metrics /healthz /events /debug/pprof/   (internal/obs/stats)
 //
 // Jobs on one session are strictly serialized (the engine and verdict
 // cache are single-writer); across sessions they run concurrently up to
@@ -44,7 +44,7 @@ import (
 
 	"jinjing/internal/obs"
 	"jinjing/internal/obs/declog"
-	obsserve "jinjing/internal/obs/serve"
+	"jinjing/internal/obs/stats"
 )
 
 // Config tunes the daemon. The zero value serves with the defaults
@@ -113,8 +113,8 @@ const (
 type Server struct {
 	cfg      Config
 	metrics  *obs.Metrics
-	hub      *obsserve.Hub
-	stats    *obsserve.Server
+	hub      *stats.Hub
+	stats    *stats.Server
 	observer *obs.Observer
 	quotas   *tenantQuotas
 	jobs     *jobRegistry
@@ -167,12 +167,12 @@ func New(cfg Config) *Server {
 		cfg.MaxInFlight = defaultMaxInFlight
 	}
 	metrics := obs.NewMetrics()
-	hub := obsserve.NewHub()
+	hub := stats.NewHub()
 	s := &Server{
 		cfg:      cfg,
 		metrics:  metrics,
 		hub:      hub,
-		stats:    obsserve.New(metrics, hub),
+		stats:    stats.New(metrics, hub),
 		observer: obs.NewObserver(obs.NewTracer(hub), metrics, obs.NewProgress(hub)),
 		quotas:   newTenantQuotas(cfg.Quota, nil),
 		jobs:     newJobRegistry(),
