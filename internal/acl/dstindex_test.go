@@ -2,6 +2,7 @@ package acl
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"jinjing/internal/header"
@@ -55,6 +56,86 @@ func TestDstIndexMatchesLinearScan(t *testing.T) {
 			live[i] = false
 		}
 		check()
+	}
+}
+
+// TestDstContainingMatchesLinearScan pins the per-atom walk against its
+// definition: the ascending positions of the indexed rules whose
+// destination contains the query prefix. Rule lists put rules at /0 (the
+// root) and /32 (the leaves) beside nested prefixes, queries include /0
+// and /32, and the index is queried again after removals in any order
+// and in SimplifyFastPass' oldest-first order. The walk appends to the
+// buffer it is given and leaves its prefix alone.
+func TestDstContainingMatchesLinearScan(t *testing.T) {
+	r := rand.New(rand.NewSource(3401))
+	var roots, leaves, empties int
+	for iter := 0; iter < 300; iter++ {
+		a := randomACL(r, 1+r.Intn(40))
+		for i := range a.Rules {
+			switch r.Intn(8) {
+			case 0:
+				a.Rules[i].Match.Dst = header.AnyPrefix
+			case 1:
+				a.Rules[i].Match.Dst = header.Prefix{Addr: a.Rules[i].Match.Dst.Addr | r.Uint32()&0xffff, Len: 32}
+			case 2:
+				if i > 0 {
+					a.Rules[i].Match.Dst = a.Rules[r.Intn(i)].Match.Dst // a shared node
+				}
+			}
+		}
+		ix := NewDstIndex(a.Rules)
+		live := make([]bool, len(a.Rules))
+		for i := range live {
+			live[i] = true
+		}
+		check := func() {
+			t.Helper()
+			for q := 0; q < 40; q++ {
+				var p header.Prefix
+				switch r.Intn(4) {
+				case 0:
+					p = header.AnyPrefix
+					roots++
+				case 1: // a leaf under a rule's destination
+					p = header.Prefix{Addr: a.Rules[r.Intn(len(a.Rules))].Match.Dst.Addr | r.Uint32()&0xffff, Len: 32}
+					leaves++
+				case 2: // a rule's own destination
+					p = a.Rules[r.Intn(len(a.Rules))].Match.Dst
+				default:
+					p = header.Prefix{Addr: uint32(1+r.Intn(6))<<24 | r.Uint32()&0xffffff, Len: r.Intn(33)}.Canonical()
+				}
+				var want []int32
+				for i, rule := range a.Rules {
+					if live[i] && rule.Match.Dst.Contains(p) {
+						want = append(want, int32(i))
+					}
+				}
+				if len(want) == 0 {
+					empties++
+				}
+				buf := []int32{-1}
+				got := ix.DstContaining(p, buf)
+				if got[0] != -1 || !slices.Equal(got[1:], want) {
+					t.Fatalf("DstContaining(%v) = %v, want [-1] + %v\nrules=%v live=%v", p, got, want, a, live)
+				}
+			}
+		}
+		check()
+		if r.Intn(2) == 0 {
+			for _, i := range r.Perm(len(a.Rules))[:r.Intn(len(a.Rules)+1)] {
+				ix.remove(i)
+				live[i] = false
+			}
+		} else {
+			for i, n := 0, r.Intn(len(a.Rules)+1); i < n; i++ {
+				ix.remove(i)
+				live[i] = false
+			}
+		}
+		check()
+	}
+	if roots < 1000 || leaves < 1000 || empties < 500 {
+		t.Fatalf("queries are lopsided: %d at /0, %d at /32, %d with no containing rule", roots, leaves, empties)
 	}
 }
 

@@ -207,6 +207,25 @@ func (ix *DstIndex) FirstContaining(m header.Match) int {
 	return best
 }
 
+// DstContaining appends to buf, in ascending order, the positions of the
+// indexed rules whose destination contains p: the rules on the walk
+// root → p. Every match whose destination lies inside p first-matches
+// the first of them that contains it, so classes sharing a destination
+// share one walk.
+func (ix *DstIndex) DstContaining(p header.Prefix, buf []int32) []int32 {
+	start := len(buf)
+	n := &ix.root
+	for d := 0; n != nil && n.count > 0; d++ {
+		buf = append(buf, n.at...)
+		if d == p.Len {
+			break
+		}
+		n = n.children[p.Addr>>(31-d)&1]
+	}
+	slices.Sort(buf[start:])
+	return buf
+}
+
 // FirstMatch is ACL.DecideMatch on the index: pos is FirstContaining(m),
 // and atomic reports that no indexed rule before pos straddles m —
 // overlaps it without containing it — so every packet of m first-matches

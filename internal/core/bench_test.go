@@ -125,6 +125,39 @@ func BenchmarkGenerateWAN(b *testing.B) {
 	}
 }
 
+// BenchmarkGenerateDeriveWAN times deriveAECs alone on the two
+// BenchmarkGenerateWAN setups: the medium WAN's classes grouped into AECs
+// by their first-match rule at every original ACL and their control
+// membership (Fig. 4c migration, Fig. 4d control-open 4).
+func BenchmarkGenerateDeriveWAN(b *testing.B) {
+	w := netgenMediumOnce()
+	for _, bc := range []struct {
+		name string
+		mk   func(opts core.Options) (*core.Engine, []topo.ACLBinding)
+	}{
+		{"migration", func(opts core.Options) (*core.Engine, []topo.ACLBinding) { return core.WANMigration(w, opts) }},
+		{"open-4", func(opts core.Options) (*core.Engine, []topo.ACLBinding) { return core.WANOpen(w, 4, opts) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			e, _ := bc.mk(core.DefaultOptions())
+			derive, classes, err := core.DeriveAECsOf(e)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var aecs int
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if aecs, err = derive(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(classes), "classes")
+			b.ReportMetric(float64(aecs), "aecs")
+		})
+	}
+}
+
 // BenchmarkFixWAN is one cold fix on the medium WAN per iteration — a
 // fresh engine, so paths, FECs, the per-call index and the verification
 // check are all inside the op, as they are for the CLI: the Fig. 4b

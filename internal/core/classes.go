@@ -106,6 +106,19 @@ func (e *Engine) deriveClasses() ([]header.Match, error) {
 	return out, nil
 }
 
+// dstAtoms counts the destination atoms of classes in deriveClasses'
+// dst-major order: the runs of one destination, each of which deriveAECs
+// walks every distinct ACL's search tree for once.
+func dstAtoms(classes []header.Match) int {
+	n := 0
+	for i, c := range classes {
+		if i == 0 || c.Dst != classes[i-1].Dst {
+			n++
+		}
+	}
+	return n
+}
+
 // portAtoms partitions [0, 65535] into maximal intervals not crossing any
 // given range boundary.
 func portAtoms(ranges []header.PortRange) []header.PortRange {

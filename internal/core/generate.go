@@ -121,7 +121,9 @@ func (e *Engine) GenerateContext(callCtx context.Context, sources []topo.ACLBind
 		return fail(err)
 	}
 	res.AECs = len(aecs)
-	dp.End(obs.KV("classes", res.Classes), obs.KV("aecs", res.AECs))
+	atoms := dstAtoms(classes)
+	o.Gauge("generate.dst_atoms").Set(int64(atoms))
+	dp.End(obs.KV("classes", res.Classes), obs.KV("aecs", res.AECs), obs.KV("dst_atoms", atoms))
 
 	// Phase 2: solve each AEC, falling back to DECs (§5.2, §5.3). Each
 	// AEC is solved on its own fresh solver, a pure function of the AEC,
@@ -296,6 +298,14 @@ func (e *Engine) GenerateContext(callCtx context.Context, sources []topo.ACLBind
 // (deriveClasses), so the first containing rule is the first matching one.
 // Bindings carrying one ACL content share its table ID, and the class is
 // looked up once per distinct ID.
+//
+// What depends on a class's destination alone is computed once per
+// destination atom, whenever the destination changes from the previous
+// class: each distinct ACL's candidate rules (one trie walk) and the
+// controls whose destination is disjoint from the atom, which are '0' for
+// all its classes. A class then scans its atom's candidates and tests
+// the remaining controls, and one with the same hits and control bits as
+// the class before it joins that class's AEC.
 func (e *Engine) deriveAECs(encBindings []topo.ACLBinding, classes []header.Match) ([]*aec, error) {
 	tab := e.aclTable()
 	local := map[int32]int{}               // table ID -> index into indexers
@@ -314,54 +324,78 @@ func (e *Engine) deriveAECs(encBindings []topo.ACLBinding, classes []header.Matc
 	}
 	groups := map[string]*aec{}
 	var out []*aec
-	hits := make([]int32, len(encBindings))
+	nEnc := len(encBindings)
+	atom := make([]atomHits, len(indexers))
+	var ctrls []int // controls whose destination overlaps the atom
+	var g *aec      // the previous class's AEC; nil on a new atom
+	hits := make([]int32, nEnc)
 	hitOf := make([]int32, len(indexers))
-	key := make([]byte, 0, len(encBindings)+len(e.Controls))
-	for _, c := range classes {
+	key := make([]byte, nEnc+len(e.Controls))
+	for ci, c := range classes {
+		if ci == 0 || c.Dst != classes[ci-1].Dst {
+			for k, h := range indexers {
+				h.walk(c.Dst, &atom[k])
+			}
+			ctrls = ctrls[:0]
+			for j, ctrl := range e.Controls {
+				if ctrl.Match.Dst.Overlaps(c.Dst) {
+					ctrls = append(ctrls, j)
+				} else {
+					key[nEnc+j] = '0'
+				}
+			}
+			g = nil
+		}
+		same := g != nil
 		for k, h := range indexers {
-			hitOf[k] = int32(h.hit(c))
+			hit := h.hit(&atom[k], c)
+			same = same && hit == hitOf[k]
+			hitOf[k] = hit
 		}
-		key = key[:0]
-		for i, k := range aclOf {
-			hits[i] = hitOf[k]
-			if indexers[k].action(int(hitOf[k])) == acl.Permit {
-				key = append(key, 'p')
-			} else {
-				key = append(key, 'd')
-			}
-		}
-		for _, ctrl := range e.Controls {
+		for _, j := range ctrls {
+			m := e.Controls[j].Match
+			bit := byte('0')
 			switch {
-			case ctrl.Match.Contains(c):
-				key = append(key, '1')
-			case !ctrl.Match.Overlaps(c):
-				key = append(key, '0')
-			default:
-				return nil, fmt.Errorf("core: class %v not atomic wrt control match %v", c, ctrl.Match)
+			case m.Contains(c):
+				bit = '1'
+			case m.Overlaps(c):
+				return nil, fmt.Errorf("core: class %v not atomic wrt control match %v", c, m)
 			}
+			same = same && key[nEnc+j] == bit
+			key[nEnc+j] = bit
 		}
-		g, ok := groups[string(key)]
-		if !ok {
-			g = &aec{
-				decisions: make([]acl.Action, len(encBindings)),
-				ctrlIn:    make([]bool, len(e.Controls)),
-				hits:      make([][]int32, len(encBindings)),
+		if !same {
+			for i, k := range aclOf {
+				hits[i] = hitOf[k]
+				if indexers[k].action(int(hitOf[k])) == acl.Permit {
+					key[i] = 'p'
+				} else {
+					key[i] = 'd'
+				}
 			}
-			for i := range g.decisions {
-				g.decisions[i] = key[i] == 'p'
+			var ok bool
+			if g, ok = groups[string(key)]; !ok {
+				g = &aec{
+					decisions: make([]acl.Action, nEnc),
+					ctrlIn:    make([]bool, len(e.Controls)),
+					hits:      make([][]int32, nEnc),
+				}
+				for i := range g.decisions {
+					g.decisions[i] = key[i] == 'p'
+				}
+				for i := range g.ctrlIn {
+					g.ctrlIn[i] = key[nEnc+i] == '1'
+				}
+				groups[string(key)] = g
+				out = append(out, g)
 			}
-			for i := range g.ctrlIn {
-				g.ctrlIn[i] = key[len(encBindings)+i] == '1'
+			for i, hit := range hits {
+				if !slices.Contains(g.hits[i], hit) {
+					g.hits[i] = append(g.hits[i], hit)
+				}
 			}
-			groups[string(key)] = g
-			out = append(out, g)
 		}
 		g.classes = append(g.classes, c)
-		for i, hit := range hits {
-			if !slices.Contains(g.hits[i], hit) {
-				g.hits[i] = append(g.hits[i], hit)
-			}
-		}
 	}
 	return out, nil
 }

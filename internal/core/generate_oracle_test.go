@@ -702,6 +702,22 @@ func WANMigration(w *netgen.WAN, opts Options) (*Engine, []topo.ACLBinding) {
 	return e, sources
 }
 
+// DeriveAECsOf derives e's classes and returns a function that groups
+// them into AECs and reports how many, so that a benchmark can time
+// deriveAECs alone. Exported from the test binary for the external
+// benchmarks.
+func DeriveAECsOf(e *Engine) (derive func() (int, error), classes int, err error) {
+	enc := e.Before.ACLGroup(e.Scope)
+	cs, err := e.deriveClasses()
+	if err != nil {
+		return nil, 0, err
+	}
+	return func() (int, error) {
+		aecs, err := e.deriveAECs(enc, cs)
+		return len(aecs), err
+	}, len(cs), nil
+}
+
 // WANOpen is the Fig. 4d setup: open perDevice prefixes per edge device
 // from the core uplinks to the edge customer side, regenerating the core
 // and aggregation ACLs.
@@ -914,6 +930,128 @@ func permutedOverlapsCase() oracleCase {
 		eng.Allow = []topo.ACLBinding{{Iface: d, Dir: topo.Out}}
 		return eng, []topo.ACLBinding{{Iface: e, Dir: topo.In}, {Iface: x, Dir: topo.Out}}
 	}}
+}
+
+// fiveFieldCase is a two-hop network whose rules and controls constrain
+// every header field: within one destination atom, source prefixes,
+// source and destination port ranges and protocol ranges alone decide
+// which of the atom's candidate rules a class first-matches, and whether
+// it falls under a control. Two of the controls share a destination
+// prefix with rules (they contain whole atoms) and one constrains no
+// destination at all (it overlaps every atom).
+func fiveFieldCase() oracleCase {
+	match := func(s string) header.Match { return acl.MustParse("permit " + s).Rules[0].Match }
+	return oracleCase{"five-fields", func(opts Options) (*Engine, []topo.ACLBinding) {
+		n := topo.NewNetwork()
+		r1, r2 := n.Device("R1"), n.Device("R2")
+		e, d, u, x, y := r1.Interface("e"), r1.Interface("d"), r2.Interface("u"), r2.Interface("x"), r2.Interface("y")
+		n.AddLink(d, u)
+		r1.AddRoute(header.MustParsePrefix("10.0.0.0/7"), d)
+		r2.AddRoute(header.MustParsePrefix("10.0.0.0/8"), x)
+		r2.AddRoute(header.MustParsePrefix("11.0.0.0/8"), y)
+		e.SetACL(topo.In, acl.MustParse(
+			"deny src 172.16.0.0/12 dst 10.1.0.0/16 dport 22, permit dst 10.1.0.0/16 proto tcp sport 1024-65535, "+
+				"deny dst 10.1.0.0/16 proto udp, deny dst 10.0.0.0/8 dport 8000-8999, "+
+				"permit dst 10.1.2.0/24 src 192.168.0.0/16, deny dst 10.1.2.0/24, permit all"))
+		x.SetACL(topo.Out, acl.MustParse(
+			"deny src 192.168.0.0/16 dst 10.1.0.0/16 proto 1-16, permit dst 10.1.0.0/16 sport 53 proto udp, "+
+				"deny dst 10.0.0.0/8 dport 0-1023, permit all"))
+		y.SetACL(topo.Out, acl.MustParse(
+			"deny dst 11.0.0.0/8 sport 0-1023 proto tcp, permit dst 11.1.0.0/16 src 10.0.0.0/8, "+
+				"deny dst 11.0.0.0/8 dport 443, permit all"))
+		eng := New(n, n.Clone(), topo.NewScope("R1", "R2").WithEntries("R1:e"), opts)
+		from := map[string]bool{"R1:e": true}
+		eng.Controls = []Control{
+			{From: from, To: map[string]bool{"R2:x": true}, Mode: Open, Match: match("src 172.16.0.0/12 dst 10.1.0.0/16 dport 22 proto tcp")},
+			{From: from, To: map[string]bool{"R2:x": true, "R2:y": true}, Mode: Isolate, Match: match("sport 53 proto udp")},
+			{From: from, To: map[string]bool{"R2:y": true}, Mode: Maintain, Match: match("src 192.168.0.0/16 dst 11.1.0.0/16 dport 8000-8999")},
+		}
+		eng.Allow = []topo.ACLBinding{{Iface: d, Dir: topo.Out}, {Iface: u, Dir: topo.In}}
+		return eng, []topo.ACLBinding{{Iface: e, Dir: topo.In}, {Iface: x, Dir: topo.Out}, {Iface: y, Dir: topo.Out}}
+	}}
+}
+
+// TestGenerateOracleFiveFields runs fiveFieldCase through the oracle,
+// after checking it is what it says: for each non-destination field,
+// two classes of one destination atom that differ in that field alone
+// first-match different rules of some original ACL, and two fall on
+// different sides of some control.
+func TestGenerateOracleFiveFields(t *testing.T) {
+	c := fiveFieldCase()
+	e, _ := c.mk(DefaultOptions())
+	enc := e.Before.ACLGroup(e.Scope)
+	classes, err := e.deriveClasses()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields := []struct {
+		name string
+		wild func(m *header.Match)
+	}{
+		{"src", func(m *header.Match) { m.Src = header.AnyPrefix }},
+		{"sport", func(m *header.Match) { m.SrcPort = header.AnyPort }},
+		{"dport", func(m *header.Match) { m.DstPort = header.AnyPort }},
+		{"proto", func(m *header.Match) { m.Proto = header.AnyProto }},
+	}
+	hits, ctrls := make([]string, len(classes)), make([]string, len(classes))
+	for i, cl := range classes {
+		for _, b := range enc {
+			hits[i] += fmt.Sprintf("%d,", refHit(b.Iface.ACL(b.Dir).Rules, cl))
+		}
+		for _, ctrl := range e.Controls {
+			ctrls[i] += fmt.Sprint(ctrl.Match.Contains(cl))
+		}
+	}
+	for _, f := range fields {
+		first := map[header.Match]int{} // the class's atom and its other fields -> first such class
+		var ruleSplit, ctrlSplit bool
+		for i, cl := range classes {
+			f.wild(&cl)
+			j, ok := first[cl]
+			if !ok {
+				first[cl] = i
+				continue
+			}
+			ruleSplit = ruleSplit || hits[i] != hits[j]
+			ctrlSplit = ctrlSplit || ctrls[i] != ctrls[j]
+		}
+		if !ruleSplit || !ctrlSplit {
+			t.Errorf("%s alone splits the classes of an atom by first match: %v, by control: %v", f.name, ruleSplit, ctrlSplit)
+		}
+	}
+	if t.Failed() {
+		return
+	}
+	runOracleCase(t, c)
+}
+
+// TestDeriveAECsRejectsClassesStraddlingAControl pins both branches of
+// deriveAECs' per-atom control test: a class whose destination strictly
+// contains a control's, and a class that shares the control's
+// destination but straddles its port range, are each refused with an
+// error naming the class — also after a class of the same atom that the
+// control decides cleanly.
+func TestDeriveAECsRejectsClassesStraddlingAControl(t *testing.T) {
+	match := func(s string) header.Match { return acl.MustParse("permit " + s).Rules[0].Match }
+	before := papernet.Build()
+	e := New(before, before.Clone(), papernet.Scope(), DefaultOptions())
+	e.Controls = []Control{{Mode: Open, Match: match("dst 10.1.0.0/16 dport 80")}}
+	enc := e.Before.ACLGroup(e.Scope)
+	for _, tc := range []struct{ name, ok, bad string }{
+		{"destination", "dst 10.0.0.0/8 dport 81", "dst 10.0.0.0/8 dport 80"},
+		{"port", "dst 10.1.0.0/16 dport 80", "dst 10.1.0.0/16 dport 0-1023"},
+	} {
+		ok, bad := match(tc.ok), match(tc.bad)
+		for _, classes := range [][]header.Match{{bad}, {ok, bad}} {
+			_, err := e.deriveAECs(enc, classes)
+			if err == nil || !strings.Contains(err.Error(), "not atomic wrt control match") || !strings.Contains(err.Error(), bad.String()) {
+				t.Errorf("%s: deriveAECs(%v) = %v, want a not-atomic error naming %v", tc.name, classes, err, bad)
+			}
+		}
+		if _, err := e.deriveAECs(enc, []header.Match{ok}); err != nil {
+			t.Errorf("%s: deriveAECs(%v): %v", tc.name, ok, err)
+		}
+	}
 }
 
 // tableOf derives the engine's classes and AECs and builds its synthesis

@@ -138,18 +138,56 @@ func newHitIndexer(a *acl.ACL, useTree bool) *hitIndexer {
 	return h
 }
 
-// hit returns the index of the first rule containing the class, or
-// len(rules) for the default.
-func (h *hitIndexer) hit(class header.Match) int {
-	if h.tree != nil {
-		return h.tree.FirstContaining(class)
+// atomHits is one ACL's first-match candidates for the classes of one
+// destination atom: rule positions in ascending order, and the hit of a
+// class that none of them contains.
+type atomHits struct {
+	cands    []int32
+	fallback int32
+}
+
+// walk sets w to the search tree's candidates for the classes whose
+// destination is dst: the rules whose destination contains dst (one trie
+// walk), cut after the first that constrains no other field. That rule
+// contains every class of the atom, so it is the fallback; the default
+// (len(rules)) is otherwise.
+func (h *hitIndexer) walk(dst header.Prefix, w *atomHits) {
+	if h.tree == nil {
+		return
 	}
-	for i, r := range h.acl.Rules {
-		if r.Match.Contains(class) {
+	rules := h.acl.Rules
+	w.cands = h.tree.DstContaining(dst, w.cands[:0])
+	w.fallback = int32(len(rules))
+	for k, i := range w.cands {
+		m := rules[i].Match
+		m.Dst = header.AnyPrefix
+		if m.IsAll() {
+			w.cands, w.fallback = w.cands[:k], i
+			return
+		}
+	}
+}
+
+// hit returns the position of the first rule containing class, or
+// len(rules) for the default: the first of w's candidates, walked for the
+// class's destination, or without the search tree (the UseSearchTree=false
+// ablation) a linear scan.
+func (h *hitIndexer) hit(w *atomHits, class header.Match) int32 {
+	rules := h.acl.Rules
+	if h.tree == nil {
+		for i := range rules {
+			if rules[i].Match.Contains(class) {
+				return int32(i)
+			}
+		}
+		return int32(len(rules))
+	}
+	for _, i := range w.cands {
+		if rules[i].Match.Contains(class) {
 			return i
 		}
 	}
-	return len(h.acl.Rules)
+	return w.fallback
 }
 
 // decide is acl.DecideMatch through the search tree (which it requires):
