@@ -175,7 +175,7 @@ func TestCLIObservability(t *testing.T) {
 	if len(lines) < 2 {
 		t.Fatalf("trace too short:\n%s", data)
 	}
-	sawCheck := false
+	sawCheck, sawLoad := false, false
 	for i, line := range lines {
 		var rec map[string]any
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
@@ -183,8 +183,16 @@ func TestCLIObservability(t *testing.T) {
 		}
 		switch rec["type"] {
 		case "span":
-			if rec["name"] == "check" {
+			switch rec["name"] {
+			case "check":
 				sawCheck = true
+			case "load":
+				// The load is traced too: a root span with the input's size.
+				sawLoad = true
+				attrs, _ := rec["attrs"].(map[string]any)
+				if rec["depth"] != 0.0 || attrs["bytes"] == nil || attrs["devices"] != 14.0 || attrs["routes"] == nil {
+					t.Fatalf("load span should be a root with bytes, devices=14 and routes: %s", line)
+				}
 			}
 		case "metrics":
 			if i != len(lines)-1 {
@@ -194,8 +202,8 @@ func TestCLIObservability(t *testing.T) {
 			t.Fatalf("trace line %d has unknown type: %s", i, line)
 		}
 	}
-	if !sawCheck {
-		t.Fatalf("no check span in trace:\n%s", data)
+	if !sawCheck || !sawLoad {
+		t.Fatalf("no check or load span in trace:\n%s", data)
 	}
 	if rec := lines[len(lines)-1]; !strings.Contains(rec, `"metrics"`) {
 		t.Fatalf("trace does not end with a metrics record: %s", rec)

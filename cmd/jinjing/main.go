@@ -75,38 +75,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	var net *topo.Network
-	var err error
-	if *configsDir != "" {
-		net, err = loadConfigs(*configsDir, *linksPath)
-	} else {
-		net, err = loadNetwork(*topoPath)
-	}
-	if err != nil {
-		fatal(err)
-	}
-	src, err := os.ReadFile(*programPath)
-	if err != nil {
-		fatal(err)
-	}
-	prog, err := lai.Parse(string(src))
-	if err != nil {
-		fatal(err)
-	}
-
-	var opts lai.ResolveOptions
-	if *updatedPath != "" {
-		updated, err := loadNetwork(*updatedPath)
-		if err != nil {
-			fatal(err)
-		}
-		opts.Updated = updated
-	}
-	resolved, err := lai.Resolve(prog, net, opts)
-	if err != nil {
-		fatal(err)
-	}
-
 	engineOpts := core.DefaultOptions()
 	engineOpts.FindAllViolations = *findAll
 	engineOpts.Workers = *workers
@@ -127,6 +95,8 @@ func main() {
 	}
 	engineOpts.Backend = backend
 
+	// Observability starts before the inputs are read, so profiles and
+	// traces cover the load; every exit after this point calls finish.
 	observer, ledger, finish, err := setupObservability(obsConfig{
 		tracePath:   *tracePath,
 		traceText:   *traceText,
@@ -140,14 +110,56 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	fail := func(err error) {
+		finish()
+		fatal(err)
+	}
+
+	load := observer.StartSpan("load")
+	var in inputs
+	var net *topo.Network
+	if *configsDir != "" {
+		net, err = in.configs(*configsDir, *linksPath)
+	} else {
+		net, err = in.network(*topoPath)
+	}
+	if err != nil {
+		fail(err)
+	}
+	src, err := in.read(*programPath)
+	if err != nil {
+		fail(err)
+	}
+	prog, err := lai.Parse(string(src))
+	if err != nil {
+		fail(err)
+	}
+
+	var opts lai.ResolveOptions
+	if *updatedPath != "" {
+		updated, err := in.network(*updatedPath)
+		if err != nil {
+			fail(err)
+		}
+		opts.Updated = updated
+	}
+	resolved, err := lai.Resolve(prog, net, opts)
+	if err != nil {
+		fail(err)
+	}
+	routes := 0
+	for _, d := range net.Devices {
+		routes += len(d.FIB)
+	}
+	load.End(obs.KV("bytes", in.bytes), obs.KV("devices", len(net.Devices)), obs.KV("routes", routes))
+
 	engineOpts.Obs = observer
 	engineOpts.DecisionLog = ledger
 	engineOpts.Forensics = *slowFECs > 0
 
 	report, err := core.Run(resolved, engineOpts)
 	if err != nil {
-		finish()
-		fatal(err)
+		fail(err)
 	}
 	report.Print(os.Stdout)
 	if *slowFECs > 0 {
@@ -392,9 +404,34 @@ func fmtNS(ns int64) string {
 	}
 }
 
-// loadConfigs assembles a network from a directory of IOS-style device
+// inputs reads the run's input files and counts their bytes for the
+// load span.
+type inputs struct{ bytes int }
+
+func (in *inputs) read(path string) ([]byte, error) {
+	data, err := os.ReadFile(path)
+	in.bytes += len(data)
+	return data, err
+}
+
+// network reads a topology snapshot in the internal/topo JSON schema.
+// It calls UnmarshalJSON on the bytes directly: json.Unmarshal would
+// validate and skip the whole document before calling it.
+func (in *inputs) network(path string) (*topo.Network, error) {
+	data, err := in.read(path)
+	if err != nil {
+		return nil, err
+	}
+	n := topo.NewNetwork()
+	if err := n.UnmarshalJSON(data); err != nil {
+		return nil, fmt.Errorf("%s: %v", path, err)
+	}
+	return n, nil
+}
+
+// configs assembles a network from a directory of IOS-style device
 // configurations and a JSON cable plan.
-func loadConfigs(dir, linksPath string) (*topo.Network, error) {
+func (in *inputs) configs(dir, linksPath string) (*topo.Network, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, "*.cfg"))
 	if err != nil {
 		return nil, err
@@ -405,7 +442,7 @@ func loadConfigs(dir, linksPath string) (*topo.Network, error) {
 	sort.Strings(paths)
 	var cfgs []*ciscoconf.DeviceConfig
 	for _, p := range paths {
-		data, err := os.ReadFile(p)
+		data, err := in.read(p)
 		if err != nil {
 			return nil, err
 		}
@@ -417,7 +454,7 @@ func loadConfigs(dir, linksPath string) (*topo.Network, error) {
 	}
 	var links []ciscoconf.Link
 	if linksPath != "" {
-		data, err := os.ReadFile(linksPath)
+		data, err := in.read(linksPath)
 		if err != nil {
 			return nil, err
 		}
@@ -488,18 +525,6 @@ func emitIOSPlans(report *core.Report) {
 			emit(id, g.ACLs[id])
 		}
 	}
-}
-
-func loadNetwork(path string) (*topo.Network, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	n := topo.NewNetwork()
-	if err := json.Unmarshal(data, n); err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
-	}
-	return n, nil
 }
 
 func fatal(err error) {

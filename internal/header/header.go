@@ -94,26 +94,55 @@ func ParsePrefix(s string) (Prefix, error) {
 	length := 32
 	if i := strings.IndexByte(s, '/'); i >= 0 {
 		addrPart = s[:i]
-		n, err := strconv.Atoi(s[i+1:])
-		if err != nil || n < 0 || n > 32 {
+		n, ok := parseDecimal(s[i+1:], 32)
+		if !ok {
 			return Prefix{}, fmt.Errorf("header: bad prefix length in %q", s)
 		}
 		length = n
 	}
-	parts := strings.Split(addrPart, ".")
-	if len(parts) != 4 {
+	if strings.Count(addrPart, ".") != 3 {
 		return Prefix{}, fmt.Errorf("header: bad IPv4 address %q", s)
 	}
 	var addr uint32
-	for _, part := range parts {
-		n, err := strconv.Atoi(part)
-		if err != nil || n < 0 || n > 255 {
+	for i := 0; i < 4; i++ {
+		part := addrPart
+		if j := strings.IndexByte(addrPart, '.'); j >= 0 {
+			part, addrPart = addrPart[:j], addrPart[j+1:]
+		}
+		n, ok := parseDecimal(part, 255)
+		if !ok {
 			return Prefix{}, fmt.Errorf("header: bad IPv4 octet in %q", s)
 		}
 		addr = addr<<8 | uint32(n)
 	}
 	p := Prefix{Addr: addr, Len: length}
 	return p.Canonical(), nil
+}
+
+// parseDecimal parses s as strconv.Atoi does (an optional sign, then
+// one or more decimal digits) and accepts the result when it lies in
+// [0, limit].
+func parseDecimal(s string, limit int) (int, bool) {
+	if s != "" && (s[0] == '+' || s[0] == '-') {
+		if s[0] == '-' {
+			limit = 0 // only -0, -00, ... lie in range
+		}
+		s = s[1:]
+	}
+	if s == "" {
+		return 0, false
+	}
+	n := 0
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		if n = n*10 + int(c-'0'); n > limit {
+			return 0, false
+		}
+	}
+	return n, true
 }
 
 // MustParsePrefix is ParsePrefix that panics on error; intended for

@@ -1,7 +1,10 @@
 package header
 
 import (
+	"fmt"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -32,6 +35,78 @@ func TestParsePrefix(t *testing.T) {
 		if !c.err && got != c.want {
 			t.Errorf("ParsePrefix(%q) = %+v, want %+v", c.in, got, c.want)
 		}
+	}
+}
+
+// parsePrefixSplit is ParsePrefix as it was written with strings.Split
+// and strconv.Atoi, kept as the reference the allocation-free version
+// must agree with.
+func parsePrefixSplit(s string) (Prefix, error) {
+	if s == "all" || s == "any" || s == "*" {
+		return AnyPrefix, nil
+	}
+	addrPart := s
+	length := 32
+	if i := strings.IndexByte(s, '/'); i >= 0 {
+		addrPart = s[:i]
+		n, err := strconv.Atoi(s[i+1:])
+		if err != nil || n < 0 || n > 32 {
+			return Prefix{}, fmt.Errorf("header: bad prefix length in %q", s)
+		}
+		length = n
+	}
+	parts := strings.Split(addrPart, ".")
+	if len(parts) != 4 {
+		return Prefix{}, fmt.Errorf("header: bad IPv4 address %q", s)
+	}
+	var addr uint32
+	for _, part := range parts {
+		n, err := strconv.Atoi(part)
+		if err != nil || n < 0 || n > 255 {
+			return Prefix{}, fmt.Errorf("header: bad IPv4 octet in %q", s)
+		}
+		addr = addr<<8 | uint32(n)
+	}
+	return Prefix{Addr: addr, Len: length}.Canonical(), nil
+}
+
+// TestParsePrefixAgreesWithSplit checks corner cases and random strings
+// over the prefix alphabet: the same prefix, or the same error.
+func TestParsePrefixAgreesWithSplit(t *testing.T) {
+	inputs := []string{
+		"", "all", "any", "*", "All", "/", "/8", "1.2.3.4/", "+8", "08",
+		"1.2.3.4.", "1..2.3", ".1.2.3", "256.0.0.0", "255.255.255.255",
+		"1.2.3.4/33", "1.2.3.4/32", "1.2.3.4/0", "1.2.3.4/+8", "1.2.3.4/-0",
+		"1.2.3.4/-1", "1.2.3.4/08", "+1.2.3.4", "-0.0.0.0", "-1.0.0.0",
+		"01.002.0003.00004/0008", "1.2.3.4/8/8", "1.2.3.4 /8", " 1.2.3.4",
+		"1.2.3.0x4", "1_0.0.0.0", "00000000000000000000001.2.3.4",
+		"99999999999999999999.0.0.0", "1.2.3.4/99999999999999999999",
+	}
+	r := rand.New(rand.NewSource(1))
+	const alphabet = "0123456789./+- _xa"
+	for i := 0; i < 20000; i++ {
+		b := make([]byte, r.Intn(20))
+		for j := range b {
+			b[j] = alphabet[r.Intn(len(alphabet))]
+		}
+		inputs = append(inputs, string(b))
+	}
+	for i := 0; i < 2000; i++ {
+		inputs = append(inputs, fmt.Sprintf("%d.%d.%d.%d/%d",
+			r.Intn(300), r.Intn(300), r.Intn(300), r.Intn(300), r.Intn(40)))
+	}
+	for _, s := range inputs {
+		got, gotErr := ParsePrefix(s)
+		want, wantErr := parsePrefixSplit(s)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || got != want {
+			t.Errorf("ParsePrefix(%q) = %v, %v; reference %v, %v", s, got, gotErr, want, wantErr)
+		}
+	}
+}
+
+func TestParsePrefixAllocs(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { MustParsePrefix("10.20.30.0/24") }); n != 0 {
+		t.Errorf("ParsePrefix allocates %v times per call", n)
 	}
 }
 

@@ -97,7 +97,7 @@ type jobCaps struct {
 // the cold-start moment; jobs run against warm structures.
 func newSession(name string, req *SessionRequest, o *obs.Observer, ledger *declog.Logger, ledgerPath string) (*session, error) {
 	base := topo.NewNetwork()
-	if err := json.Unmarshal(req.Topology, base); err != nil {
+	if err := base.UnmarshalJSON(req.Topology); err != nil {
 		return nil, fmt.Errorf("topology: %v", err)
 	}
 	prog, err := lai.Parse(req.Program)
@@ -107,7 +107,7 @@ func newSession(name string, req *SessionRequest, o *obs.Observer, ledger *declo
 	var ropts lai.ResolveOptions
 	if len(req.Updated) > 0 {
 		u := topo.NewNetwork()
-		if err := json.Unmarshal(req.Updated, u); err != nil {
+		if err := u.UnmarshalJSON(req.Updated); err != nil {
 			return nil, fmt.Errorf("updated: %v", err)
 		}
 		ropts.Updated = u
@@ -199,7 +199,7 @@ func (s *session) runLocked(ctx context.Context, jobID, kind string, req *JobReq
 
 	if len(req.Updated) > 0 {
 		u := topo.NewNetwork()
-		if err := json.Unmarshal(req.Updated, u); err != nil {
+		if err := u.UnmarshalJSON(req.Updated); err != nil {
 			return nil, &APIError{Code: "bad_request", Message: fmt.Sprintf("updated: %v", err)}
 		}
 		r, err := lai.Resolve(s.program, s.base, lai.ResolveOptions{Updated: u})

@@ -1,6 +1,7 @@
 package topo_test
 
 import (
+	"encoding/json"
 	"math/rand"
 	"testing"
 
@@ -121,5 +122,27 @@ func BenchmarkClone(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		w.Net.Clone()
+	}
+}
+
+// BenchmarkLoadNetwork is topo.load: one snapshot marshaled once, as
+// jinjing-netgen writes it, and decoded per iteration through
+// UnmarshalJSON, the call the CLI and the daemon make on the bytes they
+// read.
+func BenchmarkLoadNetwork(b *testing.B) {
+	for _, size := range wanSizes {
+		data, err := json.Marshal(netgen.Build(netgen.DefaultConfig(size, 1)).Net)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(size.String(), func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := topo.NewNetwork().UnmarshalJSON(data); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
