@@ -139,6 +139,80 @@ func TestDstContainingMatchesLinearScan(t *testing.T) {
 	}
 }
 
+// TestDstOverlappingMatchesLinearScan pins the overlap query the
+// region-restricted folds gather their rules with against a linear
+// Prefix.Overlaps scan: the ascending positions of the indexed rules whose
+// destination overlaps the query prefix — ancestors, the prefix's own
+// node and the whole subtree below it — before and after removals. The
+// walk appends to the buffer it is given and leaves its prefix alone.
+func TestDstOverlappingMatchesLinearScan(t *testing.T) {
+	r := rand.New(rand.NewSource(3601))
+	var above, below, empties int
+	for iter := 0; iter < 300; iter++ {
+		a := randomACL(r, 1+r.Intn(40))
+		for i := range a.Rules {
+			switch r.Intn(6) {
+			case 0:
+				a.Rules[i].Match.Dst = header.AnyPrefix
+			case 1: // nested under an earlier rule's destination
+				if i > 0 {
+					p := a.Rules[r.Intn(i)].Match.Dst
+					a.Rules[i].Match.Dst = header.Prefix{Addr: p.Addr | r.Uint32()>>uint(p.Len+1), Len: p.Len + r.Intn(33-p.Len)}.Canonical()
+				}
+			}
+		}
+		ix := NewDstIndex(a.Rules)
+		live := make([]bool, len(a.Rules))
+		for i := range live {
+			live[i] = true
+		}
+		check := func() {
+			t.Helper()
+			for q := 0; q < 40; q++ {
+				var p header.Prefix
+				switch r.Intn(4) {
+				case 0: // a rule's destination, shortened: rules lie below it
+					p = a.Rules[r.Intn(len(a.Rules))].Match.Dst
+					p = header.Prefix{Addr: p.Addr, Len: r.Intn(p.Len + 1)}.Canonical()
+				case 1: // a rule's destination, lengthened: rules lie above it
+					p = a.Rules[r.Intn(len(a.Rules))].Match.Dst
+					p = header.Prefix{Addr: p.Addr | r.Uint32()>>uint(p.Len+1), Len: p.Len + r.Intn(33-p.Len)}.Canonical()
+				default:
+					p = header.Prefix{Addr: r.Uint32(), Len: r.Intn(33)}.Canonical()
+				}
+				var want []int32
+				for i, rule := range a.Rules {
+					if !live[i] || !rule.Match.Dst.Overlaps(p) {
+						continue
+					}
+					want = append(want, int32(i))
+					if rule.Match.Dst.Len > p.Len {
+						below++
+					} else if rule.Match.Dst.Len > 0 {
+						above++
+					}
+				}
+				if len(want) == 0 {
+					empties++
+				}
+				got := ix.DstOverlapping(p, []int32{-1})
+				if got[0] != -1 || !slices.Equal(got[1:], want) {
+					t.Fatalf("DstOverlapping(%v) = %v, want [-1] + %v\nrules=%v live=%v", p, got, want, a, live)
+				}
+			}
+		}
+		check()
+		for _, i := range r.Perm(len(a.Rules))[:r.Intn(len(a.Rules)+1)] {
+			ix.remove(i)
+			live[i] = false
+		}
+		check()
+	}
+	if above < 1000 || below < 1000 || empties < 500 {
+		t.Fatalf("queries are lopsided: %d rules above the query, %d below, %d queries with none", above, below, empties)
+	}
+}
+
 // TestDstIndexDecideMatchMatchesLinearScan pins FirstMatch against
 // ACL.DecideMatch, the linear scan whose contract it carries: the same
 // decision and the same atomicity verdict on every query. The rule lists

@@ -226,6 +226,32 @@ func (ix *DstIndex) DstContaining(p header.Prefix, buf []int32) []int32 {
 	return buf
 }
 
+// DstOverlapping appends to buf, in ascending order, the positions of
+// the indexed rules whose destination overlaps p: the rules on the walk
+// root → p plus those in the subtree below p. No other rule can overlap
+// a match whose destination lies inside p.
+func (ix *DstIndex) DstOverlapping(p header.Prefix, buf []int32) []int32 {
+	start := len(buf)
+	n := &ix.root
+	for d := 0; n != nil && d < p.Len; d++ {
+		buf = append(buf, n.at...)
+		n = n.children[p.Addr>>(31-d)&1]
+	}
+	buf = n.appendBelow(buf)
+	slices.Sort(buf[start:])
+	return buf
+}
+
+// appendBelow appends the positions indexed on n and in the subtree
+// under it.
+func (n *dstTrieNode) appendBelow(buf []int32) []int32 {
+	if n == nil || n.count == 0 {
+		return buf
+	}
+	buf = append(buf, n.at...)
+	return n.children[1].appendBelow(n.children[0].appendBelow(buf))
+}
+
 // FirstMatch is ACL.DecideMatch on the index: pos is FirstContaining(m),
 // and atomic reports that no indexed rule before pos straddles m —
 // overlaps it without containing it — so every packet of m first-matches

@@ -47,8 +47,8 @@ func refShapeKey(e *Engine, ctx *checkCtx, p topo.Path) string {
 func shapeKey(ctx *checkCtx, sh checkShape) string {
 	var pairs []string
 	for _, pi := range sh.pairs {
-		pr := ctx.encPairs[pi].acls
-		pairs = append(pairs, pr[0].String()+" => "+pr[1].String())
+		ids := ctx.encPairs[pi].ids
+		pairs = append(pairs, ctx.acls[ids[0]].String()+" => "+ctx.acls[ids[1]].String())
 	}
 	slices.Sort(pairs)
 	var ctrls []string
@@ -60,7 +60,10 @@ func shapeKey(ctx *checkCtx, sh checkShape) string {
 
 // refPsetDecidePaths is the per-path reference of psetDecideFEC: every
 // path states its own disjunct, from its own walk over its bindings, and
-// the restricted sets are built afresh for every path.
+// the restricted sets are built afresh for every path. The desired set
+// folds every control on the path unconditionally — the Ite chain as
+// desiredFormula states it, with no skip of controls that miss the
+// region.
 func refPsetDecidePaths(e *Engine, ctx *checkCtx, fec topo.FEC) (violating, ok bool) {
 	region := fecRegion(fec)
 	walk := e.pathWalk(ctx)
@@ -79,15 +82,28 @@ func refPsetDecidePaths(e *Engine, ctx *checkCtx, fec topo.FEC) (violating, ok b
 		}
 		before, after := region, region
 		for _, pi := range pairs {
-			pr := ctx.encPairs[pi].acls
-			wb, bok := pset.PermittedSetWithin(pr[0], region, psetCubeBudget)
-			wa, aok := pset.PermittedSetWithin(pr[1], region, psetCubeBudget)
+			ids := ctx.encPairs[pi].ids
+			wb, _, bok := pset.NewIndex(ctx.acls[ids[0]]).PermittedSetWithin(region, psetCubeBudget)
+			wa, _, aok := pset.NewIndex(ctx.acls[ids[1]]).PermittedSetWithin(region, psetCubeBudget)
 			if !bok || !aok {
 				return false, false
 			}
 			before, after = before.Intersect(wb), after.Intersect(wa)
 		}
-		if !e.desiredSet(ctrls, before, region).Equal(after) {
+		desired := before
+		for k := len(ctrls) - 1; k >= 0; k-- {
+			c := e.Controls[ctrls[k]]
+			val := before // Maintain
+			switch c.Mode {
+			case Isolate:
+				val = pset.Empty()
+			case Open:
+				val = region
+			}
+			m := pset.FromMatch(c.Match)
+			desired = m.Intersect(val).Union(desired.Subtract(m))
+		}
+		if !desired.Equal(after) {
 			return true, true
 		}
 	}
@@ -149,7 +165,7 @@ func checkShapesOn(t *testing.T, name string, e *Engine) shapeStats {
 		if v, ok := refPsetDecidePaths(e, ctx, fec); ok && v != satPaths {
 			t.Fatalf("%s: FEC %d: per-path set reference violating=%v, solver %v", name, i, v, satPaths)
 		}
-		v, ok := e.psetDecideFEC(ctx, fec, shapes)
+		v, ok, _ := e.psetDecideFEC(ctx, fec, shapes)
 		if !ok {
 			t.Fatalf("%s: FEC %d: unexpected cube-budget bail-out", name, i)
 		}

@@ -88,20 +88,29 @@ func BenchmarkGenerateFigure1(b *testing.B) {
 	}
 }
 
+type generateWANCase struct {
+	name string
+	mk   func(opts core.Options) (*core.Engine, []topo.ACLBinding)
+}
+
+// generateWANCases are the two generate setups on the medium WAN: the
+// Fig. 4c migration and the Fig. 4d control-open with 4 prefixes per
+// edge device.
+func generateWANCases() []generateWANCase {
+	w := netgenMediumOnce()
+	return []generateWANCase{
+		{"migration", func(opts core.Options) (*core.Engine, []topo.ACLBinding) { return core.WANMigration(w, opts) }},
+		{"open-4", func(opts core.Options) (*core.Engine, []topo.ACLBinding) { return core.WANOpen(w, 4, opts) }},
+	}
+}
+
 // BenchmarkGenerateWAN is one cold generate on the medium WAN per
 // iteration — a fresh engine, so paths, FECs, the per-call index and the
 // verification check are all inside the op, as they are for the CLI: the
 // two operator-benchmark generate workloads (Fig. 4c migration, Fig. 4d
 // control-open with 4 prefixes per edge device) without the process.
 func BenchmarkGenerateWAN(b *testing.B) {
-	w := netgenMediumOnce()
-	for _, bc := range []struct {
-		name string
-		mk   func(opts core.Options) (*core.Engine, []topo.ACLBinding)
-	}{
-		{"migration", func(opts core.Options) (*core.Engine, []topo.ACLBinding) { return core.WANMigration(w, opts) }},
-		{"open-4", func(opts core.Options) (*core.Engine, []topo.ACLBinding) { return core.WANOpen(w, 4, opts) }},
-	} {
+	for _, bc := range generateWANCases() {
 		b.Run(bc.name, func(b *testing.B) {
 			opts := core.DefaultOptions()
 			m := obs.NewMetrics()
@@ -130,14 +139,7 @@ func BenchmarkGenerateWAN(b *testing.B) {
 // by their first-match rule at every original ACL and their control
 // membership (Fig. 4c migration, Fig. 4d control-open 4).
 func BenchmarkGenerateDeriveWAN(b *testing.B) {
-	w := netgenMediumOnce()
-	for _, bc := range []struct {
-		name string
-		mk   func(opts core.Options) (*core.Engine, []topo.ACLBinding)
-	}{
-		{"migration", func(opts core.Options) (*core.Engine, []topo.ACLBinding) { return core.WANMigration(w, opts) }},
-		{"open-4", func(opts core.Options) (*core.Engine, []topo.ACLBinding) { return core.WANOpen(w, 4, opts) }},
-	} {
+	for _, bc := range generateWANCases() {
 		b.Run(bc.name, func(b *testing.B) {
 			e, _ := bc.mk(core.DefaultOptions())
 			derive, classes, err := core.DeriveAECsOf(e)
@@ -154,6 +156,31 @@ func BenchmarkGenerateDeriveWAN(b *testing.B) {
 			}
 			b.ReportMetric(float64(classes), "classes")
 			b.ReportMetric(float64(aecs), "aecs")
+		})
+	}
+}
+
+// BenchmarkGenerateVerifyWAN times generate's verification check alone
+// on the two BenchmarkGenerateWAN setups: the snapshot is generated once
+// outside the timer, and each iteration checks it afresh, as Generate
+// does — on an engine derived from the generating one, so preprocessing,
+// the region indexes and every FEC decision are inside the op.
+func BenchmarkGenerateVerifyWAN(b *testing.B) {
+	for _, bc := range generateWANCases() {
+		b.Run(bc.name, func(b *testing.B) {
+			e, sources := bc.mk(core.DefaultOptions())
+			res, err := e.Generate(sources)
+			if err != nil {
+				b.Fatal(err)
+			}
+			verify := core.VerifyCheckOf(e, res)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if cr := verify(); !cr.Consistent || !cr.Complete {
+					b.Fatal("the generated snapshot must verify")
+				}
+			}
 		})
 	}
 }

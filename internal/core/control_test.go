@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -255,5 +256,73 @@ func TestControlIsolateAllWarmRecheck(t *testing.T) {
 	e.UpdateAfter(before.Clone())
 	if res := e.Check(); res.Consistent {
 		t.Fatal("warm re-check: the unchanged network cannot satisfy isolate-all")
+	}
+}
+
+// TestControlsMissingClassesMatchSAT runs controls whose destinations
+// hit some FECs' classes and miss others: on A:1 → D:3, open 6/8 (half
+// of FEC {5,6}) and isolate 4/8 (all of FEC {4}), while FECs {1} and
+// {2,3} carry the controls on their paths but lie outside both matches.
+// The packet-set backend skips a control whose match misses a FEC's flip
+// region; every verdict and every witness must still be the solver's.
+func TestControlsMissingClassesMatchSAT(t *testing.T) {
+	controls := []core.Control{
+		{From: map[string]bool{"A:1": true}, To: map[string]bool{"D:3": true}, Mode: core.Open, Match: header.DstMatch(pfx("6.0.0.0/8"))},
+		{From: map[string]bool{"A:1": true}, To: map[string]bool{"D:3": true}, Mode: core.Isolate, Match: header.DstMatch(pfx("4.0.0.0/8"))},
+	}
+	missesControls := func(classes []header.Prefix) bool {
+		for _, c := range classes {
+			for _, ctrl := range controls {
+				if ctrl.Match.Dst.Overlaps(c) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	var consistent, uncontrolled int
+	for _, a1 := range []string{
+		"deny dst 6.0.0.0/8, permit all",                                         // unchanged: neither intent met
+		"deny dst 3.0.0.0/8, permit all",                                         // opens 6, breaks 3, leaves 4
+		"deny dst 4.0.0.0/8, permit all",                                         // meets both intents
+		"deny dst 4.0.0.0/8, deny dst 1.0.0.0/8, permit all",                     // meets both, breaks 1
+		"deny dst 5.0.0.0/8, deny dst 6.0.0.0/8, deny dst 4.0.0.0/8, permit all", // isolates 4, breaks 5, keeps 6 shut
+	} {
+		run := func(b core.Backend) *core.CheckResult {
+			before := papernet.Build()
+			after := before.Clone()
+			ifc, _ := after.LookupInterface("A:1")
+			ifc.SetACL(topo.In, acl.MustParse(a1))
+			opts := core.DefaultOptions()
+			opts.FindAllViolations = true
+			opts.Forensics = true
+			opts.Backend = b
+			e := core.New(before, after, papernet.Scope(), opts)
+			e.Controls = controls
+			return e.Check()
+		}
+		got, want := run(core.BackendAuto), run(core.BackendSAT)
+		if got.Consistent != want.Consistent || !got.Complete {
+			t.Fatalf("A:1 %q: auto consistent=%v complete=%v, sat consistent=%v", a1, got.Consistent, got.Complete, want.Consistent)
+		}
+		if g, w := fmt.Sprint(got.Violations), fmt.Sprint(want.Violations); g != w {
+			t.Fatalf("A:1 %q: violations differ\nauto %s\nsat  %s", a1, g, w)
+		}
+		for i, f := range got.Forensics {
+			if f.Verdict != want.Forensics[i].Verdict {
+				t.Fatalf("A:1 %q: FEC %d %s under auto, %s under sat", a1, f.FEC, f.Verdict, want.Forensics[i].Verdict)
+			}
+		}
+		if got.Consistent {
+			consistent++
+		}
+		for _, v := range got.Violations {
+			if missesControls(v.Classes) {
+				uncontrolled++
+			}
+		}
+	}
+	if consistent == 0 || uncontrolled == 0 {
+		t.Fatalf("population too weak: %d consistent updates, %d violations outside every control's match", consistent, uncontrolled)
 	}
 }

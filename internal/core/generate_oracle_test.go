@@ -718,6 +718,15 @@ func DeriveAECsOf(e *Engine) (derive func() (int, error), classes int, err error
 	}, len(cs), nil
 }
 
+// VerifyCheckOf returns a function that runs the verification check of
+// res's generated snapshot afresh, as Generate runs it: on an engine
+// derived from e, which shares e's paths and FECs and rebuilds the
+// check's own state — preprocessing, region indexes, every FEC decision.
+// Exported from the test binary for the external benchmarks.
+func VerifyCheckOf(e *Engine, res *GenerateResult) func() *CheckResult {
+	return func() *CheckResult { return e.derived(res.Generated, nil).Check() }
+}
+
 // WANOpen is the Fig. 4d setup: open perDevice prefixes per edge device
 // from the core uplinks to the edge customer side, regenerating the core
 // and aggregation ACLs.

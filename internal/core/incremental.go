@@ -523,10 +523,14 @@ func (e *Engine) resolveFEC(ctx *checkCtx, i int) fecState {
 	if e.Opts.Backend != BackendSAT {
 		fsp := ctx.resolveSpan.Child("fec.solve", obs.KV("fec", i), obs.KV("backend", "pset"),
 			obs.KV("paths", len(fec.Paths)), obs.KV("shapes", len(shapes)))
-		start := time.Now()
-		violating, ok := e.psetDecideFEC(ctx, fec, shapes)
+		start, folded := time.Now(), ctx.folded
+		violating, ok, regionCubes := e.psetDecideFEC(ctx, fec, shapes)
 		ns := time.Since(start).Nanoseconds()
 		ctx.solveNS[i] += ns
+		folded = ctx.folded - folded // rules the region folds visited
+		e.obsv().Counter("check.pset.rules_folded").Add(folded)
+		fsp.SetAttr("region_cubes", regionCubes)
+		fsp.SetAttr("rules_folded", folded)
 		if ok {
 			// Same per-FEC decision-latency histogram the solver path
 			// feeds: its count stays equal to a cold run's SolvedFECs

@@ -143,9 +143,24 @@ func TestCheckPsetObservability(t *testing.T) {
 	trace, _, m := obsHarness(&opts)
 	res := newRunningEngine(t, opts).Check()
 	snap := m.Snapshot()
-	assertCheckShapeSpans(t, decodeSpans(t, trace), snap, "pset", res.SolvedFECs)
+	spans := decodeSpans(t, trace)
+	assertCheckShapeSpans(t, spans, snap, "pset", res.SolvedFECs)
 	if got := snap.Counters["backend.pset.selected"]; got != int64(res.SolvedFECs) || snap.Counters["backend.bailout"] != 0 {
 		t.Fatalf("backend.pset.selected=%d backend.bailout=%d, want %d and 0", got, snap.Counters["backend.bailout"], res.SolvedFECs)
+	}
+	// Each decision names what its cost followed: the flip region's cubes
+	// and the rules its indexed folds visited, which the counter totals.
+	folded := int64(0)
+	for _, s := range spans["fec.solve"] {
+		cubes, cok := s.Attrs["region_cubes"].(float64)
+		rules, rok := s.Attrs["rules_folded"].(float64)
+		if !cok || !rok || cubes < 0 || rules < 0 {
+			t.Fatalf("fec.solve span attrs %v: want region_cubes and rules_folded", s.Attrs)
+		}
+		folded += int64(rules)
+	}
+	if got := snap.Counters["check.pset.rules_folded"]; got != folded || folded == 0 {
+		t.Fatalf("check.pset.rules_folded=%d, fec.solve spans sum to %d (want equal and non-zero)", got, folded)
 	}
 }
 

@@ -10,6 +10,7 @@
 package pset
 
 import (
+	"slices"
 	"sort"
 
 	"jinjing/internal/acl"
@@ -115,8 +116,8 @@ func (s Set) Intersect(t Set) Set {
 
 // IntersectMatches returns s ∩ ⋃ms without materializing ⋃ms: each match
 // is intersected with s's cubes directly, so the cost is |s| × |ms| cube
-// tests plus canonicalizing what actually overlaps — a long rule list
-// against a small region costs what the region catches of it.
+// tests plus canonicalizing what actually overlaps. Over a long rule list
+// a caller hands it only the candidates (Index.MatchesWithin).
 func (s Set) IntersectMatches(ms []header.Match) Set {
 	var out []header.Match
 	for _, m := range ms {
@@ -126,16 +127,21 @@ func (s Set) IntersectMatches(ms []header.Match) Set {
 			}
 		}
 	}
-	return Set{cubes: canonicalize(out)}
+	// Cut down to a few cubes, thousands of rules leave a handful of
+	// distinct fragments, and the subsumption pass is quadratic in the
+	// count: exact duplicates go first.
+	sort.Slice(out, func(i, j int) bool { return cubeLess(out[i], out[j]) })
+	return Set{cubes: canonicalize(slices.Compact(out))}
 }
 
-// SubtractMatch returns s ∖ m.
-func (s Set) SubtractMatch(m header.Match) Set {
-	var out []header.Match
+// Overlaps reports whether some packet of s matches m.
+func (s Set) Overlaps(m header.Match) bool {
 	for _, c := range s.cubes {
-		out = append(out, subtractCube(c, m)...)
+		if c.Overlaps(m) {
+			return true
+		}
 	}
-	return Set{cubes: canonicalize(out)}
+	return false
 }
 
 // Subtract returns s ∖ t. The fold splits cubes without canonicalizing
@@ -362,11 +368,13 @@ func encodeCube(c header.Match) [numFields]uint64 {
 // sweep, sibling prefixes bottom-up into parents. A naive pairwise
 // fixpoint costs O(n²) scans per single merge and dominated set
 // construction; the grouped pass is what makes canonicalization cheap
-// enough to run after every set operation.
+// enough to run after every set operation. The five sweeps share one
+// grouping map, cleared between them.
 func mergePass(cubes []header.Match) ([]header.Match, bool) {
 	merged := false
+	groups := make(map[[numFields - 1]uint64][]int, len(cubes))
 	for field := 0; field < numFields; field++ {
-		groups := make(map[[numFields - 1]uint64][]int, len(cubes))
+		clear(groups)
 		grouped := false
 		for i, c := range cubes {
 			enc := encodeCube(c)
@@ -525,19 +533,70 @@ func cubeLess(a, b header.Match) bool {
 // folding its rules in priority order: each rule claims the part of its
 // match not already claimed above.
 func PermittedSet(a *acl.ACL) Set {
-	s, _ := permittedSetFrom(a, []header.Match{header.MatchAll}, 0)
+	s, _ := permittedSetFrom(a.Rules, a.Default, []header.Match{header.MatchAll}, 0)
 	return s
+}
+
+// Index is an ACL's rules indexed by destination prefix. Its region
+// operations visit, in rule order, only the rules whose destination
+// overlaps a cube of the region: no other rule can overlap the region or
+// anything inside it, so each computes exactly what a scan over every
+// rule does, at a cost that follows the region, not the rule count.
+type Index struct {
+	acl *acl.ACL
+	dst *acl.DstIndex
+}
+
+// NewIndex indexes a's rules.
+func NewIndex(a *acl.ACL) *Index {
+	return &Index{acl: a, dst: acl.NewDstIndex(a.Rules)}
+}
+
+// overlapping returns the ascending positions of the rules whose
+// destination overlaps a cube of region. A destination inside the last
+// one walked adds nothing; canonical cubes, sorted by destination
+// address first, put each right after the ones containing it.
+func (x *Index) overlapping(region Set) []int32 {
+	var pos []int32
+	var walked header.Prefix
+	for i, c := range region.cubes {
+		if i > 0 && walked.Contains(c.Dst) {
+			continue
+		}
+		walked = c.Dst
+		pos = x.dst.DstOverlapping(c.Dst, pos)
+	}
+	slices.Sort(pos) // disjoint destinations share their common ancestors' rules
+	return slices.Compact(pos)
 }
 
 // PermittedSetWithin computes permitted(a) ∩ region without building
 // the ACL's global permitted set: the first-match fold starts from the
 // region's cubes instead of the full header space, so its cost scales
 // with the region's size, not the ACL's global cube complexity. The
-// callers that restrict a small difference region through a long chain
-// of ACLs (the pset backend's unchanged-binding fold) use this to stay
-// on small-set arithmetic. ok=false reports a cube-budget overflow.
-func PermittedSetWithin(a *acl.ACL, region Set, maxCubes int) (Set, bool) {
-	return permittedSetFrom(a, disjointCubes(region.cubes), maxCubes)
+// rules it skips claim nothing of a remainder that never leaves the
+// region, so the set and the ok bit are those of folding every rule.
+// folded counts the rules visited; ok=false reports a cube-budget
+// overflow.
+func (x *Index) PermittedSetWithin(region Set, maxCubes int) (s Set, folded int, ok bool) {
+	pos := x.overlapping(region)
+	rules := make([]acl.Rule, len(pos))
+	for i, p := range pos {
+		rules[i] = x.acl.Rules[p]
+	}
+	s, ok = permittedSetFrom(rules, x.acl.Default, disjointCubes(region.cubes), maxCubes)
+	return s, len(rules), ok
+}
+
+// MatchesWithin returns region ∩ ⋃ of the rules' matches: IntersectMatches
+// over the rules that can meet the region. folded counts them.
+func (x *Index) MatchesWithin(region Set) (s Set, folded int) {
+	pos := x.overlapping(region)
+	ms := make([]header.Match, len(pos))
+	for i, p := range pos {
+		ms[i] = x.acl.Rules[p].Match
+	}
+	return region.IntersectMatches(ms), len(ms)
 }
 
 // disjointCubes rewrites a cube list into pairwise-disjoint cubes
@@ -569,25 +628,25 @@ func disjointCubes(cubes []header.Match) []header.Match {
 	return out
 }
 
-// permittedSetFrom is the shared first-match fold. It tracks the
-// unclaimed remainder of the starting cubes (which must be pairwise
-// disjoint) rather than the claimed union: the remainder's cubes stay
-// pairwise disjoint by construction (subtractCube splits a cube into
-// disjoint fragments), so each rule's claimed region is read off by
-// intersecting the rule's match with the remainder pieces, permitted
-// regions of distinct rules are disjoint and accumulate by plain
-// append, and no per-rule canonicalization is needed — subsumption
-// cannot occur among disjoint cubes. One canonicalization at the end
-// restores the Set invariant. The earlier claimed-union fold
+// permittedSetFrom is the shared first-match fold of rules, falling
+// through to def. It tracks the unclaimed remainder of the starting
+// cubes (which must be pairwise disjoint) rather than the claimed union:
+// the remainder's cubes stay pairwise disjoint by construction
+// (subtractCube splits a cube into disjoint fragments), so each rule's
+// claimed region is read off by intersecting the rule's match with the
+// remainder pieces, permitted regions of distinct rules are disjoint and
+// accumulate by plain append, and no per-rule canonicalization is needed
+// — subsumption cannot occur among disjoint cubes. One canonicalization
+// at the end restores the Set invariant. The earlier claimed-union fold
 // canonicalized twice per rule, which made set construction
 // quadratically slower than the decision it feeds. maxCubes > 0 bounds
 // the intermediate lists (ok=false on overflow); compaction is
 // attempted once before giving up, since disjoint fragment lists can
 // carry mergeable siblings.
-func permittedSetFrom(a *acl.ACL, start []header.Match, maxCubes int) (Set, bool) {
+func permittedSetFrom(rules []acl.Rule, def acl.Action, start []header.Match, maxCubes int) (Set, bool) {
 	var permitted []header.Match
 	remaining := start
-	for _, r := range a.Rules {
+	for _, r := range rules {
 		// A rule that overlaps nothing of what is left claims nothing: skip
 		// it without rebuilding the remainder — on a long rule list folded
 		// from a small region that is nearly every rule.
@@ -623,7 +682,7 @@ func permittedSetFrom(a *acl.ACL, start []header.Match, maxCubes int) (Set, bool
 			}
 		}
 	}
-	if a.Default == acl.Permit {
+	if def == acl.Permit {
 		permitted = append(permitted, remaining...)
 	}
 	return Set{cubes: canonicalizeDisjoint(permitted)}, true
