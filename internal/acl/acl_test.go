@@ -194,7 +194,7 @@ func TestDifferentialDefaultChange(t *testing.T) {
 func TestRelatedRules(t *testing.T) {
 	l := MustParse("deny dst 1.0.0.0/8, deny dst 9.0.0.0/8, permit dst 1.2.0.0/16, permit all")
 	diff := []Rule{{Action: Deny, Match: header.DstMatch(pfx("1.0.0.0/8"))}}
-	rel := Related(l, diff)
+	rel := Related(l, NewDstIndex(diff))
 	if len(rel.Rules) != 2 {
 		t.Fatalf("related = %v, want rules touching 1.0.0.0/8", rel)
 	}
@@ -213,7 +213,8 @@ func TestTheorem41Property(t *testing.T) {
 		l := randomACL(r, 2+r.Intn(8))
 		lp := perturb(r, l)
 		diff := Differential(l, lp)
-		rl, rlp := Related(l, diff), Related(lp, diff)
+		ix := NewDstIndex(diff)
+		rl, rlp := Related(l, ix), Related(lp, ix)
 		full := Equivalent(l, lp)
 		reduced := Equivalent(rl, rlp)
 		if full != reduced {

@@ -52,17 +52,27 @@ func TestQuickDifferentialProperties(t *testing.T) {
 	}
 }
 
-// TestQuickRelatedSubset: related rules are a subsequence of the input
-// preserving order, and unrelated packets decide identically before and
-// after filtering.
+// TestQuickRelatedSubset: related rules are exactly Definition 4.2's —
+// the input's rules overlapping some differential rule, found here by a
+// linear scan — a subsequence of the input preserving order, and
+// unrelated packets decide identically before and after filtering.
 func TestQuickRelatedSubset(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		l := randomACL(r, 1+r.Intn(10))
 		lp := perturb(r, l)
 		diff := Differential(l, lp)
-		rel := Related(l, diff)
+		rel := Related(l, NewDstIndex(diff))
 		if rel.Default != l.Default {
+			return false
+		}
+		var want []Rule
+		for _, k := range l.Rules {
+			if slices.ContainsFunc(diff, func(d Rule) bool { return k.Match.Overlaps(d.Match) }) {
+				want = append(want, k)
+			}
+		}
+		if !slices.EqualFunc(rel.Rules, want, ruleEq) {
 			return false
 		}
 		// Subsequence check.

@@ -34,7 +34,8 @@ func (e *Engine) CheckConservative() *CheckResult {
 			if len(diff) == 0 {
 				continue
 			}
-			equal = acl.Equivalent(acl.Related(before, diff), acl.Related(after, diff))
+			ix := acl.NewDstIndex(diff)
+			equal = acl.Equivalent(acl.Related(before, ix), acl.Related(after, ix))
 		} else {
 			equal = acl.Equivalent(before, after)
 		}
