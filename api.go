@@ -135,7 +135,8 @@ func ResolveProgram(p *Program, net *Network, opts ResolveOptions) (*Resolved, e
 type (
 	// Engine runs the check / fix / generate primitives.
 	Engine = core.Engine
-	// Options toggles the engine's optimizations.
+	// Options configures the engine: the paper's two optimization
+	// switches, resource limits, the backend, workers and observability.
 	Options = core.Options
 	// CheckResult reports a check outcome.
 	CheckResult = core.CheckResult

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -289,12 +291,13 @@ func TestCLIBackendGolden(t *testing.T) {
 	prog := filepath.Join(dir, "checkfix.lai")
 	writeProgram(t, prog, "check\nfix\n")
 
-	capture := func(backend string, workers int) (string, string) {
-		cmd := exec.Command(jinjingBin,
+	capture := func(backend string, workers int, extra ...string) (string, string) {
+		args := append([]string{
 			"-topo", before, "-updated", after, "-program", prog,
 			"-all-violations", "-metrics",
 			"-backend", backend, "-workers", itoa(workers),
-		)
+		}, extra...)
+		cmd := exec.Command(jinjingBin, args...)
 		var stdout, stderr bytes.Buffer
 		cmd.Stdout = &stdout
 		cmd.Stderr = &stderr
@@ -341,6 +344,28 @@ func TestCLIBackendGolden(t *testing.T) {
 	}
 	if v := metricValue(t, psetMetrics, "backend.pset.selected"); v == 0 {
 		t.Fatalf("forced pset answered no queries:\n%s", psetMetrics)
+	}
+
+	// -no-optimizations turns the differential filter and the synthesis
+	// optimizations off. Its check finds the same violations with the
+	// same witnesses, deciding every FEC rather than the differential-
+	// related ones; its unsimplified fix still verifies (capture checks),
+	// and the two backends still print the same bytes.
+	basic, _ := capture("sat", 1, "-no-optimizations")
+	if out, _ := capture("auto", 1, "-no-optimizations"); out != basic {
+		t.Errorf("-no-optimizations: auto stdout differs from -backend sat:\n--- sat ---\n%s\n--- auto ---\n%s", basic, out)
+	}
+	var fecs, solved int
+	if _, err := fmt.Sscanf(basic, "check: INCONSISTENT (%d FECs, %d solved)", &fecs, &solved); err != nil || solved != fecs {
+		t.Errorf("-no-optimizations: check should decide every FEC (%v):\n%s", err, basic)
+	}
+	solvedCount := regexp.MustCompile(`, \d+ solved\)`)
+	checkLines := func(out string) string {
+		check, _, _ := strings.Cut(out, "\nfix:")
+		return solvedCount.ReplaceAllString(check, ")")
+	}
+	if got, want := checkLines(basic), checkLines(golden); got != want {
+		t.Errorf("-no-optimizations check lines differ from the default run's:\n--- default ---\n%s\n--- -no-optimizations ---\n%s", want, got)
 	}
 }
 

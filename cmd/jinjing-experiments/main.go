@@ -93,7 +93,7 @@ func main() {
 	if want["4b"] {
 		report.Fixes = experiments.Fig4bFix(sizes, []bool{true, false})
 		experiments.PrintFixRows(os.Stdout, report.Fixes)
-		rows := []experiments.FixRow{experiments.Fig4bNoExpansion(netgen.Small, 2000)}
+		rows := []experiments.FixRow{experiments.Fig4bNoExpansion(netgen.Small)}
 		experiments.PrintFixRows(os.Stdout, rows)
 		report.Fixes = append(report.Fixes, rows...)
 		fmt.Println()

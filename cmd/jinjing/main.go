@@ -47,7 +47,7 @@ func main() {
 		programPath = flag.String("program", "", "LAI program file (required)")
 		updatedPath = flag.String("updated", "", "post-update network JSON for 'modify X to X'' statements")
 		noDiff      = flag.Bool("no-differential", false, "disable the Theorem 4.1 differential-rules optimization")
-		noOpt       = flag.Bool("no-optimizations", false, "disable all optimizations (basic Algorithm 1)")
+		noOpt       = flag.Bool("no-optimizations", false, "disable the differential-rules and synthesis optimizations (basic Algorithm 1)")
 		findAll     = flag.Bool("all-violations", false, "report one violation per forwarding equivalence class")
 		emitIOS     = flag.Bool("emit-ios", false, "print fixed/generated ACLs as Cisco-IOS access lists")
 		workers     = flag.Int("workers", 1, "parallel workers for fix and generate (check always runs on one goroutine)")
@@ -82,10 +82,8 @@ func main() {
 		engineOpts.UseDifferential = false
 	}
 	if *noOpt {
-		engineOpts = core.Options{FindAllViolations: *findAll, Workers: *workers}
+		engineOpts.OptimizeSynthesis = false
 	}
-	// Resource limits and the backend choice apply in every optimization
-	// mode, so set them after the -no-optimizations reset.
 	engineOpts.Deadline = *timeout
 	engineOpts.PerFECBudget = *fecBudget
 	engineOpts.MaxRetries = *maxRetries

@@ -71,13 +71,13 @@ func TestExperimentFig4bNoExpansionAblation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment tables skipped in -short mode")
 	}
-	row := experiments.Fig4bNoExpansion(netgen.Small, 2000)
+	row := experiments.Fig4bNoExpansion(netgen.Small)
 	experiments.PrintFixRows(os.Stdout,
 		[]experiments.FixRow{row})
 	if row.Verified {
 		t.Error("per-packet fixing should not converge within the cap")
 	}
-	if row.Neighborhoods < 2000 {
+	if row.Neighborhoods < experiments.NoExpansionCap {
 		t.Errorf("expected the cap to bind, got %d iterations", row.Neighborhoods)
 	}
 }

@@ -155,7 +155,7 @@ func checkShapesOn(t *testing.T, name string, e *Engine) shapeStats {
 
 		// Deciding over shapes gives the verdict of deciding over every
 		// path, in the algebra and on the solver.
-		enc := newEncoder(e.Opts.UseTournament, ctx.acls, e.obsv())
+		enc := newEncoder(ctx.acls, e.obsv())
 		class := enc.classPred(fec.Classes)
 		satPaths := smt.SolverOn(enc.b).Solve(enc.b.And(e.fecViolationFormula(enc, fec, ctx.ids), class))
 		satShapes := smt.SolverOn(enc.b).Solve(enc.b.And(e.shapesViolationFormula(enc, ctx, shapes), class))

@@ -150,7 +150,7 @@ func (e *Engine) CheckContext(callCtx context.Context) *CheckResult {
 	o.Gauge("impact.affected_fecs").Set(int64(res.Stats.AffectedFECs))
 
 	// The session builder's formula DAG after the scan (a proxy for
-	// encoding work, compared across encodings in the benches).
+	// encoding work).
 	o.Gauge("smt.nodes").Set(ctx.maxNodes)
 	o.Gauge("check.path_shapes").Set(ctx.pathShapes)
 	if e.Opts.Forensics || e.Opts.DecisionLog != nil {

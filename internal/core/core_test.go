@@ -614,8 +614,7 @@ func TestFixWithoutExpansionAblation(t *testing.T) {
 	// §4.2: without neighborhood enlargement, fix degenerates to
 	// per-packet exclusion and cannot converge; the cap must kick in.
 	opts := core.DefaultOptions()
-	opts.DisableExpansion = true
-	opts.MaxNeighborhoods = 50
+	opts.NoExpansion = 50
 	e := newRunningEngine(t, opts)
 	res, err := e.Fix()
 	if err != nil {
@@ -630,32 +629,6 @@ func TestFixWithoutExpansionAblation(t *testing.T) {
 	for _, nb := range res.Neighborhoods {
 		if nb.Dst.Len != 32 {
 			t.Fatalf("expansion disabled but neighborhood %v is not a singleton", nb)
-		}
-	}
-}
-
-func TestSearchTreeMatchesLinearHitComputation(t *testing.T) {
-	// The §5.5 search-tree index must be a pure accelerator: generate's
-	// output with it on and off must be rule-for-rule identical.
-	mk := func(tree bool) map[string]*acl.ACL {
-		opts := core.DefaultOptions()
-		opts.UseSearchTree = tree
-		e, sources := migrationEngine(opts)
-		res, err := e.Generate(sources)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.ACLs
-	}
-	withTree := mk(true)
-	without := mk(false)
-	if len(withTree) != len(without) {
-		t.Fatalf("target counts differ: %d vs %d", len(withTree), len(without))
-	}
-	for id, a := range withTree {
-		b := without[id]
-		if b == nil || !a.Equal(b) {
-			t.Fatalf("%s differs:\nwith tree:    %v\nwithout tree: %v", id, a, b)
 		}
 	}
 }

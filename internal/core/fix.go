@@ -16,6 +16,9 @@ import (
 	"jinjing/internal/topo"
 )
 
+// maxNeighborhoods caps the fix loop's neighborhoods as a safety valve.
+const maxNeighborhoods = 10000
+
 // FixAction is one fixing-plan entry: prepend Rule to the ACL at Binding.
 type FixAction struct {
 	BindingID string // "device:interface:dir"
@@ -94,9 +97,9 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 
 	fixed := e.After.Clone()
 
-	maxN := e.Opts.MaxNeighborhoods
-	if maxN == 0 {
-		maxN = 10000
+	maxN := maxNeighborhoods
+	if e.Opts.NoExpansion > 0 {
+		maxN = e.Opts.NoExpansion
 	}
 
 	// Every failure after this point is recorded in the decision ledger.
@@ -189,7 +192,7 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 	}
 
 	// Simplify the ACLs the plan touched (§4.2 extension).
-	if e.Opts.SimplifyOutput {
+	if e.Opts.OptimizeSynthesis {
 		sim := root.Child("simplify")
 		var st pset.SimplifyStats
 		for _, b := range touched {
@@ -295,7 +298,7 @@ func (e *Engine) seekNeighborhoods(cn *canceller, fec topo.FEC, shapes []int32, 
 		}
 		h := solver.Packet(enc.pv)
 		var nb header.Match
-		if e.Opts.DisableExpansion {
+		if e.Opts.NoExpansion > 0 {
 			nb = exactMatch(h)
 		} else {
 			nb = expandNeighborhood(h, fec, cons)
@@ -336,7 +339,7 @@ func (e *Engine) fixFEC(cn *canceller, ctx *checkCtx, ix *fixIndex, i int, budge
 		// its first query interrupted.
 		return fecFixOutcome{unknown: reasonCancelled}
 	}
-	enc := newEncoder(e.Opts.UseTournament, ctx.acls, e.obsv())
+	enc := newEncoder(ctx.acls, e.obsv())
 	solver := smt.SolverOn(enc.b)
 	shapes := ix.shapesOn(ctx.src.PathIndices(i))
 	return e.seekNeighborhoods(cn, ctx.fec(i), shapes, ctx.ids, ix, budget, enc, solver)

@@ -394,7 +394,7 @@ func runFixOracleCase(t *testing.T, c fixOracleCase) fixOracleStats {
 			continue // as the check loop's differential skip does
 		}
 		shapes := ix.shapesOn(ctx.src.PathIndices(i))
-		enc := newEncoder(e.Opts.UseTournament, ctx.acls, e.obsv())
+		enc := newEncoder(ctx.acls, e.obsv())
 		solver := smt.SolverOn(enc.b)
 		viol := e.fecViolationFormula(enc, fec, ctx.ids)
 		if viol == smt.False {
@@ -519,7 +519,7 @@ func runFixOracleCase(t *testing.T, c fixOracleCase) fixOracleStats {
 	if err := refApplyFixActions(refFixed, wantActions); err != nil {
 		t.Fatal(err)
 	}
-	if e2.Opts.SimplifyOutput {
+	if e2.Opts.OptimizeSynthesis {
 		touched := map[string]bool{}
 		for _, a := range wantActions {
 			if touched[a.BindingID] {

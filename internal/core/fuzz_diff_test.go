@@ -253,7 +253,6 @@ func TestFuzzCheckParallelAgreement(t *testing.T) {
 		opts := core.DefaultOptions()
 		opts.FindAllViolations = true
 		opts.UseDifferential = iter%2 == 0
-		opts.UseTournament = iter%3 == 0
 		if iter%4 == 0 {
 			// Generous resource limits on a quarter of the cases: the limit
 			// machinery must be byte-inert on the happy path, at every worker
@@ -337,7 +336,6 @@ func TestFuzzBackendThreeWay(t *testing.T) {
 		opts := core.DefaultOptions()
 		opts.FindAllViolations = iter%2 == 0
 		opts.UseDifferential = iter%3 != 0
-		opts.UseTournament = iter%4 == 0
 		mk := func(b core.Backend) core.Options {
 			o := opts
 			o.Backend = b
@@ -675,7 +673,6 @@ func FuzzBackendAgreement(f *testing.F) {
 		opts := core.DefaultOptions()
 		opts.FindAllViolations = mode&1 == 0
 		opts.UseDifferential = mode&2 == 0
-		opts.UseTournament = mode&4 == 0
 		mk := func(b core.Backend) core.Options {
 			o := opts
 			o.Backend = b

@@ -235,7 +235,7 @@ func (e *Engine) GenerateContext(callCtx context.Context, sources []topo.ACLBind
 	for _, id := range ix.targetIDs {
 		synth, generated := e.synthesizeTarget(id, table)
 		res.RulesGenerated += generated
-		if e.Opts.SimplifyOutput {
+		if e.Opts.OptimizeSynthesis {
 			synth, _ = simplifyBounded(synth)
 		}
 		res.RulesAfterSimplify += len(synth.Rules)
@@ -318,7 +318,7 @@ func (e *Engine) deriveAECs(encBindings []topo.ACLBinding, classes []header.Matc
 		if !ok {
 			k = len(indexers)
 			local[id] = k
-			indexers = append(indexers, newHitIndexer(a, e.Opts.UseSearchTree))
+			indexers = append(indexers, newHitIndexer(a, e.Opts.OptimizeSynthesis))
 		}
 		aclOf[i] = k
 	}

@@ -207,7 +207,7 @@ func refBuildRows(e *Engine, aecs []*refAEC, encBindings []topo.ACLBinding) []re
 	states := make([]bindState, len(encBindings))
 	for i, b := range encBindings {
 		a := b.Iface.ACL(b.Dir)
-		states[i] = bindState{grouping: groupRules(a.Rules, e.Opts.UseGrouping), rules: a.Rules}
+		states[i] = bindState{grouping: groupRules(a.Rules, e.Opts.OptimizeSynthesis), rules: a.Rules}
 	}
 	var rows []refRow
 	for ai, a := range aecs {
@@ -480,7 +480,7 @@ func compareSynthesis(t *testing.T, what string, e *Engine, ix *genIndex, table 
 			t.Fatalf("%s: %s counts %d generated rules, reference emits %d", what, id, n, len(ref.Rules))
 		}
 		generated += n
-		if e.Opts.SimplifyOutput {
+		if e.Opts.OptimizeSynthesis {
 			if g, r := acl.SimplifyFastPass(got), acl.SimplifyFastPass(ref); !slices.Equal(g.Rules, r.Rules) {
 				t.Fatalf("%s: %s after one pass: %d rules from %d emitted, reference %d from %d\n got %v\nwant %v",
 					what, id, len(g.Rules), len(got.Rules), len(r.Rules), len(ref.Rules), g, r)
@@ -505,126 +505,117 @@ func runOracleCase(t *testing.T, c oracleCase) {
 	}
 	refAECs := refDeriveAECs(t, refE, refEnc, classes)
 	rs := refSetsOf(refE, refSources, refEnc)
-	refRows := map[bool][]refRow{}
-	// The solving state of the default combination's AECs, as
-	// GenerateContext leaves it; the other combinations derive the same
-	// AECs in the same order and take it over.
+	// The solving state of the optimized run's AECs, as GenerateContext
+	// leaves it; the unoptimized run derives the same AECs in the same
+	// order and takes it over.
 	var solved []*aec
 	unsolvable := false
 
-	for _, tree := range []bool{true, false} {
-		for _, grouping := range []bool{true, false} {
-			opts := DefaultOptions()
-			opts.UseSearchTree, opts.UseGrouping = tree, grouping
-			e, sources := c.mk(opts)
-			enc := e.Before.ACLGroup(e.Scope)
-			what := fmt.Sprintf("tree=%v grouping=%v", tree, grouping)
+	for _, optimize := range []bool{true, false} {
+		opts := DefaultOptions()
+		opts.OptimizeSynthesis = optimize
+		e, sources := c.mk(opts)
+		enc := e.Before.ACLGroup(e.Scope)
+		what := fmt.Sprintf("optimize=%v", optimize)
 
-			// AEC signatures, membership and order.
-			aecs, err := e.deriveAECs(enc, classes)
-			if err != nil {
-				t.Fatal(err)
+		// AEC signatures, membership and order: through the search tree,
+		// and by linear scan.
+		aecs, err := e.deriveAECs(enc, classes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(aecs) != len(refAECs) {
+			t.Fatalf("%s: %d AECs, reference %d", what, len(aecs), len(refAECs))
+		}
+		for i, a := range aecs {
+			ra := refAECs[i]
+			if !slices.Equal(a.decisions, ra.decisions) || !slices.Equal(a.ctrlIn, ra.ctrlIn) ||
+				!slices.EqualFunc(a.classes, ra.classes, header.Match.Equal) {
+				t.Fatalf("%s: AEC %d differs from reference (signature %v/%v vs %v/%v, %d vs %d classes)",
+					what, i, a.decisions, a.ctrlIn, ra.decisions, ra.ctrlIn, len(a.classes), len(ra.classes))
 			}
-			if len(aecs) != len(refAECs) {
-				t.Fatalf("%s: %d AECs, reference %d", what, len(aecs), len(refAECs))
+		}
+
+		// Constraints and decisions, per AEC and per DEC group. They do not
+		// depend on the option, so one pass per case suffices; it runs on
+		// the optimized engine.
+		if optimize {
+			src := e.fecSource()
+			ix := e.compileGenerate(src.Paths(), sources, enc)
+			if !slices.Equal(ix.targetIDs, rs.targetIDs) {
+				t.Fatalf("targets %v, reference %v", ix.targetIDs, rs.targetIDs)
 			}
 			for i, a := range aecs {
-				ra := refAECs[i]
-				if !slices.Equal(a.decisions, ra.decisions) || !slices.Equal(a.ctrlIn, ra.ctrlIn) ||
-					!slices.EqualFunc(a.classes, ra.classes, header.Match.Equal) {
-					t.Fatalf("%s: AEC %d differs from reference (signature %v/%v vs %v/%v, %d vs %d classes)",
-						what, i, a.decisions, a.ctrlIn, ra.decisions, ra.ctrlIn, len(a.classes), len(ra.classes))
-				}
-			}
-
-			// Constraints and decisions, per AEC and per DEC group. They do
-			// not depend on the two options, so one pass per case suffices;
-			// it runs on the default combination.
-			if tree && grouping {
-				src := e.fecSource()
-				ix := e.compileGenerate(src.Paths(), sources, enc)
-				if !slices.Equal(ix.targetIDs, rs.targetIDs) {
-					t.Fatalf("targets %v, reference %v", ix.targetIDs, rs.targetIDs)
-				}
-				for i, a := range aecs {
-					if compareSolve(t, fmt.Sprintf("AEC %d", i), e, ix, rs, refAECs[i], a, src.Paths(), ix.allShapes) {
-						a.solved = true
-						continue
-					}
-					// Unsolvable as one AEC on both sides: the DEC split.
-					seen := map[int]bool{}
-					for _, cl := range a.classes {
-						k := src.FECOf(cl.Dst)
-						if seen[k] {
-							continue
-						}
-						seen[k] = true
-						var decPaths []topo.Path
-						var shapes []int32
-						if k >= 0 {
-							decPaths = src.Materialize(k).Paths
-							shapes = ix.shapesOn(src.PathIndices(k))
-						}
-						sub := &aec{decisions: a.decisions, ctrlIn: a.ctrlIn}
-						if !compareSolve(t, fmt.Sprintf("AEC %d DEC %d", i, k), e, ix, rs, refAECs[i], sub, decPaths, shapes) {
-							unsolvable = true
-							continue
-						}
-						g := &decGroup{dec: sub.dec}
-						for _, cl := range a.classes {
-							if src.FECOf(cl.Dst) == k {
-								g.classes = append(g.classes, cl)
-							}
-						}
-						a.decs = append(a.decs, g)
-					}
-				}
-				solved = aecs
-			}
-			for i, a := range aecs {
-				a.solved, a.dec, a.decs = solved[i].solved, solved[i].dec, solved[i].decs
-			}
-
-			// The synthesis table and what each target makes of it: merged
-			// (the output is simplified) and row for row (it is not).
-			want, ok := refRows[grouping]
-			if !ok {
-				refE.Opts.UseGrouping = grouping
-				want = refBuildRows(refE, refAECs, refEnc)
-				refRows[grouping] = want
-			}
-			ix := e.compileGenerate(nil, sources, enc) // for the target IDs
-			for _, simplify := range []bool{true, false} {
-				what := fmt.Sprintf("%s simplify=%v", what, simplify)
-				e.Opts.SimplifyOutput = simplify
-				table, err := e.buildRows(aecs, enc)
-				if err != nil {
-					t.Fatal(err)
-				}
-				compareTable(t, what, table, aecs, want, simplify)
-				if unsolvable {
-					continue // GenerateContext stops before synthesis
-				}
-				acls, generated := compareSynthesis(t, what, e, ix, table, aecs, want)
-				if !(tree && grouping && simplify) {
+				if compareSolve(t, fmt.Sprintf("AEC %d", i), e, ix, rs, refAECs[i], a, src.Paths(), ix.allShapes) {
+					a.solved = true
 					continue
 				}
-				// The solving state above was put together by this test; a
-				// whole Generate ties it to the engine's own. (Once: verifying
-				// unsimplified ACLs takes the medium cases tens of seconds.)
-				res, err := e.Generate(sources)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.RulesGenerated != generated || len(res.ACLs) != len(acls) {
-					t.Fatalf("%s: Generate reports %d rules at %d targets, the table %d at %d",
-						what, res.RulesGenerated, len(res.ACLs), generated, len(acls))
-				}
-				for id, a := range res.ACLs {
-					if !slices.Equal(a.Rules, acls[id].Rules) {
-						t.Fatalf("%s: Generate at %s\n got %v\nwant %v", what, id, a, acls[id])
+				// Unsolvable as one AEC on both sides: the DEC split.
+				seen := map[int]bool{}
+				for _, cl := range a.classes {
+					k := src.FECOf(cl.Dst)
+					if seen[k] {
+						continue
 					}
+					seen[k] = true
+					var decPaths []topo.Path
+					var shapes []int32
+					if k >= 0 {
+						decPaths = src.Materialize(k).Paths
+						shapes = ix.shapesOn(src.PathIndices(k))
+					}
+					sub := &aec{decisions: a.decisions, ctrlIn: a.ctrlIn}
+					if !compareSolve(t, fmt.Sprintf("AEC %d DEC %d", i, k), e, ix, rs, refAECs[i], sub, decPaths, shapes) {
+						unsolvable = true
+						continue
+					}
+					g := &decGroup{dec: sub.dec}
+					for _, cl := range a.classes {
+						if src.FECOf(cl.Dst) == k {
+							g.classes = append(g.classes, cl)
+						}
+					}
+					a.decs = append(a.decs, g)
 				}
+			}
+			solved = aecs
+		}
+		for i, a := range aecs {
+			a.solved, a.dec, a.decs = solved[i].solved, solved[i].dec, solved[i].decs
+		}
+
+		// The synthesis table, over grouped rules or not, and what each
+		// target makes of it: merged (the output is simplified) and row
+		// for row (it is not).
+		refE.Opts.OptimizeSynthesis = optimize
+		want := refBuildRows(refE, refAECs, refEnc)
+		ix := e.compileGenerate(nil, sources, enc) // for the target IDs
+		table, err := e.buildRows(aecs, enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareTable(t, what, table, aecs, want, optimize)
+		if unsolvable {
+			continue // GenerateContext stops before synthesis
+		}
+		acls, generated := compareSynthesis(t, what, e, ix, table, aecs, want)
+		if !optimize {
+			continue
+		}
+		// The solving state above was put together by this test; a whole
+		// Generate ties it to the engine's own. (Once: verifying
+		// unsimplified ACLs takes the medium cases tens of seconds.)
+		res, err := e.Generate(sources)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.RulesGenerated != generated || len(res.ACLs) != len(acls) {
+			t.Fatalf("%s: Generate reports %d rules at %d targets, the table %d at %d",
+				what, res.RulesGenerated, len(res.ACLs), generated, len(acls))
+		}
+		for id, a := range res.ACLs {
+			if !slices.Equal(a.Rules, acls[id].Rules) {
+				t.Fatalf("%s: Generate at %s\n got %v\nwant %v", what, id, a, acls[id])
 			}
 		}
 	}

@@ -131,7 +131,7 @@ func (e *Engine) checkContext(o *obs.Observer) *checkCtx {
 	}
 	tab := e.aclTable()
 	if e.sess == nil || e.sess.tab != tab {
-		e.sess = &checkSession{tab: tab, enc: newEncoder(e.Opts.UseTournament, nil, o)}
+		e.sess = &checkSession{tab: tab, enc: newEncoder(nil, o)}
 	}
 	ctx := &checkCtx{sess: e.sess}
 	pairs := e.scopeACLPairs()

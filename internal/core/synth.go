@@ -127,7 +127,7 @@ func groupRules(rules []acl.Rule, enabled bool) ruleGrouping {
 // destination instead of scanning the whole rule list.
 type hitIndexer struct {
 	acl  *acl.ACL
-	tree *acl.DstIndex // nil: linear scan (the UseSearchTree=false ablation)
+	tree *acl.DstIndex // nil: linear scan (OptimizeSynthesis off)
 }
 
 func newHitIndexer(a *acl.ACL, useTree bool) *hitIndexer {
@@ -170,8 +170,8 @@ func (h *hitIndexer) walk(dst header.Prefix, w *atomHits) {
 
 // hit returns the position of the first rule containing class, or
 // len(rules) for the default: the first of w's candidates, walked for the
-// class's destination, or without the search tree (the UseSearchTree=false
-// ablation) a linear scan.
+// class's destination, or without the search tree (OptimizeSynthesis
+// off) a linear scan.
 func (h *hitIndexer) hit(w *atomHits, class header.Match) int32 {
 	rules := h.acl.Rules
 	if h.tree == nil {
@@ -222,14 +222,14 @@ func (h *hitIndexer) action(hit int) acl.Action {
 // tests that read the same for every other rule whether a group occurs at
 // every one of its vectors or only at the lowest and the highest. The
 // first pass therefore returns the same list, and everything after it sees
-// the same input. Unsimplified output is the rows themselves, so
-// SimplifyOutput=false must not merge.
+// the same input. Unsimplified output is the rows themselves, so with
+// OptimizeSynthesis off the rows must not merge.
 func (e *Engine) buildRows(aecs []*aec, encBindings []topo.ACLBinding) (*synthTable, error) {
 	groupings := make([]ruleGrouping, len(encBindings))
 	for i, b := range encBindings {
-		groupings[i] = groupRules(b.Iface.ACL(b.Dir).Rules, e.Opts.UseGrouping)
+		groupings[i] = groupRules(b.Iface.ACL(b.Dir).Rules, e.Opts.OptimizeSynthesis)
 	}
-	merge := e.Opts.SimplifyOutput
+	merge := e.Opts.OptimizeSynthesis
 
 	t := &synthTable{}
 	for ai, a := range aecs {
