@@ -336,8 +336,3 @@ func (a *ACL) encodeSegment(b *smt.Builder, pv *smt.PacketVars, lo, hi int) (hit
 	hr, vr := a.encodeSegment(b, pv, mid, hi)
 	return b.Or(hl, hr), b.Ite(hl, vl, vr)
 }
-
-// Encode is the default encoding used by the engine (tournament).
-func (a *ACL) Encode(b *smt.Builder, pv *smt.PacketVars) smt.F {
-	return a.EncodeTournament(b, pv)
-}

@@ -13,8 +13,8 @@ import (
 func Equivalent(a, b *ACL) bool {
 	bld := smt.NewBuilder()
 	pv := bld.NewPacketVars()
-	fa := a.Encode(bld, pv)
-	fb := b.Encode(bld, pv)
+	fa := a.EncodeTournament(bld, pv)
+	fb := b.EncodeTournament(bld, pv)
 	s := smt.SolverOn(bld)
 	return !s.Solve(bld.Xor(fa, fb))
 }
@@ -25,8 +25,8 @@ func Equivalent(a, b *ACL) bool {
 func EquivalentOn(a, b *ACL, restrict func(bld *smt.Builder, pv *smt.PacketVars) smt.F) bool {
 	bld := smt.NewBuilder()
 	pv := bld.NewPacketVars()
-	fa := a.Encode(bld, pv)
-	fb := b.Encode(bld, pv)
+	fa := a.EncodeTournament(bld, pv)
+	fb := b.EncodeTournament(bld, pv)
 	s := smt.SolverOn(bld)
 	return !s.Solve(bld.And(restrict(bld, pv), bld.Xor(fa, fb)))
 }
