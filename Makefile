@@ -17,10 +17,11 @@ fmt:
 
 # Default suite: vet, the fast (-short) tier, then a race-detector pass
 # over the concurrency-bearing packages (parallel fix and generate,
-# solver interrupts, obs sinks). Stays well under the ~9 min full-suite budget.
+# solver interrupts, obs sinks, the daemon). Stays well under the ~9 min
+# full-suite budget.
 test: vet
 	$(GO) test -short ./...
-	$(GO) test -race -short ./internal/core ./internal/sat ./internal/smt ./internal/obs/...
+	$(GO) test -race -short ./internal/core ./internal/sat ./internal/smt ./internal/obs/... ./internal/serve
 
 # Full suite: everything, including the §8 experiment tables with the
 # large WAN (tens of minutes on a single-core machine).

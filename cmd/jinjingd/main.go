@@ -6,8 +6,8 @@
 // Usage:
 //
 //	jinjingd [-listen :8080] [-max-inflight 8] [-decision-logs DIR]
-//	         [-quota-rate N] [-quota-burst N] [-session-ttl D]
-//	         [-max-deadline D] [-max-fec-budget N] [-max-workers N]
+//	         [-quota-rate N] [-quota-burst N] [-max-deadline D]
+//	         [-max-fec-budget N] [-max-workers N]
 //	         [-state-dir DIR] [-snapshot-interval D] [-drain-timeout D]
 //
 // Walkthrough (see README "Running jinjingd" for full bodies):
@@ -42,7 +42,6 @@ func main() {
 		maxFECBudget = flag.Int64("max-fec-budget", 0, "ceiling on per-job SAT conflict budgets (0 = uncapped)")
 		maxWorkers   = flag.Int("max-workers", 0, "ceiling on per-job worker counts (0 = uncapped)")
 		declogDir    = flag.String("decision-logs", "", "directory for per-session decision ledgers (<dir>/<session>.jsonl)")
-		sessionTTL   = flag.Duration("session-ttl", 0, "release a session's warm solver state after this much idle time; the session and its verdict cache stay loaded (0 disables)")
 		stateDir     = flag.String("state-dir", "", "directory for durable session state: manifests and verdict-cache snapshots survive restarts (empty disables)")
 		snapInterval = flag.Duration("snapshot-interval", 0, "cadence of the periodic verdict-cache snapshot pass when -state-dir is set (0 = 30s default, negative disables)")
 		drainTimeout = flag.Duration("drain-timeout", 0, "how long shutdown waits for in-flight jobs before closing (0 = 10s default, negative skips the wait)")
@@ -67,7 +66,6 @@ func main() {
 		MaxPerFECBudget:  *maxFECBudget,
 		MaxWorkers:       *maxWorkers,
 		DecisionLogDir:   *declogDir,
-		SessionTTL:       *sessionTTL,
 		StateDir:         *stateDir,
 		SnapshotInterval: *snapInterval,
 		DrainTimeout:     *drainTimeout,

@@ -118,7 +118,7 @@ type shapeStats struct {
 func checkShapesOn(t *testing.T, name string, e *Engine) shapeStats {
 	t.Helper()
 	var st shapeStats
-	ctx := e.checkContext(e.obsv())
+	ctx := e.checkContext()
 	if ctx.fastPath {
 		return st
 	}

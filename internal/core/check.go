@@ -70,8 +70,9 @@ type CheckResult struct {
 // calling goroutine, whatever Options.Workers says — the worker count
 // applies to fix and generate only. Counterexamples come from a
 // deterministic witness pass over the violating FECs in FEC order.
-// Repeated calls on the same engine reuse the encoded queries and the
-// warmed solver.
+// Repeated calls on one generation (no UpdateAfter between them) keep
+// its verdicts and re-decide only FECs left Unknown, on the
+// generation's SAT builder and solver.
 func (e *Engine) Check() *CheckResult {
 	return e.CheckContext(context.Background())
 }
@@ -90,7 +91,7 @@ func (e *Engine) CheckContext(callCtx context.Context) *CheckResult {
 	res := &CheckResult{Consistent: true, Complete: true}
 
 	pre := root.Child("preprocess")
-	ctx := e.checkContext(o)
+	ctx := e.checkContext()
 	if ctx.fastPath {
 		// No rule changed anywhere: trivially consistent.
 		pre.End(obs.KV("diff_rules", 0))
@@ -149,8 +150,8 @@ func (e *Engine) CheckContext(callCtx context.Context) *CheckResult {
 	o.Gauge("impact.changed_bindings").Set(int64(res.Stats.ChangedBindings))
 	o.Gauge("impact.affected_fecs").Set(int64(res.Stats.AffectedFECs))
 
-	// The session builder's formula DAG after the scan (a proxy for
-	// encoding work).
+	// The generation's formula builder after the scan (a proxy for
+	// encoding work): 0 when no FEC has taken the SAT route.
 	o.Gauge("smt.nodes").Set(ctx.maxNodes)
 	o.Gauge("check.path_shapes").Set(ctx.pathShapes)
 	if e.Opts.Forensics || e.Opts.DecisionLog != nil {

@@ -203,12 +203,9 @@ type Engine struct {
 
 	// ckctx caches the check pipeline's per-generation state (one
 	// Before/After pair): differential rules, encoded pairs, per-FEC
-	// resolution. Invalidated by UpdateAfter; see checkCtx.
+	// resolution, the SAT route's builder and solver. Dropped by
+	// UpdateAfter and ReleaseSession; see checkCtx.
 	ckctx *checkCtx
-	// sess holds the solver state that outlives a generation — the
-	// content-addressed encoder and the persistent detection solver — so
-	// warm re-checks re-encode only what an edit changed.
-	sess *checkSession
 	// tab is the lineage's ACL table when no verdict cache is installed
 	// (see aclTable); shared with derived engines.
 	tab *aclTable
@@ -224,10 +221,10 @@ func New(before, after *topo.Network, scope *topo.Scope, opts Options) *Engine {
 
 // UpdateAfter replaces the engine's After snapshot in place — the
 // incremental edit entry point. Every Before-derived artifact (paths,
-// classes, FECs, the binding index), the solver session, and the
-// bound verdict cache survive; only the per-generation check state is
-// rebuilt, so the next Check re-solves just the FECs the edit can
-// reach and replays cached verdicts for the rest.
+// classes, FECs, the binding index) and the bound verdict cache
+// survive; the per-generation check state, SAT builder and solver
+// included, is dropped, so the next Check re-solves just the FECs the
+// edit can reach and replays cached verdicts for the rest.
 func (e *Engine) UpdateAfter(after *topo.Network) {
 	if after == nil {
 		after = e.Before
@@ -236,23 +233,20 @@ func (e *Engine) UpdateAfter(after *topo.Network) {
 	e.ckctx = nil
 }
 
-// ReleaseSession drops the engine's warm solver state — the shared
-// encoder and the persistent detection solver — along with the current
-// generation's check state. A long-lived host (the jinjingd daemon) calls
-// it when a session is evicted or idles out, so solver memory is
-// reclaimable without discarding the engine or its bound verdict cache;
-// the next Check rebuilds the session cold but replays cached verdicts as
-// usual.
+// ReleaseSession drops the current generation's check state, as
+// UpdateAfter does, without changing the After snapshot: the next Check
+// derives it again, cold on everything the verdict cache (which
+// survives) does not replay.
 func (e *Engine) ReleaseSession() {
-	e.sess = nil
 	e.ckctx = nil
 }
 
 // derived builds a verification engine over a new After snapshot that
 // shares the parent's Before-derived artifacts — paths, classes, FECs,
-// binding index — and its solver session and verdict cache, so the
+// binding index — its ACL table and its verdict cache, so the
 // verification re-checks of fix and generate only re-solve the FECs
-// their edits touched.
+// their edits touched. It shares no check state: its generation is its
+// own.
 func (e *Engine) derived(after *topo.Network, parent *obs.Span) *Engine {
 	opts := e.Opts
 	// The parent primitive's ledger record covers its verification
@@ -262,7 +256,7 @@ func (e *Engine) derived(after *topo.Network, parent *obs.Span) *Engine {
 		Before: e.Before, After: after, Scope: e.Scope,
 		Controls: e.Controls, Opts: opts, parentSpan: parent,
 		fecSrc: e.fecSrc, fecs: e.fecs, bindIdx: e.bindIdx,
-		sess: e.sess, tab: e.aclTable(),
+		tab: e.aclTable(),
 	}
 }
 
@@ -329,12 +323,6 @@ func (e *Engine) fecSource() *topo.FECSource {
 
 // NumFECs returns the number of forwarding equivalence classes.
 func (e *Engine) NumFECs() int { return len(e.FECs()) }
-
-// SessionWarm reports whether the engine currently holds warm solver
-// state (an encoder and the persistent solver from a previous Check). A
-// host can use it to decide whether ReleaseSession would reclaim
-// anything.
-func (e *Engine) SessionWarm() bool { return e.sess != nil }
 
 // bindingACL returns the ACL bound at the binding's position in the given
 // network (nil when unbound there).

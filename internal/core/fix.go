@@ -89,7 +89,7 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 	// incremental per-FEC state — so a check earlier on this engine has
 	// already settled what it decided, and what fix decides warms the
 	// verdict cache exactly as a check would.
-	ctx := e.checkContext(o)
+	ctx := e.checkContext()
 	e.prepareIncremental(ctx)
 
 	ix := e.compileFix(ctx)
@@ -207,7 +207,7 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 	res.Fixed = fixed
 
 	// Verify: the fixed snapshot must pass check. The verification
-	// engine is derived from this one — same session, binding index,
+	// engine is derived from this one — same binding index, ACL table
 	// and verdict cache, when one is installed — so a session re-solves
 	// only the FECs the fixing plan touched and replays the rest.
 	recordCacheStats(o, res.Stats) // fix's own scan; the check records its own

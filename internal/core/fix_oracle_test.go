@@ -368,7 +368,7 @@ func runFixOracleCase(t *testing.T, c fixOracleCase) fixOracleStats {
 	t.Helper()
 	var st fixOracleStats
 	e := c.mk()
-	ctx := e.checkContext(e.obsv())
+	ctx := e.checkContext()
 	e.prepareIncremental(ctx)
 	ix := e.compileFix(ctx)
 
@@ -810,7 +810,7 @@ func TestFixOracleMeshesCoverTheHardCases(t *testing.T) {
 // instead of panicking the worker.
 func TestPlacementOnStraddlingMatchIsAnError(t *testing.T) {
 	e := papernetFixCases()[0].mk()
-	ctx := e.checkContext(e.obsv())
+	ctx := e.checkContext()
 	e.prepareIncremental(ctx)
 	ix := e.compileFix(ctx)
 	// 0.0.0.0/5 covers 1/8..7/8: it straddles every "deny dst N.0.0.0/8".

@@ -76,7 +76,7 @@ func (ctx *checkCtx) forensicsList(last int) []FECForensics {
 	var out []FECForensics
 	for i := 0; i <= last && i < len(ctx.states); i++ {
 		st := ctx.states[i]
-		if st == fecUnresolved || st == fecPending {
+		if st == fecUnresolved {
 			continue
 		}
 		f := FECForensics{

@@ -266,7 +266,7 @@ func (e *Engine) GenerateContext(callCtx context.Context, sources []topo.ACLBind
 	res.Generated = gen
 
 	// Verify: the generated snapshot must pass check. The verification
-	// engine is derived from this one — same session, binding index,
+	// engine is derived from this one — same binding index, ACL table
 	// and verdict cache, when one is installed — so repeated
 	// generate/verify rounds in a session re-solve only the FECs whose
 	// synthesized ACLs changed.

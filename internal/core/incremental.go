@@ -37,8 +37,6 @@ const (
 	// overlaps the FEC. Depends on the global diff, so it is never
 	// cached across generations.
 	fecSkipped
-	// fecPending: an encoded query awaiting a solver verdict.
-	fecPending
 	// fecOK: the query was UNSAT — decided now, in an earlier call, or
 	// replayed from the verdict cache.
 	fecOK
@@ -46,7 +44,7 @@ const (
 	fecViolating
 	// fecUnknown: the query reached no verdict this call — its budget
 	// survived every retry or the call was cancelled. Never cached (see
-	// markUnknown) and retried from scratch by the next call on this
+	// markUnknown) and resolved again by the next call on this
 	// generation.
 	fecUnknown
 )
@@ -321,13 +319,9 @@ func (e *Engine) prepareIncremental(ctx *checkCtx) {
 	ctx.unknownReason = make([]string, n)
 	ctx.routes = make([]fecRoute, n)
 	ctx.solveNS = make([]int64, n)
-	ctx.jobOf = make([]int32, n)
-	for i := range ctx.jobOf {
-		ctx.jobOf[i] = -1
-	}
 	ctx.wit = make(map[int]*Violation)
 	vc := e.Opts.Verdicts
-	if vc == nil || ctx.fastPath || &vc.acls != ctx.sess.tab {
+	if vc == nil || ctx.fastPath || &vc.acls != ctx.tab {
 		// fastPath generations (an empty differential) never consult or
 		// commit the cache — fix reaches here only to size the states. A
 		// cache installed after the generation's IDs were drawn from
@@ -480,21 +474,12 @@ func (ctx *checkCtx) fecKey(i int) []uint64 {
 // skip first (never cached — it depends on the global diff), then the
 // verdict cache under the FEC's full content key, and only then a
 // complete decision procedure. Must be called from one goroutine at a
-// time; the resulting state is memoized.
-func (e *Engine) resolveFEC(ctx *checkCtx, i int) fecState {
-	if st := ctx.states[i]; st != fecUnresolved {
-		if st != fecUnknown {
-			return st
-		}
-		// An earlier interrupted or budget-exhausted call left no
-		// verdict: this call retries. The encoded job (if any) is still
-		// valid — re-arm it as pending; otherwise resolve from scratch.
-		ctx.unknownReason[i] = ""
-		if ctx.jobOf[i] >= 0 {
-			ctx.states[i] = fecPending
-			return fecPending
-		}
-		ctx.states[i] = fecUnresolved
+// time; the resulting state is memoized, except that an Unknown left by
+// an interrupted or budget-exhausted earlier call is resolved again.
+func (e *Engine) resolveFEC(c *solveCall, i int) fecState {
+	ctx := c.ctx
+	if st := ctx.states[i]; st != fecUnresolved && st != fecUnknown {
+		return st
 	}
 	fec := ctx.fec(i)
 	if e.Opts.UseDifferential && !e.fecTouchesDiff(fec, ctx.diff) {
@@ -515,19 +500,19 @@ func (e *Engine) resolveFEC(ctx *checkCtx, i int) fecState {
 	// answers. Either reads the FEC's distinct path shapes, compiled here
 	// and nowhere earlier. The set algebra decides first and skips formula
 	// construction, clausification, and CDCL search entirely; only a
-	// cube-budget bail-out (or a forced BackendSAT) falls through to a
-	// solver job.
+	// cube-budget bail-out (or a forced BackendSAT) falls through to the
+	// solver.
 	shapes := e.compileShapes(ctx, fec)
 	ctx.pathShapes += int64(len(shapes))
 	if e.Opts.Backend != BackendSAT {
-		fsp := ctx.resolveSpan.Child("fec.solve", obs.KV("fec", i), obs.KV("backend", "pset"),
+		fsp := c.span.Child("fec.solve", obs.KV("fec", i), obs.KV("backend", "pset"),
 			obs.KV("paths", len(fec.Paths)), obs.KV("shapes", len(shapes)))
 		start, folded := time.Now(), ctx.folded
 		violating, ok, regionCubes := e.psetDecideFEC(ctx, fec, shapes)
 		ns := time.Since(start).Nanoseconds()
 		ctx.solveNS[i] += ns
 		folded = ctx.folded - folded // rules the region folds visited
-		e.obsv().Counter("check.pset.rules_folded").Add(folded)
+		c.o.Counter("check.pset.rules_folded").Add(folded)
 		fsp.SetAttr("region_cubes", regionCubes)
 		fsp.SetAttr("rules_folded", folded)
 		if ok {
@@ -535,9 +520,8 @@ func (e *Engine) resolveFEC(ctx *checkCtx, i int) fecState {
 			// feeds: its count stays equal to a cold run's SolvedFECs
 			// whichever backend answers. The backend-labelled histogram
 			// splits the same latencies by deciding backend.
-			o := e.obsv()
-			o.Histogram("check.fec_solve_ns").Observe(ns)
-			o.Histogram("fec.solve.ns{backend=pset}").Observe(ns)
+			c.hist.Observe(ns)
+			c.o.Histogram("fec.solve.ns{backend=pset}").Observe(ns)
 			ctx.stats.PsetDecided++
 			ctx.routes[i] = routePset
 			ctx.finishVerdict(i, key, violating)
@@ -554,18 +538,7 @@ func (e *Engine) resolveFEC(ctx *checkCtx, i int) fecState {
 	if ctx.routes[i] == routeNone {
 		ctx.routes[i] = routeSAT
 	}
-	enc := ctx.sess.enc
-	viol := e.shapesViolationFormula(enc, ctx, shapes)
-	ctx.jobOf[i] = int32(len(ctx.jobs))
-	ctx.jobs = append(ctx.jobs, checkJob{
-		fecIdx: i,
-		query:  enc.b.And(viol, enc.classPred(fec.Classes)),
-		key:    key,
-		paths:  len(fec.Paths),
-		shapes: len(shapes),
-	})
-	ctx.states[i] = fecPending
-	return fecPending
+	return e.decideSAT(c, i, key, shapes)
 }
 
 // adopt replays a cached entry as FEC i's state for this generation.
@@ -581,9 +554,9 @@ func (ctx *checkCtx) adopt(i int, ent *fecVerdict) fecState {
 }
 
 // markUnknown records that FEC i's query reached no verdict this call,
-// and why. Unlike finishJob it writes no cache entry, so an Unknown is
-// never replayed as a verdict and the next unrestricted run re-solves
-// the FEC cold.
+// and why. Unlike finishVerdict it writes no cache entry, so an Unknown is
+// never replayed as a verdict and the next unrestricted call re-solves
+// the FEC.
 func (ctx *checkCtx) markUnknown(i int, reason string) {
 	ctx.states[i] = fecUnknown
 	ctx.unknownReason[i] = reason
@@ -608,20 +581,15 @@ func (ctx *checkCtx) finishVerdict(i int, key []uint64, violating bool) {
 	}
 }
 
-// finishJob records a solver verdict for one pending job.
-func (ctx *checkCtx) finishJob(j checkJob, satisfiable bool) {
-	ctx.finishVerdict(j.fecIdx, j.key, satisfiable)
-}
-
 // solvedFECs counts the FECs in [0, last] that the Theorem 4.1 skip did
-// not settle and that hold a verdict (or await one) — decided in this or
-// an earlier call, or replayed from the verdict cache. A pure function
-// of the resolved states, so warm and cold runs report the same number.
+// not settle and that hold a verdict — decided in this or an earlier
+// call, or replayed from the verdict cache. A pure function of the
+// resolved states, so warm and cold runs report the same number.
 func solvedFECs(ctx *checkCtx, last int) int {
 	n := 0
 	for i := 0; i <= last && i < len(ctx.states); i++ {
 		switch ctx.states[i] {
-		case fecPending, fecOK, fecViolating:
+		case fecOK, fecViolating:
 			n++
 		}
 	}

@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"slices"
 	"sort"
 	"strings"
@@ -10,7 +11,9 @@ import (
 
 	"jinjing/internal/core"
 	"jinjing/internal/obs"
+	"jinjing/internal/papernet"
 	"jinjing/internal/sat"
+	"jinjing/internal/topo"
 )
 
 // obsHarness wires a full observer (JSONL trace + metrics + unthrottled
@@ -161,6 +164,49 @@ func TestCheckPsetObservability(t *testing.T) {
 	}
 	if got := snap.Counters["check.pset.rules_folded"]; got != folded || folded == 0 {
 		t.Fatalf("check.pset.rules_folded=%d, fec.solve spans sum to %d (want equal and non-zero)", got, folded)
+	}
+	// No FEC took the SAT route, so the check built no formula.
+	if nodes, misses := snap.Gauges["smt.nodes"], snap.Counters["encoder.cache.misses"]; nodes != 0 || misses != 0 {
+		t.Fatalf("smt.nodes=%d encoder.cache.misses=%d, want 0 and 0", nodes, misses)
+	}
+}
+
+// TestSATBuilderScopedToGeneration checks After A, then B, then A again
+// on one BackendSAT engine. Each After is its own generation with its
+// own formula builder, so the smt.nodes gauge measures that generation
+// and does not accumulate across edits: without a verdict cache the
+// third check rebuilds exactly the first check's formulas; with one, it
+// replays every verdict and builds none.
+func TestSATBuilderScopedToGeneration(t *testing.T) {
+	before := papernet.Build()
+	afterA := runningExampleUpdate(before)
+	afterB := editAfter(t, afterA, "C:1", papernet.Traffic(6))
+	for _, cached := range []bool{false, true} {
+		t.Run(fmt.Sprintf("cache=%v", cached), func(t *testing.T) {
+			opts := core.DefaultOptions()
+			opts.Backend = core.BackendSAT
+			opts.FindAllViolations = true
+			if cached {
+				opts.Verdicts = core.NewVerdictCache()
+			}
+			_, _, m := obsHarness(&opts)
+			e := core.New(before, afterA, papernet.Scope(), opts)
+			var nodes []int64
+			for _, after := range []*topo.Network{afterA, afterB, afterA} {
+				e.UpdateAfter(after)
+				if e.Check().Consistent {
+					t.Fatal("every After must be inconsistent")
+				}
+				nodes = append(nodes, m.Snapshot().Gauges["smt.nodes"])
+			}
+			want := nodes[0]
+			if cached {
+				want = 0
+			}
+			if nodes[0] == 0 || nodes[2] != want {
+				t.Fatalf("smt.nodes per check %v: want a non-zero first and a third of %d", nodes, want)
+			}
+		})
 	}
 }
 

@@ -11,41 +11,16 @@ import (
 	"jinjing/internal/topo"
 )
 
-// checkJob is one encoded Equation-3 query: a single FEC's violation
-// formula conjoined with its class predicate, plus the content key its
-// verdict is cached under. Counterexample attribution happens in the
-// canonical witness pass (see witnessFEC), so jobs carry no path
-// equivalences.
-type checkJob struct {
-	fecIdx int
-	query  smt.F
-	key    []uint64
-	// paths and shapes size the FEC the query was built from, for its
-	// fec.solve span.
-	paths, shapes int
-}
-
-// checkSession is the solver state the FECs of a check are encoded and
-// decided on: the content-addressed encoder and the detection solver.
-// The engine's session outlives a single After snapshot — its builder
-// grows monotonically, hash-consing unchanged cones across edits, and
-// UpdateAfter keeps it, so a warm re-check re-encodes only what the edit
-// changed. Its formulas are indexed by IDs of tab, the table the session
-// was built against.
-type checkSession struct {
-	tab *aclTable
-	enc *encoder
-	seq *smt.Solver
-}
-
 // checkCtx is one generation of the check pipeline — the derived state
 // for the engine's current Before/After pair: differential rules, each
 // in-scope binding's related-filtered encoding pair as ACL-table IDs, and
 // the per-FEC incremental resolution state (see resolveFEC). It is cached
-// on the engine and invalidated by UpdateAfter; the checkSession it
-// points at survives across generations.
+// on the engine and dropped by UpdateAfter and ReleaseSession, and
+// everything it holds dies with it — the SAT route's formula builder and
+// solver included.
 type checkCtx struct {
-	sess *checkSession
+	// tab is the ACL table the generation's IDs were drawn from.
+	tab *aclTable
 
 	pairs []aclPair
 	diff  []acl.Rule
@@ -80,8 +55,6 @@ type checkCtx struct {
 	// unknownReason says why states[i] == fecUnknown (cancelled, budget
 	// exhausted, ...).
 	unknownReason []string
-	jobOf         []int32 // fecIdx -> index into jobs, -1 when none
-	jobs          []checkJob
 	// Solve forensics (see forensics.go): routes[i] records how FEC i's
 	// verdict was established, solveNS[i] its complete-backend decision
 	// time.
@@ -90,9 +63,15 @@ type checkCtx struct {
 	// pathShapes sums the distinct path shapes of the FECs the current
 	// call compiled (the check.path_shapes gauge).
 	pathShapes int64
-	// resolveSpan parents the per-FEC spans resolveFEC emits for
-	// pset-backend decisions: the solve phase's span, set for its duration.
-	resolveSpan *obs.Span
+
+	// enc and seq are the SAT route: the content-addressed encoder over
+	// one formula builder and the detection solver on it, built by the
+	// first FEC that takes the route (a forced BackendSAT or a pset
+	// bail-out). An Unknown FEC re-resolved by a later call on this
+	// generation hash-conses onto the same nodes, so the solver resumes
+	// with its learned clauses.
+	enc *encoder
+	seq *smt.Solver
 
 	// wit memoizes canonical witnesses per FEC for this generation.
 	wit map[int]*Violation
@@ -121,19 +100,14 @@ func (ctx *checkCtx) fec(i int) topo.FEC { return ctx.fecs[i] }
 
 // checkContext returns the engine's cached per-generation check state,
 // deriving it on first use: Theorem 4.1 preprocessing (differential
-// rules and related-rule filtering), each binding's encoded pair as the
-// ACL-table IDs every later stage and the verdict cache key on, and the
-// session (shared encoder + persistent solver), which is reused across
-// generations.
-func (e *Engine) checkContext(o *obs.Observer) *checkCtx {
+// rules and related-rule filtering) and each binding's encoded pair as
+// the ACL-table IDs every later stage and the verdict cache key on.
+func (e *Engine) checkContext() *checkCtx {
 	if e.ckctx != nil {
 		return e.ckctx
 	}
 	tab := e.aclTable()
-	if e.sess == nil || e.sess.tab != tab {
-		e.sess = &checkSession{tab: tab, enc: newEncoder(nil, o)}
-	}
-	ctx := &checkCtx{sess: e.sess}
+	ctx := &checkCtx{tab: tab}
 	pairs := e.scopeACLPairs()
 	ctx.pairs = pairs
 	ctx.aclPairs = len(pairs)
@@ -170,11 +144,12 @@ func (e *Engine) checkContext(o *obs.Observer) *checkCtx {
 }
 
 // solveCall is what one call's solve phase shares across the pipeline's
-// stages (decide → scan → decideJob): the call's scope, whether it finds
-// every violation, the solver counters it reports into, and the
-// observability hooks — the phase span parenting the per-FEC "fec.solve"
-// spans, the all-backends and SAT-only decision-latency histograms, the
-// progress task, and the count of jobs that reached a verdict.
+// stages (decide → scan → resolveFEC → decideSAT): the call's scope,
+// whether it finds every violation, the solver counters it reports into,
+// and the observability hooks — the phase span parenting the per-FEC
+// "fec.solve" spans, the all-backends and SAT-only decision-latency
+// histograms, the progress task, and the count of SAT queries that
+// reached a verdict.
 type solveCall struct {
 	cn      *canceller
 	ctx     *checkCtx
@@ -198,7 +173,7 @@ type solveCall struct {
 // pure function of the states. Solver counters accumulate into stats.
 // Returns the ascending violating FEC indices (one at most in
 // first-violation mode), the last FEC index the scan semantically
-// examined, and the count of jobs that reached a verdict.
+// examined, and the count of SAT queries that reached a verdict.
 func (e *Engine) decide(cn *canceller, ctx *checkCtx, span *obs.Span, findAll bool, stats *sat.Stats) (hits []int, last, decided int) {
 	o := e.obsv()
 	c := &solveCall{
@@ -208,22 +183,19 @@ func (e *Engine) decide(cn *canceller, ctx *checkCtx, span *obs.Span, findAll bo
 		satHist: o.Histogram("fec.solve.ns{backend=sat}"),
 		task:    o.StartTask("check: FECs", int64(ctx.nfec)),
 	}
-	ctx.resolveSpan = span
 	last = ctx.nfec - 1
 	if !cn.cancelled() {
 		if first := e.scan(c); first >= 0 {
 			last = first
 		}
 	}
-	ctx.resolveSpan = nil
 	c.task.Done()
 
 	if cn.cancelled() {
-		// The call is dead: whatever the scan still holds without a verdict
-		// — FECs never resolved, jobs never decided — is Unknown; this call
-		// can no longer establish it.
+		// The call is dead: whatever FEC the scan never resolved is
+		// Unknown; this call can no longer establish it.
 		for i := 0; i <= last; i++ {
-			if st := ctx.states[i]; st == fecUnresolved || st == fecPending {
+			if ctx.states[i] == fecUnresolved {
 				ctx.markUnknown(i, reasonCancelled)
 			}
 		}
@@ -236,36 +208,29 @@ func (e *Engine) decide(cn *canceller, ctx *checkCtx, span *obs.Span, findAll bo
 	return hits, last, c.decided
 }
 
-// scan runs every FEC through resolve and decide, in order, on the
-// engine's session — the content-addressed encoder and the sequential
-// solver that persist across calls and edits. A pending query is decided
-// where it is resolved, on the calling goroutine, so a first-violation
-// stop builds no formula past the hit.
+// scan runs every FEC through resolveFEC, in order, on the calling
+// goroutine. A FEC that takes the SAT route is decided where it is
+// resolved, so a first-violation stop builds no formula past the hit.
 //
 // Returns the FEC index of the violation the scan stops at, or -1 (always
 // -1 in find-all mode).
 func (e *Engine) scan(c *solveCall) int {
-	ctx, sess := c.ctx, c.ctx.sess
-	if sess.seq == nil {
-		sess.seq = smt.SolverOn(sess.enc.b)
+	ctx := c.ctx
+	// A solver from an earlier call on this generation may carry that
+	// call's interrupt; registering clears it (decideSAT registers one it
+	// builds).
+	var base sat.Stats
+	if ctx.seq != nil {
+		c.cn.register(ctx.seq)
+		base = ctx.seq.Stats()
 	}
-	seq := sess.seq
-	// Views of one append-only table agree on every ID they share, so the
-	// generation's own view resolves every formula it asks for.
-	sess.enc.acls = ctx.acls
-	c.cn.register(seq)
-	base := seq.Stats()
-	// Differential skip, cached-verdict replay and pset settle a FEC on
-	// the spot; the rest become solver jobs, decided right away.
-	// A budget-exhausted job is Unknown and the scan continues (one
-	// pathological query must not starve the rest); a cancellation stops
-	// it, and decide marks what is left.
+	// Differential skip, cached-verdict replay, pset and the solver each
+	// settle a FEC on the spot. A budget-exhausted query is Unknown and
+	// the scan continues (one pathological query must not starve the
+	// rest); a cancellation stops it, and decide marks what is left.
 	hit := -1
 	for i := 0; i < ctx.nfec && !c.cn.cancelled(); i++ {
-		st := e.resolveFEC(ctx, i)
-		if st == fecPending {
-			st = e.decideJob(c, seq, ctx.jobs[ctx.jobOf[i]])
-		}
+		st := e.resolveFEC(c, i)
 		c.task.Add(1)
 		if st == fecViolating && !c.findAll {
 			// Replayed or just decided: the scan stops here either way.
@@ -273,8 +238,12 @@ func (e *Engine) scan(c *solveCall) int {
 			break
 		}
 	}
-	recordSolverStats(c.o, c.stats, statsSince(seq.Stats(), base))
-	ctx.maxNodes = int64(sess.enc.b.NumNodes())
+	var st sat.Stats
+	if ctx.seq != nil {
+		st = statsSince(ctx.seq.Stats(), base)
+		ctx.maxNodes = int64(ctx.enc.b.NumNodes())
+	}
+	recordSolverStats(c.o, c.stats, st)
 	return hit
 }
 
@@ -291,7 +260,7 @@ func (ctx *checkCtx) sampleHeap() {
 }
 
 // statsSince subtracts a baseline snapshot from cumulative solver
-// counters, so the persistent solver reports per-call deltas.
+// counters, so a generation's solver reports per-call deltas.
 func statsSince(cur, base sat.Stats) sat.Stats {
 	return sat.Stats{
 		Decisions:    cur.Decisions - base.Decisions,

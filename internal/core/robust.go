@@ -6,8 +6,8 @@ package core
 //   - A canceller relays context cancellation to every solver a
 //     primitive call has in flight: solvers register on acquisition
 //     (which also clears any interrupt a previous cancelled call left
-//     on a persistent solver), and the context watcher interrupts them
-//     all when the deadline fires.
+//     on the generation's solver), and the context watcher interrupts
+//     them all when the deadline fires.
 //
 //   - solveWithRetries wraps one solver query with the per-FEC conflict
 //     budget and escalating retries: the SAT solver keeps its learned
@@ -95,8 +95,8 @@ type canceller struct {
 func (c *canceller) cancelled() bool { return c != nil && c.done.Load() }
 
 // register adds a solver to the interrupt fan-out. Registration also
-// clears any interrupt a previous cancelled call left on the session's
-// persistent solver; if this call is already cancelled the solver is
+// clears any interrupt a previous cancelled call left on the
+// generation's solver; if this call is already cancelled the solver is
 // interrupted immediately instead.
 func (c *canceller) register(s *smt.Solver) {
 	if c == nil {
@@ -239,34 +239,43 @@ func (e *Engine) solveWithRetries(cn *canceller, solver *smt.Solver, o *obs.Obse
 	}
 }
 
-// decideJob decides one pending Equation-3 query for check, recording
-// the verdict (finishJob) or the Unknown (markUnknown — never cached),
-// the per-FEC solve forensics, and a per-FEC span linking the FEC to
-// its backend-selector decision. Returns the FEC's resulting state:
-// fecOK, fecViolating, or fecUnknown.
-func (e *Engine) decideJob(c *solveCall, solver *smt.Solver, j checkJob) fecState {
+// decideSAT decides FEC i's Equation-3 query on the generation's solver
+// for check, building the builder and solver if no FEC has taken the
+// SAT route yet. It records the verdict (finishVerdict, under the FEC's
+// content key) or the Unknown (markUnknown — never cached), the per-FEC
+// solve forensics, and a per-FEC span linking the FEC to its
+// backend-selector decision. Returns the FEC's resulting state: fecOK,
+// fecViolating, or fecUnknown.
+func (e *Engine) decideSAT(c *solveCall, i int, key []uint64, shapes []checkShape) fecState {
 	ctx := c.ctx
-	fsp := c.span.Child("fec.solve", obs.KV("fec", j.fecIdx), obs.KV("backend", "sat"),
-		obs.KV("paths", j.paths), obs.KV("shapes", j.shapes))
-	if ctx.routes[j.fecIdx] == routeSATBail {
+	if ctx.seq == nil {
+		ctx.enc = newEncoder(ctx.acls, c.o)
+		ctx.seq = smt.SolverOn(ctx.enc.b)
+		c.cn.register(ctx.seq)
+	}
+	enc, fec := ctx.enc, ctx.fec(i)
+	query := enc.b.And(e.shapesViolationFormula(enc, ctx, shapes), enc.classPred(fec.Classes))
+	fsp := c.span.Child("fec.solve", obs.KV("fec", i), obs.KV("backend", "sat"),
+		obs.KV("paths", len(fec.Paths)), obs.KV("shapes", len(shapes)))
+	if ctx.routes[i] == routeSATBail {
 		fsp.SetAttr("pset_bailout", true)
 	}
 	t1 := time.Now()
-	r := e.solveWithRetries(c.cn, solver, c.o, faultinject.CheckSolve, false, j.query)
+	r := e.solveWithRetries(c.cn, ctx.seq, c.o, faultinject.CheckSolve, false, query)
 	ns := time.Since(t1).Nanoseconds()
-	ctx.solveNS[j.fecIdx] += ns
+	ctx.solveNS[i] += ns
 	c.hist.Observe(ns)
 	c.satHist.Observe(ns)
 	if r.Outcome == sat.Unknown {
-		ctx.markUnknown(j.fecIdx, r.Reason)
+		ctx.markUnknown(i, r.Reason)
 		fsp.SetAttr("verdict", "unknown")
 	} else {
 		c.decided++
-		ctx.finishJob(j, r.Outcome == sat.Sat)
-		fsp.SetAttr("verdict", verdictString(ctx.states[j.fecIdx]))
+		ctx.finishVerdict(i, key, r.Outcome == sat.Sat)
+		fsp.SetAttr("verdict", verdictString(ctx.states[i]))
 	}
 	fsp.End()
-	return ctx.states[j.fecIdx]
+	return ctx.states[i]
 }
 
 // unknownFECs lists the FECs left without a verdict in [0, last],

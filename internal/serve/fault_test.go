@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"net/http"
+	"strings"
 	"testing"
 
 	"jinjing/internal/faultinject"
@@ -122,5 +123,34 @@ func TestFaultDaemonTimeoutNeverPoisonsCache(t *testing.T) {
 	}
 	if info.CacheVerdicts == 0 {
 		t.Fatal("clean check should warm the cache")
+	}
+}
+
+// TestFaultDaemonUnknownVerdictsNameJobKeys runs a fix job under an
+// injected already-expired context: the refusal must tell an HTTP
+// client which job keys raise its limits, not the CLI's flags.
+func TestFaultDaemonUnknownVerdictsNameJobKeys(t *testing.T) {
+	defer faultinject.Reset()
+	_, ts := newTestDaemon(t, Config{})
+	putSession(t, ts, "fig1", edit1)
+
+	cancel := faultinject.Schedule(faultinject.ServeJob, faultinject.Timeout, 1)
+	defer cancel()
+	status, data := do(t, http.MethodPost, ts.URL+"/v1/sessions/fig1/fix", nil, nil)
+	if status != http.StatusUnprocessableEntity {
+		t.Fatalf("expired-context fix: status %d, body %s", status, data)
+	}
+	var eb errorBody
+	if err := json.Unmarshal(data, &eb); err != nil || eb.Error.Code != "unknown_verdicts" || len(eb.Error.Blocking) == 0 {
+		t.Fatalf("want unknown_verdicts naming its blocking FECs, got %s", data)
+	}
+	msg := eb.Error.Message
+	for _, key := range []string{"deadline", "per_fec_budget", "max_retries"} {
+		if !strings.Contains(msg, key) {
+			t.Errorf("message %q does not name the job key %s", msg, key)
+		}
+	}
+	if strings.Contains(msg, "-fec-budget") {
+		t.Errorf("message %q names a CLI flag", msg)
 	}
 }

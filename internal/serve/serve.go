@@ -66,18 +66,11 @@ type Config struct {
 	// DecisionLogDir, when set, attaches a rotating JSONL decision
 	// ledger per session at <dir>/<session>.jsonl.
 	DecisionLogDir string
-	// SessionTTL releases a session's warm solver state (the encoder and
-	// the persistent solver — core.Engine.ReleaseSession)
-	// after it has sat idle this long. The session itself stays loaded:
-	// its verdict cache, derived paths/FECs, and ledger survive, so the
-	// next job runs cold on the solver but still replays verdicts. 0
-	// disables idle eviction.
-	SessionTTL time.Duration
 	// StateDir, when set, makes sessions durable across daemon
 	// restarts: each PUT persists the session's build recipe (manifest)
-	// and the verdict cache is snapshotted on a periodic interval, on
-	// idle eviction, and at shutdown — all atomically, so a crash at
-	// any moment leaves readable state. Those persists also rewrite the
+	// and the verdict cache is snapshotted on a periodic interval and
+	// at shutdown — both atomically, so a crash at any moment leaves
+	// readable state. Those persists also rewrite the
 	// manifest when a job has posted a new sticky updated snapshot, so a
 	// restart checks the snapshot in effect at the last persist (after a
 	// drain, the last one accepted; after a crash, possibly an earlier
@@ -88,8 +81,7 @@ type Config struct {
 	StateDir string
 	// SnapshotInterval is the cadence of the periodic verdict-cache
 	// snapshot pass when StateDir is set. 0 defaults to 30s; negative
-	// disables the periodic pass (eviction- and shutdown-time snapshots
-	// still run).
+	// disables the periodic pass (the shutdown snapshot still runs).
 	SnapshotInterval time.Duration
 	// DrainTimeout bounds how long Close waits for in-flight jobs to
 	// finish before shutting the HTTP server down. During the drain new
@@ -143,11 +135,8 @@ type Server struct {
 	lis  net.Listener
 	done chan struct{}
 
-	// reapStop ends the idle-session reaper; reapOnce makes Close
-	// idempotent about it. snapStop/snapOnce do the same for the
-	// periodic snapshot loop.
-	reapStop chan struct{}
-	reapOnce sync.Once
+	// snapStop ends the periodic snapshot loop; snapOnce makes Close
+	// idempotent about it.
 	snapStop chan struct{}
 	snapOnce sync.Once
 
@@ -198,10 +187,6 @@ func New(cfg Config) *Server {
 		}
 		return rand.Intn(n)
 	}
-	if cfg.SessionTTL > 0 {
-		s.reapStop = make(chan struct{})
-		go s.reapLoop()
-	}
 	if cfg.StateDir != "" {
 		st, err := newStateStore(cfg.StateDir)
 		if err != nil {
@@ -227,58 +212,6 @@ func New(cfg Config) *Server {
 // of synchronized clients refused in the same second spreads its
 // retries instead of re-stampeding admission together.
 func (s *Server) retrySec(base int) int { return base + s.retryJitter(retryJitterSpan) }
-
-// reapLoop periodically releases the warm solver state of sessions that
-// have idled past SessionTTL. It checks at a quarter of the TTL so a
-// session is reclaimed within ~1.25 TTLs of its last job.
-func (s *Server) reapLoop() {
-	interval := s.cfg.SessionTTL / 4
-	if interval < time.Millisecond {
-		interval = time.Millisecond
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.reapStop:
-			return
-		case now := <-t.C:
-			s.reapIdle(now)
-		}
-	}
-}
-
-// reapIdle runs one reaper pass. A session busy with a job is skipped
-// (TryLock), not waited on — its idle clock restarts when the job ends.
-func (s *Server) reapIdle(now time.Time) {
-	s.mu.Lock()
-	sessions := make([]*session, 0, len(s.sessions))
-	for _, sess := range s.sessions {
-		sessions = append(sessions, sess)
-	}
-	s.mu.Unlock()
-	for _, sess := range sessions {
-		if !sess.warm.Load() || sess.idleSince(now) < s.cfg.SessionTTL {
-			continue
-		}
-		if !sess.mu.TryLock() {
-			continue
-		}
-		// Re-check under the lock: a job may have just finished and
-		// re-warmed the engine inside the window.
-		if sess.engine.SessionWarm() && sess.idleSince(now) >= s.cfg.SessionTTL {
-			// Persist before releasing: eviction is exactly the moment a
-			// warm cache would otherwise only live in memory.
-			if s.state != nil && sess.dirty.Load() {
-				s.persistLocked(sess.name, sess)
-			}
-			sess.engine.ReleaseSession()
-			sess.warm.Store(false)
-			s.observer.Counter("daemon.sessions.idle_released").Inc()
-		}
-		sess.mu.Unlock()
-	}
-}
 
 // Handler returns the daemon's route table, for mounting under an
 // httptest server.
@@ -322,9 +255,6 @@ func (s *Server) Close() error {
 	// refused with a retryable error instead of a torn connection.
 	if s.draining.CompareAndSwap(false, true) {
 		s.observer.Counter("daemon.drain.started").Inc()
-	}
-	if s.reapStop != nil {
-		s.reapOnce.Do(func() { close(s.reapStop) })
 	}
 	if s.snapStop != nil {
 		s.snapOnce.Do(func() { close(s.snapStop) })
@@ -418,8 +348,8 @@ func (s *Server) snapshotLoop(interval time.Duration) {
 }
 
 // snapshotAll runs one snapshot pass. A session busy with a job is
-// skipped (TryLock), not waited on — the next pass or the job's
-// eviction/shutdown snapshot will catch it.
+// skipped (TryLock), not waited on — the next pass or the shutdown
+// snapshot will catch it.
 func (s *Server) snapshotAll() {
 	s.mu.Lock()
 	type named struct {

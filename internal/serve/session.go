@@ -21,8 +21,8 @@ import (
 // session is one named warm verification context: a base network, the
 // LAI program configuring scope/allow/modify over it, and the warm
 // machinery the daemon exists to keep alive between operator edits —
-// the engine (persistent solver, shared encoder) and the
-// cross-run verdict cache.
+// the engine (paths, FECs, binding index) and the cross-run verdict
+// cache.
 //
 // All engine access is serialized under mu: the engine and the cache's
 // generation state are single-writer by design, and serialization is
@@ -57,31 +57,12 @@ type session struct {
 	createdAt  time.Time
 	jobs       atomic.Int64
 
-	// lastUsed (unix nanos) and warm track idle eviction: the TTL reaper
-	// releases the engine's solver state when a warm session sits idle
-	// past Config.SessionTTL. Both are atomics so info() and the reaper's
-	// pre-check stay lock-free — a session mid-job must not block GET.
-	lastUsed atomic.Int64
-	warm     atomic.Bool
-
 	// dirty marks verdict-cache state not yet persisted to the state
 	// directory. Set after every job (any job may add cache entries,
 	// even one that failed mid-way); cleared by a successful snapshot.
 	dirty atomic.Bool
 
 	devices, paths, fecs int
-}
-
-// touch stamps the session as just used and mirrors the engine's warm
-// state. Caller holds mu (the engine query is not concurrency-safe).
-func (s *session) touch(now time.Time) {
-	s.lastUsed.Store(now.UnixNano())
-	s.warm.Store(s.engine.SessionWarm())
-}
-
-// idleSince reports how long the session has been idle at now.
-func (s *session) idleSince(now time.Time) time.Duration {
-	return time.Duration(now.UnixNano() - s.lastUsed.Load())
 }
 
 // jobCaps are the server-wide ceilings clamped onto every job's
@@ -146,7 +127,6 @@ func newSession(name string, req *SessionRequest, o *obs.Observer, ledger *declo
 	s.devices = len(base.Devices)
 	s.paths = len(s.engine.Paths())
 	s.fecs = s.engine.NumFECs()
-	s.touch(time.Now())
 	return s, nil
 }
 
@@ -161,24 +141,20 @@ func (s *session) info() SessionInfo {
 		Jobs:          s.jobs.Load(),
 		CacheVerdicts: s.cache.Size(),
 		DecisionLog:   s.ledgerPath,
-		Warm:          s.warm.Load(),
 	}
 }
 
 // closeLocked releases the session's resources. Caller holds mu.
 func (s *session) closeLocked() {
 	s.ledger.Close() //nolint:errcheck // best-effort; auditing is advisory
-	s.engine.ReleaseSession()
 }
 
 // runLocked executes one job. Caller holds mu — jobs on one session are
 // strictly serialized, so the engine and verdict cache see a single
 // writer.
 func (s *session) runLocked(ctx context.Context, jobID, kind string, req *JobRequest, caps jobCaps) (any, *APIError) {
-	// Every job resets the idle clock, refreshes the warm flag, and
-	// marks the cache dirty for the snapshotter, even on the error
-	// paths — a failed job still touched the engine.
-	defer s.touch(time.Now())
+	// Every job marks the cache dirty for the snapshotter, even on the
+	// error paths — a failed job still touched the engine.
 	defer s.dirty.Store(true)
 	// Fault-injection hit-point for the daemon suite: a panic here
 	// simulates a crashed job handler (the server's recover answers 500
@@ -206,9 +182,8 @@ func (s *session) runLocked(ctx context.Context, jobID, kind string, req *JobReq
 		if err != nil {
 			return nil, &APIError{Code: "bad_request", Message: fmt.Sprintf("updated: %v", err)}
 		}
-		// The engine keeps its Before-derived artifacts, solver session,
-		// and bound cache; only the per-generation state rebuilds — the
-		// warm path.
+		// The engine keeps its Before-derived artifacts and bound cache;
+		// only the per-generation state rebuilds — the warm path.
 		s.engine.UpdateAfter(r.After)
 		s.current = r
 		recipe := *s.recipe
@@ -273,16 +248,20 @@ func clampOptions(opts *core.Options, caps jobCaps) {
 }
 
 // planError maps a refused fix/generate plan to its structured error.
+// A refusal's hint names the job keys that raise its limits, not the
+// CLI flags core's error text names.
 func planError(err error) *APIError {
 	var unknown *core.ErrUnknownVerdicts
 	if errors.As(err, &unknown) {
-		ae := &APIError{Code: "unknown_verdicts", Message: err.Error()}
+		ae := &APIError{Code: "unknown_verdicts"}
 		for _, f := range unknown.FECs {
 			ae.Blocking = append(ae.Blocking, fmt.Sprintf("fec %d: %s", f.FEC, f.Reason))
 		}
 		for _, a := range unknown.AECs {
 			ae.Blocking = append(ae.Blocking, fmt.Sprintf("aec %d", a))
 		}
+		ae.Message = fmt.Sprintf("%s refuses to emit a plan built on unknown verdicts (%d blocking); raise the job's deadline/per_fec_budget/max_retries and retry",
+			unknown.Stage, len(ae.Blocking))
 		return ae
 	}
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {

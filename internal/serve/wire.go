@@ -262,10 +262,6 @@ type SessionInfo struct {
 	CacheVerdicts int `json:"cache_verdicts"`
 	// DecisionLog is the session's ledger path, when attached.
 	DecisionLog string `json:"decision_log,omitempty"`
-	// Warm reports whether the session currently holds warm solver state
-	// (false until the first job, and again after the idle-TTL reaper
-	// releases it; the verdict cache survives either way).
-	Warm bool `json:"warm"`
 }
 
 // SessionList is the GET /v1/sessions body.
