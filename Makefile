@@ -40,10 +40,11 @@ race:
 fuzz:
 	$(GO) test -count=1 -run 'TestFuzz|TestFixParallelMatchesSequential' ./internal/core
 
-# Three-way backend lane: the fixed 160-case differential corpus
-# (forced SAT vs auto vs monolithic, witness
-# replay included), then 30 seconds of open-ended native fuzzing over
-# random networks, edits, and option toggles.
+# Three-way backend lane: the fixed 160-case differential corpus (auto
+# vs every pset attempt bailed out to SAT through the check.pset fault
+# site vs monolithic, witness replay included), then 30 seconds of
+# open-ended native fuzzing over random networks, edits, and option
+# toggles.
 fuzz-backends:
 	$(GO) test -count=1 -run TestFuzzBackendThreeWay ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzBackendAgreement -fuzztime 30s ./internal/core
@@ -58,8 +59,9 @@ fuzz-snapshots:
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotRestore -fuzztime 30s ./internal/store
 
 # Fault-injection lane: every TestFault* scenario (solver timeouts,
-# transient faults, check panics, fix-pool panics and collapse, deadline
-# cancellation, snapshot write/restore crashes) under the race
+# transient faults, check panics, pset bail-outs mixed with pset
+# verdicts, fix-pool panics and collapse, deadline cancellation,
+# snapshot write/restore crashes) under the race
 # detector. The faultinject registry is process-global, so these tests
 # never run in parallel with each other.
 faults:

@@ -136,7 +136,7 @@ type (
 	// Engine runs the check / fix / generate primitives.
 	Engine = core.Engine
 	// Options configures the engine: the paper's two optimization
-	// switches, resource limits, the backend, workers and observability.
+	// switches, resource limits, workers and observability.
 	Options = core.Options
 	// CheckResult reports a check outcome.
 	CheckResult = core.CheckResult

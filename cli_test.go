@@ -14,6 +14,10 @@ import (
 	"testing"
 
 	"jinjing"
+	"jinjing/internal/core"
+	"jinjing/internal/faultinject"
+	"jinjing/internal/lai"
+	"jinjing/internal/netgen"
 	"jinjing/internal/papernet"
 )
 
@@ -74,7 +78,14 @@ func TestCLIPipeline(t *testing.T) {
 // updated snapshot, then the given commands.
 func writeProgram(t *testing.T, path, commands string) {
 	t.Helper()
-	var b bytes.Buffer
+	if err := os.WriteFile(path, []byte(smallWANProgram(commands)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// smallWANProgram is writeProgram's program text.
+func smallWANProgram(commands string) string {
+	var b strings.Builder
 	b.WriteString("scope ")
 	var scopeParts, allowParts, modifyParts []string
 	for i := 0; i < 2; i++ {
@@ -107,9 +118,7 @@ func writeProgram(t *testing.T, path, commands string) {
 	}
 	b.WriteString("\n")
 	b.WriteString(commands)
-	if err := os.WriteFile(path, b.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	return b.String()
 }
 
 func sprintfDev(format string, i int) string {
@@ -162,7 +171,7 @@ func TestCLIObservability(t *testing.T) {
 	}
 	for _, counter := range []string{
 		"fec.cache.hits", "fec.cache.misses",
-		"backend.pset.selected", "backend.sat.selected", "backend.bailout",
+		"backend.pset.selected", "backend.bailout",
 	} {
 		if !strings.Contains(string(out), counter) {
 			t.Fatalf("-metrics output missing incremental counter %s:\n%s", counter, out)
@@ -268,96 +277,74 @@ func TestCLIWorkersGolden(t *testing.T) {
 	}
 }
 
-// TestCLIBackendGolden pins the backend-identity contract at the CLI
-// surface: the same program run with -backend auto, sat, or pset (an
-// alias of auto) — and any worker count — must produce byte-identical
-// stdout. The packet-set backend answers the same Equation-3 queries the
-// solver does and the counterexamples come from the shared canonical
-// witness pass, so the backend can change only cost, never a byte a user
-// sees. The -metrics counters double-check the forced backends actually
-// answered.
+// TestCLIBackendGolden pins the route-identity contract on the CLI
+// golden's inputs (the netgen small seed-9 network and a 4% perturbation
+// of it): core.Run's check and fix with every pset attempt bailed out to
+// the solver (the CheckPset fault site armed) and without, at one worker
+// and at eight, must print byte-identical reports. The set algebra
+// answers the same Equation-3 queries the solver does and witnesses do
+// not depend on the deciding route, so the route can change only cost.
+// The check's CacheStats double-check that each arm took its route.
 func TestCLIBackendGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("CLI run builds binaries; skipped in -short mode")
+	w := netgen.Build(netgen.DefaultConfig(netgen.Small, 9))
+	after := w.Perturb(10, 4)
+	prog, err := lai.Parse(smallWANProgram("check\nfix\n"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	netgenBin := buildTool(t, "jinjing-netgen")
-	jinjingBin := buildTool(t, "jinjing")
-	dir := t.TempDir()
-
-	before := filepath.Join(dir, "net.json")
-	after := filepath.Join(dir, "net-after.json")
-	run(t, netgenBin, "-size", "small", "-seed", "9", "-out", before)
-	run(t, netgenBin, "-size", "small", "-seed", "9", "-perturb", "4", "-out", after)
-	prog := filepath.Join(dir, "checkfix.lai")
-	writeProgram(t, prog, "check\nfix\n")
-
-	capture := func(backend string, workers int, extra ...string) (string, string) {
-		args := append([]string{
-			"-topo", before, "-updated", after, "-program", prog,
-			"-all-violations", "-metrics",
-			"-backend", backend, "-workers", itoa(workers),
-		}, extra...)
-		cmd := exec.Command(jinjingBin, args...)
-		var stdout, stderr bytes.Buffer
-		cmd.Stdout = &stdout
-		cmd.Stderr = &stderr
-		if err := cmd.Run(); err != nil {
-			t.Fatalf("-backend %s -workers %d failed: %v\n%s%s",
-				backend, workers, err, stdout.String(), stderr.String())
+	capture := func(forced bool, workers int, noOpt bool) (string, core.CacheStats) {
+		if forced {
+			defer faultinject.Schedule(faultinject.CheckPset, faultinject.Timeout)()
 		}
-		if !strings.Contains(stdout.String(), "verified=true") {
-			t.Fatalf("-backend %s: expected a verified fix:\n%s", backend, stdout.String())
+		resolved, err := lai.Resolve(prog, w.Net, lai.ResolveOptions{Updated: after})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return stdout.String(), stderr.String()
+		opts := core.DefaultOptions()
+		opts.FindAllViolations = true
+		opts.Workers = workers
+		if noOpt {
+			opts.UseDifferential, opts.OptimizeSynthesis = false, false
+		}
+		rep, err := core.Run(resolved, opts)
+		if err != nil {
+			t.Fatalf("forced=%v workers=%d: %v", forced, workers, err)
+		}
+		var out strings.Builder
+		rep.Print(&out)
+		if !strings.Contains(out.String(), "verified=true") {
+			t.Fatalf("forced=%v workers=%d: expected a verified fix:\n%s", forced, workers, out.String())
+		}
+		stats := rep.Checks[0].Stats
+		if forced && (stats.PsetDecided != 0 || stats.PsetBailout == 0) || !forced && stats.PsetDecided == 0 {
+			t.Fatalf("forced=%v workers=%d: the check's routes disagree with the arm: %+v", forced, workers, stats)
+		}
+		return out.String(), stats
 	}
 
-	golden, satMetrics := capture("sat", 1)
-	if v := metricValue(t, satMetrics, "backend.sat.selected"); v == 0 {
-		t.Fatalf("forced SAT answered no queries:\n%s", satMetrics)
-	}
-	if v := metricValue(t, satMetrics, "backend.pset.selected"); v != 0 {
-		t.Fatalf("forced SAT still used the pset backend %d times:\n%s", v, satMetrics)
-	}
-	var psetMetrics string
+	golden, _ := capture(true, 1, false)
 	for _, c := range []struct {
-		backend string
+		forced  bool
 		workers int
-	}{{"sat", 8}, {"pset", 1}, {"pset", 8}, {"auto", 1}, {"auto", 8}} {
-		out, metrics := capture(c.backend, c.workers)
-		if out != golden {
-			t.Errorf("-backend %s -workers %d stdout differs from -backend sat -workers 1:\n--- sat/1 ---\n%s\n--- %s/%d ---\n%s",
-				c.backend, c.workers, golden, c.backend, c.workers, out)
+	}{{true, 8}, {false, 1}, {false, 8}} {
+		if out, _ := capture(c.forced, c.workers, false); out != golden {
+			t.Errorf("forced=%v workers=%d report differs from forced SAT at one worker:\n--- forced/1 ---\n%s\n--- %v/%d ---\n%s",
+				c.forced, c.workers, golden, c.forced, c.workers, out)
 		}
-		if c.backend == "pset" && c.workers == 1 {
-			psetMetrics = metrics
-		}
-		if c.backend == "sat" {
-			// Check runs one loop whatever -workers says, and fix's
-			// per-FEC work is a pure function of the FEC: the solver
-			// counters cannot depend on the worker count either.
-			for _, name := range []string{"sat.decisions", "sat.propagations", "sat.conflicts"} {
-				if got, want := metricValue(t, metrics, name), metricValue(t, satMetrics, name); got != want {
-					t.Errorf("-backend sat -workers %d: %s = %d, -workers 1 has %d", c.workers, name, got, want)
-				}
-			}
-		}
-	}
-	if v := metricValue(t, psetMetrics, "backend.pset.selected"); v == 0 {
-		t.Fatalf("forced pset answered no queries:\n%s", psetMetrics)
 	}
 
-	// -no-optimizations turns the differential filter and the synthesis
-	// optimizations off. Its check finds the same violations with the
-	// same witnesses, deciding every FEC rather than the differential-
-	// related ones; its unsimplified fix still verifies (capture checks),
-	// and the two backends still print the same bytes.
-	basic, _ := capture("sat", 1, "-no-optimizations")
-	if out, _ := capture("auto", 1, "-no-optimizations"); out != basic {
-		t.Errorf("-no-optimizations: auto stdout differs from -backend sat:\n--- sat ---\n%s\n--- auto ---\n%s", basic, out)
+	// Without the optimizations (the CLI's -no-optimizations) the check
+	// finds the same violations with the same witnesses, deciding every
+	// FEC rather than the differential-related ones; its unsimplified fix
+	// still verifies (capture checks), and both routes print the same
+	// bytes.
+	basic, _ := capture(true, 1, true)
+	if out, _ := capture(false, 1, true); out != basic {
+		t.Errorf("no optimizations: the pset route's report differs from forced SAT's:\n--- forced ---\n%s\n--- pset ---\n%s", basic, out)
 	}
 	var fecs, solved int
 	if _, err := fmt.Sscanf(basic, "check: INCONSISTENT (%d FECs, %d solved)", &fecs, &solved); err != nil || solved != fecs {
-		t.Errorf("-no-optimizations: check should decide every FEC (%v):\n%s", err, basic)
+		t.Errorf("no optimizations: check should decide every FEC (%v):\n%s", err, basic)
 	}
 	solvedCount := regexp.MustCompile(`, \d+ solved\)`)
 	checkLines := func(out string) string {
@@ -365,25 +352,32 @@ func TestCLIBackendGolden(t *testing.T) {
 		return solvedCount.ReplaceAllString(check, ")")
 	}
 	if got, want := checkLines(basic), checkLines(golden); got != want {
-		t.Errorf("-no-optimizations check lines differ from the default run's:\n--- default ---\n%s\n--- -no-optimizations ---\n%s", want, got)
+		t.Errorf("no-optimization check lines differ from the default run's:\n--- default ---\n%s\n--- no optimizations ---\n%s", want, got)
 	}
 }
 
-// metricValue extracts one counter from a -metrics stderr dump.
-func metricValue(t *testing.T, dump, name string) int64 {
-	t.Helper()
-	for _, line := range strings.Split(dump, "\n") {
-		fields := strings.Fields(line)
-		if len(fields) == 2 && fields[0] == name {
-			v, err := strconv.ParseInt(fields[1], 10, 64)
-			if err != nil {
-				t.Fatalf("counter %s has non-numeric value %q", name, fields[1])
-			}
-			return v
-		}
+// TestCLIBackendFlagRetired pins the upgrade path of the retired -backend
+// flag: the check picks its own decision procedure, so jinjing refuses
+// the flag as unknown and exits 2.
+func TestCLIBackendFlagRetired(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI run builds binaries; skipped in -short mode")
 	}
-	t.Fatalf("counter %s missing from -metrics dump:\n%s", name, dump)
-	return 0
+	jinjingBin := buildTool(t, "jinjing")
+	dir := t.TempDir()
+	net, prog := filepath.Join(dir, "net.json"), filepath.Join(dir, "check.lai")
+	if err := os.WriteFile(net, []byte(`{"devices":[]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	writeProgram(t, prog, "check\n")
+	out, err := exec.Command(jinjingBin, "-topo", net, "-program", prog, "-backend", "sat").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("-backend sat: err %v, want exit status 2\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "flag provided but not defined: -backend") {
+		t.Fatalf("-backend sat: no unknown-flag message:\n%s", out)
+	}
 }
 
 // TestCLIResourceLimits drives the -timeout/-fec-budget/-max-retries

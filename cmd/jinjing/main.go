@@ -51,7 +51,6 @@ func main() {
 		findAll     = flag.Bool("all-violations", false, "report one violation per forwarding equivalence class")
 		emitIOS     = flag.Bool("emit-ios", false, "print fixed/generated ACLs as Cisco-IOS access lists")
 		workers     = flag.Int("workers", 1, "parallel workers for fix and generate (check always runs on one goroutine)")
-		backendName = flag.String("backend", "auto", "per-FEC decision procedure: auto (packet-set algebra, SAT on cube-budget overflow; pset is an alias) or sat (SAT for every FEC); verdicts and output are identical, only cost differs")
 		explain     = flag.Bool("explain", false, "print hop-by-hop decision traces for each violation")
 
 		timeout    = flag.Duration("timeout", 0, "wall-clock deadline per primitive call (0 = none); expired checks report UNDECIDED FECs, fix/generate refuse their plan")
@@ -87,11 +86,6 @@ func main() {
 	engineOpts.Deadline = *timeout
 	engineOpts.PerFECBudget = *fecBudget
 	engineOpts.MaxRetries = *maxRetries
-	backend, err := core.ParseBackend(*backendName)
-	if err != nil {
-		fatal(err)
-	}
-	engineOpts.Backend = backend
 
 	// Observability starts before the inputs are read, so profiles and
 	// traces cover the load; every exit after this point calls finish.

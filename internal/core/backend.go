@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"slices"
 
 	"jinjing/internal/acl"
@@ -11,49 +10,16 @@ import (
 )
 
 // This file is the check pipeline's two decision procedures for a FEC's
-// Equation-3 query: the packet-set algebra (the pset backend), which
-// decides every FEC it can within a cube budget, and the Tseitin+CDCL
-// stack (the SAT backend), which takes what overflows the budget. Both
-// are complete on the queries they answer, so which one answers can
-// never change a verdict — only its cost. Either reads of a path only
-// its shape (see checkShape), and a FEC's hundreds of paths share a few.
-// Counterexamples always come from the canonical witness pass
-// (witnessFEC), which re-solves violating FECs on a fresh solver; that
-// keeps reported violations byte-identical across backends and doubles
-// as a cross-check: a pset verdict the solver disagrees with panics
-// rather than mis-reports.
-
-// Backend selects the decision procedure for per-FEC Equation-3
-// queries. The zero value is BackendAuto.
-type Backend uint8
-
-const (
-	// BackendAuto decides each FEC in the packet-set algebra and hands it
-	// to the solver only when the algebra overflows its cube budget.
-	BackendAuto Backend = iota
-	// BackendSAT forces the Tseitin+CDCL stack for every query.
-	BackendSAT
-)
-
-// String renders the backend the way the -backend flag spells it.
-func (b Backend) String() string {
-	if b == BackendSAT {
-		return "sat"
-	}
-	return "auto"
-}
-
-// ParseBackend parses a -backend flag value. "pset", the auto backend's
-// historical name, still parses to BackendAuto.
-func ParseBackend(s string) (Backend, error) {
-	switch s {
-	case "auto", "pset", "":
-		return BackendAuto, nil
-	case "sat":
-		return BackendSAT, nil
-	}
-	return BackendAuto, fmt.Errorf("unknown backend %q (want auto, sat, or pset)", s)
-}
+// Equation-3 query: the packet-set algebra, which decides every FEC it
+// can within a cube budget, and the Tseitin+CDCL stack, which takes what
+// overflows the budget. Both are complete on the queries they answer, so
+// which one answers can never change a verdict — only its cost. Either
+// reads of a path only its shape (see checkShape), and a FEC's hundreds
+// of paths share a few. A violating FEC's counterexample comes from the
+// set algebra (psetWitnessFEC) and, under controls or after an overflow,
+// from a re-solve on a fresh solver (witnessFEC). Both are pure
+// functions of the FEC and the ACL contents, so the route that decided
+// a FEC never shows in its witness.
 
 // psetCubeBudget is the hard cube cap for the pset backend: any set
 // construction or per-shape difference that exceeds it abandons the FEC
@@ -422,12 +388,11 @@ func (e *Engine) psetDecideFEC(ctx *checkCtx, fec topo.FEC, shapes []checkShape)
 // control-free FEC in the set algebra: the least packet (pset.MinPacket
 // order) of the first violating path's exact difference set. Like
 // witnessFEC it is a pure function of the FEC and the encoded ACL
-// contents — and, critically, it is attempted for every violating FEC
-// regardless of which backend produced the verdict, so witnesses stay
-// byte-identical across backends, worker counts, and cache states.
-// ok=false (controls in scope, or a cube-budget bail-out before a
-// violating path is found) sends the caller to the solver pass, which
-// is equally backend-independent. The violated-paths list is completed
+// contents, and it is attempted for every violating FEC whichever route
+// decided it, so witnesses stay byte-identical across routes, worker
+// counts, and cache states. ok=false (controls in scope, or a
+// cube-budget bail-out before a violating path is found) sends the
+// caller to witnessFEC. The violated-paths list is completed
 // by concrete evaluation of every path on the chosen packet, mirroring
 // the model evaluation of the per-path Iffs in witnessFEC.
 func (e *Engine) psetWitnessFEC(ctx *checkCtx, fec topo.FEC) (Violation, bool) {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"jinjing/internal/acl"
+	"jinjing/internal/faultinject"
 	"jinjing/internal/header"
 	"jinjing/internal/netgen"
 	"jinjing/internal/papernet"
@@ -22,7 +23,8 @@ import (
 // set algebra and as a formula — and the engine must reach its verdict on
 // every FEC of every network below. The second half pins the overflow
 // route: the cube budget, not a predictor, is what sends a FEC to the
-// solver, and a FEC sent there must come out exactly as under BackendSAT.
+// solver, and a FEC sent there must come out exactly as when every
+// FEC's pset attempt is bailed out (faultinject.CheckPset).
 
 // refShapeKey is a path's shape by definition: the set of encoded pairs it
 // crosses, by content, and the controls governing it, in order.
@@ -249,20 +251,25 @@ func TestPsetOverflowFallsBackToSAT(t *testing.T) {
 		{"under-a-control", []Control{maintain2}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			run := func(b Backend) (*CheckResult, time.Duration) {
+			run := func(forceSAT bool) (*CheckResult, time.Duration) {
+				if forceSAT {
+					defer faultinject.Schedule(faultinject.CheckPset, faultinject.Timeout)()
+				}
 				before, after := overflowNet()
 				opts := DefaultOptions()
 				opts.FindAllViolations = true
 				opts.Forensics = true
-				opts.Backend = b
 				e := New(before, after, papernet.Scope(), opts)
 				e.Controls = c.controls
 				start := time.Now()
 				res := e.Check()
 				return res, time.Since(start)
 			}
-			want, satTime := run(BackendSAT)
-			got, autoTime := run(BackendAuto)
+			want, satTime := run(true)
+			got, autoTime := run(false)
+			if want.Stats.PsetDecided != 0 || want.Stats.PsetBailout != int64(want.SolvedFECs) {
+				t.Fatalf("the armed CheckPset site left FECs to pset: %+v", want.Stats)
+			}
 			if got.Stats.PsetBailout < 1 {
 				t.Fatalf("no FEC overflowed the cube budget: %+v", got.Stats)
 			}

@@ -125,11 +125,12 @@ func (e *Engine) CheckContext(callCtx context.Context) *CheckResult {
 	}
 
 	// Witness extraction: each violating FEC's counterexample is the
-	// canonical one — re-derived on a fresh builder and solver, a pure
-	// function of the FEC and the encoded ACL contents — so reported
-	// violations are byte-identical across backends, across warm and
-	// cold runs, and across cache replays (which memoize exactly these
-	// witnesses).
+	// canonical one — derived in the set algebra, or re-solved on a fresh
+	// builder and solver under controls or after an overflow (witnessFor),
+	// a pure function of the FEC and the encoded ACL contents either way —
+	// so reported violations are byte-identical across decision routes,
+	// across warm and cold runs, and across cache replays (which memoize
+	// exactly these witnesses).
 	if len(hits) > 0 {
 		res.Consistent = false
 		wp := root.Child("witness")

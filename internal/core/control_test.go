@@ -288,7 +288,10 @@ func TestControlsMissingClassesMatchSAT(t *testing.T) {
 		"deny dst 4.0.0.0/8, deny dst 1.0.0.0/8, permit all",                     // meets both, breaks 1
 		"deny dst 5.0.0.0/8, deny dst 6.0.0.0/8, deny dst 4.0.0.0/8, permit all", // isolates 4, breaks 5, keeps 6 shut
 	} {
-		run := func(b core.Backend) *core.CheckResult {
+		run := func(forced bool) *core.CheckResult {
+			if forced {
+				defer forceSAT(t)()
+			}
 			before := papernet.Build()
 			after := before.Clone()
 			ifc, _ := after.LookupInterface("A:1")
@@ -296,12 +299,11 @@ func TestControlsMissingClassesMatchSAT(t *testing.T) {
 			opts := core.DefaultOptions()
 			opts.FindAllViolations = true
 			opts.Forensics = true
-			opts.Backend = b
 			e := core.New(before, after, papernet.Scope(), opts)
 			e.Controls = controls
 			return e.Check()
 		}
-		got, want := run(core.BackendAuto), run(core.BackendSAT)
+		got, want := run(false), run(true)
 		if got.Consistent != want.Consistent || !got.Complete {
 			t.Fatalf("A:1 %q: auto consistent=%v complete=%v, sat consistent=%v", a1, got.Consistent, got.Complete, want.Consistent)
 		}

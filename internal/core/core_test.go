@@ -9,6 +9,7 @@ import (
 
 	"jinjing/internal/acl"
 	"jinjing/internal/core"
+	"jinjing/internal/faultinject"
 	"jinjing/internal/header"
 	"jinjing/internal/lai"
 	"jinjing/internal/papernet"
@@ -32,6 +33,16 @@ func runningExampleUpdate(n *topo.Network) *topo.Network {
 	d2, _ := after.LookupInterface("D:2")
 	d2.SetACL(topo.In, acl.PermitAll())
 	return after
+}
+
+// forceSAT arms faultinject.CheckPset at every hit: each FEC's pset
+// attempt bails out as on a cube-budget overflow, so the solver decides
+// every FEC past the differential skip and the cache replay — pset's
+// reference. The returned func disarms the site; the test's end does too.
+func forceSAT(t testing.TB) (disarm func()) {
+	disarm = faultinject.Schedule(faultinject.CheckPset, faultinject.Timeout)
+	t.Cleanup(disarm)
+	return disarm
 }
 
 // checkWorkers runs e.Check with Options.Workers set to workers for

@@ -77,18 +77,6 @@ type Options struct {
 	// 10^31 iterations in the worst case — and stop after that many
 	// neighborhoods. Exists only for the ablation experiment.
 	NoExpansion int
-	// Backend selects the decision procedure for per-FEC Equation-3
-	// queries: (the zero value) the packet-set algebra first and the
-	// Tseitin+CDCL stack for what overflows its cube budget, or the
-	// solver for everything. Verdicts, counterexamples, and every
-	// reported count are identical whichever backend answers — the pset
-	// backend is complete on the queries it finishes and bails out to
-	// the solver on a cube-budget blow-up — so the choice can never
-	// change a result, only its cost. Cached verdicts are
-	// backend-agnostic for the same reason: the cache key doesn't mention
-	// the backend, and a verdict decided under one setting replays under
-	// any other.
-	Backend Backend
 	// Workers > 1 fans fix's per-FEC neighborhood seeking and generate's
 	// per-AEC synthesis out across that many goroutines. Results merge in
 	// deterministic FEC/AEC order, so fixing plans and generated ACLs are

@@ -173,20 +173,21 @@ func TestExplainViolation(t *testing.T) {
 // check loop: resolve is interleaved with decide, so a cold
 // first-violation check sends to a complete backend exactly the
 // solver-bound FECs at or below the hit — no formula is built, and no
-// set algebra run, for anything past it — whichever backend decides and
-// whatever the worker count, which check ignores.
+// set algebra run, for anything past it — whether pset or the solver
+// (forceSAT) decides and whatever the worker count, which check ignores.
 func TestFirstViolationResolvesNothingPastTheHit(t *testing.T) {
-	for _, backend := range []core.Backend{core.BackendAuto, core.BackendSAT} {
+	for _, backend := range []string{"auto", "sat"} {
 		for _, workers := range []int{1, 2} {
-			t.Run(fmt.Sprintf("backend=%v,workers=%d", backend, workers), func(t *testing.T) {
+			t.Run(fmt.Sprintf("backend=%s,workers=%d", backend, workers), func(t *testing.T) {
+				if backend == "sat" {
+					forceSAT(t)
+				}
 				all := core.DefaultOptions()
-				all.Backend = backend
 				all.FindAllViolations = true
 				all.Forensics = true
 				full := newRunningEngine(t, all).Check()
 
 				first := core.DefaultOptions()
-				first.Backend = backend
 				first.Workers = workers
 				first.Forensics = true
 				res := newRunningEngine(t, first).Check()
@@ -197,7 +198,7 @@ func TestFirstViolationResolvesNothingPastTheHit(t *testing.T) {
 				var want, bound int64
 				for _, f := range full.Forensics {
 					switch f.Route {
-					case "pset", "sat", "sat-bailout":
+					case "pset", "sat-bailout":
 						bound++
 						if f.FEC <= hit {
 							want++
@@ -207,10 +208,10 @@ func TestFirstViolationResolvesNothingPastTheHit(t *testing.T) {
 				if want == bound {
 					t.Fatalf("first violating FEC %d is the last solver-bound one: the case cannot show laziness", hit)
 				}
-				if got := full.Stats.SatSelected + full.Stats.PsetDecided; got != bound {
+				if got := full.Stats.PsetBailout + full.Stats.PsetDecided; got != bound {
 					t.Fatalf("find-all run resolved %d solver-bound FECs, forensics list %d", got, bound)
 				}
-				if got := res.Stats.SatSelected + res.Stats.PsetDecided; got != want {
+				if got := res.Stats.PsetBailout + res.Stats.PsetDecided; got != want {
 					t.Fatalf("first-violation run resolved %d solver-bound FECs, want %d (at or below FEC %d) of %d",
 						got, want, hit, bound)
 				}

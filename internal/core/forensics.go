@@ -2,8 +2,8 @@ package core
 
 // Per-FEC solve forensics: every check generation records, per FEC, the
 // route that established its verdict (differential skip, verdict-cache
-// replay, packet-set backend, SAT solver, or a pset bail-out that fell
-// through to SAT) and the time the complete-backend decision took. The
+// replay, the packet-set algebra, or a pset bail-out that fell through to
+// the SAT solver) and the time the complete-procedure decision took. The
 // slices live on the generation's checkCtx and cost two words per FEC;
 // materializing them into CheckResult.Forensics happens only when
 // Options.Forensics is set (or a decision ledger is attached), so the
@@ -19,8 +19,7 @@ const (
 	routeNone    fecRoute = iota
 	routeSkip             // Theorem 4.1 differential fast path
 	routeCache            // verdict-cache replay under a full key match
-	routePset             // packet-set backend decision
-	routeSAT              // SAT solver decision
+	routePset             // packet-set algebra decision
 	routeSATBail          // pset attempt bailed out mid-solve; SAT decided
 )
 
@@ -32,8 +31,6 @@ func (r fecRoute) String() string {
 		return "cache"
 	case routePset:
 		return "pset"
-	case routeSAT:
-		return "sat"
 	case routeSATBail:
 		return "sat-bailout"
 	}

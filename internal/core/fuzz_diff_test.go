@@ -310,8 +310,9 @@ func TestFuzzCheckParallelAgreement(t *testing.T) {
 }
 
 // TestFuzzBackendThreeWay is the backend agreement lane: for every
-// random case the two backend settings — forced SAT and auto (run at
-// Workers=4, which check ignores) — must produce byte-identical check
+// random case the two routes — every pset attempt bailed out to the
+// solver (forceSAT) and auto (run at Workers=4, which check ignores) —
+// must produce byte-identical check
 // signatures: verdict, completeness, counterexample packets, violating
 // classes and paths, and SolvedFECs. The third way, the monolithic
 // baseline, must agree on the verdict, and every reported
@@ -336,23 +337,23 @@ func TestFuzzBackendThreeWay(t *testing.T) {
 		opts := core.DefaultOptions()
 		opts.FindAllViolations = iter%2 == 0
 		opts.UseDifferential = iter%3 != 0
-		mk := func(b core.Backend) core.Options {
-			o := opts
-			o.Backend = b
-			return o
-		}
 
 		start := time.Now()
-		resSat := core.New(before, after, scope, mk(core.BackendSAT)).Check()
+		disarm := forceSAT(t)
+		resSat := core.New(before, after, scope, opts).Check()
+		disarm()
 		satTime += time.Since(start)
 		want := checkSignature(resSat)
-		satDecided += resSat.Stats.SatSelected
+		satDecided += resSat.Stats.PsetBailout
+		if resSat.Stats.PsetDecided != 0 {
+			t.Fatalf("case %d: forced SAT left %d FECs to pset", iter, resSat.Stats.PsetDecided)
+		}
 		if !resSat.Consistent {
 			inconsistent++
 		}
 
 		start = time.Now()
-		resAuto := checkWorkers(core.New(before, after, scope, mk(core.BackendAuto)), 4)
+		resAuto := checkWorkers(core.New(before, after, scope, opts), 4)
 		psetTime += time.Since(start)
 		psetDecided += resAuto.Stats.PsetDecided
 		bailouts += resAuto.Stats.PsetBailout
@@ -656,8 +657,9 @@ func TestFuzzIncrementalEditSequences(t *testing.T) {
 // FuzzBackendAgreement is the open-ended three-way lane behind `make
 // fuzz-backends`: each fuzz input seeds the random network and edit
 // generators plus the option toggles, and the case asserts what
-// TestFuzzBackendThreeWay pins on its fixed corpus — forced SAT and auto
-// (at Workers=4) produce identical check signatures and solved-FEC
+// TestFuzzBackendThreeWay pins on its fixed corpus — every pset attempt
+// bailed out to the solver and auto (at Workers=4) produce identical
+// check signatures and solved-FEC
 // counts, the monolithic baseline agrees on the verdict, and every
 // reported witness distinguishes each of its paths across the update.
 func FuzzBackendAgreement(f *testing.F) {
@@ -673,16 +675,13 @@ func FuzzBackendAgreement(f *testing.F) {
 		opts := core.DefaultOptions()
 		opts.FindAllViolations = mode&1 == 0
 		opts.UseDifferential = mode&2 == 0
-		mk := func(b core.Backend) core.Options {
-			o := opts
-			o.Backend = b
-			return o
-		}
 
-		resSat := core.New(before, after, scope, mk(core.BackendSAT)).Check()
+		disarm := forceSAT(t)
+		resSat := core.New(before, after, scope, opts).Check()
+		disarm()
 		want := checkSignature(resSat)
 
-		resAuto := checkWorkers(core.New(before, after, scope, mk(core.BackendAuto)), 4)
+		resAuto := checkWorkers(core.New(before, after, scope, opts), 4)
 		if got := checkSignature(resAuto); got != want {
 			t.Fatalf("auto backend diverged from SAT\nsat:\n%s\nauto:\n%s", want, got)
 		}

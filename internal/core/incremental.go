@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"jinjing/internal/faultinject"
 	"jinjing/internal/obs"
 	"jinjing/internal/sat"
 	"jinjing/internal/smt"
@@ -61,12 +62,10 @@ type CacheStats struct {
 	ChangedBindings int
 	AffectedFECs    int
 
-	// Backend activity: FECs the packet-set backend decided, FECs it
-	// abandoned mid-solve on a cube-budget bail-out, and FECs handed to
-	// the solver (forced there or bailed out to it).
+	// Backend activity: FECs the packet-set algebra decided, and FECs
+	// it abandoned on a cube-budget bail-out, which the solver decided.
 	PsetDecided int64
 	PsetBailout int64
-	SatSelected int64
 }
 
 // add folds another primitive's stats in (fix aggregates its own scan
@@ -78,7 +77,6 @@ func (s *CacheStats) add(t CacheStats) {
 	s.AffectedFECs += t.AffectedFECs
 	s.PsetDecided += t.PsetDecided
 	s.PsetBailout += t.PsetBailout
-	s.SatSelected += t.SatSelected
 }
 
 // since returns the per-call delta against a baseline snapshot,
@@ -91,7 +89,6 @@ func (s CacheStats) since(base CacheStats) CacheStats {
 		AffectedFECs:    s.AffectedFECs,
 		PsetDecided:     s.PsetDecided - base.PsetDecided,
 		PsetBailout:     s.PsetBailout - base.PsetBailout,
-		SatSelected:     s.SatSelected - base.SatSelected,
 	}
 }
 
@@ -100,7 +97,6 @@ func recordCacheStats(o *obs.Observer, s CacheStats) {
 	o.Counter("fec.cache.hits").Add(s.FECCacheHits)
 	o.Counter("fec.cache.misses").Add(s.FECCacheMisses)
 	o.Counter("backend.pset.selected").Add(s.PsetDecided)
-	o.Counter("backend.sat.selected").Add(s.SatSelected)
 	o.Counter("backend.bailout").Add(s.PsetBailout)
 }
 
@@ -158,10 +154,9 @@ func NewVerdictCache() *VerdictCache { return &VerdictCache{} }
 // beyond the FEC content key: the control intents. (UseDifferential is
 // deliberately absent — the key names the contents of the ACLs as
 // encoded, related-filtered or not, so equal keys mean equal formulas
-// either way. Backend is absent for the same reason: both backends
-// decide the same query, so a verdict is backend-agnostic and survives a
-// backend switch. Workers and FindAllViolations cannot change any
-// verdict.)
+// either way. Which procedure decided a verdict is absent for the same
+// reason: the set algebra and the solver decide the same query. Workers
+// and FindAllViolations cannot change any verdict.)
 func (e *Engine) cacheConfig() string {
 	var b strings.Builder
 	for _, c := range e.Controls {
@@ -500,44 +495,42 @@ func (e *Engine) resolveFEC(c *solveCall, i int) fecState {
 	// answers. Either reads the FEC's distinct path shapes, compiled here
 	// and nowhere earlier. The set algebra decides first and skips formula
 	// construction, clausification, and CDCL search entirely; only a
-	// cube-budget bail-out (or a forced BackendSAT) falls through to the
-	// solver.
+	// cube-budget bail-out falls through to the solver.
 	shapes := e.compileShapes(ctx, fec)
 	ctx.pathShapes += int64(len(shapes))
-	if e.Opts.Backend != BackendSAT {
-		fsp := c.span.Child("fec.solve", obs.KV("fec", i), obs.KV("backend", "pset"),
-			obs.KV("paths", len(fec.Paths)), obs.KV("shapes", len(shapes)))
-		start, folded := time.Now(), ctx.folded
-		violating, ok, regionCubes := e.psetDecideFEC(ctx, fec, shapes)
-		ns := time.Since(start).Nanoseconds()
-		ctx.solveNS[i] += ns
-		folded = ctx.folded - folded // rules the region folds visited
-		c.o.Counter("check.pset.rules_folded").Add(folded)
-		fsp.SetAttr("region_cubes", regionCubes)
-		fsp.SetAttr("rules_folded", folded)
-		if ok {
-			// Same per-FEC decision-latency histogram the solver path
-			// feeds: its count stays equal to a cold run's SolvedFECs
-			// whichever backend answers. The backend-labelled histogram
-			// splits the same latencies by deciding backend.
-			c.hist.Observe(ns)
-			c.o.Histogram("fec.solve.ns{backend=pset}").Observe(ns)
-			ctx.stats.PsetDecided++
-			ctx.routes[i] = routePset
-			ctx.finishVerdict(i, key, violating)
-			fsp.SetAttr("verdict", verdictString(ctx.states[i]))
-			fsp.End()
-			return ctx.states[i]
-		}
-		ctx.stats.PsetBailout++
-		ctx.routes[i] = routeSATBail
-		fsp.SetAttr("bailout", true)
+	fsp := c.span.Child("fec.solve", obs.KV("fec", i), obs.KV("backend", "pset"),
+		obs.KV("paths", len(fec.Paths)), obs.KV("shapes", len(shapes)))
+	start, folded := time.Now(), ctx.folded
+	violating, ok, regionCubes := false, false, 0
+	// An injected Timeout bails out as if the cube budget had overflowed:
+	// tests send FECs to the solver with it, pset's reference.
+	if faultinject.Fire(faultinject.CheckPset) != faultinject.Timeout {
+		violating, ok, regionCubes = e.psetDecideFEC(ctx, fec, shapes)
+	}
+	ns := time.Since(start).Nanoseconds()
+	ctx.solveNS[i] += ns
+	folded = ctx.folded - folded // rules the region folds visited
+	c.o.Counter("check.pset.rules_folded").Add(folded)
+	fsp.SetAttr("region_cubes", regionCubes)
+	fsp.SetAttr("rules_folded", folded)
+	if ok {
+		// Same per-FEC decision-latency histogram the solver path feeds:
+		// its count stays equal to a cold run's SolvedFECs whichever
+		// procedure answers. The backend-labelled histogram splits the
+		// same latencies by deciding procedure.
+		c.hist.Observe(ns)
+		c.o.Histogram("fec.solve.ns{backend=pset}").Observe(ns)
+		ctx.stats.PsetDecided++
+		ctx.routes[i] = routePset
+		ctx.finishVerdict(i, key, violating)
+		fsp.SetAttr("verdict", verdictString(ctx.states[i]))
 		fsp.End()
+		return ctx.states[i]
 	}
-	ctx.stats.SatSelected++
-	if ctx.routes[i] == routeNone {
-		ctx.routes[i] = routeSAT
-	}
+	ctx.stats.PsetBailout++
+	ctx.routes[i] = routeSATBail
+	fsp.SetAttr("bailout", true)
+	fsp.End()
 	return e.decideSAT(c, i, key, shapes)
 }
 
@@ -565,9 +558,8 @@ func (ctx *checkCtx) markUnknown(i int, reason string) {
 // finishVerdict records a complete-backend verdict — a solver's or the
 // packet-set engine's — for FEC i, caching it under its content key. It
 // is the only place a verdict decided in this process enters the cache
-// (Import restores snapshotted ones). Cached entries are
-// backend-agnostic, so a verdict decided by one backend replays
-// identically under any other.
+// (Import restores snapshotted ones). Cached entries do not record
+// which procedure decided them: both decide the same query.
 func (ctx *checkCtx) finishVerdict(i int, key []uint64, violating bool) {
 	if violating {
 		ctx.states[i] = fecViolating
@@ -612,10 +604,10 @@ func (e *Engine) witnessFor(ctx *checkCtx, i int, res *CheckResult, o *obs.Obser
 		}
 	}
 	// The set-algebra witness is attempted first for every violating FEC
-	// whatever backend decided it — both derivations are pure functions
-	// of the FEC and ACL contents, so which one answers is itself
-	// backend-independent and the reported bytes stay identical across
-	// backends, worker counts, and cache states.
+	// whatever route decided it — both derivations are pure functions of
+	// the FEC and ACL contents, so which one answers is itself
+	// route-independent and the reported bytes stay identical across
+	// routes, worker counts, and cache states.
 	v, ok := e.psetWitnessFEC(ctx, ctx.fec(i))
 	if !ok {
 		var st sat.Stats

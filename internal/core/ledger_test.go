@@ -200,8 +200,9 @@ func TestLedgerFuzzReplay(t *testing.T) {
 		opts := core.DefaultOptions()
 		opts.FindAllViolations = iter%2 == 0
 		opts.UseDifferential = iter%3 != 0
+		disarm := func() {}
 		if iter%3 == 1 {
-			opts.Backend = core.BackendSAT
+			disarm = forceSAT(t)
 		}
 		opts.DecisionLog = l
 
@@ -212,6 +213,7 @@ func TestLedgerFuzzReplay(t *testing.T) {
 		} else {
 			res = e.Check()
 		}
+		disarm()
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +233,7 @@ func TestLedgerFuzzReplay(t *testing.T) {
 				solved++
 			}
 			switch d.Route {
-			case "skip", "cache", "pset", "sat", "sat-bailout":
+			case "skip", "cache", "pset", "sat-bailout":
 			default:
 				t.Fatalf("case %d: unexpected route %q", iter, d.Route)
 			}

@@ -66,10 +66,10 @@ type checkCtx struct {
 
 	// enc and seq are the SAT route: the content-addressed encoder over
 	// one formula builder and the detection solver on it, built by the
-	// first FEC that takes the route (a forced BackendSAT or a pset
-	// bail-out). An Unknown FEC re-resolved by a later call on this
-	// generation hash-conses onto the same nodes, so the solver resumes
-	// with its learned clauses.
+	// first FEC whose pset attempt bails out on the cube budget. An
+	// Unknown FEC re-resolved by a later call on this generation
+	// hash-conses onto the same nodes, so the solver resumes with its
+	// learned clauses.
 	enc *encoder
 	seq *smt.Solver
 

@@ -243,9 +243,8 @@ func (e *Engine) solveWithRetries(cn *canceller, solver *smt.Solver, o *obs.Obse
 // for check, building the builder and solver if no FEC has taken the
 // SAT route yet. It records the verdict (finishVerdict, under the FEC's
 // content key) or the Unknown (markUnknown — never cached), the per-FEC
-// solve forensics, and a per-FEC span linking the FEC to its
-// backend-selector decision. Returns the FEC's resulting state: fecOK,
-// fecViolating, or fecUnknown.
+// solve forensics, and the FEC's SAT fec.solve span. Returns the FEC's
+// resulting state: fecOK, fecViolating, or fecUnknown.
 func (e *Engine) decideSAT(c *solveCall, i int, key []uint64, shapes []checkShape) fecState {
 	ctx := c.ctx
 	if ctx.seq == nil {
@@ -257,9 +256,6 @@ func (e *Engine) decideSAT(c *solveCall, i int, key []uint64, shapes []checkShap
 	query := enc.b.And(e.shapesViolationFormula(enc, ctx, shapes), enc.classPred(fec.Classes))
 	fsp := c.span.Child("fec.solve", obs.KV("fec", i), obs.KV("backend", "sat"),
 		obs.KV("paths", len(fec.Paths)), obs.KV("shapes", len(shapes)))
-	if ctx.routes[i] == routeSATBail {
-		fsp.SetAttr("pset_bailout", true)
-	}
 	t1 := time.Now()
 	r := e.solveWithRetries(c.cn, ctx.seq, c.o, faultinject.CheckSolve, false, query)
 	ns := time.Since(t1).Nanoseconds()

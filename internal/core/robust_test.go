@@ -12,8 +12,10 @@ import (
 	"jinjing/internal/core"
 	"jinjing/internal/faultinject"
 	"jinjing/internal/lai"
+	"jinjing/internal/netgen"
 	"jinjing/internal/papernet"
 	"jinjing/internal/sat"
+	"jinjing/internal/topo"
 )
 
 // This file is the fault lane: every test injects failures through
@@ -27,13 +29,13 @@ import (
 
 // findAllOpts is the fault lane's baseline configuration: the running
 // example with every violation reported, so partial results have
-// something to be partial about. The lane forces the SAT backend —
-// its faults wedge solver queries, and under auto-selection the
-// packet-set backend would answer them without ever touching a solver.
-func findAllOpts() core.Options {
+// something to be partial about. It forces the SAT route (forceSAT) until
+// the test ends — the lane's faults wedge solver queries, and the
+// packet-set algebra would answer them without ever touching a solver.
+func findAllOpts(t *testing.T) core.Options {
+	forceSAT(t)
 	opts := core.DefaultOptions()
 	opts.FindAllViolations = true
-	opts.Backend = core.BackendSAT
 	return opts
 }
 
@@ -44,7 +46,7 @@ func eachFaultMode(t *testing.T, fn func(t *testing.T, opts core.Options)) {
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			defer faultinject.Reset()
-			opts := findAllOpts()
+			opts := findAllOpts(t)
 			opts.Workers = workers
 			fn(t, opts)
 		})
@@ -56,9 +58,10 @@ func eachFaultMode(t *testing.T, fn func(t *testing.T, opts core.Options)) {
 // must equal the clean run.
 func TestFaultTimeoutRetryRecovers(t *testing.T) {
 	defer faultinject.Reset()
-	want := checkSignature(newRunningEngine(t, findAllOpts()).Check())
+	want := checkSignature(newRunningEngine(t, findAllOpts(t)).Check())
 
-	opts := findAllOpts()
+	faultinject.Reset() // the schedule below numbers CheckSolve hits from here
+	opts := findAllOpts(t)
 	_, _, m := obsHarness(&opts)
 	faultinject.Schedule(faultinject.CheckSolve, faultinject.Timeout, 1)
 	res := newRunningEngine(t, opts).Check()
@@ -77,9 +80,10 @@ func TestFaultTimeoutRetryRecovers(t *testing.T) {
 // fault: one retryable failure, same final answer.
 func TestFaultTransientRetryRecovers(t *testing.T) {
 	defer faultinject.Reset()
-	want := checkSignature(newRunningEngine(t, findAllOpts()).Check())
+	want := checkSignature(newRunningEngine(t, findAllOpts(t)).Check())
 
-	opts := findAllOpts()
+	faultinject.Reset() // the schedule below numbers CheckSolve hits from here
+	opts := findAllOpts(t)
 	_, _, m := obsHarness(&opts)
 	faultinject.Schedule(faultinject.CheckSolve, faultinject.Transient, 1)
 	res := newRunningEngine(t, opts).Check()
@@ -97,7 +101,7 @@ func TestFaultTransientRetryRecovers(t *testing.T) {
 // incomplete.
 func TestFaultTransientExhaustsRetries(t *testing.T) {
 	defer faultinject.Reset()
-	opts := findAllOpts()
+	opts := findAllOpts(t)
 	opts.MaxRetries = 0
 	_, _, m := obsHarness(&opts)
 	faultinject.Schedule(faultinject.CheckSolve, faultinject.Transient)
@@ -159,7 +163,7 @@ func TestFaultUnknownNeverCachedAndRepaired(t *testing.T) {
 		// replay it and miss the running example's violations.
 		cancel()
 		res2 := warm.Check()
-		cold := newRunningEngine(t, findAllOpts()).Check()
+		cold := newRunningEngine(t, findAllOpts(t)).Check()
 		if got, want := checkSignature(res2), checkSignature(cold); got != want {
 			t.Fatalf("post-fault re-check diverged from cold run:\n%s\nwant:\n%s", got, want)
 		}
@@ -232,7 +236,7 @@ func TestFaultCancelledContextMarksUnknown(t *testing.T) {
 
 		cancelFault()
 		res2 := warm.Check()
-		cold := newRunningEngine(t, findAllOpts()).Check()
+		cold := newRunningEngine(t, findAllOpts(t)).Check()
 		if got, want := checkSignature(res2), checkSignature(cold); got != want {
 			t.Fatalf("post-cancel re-check diverged from cold run:\n%s\nwant:\n%s", got, want)
 		}
@@ -272,7 +276,9 @@ func TestFaultPoolCollapseSequentialFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := fmt.Sprint(clean.Actions)
-	violating := int64(len(newRunningEngine(t, findAllOpts()).Check().Violations))
+	all := core.DefaultOptions()
+	all.FindAllViolations = true
+	violating := int64(len(newRunningEngine(t, all).Check().Violations))
 	if violating < 2 {
 		t.Fatalf("%d violating FECs: the pool needs two jobs to be a pool", violating)
 	}
@@ -400,13 +406,83 @@ func TestFaultGenerateRefusesUnknownVerdicts(t *testing.T) {
 	}
 }
 
+// TestFaultPsetBailoutMixedRoutes bails a seeded random half of one
+// generation's pset attempts out to the solver, so pset and SAT verdicts
+// mix within one generation and one verdict cache. Two warm re-checks
+// follow UpdateAfter: an unchanged snapshot replays every mixed verdict
+// and its memoized witness, and a one-rule edit re-decides the FECs
+// crossing it. Every check must equal the disarmed run's — verdict,
+// witnesses, SolvedFECs — with every fired fault counted as a bail-out.
+func TestFaultPsetBailoutMixedRoutes(t *testing.T) {
+	faultinject.Reset()
+	defer faultinject.Reset()
+	w := netgen.Build(netgen.DefaultConfig(netgen.Small, 9))
+	first := w.Perturb(10, 4)
+	edited := first.Clone()
+	ifc, _ := edited.LookupInterface("edge7:ext")
+	ifc.ACL(topo.In).Rules[0].Action = !ifc.ACL(topo.In).Rules[0].Action
+	afters := []*topo.Network{first, first.Clone(), edited}
+	run := func() (res []*core.CheckResult) {
+		opts := core.DefaultOptions()
+		opts.UseDifferential = false // every FEC reaches a procedure
+		opts.FindAllViolations = true
+		opts.Forensics = true
+		opts.Verdicts = core.NewVerdictCache()
+		e := core.New(w.Net, first, w.Scope, opts)
+		for _, after := range afters {
+			e.UpdateAfter(after)
+			res = append(res, e.Check())
+		}
+		return res
+	}
+	want := run()
+	attempts := want[0].Stats.PsetDecided
+	if want[0].Stats.PsetBailout != 0 || attempts < 8 || want[0].Consistent {
+		t.Fatalf("disarmed first check: want >= 8 pset verdicts, no bail-out, violations: %+v", want[0].Stats)
+	}
+	if want[1].Stats.FECCacheHits != attempts || want[2].Stats.PsetDecided == 0 {
+		t.Fatalf("disarmed re-checks: want a full replay, then re-decisions: %+v, %+v", want[1].Stats, want[2].Stats)
+	}
+
+	fired := attempts / 2
+	faultinject.ScheduleSeeded(faultinject.CheckPset, faultinject.Timeout, 39, fired, attempts)
+	got := run()
+	if h, wantHits := faultinject.Hits(faultinject.CheckPset), attempts+want[2].Stats.PsetDecided; h != wantHits {
+		t.Fatalf("check.pset hit %d times, want %d", h, wantHits)
+	}
+	if got[0].Stats.PsetBailout != fired || got[0].Stats.PsetDecided != attempts-fired {
+		t.Fatalf("%d of %d faults fired, stats %+v", fired, attempts, got[0].Stats)
+	}
+	// The mix must reach verdicts of both kinds on the SAT route.
+	satVerdicts := map[string]bool{}
+	for _, f := range got[0].Forensics {
+		if f.Route == "sat-bailout" {
+			satVerdicts[f.Verdict] = true
+		}
+	}
+	if !satVerdicts["violating"] || !satVerdicts["consistent"] {
+		t.Fatalf("the SAT route decided only %v", satVerdicts)
+	}
+	for g := range got {
+		if gs, ws := checkSignature(got[g]), checkSignature(want[g]); gs != ws {
+			t.Fatalf("check %d under mixed routes diverged:\n%s\nwant:\n%s", g, gs, ws)
+		}
+		if got[g].SolvedFECs != want[g].SolvedFECs {
+			t.Fatalf("check %d: SolvedFECs %d, disarmed %d", g, got[g].SolvedFECs, want[g].SolvedFECs)
+		}
+		if g > 0 && got[g].Stats != want[g].Stats {
+			t.Fatalf("warm re-check %d stats %+v, disarmed %+v", g, got[g].Stats, want[g].Stats)
+		}
+	}
+}
+
 // TestFaultLimitsInertOnHappyPath pins the zero-overhead contract:
 // generous limits must not change a single byte of the result, and no
 // budget or retry machinery may trigger.
 func TestFaultLimitsInertOnHappyPath(t *testing.T) {
-	want := checkSignature(newRunningEngine(t, findAllOpts()).Check())
+	want := checkSignature(newRunningEngine(t, findAllOpts(t)).Check())
 
-	opts := findAllOpts()
+	opts := findAllOpts(t)
 	opts.Deadline = time.Minute
 	opts.PerFECBudget = 1 << 30
 	opts.MaxRetries = 3
@@ -443,7 +519,7 @@ check
 	opts := core.DefaultOptions()
 	opts.FindAllViolations = true
 	opts.MaxRetries = 0
-	opts.Backend = core.BackendSAT // the injected timeout wedges solver queries
+	forceSAT(t) // the injected timeout wedges solver queries
 	faultinject.Schedule(faultinject.CheckSolve, faultinject.Timeout)
 	rep, err := core.RunContext(context.Background(), resolved, opts)
 	if err != nil {

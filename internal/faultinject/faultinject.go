@@ -29,6 +29,10 @@ type Site string
 // Injection sites wired into the pipeline. The per-site meaning of each
 // fault kind is documented where the site is fired.
 const (
+	// CheckPset guards each FEC's packet-set attempt in the check.
+	// Timeout bails the FEC out to the SAT solver as if the cube budget
+	// had overflowed, so an every-hit schedule sends every FEC there.
+	CheckPset Site = "check.pset"
 	// CheckSolve guards the per-FEC Equation-3 decision solve. Timeout
 	// interrupts the solver mid-decision; Panic crashes the check, which
 	// runs on the calling goroutine.

@@ -421,9 +421,6 @@ type Match struct {
 // MatchAll matches every packet.
 var MatchAll = Match{SrcPort: AnyPort, DstPort: AnyPort, Proto: AnyProto}
 
-// NewMatch returns a Match with all fields wildcarded, ready for narrowing.
-func NewMatch() Match { return MatchAll }
-
 // DstMatch returns a Match constraining only the destination prefix, the
 // most common rule shape in the paper's examples.
 func DstMatch(p Prefix) Match {

@@ -25,7 +25,8 @@ type FECDecision struct {
 	Verdict string `json:"verdict"`
 	// Route names how the verdict was established: "skip" (differential
 	// fast path), "cache" (verdict-cache replay under a full key match),
-	// "pset", "sat", or "sat-bailout" (pset attempt abandoned mid-solve).
+	// "pset", or "sat-bailout" (pset attempt abandoned mid-solve, the SAT
+	// solver decided).
 	Route string `json:"route"`
 	// CacheHit reports the verdict was replayed without solving.
 	CacheHit bool `json:"cache_hit,omitempty"`

@@ -28,9 +28,9 @@ func TestAppendParseRoundTrip(t *testing.T) {
 		FECLog: []FECDecision{
 			{FEC: 0, Verdict: "consistent", Route: "skip"},
 			{FEC: 1, Verdict: "consistent", Route: "pset", SolveNS: 123},
-			{FEC: 2, Verdict: "unknown", Route: "sat", Reason: "deadline"},
+			{FEC: 2, Verdict: "unknown", Route: "sat-bailout", Reason: "deadline"},
 		},
-		Unknown: []FECDecision{{FEC: 2, Verdict: "unknown", Route: "sat", Reason: "deadline"}},
+		Unknown: []FECDecision{{FEC: 2, Verdict: "unknown", Route: "sat-bailout", Reason: "deadline"}},
 		WallNS:  42,
 	}
 	if err := l.Append(rec); err != nil {

@@ -161,9 +161,6 @@ func (s *Solver) NewVar() Var {
 	return v
 }
 
-// NumVars returns the number of variables allocated.
-func (s *Solver) NumVars() int { return len(s.assign) }
-
 // NumClauses returns the number of problem clauses added (after
 // level-0 simplification at add time).
 func (s *Solver) NumClauses() int { return len(s.clauses) }

@@ -21,8 +21,8 @@ func FuzzSessionRequest(f *testing.F) {
 		// Well-formed job bodies.
 		``,
 		`{}`,
-		`{"deadline":"2m","per_fec_budget":100000,"max_retries":3,"workers":8,"backend":"sat","all_violations":true}`,
-		`{"updated":{"devices":[]},"backend":"pset"}`,
+		`{"deadline":"2m","per_fec_budget":100000,"max_retries":3,"workers":8,"all_violations":true}`,
+		`{"updated":{"devices":[]}}`,
 		// Malformed shapes the decoder must refuse cleanly.
 		`not json`,
 		`{"topology":{},"program":"x"} trailing`,
@@ -39,6 +39,17 @@ func FuzzSessionRequest(f *testing.F) {
 		`[1,2,3]`,
 		`null`,
 		"\x00\xff\xfe",
+	}
+	// The backend key is retired: a job body carrying it is an unknown
+	// field, refused like any other.
+	for _, s := range []string{
+		`{"deadline":"2m","per_fec_budget":100000,"max_retries":3,"workers":8,"backend":"sat","all_violations":true}`,
+		`{"updated":{"devices":[]},"backend":"pset"}`,
+	} {
+		if _, err := DecodeJobRequest([]byte(s)); err == nil {
+			f.Fatalf("job body with the retired backend key accepted: %s", s)
+		}
+		seeds = append(seeds, s)
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))

@@ -305,6 +305,52 @@ func TestDaemonRestartDamagedManifest(t *testing.T) {
 	}
 }
 
+// TestDaemonRestartRetiredBackendDefault restores a manifest saved while
+// job defaults could still carry a backend. The wire decoder now refuses
+// that key, but the manifest's lenient first decode drops it, so the
+// session must restore uncounted as corrupt and check exactly as a fresh
+// PUT of the same inputs does.
+func TestDaemonRestartRetiredBackendDefault(t *testing.T) {
+	dir := t.TempDir()
+	warmSessionThenClose(t, dir)
+
+	manPath := filepath.Join(dir, "sessions", "fig1.json")
+	data, err := os.ReadFile(manPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const defaults = `"defaults":{`
+	if bytes.Count(data, []byte(defaults)) != 1 {
+		t.Fatalf("manifest has no single defaults object: %s", data)
+	}
+	data = bytes.Replace(data, []byte(defaults), []byte(defaults+`"backend":"sat",`), 1)
+	if err := os.WriteFile(manPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2, ts2 := restartDaemon(t, Config{StateDir: dir})
+	status, restored, raw := postCheck(t, ts2, "fig1", nil)
+	if status != http.StatusOK {
+		t.Fatalf("check over a manifest with a backend default: status %d, body %s", status, raw)
+	}
+	if n := srv2.observer.Counter("daemon.sessions.restored").Value(); n != 1 {
+		t.Fatalf("daemon.sessions.restored = %d, want 1", n)
+	}
+	if n := srv2.observer.Counter("daemon.restore.corrupt").Value(); n != 0 {
+		t.Fatalf("daemon.restore.corrupt = %d, want 0", n)
+	}
+
+	_, ts3 := newTestDaemon(t, Config{})
+	putSession(t, ts3, "fig1", edit2)
+	status, fresh, raw := postCheck(t, ts3, "fig1", nil)
+	if status != http.StatusOK {
+		t.Fatalf("fresh check: status %d, body %s", status, raw)
+	}
+	if restored.Report != fresh.Report {
+		t.Fatalf("restored session diverges from a fresh PUT:\nrestored:\n%s\nfresh:\n%s", restored.Report, fresh.Report)
+	}
+}
+
 // TestDaemonRestartFaultInjectedRestore arms the store.restore fault
 // site with a panic: rehydration must recover, come up cold, and count
 // the failure.

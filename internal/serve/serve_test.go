@@ -439,7 +439,8 @@ func TestDaemonRejectsMalformedRequests(t *testing.T) {
 		`{"topology":{},"program":"x","defaults":{"deadline":"2000h"}}`,            // absurd deadline
 		`{"topology":{},"program":"x","defaults":{"workers":100000}}`,              // absurd workers
 		`{"topology":{},"program":"x","defaults":{"per_fec_budget":-1}}`,           // negative budget
-		`{"topology":{},"program":"x","defaults":{"backend":"quantum"}}`,           // unknown backend
+		`{"topology":{},"program":"x","defaults":{"backend":"quantum"}}`,           // retired backend key: unknown field
+		`{"topology":{},"program":"x","defaults":{"backend":"sat"}}`,               // retired backend key, once valid
 		`{"topology":{"devices":0},"program":"scope A:*\nentry A:1\ncheck"}`,       // bad topology shape
 		`{"topology":{},"program":"scope Q:*\nentry Q:1\nmodify Q:1 to broken {"}`, // bad program
 	}
@@ -460,10 +461,11 @@ func TestDaemonRejectsMalformedRequests(t *testing.T) {
 	}
 
 	putSession(t, ts, "fig1", edit1)
-	for _, c := range []string{"not json", `{"bogus":1}`, `{"deadline":"nope"}`, `{} {}`} {
+	for _, c := range []string{"not json", `{"bogus":1}`, `{"deadline":"nope"}`, `{} {}`, `{"backend":"sat"}`, `{"backend":"auto"}`} {
 		status, data := do(t, http.MethodPost, ts.URL+"/v1/sessions/fig1/check", []byte(c), nil)
-		if status != http.StatusBadRequest {
-			t.Errorf("POST %q: status %d, body %s", c, status, data)
+		var eb errorBody
+		if status != http.StatusBadRequest || json.Unmarshal(data, &eb) != nil || eb.Error.Code != "bad_request" {
+			t.Errorf("POST %q: status %d, body %s; want a structured 400 bad_request", c, status, data)
 		}
 	}
 	// The session survives malformed jobs.

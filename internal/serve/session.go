@@ -200,7 +200,6 @@ func (s *session) runLocked(ctx context.Context, jobID, kind string, req *JobReq
 	s.engine.Opts.PerFECBudget = opts.PerFECBudget
 	s.engine.Opts.MaxRetries = opts.MaxRetries
 	s.engine.Opts.Workers = opts.Workers
-	s.engine.Opts.Backend = opts.Backend
 	s.engine.Opts.FindAllViolations = opts.FindAllViolations
 
 	s.jobs.Add(1)

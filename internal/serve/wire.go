@@ -52,11 +52,6 @@ type JobOverrides struct {
 	// Workers fans a fix or generate job's per-FEC/per-AEC loop out
 	// (core.Options.Workers); check ignores it.
 	Workers *int `json:"workers,omitempty"`
-	// Backend picks the per-FEC decision procedure
-	// (core.Options.Backend): "auto" (the set algebra, SAT on
-	// cube-budget overflow; "pset" is an alias) or "sat" (SAT for every
-	// FEC). Verdicts are backend-agnostic.
-	Backend string `json:"backend,omitempty"`
 	// AllViolations toggles one-violation-per-FEC enumeration
 	// (core.Options.FindAllViolations).
 	AllViolations *bool `json:"all_violations,omitempty"`
@@ -64,8 +59,6 @@ type JobOverrides struct {
 	// Parsed forms (set by validate).
 	deadline    time.Duration
 	hasDeadline bool
-	backend     core.Backend
-	hasBackend  bool
 }
 
 // validate range-checks and parses the overrides in place.
@@ -100,13 +93,6 @@ func (o *JobOverrides) validate() error {
 	if o.Workers != nil && (*o.Workers < 0 || *o.Workers > MaxWorkersLimit) {
 		return fmt.Errorf("workers: must be in [0, %d], got %d", MaxWorkersLimit, *o.Workers)
 	}
-	if o.Backend != "" {
-		b, err := core.ParseBackend(o.Backend)
-		if err != nil {
-			return fmt.Errorf("backend: %v", err)
-		}
-		o.backend, o.hasBackend = b, true
-	}
 	return nil
 }
 
@@ -127,9 +113,6 @@ func (o *JobOverrides) apply(opts *core.Options) {
 	}
 	if o.Workers != nil {
 		opts.Workers = *o.Workers
-	}
-	if o.hasBackend {
-		opts.Backend = o.backend
 	}
 	if o.AllViolations != nil {
 		opts.FindAllViolations = *o.AllViolations

@@ -120,15 +120,6 @@ func (b *Builder) And(a, c F) F {
 // Or returns the disjunction of a and b.
 func (b *Builder) Or(a, c F) F { return b.And(a.Not(), c.Not()).Not() }
 
-// AndAll folds And over fs (True for the empty list).
-func (b *Builder) AndAll(fs ...F) F {
-	out := True
-	for _, f := range fs {
-		out = b.And(out, f)
-	}
-	return out
-}
-
 // OrAll folds Or over fs (False for the empty list).
 func (b *Builder) OrAll(fs ...F) F {
 	out := False

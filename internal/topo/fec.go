@@ -94,21 +94,6 @@ func AtomizeClasses(classes, cuts []header.Prefix) []header.Prefix {
 	return out
 }
 
-// ScopeFIBPrefixes collects every FIB prefix of in-scope devices.
-func (n *Network) ScopeFIBPrefixes(s *Scope) []header.Prefix {
-	var out []header.Prefix
-	for _, name := range s.DeviceNames() {
-		d, ok := n.Devices[name]
-		if !ok {
-			continue
-		}
-		for _, e := range d.FIB {
-			out = append(out, e.Prefix)
-		}
-	}
-	return out
-}
-
 // EnteringTraffic derives X_Ω, the destination-prefix classes of traffic
 // entering the scope. The paper extracts this from Alibaba's IP
 // management system; here the routable prefixes are exactly those
@@ -116,7 +101,14 @@ func (n *Network) ScopeFIBPrefixes(s *Scope) []header.Prefix {
 // has uniform forwarding (and can be refined further by callers). Extra
 // classes (e.g. prefixes named in control intents) may be passed in.
 func (n *Network) EnteringTraffic(s *Scope, extra ...header.Prefix) []header.Prefix {
-	cuts := n.ScopeFIBPrefixes(s)
+	var cuts []header.Prefix
+	for _, name := range s.DeviceNames() {
+		if d, ok := n.Devices[name]; ok {
+			for _, e := range d.FIB {
+				cuts = append(cuts, e.Prefix)
+			}
+		}
+	}
 	classes := append(append([]header.Prefix(nil), cuts...), extra...)
 	cuts = append(cuts, extra...)
 	return AtomizeClasses(classes, cuts)
