@@ -18,7 +18,9 @@ import (
 	"jinjing/internal/faultinject"
 	"jinjing/internal/lai"
 	"jinjing/internal/netgen"
+	"jinjing/internal/obs"
 	"jinjing/internal/papernet"
+	"jinjing/internal/topo"
 )
 
 // buildTool compiles one of the cmd/ binaries into a shared temp dir.
@@ -284,19 +286,40 @@ func TestCLIWorkersGolden(t *testing.T) {
 // and at eight, must print byte-identical reports. The set algebra
 // answers the same Equation-3 queries the solver does and witnesses do
 // not depend on the deciding route, so the route can change only cost.
-// The check's CacheStats double-check that each arm took its route.
+// The check's CacheStats double-check that each arm took its route, and
+// the solver counters of the armed runs, summed over check and fix, must
+// not depend on the worker count. Outside -short mode the
+// no-optimization report is also pinned to `jinjing -no-optimizations`
+// on the same input files, so the flag's wiring is exercised too.
 func TestCLIBackendGolden(t *testing.T) {
 	w := netgen.Build(netgen.DefaultConfig(netgen.Small, 9))
-	after := w.Perturb(10, 4)
+	dir := t.TempDir()
+	before, after := filepath.Join(dir, "net.json"), filepath.Join(dir, "net-after.json")
+	// The in-process runs load the bytes the binary reads.
+	load := func(path string, n *topo.Network) *topo.Network {
+		data, err := json.Marshal(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		loaded := topo.NewNetwork()
+		if err := loaded.UnmarshalJSON(data); err != nil {
+			t.Fatal(err)
+		}
+		return loaded
+	}
+	beforeNet, afterNet := load(before, w.Net), load(after, w.Perturb(10, 4))
 	prog, err := lai.Parse(smallWANProgram("check\nfix\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	capture := func(forced bool, workers int, noOpt bool) (string, core.CacheStats) {
+	capture := func(forced bool, workers int, noOpt bool) (string, map[string]int64) {
 		if forced {
 			defer faultinject.Schedule(faultinject.CheckPset, faultinject.Timeout)()
 		}
-		resolved, err := lai.Resolve(prog, w.Net, lai.ResolveOptions{Updated: after})
+		resolved, err := lai.Resolve(prog, beforeNet, lai.ResolveOptions{Updated: afterNet})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,6 +329,8 @@ func TestCLIBackendGolden(t *testing.T) {
 		if noOpt {
 			opts.UseDifferential, opts.OptimizeSynthesis = false, false
 		}
+		m := obs.NewMetrics()
+		opts.Obs = obs.NewObserver(nil, m, nil)
 		rep, err := core.Run(resolved, opts)
 		if err != nil {
 			t.Fatalf("forced=%v workers=%d: %v", forced, workers, err)
@@ -319,17 +344,31 @@ func TestCLIBackendGolden(t *testing.T) {
 		if forced && (stats.PsetDecided != 0 || stats.PsetBailout == 0) || !forced && stats.PsetDecided == 0 {
 			t.Fatalf("forced=%v workers=%d: the check's routes disagree with the arm: %+v", forced, workers, stats)
 		}
-		return out.String(), stats
+		return out.String(), m.Snapshot().Counters
 	}
 
-	golden, _ := capture(true, 1, false)
+	golden, satCounters := capture(true, 1, false)
+	if satCounters["sat.propagations"] == 0 {
+		t.Fatalf("forced SAT propagated nothing: %v", satCounters)
+	}
 	for _, c := range []struct {
 		forced  bool
 		workers int
 	}{{true, 8}, {false, 1}, {false, 8}} {
-		if out, _ := capture(c.forced, c.workers, false); out != golden {
+		out, counters := capture(c.forced, c.workers, false)
+		if out != golden {
 			t.Errorf("forced=%v workers=%d report differs from forced SAT at one worker:\n--- forced/1 ---\n%s\n--- %v/%d ---\n%s",
 				c.forced, c.workers, golden, c.forced, c.workers, out)
+		}
+		if c.forced {
+			// Check runs one loop whatever the worker count, and fix's
+			// per-FEC work is a pure function of the FEC: the solver
+			// counters cannot depend on the worker count either.
+			for _, name := range []string{"sat.decisions", "sat.propagations", "sat.conflicts"} {
+				if got, want := counters[name], satCounters[name]; got != want {
+					t.Errorf("forced SAT at %d workers: %s = %d, one worker has %d", c.workers, name, got, want)
+				}
+			}
 		}
 	}
 
@@ -353,6 +392,23 @@ func TestCLIBackendGolden(t *testing.T) {
 	}
 	if got, want := checkLines(basic), checkLines(golden); got != want {
 		t.Errorf("no-optimization check lines differ from the default run's:\n--- default ---\n%s\n--- no optimizations ---\n%s", want, got)
+	}
+
+	if testing.Short() {
+		return
+	}
+	progPath := filepath.Join(dir, "checkfix.lai")
+	writeProgram(t, progPath, "check\nfix\n")
+	cmd := exec.Command(buildTool(t, "jinjing"),
+		"-topo", before, "-updated", after, "-program", progPath,
+		"-all-violations", "-no-optimizations")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("jinjing -no-optimizations failed: %v\n%s%s", err, stdout.String(), stderr.String())
+	}
+	if stdout.String() != basic {
+		t.Errorf("jinjing -no-optimizations stdout differs from the in-process no-optimization report:\n--- in process ---\n%s\n--- CLI ---\n%s", basic, stdout.String())
 	}
 }
 

@@ -20,7 +20,7 @@ const (
 	routeSkip             // Theorem 4.1 differential fast path
 	routeCache            // verdict-cache replay under a full key match
 	routePset             // packet-set algebra decision
-	routeSATBail          // pset attempt bailed out mid-solve; SAT decided
+	routeBailout          // pset attempt bailed out mid-solve; SAT decided
 )
 
 func (r fecRoute) String() string {
@@ -31,7 +31,7 @@ func (r fecRoute) String() string {
 		return "cache"
 	case routePset:
 		return "pset"
-	case routeSATBail:
+	case routeBailout:
 		return "sat-bailout"
 	}
 	return "none"

@@ -528,7 +528,7 @@ func (e *Engine) resolveFEC(c *solveCall, i int) fecState {
 		return ctx.states[i]
 	}
 	ctx.stats.PsetBailout++
-	ctx.routes[i] = routeSATBail
+	ctx.routes[i] = routeBailout
 	fsp.SetAttr("bailout", true)
 	fsp.End()
 	return e.decideSAT(c, i, key, shapes)
