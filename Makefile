@@ -40,11 +40,11 @@ race:
 fuzz:
 	$(GO) test -count=1 -run 'TestFuzz|TestFixParallelMatchesSequential' ./internal/core
 
-# Three-way backend lane: the fixed 160-case differential corpus (auto
+# Three-way backend lane: the fixed 200-case differential corpus (auto
 # vs every pset attempt bailed out to SAT through the check.pset fault
-# site vs monolithic, witness replay included), then 30 seconds of
-# open-ended native fuzzing over random networks, edits, and option
-# toggles.
+# site vs monolithic, witness replay included; the last 40 cases each
+# carry one random control), then 30 seconds of open-ended native
+# fuzzing over random networks, edits, and option toggles.
 fuzz-backends:
 	$(GO) test -count=1 -run TestFuzzBackendThreeWay ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzBackendAgreement -fuzztime 30s ./internal/core

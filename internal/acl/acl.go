@@ -93,32 +93,6 @@ func (a *ACL) DecideMatch(m header.Match) (Action, bool) {
 	return a.Default, true
 }
 
-// HitIndices returns the (0-based) indices of the rules a packet in class
-// m could hit first, including len(Rules) for the default when some
-// packet in m falls through every rule. This is the "which rule can be
-// hit" computation of ACL-synthesis Step 1 (§5.4). remain tracks whether
-// any packet of m can still be unmatched; for prefix/range classes this
-// over-approximates conservatively using containment.
-func (a *ACL) HitIndices(m header.Match) []int {
-	var out []int
-	remaining := true // can some packet of m still reach this point?
-	for i, r := range a.Rules {
-		if !remaining {
-			break
-		}
-		if r.Match.Overlaps(m) {
-			out = append(out, i)
-			if r.Match.Contains(m) {
-				remaining = false
-			}
-		}
-	}
-	if remaining {
-		out = append(out, len(a.Rules))
-	}
-	return out
-}
-
 // IsPermitAll reports whether the ACL permits every packet syntactically
 // (no rules that could deny before a permit default, checked exactly via
 // decision-model equivalence would need SMT; this is the common literal

@@ -99,27 +99,6 @@ func TestDecideMatch(t *testing.T) {
 	}
 }
 
-func TestHitIndices(t *testing.T) {
-	// Mirrors Table 4a: [1]_AEC hits rules 1 and 2 of D2.
-	d2 := MustParse("deny dst 1.0.0.0/8, deny dst 2.0.0.0/8, permit all")
-	class1 := header.DstMatch(pfx("1.0.0.0/8"))
-	if got := d2.HitIndices(class1); len(got) != 1 || got[0] != 0 {
-		t.Errorf("class entirely inside rule 0: got %v", got)
-	}
-	// A class covering both 1/8 and 2/8 (and more).
-	wide := header.DstMatch(pfx("0.0.0.0/6"))
-	got := d2.HitIndices(wide)
-	want := []int{0, 1, 2} // rule 0, rule 1, default
-	if len(got) != len(want) {
-		t.Fatalf("HitIndices(wide) = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("HitIndices(wide) = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestEncodingsAgreeWithInterpreter(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	for iter := 0; iter < 60; iter++ {
@@ -260,23 +239,6 @@ func TestEquivalent(t *testing.T) {
 	}
 }
 
-func TestEquivalentOn(t *testing.T) {
-	a := MustParse("deny dst 1.0.0.0/8, permit all")
-	b := MustParse("permit all")
-	restrict := func(bld *smt.Builder, pv *smt.PacketVars) smt.F {
-		return bld.MatchPred(pv, header.DstMatch(pfx("9.0.0.0/8")))
-	}
-	if !EquivalentOn(a, b, restrict) {
-		t.Error("a and b agree on 9.0.0.0/8")
-	}
-	restrict2 := func(bld *smt.Builder, pv *smt.PacketVars) smt.F {
-		return bld.MatchPred(pv, header.DstMatch(pfx("1.0.0.0/8")))
-	}
-	if EquivalentOn(a, b, restrict2) {
-		t.Error("a and b disagree on 1.0.0.0/8")
-	}
-}
-
 func TestSimplifyRunningExample(t *testing.T) {
 	// §4.2: after fixing, A1 is "permit dst 1.0.0.0/8, permit dst
 	// 2.0.0.0/8, deny dst 1.0.0.0/8, deny dst 2.0.0.0/8, deny dst
@@ -329,21 +291,6 @@ func TestSimplifyFastPreservesModel(t *testing.T) {
 				t.Fatalf("SimplifyFast changed decision on %v\nbefore=%v\nafter=%v", p, a, s)
 			}
 		}
-	}
-}
-
-func TestGroupDifferential(t *testing.T) {
-	before := []*ACL{
-		MustParse("deny dst 6.0.0.0/8, permit all"),
-		MustParse("deny dst 7.0.0.0/8, permit all"),
-	}
-	after := []*ACL{
-		MustParse("deny dst 1.0.0.0/8, deny dst 6.0.0.0/8, permit all"),
-		PermitAll(),
-	}
-	diff := GroupDifferential(before, after)
-	if len(diff) != 2 {
-		t.Fatalf("group diff = %v", diff)
 	}
 }
 

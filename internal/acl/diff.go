@@ -87,17 +87,6 @@ func Related(l *ACL, diff *DstIndex) *ACL {
 	return out
 }
 
-// GroupDifferential unions Differential over parallel lists of ACLs
-// (the Diff_Ω of §4.1): before[i] and after[i] are the pre/post-update
-// ACLs of the same interface.
-func GroupDifferential(before, after []*ACL) []Rule {
-	var out []Rule
-	for i := range before {
-		out = append(out, Differential(before[i], after[i])...)
-	}
-	return out
-}
-
 // MatchedByAny reports whether packet p is matched by any rule in rules
 // (the h ∈ H membership test from the proof of Theorem 4.1).
 func MatchedByAny(rules []Rule, p header.Packet) bool {

@@ -19,18 +19,6 @@ func Equivalent(a, b *ACL) bool {
 	return !s.Solve(bld.Xor(fa, fb))
 }
 
-// EquivalentOn reports whether a and b decide identically on every packet
-// satisfying the restriction formula built by pred (used for Theorem 4.1
-// style scoped equivalence).
-func EquivalentOn(a, b *ACL, restrict func(bld *smt.Builder, pv *smt.PacketVars) smt.F) bool {
-	bld := smt.NewBuilder()
-	pv := bld.NewPacketVars()
-	fa := a.EncodeTournament(bld, pv)
-	fb := b.EncodeTournament(bld, pv)
-	s := smt.SolverOn(bld)
-	return !s.Solve(bld.And(restrict(bld, pv), bld.Xor(fa, fb)))
-}
-
 // Simplify removes redundant rules from the ACL while preserving its
 // decision model (the "simplifying the final ACL" extension of §4.2).
 // It greedily tries to drop each rule, keeping the removal whenever the

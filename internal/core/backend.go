@@ -15,11 +15,12 @@ import (
 // overflows the budget. Both are complete on the queries they answer, so
 // which one answers can never change a verdict — only its cost. Either
 // reads of a path only its shape (see checkShape), and a FEC's hundreds
-// of paths share a few. A violating FEC's counterexample comes from the
-// set algebra (psetWitnessFEC) and, under controls or after an overflow,
-// from a re-solve on a fresh solver (witnessFEC). Both are pure
-// functions of the FEC and the ACL contents, so the route that decided
-// a FEC never shows in its witness.
+// of paths share a few. A violating FEC's counterexample is the packet
+// the set algebra's verdict names (psetDecideFEC), with or without
+// controls; only a FEC whose algebra overflows the budget is re-solved
+// for one on a fresh solver (witnessFEC). Both are pure functions of the
+// FEC and the ACL contents, so the route that decided a FEC never shows
+// in its witness.
 
 // psetCubeBudget is the hard cube cap for the pset backend: any set
 // construction or per-shape difference that exceeds it abandons the FEC
@@ -125,86 +126,6 @@ func (ctx *checkCtx) diffWithin(ids [2]int32, region pset.Set) pset.Set {
 	s, n := x.MatchesWithin(region)
 	ctx.folded += int64(n)
 	return s
-}
-
-// pairsDiff computes the exact set of region packets that one path,
-// crossing the given encoded pairs with no control on it (desired_p =
-// c_p), decides differently across the update — the set the canonical
-// pset witness is drawn from (psetDecideFEC reaches the verdict per FEC,
-// not per path). Hierarchical like the decision:
-//
-//  1. The path's symmetric difference is contained in the union of its
-//     changed pairs' differential-rule matches (a packet deciding
-//     differently in a conjunction must decide differently in some
-//     conjunct, and a conjunct's difference lies inside its
-//     differential rules by Theorem 4.1), so region' = ⋃ region ∩
-//     matches_i overapproximates the packets the path can possibly flip
-//     within the region.
-//  2. Within region', the changed pairs' exact difference is
-//     (region' ∩ ⋂ before_i) ⊖ (region' ∩ ⋂ after_i), with each factor
-//     built by the region-restricted first-match fold
-//     (PermittedSetWithin).
-//  3. The surviving difference must still pass every unchanged pair
-//     (restriction distributes: (A∩X) ⊖ (B∩X) = (A⊖B) ∩ X), again by
-//     region-restricted folds with early exit on empty.
-//
-// The result is exact, not an overapproximation: outside region' the
-// path provably cannot flip. ok=false reports a cube-budget bail-out;
-// the caller falls back to the solver.
-func (ctx *checkCtx) pairsDiff(pairs []int32, region pset.Set) (pset.Set, bool) {
-	var changed, unchanged [][2]int32
-	regionPrime := pset.Empty()
-	for _, pi := range pairs {
-		ep := &ctx.encPairs[pi]
-		if ep.unchanged {
-			unchanged = append(unchanged, ep.ids)
-			continue
-		}
-		changed = append(changed, ep.ids)
-		if in := ctx.diffWithin(ep.ids, region); !in.IsEmpty() {
-			regionPrime = regionPrime.Union(in)
-		}
-	}
-	if regionPrime.IsEmpty() {
-		return pset.Empty(), true
-	}
-	if regionPrime.Cubes() > psetCubeBudget {
-		return pset.Empty(), false
-	}
-	before, after := regionPrime, regionPrime
-	for _, pr := range changed {
-		wb, bok := ctx.permittedWithin(pr[0], regionPrime)
-		if !bok {
-			return pset.Empty(), false
-		}
-		wa, aok := ctx.permittedWithin(pr[1], regionPrime)
-		if !aok {
-			return pset.Empty(), false
-		}
-		before = before.Intersect(wb)
-		after = after.Intersect(wa)
-		if before.Cubes() > psetCubeBudget || after.Cubes() > psetCubeBudget {
-			return pset.Empty(), false
-		}
-	}
-	diff := before.Subtract(after).Union(after.Subtract(before))
-	for _, pr := range unchanged {
-		if diff.IsEmpty() {
-			return diff, true
-		}
-		if diff.Cubes() > psetCubeBudget {
-			return pset.Empty(), false
-		}
-		// The unchanged ACL's permitted set restricted to the surviving
-		// difference, computed directly within that (small) region. The
-		// before ACL stands for both snapshots: the pair is equivalent.
-		within, wok := ctx.permittedWithin(pr[0], diff)
-		if !wok {
-			return pset.Empty(), false
-		}
-		diff = within
-	}
-	return diff, true
 }
 
 // regionSets memoizes, for one FEC, each crossed pair's before and after
@@ -347,23 +268,30 @@ func fecRegion(fec topo.FEC) pset.Set {
 //     control missing the flip region applies to nothing). The
 //     comparison is exact: outside the flip region no shape can differ.
 //
+// A violating verdict names its witness: the least packet of the first
+// violating shape's desired ⊖ after — exactly the FEC's counterexamples
+// on that shape, since outside the flip region no path flips. Shapes
+// are in first-path order, so it is the least packet the first
+// violating path flips on. The procedure is pure, so the witness is a
+// function of the FEC and the encoded ACL contents alone.
+//
 // ok=false reports a cube-budget bail-out mid-solve; the caller falls
 // back to the solver, and the verdict (when ok) is exactly the one the
 // solver would return. regionCubes sizes the flip region.
-func (e *Engine) psetDecideFEC(ctx *checkCtx, fec topo.FEC, shapes []checkShape) (violating, ok bool, regionCubes int) {
+func (e *Engine) psetDecideFEC(ctx *checkCtx, fec topo.FEC, shapes []checkShape) (witness header.Packet, violating, ok bool, regionCubes int) {
 	rs := regionSets{region: e.flipRegion(ctx, fecRegion(fec), shapes)}
 	regionCubes = rs.region.Cubes()
 	if rs.region.IsEmpty() {
-		return false, true, regionCubes
+		return witness, false, true, regionCubes
 	}
 	if regionCubes > psetCubeBudget {
-		return false, false, regionCubes
+		return witness, false, false, regionCubes
 	}
 	for _, sh := range shapes {
 		if len(sh.ctrls) == 0 {
 			differ, ok := rs.anyDiffer(ctx, sh.pairs)
 			if !ok {
-				return false, false, regionCubes
+				return witness, false, false, regionCubes
 			}
 			if !differ {
 				continue
@@ -371,63 +299,35 @@ func (e *Engine) psetDecideFEC(ctx *checkCtx, fec topo.FEC, shapes []checkShape)
 		}
 		before, after, ok := rs.decisionSets(ctx, sh.pairs)
 		if !ok {
-			return false, false, regionCubes
+			return witness, false, false, regionCubes
 		}
 		desired := e.desiredSet(sh.ctrls, before, rs.region)
 		if desired.Cubes() > psetCubeBudget {
-			return false, false, regionCubes
+			return witness, false, false, regionCubes
 		}
-		if !desired.Equal(after) {
-			return true, true, regionCubes
+		if witness, violating = pset.DistinguishingPacket(desired, after); violating {
+			return witness, true, true, regionCubes
 		}
 	}
-	return false, true, regionCubes
+	return witness, false, true, regionCubes
 }
 
-// psetWitnessFEC derives the canonical counterexample for a violating
-// control-free FEC in the set algebra: the least packet (pset.MinPacket
-// order) of the first violating path's exact difference set. Like
-// witnessFEC it is a pure function of the FEC and the encoded ACL
-// contents, and it is attempted for every violating FEC whichever route
-// decided it, so witnesses stay byte-identical across routes, worker
-// counts, and cache states. ok=false (controls in scope, or a
-// cube-budget bail-out before a violating path is found) sends the
-// caller to witnessFEC. The violated-paths list is completed
-// by concrete evaluation of every path on the chosen packet, mirroring
-// the model evaluation of the per-path Iffs in witnessFEC.
-func (e *Engine) psetWitnessFEC(ctx *checkCtx, fec topo.FEC) (Violation, bool) {
-	if len(e.Controls) > 0 {
-		return Violation{}, false
-	}
-	region := fecRegion(fec)
-	walk := e.pathWalk(ctx)
-	var pairs []int32
+// psetWitnessFEC completes the counterexample psetDecideFEC named for a
+// violating FEC: the packet, and the FEC's paths that flip on it by
+// concrete evaluation, mirroring the model evaluation of the per-path
+// Iffs in witnessFEC.
+func (e *Engine) psetWitnessFEC(ctx *checkCtx, fec topo.FEC, pkt header.Packet) Violation {
+	v := Violation{Packet: pkt, Classes: fec.Classes}
+	memo := make(map[topo.ACLBinding]int8, 4*len(fec.Paths))
 	for _, p := range fec.Paths {
-		pairs = walk.crossed(pairs[:0], p)
-		diff, ok := ctx.pairsDiff(pairs, region)
-		if !ok {
-			return Violation{}, false
+		if e.pathFlipsDesired(ctx, memo, p, pkt) {
+			v.Paths = append(v.Paths, p)
 		}
-		if diff.IsEmpty() {
-			continue
-		}
-		pkt, _ := diff.MinPacket()
-		v := Violation{Packet: pkt, Classes: fec.Classes}
-		memo := make(map[topo.ACLBinding]int8, 4*len(fec.Paths))
-		for _, q := range fec.Paths {
-			if e.pathFlipsDesired(ctx, memo, q, pkt) {
-				v.Paths = append(v.Paths, q)
-			}
-		}
-		if len(v.Paths) == 0 {
-			panic("core: pset witness does not flip any path")
-		}
-		return v, true
 	}
-	// No path's difference survived — disagrees with the violating
-	// verdict that prompted the witness request; let the solver pass
-	// adjudicate (it panics on a genuine disagreement).
-	return Violation{}, false
+	if len(v.Paths) == 0 {
+		panic("core: pset witness does not flip any path")
+	}
+	return v
 }
 
 // pathFlipsDesired reports whether the path decides pkt differently from

@@ -62,36 +62,28 @@ func shapeKey(ctx *checkCtx, sh checkShape) string {
 
 // refPsetDecidePaths is the per-path reference of psetDecideFEC: every
 // path states its own disjunct, from its own walk over its bindings, and
-// the restricted sets are built afresh for every path. The desired set
-// folds every control on the path unconditionally — the Ite chain as
-// desiredFormula states it, with no skip of controls that miss the
-// region.
-func refPsetDecidePaths(e *Engine, ctx *checkCtx, fec topo.FEC) (violating, ok bool) {
+// the restricted sets are built afresh for every path over the whole
+// class region, with no flip region and no shortcut for unchanged or
+// agreeing pairs. The desired set folds every control on the path
+// unconditionally — the Ite chain as desiredFormula states it, with no
+// skip of controls that miss the region; with none it is the before set.
+// A violating FEC's witness is the least packet of the first violating
+// path's desired ⊖ after.
+func refPsetDecidePaths(e *Engine, ctx *checkCtx, fec topo.FEC) (witness header.Packet, violating, ok bool) {
 	region := fecRegion(fec)
 	walk := e.pathWalk(ctx)
 	for _, p := range fec.Paths {
-		pairs := walk.crossed(nil, p)
-		ctrls := e.ctrlsOn(p)
-		if len(ctrls) == 0 {
-			diff, ok := ctx.pairsDiff(pairs, region)
-			if !ok {
-				return false, false
-			}
-			if !diff.IsEmpty() {
-				return true, true
-			}
-			continue
-		}
 		before, after := region, region
-		for _, pi := range pairs {
+		for _, pi := range walk.crossed(nil, p) {
 			ids := ctx.encPairs[pi].ids
 			wb, _, bok := pset.NewIndex(ctx.acls[ids[0]]).PermittedSetWithin(region, psetCubeBudget)
 			wa, _, aok := pset.NewIndex(ctx.acls[ids[1]]).PermittedSetWithin(region, psetCubeBudget)
 			if !bok || !aok {
-				return false, false
+				return witness, false, false
 			}
 			before, after = before.Intersect(wb), after.Intersect(wa)
 		}
+		ctrls := e.ctrlsOn(p)
 		desired := before
 		for k := len(ctrls) - 1; k >= 0; k-- {
 			c := e.Controls[ctrls[k]]
@@ -105,11 +97,49 @@ func refPsetDecidePaths(e *Engine, ctx *checkCtx, fec topo.FEC) (violating, ok b
 			m := pset.FromMatch(c.Match)
 			desired = m.Intersect(val).Union(desired.Subtract(m))
 		}
-		if !desired.Equal(after) {
-			return true, true
+		diff := desired.Subtract(after).Union(after.Subtract(desired))
+		if witness, violating = diff.MinPacket(); violating {
+			return witness, true, true
 		}
 	}
-	return false, true
+	return witness, false, true
+}
+
+// refFlips reports whether path p decides pkt differently from its
+// desired decision, read straight off the engine's snapshots: the path
+// permits pkt iff every scoped ACL it crosses does, and the first
+// control governing the path whose match covers pkt overrides the
+// before decision.
+func refFlips(e *Engine, p topo.Path, pkt header.Packet) bool {
+	permits := func(n *topo.Network, b topo.ACLBinding) bool {
+		if !e.Scope.ContainsDevice(b.Iface.Device.Name) {
+			return true
+		}
+		i, err := n.LookupInterface(b.Iface.ID())
+		if err != nil {
+			return true
+		}
+		a := i.ACL(b.Dir)
+		return a == nil || a.Permits(pkt)
+	}
+	before, after := true, true
+	for _, b := range p.Bindings() {
+		before = before && permits(e.Before, b)
+		after = after && permits(e.After, b)
+	}
+	desired := before
+	for _, c := range e.Controls {
+		if c.AppliesTo(p) && c.Match.Matches(pkt) {
+			switch c.Mode {
+			case Isolate:
+				desired = false
+			case Open:
+				desired = true
+			}
+			break
+		}
+	}
+	return desired != after
 }
 
 type shapeStats struct {
@@ -164,18 +194,39 @@ func checkShapesOn(t *testing.T, name string, e *Engine) shapeStats {
 		if satShapes != satPaths {
 			t.Fatalf("%s: FEC %d: formula over shapes violating=%v, over paths %v", name, i, satShapes, satPaths)
 		}
-		if v, ok := refPsetDecidePaths(e, ctx, fec); ok && v != satPaths {
-			t.Fatalf("%s: FEC %d: per-path set reference violating=%v, solver %v", name, i, v, satPaths)
+		refWit, refV, refOK := refPsetDecidePaths(e, ctx, fec)
+		if refOK && refV != satPaths {
+			t.Fatalf("%s: FEC %d: per-path set reference violating=%v, solver %v", name, i, refV, satPaths)
 		}
-		v, ok, _ := e.psetDecideFEC(ctx, fec, shapes)
+		_, v, ok, _ := e.psetDecideFEC(ctx, fec, shapes)
 		if !ok {
 			t.Fatalf("%s: FEC %d: unexpected cube-budget bail-out", name, i)
 		}
 		if v != satPaths {
 			t.Fatalf("%s: FEC %d: psetDecideFEC over shapes violating=%v, per-path reference %v", name, i, v, satPaths)
 		}
-		if v {
-			st.violating++
+		if !v {
+			continue
+		}
+		st.violating++
+
+		// The witness is the reference's packet, and its paths are exactly
+		// those that flip on it.
+		w, _ := e.witnessFor(ctx, i, &CheckResult{}, e.obsv())
+		if refOK && w.Packet != refWit {
+			t.Fatalf("%s: FEC %d: witness %v, per-path reference %v", name, i, w.Packet, refWit)
+		}
+		var listed, flips []string
+		for _, p := range w.Paths {
+			listed = append(listed, p.Key())
+		}
+		for _, p := range fec.Paths {
+			if refFlips(e, p, w.Packet) {
+				flips = append(flips, p.Key())
+			}
+		}
+		if !slices.Equal(listed, flips) {
+			t.Fatalf("%s: FEC %d: witness %v lists paths %q, %q flip on it", name, i, w.Packet, listed, flips)
 		}
 	}
 	return st

@@ -52,7 +52,8 @@ type CheckResult struct {
 	Forensics []FECForensics
 	// SolverStats aggregates the full SAT counters (decisions,
 	// propagations, conflicts, restarts, learned, deleted) across every
-	// solver the check ran: the detection solver and the witness pass's.
+	// solver the check ran: the detection solver and, for a FEC whose set
+	// algebra overflows, the witness pass's.
 	// Its Conflicts total is the stand-in for the paper's "DPLL
 	// recursive calls" (§9).
 	SolverStats sat.Stats
@@ -125,12 +126,12 @@ func (e *Engine) CheckContext(callCtx context.Context) *CheckResult {
 	}
 
 	// Witness extraction: each violating FEC's counterexample is the
-	// canonical one — derived in the set algebra, or re-solved on a fresh
-	// builder and solver under controls or after an overflow (witnessFor),
-	// a pure function of the FEC and the encoded ACL contents either way —
-	// so reported violations are byte-identical across decision routes,
-	// across warm and cold runs, and across cache replays (which memoize
-	// exactly these witnesses).
+	// canonical one — the packet the set algebra's verdict names, or a
+	// re-solve on a fresh builder and solver when the algebra overflows
+	// (witnessFor), a pure function of the FEC and the encoded ACL
+	// contents either way — so reported violations are byte-identical
+	// across decision routes, across warm and cold runs, and across cache
+	// replays (which memoize exactly these witnesses).
 	if len(hits) > 0 {
 		res.Consistent = false
 		wp := root.Child("witness")

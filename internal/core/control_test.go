@@ -213,6 +213,11 @@ func TestControlIsolateAllCheck(t *testing.T) {
 		} else if !slices.Equal(got, want) {
 			t.Errorf("%s: counterexamples %v, want %v", c.name, got, want)
 		}
+		// Each counterexample is the packet the set algebra's verdict
+		// named: no solver ran, for detection or for a witness.
+		if st := res.SolverStats; st.Decisions != 0 || st.Propagations != 0 {
+			t.Errorf("%s: solver ran under the control: %+v", c.name, st)
+		}
 		// The route is on record: every violating FEC was decided by a
 		// complete procedure, none skipped by the differential fast path.
 		for _, f := range res.Forensics {

@@ -317,22 +317,33 @@ func TestFuzzCheckParallelAgreement(t *testing.T) {
 // classes and paths, and SolvedFECs. The third way, the monolithic
 // baseline, must agree on the verdict, and every reported
 // counterexample is replayed against both snapshots with the concrete
-// ACL evaluator: the packet must actually be decided differently by the
-// before and after chains of each divergent path. A witness that fails
-// replay means a backend found a "violation" no real packet exhibits.
+// ACL evaluator: on each divergent path the after chain must decide the
+// packet differently from the desired decision — the before chain's,
+// unless the case's control governs the path and matches the packet. A
+// witness that fails replay means a backend found a "violation" no real
+// packet exhibits. The last cases each carry one random control.
 func TestFuzzBackendThreeWay(t *testing.T) {
-	cases := 160
+	cases, controlled := 160, 40
 	if testing.Short() {
-		cases = 25
+		cases, controlled = 25, 8
 	}
 	r := rand.New(rand.NewSource(9351))
-	inconsistent := 0
+	inconsistent, inconsistentCtrl := 0, 0
 	var psetDecided, satDecided, bailouts int64
 	var satTime, psetTime time.Duration
-	for iter := 0; iter < cases; iter++ {
+	for iter := 0; iter < cases+controlled; iter++ {
 		before, scope, nPref := fuzzNet(r, true)
 		after := before.Clone()
 		fuzzEdit(r, after, nPref, true)
+		var ctrls []core.Control
+		if iter >= cases {
+			ctrls = []core.Control{fuzzControl(r, before, nPref)}
+		}
+		check := func(opts core.Options, workers int) *core.CheckResult {
+			e := core.New(before, after, scope, opts)
+			e.Controls = ctrls
+			return checkWorkers(e, workers)
+		}
 
 		opts := core.DefaultOptions()
 		opts.FindAllViolations = iter%2 == 0
@@ -340,7 +351,7 @@ func TestFuzzBackendThreeWay(t *testing.T) {
 
 		start := time.Now()
 		disarm := forceSAT(t)
-		resSat := core.New(before, after, scope, opts).Check()
+		resSat := check(opts, 1)
 		disarm()
 		satTime += time.Since(start)
 		want := checkSignature(resSat)
@@ -350,10 +361,13 @@ func TestFuzzBackendThreeWay(t *testing.T) {
 		}
 		if !resSat.Consistent {
 			inconsistent++
+			if ctrls != nil {
+				inconsistentCtrl++
+			}
 		}
 
 		start = time.Now()
-		resAuto := checkWorkers(core.New(before, after, scope, opts), 4)
+		resAuto := check(opts, 4)
 		psetTime += time.Since(start)
 		psetDecided += resAuto.Stats.PsetDecided
 		bailouts += resAuto.Stats.PsetBailout
@@ -364,27 +378,43 @@ func TestFuzzBackendThreeWay(t *testing.T) {
 			t.Fatalf("case %d: auto SolvedFECs=%d, sat=%d", iter, resAuto.SolvedFECs, resSat.SolvedFECs)
 		}
 
-		mono := core.New(before, after, scope, opts).CheckMonolithic()
-		if mono.Consistent != resSat.Consistent {
-			t.Fatalf("case %d: CheckMonolithic=%v, backends=%v", iter, mono.Consistent, resSat.Consistent)
+		mono := core.New(before, after, scope, opts)
+		mono.Controls = ctrls
+		if res := mono.CheckMonolithic(); res.Consistent != resSat.Consistent {
+			t.Fatalf("case %d: CheckMonolithic=%v, backends=%v", iter, res.Consistent, resSat.Consistent)
 		}
 
-		// Witness validity replay: no controls in the fuzz vocabulary, so
-		// desired = before, and a genuine counterexample is decided
-		// differently by the two snapshots on every divergent path.
+		// Witness validity replay: a genuine counterexample is decided by
+		// the after snapshot against the desired decision on every
+		// divergent path.
 		for _, v := range resAuto.Violations {
 			if len(v.Paths) == 0 {
 				t.Fatalf("case %d: violation %v reports no divergent path", iter, v.Packet)
 			}
 			for _, p := range v.Paths {
-				if pathPermits(before, p, v.Packet) == pathPermits(after, p, v.Packet) {
-					t.Fatalf("case %d: witness %v does not distinguish path %s", iter, v.Packet, p.Key())
+				desired := pathPermits(before, p, v.Packet)
+				for _, c := range ctrls {
+					if c.AppliesTo(p) && c.Match.Matches(v.Packet) {
+						switch c.Mode {
+						case core.Isolate:
+							desired = false
+						case core.Open:
+							desired = true
+						}
+						break
+					}
+				}
+				if desired == pathPermits(after, p, v.Packet) {
+					t.Fatalf("case %d: witness %v does not flip path %s", iter, v.Packet, p.Key())
 				}
 			}
 		}
 	}
 	if inconsistent == 0 {
 		t.Fatal("fuzz generator produced no inconsistent case; edits too weak to exercise violations")
+	}
+	if inconsistentCtrl == 0 {
+		t.Fatal("no controlled case was inconsistent; the controlled witnesses went unreplayed")
 	}
 	if psetDecided == 0 {
 		t.Fatal("auto never decided a query in the set algebra; the complete backend is dead weight")
@@ -394,8 +424,31 @@ func TestFuzzBackendThreeWay(t *testing.T) {
 	}
 	// The budget is what bounds the algebra's worst case: the corpus's
 	// bail-out count and both arms' total time are its evidence.
-	t.Logf("%d cases, %d inconsistent, %d pset-decided FECs (%d bail-outs, %v), %d sat jobs (%v)",
-		cases, inconsistent, psetDecided, bailouts, psetTime, satDecided, satTime)
+	t.Logf("%d cases (%d controlled), %d inconsistent (%d controlled), %d pset-decided FECs (%d bail-outs, %v), %d sat jobs (%v)",
+		cases+controlled, controlled, inconsistent, inconsistentCtrl, psetDecided, bailouts, psetTime, satDecided, satTime)
+}
+
+// fuzzControl draws one control over a fuzzNet network: a random mode,
+// a destination from the network's prefix pool, and one entry → exit
+// border pair.
+func fuzzControl(r *rand.Rand, n *topo.Network, nPref int) core.Control {
+	var entries, exits []string
+	for _, d := range n.SortedDevices() {
+		for _, i := range d.SortedInterfaces() {
+			switch i.Name {
+			case "e":
+				entries = append(entries, i.ID())
+			case "x":
+				exits = append(exits, i.ID())
+			}
+		}
+	}
+	return core.Control{
+		From:  map[string]bool{entries[r.Intn(len(entries))]: true},
+		To:    map[string]bool{exits[r.Intn(len(exits))]: true},
+		Mode:  core.ControlMode(r.Intn(3)),
+		Match: header.DstMatch(fuzzPrefix(r.Intn(nPref))),
+	}
 }
 
 // TestFuzzFirstViolationAgreement covers the FindAllViolations=false

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"jinjing/internal/faultinject"
+	"jinjing/internal/header"
 	"jinjing/internal/obs"
 	"jinjing/internal/sat"
 	"jinjing/internal/smt"
@@ -315,6 +316,7 @@ func (e *Engine) prepareIncremental(ctx *checkCtx) {
 	ctx.routes = make([]fecRoute, n)
 	ctx.solveNS = make([]int64, n)
 	ctx.wit = make(map[int]*Violation)
+	ctx.witPkt = make(map[int]header.Packet)
 	vc := e.Opts.Verdicts
 	if vc == nil || ctx.fastPath || &vc.acls != ctx.tab {
 		// fastPath generations (an empty differential) never consult or
@@ -501,11 +503,12 @@ func (e *Engine) resolveFEC(c *solveCall, i int) fecState {
 	fsp := c.span.Child("fec.solve", obs.KV("fec", i), obs.KV("backend", "pset"),
 		obs.KV("paths", len(fec.Paths)), obs.KV("shapes", len(shapes)))
 	start, folded := time.Now(), ctx.folded
+	var witness header.Packet
 	violating, ok, regionCubes := false, false, 0
 	// An injected Timeout bails out as if the cube budget had overflowed:
 	// tests send FECs to the solver with it, pset's reference.
 	if faultinject.Fire(faultinject.CheckPset) != faultinject.Timeout {
-		violating, ok, regionCubes = e.psetDecideFEC(ctx, fec, shapes)
+		witness, violating, ok, regionCubes = e.psetDecideFEC(ctx, fec, shapes)
 	}
 	ns := time.Since(start).Nanoseconds()
 	ctx.solveNS[i] += ns
@@ -522,6 +525,9 @@ func (e *Engine) resolveFEC(c *solveCall, i int) fecState {
 		c.o.Histogram("fec.solve.ns{backend=pset}").Observe(ns)
 		ctx.stats.PsetDecided++
 		ctx.routes[i] = routePset
+		if violating {
+			ctx.witPkt[i] = witness
+		}
 		ctx.finishVerdict(i, key, violating)
 		fsp.SetAttr("verdict", verdictString(ctx.states[i]))
 		fsp.End()
@@ -589,9 +595,14 @@ func solvedFECs(ctx *checkCtx, last int) int {
 }
 
 // witnessFor returns FEC i's counterexample, replaying the generation
-// memo or the cache entry's memoized witness when present and computing
-// the canonical witness otherwise (a snapshot-restored entry carries
-// none). The bool reports a replay.
+// memo or the cache entry's memoized witness when present (a
+// snapshot-restored entry carries none). Otherwise it completes the
+// packet this generation's set algebra named when it decided the FEC,
+// and re-runs psetDecideFEC for one when the algebra did not decide it
+// here: a bail-out, an armed CheckPset, or a cache replay. The procedure
+// is pure, so the packet is the same whichever route decided the FEC;
+// only a re-run that overflows the cube budget sends the FEC to the
+// solver (witnessFEC). The bool reports a replay.
 func (e *Engine) witnessFor(ctx *checkCtx, i int, res *CheckResult, o *obs.Observer) (Violation, bool) {
 	if v, ok := ctx.wit[i]; ok {
 		return *v, true
@@ -603,13 +614,19 @@ func (e *Engine) witnessFor(ctx *checkCtx, i int, res *CheckResult, o *obs.Obser
 			return *w, true
 		}
 	}
-	// The set-algebra witness is attempted first for every violating FEC
-	// whatever route decided it — both derivations are pure functions of
-	// the FEC and ACL contents, so which one answers is itself
-	// route-independent and the reported bytes stay identical across
-	// routes, worker counts, and cache states.
-	v, ok := e.psetWitnessFEC(ctx, ctx.fec(i))
+	fec := ctx.fec(i)
+	pkt, ok := ctx.witPkt[i]
 	if !ok {
+		var violating bool
+		pkt, violating, ok, _ = e.psetDecideFEC(ctx, fec, e.compileShapes(ctx, fec))
+		if ok && !violating {
+			panic("core: set algebra disagrees with the violating verdict")
+		}
+	}
+	var v Violation
+	if ok {
+		v = e.psetWitnessFEC(ctx, fec, pkt)
+	} else {
 		var st sat.Stats
 		v, st = e.witnessFEC(ctx, i)
 		recordSolverStats(o, &res.SolverStats, st)

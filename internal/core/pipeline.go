@@ -4,6 +4,7 @@ import (
 	"runtime"
 
 	"jinjing/internal/acl"
+	"jinjing/internal/header"
 	"jinjing/internal/obs"
 	"jinjing/internal/pset"
 	"jinjing/internal/sat"
@@ -73,8 +74,11 @@ type checkCtx struct {
 	enc *encoder
 	seq *smt.Solver
 
-	// wit memoizes canonical witnesses per FEC for this generation.
-	wit map[int]*Violation
+	// wit memoizes canonical witnesses per FEC for this generation, and
+	// witPkt holds the witness packet of each FEC this generation's set
+	// algebra decided violating (see psetDecideFEC).
+	wit    map[int]*Violation
+	witPkt map[int]header.Packet
 
 	// walk interns what the generation's paths cross for the complete
 	// procedures, and encPairs is the table of distinct encoded pairs its

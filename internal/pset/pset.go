@@ -695,17 +695,13 @@ func EquivalentACLs(a, b *acl.ACL) bool {
 	return PermittedSet(a).Equal(PermittedSet(b))
 }
 
-// DistinguishingPacket returns a packet in exactly one of s and t (a
-// member of the symmetric difference), the witness the equivalence
-// check's verdict rests on. ok is false when the sets are equal. The
-// returned packet is canonical: a pure function of the two denoted sets
-// (the lowest corner of the first cube of the canonicalized difference,
-// s∖t probed before t∖s), independent of how either set was built.
+// DistinguishingPacket returns the least packet (MinPacket order) in
+// exactly one of s and t — their symmetric difference — the witness an
+// equivalence verdict rests on. ok is false when the sets are equal. As
+// a MinPacket it is a pure function of the two denoted sets, independent
+// of how either was built or split into cubes.
 func DistinguishingPacket(s, t Set) (header.Packet, bool) {
-	if p, ok := s.Subtract(t).SamplePacket(); ok {
-		return p, true
-	}
-	return t.Subtract(s).SamplePacket()
+	return s.Subtract(t).Union(t.Subtract(s)).MinPacket()
 }
 
 // EquivalentACLsWitness decides ACL equivalence via the set algebra and,

@@ -122,9 +122,6 @@ type FEC struct {
 	Paths   []Path // the paths (from the structural set) that forward this FEC
 }
 
-// Representative returns the exemplar class [h]_FEC.
-func (f FEC) Representative() header.Prefix { return f.Classes[0] }
-
 // ComputeFECs groups atomized traffic classes into forwarding equivalence
 // classes using the structural path set: two classes are equivalent iff
 // the same subset of paths forwards them (Equation 2 specialized to

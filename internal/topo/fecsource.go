@@ -130,7 +130,3 @@ func (s *FECSource) Materialize(i int) FEC {
 // PathIndices returns FEC i's path-index vector (indices into the paths
 // slice the source was built from). Callers must not mutate it.
 func (s *FECSource) PathIndices(i int) []int32 { return s.pathIdx[i] }
-
-// NumClasses returns the number of member classes of FEC i without
-// materializing it.
-func (s *FECSource) NumClasses(i int) int { return len(s.classIdx[i]) }

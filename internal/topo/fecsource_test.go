@@ -268,9 +268,6 @@ func sameFECs(t *testing.T, what string, src *topo.FECSource, want []topo.FEC) {
 			t.Fatalf("%s: FEC %d classes = %v, want %v", what, i, got.Classes, want[i].Classes)
 		}
 		samePaths(t, fmt.Sprintf("%s: FEC %d", what, i), got.Paths, want[i].Paths)
-		if src.NumClasses(i) != len(want[i].Classes) {
-			t.Fatalf("%s: FEC %d NumClasses = %d, want %d", what, i, src.NumClasses(i), len(want[i].Classes))
-		}
 		if len(src.PathIndices(i)) != len(want[i].Paths) {
 			t.Fatalf("%s: FEC %d PathIndices = %d, want %d", what, i, len(src.PathIndices(i)), len(want[i].Paths))
 		}

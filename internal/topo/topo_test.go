@@ -224,7 +224,7 @@ func TestComputeFECsFigure1(t *testing.T) {
 		for _, c := range f.Classes {
 			members = append(members, c.String())
 		}
-		groups[f.Representative().String()] = strings.Join(members, ",")
+		groups[f.Classes[0].String()] = strings.Join(members, ",")
 	}
 	want := map[string]string{
 		"1.0.0.0/8": "1.0.0.0/8",
