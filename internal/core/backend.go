@@ -15,12 +15,12 @@ import (
 // overflows the budget. Both are complete on the queries they answer, so
 // which one answers can never change a verdict — only its cost. Either
 // reads of a path only its shape (see checkShape), and a FEC's hundreds
-// of paths share a few. A violating FEC's counterexample is the packet
-// the set algebra's verdict names (psetDecideFEC), with or without
-// controls; only a FEC whose algebra overflows the budget is re-solved
-// for one on a fresh solver (witnessFEC). Both are pure functions of the
-// FEC and the ACL contents, so the route that decided a FEC never shows
-// in its witness.
+// of paths share a few. A violating FEC's counterexample is the least
+// packet of the set the algebra decided it on (violations), with or
+// without controls; only a FEC whose algebra overflows the budget is
+// re-solved for one on a fresh solver (witnessFEC). Both are pure
+// functions of the FEC and the ACL contents, so the route that decided a
+// FEC never shows in its witness.
 
 // psetCubeBudget is the hard cube cap for the pset backend: any set
 // construction or per-shape difference that exceeds it abandons the FEC
@@ -185,8 +185,8 @@ func (rs *regionSets) anyDiffer(ctx *checkCtx, pairs []int32) (differ, ok bool) 
 }
 
 // decisionSets computes a shape's before/after decision sets within the
-// region: region ∩ ⋂ permitted(pair side), the conjunction pathFormulas
-// builds, over sets that never leave the region.
+// region: region ∩ ⋂ permitted(pair side), the conjunction
+// shapesViolationFormula builds, over sets that never leave the region.
 func (rs *regionSets) decisionSets(ctx *checkCtx, pairs []int32) (before, after pset.Set, ok bool) {
 	before, after = rs.region, rs.region
 	for _, pi := range pairs {
@@ -244,12 +244,14 @@ func fecRegion(fec topo.FEC) pset.Set {
 	return region
 }
 
-// psetDecideFEC decides the FEC's Equation-3 query in the packet-set
-// algebra, over its distinct path shapes: violating iff some shape's
-// desired decision set differs from its after set — the set-level mirror
-// of ⋁_p ¬(desired_p ⇔ c'_p) ∧ ψ. One procedure serves every shape, with
-// or without controls, and keeps consistent FECs — the overwhelming
-// majority — off set construction altogether:
+// violations decides the FEC's Equation-3 query in the packet-set
+// algebra, over its distinct path shapes, and returns its
+// counterexamples: the first violating shape's desired ⊖ after, or with
+// all the union over every shape — the set-level mirror of
+// ⋁_p ¬(desired_p ⇔ c'_p) ∧ ψ. The FEC is violating iff the set is
+// non-empty. One procedure serves every shape, with or without
+// controls, and keeps consistent FECs — the overwhelming majority — off
+// set construction altogether:
 //
 //  1. Everything any shape can flip lies in the FEC's flip region (see
 //     flipRegion). Empty — every FEC whose classes miss the edited and
@@ -268,30 +270,29 @@ func fecRegion(fec topo.FEC) pset.Set {
 //     control missing the flip region applies to nothing). The
 //     comparison is exact: outside the flip region no shape can differ.
 //
-// A violating verdict names its witness: the least packet of the first
-// violating shape's desired ⊖ after — exactly the FEC's counterexamples
-// on that shape, since outside the flip region no path flips. Shapes
-// are in first-path order, so it is the least packet the first
-// violating path flips on. The procedure is pure, so the witness is a
-// function of the FEC and the encoded ACL contents alone.
+// The check's witness is the set's least packet: shapes are in
+// first-path order, so it is the least packet the first violating path
+// flips on. Fix seeks neighborhoods in the union (see FixContext). The
+// procedure is pure, so both are functions of the FEC and the encoded
+// ACL contents alone.
 //
-// ok=false reports a cube-budget bail-out mid-solve; the caller falls
+// ok=false reports a cube-budget overflow mid-solve; the caller falls
 // back to the solver, and the verdict (when ok) is exactly the one the
 // solver would return. regionCubes sizes the flip region.
-func (e *Engine) psetDecideFEC(ctx *checkCtx, fec topo.FEC, shapes []checkShape) (witness header.Packet, violating, ok bool, regionCubes int) {
+func (e *Engine) violations(ctx *checkCtx, fec topo.FEC, shapes []checkShape, all bool) (v pset.Set, ok bool, regionCubes int) {
 	rs := regionSets{region: e.flipRegion(ctx, fecRegion(fec), shapes)}
 	regionCubes = rs.region.Cubes()
 	if rs.region.IsEmpty() {
-		return witness, false, true, regionCubes
+		return v, true, regionCubes
 	}
 	if regionCubes > psetCubeBudget {
-		return witness, false, false, regionCubes
+		return v, false, regionCubes
 	}
 	for _, sh := range shapes {
 		if len(sh.ctrls) == 0 {
 			differ, ok := rs.anyDiffer(ctx, sh.pairs)
 			if !ok {
-				return witness, false, false, regionCubes
+				return v, false, regionCubes
 			}
 			if !differ {
 				continue
@@ -299,23 +300,28 @@ func (e *Engine) psetDecideFEC(ctx *checkCtx, fec topo.FEC, shapes []checkShape)
 		}
 		before, after, ok := rs.decisionSets(ctx, sh.pairs)
 		if !ok {
-			return witness, false, false, regionCubes
+			return v, false, regionCubes
 		}
 		desired := e.desiredSet(sh.ctrls, before, rs.region)
 		if desired.Cubes() > psetCubeBudget {
-			return witness, false, false, regionCubes
+			return v, false, regionCubes
 		}
-		if witness, violating = pset.DistinguishingPacket(desired, after); violating {
-			return witness, true, true, regionCubes
+		flips := desired.Subtract(after).Union(after.Subtract(desired))
+		if flips.IsEmpty() {
+			continue
+		}
+		if !all {
+			return flips, true, regionCubes
+		}
+		if v = v.Union(flips); v.Cubes() > psetCubeBudget {
+			return v, false, regionCubes
 		}
 	}
-	return witness, false, true, regionCubes
+	return v, true, regionCubes
 }
 
-// psetWitnessFEC completes the counterexample psetDecideFEC named for a
-// violating FEC: the packet, and the FEC's paths that flip on it by
-// concrete evaluation, mirroring the model evaluation of the per-path
-// Iffs in witnessFEC.
+// psetWitnessFEC completes a violating FEC's counterexample packet: the
+// FEC's paths that flip on it, by concrete evaluation.
 func (e *Engine) psetWitnessFEC(ctx *checkCtx, fec topo.FEC, pkt header.Packet) Violation {
 	v := Violation{Packet: pkt, Classes: fec.Classes}
 	memo := make(map[topo.ACLBinding]int8, 4*len(fec.Paths))

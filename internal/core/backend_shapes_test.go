@@ -60,26 +60,36 @@ func shapeKey(ctx *checkCtx, sh checkShape) string {
 	return strings.Join(pairs, "\n") + "\n#" + strings.Join(ctrls, ",")
 }
 
-// refPsetDecidePaths is the per-path reference of psetDecideFEC: every
+// refPathViolations is the per-path reference of violations: every
 // path states its own disjunct, from its own walk over its bindings, and
-// the restricted sets are built afresh for every path over the whole
-// class region, with no flip region and no shortcut for unchanged or
-// agreeing pairs. The desired set folds every control on the path
-// unconditionally — the Ite chain as desiredFormula states it, with no
-// skip of controls that miss the region; with none it is the before set.
-// A violating FEC's witness is the least packet of the first violating
-// path's desired ⊖ after.
-func refPsetDecidePaths(e *Engine, ctx *checkCtx, fec topo.FEC) (witness header.Packet, violating, ok bool) {
+// its sets are intersected over the whole class region, with no flip
+// region and no shortcut for unchanged or agreeing pairs. The desired
+// set folds every control on the path unconditionally — the Ite chain as
+// desiredFormula states it, with no skip of controls that miss the
+// region; with none it is the before set. It returns each path's
+// desired ⊖ after, in path order; ok=false when an ACL's permitted set
+// on the region overflows the cube budget.
+func refPathViolations(e *Engine, ctx *checkCtx, fec topo.FEC) (flips []pset.Set, ok bool) {
 	region := fecRegion(fec)
 	walk := e.pathWalk(ctx)
+	within := map[int32]pset.Set{} // by ACL-table ID: its permitted set ∩ region
+	permitted := func(id int32) (pset.Set, bool) {
+		s, ok := within[id]
+		if !ok {
+			if s, _, ok = pset.NewIndex(ctx.acls[id]).PermittedSetWithin(region, psetCubeBudget); ok {
+				within[id] = s
+			}
+		}
+		return s, ok
+	}
 	for _, p := range fec.Paths {
 		before, after := region, region
 		for _, pi := range walk.crossed(nil, p) {
 			ids := ctx.encPairs[pi].ids
-			wb, _, bok := pset.NewIndex(ctx.acls[ids[0]]).PermittedSetWithin(region, psetCubeBudget)
-			wa, _, aok := pset.NewIndex(ctx.acls[ids[1]]).PermittedSetWithin(region, psetCubeBudget)
+			wb, bok := permitted(ids[0])
+			wa, aok := permitted(ids[1])
 			if !bok || !aok {
-				return witness, false, false
+				return nil, false
 			}
 			before, after = before.Intersect(wb), after.Intersect(wa)
 		}
@@ -97,12 +107,30 @@ func refPsetDecidePaths(e *Engine, ctx *checkCtx, fec topo.FEC) (witness header.
 			m := pset.FromMatch(c.Match)
 			desired = m.Intersect(val).Union(desired.Subtract(m))
 		}
-		diff := desired.Subtract(after).Union(after.Subtract(desired))
-		if witness, violating = diff.MinPacket(); violating {
-			return witness, true, true
-		}
+		flips = append(flips, desired.Subtract(after).Union(after.Subtract(desired)))
 	}
-	return witness, false, true
+	return flips, true
+}
+
+// refPathsViolationFormula is Equation 3 with one disjunct per path, in
+// path order, each path walking its own bindings by ID: the per-path
+// form the shapes formula must be equivalent to.
+func refPathsViolationFormula(e *Engine, enc *encoder, ctx *checkCtx, fec topo.FEC) smt.F {
+	out := smt.False
+	for _, p := range fec.Paths {
+		before, after := smt.True, smt.True
+		for _, b := range p.Bindings() {
+			pair, ok := ctx.ids[b.ID()]
+			if !ok {
+				continue // no ACL in either snapshot
+			}
+			before = enc.b.And(before, enc.encodeACL(pair[0]))
+			after = enc.b.And(after, enc.encodeACL(pair[1]))
+		}
+		desired := e.desiredFormula(enc, e.ctrlsOn(p), before)
+		out = enc.b.Or(out, enc.b.Iff(desired, after).Not())
+	}
+	return enc.b.And(out, enc.classPred(fec.Classes))
 }
 
 // refFlips reports whether path p decides pkt differently from its
@@ -188,24 +216,36 @@ func checkShapesOn(t *testing.T, name string, e *Engine) shapeStats {
 		// Deciding over shapes gives the verdict of deciding over every
 		// path, in the algebra and on the solver.
 		enc := newEncoder(ctx.acls, e.obsv())
-		class := enc.classPred(fec.Classes)
-		satPaths := smt.SolverOn(enc.b).Solve(enc.b.And(e.fecViolationFormula(enc, fec, ctx.ids), class))
-		satShapes := smt.SolverOn(enc.b).Solve(enc.b.And(e.shapesViolationFormula(enc, ctx, shapes), class))
+		satPaths := smt.SolverOn(enc.b).Solve(refPathsViolationFormula(e, enc, ctx, fec))
+		satShapes := smt.SolverOn(enc.b).Solve(e.shapesViolationFormula(enc, ctx, fec, shapes))
 		if satShapes != satPaths {
 			t.Fatalf("%s: FEC %d: formula over shapes violating=%v, over paths %v", name, i, satShapes, satPaths)
 		}
-		refWit, refV, refOK := refPsetDecidePaths(e, ctx, fec)
+		// The per-path sets agree with the solver, and their union is what
+		// fix seeks in. A violating FEC's reference witness is the least
+		// packet of the first violating path's desired ⊖ after.
+		perPath, refOK := refPathViolations(e, ctx, fec)
+		refUnion, refWit, refV := pset.Empty(), header.Packet{}, false
+		for _, f := range perPath {
+			refUnion = refUnion.Union(f)
+			if !refV {
+				refWit, refV = f.MinPacket()
+			}
+		}
 		if refOK && refV != satPaths {
 			t.Fatalf("%s: FEC %d: per-path set reference violating=%v, solver %v", name, i, refV, satPaths)
 		}
-		_, v, ok, _ := e.psetDecideFEC(ctx, fec, shapes)
+		viol, ok, _ := e.violations(ctx, fec, shapes, false)
 		if !ok {
 			t.Fatalf("%s: FEC %d: unexpected cube-budget bail-out", name, i)
 		}
-		if v != satPaths {
-			t.Fatalf("%s: FEC %d: psetDecideFEC over shapes violating=%v, per-path reference %v", name, i, v, satPaths)
+		if v := !viol.IsEmpty(); v != satPaths {
+			t.Fatalf("%s: FEC %d: violations over shapes violating=%v, per-path reference %v", name, i, v, satPaths)
 		}
-		if !v {
+		if all, ok, _ := e.violations(ctx, fec, shapes, true); ok && refOK && !all.Equal(refUnion) {
+			t.Fatalf("%s: FEC %d: counterexamples over shapes %v, over paths %v", name, i, all, refUnion)
+		}
+		if !satPaths {
 			continue
 		}
 		st.violating++

@@ -192,23 +192,11 @@ func (e *Engine) fecTouchesDiff(fec topo.FEC, diff []acl.Rule) bool {
 	return false
 }
 
-// fecViolationFormula builds ⋁_{p∈𝒴} ¬(desired_p ⇔ c'_p) for the FEC's
-// forwarding paths (Equation 3, with desired_p per §6 when controls are
-// present), one disjunct per path in path order: the form whose models
-// are read — the witness pass and fix's seek loop — and so must not move.
-func (e *Engine) fecViolationFormula(enc *encoder, fec topo.FEC, ids map[string][2]int32) smt.F {
-	out := smt.False
-	for _, p := range fec.Paths {
-		desired, after := e.pathFormulas(enc, p, ids)
-		out = enc.b.Or(out, enc.b.Iff(desired, after).Not())
-	}
-	return out
-}
-
-// shapesViolationFormula is the same disjunction with one disjunct per
-// distinct path shape — an equivalent, smaller query for the check's
-// solver jobs, of which only the verdict is read.
-func (e *Engine) shapesViolationFormula(enc *encoder, ctx *checkCtx, shapes []checkShape) smt.F {
+// shapesViolationFormula builds ⋁_s ¬(desired_s ⇔ c'_s) ∧ ψ for the
+// FEC's distinct path shapes (Equation 3, with desired_s per §6 when
+// controls are present): the solver's form of the query the set algebra
+// answers in violations, equivalent to one disjunct per path.
+func (e *Engine) shapesViolationFormula(enc *encoder, ctx *checkCtx, fec topo.FEC, shapes []checkShape) smt.F {
 	out := smt.False
 	for _, sh := range shapes {
 		before, after := smt.True, smt.True
@@ -220,25 +208,7 @@ func (e *Engine) shapesViolationFormula(enc *encoder, ctx *checkCtx, shapes []ch
 		desired := e.desiredFormula(enc, sh.ctrls, before)
 		out = enc.b.Or(out, enc.b.Iff(desired, after).Not())
 	}
-	return out
-}
-
-// pathFormulas returns (desired_p, c'_p): the desired decision model of
-// path p (the original c_p adjusted by control intents) and the
-// post-update decision model, over the bindings' encoded ID pairs.
-func (e *Engine) pathFormulas(enc *encoder, p topo.Path, ids map[string][2]int32) (desired, after smt.F) {
-	before := smt.True
-	after = smt.True
-	for _, bind := range p.Bindings() {
-		pair, ok := ids[bind.ID()]
-		if !ok {
-			continue // no ACL in either snapshot
-		}
-		before = enc.b.And(before, enc.encodeACL(pair[0]))
-		after = enc.b.And(after, enc.encodeACL(pair[1]))
-	}
-	desired = e.desiredFormula(enc, e.ctrlsOn(p), before)
-	return desired, after
+	return enc.b.And(out, enc.classPred(fec.Classes))
 }
 
 // ctrlsOn lists the controls governing p, in precedence order.

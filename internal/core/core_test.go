@@ -3,6 +3,7 @@ package core_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -43,6 +44,16 @@ func forceSAT(t testing.TB) (disarm func()) {
 	disarm = faultinject.Schedule(faultinject.CheckPset, faultinject.Timeout)
 	t.Cleanup(disarm)
 	return disarm
+}
+
+// countFixSeeks arms faultinject.FixSeek at a hit no run reaches: the
+// registry counts a site's hits only while something is armed, and
+// nothing fires. The returned func reads the solver seeks fix has made
+// since; the test's end disarms the site.
+func countFixSeeks(t testing.TB) (seeks func() int64) {
+	t.Cleanup(faultinject.Schedule(faultinject.FixSeek, faultinject.Timeout, math.MaxInt64))
+	base := faultinject.Hits(faultinject.FixSeek)
+	return func() int64 { return faultinject.Hits(faultinject.FixSeek) - base }
 }
 
 // checkWorkers runs e.Check with Options.Workers set to workers for

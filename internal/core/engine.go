@@ -98,8 +98,8 @@ type Options struct {
 	// deadline already on the caller's context (the earlier one wins).
 	Deadline time.Duration
 	// PerFECBudget, when positive, caps the SAT conflicts a single
-	// solver query (one FEC's Equation-3 decision, one fix seek
-	// iteration, one generate AEC attempt) may spend before it is
+	// solver query (one FEC's Equation-3 decision, one fix placement or
+	// overflow seek, one generate AEC attempt) may spend before it is
 	// declared Unknown. Exhaustion is retried with a 4x larger budget up
 	// to MaxRetries times; the solver resumes rather than restarts, so
 	// escalation wastes no work. Bounds the damage of one pathological

@@ -46,9 +46,10 @@ type FixResult struct {
 	// confirmed consistency.
 	Verified bool
 	// SolverStats aggregates the full SAT counters across every solver
-	// the fix spun up: the check loop's, the neighborhood-seeking
-	// solvers, one placement solver per neighborhood, and the
-	// verification check's.
+	// the fix spun up: the check loop's, one placement solver per
+	// neighborhood, and the verification check's. Neighborhoods are
+	// sought in packet sets; a seek runs on a solver only for a FEC
+	// whose set overflows the cube budget.
 	SolverStats sat.Stats
 	// Stats aggregates the incremental-verification activity: the fix's
 	// own check loop (verdict-cache traffic, deciding backends) plus the
@@ -119,14 +120,24 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 	// The change-impact numbers are the verification check's to report.
 	res.Stats.ChangedBindings, res.Stats.AffectedFECs = 0, 0
 	blocked := unknownFECs(ctx, ctx.nfec-1)
-	iterations := o.Counter("fix.iterations")
+	// Each violating FEC's counterexamples, as the set the algebra
+	// decides it on, computed here: the check context's lazy indexes are
+	// single-goroutine. An armed CheckPset sends the FEC's seek to the
+	// solver, as an overflow does.
+	seeds := make([]fixSeed, len(hits))
+	for k, i := range hits {
+		sd := &seeds[k]
+		sd.shapes = e.compileShapes(ctx, ctx.fec(i))
+		if faultinject.Fire(faultinject.CheckPset) != faultinject.Timeout {
+			sd.viol, sd.ok, _ = e.violations(ctx, ctx.fec(i), sd.shapes, true)
+		}
+	}
 	task := o.StartTask("fix: FECs", int64(len(hits)))
 
 	var probes int64
 	apply := func(out fecFixOutcome) {
 		// Merge one FEC's entries in discovery order, honoring the
 		// global neighborhood budget.
-		iterations.Add(out.iters)
 		probes += out.probes
 		recordSolverStats(o, &res.SolverStats, out.seek)
 		for _, nb := range out.entries {
@@ -145,15 +156,15 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 
 	// Each per-FEC sub-problem is independent (FEC destination classes
 	// are disjoint atoms, so cross-FEC neighborhoods never overlap) and
-	// solved on its own fresh builder and solvers, making every outcome a
-	// pure function of the FEC alone. Both execution modes use the same
+	// solved from its own seed on its own fresh solvers, making every
+	// outcome a pure function of the FEC alone. Both execution modes use the same
 	// function and merge in FEC order, so the fixing plan is byte-for-byte
 	// identical for every worker count — the property the CLI golden test
 	// pins. (A budget-b prefix of a budget-maxN run equals the budget-b
 	// run: the seek loop's iterations don't depend on the budget.)
 	workers := e.Opts.Workers
 	seek := func(k, budget int) fecFixOutcome {
-		out := e.fixFEC(cn, ctx, ix, hits[k], budget)
+		out := e.fixFEC(cn, ctx, ix, hits[k], seeds[k], budget)
 		task.Add(1)
 		return out
 	}
@@ -257,50 +268,85 @@ type nbOutcome struct {
 }
 
 // fecFixOutcome is one FEC's complete fix sub-result: neighborhood
-// outcomes in discovery order, the seeking solver's counters, and the
-// validity queries expansion asked. unknown != "" means a seek or
-// placement query reached no verdict and says why; the FEC blocks the
-// whole plan (see FixContext). err fails the call.
+// outcomes in discovery order, the counters of the overflow seek's
+// solver, and the validity queries expansion asked. unknown != "" means
+// a seek or placement query reached no verdict and says why; the FEC
+// blocks the whole plan (see FixContext). err fails the call.
 type fecFixOutcome struct {
 	entries []nbOutcome
-	iters   int64
 	probes  int64
 	seek    sat.Stats
 	err     error
 	unknown string
 }
 
-// seekNeighborhoods runs the §4.2 loop for one violating FEC on the given
-// encoder and solver: find a counterexample, enlarge it, solve its
-// placement over the FEC's path shapes, exclude it, repeat until the
-// violation formula is exhausted or budget outcomes have accumulated, so
-// the loop ends on one UNSAT. It only reads engine state, so it is safe
-// to call from worker goroutines as long as each worker owns its encoder
-// and solver.
-func (e *Engine) seekNeighborhoods(cn *canceller, fec topo.FEC, shapes []int32, ids map[string][2]int32, ix *fixIndex, budget int, enc *encoder, solver *smt.Solver) fecFixOutcome {
+// fixSeed is where one violating FEC's seek starts: its check shapes
+// and the union of their counterexamples (violations), or ok=false when
+// that set overflowed the cube budget.
+type fixSeed struct {
+	shapes []checkShape
+	viol   pset.Set
+	ok     bool
+}
+
+// fixFEC runs the §4.2 loop for one FEC the check loop found violating:
+// take the least packet of the FEC's remaining counterexamples, enlarge
+// it, solve its placement over the FEC's path shapes, exclude the
+// neighborhood, and repeat until none is left or budget outcomes have
+// accumulated. A FEC whose set overflowed asks a fresh solver over the
+// check's violation formula for each counterexample instead. It reads
+// the check context and the fix index only, so the outcome is a pure
+// function of the FEC — independent of the other FECs, of scheduling,
+// and of worker count — which is what makes the sequential and parallel
+// fix plans identical. The verdict that sent the FEC here is the check
+// loop's, so a seek never consults or writes the verdict cache.
+func (e *Engine) fixFEC(cn *canceller, ctx *checkCtx, ix *fixIndex, i int, sd fixSeed, budget int) fecFixOutcome {
 	var out fecFixOutcome
-	o := e.obsv()
-	cn.register(solver)
-	seekBase := solver.Stats()
-	base := enc.b.And(e.fecViolationFormula(enc, fec, ids), enc.classPred(fec.Classes))
+	if budget <= 0 {
+		return out
+	}
+	if cn.cancelled() {
+		// The call is dead: don't pay for a seek just to have its first
+		// query interrupted.
+		out.unknown = reasonCancelled
+		return out
+	}
+	fec := ctx.fec(i)
+	var (
+		enc    *encoder
+		solver *smt.Solver
+		query  smt.F
+	)
+	if !sd.ok {
+		enc = newEncoder(ctx.acls, e.obsv())
+		solver = smt.SolverOn(enc.b)
+		cn.register(solver)
+		query = e.shapesViolationFormula(enc, ctx, fec, sd.shapes)
+	}
+	shapes := ix.shapesOn(ctx.src.PathIndices(i))
 	cons := ix.constancyOn(fec)
 	for len(out.entries) < budget {
-		out.iters++
-		r := e.solveWithRetries(cn, solver, o, faultinject.FixSeek, true, base)
-		if r.Outcome == sat.Unknown {
-			// No verdict on this seek: the FEC's remaining violations (if
-			// any) are undiscovered, so the whole FEC blocks the plan.
-			out.unknown = r.Reason
-			break
-		}
-		if r.Outcome == sat.Unsat {
-			break
-		}
-		h := solver.Packet(enc.pv)
-		var nb header.Match
-		if e.Opts.NoExpansion > 0 {
-			nb = exactMatch(h)
+		var h header.Packet
+		if sd.ok {
+			var found bool
+			if h, found = sd.viol.MinPacket(); !found {
+				break
+			}
 		} else {
+			r := e.solveWithRetries(cn, solver, e.obsv(), faultinject.FixSeek, true, query)
+			if r.Outcome == sat.Unknown {
+				// No verdict on this seek: the FEC's remaining violations
+				// (if any) are undiscovered, so the whole FEC blocks the plan.
+				out.unknown = r.Reason
+				break
+			}
+			if r.Outcome == sat.Unsat {
+				break
+			}
+			h = solver.Packet(enc.pv)
+		}
+		nb := exactMatch(h)
+		if e.Opts.NoExpansion == 0 {
 			nb = expandNeighborhood(h, fec, cons)
 		}
 		no, err := e.solveNeighborhood(cn, ix, shapes, nb)
@@ -316,33 +362,17 @@ func (e *Engine) seekNeighborhoods(cn *canceller, fec topo.FEC, shapes []int32, 
 		// Later neighborhoods must stay disjoint from this one, or
 		// their fixing rules would shadow each other.
 		cons.priors = append(cons.priors, nb)
-		base = enc.b.And(base, enc.b.MatchPred(enc.pv, nb).Not())
+		if sd.ok {
+			sd.viol = sd.viol.Subtract(pset.FromMatch(nb))
+		} else {
+			query = enc.b.And(query, enc.b.MatchPred(enc.pv, nb).Not())
+		}
 	}
 	out.probes = cons.probes
-	out.seek = statsSince(solver.Stats(), seekBase)
+	if solver != nil {
+		out.seek = solver.Stats()
+	}
 	return out
-}
-
-// fixFEC runs seekNeighborhoods for one FEC the check loop found
-// violating, on a fresh encoder, builder, and solver, over the call's
-// read-only fix index. With no shared mutable state, the outcome is a
-// pure function of the FEC — independent of the other FECs, of
-// scheduling, and of worker count — which is what makes the sequential
-// and parallel fix plans identical. The verdict that sent the FEC here is
-// the check loop's, so a seek never consults or writes the verdict cache.
-func (e *Engine) fixFEC(cn *canceller, ctx *checkCtx, ix *fixIndex, i int, budget int) fecFixOutcome {
-	if budget <= 0 {
-		return fecFixOutcome{}
-	}
-	if cn.cancelled() {
-		// The call is dead: don't pay for the per-FEC builder just to have
-		// its first query interrupted.
-		return fecFixOutcome{unknown: reasonCancelled}
-	}
-	enc := newEncoder(ctx.acls, e.obsv())
-	solver := smt.SolverOn(enc.b)
-	shapes := ix.shapesOn(ctx.src.PathIndices(i))
-	return e.seekNeighborhoods(cn, ctx.fec(i), shapes, ctx.ids, ix, budget, enc, solver)
 }
 
 // placement is one neighborhood's Equation 7 problem as stated on a

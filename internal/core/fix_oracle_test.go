@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"slices"
@@ -10,9 +11,11 @@ import (
 	"testing"
 
 	"jinjing/internal/acl"
+	"jinjing/internal/faultinject"
 	"jinjing/internal/header"
 	"jinjing/internal/netgen"
 	"jinjing/internal/papernet"
+	"jinjing/internal/pset"
 	"jinjing/internal/sat"
 	"jinjing/internal/smt"
 	"jinjing/internal/topo"
@@ -394,23 +397,25 @@ func runFixOracleCase(t *testing.T, c fixOracleCase) fixOracleStats {
 			continue // as the check loop's differential skip does
 		}
 		shapes := ix.shapesOn(ctx.src.PathIndices(i))
-		enc := newEncoder(ctx.acls, e.obsv())
-		solver := smt.SolverOn(enc.b)
-		viol := e.fecViolationFormula(enc, fec, ctx.ids)
-		if viol == smt.False {
-			continue
+		// The FEC's counterexamples, path by path (refPathViolations); the
+		// seek takes their least packet and excludes each neighborhood.
+		perPath, ok := refPathViolations(e, ctx, fec)
+		if !ok {
+			t.Fatalf("FEC %d: the per-path reference overflows the cube budget", i)
 		}
-		base := enc.b.And(viol, enc.classPred(fec.Classes))
+		viol := pset.Empty()
+		for _, f := range perPath {
+			viol = viol.Union(f)
+		}
 		refCons := ref
 		refCons.priors = nil
 		cons := ix.constancyOn(fec)
 		found := 0
-		for ; solver.Solve(base); found++ {
+		for h, more := viol.MinPacket(); more; h, more = viol.MinPacket() {
 			if found > 500 {
 				t.Fatalf("FEC %d: more than 500 neighborhoods", i)
 			}
 			what := fmt.Sprintf("FEC %d neighborhood %d", i, found)
-			h := solver.Packet(enc.pv)
 			nb := refExpandNeighborhood(h, fec, &refCons)
 			if got := expandNeighborhood(h, fec, cons); got != nb {
 				t.Fatalf("%s: expanded %v to %v, reference %v", what, h, got, nb)
@@ -487,7 +492,8 @@ func runFixOracleCase(t *testing.T, c fixOracleCase) fixOracleStats {
 			}
 			refCons.priors = append(refCons.priors, nb)
 			cons.priors = append(cons.priors, nb)
-			base = enc.b.And(base, enc.b.MatchPred(enc.pv, nb).Not())
+			viol = viol.Subtract(pset.FromMatch(nb))
+			found++
 		}
 		if found > 0 {
 			st.multiNeighborhoodFEC = st.multiNeighborhoodFEC || found > 1
@@ -760,6 +766,42 @@ func TestFixIndexMatchesPerPathOracle(t *testing.T) {
 				t.Fatalf("case needs no fixing: it tests nothing")
 			}
 		})
+	}
+}
+
+// TestFaultFixSeekOnSolver pins both seeks on the fix cases: by default
+// every counterexample comes from the set the algebra decided the FEC on,
+// so no seek reaches the solver; with CheckPset armed every violating
+// FEC seeks on the solver, as on a cube-budget overflow. Either way every
+// fix with no unfixable neighborhood verifies. Each solver seek ends on
+// one UNSAT, so it asks once more than it finds neighborhoods.
+func TestFaultFixSeekOnSolver(t *testing.T) {
+	defer faultinject.Reset()
+	cases := append(papernetFixCases(), wanFixCases(netgen.Small, []int64{1, 2, 42}, 1, 3, 5)...)
+	for _, c := range cases {
+		for _, forced := range []bool{false, true} {
+			faultinject.Reset()
+			// Armed at a hit no run reaches, so that the site's hits count.
+			faultinject.Schedule(faultinject.FixSeek, faultinject.Timeout, math.MaxInt64)
+			if forced {
+				faultinject.Schedule(faultinject.CheckPset, faultinject.Timeout)
+			}
+			res, err := c.mk().Fix()
+			if err != nil {
+				t.Fatalf("%s forced=%v: %v", c.name, forced, err)
+			}
+			found := int64(len(res.Neighborhoods) + len(res.Unfixable))
+			if res.Verified != (len(res.Unfixable) == 0) || c.mustFix && found == 0 {
+				t.Fatalf("%s forced=%v: %d neighborhoods, %d unfixable, verified=%v",
+					c.name, forced, len(res.Neighborhoods), len(res.Unfixable), res.Verified)
+			}
+			switch seeks := faultinject.Hits(faultinject.FixSeek); {
+			case !forced && seeks != 0:
+				t.Fatalf("%s: %d solver seeks, want 0", c.name, seeks)
+			case forced && found > 0 && seeks <= found:
+				t.Fatalf("%s: %d solver seeks for %d neighborhoods", c.name, seeks, found)
+			}
+		}
 	}
 }
 

@@ -490,7 +490,10 @@ func TestFuzzFirstViolationAgreement(t *testing.T) {
 // verify, and their fixing plans must be semantically equivalent — the
 // two fixed snapshots decide identically on every FEC (checked by
 // running the consistency check between them). Fix must also be
-// idempotent: re-fixing a fixed snapshot is a verified no-op.
+// idempotent: re-fixing a fixed snapshot is a verified no-op. Each
+// injection runs twice: seeking in the check's packet sets, and with
+// CheckPset armed (forceSAT), which sends every seek to the solver as a
+// cube-budget overflow does.
 func TestFixParallelMatchesSequential(t *testing.T) {
 	iters := 14
 	if testing.Short() {
@@ -517,59 +520,65 @@ func TestFixParallelMatchesSequential(t *testing.T) {
 			continue
 		}
 		fixedCount++
-
-		sres, err := mk(1).Fix()
-		if err != nil {
-			t.Fatal(err)
-		}
-		pres, err := mk(4).Fix()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sres.Verified || !pres.Verified {
-			t.Fatalf("iter %d: verified seq=%v par=%v", iter, sres.Verified, pres.Verified)
-		}
-		if len(sres.Unfixable) != 0 || len(pres.Unfixable) != 0 {
-			t.Fatalf("iter %d: unfixable seq=%v par=%v", iter, sres.Unfixable, pres.Unfixable)
-		}
-		if len(sres.Neighborhoods) != len(pres.Neighborhoods) {
-			t.Fatalf("iter %d: neighborhood count seq=%d par=%d",
-				iter, len(sres.Neighborhoods), len(pres.Neighborhoods))
-		}
-		// Exact plan equality: both paths solve each FEC with the same
-		// pure per-FEC function and merge in FEC order, so the plans are
-		// identical action for action — the guarantee the CLI golden test
-		// observes end to end.
-		if len(sres.Actions) != len(pres.Actions) {
-			t.Fatalf("iter %d: action count seq=%d par=%d",
-				iter, len(sres.Actions), len(pres.Actions))
-		}
-		for i := range sres.Actions {
-			if sres.Actions[i].String() != pres.Actions[i].String() {
-				t.Fatalf("iter %d: action %d differs: seq=%v par=%v",
-					iter, i, sres.Actions[i], pres.Actions[i])
+		for _, forced := range []bool{false, true} {
+			disarm := func() {}
+			if forced {
+				disarm = forceSAT(t)
 			}
-		}
-		// Semantic equivalence: the two fixed snapshots are reachability-
-		// consistent with each other (per-FEC decision-equal).
-		eq := core.New(sres.Fixed, pres.Fixed, papernet.Scope(), core.DefaultOptions())
-		if res := eq.Check(); !res.Consistent {
-			t.Fatalf("iter %d: sequential and parallel fixed snapshots diverge: %v",
-				iter, res.Violations)
-		}
-
-		// Idempotence: the fixed snapshot needs no further fixing.
-		for _, res := range []*core.FixResult{sres, pres} {
-			reOpts := core.DefaultOptions()
-			re := core.New(before, res.Fixed, papernet.Scope(), reOpts)
-			rres, err := re.Fix()
+			sres, err := mk(1).Fix()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(rres.Actions) != 0 || len(rres.Neighborhoods) != 0 || !rres.Verified {
-				t.Fatalf("iter %d: re-fix not a no-op: actions=%v neighborhoods=%v verified=%v",
-					iter, rres.Actions, rres.Neighborhoods, rres.Verified)
+			pres, err := mk(4).Fix()
+			if err != nil {
+				t.Fatal(err)
 			}
+			if !sres.Verified || !pres.Verified {
+				t.Fatalf("iter %d: verified seq=%v par=%v", iter, sres.Verified, pres.Verified)
+			}
+			if len(sres.Unfixable) != 0 || len(pres.Unfixable) != 0 {
+				t.Fatalf("iter %d: unfixable seq=%v par=%v", iter, sres.Unfixable, pres.Unfixable)
+			}
+			if len(sres.Neighborhoods) != len(pres.Neighborhoods) {
+				t.Fatalf("iter %d: neighborhood count seq=%d par=%d",
+					iter, len(sres.Neighborhoods), len(pres.Neighborhoods))
+			}
+			// Exact plan equality: both paths solve each FEC with the same
+			// pure per-FEC function and merge in FEC order, so the plans are
+			// identical action for action — the guarantee the CLI golden test
+			// observes end to end.
+			if len(sres.Actions) != len(pres.Actions) {
+				t.Fatalf("iter %d: action count seq=%d par=%d",
+					iter, len(sres.Actions), len(pres.Actions))
+			}
+			for i := range sres.Actions {
+				if sres.Actions[i].String() != pres.Actions[i].String() {
+					t.Fatalf("iter %d: action %d differs: seq=%v par=%v",
+						iter, i, sres.Actions[i], pres.Actions[i])
+				}
+			}
+			// Semantic equivalence: the two fixed snapshots are reachability-
+			// consistent with each other (per-FEC decision-equal).
+			eq := core.New(sres.Fixed, pres.Fixed, papernet.Scope(), core.DefaultOptions())
+			if res := eq.Check(); !res.Consistent {
+				t.Fatalf("iter %d: sequential and parallel fixed snapshots diverge: %v",
+					iter, res.Violations)
+			}
+
+			// Idempotence: the fixed snapshot needs no further fixing.
+			for _, res := range []*core.FixResult{sres, pres} {
+				reOpts := core.DefaultOptions()
+				re := core.New(before, res.Fixed, papernet.Scope(), reOpts)
+				rres, err := re.Fix()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(rres.Actions) != 0 || len(rres.Neighborhoods) != 0 || !rres.Verified {
+					t.Fatalf("iter %d: re-fix not a no-op: actions=%v neighborhoods=%v verified=%v",
+						iter, rres.Actions, rres.Neighborhoods, rres.Verified)
+				}
+			}
+			disarm()
 		}
 	}
 	if fixedCount == 0 {

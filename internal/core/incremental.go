@@ -11,6 +11,7 @@ import (
 	"jinjing/internal/faultinject"
 	"jinjing/internal/header"
 	"jinjing/internal/obs"
+	"jinjing/internal/pset"
 	"jinjing/internal/sat"
 	"jinjing/internal/smt"
 	"jinjing/internal/topo"
@@ -503,12 +504,12 @@ func (e *Engine) resolveFEC(c *solveCall, i int) fecState {
 	fsp := c.span.Child("fec.solve", obs.KV("fec", i), obs.KV("backend", "pset"),
 		obs.KV("paths", len(fec.Paths)), obs.KV("shapes", len(shapes)))
 	start, folded := time.Now(), ctx.folded
-	var witness header.Packet
-	violating, ok, regionCubes := false, false, 0
+	var viol pset.Set
+	ok, regionCubes := false, 0
 	// An injected Timeout bails out as if the cube budget had overflowed:
 	// tests send FECs to the solver with it, pset's reference.
 	if faultinject.Fire(faultinject.CheckPset) != faultinject.Timeout {
-		witness, violating, ok, regionCubes = e.psetDecideFEC(ctx, fec, shapes)
+		viol, ok, regionCubes = e.violations(ctx, fec, shapes, false)
 	}
 	ns := time.Since(start).Nanoseconds()
 	ctx.solveNS[i] += ns
@@ -525,6 +526,7 @@ func (e *Engine) resolveFEC(c *solveCall, i int) fecState {
 		c.o.Histogram("fec.solve.ns{backend=pset}").Observe(ns)
 		ctx.stats.PsetDecided++
 		ctx.routes[i] = routePset
+		witness, violating := viol.MinPacket()
 		if violating {
 			ctx.witPkt[i] = witness
 		}
@@ -598,7 +600,7 @@ func solvedFECs(ctx *checkCtx, last int) int {
 // memo or the cache entry's memoized witness when present (a
 // snapshot-restored entry carries none). Otherwise it completes the
 // packet this generation's set algebra named when it decided the FEC,
-// and re-runs psetDecideFEC for one when the algebra did not decide it
+// and re-runs violations for one when the algebra did not decide it
 // here: a bail-out, an armed CheckPset, or a cache replay. The procedure
 // is pure, so the packet is the same whichever route decided the FEC;
 // only a re-run that overflows the cube budget sends the FEC to the
@@ -617,20 +619,17 @@ func (e *Engine) witnessFor(ctx *checkCtx, i int, res *CheckResult, o *obs.Obser
 	fec := ctx.fec(i)
 	pkt, ok := ctx.witPkt[i]
 	if !ok {
-		var violating bool
-		pkt, violating, ok, _ = e.psetDecideFEC(ctx, fec, e.compileShapes(ctx, fec))
-		if ok && !violating {
+		shapes := e.compileShapes(ctx, fec)
+		viol, decided, _ := e.violations(ctx, fec, shapes, false)
+		if !decided {
+			var st sat.Stats
+			pkt, st = e.witnessFEC(ctx, fec, shapes)
+			recordSolverStats(o, &res.SolverStats, st)
+		} else if pkt, ok = viol.MinPacket(); !ok {
 			panic("core: set algebra disagrees with the violating verdict")
 		}
 	}
-	var v Violation
-	if ok {
-		v = e.psetWitnessFEC(ctx, fec, pkt)
-	} else {
-		var st sat.Stats
-		v, st = e.witnessFEC(ctx, i)
-		recordSolverStats(o, &res.SolverStats, st)
-	}
+	v := e.psetWitnessFEC(ctx, fec, pkt)
 	ctx.wit[i] = &v
 	if ent != nil && ctx.vc != nil {
 		ctx.vc.memoWitness(ent, &v)
@@ -638,32 +637,18 @@ func (e *Engine) witnessFor(ctx *checkCtx, i int, res *CheckResult, o *obs.Obser
 	return v, false
 }
 
-// witnessFEC re-solves FEC i's Equation-3 query on a fresh builder and
-// solver, yielding the canonical counterexample: a pure function of the
-// FEC and the encoded ACL contents, independent of engine history,
-// worker count, and cache state — the property that keeps warm replays
-// byte-identical to a fresh-engine cold run.
-func (e *Engine) witnessFEC(ctx *checkCtx, i int) (Violation, sat.Stats) {
-	fec := ctx.fec(i)
+// witnessFEC re-solves the FEC's Equation-3 query on a fresh builder and
+// solver for a counterexample packet: a pure function of the FEC and the
+// encoded ACL contents, independent of engine history, worker count, and
+// cache state — the property that keeps warm replays byte-identical to a
+// fresh-engine cold run.
+func (e *Engine) witnessFEC(ctx *checkCtx, fec topo.FEC, shapes []checkShape) (header.Packet, sat.Stats) {
 	enc := newEncoder(ctx.acls, e.obsv())
-	viol := e.fecViolationFormula(enc, fec, ctx.ids)
-	query := enc.b.And(viol, enc.classPred(fec.Classes))
-	var iffs []smt.F
-	for _, p := range fec.Paths {
-		d, ap := e.pathFormulas(enc, p, ctx.ids)
-		iffs = append(iffs, enc.b.Iff(d, ap))
-	}
 	s := smt.SolverOn(enc.b)
-	if !s.Solve(query) {
+	if !s.Solve(e.shapesViolationFormula(enc, ctx, fec, shapes)) {
 		panic("core: witness solver disagrees with detection verdict")
 	}
-	v := Violation{Packet: s.Packet(enc.pv), Classes: fec.Classes}
-	for pi, p := range fec.Paths {
-		if !s.EvalInModel(iffs[pi]) {
-			v.Paths = append(v.Paths, p)
-		}
-	}
-	return v, s.Stats()
+	return s.Packet(enc.pv), s.Stats()
 }
 
 // commitGeneration publishes this generation's binding pairs as the

@@ -76,7 +76,7 @@ type checkCtx struct {
 
 	// wit memoizes canonical witnesses per FEC for this generation, and
 	// witPkt holds the witness packet of each FEC this generation's set
-	// algebra decided violating (see psetDecideFEC).
+	// algebra decided violating (see violations).
 	wit    map[int]*Violation
 	witPkt map[int]header.Packet
 

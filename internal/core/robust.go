@@ -253,7 +253,7 @@ func (e *Engine) decideSAT(c *solveCall, i int, key []uint64, shapes []checkShap
 		c.cn.register(ctx.seq)
 	}
 	enc, fec := ctx.enc, ctx.fec(i)
-	query := enc.b.And(e.shapesViolationFormula(enc, ctx, shapes), enc.classPred(fec.Classes))
+	query := e.shapesViolationFormula(enc, ctx, fec, shapes)
 	fsp := c.span.Child("fec.solve", obs.KV("fec", i), obs.KV("backend", "sat"),
 		obs.KV("paths", len(fec.Paths)), obs.KV("shapes", len(shapes)))
 	t1 := time.Now()

@@ -345,13 +345,14 @@ func TestFaultFixPoolRetriesPanickedJobs(t *testing.T) {
 	}
 }
 
-// TestFaultFixRefusesUnknownVerdicts wedges every neighborhood-seeking
-// solve: fix must emit no plan at all and name the blocking FECs in
-// ascending order.
+// TestFaultFixRefusesUnknownVerdicts sends every seek to the solver, as
+// a cube-budget overflow does, and wedges every one of those solves: fix
+// must emit no plan at all and name the blocking FECs in ascending order.
 func TestFaultFixRefusesUnknownVerdicts(t *testing.T) {
 	defer faultinject.Reset()
 	opts := core.DefaultOptions()
 	opts.MaxRetries = 0
+	forceSAT(t)
 	faultinject.Schedule(faultinject.FixSeek, faultinject.Timeout)
 	res, err := newRunningEngine(t, opts).Fix()
 	if res != nil {

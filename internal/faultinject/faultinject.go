@@ -29,9 +29,10 @@ type Site string
 // Injection sites wired into the pipeline. The per-site meaning of each
 // fault kind is documented where the site is fired.
 const (
-	// CheckPset guards each FEC's packet-set attempt in the check.
-	// Timeout bails the FEC out to the SAT solver as if the cube budget
-	// had overflowed, so an every-hit schedule sends every FEC there.
+	// CheckPset guards each FEC's packet-set attempt in the check, and
+	// each violating FEC's counterexample set in fix. Timeout bails the
+	// FEC out to the SAT solver as if the cube budget had overflowed, so
+	// an every-hit schedule sends every FEC's decision and seek there.
 	CheckPset Site = "check.pset"
 	// CheckSolve guards the per-FEC Equation-3 decision solve. Timeout
 	// interrupts the solver mid-decision; Panic crashes the check, which
@@ -43,8 +44,9 @@ const (
 	// panic schedule collapses the pool without looping forever.
 	ParallelJob Site = "core.parallel.job"
 	// FixSeek guards each neighborhood-seeking solve of the fix
-	// primitive. Timeout interrupts it; Transient makes it fail with a
-	// retryable error.
+	// primitive, made only for a FEC whose counterexample set overflowed
+	// (or CheckPset bailed out). Timeout interrupts it; Transient makes
+	// it fail with a retryable error.
 	FixSeek Site = "fix.seek"
 	// GenerateAEC guards each per-AEC synthesis solve of generate.
 	GenerateAEC Site = "generate.aec"
