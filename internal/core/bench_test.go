@@ -209,6 +209,7 @@ func BenchmarkFixWAN(b *testing.B) {
 				neighborhoods = len(res.Neighborhoods)
 			}
 			b.ReportMetric(float64(neighborhoods), "neighborhoods")
+			b.ReportMetric(float64(m.Snapshot().Counters["fix.placements"])/float64(b.N), "placements")
 			b.ReportMetric(float64(m.Snapshot().Gauges["fix.path_shapes"]), "path_shapes")
 		})
 	}

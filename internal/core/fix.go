@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sort"
 	"strings"
 
 	"jinjing/internal/acl"
@@ -47,9 +48,9 @@ type FixResult struct {
 	Verified bool
 	// SolverStats aggregates the full SAT counters across every solver
 	// the fix spun up: the check loop's, one placement solver per
-	// neighborhood, and the verification check's. Neighborhoods are
-	// sought in packet sets; a seek runs on a solver only for a FEC
-	// whose set overflows the cube budget.
+	// distinct placement problem of a FEC, and the verification check's.
+	// Neighborhoods are sought in packet sets; a seek runs on a solver
+	// only for a FEC whose set overflows the cube budget.
 	SolverStats sat.Stats
 	// Stats aggregates the incremental-verification activity: the fix's
 	// own check loop (verdict-cache traffic, deciding backends) plus the
@@ -134,7 +135,7 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 	}
 	task := o.StartTask("fix: FECs", int64(len(hits)))
 
-	var probes int64
+	var probes, placements int64
 	apply := func(out fecFixOutcome) {
 		// Merge one FEC's entries in discovery order, honoring the
 		// global neighborhood budget.
@@ -143,6 +144,9 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 		for _, nb := range out.entries {
 			if len(res.Neighborhoods)+len(res.Unfixable) >= maxN {
 				break
+			}
+			if nb.solved {
+				placements++
 			}
 			recordSolverStats(o, &res.SolverStats, nb.stats)
 			if !nb.ok {
@@ -189,8 +193,9 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 	task.Done()
 	o.Gauge("fix.path_shapes").Set(int64(len(ix.shapes)))
 	o.Counter("fix.expand.probes").Add(probes)
+	o.Counter("fix.placements").Add(placements)
 	sp.End(obs.KV("neighborhoods", len(res.Neighborhoods)), obs.KV("unfixable", len(res.Unfixable)),
-		obs.KV("path_shapes", len(ix.shapes)), obs.KV("distinct_acls", len(ix.acls)))
+		obs.KV("placements", placements), obs.KV("path_shapes", len(ix.shapes)), obs.KV("distinct_acls", len(ix.acls)))
 	if len(blocked) > 0 {
 		sortUnknown(blocked)
 		return fail(&ErrUnknownVerdicts{Stage: "fix", FECs: blocked})
@@ -258,13 +263,28 @@ func simplifyBounded(a *acl.ACL) (*acl.ACL, pset.SimplifyStats) {
 // actions (empty when the after decisions already suffice), or
 // ok=false when no placement exists under the allow constraints.
 // unknown != "" means the placement query reached no verdict
-// (cancelled or budget-exhausted) — the FEC blocks the plan.
+// (cancelled or budget-exhausted) — the FEC blocks the plan. solved
+// says the placement was put on a solver (stats are its counters)
+// rather than read from the FEC's memo.
 type nbOutcome struct {
 	nb      header.Match
 	ok      bool
 	actions []FixAction
 	stats   sat.Stats
+	solved  bool
 	unknown string
+}
+
+// placed is a solved placement as the FEC's memo keeps it: ok, and the
+// bindings whose decision the plan changes with their new action.
+type placed struct {
+	ok      bool
+	changes []placedRule
+}
+
+type placedRule struct {
+	bi  int32
+	act acl.Action
 }
 
 // fecFixOutcome is one FEC's complete fix sub-result: neighborhood
@@ -295,10 +315,11 @@ type fixSeed struct {
 // neighborhood, and repeat until none is left or budget outcomes have
 // accumulated. A FEC whose set overflowed asks a fresh solver over the
 // check's violation formula for each counterexample instead. It reads
-// the check context and the fix index only, so the outcome is a pure
-// function of the FEC — independent of the other FECs, of scheduling,
-// and of worker count — which is what makes the sequential and parallel
-// fix plans identical. The verdict that sent the FEC here is the check
+// the check context and the fix index only, and its placement memo is
+// its own, so the outcome, solver counters included, is a pure function
+// of the FEC — independent of the other FECs, of scheduling, and of
+// worker count — which is what makes the sequential and parallel fix
+// plans and SolverStats identical. The verdict that sent the FEC here is the check
 // loop's, so a seek never consults or writes the verdict cache.
 func (e *Engine) fixFEC(cn *canceller, ctx *checkCtx, ix *fixIndex, i int, sd fixSeed, budget int) fecFixOutcome {
 	var out fecFixOutcome
@@ -325,6 +346,7 @@ func (e *Engine) fixFEC(cn *canceller, ctx *checkCtx, ix *fixIndex, i int, sd fi
 	}
 	shapes := ix.shapesOn(ctx.src.PathIndices(i))
 	cons := ix.constancyOn(fec)
+	memo := map[string]placed{}
 	for len(out.entries) < budget {
 		var h header.Packet
 		if sd.ok {
@@ -349,7 +371,7 @@ func (e *Engine) fixFEC(cn *canceller, ctx *checkCtx, ix *fixIndex, i int, sd fi
 		if e.Opts.NoExpansion == 0 {
 			nb = expandNeighborhood(h, fec, cons)
 		}
-		no, err := e.solveNeighborhood(cn, ix, shapes, nb)
+		no, err := e.solveNeighborhood(cn, ix, shapes, nb, memo)
 		if err != nil {
 			out.err = err
 			break
@@ -383,58 +405,91 @@ func (e *Engine) fixFEC(cn *canceller, ctx *checkCtx, ix *fixIndex, i int, sd fi
 type placement struct {
 	vals  []smt.F      // per fixBinding: its variable or constant; set where seen
 	seen  []bool       // per fixBinding: some shape of the FEC crosses it
+	after []acl.Action // per fixBinding: the update's decision; set where seen
 	vars  []int32      // the bindings holding a variable, sorted by ID
-	after []acl.Action // per var: the update's decision on the neighborhood
 	costs []smt.F      // per var
 }
 
-// statePlacement asserts, for every shape, that the conjunction of its
-// bindings' decisions equals the desired decision on the neighborhood.
-// Paths of one shape state the same constraint, and the shapes come in
-// the order the paths first show them, so the bindings become variables
-// and the formulas nodes in the order a walk over every path would make
-// them; a repeated constraint adds nothing to a solver, so the model —
-// and the plan read off it — is that walk's.
-func (ix *fixIndex) statePlacement(s *smt.Solver, shapes []int32, nb header.Match) (*placement, error) {
-	b := s.B
+// placementKey decides a neighborhood's placement problem on the FEC's
+// shapes once, packed one bit per decision: per shape in order, each
+// crossed binding's after decision, then the shape's desired decision.
+// The width is fixed for the FEC, and statePlacement reads nothing else.
+func (ix *fixIndex) placementKey(shapes []int32, nb header.Match) ([]byte, error) {
 	dec := ix.decisionsOn(nb)
-	pl := &placement{vals: make([]smt.F, len(ix.bindings)), seen: make([]bool, len(ix.bindings))}
+	var key []byte
+	k := 0
+	put := func(v bool) {
+		if k%8 == 0 {
+			key = append(key, 0)
+		}
+		if v {
+			key[k/8] |= 1 << (k % 8)
+		}
+		k++
+	}
+	for _, si := range shapes {
+		sh := &ix.shapes[si]
+		for _, bi := range sh.bindings {
+			after, err := dec.decide(ix.bindings[bi].after)
+			if err != nil {
+				return nil, err
+			}
+			put(bool(after))
+		}
+		desired, err := dec.desired(sh)
+		if err != nil {
+			return nil, err
+		}
+		put(desired)
+	}
+	return key, nil
+}
+
+// statePlacement asserts, for every shape, that the conjunction of its
+// bindings' decisions equals the desired decision, both read off the
+// placement key. Paths of one shape state the same constraint, and the
+// shapes come in the order the paths first show them, so the bindings
+// become variables and the formulas nodes in the order a walk over every
+// path would make them; a repeated constraint adds nothing to a solver,
+// so the model — and the plan read off it — is that walk's.
+func (ix *fixIndex) statePlacement(s *smt.Solver, shapes []int32, key []byte) (*placement, error) {
+	b := s.B
+	n := len(ix.bindings)
+	pl := &placement{vals: make([]smt.F, n), seen: make([]bool, n), after: make([]acl.Action, n)}
+	k := 0
+	bit := func() bool {
+		v := key[k/8]&(1<<(k%8)) != 0
+		k++
+		return v
+	}
 	for _, si := range shapes {
 		sh := &ix.shapes[si]
 		lhs := smt.True
 		for _, bi := range sh.bindings {
+			after := bit()
 			if !pl.seen[bi] {
 				fb := &ix.bindings[bi]
-				after, err := dec.decide(fb.after)
 				switch {
-				case err != nil:
-					return nil, err
 				case !fb.allowed:
-					pl.vals[bi] = b.Const(bool(after))
+					pl.vals[bi] = b.Const(after)
 				case fb.err != nil:
 					return nil, fb.err
 				default:
 					pl.vals[bi] = b.Var()
 					pl.vars = append(pl.vars, bi)
 				}
-				pl.seen[bi] = true
+				pl.seen[bi], pl.after[bi] = true, acl.Action(after)
 			}
 			lhs = b.And(lhs, pl.vals[bi])
 		}
-		desired, err := dec.desired(sh)
-		if err != nil {
-			return nil, err
-		}
-		s.Assert(b.Iff(lhs, b.Const(desired)))
+		s.Assert(b.Iff(lhs, b.Const(bit())))
 	}
 
 	// Minimize the number of bindings whose decision differs from the
 	// update's current decision (each difference costs one fixing rule).
 	slices.SortFunc(pl.vars, func(x, y int32) int { return strings.Compare(ix.bindings[x].id, ix.bindings[y].id) })
 	for _, bi := range pl.vars {
-		after, _ := dec.decide(ix.bindings[bi].after) // decided above
-		pl.after = append(pl.after, after)
-		if after == acl.Permit {
+		if pl.after[bi] == acl.Permit {
 			pl.costs = append(pl.costs, pl.vals[bi].Not())
 		} else {
 			pl.costs = append(pl.costs, pl.vals[bi])
@@ -449,32 +504,51 @@ func (ix *fixIndex) statePlacement(s *smt.Solver, shapes []int32, nb header.Matc
 // of bindings changed, honoring the allow constraints. It reads only the
 // index and returns the plan instead of applying it, so sequential and
 // parallel fix paths share it.
-func (e *Engine) solveNeighborhood(cn *canceller, ix *fixIndex, shapes []int32, nb header.Match) (nbOutcome, error) {
+//
+// Many neighborhoods of a FEC pose the same problem, so a Sat or Unsat
+// outcome is kept in the FEC's memo under its placement key and reused
+// with the new neighborhood's match. That is sound because the solver's
+// model is a function of the formula, and the formula is a function of
+// the key alone: statePlacement makes its variables, constants and cost
+// literals from the same bits in the same order. The memo is the FEC's
+// own, so what it saves — solver work included — is a function of the
+// FEC, like the rest of its outcome.
+func (e *Engine) solveNeighborhood(cn *canceller, ix *fixIndex, shapes []int32, nb header.Match, memo map[string]placed) (nbOutcome, error) {
 	out := nbOutcome{nb: nb}
-	s := smt.NewSolver()
-	cn.register(s)
-	pl, err := ix.statePlacement(s, shapes, nb)
+	key, err := ix.placementKey(shapes, nb)
 	if err != nil {
 		return out, err
 	}
-	var bgt sat.Budget
-	if e.Opts.PerFECBudget > 0 {
-		bgt.Conflicts = e.Opts.PerFECBudget
-	}
-	_, r := s.SolveMinimizeLimited(bgt, pl.costs)
-	out.stats = s.Stats()
-	if r.Outcome == sat.Unknown {
-		out.unknown = r.Reason
-		return out, nil
-	}
-	if r.Outcome != sat.Sat {
-		return out, nil
-	}
-	out.ok = true
-	for k, bi := range pl.vars {
-		if got := acl.Action(s.Value(pl.vals[bi])); got != pl.after[k] {
-			out.actions = append(out.actions, FixAction{BindingID: ix.bindings[bi].id, Rule: acl.Rule{Action: got, Match: nb}})
+	p, hit := memo[string(key)]
+	if !hit {
+		s := smt.NewSolver()
+		cn.register(s)
+		pl, err := ix.statePlacement(s, shapes, key)
+		if err != nil {
+			return out, err
 		}
+		var bgt sat.Budget
+		if e.Opts.PerFECBudget > 0 {
+			bgt.Conflicts = e.Opts.PerFECBudget
+		}
+		_, r := s.SolveMinimizeLimited(bgt, pl.costs)
+		out.stats, out.solved = s.Stats(), true
+		if r.Outcome == sat.Unknown {
+			out.unknown = r.Reason
+			return out, nil
+		}
+		if p.ok = r.Outcome == sat.Sat; p.ok {
+			for _, bi := range pl.vars {
+				if got := acl.Action(s.Value(pl.vals[bi])); got != pl.after[bi] {
+					p.changes = append(p.changes, placedRule{bi, got})
+				}
+			}
+		}
+		memo[string(key)] = p
+	}
+	out.ok = p.ok
+	for _, c := range p.changes {
+		out.actions = append(out.actions, FixAction{BindingID: ix.bindings[c.bi].id, Rule: acl.Rule{Action: c.act, Match: nb}})
 	}
 	return out, nil
 }
@@ -546,20 +620,16 @@ func exactMatch(h header.Packet) header.Match {
 
 // expandNeighborhood enlarges the counterexample packet h into a maximal
 // 5-tuple region [h]_N on which every decision model in F_Ω ∪ F'_Ω is
-// constant and which stays inside h's FEC (Equation 6). Expansion is
-// per-field (destination, source, ports, protocol), mirroring the
-// paper's binary search over field masks.
+// constant and which stays inside h's FEC (Equation 6), field by field:
+// destination, source, ports, protocol. Validity is downward closed along
+// a prefix chain — first-match atomicity holds on subsets, and a control
+// that straddles a region or a prior that overlaps it does the same to
+// every superset — so the shortest valid destination length (no shorter
+// than h's FEC class, the ψ bound) and then source length are each found
+// by bisection: the paper's binary search over field masks.
 func expandNeighborhood(h header.Packet, fec topo.FEC, cons *constancy) header.Match {
-	m := header.Match{
-		Src:     header.Prefix{Addr: h.SrcIP, Len: 32},
-		Dst:     header.Prefix{Addr: h.DstIP, Len: 32},
-		SrcPort: header.PortRange{Lo: h.SrcPort, Hi: h.SrcPort},
-		DstPort: header.PortRange{Lo: h.DstPort, Hi: h.DstPort},
-		Proto:   header.Proto(h.Proto),
-	}
+	m := exactMatch(h)
 	valid := cons.valid
-
-	// Destination: expand toward the FEC class containing h (ψ bound).
 	var class header.Prefix
 	for _, c := range fec.Classes {
 		if c.Matches(h.DstIP) {
@@ -567,33 +637,32 @@ func expandNeighborhood(h header.Packet, fec topo.FEC, cons *constancy) header.M
 			break
 		}
 	}
-	for m.Dst.Len > class.Len {
-		cand := m
-		cand.Dst = m.Dst.Parent()
-		if !class.Contains(cand.Dst) || !valid(cand) {
-			break
-		}
-		m = cand
-	}
-	// Source: expand toward 0.0.0.0/0.
-	for m.Src.Len > 0 {
-		cand := m
-		cand.Src = m.Src.Parent()
-		if !valid(cand) {
-			break
-		}
-		m = cand
-	}
+	m = shortestPrefix(m, false, class.Len, valid)
+	m = shortestPrefix(m, true, 0, valid)
 	m.DstPort = expandPort(m, h.DstPort, false, valid, cons.ix.dstLos, cons.ix.dstHis)
 	m.SrcPort = expandPort(m, h.SrcPort, true, valid, cons.ix.srcLos, cons.ix.srcHis)
-	// Protocol: all-or-exact.
-	if cand := m; true {
-		cand.Proto = header.AnyProto
-		if valid(cand) {
-			m = cand
-		}
+	cand := m
+	cand.Proto = header.AnyProto // protocol: all-or-exact
+	if valid(cand) {
+		m = cand
 	}
 	return m
+}
+
+// shortestPrefix widens m's destination (or, with src, source) /32 to
+// the shortest prefix of length floor or more on which m stays valid, by
+// bisection over a validity that holds at /32 and is downward closed.
+func shortestPrefix(m header.Match, src bool, floor int, valid func(header.Match) bool) header.Match {
+	field := &m.Dst
+	if src {
+		field = &m.Src
+	}
+	addr := field.Addr
+	at := func(n int) header.Match {
+		*field = header.Prefix{Addr: addr, Len: n}.Canonical()
+		return m
+	}
+	return at(floor + sort.Search(32-floor, func(k int) bool { return valid(at(floor + k)) }))
 }
 
 // expandPort widens one port field around the packet's port to the
@@ -602,41 +671,28 @@ func expandNeighborhood(h header.Packet, fec topo.FEC, cons *constancy) header.M
 // come from the precomputed rule boundaries (los ascending, his
 // descending).
 func expandPort(m header.Match, port uint16, src bool, valid func(header.Match) bool, los, his []uint16) header.PortRange {
-	set := func(c *header.Match, r header.PortRange) {
-		if src {
-			c.SrcPort = r
-		} else {
-			c.DstPort = r
-		}
+	field := &m.DstPort
+	if src {
+		field = &m.SrcPort
 	}
-	cand := m
-	set(&cand, header.AnyPort)
-	if valid(cand) {
+	at := func(r header.PortRange) header.Match {
+		*field = r
+		return m
+	}
+	if valid(at(header.AnyPort)) {
 		return header.AnyPort
 	}
-	best := header.PortRange{Lo: port, Hi: port}
 	bestLo := port
 	for _, lo := range los {
-		if lo > port {
-			break
-		}
-		c2 := m
-		set(&c2, header.PortRange{Lo: lo, Hi: port})
-		if valid(c2) {
+		if lo <= port && valid(at(header.PortRange{Lo: lo, Hi: port})) {
 			bestLo = lo
 			break
 		}
 	}
 	for _, hi := range his {
-		if hi < port {
-			break
-		}
-		c2 := m
-		set(&c2, header.PortRange{Lo: bestLo, Hi: hi})
-		if valid(c2) {
-			best = header.PortRange{Lo: bestLo, Hi: hi}
-			break
+		if hi >= port && valid(at(header.PortRange{Lo: bestLo, Hi: hi})) {
+			return header.PortRange{Lo: bestLo, Hi: hi}
 		}
 	}
-	return best
+	return header.PortRange{Lo: port, Hi: port}
 }

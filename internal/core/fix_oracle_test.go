@@ -9,11 +9,13 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"jinjing/internal/acl"
 	"jinjing/internal/faultinject"
 	"jinjing/internal/header"
 	"jinjing/internal/netgen"
+	"jinjing/internal/obs"
 	"jinjing/internal/papernet"
 	"jinjing/internal/pset"
 	"jinjing/internal/sat"
@@ -365,6 +367,18 @@ type fixOracleStats struct {
 	ctrlOnFixedFEC                    bool // a control applied to a shape of a FEC that needed fixing
 	shapesShared                      bool // a fixed FEC's paths outnumber its shapes
 	portNeighborhood                  bool // a neighborhood narrower than "any" in a port
+	memoHit                           bool // a neighborhood whose placement its FEC had solved before
+}
+
+// refConstancyOf is the reference validity oracle over every before and
+// after ACL of the check context's encoding pairs.
+func refConstancyOf(e *Engine, ctx *checkCtx) refConstancy {
+	ref := refConstancy{ctrls: e.Controls}
+	for _, p := range ctx.pairs {
+		ref.acls = append(ref.acls, orPermitAll(p.before), orPermitAll(p.after))
+	}
+	ref.computeBounds()
+	return ref
 }
 
 func runFixOracleCase(t *testing.T, c fixOracleCase) fixOracleStats {
@@ -375,11 +389,7 @@ func runFixOracleCase(t *testing.T, c fixOracleCase) fixOracleStats {
 	e.prepareIncremental(ctx)
 	ix := e.compileFix(ctx)
 
-	ref := refConstancy{ctrls: e.Controls}
-	for _, p := range ctx.pairs {
-		ref.acls = append(ref.acls, orPermitAll(p.before), orPermitAll(p.after))
-	}
-	ref.computeBounds()
+	ref := refConstancyOf(e, ctx)
 	if !slices.Equal(ref.dstLos, ix.dstLos) || !slices.Equal(ref.dstHis, ix.dstHis) ||
 		!slices.Equal(ref.srcLos, ix.srcLos) || !slices.Equal(ref.srcHis, ix.srcHis) {
 		t.Fatalf("port boundaries differ from reference")
@@ -391,6 +401,7 @@ func runFixOracleCase(t *testing.T, c fixOracleCase) fixOracleStats {
 
 	var wantNbs, wantUnfixable []header.Match
 	var wantActions []FixAction
+	var wantPlacements int64 // distinct placement keys, FEC by FEC
 	for i := 0; i < ctx.nfec; i++ {
 		fec := ctx.fec(i)
 		if e.Opts.UseDifferential && !e.fecTouchesDiff(fec, ctx.diff) {
@@ -410,6 +421,7 @@ func runFixOracleCase(t *testing.T, c fixOracleCase) fixOracleStats {
 		refCons := ref
 		refCons.priors = nil
 		cons := ix.constancyOn(fec)
+		memo := map[string]placed{}
 		found := 0
 		for h, more := viol.MinPacket(); more; h, more = viol.MinPacket() {
 			if found > 500 {
@@ -425,8 +437,12 @@ func runFixOracleCase(t *testing.T, c fixOracleCase) fixOracleStats {
 			if err != nil {
 				t.Fatalf("%s: reference placement: %v", what, err)
 			}
+			key, err := ix.placementKey(shapes, nb)
+			if err != nil {
+				t.Fatalf("%s: placement key: %v", what, err)
+			}
 			ps := smt.NewSolver()
-			pl, err := ix.statePlacement(ps, shapes, nb)
+			pl, err := ix.statePlacement(ps, shapes, key)
 			if err != nil {
 				t.Fatalf("%s: placement: %v", what, err)
 			}
@@ -473,13 +489,27 @@ func runFixOracleCase(t *testing.T, c fixOracleCase) fixOracleStats {
 				t.Fatalf("%s: %d constants unaccounted for against the reference", what, consts)
 			}
 
-			got, err := e.solveNeighborhood(nil, ix, shapes, nb)
+			got, err := e.solveNeighborhood(nil, ix, shapes, nb, map[string]placed{})
 			if err != nil {
 				t.Fatalf("%s: %v", what, err)
 			}
 			if got.ok != want.ok || got.stats != want.stats || !slices.Equal(got.actions, want.actions) {
 				t.Fatalf("%s: placement ok=%v stats=%+v actions=%v\nreference ok=%v stats=%+v actions=%v",
 					what, got.ok, got.stats, got.actions, want.ok, want.stats, want.actions)
+			}
+			// Through the FEC's memo, as fixFEC asks: a hit must give the
+			// reference's plan for this neighborhood, on no solver.
+			memoed, err := e.solveNeighborhood(nil, ix, shapes, nb, memo)
+			if err != nil {
+				t.Fatalf("%s: memoized: %v", what, err)
+			}
+			if memoed.ok != want.ok || !slices.Equal(memoed.actions, want.actions) || !memoed.solved && memoed.stats != (sat.Stats{}) {
+				t.Fatalf("%s: memoized placement ok=%v solved=%v stats=%+v actions=%v\nreference ok=%v actions=%v",
+					what, memoed.ok, memoed.solved, memoed.stats, memoed.actions, want.ok, want.actions)
+			}
+			st.memoHit = st.memoHit || !memoed.solved
+			if memoed.solved {
+				wantPlacements++
 			}
 			if want.ok {
 				wantNbs = append(wantNbs, nb)
@@ -508,9 +538,16 @@ func runFixOracleCase(t *testing.T, c fixOracleCase) fixOracleStats {
 	// The whole call: the same neighborhoods and plan in FEC order, and
 	// the same ACL text after apply + simplify.
 	e2 := c.mk()
+	m := obs.NewMetrics()
+	e2.Opts.Obs = obs.NewObserver(nil, m, nil)
 	res, err := e2.Fix()
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Placements are solved once per distinct key of a FEC: no fewer (a
+	// memo shared across FECs) and no more (a memo that misses).
+	if got := m.Snapshot().Counters["fix.placements"]; got != wantPlacements {
+		t.Fatalf("fix.placements = %d, the per-FEC reference solved %d", got, wantPlacements)
 	}
 	if !slices.Equal(res.Neighborhoods, wantNbs) {
 		t.Fatalf("neighborhoods %v\nreference     %v", res.Neighborhoods, wantNbs)
@@ -769,6 +806,109 @@ func TestFixIndexMatchesPerPathOracle(t *testing.T) {
 	}
 }
 
+// TestQuickExpandMatchesLinearWalk holds expandNeighborhood's bisection
+// to the reference's bit-by-bit walk from any packet of a FEC, not only
+// from the least remaining counterexample the seek expands: random
+// packets in random classes of random FECs of netgen small and medium
+// (half of them with a source from a rule's source prefix and a
+// destination port at a rule boundary), each against a random subset of
+// what earlier draws on the same FEC expanded to as priors.
+func TestQuickExpandMatchesLinearWalk(t *testing.T) {
+	for _, size := range []netgen.Size{netgen.Small, netgen.Medium} {
+		t.Run(fmt.Sprint(size), func(t *testing.T) {
+			e := WANFix(netgen.Build(netgen.DefaultConfig(size, 42)), 5, DefaultOptions())
+			ctx := e.checkContext()
+			e.prepareIncremental(ctx)
+			ix := e.compileFix(ctx)
+			ref := refConstancyOf(e, ctx)
+			var srcs []header.Prefix
+			for _, a := range ref.acls {
+				for _, r := range a.Rules {
+					if !r.Match.Src.IsAny() {
+						srcs = append(srcs, r.Match.Src)
+					}
+				}
+			}
+			history := make([][]header.Match, ctx.nfec) // per FEC: what earlier draws expanded to
+			inside := func(p header.Prefix, bits uint32) uint32 {
+				return p.Addr | bits&^header.Prefix{Addr: ^uint32(0), Len: p.Len}.Canonical().Addr
+			}
+			var bounded, withPriors int
+			prop := func(fecPick, classPick, dst, src, srcPick uint32, sport, dport uint16, proto uint8, priorMask uint64) bool {
+				i := int(fecPick % uint32(ctx.nfec))
+				fec := ctx.fec(i)
+				h := header.Packet{DstIP: inside(fec.Classes[int(classPick%uint32(len(fec.Classes)))], dst),
+					SrcIP: src, SrcPort: sport, DstPort: dport, Proto: proto}
+				if srcPick%2 == 0 && len(srcs) > 0 {
+					h.SrcIP = inside(srcs[int(srcPick/2)%len(srcs)], src)
+					h.DstPort = ix.dstLos[int(dport)%len(ix.dstLos)]
+				}
+				cons, refCons := ix.constancyOn(fec), ref
+				refCons.priors = nil
+				for k, p := range history[i] {
+					if priorMask>>(k%64)&1 == 1 && !p.Matches(h) {
+						cons.priors = append(cons.priors, p)
+						refCons.priors = append(refCons.priors, p)
+					}
+				}
+				got, want := expandNeighborhood(h, fec, cons), refExpandNeighborhood(h, fec, &refCons)
+				if got != want {
+					t.Logf("FEC %d, packet %v, %d priors: expanded to %v, reference %v", i, h, len(cons.priors), got, want)
+					return false
+				}
+				if 0 < got.Src.Len && got.Src.Len < 32 {
+					bounded++
+				}
+				if len(cons.priors) > 0 {
+					withPriors++
+				}
+				history[i] = append(history[i], got)
+				return true
+			}
+			if err := quick.Check(prop, &quick.Config{MaxCount: 1000, Rand: rand.New(rand.NewSource(int64(size) + 1))}); err != nil {
+				t.Fatal(err)
+			}
+			// The draws must reach what the bisection can get wrong: a
+			// source stopped between /0 and /32, and priors in the way.
+			if bounded < 200 || withPriors < 300 {
+				t.Fatalf("of 1000 draws, %d stopped inside the source range and %d had priors", bounded, withPriors)
+			}
+		})
+	}
+}
+
+// TestFixMemoKeepsWorkerCountsEqual pins what keeps the placement memo
+// per FEC: on netgen small at 5%, where most neighborhoods reuse a
+// placement, Fix at 1 and 8 workers gives the same actions,
+// neighborhoods and solver counters. A memo shared across FECs would let
+// scheduling decide which FEC pays for a shared placement.
+func TestFixMemoKeepsWorkerCountsEqual(t *testing.T) {
+	w := netgen.Build(netgen.DefaultConfig(netgen.Small, 42))
+	var res [2]*FixResult
+	var placements [2]int64
+	for k, workers := range []int{1, 8} {
+		opts := DefaultOptions()
+		opts.Workers = workers
+		m := obs.NewMetrics()
+		opts.Obs = obs.NewObserver(nil, m, nil)
+		var err error
+		if res[k], err = WANFix(w, 5, opts).Fix(); err != nil {
+			t.Fatal(err)
+		}
+		placements[k] = m.Snapshot().Counters["fix.placements"]
+	}
+	if n := int64(len(res[0].Neighborhoods)); placements[0] <= 0 || 2*placements[0] > n || placements[1] != placements[0] {
+		t.Fatalf("placements %v for %d neighborhoods: want equal, and at most half", placements, n)
+	}
+	if !slices.Equal(res[0].Actions, res[1].Actions) || !slices.Equal(res[0].Neighborhoods, res[1].Neighborhoods) {
+		t.Fatalf("plans differ between 1 and 8 workers: %d/%d actions, %d/%d neighborhoods",
+			len(res[0].Actions), len(res[1].Actions), len(res[0].Neighborhoods), len(res[1].Neighborhoods))
+	}
+	if res[0].SolverStats != res[1].SolverStats {
+		t.Fatalf("solver stats differ between 1 and 8 workers:\n%+v\n%+v", res[0].SolverStats, res[1].SolverStats)
+	}
+}
+
 // TestFaultFixSeekOnSolver pins both seeks on the fix cases: by default
 // every counterexample comes from the set the algebra decided the FEC on,
 // so no seek reaches the solver; with CheckPset armed every violating
@@ -823,6 +963,7 @@ func TestFixOracleMeshesCoverTheHardCases(t *testing.T) {
 			"a control on a fixed FEC":         st.ctrlOnFixedFEC,
 			"shared shapes on a fixed FEC":     st.shapesShared,
 			"a port-bounded region":            st.portNeighborhood,
+			"a placement memo hit":             st.memoHit,
 		} {
 			n := 0
 			if hit {
@@ -859,7 +1000,7 @@ func TestPlacementOnStraddlingMatchIsAnError(t *testing.T) {
 	straddler := header.DstMatch(header.Prefix{Addr: 0, Len: 5})
 	for i := 0; i < ctx.nfec; i++ {
 		shapes := ix.shapesOn(ctx.src.PathIndices(i))
-		_, err := e.solveNeighborhood(nil, ix, shapes, straddler)
+		_, err := e.solveNeighborhood(nil, ix, shapes, straddler, map[string]placed{})
 		if err == nil {
 			continue // this FEC's paths cross no ACL with a rule inside the region
 		}

@@ -334,6 +334,12 @@ func TestFixObservability(t *testing.T) {
 	if got := snap.Gauges["fix.path_shapes"]; got != int64(shapes) {
 		t.Fatalf("fix.path_shapes gauge %d, solve span says %v", got, shapes)
 	}
+	// Each neighborhood's placement is solved or read from its FEC's memo,
+	// and the counter and the solve span agree on how many were solved.
+	placements := snap.Counters["fix.placements"]
+	if attr, _ := solve.Attrs["placements"].(float64); placements <= 0 || placements > int64(len(res.Neighborhoods)) || int64(attr) != placements {
+		t.Fatalf("fix.placements = %d (solve span says %v) for %d neighborhoods", placements, solve.Attrs["placements"], len(res.Neighborhoods))
+	}
 	// Every neighborhood is the product of at least one probe per field.
 	if got := snap.Counters["fix.expand.probes"]; got < 5*int64(len(res.Neighborhoods)) {
 		t.Fatalf("fix.expand.probes = %d for %d neighborhoods", got, len(res.Neighborhoods))
