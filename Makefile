@@ -40,11 +40,12 @@ race:
 fuzz:
 	$(GO) test -count=1 -run 'TestFuzz|TestFixParallelMatchesSequential' ./internal/core
 
-# Three-way backend lane: the fixed 200-case differential corpus (auto
-# vs every pset attempt bailed out to SAT through the check.pset fault
-# site vs monolithic, witness replay included; the last 40 cases each
-# carry one random control), then 30 seconds of open-ended native
-# fuzzing over random networks, edits, and option toggles.
+# Three-way backend lane: the fixed 200-case differential corpus (the
+# check, at the default cube budget and at two cubes, vs a per-FEC SAT
+# reference on a fresh solver per FEC vs monolithic, witness replay
+# included; the last 40 cases each carry one random control), then 30
+# seconds of open-ended native fuzzing over random networks, edits, and
+# option toggles.
 fuzz-backends:
 	$(GO) test -count=1 -run TestFuzzBackendThreeWay ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzBackendAgreement -fuzztime 30s ./internal/core
@@ -58,10 +59,11 @@ fuzz-snapshots:
 	$(GO) test -count=1 -run 'TestSnapshotRestoreMutationSweep|TestFuzzSnapshotEditSequences' ./internal/store ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotRestore -fuzztime 30s ./internal/store
 
-# Fault-injection lane: every TestFault* scenario (solver timeouts,
-# transient faults, check panics, pset bail-outs mixed with pset
-# verdicts, fix-pool panics and collapse, deadline cancellation,
-# snapshot write/restore crashes) under the race
+# Fault-injection lane: every TestFault* scenario (interrupted check
+# decisions, generate's solver timeouts and transient faults with their
+# retries, check panics, split and whole-region verdicts mixed in one
+# cache, fix-pool panics and collapse, deadline cancellation, snapshot
+# write/restore crashes) under the race
 # detector. The faultinject registry is process-global, so these tests
 # never run in parallel with each other.
 faults:

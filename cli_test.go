@@ -15,7 +15,6 @@ import (
 
 	"jinjing"
 	"jinjing/internal/core"
-	"jinjing/internal/faultinject"
 	"jinjing/internal/lai"
 	"jinjing/internal/netgen"
 	"jinjing/internal/obs"
@@ -279,21 +278,15 @@ func TestCLIWorkersGolden(t *testing.T) {
 	}
 }
 
-// TestCLIBackendGolden pins the route-identity contract on the CLI
+// TestCLIBackendGolden pins the worker-identity contract on the CLI
 // golden's inputs (the netgen small seed-9 network and a 4% perturbation
-// of it): core.Run's check with every pset attempt bailed out to the
-// solver (the CheckPset fault site armed) and without must print
-// byte-identical reports. The set algebra answers the same Equation-3
-// queries the solver does and witnesses do not depend on the deciding
-// route, so the route can change only cost. The armed site also sends
-// fix's seek to the solver, whose counterexamples are models rather
-// than least packets, so the two arms' plans may differ; each must
-// verify, and each must be byte-identical at one worker and at eight.
-// The check's CacheStats double-check that each arm took its route, and
-// the solver counters of the armed runs, summed over check and fix, must
-// not depend on the worker count. Outside -short mode the
-// no-optimization report is also pinned to `jinjing -no-optimizations`
-// on the same input files, so the flag's wiring is exercised too.
+// of it): core.Run's check-and-fix report must verify and be
+// byte-identical at one worker and at eight, and so must the solver
+// counters, which only fix's placement solvers feed — the check decides
+// every FEC in the set algebra (its CacheStats say so). Outside -short
+// mode the no-optimization report is also pinned to `jinjing
+// -no-optimizations` on the same input files, so the flag's wiring is
+// exercised too.
 func TestCLIBackendGolden(t *testing.T) {
 	w := netgen.Build(netgen.DefaultConfig(netgen.Small, 9))
 	dir := t.TempDir()
@@ -318,10 +311,7 @@ func TestCLIBackendGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	capture := func(forced bool, workers int, noOpt bool) (string, map[string]int64) {
-		if forced {
-			defer faultinject.Schedule(faultinject.CheckPset, faultinject.Timeout)()
-		}
+	capture := func(workers int, noOpt bool) (string, map[string]int64) {
 		resolved, err := lai.Resolve(prog, beforeNet, lai.ResolveOptions{Updated: afterNet})
 		if err != nil {
 			t.Fatal(err)
@@ -336,16 +326,15 @@ func TestCLIBackendGolden(t *testing.T) {
 		opts.Obs = obs.NewObserver(nil, m, nil)
 		rep, err := core.Run(resolved, opts)
 		if err != nil {
-			t.Fatalf("forced=%v workers=%d: %v", forced, workers, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		var out strings.Builder
 		rep.Print(&out)
 		if !strings.Contains(out.String(), "verified=true") {
-			t.Fatalf("forced=%v workers=%d: expected a verified fix:\n%s", forced, workers, out.String())
+			t.Fatalf("workers=%d: expected a verified fix:\n%s", workers, out.String())
 		}
-		stats := rep.Checks[0].Stats
-		if forced && (stats.PsetDecided != 0 || stats.PsetBailout == 0) || !forced && stats.PsetDecided == 0 {
-			t.Fatalf("forced=%v workers=%d: the check's routes disagree with the arm: %+v", forced, workers, stats)
+		if stats := rep.Checks[0].Stats; stats.PsetDecided == 0 || stats.PsetBailout != 0 {
+			t.Fatalf("workers=%d: the check decided no FEC in the set algebra, or split one: %+v", workers, stats)
 		}
 		return out.String(), m.Snapshot().Counters
 	}
@@ -354,50 +343,34 @@ func TestCLIBackendGolden(t *testing.T) {
 		check, _, _ := strings.Cut(out, "\nfix:")
 		return check
 	}
-	golden, satCounters := capture(true, 1, false)
+	golden, satCounters := capture(1, false)
 	if satCounters["sat.propagations"] == 0 {
-		t.Fatalf("forced SAT propagated nothing: %v", satCounters)
+		t.Fatalf("fix's placements propagated nothing: %v", satCounters)
 	}
-	plain, _ := capture(false, 1, false)
-	if got, want := checkLines(plain), checkLines(golden); got != want {
-		t.Errorf("the pset route's check report differs from forced SAT's:\n--- forced ---\n%s\n--- pset ---\n%s", want, got)
+	out, counters := capture(8, false)
+	if out != golden {
+		t.Errorf("the report at 8 workers differs from one worker's:\n--- 1 ---\n%s\n--- 8 ---\n%s", golden, out)
 	}
-	for _, c := range []struct {
-		forced bool
-		want   string
-	}{{true, golden}, {false, plain}} {
-		out, counters := capture(c.forced, 8, false)
-		if out != c.want {
-			t.Errorf("forced=%v: the report at 8 workers differs from one worker's:\n--- 1 ---\n%s\n--- 8 ---\n%s",
-				c.forced, c.want, out)
-		}
-		if c.forced {
-			// Check runs one loop whatever the worker count, and fix's
-			// per-FEC work is a pure function of the FEC: the solver
-			// counters cannot depend on the worker count either.
-			for _, name := range []string{"sat.decisions", "sat.propagations", "sat.conflicts"} {
-				if got, want := counters[name], satCounters[name]; got != want {
-					t.Errorf("forced SAT at 8 workers: %s = %d, one worker has %d", name, got, want)
-				}
-			}
+	// Check runs one loop whatever the worker count, and fix's per-FEC
+	// work is a pure function of the FEC: the solver counters cannot
+	// depend on the worker count either.
+	for _, name := range []string{"sat.decisions", "sat.propagations", "sat.conflicts"} {
+		if got, want := counters[name], satCounters[name]; got != want {
+			t.Errorf("at 8 workers: %s = %d, one worker has %d", name, got, want)
 		}
 	}
 
 	// Without the optimizations (the CLI's -no-optimizations) the check
 	// finds the same violations with the same witnesses, deciding every
-	// FEC rather than the differential-related ones; its unsimplified fix
-	// still verifies (capture checks), and both routes print the same
-	// check report.
-	basic, _ := capture(false, 1, true)
-	if out, _ := capture(true, 1, true); checkLines(out) != checkLines(basic) {
-		t.Errorf("no optimizations: forced SAT's check report differs from the pset route's:\n--- pset ---\n%s\n--- forced ---\n%s", basic, out)
-	}
+	// FEC rather than the differential-related ones, and its unsimplified
+	// fix still verifies (capture checks).
+	basic, _ := capture(1, true)
 	var fecs, solved int
 	if _, err := fmt.Sscanf(basic, "check: INCONSISTENT (%d FECs, %d solved)", &fecs, &solved); err != nil || solved != fecs {
 		t.Errorf("no optimizations: check should decide every FEC (%v):\n%s", err, basic)
 	}
 	solvedCount := regexp.MustCompile(`, \d+ solved\)`)
-	if got, want := solvedCount.ReplaceAllString(checkLines(basic), ")"), solvedCount.ReplaceAllString(checkLines(plain), ")"); got != want {
+	if got, want := solvedCount.ReplaceAllString(checkLines(basic), ")"), solvedCount.ReplaceAllString(checkLines(golden), ")"); got != want {
 		t.Errorf("no-optimization check lines differ from the default run's:\n--- default ---\n%s\n--- no optimizations ---\n%s", want, got)
 	}
 

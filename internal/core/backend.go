@@ -9,26 +9,25 @@ import (
 	"jinjing/internal/topo"
 )
 
-// This file is the check pipeline's two decision procedures for a FEC's
-// Equation-3 query: the packet-set algebra, which decides every FEC it
-// can within a cube budget, and the Tseitin+CDCL stack, which takes what
-// overflows the budget. Both are complete on the queries they answer, so
-// which one answers can never change a verdict — only its cost. Either
-// reads of a path only its shape (see checkShape), and a FEC's hundreds
-// of paths share a few. A violating FEC's counterexample is the least
-// packet of the set the algebra decided it on (violations), with or
-// without controls; only a FEC whose algebra overflows the budget is
-// re-solved for one on a fresh solver (witnessFEC). Both are pure
-// functions of the FEC and the ACL contents, so the route that decided a
-// FEC never shows in its witness.
+// This file is the check pipeline's decision procedure for a FEC's
+// Equation-3 query: the packet-set algebra, over the FEC's distinct path
+// shapes (see checkShape), of which a FEC's hundreds of paths share a
+// few. Every set it builds is bounded by a cube budget; a flip region
+// whose sets overflow it is split and decided piece by piece (see
+// violations), so the algebra answers every FEC and the check runs no
+// solver. A violating FEC's counterexample is the least packet of the
+// set it was decided on, with or without controls, and that set is what
+// fix seeks neighborhoods in. Both are pure functions of the FEC and the
+// ACL contents.
 
-// psetCubeBudget is the hard cube cap for the pset backend: any set
-// construction or per-shape difference that exceeds it abandons the FEC
-// to the solver. It alone bounds the algebra's worst case (cube counts
-// can be exponential in rule count): every construction is restricted to
-// the FEC's class region, so cost follows the region, not the ACLs' mass,
-// and no predictor guesses ahead of it.
-const psetCubeBudget = 512
+// psetCubeBudget bounds every set the algebra builds for a FEC: a set
+// construction or per-shape difference that exceeds it abandons the
+// region it was built on, which violations then splits. It alone bounds
+// the algebra's worst case (cube counts can be exponential in rule
+// count): every construction is restricted to a piece of the FEC's class
+// region, so cost follows the region, not the ACLs' mass. A variable only
+// so that tests can lower it.
+var psetCubeBudget = 512
 
 // encPair is one distinct encoded (before, after) ACL pair of the
 // generation: its table IDs into checkCtx.acls. unchanged means the two
@@ -185,8 +184,8 @@ func (rs *regionSets) anyDiffer(ctx *checkCtx, pairs []int32) (differ, ok bool) 
 }
 
 // decisionSets computes a shape's before/after decision sets within the
-// region: region ∩ ⋂ permitted(pair side), the conjunction
-// shapesViolationFormula builds, over sets that never leave the region.
+// region: region ∩ ⋂ permitted(pair side), the conjunction of its pairs'
+// decisions, over sets that never leave the region.
 func (rs *regionSets) decisionSets(ctx *checkCtx, pairs []int32) (before, after pset.Set, ok bool) {
 	before, after = rs.region, rs.region
 	for _, pi := range pairs {
@@ -256,43 +255,86 @@ func fecRegion(fec topo.FEC) pset.Set {
 //  1. Everything any shape can flip lies in the FEC's flip region (see
 //     flipRegion). Empty — every FEC whose classes miss the edited and
 //     the controlled traffic — discharges the FEC on a cube overlap scan.
-//  2. Within the flip region each crossed pair's before and after
-//     permitted sets are built once per FEC (regionSets): cost scales
-//     with the region, not with the ACL's global cube complexity, and
-//     the destination-indexed folds visit only the rules that can meet
-//     it (permittedWithin, diffWithin).
-//  3. A shape with no control on it whose changed pairs all agree on
-//     the flip region is consistent as it stands: its unchanged pairs
-//     are never built.
-//  4. Otherwise the shape's decision sets are intersections of those
-//     small sets, its desired set the controls folded over the before
-//     set (desiredSet; the before set itself when none applies, and a
-//     control missing the flip region applies to nothing). The
-//     comparison is exact: outside the flip region no shape can differ.
+//  2. The region is decided whole (decideRegion) if every set it takes
+//     fits the cube budget. Otherwise it is split (splitRegion) and the
+//     pieces are decided in turn, lower piece first, each split again
+//     while it overflows; in first-violation mode the split stops at the
+//     first violating piece. No shape can flip outside the flip region,
+//     so deciding its pieces is exact, and the split always ends: a piece
+//     that no rule or control match straddles fits any budget, and each
+//     split narrows a field toward the matches' finitely many bounds.
 //
 // The check's witness is the set's least packet: shapes are in
-// first-path order, so it is the least packet the first violating path
-// flips on. Fix seeks neighborhoods in the union (see FixContext). The
-// procedure is pure, so both are functions of the FEC and the encoded
-// ACL contents alone.
+// first-path order, so on a region decided whole it is the least packet
+// the first violating path flips on, and on a split one the least such
+// packet of the first violating piece, in a fixed piece order. Fix seeks
+// neighborhoods in the find-all union, which has no cube cap (see
+// FixContext). The procedure is pure, so both are functions of the FEC
+// and the encoded ACL contents alone.
 //
-// ok=false reports a cube-budget overflow mid-solve; the caller falls
-// back to the solver, and the verdict (when ok) is exactly the one the
-// solver would return. regionCubes sizes the flip region.
-func (e *Engine) violations(ctx *checkCtx, fec topo.FEC, shapes []checkShape, all bool) (v pset.Set, ok bool, regionCubes int) {
-	rs := regionSets{region: e.flipRegion(ctx, fecRegion(fec), shapes)}
-	regionCubes = rs.region.Cubes()
-	if rs.region.IsEmpty() {
-		return v, true, regionCubes
+// The call's canceller is polled before each piece, so Deadline bounds a
+// split: ok=false reports a cancellation, and v is then incomplete.
+func (e *Engine) violations(cn *canceller, ctx *checkCtx, fec topo.FEC, shapes []checkShape, all bool) (v pset.Set, ds decideStats, ok bool) {
+	region := e.flipRegion(ctx, fecRegion(fec), shapes)
+	ds.regionCubes = region.Cubes()
+	if region.IsEmpty() {
+		return v, ds, true
 	}
-	if regionCubes > psetCubeBudget {
-		return v, false, regionCubes
+	pending := []pset.Set{region} // a stack: the next piece is last
+	for len(pending) > 0 {
+		if cn.cancelled() {
+			return v, ds, false
+		}
+		piece := pending[len(pending)-1]
+		pending = pending[:len(pending)-1]
+		flips, fits := e.decideRegion(ctx, piece, shapes, all)
+		if !fits {
+			ds.split = true
+			lo, hi := e.splitRegion(ctx, piece, shapes)
+			pending = append(pending, hi, lo)
+			continue
+		}
+		ds.leaves++
+		if flips.IsEmpty() {
+			continue
+		}
+		if !all {
+			return flips, ds, true
+		}
+		v = v.Union(flips)
 	}
+	return v, ds, true
+}
+
+// decideStats describes how violations decided a FEC: the size of its
+// flip region, whether the region overflowed the cube budget and was
+// split, and how many pieces were decided.
+type decideStats struct {
+	regionCubes, leaves int
+	split               bool
+}
+
+// decideRegion decides the shapes on one region inside the FEC's flip
+// region and returns what they flip there, as violations does (the first
+// violating shape's flips, or with all their union). fits=false reports a
+// set past the cube budget.
+//
+// A shape with no control on it whose changed pairs all agree on the
+// region is consistent as it stands: its unchanged pairs are never
+// built. Otherwise its decision sets are intersections of per-pair sets
+// built once per region (regionSets), by folds that visit only the rules
+// that can meet it, and its desired set is the controls folded over the
+// before set (desiredSet; the before set itself when none applies).
+func (e *Engine) decideRegion(ctx *checkCtx, region pset.Set, shapes []checkShape, all bool) (v pset.Set, fits bool) {
+	if region.Cubes() > psetCubeBudget {
+		return v, false
+	}
+	rs := regionSets{region: region}
 	for _, sh := range shapes {
 		if len(sh.ctrls) == 0 {
 			differ, ok := rs.anyDiffer(ctx, sh.pairs)
 			if !ok {
-				return v, false, regionCubes
+				return v, false
 			}
 			if !differ {
 				continue
@@ -300,24 +342,95 @@ func (e *Engine) violations(ctx *checkCtx, fec topo.FEC, shapes []checkShape, al
 		}
 		before, after, ok := rs.decisionSets(ctx, sh.pairs)
 		if !ok {
-			return v, false, regionCubes
+			return v, false
 		}
-		desired := e.desiredSet(sh.ctrls, before, rs.region)
+		desired := e.desiredSet(sh.ctrls, before, region)
 		if desired.Cubes() > psetCubeBudget {
-			return v, false, regionCubes
+			return v, false
 		}
 		flips := desired.Subtract(after).Union(after.Subtract(desired))
 		if flips.IsEmpty() {
 			continue
 		}
 		if !all {
-			return flips, true, regionCubes
+			return flips, true
 		}
 		if v = v.Union(flips); v.Cubes() > psetCubeBudget {
-			return v, false, regionCubes
+			return v, false
 		}
 	}
-	return v, true, regionCubes
+	return v, true
+}
+
+// splitRegion cuts a region that overflowed the cube budget in two,
+// lower piece first. A region of several cubes splits into the halves of
+// its cube list. A one-cube region splits on the first match that meets
+// it without containing it — the shapes' rules in shape, pair, side and
+// rule order, then each shape's controls — on the first field (src, dst,
+// sport, dport, proto) the match does not contain: a prefix gains a bit,
+// and a range is cut at the match's bound inside it. Were no match to
+// straddle the cube, every ACL would permit all of it or none and every
+// control would cover it or miss it, so every set would be the cube or
+// empty and the region could not have overflowed.
+func (e *Engine) splitRegion(ctx *checkCtx, region pset.Set, shapes []checkShape) (lo, hi pset.Set) {
+	c, one := region.Cube()
+	if !one {
+		return region.Halves()
+	}
+	cuts := func(m header.Match) bool { return m.Overlaps(c) && !m.Contains(c) }
+	for _, sh := range shapes {
+		for _, pi := range sh.pairs {
+			for _, id := range ctx.encPairs[pi].ids {
+				for _, r := range ctx.acls[id].Rules {
+					if cuts(r.Match) {
+						return cutCube(c, r.Match)
+					}
+				}
+			}
+		}
+		for _, ci := range sh.ctrls {
+			if m := e.Controls[ci].Match; cuts(m) {
+				return cutCube(c, m)
+			}
+		}
+	}
+	panic("core: a cube no match straddles overflowed the cube budget")
+}
+
+// cutCube splits cube c on a match m that meets it without containing
+// it, on the first field where m does not contain c: a prefix is
+// extended by one bit, and a range is cut at m.Lo when m starts inside
+// it, else at m.Hi+1. Either way both pieces are non-empty, the lower
+// comes first, and m no longer straddles the field.
+func cutCube(c, m header.Match) (lo, hi pset.Set) {
+	l, h := c, c
+	switch {
+	case !m.Src.Contains(c.Src):
+		l.Src, h.Src = c.Src.Halves()
+	case !m.Dst.Contains(c.Dst):
+		l.Dst, h.Dst = c.Dst.Halves()
+	case !m.SrcPort.Contains(c.SrcPort):
+		l.SrcPort.Hi, h.SrcPort.Lo = cutRange(c.SrcPort.Lo, m.SrcPort.Lo, m.SrcPort.Hi)
+	case !m.DstPort.Contains(c.DstPort):
+		l.DstPort.Hi, h.DstPort.Lo = cutRange(c.DstPort.Lo, m.DstPort.Lo, m.DstPort.Hi)
+	default:
+		lh, hl := cutRange(uint16(c.Proto.Lo), uint16(m.Proto.Lo), uint16(m.Proto.Hi))
+		l.Proto.Hi, h.Proto.Lo = uint8(lh), uint8(hl)
+	}
+	if l == c || h == c {
+		panic("core: a split did not narrow the region") // it would never end
+	}
+	return pset.FromMatch(l), pset.FromMatch(h)
+}
+
+// cutRange is where a range starting at lo is cut by an overlapping
+// match range [mlo, mhi] that does not contain it: the lower piece's Hi
+// and the upper piece's Lo.
+func cutRange(lo, mlo, mhi uint16) (loHi, hiLo uint16) {
+	if mlo > lo {
+		return mlo - 1, mlo
+	}
+	return mhi, mhi + 1
 }
 
 // psetWitnessFEC completes a violating FEC's counterexample packet: the

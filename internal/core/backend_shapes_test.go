@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"jinjing/internal/acl"
-	"jinjing/internal/faultinject"
 	"jinjing/internal/header"
 	"jinjing/internal/netgen"
 	"jinjing/internal/papernet"
@@ -17,14 +16,18 @@ import (
 	"jinjing/internal/topo"
 )
 
-// This file pins what the check's complete procedures read of a FEC: its
-// distinct path shapes. The reference is the per-path loop the procedures
-// ran before shapes existed — one Equation-3 disjunct per path, in the
-// set algebra and as a formula — and the engine must reach its verdict on
-// every FEC of every network below. The second half pins the overflow
-// route: the cube budget, not a predictor, is what sends a FEC to the
-// solver, and a FEC sent there must come out exactly as when every
-// FEC's pset attempt is bailed out (faultinject.CheckPset).
+// This file pins what the check's set algebra reads of a FEC: its
+// distinct path shapes. The reference is the per-path loop the check ran
+// before shapes existed — one Equation-3 disjunct per path, in the set
+// algebra and as a formula on a solver of its own — and the engine must
+// reach its verdict on every FEC of every network below, at the default
+// cube budget and at budgets low enough that many FECs split. The
+// second half pins the split on the one input that overflows the default
+// budget.
+
+// refCubeBudget bounds the per-path set reference, which must not split:
+// tests lower psetCubeBudget, never this.
+const refCubeBudget = 512
 
 // refShapeKey is a path's shape by definition: the set of encoded pairs it
 // crosses, by content, and the controls governing it, in order.
@@ -76,7 +79,7 @@ func refPathViolations(e *Engine, ctx *checkCtx, fec topo.FEC) (flips []pset.Set
 	permitted := func(id int32) (pset.Set, bool) {
 		s, ok := within[id]
 		if !ok {
-			if s, _, ok = pset.NewIndex(ctx.acls[id]).PermittedSetWithin(region, psetCubeBudget); ok {
+			if s, _, ok = pset.NewIndex(ctx.acls[id]).PermittedSetWithin(region, refCubeBudget); ok {
 				within[id] = s
 			}
 		}
@@ -113,24 +116,41 @@ func refPathViolations(e *Engine, ctx *checkCtx, fec topo.FEC) (flips []pset.Set
 }
 
 // refPathsViolationFormula is Equation 3 with one disjunct per path, in
-// path order, each path walking its own bindings by ID: the per-path
-// form the shapes formula must be equivalent to.
-func refPathsViolationFormula(e *Engine, enc *encoder, ctx *checkCtx, fec topo.FEC) smt.F {
+// path order, each path walking its own bindings by ID and each ACL in
+// the sequential encoding: it shares neither shapes nor the tournament
+// encoding with the engine.
+func refPathsViolationFormula(e *Engine, ctx *checkCtx, b *smt.Builder, pv *smt.PacketVars, fec topo.FEC) smt.F {
+	forms := map[int32]smt.F{}
+	encode := func(id int32) smt.F {
+		f, ok := forms[id]
+		if !ok {
+			f = ctx.acls[id].EncodeSeq(b, pv)
+			forms[id] = f
+		}
+		return f
+	}
 	out := smt.False
 	for _, p := range fec.Paths {
 		before, after := smt.True, smt.True
-		for _, b := range p.Bindings() {
-			pair, ok := ctx.ids[b.ID()]
+		for _, bind := range p.Bindings() {
+			pair, ok := ctx.ids[bind.ID()]
 			if !ok {
 				continue // no ACL in either snapshot
 			}
-			before = enc.b.And(before, enc.encodeACL(pair[0]))
-			after = enc.b.And(after, enc.encodeACL(pair[1]))
+			before = b.And(before, encode(pair[0]))
+			after = b.And(after, encode(pair[1]))
 		}
-		desired := e.desiredFormula(enc, e.ctrlsOn(p), before)
-		out = enc.b.Or(out, enc.b.Iff(desired, after).Not())
+		desired := e.desiredFormula(b, pv, e.ctrlsOn(p), before)
+		out = b.Or(out, b.Iff(desired, after).Not())
 	}
-	return enc.b.And(out, enc.classPred(fec.Classes))
+	return b.And(out, classPred(b, pv, fec.Classes))
+}
+
+// refSATViolating decides the FEC with refPathsViolationFormula on a
+// fresh builder and solver.
+func refSATViolating(e *Engine, ctx *checkCtx, fec topo.FEC) bool {
+	b := smt.NewBuilder()
+	return smt.SolverOn(b).Solve(refPathsViolationFormula(e, ctx, b, b.NewPacketVars(), fec))
 }
 
 // refFlips reports whether path p decides pkt differently from its
@@ -171,11 +191,24 @@ func refFlips(e *Engine, p topo.Path, pkt header.Packet) bool {
 }
 
 type shapeStats struct {
-	fecs, paths, shapes, ctrlShapes, violating int
+	fecs, paths, shapes, ctrlShapes, violating, split int
 }
 
-// checkShapesOn runs the property on every FEC of the engine's scope.
-func checkShapesOn(t *testing.T, name string, e *Engine) shapeStats {
+func (st *shapeStats) add(o shapeStats) {
+	st.fecs += o.fecs
+	st.paths += o.paths
+	st.shapes += o.shapes
+	st.ctrlShapes += o.ctrlShapes
+	st.violating += o.violating
+	st.split += o.split
+}
+
+// checkShapesOn runs the property on every FEC of the engine's scope. At
+// the default cube budget no FEC may split, and a violating FEC's witness
+// is the reference's; under a lowered one (lowered) a split FEC's witness
+// is the least packet of its first violating piece, which must lie in the
+// reference's counterexamples.
+func checkShapesOn(t *testing.T, name string, e *Engine, lowered bool) shapeStats {
 	t.Helper()
 	var st shapeStats
 	ctx := e.checkContext()
@@ -215,12 +248,7 @@ func checkShapesOn(t *testing.T, name string, e *Engine) shapeStats {
 
 		// Deciding over shapes gives the verdict of deciding over every
 		// path, in the algebra and on the solver.
-		enc := newEncoder(ctx.acls, e.obsv())
-		satPaths := smt.SolverOn(enc.b).Solve(refPathsViolationFormula(e, enc, ctx, fec))
-		satShapes := smt.SolverOn(enc.b).Solve(e.shapesViolationFormula(enc, ctx, fec, shapes))
-		if satShapes != satPaths {
-			t.Fatalf("%s: FEC %d: formula over shapes violating=%v, over paths %v", name, i, satShapes, satPaths)
-		}
+		satPaths := refSATViolating(e, ctx, fec)
 		// The per-path sets agree with the solver, and their union is what
 		// fix seeks in. A violating FEC's reference witness is the least
 		// packet of the first violating path's desired ⊖ after.
@@ -235,25 +263,33 @@ func checkShapesOn(t *testing.T, name string, e *Engine) shapeStats {
 		if refOK && refV != satPaths {
 			t.Fatalf("%s: FEC %d: per-path set reference violating=%v, solver %v", name, i, refV, satPaths)
 		}
-		viol, ok, _ := e.violations(ctx, fec, shapes, false)
-		if !ok {
-			t.Fatalf("%s: FEC %d: unexpected cube-budget bail-out", name, i)
+		viol, ds, ok := e.violations(nil, ctx, fec, shapes, false)
+		if !ok || ds.split && !lowered {
+			t.Fatalf("%s: FEC %d: ok=%v split=%v at the default cube budget", name, i, ok, ds.split)
 		}
 		if v := !viol.IsEmpty(); v != satPaths {
 			t.Fatalf("%s: FEC %d: violations over shapes violating=%v, per-path reference %v", name, i, v, satPaths)
 		}
-		if all, ok, _ := e.violations(ctx, fec, shapes, true); ok && refOK && !all.Equal(refUnion) {
+		all, dsAll, _ := e.violations(nil, ctx, fec, shapes, true)
+		if refOK && !all.Equal(refUnion) {
 			t.Fatalf("%s: FEC %d: counterexamples over shapes %v, over paths %v", name, i, all, refUnion)
+		}
+		if dsAll.split && !lowered {
+			t.Fatalf("%s: FEC %d: the find-all union split at the default cube budget", name, i)
+		}
+		if ds.split || dsAll.split {
+			st.split++
 		}
 		if !satPaths {
 			continue
 		}
 		st.violating++
 
-		// The witness is the reference's packet, and its paths are exactly
-		// those that flip on it.
-		w, _ := e.witnessFor(ctx, i, &CheckResult{}, e.obsv())
-		if refOK && w.Packet != refWit {
+		// The witness is the reference's packet (or, split, one of the
+		// reference's counterexamples), and its paths are exactly those
+		// that flip on it.
+		w, _ := e.witnessFor(ctx, i)
+		if refOK && (!lowered && w.Packet != refWit || !refUnion.Contains(w.Packet)) {
 			t.Fatalf("%s: FEC %d: witness %v, per-path reference %v", name, i, w.Packet, refWit)
 		}
 		var listed, flips []string
@@ -272,42 +308,52 @@ func checkShapesOn(t *testing.T, name string, e *Engine) shapeStats {
 	return st
 }
 
+// TestCheckShapesMatchPerPathReference runs the property on every network
+// three times, on fresh engines: at the default cube budget, and at
+// budgets of two cubes and of one, where many FECs overflow and are
+// split.
 func TestCheckShapesMatchPerPathReference(t *testing.T) {
-	var total shapeStats
-	run := func(name string, e *Engine) {
-		var st shapeStats
-		t.Run(name, func(t *testing.T) { st = checkShapesOn(t, name, e) })
-		total.fecs += st.fecs
-		total.paths += st.paths
-		total.shapes += st.shapes
-		total.ctrlShapes += st.ctrlShapes
-		total.violating += st.violating
+	var total, two, one shapeStats
+	run := func(name string, mk func() *Engine) {
+		t.Run(name, func(t *testing.T) {
+			total.add(checkShapesOn(t, name, mk(), false))
+			restore := SetCubeBudget(t, 2)
+			two.add(checkShapesOn(t, name, mk(), true))
+			restore()
+			SetCubeBudget(t, 1)
+			one.add(checkShapesOn(t, name, mk(), true))
+		})
 	}
 	noDiff := DefaultOptions()
 	noDiff.UseDifferential = false
 
 	for _, c := range papernetFixCases() {
-		run(c.name, c.mk())
+		run(c.name, c.mk)
 	}
 	for _, seed := range []int64{1, 2, 42} {
 		for _, opts := range []Options{DefaultOptions(), noDiff} {
 			w := netgen.Build(netgen.DefaultConfig(netgen.Small, seed))
 			name := fmt.Sprintf("small-%d/diff=%v", seed, opts.UseDifferential)
-			run(name+"/perturbed", New(w.Net, w.Perturb(seed, 3), w.Scope, opts))
+			run(name+"/perturbed", func() *Engine { return New(w.Net, w.Perturb(seed, 3), w.Scope, opts) })
 			// The same edit under the Fig. 4d controls: shapes now differ by
 			// control list too, and the control branch decides most of them.
-			e, _ := WANOpen(w, 2, opts)
-			e.UpdateAfter(w.Perturb(seed, 3))
-			run(name+"/perturbed+open-2", e)
+			run(name+"/perturbed+open-2", func() *Engine {
+				e, _ := WANOpen(w, 2, opts)
+				e.UpdateAfter(w.Perturb(seed, 3))
+				return e
+			})
 		}
 	}
 	for seed := int64(0); seed < 240; seed++ {
-		run(fmt.Sprintf("mesh-%d", seed), faultyMesh(seed))
+		run(fmt.Sprintf("mesh-%d", seed), func() *Engine { return faultyMesh(seed) })
 	}
-	t.Logf("%d FECs, %d paths, %d shapes (%d under a control), %d violating",
-		total.fecs, total.paths, total.shapes, total.ctrlShapes, total.violating)
+	t.Logf("%d FECs, %d paths, %d shapes (%d under a control), %d violating; %d split at 2 cubes, %d at 1",
+		total.fecs, total.paths, total.shapes, total.ctrlShapes, total.violating, two.split, one.split)
 	if total.shapes >= total.paths || total.ctrlShapes == 0 || total.violating == 0 || total.violating == total.fecs {
 		t.Fatalf("population too weak: %+v", total)
+	}
+	if two.split < 50 || one.split < 100 {
+		t.Fatalf("%d FECs split at a budget of 2 cubes and %d at 1: want 50 and 100", two.split, one.split)
 	}
 }
 
@@ -317,9 +363,18 @@ func TestCheckShapesMatchPerPathReference(t *testing.T) {
 // destination region permitted — past the 512-cube budget wherever the
 // algebra has to build that set. The update also denies traffic 1 there,
 // so the set has to be built on the whole of 1/8.
-func overflowNet() (before, after *topo.Network) {
-	const diverse = "deny src 10.1.2.3/32, deny src 10.9.8.7/32, deny sport 100, deny sport 200, " +
+//
+// fixable trades the protocol rule for a third destination port, which
+// leaves 63 × 3 × 4 cubes, still past the budget: fix widens a
+// neighborhood's protocol to all or keeps it exact, so a denied protocol
+// leaves one neighborhood per protocol number, past fix's neighborhood
+// cap.
+func overflowNet(fixable bool) (before, after *topo.Network) {
+	diverse := "deny src 10.1.2.3/32, deny src 10.9.8.7/32, deny sport 100, deny sport 200, " +
 		"deny dport 300, deny dport 400, deny proto 6, deny dst 6.0.0.0/8, "
+	if fixable {
+		diverse = strings.Replace(diverse, "deny proto 6", "deny dport 500", 1)
+	}
 	before = papernet.Build()
 	a1, _ := before.LookupInterface("A:1")
 	a1.SetACL(topo.In, acl.MustParse(diverse+"permit all"))
@@ -329,6 +384,13 @@ func overflowNet() (before, after *topo.Network) {
 	return before, after
 }
 
+// TestPsetOverflowFallsBackToSAT pins the split on overflowNet at the
+// default cube budget — the name predates the split, which replaced the
+// SAT fallback. With and without a control on the overflowing FEC, and in
+// both modes, some FEC must split (route pset-split, counted in
+// PsetBailout), every examined FEC's verdict must equal the per-path SAT
+// reference's, and the check must stay fast. Fix, on the fixable variant,
+// must find a plan that verifies in the split's counterexamples.
 func TestPsetOverflowFallsBackToSAT(t *testing.T) {
 	maintain2 := Control{
 		From: map[string]bool{"A:1": true}, To: map[string]bool{"D:3": true},
@@ -342,48 +404,105 @@ func TestPsetOverflowFallsBackToSAT(t *testing.T) {
 		{"under-a-control", []Control{maintain2}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			run := func(forceSAT bool) (*CheckResult, time.Duration) {
-				if forceSAT {
-					defer faultinject.Schedule(faultinject.CheckPset, faultinject.Timeout)()
-				}
-				before, after := overflowNet()
+			engine := func(findAll, fixable bool) *Engine {
+				before, after := overflowNet(fixable)
 				opts := DefaultOptions()
-				opts.FindAllViolations = true
+				opts.FindAllViolations = findAll
 				opts.Forensics = true
 				e := New(before, after, papernet.Scope(), opts)
 				e.Controls = c.controls
+				e.Allow = allBindings(before, "A", "B", "C", "D")
+				return e
+			}
+			ref := engine(true, false)
+			refCtx := ref.checkContext()
+			for _, findAll := range []bool{true, false} {
 				start := time.Now()
-				res := e.Check()
-				return res, time.Since(start)
-			}
-			want, satTime := run(true)
-			got, autoTime := run(false)
-			if want.Stats.PsetDecided != 0 || want.Stats.PsetBailout != int64(want.SolvedFECs) {
-				t.Fatalf("the armed CheckPset site left FECs to pset: %+v", want.Stats)
-			}
-			if got.Stats.PsetBailout < 1 {
-				t.Fatalf("no FEC overflowed the cube budget: %+v", got.Stats)
-			}
-			if want.Consistent || got.Consistent != want.Consistent || got.SolvedFECs != want.SolvedFECs {
-				t.Fatalf("auto consistent=%v solved=%d, forced SAT consistent=%v solved=%d",
-					got.Consistent, got.SolvedFECs, want.Consistent, want.SolvedFECs)
-			}
-			if g, w := fmt.Sprint(got.Violations), fmt.Sprint(want.Violations); g != w {
-				t.Fatalf("violations differ after a bail-out\nauto %s\nsat  %s", g, w)
-			}
-			bailed := 0
-			for i, f := range got.Forensics {
-				if f.Route == "sat-bailout" {
-					bailed++
-					if f.Verdict != want.Forensics[i].Verdict {
-						t.Errorf("FEC %d: %s after bail-out, %s under forced SAT", f.FEC, f.Verdict, want.Forensics[i].Verdict)
+				res := engine(findAll, false).Check()
+				took := time.Since(start)
+				if res.Stats.PsetBailout < 1 || !res.Complete || res.Consistent {
+					t.Fatalf("findAll=%v: want an inconsistent, complete check with a split FEC: %+v", findAll, res.Stats)
+				}
+				split := 0
+				for _, f := range res.Forensics {
+					if f.Route == "pset-split" {
+						split++
+					}
+					if f.Route != "pset" && f.Route != "pset-split" {
+						continue
+					}
+					want := "consistent"
+					if refSATViolating(ref, refCtx, ref.FECs()[f.FEC]) {
+						want = "violating"
+					}
+					if f.Verdict != want {
+						t.Errorf("findAll=%v: FEC %d %s, the SAT reference %s", findAll, f.FEC, f.Verdict, want)
 					}
 				}
+				if int64(split) != res.Stats.PsetBailout {
+					t.Errorf("findAll=%v: %d FECs on route pset-split, Stats.PsetBailout=%d", findAll, split, res.Stats.PsetBailout)
+				}
+				if took > 500*time.Millisecond {
+					t.Errorf("findAll=%v: the check took %v", findAll, took)
+				}
+				t.Logf("findAll=%v: %d split of %d solved FECs in %v", findAll, split, res.SolvedFECs, took)
 			}
-			if int64(bailed) != got.Stats.PsetBailout {
-				t.Errorf("%d FECs on route sat-bailout, Stats.PsetBailout=%d", bailed, got.Stats.PsetBailout)
+			e := engine(true, true)
+			start := time.Now()
+			fix, err := e.Fix()
+			if err != nil {
+				t.Fatal(err)
 			}
-			t.Logf("%d bail-outs of %d solved FECs; auto %v, forced SAT %v", bailed, got.SolvedFECs, autoTime, satTime)
+			if fix.Stats.PsetBailout < 1 || !fix.Verified || len(fix.Actions) == 0 || len(fix.Unfixable) != 0 {
+				t.Fatalf("fix: %+v, verified=%v, %d actions, %d unfixable", fix.Stats, fix.Verified, len(fix.Actions), len(fix.Unfixable))
+			}
+			t.Logf("fix: %d neighborhoods, %d actions in %v", len(fix.Neighborhoods), len(fix.Actions), time.Since(start))
 		})
+	}
+}
+
+// TestFaultCancelledSplitIsUnknown pins the split's canceller poll: under
+// a cancelled call, resolveFEC leaves every FEC it reaches — the one
+// whose region splits included — Unknown("cancelled") and uncached, and
+// the next call on the same engine decides them as a cold check does.
+func TestFaultCancelledSplitIsUnknown(t *testing.T) {
+	maintain2 := Control{
+		From: map[string]bool{"A:1": true}, To: map[string]bool{"D:3": true},
+		Mode: Maintain, Match: header.DstMatch(papernet.Traffic(2)),
+	}
+	engine := func() *Engine {
+		before, after := overflowNet(false)
+		opts := DefaultOptions()
+		opts.FindAllViolations = true
+		opts.Forensics = true
+		opts.Verdicts = NewVerdictCache()
+		e := New(before, after, papernet.Scope(), opts)
+		e.Controls = []Control{maintain2}
+		return e
+	}
+	cold := engine().Check()
+
+	e := engine()
+	ctx := e.checkContext()
+	e.prepareIncremental(ctx)
+	cn := &canceller{}
+	cn.cancel()
+	c := &solveCall{cn: cn, ctx: ctx}
+	reached := 0
+	for _, f := range cold.Forensics {
+		if f.Route != "pset" && f.Route != "pset-split" {
+			continue
+		}
+		reached++
+		if st := e.resolveFEC(c, f.FEC); st != fecUnknown || ctx.unknownReason[f.FEC] != reasonCancelled || ctx.entries[f.FEC] != nil {
+			t.Fatalf("FEC %d (route %s) under a cancelled call: state %d, reason %q, cached %v",
+				f.FEC, f.Route, st, ctx.unknownReason[f.FEC], ctx.entries[f.FEC] != nil)
+		}
+	}
+	if reached == 0 || cold.Stats.PsetBailout == 0 {
+		t.Fatalf("the cold check split no FEC: %+v", cold.Stats)
+	}
+	if got, want := fmt.Sprint(e.Check().Violations), fmt.Sprint(cold.Violations); got != want {
+		t.Fatalf("the next call's violations %s, a cold check's %s", got, want)
 	}
 }

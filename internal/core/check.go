@@ -7,7 +7,6 @@ import (
 	"jinjing/internal/header"
 	"jinjing/internal/obs"
 	"jinjing/internal/sat"
-	"jinjing/internal/smt"
 	"jinjing/internal/topo"
 )
 
@@ -50,12 +49,11 @@ type CheckResult struct {
 	// examined, ascending. Populated only when Options.Forensics is set
 	// or a decision ledger is attached; nil otherwise.
 	Forensics []FECForensics
-	// SolverStats aggregates the full SAT counters (decisions,
-	// propagations, conflicts, restarts, learned, deleted) across every
-	// solver the check ran: the detection solver and, for a FEC whose set
-	// algebra overflows, the witness pass's.
-	// Its Conflicts total is the stand-in for the paper's "DPLL
-	// recursive calls" (§9).
+	// SolverStats holds the full SAT counters (decisions, propagations,
+	// conflicts, restarts, learned, deleted) of CheckMonolithic's one
+	// query, whose Conflicts total is the stand-in for the paper's "DPLL
+	// recursive calls" (§9). Check decides every FEC in the set algebra
+	// and runs no solver, so its counters are zero.
 	SolverStats sat.Stats
 	// PeakHeapBytes is the call's highest sampled live-heap size
 	// (runtime HeapAlloc). Sampled only when the sample is already paid
@@ -72,17 +70,17 @@ type CheckResult struct {
 // applies to fix and generate only. Counterexamples come from a
 // deterministic witness pass over the violating FECs in FEC order.
 // Repeated calls on one generation (no UpdateAfter between them) keep
-// its verdicts and re-decide only FECs left Unknown, on the
-// generation's SAT builder and solver.
+// its verdicts and re-decide only FECs left Unknown.
 func (e *Engine) Check() *CheckResult {
 	return e.CheckContext(context.Background())
 }
 
 // CheckContext is Check under a cancellation scope: ctx's cancellation
-// (and Options.Deadline, whichever fires first) interrupts every solver
-// the call has in flight. FECs left without a verdict are reported in
-// CheckResult.Unknown with Complete=false, in canonical FEC order, and
-// are never cached — a later unrestricted call re-solves them.
+// (and Options.Deadline, whichever fires first) stops the scan, and a
+// FEC being split stops before its next piece. FECs left without a
+// verdict are reported in CheckResult.Unknown with Complete=false, in
+// canonical FEC order, and are never cached — a later unrestricted call
+// decides them.
 func (e *Engine) CheckContext(callCtx context.Context) *CheckResult {
 	o := e.obsv()
 	ls := e.ledgerBegin()
@@ -108,16 +106,17 @@ func (e *Engine) CheckContext(callCtx context.Context) *CheckResult {
 	res.FECs = ctx.nfec
 	fp.End(obs.KV("fecs", ctx.nfec))
 	statsBase := ctx.stats
-	ctx.maxNodes, ctx.peakHeap, ctx.pathShapes = 0, 0, 0
+	ctx.peakHeap, ctx.pathShapes = 0, 0
 
 	// Detection: resolve each FEC (differential skip, cached-verdict
-	// replay, pset) and decide the remaining queries. hits is ascending
+	// replay, the set algebra). hits is ascending
 	// violating FEC indices; in first-violation mode it has at most one
 	// entry — the lowest violating FEC. last is the highest FEC index the
 	// scan semantically examined (early stops leave the tail unexamined).
 	sp := root.Child("solve")
-	hits, last, decided := e.decide(cn, ctx, sp, e.Opts.FindAllViolations, &res.SolverStats)
-	sp.End(obs.KV("decided", decided), obs.KV("violations", len(hits)))
+	hits, last := e.decide(cn, ctx, sp, e.Opts.FindAllViolations)
+	res.Stats = ctx.stats.since(statsBase)
+	sp.End(obs.KV("decided", res.Stats.PsetDecided+res.Stats.PsetBailout), obs.KV("violations", len(hits)))
 	res.SolvedFECs = solvedFECs(ctx, last)
 	res.Unknown = unknownFECs(ctx, last)
 	res.Complete = len(res.Unknown) == 0
@@ -126,18 +125,17 @@ func (e *Engine) CheckContext(callCtx context.Context) *CheckResult {
 	}
 
 	// Witness extraction: each violating FEC's counterexample is the
-	// canonical one — the packet the set algebra's verdict names, or a
-	// re-solve on a fresh builder and solver when the algebra overflows
+	// canonical one — the packet the set algebra's verdict names
 	// (witnessFor), a pure function of the FEC and the encoded ACL
-	// contents either way — so reported violations are byte-identical
-	// across decision routes, across warm and cold runs, and across cache
-	// replays (which memoize exactly these witnesses).
+	// contents — so reported violations are byte-identical across warm
+	// and cold runs and across cache replays (which memoize exactly these
+	// witnesses).
 	if len(hits) > 0 {
 		res.Consistent = false
 		wp := root.Child("witness")
 		cached := 0
 		for _, i := range hits {
-			v, memo := e.witnessFor(ctx, i, res, o)
+			v, memo := e.witnessFor(ctx, i)
 			if memo {
 				cached++
 			}
@@ -147,15 +145,14 @@ func (e *Engine) CheckContext(callCtx context.Context) *CheckResult {
 	}
 
 	ctx.commitGeneration()
-	res.Stats = ctx.stats.since(statsBase)
 	recordCacheStats(o, res.Stats)
 	o.Gauge("impact.changed_bindings").Set(int64(res.Stats.ChangedBindings))
 	o.Gauge("impact.affected_fecs").Set(int64(res.Stats.AffectedFECs))
 
-	// The generation's formula builder after the scan (a proxy for
-	// encoding work): 0 when no FEC has taken the SAT route.
-	o.Gauge("smt.nodes").Set(ctx.maxNodes)
 	o.Gauge("check.path_shapes").Set(ctx.pathShapes)
+	// The check runs no solver: its sat.* counters read 0 in the metrics
+	// rather than vanish from them.
+	recordSolverStats(o, &res.SolverStats, sat.Stats{})
 	if e.Opts.Forensics || e.Opts.DecisionLog != nil {
 		ctx.sampleHeap()
 		res.PeakHeapBytes = ctx.peakHeap
@@ -190,58 +187,4 @@ func (e *Engine) fecTouchesDiff(fec topo.FEC, diff []acl.Rule) bool {
 		}
 	}
 	return false
-}
-
-// shapesViolationFormula builds ⋁_s ¬(desired_s ⇔ c'_s) ∧ ψ for the
-// FEC's distinct path shapes (Equation 3, with desired_s per §6 when
-// controls are present): the solver's form of the query the set algebra
-// answers in violations, equivalent to one disjunct per path.
-func (e *Engine) shapesViolationFormula(enc *encoder, ctx *checkCtx, fec topo.FEC, shapes []checkShape) smt.F {
-	out := smt.False
-	for _, sh := range shapes {
-		before, after := smt.True, smt.True
-		for _, pi := range sh.pairs {
-			pair := ctx.encPairs[pi].ids
-			before = enc.b.And(before, enc.encodeACL(pair[0]))
-			after = enc.b.And(after, enc.encodeACL(pair[1]))
-		}
-		desired := e.desiredFormula(enc, sh.ctrls, before)
-		out = enc.b.Or(out, enc.b.Iff(desired, after).Not())
-	}
-	return enc.b.And(out, enc.classPred(fec.Classes))
-}
-
-// ctrlsOn lists the controls governing p, in precedence order.
-func (e *Engine) ctrlsOn(p topo.Path) []int32 {
-	var cs []int32
-	for i, c := range e.Controls {
-		if c.AppliesTo(p) {
-			cs = append(cs, int32(i))
-		}
-	}
-	return cs
-}
-
-// desiredFormula composes the §6 reachability-update model r_p over the
-// original path decision: of the controls governing the path (ctrls, in
-// precedence order), the first whose match covers the packet dictates
-// the outcome; otherwise the original decision is maintained.
-func (e *Engine) desiredFormula(enc *encoder, ctrls []int32, orig smt.F) smt.F {
-	out := orig
-	// Later controls have lower priority, so fold in reverse: the first
-	// control ends up outermost.
-	for k := len(ctrls) - 1; k >= 0; k-- {
-		c := e.Controls[ctrls[k]]
-		var val smt.F
-		switch c.Mode {
-		case Isolate:
-			val = smt.False
-		case Open:
-			val = smt.True
-		case Maintain:
-			val = orig
-		}
-		out = enc.b.Ite(enc.b.MatchPred(enc.pv, c.Match), val, out)
-	}
-	return out
 }

@@ -3,16 +3,15 @@ package core_test
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"testing"
 
 	"jinjing/internal/acl"
 	"jinjing/internal/core"
-	"jinjing/internal/faultinject"
 	"jinjing/internal/header"
 	"jinjing/internal/lai"
+	"jinjing/internal/netgen"
 	"jinjing/internal/papernet"
 	"jinjing/internal/topo"
 )
@@ -36,24 +35,13 @@ func runningExampleUpdate(n *topo.Network) *topo.Network {
 	return after
 }
 
-// forceSAT arms faultinject.CheckPset at every hit: each FEC's pset
-// attempt bails out as on a cube-budget overflow, so the solver decides
-// every FEC past the differential skip and the cache replay — pset's
-// reference. The returned func disarms the site; the test's end does too.
-func forceSAT(t testing.TB) (disarm func()) {
-	disarm = faultinject.Schedule(faultinject.CheckPset, faultinject.Timeout)
-	t.Cleanup(disarm)
-	return disarm
-}
-
-// countFixSeeks arms faultinject.FixSeek at a hit no run reaches: the
-// registry counts a site's hits only while something is armed, and
-// nothing fires. The returned func reads the solver seeks fix has made
-// since; the test's end disarms the site.
-func countFixSeeks(t testing.TB) (seeks func() int64) {
-	t.Cleanup(faultinject.Schedule(faultinject.FixSeek, faultinject.Timeout, math.MaxInt64))
-	base := faultinject.Hits(faultinject.FixSeek)
-	return func() int64 { return faultinject.Hits(faultinject.FixSeek) - base }
+// splitEngine checks netgen small seed 2 against a 4% perturbation of it.
+// At a cube budget of two, several of its FECs — violating and consistent
+// alike — overflow and are split, which the running example's one-cube
+// sets never do.
+func splitEngine(opts core.Options) *core.Engine {
+	w := netgen.Build(netgen.DefaultConfig(netgen.Small, 2))
+	return core.New(w.Net, w.Perturb(3, 4), w.Scope, opts)
 }
 
 // checkWorkers runs e.Check with Options.Workers set to workers for

@@ -13,7 +13,6 @@ import (
 	"jinjing/internal/header"
 	"jinjing/internal/obs"
 	"jinjing/internal/obs/declog"
-	"jinjing/internal/smt"
 	"jinjing/internal/topo"
 )
 
@@ -91,27 +90,30 @@ type Options struct {
 	Obs *obs.Observer
 	// Deadline, when positive, bounds each primitive call's wall-clock
 	// time: the call runs under a context with this timeout, and on
-	// expiry every in-flight solver query is interrupted. Check reports
-	// the undecided FECs in CheckResult.Unknown (partial results stay in
+	// expiry every in-flight solver query is interrupted and the check
+	// stops before its next FEC, or its next piece of a split one. It is
+	// the only bound on a check, which runs no solver. Check reports the
+	// undecided FECs in CheckResult.Unknown (partial results stay in
 	// canonical order and are never cached); fix and generate refuse to
 	// emit a plan and return ErrUnknownVerdicts. Combines with any
 	// deadline already on the caller's context (the earlier one wins).
 	Deadline time.Duration
 	// PerFECBudget, when positive, caps the SAT conflicts a single
-	// solver query (one FEC's Equation-3 decision, one fix placement or
-	// overflow seek, one generate AEC attempt) may spend before it is
-	// declared Unknown. Exhaustion is retried with a 4x larger budget up
-	// to MaxRetries times; the solver resumes rather than restarts, so
-	// escalation wastes no work. Bounds the damage of one pathological
-	// FEC without giving up on the rest of the check.
+	// solver query — one fix placement, one generate AEC attempt — may
+	// spend before it is declared Unknown. A generate query that exhausts
+	// it is retried with a 4x larger budget up to MaxRetries times; the
+	// solver resumes rather than restarts, so escalation wastes no work.
+	// The check spends no conflicts: it decides in the set algebra, and
+	// Deadline bounds it.
 	PerFECBudget int64
-	// MaxRetries is how many times an Unknown query (budget exhausted,
-	// injected timeout, transient fault) is retried before the Unknown
-	// becomes final. 0 means no retries. Cancellation is never retried.
+	// MaxRetries is how many times an Unknown generate AEC query (budget
+	// exhausted, injected timeout, transient fault) is retried before the
+	// Unknown becomes final. 0 means no retries. Cancellation is never
+	// retried. Fix placements and the check are not retried.
 	MaxRetries int
 	// Forensics makes Check attach per-FEC solve forensics — the route
-	// that established each verdict (skip, cache replay, pset, SAT), the
-	// deciding backend's solve time, and unknown reasons — to
+	// that established each verdict (skip, cache replay, pset, pset-split),
+	// the decision time, and unknown reasons — to
 	// CheckResult.Forensics. Off by default: the raw route
 	// and timing words are always recorded (two words per FEC), but the
 	// result slice is materialized only on demand. Implied by
@@ -191,7 +193,7 @@ type Engine struct {
 
 	// ckctx caches the check pipeline's per-generation state (one
 	// Before/After pair): differential rules, encoded pairs, per-FEC
-	// resolution, the SAT route's builder and solver. Dropped by
+	// resolution, the set algebra's lazy indexes. Dropped by
 	// UpdateAfter and ReleaseSession; see checkCtx.
 	ckctx *checkCtx
 	// tab is the lineage's ACL table when no verdict cache is installed
@@ -359,58 +361,4 @@ func orPermitAll(a *acl.ACL) *acl.ACL {
 		return acl.PermitAll()
 	}
 	return a
-}
-
-// encoder memoizes ACL decision circuits over a shared builder and
-// symbolic packet, one formula per ACL-table ID: the many bindings that
-// carry one content — the cloned but unchanged bindings of an update, one
-// template stamped across many interfaces — are encoded exactly once.
-// Cache effectiveness is observable through the encoder.cache.{hits,misses}
-// counters (nil counters when metrics are off).
-type encoder struct {
-	b      *smt.Builder
-	pv     *smt.PacketVars
-	acls   []*acl.ACL // the table's representatives, by ID
-	forms  []smt.F    // by ID; unencoded until first asked for
-	hits   *obs.Counter
-	misses *obs.Counter
-}
-
-// unencoded marks an ID whose formula is not built yet (no node reference
-// is negative).
-const unencoded smt.F = -1
-
-func newEncoder(acls []*acl.ACL, o *obs.Observer) *encoder {
-	b := smt.NewBuilder()
-	return &encoder{
-		b: b, pv: b.NewPacketVars(), acls: acls,
-		hits:   o.Counter("encoder.cache.hits"),
-		misses: o.Counter("encoder.cache.misses"),
-	}
-}
-
-// encodeACL returns the decision-model circuit f_ξ of the ACL with the
-// given table ID, in the O(log n)-depth tournament encoding (§4.1).
-func (enc *encoder) encodeACL(id int32) smt.F {
-	for int(id) >= len(enc.forms) {
-		enc.forms = append(enc.forms, unencoded)
-	}
-	if f := enc.forms[id]; f != unencoded {
-		enc.hits.Inc()
-		return f
-	}
-	enc.misses.Inc()
-	f := enc.acls[id].EncodeTournament(enc.b, enc.pv)
-	enc.forms[id] = f
-	return f
-}
-
-// classPred builds ψ for a set of destination classes: the packet's
-// destination lies in one of them.
-func (enc *encoder) classPred(classes []header.Prefix) smt.F {
-	out := smt.False
-	for _, c := range classes {
-		out = enc.b.Or(out, enc.b.MatchPred(enc.pv, header.DstMatch(c)))
-	}
-	return out
 }

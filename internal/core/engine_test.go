@@ -171,48 +171,57 @@ func TestExplainViolation(t *testing.T) {
 
 // TestFirstViolationResolvesNothingPastTheHit pins the laziness of the
 // check loop: resolve is interleaved with decide, so a cold
-// first-violation check sends to a complete backend exactly the
-// solver-bound FECs at or below the hit — no formula is built, and no
-// set algebra run, for anything past it — whether pset or the solver
-// (forceSAT) decides and whatever the worker count, which check ignores.
+// first-violation check decides exactly the FECs at or below the hit
+// past the skip and the replay — no set algebra runs for anything past
+// it — on the running example, where every flip region is decided whole,
+// and on splitEngine's network at a budget of two cubes, where some are
+// split; and whatever the worker count, which check ignores.
 func TestFirstViolationResolvesNothingPastTheHit(t *testing.T) {
-	for _, backend := range []string{"auto", "sat"} {
+	for _, backend := range []string{"auto", "split"} {
 		for _, workers := range []int{1, 2} {
 			t.Run(fmt.Sprintf("backend=%s,workers=%d", backend, workers), func(t *testing.T) {
-				if backend == "sat" {
-					forceSAT(t)
+				engine := func(opts core.Options) *core.Engine { return newRunningEngine(t, opts) }
+				if backend == "split" {
+					core.SetCubeBudget(t, 2)
+					engine = splitEngine
 				}
 				all := core.DefaultOptions()
 				all.FindAllViolations = true
 				all.Forensics = true
-				full := newRunningEngine(t, all).Check()
+				full := engine(all).Check()
 
 				first := core.DefaultOptions()
 				first.Workers = workers
 				first.Forensics = true
-				res := newRunningEngine(t, first).Check()
+				res := engine(first).Check()
 				if res.Consistent || len(res.Forensics) == 0 {
-					t.Fatalf("running example must be inconsistent with forensics: %+v", res)
+					t.Fatalf("the update must be inconsistent with forensics: %+v", res)
 				}
 				hit := res.Forensics[len(res.Forensics)-1].FEC // the scan examined nothing past it
-				var want, bound int64
+				var want, bound, splitBelow int64
 				for _, f := range full.Forensics {
 					switch f.Route {
-					case "pset", "sat-bailout":
+					case "pset", "pset-split":
 						bound++
 						if f.FEC <= hit {
 							want++
+							if f.Route == "pset-split" {
+								splitBelow++
+							}
 						}
 					}
 				}
 				if want == bound {
-					t.Fatalf("first violating FEC %d is the last solver-bound one: the case cannot show laziness", hit)
+					t.Fatalf("first violating FEC %d is the last one to decide: the case cannot show laziness", hit)
 				}
 				if got := full.Stats.PsetBailout + full.Stats.PsetDecided; got != bound {
-					t.Fatalf("find-all run resolved %d solver-bound FECs, forensics list %d", got, bound)
+					t.Fatalf("find-all run decided %d FECs, forensics list %d", got, bound)
+				}
+				if backend == "split" && (splitBelow == 0 || res.Stats.PsetBailout != splitBelow) {
+					t.Fatalf("%d FECs split at or below the hit, the first-violation run split %d", splitBelow, res.Stats.PsetBailout)
 				}
 				if got := res.Stats.PsetBailout + res.Stats.PsetDecided; got != want {
-					t.Fatalf("first-violation run resolved %d solver-bound FECs, want %d (at or below FEC %d) of %d",
+					t.Fatalf("first-violation run decided %d FECs, want %d (at or below FEC %d) of %d",
 						got, want, hit, bound)
 				}
 			})

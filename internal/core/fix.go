@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"jinjing/internal/acl"
-	"jinjing/internal/faultinject"
 	"jinjing/internal/header"
 	"jinjing/internal/obs"
 	"jinjing/internal/pset"
@@ -47,10 +46,10 @@ type FixResult struct {
 	// confirmed consistency.
 	Verified bool
 	// SolverStats aggregates the full SAT counters across every solver
-	// the fix spun up: the check loop's, one placement solver per
-	// distinct placement problem of a FEC, and the verification check's.
-	// Neighborhoods are sought in packet sets; a seek runs on a solver
-	// only for a FEC whose set overflows the cube budget.
+	// the fix spun up: one placement solver per distinct placement
+	// problem of a FEC. Its check loop and the verification check decide
+	// in the set algebra, and neighborhoods are sought in packet sets, so
+	// nothing else runs on a solver.
 	SolverStats sat.Stats
 	// Stats aggregates the incremental-verification activity: the fix's
 	// own check loop (verdict-cache traffic, deciding backends) plus the
@@ -68,11 +67,11 @@ func (e *Engine) Fix() (*FixResult, error) {
 }
 
 // FixContext is Fix under a cancellation scope: ctx's cancellation (and
-// Options.Deadline, whichever fires first) interrupts every solver in
-// flight, and Options.PerFECBudget bounds each seek and placement
-// query. A fixing plan is all-or-nothing — if any FEC's queries end
-// Unknown, no plan is emitted and the returned error is an
-// *ErrUnknownVerdicts naming the blocking FECs in canonical order: a
+// Options.Deadline, whichever fires first) stops the check loop and
+// interrupts every placement solver in flight, and Options.PerFECBudget
+// bounds each placement query. A fixing plan is all-or-nothing — if any
+// FEC's queries end Unknown, no plan is emitted and the returned error is
+// an *ErrUnknownVerdicts naming the blocking FECs in canonical order: a
 // plan built on unknown verdicts could silently skip real violations.
 // The internal verification check runs under the same ctx with its own
 // Deadline allowance.
@@ -116,22 +115,20 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 	// blocks the plan.
 	sp := root.Child("solve")
 	statsBase := ctx.stats
-	hits, _, _ := e.decide(cn, ctx, sp, true, &res.SolverStats)
+	hits, _ := e.decide(cn, ctx, sp, true)
 	res.Stats = ctx.stats.since(statsBase)
 	// The change-impact numbers are the verification check's to report.
 	res.Stats.ChangedBindings, res.Stats.AffectedFECs = 0, 0
 	blocked := unknownFECs(ctx, ctx.nfec-1)
 	// Each violating FEC's counterexamples, as the set the algebra
-	// decides it on, computed here: the check context's lazy indexes are
-	// single-goroutine. An armed CheckPset sends the FEC's seek to the
-	// solver, as an overflow does.
-	seeds := make([]fixSeed, len(hits))
+	// decides it on — split, with no cube cap, where it overflows —
+	// computed here: the check context's lazy indexes are
+	// single-goroutine. A cancellation can leave a set incomplete, but
+	// fixFEC then refuses to seek in it.
+	seeds := make([]pset.Set, len(hits))
 	for k, i := range hits {
-		sd := &seeds[k]
-		sd.shapes = e.compileShapes(ctx, ctx.fec(i))
-		if faultinject.Fire(faultinject.CheckPset) != faultinject.Timeout {
-			sd.viol, sd.ok, _ = e.violations(ctx, ctx.fec(i), sd.shapes, true)
-		}
+		fec := ctx.fec(i)
+		seeds[k], _, _ = e.violations(cn, ctx, fec, e.compileShapes(ctx, fec), true)
 	}
 	task := o.StartTask("fix: FECs", int64(len(hits)))
 
@@ -140,7 +137,6 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 		// Merge one FEC's entries in discovery order, honoring the
 		// global neighborhood budget.
 		probes += out.probes
-		recordSolverStats(o, &res.SolverStats, out.seek)
 		for _, nb := range out.entries {
 			if len(res.Neighborhoods)+len(res.Unfixable) >= maxN {
 				break
@@ -288,84 +284,46 @@ type placedRule struct {
 }
 
 // fecFixOutcome is one FEC's complete fix sub-result: neighborhood
-// outcomes in discovery order, the counters of the overflow seek's
-// solver, and the validity queries expansion asked. unknown != "" means
-// a seek or placement query reached no verdict and says why; the FEC
-// blocks the whole plan (see FixContext). err fails the call.
+// outcomes in discovery order and the validity queries expansion asked.
+// unknown != "" means the call was cancelled or a placement query
+// reached no verdict, and says why; the FEC blocks the whole plan (see
+// FixContext). err fails the call.
 type fecFixOutcome struct {
 	entries []nbOutcome
 	probes  int64
-	seek    sat.Stats
 	err     error
 	unknown string
 }
 
-// fixSeed is where one violating FEC's seek starts: its check shapes
-// and the union of their counterexamples (violations), or ok=false when
-// that set overflowed the cube budget.
-type fixSeed struct {
-	shapes []checkShape
-	viol   pset.Set
-	ok     bool
-}
-
 // fixFEC runs the §4.2 loop for one FEC the check loop found violating:
-// take the least packet of the FEC's remaining counterexamples, enlarge
-// it, solve its placement over the FEC's path shapes, exclude the
-// neighborhood, and repeat until none is left or budget outcomes have
-// accumulated. A FEC whose set overflowed asks a fresh solver over the
-// check's violation formula for each counterexample instead. It reads
-// the check context and the fix index only, and its placement memo is
-// its own, so the outcome, solver counters included, is a pure function
-// of the FEC — independent of the other FECs, of scheduling, and of
-// worker count — which is what makes the sequential and parallel fix
-// plans and SolverStats identical. The verdict that sent the FEC here is the check
+// take the least packet of the FEC's remaining counterexamples (viol, the
+// set the algebra decided the FEC on), enlarge it, solve its placement
+// over the FEC's path shapes, exclude the neighborhood, and repeat until
+// none is left or budget outcomes have accumulated. It reads the check
+// context and the fix index only, and its placement memo is its own, so
+// the outcome, solver counters included, is a pure function of the FEC —
+// independent of the other FECs, of scheduling, and of worker count —
+// which is what makes the sequential and parallel fix plans and
+// SolverStats identical. The verdict that sent the FEC here is the check
 // loop's, so a seek never consults or writes the verdict cache.
-func (e *Engine) fixFEC(cn *canceller, ctx *checkCtx, ix *fixIndex, i int, sd fixSeed, budget int) fecFixOutcome {
+func (e *Engine) fixFEC(cn *canceller, ctx *checkCtx, ix *fixIndex, i int, viol pset.Set, budget int) fecFixOutcome {
 	var out fecFixOutcome
 	if budget <= 0 {
 		return out
 	}
 	if cn.cancelled() {
-		// The call is dead: don't pay for a seek just to have its first
-		// query interrupted.
+		// The call is dead, and viol may be incomplete: don't seek in it.
 		out.unknown = reasonCancelled
 		return out
 	}
 	fec := ctx.fec(i)
-	var (
-		enc    *encoder
-		solver *smt.Solver
-		query  smt.F
-	)
-	if !sd.ok {
-		enc = newEncoder(ctx.acls, e.obsv())
-		solver = smt.SolverOn(enc.b)
-		cn.register(solver)
-		query = e.shapesViolationFormula(enc, ctx, fec, sd.shapes)
-	}
 	shapes := ix.shapesOn(ctx.src.PathIndices(i))
 	cons := ix.constancyOn(fec)
 	memo := map[string]placed{}
 	for len(out.entries) < budget {
-		var h header.Packet
-		if sd.ok {
-			var found bool
-			if h, found = sd.viol.MinPacket(); !found {
-				break
-			}
-		} else {
-			r := e.solveWithRetries(cn, solver, e.obsv(), faultinject.FixSeek, true, query)
-			if r.Outcome == sat.Unknown {
-				// No verdict on this seek: the FEC's remaining violations
-				// (if any) are undiscovered, so the whole FEC blocks the plan.
-				out.unknown = r.Reason
-				break
-			}
-			if r.Outcome == sat.Unsat {
-				break
-			}
-			h = solver.Packet(enc.pv)
+		h, found := viol.MinPacket()
+		if !found {
+			break
 		}
 		nb := exactMatch(h)
 		if e.Opts.NoExpansion == 0 {
@@ -384,16 +342,9 @@ func (e *Engine) fixFEC(cn *canceller, ctx *checkCtx, ix *fixIndex, i int, sd fi
 		// Later neighborhoods must stay disjoint from this one, or
 		// their fixing rules would shadow each other.
 		cons.priors = append(cons.priors, nb)
-		if sd.ok {
-			sd.viol = sd.viol.Subtract(pset.FromMatch(nb))
-		} else {
-			query = enc.b.And(query, enc.b.MatchPred(enc.pv, nb).Not())
-		}
+		viol = viol.Subtract(pset.FromMatch(nb))
 	}
 	out.probes = cons.probes
-	if solver != nil {
-		out.seek = solver.Stats()
-	}
 	return out
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"os"
 	"slices"
@@ -12,7 +11,6 @@ import (
 	"testing/quick"
 
 	"jinjing/internal/acl"
-	"jinjing/internal/faultinject"
 	"jinjing/internal/header"
 	"jinjing/internal/netgen"
 	"jinjing/internal/obs"
@@ -906,42 +904,6 @@ func TestFixMemoKeepsWorkerCountsEqual(t *testing.T) {
 	}
 	if res[0].SolverStats != res[1].SolverStats {
 		t.Fatalf("solver stats differ between 1 and 8 workers:\n%+v\n%+v", res[0].SolverStats, res[1].SolverStats)
-	}
-}
-
-// TestFaultFixSeekOnSolver pins both seeks on the fix cases: by default
-// every counterexample comes from the set the algebra decided the FEC on,
-// so no seek reaches the solver; with CheckPset armed every violating
-// FEC seeks on the solver, as on a cube-budget overflow. Either way every
-// fix with no unfixable neighborhood verifies. Each solver seek ends on
-// one UNSAT, so it asks once more than it finds neighborhoods.
-func TestFaultFixSeekOnSolver(t *testing.T) {
-	defer faultinject.Reset()
-	cases := append(papernetFixCases(), wanFixCases(netgen.Small, []int64{1, 2, 42}, 1, 3, 5)...)
-	for _, c := range cases {
-		for _, forced := range []bool{false, true} {
-			faultinject.Reset()
-			// Armed at a hit no run reaches, so that the site's hits count.
-			faultinject.Schedule(faultinject.FixSeek, faultinject.Timeout, math.MaxInt64)
-			if forced {
-				faultinject.Schedule(faultinject.CheckPset, faultinject.Timeout)
-			}
-			res, err := c.mk().Fix()
-			if err != nil {
-				t.Fatalf("%s forced=%v: %v", c.name, forced, err)
-			}
-			found := int64(len(res.Neighborhoods) + len(res.Unfixable))
-			if res.Verified != (len(res.Unfixable) == 0) || c.mustFix && found == 0 {
-				t.Fatalf("%s forced=%v: %d neighborhoods, %d unfixable, verified=%v",
-					c.name, forced, len(res.Neighborhoods), len(res.Unfixable), res.Verified)
-			}
-			switch seeks := faultinject.Hits(faultinject.FixSeek); {
-			case !forced && seeks != 0:
-				t.Fatalf("%s: %d solver seeks, want 0", c.name, seeks)
-			case forced && found > 0 && seeks <= found:
-				t.Fatalf("%s: %d solver seeks for %d neighborhoods", c.name, seeks, found)
-			}
-		}
 	}
 }
 

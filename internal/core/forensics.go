@@ -2,8 +2,9 @@ package core
 
 // Per-FEC solve forensics: every check generation records, per FEC, the
 // route that established its verdict (differential skip, verdict-cache
-// replay, the packet-set algebra, or a pset bail-out that fell through to
-// the SAT solver) and the time the complete-procedure decision took. The
+// replay, the packet-set algebra on the FEC's flip region whole, or on
+// the pieces of a region that overflowed the cube budget) and the time
+// the decision took. The
 // slices live on the generation's checkCtx and cost two words per FEC;
 // materializing them into CheckResult.Forensics happens only when
 // Options.Forensics is set (or a decision ledger is attached), so the
@@ -16,11 +17,11 @@ package core
 type fecRoute uint8
 
 const (
-	routeNone    fecRoute = iota
-	routeSkip             // Theorem 4.1 differential fast path
-	routeCache            // verdict-cache replay under a full key match
-	routePset             // packet-set algebra decision
-	routeBailout          // pset attempt bailed out mid-solve; SAT decided
+	routeNone  fecRoute = iota
+	routeSkip           // Theorem 4.1 differential fast path
+	routeCache          // verdict-cache replay under a full key match
+	routePset           // packet-set algebra decision on the flip region whole
+	routeSplit          // the flip region overflowed; decided piece by piece
 )
 
 func (r fecRoute) String() string {
@@ -31,8 +32,8 @@ func (r fecRoute) String() string {
 		return "cache"
 	case routePset:
 		return "pset"
-	case routeBailout:
-		return "sat-bailout"
+	case routeSplit:
+		return "pset-split"
 	}
 	return "none"
 }
@@ -47,9 +48,9 @@ type FECForensics struct {
 	Route string `json:"route"`
 	// CacheHit reports a replayed verdict (route "cache").
 	CacheHit bool `json:"cache_hit,omitempty"`
-	// SolveNS is the complete-backend decision time in nanoseconds (the
-	// pset attempt plus, after a bail-out, the SAT solve; accumulated
-	// across retries). Zero for skipped and replayed FECs.
+	// SolveNS is the set algebra's decision time in nanoseconds, every
+	// piece of a split region included (accumulated across the calls that
+	// tried the FEC). Zero for skipped and replayed FECs.
 	SolveNS int64 `json:"solve_ns,omitempty"`
 	// Reason explains an "unknown" verdict.
 	Reason string `json:"reason,omitempty"`

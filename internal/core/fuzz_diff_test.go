@@ -3,6 +3,7 @@ package core_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -309,18 +310,68 @@ func TestFuzzCheckParallelAgreement(t *testing.T) {
 	t.Logf("%d cases, %d inconsistent", cases, inconsistent)
 }
 
-// TestFuzzBackendThreeWay is the backend agreement lane: for every
-// random case the two routes — every pset attempt bailed out to the
-// solver (forceSAT) and auto (run at Workers=4, which check ignores) —
-// must produce byte-identical check
-// signatures: verdict, completeness, counterexample packets, violating
-// classes and paths, and SolvedFECs. The third way, the monolithic
-// baseline, must agree on the verdict, and every reported
-// counterexample is replayed against both snapshots with the concrete
-// ACL evaluator: on each divergent path the after chain must decide the
-// packet differently from the desired decision — the before chain's,
-// unless the case's control governs the path and matches the packet. A
-// witness that fails replay means a backend found a "violation" no real
+// refAgrees reports how a check result departs from the per-path SAT
+// reference's violating FECs (core.RefViolatingClasses), or "": the
+// check must be complete, report exactly the reference's violating FECs
+// in find-all mode and its first one otherwise, and so its verdict.
+func refAgrees(res *core.CheckResult, ref [][]header.Prefix, findAll bool) string {
+	var got, want []string
+	for _, v := range res.Violations {
+		got = append(got, fmt.Sprint(v.Classes))
+	}
+	for _, c := range ref {
+		want = append(want, fmt.Sprint(c))
+	}
+	if !findAll && len(want) > 1 {
+		want = want[:1]
+	}
+	if !res.Complete || res.Consistent != (len(ref) == 0) || !slices.Equal(got, want) {
+		return fmt.Sprintf("complete=%v consistent=%v violating FECs %v, the SAT reference %v", res.Complete, res.Consistent, got, want)
+	}
+	return ""
+}
+
+// replayWitnesses checks every reported counterexample against both
+// snapshots with the concrete ACL evaluator: on each divergent path the
+// after chain must decide the packet differently from the desired
+// decision — the before chain's, unless a control governs the path and
+// matches the packet. It returns the first witness that fails, or "".
+func replayWitnesses(res *core.CheckResult, before, after *topo.Network, ctrls []core.Control) string {
+	for _, v := range res.Violations {
+		if len(v.Paths) == 0 {
+			return fmt.Sprintf("violation %v reports no divergent path", v.Packet)
+		}
+		for _, p := range v.Paths {
+			desired := pathPermits(before, p, v.Packet)
+			for _, c := range ctrls {
+				if c.AppliesTo(p) && c.Match.Matches(v.Packet) {
+					switch c.Mode {
+					case core.Isolate:
+						desired = false
+					case core.Open:
+						desired = true
+					}
+					break
+				}
+			}
+			if desired == pathPermits(after, p, v.Packet) {
+				return fmt.Sprintf("witness %v does not flip path %s", v.Packet, p.Key())
+			}
+		}
+	}
+	return ""
+}
+
+// TestFuzzBackendThreeWay is the backend agreement lane. For every random
+// case the check (run at Workers=4, which check ignores) must report
+// exactly the violating FECs of the per-path SAT reference, which decides
+// each FEC on a solver of its own from the sequential encoding of its
+// paths' ACLs and shares neither shapes nor the tournament encoding with
+// the engine (refAgrees). So must the same check at a budget of two
+// cubes, where most violating FECs split, with the same SolvedFECs. The
+// third way, the monolithic baseline, must agree on the verdict, and every
+// counterexample of both checks is replayed concretely (replayWitnesses):
+// a witness that fails replay means the check found a "violation" no real
 // packet exhibits. The last cases each carry one random control.
 func TestFuzzBackendThreeWay(t *testing.T) {
 	cases, controlled := 160, 40
@@ -329,8 +380,8 @@ func TestFuzzBackendThreeWay(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(9351))
 	inconsistent, inconsistentCtrl := 0, 0
-	var psetDecided, satDecided, bailouts int64
-	var satTime, psetTime time.Duration
+	var psetDecided, split int64
+	var refTime, psetTime time.Duration
 	for iter := 0; iter < cases+controlled; iter++ {
 		before, scope, nPref := fuzzNet(r, true)
 		after := before.Clone()
@@ -339,27 +390,19 @@ func TestFuzzBackendThreeWay(t *testing.T) {
 		if iter >= cases {
 			ctrls = []core.Control{fuzzControl(r, before, nPref)}
 		}
-		check := func(opts core.Options, workers int) *core.CheckResult {
-			e := core.New(before, after, scope, opts)
-			e.Controls = ctrls
-			return checkWorkers(e, workers)
-		}
-
 		opts := core.DefaultOptions()
 		opts.FindAllViolations = iter%2 == 0
 		opts.UseDifferential = iter%3 != 0
+		engine := func() *core.Engine {
+			e := core.New(before, after, scope, opts)
+			e.Controls = ctrls
+			return e
+		}
 
 		start := time.Now()
-		disarm := forceSAT(t)
-		resSat := check(opts, 1)
-		disarm()
-		satTime += time.Since(start)
-		want := checkSignature(resSat)
-		satDecided += resSat.Stats.PsetBailout
-		if resSat.Stats.PsetDecided != 0 {
-			t.Fatalf("case %d: forced SAT left %d FECs to pset", iter, resSat.Stats.PsetDecided)
-		}
-		if !resSat.Consistent {
+		ref := core.RefViolatingClasses(engine())
+		refTime += time.Since(start)
+		if len(ref) > 0 {
 			inconsistent++
 			if ctrls != nil {
 				inconsistentCtrl++
@@ -367,46 +410,29 @@ func TestFuzzBackendThreeWay(t *testing.T) {
 		}
 
 		start = time.Now()
-		resAuto := check(opts, 4)
+		resAuto := checkWorkers(engine(), 4)
 		psetTime += time.Since(start)
 		psetDecided += resAuto.Stats.PsetDecided
-		bailouts += resAuto.Stats.PsetBailout
-		if got := checkSignature(resAuto); got != want {
-			t.Fatalf("case %d: auto backend diverged from SAT\nsat:\n%s\nauto:\n%s", iter, want, got)
+		if d := refAgrees(resAuto, ref, opts.FindAllViolations); d != "" {
+			t.Fatalf("case %d: %s", iter, d)
 		}
-		if resAuto.SolvedFECs != resSat.SolvedFECs {
-			t.Fatalf("case %d: auto SolvedFECs=%d, sat=%d", iter, resAuto.SolvedFECs, resSat.SolvedFECs)
+		restore := core.SetCubeBudget(t, 2)
+		resSplit := checkWorkers(engine(), 4)
+		restore()
+		split += resSplit.Stats.PsetBailout
+		if d := refAgrees(resSplit, ref, opts.FindAllViolations); d != "" {
+			t.Fatalf("case %d at 2 cubes: %s", iter, d)
+		}
+		if resSplit.SolvedFECs != resAuto.SolvedFECs {
+			t.Fatalf("case %d: SolvedFECs=%d at 2 cubes, %d at the default budget", iter, resSplit.SolvedFECs, resAuto.SolvedFECs)
 		}
 
-		mono := core.New(before, after, scope, opts)
-		mono.Controls = ctrls
-		if res := mono.CheckMonolithic(); res.Consistent != resSat.Consistent {
-			t.Fatalf("case %d: CheckMonolithic=%v, backends=%v", iter, res.Consistent, resSat.Consistent)
+		if res := engine().CheckMonolithic(); res.Consistent != resAuto.Consistent {
+			t.Fatalf("case %d: CheckMonolithic=%v, Check=%v", iter, res.Consistent, resAuto.Consistent)
 		}
-
-		// Witness validity replay: a genuine counterexample is decided by
-		// the after snapshot against the desired decision on every
-		// divergent path.
-		for _, v := range resAuto.Violations {
-			if len(v.Paths) == 0 {
-				t.Fatalf("case %d: violation %v reports no divergent path", iter, v.Packet)
-			}
-			for _, p := range v.Paths {
-				desired := pathPermits(before, p, v.Packet)
-				for _, c := range ctrls {
-					if c.AppliesTo(p) && c.Match.Matches(v.Packet) {
-						switch c.Mode {
-						case core.Isolate:
-							desired = false
-						case core.Open:
-							desired = true
-						}
-						break
-					}
-				}
-				if desired == pathPermits(after, p, v.Packet) {
-					t.Fatalf("case %d: witness %v does not flip path %s", iter, v.Packet, p.Key())
-				}
+		for _, res := range []*core.CheckResult{resAuto, resSplit} {
+			if d := replayWitnesses(res, before, after, ctrls); d != "" {
+				t.Fatalf("case %d: %s", iter, d)
 			}
 		}
 	}
@@ -416,16 +442,11 @@ func TestFuzzBackendThreeWay(t *testing.T) {
 	if inconsistentCtrl == 0 {
 		t.Fatal("no controlled case was inconsistent; the controlled witnesses went unreplayed")
 	}
-	if psetDecided == 0 {
-		t.Fatal("auto never decided a query in the set algebra; the complete backend is dead weight")
+	if psetDecided == 0 || split == 0 {
+		t.Fatalf("%d FECs decided whole, %d split at 2 cubes: the lane compares nothing", psetDecided, split)
 	}
-	if satDecided == 0 {
-		t.Fatal("forced SAT never decided a query; the lane compares nothing")
-	}
-	// The budget is what bounds the algebra's worst case: the corpus's
-	// bail-out count and both arms' total time are its evidence.
-	t.Logf("%d cases (%d controlled), %d inconsistent (%d controlled), %d pset-decided FECs (%d bail-outs, %v), %d sat jobs (%v)",
-		cases+controlled, controlled, inconsistent, inconsistentCtrl, psetDecided, bailouts, psetTime, satDecided, satTime)
+	t.Logf("%d cases (%d controlled), %d inconsistent (%d controlled); %d FECs decided whole (%v), %d split at 2 cubes; SAT reference %v",
+		cases+controlled, controlled, inconsistent, inconsistentCtrl, psetDecided, psetTime, split, refTime)
 }
 
 // fuzzControl draws one control over a fuzzNet network: a random mode,
@@ -491,9 +512,8 @@ func TestFuzzFirstViolationAgreement(t *testing.T) {
 // two fixed snapshots decide identically on every FEC (checked by
 // running the consistency check between them). Fix must also be
 // idempotent: re-fixing a fixed snapshot is a verified no-op. Each
-// injection runs twice: seeking in the check's packet sets, and with
-// CheckPset armed (forceSAT), which sends every seek to the solver as a
-// cube-budget overflow does.
+// injection runs twice: at the default cube budget, and at a budget of
+// two cubes, where fix seeks in the union of split flip regions.
 func TestFixParallelMatchesSequential(t *testing.T) {
 	iters := 14
 	if testing.Short() {
@@ -520,10 +540,10 @@ func TestFixParallelMatchesSequential(t *testing.T) {
 			continue
 		}
 		fixedCount++
-		for _, forced := range []bool{false, true} {
-			disarm := func() {}
-			if forced {
-				disarm = forceSAT(t)
+		for _, split := range []bool{false, true} {
+			restore := func() {}
+			if split {
+				restore = core.SetCubeBudget(t, 2)
 			}
 			sres, err := mk(1).Fix()
 			if err != nil {
@@ -578,7 +598,7 @@ func TestFixParallelMatchesSequential(t *testing.T) {
 						iter, rres.Actions, rres.Neighborhoods, rres.Verified)
 				}
 			}
-			disarm()
+			restore()
 		}
 	}
 	if fixedCount == 0 {
@@ -719,11 +739,11 @@ func TestFuzzIncrementalEditSequences(t *testing.T) {
 // FuzzBackendAgreement is the open-ended three-way lane behind `make
 // fuzz-backends`: each fuzz input seeds the random network and edit
 // generators plus the option toggles, and the case asserts what
-// TestFuzzBackendThreeWay pins on its fixed corpus — every pset attempt
-// bailed out to the solver and auto (at Workers=4) produce identical
-// check signatures and solved-FEC
-// counts, the monolithic baseline agrees on the verdict, and every
-// reported witness distinguishes each of its paths across the update.
+// TestFuzzBackendThreeWay pins on its fixed corpus — the check (at
+// Workers=4) reports exactly the per-path SAT reference's violating FECs
+// at the default cube budget and at two cubes, the monolithic baseline
+// agrees on the verdict, and every reported witness flips each of its
+// paths across the update.
 func FuzzBackendAgreement(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
 		f.Add(seed, uint8(seed%6))
@@ -738,33 +758,23 @@ func FuzzBackendAgreement(f *testing.F) {
 		opts.FindAllViolations = mode&1 == 0
 		opts.UseDifferential = mode&2 == 0
 
-		disarm := forceSAT(t)
-		resSat := core.New(before, after, scope, opts).Check()
-		disarm()
-		want := checkSignature(resSat)
-
+		ref := core.RefViolatingClasses(core.New(before, after, scope, opts))
 		resAuto := checkWorkers(core.New(before, after, scope, opts), 4)
-		if got := checkSignature(resAuto); got != want {
-			t.Fatalf("auto backend diverged from SAT\nsat:\n%s\nauto:\n%s", want, got)
-		}
-		if resAuto.SolvedFECs != resSat.SolvedFECs {
-			t.Fatalf("auto SolvedFECs=%d, sat=%d", resAuto.SolvedFECs, resSat.SolvedFECs)
+		restore := core.SetCubeBudget(t, 2)
+		resSplit := checkWorkers(core.New(before, after, scope, opts), 4)
+		restore()
+		for arm, res := range map[string]*core.CheckResult{"default budget": resAuto, "2 cubes": resSplit} {
+			if d := refAgrees(res, ref, opts.FindAllViolations); d != "" {
+				t.Fatalf("%s: %s", arm, d)
+			}
+			if d := replayWitnesses(res, before, after, nil); d != "" {
+				t.Fatalf("%s: %s", arm, d)
+			}
 		}
 
 		mono := core.New(before, after, scope, opts).CheckMonolithic()
-		if mono.Consistent != resSat.Consistent {
-			t.Fatalf("CheckMonolithic=%v, backends=%v", mono.Consistent, resSat.Consistent)
-		}
-
-		for _, v := range resAuto.Violations {
-			if len(v.Paths) == 0 {
-				t.Fatalf("violation %v reports no divergent path", v.Packet)
-			}
-			for _, p := range v.Paths {
-				if pathPermits(before, p, v.Packet) == pathPermits(after, p, v.Packet) {
-					t.Fatalf("witness %v does not distinguish path %s", v.Packet, p.Key())
-				}
-			}
+		if mono.Consistent != resAuto.Consistent {
+			t.Fatalf("CheckMonolithic=%v, Check=%v", mono.Consistent, resAuto.Consistent)
 		}
 	})
 }

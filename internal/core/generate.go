@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"jinjing/internal/acl"
-	"jinjing/internal/faultinject"
 	"jinjing/internal/header"
 	"jinjing/internal/obs"
 	"jinjing/internal/sat"
@@ -42,8 +41,8 @@ type GenerateResult struct {
 
 	Verified bool
 	// SolverStats aggregates the full SAT counters across every solver
-	// the generation spun up: one per AEC/DEC solving attempt plus the
-	// verification check.
+	// the generation spun up: one per AEC/DEC solving attempt (the
+	// verification check runs none).
 	SolverStats sat.Stats
 }
 
@@ -549,7 +548,7 @@ func (e *Engine) solveAEC(cn *canceller, o *obs.Observer, ix *genIndex, a *aec, 
 	for _, si := range shapes {
 		s.Assert(ix.constraint(s.B, denyVars, a, &ix.shapes[si]))
 	}
-	r := e.solveWithRetries(cn, s, o, faultinject.GenerateAEC, true)
+	r := e.solveWithRetries(cn, s, o)
 	if r.Outcome == sat.Unknown {
 		return false, r.Reason, s.Stats()
 	}

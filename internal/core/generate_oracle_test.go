@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"jinjing/internal/acl"
-	"jinjing/internal/faultinject"
 	"jinjing/internal/header"
 	"jinjing/internal/netgen"
 	"jinjing/internal/papernet"
@@ -385,7 +384,7 @@ func compareSolve(t *testing.T, what string, e *Engine, ix *genIndex, rs refSets
 	for _, f := range ref {
 		s.Assert(f)
 	}
-	r := e.solveWithRetries(nil, s, e.obsv(), faultinject.GenerateAEC, true)
+	r := e.solveWithRetries(nil, s, e.obsv())
 	refOK := r.Outcome == sat.Sat
 	ok, unknown, _ := e.solveAEC(nil, e.obsv(), ix, a, shapes)
 	if unknown != "" || r.Outcome == sat.Unknown {

@@ -13,7 +13,6 @@ import (
 	"jinjing/internal/obs"
 	"jinjing/internal/pset"
 	"jinjing/internal/sat"
-	"jinjing/internal/smt"
 	"jinjing/internal/topo"
 )
 
@@ -40,15 +39,15 @@ const (
 	// overlaps the FEC. Depends on the global diff, so it is never
 	// cached across generations.
 	fecSkipped
-	// fecOK: the query was UNSAT — decided now, in an earlier call, or
-	// replayed from the verdict cache.
+	// fecOK: the query has no counterexample — decided now, in an
+	// earlier call, or replayed from the verdict cache.
 	fecOK
-	// fecViolating: the query was SAT.
+	// fecViolating: the query has a counterexample.
 	fecViolating
-	// fecUnknown: the query reached no verdict this call — its budget
-	// survived every retry or the call was cancelled. Never cached (see
-	// markUnknown) and resolved again by the next call on this
-	// generation.
+	// fecUnknown: the query reached no verdict this call — the call was
+	// cancelled, or an injected fault interrupted the decision. Never
+	// cached (see markUnknown) and resolved again by the next call on
+	// this generation.
 	fecUnknown
 )
 
@@ -64,8 +63,10 @@ type CacheStats struct {
 	ChangedBindings int
 	AffectedFECs    int
 
-	// Backend activity: FECs the packet-set algebra decided, and FECs
-	// it abandoned on a cube-budget bail-out, which the solver decided.
+	// Decision activity: FECs the packet-set algebra decided on their
+	// flip region whole, and FECs whose flip region overflowed the cube
+	// budget and were decided by splitting it. Together they are the FECs
+	// the call decided.
 	PsetDecided int64
 	PsetBailout int64
 }
@@ -156,9 +157,9 @@ func NewVerdictCache() *VerdictCache { return &VerdictCache{} }
 // beyond the FEC content key: the control intents. (UseDifferential is
 // deliberately absent — the key names the contents of the ACLs as
 // encoded, related-filtered or not, so equal keys mean equal formulas
-// either way. Which procedure decided a verdict is absent for the same
-// reason: the set algebra and the solver decide the same query. Workers
-// and FindAllViolations cannot change any verdict.)
+// either way. Whether a verdict was decided whole or split is absent for
+// the same reason: both decide the same query exactly. Workers and
+// FindAllViolations cannot change any verdict.)
 func (e *Engine) cacheConfig() string {
 	var b strings.Builder
 	for _, c := range e.Controls {
@@ -470,10 +471,10 @@ func (ctx *checkCtx) fecKey(i int) []uint64 {
 
 // resolveFEC classifies FEC i for this generation: the differential
 // skip first (never cached — it depends on the global diff), then the
-// verdict cache under the FEC's full content key, and only then a
-// complete decision procedure. Must be called from one goroutine at a
-// time; the resulting state is memoized, except that an Unknown left by
-// an interrupted or budget-exhausted earlier call is resolved again.
+// verdict cache under the FEC's full content key, and only then the set
+// algebra (violations). Must be called from one goroutine at a time; the
+// resulting state is memoized, except that an Unknown left by a
+// cancelled or interrupted earlier call is resolved again.
 func (e *Engine) resolveFEC(c *solveCall, i int) fecState {
 	ctx := c.ctx
 	if st := ctx.states[i]; st != fecUnresolved && st != fecUnknown {
@@ -493,53 +494,64 @@ func (e *Engine) resolveFEC(c *solveCall, i int) fecState {
 		}
 		ctx.stats.FECCacheMisses++
 	}
-	// Every FEC past the skip and the replay needs a complete procedure,
-	// so SolvedFECs and every reported count are identical whichever
-	// answers. Either reads the FEC's distinct path shapes, compiled here
-	// and nowhere earlier. The set algebra decides first and skips formula
-	// construction, clausification, and CDCL search entirely; only a
-	// cube-budget bail-out falls through to the solver.
+	// Every FEC past the skip and the replay is decided in the set
+	// algebra, over the FEC's distinct path shapes, compiled here and
+	// nowhere earlier. The CheckSolve fault site guards the decision.
 	shapes := e.compileShapes(ctx, fec)
 	ctx.pathShapes += int64(len(shapes))
 	fsp := c.span.Child("fec.solve", obs.KV("fec", i), obs.KV("backend", "pset"),
 		obs.KV("paths", len(fec.Paths)), obs.KV("shapes", len(shapes)))
+	defer fsp.End()
 	start, folded := time.Now(), ctx.folded
-	var viol pset.Set
-	ok, regionCubes := false, 0
-	// An injected Timeout bails out as if the cube budget had overflowed:
-	// tests send FECs to the solver with it, pset's reference.
-	if faultinject.Fire(faultinject.CheckPset) != faultinject.Timeout {
-		viol, ok, regionCubes = e.violations(ctx, fec, shapes, false)
+	var (
+		viol   pset.Set
+		ds     decideStats
+		reason string
+	)
+	switch faultinject.Fire(faultinject.CheckSolve) {
+	case faultinject.Panic:
+		panic(fmt.Sprintf("faultinject: injected panic at %s", faultinject.CheckSolve))
+	case faultinject.Timeout:
+		reason = sat.ReasonInterrupted
+	case faultinject.Transient:
+		reason = reasonTransient // the check has no retry
+	default:
+		var ok bool
+		if viol, ds, ok = e.violations(c.cn, ctx, fec, shapes, false); !ok {
+			reason = reasonCancelled
+		}
 	}
 	ns := time.Since(start).Nanoseconds()
 	ctx.solveNS[i] += ns
 	folded = ctx.folded - folded // rules the region folds visited
 	c.o.Counter("check.pset.rules_folded").Add(folded)
-	fsp.SetAttr("region_cubes", regionCubes)
+	fsp.SetAttr("region_cubes", ds.regionCubes)
 	fsp.SetAttr("rules_folded", folded)
-	if ok {
-		// Same per-FEC decision-latency histogram the solver path feeds:
-		// its count stays equal to a cold run's SolvedFECs whichever
-		// procedure answers. The backend-labelled histogram splits the
-		// same latencies by deciding procedure.
-		c.hist.Observe(ns)
-		c.o.Histogram("fec.solve.ns{backend=pset}").Observe(ns)
+	if reason != "" {
+		ctx.markUnknown(i, reason)
+		fsp.SetAttr("verdict", "unknown")
+		return fecUnknown
+	}
+	// The per-FEC decision-latency histogram: its count stays equal to a
+	// cold run's SolvedFECs. The backend-labelled one holds the same
+	// latencies under the name they have always had.
+	c.hist.Observe(ns)
+	c.o.Histogram("fec.solve.ns{backend=pset}").Observe(ns)
+	if ds.split {
+		ctx.stats.PsetBailout++
+		ctx.routes[i] = routeSplit
+		fsp.SetAttr("leaves", ds.leaves)
+	} else {
 		ctx.stats.PsetDecided++
 		ctx.routes[i] = routePset
-		witness, violating := viol.MinPacket()
-		if violating {
-			ctx.witPkt[i] = witness
-		}
-		ctx.finishVerdict(i, key, violating)
-		fsp.SetAttr("verdict", verdictString(ctx.states[i]))
-		fsp.End()
-		return ctx.states[i]
 	}
-	ctx.stats.PsetBailout++
-	ctx.routes[i] = routeBailout
-	fsp.SetAttr("bailout", true)
-	fsp.End()
-	return e.decideSAT(c, i, key, shapes)
+	witness, violating := viol.MinPacket()
+	if violating {
+		ctx.witPkt[i] = witness
+	}
+	ctx.finishVerdict(i, key, violating)
+	fsp.SetAttr("verdict", verdictString(ctx.states[i]))
+	return ctx.states[i]
 }
 
 // adopt replays a cached entry as FEC i's state for this generation.
@@ -563,11 +575,11 @@ func (ctx *checkCtx) markUnknown(i int, reason string) {
 	ctx.unknownReason[i] = reason
 }
 
-// finishVerdict records a complete-backend verdict — a solver's or the
-// packet-set engine's — for FEC i, caching it under its content key. It
-// is the only place a verdict decided in this process enters the cache
-// (Import restores snapshotted ones). Cached entries do not record
-// which procedure decided them: both decide the same query.
+// finishVerdict records the set algebra's verdict for FEC i, caching it
+// under its content key. It is the only place a verdict decided in this
+// process enters the cache (Import restores snapshotted ones). Cached
+// entries do not record whether the FEC's region was split: either way
+// the verdict is exact.
 func (ctx *checkCtx) finishVerdict(i int, key []uint64, violating bool) {
 	if violating {
 		ctx.states[i] = fecViolating
@@ -600,12 +612,11 @@ func solvedFECs(ctx *checkCtx, last int) int {
 // memo or the cache entry's memoized witness when present (a
 // snapshot-restored entry carries none). Otherwise it completes the
 // packet this generation's set algebra named when it decided the FEC,
-// and re-runs violations for one when the algebra did not decide it
-// here: a bail-out, an armed CheckPset, or a cache replay. The procedure
-// is pure, so the packet is the same whichever route decided the FEC;
-// only a re-run that overflows the cube budget sends the FEC to the
-// solver (witnessFEC). The bool reports a replay.
-func (e *Engine) witnessFor(ctx *checkCtx, i int, res *CheckResult, o *obs.Observer) (Violation, bool) {
+// and re-runs violations for one after a cache replay. The procedure is
+// pure, so the packet is the one a fresh decision names. The re-run is
+// not cancellable: the verdict is already established. The bool reports
+// a replay.
+func (e *Engine) witnessFor(ctx *checkCtx, i int) (Violation, bool) {
 	if v, ok := ctx.wit[i]; ok {
 		return *v, true
 	}
@@ -619,13 +630,8 @@ func (e *Engine) witnessFor(ctx *checkCtx, i int, res *CheckResult, o *obs.Obser
 	fec := ctx.fec(i)
 	pkt, ok := ctx.witPkt[i]
 	if !ok {
-		shapes := e.compileShapes(ctx, fec)
-		viol, decided, _ := e.violations(ctx, fec, shapes, false)
-		if !decided {
-			var st sat.Stats
-			pkt, st = e.witnessFEC(ctx, fec, shapes)
-			recordSolverStats(o, &res.SolverStats, st)
-		} else if pkt, ok = viol.MinPacket(); !ok {
+		viol, _, _ := e.violations(nil, ctx, fec, e.compileShapes(ctx, fec), false)
+		if pkt, ok = viol.MinPacket(); !ok {
 			panic("core: set algebra disagrees with the violating verdict")
 		}
 	}
@@ -635,20 +641,6 @@ func (e *Engine) witnessFor(ctx *checkCtx, i int, res *CheckResult, o *obs.Obser
 		ctx.vc.memoWitness(ent, &v)
 	}
 	return v, false
-}
-
-// witnessFEC re-solves the FEC's Equation-3 query on a fresh builder and
-// solver for a counterexample packet: a pure function of the FEC and the
-// encoded ACL contents, independent of engine history, worker count, and
-// cache state — the property that keeps warm replays byte-identical to a
-// fresh-engine cold run.
-func (e *Engine) witnessFEC(ctx *checkCtx, fec topo.FEC, shapes []checkShape) (header.Packet, sat.Stats) {
-	enc := newEncoder(ctx.acls, e.obsv())
-	s := smt.SolverOn(enc.b)
-	if !s.Solve(e.shapesViolationFormula(enc, ctx, fec, shapes)) {
-		panic("core: witness solver disagrees with detection verdict")
-	}
-	return s.Packet(enc.pv), s.Stats()
 }
 
 // commitGeneration publishes this generation's binding pairs as the

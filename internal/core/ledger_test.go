@@ -182,7 +182,8 @@ func TestLedgerCheckGolden(t *testing.T) {
 }
 
 // TestLedgerFuzzReplay is the fuzz lane: across random networks,
-// edits, option toggles, and both pipelines, the appended record must
+// edits, option toggles, and both routes (a lowered cube budget splits
+// most FECs on every third case), the appended record must
 // replay to the exact per-FEC verdict set the run reported.
 func TestLedgerFuzzReplay(t *testing.T) {
 	cases := 60
@@ -200,9 +201,9 @@ func TestLedgerFuzzReplay(t *testing.T) {
 		opts := core.DefaultOptions()
 		opts.FindAllViolations = iter%2 == 0
 		opts.UseDifferential = iter%3 != 0
-		disarm := func() {}
+		restore := func() {}
 		if iter%3 == 1 {
-			disarm = forceSAT(t)
+			restore = core.SetCubeBudget(t, 2) // splits most decided FECs
 		}
 		opts.DecisionLog = l
 
@@ -213,7 +214,7 @@ func TestLedgerFuzzReplay(t *testing.T) {
 		} else {
 			res = e.Check()
 		}
-		disarm()
+		restore()
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -233,7 +234,7 @@ func TestLedgerFuzzReplay(t *testing.T) {
 				solved++
 			}
 			switch d.Route {
-			case "skip", "cache", "pset", "sat-bailout":
+			case "skip", "cache", "pset", "pset-split":
 			default:
 				t.Fatalf("case %d: unexpected route %q", iter, d.Route)
 			}

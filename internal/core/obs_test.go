@@ -3,7 +3,6 @@ package core_test
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"slices"
 	"sort"
 	"strings"
@@ -11,9 +10,7 @@ import (
 
 	"jinjing/internal/core"
 	"jinjing/internal/obs"
-	"jinjing/internal/papernet"
 	"jinjing/internal/sat"
-	"jinjing/internal/topo"
 )
 
 // obsHarness wires a full observer (JSONL trace + metrics + unthrottled
@@ -44,14 +41,12 @@ func decodeSpans(t *testing.T, trace *bytes.Buffer) map[string][]obs.SpanRecord 
 }
 
 // TestCheckObservability runs the sequential check under a full observer
-// and cross-checks spans, metrics, progress, and the result's solver
-// stats against each other.
+// and cross-checks spans, metrics, progress, and the result against each
+// other. The check decides in the set algebra and runs no solver: its
+// solver stats are zero and it reports no sat.* counter and no formula.
 func TestCheckObservability(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.FindAllViolations = true
-	// Force the solver: this test cross-checks solver-stat plumbing,
-	// which the pset backend (the default pick here) never feeds.
-	forceSAT(t)
 	trace, progress, m := obsHarness(&opts)
 	e := newRunningEngine(t, opts)
 	res := e.Check()
@@ -59,8 +54,8 @@ func TestCheckObservability(t *testing.T) {
 	if res.Consistent {
 		t.Fatal("running example must be inconsistent")
 	}
-	if res.SolverStats.Decisions == 0 && res.SolverStats.Propagations == 0 {
-		t.Fatalf("solver stats empty: %+v", res.SolverStats)
+	if res.SolverStats != (sat.Stats{}) {
+		t.Fatalf("the check ran a solver: %+v", res.SolverStats)
 	}
 
 	spans := decodeSpans(t, trace)
@@ -79,18 +74,20 @@ func TestCheckObservability(t *testing.T) {
 	}
 
 	snap := m.Snapshot()
-	assertCheckShapeSpans(t, spans, snap, "sat", res.SolvedFECs)
+	assertCheckShapeSpans(t, spans, snap, res.SolvedFECs)
 	if got := snap.Counters["check.fecs"]; got != int64(res.FECs) {
 		t.Fatalf("check.fecs counter %d != result FECs %d", got, res.FECs)
 	}
-	if got := snap.Counters["sat.conflicts"]; got != res.SolverStats.Conflicts {
-		t.Fatalf("sat.conflicts counter %d != aggregated %d", got, res.SolverStats.Conflicts)
+	for name, n := range snap.Counters {
+		if strings.HasPrefix(name, "sat.") && n != 0 {
+			t.Fatalf("%s = %d after a check", name, n)
+		}
 	}
 	if got := snap.Histograms["check.fec_solve_ns"].Count; got != int64(res.SolvedFECs) {
 		t.Fatalf("solve histogram count %d != solved FECs %d", got, res.SolvedFECs)
 	}
-	if snap.Gauges["smt.nodes"] <= 0 {
-		t.Fatal("smt.nodes gauge not set")
+	if _, ok := snap.Gauges["smt.nodes"]; ok {
+		t.Fatal("the check reported a formula size")
 	}
 	if v, ok := snap.Gauges["topo.paths.truncated"]; !ok || v != 0 {
 		t.Fatalf("topo.paths.truncated gauge = %d (set: %v), want 0 reported", v, ok)
@@ -101,12 +98,11 @@ func TestCheckObservability(t *testing.T) {
 }
 
 // assertCheckShapeSpans checks what check reports of its path shapes: the
-// fec.solve spans of the given backend (one per decided FEC) carry the
-// FEC's path count and its distinct-shape count, the check.path_shapes
-// gauge is their sum, and the root has exactly the check's four phase
-// spans under it — compiling shapes added none. Under forceSAT each FEC
-// also has a bailed-out pset span, which must say so.
-func assertCheckShapeSpans(t *testing.T, spans map[string][]obs.SpanRecord, snap obs.Snapshot, backend string, solved int) {
+// fec.solve spans (one per decided FEC) carry the FEC's path count and
+// its distinct-shape count, the check.path_shapes gauge is their sum, and
+// the root has exactly the check's four phase spans under it — compiling
+// shapes added none.
+func assertCheckShapeSpans(t *testing.T, spans map[string][]obs.SpanRecord, snap obs.Snapshot, solved int) {
 	t.Helper()
 	rootID := spans["check"][0].ID
 	var phases []string
@@ -123,11 +119,8 @@ func assertCheckShapeSpans(t *testing.T, spans map[string][]obs.SpanRecord, snap
 	}
 	sum, decided := int64(0), 0
 	for _, s := range spans["fec.solve"] {
-		if s.Attrs["backend"] != backend {
-			if s.Attrs["backend"] != "pset" || s.Attrs["bailout"] != true {
-				t.Fatalf("fec.solve span attrs %v: want backend=%s or a pset bail-out", s.Attrs, backend)
-			}
-			continue
+		if s.Attrs["backend"] != "pset" {
+			t.Fatalf("fec.solve span attrs %v: want backend=pset", s.Attrs)
 		}
 		paths, _ := s.Attrs["paths"].(float64)
 		shapes, _ := s.Attrs["shapes"].(float64)
@@ -138,16 +131,17 @@ func assertCheckShapeSpans(t *testing.T, spans map[string][]obs.SpanRecord, snap
 		decided++
 	}
 	if decided != solved {
-		t.Fatalf("%d %s fec.solve spans, %d solved FECs", decided, backend, solved)
+		t.Fatalf("%d fec.solve spans, %d solved FECs", decided, solved)
 	}
 	if got := snap.Gauges["check.path_shapes"]; got != sum {
 		t.Fatalf("check.path_shapes gauge %d, fec.solve spans sum to %d", got, sum)
 	}
 }
 
-// TestCheckPsetObservability is the default route's half of the above:
-// the set algebra decides every FEC of the running example, and its
-// fec.solve spans and counters say so.
+// TestCheckPsetObservability pins what the set algebra reports of its
+// decisions: it decides every FEC of the running example on its flip
+// region whole, and each fec.solve span names what the decision's cost
+// followed. FECs split at a lowered budget say so too.
 func TestCheckPsetObservability(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.FindAllViolations = true
@@ -155,7 +149,7 @@ func TestCheckPsetObservability(t *testing.T) {
 	res := newRunningEngine(t, opts).Check()
 	snap := m.Snapshot()
 	spans := decodeSpans(t, trace)
-	assertCheckShapeSpans(t, spans, snap, "pset", res.SolvedFECs)
+	assertCheckShapeSpans(t, spans, snap, res.SolvedFECs)
 	if got := snap.Counters["backend.pset.selected"]; got != int64(res.SolvedFECs) || snap.Counters["backend.bailout"] != 0 {
 		t.Fatalf("backend.pset.selected=%d backend.bailout=%d, want %d and 0", got, snap.Counters["backend.bailout"], res.SolvedFECs)
 	}
@@ -173,62 +167,41 @@ func TestCheckPsetObservability(t *testing.T) {
 	if got := snap.Counters["check.pset.rules_folded"]; got != folded || folded == 0 {
 		t.Fatalf("check.pset.rules_folded=%d, fec.solve spans sum to %d (want equal and non-zero)", got, folded)
 	}
-	// No FEC took the SAT route, so the check built no formula.
-	if nodes, misses := snap.Gauges["smt.nodes"], snap.Counters["encoder.cache.misses"]; nodes != 0 || misses != 0 {
-		t.Fatalf("smt.nodes=%d encoder.cache.misses=%d, want 0 and 0", nodes, misses)
-	}
-}
 
-// TestSATBuilderScopedToGeneration checks After A, then B, then A again
-// on one engine under forceSAT. Each After is its own generation with its
-// own formula builder, so the smt.nodes gauge measures that generation
-// and does not accumulate across edits: without a verdict cache the
-// third check rebuilds exactly the first check's formulas; with one, it
-// replays every verdict and builds none.
-func TestSATBuilderScopedToGeneration(t *testing.T) {
-	before := papernet.Build()
-	afterA := runningExampleUpdate(before)
-	afterB := editAfter(t, afterA, "C:1", papernet.Traffic(6))
-	for _, cached := range []bool{false, true} {
-		t.Run(fmt.Sprintf("cache=%v", cached), func(t *testing.T) {
-			forceSAT(t)
-			opts := core.DefaultOptions()
-			opts.FindAllViolations = true
-			if cached {
-				opts.Verdicts = core.NewVerdictCache()
+	// At a budget of two cubes splitEngine's network splits FECs: each is
+	// counted in backend.bailout, and its span counts its pieces.
+	core.SetCubeBudget(t, 2)
+	trace, _, m = obsHarness(&opts)
+	split := splitEngine(opts).Check()
+	snap = m.Snapshot()
+	if split.Stats.PsetBailout == 0 || snap.Counters["backend.bailout"] != split.Stats.PsetBailout ||
+		split.Stats.PsetDecided+split.Stats.PsetBailout != int64(split.SolvedFECs) {
+		t.Fatalf("at 2 cubes: stats %+v, backend.bailout=%d, %d solved FECs", split.Stats, snap.Counters["backend.bailout"], split.SolvedFECs)
+	}
+	pieces := 0
+	for _, s := range decodeSpans(t, trace)["fec.solve"] {
+		if leaves, ok := s.Attrs["leaves"].(float64); ok {
+			if leaves < 1 {
+				t.Fatalf("fec.solve span attrs %v: a split decides at least one piece", s.Attrs)
 			}
-			_, _, m := obsHarness(&opts)
-			e := core.New(before, afterA, papernet.Scope(), opts)
-			var nodes []int64
-			for _, after := range []*topo.Network{afterA, afterB, afterA} {
-				e.UpdateAfter(after)
-				if e.Check().Consistent {
-					t.Fatal("every After must be inconsistent")
-				}
-				nodes = append(nodes, m.Snapshot().Gauges["smt.nodes"])
-			}
-			want := nodes[0]
-			if cached {
-				want = 0
-			}
-			if nodes[0] == 0 || nodes[2] != want {
-				t.Fatalf("smt.nodes per check %v: want a non-zero first and a third of %d", nodes, want)
-			}
-		})
+			pieces++
+		}
+	}
+	if int64(pieces) != split.Stats.PsetBailout {
+		t.Fatalf("%d fec.solve spans count pieces, %d FECs split", pieces, split.Stats.PsetBailout)
 	}
 }
 
 // TestCheckParallelObservability checks what check reports under
-// Workers=4, which it ignores: the solver stats — in the result aggregate
-// and the metrics registry alike — equal a one-worker run's, and the
-// root span names no worker count.
+// Workers=4, which it ignores: the decision stats and the rules the set
+// algebra folded equal a one-worker run's, and the root span names no
+// worker count.
 func TestCheckParallelObservability(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.FindAllViolations = true
-	// Force the solver: the test compares solver stats, which the pset
-	// backend never feeds.
-	forceSAT(t)
-	want := newRunningEngine(t, opts).Check().SolverStats
+	_, _, m1 := obsHarness(&opts)
+	want := newRunningEngine(t, opts).Check().Stats
+	folded := m1.Snapshot().Counters["check.pset.rules_folded"]
 	opts.Workers = 4
 	trace, _, m := obsHarness(&opts)
 	e := newRunningEngine(t, opts)
@@ -237,13 +210,10 @@ func TestCheckParallelObservability(t *testing.T) {
 	if res.Consistent {
 		t.Fatal("running example must be inconsistent")
 	}
-	if res.SolverStats != want || want.Propagations == 0 {
-		t.Fatalf("Workers=4 solver stats %+v, one worker %+v", res.SolverStats, want)
-	}
 	snap := m.Snapshot()
-	if snap.Counters["sat.propagations"] != res.SolverStats.Propagations {
-		t.Fatalf("sat.propagations %d != aggregate %d",
-			snap.Counters["sat.propagations"], res.SolverStats.Propagations)
+	if res.Stats != want || snap.Counters["check.pset.rules_folded"] != folded || folded == 0 {
+		t.Fatalf("Workers=4 stats %+v and %d rules folded, one worker %+v and %d",
+			res.Stats, snap.Counters["check.pset.rules_folded"], want, folded)
 	}
 	spans := decodeSpans(t, trace)
 	root := spans["check"]
@@ -267,7 +237,6 @@ func TestCheckParallelObservability(t *testing.T) {
 func TestFixObservability(t *testing.T) {
 	opts := core.DefaultOptions()
 	trace, _, m := obsHarness(&opts)
-	seeks := countFixSeeks(t)
 	e := newRunningEngine(t, opts)
 	res, err := e.Fix()
 	if err != nil {
@@ -275,9 +244,6 @@ func TestFixObservability(t *testing.T) {
 	}
 	if !res.Verified {
 		t.Fatal("fix must verify on the running example")
-	}
-	if n := seeks(); n != 0 {
-		t.Fatalf("fix made %d solver seeks, want 0", n)
 	}
 	snap := m.Snapshot()
 	if len(res.Neighborhoods) == 0 {
@@ -421,10 +387,13 @@ func TestGenerateObservability(t *testing.T) {
 }
 
 // TestObserverOffStillAggregatesSolverStats pins that the result's
-// solver counters do not depend on an observer being attached.
+// solver counters do not depend on an observer being attached: fix's
+// placement solvers still add up.
 func TestObserverOffStillAggregatesSolverStats(t *testing.T) {
-	forceSAT(t)
-	res := newRunningEngine(t, core.DefaultOptions()).Check()
+	res, err := newRunningEngine(t, core.DefaultOptions()).Fix()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.SolverStats == (sat.Stats{}) {
 		t.Fatal("SolverStats must be aggregated even without an observer")
 	}

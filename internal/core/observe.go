@@ -38,9 +38,3 @@ func recordSolverStats(o *obs.Observer, agg *sat.Stats, st sat.Stats) {
 	m.Counter("sat.learned").Add(st.Learned)
 	m.Counter("sat.deleted").Add(st.Deleted)
 }
-
-// recordBuilderSize publishes the shared formula DAG size (a proxy for
-// encoding work, compared across encodings in the benches).
-func recordBuilderSize(o *obs.Observer, enc *encoder) {
-	o.Gauge("smt.nodes").Set(int64(enc.b.NumNodes()))
-}

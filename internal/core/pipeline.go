@@ -7,8 +7,6 @@ import (
 	"jinjing/internal/header"
 	"jinjing/internal/obs"
 	"jinjing/internal/pset"
-	"jinjing/internal/sat"
-	"jinjing/internal/smt"
 	"jinjing/internal/topo"
 )
 
@@ -17,8 +15,8 @@ import (
 // in-scope binding's related-filtered encoding pair as ACL-table IDs, and
 // the per-FEC incremental resolution state (see resolveFEC). It is cached
 // on the engine and dropped by UpdateAfter and ReleaseSession, and
-// everything it holds dies with it — the SAT route's formula builder and
-// solver included.
+// everything it holds dies with it — the set algebra's lazy indexes
+// included.
 type checkCtx struct {
 	// tab is the ACL table the generation's IDs were drawn from.
 	tab *aclTable
@@ -44,9 +42,7 @@ type checkCtx struct {
 	src  *topo.FECSource
 	fecs []topo.FEC
 	nfec int
-	// maxNodes is the size of the formula builder the current call's scan
-	// closed on; peakHeap is the call's sampled heap (see sampleHeap).
-	maxNodes int64
+	// peakHeap is the call's sampled heap (see sampleHeap).
 	peakHeap int64
 
 	// Incremental resolution state (sized by prepareIncremental).
@@ -57,22 +53,12 @@ type checkCtx struct {
 	// exhausted, ...).
 	unknownReason []string
 	// Solve forensics (see forensics.go): routes[i] records how FEC i's
-	// verdict was established, solveNS[i] its complete-backend decision
-	// time.
+	// verdict was established, solveNS[i] its set-algebra decision time.
 	routes  []fecRoute
 	solveNS []int64
 	// pathShapes sums the distinct path shapes of the FECs the current
 	// call compiled (the check.path_shapes gauge).
 	pathShapes int64
-
-	// enc and seq are the SAT route: the content-addressed encoder over
-	// one formula builder and the detection solver on it, built by the
-	// first FEC whose pset attempt bails out on the cube budget. An
-	// Unknown FEC re-resolved by a later call on this generation
-	// hash-conses onto the same nodes, so the solver resumes with its
-	// learned clauses.
-	enc *encoder
-	seq *smt.Solver
 
 	// wit memoizes canonical witnesses per FEC for this generation, and
 	// witPkt holds the witness packet of each FEC this generation's set
@@ -80,8 +66,8 @@ type checkCtx struct {
 	wit    map[int]*Violation
 	witPkt map[int]header.Packet
 
-	// walk interns what the generation's paths cross for the complete
-	// procedures, and encPairs is the table of distinct encoded pairs its
+	// walk interns what the generation's paths cross for the set
+	// algebra, and encPairs is the table of distinct encoded pairs its
 	// indices point into (see pathWalk). aclIx indexes each ACL-table
 	// ID's rules by destination and diffIx each changed pair's
 	// differential rules (see permittedWithin and diffWithin); folded
@@ -147,50 +133,48 @@ func (e *Engine) checkContext() *checkCtx {
 	return ctx
 }
 
-// solveCall is what one call's solve phase shares across the pipeline's
-// stages (decide → scan → resolveFEC → decideSAT): the call's scope,
-// whether it finds every violation, the solver counters it reports into,
-// and the observability hooks — the phase span parenting the per-FEC
-// "fec.solve" spans, the all-backends and SAT-only decision-latency
-// histograms, the progress task, and the count of SAT queries that
-// reached a verdict.
+// solveCall is what one call's solve phase shares between decide and
+// resolveFEC: the call's scope and the observability hooks — the phase
+// span parenting the per-FEC "fec.solve" spans, the decision-latency
+// histogram, and the progress task.
 type solveCall struct {
-	cn      *canceller
-	ctx     *checkCtx
-	o       *obs.Observer
-	findAll bool
-	stats   *sat.Stats
+	cn  *canceller
+	ctx *checkCtx
+	o   *obs.Observer
 
-	span    *obs.Span
-	hist    *obs.Histogram // check.fec_solve_ns
-	satHist *obs.Histogram // fec.solve.ns{backend=sat}
-	task    *obs.Task      // "check: FECs": FECs settled, of the scope's FEC count
-	decided int
+	span *obs.Span
+	hist *obs.Histogram // check.fec_solve_ns
+	task *obs.Task      // "check: FECs": FECs settled, of the scope's FEC count
 }
 
 // decide is the detection pipeline of Algorithm 1 and the one place a
-// FEC's verdict is established, for check and fix alike: resolve →
-// decide → merge over the FEC index space [0, nfec) under the caller's
-// solve-phase span, stopping at the first violation unless findAll.
-// Verdicts land in the per-FEC states, so the merge — and with it hits,
-// Unknown, SolvedFECs, the witnesses and the FECs fix seeks in — is a
-// pure function of the states. Solver counters accumulate into stats.
-// Returns the ascending violating FEC indices (one at most in
-// first-violation mode), the last FEC index the scan semantically
-// examined, and the count of SAT queries that reached a verdict.
-func (e *Engine) decide(cn *canceller, ctx *checkCtx, span *obs.Span, findAll bool, stats *sat.Stats) (hits []int, last, decided int) {
+// FEC's verdict is established, for check and fix alike: it resolves the
+// FECs over the index space [0, nfec) in order, on the calling
+// goroutine, under the caller's solve-phase span, and stops at the first
+// violation unless findAll, so a first-violation stop decides nothing
+// past the hit. Differential skip, cached-verdict replay and the set
+// algebra each settle a FEC on the spot; an interrupted decision is
+// Unknown and the scan goes on, and a cancellation stops it. Verdicts
+// land in the per-FEC states, so the merge — and with it hits, Unknown,
+// SolvedFECs, the witnesses and the FECs fix seeks in — is a pure
+// function of the states. Returns the ascending violating FEC indices
+// (one at most in first-violation mode) and the last FEC index the scan
+// semantically examined.
+func (e *Engine) decide(cn *canceller, ctx *checkCtx, span *obs.Span, findAll bool) (hits []int, last int) {
 	o := e.obsv()
 	c := &solveCall{
-		cn: cn, ctx: ctx, o: o, findAll: findAll, stats: stats,
-		span:    span,
-		hist:    o.Histogram("check.fec_solve_ns"),
-		satHist: o.Histogram("fec.solve.ns{backend=sat}"),
-		task:    o.StartTask("check: FECs", int64(ctx.nfec)),
+		cn: cn, ctx: ctx, o: o,
+		span: span,
+		hist: o.Histogram("check.fec_solve_ns"),
+		task: o.StartTask("check: FECs", int64(ctx.nfec)),
 	}
 	last = ctx.nfec - 1
-	if !cn.cancelled() {
-		if first := e.scan(c); first >= 0 {
-			last = first
+	for i := 0; i < ctx.nfec && !cn.cancelled(); i++ {
+		st := e.resolveFEC(c, i)
+		c.task.Add(1)
+		if st == fecViolating && !findAll {
+			last = i // replayed or just decided: the scan stops here either way
+			break
 		}
 	}
 	c.task.Done()
@@ -209,46 +193,7 @@ func (e *Engine) decide(cn *canceller, ctx *checkCtx, span *obs.Span, findAll bo
 			hits = append(hits, i)
 		}
 	}
-	return hits, last, c.decided
-}
-
-// scan runs every FEC through resolveFEC, in order, on the calling
-// goroutine. A FEC that takes the SAT route is decided where it is
-// resolved, so a first-violation stop builds no formula past the hit.
-//
-// Returns the FEC index of the violation the scan stops at, or -1 (always
-// -1 in find-all mode).
-func (e *Engine) scan(c *solveCall) int {
-	ctx := c.ctx
-	// A solver from an earlier call on this generation may carry that
-	// call's interrupt; registering clears it (decideSAT registers one it
-	// builds).
-	var base sat.Stats
-	if ctx.seq != nil {
-		c.cn.register(ctx.seq)
-		base = ctx.seq.Stats()
-	}
-	// Differential skip, cached-verdict replay, pset and the solver each
-	// settle a FEC on the spot. A budget-exhausted query is Unknown and
-	// the scan continues (one pathological query must not starve the
-	// rest); a cancellation stops it, and decide marks what is left.
-	hit := -1
-	for i := 0; i < ctx.nfec && !c.cn.cancelled(); i++ {
-		st := e.resolveFEC(c, i)
-		c.task.Add(1)
-		if st == fecViolating && !c.findAll {
-			// Replayed or just decided: the scan stops here either way.
-			hit = i
-			break
-		}
-	}
-	var st sat.Stats
-	if ctx.seq != nil {
-		st = statsSince(ctx.seq.Stats(), base)
-		ctx.maxNodes = int64(ctx.enc.b.NumNodes())
-	}
-	recordSolverStats(c.o, c.stats, st)
-	return hit
+	return hits, last
 }
 
 // sampleHeap folds the current live-heap size into the call's peak.
@@ -260,18 +205,5 @@ func (ctx *checkCtx) sampleHeap() {
 	runtime.ReadMemStats(&ms)
 	if h := int64(ms.HeapAlloc); h > ctx.peakHeap {
 		ctx.peakHeap = h
-	}
-}
-
-// statsSince subtracts a baseline snapshot from cumulative solver
-// counters, so a generation's solver reports per-call deltas.
-func statsSince(cur, base sat.Stats) sat.Stats {
-	return sat.Stats{
-		Decisions:    cur.Decisions - base.Decisions,
-		Propagations: cur.Propagations - base.Propagations,
-		Conflicts:    cur.Conflicts - base.Conflicts,
-		Restarts:     cur.Restarts - base.Restarts,
-		Learned:      cur.Learned - base.Learned,
-		Deleted:      cur.Deleted - base.Deleted,
 	}
 }

@@ -4,15 +4,15 @@ package core
 // verification pipeline. The design has three layers:
 //
 //   - A canceller relays context cancellation to every solver a
-//     primitive call has in flight: solvers register on acquisition
-//     (which also clears any interrupt a previous cancelled call left
-//     on the generation's solver), and the context watcher interrupts
-//     them all when the deadline fires.
+//     primitive call has in flight: solvers register on acquisition, and
+//     the context watcher interrupts them all when the deadline fires.
+//     The check, which runs no solver, polls it between FECs and between
+//     the pieces of a split flip region (see violations).
 //
-//   - solveWithRetries wraps one solver query with the per-FEC conflict
-//     budget and escalating retries: the SAT solver keeps its learned
-//     clauses across an exhausted budget, so each retry resumes the
-//     proof with a 4x larger allowance instead of restarting it.
+//   - solveWithRetries wraps one generate AEC query with the per-query
+//     conflict budget and escalating retries: the SAT solver keeps its
+//     learned clauses across an exhausted budget, so each retry resumes
+//     the proof with a 4x larger allowance instead of restarting it.
 //
 //   - A query that still has no verdict yields Unknown. Unknown is a
 //     first-class outcome: check reports the FEC in CheckResult.Unknown
@@ -31,7 +31,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"jinjing/internal/faultinject"
 	"jinjing/internal/header"
@@ -45,7 +44,8 @@ import (
 const reasonCancelled = "cancelled"
 
 // reasonTransient marks verdicts abandoned after injected transient
-// faults outlasted the retry allowance (test-only in practice).
+// faults outlasted the retry allowance, or hit the check, which has
+// none (test-only in practice).
 const reasonTransient = "transient fault"
 
 // UnknownFEC identifies one FEC whose verdict could not be established
@@ -94,25 +94,17 @@ type canceller struct {
 // cancelled reports whether the call has been cancelled.
 func (c *canceller) cancelled() bool { return c != nil && c.done.Load() }
 
-// register adds a solver to the interrupt fan-out. Registration also
-// clears any interrupt a previous cancelled call left on the
-// generation's solver; if this call is already cancelled the solver is
-// interrupted immediately instead.
+// register adds a fresh solver to the interrupt fan-out; if this call
+// is already cancelled the solver is interrupted at once.
 func (c *canceller) register(s *smt.Solver) {
 	if c == nil {
-		s.ClearInterrupt()
 		return
 	}
-	if c.done.Load() {
-		s.Interrupt()
-		return
-	}
-	s.ClearInterrupt()
 	c.mu.Lock()
 	c.solvers = append(c.solvers, s)
 	c.mu.Unlock()
 	if c.done.Load() {
-		// cancel raced the registration; make sure this solver stops too.
+		// cancel ran before or raced the registration: stop this one too.
 		s.Interrupt()
 	}
 }
@@ -172,18 +164,17 @@ func (e *Engine) beginCall(ctx context.Context) (*canceller, func()) {
 	}
 }
 
-// solveWithRetries runs one solver query under the engine's per-FEC
-// conflict budget, escalating 4x per retry up to Options.MaxRetries.
-// State preservation in the SAT core means each retry resumes the
-// search where the last budget ran out. The returned Result is Unknown
-// only when the verdict genuinely could not be established this call:
-// the budget survived every retry, the call was cancelled, or an
-// injected transient fault outlasted the allowance.
-//
-// site names the faultinject hook guarding this query; needModel
-// selects SolveLimited (model retained for witness/packet extraction)
-// over DecideLimited.
-func (e *Engine) solveWithRetries(cn *canceller, solver *smt.Solver, o *obs.Observer, site faultinject.Site, needModel bool, assumptions ...smt.F) sat.Result {
+// solveWithRetries runs one generate AEC query (its only caller is
+// solveAEC) under the engine's per-query conflict budget, escalating 4x
+// per retry up to Options.MaxRetries, and keeps the model of a Sat
+// outcome. State preservation in the SAT core means each retry resumes
+// the search where the last budget ran out. The returned Result is
+// Unknown only when the verdict genuinely could not be established this
+// call: the budget survived every retry, the call was cancelled, or an
+// injected transient fault outlasted the allowance. The GenerateAEC
+// fault site guards every attempt.
+func (e *Engine) solveWithRetries(cn *canceller, solver *smt.Solver, o *obs.Observer) sat.Result {
+	const site = faultinject.GenerateAEC
 	budget := e.Opts.PerFECBudget
 	for attempt := 0; ; attempt++ {
 		if cn.cancelled() {
@@ -208,12 +199,7 @@ func (e *Engine) solveWithRetries(cn *canceller, solver *smt.Solver, o *obs.Obse
 		if budget > 0 {
 			b.Conflicts = budget
 		}
-		var r sat.Result
-		if needModel {
-			r = solver.SolveLimited(b, assumptions...)
-		} else {
-			r = solver.DecideLimited(b, assumptions...)
-		}
+		r := solver.SolveLimited(b)
 		if r.Outcome != sat.Unknown {
 			return r
 		}
@@ -237,41 +223,6 @@ func (e *Engine) solveWithRetries(cn *canceller, solver *smt.Solver, o *obs.Obse
 			budget *= 4
 		}
 	}
-}
-
-// decideSAT decides FEC i's Equation-3 query on the generation's solver
-// for check, building the builder and solver if no FEC has taken the
-// SAT route yet. It records the verdict (finishVerdict, under the FEC's
-// content key) or the Unknown (markUnknown — never cached), the per-FEC
-// solve forensics, and the FEC's SAT fec.solve span. Returns the FEC's
-// resulting state: fecOK, fecViolating, or fecUnknown.
-func (e *Engine) decideSAT(c *solveCall, i int, key []uint64, shapes []checkShape) fecState {
-	ctx := c.ctx
-	if ctx.seq == nil {
-		ctx.enc = newEncoder(ctx.acls, c.o)
-		ctx.seq = smt.SolverOn(ctx.enc.b)
-		c.cn.register(ctx.seq)
-	}
-	enc, fec := ctx.enc, ctx.fec(i)
-	query := e.shapesViolationFormula(enc, ctx, fec, shapes)
-	fsp := c.span.Child("fec.solve", obs.KV("fec", i), obs.KV("backend", "sat"),
-		obs.KV("paths", len(fec.Paths)), obs.KV("shapes", len(shapes)))
-	t1 := time.Now()
-	r := e.solveWithRetries(c.cn, ctx.seq, c.o, faultinject.CheckSolve, false, query)
-	ns := time.Since(t1).Nanoseconds()
-	ctx.solveNS[i] += ns
-	c.hist.Observe(ns)
-	c.satHist.Observe(ns)
-	if r.Outcome == sat.Unknown {
-		ctx.markUnknown(i, r.Reason)
-		fsp.SetAttr("verdict", "unknown")
-	} else {
-		c.decided++
-		ctx.finishVerdict(i, key, r.Outcome == sat.Sat)
-		fsp.SetAttr("verdict", verdictString(ctx.states[i]))
-	}
-	fsp.End()
-	return ctx.states[i]
 }
 
 // unknownFECs lists the FECs left without a verdict in [0, last],

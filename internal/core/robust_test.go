@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -27,13 +28,10 @@ import (
 // lane; none may call t.Parallel (the faultinject registry is
 // process-global).
 
-// findAllOpts is the fault lane's baseline configuration: the running
-// example with every violation reported, so partial results have
-// something to be partial about. It forces the SAT route (forceSAT) until
-// the test ends — the lane's faults wedge solver queries, and the
-// packet-set algebra would answer them without ever touching a solver.
+// findAllOpts is the fault lane's baseline check configuration: the
+// running example with every violation reported, so partial results have
+// something to be partial about.
 func findAllOpts(t *testing.T) core.Options {
-	forceSAT(t)
 	opts := core.DefaultOptions()
 	opts.FindAllViolations = true
 	return opts
@@ -41,7 +39,7 @@ func findAllOpts(t *testing.T) core.Options {
 
 // eachFaultMode runs fn with findAllOpts at one worker and at two. Check
 // runs on the calling goroutine whatever the count, so both arms must
-// degrade identically.
+// degrade identically; generate fans its AECs out at two.
 func eachFaultMode(t *testing.T, fn func(t *testing.T, opts core.Options)) {
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -53,23 +51,45 @@ func eachFaultMode(t *testing.T, fn func(t *testing.T, opts core.Options)) {
 	}
 }
 
-// TestFaultTimeoutRetryRecovers injects one solver timeout into the
-// first check query: the retry path must re-run it and the final result
-// must equal the clean run.
+// generateSignature runs the §5 migration under opts and renders what it
+// produced: every synthesized ACL by target binding, and the verdict of
+// its verification check.
+func generateSignature(t *testing.T, opts core.Options) string {
+	t.Helper()
+	e, sources := migrationEngine(opts)
+	res, err := e.Generate(sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]string, 0, len(res.ACLs))
+	for id := range res.ACLs {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	var b strings.Builder
+	for _, id := range ids {
+		fmt.Fprintf(&b, "%s: %s\n", id, res.ACLs[id])
+	}
+	fmt.Fprintf(&b, "verified=%v\n", res.Verified)
+	return b.String()
+}
+
+// TestFaultTimeoutRetryRecovers injects solver timeouts into the first
+// AEC queries of generate, whose queries are the ones with a retry loop
+// (the check runs no solver): the retry path must re-run them and the
+// generated ACLs must equal the clean run's.
 func TestFaultTimeoutRetryRecovers(t *testing.T) {
 	defer faultinject.Reset()
-	want := checkSignature(newRunningEngine(t, findAllOpts(t)).Check())
+	want := generateSignature(t, core.DefaultOptions())
 
-	faultinject.Reset() // the schedule below numbers CheckSolve hits from here
-	opts := findAllOpts(t)
+	faultinject.Reset() // the schedule below numbers GenerateAEC hits from here
+	opts := core.DefaultOptions()
 	_, _, m := obsHarness(&opts)
-	faultinject.Schedule(faultinject.CheckSolve, faultinject.Timeout, 1)
-	res := newRunningEngine(t, opts).Check()
-	if got := checkSignature(res); got != want {
-		t.Fatalf("timeout-retried check diverged:\n%s\nwant:\n%s", got, want)
-	}
-	if !res.Complete {
-		t.Fatalf("retry should have recovered the verdict, Unknown=%v", res.Unknown)
+	// The first two hits: a query decided before its search starts
+	// ignores an interrupt, so one of them reaches a search.
+	faultinject.Schedule(faultinject.GenerateAEC, faultinject.Timeout, 1, 2)
+	if got := generateSignature(t, opts); got != want {
+		t.Fatalf("timeout-retried generate diverged:\n%s\nwant:\n%s", got, want)
 	}
 	if n := m.Snapshot().Counters["retry.count"]; n < 1 {
 		t.Fatalf("retry.count = %d, want >= 1", n)
@@ -77,40 +97,62 @@ func TestFaultTimeoutRetryRecovers(t *testing.T) {
 }
 
 // TestFaultTransientRetryRecovers is the same contract for a transient
-// fault: one retryable failure, same final answer.
+// fault: one retryable failure, same generated ACLs.
 func TestFaultTransientRetryRecovers(t *testing.T) {
 	defer faultinject.Reset()
-	want := checkSignature(newRunningEngine(t, findAllOpts(t)).Check())
+	want := generateSignature(t, core.DefaultOptions())
 
-	faultinject.Reset() // the schedule below numbers CheckSolve hits from here
-	opts := findAllOpts(t)
+	faultinject.Reset() // the schedule below numbers GenerateAEC hits from here
+	opts := core.DefaultOptions()
 	_, _, m := obsHarness(&opts)
-	faultinject.Schedule(faultinject.CheckSolve, faultinject.Transient, 1)
-	res := newRunningEngine(t, opts).Check()
-	if got := checkSignature(res); got != want {
-		t.Fatalf("transient-retried check diverged:\n%s\nwant:\n%s", got, want)
+	faultinject.Schedule(faultinject.GenerateAEC, faultinject.Transient, 1)
+	if got := generateSignature(t, opts); got != want {
+		t.Fatalf("transient-retried generate diverged:\n%s\nwant:\n%s", got, want)
 	}
 	if n := m.Snapshot().Counters["retry.count"]; n < 1 {
 		t.Fatalf("retry.count = %d, want >= 1", n)
 	}
 }
 
-// TestFaultTransientExhaustsRetries pins the degradation side: with no
-// retry allowance, persistent transient faults leave every solver-bound
-// FEC Unknown, reported ascending, and the check is honest about being
-// incomplete.
+// TestFaultTransientExhaustsRetries pins the degradation side: with a
+// retry allowance of two, persistent transient faults retry every AEC
+// query twice and then leave it Unknown, so generate refuses with every
+// blocked AEC named, ascending.
 func TestFaultTransientExhaustsRetries(t *testing.T) {
 	defer faultinject.Reset()
+	opts := core.DefaultOptions()
+	opts.MaxRetries = 2
+	_, _, m := obsHarness(&opts)
+	faultinject.Schedule(faultinject.GenerateAEC, faultinject.Transient)
+	e, sources := migrationEngine(opts)
+	res, err := e.Generate(sources)
+	var uv *core.ErrUnknownVerdicts
+	if res != nil || !errors.As(err, &uv) || len(uv.AECs) == 0 {
+		t.Fatalf("persistent transient faults must block generate: res=%v err=%v", res, err)
+	}
+	for i := 1; i < len(uv.AECs); i++ {
+		if uv.AECs[i-1] >= uv.AECs[i] {
+			t.Fatalf("blocking AECs not ascending: %v", uv.AECs)
+		}
+	}
+	attempts := faultinject.Hits(faultinject.GenerateAEC)
+	if n := m.Snapshot().Counters["retry.count"]; attempts == 0 || n != attempts*2/3 {
+		t.Fatalf("retry.count = %d for %d attempts, want two retries per query", n, attempts)
+	}
+}
+
+// TestFaultCheckTransientMarksUnknown pins the check's side of a transient
+// fault: the check has no retry, so every FEC its set algebra would
+// decide is Unknown("transient fault"), reported ascending, and the check
+// is honest about being incomplete.
+func TestFaultCheckTransientMarksUnknown(t *testing.T) {
+	defer faultinject.Reset()
 	opts := findAllOpts(t)
-	opts.MaxRetries = 0
 	_, _, m := obsHarness(&opts)
 	faultinject.Schedule(faultinject.CheckSolve, faultinject.Transient)
 	res := newRunningEngine(t, opts).Check()
-	if res.Complete {
-		t.Fatal("persistent transient faults must leave the check incomplete")
-	}
-	if len(res.Unknown) == 0 {
-		t.Fatal("no Unknown FECs reported")
+	if res.Complete || len(res.Unknown) == 0 {
+		t.Fatalf("persistent transient faults must leave the check incomplete: %+v", res.Unknown)
 	}
 	for i, u := range res.Unknown {
 		if u.Reason != "transient fault" {
@@ -126,11 +168,11 @@ func TestFaultTransientExhaustsRetries(t *testing.T) {
 }
 
 // TestFaultUnknownNeverCachedAndRepaired is the verdict-cache soundness
-// regression: a run whose queries all time out finds no violation (the
-// dangerous consistent-but-incomplete case), and none of its Unknown
-// FECs may be stored in the VerdictCache — the next unrestricted call
-// on the same warm engine must re-solve them and land on the cold-run
-// answer, violations and all.
+// regression: a run whose every FEC decision is interrupted finds no
+// violation (the dangerous consistent-but-incomplete case), and none of
+// its Unknown FECs may be stored in the VerdictCache — the next
+// unrestricted call on the same warm engine must decide them and land on
+// the cold-run answer, violations and all.
 func TestFaultUnknownNeverCachedAndRepaired(t *testing.T) {
 	eachFaultMode(t, func(t *testing.T, opts core.Options) {
 		opts.MaxRetries = 0
@@ -176,37 +218,31 @@ func TestFaultUnknownNeverCachedAndRepaired(t *testing.T) {
 	})
 }
 
-// TestFaultDeadlineCancelsPromptly wedges the solver (every query times
-// out, retries effectively unbounded) and relies on Options.Deadline to
-// cut the call loose: the check must return promptly with every
-// undecided FEC marked cancelled.
+// TestFaultDeadlineCancelsPromptly wedges generate's solver (every AEC
+// query times out, retries effectively unbounded) and relies on
+// Options.Deadline to cut the call loose: generate must return promptly
+// and refuse, naming the AECs it never decided.
 func TestFaultDeadlineCancelsPromptly(t *testing.T) {
 	eachFaultMode(t, func(t *testing.T, opts core.Options) {
 		opts.MaxRetries = 1 << 30
 		opts.Deadline = 50 * time.Millisecond
-		faultinject.Schedule(faultinject.CheckSolve, faultinject.Timeout)
+		faultinject.Schedule(faultinject.GenerateAEC, faultinject.Timeout)
 
 		start := time.Now()
-		res := newRunningEngine(t, opts).Check()
+		e, sources := migrationEngine(opts)
+		res, err := e.Generate(sources)
 		if elapsed := time.Since(start); elapsed > 10*time.Second {
 			t.Fatalf("deadline did not cut the wedged call loose: took %v", elapsed)
 		}
-		if res.Complete {
-			t.Fatal("a deadline-cancelled check cannot be complete")
-		}
-		if len(res.Unknown) == 0 {
-			t.Fatal("no Unknown FECs reported")
-		}
-		for _, u := range res.Unknown {
-			if u.Reason != "cancelled" {
-				t.Fatalf("Unknown reason = %q, want \"cancelled\"", u.Reason)
-			}
+		var uv *core.ErrUnknownVerdicts
+		if res != nil || !errors.As(err, &uv) || len(uv.AECs) == 0 {
+			t.Fatalf("a deadline-cancelled generate must refuse: res=%v err=%v", res, err)
 		}
 	})
 }
 
 // TestFaultCancelledContextMarksUnknown runs a check under an
-// already-cancelled context: it must return with every solver-bound FEC
+// already-cancelled context: it must return with every FEC
 // Unknown("cancelled") and, after the faults are lifted, the same warm
 // engine must repair to the cold answer — cancelled verdicts are never
 // cached either.
@@ -243,8 +279,7 @@ func TestFaultCancelledContextMarksUnknown(t *testing.T) {
 	})
 }
 
-// TestFaultWorkerPanicRecovered crashes the check's first solver query
-// mid-decision. Check decides on the calling goroutine at every worker
+// TestFaultWorkerPanicRecovered crashes the check's first FEC decision. Check decides on the calling goroutine at every worker
 // count, which has nobody to hand the job to — the panic surfaces
 // instead of being swallowed, and nothing counts as recovered.
 func TestFaultWorkerPanicRecovered(t *testing.T) {
@@ -345,16 +380,13 @@ func TestFaultFixPoolRetriesPanickedJobs(t *testing.T) {
 	}
 }
 
-// TestFaultFixRefusesUnknownVerdicts sends every seek to the solver, as
-// a cube-budget overflow does, and wedges every one of those solves: fix
-// must emit no plan at all and name the blocking FECs in ascending order.
+// TestFaultFixRefusesUnknownVerdicts interrupts every FEC decision of
+// fix's check loop: fix must emit no plan at all and name the blocking
+// FECs in ascending order.
 func TestFaultFixRefusesUnknownVerdicts(t *testing.T) {
 	defer faultinject.Reset()
-	opts := core.DefaultOptions()
-	opts.MaxRetries = 0
-	forceSAT(t)
-	faultinject.Schedule(faultinject.FixSeek, faultinject.Timeout)
-	res, err := newRunningEngine(t, opts).Fix()
+	faultinject.Schedule(faultinject.CheckSolve, faultinject.Timeout)
+	res, err := newRunningEngine(t, core.DefaultOptions()).Fix()
 	if res != nil {
 		t.Fatalf("fix emitted a plan on unknown verdicts: %+v", res)
 	}
@@ -407,25 +439,24 @@ func TestFaultGenerateRefusesUnknownVerdicts(t *testing.T) {
 	}
 }
 
-// TestFaultPsetBailoutMixedRoutes bails a seeded random half of one
-// generation's pset attempts out to the solver, so pset and SAT verdicts
-// mix within one generation and one verdict cache. Two warm re-checks
-// follow UpdateAfter: an unchanged snapshot replays every mixed verdict
-// and its memoized witness, and a one-rule edit re-decides the FECs
-// crossing it. Every check must equal the disarmed run's — verdict,
-// witnesses, SolvedFECs — with every fired fault counted as a bail-out.
+// TestFaultPsetBailoutMixedRoutes mixes the two routes within one
+// generation and one verdict cache: at a budget of eight cubes some FECs'
+// flip regions overflow and are split while the rest are decided whole.
+// Two warm re-checks follow UpdateAfter: an unchanged snapshot replays
+// every mixed verdict and its memoized witness, and a one-rule edit
+// re-decides the FECs crossing it. Every check's verdicts and SolvedFECs
+// must equal the default budget's, and the warm checks must reach the
+// same FECs the same way.
 func TestFaultPsetBailoutMixedRoutes(t *testing.T) {
-	faultinject.Reset()
-	defer faultinject.Reset()
-	w := netgen.Build(netgen.DefaultConfig(netgen.Small, 9))
-	first := w.Perturb(10, 4)
+	w := netgen.Build(netgen.DefaultConfig(netgen.Small, 2))
+	first := w.Perturb(3, 4)
 	edited := first.Clone()
 	ifc, _ := edited.LookupInterface("edge7:ext")
 	ifc.ACL(topo.In).Rules[0].Action = !ifc.ACL(topo.In).Rules[0].Action
 	afters := []*topo.Network{first, first.Clone(), edited}
 	run := func() (res []*core.CheckResult) {
 		opts := core.DefaultOptions()
-		opts.UseDifferential = false // every FEC reaches a procedure
+		opts.UseDifferential = false // every FEC reaches the set algebra
 		opts.FindAllViolations = true
 		opts.Forensics = true
 		opts.Verdicts = core.NewVerdictCache()
@@ -437,43 +468,43 @@ func TestFaultPsetBailoutMixedRoutes(t *testing.T) {
 		return res
 	}
 	want := run()
-	attempts := want[0].Stats.PsetDecided
-	if want[0].Stats.PsetBailout != 0 || attempts < 8 || want[0].Consistent {
-		t.Fatalf("disarmed first check: want >= 8 pset verdicts, no bail-out, violations: %+v", want[0].Stats)
+	if want[0].Stats.PsetBailout != 0 || want[0].Stats.PsetDecided < 8 || want[0].Consistent {
+		t.Fatalf("default budget's first check: want >= 8 verdicts, no split, violations: %+v", want[0].Stats)
 	}
-	if want[1].Stats.FECCacheHits != attempts || want[2].Stats.PsetDecided == 0 {
-		t.Fatalf("disarmed re-checks: want a full replay, then re-decisions: %+v, %+v", want[1].Stats, want[2].Stats)
+	if want[1].Stats.FECCacheHits != want[0].Stats.PsetDecided || want[2].Stats.PsetDecided == 0 {
+		t.Fatalf("default budget's re-checks: want a full replay, then re-decisions: %+v, %+v", want[1].Stats, want[2].Stats)
 	}
 
-	fired := attempts / 2
-	faultinject.ScheduleSeeded(faultinject.CheckPset, faultinject.Timeout, 39, fired, attempts)
+	core.SetCubeBudget(t, 8)
 	got := run()
-	if h, wantHits := faultinject.Hits(faultinject.CheckPset), attempts+want[2].Stats.PsetDecided; h != wantHits {
-		t.Fatalf("check.pset hit %d times, want %d", h, wantHits)
+	if got[0].Stats.PsetBailout == 0 || got[0].Stats.PsetDecided == 0 {
+		t.Fatalf("at 8 cubes the first check must mix both routes: %+v", got[0].Stats)
 	}
-	if got[0].Stats.PsetBailout != fired || got[0].Stats.PsetDecided != attempts-fired {
-		t.Fatalf("%d of %d faults fired, stats %+v", fired, attempts, got[0].Stats)
-	}
-	// The mix must reach verdicts of both kinds on the SAT route.
-	satVerdicts := map[string]bool{}
+	// The mix must reach verdicts of both kinds on the split route.
+	splitVerdicts := map[string]bool{}
 	for _, f := range got[0].Forensics {
-		if f.Route == "sat-bailout" {
-			satVerdicts[f.Verdict] = true
+		if f.Route == "pset-split" {
+			splitVerdicts[f.Verdict] = true
 		}
 	}
-	if !satVerdicts["violating"] || !satVerdicts["consistent"] {
-		t.Fatalf("the SAT route decided only %v", satVerdicts)
+	if !splitVerdicts["violating"] || !splitVerdicts["consistent"] {
+		t.Fatalf("the split route decided only %v", splitVerdicts)
 	}
 	for g := range got {
-		if gs, ws := checkSignature(got[g]), checkSignature(want[g]); gs != ws {
-			t.Fatalf("check %d under mixed routes diverged:\n%s\nwant:\n%s", g, gs, ws)
+		if gs, ws := fecSet(got[g]), fecSet(want[g]); fmt.Sprint(gs) != fmt.Sprint(ws) || got[g].Consistent != want[g].Consistent {
+			t.Fatalf("check %d under mixed routes: violating FECs %v, default budget %v", g, gs, ws)
 		}
-		if got[g].SolvedFECs != want[g].SolvedFECs {
-			t.Fatalf("check %d: SolvedFECs %d, disarmed %d", g, got[g].SolvedFECs, want[g].SolvedFECs)
+		if got[g].SolvedFECs != want[g].SolvedFECs || !got[g].Complete {
+			t.Fatalf("check %d: SolvedFECs %d complete=%v, default budget %d", g, got[g].SolvedFECs, got[g].Complete, want[g].SolvedFECs)
 		}
-		if g > 0 && got[g].Stats != want[g].Stats {
-			t.Fatalf("warm re-check %d stats %+v, disarmed %+v", g, got[g].Stats, want[g].Stats)
+		if g > 0 && (got[g].Stats.FECCacheHits != want[g].Stats.FECCacheHits ||
+			got[g].Stats.PsetDecided+got[g].Stats.PsetBailout != want[g].Stats.PsetDecided) {
+			t.Fatalf("warm re-check %d stats %+v, default budget %+v", g, got[g].Stats, want[g].Stats)
 		}
+	}
+	// The replay re-reports the first check's witnesses byte for byte.
+	if a, b := checkSignature(got[1]), checkSignature(got[0]); a != b {
+		t.Fatalf("the replay's witnesses differ from the check it replays:\n%s\nwant:\n%s", a, b)
 	}
 }
 
@@ -501,8 +532,8 @@ func TestFaultLimitsInertOnHappyPath(t *testing.T) {
 	}
 }
 
-// TestFaultRunReportsUndecided drives the whole Run pipeline with
-// wedged check queries: the report must print the UNDECIDED line plus
+// TestFaultRunReportsUndecided drives the whole Run pipeline with every
+// FEC decision interrupted: the report must print the UNDECIDED line plus
 // each undecided FEC, never the consistent line.
 func TestFaultRunReportsUndecided(t *testing.T) {
 	defer faultinject.Reset()
@@ -519,8 +550,6 @@ check
 	}
 	opts := core.DefaultOptions()
 	opts.FindAllViolations = true
-	opts.MaxRetries = 0
-	forceSAT(t) // the injected timeout wedges solver queries
 	faultinject.Schedule(faultinject.CheckSolve, faultinject.Timeout)
 	rep, err := core.RunContext(context.Background(), resolved, opts)
 	if err != nil {

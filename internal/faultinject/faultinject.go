@@ -29,26 +29,22 @@ type Site string
 // Injection sites wired into the pipeline. The per-site meaning of each
 // fault kind is documented where the site is fired.
 const (
-	// CheckPset guards each FEC's packet-set attempt in the check, and
-	// each violating FEC's counterexample set in fix. Timeout bails the
-	// FEC out to the SAT solver as if the cube budget had overflowed, so
-	// an every-hit schedule sends every FEC's decision and seek there.
-	CheckPset Site = "check.pset"
-	// CheckSolve guards the per-FEC Equation-3 decision solve. Timeout
-	// interrupts the solver mid-decision; Panic crashes the check, which
-	// runs on the calling goroutine.
+	// CheckSolve guards each FEC's Equation-3 decision in the check's
+	// set algebra (fix's check loop included). Timeout interrupts it: the
+	// FEC is Unknown ("interrupted") and never cached. Transient does the
+	// same with reason "transient fault" — the check has no retry. Panic
+	// crashes the check, which runs on the calling goroutine.
 	CheckSolve Site = "check.solve"
 	// ParallelJob guards each job of the core worker pool (runParallel),
 	// which fix and generate share. Panic crashes the job; the
 	// sequential re-run of crashed jobs does not fire it, so an every-hit
 	// panic schedule collapses the pool without looping forever.
 	ParallelJob Site = "core.parallel.job"
-	// FixSeek guards each neighborhood-seeking solve of the fix
-	// primitive, made only for a FEC whose counterexample set overflowed
-	// (or CheckPset bailed out). Timeout interrupts it; Transient makes
-	// it fail with a retryable error.
-	FixSeek Site = "fix.seek"
-	// GenerateAEC guards each per-AEC synthesis solve of generate.
+	// GenerateAEC guards each per-AEC synthesis solve of generate, the
+	// one query with a retry loop (Options.MaxRetries). Timeout
+	// interrupts the solver and Transient fails the attempt; both are
+	// retried until the allowance runs out, and the AEC is then Unknown.
+	// Panic crashes the job.
 	GenerateAEC Site = "generate.aec"
 	// ServeJob guards each admitted job of the jinjingd daemon
 	// (internal/serve), fired inside the session's critical section just

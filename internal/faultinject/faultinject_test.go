@@ -34,7 +34,7 @@ func TestScheduleAtHitNumbers(t *testing.T) {
 		t.Fatalf("hits = %d, want 5", Hits(CheckSolve))
 	}
 	// Other sites are unaffected.
-	if k := Fire(FixSeek); k != None {
+	if k := Fire(GenerateAEC); k != None {
 		t.Fatalf("unscheduled site fired %v", k)
 	}
 }
@@ -62,10 +62,10 @@ func TestScheduleSeededDeterministic(t *testing.T) {
 	record := func() []Kind {
 		Reset()
 		defer Reset()
-		ScheduleSeeded(FixSeek, Transient, 42, 3, 10)
+		ScheduleSeeded(GenerateAEC, Transient, 42, 3, 10)
 		out := make([]Kind, 10)
 		for i := range out {
-			out[i] = Fire(FixSeek)
+			out[i] = Fire(GenerateAEC)
 		}
 		return out
 	}

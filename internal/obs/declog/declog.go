@@ -25,13 +25,14 @@ type FECDecision struct {
 	Verdict string `json:"verdict"`
 	// Route names how the verdict was established: "skip" (differential
 	// fast path), "cache" (verdict-cache replay under a full key match),
-	// "pset", or "sat-bailout" (pset attempt abandoned mid-solve, the SAT
-	// solver decided).
+	// "pset" (the set algebra on the FEC's flip region whole), or
+	// "pset-split" (the region overflowed the cube budget and was decided
+	// piece by piece).
 	Route string `json:"route"`
 	// CacheHit reports the verdict was replayed without solving.
 	CacheHit bool `json:"cache_hit,omitempty"`
-	// SolveNS is the complete-backend decision time (pset attempt plus
-	// SAT solve when the attempt bailed out); 0 for replayed verdicts.
+	// SolveNS is the set algebra's decision time, every piece of a split
+	// region included; 0 for replayed verdicts.
 	SolveNS int64 `json:"solve_ns,omitempty"`
 	// Reason explains an "unknown" verdict (deadline, budget, fault).
 	Reason string `json:"reason,omitempty"`

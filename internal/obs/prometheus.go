@@ -12,7 +12,7 @@ import (
 // power-of-two buckets exported in HistogramStat.Buckets.
 //
 // Registry metric names are dot-separated and may carry inline labels
-// in curly braces ("fec.solve.ns{backend=sat}"); the exporter maps dots
+// in curly braces ("fec.solve.ns{backend=pset}"); the exporter maps dots
 // (and any other character outside [a-zA-Z0-9_:]) to underscores and
 // forwards the labels, so series that differ only in labels merge into
 // one Prometheus metric family.

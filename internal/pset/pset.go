@@ -47,6 +47,21 @@ func (s Set) IsEmpty() bool { return len(s.cubes) == 0 }
 // Cubes returns the number of cubes (a size measure for tests).
 func (s Set) Cubes() int { return len(s.cubes) }
 
+// Halves splits a set of two or more cubes into the lower and the upper
+// half of its canonical cube list: two sets whose union is s.
+func (s Set) Halves() (lo, hi Set) {
+	n := len(s.cubes) / 2
+	return Set{cubes: slices.Clone(s.cubes[:n])}, Set{cubes: slices.Clone(s.cubes[n:])}
+}
+
+// Cube returns the cube of a one-cube set; ok=false for any other set.
+func (s Set) Cube() (c header.Match, ok bool) {
+	if len(s.cubes) != 1 {
+		return c, false
+	}
+	return s.cubes[0], true
+}
+
 // MinPacket returns the least packet in the set under the field-order
 // (SrcIP, DstIP, SrcPort, DstPort, Proto). Every cube is a product of
 // per-field ranges, so its least packet is its low corner and the set's
