@@ -327,12 +327,13 @@ func parseAddrMask(addrStr, maskStr string, wildcard bool) (header.Prefix, error
 }
 
 func parseIPv4(s string) (uint32, error) {
-	parts := strings.Split(s, ".")
-	if len(parts) != 4 {
+	if strings.Count(s, ".") != 3 {
 		return 0, fmt.Errorf("bad IPv4 %q", s)
 	}
 	var out uint32
-	for _, part := range parts {
+	part, rest := "", s
+	for range 4 {
+		part, rest, _ = strings.Cut(rest, ".")
 		n, err := strconv.Atoi(part)
 		if err != nil || n < 0 || n > 255 {
 			return 0, fmt.Errorf("bad IPv4 octet in %q", s)

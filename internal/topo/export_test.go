@@ -1,5 +1,7 @@
 package topo
 
+import "jinjing/internal/header"
+
 // NetworkJSON is the decoded JSON schema, for the external tests that
 // compare the plain reader with encoding/json.
 type NetworkJSON = networkJSON
@@ -16,4 +18,18 @@ func ReadPlain(data []byte) (NetworkJSON, bool) {
 func BuildNetwork(in *NetworkJSON) (*Network, error) {
 	n := NewNetwork()
 	return n, n.build(in)
+}
+
+// SweepEgress resolves every class's egress interfaces on d through the
+// row ForwardingIndex builds for it, in class order.
+func SweepEgress(d *Device, classes []header.Prefix) [][]*Interface {
+	x := newIndexer(nil, nil, classes)
+	r := x.row(d)
+	out := make([][]*Interface, len(classes))
+	for c := range classes {
+		for _, oi := range r.egress(int32(c)) {
+			out[c] = append(out[c], r.ifaces[oi])
+		}
+	}
+	return out
 }

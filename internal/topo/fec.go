@@ -102,16 +102,19 @@ func AtomizeClasses(classes, cuts []header.Prefix) []header.Prefix {
 // classes (e.g. prefixes named in control intents) may be passed in.
 func (n *Network) EnteringTraffic(s *Scope, extra ...header.Prefix) []header.Prefix {
 	var cuts []header.Prefix
+	seen := make(map[header.Prefix]bool)
 	for _, name := range s.DeviceNames() {
 		if d, ok := n.Devices[name]; ok {
 			for _, e := range d.FIB {
-				cuts = append(cuts, e.Prefix)
+				if !seen[e.Prefix] { // many devices announce the same prefix
+					seen[e.Prefix] = true
+					cuts = append(cuts, e.Prefix)
+				}
 			}
 		}
 	}
-	classes := append(append([]header.Prefix(nil), cuts...), extra...)
 	cuts = append(cuts, extra...)
-	return AtomizeClasses(classes, cuts)
+	return AtomizeClasses(cuts, cuts)
 }
 
 // FEC is a forwarding equivalence class (§4.1): a set of traffic classes

@@ -38,14 +38,14 @@ type FECSource struct {
 // the FIBs it crosses (every class must be atomic with respect to them).
 // Classes no path forwards belong to no FEC: they never transit the scope.
 func NewFECSource(paths []Path, classes []header.Prefix) *FECSource {
-	x := newIndexer(classes)
+	x := newIndexer(nil, nil, classes)
 	alive := make([]int32, 0, len(classes))
 	for pi, p := range paths {
-		alive = append(alive[:0], x.all...)
+		alive = append(alive[:0], x.order...)
 		for _, h := range p.Hops {
 			row := x.row(h.In.Device)
 			oi := int32(slices.Index(row.ifaces, h.Out))
-			alive = slices.DeleteFunc(alive, func(c int32) bool { return !slices.Contains(row.outs[c], oi) })
+			alive = slices.DeleteFunc(alive, func(c int32) bool { return !slices.Contains(row.egress(c), oi) })
 		}
 		for _, c := range alive {
 			x.fwd[c] = append(x.fwd[c], int32(pi))

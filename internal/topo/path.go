@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -19,16 +20,6 @@ type Hop struct {
 // hop's In and the last hop's Out are border interfaces.
 type Path struct {
 	Hops []Hop
-}
-
-// Interfaces flattens the path into the paper's interface-list notation,
-// e.g. ⟨A1, A4, D1, D3⟩: alternating ingress and egress interfaces.
-func (p Path) Interfaces() []*Interface {
-	out := make([]*Interface, 0, 2*len(p.Hops))
-	for _, h := range p.Hops {
-		out = append(out, h.In, h.Out)
-	}
-	return out
 }
 
 // Bindings returns the (interface, direction) pairs whose ACLs apply to
@@ -59,11 +50,12 @@ func (p Path) Permits(pkt header.Packet) bool {
 	return true
 }
 
-// String renders the path in the paper's ⟨A1, A4, D1, D3⟩ notation.
+// String renders the path in the paper's interface-list notation, e.g.
+// ⟨A1, A4, D1, D3⟩: alternating ingress and egress interfaces.
 func (p Path) String() string {
 	parts := make([]string, 0, 2*len(p.Hops))
-	for _, i := range p.Interfaces() {
-		parts = append(parts, i.ID())
+	for _, h := range p.Hops {
+		parts = append(parts, h.In.ID(), h.Out.ID())
 	}
 	return "<" + strings.Join(parts, ", ") + ">"
 }
@@ -97,8 +89,7 @@ func (n *Network) AllPaths(s *Scope) []Path {
 // wrt every in-scope FIB, as EnteringTraffic returns them; refining
 // them changes the FECs, not the paths. Results are deterministic.
 func (n *Network) ForwardingIndex(s *Scope, classes []header.Prefix) *FECSource {
-	x := newIndexer(classes)
-	x.n, x.s = n, s
+	x := newIndexer(n, s, classes)
 	for _, entry := range n.BorderInterfaces(s) {
 		if !s.AllowsEntry(entry.ID()) {
 			continue
@@ -108,64 +99,128 @@ func (n *Network) ForwardingIndex(s *Scope, classes []header.Prefix) *FECSource 
 		if up := n.Upstream(entry); up != nil && s.ContainsDevice(up.Device.Name) {
 			continue // this border interface only sends traffic out
 		}
-		x.extend(entry, x.all)
+		x.extend(entry, x.order)
 	}
-	return x.group(x.paths)
+	return x.group(slices.Concat(x.paths...))
 }
 
-// indexer builds a FECSource. It resolves LongestMatchClass once per
-// (device, class), on the first visit to a device, so every hop indexes
-// a slice instead of descending the LPM trie; fwd collects the result.
+// indexer builds a FECSource. A device's first visit sweeps its FIB once
+// into a flat row every hop indexes; fwd collects the result. Completed
+// paths are copied into chunks (their hops, and the Path values), so
+// allocation follows devices and chunks, not paths or (device, class).
 type indexer struct {
+	n       *Network // nil when replaying given paths (NewFECSource)
+	s       *Scope
 	classes []header.Prefix
-	all     []int32 // every class index: the alive set at an entry
+	order   []int32 // every class index by prefixKey: the sweep's order, an entry's alive set
 	rows    map[*Device]*fibRow
 	fwd     [][]int32 // per class: the paths forwarding it, ascending
 
 	// The state of ForwardingIndex's walk.
-	n         *Network
-	s         *Scope
-	hops      []Hop  // the partial path
-	paths     []Path // completed paths, in discovery order
+	hops      []Hop    // the partial path
+	arena     []Hop    // the chunk completed paths' hops are copied to
+	paths     [][]Path // completed paths, in discovery order, in chunks
+	npaths    int32    // completed paths so far
 	truncated int
 }
 
 type fibRow struct {
 	ifaces []*Interface // name-sorted
-	// outs[c] holds class c's egress interfaces as indices into ifaces,
-	// each once: a FIB may hold the same entry twice, and a duplicate
-	// here would emit the path twice.
-	outs [][]int32
+	peers  []*Interface // per iface: the in-scope ingress it links to, else nil (walk only)
+	// Class c's egress interfaces (indices into ifaces) are
+	// outs[span[c][0]:span[c][1]], shared by classes with one longest
+	// match; each once, as a duplicate FIB entry would emit a path twice.
+	outs []int32
+	span [][2]int32
 	// While the walk has the device on its partial path: the alive
 	// classes split by egress interface, and the loop guard.
 	next   [][]int32
 	onPath bool
 }
 
-func newIndexer(classes []header.Prefix) *indexer {
-	x := &indexer{classes: classes, all: make([]int32, len(classes)),
+func (r *fibRow) egress(c int32) []int32 { return r.outs[r.span[c][0]:r.span[c][1]] }
+
+func newIndexer(n *Network, s *Scope, classes []header.Prefix) *indexer {
+	x := &indexer{n: n, s: s, classes: classes, order: make([]int32, len(classes)),
 		rows: make(map[*Device]*fibRow), fwd: make([][]int32, len(classes))}
-	for i := range x.all {
-		x.all[i] = int32(i)
+	for i := range x.order {
+		x.order[i] = int32(i)
 	}
+	slices.SortFunc(x.order, func(a, b int32) int { return cmp.Compare(prefixKey(classes[a]), prefixKey(classes[b])) })
 	return x
 }
+
+// prefixKey orders prefixes by address, then length: a prefix sorts
+// before every prefix strictly inside it, and they before its successor.
+func prefixKey(p header.Prefix) uint64 { return uint64(p.Canonical().Addr)<<6 | uint64(p.Len) }
 
 func (x *indexer) row(d *Device) *fibRow {
 	if r, ok := x.rows[d]; ok {
 		return r
 	}
 	ifaces := d.SortedInterfaces()
-	r := &fibRow{ifaces: ifaces, outs: make([][]int32, len(x.classes)), next: make([][]int32, len(ifaces))}
-	x.rows[d] = r
-	for c, class := range x.classes {
-		for _, o := range d.LongestMatchClass(class) {
-			if oi := int32(slices.Index(ifaces, o)); oi >= 0 && !slices.Contains(r.outs[c], oi) {
-				r.outs[c] = append(r.outs[c], oi)
+	r := &fibRow{ifaces: ifaces, span: make([][2]int32, len(x.classes)), next: make([][]int32, len(ifaces))}
+	if x.n != nil {
+		r.peers = make([]*Interface, len(ifaces))
+		for i, o := range ifaces {
+			if peer := x.n.Peer(o); peer != nil && x.s.ContainsDevice(peer.Device.Name) {
+				r.peers[i] = peer
 			}
 		}
 	}
+	x.rows[d] = r
+	x.sweep(d, r)
 	return r
+}
+
+// sweep gives every class its LongestMatchClass by merging d's FIB, sorted
+// by prefixKey then position, with the classes in prefixKey order. A stack
+// holds the FIB prefixes enclosing the merge position; equal prefixes are
+// adjacent and form one ECMP group in FIB order. Like LongestMatchClass it
+// panics when a FIB entry lies strictly inside a class (the first in order).
+func (x *indexer) sweep(d *Device, r *fibRow) {
+	fib := make([]int32, len(d.FIB))
+	for i := range fib {
+		fib[i] = int32(i)
+	}
+	key := func(i int32) uint64 { return prefixKey(d.FIB[i].Prefix) }
+	slices.SortFunc(fib, func(a, b int32) int { return cmp.Or(cmp.Compare(key(a), key(b)), cmp.Compare(a, b)) })
+	type group struct {
+		p      header.Prefix
+		lo, hi int32 // its span of r.outs
+	}
+	var stack []group
+	pop := func(p header.Prefix) { // keep only the prefixes enclosing p
+		for len(stack) > 0 && !stack[len(stack)-1].p.Contains(p) {
+			stack = stack[:len(stack)-1]
+		}
+	}
+	j, bad := 0, int32(-1)
+	for _, c := range x.order {
+		class, ck := x.classes[c], prefixKey(x.classes[c])
+		for ; j < len(fib) && key(fib[j]) <= ck; j++ {
+			e := d.FIB[fib[j]]
+			if pop(e.Prefix); len(stack) == 0 || stack[len(stack)-1].p != e.Prefix.Canonical() {
+				stack = append(stack, group{p: e.Prefix.Canonical(), lo: int32(len(r.outs)), hi: int32(len(r.outs))})
+			}
+			g := &stack[len(stack)-1]
+			if oi := int32(slices.Index(r.ifaces, e.Out)); oi >= 0 && !slices.Contains(r.outs[g.lo:], oi) {
+				r.outs = append(r.outs, oi)
+				g.hi++
+			}
+		}
+		if pop(class); len(stack) > 0 {
+			r.span[c] = [2]int32{stack[len(stack)-1].lo, stack[len(stack)-1].hi}
+		}
+		// Entries after j sort after the class: strictly inside it or
+		// past it, the nearest first.
+		if j < len(fib) && class.Contains(d.FIB[fib[j]].Prefix) && (bad < 0 || c < bad) {
+			bad = c
+		}
+	}
+	if bad >= 0 {
+		panic(fmt.Sprintf("topo: class %v not atomic wrt FIB on %s", x.classes[bad], d.Name))
+	}
 }
 
 // extend continues the partial path into in's device. alive holds the
@@ -186,7 +241,7 @@ func (x *indexer) extend(in *Interface, alive []int32) {
 		row.next[oi] = row.next[oi][:0]
 	}
 	for _, c := range alive {
-		for _, oi := range row.outs[c] {
+		for _, oi := range row.egress(c) {
 			row.next[oi] = append(row.next[oi], c)
 		}
 	}
@@ -196,12 +251,23 @@ func (x *indexer) extend(in *Interface, alive []int32) {
 			continue
 		}
 		x.hops = append(x.hops, Hop{In: in, Out: o})
-		if peer := x.n.Peer(o); peer != nil && x.s.ContainsDevice(peer.Device.Name) {
+		if peer := row.peers[oi]; peer != nil {
 			x.extend(peer, classes)
 		} else {
 			// The path leaves the scope, forwarding the classes carried.
-			pi := int32(len(x.paths))
-			x.paths = append(x.paths, Path{Hops: slices.Clone(x.hops)})
+			// Its Hops are capped: an append cannot reach the next path's.
+			if cap(x.arena)-len(x.arena) < len(x.hops) {
+				x.arena = make([]Hop, 0, 4096)
+			}
+			lo := len(x.arena)
+			x.arena = append(x.arena, x.hops...)
+			k := len(x.paths) - 1
+			if k < 0 || len(x.paths[k]) == cap(x.paths[k]) {
+				x.paths, k = append(x.paths, make([]Path, 0, 1024)), k+1
+			}
+			x.paths[k] = append(x.paths[k], Path{Hops: x.arena[lo:len(x.arena):len(x.arena)]})
+			pi := x.npaths
+			x.npaths++
 			for _, c := range classes {
 				x.fwd[c] = append(x.fwd[c], pi)
 			}

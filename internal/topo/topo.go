@@ -130,21 +130,7 @@ func (d *Device) AddRoute(p header.Prefix, out *Interface) {
 // match for destination addr (several under ECMP), or nil when the
 // device has no route.
 func (d *Device) LongestMatch(addr uint32) []*Interface {
-	n := d.lpmTrie()
-	var outs []*Interface
-	for i := 0; ; i++ {
-		if len(n.outs) > 0 {
-			outs = n.outs
-		}
-		if i == 32 {
-			break
-		}
-		n = n.children[addr>>(31-i)&1]
-		if n == nil {
-			break
-		}
-	}
-	return outs
+	return d.LongestMatchClass(header.Prefix{Addr: addr, Len: 32}) // a /32 is always atomic
 }
 
 // LongestMatchClass returns the LPM result for an entire destination
