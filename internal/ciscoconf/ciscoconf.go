@@ -31,8 +31,11 @@ package ciscoconf
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"jinjing/internal/acl"
 	"jinjing/internal/header"
@@ -80,13 +83,14 @@ func Parse(text string) (*DeviceConfig, error) {
 	var curACL *acl.ACL
 	var curIface string
 
-	for lineNo, raw := range strings.Split(text, "\n") {
-		line := raw
+	var fields []string
+	for lineNo, line, rest := 0, "", text; rest != ""; lineNo++ {
+		line, rest, _ = strings.Cut(rest, "\n")
 		if i := strings.IndexByte(line, '!'); i >= 0 {
 			line = line[:i]
 		}
 		indented := strings.HasPrefix(line, " ") || strings.HasPrefix(line, "\t")
-		fields := strings.Fields(line)
+		fields = appendFields(fields[:0], line)
 		if len(fields) == 0 {
 			continue
 		}
@@ -175,6 +179,23 @@ func Parse(text string) (*DeviceConfig, error) {
 		return nil, &ParseError{Msg: "missing hostname"}
 	}
 	return cfg, nil
+}
+
+// appendFields appends strings.Fields(s) to dst, so that one slice serves
+// every line. Printable ASCII, never space, skips the unicode.IsSpace call.
+func appendFields(dst []string, s string) []string {
+	start := -1
+	for i, r := range s {
+		if space := (r <= ' ' || r >= utf8.RuneSelf) && unicode.IsSpace(r); !space && start < 0 {
+			start = i
+		} else if space && start >= 0 {
+			dst, start = append(dst, s[start:i]), -1
+		}
+	}
+	if start >= 0 {
+		dst = append(dst, s[start:])
+	}
+	return dst
 }
 
 // parseRuleLine parses "permit|deny <proto> <src> [ports] <dst> [ports]".
@@ -367,8 +388,13 @@ func BuildNetwork(configs []*DeviceConfig, links []Link) (*topo.Network, error) 
 				iface.SetACL(dir, a.Clone())
 			}
 		}
+		d.FIB = slices.Grow(d.FIB, len(cfg.Routes))
+		var out *topo.Interface
 		for _, rt := range cfg.Routes {
-			d.AddRoute(rt.Prefix, d.Interface(rt.Iface))
+			if out == nil || out.Name != rt.Iface {
+				out = d.Interface(rt.Iface)
+			}
+			d.AddRoute(rt.Prefix, out)
 		}
 	}
 	for _, l := range links {

@@ -60,7 +60,7 @@ func (e *Engine) pathWalk(ctx *checkCtx) *pathInterner {
 		return ctx.walk
 	}
 	index := map[[2]int32]int32{}
-	ctx.walk = newPathInterner(e.Controls, func(id string) int32 {
+	ctx.walk = &pathInterner{controls: e.Controls, resolve: func(id string) int32 {
 		ids, bound := ctx.ids[id]
 		if !bound {
 			return -1
@@ -72,7 +72,7 @@ func (e *Engine) pathWalk(ctx *checkCtx) *pathInterner {
 			ctx.encPairs = append(ctx.encPairs, encPair{ids: ids, unchanged: ids[0] == ids[1]})
 		}
 		return i
-	})
+	}}
 	return ctx.walk
 }
 
@@ -437,9 +437,9 @@ func cutRange(lo, mlo, mhi uint16) (loHi, hiLo uint16) {
 // FEC's paths that flip on it, by concrete evaluation.
 func (e *Engine) psetWitnessFEC(ctx *checkCtx, fec topo.FEC, pkt header.Packet) Violation {
 	v := Violation{Packet: pkt, Classes: fec.Classes}
-	memo := make(map[topo.ACLBinding]int8, 4*len(fec.Paths))
+	var memo bindingTable[int8]
 	for _, p := range fec.Paths {
-		if e.pathFlipsDesired(ctx, memo, p, pkt) {
+		if e.pathFlipsDesired(ctx, &memo, p, pkt) {
 			v.Paths = append(v.Paths, p)
 		}
 	}
@@ -454,35 +454,27 @@ func (e *Engine) psetWitnessFEC(ctx *checkCtx, fec topo.FEC, pkt header.Packet) 
 // desired decision is the before conjunction rewritten by the first
 // (highest-priority) applicable control whose match covers the packet —
 // the concrete evaluation of desiredFormula's Ite chain.
-func (e *Engine) pathFlipsDesired(ctx *checkCtx, memo map[topo.ACLBinding]int8, p topo.Path, pkt header.Packet) bool {
+func (e *Engine) pathFlipsDesired(ctx *checkCtx, memo *bindingTable[int8], p topo.Path, pkt header.Packet) bool {
 	// memo bits: 1 = before permits, 2 = after permits, 4 = resolved.
-	decide := func(b topo.ACLBinding) int8 {
-		d, ok := memo[b]
-		if !ok {
-			d = 4 | 1 | 2 // unbound in both snapshots: permit-all either way
-			if ids, bound := ctx.ids[b.ID()]; bound {
-				d = 4
-				if ctx.acls[ids[0]].Permits(pkt) {
-					d |= 1
-				}
-				if ctx.acls[ids[1]].Permits(pkt) {
-					d |= 2
-				}
-			}
-			memo[b] = d
-		}
-		return d
-	}
+	at := memo.of(p)
 	before, after := true, true
 	for _, h := range p.Hops {
 		for _, b := range [2]topo.ACLBinding{{Iface: h.In, Dir: topo.In}, {Iface: h.Out, Dir: topo.Out}} {
-			d := decide(b)
-			if d&1 == 0 {
-				before = false
+			d := &at[bindingOrd(b)]
+			if *d == 0 {
+				*d = 4 | 1 | 2 // unbound in both snapshots: permit-all either way
+				if ids, bound := ctx.ids[b.ID()]; bound {
+					*d = 4
+					if ctx.acls[ids[0]].Permits(pkt) {
+						*d |= 1
+					}
+					if ctx.acls[ids[1]].Permits(pkt) {
+						*d |= 2
+					}
+				}
 			}
-			if d&2 == 0 {
-				after = false
-			}
+			before = before && *d&1 != 0
+			after = after && *d&2 != 0
 		}
 	}
 	desired := before

@@ -506,3 +506,41 @@ func TestFaultCancelledSplitIsUnknown(t *testing.T) {
 		t.Fatalf("the next call's violations %s, a cold check's %s", got, want)
 	}
 }
+
+// TestBindingTableRejectsForeignPath pins that an ordinal-indexed table
+// serves one network: a path interner, and the witness memo, fed a path
+// of a clone after one of the original panic instead of reading another
+// network's ordinals.
+func TestBindingTableRejectsForeignPath(t *testing.T) {
+	before := papernet.Build()
+	mine, foreign := before.AllPaths(papernet.Scope())[0], before.Clone().AllPaths(papernet.Scope())[0]
+	expectPanic := func(what string, feed func(topo.Path)) {
+		t.Helper()
+		feed(mine)
+		defer func() {
+			if r := recover(); r != "core: a binding table fed a path of another network" {
+				t.Fatalf("%s: recovered %v", what, r)
+			}
+		}()
+		feed(foreign)
+	}
+	walk := &pathInterner{resolve: func(string) int32 { return 0 }}
+	expectPanic("interner", func(p topo.Path) { walk.crossed(nil, p) })
+	var memo bindingTable[int8]
+	expectPanic("witness memo", func(p topo.Path) { memo.of(p) })
+}
+
+// TestCompileShapesAllocs bounds the allocations of the path walk a check
+// and then a fix make on the medium WAN at 1%: the check's shapes of
+// every FEC, then fix's index. Measured: 12,267 allocations per run
+// (go1.24.0, linux/amd64); on the large WAN, half are the shapes and
+// their keys and two fifths fix's per-ACL destination indexes. The
+// interner hashing bindings took 12,320, so its cost was time, not
+// allocation. The bound is 1.25× the measured count.
+func TestCompileShapesAllocs(t *testing.T) {
+	compile := ShapeCompiler(WANFix(netgen.Build(netgen.DefaultConfig(netgen.Medium, 42)), 1, DefaultOptions()))
+	const bound = 15334 // 1.25 × 12,267
+	if got := testing.AllocsPerRun(5, func() { compile() }); got > bound {
+		t.Fatalf("compileShapes and compileFix on the medium WAN: %.0f allocations, bound %d", got, bound)
+	}
+}

@@ -215,6 +215,21 @@ func BenchmarkFixWAN(b *testing.B) {
 	}
 }
 
+// BenchmarkCompileShapes is the path walk a check and then a fix make on
+// the large WAN at 1%: the check's shapes of every FEC, then fix's index,
+// from a fresh path interner per iteration.
+func BenchmarkCompileShapes(b *testing.B) {
+	w := netgen.Build(netgen.DefaultConfig(netgen.Large, 42))
+	compile := core.ShapeCompiler(core.WANFix(w, 1, core.DefaultOptions()))
+	var shapes int
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		shapes = compile()
+	}
+	b.ReportMetric(float64(shapes), "shapes")
+}
+
 func BenchmarkConservativeCheck(b *testing.B) {
 	before := papernet.Build()
 	after := runningExampleUpdate(before)

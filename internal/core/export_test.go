@@ -34,3 +34,25 @@ func RefViolatingClasses(e *Engine) [][]header.Prefix {
 	}
 	return out
 }
+
+// ShapeCompiler returns a function that compiles, from a fresh path
+// interner each call, the check's path shapes of every FEC of e and then
+// fix's index, as a check followed by a fix compiles them, and returns
+// the check's shape count. e's check context is derived once, outside it;
+// e must have a rule change, or the check compiles nothing.
+func ShapeCompiler(e *Engine) func() int {
+	ctx := e.checkContext()
+	if ctx.fastPath {
+		panic("core: ShapeCompiler on an engine with nothing to check")
+	}
+	e.prepareIncremental(ctx)
+	return func() int {
+		ctx.walk, ctx.encPairs = nil, nil
+		n := 0
+		for _, fec := range ctx.fecs {
+			n += len(e.compileShapes(ctx, fec))
+		}
+		e.compileFix(ctx)
+		return n
+	}
+}

@@ -89,7 +89,7 @@ func (e *Engine) compileFix(ctx *checkCtx) *fixIndex {
 	for _, b := range e.Allow {
 		allow[b.ID()] = true
 	}
-	walk := newPathInterner(e.Controls, func(id string) int32 {
+	walk := &pathInterner{controls: e.Controls, resolve: func(id string) int32 {
 		p, bound := pairOf[id]
 		if !bound {
 			if !allow[id] {
@@ -105,7 +105,7 @@ func (e *Engine) compileFix(ctx *checkCtx) *fixIndex {
 		}
 		ix.bindings = append(ix.bindings, fb)
 		return int32(len(ix.bindings) - 1)
-	})
+	}}
 	var crossed []int32
 	for _, p := range ctx.src.Paths() {
 		crossed = walk.crossed(crossed[:0], p)

@@ -458,12 +458,12 @@ func (e *Engine) compileGenerate(paths []topo.Path, sources, encBindings []topo.
 		roleFor(b.ID()).enc = int32(i)
 	}
 
-	walk := newPathInterner(e.Controls, func(id string) int32 {
+	walk := &pathInterner{controls: e.Controls, resolve: func(id string) int32 {
 		if i, ok := roleOf[id]; ok {
 			return i
 		}
 		return -1 // a binding in no set
-	})
+	}}
 	var sh pathShape
 	var crossed []int32
 	for _, p := range paths {

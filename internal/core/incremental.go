@@ -407,10 +407,10 @@ func (e *Engine) bindingIndex() *bindingIndex {
 		h ^= v
 		h *= prime64
 	}
-	// Intern by binding identity (interface pointer + direction) so the ID
+	// Intern by binding identity (interface ordinal + direction) so the ID
 	// string is built once per binding, not once per path crossing — paths
 	// share *Interface values.
-	byBind := map[topo.ACLBinding]int32{}
+	var byBind bindingTable[int32] // 1 + the binding's dense index; 0: not yet seen
 	// stamp[j] is 1 + the last FEC that listed binding j: the per-FEC
 	// deduplication, without sorting.
 	var stamp []int32
@@ -423,12 +423,13 @@ func (e *Engine) bindingIndex() *bindingIndex {
 		var binds []int32
 		for _, p := range fec.Paths {
 			mix(uint64(len(p.Hops)))
+			at := byBind.of(p)
 			for _, hop := range p.Hops {
 				for _, b := range [2]topo.ACLBinding{{Iface: hop.In, Dir: topo.In}, {Iface: hop.Out, Dir: topo.Out}} {
-					j, ok := byBind[b]
-					if !ok {
+					j := at[bindingOrd(b)] - 1
+					if j < 0 {
 						j = int32(len(stamp))
-						byBind[b] = j
+						at[bindingOrd(b)] = j + 1
 						id := b.ID()
 						bi.ids[id] = j
 						stamp = append(stamp, 0)

@@ -19,31 +19,22 @@ import (
 type pathInterner struct {
 	resolve  func(id string) int32 // the caller's index for a binding; negative: of no interest
 	controls []Control
-	bindings map[topo.ACLBinding]int32
-	ctrlsOf  map[borderPair][]int32
-}
-
-type borderPair struct{ in, out *topo.Interface }
-
-func newPathInterner(controls []Control, resolve func(id string) int32) *pathInterner {
-	return &pathInterner{
-		resolve: resolve, controls: controls,
-		bindings: map[topo.ACLBinding]int32{}, ctrlsOf: map[borderPair][]int32{},
-	}
+	bindings bindingTable[int32] // 0: not yet resolved; 1: of no interest; else index+2
+	ctrlsOf  map[uint64][]int32  // by the packed (entry, exit) ordinals
 }
 
 // crossed appends to dst the indices of the bindings p crosses, in
 // traversal order, skipping those of no interest.
 func (pi *pathInterner) crossed(dst []int32, p topo.Path) []int32 {
+	at := pi.bindings.of(p)
 	for _, h := range p.Hops {
 		for _, b := range [2]topo.ACLBinding{{Iface: h.In, Dir: topo.In}, {Iface: h.Out, Dir: topo.Out}} {
-			i, ok := pi.bindings[b]
-			if !ok {
-				i = pi.resolve(b.ID())
-				pi.bindings[b] = i
+			k := bindingOrd(b)
+			if at[k] == 0 {
+				at[k] = max(pi.resolve(b.ID()), -1) + 2
 			}
-			if i >= 0 {
-				dst = append(dst, i)
+			if i := at[k]; i > 1 {
+				dst = append(dst, i-2)
 			}
 		}
 	}
@@ -51,21 +42,54 @@ func (pi *pathInterner) crossed(dst []int32, p topo.Path) []int32 {
 }
 
 // ctrls returns the controls applying to p's (entry, exit) pair, in
-// control (precedence) order. Paths of one pair share the slice.
+// control (precedence) order, nil when there are none. Paths of one pair
+// share the slice; the cache keys on ordinals, as crossed's table does.
 func (pi *pathInterner) ctrls(p topo.Path) []int32 {
-	pair := borderPair{p.Src(), p.Dst()}
+	if len(pi.controls) == 0 {
+		return nil
+	}
+	src, dst := p.Src(), p.Dst()
+	pair := uint64(src.Ord())<<32 | uint64(dst.Ord())
 	cs, ok := pi.ctrlsOf[pair]
 	if !ok {
-		from, to := pair.in.ID(), pair.out.ID()
+		from, to := src.ID(), dst.ID()
 		for i, c := range pi.controls {
 			if c.From[from] && c.To[to] {
 				cs = append(cs, int32(i))
 			}
 		}
+		if pi.ctrlsOf == nil {
+			pi.ctrlsOf = map[uint64][]int32{}
+		}
 		pi.ctrlsOf[pair] = cs
 	}
 	return cs
 }
+
+// bindingTable holds a value per binding at bindingOrd, so a path walk
+// indexes a slice where it would hash. Ordinals of two networks are
+// unrelated: it serves the first path's network and panics on another's.
+type bindingTable[T any] struct {
+	net *topo.Network
+	at  []T
+}
+
+// of returns the table sized for p's network; entries never set are zero.
+func (t *bindingTable[T]) of(p topo.Path) []T {
+	n := p.Src().Device.Network()
+	if t.net == nil {
+		t.net = n
+	} else if n != t.net {
+		panic("core: a binding table fed a path of another network")
+	}
+	if k := 2 * n.NumInterfaces(); len(t.at) < k {
+		t.at = append(t.at, make([]T, k-len(t.at))...)
+	}
+	return t.at
+}
+
+// bindingOrd is a binding's index in a bindingTable.
+func bindingOrd(b topo.ACLBinding) int { return 2*b.Iface.Ord() + int(b.Dir) }
 
 // shapeSet numbers distinct shapes — tuples of int32 lists — in
 // first-occurrence order over the paths added.

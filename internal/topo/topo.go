@@ -39,7 +39,13 @@ type Interface struct {
 	Device *Device
 	Name   string
 	ACLs   [2]*acl.ACL // indexed by Direction; nil = no ACL
+	ord    int32       // see Ord
 }
+
+// Ord returns the interface's ordinal, dense from 0 below its network's
+// NumInterfaces. It follows creation order, which may follow map
+// iteration (Clone): nothing observable may depend on it.
+func (i *Interface) Ord() int { return int(i.ord) }
 
 // ID returns the "device:interface" form used by LAI.
 func (i *Interface) ID() string { return i.Device.Name + ":" + i.Name }
@@ -73,8 +79,12 @@ type Device struct {
 	Interfaces map[string]*Interface
 	FIB        []FIBEntry
 
+	net *Network // numbers the device's interfaces
 	lpm *lpmNode // lazily built LPM trie over FIB
 }
+
+// Network returns the network the device belongs to.
+func (d *Device) Network() *Network { return d.net }
 
 // lpmNode is one node of the binary LPM trie. outs holds the ECMP set of
 // entries whose prefix ends exactly here; subtree counts all entries in
@@ -112,7 +122,8 @@ func (d *Device) Interface(name string) *Interface {
 	if i, ok := d.Interfaces[name]; ok {
 		return i
 	}
-	i := &Interface{Device: d, Name: name}
+	i := &Interface{Device: d, Name: name, ord: d.net.ifaces}
+	d.net.ifaces++
 	d.Interfaces[name] = i
 	return i
 }
@@ -168,6 +179,9 @@ type Network struct {
 
 	links map[*Interface]*Interface // directed: egress interface -> peer ingress interface
 	rev   map[*Interface]*Interface // ingress -> egress peer
+	// ifaces is the next interface ordinal. Devices count through their
+	// net pointer, so a Network with devices must not be copied by value.
+	ifaces int32
 }
 
 // NewNetwork returns an empty network.
@@ -184,10 +198,13 @@ func (n *Network) Device(name string) *Device {
 	if d, ok := n.Devices[name]; ok {
 		return d
 	}
-	d := &Device{Name: name, Interfaces: make(map[string]*Interface)}
+	d := &Device{Name: name, Interfaces: make(map[string]*Interface), net: n}
 	n.Devices[name] = d
 	return d
 }
+
+// NumInterfaces bounds the network's interface ordinals.
+func (n *Network) NumInterfaces() int { return int(n.ifaces) }
 
 // AddLink records a directed link: traffic leaving from (an egress
 // interface) arrives at to (an ingress interface of another device).
@@ -233,25 +250,25 @@ func (n *Network) LookupInterface(id string) (*Interface, error) {
 // mutating the original.
 func (n *Network) Clone() *Network {
 	out := NewNetwork()
+	to := make([]*Interface, n.ifaces) // each interface's copy, by ordinal
 	for name, d := range n.Devices {
 		nd := out.Device(name)
 		for iname, i := range d.Interfaces {
 			ni := nd.Interface(iname)
-			for dir := range i.ACLs {
-				if i.ACLs[dir] != nil {
-					ni.ACLs[dir] = i.ACLs[dir].Clone()
+			to[i.ord] = ni
+			for dir, a := range i.ACLs {
+				if a != nil {
+					ni.ACLs[dir] = a.Clone()
 				}
 			}
 		}
-		for _, e := range d.FIB {
-			nd.AddRoute(e.Prefix, nd.Interface(e.Out.Name))
+		nd.FIB = make([]FIBEntry, len(d.FIB))
+		for k, e := range d.FIB {
+			nd.FIB[k] = FIBEntry{Prefix: e.Prefix, Out: to[e.Out.ord]}
 		}
 	}
-	for from, to := range n.links {
-		out.AddLink(
-			out.Device(from.Device.Name).Interface(from.Name),
-			out.Device(to.Device.Name).Interface(to.Name),
-		)
+	for from, peer := range n.links {
+		out.AddLink(to[from.ord], to[peer.ord])
 	}
 	return out
 }
