@@ -60,8 +60,8 @@ fuzz-snapshots:
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotRestore -fuzztime 30s ./internal/store
 
 # Fault-injection lane: every TestFault* scenario (interrupted check
-# decisions, generate's solver timeouts and transient faults with their
-# retries, check panics, split and whole-region verdicts mixed in one
+# decisions, generate's AECs blocked by injected timeouts and transient
+# faults or by an expired deadline, check panics, split and whole-region verdicts mixed in one
 # cache, fix-pool panics and collapse, deadline cancellation, snapshot
 # write/restore crashes) under the race
 # detector. The faultinject registry is process-global, so these tests

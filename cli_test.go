@@ -392,9 +392,9 @@ func TestCLIBackendGolden(t *testing.T) {
 	}
 }
 
-// TestCLIBackendFlagRetired pins the upgrade path of the retired -backend
-// flag: the check picks its own decision procedure, so jinjing refuses
-// the flag as unknown and exits 2.
+// TestCLIBackendFlagRetired pins the upgrade path of retired flags:
+// -backend (the check picks its own decision procedure) and -max-retries
+// (no query is retried). jinjing refuses each as unknown and exits 2.
 func TestCLIBackendFlagRetired(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI run builds binaries; skipped in -short mode")
@@ -406,18 +406,20 @@ func TestCLIBackendFlagRetired(t *testing.T) {
 		t.Fatal(err)
 	}
 	writeProgram(t, prog, "check\n")
-	out, err := exec.Command(jinjingBin, "-topo", net, "-program", prog, "-backend", "sat").CombinedOutput()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-		t.Fatalf("-backend sat: err %v, want exit status 2\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "flag provided but not defined: -backend") {
-		t.Fatalf("-backend sat: no unknown-flag message:\n%s", out)
+	for _, retired := range [][2]string{{"-backend", "sat"}, {"-max-retries", "3"}} {
+		out, err := exec.Command(jinjingBin, "-topo", net, "-program", prog, retired[0], retired[1]).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("%s %s: err %v, want exit status 2\n%s", retired[0], retired[1], err, out)
+		}
+		if !strings.Contains(string(out), "flag provided but not defined: "+retired[0]) {
+			t.Fatalf("%s %s: no unknown-flag message:\n%s", retired[0], retired[1], out)
+		}
 	}
 }
 
-// TestCLIResourceLimits drives the -timeout/-fec-budget/-max-retries
-// flags end to end: generous limits must leave stdout byte-identical to
+// TestCLIResourceLimits drives the -timeout/-fec-budget flags end to
+// end: generous limits must leave stdout byte-identical to
 // the unlimited run, while an immediately-expiring -timeout must report
 // UNDECIDED promptly and exit nonzero — an undecided check composes
 // into automation as a failure, never a pass.
@@ -453,7 +455,7 @@ func TestCLIResourceLimits(t *testing.T) {
 	if err == nil {
 		t.Fatalf("perturbed check should exit nonzero\n%s", plain)
 	}
-	limited, err := capture("-timeout", "1h", "-fec-budget", "1000000", "-max-retries", "3")
+	limited, err := capture("-timeout", "1h", "-fec-budget", "1000000")
 	if err == nil {
 		t.Fatalf("perturbed check should exit nonzero under generous limits\n%s", limited)
 	}

@@ -53,9 +53,8 @@ func main() {
 		workers     = flag.Int("workers", 1, "parallel workers for fix and generate (check always runs on one goroutine)")
 		explain     = flag.Bool("explain", false, "print hop-by-hop decision traces for each violation")
 
-		timeout    = flag.Duration("timeout", 0, "wall-clock deadline per primitive call (0 = none); expired checks report UNDECIDED FECs, fix/generate refuse their plan")
-		fecBudget  = flag.Int64("fec-budget", 0, "SAT conflict budget per solver query (0 = unlimited); exhausted queries escalate 4x per retry")
-		maxRetries = flag.Int("max-retries", 2, "retries for a budget-exhausted or transiently failed query before its verdict stays unknown")
+		timeout   = flag.Duration("timeout", 0, "wall-clock deadline per primitive call (0 = none); expired checks report UNDECIDED FECs, fix/generate refuse their plan")
+		fecBudget = flag.Int64("fec-budget", 0, "SAT conflict budget per fix placement query (0 = unlimited); an exhausted query leaves its FEC unknown and fix refuses its plan")
 
 		tracePath   = flag.String("trace", "", "write a JSONL span trace to this file")
 		traceText   = flag.Bool("trace-text", false, "print a human-readable span trace to stderr")
@@ -85,7 +84,6 @@ func main() {
 	}
 	engineOpts.Deadline = *timeout
 	engineOpts.PerFECBudget = *fecBudget
-	engineOpts.MaxRetries = *maxRetries
 
 	// Observability starts before the inputs are read, so profiles and
 	// traces cover the load; every exit after this point calls finish.

@@ -28,7 +28,12 @@ func TestExamples(t *testing.T) {
 			"plan verified: true",
 		}},
 		{"isolation", []string{
-			"verified=true",
+			// The one shipped input whose AECs have a choice of denying
+			// target: the closed form's tie rule puts the subnet side's
+			// deny at R3:sub, not at R1:d and R2:d.
+			"generate: 51 classes, 4 AECs (0 DEC-split), 3 rules, verified=true",
+			"R1:up:in: deny src 1.2.0.0/16, permit all",
+			"R3:sub:in: deny dst 1.2.0.0/16, permit all",
 			"service -> subnet (must be blocked)        BLOCKED",
 			"subnet -> service (must be blocked)        BLOCKED",
 			"other traffic -> subnet (must still work)  permitted",

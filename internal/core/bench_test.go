@@ -229,15 +229,3 @@ func BenchmarkCompileShapes(b *testing.B) {
 	}
 	b.ReportMetric(float64(shapes), "shapes")
 }
-
-func BenchmarkConservativeCheck(b *testing.B) {
-	before := papernet.Build()
-	after := runningExampleUpdate(before)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e := core.New(before, after, papernet.Scope(), core.DefaultOptions())
-		if e.CheckConservative().Consistent {
-			b.Fatal("must be flagged")
-		}
-	}
-}

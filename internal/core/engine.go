@@ -98,19 +98,12 @@ type Options struct {
 	// emit a plan and return ErrUnknownVerdicts. Combines with any
 	// deadline already on the caller's context (the earlier one wins).
 	Deadline time.Duration
-	// PerFECBudget, when positive, caps the SAT conflicts a single
-	// solver query — one fix placement, one generate AEC attempt — may
-	// spend before it is declared Unknown. A generate query that exhausts
-	// it is retried with a 4x larger budget up to MaxRetries times; the
-	// solver resumes rather than restarts, so escalation wastes no work.
-	// The check spends no conflicts: it decides in the set algebra, and
-	// Deadline bounds it.
+	// PerFECBudget, when positive, caps the SAT conflicts of each fix
+	// placement query. A query that exhausts it leaves its FEC Unknown,
+	// and fix refuses its plan; nothing is retried. The check and
+	// generate spend no conflicts: they decide in closed form (the set
+	// algebra, Equations 8–10 per AEC), and Deadline bounds them.
 	PerFECBudget int64
-	// MaxRetries is how many times an Unknown generate AEC query (budget
-	// exhausted, injected timeout, transient fault) is retried before the
-	// Unknown becomes final. 0 means no retries. Cancellation is never
-	// retried. Fix placements and the check are not retried.
-	MaxRetries int
 	// Forensics makes Check attach per-FEC solve forensics — the route
 	// that established each verdict (skip, cache replay, pset, pset-split),
 	// the decision time, and unknown reasons — to
@@ -144,11 +137,6 @@ func DefaultOptions() Options {
 	return Options{
 		UseDifferential:   true,
 		OptimizeSynthesis: true,
-		// Two escalating retries make a tight PerFECBudget useful: the
-		// solver resumes across attempts, so the allowance effectively
-		// grows 1x -> 4x -> 16x before an Unknown becomes final. Inert
-		// on the happy path (no budget, no faults, no deadline).
-		MaxRetries: 2,
 	}
 }
 

@@ -485,6 +485,9 @@ func (e *Engine) solveNeighborhood(cn *canceller, ix *fixIndex, shapes []int32, 
 		_, r := s.SolveMinimizeLimited(bgt, pl.costs)
 		out.stats, out.solved = s.Stats(), true
 		if r.Outcome == sat.Unknown {
+			if r.Reason != sat.ReasonInterrupted {
+				e.obsv().Counter("budget.exhausted").Inc()
+			}
 			out.unknown = r.Reason
 			return out, nil
 		}

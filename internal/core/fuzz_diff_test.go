@@ -260,7 +260,6 @@ func TestFuzzCheckParallelAgreement(t *testing.T) {
 			// count (the signature now pins Complete and Unknown too).
 			opts.Deadline = time.Hour
 			opts.PerFECBudget = 1 << 30
-			opts.MaxRetries = 1
 		}
 
 		seq := core.New(before, after, scope, opts).Check()

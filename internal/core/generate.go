@@ -7,10 +7,9 @@ import (
 	"sort"
 
 	"jinjing/internal/acl"
+	"jinjing/internal/faultinject"
 	"jinjing/internal/header"
 	"jinjing/internal/obs"
-	"jinjing/internal/sat"
-	"jinjing/internal/smt"
 	"jinjing/internal/topo"
 )
 
@@ -40,10 +39,6 @@ type GenerateResult struct {
 	RulesAfterSimplify int
 
 	Verified bool
-	// SolverStats aggregates the full SAT counters across every solver
-	// the generation spun up: one per AEC/DEC solving attempt (the
-	// verification check runs none).
-	SolverStats sat.Stats
 }
 
 // aec is one ACL equivalence class with its solving state.
@@ -80,12 +75,11 @@ func (e *Engine) Generate(sources []topo.ACLBinding) (*GenerateResult, error) {
 	return e.GenerateContext(context.Background(), sources)
 }
 
-// GenerateContext is Generate under a cancellation scope: ctx's
-// cancellation (and Options.Deadline) interrupts every solver in
-// flight, and Options.PerFECBudget bounds each AEC/DEC query. Like fix,
-// generation is all-or-nothing — if any AEC's query ends Unknown, no
+// GenerateContext is Generate under a cancellation scope: once ctx is
+// cancelled (or Options.Deadline passes) no further AEC is decided. Like
+// fix, generation is all-or-nothing — if any AEC is left undecided, no
 // plan is emitted and the returned error is an *ErrUnknownVerdicts
-// naming the blocking AEC indices in ascending order.
+// naming the blocking AECs in ascending order.
 func (e *Engine) GenerateContext(callCtx context.Context, sources []topo.ACLBinding) (*GenerateResult, error) {
 	o := e.obsv()
 	ls := e.ledgerBegin()
@@ -125,31 +119,32 @@ func (e *Engine) GenerateContext(callCtx context.Context, sources []topo.ACLBind
 	dp.End(obs.KV("classes", res.Classes), obs.KV("aecs", res.AECs), obs.KV("dst_atoms", atoms))
 
 	// Phase 2: solve each AEC, falling back to DECs (§5.2, §5.3). Each
-	// AEC is solved on its own fresh solver, a pure function of the AEC,
-	// so with Options.Workers > 1 the loop fans out across goroutines
-	// and — after the deterministic AEC-order merge below — produces
-	// output identical to the sequential loop.
+	// AEC's decisions are a pure function of the AEC, so with
+	// Options.Workers > 1 the loop fans out across goroutines and — after
+	// the deterministic AEC-order merge below — produces output identical
+	// to the sequential loop. The call's cancellation is polled, and the
+	// GenerateAEC fault site fired, once per AEC.
 	sp := root.Child("solve")
 	task := o.StartTask("generate: AECs", int64(len(aecs)))
 	src := e.fecSource()
 	ix := e.compileGenerate(src.Paths(), sources, encBindings)
 	type aecOutcome struct {
 		decSplit   bool
-		stats      sat.Stats
 		unsolvable []header.Match
 		unknown    string
 	}
 	solveOne := func(a *aec) aecOutcome {
 		var out aecOutcome
-		ok, unk, st := e.solveAEC(cn, o, ix, a, ix.allShapes)
-		out.stats.Add(st)
-		if unk != "" {
-			// Undecided is not unsatisfiable: a DEC split on an Unknown
-			// verdict would be guesswork, so the AEC blocks the plan.
-			out.unknown = unk
+		if cn.cancelled() {
+			out.unknown = reasonCancelled
 			return out
 		}
-		if ok {
+		// Undecided is not unsatisfiable: a DEC split on an Unknown
+		// verdict would be guesswork, so the AEC blocks the plan.
+		if out.unknown = faultReason(faultinject.GenerateAEC); out.unknown != "" {
+			return out
+		}
+		if ix.decide(a, ix.allShapes) {
 			a.solved = true
 			return out
 		}
@@ -175,13 +170,7 @@ func (e *Engine) GenerateContext(callCtx context.Context, sources []topo.ACLBind
 				shapes = ix.shapesOn(src.PathIndices(key))
 			}
 			sub := &aec{decisions: a.decisions, ctrlIn: a.ctrlIn}
-			ok, unk, st := e.solveAEC(cn, o, ix, sub, shapes)
-			out.stats.Add(st)
-			if unk != "" {
-				out.unknown = unk
-				return out
-			}
-			if !ok {
+			if !ix.decide(sub, shapes) {
 				out.unsolvable = append(out.unsolvable, g.classes...)
 				continue
 			}
@@ -199,14 +188,13 @@ func (e *Engine) GenerateContext(callCtx context.Context, sources []topo.ACLBind
 		outcomes[i] = solveOne(aecs[i])
 		task.Add(1)
 	})
-	var blockedAECs []int
+	var blockedAECs []UnknownAEC
 	for i, out := range outcomes {
-		recordSolverStats(o, &res.SolverStats, out.stats)
 		if out.decSplit {
 			res.DECSplitAECs++
 		}
 		if out.unknown != "" {
-			blockedAECs = append(blockedAECs, i)
+			blockedAECs = append(blockedAECs, UnknownAEC{AEC: i, Reason: out.unknown})
 		}
 		res.Unsolvable = append(res.Unsolvable, out.unsolvable...)
 	}
@@ -273,9 +261,6 @@ func (e *Engine) GenerateContext(callCtx context.Context, sources []topo.ACLBind
 	ver := e.derived(gen, vp)
 	cr := ver.CheckContext(callCtx)
 	res.Verified = cr.Consistent && cr.Complete
-	// The verification check recorded its own sat.* metrics; fold its
-	// counters into this primitive's aggregate too.
-	res.SolverStats.Add(cr.SolverStats)
 	vp.End(obs.KV("verified", res.Verified))
 
 	o.Counter("generate.classes").Add(int64(res.Classes))
@@ -404,8 +389,8 @@ func (e *Engine) deriveAECs(encBindings []topo.ACLBinding, classes []header.Matc
 // the AEC. A path enters an AEC's constraint only through which targets,
 // sources and ACL-carrying bindings it crosses and which controls govern
 // it — its shape — and a WAN's thousands of paths share a few dozen, so
-// solveAEC asserts one constraint per shape. Read-only once built: the
-// AEC loop shares it across workers.
+// decide reads one constraint per shape. Read-only once built: the AEC
+// loop shares it across workers.
 type genIndex struct {
 	targetIDs []string    // distinct Allow binding IDs, sorted
 	controls  []Control   // the engine's, for their modes
@@ -495,69 +480,112 @@ func (e *Engine) compileGenerate(paths []topo.Path, sources, encBindings []topo.
 	return ix
 }
 
-// constraint builds the Equation 8–10 constraint of one shape for an AEC:
-// the conjunction of the crossed bindings' post-generation decisions —
-// the target's decision variable, permit at a source, the AEC's original
-// decision elsewhere — must equal the desired decision, which is the
-// original path decision unless the first applicable control whose match
-// covers the AEC says otherwise (§6).
-func (ix *genIndex) constraint(b *smt.Builder, denyVars []smt.F, a *aec, sh *pathShape) smt.F {
-	lhs := smt.True
-	for _, t := range sh.targets {
-		lhs = b.And(lhs, denyVars[t].Not())
-	}
-	for _, i := range sh.others {
-		lhs = b.And(lhs, b.Const(a.decisions[i] == acl.Permit))
-	}
-	desired := true
-	for _, i := range sh.enc {
-		if a.decisions[i] == acl.Deny {
-			desired = false
-			break
+// decide finds per-target decisions for one AEC (or DEC group) over the
+// paths of the given shapes, per Equations 8–10, and reports whether any
+// exist. With the non-target decisions fixed by the AEC's signature, each
+// shape's constraint is one of three things. A shape crossing a binding
+// outside the targets and sources that denies the AEC has a false
+// left-hand side: it holds iff its desired decision is deny. Otherwise it
+// forces every target it crosses to permit (desired permit), or it is the
+// clause "one of its targets denies" (desired deny). denyTargets then
+// picks the denying targets.
+func (ix *genIndex) decide(a *aec, shapes []int32) bool {
+	forced := make([]bool, len(ix.targetIDs))
+	var clauses [][]int32
+	for _, si := range shapes {
+		sh := &ix.shapes[si]
+		desired := ix.desired(a, sh)
+		if slices.ContainsFunc(sh.others, func(i int32) bool { return a.decisions[i] == acl.Deny }) {
+			if desired {
+				return false
+			}
+			continue
+		}
+		if !desired {
+			clauses = append(clauses, sh.targets)
+			continue
+		}
+		for _, t := range sh.targets {
+			forced[t] = true
 		}
 	}
+	deny, ok := denyTargets(forced, clauses)
+	if !ok {
+		return false
+	}
+	a.dec = make(map[string]bool, len(ix.targetIDs))
+	for i, id := range ix.targetIDs {
+		a.dec[id] = !deny[i]
+	}
+	return true
+}
+
+// desired is a shape's desired decision for an AEC: the original path
+// decision, unless the first applicable control whose match covers the
+// AEC says otherwise (§6).
+func (ix *genIndex) desired(a *aec, sh *pathShape) bool {
 	for _, i := range sh.ctrls {
 		if !a.ctrlIn[i] {
 			continue
 		}
 		switch ix.controls[i].Mode {
 		case Isolate:
-			desired = false
+			return false
 		case Open:
-			desired = true
+			return true
 		}
 		break // Maintain keeps the original decision
 	}
-	return b.Iff(lhs, b.Const(desired))
+	return !slices.ContainsFunc(sh.enc, func(i int32) bool { return a.decisions[i] == acl.Deny })
 }
 
-// solveAEC finds per-target decisions for one AEC (or DEC) over the paths
-// of the given shapes, per Equations 8–10. Decision variables are phrased
-// as "deny" variables so that unconstrained targets default to permit (the
-// SAT solver branches false-first). Returns ok=false when unsatisfiable, or
-// unknown != "" (and ok=false) when the query reached no verdict under
-// the call's budget/cancellation, along with the attempt's full solver
-// counters.
-func (e *Engine) solveAEC(cn *canceller, o *obs.Observer, ix *genIndex, a *aec, shapes []int32) (ok bool, unknown string, st sat.Stats) {
-	s := smt.NewSolver()
-	cn.register(s)
-	denyVars := make([]smt.F, len(ix.targetIDs))
-	for i := range denyVars {
-		denyVars[i] = s.B.Var()
+// denyTargets chooses the targets that deny so that every clause has a
+// denying member and no forced target denies; ok is false when some
+// clause has no unforced member. Each clause is reduced to its unforced
+// targets and counted once however many paths pose it, so the choice does
+// not depend on path multiplicity. A target that is the only unforced one
+// of a clause denies; then, while a clause is unmet, the target meeting
+// the most unmet clauses denies, the lowest index on a tie. Every other
+// target permits.
+func denyTargets(forced []bool, clauses [][]int32) (deny []bool, ok bool) {
+	open := make([][]int32, 0, len(clauses))
+	for _, c := range clauses {
+		var free []int32
+		for _, t := range c {
+			if !forced[t] {
+				free = append(free, t)
+			}
+		}
+		if len(free) == 0 {
+			return nil, false
+		}
+		slices.Sort(free)
+		open = append(open, slices.Compact(free))
 	}
-	for _, si := range shapes {
-		s.Assert(ix.constraint(s.B, denyVars, a, &ix.shapes[si]))
+	slices.SortFunc(open, slices.Compare[[]int32])
+	open = slices.CompactFunc(open, slices.Equal[[]int32])
+	deny = make([]bool, len(forced))
+	for _, c := range open {
+		if len(c) == 1 {
+			deny[c[0]] = true
+		}
 	}
-	r := e.solveWithRetries(cn, s, o)
-	if r.Outcome == sat.Unknown {
-		return false, r.Reason, s.Stats()
+	met := func(c []int32) bool { return slices.ContainsFunc(c, func(t int32) bool { return deny[t] }) }
+	count := make([]int, len(forced))
+	for open = slices.DeleteFunc(open, met); len(open) > 0; open = slices.DeleteFunc(open, met) {
+		clear(count)
+		for _, c := range open {
+			for _, t := range c {
+				count[t]++
+			}
+		}
+		best := 0
+		for t, n := range count {
+			if n > count[best] {
+				best = t
+			}
+		}
+		deny[best] = true
 	}
-	if r.Outcome != sat.Sat {
-		return false, "", s.Stats()
-	}
-	a.dec = make(map[string]bool, len(ix.targetIDs))
-	for i, id := range ix.targetIDs {
-		a.dec[id] = !s.Value(denyVars[i])
-	}
-	return true, "", s.Stats()
+	return deny, true
 }

@@ -13,7 +13,6 @@ import (
 	"jinjing/internal/header"
 	"jinjing/internal/netgen"
 	"jinjing/internal/papernet"
-	"jinjing/internal/sat"
 	"jinjing/internal/smt"
 	"jinjing/internal/topo"
 )
@@ -358,10 +357,72 @@ func distinct(fs []smt.F) []smt.F {
 	return out
 }
 
-// compareSolve builds the reference and the compiled constraints of one
-// AEC (or DEC group) in one builder, requires them equal after dropping
-// repeats, solves the reference its own way and the engine through
-// solveAEC, and requires the same verdict and decisions.
+// shapeConstraint is the Equation 8–10 constraint of one shape for an
+// AEC as a formula: the conjunction of the crossed bindings'
+// post-generation decisions — the target's decision variable, permit at
+// a source, the AEC's original decision elsewhere — must equal the
+// shape's desired decision. It is the SAT encoding the closed form
+// (genIndex.decide) replaced, kept as the per-shape side of the
+// comparison with the per-path reference.
+func shapeConstraint(ix *genIndex, b *smt.Builder, denyVars []smt.F, a *aec, sh *pathShape) smt.F {
+	lhs := smt.True
+	for _, t := range sh.targets {
+		lhs = b.And(lhs, denyVars[t].Not())
+	}
+	for _, i := range sh.others {
+		lhs = b.And(lhs, b.Const(a.decisions[i] == acl.Permit))
+	}
+	return b.Iff(lhs, b.Const(ix.desired(a, sh)))
+}
+
+// refClauses reads the reference's per-path constraints the way the
+// closed form takes them: the targets forced to permit (paths whose
+// desired decision is permit) and one clause per path whose desired
+// decision is deny, its targets as indices into rs.targetIDs. ok is
+// false when a path already denied outside the targets and sources
+// wants permit.
+func refClauses(e *Engine, a *refAEC, paths []topo.Path, rs refSets) (forced []bool, clauses [][]int32, ok bool) {
+	forced = make([]bool, len(rs.targetIDs))
+	for _, p := range paths {
+		var targets []int32
+		denied := false
+		for _, bind := range p.Bindings() {
+			id := bind.ID()
+			switch {
+			case rs.tgtSet[id]:
+				i, _ := slices.BinarySearch(rs.targetIDs, id)
+				targets = append(targets, int32(i))
+			case rs.srcSet[id]:
+				// Source interfaces permit all traffic after migration.
+			default:
+				if i, ok := rs.encIdx[id]; ok && a.decisions[i] == acl.Deny {
+					denied = true
+				}
+			}
+		}
+		switch desired := refDesired(e, a, p, rs.encIdx); {
+		case denied:
+			if desired {
+				return nil, nil, false
+			}
+		case desired:
+			for _, t := range targets {
+				forced[t] = true
+			}
+		default:
+			clauses = append(clauses, targets)
+		}
+	}
+	return forced, clauses, true
+}
+
+// compareSolve builds the reference and the per-shape constraints of one
+// AEC (or DEC group) in one builder and requires them equal after
+// dropping repeats. It then decides the AEC through genIndex.decide and
+// requires the reference's verdict and decisions: the closed form
+// (denyTargets) applied to the reference's own per-path clauses. The
+// reference's SAT solve cross-checks both: it must agree on solvability,
+// and the engine's decisions must satisfy every per-path formula.
 func compareSolve(t *testing.T, what string, e *Engine, ix *genIndex, rs refSets, ra *refAEC, a *aec, paths []topo.Path, shapes []int32) bool {
 	t.Helper()
 	s := smt.NewSolver()
@@ -375,34 +436,44 @@ func compareSolve(t *testing.T, what string, e *Engine, ix *genIndex, rs refSets
 	ref := refConstraints(e, b, byID, ra, paths, rs)
 	got := make([]smt.F, 0, len(shapes))
 	for _, si := range shapes {
-		got = append(got, ix.constraint(b, vars, a, &ix.shapes[si]))
+		got = append(got, shapeConstraint(ix, b, vars, a, &ix.shapes[si]))
 	}
 	if want, have := distinct(ref), distinct(got); !slices.Equal(want, have) {
 		t.Fatalf("%s: constraint sequences differ\nreference (%d paths -> %d distinct): %v\ncompiled  (%d shapes -> %d distinct): %v",
 			what, len(paths), len(want), want, len(shapes), len(have), have)
 	}
+	forced, clauses, refOK := refClauses(e, ra, paths, rs)
+	var deny []bool
+	if refOK {
+		deny, refOK = denyTargets(forced, clauses)
+	}
+	ok := ix.decide(a, shapes)
+	if ok != refOK {
+		t.Fatalf("%s: solvable=%v, reference %v", what, ok, refOK)
+	}
 	for _, f := range ref {
 		s.Assert(f)
 	}
-	r := e.solveWithRetries(nil, s, e.obsv())
-	refOK := r.Outcome == sat.Sat
-	ok, unknown, _ := e.solveAEC(nil, e.obsv(), ix, a, shapes)
-	if unknown != "" || r.Outcome == sat.Unknown {
-		t.Fatalf("%s: unexpected unknown verdict", what)
-	}
-	if ok != refOK {
-		t.Fatalf("%s: solvable=%v, reference %v", what, ok, refOK)
+	if solved := s.Solve(); solved != ok {
+		t.Fatalf("%s: solvable=%v, the reference's SAT solve %v", what, ok, solved)
 	}
 	if !ok {
 		return false
 	}
-	for i, id := range rs.targetIDs {
-		if want := !s.Value(vars[i]); a.dec[id] != want {
-			t.Fatalf("%s: decision at %s = %v, reference %v", what, id, a.dec[id], want)
-		}
-	}
 	if len(a.dec) != len(rs.targetIDs) {
 		t.Fatalf("%s: dec has %d entries for %d targets", what, len(a.dec), len(rs.targetIDs))
+	}
+	assign := make(map[smt.F]bool, len(vars))
+	for i, id := range rs.targetIDs {
+		if a.dec[id] == deny[i] {
+			t.Fatalf("%s: decision at %s = %v, reference %v", what, id, a.dec[id], !deny[i])
+		}
+		assign[vars[i]] = deny[i]
+	}
+	for k, f := range ref {
+		if !b.Eval(f, assign) {
+			t.Fatalf("%s: the decisions violate the constraint of path %d (%v)", what, k, paths[k])
+		}
 	}
 	return true
 }

@@ -12,7 +12,6 @@ import (
 	"jinjing/internal/header"
 	"jinjing/internal/obs"
 	"jinjing/internal/pset"
-	"jinjing/internal/sat"
 	"jinjing/internal/topo"
 )
 
@@ -509,14 +508,7 @@ func (e *Engine) resolveFEC(c *solveCall, i int) fecState {
 		ds     decideStats
 		reason string
 	)
-	switch faultinject.Fire(faultinject.CheckSolve) {
-	case faultinject.Panic:
-		panic(fmt.Sprintf("faultinject: injected panic at %s", faultinject.CheckSolve))
-	case faultinject.Timeout:
-		reason = sat.ReasonInterrupted
-	case faultinject.Transient:
-		reason = reasonTransient // the check has no retry
-	default:
+	if reason = faultReason(faultinject.CheckSolve); reason == "" {
 		var ok bool
 		if viol, ds, ok = e.violations(c.cn, ctx, fec, shapes, false); !ok {
 			reason = reasonCancelled

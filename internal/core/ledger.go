@@ -22,7 +22,6 @@ type ledgerStart struct {
 	t0       time.Time
 	cpu0     int64
 	budgets0 int64
-	retries0 int64
 }
 
 // ledgerBegin returns the call's cost baseline, or nil when no ledger
@@ -36,7 +35,6 @@ func (e *Engine) ledgerBegin() *ledgerStart {
 		t0:       time.Now(),
 		cpu0:     declog.ProcessCPU(),
 		budgets0: o.Counter("budget.exhausted").Value(),
-		retries0: o.Counter("retry.count").Value(),
 	}
 }
 
@@ -48,7 +46,6 @@ func (e *Engine) ledgerFinish(ls *ledgerStart, rec *declog.Record) {
 	}
 	o := e.obsv()
 	rec.BudgetsHit = o.Counter("budget.exhausted").Value() - ls.budgets0
-	rec.Retries = o.Counter("retry.count").Value() - ls.retries0
 	e.Opts.DecisionLog.Append(rec) //nolint:errcheck // auditing is best-effort
 }
 

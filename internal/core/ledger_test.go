@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -382,5 +383,34 @@ func TestForensicsGatedOff(t *testing.T) {
 		if f.Verdict != "consistent" && f.Verdict != "violating" && f.Verdict != "unknown" {
 			t.Fatalf("bad verdict %q", f.Verdict)
 		}
+	}
+}
+
+// TestLedgerFixBudgetExhausted pins that a fix placement query killed by
+// Options.PerFECBudget is counted: fix refuses its plan, budget.exhausted
+// reads at least one, and the ledger record carries the same count as
+// budgets_hit.
+func TestLedgerFixBudgetExhausted(t *testing.T) {
+	l, path := openTestLedger(t)
+	opts := core.DefaultOptions()
+	opts.PerFECBudget = 1
+	opts.DecisionLog = l
+	_, _, m := obsHarness(&opts)
+	res, err := newRunningEngine(t, opts).Fix()
+	var uv *core.ErrUnknownVerdicts
+	if res != nil || !errors.As(err, &uv) || len(uv.FECs) == 0 {
+		t.Fatalf("fix under a one-conflict budget must refuse: res=%v err=%v", res, err)
+	}
+	n := m.Snapshot().Counters["budget.exhausted"]
+	if n < 1 {
+		t.Fatalf("budget.exhausted = %d after a budget-killed placement", n)
+	}
+	l.Close()
+	recs, _, rerr := declog.ReadFile(path)
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	if len(recs) != 1 || recs[0].Primitive != "fix" || recs[0].BudgetsHit != n {
+		t.Fatalf("want one fix record with budgets_hit %d, got %+v", n, recs)
 	}
 }

@@ -199,65 +199,6 @@ func TestGenerateAlwaysVerifiesOnRandomMigrations(t *testing.T) {
 	}
 }
 
-func TestCheckConservative(t *testing.T) {
-	// Equivalent rewrite: conservative check must pass.
-	before := papernet.Build()
-	after := before.Clone()
-	a1, _ := after.LookupInterface("A:1")
-	a1.SetACL(topo.In, acl.MustParse(
-		"deny dst 6.0.0.0/9, deny dst 6.128.0.0/9, permit all"))
-	e := core.New(before, after, papernet.Scope(), core.DefaultOptions())
-	// It solves unbounded, so every result it returns is decided.
-	if res := e.CheckConservative(); !res.Consistent || !res.Complete {
-		t.Fatalf("conservative check on an equivalent rewrite: consistent=%v complete=%v", res.Consistent, res.Complete)
-	}
-
-	// Semantic change: must be flagged (and is also a real violation).
-	after2 := runningExampleUpdate(before)
-	e2 := core.New(before, after2, papernet.Scope(), core.DefaultOptions())
-	res := e2.CheckConservative()
-	if res.Consistent || !res.Complete {
-		t.Fatalf("conservative check on a real change: consistent=%v complete=%v", res.Consistent, res.Complete)
-	}
-	if len(res.Violations) == 0 {
-		t.Fatal("no counterexample packets reported")
-	}
-
-	// The documented false positive: moving a deny to an interface no
-	// affected traffic traverses. Add "deny dst 9.0.0.0/8" (not routed)
-	// on A:1 — per-ACL inequivalent, but reachability is untouched.
-	after3 := before.Clone()
-	a13, _ := after3.LookupInterface("A:1")
-	a13.SetACL(topo.In, acl.MustParse(
-		"deny dst 9.0.0.0/8, deny dst 6.0.0.0/8, permit all"))
-	e3 := core.New(before, after3, papernet.Scope(), core.DefaultOptions())
-	if res := e3.CheckConservative(); res.Consistent || !res.Complete {
-		t.Fatalf("expected the conservative false positive: consistent=%v complete=%v", res.Consistent, res.Complete)
-	}
-	if !e3.Check().Consistent {
-		t.Fatal("the exact check must see through the unrouted rule")
-	}
-	// Both modes agree on the differential toggle.
-	opts := core.DefaultOptions()
-	opts.UseDifferential = false
-	e4 := core.New(before, after3, papernet.Scope(), opts)
-	if res := e4.CheckConservative(); res.Consistent || !res.Complete {
-		t.Fatalf("basic conservative check should match: consistent=%v complete=%v", res.Consistent, res.Complete)
-	}
-}
-
-func TestCheckConservativePanicsWithControls(t *testing.T) {
-	before := papernet.Build()
-	e := core.New(before, before.Clone(), papernet.Scope(), core.DefaultOptions())
-	e.Controls = []core.Control{{Mode: core.Isolate, Match: header.MatchAll}}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic with control intents")
-		}
-	}()
-	e.CheckConservative()
-}
-
 func TestFixOnWANInjectionsSmall(t *testing.T) {
 	// End-to-end failure injection on the synthetic WAN: perturb,
 	// check, fix, verify — across several seeds.

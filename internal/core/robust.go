@@ -4,17 +4,16 @@ package core
 // verification pipeline. The design has three layers:
 //
 //   - A canceller relays context cancellation to every solver a
-//     primitive call has in flight: solvers register on acquisition, and
-//     the context watcher interrupts them all when the deadline fires.
-//     The check, which runs no solver, polls it between FECs and between
-//     the pieces of a split flip region (see violations).
+//     primitive call has in flight: fix's placement solvers register on
+//     acquisition, and the context watcher interrupts them all when the
+//     deadline fires. The check and generate, which run no solver, poll
+//     it: the check between FECs and between the pieces of a split flip
+//     region (see violations), generate between AECs.
 //
-//   - solveWithRetries wraps one generate AEC query with the per-query
-//     conflict budget and escalating retries: the SAT solver keeps its
-//     learned clauses across an exhausted budget, so each retry resumes
-//     the proof with a 4x larger allowance instead of restarting it.
+//   - Options.PerFECBudget bounds the conflicts of each fix placement
+//     query, the only solver query left. Nothing is retried.
 //
-//   - A query that still has no verdict yields Unknown. Unknown is a
+//   - A decision that has no verdict yields Unknown. Unknown is a
 //     first-class outcome: check reports the FEC in CheckResult.Unknown
 //     (and never caches it — see markUnknown), while fix and generate
 //     refuse to build plans on top of it and return ErrUnknownVerdicts
@@ -22,7 +21,7 @@ package core
 //
 // faultinject hooks sit on the same paths so the fault lane can drive
 // injected timeouts, panics, and transient errors through exactly the
-// code production failures would take.
+// code production failures would take (see faultReason).
 
 import (
 	"context"
@@ -34,7 +33,6 @@ import (
 
 	"jinjing/internal/faultinject"
 	"jinjing/internal/header"
-	"jinjing/internal/obs"
 	"jinjing/internal/sat"
 	"jinjing/internal/smt"
 )
@@ -43,9 +41,8 @@ import (
 // was cancelled or its deadline expired (vs. a per-query budget).
 const reasonCancelled = "cancelled"
 
-// reasonTransient marks verdicts abandoned after injected transient
-// faults outlasted the retry allowance, or hit the check, which has
-// none (test-only in practice).
+// reasonTransient marks verdicts abandoned after an injected transient
+// fault (test-only in practice).
 const reasonTransient = "transient fault"
 
 // UnknownFEC identifies one FEC whose verdict could not be established
@@ -57,6 +54,13 @@ type UnknownFEC struct {
 	Reason  string
 }
 
+// UnknownAEC identifies one AEC generate left undecided: its index and
+// why (cancelled, or an injected fault).
+type UnknownAEC struct {
+	AEC    int
+	Reason string
+}
+
 // ErrUnknownVerdicts is the refusal error of fix and generate: the plan
 // they were about to emit would rest on queries that returned Unknown,
 // so no plan is emitted at all. FECs (fix) or AECs (generate) name what
@@ -64,7 +68,7 @@ type UnknownFEC struct {
 type ErrUnknownVerdicts struct {
 	Stage string // "fix" or "generate"
 	FECs  []UnknownFEC
-	AECs  []int // blocking AEC indices, ascending
+	AECs  []UnknownAEC // ascending
 }
 
 // Error renders the refusal with every blocking item, so the operator
@@ -76,9 +80,9 @@ func (e *ErrUnknownVerdicts) Error() string {
 		fmt.Fprintf(&b, " FEC %v (%s);", u.Classes, u.Reason)
 	}
 	for _, a := range e.AECs {
-		fmt.Fprintf(&b, " AEC %d;", a)
+		fmt.Fprintf(&b, " AEC %d (%s);", a.AEC, a.Reason)
 	}
-	b.WriteString(" raise -timeout/-fec-budget/-max-retries and retry")
+	b.WriteString(" raise -timeout/-fec-budget and retry")
 	return b.String()
 }
 
@@ -164,65 +168,20 @@ func (e *Engine) beginCall(ctx context.Context) (*canceller, func()) {
 	}
 }
 
-// solveWithRetries runs one generate AEC query (its only caller is
-// solveAEC) under the engine's per-query conflict budget, escalating 4x
-// per retry up to Options.MaxRetries, and keeps the model of a Sat
-// outcome. State preservation in the SAT core means each retry resumes
-// the search where the last budget ran out. The returned Result is
-// Unknown only when the verdict genuinely could not be established this
-// call: the budget survived every retry, the call was cancelled, or an
-// injected transient fault outlasted the allowance. The GenerateAEC
-// fault site guards every attempt.
-func (e *Engine) solveWithRetries(cn *canceller, solver *smt.Solver, o *obs.Observer) sat.Result {
-	const site = faultinject.GenerateAEC
-	budget := e.Opts.PerFECBudget
-	for attempt := 0; ; attempt++ {
-		if cn.cancelled() {
-			return sat.Result{Outcome: sat.Unknown, Reason: reasonCancelled}
-		}
-		switch faultinject.Fire(site) {
-		case faultinject.Panic:
-			panic(fmt.Sprintf("faultinject: injected panic at %s", site))
-		case faultinject.Timeout:
-			// Simulate a solver timeout: the query is interrupted exactly
-			// as a cancelled call would interrupt it, but the call itself
-			// is alive, so the retry path below re-runs it.
-			solver.Interrupt()
-		case faultinject.Transient:
-			if attempt >= e.Opts.MaxRetries {
-				return sat.Result{Outcome: sat.Unknown, Reason: reasonTransient}
-			}
-			o.Counter("retry.count").Inc()
-			continue
-		}
-		var b sat.Budget
-		if budget > 0 {
-			b.Conflicts = budget
-		}
-		r := solver.SolveLimited(b)
-		if r.Outcome != sat.Unknown {
-			return r
-		}
-		if r.Reason == sat.ReasonInterrupted {
-			solver.ClearInterrupt()
-			if cn.cancelled() {
-				// The canceller set the flag (possibly racing the clear
-				// above): re-assert it and report the cancellation.
-				solver.Interrupt()
-				return sat.Result{Outcome: sat.Unknown, Reason: reasonCancelled}
-			}
-			// Not cancelled, so the interrupt was injected: retryable.
-		} else {
-			o.Counter("budget.exhausted").Inc()
-		}
-		if attempt >= e.Opts.MaxRetries {
-			return r
-		}
-		o.Counter("retry.count").Inc()
-		if budget > 0 {
-			budget *= 4
-		}
+// faultReason fires an injected-fault site guarding one decision and
+// returns why the fault leaves that decision undecided ("" when none
+// fired). There is no retry: a timeout reads as an interrupted query and
+// a transient fault as itself. An injected panic crashes the caller.
+func faultReason(site faultinject.Site) string {
+	switch faultinject.Fire(site) {
+	case faultinject.Panic:
+		panic(fmt.Sprintf("faultinject: injected panic at %s", site))
+	case faultinject.Timeout:
+		return sat.ReasonInterrupted
+	case faultinject.Transient:
+		return reasonTransient
 	}
+	return ""
 }
 
 // unknownFECs lists the FECs left without a verdict in [0, last],

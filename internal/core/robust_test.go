@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -21,8 +20,8 @@ import (
 
 // This file is the fault lane: every test injects failures through
 // internal/faultinject and asserts the pipeline degrades exactly as
-// documented — retries recover, Unknown verdicts surface instead of
-// being silently cached, crashed fix workers hand their jobs to a
+// documented — Unknown verdicts surface instead of being silently cached
+// and block the plans built on them, crashed fix workers hand their jobs to a
 // sequential re-run, and a fully collapsed pool still yields the clean
 // plan. All tests are named TestFault* so `make faults` can select the
 // lane; none may call t.Parallel (the faultinject registry is
@@ -51,93 +50,53 @@ func eachFaultMode(t *testing.T, fn func(t *testing.T, opts core.Options)) {
 	}
 }
 
-// generateSignature runs the §5 migration under opts and renders what it
-// produced: every synthesized ACL by target binding, and the verdict of
-// its verification check.
-func generateSignature(t *testing.T, opts core.Options) string {
+// migrationAECs is the AEC count of a clean §5 migration.
+func migrationAECs(t *testing.T) int {
 	t.Helper()
-	e, sources := migrationEngine(opts)
+	e, sources := migrationEngine(core.DefaultOptions())
 	res, err := e.Generate(sources)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := make([]string, 0, len(res.ACLs))
-	for id := range res.ACLs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	var b strings.Builder
-	for _, id := range ids {
-		fmt.Fprintf(&b, "%s: %s\n", id, res.ACLs[id])
-	}
-	fmt.Fprintf(&b, "verified=%v\n", res.Verified)
-	return b.String()
+	return res.AECs
 }
 
-// TestFaultTimeoutRetryRecovers injects solver timeouts into the first
-// AEC queries of generate, whose queries are the ones with a retry loop
-// (the check runs no solver): the retry path must re-run them and the
-// generated ACLs must equal the clean run's.
-func TestFaultTimeoutRetryRecovers(t *testing.T) {
-	defer faultinject.Reset()
-	want := generateSignature(t, core.DefaultOptions())
-
-	faultinject.Reset() // the schedule below numbers GenerateAEC hits from here
-	opts := core.DefaultOptions()
-	_, _, m := obsHarness(&opts)
-	// The first two hits: a query decided before its search starts
-	// ignores an interrupt, so one of them reaches a search.
-	faultinject.Schedule(faultinject.GenerateAEC, faultinject.Timeout, 1, 2)
-	if got := generateSignature(t, opts); got != want {
-		t.Fatalf("timeout-retried generate diverged:\n%s\nwant:\n%s", got, want)
-	}
-	if n := m.Snapshot().Counters["retry.count"]; n < 1 {
-		t.Fatalf("retry.count = %d, want >= 1", n)
-	}
-}
-
-// TestFaultTransientRetryRecovers is the same contract for a transient
-// fault: one retryable failure, same generated ACLs.
-func TestFaultTransientRetryRecovers(t *testing.T) {
-	defer faultinject.Reset()
-	want := generateSignature(t, core.DefaultOptions())
-
-	faultinject.Reset() // the schedule below numbers GenerateAEC hits from here
-	opts := core.DefaultOptions()
-	_, _, m := obsHarness(&opts)
-	faultinject.Schedule(faultinject.GenerateAEC, faultinject.Transient, 1)
-	if got := generateSignature(t, opts); got != want {
-		t.Fatalf("transient-retried generate diverged:\n%s\nwant:\n%s", got, want)
-	}
-	if n := m.Snapshot().Counters["retry.count"]; n < 1 {
-		t.Fatalf("retry.count = %d, want >= 1", n)
-	}
-}
-
-// TestFaultTransientExhaustsRetries pins the degradation side: with a
-// retry allowance of two, persistent transient faults retry every AEC
-// query twice and then leave it Unknown, so generate refuses with every
-// blocked AEC named, ascending.
-func TestFaultTransientExhaustsRetries(t *testing.T) {
-	defer faultinject.Reset()
-	opts := core.DefaultOptions()
-	opts.MaxRetries = 2
-	_, _, m := obsHarness(&opts)
-	faultinject.Schedule(faultinject.GenerateAEC, faultinject.Transient)
-	e, sources := migrationEngine(opts)
-	res, err := e.Generate(sources)
+// requireBlockedAECs requires a refusal of generate naming all of the
+// migration's aecs AECs, ascending, each blocked for reason, and returns
+// it.
+func requireBlockedAECs(t *testing.T, aecs int, res *core.GenerateResult, err error, reason string) *core.ErrUnknownVerdicts {
+	t.Helper()
 	var uv *core.ErrUnknownVerdicts
-	if res != nil || !errors.As(err, &uv) || len(uv.AECs) == 0 {
-		t.Fatalf("persistent transient faults must block generate: res=%v err=%v", res, err)
+	if res != nil || !errors.As(err, &uv) || uv.Stage != "generate" {
+		t.Fatalf("generate must refuse: res=%v err=%v", res, err)
 	}
-	for i := 1; i < len(uv.AECs); i++ {
-		if uv.AECs[i-1] >= uv.AECs[i] {
-			t.Fatalf("blocking AECs not ascending: %v", uv.AECs)
+	if len(uv.AECs) != aecs {
+		t.Fatalf("%d of %d AECs blocked: %v", len(uv.AECs), aecs, uv.AECs)
+	}
+	for i, u := range uv.AECs {
+		if u.AEC != i || u.Reason != reason {
+			t.Fatalf("blocking AEC %d = %+v, want AEC %d (%s)", i, u, i, reason)
 		}
 	}
-	attempts := faultinject.Hits(faultinject.GenerateAEC)
-	if n := m.Snapshot().Counters["retry.count"]; attempts == 0 || n != attempts*2/3 {
-		t.Fatalf("retry.count = %d for %d attempts, want two retries per query", n, attempts)
+	if !strings.Contains(err.Error(), "AEC 0 ("+reason+")") {
+		t.Fatalf("refusal does not name the first AEC and its reason: %v", err)
+	}
+	return uv
+}
+
+// TestFaultTransientBlocksGenerate pins generate's side of a transient
+// fault: nothing is retried, so a fault at every AEC blocks every AEC
+// after exactly one hit each, and generate refuses naming them all,
+// ascending.
+func TestFaultTransientBlocksGenerate(t *testing.T) {
+	defer faultinject.Reset()
+	aecs := migrationAECs(t)
+	faultinject.Schedule(faultinject.GenerateAEC, faultinject.Transient)
+	e, sources := migrationEngine(core.DefaultOptions())
+	res, err := e.Generate(sources)
+	uv := requireBlockedAECs(t, aecs, res, err, "transient fault")
+	if hits := faultinject.Hits(faultinject.GenerateAEC); hits != int64(len(uv.AECs)) {
+		t.Fatalf("the fault site fired %d times for %d AECs, want once per AEC", hits, len(uv.AECs))
 	}
 }
 
@@ -175,7 +134,6 @@ func TestFaultCheckTransientMarksUnknown(t *testing.T) {
 // the cold-run answer, violations and all.
 func TestFaultUnknownNeverCachedAndRepaired(t *testing.T) {
 	eachFaultMode(t, func(t *testing.T, opts core.Options) {
-		opts.MaxRetries = 0
 		opts.Verdicts = core.NewVerdictCache()
 		_, _, m := obsHarness(&opts)
 
@@ -218,26 +176,17 @@ func TestFaultUnknownNeverCachedAndRepaired(t *testing.T) {
 	})
 }
 
-// TestFaultDeadlineCancelsPromptly wedges generate's solver (every AEC
-// query times out, retries effectively unbounded) and relies on
-// Options.Deadline to cut the call loose: generate must return promptly
-// and refuse, naming the AECs it never decided.
+// TestFaultDeadlineCancelsPromptly runs generate under an
+// already-expired deadline: it must decide no AEC and refuse, naming
+// every AEC as cancelled.
 func TestFaultDeadlineCancelsPromptly(t *testing.T) {
+	aecs := migrationAECs(t)
 	eachFaultMode(t, func(t *testing.T, opts core.Options) {
-		opts.MaxRetries = 1 << 30
-		opts.Deadline = 50 * time.Millisecond
-		faultinject.Schedule(faultinject.GenerateAEC, faultinject.Timeout)
-
-		start := time.Now()
+		ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+		defer cancel()
 		e, sources := migrationEngine(opts)
-		res, err := e.Generate(sources)
-		if elapsed := time.Since(start); elapsed > 10*time.Second {
-			t.Fatalf("deadline did not cut the wedged call loose: took %v", elapsed)
-		}
-		var uv *core.ErrUnknownVerdicts
-		if res != nil || !errors.As(err, &uv) || len(uv.AECs) == 0 {
-			t.Fatalf("a deadline-cancelled generate must refuse: res=%v err=%v", res, err)
-		}
+		res, err := e.GenerateContext(ctx, sources)
+		requireBlockedAECs(t, aecs, res, err, "cancelled")
 	})
 }
 
@@ -248,7 +197,6 @@ func TestFaultDeadlineCancelsPromptly(t *testing.T) {
 // cached either.
 func TestFaultCancelledContextMarksUnknown(t *testing.T) {
 	eachFaultMode(t, func(t *testing.T, opts core.Options) {
-		opts.MaxRetries = 1 << 30
 		opts.Verdicts = core.NewVerdictCache()
 		cancelFault := faultinject.Schedule(faultinject.CheckSolve, faultinject.Timeout)
 
@@ -414,9 +362,7 @@ func TestFaultFixRefusesUnknownVerdicts(t *testing.T) {
 // generate: blocked AEC indices, ascending, no partial plan.
 func TestFaultGenerateRefusesUnknownVerdicts(t *testing.T) {
 	defer faultinject.Reset()
-	opts := core.DefaultOptions()
-	opts.MaxRetries = 0
-	e, sources := migrationEngine(opts)
+	e, sources := migrationEngine(core.DefaultOptions())
 	faultinject.Schedule(faultinject.GenerateAEC, faultinject.Timeout)
 	res, err := e.Generate(sources)
 	if res != nil {
@@ -432,9 +378,12 @@ func TestFaultGenerateRefusesUnknownVerdicts(t *testing.T) {
 	if len(uv.AECs) == 0 {
 		t.Fatal("refusal names no blocking AECs")
 	}
-	for i := 1; i < len(uv.AECs); i++ {
-		if uv.AECs[i-1] >= uv.AECs[i] {
+	for i, u := range uv.AECs {
+		if i > 0 && uv.AECs[i-1].AEC >= u.AEC {
 			t.Fatalf("blocking AECs not ascending: %v", uv.AECs)
+		}
+		if u.Reason != sat.ReasonInterrupted {
+			t.Fatalf("blocking AEC %d reason = %q, want %q", u.AEC, u.Reason, sat.ReasonInterrupted)
 		}
 	}
 }
@@ -510,14 +459,13 @@ func TestFaultPsetBailoutMixedRoutes(t *testing.T) {
 
 // TestFaultLimitsInertOnHappyPath pins the zero-overhead contract:
 // generous limits must not change a single byte of the result, and no
-// budget or retry machinery may trigger.
+// budget machinery may trigger.
 func TestFaultLimitsInertOnHappyPath(t *testing.T) {
 	want := checkSignature(newRunningEngine(t, findAllOpts(t)).Check())
 
 	opts := findAllOpts(t)
 	opts.Deadline = time.Minute
 	opts.PerFECBudget = 1 << 30
-	opts.MaxRetries = 3
 	_, _, m := obsHarness(&opts)
 	if got := checkSignature(newRunningEngine(t, opts).Check()); got != want {
 		t.Fatalf("limits changed the sequential result:\n%s\nwant:\n%s", got, want)
@@ -526,8 +474,7 @@ func TestFaultLimitsInertOnHappyPath(t *testing.T) {
 		t.Fatalf("limits changed the parallel result:\n%s\nwant:\n%s", got, want)
 	}
 	snap := m.Snapshot()
-	if snap.Counters["budget.exhausted"] != 0 || snap.Counters["retry.count"] != 0 ||
-		snap.Counters["fec.unknown"] != 0 {
+	if snap.Counters["budget.exhausted"] != 0 || snap.Counters["fec.unknown"] != 0 {
 		t.Fatalf("limit machinery triggered on the happy path: %v", snap.Counters)
 	}
 }

@@ -282,7 +282,6 @@ type GenerateRow struct {
 	Rules       int           `json:"rules"` // before simplification
 	RulesSimpl  int           `json:"rules_simplified"`
 	Verified    bool          `json:"verified"`
-	Stats       sat.Stats     `json:"stats"`
 	Elapsed     time.Duration `json:"elapsed_ns"`
 	DeriveAEC   time.Duration `json:"derive_aec_ns"`
 	Solve       time.Duration `json:"solve_ns"`
@@ -340,8 +339,7 @@ func genRow(size netgen.Size, label string, optimized bool, res *core.GenerateRe
 		Size: size, Label: label, Mode: mode,
 		Classes: res.Classes, AECs: res.AECs, DECSplits: res.DECSplitAECs,
 		Rules: res.RulesGenerated, RulesSimpl: res.RulesAfterSimplify,
-		Verified: res.Verified && len(res.Unsolvable) == 0,
-		Stats:    res.SolverStats, Elapsed: elapsed,
+		Verified: res.Verified && len(res.Unsolvable) == 0, Elapsed: elapsed,
 		DeriveAEC: ph.get("derive-aec"), Solve: ph.get("solve"),
 		Synthesize: ph.get("synthesize"), VerifyPhase: ph.get("verify"),
 	}

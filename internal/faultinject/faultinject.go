@@ -40,11 +40,10 @@ const (
 	// sequential re-run of crashed jobs does not fire it, so an every-hit
 	// panic schedule collapses the pool without looping forever.
 	ParallelJob Site = "core.parallel.job"
-	// GenerateAEC guards each per-AEC synthesis solve of generate, the
-	// one query with a retry loop (Options.MaxRetries). Timeout
-	// interrupts the solver and Transient fails the attempt; both are
-	// retried until the allowance runs out, and the AEC is then Unknown.
-	// Panic crashes the job.
+	// GenerateAEC guards each AEC's decision in generate, fired once per
+	// AEC. Timeout leaves the AEC Unknown ("interrupted"), Transient the
+	// same with reason "transient fault"; nothing is retried, and
+	// generate refuses its plan. Panic crashes the job.
 	GenerateAEC Site = "generate.aec"
 	// ServeJob guards each admitted job of the jinjingd daemon
 	// (internal/serve), fired inside the session's critical section just

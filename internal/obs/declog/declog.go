@@ -81,7 +81,6 @@ type Record struct {
 
 	// Resource story.
 	BudgetsHit int64  `json:"budgets_hit,omitempty"` // per-FEC budget exhaustions
-	Retries    int64  `json:"retries,omitempty"`
 	WallNS     int64  `json:"wall_ns"`
 	CPUNS      int64  `json:"cpu_ns,omitempty"`
 	Error      string `json:"error,omitempty"`

@@ -145,7 +145,7 @@ func TestFaultDaemonUnknownVerdictsNameJobKeys(t *testing.T) {
 		t.Fatalf("want unknown_verdicts naming its blocking FECs, got %s", data)
 	}
 	msg := eb.Error.Message
-	for _, key := range []string{"deadline", "per_fec_budget", "max_retries"} {
+	for _, key := range []string{"deadline", "per_fec_budget"} {
 		if !strings.Contains(msg, key) {
 			t.Errorf("message %q does not name the job key %s", msg, key)
 		}

@@ -21,7 +21,7 @@ func FuzzSessionRequest(f *testing.F) {
 		// Well-formed job bodies.
 		``,
 		`{}`,
-		`{"deadline":"2m","per_fec_budget":100000,"max_retries":3,"workers":8,"all_violations":true}`,
+		`{"deadline":"2m","per_fec_budget":100000,"workers":8,"all_violations":true}`,
 		`{"updated":{"devices":[]}}`,
 		// Malformed shapes the decoder must refuse cleanly.
 		`not json`,
@@ -32,7 +32,6 @@ func FuzzSessionRequest(f *testing.F) {
 		`{"per_fec_budget":-1}`,
 		`{"per_fec_budget":99999999999999999}`,
 		`{"workers":2147483647}`,
-		`{"max_retries":-2}`,
 		`{"backend":"quantum"}`,
 		`{"deadline":12}`,
 		`{"topology":"not an object","program":3}`,
@@ -40,14 +39,16 @@ func FuzzSessionRequest(f *testing.F) {
 		`null`,
 		"\x00\xff\xfe",
 	}
-	// The backend key is retired: a job body carrying it is an unknown
-	// field, refused like any other.
+	// The backend and max_retries keys are retired: a job body carrying
+	// either is an unknown field, refused like any other.
 	for _, s := range []string{
-		`{"deadline":"2m","per_fec_budget":100000,"max_retries":3,"workers":8,"backend":"sat","all_violations":true}`,
+		`{"deadline":"2m","per_fec_budget":100000,"workers":8,"backend":"sat","all_violations":true}`,
 		`{"updated":{"devices":[]},"backend":"pset"}`,
+		`{"deadline":"2m","per_fec_budget":100000,"max_retries":3,"workers":8,"all_violations":true}`,
+		`{"max_retries":-2}`,
 	} {
 		if _, err := DecodeJobRequest([]byte(s)); err == nil {
-			f.Fatalf("job body with the retired backend key accepted: %s", s)
+			f.Fatalf("job body with a retired key accepted: %s", s)
 		}
 		seeds = append(seeds, s)
 	}
@@ -80,9 +81,6 @@ func checkOverrides(t *testing.T, o *JobOverrides) {
 	}
 	if o.PerFECBudget != nil && (*o.PerFECBudget < 0 || *o.PerFECBudget > MaxPerFECBudgetLimit) {
 		t.Fatalf("accepted per-FEC budget out of range: %d", *o.PerFECBudget)
-	}
-	if o.MaxRetries != nil && (*o.MaxRetries < 0 || *o.MaxRetries > MaxRetriesLimit) {
-		t.Fatalf("accepted retry count out of range: %d", *o.MaxRetries)
 	}
 	if o.Workers != nil && (*o.Workers < 0 || *o.Workers > MaxWorkersLimit) {
 		t.Fatalf("accepted worker count out of range: %d", *o.Workers)

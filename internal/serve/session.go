@@ -198,7 +198,6 @@ func (s *session) runLocked(ctx context.Context, jobID, kind string, req *JobReq
 	clampOptions(&opts, caps)
 	s.engine.Opts.Deadline = opts.Deadline
 	s.engine.Opts.PerFECBudget = opts.PerFECBudget
-	s.engine.Opts.MaxRetries = opts.MaxRetries
 	s.engine.Opts.Workers = opts.Workers
 	s.engine.Opts.FindAllViolations = opts.FindAllViolations
 
@@ -257,9 +256,9 @@ func planError(err error) *APIError {
 			ae.Blocking = append(ae.Blocking, fmt.Sprintf("fec %d: %s", f.FEC, f.Reason))
 		}
 		for _, a := range unknown.AECs {
-			ae.Blocking = append(ae.Blocking, fmt.Sprintf("aec %d", a))
+			ae.Blocking = append(ae.Blocking, fmt.Sprintf("aec %d: %s", a.AEC, a.Reason))
 		}
-		ae.Message = fmt.Sprintf("%s refuses to emit a plan built on unknown verdicts (%d blocking); raise the job's deadline/per_fec_budget/max_retries and retry",
+		ae.Message = fmt.Sprintf("%s refuses to emit a plan built on unknown verdicts (%d blocking); raise the job's deadline/per_fec_budget and retry",
 			unknown.Stage, len(ae.Blocking))
 		return ae
 	}

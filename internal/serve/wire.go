@@ -23,8 +23,6 @@ const (
 	MaxBodyBytes = 64 << 20
 	// MaxWorkersLimit bounds a job's requested worker count.
 	MaxWorkersLimit = 1024
-	// MaxRetriesLimit bounds a job's requested retry count.
-	MaxRetriesLimit = 16
 	// MaxPerFECBudgetLimit bounds a job's requested per-query conflict
 	// budget (2^40 conflicts is hours of CDCL — anything larger is a
 	// typo, not a budget).
@@ -46,9 +44,6 @@ type JobOverrides struct {
 	// PerFECBudget caps SAT conflicts per solver query
 	// (core.Options.PerFECBudget).
 	PerFECBudget *int64 `json:"per_fec_budget,omitempty"`
-	// MaxRetries is the retry count for Unknown queries
-	// (core.Options.MaxRetries).
-	MaxRetries *int `json:"max_retries,omitempty"`
 	// Workers fans a fix or generate job's per-FEC/per-AEC loop out
 	// (core.Options.Workers); check ignores it.
 	Workers *int `json:"workers,omitempty"`
@@ -87,9 +82,6 @@ func (o *JobOverrides) validate() error {
 			return fmt.Errorf("per_fec_budget: %d exceeds the %d limit", *o.PerFECBudget, MaxPerFECBudgetLimit)
 		}
 	}
-	if o.MaxRetries != nil && (*o.MaxRetries < 0 || *o.MaxRetries > MaxRetriesLimit) {
-		return fmt.Errorf("max_retries: must be in [0, %d], got %d", MaxRetriesLimit, *o.MaxRetries)
-	}
 	if o.Workers != nil && (*o.Workers < 0 || *o.Workers > MaxWorkersLimit) {
 		return fmt.Errorf("workers: must be in [0, %d], got %d", MaxWorkersLimit, *o.Workers)
 	}
@@ -107,9 +99,6 @@ func (o *JobOverrides) apply(opts *core.Options) {
 	}
 	if o.PerFECBudget != nil {
 		opts.PerFECBudget = *o.PerFECBudget
-	}
-	if o.MaxRetries != nil {
-		opts.MaxRetries = *o.MaxRetries
 	}
 	if o.Workers != nil {
 		opts.Workers = *o.Workers
