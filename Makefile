@@ -16,9 +16,9 @@ fmt:
 	gofmt -l -w .
 
 # Default suite: vet, the fast (-short) tier, then a race-detector pass
-# over the concurrency-bearing packages (parallel fix and generate,
-# solver interrupts, obs sinks, the daemon). Stays well under the ~9 min
-# full-suite budget.
+# over the concurrency-bearing packages (parallel fix and generate, the
+# SAT solver's atomic interrupt flag, obs sinks, the daemon). Stays well
+# under the ~9 min full-suite budget.
 test: vet
 	$(GO) test -short ./...
 	$(GO) test -race -short ./internal/core ./internal/sat ./internal/smt ./internal/obs/... ./internal/serve
@@ -29,7 +29,7 @@ test-full:
 	JINJING_EXPERIMENTS_LARGE=1 $(GO) test -timeout 30m ./...
 
 # Race-detector pass over the fast suite (the fix/generate worker pool,
-# the cancellation watcher, obs sinks).
+# deadline polls against the context's timer, obs sinks).
 race:
 	$(GO) test -race -short ./...
 

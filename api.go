@@ -161,8 +161,8 @@ type (
 	// change-impact activity (see CheckResult.Stats / FixResult.Stats).
 	CacheStats = core.CacheStats
 	// UnknownFEC identifies one FEC whose verdict could not be
-	// established within a call's deadline or budget (see
-	// CheckResult.Unknown and Options.Deadline / Options.PerFECBudget).
+	// established within a call's deadline (see CheckResult.Unknown and
+	// Options.Deadline).
 	UnknownFEC = core.UnknownFEC
 	// ErrUnknownVerdicts is returned by fix and generate when unknown
 	// verdicts block the plan; it names the blocking FECs or AECs.

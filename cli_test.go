@@ -343,20 +343,23 @@ func TestCLIBackendGolden(t *testing.T) {
 		check, _, _ := strings.Cut(out, "\nfix:")
 		return check
 	}
-	golden, satCounters := capture(1, false)
-	if satCounters["sat.propagations"] == 0 {
-		t.Fatalf("fix's placements propagated nothing: %v", satCounters)
+	golden, counters1 := capture(1, false)
+	if counters1["fix.placements"] == 0 {
+		t.Fatalf("fix decided no placement: %v", counters1)
 	}
 	out, counters := capture(8, false)
 	if out != golden {
 		t.Errorf("the report at 8 workers differs from one worker's:\n--- 1 ---\n%s\n--- 8 ---\n%s", golden, out)
 	}
 	// Check runs one loop whatever the worker count, and fix's per-FEC
-	// work is a pure function of the FEC: the solver counters cannot
-	// depend on the worker count either.
-	for _, name := range []string{"sat.decisions", "sat.propagations", "sat.conflicts"} {
-		if got, want := counters[name], satCounters[name]; got != want {
+	// work is a pure function of the FEC: its placement count cannot
+	// depend on the worker count either. Neither runs a solver.
+	for _, name := range []string{"fix.placements", "sat.decisions", "sat.propagations", "sat.conflicts"} {
+		if got, want := counters[name], counters1[name]; got != want {
 			t.Errorf("at 8 workers: %s = %d, one worker has %d", name, got, want)
+		}
+		if strings.HasPrefix(name, "sat.") && counters[name] != 0 {
+			t.Errorf("%s = %d: check and fix run no solver", name, counters[name])
 		}
 	}
 
@@ -393,8 +396,9 @@ func TestCLIBackendGolden(t *testing.T) {
 }
 
 // TestCLIBackendFlagRetired pins the upgrade path of retired flags:
-// -backend (the check picks its own decision procedure) and -max-retries
-// (no query is retried). jinjing refuses each as unknown and exits 2.
+// -backend (the check picks its own decision procedure), -max-retries
+// (no query is retried) and -fec-budget (no query runs on a solver).
+// jinjing refuses each as unknown and exits 2.
 func TestCLIBackendFlagRetired(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI run builds binaries; skipped in -short mode")
@@ -406,7 +410,7 @@ func TestCLIBackendFlagRetired(t *testing.T) {
 		t.Fatal(err)
 	}
 	writeProgram(t, prog, "check\n")
-	for _, retired := range [][2]string{{"-backend", "sat"}, {"-max-retries", "3"}} {
+	for _, retired := range [][2]string{{"-backend", "sat"}, {"-max-retries", "3"}, {"-fec-budget", "1"}} {
 		out, err := exec.Command(jinjingBin, "-topo", net, "-program", prog, retired[0], retired[1]).CombinedOutput()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
@@ -418,9 +422,8 @@ func TestCLIBackendFlagRetired(t *testing.T) {
 	}
 }
 
-// TestCLIResourceLimits drives the -timeout/-fec-budget flags end to
-// end: generous limits must leave stdout byte-identical to
-// the unlimited run, while an immediately-expiring -timeout must report
+// TestCLIResourceLimits drives the -timeout flag end to end: a generous
+// deadline must leave stdout byte-identical to the unlimited run, while an immediately-expiring -timeout must report
 // UNDECIDED promptly and exit nonzero — an undecided check composes
 // into automation as a failure, never a pass.
 func TestCLIResourceLimits(t *testing.T) {
@@ -449,13 +452,13 @@ func TestCLIResourceLimits(t *testing.T) {
 		return stdout.String(), err
 	}
 
-	// Generous limits: the perturbed check is inconsistent (nonzero exit)
-	// either way, and the limit flags must not change a byte of output.
+	// A generous deadline: the perturbed check is inconsistent (nonzero
+	// exit) either way, and the flag must not change a byte of output.
 	plain, err := capture()
 	if err == nil {
 		t.Fatalf("perturbed check should exit nonzero\n%s", plain)
 	}
-	limited, err := capture("-timeout", "1h", "-fec-budget", "1000000")
+	limited, err := capture("-timeout", "1h")
 	if err == nil {
 		t.Fatalf("perturbed check should exit nonzero under generous limits\n%s", limited)
 	}

@@ -53,8 +53,7 @@ func main() {
 		workers     = flag.Int("workers", 1, "parallel workers for fix and generate (check always runs on one goroutine)")
 		explain     = flag.Bool("explain", false, "print hop-by-hop decision traces for each violation")
 
-		timeout   = flag.Duration("timeout", 0, "wall-clock deadline per primitive call (0 = none); expired checks report UNDECIDED FECs, fix/generate refuse their plan")
-		fecBudget = flag.Int64("fec-budget", 0, "SAT conflict budget per fix placement query (0 = unlimited); an exhausted query leaves its FEC unknown and fix refuses its plan")
+		timeout = flag.Duration("timeout", 0, "wall-clock deadline per primitive call (0 = none); expired checks report UNDECIDED FECs, fix/generate refuse their plan")
 
 		tracePath   = flag.String("trace", "", "write a JSONL span trace to this file")
 		traceText   = flag.Bool("trace-text", false, "print a human-readable span trace to stderr")
@@ -83,7 +82,6 @@ func main() {
 		engineOpts.OptimizeSynthesis = false
 	}
 	engineOpts.Deadline = *timeout
-	engineOpts.PerFECBudget = *fecBudget
 
 	// Observability starts before the inputs are read, so profiles and
 	// traces cover the load; every exit after this point calls finish.

@@ -7,7 +7,7 @@
 //
 //	jinjingd [-listen :8080] [-max-inflight 8] [-decision-logs DIR]
 //	         [-quota-rate N] [-quota-burst N] [-max-deadline D]
-//	         [-max-fec-budget N] [-max-workers N]
+//	         [-max-workers N]
 //	         [-state-dir DIR] [-snapshot-interval D] [-drain-timeout D]
 //
 // Walkthrough (see README "Running jinjingd" for full bodies):
@@ -39,7 +39,6 @@ func main() {
 		quotaRate    = flag.Float64("quota-rate", 0, "per-tenant admitted jobs per second (0 disables quotas)")
 		quotaBurst   = flag.Float64("quota-burst", 0, "per-tenant admission burst (0 defaults to max(1, rate))")
 		maxDeadline  = flag.Duration("max-deadline", 0, "ceiling on per-job wall-clock deadlines; jobs without one inherit it (0 = uncapped)")
-		maxFECBudget = flag.Int64("max-fec-budget", 0, "ceiling on per-job SAT conflict budgets (0 = uncapped)")
 		maxWorkers   = flag.Int("max-workers", 0, "ceiling on per-job worker counts (0 = uncapped)")
 		declogDir    = flag.String("decision-logs", "", "directory for per-session decision ledgers (<dir>/<session>.jsonl)")
 		stateDir     = flag.String("state-dir", "", "directory for durable session state: manifests and verdict-cache snapshots survive restarts (empty disables)")
@@ -63,7 +62,6 @@ func main() {
 		MaxInFlight:      *maxInFlight,
 		Quota:            serve.Quota{Rate: *quotaRate, Burst: *quotaBurst},
 		MaxDeadline:      *maxDeadline,
-		MaxPerFECBudget:  *maxFECBudget,
 		MaxWorkers:       *maxWorkers,
 		DecisionLogDir:   *declogDir,
 		StateDir:         *stateDir,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"slices"
 
 	"jinjing/internal/acl"
@@ -272,9 +273,9 @@ func fecRegion(fec topo.FEC) pset.Set {
 // FixContext). The procedure is pure, so both are functions of the FEC
 // and the encoded ACL contents alone.
 //
-// The call's canceller is polled before each piece, so Deadline bounds a
+// The call's context is polled before each piece, so Deadline bounds a
 // split: ok=false reports a cancellation, and v is then incomplete.
-func (e *Engine) violations(cn *canceller, ctx *checkCtx, fec topo.FEC, shapes []checkShape, all bool) (v pset.Set, ds decideStats, ok bool) {
+func (e *Engine) violations(call context.Context, ctx *checkCtx, fec topo.FEC, shapes []checkShape, all bool) (v pset.Set, ds decideStats, ok bool) {
 	region := e.flipRegion(ctx, fecRegion(fec), shapes)
 	ds.regionCubes = region.Cubes()
 	if region.IsEmpty() {
@@ -282,7 +283,7 @@ func (e *Engine) violations(cn *canceller, ctx *checkCtx, fec topo.FEC, shapes [
 	}
 	pending := []pset.Set{region} // a stack: the next piece is last
 	for len(pending) > 0 {
-		if cn.cancelled() {
+		if call.Err() != nil {
 			return v, ds, false
 		}
 		piece := pending[len(pending)-1]

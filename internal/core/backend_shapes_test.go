@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"strings"
@@ -263,14 +264,14 @@ func checkShapesOn(t *testing.T, name string, e *Engine, lowered bool) shapeStat
 		if refOK && refV != satPaths {
 			t.Fatalf("%s: FEC %d: per-path set reference violating=%v, solver %v", name, i, refV, satPaths)
 		}
-		viol, ds, ok := e.violations(nil, ctx, fec, shapes, false)
+		viol, ds, ok := e.violations(context.Background(), ctx, fec, shapes, false)
 		if !ok || ds.split && !lowered {
 			t.Fatalf("%s: FEC %d: ok=%v split=%v at the default cube budget", name, i, ok, ds.split)
 		}
 		if v := !viol.IsEmpty(); v != satPaths {
 			t.Fatalf("%s: FEC %d: violations over shapes violating=%v, per-path reference %v", name, i, v, satPaths)
 		}
-		all, dsAll, _ := e.violations(nil, ctx, fec, shapes, true)
+		all, dsAll, _ := e.violations(context.Background(), ctx, fec, shapes, true)
 		if refOK && !all.Equal(refUnion) {
 			t.Fatalf("%s: FEC %d: counterexamples over shapes %v, over paths %v", name, i, all, refUnion)
 		}
@@ -384,14 +385,13 @@ func overflowNet(fixable bool) (before, after *topo.Network) {
 	return before, after
 }
 
-// TestPsetOverflowFallsBackToSAT pins the split on overflowNet at the
-// default cube budget — the name predates the split, which replaced the
-// SAT fallback. With and without a control on the overflowing FEC, and in
+// TestPsetOverflowSplits pins the split on overflowNet at the default
+// cube budget. With and without a control on the overflowing FEC, and in
 // both modes, some FEC must split (route pset-split, counted in
 // PsetBailout), every examined FEC's verdict must equal the per-path SAT
 // reference's, and the check must stay fast. Fix, on the fixable variant,
 // must find a plan that verifies in the split's counterexamples.
-func TestPsetOverflowFallsBackToSAT(t *testing.T) {
+func TestPsetOverflowSplits(t *testing.T) {
 	maintain2 := Control{
 		From: map[string]bool{"A:1": true}, To: map[string]bool{"D:3": true},
 		Mode: Maintain, Match: header.DstMatch(papernet.Traffic(2)),
@@ -461,7 +461,7 @@ func TestPsetOverflowFallsBackToSAT(t *testing.T) {
 	}
 }
 
-// TestFaultCancelledSplitIsUnknown pins the split's canceller poll: under
+// TestFaultCancelledSplitIsUnknown pins the split's cancellation poll: under
 // a cancelled call, resolveFEC leaves every FEC it reaches — the one
 // whose region splits included — Unknown("cancelled") and uncached, and
 // the next call on the same engine decides them as a cold check does.
@@ -485,9 +485,9 @@ func TestFaultCancelledSplitIsUnknown(t *testing.T) {
 	e := engine()
 	ctx := e.checkContext()
 	e.prepareIncremental(ctx)
-	cn := &canceller{}
-	cn.cancel()
-	c := &solveCall{cn: cn, ctx: ctx}
+	call, cancel := context.WithCancel(context.Background())
+	cancel()
+	c := &solveCall{call: call, ctx: ctx}
 	reached := 0
 	for _, f := range cold.Forensics {
 		if f.Route != "pset" && f.Route != "pset-split" {

@@ -26,8 +26,8 @@ type CheckResult struct {
 
 	// Complete reports whether every FEC the scan needed reached a
 	// verdict. When false, Consistent means only "no violation found
-	// among the decided FECs": the FECs in Unknown ran out of budget or
-	// were cancelled, and a consistent-but-incomplete result must not be
+	// among the decided FECs": the FECs in Unknown were cancelled or hit
+	// an injected fault, and a consistent-but-incomplete result must not be
 	// treated as a proof. Unknown lists them ascending by FEC index — the
 	// canonical order partial results are reported in.
 	Complete bool
@@ -84,7 +84,7 @@ func (e *Engine) Check() *CheckResult {
 func (e *Engine) CheckContext(callCtx context.Context) *CheckResult {
 	o := e.obsv()
 	ls := e.ledgerBegin()
-	cn, endCall := e.beginCall(callCtx)
+	call, endCall := e.beginCall(callCtx)
 	defer endCall()
 	root := e.startSpan("check")
 	res := &CheckResult{Consistent: true, Complete: true}
@@ -114,7 +114,7 @@ func (e *Engine) CheckContext(callCtx context.Context) *CheckResult {
 	// entry — the lowest violating FEC. last is the highest FEC index the
 	// scan semantically examined (early stops leave the tail unexamined).
 	sp := root.Child("solve")
-	hits, last := e.decide(cn, ctx, sp, e.Opts.FindAllViolations)
+	hits, last := e.decide(call, ctx, sp, e.Opts.FindAllViolations)
 	res.Stats = ctx.stats.since(statsBase)
 	sp.End(obs.KV("decided", res.Stats.PsetDecided+res.Stats.PsetBailout), obs.KV("violations", len(hits)))
 	res.SolvedFECs = solvedFECs(ctx, last)

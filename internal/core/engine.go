@@ -90,20 +90,15 @@ type Options struct {
 	Obs *obs.Observer
 	// Deadline, when positive, bounds each primitive call's wall-clock
 	// time: the call runs under a context with this timeout, and on
-	// expiry every in-flight solver query is interrupted and the check
-	// stops before its next FEC, or its next piece of a split one. It is
-	// the only bound on a check, which runs no solver. Check reports the
+	// expiry the check stops before its next FEC, or its next piece of a
+	// split one, fix before its next neighborhood or placement branch,
+	// and generate before its next AEC. It is the only bound: none of
+	// the three runs a solver. Check reports the
 	// undecided FECs in CheckResult.Unknown (partial results stay in
 	// canonical order and are never cached); fix and generate refuse to
 	// emit a plan and return ErrUnknownVerdicts. Combines with any
 	// deadline already on the caller's context (the earlier one wins).
 	Deadline time.Duration
-	// PerFECBudget, when positive, caps the SAT conflicts of each fix
-	// placement query. A query that exhausts it leaves its FEC Unknown,
-	// and fix refuses its plan; nothing is retried. The check and
-	// generate spend no conflicts: they decide in closed form (the set
-	// algebra, Equations 8–10 per AEC), and Deadline bounds them.
-	PerFECBudget int64
 	// Forensics makes Check attach per-FEC solve forensics — the route
 	// that established each verdict (skip, cache replay, pset, pset-split),
 	// the decision time, and unknown reasons — to
@@ -115,8 +110,8 @@ type Options struct {
 	// DecisionLog, when set, appends one structured JSONL audit record
 	// per top-level check/fix/generate call to the decision ledger:
 	// config fingerprints, per-FEC verdicts with route/cache-hit/
-	// solve-time/unknown-reason forensics, witnesses, budgets hit, and
-	// wall/CPU time. Verification checks run inside fix/generate are
+	// solve-time/unknown-reason forensics, witnesses, and wall/CPU
+	// time. Verification checks run inside fix/generate are
 	// covered by the parent record (derived engines clear the logger).
 	// Never changes verdicts or stdout.
 	DecisionLog *declog.Logger

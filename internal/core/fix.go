@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -11,8 +12,6 @@ import (
 	"jinjing/internal/header"
 	"jinjing/internal/obs"
 	"jinjing/internal/pset"
-	"jinjing/internal/sat"
-	"jinjing/internal/smt"
 	"jinjing/internal/topo"
 )
 
@@ -45,12 +44,6 @@ type FixResult struct {
 	// Verified reports whether re-running Check on the fixed snapshot
 	// confirmed consistency.
 	Verified bool
-	// SolverStats aggregates the full SAT counters across every solver
-	// the fix spun up: one placement solver per distinct placement
-	// problem of a FEC. Its check loop and the verification check decide
-	// in the set algebra, and neighborhoods are sought in packet sets, so
-	// nothing else runs on a solver.
-	SolverStats sat.Stats
 	// Stats aggregates the incremental-verification activity: the fix's
 	// own check loop (verdict-cache traffic, deciding backends) plus the
 	// verification check's, whose change-impact numbers reflect the FECs
@@ -67,18 +60,18 @@ func (e *Engine) Fix() (*FixResult, error) {
 }
 
 // FixContext is Fix under a cancellation scope: ctx's cancellation (and
-// Options.Deadline, whichever fires first) stops the check loop and
-// interrupts every placement solver in flight, and Options.PerFECBudget
-// bounds each placement query. A fixing plan is all-or-nothing — if any
-// FEC's queries end Unknown, no plan is emitted and the returned error is
-// an *ErrUnknownVerdicts naming the blocking FECs in canonical order: a
-// plan built on unknown verdicts could silently skip real violations.
+// Options.Deadline, whichever fires first) stops the check loop, the
+// seek and the placement search in flight. A fixing plan is
+// all-or-nothing — if any FEC is left Unknown, no plan is emitted and the
+// returned error is an *ErrUnknownVerdicts naming the blocking FECs in
+// canonical order: a plan built on unknown verdicts could silently skip
+// real violations.
 // The internal verification check runs under the same ctx with its own
 // Deadline allowance.
 func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 	o := e.obsv()
 	ls := e.ledgerBegin()
-	cn, endCall := e.beginCall(callCtx)
+	call, endCall := e.beginCall(callCtx)
 	defer endCall()
 	root := e.startSpan("fix")
 	defer root.End() // idempotent; covers the error returns
@@ -115,7 +108,7 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 	// blocks the plan.
 	sp := root.Child("solve")
 	statsBase := ctx.stats
-	hits, _ := e.decide(cn, ctx, sp, true)
+	hits, _ := e.decide(call, ctx, sp, true)
 	res.Stats = ctx.stats.since(statsBase)
 	// The change-impact numbers are the verification check's to report.
 	res.Stats.ChangedBindings, res.Stats.AffectedFECs = 0, 0
@@ -128,7 +121,7 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 	seeds := make([]pset.Set, len(hits))
 	for k, i := range hits {
 		fec := ctx.fec(i)
-		seeds[k], _, _ = e.violations(cn, ctx, fec, e.compileShapes(ctx, fec), true)
+		seeds[k], _, _ = e.violations(call, ctx, fec, e.compileShapes(ctx, fec), true)
 	}
 	task := o.StartTask("fix: FECs", int64(len(hits)))
 
@@ -144,7 +137,6 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 			if nb.solved {
 				placements++
 			}
-			recordSolverStats(o, &res.SolverStats, nb.stats)
 			if !nb.ok {
 				res.Unfixable = append(res.Unfixable, nb.nb)
 				continue
@@ -156,7 +148,7 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 
 	// Each per-FEC sub-problem is independent (FEC destination classes
 	// are disjoint atoms, so cross-FEC neighborhoods never overlap) and
-	// solved from its own seed on its own fresh solvers, making every
+	// solved from its own seed with its own placement memo, making every
 	// outcome a pure function of the FEC alone. Both execution modes use the same
 	// function and merge in FEC order, so the fixing plan is byte-for-byte
 	// identical for every worker count — the property the CLI golden test
@@ -164,7 +156,7 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 	// run: the seek loop's iterations don't depend on the budget.)
 	workers := e.Opts.Workers
 	seek := func(k, budget int) fecFixOutcome {
-		out := e.fixFEC(cn, ctx, ix, hits[k], seeds[k], budget)
+		out := e.fixFEC(call, ctx, ix, hits[k], seeds[k], budget)
 		task.Add(1)
 		return out
 	}
@@ -227,9 +219,6 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 	ver := e.derived(fixed, vp)
 	cr := ver.CheckContext(callCtx)
 	res.Verified = cr.Consistent && cr.Complete
-	// The verification check recorded its own sat.* metrics; fold its
-	// counters into this primitive's aggregate too.
-	res.SolverStats.Add(cr.SolverStats)
 	res.Stats.add(cr.Stats)
 	vp.End(obs.KV("verified", res.Verified))
 
@@ -258,15 +247,13 @@ func simplifyBounded(a *acl.ACL) (*acl.ACL, pset.SimplifyStats) {
 // nbOutcome is the solved placement for one neighborhood: the fixing
 // actions (empty when the after decisions already suffice), or
 // ok=false when no placement exists under the allow constraints.
-// unknown != "" means the placement query reached no verdict
-// (cancelled or budget-exhausted) — the FEC blocks the plan. solved
-// says the placement was put on a solver (stats are its counters)
-// rather than read from the FEC's memo.
+// unknown != "" means the call was cancelled during the placement
+// search — the FEC blocks the plan. solved says the placement was
+// decided here rather than read from the FEC's memo.
 type nbOutcome struct {
 	nb      header.Match
 	ok      bool
 	actions []FixAction
-	stats   sat.Stats
 	solved  bool
 	unknown string
 }
@@ -285,9 +272,8 @@ type placedRule struct {
 
 // fecFixOutcome is one FEC's complete fix sub-result: neighborhood
 // outcomes in discovery order and the validity queries expansion asked.
-// unknown != "" means the call was cancelled or a placement query
-// reached no verdict, and says why; the FEC blocks the whole plan (see
-// FixContext). err fails the call.
+// unknown != "" means the call was cancelled, and says so; the FEC
+// blocks the whole plan (see FixContext). err fails the call.
 type fecFixOutcome struct {
 	entries []nbOutcome
 	probes  int64
@@ -301,17 +287,17 @@ type fecFixOutcome struct {
 // over the FEC's path shapes, exclude the neighborhood, and repeat until
 // none is left or budget outcomes have accumulated. It reads the check
 // context and the fix index only, and its placement memo is its own, so
-// the outcome, solver counters included, is a pure function of the FEC —
-// independent of the other FECs, of scheduling, and of worker count —
-// which is what makes the sequential and parallel fix plans and
-// SolverStats identical. The verdict that sent the FEC here is the check
+// the outcome, its placement count included, is a pure function of the
+// FEC — independent of the other FECs, of scheduling, and of worker
+// count — which is what makes the sequential and parallel fix plans
+// identical. The verdict that sent the FEC here is the check
 // loop's, so a seek never consults or writes the verdict cache.
-func (e *Engine) fixFEC(cn *canceller, ctx *checkCtx, ix *fixIndex, i int, viol pset.Set, budget int) fecFixOutcome {
+func (e *Engine) fixFEC(call context.Context, ctx *checkCtx, ix *fixIndex, i int, viol pset.Set, budget int) fecFixOutcome {
 	var out fecFixOutcome
 	if budget <= 0 {
 		return out
 	}
-	if cn.cancelled() {
+	if call.Err() != nil {
 		// The call is dead, and viol may be incomplete: don't seek in it.
 		out.unknown = reasonCancelled
 		return out
@@ -329,7 +315,7 @@ func (e *Engine) fixFEC(cn *canceller, ctx *checkCtx, ix *fixIndex, i int, viol 
 		if e.Opts.NoExpansion == 0 {
 			nb = expandNeighborhood(h, fec, cons)
 		}
-		no, err := e.solveNeighborhood(cn, ix, shapes, nb, memo)
+		no, err := e.solveNeighborhood(call, ix, shapes, nb, memo)
 		if err != nil {
 			out.err = err
 			break
@@ -348,23 +334,10 @@ func (e *Engine) fixFEC(cn *canceller, ctx *checkCtx, ix *fixIndex, i int, viol 
 	return out
 }
 
-// placement is one neighborhood's Equation 7 problem as stated on a
-// solver: per crossed binding D_{[h]_N}(ξ) — a decision variable where
-// the plan may place a rule, the update's decision elsewhere — and, per
-// variable, the cost literal that is true when it departs from the
-// update's decision.
-type placement struct {
-	vals  []smt.F      // per fixBinding: its variable or constant; set where seen
-	seen  []bool       // per fixBinding: some shape of the FEC crosses it
-	after []acl.Action // per fixBinding: the update's decision; set where seen
-	vars  []int32      // the bindings holding a variable, sorted by ID
-	costs []smt.F      // per var
-}
-
 // placementKey decides a neighborhood's placement problem on the FEC's
 // shapes once, packed one bit per decision: per shape in order, each
 // crossed binding's after decision, then the shape's desired decision.
-// The width is fixed for the FEC, and statePlacement reads nothing else.
+// The width is fixed for the FEC, and place reads nothing else.
 func (ix *fixIndex) placementKey(shapes []int32, nb header.Match) ([]byte, error) {
 	dec := ix.decisionsOn(nb)
 	var key []byte
@@ -396,57 +369,143 @@ func (ix *fixIndex) placementKey(shapes []int32, nb header.Match) ([]byte, error
 	return key, nil
 }
 
-// statePlacement asserts, for every shape, that the conjunction of its
-// bindings' decisions equals the desired decision, both read off the
-// placement key. Paths of one shape state the same constraint, and the
-// shapes come in the order the paths first show them, so the bindings
-// become variables and the formulas nodes in the order a walk over every
-// path would make them; a repeated constraint adds nothing to a solver,
-// so the model — and the plan read off it — is that walk's.
-func (ix *fixIndex) statePlacement(s *smt.Solver, shapes []int32, key []byte) (*placement, error) {
-	b := s.B
+// place decides a placement problem (Equation 7) in closed form from its
+// key: per shape, the conjunction of its crossed bindings' decisions must
+// equal the shape's desired decision, and the plan changes the fewest
+// bindings, all of them allowed ones. A shape desiring permit forces every
+// binding it crosses to permit: an allowed one is changed to permit where
+// it denies, and a closed one that denies leaves no placement. Every other
+// allowed binding keeps its after decision — an unforced deny costs
+// nothing and only helps. A shape desiring deny that nothing denies yet
+// is then the clause "one of its unforced, after-permit allowed bindings
+// denies"; an empty clause leaves no placement. The forced changes are
+// the same in every placement, so the least cost denies a minimum set
+// hitting every clause, and of the minima the first in crossing order
+// (minHittingSet). The error is the call's when it was cancelled during
+// the search.
+func (ix *fixIndex) place(call context.Context, shapes []int32, key []byte) (placed, error) {
 	n := len(ix.bindings)
-	pl := &placement{vals: make([]smt.F, n), seen: make([]bool, n), after: make([]acl.Action, n)}
+	after := make([]bool, n)  // per binding crossed: the update's decision
+	forced := make([]bool, n) // per allowed binding: a shape desiring permit crosses it
+	desired := make([]bool, len(shapes))
+	closedDeny := false // a shape desiring permit crosses a closed deny
 	k := 0
 	bit := func() bool {
 		v := key[k/8]&(1<<(k%8)) != 0
 		k++
 		return v
 	}
-	for _, si := range shapes {
-		sh := &ix.shapes[si]
-		lhs := smt.True
-		for _, bi := range sh.bindings {
-			after := bit()
-			if !pl.seen[bi] {
-				fb := &ix.bindings[bi]
-				switch {
-				case !fb.allowed:
-					pl.vals[bi] = b.Const(after)
-				case fb.err != nil:
-					return nil, fb.err
-				default:
-					pl.vals[bi] = b.Var()
-					pl.vars = append(pl.vars, bi)
-				}
-				pl.seen[bi], pl.after[bi] = true, acl.Action(after)
+	for j, si := range shapes {
+		bs := ix.shapes[si].bindings
+		for _, bi := range bs {
+			after[bi] = bit()
+			if fb := &ix.bindings[bi]; fb.allowed && fb.err != nil {
+				return placed{}, fb.err
 			}
-			lhs = b.And(lhs, pl.vals[bi])
 		}
-		s.Assert(b.Iff(lhs, b.Const(bit())))
+		if desired[j] = bit(); desired[j] {
+			for _, bi := range bs {
+				if ix.bindings[bi].allowed {
+					forced[bi] = true
+				} else if !after[bi] {
+					closedDeny = true
+				}
+			}
+		}
+	}
+	if closedDeny {
+		return placed{}, nil
+	}
+	var clauses [][]int32
+	for j, si := range shapes {
+		if desired[j] {
+			continue
+		}
+		var free []int32
+		met := false
+		for _, bi := range ix.shapes[si].bindings {
+			switch {
+			case forced[bi]:
+			case !after[bi]:
+				met = true
+			case ix.bindings[bi].allowed:
+				free = append(free, bi)
+			}
+		}
+		if met {
+			continue
+		}
+		if len(free) == 0 {
+			return placed{}, nil
+		}
+		slices.Sort(free)
+		clauses = append(clauses, slices.Compact(free))
+	}
+	deny, ok := minHittingSet(call, clauses)
+	if !ok {
+		return placed{}, call.Err()
 	}
 
-	// Minimize the number of bindings whose decision differs from the
-	// update's current decision (each difference costs one fixing rule).
-	slices.SortFunc(pl.vars, func(x, y int32) int { return strings.Compare(ix.bindings[x].id, ix.bindings[y].id) })
-	for _, bi := range pl.vars {
-		if pl.after[bi] == acl.Permit {
-			pl.costs = append(pl.costs, pl.vals[bi].Not())
-		} else {
-			pl.costs = append(pl.costs, pl.vals[bi])
+	p := placed{ok: true}
+	for bi := range forced {
+		if forced[bi] && !after[bi] {
+			p.changes = append(p.changes, placedRule{int32(bi), acl.Permit})
 		}
 	}
-	return pl, nil
+	for _, bi := range deny {
+		p.changes = append(p.changes, placedRule{bi, acl.Deny})
+	}
+	slices.SortFunc(p.changes, func(x, y placedRule) int { return strings.Compare(ix.bindings[x.bi].id, ix.bindings[y.bi].id) })
+	return p, nil
+}
+
+// minHittingSet returns the least, as a sorted list, of the
+// minimum-cardinality sets that meet every clause (each sorted and
+// non-empty). It deepens the size k from 0: at size k it branches on the
+// first clause the chosen set misses, over that clause's members. Every
+// hitting set of size k contains a member of that clause, so every one is
+// reached, and the first k that reaches one is the minimum; the search is
+// O(d^k) for clauses of d members. ok is false when the call is cancelled
+// first: the search polls it at every branch.
+func minHittingSet(call context.Context, clauses [][]int32) (best []int32, ok bool) {
+	slices.SortFunc(clauses, slices.Compare[[]int32])
+	clauses = slices.CompactFunc(clauses, slices.Equal[[]int32])
+	var chosen []int32
+	found := false
+	var search func(k int) bool // false: cancelled
+	search = func(k int) bool {
+		if call.Err() != nil {
+			return false
+		}
+		i := slices.IndexFunc(clauses, func(c []int32) bool {
+			return !slices.ContainsFunc(c, func(t int32) bool { return slices.Contains(chosen, t) })
+		})
+		if i < 0 {
+			set := slices.Clone(chosen)
+			slices.Sort(set)
+			if !found || slices.Compare(set, best) < 0 {
+				best, found = set, true
+			}
+			return true
+		}
+		if k == 0 {
+			return true
+		}
+		for _, t := range clauses[i] {
+			chosen = append(chosen, t)
+			if !search(k - 1) {
+				return false
+			}
+			chosen = chosen[:len(chosen)-1]
+		}
+		return true
+	}
+	for k := 0; !found; k++ {
+		if !search(k) {
+			return nil, false
+		}
+	}
+	return best, true
 }
 
 // solveNeighborhood solves the placement problem for one neighborhood
@@ -456,15 +515,12 @@ func (ix *fixIndex) statePlacement(s *smt.Solver, shapes []int32, key []byte) (*
 // index and returns the plan instead of applying it, so sequential and
 // parallel fix paths share it.
 //
-// Many neighborhoods of a FEC pose the same problem, so a Sat or Unsat
-// outcome is kept in the FEC's memo under its placement key and reused
-// with the new neighborhood's match. That is sound because the solver's
-// model is a function of the formula, and the formula is a function of
-// the key alone: statePlacement makes its variables, constants and cost
-// literals from the same bits in the same order. The memo is the FEC's
-// own, so what it saves — solver work included — is a function of the
-// FEC, like the rest of its outcome.
-func (e *Engine) solveNeighborhood(cn *canceller, ix *fixIndex, shapes []int32, nb header.Match, memo map[string]placed) (nbOutcome, error) {
+// Many neighborhoods of a FEC pose the same problem, so a placement is
+// kept in the FEC's memo under its placement key and reused with the new
+// neighborhood's match: place reads the key alone. The memo is the FEC's
+// own, so what it saves is a function of the FEC, like the rest of its
+// outcome.
+func (e *Engine) solveNeighborhood(call context.Context, ix *fixIndex, shapes []int32, nb header.Match, memo map[string]placed) (nbOutcome, error) {
 	out := nbOutcome{nb: nb}
 	key, err := ix.placementKey(shapes, nb)
 	if err != nil {
@@ -472,32 +528,14 @@ func (e *Engine) solveNeighborhood(cn *canceller, ix *fixIndex, shapes []int32, 
 	}
 	p, hit := memo[string(key)]
 	if !hit {
-		s := smt.NewSolver()
-		cn.register(s)
-		pl, err := ix.statePlacement(s, shapes, key)
-		if err != nil {
+		if p, err = ix.place(call, shapes, key); err != nil {
+			if errors.Is(err, call.Err()) {
+				out.unknown = reasonCancelled
+				return out, nil
+			}
 			return out, err
 		}
-		var bgt sat.Budget
-		if e.Opts.PerFECBudget > 0 {
-			bgt.Conflicts = e.Opts.PerFECBudget
-		}
-		_, r := s.SolveMinimizeLimited(bgt, pl.costs)
-		out.stats, out.solved = s.Stats(), true
-		if r.Outcome == sat.Unknown {
-			if r.Reason != sat.ReasonInterrupted {
-				e.obsv().Counter("budget.exhausted").Inc()
-			}
-			out.unknown = r.Reason
-			return out, nil
-		}
-		if p.ok = r.Outcome == sat.Sat; p.ok {
-			for _, bi := range pl.vars {
-				if got := acl.Action(s.Value(pl.vals[bi])); got != pl.after[bi] {
-					p.changes = append(p.changes, placedRule{bi, got})
-				}
-			}
-		}
+		out.solved = true
 		memo[string(key)] = p
 	}
 	out.ok = p.ok

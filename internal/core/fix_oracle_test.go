@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -21,19 +23,21 @@ import (
 	"jinjing/internal/topo"
 )
 
-// This file is the oracle for fix's per-call index (fixIndex) and the
-// cube-decided exact simplify. The reference below is the code fix ran
-// before the index existed, kept word for word: neighborhood validity by
-// a linear acl.DecideMatch over every in-scope ACL instance, one
-// placement constraint per path with every binding resolved by its
-// "dev:if:dir" string and every decision re-derived by DecideMatch, the
-// desired decision from Control.AppliesTo per path, one prepend per
-// action, and acl.Simplify's solver query per candidate rule. The engine
-// must agree with it on every FEC: the same neighborhoods in the same
-// order, per neighborhood the same constants, variables and cost
-// literals — formula for formula, which both sides build from an empty
-// builder — the same solver work and fixing actions, and the same
-// simplified ACL text.
+// This file is the oracle for fix's per-call index (fixIndex), its
+// closed-form placement and the cube-decided exact simplify. The
+// reference below is the code fix ran before the index existed, kept word
+// for word: neighborhood validity by a linear acl.DecideMatch over every
+// in-scope ACL instance, one placement constraint per path with every
+// binding resolved by its "dev:if:dir" string and every decision
+// re-derived by DecideMatch, the desired decision from Control.AppliesTo
+// per path, Equation 7 minimized on a SAT solver, one prepend per action,
+// and acl.Simplify's solver query per candidate rule. The engine must
+// agree with it on every FEC: the same neighborhoods in the same order;
+// per neighborhood the same feasibility and the same number of changed
+// bindings (Equation 7's cost), with the engine's placement satisfying
+// every path's constraint (among several optima the solver's pick is
+// arbitrary, so the bindings named may differ); and the same simplified
+// ACL text for the engine's plan.
 
 // --- reference implementation (the pre-index fix path) ---
 
@@ -229,15 +233,9 @@ func refDesiredOnClass(e *Engine, p topo.Path, nb header.Match) bool {
 	return orig
 }
 
-// refPlacement is refSolveNeighborhood's model, kept for comparison.
-type refPlacement struct {
-	vars   map[string]smt.F
-	consts map[string]bool
-	varIDs []string // sorted
-	costs  []smt.F
-}
-
-func refSolveNeighborhood(e *Engine, fec topo.FEC, nb header.Match, allowSet map[string]bool) (nbOutcome, refPlacement, error) {
+// refSolveNeighborhood states the placement per path on a SAT solver and
+// minimizes the changed bindings.
+func refSolveNeighborhood(e *Engine, fec topo.FEC, nb header.Match, allowSet map[string]bool) (nbOutcome, error) {
 	out := nbOutcome{nb: nb}
 	s := smt.NewSolver()
 	b := s.B
@@ -277,7 +275,7 @@ func refSolveNeighborhood(e *Engine, fec topo.FEC, nb header.Match, allowSet map
 	for _, id := range varIDs {
 		bind, err := lookupBinding(e.After, id)
 		if err != nil {
-			return out, refPlacement{}, err
+			return out, err
 		}
 		afterDec := refDecideOn(bindingACL(e.After, bind), nb)
 		if afterDec == acl.Permit {
@@ -286,17 +284,15 @@ func refSolveNeighborhood(e *Engine, fec topo.FEC, nb header.Match, allowSet map
 			costs = append(costs, vars[id])
 		}
 	}
-	pl := refPlacement{vars: vars, consts: consts, varIDs: varIDs, costs: costs}
 	_, r := s.SolveMinimizeLimited(sat.Budget{}, costs)
-	out.stats = s.Stats()
 	if r.Outcome != sat.Sat {
-		return out, pl, nil
+		return out, nil
 	}
 	out.ok = true
 	for _, id := range varIDs {
 		bind, err := lookupBinding(e.After, id)
 		if err != nil {
-			return out, pl, err
+			return out, err
 		}
 		afterDec := refDecideOn(bindingACL(e.After, bind), nb)
 		got := acl.Action(s.Value(vars[id]))
@@ -305,7 +301,41 @@ func refSolveNeighborhood(e *Engine, fec topo.FEC, nb header.Match, allowSet map
 		}
 		out.actions = append(out.actions, FixAction{BindingID: id, Rule: acl.Rule{Action: got, Match: nb}})
 	}
-	return out, pl, nil
+	return out, nil
+}
+
+// refSatisfies checks a placement against Equation 7 path by path: each
+// action is a rule on nb at an allowed binding, at most one per binding,
+// that changes the binding's decision (so the actions count the changed
+// bindings), and on every path of the FEC the decisions the plan leaves
+// conjoin to the path's desired decision.
+func refSatisfies(e *Engine, fec topo.FEC, nb header.Match, allowSet map[string]bool, actions []FixAction) error {
+	placedAt := map[string]acl.Action{}
+	for _, a := range actions {
+		bind, err := lookupBinding(e.After, a.BindingID)
+		if err != nil {
+			return err
+		}
+		if _, dup := placedAt[a.BindingID]; dup || !allowSet[a.BindingID] || a.Rule.Match != nb ||
+			a.Rule.Action == refDecideOn(bindingACL(e.After, bind), nb) {
+			return fmt.Errorf("action %v: a repeated, closed, off-neighborhood or unchanging rule", a)
+		}
+		placedAt[a.BindingID] = a.Rule.Action
+	}
+	for _, p := range fec.Paths {
+		got := acl.Permit
+		for _, bind := range p.Bindings() {
+			act, ok := placedAt[bind.ID()]
+			if !ok {
+				act = refDecideOn(bindingACL(e.After, bind), nb)
+			}
+			got = got && act
+		}
+		if want := refDesiredOnClass(e, p, nb); got != acl.Action(want) {
+			return fmt.Errorf("path %v decides %v, desired %v", p, got, want)
+		}
+	}
+	return nil
 }
 
 func refApplyFixActions(fixed *topo.Network, actions []FixAction) error {
@@ -431,87 +461,40 @@ func runFixOracleCase(t *testing.T, c fixOracleCase) fixOracleStats {
 				t.Fatalf("%s: expanded %v to %v, reference %v", what, h, got, nb)
 			}
 
-			want, rp, err := refSolveNeighborhood(e, fec, nb, allowSet)
+			want, err := refSolveNeighborhood(e, fec, nb, allowSet)
 			if err != nil {
 				t.Fatalf("%s: reference placement: %v", what, err)
 			}
-			key, err := ix.placementKey(shapes, nb)
-			if err != nil {
-				t.Fatalf("%s: placement key: %v", what, err)
-			}
-			ps := smt.NewSolver()
-			pl, err := ix.statePlacement(ps, shapes, key)
-			if err != nil {
-				t.Fatalf("%s: placement: %v", what, err)
-			}
-			var gotVars []string
-			for _, bi := range pl.vars {
-				id := ix.bindings[bi].id
-				gotVars = append(gotVars, id)
-				if pl.vals[bi] != rp.vars[id] {
-					t.Fatalf("%s: variable at %s is %v, reference %v", what, id, pl.vals[bi], rp.vars[id])
-				}
-			}
-			if !slices.Equal(gotVars, rp.varIDs) {
-				t.Fatalf("%s: variables %v, reference %v", what, gotVars, rp.varIDs)
-			}
-			if !slices.Equal(pl.costs, rp.costs) {
-				t.Fatalf("%s: costs %v, reference %v", what, pl.costs, rp.costs)
-			}
-			// Constants: the index drops bindings that are unbound and
-			// closed to the plan (constant permit in the reference); every
-			// other reference constant must be there with its value.
-			consts := 0
-			for bi, seen := range pl.seen {
-				if fb := ix.bindings[bi]; seen && !fb.allowed {
-					consts++
-					if v, ok := rp.consts[fb.id]; !ok || pl.vals[bi] != ps.B.Const(v) {
-						t.Fatalf("%s: constant at %s is %v, reference %v (present %v)", what, fb.id, pl.vals[bi], v, ok)
-					}
-				}
-			}
-			for id, v := range rp.consts {
-				b, err := lookupBinding(e.Before, id)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if bindingACL(e.Before, b) == nil && bindingACL(e.After, b) == nil {
-					if !v {
-						t.Fatalf("%s: unbound %s denies in the reference", what, id)
-					}
-					continue
-				}
-				consts--
-			}
-			if consts != 0 {
-				t.Fatalf("%s: %d constants unaccounted for against the reference", what, consts)
-			}
-
-			got, err := e.solveNeighborhood(nil, ix, shapes, nb, map[string]placed{})
+			got, err := e.solveNeighborhood(context.Background(), ix, shapes, nb, map[string]placed{})
 			if err != nil {
 				t.Fatalf("%s: %v", what, err)
 			}
-			if got.ok != want.ok || got.stats != want.stats || !slices.Equal(got.actions, want.actions) {
-				t.Fatalf("%s: placement ok=%v stats=%+v actions=%v\nreference ok=%v stats=%+v actions=%v",
-					what, got.ok, got.stats, got.actions, want.ok, want.stats, want.actions)
+			if got.ok != want.ok || len(got.actions) != len(want.actions) {
+				t.Fatalf("%s: placement ok=%v actions=%v\nreference ok=%v actions=%v",
+					what, got.ok, got.actions, want.ok, want.actions)
+			}
+			if got.ok {
+				if err := refSatisfies(e, fec, nb, allowSet, got.actions); err != nil {
+					t.Fatalf("%s: placement %v: %v", what, got.actions, err)
+				}
 			}
 			// Through the FEC's memo, as fixFEC asks: a hit must give the
-			// reference's plan for this neighborhood, on no solver.
-			memoed, err := e.solveNeighborhood(nil, ix, shapes, nb, memo)
+			// same plan for this neighborhood, decided nowhere.
+			memoed, err := e.solveNeighborhood(context.Background(), ix, shapes, nb, memo)
 			if err != nil {
 				t.Fatalf("%s: memoized: %v", what, err)
 			}
-			if memoed.ok != want.ok || !slices.Equal(memoed.actions, want.actions) || !memoed.solved && memoed.stats != (sat.Stats{}) {
-				t.Fatalf("%s: memoized placement ok=%v solved=%v stats=%+v actions=%v\nreference ok=%v actions=%v",
-					what, memoed.ok, memoed.solved, memoed.stats, memoed.actions, want.ok, want.actions)
+			if memoed.ok != got.ok || !slices.Equal(memoed.actions, got.actions) {
+				t.Fatalf("%s: memoized placement ok=%v solved=%v actions=%v\nunmemoized ok=%v actions=%v",
+					what, memoed.ok, memoed.solved, memoed.actions, got.ok, got.actions)
 			}
 			st.memoHit = st.memoHit || !memoed.solved
 			if memoed.solved {
 				wantPlacements++
 			}
-			if want.ok {
+			if got.ok {
 				wantNbs = append(wantNbs, nb)
-				wantActions = append(wantActions, want.actions...)
+				wantActions = append(wantActions, got.actions...)
 			} else {
 				wantUnfixable = append(wantUnfixable, nb)
 			}
@@ -533,8 +516,9 @@ func runFixOracleCase(t *testing.T, c fixOracleCase) fixOracleStats {
 	}
 	st.neighborhoods, st.unfixable, st.actions = len(wantNbs), len(wantUnfixable), len(wantActions)
 
-	// The whole call: the same neighborhoods and plan in FEC order, and
-	// the same ACL text after apply + simplify.
+	// The whole call: the same neighborhoods in FEC order, the plan the
+	// placements above make, and the same ACL text after apply +
+	// simplify.
 	e2 := c.mk()
 	m := obs.NewMetrics()
 	e2.Opts.Obs = obs.NewObserver(nil, m, nil)
@@ -877,8 +861,9 @@ func TestQuickExpandMatchesLinearWalk(t *testing.T) {
 
 // TestFixMemoKeepsWorkerCountsEqual pins what keeps the placement memo
 // per FEC: on netgen small at 5%, where most neighborhoods reuse a
-// placement, Fix at 1 and 8 workers gives the same actions,
-// neighborhoods and solver counters. A memo shared across FECs would let
+// placement, Fix at 1 and 8 workers gives the same actions and
+// neighborhoods and decides the same number of placements (the
+// fix.placements counter). A memo shared across FECs would let
 // scheduling decide which FEC pays for a shared placement.
 func TestFixMemoKeepsWorkerCountsEqual(t *testing.T) {
 	w := netgen.Build(netgen.DefaultConfig(netgen.Small, 42))
@@ -901,9 +886,6 @@ func TestFixMemoKeepsWorkerCountsEqual(t *testing.T) {
 	if !slices.Equal(res[0].Actions, res[1].Actions) || !slices.Equal(res[0].Neighborhoods, res[1].Neighborhoods) {
 		t.Fatalf("plans differ between 1 and 8 workers: %d/%d actions, %d/%d neighborhoods",
 			len(res[0].Actions), len(res[1].Actions), len(res[0].Neighborhoods), len(res[1].Neighborhoods))
-	}
-	if res[0].SolverStats != res[1].SolverStats {
-		t.Fatalf("solver stats differ between 1 and 8 workers:\n%+v\n%+v", res[0].SolverStats, res[1].SolverStats)
 	}
 }
 
@@ -962,7 +944,7 @@ func TestPlacementOnStraddlingMatchIsAnError(t *testing.T) {
 	straddler := header.DstMatch(header.Prefix{Addr: 0, Len: 5})
 	for i := 0; i < ctx.nfec; i++ {
 		shapes := ix.shapesOn(ctx.src.PathIndices(i))
-		_, err := e.solveNeighborhood(nil, ix, shapes, straddler, map[string]placed{})
+		_, err := e.solveNeighborhood(context.Background(), ix, shapes, straddler, map[string]placed{})
 		if err == nil {
 			continue // this FEC's paths cross no ACL with a rule inside the region
 		}
@@ -972,4 +954,287 @@ func TestPlacementOnStraddlingMatchIsAnError(t *testing.T) {
 		return
 	}
 	t.Fatal("no FEC rejected the straddling region")
+}
+
+// --- the closed-form placement against enumeration and the solver ---
+
+// placementCase is a placement problem stated directly on a fix index:
+// per binding its ID, whether the plan may place rules on it, and its
+// after decision; per shape the bindings it crosses, in order, and its
+// desired decision.
+type placementCase struct {
+	ids     []string
+	allowed []bool
+	after   []bool
+	shapes  [][]int32
+	desired []bool
+}
+
+// index builds the fix index and the placement key the case states.
+func (c placementCase) index() (*fixIndex, []int32, []byte) {
+	ix := &fixIndex{}
+	for i, id := range c.ids {
+		ix.bindings = append(ix.bindings, fixBinding{id: id, allowed: c.allowed[i]})
+	}
+	var shapes []int32
+	var key []byte
+	k := 0
+	put := func(v bool) {
+		if k%8 == 0 {
+			key = append(key, 0)
+		}
+		if v {
+			key[k/8] |= 1 << (k % 8)
+		}
+		k++
+	}
+	for j, bs := range c.shapes {
+		ix.shapes = append(ix.shapes, fixShape{bindings: bs})
+		shapes = append(shapes, int32(j))
+		for _, bi := range bs {
+			put(c.after[bi])
+		}
+		put(c.desired[j])
+	}
+	return ix, shapes, key
+}
+
+// bruteForce enumerates every decision of the crossed allowed bindings
+// and returns whether one satisfies every shape, the least number of
+// changed bindings, the first changed set of that size in crossing order
+// (sorted binding indices, compared lexicographically), and how many
+// sets of that size there are.
+func (c placementCase) bruteForce() (ok bool, cost int, least []int32, optima int) {
+	var free []int32
+	for bi := range c.ids {
+		crossed := slices.ContainsFunc(c.shapes, func(bs []int32) bool { return slices.Contains(bs, int32(bi)) })
+		if crossed && c.allowed[bi] {
+			free = append(free, int32(bi))
+		}
+	}
+	val := slices.Clone(c.after)
+	for mask := 0; mask < 1<<len(free); mask++ {
+		var changed []int32
+		for k, bi := range free {
+			val[bi] = mask>>k&1 == 1
+			if val[bi] != c.after[bi] {
+				changed = append(changed, bi)
+			}
+		}
+		sat := true
+		for j, bs := range c.shapes {
+			conj := !slices.ContainsFunc(bs, func(bi int32) bool { return !val[bi] })
+			sat = sat && conj == c.desired[j]
+		}
+		if !sat {
+			continue
+		}
+		switch {
+		case !ok || len(changed) < cost:
+			ok, cost, least, optima = true, len(changed), changed, 1
+		case len(changed) == cost:
+			optima++
+			if slices.Compare(changed, least) < 0 {
+				least = changed
+			}
+		}
+	}
+	return ok, cost, least, optima
+}
+
+// solverCost states the case on a SAT solver — a variable per allowed
+// binding, the after decision elsewhere, one equivalence per shape — and
+// minimizes the changed bindings.
+func (c placementCase) solverCost() (ok bool, cost int) {
+	s := smt.NewSolver()
+	b := s.B
+	vals := make([]smt.F, len(c.ids))
+	var costs []smt.F
+	for bi := range c.ids {
+		if !c.allowed[bi] {
+			vals[bi] = b.Const(c.after[bi])
+			continue
+		}
+		vals[bi] = b.Var()
+		if c.after[bi] {
+			costs = append(costs, vals[bi].Not())
+		} else {
+			costs = append(costs, vals[bi])
+		}
+	}
+	for j, bs := range c.shapes {
+		lhs := smt.True
+		for _, bi := range bs {
+			lhs = b.And(lhs, vals[bi])
+		}
+		s.Assert(b.Iff(lhs, b.Const(c.desired[j])))
+	}
+	cost, r := s.SolveMinimizeLimited(sat.Budget{}, costs)
+	return r.Outcome == sat.Sat, cost
+}
+
+// placeCase runs the closed form on the case and returns the changed
+// bindings in crossing order, checking each changes its decision.
+func placeCase(t *testing.T, c placementCase) (ok bool, changed []int32) {
+	t.Helper()
+	ix, shapes, key := c.index()
+	p, err := ix.place(context.Background(), shapes, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, ch := range p.changes {
+		if bool(ch.act) == c.after[ch.bi] || !c.allowed[ch.bi] {
+			t.Fatalf("%+v: change %+v keeps its decision or is closed", c, ch)
+		}
+		if k > 0 && c.ids[p.changes[k-1].bi] >= c.ids[ch.bi] {
+			t.Fatalf("%+v: changes %+v not in binding ID order", c, p.changes)
+		}
+		changed = append(changed, ch.bi)
+	}
+	slices.Sort(changed)
+	return p.ok, changed
+}
+
+// TestQuickPlacementMatchesEnumeration draws placement problems of up to
+// twelve bindings and ten shapes — random allow, after and desired bits,
+// a third of the bindings denying — and holds the closed form to an
+// enumeration of every decision on feasibility, least cost and the
+// least optimum in crossing order, and to the SAT minimization on
+// feasibility and cost.
+func TestQuickPlacementMatchesEnumeration(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	var feasible, ties int // ties: draws with several optima
+	for n := 0; n < 3000; n++ {
+		var c placementCase
+		nb := 1 + r.Intn(12)
+		for _, perm := range r.Perm(nb) {
+			c.ids = append(c.ids, fmt.Sprintf("d%02d:i:in", perm))
+			c.allowed = append(c.allowed, r.Intn(3) != 0)
+			c.after = append(c.after, r.Intn(3) != 0)
+		}
+		for j := 1 + r.Intn(10); j > 0; j-- {
+			pick := r.Perm(nb)[:1+r.Intn(min(nb, 4))]
+			var bs []int32
+			for _, bi := range pick {
+				bs = append(bs, int32(bi))
+			}
+			c.shapes = append(c.shapes, bs)
+			c.desired = append(c.desired, r.Intn(2) == 0)
+		}
+		ok, changed := placeCase(t, c)
+		wantOK, wantCost, least, optima := c.bruteForce()
+		satOK, satCost := c.solverCost()
+		if ok != wantOK || ok && (len(changed) != wantCost || !slices.Equal(changed, least)) {
+			t.Fatalf("%+v: closed form ok=%v changes %v, enumeration ok=%v cost %d least %v", c, ok, changed, wantOK, wantCost, least)
+		}
+		if satOK != wantOK || ok && satCost != wantCost {
+			t.Fatalf("%+v: solver ok=%v cost %d, enumeration ok=%v cost %d", c, satOK, satCost, wantOK, wantCost)
+		}
+		if ok {
+			feasible++
+			if optima > 1 {
+				ties++
+			}
+		}
+	}
+	if feasible < 500 || ties < 50 {
+		t.Fatalf("only %d feasible draws, %d with several optima", feasible, ties)
+	}
+}
+
+// TestPlacementTieBreak pins which optimum the closed form names.
+func TestPlacementTieBreak(t *testing.T) {
+	yes, no := true, false
+	for _, c := range []struct {
+		name    string
+		c       placementCase
+		ok      bool
+		changed []int32
+	}{
+		// One path crossing two allowed permits: the first crossed
+		// denies, though its ID sorts last.
+		{"one-path-first-crossed", placementCase{
+			ids: []string{"z:1:in", "a:1:in"}, allowed: []bool{yes, yes}, after: []bool{yes, yes},
+			shapes: [][]int32{{0, 1}}, desired: []bool{no},
+		}, true, []int32{0}},
+		// Two ECMP paths sharing a binding: one deny there meets both.
+		{"ecmp-shared", placementCase{
+			ids: []string{"a:1:in", "b:1:in", "c:1:in"}, allowed: []bool{yes, yes, yes}, after: []bool{yes, yes, yes},
+			shapes: [][]int32{{0, 2}, {1, 2}}, desired: []bool{no, no},
+		}, true, []int32{2}},
+		// A permit the plan can force beside a closed deny: no placement.
+		{"forced-beside-closed-deny", placementCase{
+			ids: []string{"a:1:in", "b:1:in"}, allowed: []bool{yes, no}, after: []bool{no, no},
+			shapes: [][]int32{{0, 1}}, desired: []bool{yes},
+		}, false, nil},
+		// The forced permit alone is placed.
+		{"forced-permit", placementCase{
+			ids: []string{"a:1:in", "b:1:in"}, allowed: []bool{yes, no}, after: []bool{no, yes},
+			shapes: [][]int32{{0, 1}}, desired: []bool{yes},
+		}, true, []int32{0}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ok, changed := placeCase(t, c.c)
+			if ok != c.ok || !slices.Equal(changed, c.changed) {
+				t.Fatalf("ok=%v changes %v, want ok=%v changes %v", ok, changed, c.ok, c.changed)
+			}
+		})
+	}
+	// A cancelled call decides nothing: the search stops at its first
+	// poll and returns the call's error.
+	ix, shapes, key := placementCase{
+		ids: []string{"a:1:in"}, allowed: []bool{yes}, after: []bool{yes},
+		shapes: [][]int32{{0}}, desired: []bool{no},
+	}.index()
+	call, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := ix.place(call, shapes, key); !errors.Is(err, context.Canceled) {
+		t.Fatalf("place under a cancelled call: err %v", err)
+	}
+}
+
+// TestQuickMinHittingSet holds the hitting-set search to an enumeration
+// of every subset on random clause sets over eight members, deep enough
+// that the first set the search reaches is not always the least (a pinned
+// case: the search reaches {3, 4, 6} before {2, 4, 7}).
+func TestQuickMinHittingSet(t *testing.T) {
+	least := func(clauses [][]int32) []int32 {
+		var best []int32
+		for mask := 0; mask < 1<<8; mask++ {
+			var set []int32
+			for x := int32(0); x < 8; x++ {
+				if mask>>x&1 == 1 {
+					set = append(set, x)
+				}
+			}
+			hits := !slices.ContainsFunc(clauses, func(c []int32) bool {
+				return !slices.ContainsFunc(c, func(x int32) bool { return slices.Contains(set, x) })
+			})
+			if hits && (best == nil || len(set) < len(best) || len(set) == len(best) && slices.Compare(set, best) < 0) {
+				best = set
+			}
+		}
+		return best
+	}
+	draws := [][][]int32{{{4}, {2, 6}, {1, 6, 7}, {3, 7}}}
+	r := rand.New(rand.NewSource(11))
+	for n := 0; n < 3000; n++ {
+		var clauses [][]int32
+		for j := 1 + r.Intn(6); j > 0; j-- {
+			var c []int32
+			for _, x := range r.Perm(8)[:1+r.Intn(3)] {
+				c = append(c, int32(x))
+			}
+			slices.Sort(c)
+			clauses = append(clauses, c)
+		}
+		draws = append(draws, clauses)
+	}
+	for _, clauses := range draws {
+		want := least(clauses)
+		got, ok := minHittingSet(context.Background(), slices.Clone(clauses))
+		if !ok || !slices.Equal(got, want) {
+			t.Fatalf("clauses %v: hitting set %v, least minimum %v", clauses, got, want)
+		}
+	}
 }

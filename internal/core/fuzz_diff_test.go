@@ -255,11 +255,10 @@ func TestFuzzCheckParallelAgreement(t *testing.T) {
 		opts.FindAllViolations = true
 		opts.UseDifferential = iter%2 == 0
 		if iter%4 == 0 {
-			// Generous resource limits on a quarter of the cases: the limit
-			// machinery must be byte-inert on the happy path, at every worker
-			// count (the signature now pins Complete and Unknown too).
+			// A generous deadline on a quarter of the cases: it must be
+			// byte-inert on the happy path, at every worker count (the
+			// signature pins Complete and Unknown too).
 			opts.Deadline = time.Hour
-			opts.PerFECBudget = 1 << 30
 		}
 
 		seq := core.New(before, after, scope, opts).Check()

@@ -83,7 +83,7 @@ func (e *Engine) Generate(sources []topo.ACLBinding) (*GenerateResult, error) {
 func (e *Engine) GenerateContext(callCtx context.Context, sources []topo.ACLBinding) (*GenerateResult, error) {
 	o := e.obsv()
 	ls := e.ledgerBegin()
-	cn, endCall := e.beginCall(callCtx)
+	call, endCall := e.beginCall(callCtx)
 	defer endCall()
 	root := e.startSpan("generate", obs.KV("sources", len(sources)))
 	defer root.End() // idempotent; covers the error returns
@@ -135,7 +135,7 @@ func (e *Engine) GenerateContext(callCtx context.Context, sources []topo.ACLBind
 	}
 	solveOne := func(a *aec) aecOutcome {
 		var out aecOutcome
-		if cn.cancelled() {
+		if call.Err() != nil {
 			out.unknown = reasonCancelled
 			return out
 		}

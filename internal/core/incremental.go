@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"sort"
@@ -510,7 +511,7 @@ func (e *Engine) resolveFEC(c *solveCall, i int) fecState {
 	)
 	if reason = faultReason(faultinject.CheckSolve); reason == "" {
 		var ok bool
-		if viol, ds, ok = e.violations(c.cn, ctx, fec, shapes, false); !ok {
+		if viol, ds, ok = e.violations(c.call, ctx, fec, shapes, false); !ok {
 			reason = reasonCancelled
 		}
 	}
@@ -623,7 +624,7 @@ func (e *Engine) witnessFor(ctx *checkCtx, i int) (Violation, bool) {
 	fec := ctx.fec(i)
 	pkt, ok := ctx.witPkt[i]
 	if !ok {
-		viol, _, _ := e.violations(nil, ctx, fec, e.compileShapes(ctx, fec), false)
+		viol, _, _ := e.violations(context.Background(), ctx, fec, e.compileShapes(ctx, fec), false)
 		if pkt, ok = viol.MinPacket(); !ok {
 			panic("core: set algebra disagrees with the violating verdict")
 		}

@@ -13,15 +13,14 @@ import (
 // top-level check/fix/generate call appends one declog.Record capturing
 // what was decided and why — the config fingerprints the decision was
 // computed over, the per-FEC forensics, the witnesses, and the
-// wall/CPU/budget cost. Everything here is inert when the logger is
+// wall/CPU cost. Everything here is inert when the logger is
 // nil: no fingerprinting, no counter reads, no clock reads beyond what
 // the primitives already do.
 
 // ledgerStart snapshots the cost baselines at call entry.
 type ledgerStart struct {
-	t0       time.Time
-	cpu0     int64
-	budgets0 int64
+	t0   time.Time
+	cpu0 int64
 }
 
 // ledgerBegin returns the call's cost baseline, or nil when no ledger
@@ -30,12 +29,7 @@ func (e *Engine) ledgerBegin() *ledgerStart {
 	if e.Opts.DecisionLog == nil {
 		return nil
 	}
-	o := e.obsv()
-	return &ledgerStart{
-		t0:       time.Now(),
-		cpu0:     declog.ProcessCPU(),
-		budgets0: o.Counter("budget.exhausted").Value(),
-	}
+	return &ledgerStart{t0: time.Now(), cpu0: declog.ProcessCPU()}
 }
 
 // ledgerFinish stamps the cost fields of a record against the baseline.
@@ -44,8 +38,6 @@ func (e *Engine) ledgerFinish(ls *ledgerStart, rec *declog.Record) {
 	if cpu := declog.ProcessCPU(); cpu > 0 {
 		rec.CPUNS = cpu - ls.cpu0
 	}
-	o := e.obsv()
-	rec.BudgetsHit = o.Counter("budget.exhausted").Value() - ls.budgets0
 	e.Opts.DecisionLog.Append(rec) //nolint:errcheck // auditing is best-effort
 }
 

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -9,6 +10,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"jinjing/internal/acl"
 	"jinjing/internal/core"
@@ -386,31 +388,32 @@ func TestForensicsGatedOff(t *testing.T) {
 	}
 }
 
-// TestLedgerFixBudgetExhausted pins that a fix placement query killed by
-// Options.PerFECBudget is counted: fix refuses its plan, budget.exhausted
-// reads at least one, and the ledger record carries the same count as
-// budgets_hit.
-func TestLedgerFixBudgetExhausted(t *testing.T) {
+// TestLedgerFixDeadlineRefusal pins that a fix refused under an expired
+// deadline leaves its record: fix names the FECs it could not decide as
+// cancelled, and the ledger holds one fix record carrying the refusal and
+// no plan.
+func TestLedgerFixDeadlineRefusal(t *testing.T) {
 	l, path := openTestLedger(t)
 	opts := core.DefaultOptions()
-	opts.PerFECBudget = 1
 	opts.DecisionLog = l
-	_, _, m := obsHarness(&opts)
-	res, err := newRunningEngine(t, opts).Fix()
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	res, err := newRunningEngine(t, opts).FixContext(ctx)
 	var uv *core.ErrUnknownVerdicts
 	if res != nil || !errors.As(err, &uv) || len(uv.FECs) == 0 {
-		t.Fatalf("fix under a one-conflict budget must refuse: res=%v err=%v", res, err)
+		t.Fatalf("fix under an expired deadline must refuse: res=%v err=%v", res, err)
 	}
-	n := m.Snapshot().Counters["budget.exhausted"]
-	if n < 1 {
-		t.Fatalf("budget.exhausted = %d after a budget-killed placement", n)
+	for _, u := range uv.FECs {
+		if u.Reason != "cancelled" {
+			t.Fatalf("FEC %d blocked as %q, want cancelled", u.FEC, u.Reason)
+		}
 	}
 	l.Close()
 	recs, _, rerr := declog.ReadFile(path)
 	if rerr != nil {
 		t.Fatal(rerr)
 	}
-	if len(recs) != 1 || recs[0].Primitive != "fix" || recs[0].BudgetsHit != n {
-		t.Fatalf("want one fix record with budgets_hit %d, got %+v", n, recs)
+	if len(recs) != 1 || recs[0].Primitive != "fix" || recs[0].Error != err.Error() || recs[0].Verified != nil || len(recs[0].Actions) != 0 {
+		t.Fatalf("want one fix record carrying %q and no plan, got %+v", err, recs)
 	}
 }

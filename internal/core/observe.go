@@ -7,7 +7,7 @@ import (
 
 // This file is the engine's glue to the observability layer
 // (internal/obs): primitive root spans, and solver-stats aggregation into
-// both result structs and the metrics registry. A phase is a plain child
+// CheckResult and the metrics registry. A phase is a plain child
 // span of its primitive's root. Everything here is nil-safe — with
 // Options.Obs unset the spans are no-op.
 

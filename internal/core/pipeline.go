@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"runtime"
 
 	"jinjing/internal/acl"
@@ -49,8 +50,8 @@ type checkCtx struct {
 	incReady bool
 	states   []fecState
 	entries  []*fecVerdict
-	// unknownReason says why states[i] == fecUnknown (cancelled, budget
-	// exhausted, ...).
+	// unknownReason says why states[i] == fecUnknown (cancelled, or an
+	// injected fault).
 	unknownReason []string
 	// Solve forensics (see forensics.go): routes[i] records how FEC i's
 	// verdict was established, solveNS[i] its set-algebra decision time.
@@ -138,9 +139,9 @@ func (e *Engine) checkContext() *checkCtx {
 // span parenting the per-FEC "fec.solve" spans, the decision-latency
 // histogram, and the progress task.
 type solveCall struct {
-	cn  *canceller
-	ctx *checkCtx
-	o   *obs.Observer
+	call context.Context
+	ctx  *checkCtx
+	o    *obs.Observer
 
 	span *obs.Span
 	hist *obs.Histogram // check.fec_solve_ns
@@ -160,16 +161,16 @@ type solveCall struct {
 // function of the states. Returns the ascending violating FEC indices
 // (one at most in first-violation mode) and the last FEC index the scan
 // semantically examined.
-func (e *Engine) decide(cn *canceller, ctx *checkCtx, span *obs.Span, findAll bool) (hits []int, last int) {
+func (e *Engine) decide(call context.Context, ctx *checkCtx, span *obs.Span, findAll bool) (hits []int, last int) {
 	o := e.obsv()
 	c := &solveCall{
-		cn: cn, ctx: ctx, o: o,
+		call: call, ctx: ctx, o: o,
 		span: span,
 		hist: o.Histogram("check.fec_solve_ns"),
 		task: o.StartTask("check: FECs", int64(ctx.nfec)),
 	}
 	last = ctx.nfec - 1
-	for i := 0; i < ctx.nfec && !cn.cancelled(); i++ {
+	for i := 0; i < ctx.nfec && call.Err() == nil; i++ {
 		st := e.resolveFEC(c, i)
 		c.task.Add(1)
 		if st == fecViolating && !findAll {
@@ -179,7 +180,7 @@ func (e *Engine) decide(cn *canceller, ctx *checkCtx, span *obs.Span, findAll bo
 	}
 	c.task.Done()
 
-	if cn.cancelled() {
+	if call.Err() != nil {
 		// The call is dead: whatever FEC the scan never resolved is
 		// Unknown; this call can no longer establish it.
 		for i := 0; i <= last; i++ {

@@ -1,17 +1,14 @@
 package core
 
-// Cancellation, resource budgets, and fault tolerance for the
-// verification pipeline. The design has three layers:
+// Cancellation and fault tolerance for the verification pipeline. The
+// design has two layers:
 //
-//   - A canceller relays context cancellation to every solver a
-//     primitive call has in flight: fix's placement solvers register on
-//     acquisition, and the context watcher interrupts them all when the
-//     deadline fires. The check and generate, which run no solver, poll
-//     it: the check between FECs and between the pieces of a split flip
-//     region (see violations), generate between AECs.
-//
-//   - Options.PerFECBudget bounds the conflicts of each fix placement
-//     query, the only solver query left. Nothing is retried.
+//   - Each primitive call runs under one context, the caller's with
+//     Options.Deadline applied (beginCall), and polls it between units of
+//     work. Check, fix and generate run no solver — the check and fix
+//     decide in the set algebra and in closed form, generate in closed
+//     form — so the deadline is their only bound, and nothing is
+//     retried.
 //
 //   - A decision that has no verdict yields Unknown. Unknown is a
 //     first-class outcome: check reports the FEC in CheckResult.Unknown
@@ -28,18 +25,18 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"jinjing/internal/faultinject"
 	"jinjing/internal/header"
-	"jinjing/internal/sat"
-	"jinjing/internal/smt"
 )
 
 // reasonCancelled marks verdicts abandoned because the call's context
-// was cancelled or its deadline expired (vs. a per-query budget).
+// was cancelled or its deadline expired.
 const reasonCancelled = "cancelled"
+
+// reasonInterrupted marks verdicts abandoned after an injected timeout
+// (test-only in practice).
+const reasonInterrupted = "interrupted"
 
 // reasonTransient marks verdicts abandoned after an injected transient
 // fault (test-only in practice).
@@ -47,7 +44,7 @@ const reasonTransient = "transient fault"
 
 // UnknownFEC identifies one FEC whose verdict could not be established
 // by a check call: its canonical index, its traffic classes, and why
-// the query stopped (cancelled, conflict budget exhausted, ...).
+// its decision stopped (cancelled, or an injected fault).
 type UnknownFEC struct {
 	FEC     int
 	Classes []header.Prefix
@@ -72,7 +69,7 @@ type ErrUnknownVerdicts struct {
 }
 
 // Error renders the refusal with every blocking item, so the operator
-// knows exactly what to raise budgets for.
+// knows exactly what blocked the plan.
 func (e *ErrUnknownVerdicts) Error() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "core: %s refuses to emit a plan built on unknown verdicts:", e.Stage)
@@ -82,90 +79,25 @@ func (e *ErrUnknownVerdicts) Error() string {
 	for _, a := range e.AECs {
 		fmt.Fprintf(&b, " AEC %d (%s);", a.AEC, a.Reason)
 	}
-	b.WriteString(" raise -timeout/-fec-budget and retry")
+	b.WriteString(" raise -timeout and retry")
 	return b.String()
 }
 
-// canceller fans a context's cancellation out to the solvers a
-// primitive call has in flight. A nil canceller (context that can never
-// be cancelled) no-ops everywhere.
-type canceller struct {
-	done    atomic.Bool
-	mu      sync.Mutex
-	solvers []*smt.Solver
-}
-
-// cancelled reports whether the call has been cancelled.
-func (c *canceller) cancelled() bool { return c != nil && c.done.Load() }
-
-// register adds a fresh solver to the interrupt fan-out; if this call
-// is already cancelled the solver is interrupted at once.
-func (c *canceller) register(s *smt.Solver) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.solvers = append(c.solvers, s)
-	c.mu.Unlock()
-	if c.done.Load() {
-		// cancel ran before or raced the registration: stop this one too.
-		s.Interrupt()
-	}
-}
-
-// cancel marks the call cancelled and interrupts every registered
-// solver.
-func (c *canceller) cancel() {
-	if c == nil {
-		return
-	}
-	c.done.Store(true)
-	c.mu.Lock()
-	for _, s := range c.solvers {
-		s.Interrupt()
-	}
-	c.mu.Unlock()
-}
-
-// beginCall sets up one primitive call's cancellation scope: it applies
-// Options.Deadline to ctx, spawns a watcher relaying ctx's cancellation
-// to registered solvers, and returns the canceller plus a cleanup func
-// releasing the watcher (and the deadline timer). The canceller is nil
-// — all operations no-op — when the resulting context can never be
-// cancelled, so the happy path pays nothing.
-func (e *Engine) beginCall(ctx context.Context) (*canceller, func()) {
+// beginCall sets up one primitive call's cancellation scope: ctx with
+// Options.Deadline applied, and the func releasing its timer. Check, fix
+// and generate poll the returned context's Err between units of work —
+// the check between FECs and between the pieces of a split flip region
+// (see violations), fix between neighborhoods and at every branch of a
+// placement search (minHittingSet), generate between AECs — so an expired
+// deadline is seen at the next poll, the first one included.
+func (e *Engine) beginCall(ctx context.Context) (context.Context, context.CancelFunc) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	cancelCtx := func() {}
 	if d := e.Opts.Deadline; d > 0 {
-		ctx, cancelCtx = context.WithTimeout(ctx, d)
+		return context.WithTimeout(ctx, d)
 	}
-	if ctx.Done() == nil {
-		return nil, cancelCtx
-	}
-	cn := &canceller{}
-	if ctx.Err() != nil {
-		// Already expired or cancelled at call start: mark the canceller
-		// synchronously so even the first query observes it. Relying on
-		// the watcher goroutine alone would make an expired deadline
-		// scheduling-dependent — a short call on a busy single-core
-		// machine could complete before the watcher ever runs.
-		cn.done.Store(true)
-	}
-	stopCh := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			cn.cancel()
-		case <-stopCh:
-		}
-	}()
-	var once sync.Once
-	return cn, func() {
-		once.Do(func() { close(stopCh) })
-		cancelCtx()
-	}
+	return ctx, func() {}
 }
 
 // faultReason fires an injected-fault site guarding one decision and
@@ -177,7 +109,7 @@ func faultReason(site faultinject.Site) string {
 	case faultinject.Panic:
 		panic(fmt.Sprintf("faultinject: injected panic at %s", site))
 	case faultinject.Timeout:
-		return sat.ReasonInterrupted
+		return reasonInterrupted
 	case faultinject.Transient:
 		return reasonTransient
 	}

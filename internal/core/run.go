@@ -114,8 +114,8 @@ func (rep *Report) Print(w io.Writer) {
 			fmt.Fprintf(w, "check: consistent (%d FECs, %d solved)\n", c.FECs, c.SolvedFECs)
 			continue
 		case !c.Complete:
-			// Partial result: violations found so far plus the FECs that
-			// ran out of budget or were cancelled, in canonical FEC order.
+			// Partial result: violations found so far plus the FECs left
+			// undecided (cancelled), in canonical FEC order.
 			fmt.Fprintf(w, "check: UNDECIDED (%d FECs, %d solved, %d unknown)\n",
 				c.FECs, c.SolvedFECs, len(c.Unknown))
 		default:

@@ -186,7 +186,6 @@ type FixRow struct {
 	Neighborhoods int           `json:"neighborhoods"`
 	Actions       int           `json:"actions"`
 	Verified      bool          `json:"verified"`
-	Stats         sat.Stats     `json:"stats"`
 	Elapsed       time.Duration `json:"elapsed_ns"`
 	Preprocess    time.Duration `json:"preprocess_ns"`
 	Solve         time.Duration `json:"solve_ns"`
@@ -201,7 +200,6 @@ func fixRow(size netgen.Size, pct float64, mode string, res *core.FixResult, ph 
 		Neighborhoods: len(res.Neighborhoods),
 		Actions:       len(res.Actions),
 		Verified:      res.Verified,
-		Stats:         res.SolverStats,
 		Elapsed:       elapsed,
 		Preprocess:    ph.get("preprocess"), Solve: ph.get("solve"),
 		Simplify: ph.get("simplify"), VerifyPhase: ph.get("verify"),

@@ -80,10 +80,9 @@ type Record struct {
 	Rules         int      `json:"rules,omitempty"`
 
 	// Resource story.
-	BudgetsHit int64  `json:"budgets_hit,omitempty"` // per-FEC budget exhaustions
-	WallNS     int64  `json:"wall_ns"`
-	CPUNS      int64  `json:"cpu_ns,omitempty"`
-	Error      string `json:"error,omitempty"`
+	WallNS int64  `json:"wall_ns"`
+	CPUNS  int64  `json:"cpu_ns,omitempty"`
+	Error  string `json:"error,omitempty"`
 
 	// Memory story: the check's sampled live heap (every ledgered check
 	// samples it once, at the end of the call).

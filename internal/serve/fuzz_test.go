@@ -21,7 +21,7 @@ func FuzzSessionRequest(f *testing.F) {
 		// Well-formed job bodies.
 		``,
 		`{}`,
-		`{"deadline":"2m","per_fec_budget":100000,"workers":8,"all_violations":true}`,
+		`{"deadline":"2m","workers":8,"all_violations":true}`,
 		`{"updated":{"devices":[]}}`,
 		// Malformed shapes the decoder must refuse cleanly.
 		`not json`,
@@ -29,8 +29,6 @@ func FuzzSessionRequest(f *testing.F) {
 		`{"topology":{},"program":"x","bogus":true}`,
 		`{"deadline":"-5s"}`,
 		`{"deadline":"2000h"}`,
-		`{"per_fec_budget":-1}`,
-		`{"per_fec_budget":99999999999999999}`,
 		`{"workers":2147483647}`,
 		`{"backend":"quantum"}`,
 		`{"deadline":12}`,
@@ -39,13 +37,17 @@ func FuzzSessionRequest(f *testing.F) {
 		`null`,
 		"\x00\xff\xfe",
 	}
-	// The backend and max_retries keys are retired: a job body carrying
-	// either is an unknown field, refused like any other.
+	// The backend, max_retries and per_fec_budget keys are retired: a
+	// job body carrying any of them is an unknown field, refused like any
+	// other.
 	for _, s := range []string{
-		`{"deadline":"2m","per_fec_budget":100000,"workers":8,"backend":"sat","all_violations":true}`,
+		`{"deadline":"2m","workers":8,"backend":"sat","all_violations":true}`,
 		`{"updated":{"devices":[]},"backend":"pset"}`,
-		`{"deadline":"2m","per_fec_budget":100000,"max_retries":3,"workers":8,"all_violations":true}`,
+		`{"deadline":"2m","max_retries":3,"workers":8,"all_violations":true}`,
 		`{"max_retries":-2}`,
+		`{"deadline":"2m","per_fec_budget":100000,"workers":8,"all_violations":true}`,
+		`{"per_fec_budget":-1}`,
+		`{"per_fec_budget":99999999999999999}`,
 	} {
 		if _, err := DecodeJobRequest([]byte(s)); err == nil {
 			f.Fatalf("job body with a retired key accepted: %s", s)
@@ -79,16 +81,13 @@ func checkOverrides(t *testing.T, o *JobOverrides) {
 	if o.hasDeadline && (o.deadline <= 0 || o.deadline > MaxDeadlineLimit) {
 		t.Fatalf("accepted deadline out of range: %v", o.deadline)
 	}
-	if o.PerFECBudget != nil && (*o.PerFECBudget < 0 || *o.PerFECBudget > MaxPerFECBudgetLimit) {
-		t.Fatalf("accepted per-FEC budget out of range: %d", *o.PerFECBudget)
-	}
 	if o.Workers != nil && (*o.Workers < 0 || *o.Workers > MaxWorkersLimit) {
 		t.Fatalf("accepted worker count out of range: %d", *o.Workers)
 	}
 	opts := core.DefaultOptions()
 	o.apply(&opts)
-	clampOptions(&opts, jobCaps{maxDeadline: time.Minute, maxPerFECBudget: 1000, maxWorkers: 8})
-	if opts.Deadline > time.Minute || opts.PerFECBudget > 1000 || opts.Workers > 8 {
+	clampOptions(&opts, jobCaps{maxDeadline: time.Minute, maxWorkers: 8})
+	if opts.Deadline > time.Minute || opts.Workers > 8 {
 		t.Fatalf("clamped options exceed caps: %+v", opts)
 	}
 }

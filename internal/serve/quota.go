@@ -9,9 +9,9 @@ import (
 // Quota is a per-tenant token-bucket budget: each admitted job costs
 // one token, tokens refill at Rate per second up to Burst. The zero
 // value disables quotas. Layered under the per-job resource caps
-// (Config.MaxDeadline / MaxPerFECBudget), it bounds how much solver
+// (Config.MaxDeadline / MaxWorkers), it bounds how much verification
 // time one tenant can claim per wall-clock second regardless of how the
-// individual jobs are budgeted.
+// individual jobs are bounded.
 type Quota struct {
 	// Rate is tokens (admitted jobs) per second. <= 0 disables quotas.
 	Rate float64

@@ -306,8 +306,8 @@ func TestDaemonRestartDamagedManifest(t *testing.T) {
 }
 
 // TestDaemonRestartRetiredBackendDefault restores a manifest saved while
-// job defaults could still carry a backend and a retry count. The wire
-// decoder now refuses both keys, but the manifest's lenient first decode
+// job defaults could still carry a backend, a retry count and a per-FEC
+// conflict budget. The wire decoder now refuses all three keys, but the manifest's lenient first decode
 // drops them, so the session must restore uncounted as corrupt and check
 // exactly as a fresh PUT of the same inputs does.
 func TestDaemonRestartRetiredBackendDefault(t *testing.T) {
@@ -323,7 +323,7 @@ func TestDaemonRestartRetiredBackendDefault(t *testing.T) {
 	if bytes.Count(data, []byte(defaults)) != 1 {
 		t.Fatalf("manifest has no single defaults object: %s", data)
 	}
-	data = bytes.Replace(data, []byte(defaults), []byte(defaults+`"backend":"sat","max_retries":3,`), 1)
+	data = bytes.Replace(data, []byte(defaults), []byte(defaults+`"backend":"sat","max_retries":3,"per_fec_budget":100000,`), 1)
 	if err := os.WriteFile(manPath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}

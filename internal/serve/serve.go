@@ -56,13 +56,11 @@ type Config struct {
 	MaxInFlight int
 	// Quota is the per-tenant admission budget (zero disables).
 	Quota Quota
-	// MaxDeadline / MaxPerFECBudget / MaxWorkers are per-job ceilings:
-	// requested values above them are clamped, and a job with no
-	// deadline or budget of its own inherits the ceiling. 0 leaves the
-	// knob uncapped.
-	MaxDeadline     time.Duration
-	MaxPerFECBudget int64
-	MaxWorkers      int
+	// MaxDeadline / MaxWorkers are per-job ceilings: requested values
+	// above them are clamped, and a job with no deadline of its own
+	// inherits the ceiling. 0 leaves the knob uncapped.
+	MaxDeadline time.Duration
+	MaxWorkers  int
 	// DecisionLogDir, when set, attaches a rotating JSONL decision
 	// ledger per session at <dir>/<session>.jsonl.
 	DecisionLogDir string
@@ -496,11 +494,7 @@ func (s *Server) restoreSnapshot(name string, sess *session) (outcome string) {
 
 // caps returns the per-job option ceilings.
 func (s *Server) caps() jobCaps {
-	return jobCaps{
-		maxDeadline:     s.cfg.MaxDeadline,
-		maxPerFECBudget: s.cfg.MaxPerFECBudget,
-		maxWorkers:      s.cfg.MaxWorkers,
-	}
+	return jobCaps{maxDeadline: s.cfg.MaxDeadline, maxWorkers: s.cfg.MaxWorkers}
 }
 
 // ---- session endpoints ----

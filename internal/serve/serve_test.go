@@ -438,7 +438,7 @@ func TestDaemonRejectsMalformedRequests(t *testing.T) {
 		`{"topology":{},"program":"x","defaults":{"deadline":"-3s"}}`,              // negative deadline
 		`{"topology":{},"program":"x","defaults":{"deadline":"2000h"}}`,            // absurd deadline
 		`{"topology":{},"program":"x","defaults":{"workers":100000}}`,              // absurd workers
-		`{"topology":{},"program":"x","defaults":{"per_fec_budget":-1}}`,           // negative budget
+		`{"topology":{},"program":"x","defaults":{"per_fec_budget":100000}}`,       // retired budget key: unknown field
 		`{"topology":{},"program":"x","defaults":{"backend":"quantum"}}`,           // retired backend key: unknown field
 		`{"topology":{},"program":"x","defaults":{"backend":"sat"}}`,               // retired backend key, once valid
 		`{"topology":{"devices":0},"program":"scope A:*\nentry A:1\ncheck"}`,       // bad topology shape
@@ -546,20 +546,18 @@ func TestQuotaBucketMath(t *testing.T) {
 // TestClampOptions pins the ceiling semantics: requested values clamp,
 // and unbounded jobs inherit the server's bounds.
 func TestClampOptions(t *testing.T) {
-	caps := jobCaps{maxDeadline: time.Minute, maxPerFECBudget: 1000, maxWorkers: 4}
+	caps := jobCaps{maxDeadline: time.Minute, maxWorkers: 4}
 	opts := core.DefaultOptions()
 	opts.Deadline = time.Hour
-	opts.PerFECBudget = 50_000
 	opts.Workers = 64
 	clampOptions(&opts, caps)
-	if opts.Deadline != time.Minute || opts.PerFECBudget != 1000 || opts.Workers != 4 {
+	if opts.Deadline != time.Minute || opts.Workers != 4 {
 		t.Fatalf("over-cap values should clamp: %+v", opts)
 	}
 	opts = core.DefaultOptions()
 	opts.Deadline = 0
-	opts.PerFECBudget = 0
 	clampOptions(&opts, caps)
-	if opts.Deadline != time.Minute || opts.PerFECBudget != 1000 {
+	if opts.Deadline != time.Minute {
 		t.Fatalf("unbounded jobs should inherit the caps: %+v", opts)
 	}
 	opts = core.DefaultOptions()

@@ -68,9 +68,8 @@ type session struct {
 // jobCaps are the server-wide ceilings clamped onto every job's
 // effective options (see Config).
 type jobCaps struct {
-	maxDeadline     time.Duration
-	maxPerFECBudget int64
-	maxWorkers      int
+	maxDeadline time.Duration
+	maxWorkers  int
 }
 
 // newSession parses and resolves a PUT request into a warm session.
@@ -197,7 +196,6 @@ func (s *session) runLocked(ctx context.Context, jobID, kind string, req *JobReq
 	req.JobOverrides.apply(&opts)
 	clampOptions(&opts, caps)
 	s.engine.Opts.Deadline = opts.Deadline
-	s.engine.Opts.PerFECBudget = opts.PerFECBudget
 	s.engine.Opts.Workers = opts.Workers
 	s.engine.Opts.FindAllViolations = opts.FindAllViolations
 
@@ -230,15 +228,12 @@ func (s *session) runLocked(ctx context.Context, jobID, kind string, req *JobReq
 }
 
 // clampOptions applies the server ceilings: requested values above a
-// cap are clamped to it, and a job with no deadline or budget of its
-// own inherits the cap as its limit — an unbounded job cannot slip past
-// a bounded server.
+// cap are clamped to it, and a job with no deadline of its own
+// inherits the cap as its limit — an unbounded job cannot slip past a
+// bounded server.
 func clampOptions(opts *core.Options, caps jobCaps) {
 	if caps.maxDeadline > 0 && (opts.Deadline <= 0 || opts.Deadline > caps.maxDeadline) {
 		opts.Deadline = caps.maxDeadline
-	}
-	if caps.maxPerFECBudget > 0 && (opts.PerFECBudget <= 0 || opts.PerFECBudget > caps.maxPerFECBudget) {
-		opts.PerFECBudget = caps.maxPerFECBudget
 	}
 	if caps.maxWorkers > 0 && opts.Workers > caps.maxWorkers {
 		opts.Workers = caps.maxWorkers
@@ -258,7 +253,7 @@ func planError(err error) *APIError {
 		for _, a := range unknown.AECs {
 			ae.Blocking = append(ae.Blocking, fmt.Sprintf("aec %d: %s", a.AEC, a.Reason))
 		}
-		ae.Message = fmt.Sprintf("%s refuses to emit a plan built on unknown verdicts (%d blocking); raise the job's deadline/per_fec_budget and retry",
+		ae.Message = fmt.Sprintf("%s refuses to emit a plan built on unknown verdicts (%d blocking); raise the job's deadline and retry",
 			unknown.Stage, len(ae.Blocking))
 		return ae
 	}

@@ -23,10 +23,6 @@ const (
 	MaxBodyBytes = 64 << 20
 	// MaxWorkersLimit bounds a job's requested worker count.
 	MaxWorkersLimit = 1024
-	// MaxPerFECBudgetLimit bounds a job's requested per-query conflict
-	// budget (2^40 conflicts is hours of CDCL — anything larger is a
-	// typo, not a budget).
-	MaxPerFECBudgetLimit = int64(1) << 40
 	// MaxDeadlineLimit bounds a job's requested wall-clock deadline.
 	MaxDeadlineLimit = 24 * time.Hour
 	// maxSessionName bounds session name length.
@@ -41,9 +37,6 @@ type JobOverrides struct {
 	// Deadline is a Go duration string ("30s", "2m") bounding the job's
 	// wall-clock time (core.Options.Deadline). Empty inherits.
 	Deadline string `json:"deadline,omitempty"`
-	// PerFECBudget caps SAT conflicts per solver query
-	// (core.Options.PerFECBudget).
-	PerFECBudget *int64 `json:"per_fec_budget,omitempty"`
 	// Workers fans a fix or generate job's per-FEC/per-AEC loop out
 	// (core.Options.Workers); check ignores it.
 	Workers *int `json:"workers,omitempty"`
@@ -74,14 +67,6 @@ func (o *JobOverrides) validate() error {
 		}
 		o.deadline, o.hasDeadline = d, true
 	}
-	if o.PerFECBudget != nil {
-		if *o.PerFECBudget < 0 {
-			return fmt.Errorf("per_fec_budget: must be non-negative, got %d", *o.PerFECBudget)
-		}
-		if *o.PerFECBudget > MaxPerFECBudgetLimit {
-			return fmt.Errorf("per_fec_budget: %d exceeds the %d limit", *o.PerFECBudget, MaxPerFECBudgetLimit)
-		}
-	}
 	if o.Workers != nil && (*o.Workers < 0 || *o.Workers > MaxWorkersLimit) {
 		return fmt.Errorf("workers: must be in [0, %d], got %d", MaxWorkersLimit, *o.Workers)
 	}
@@ -96,9 +81,6 @@ func (o *JobOverrides) apply(opts *core.Options) {
 	}
 	if o.hasDeadline {
 		opts.Deadline = o.deadline
-	}
-	if o.PerFECBudget != nil {
-		opts.PerFECBudget = *o.PerFECBudget
 	}
 	if o.Workers != nil {
 		opts.Workers = *o.Workers
