@@ -16,9 +16,10 @@ fmt:
 	gofmt -l -w .
 
 # Default suite: vet, the fast (-short) tier, then a race-detector pass
-# over the concurrency-bearing packages (parallel fix and generate, the
-# SAT solver's atomic interrupt flag, obs sinks, the daemon). Stays well
-# under the ~9 min full-suite budget.
+# over the concurrency-bearing packages (parallel fix and generate,
+# deadline polls, obs sinks, the daemon) and the solver packages whose
+# references the core tests share. Stays well under the ~9 min
+# full-suite budget.
 test: vet
 	$(GO) test -short ./...
 	$(GO) test -race -short ./internal/core ./internal/sat ./internal/smt ./internal/obs/... ./internal/serve

@@ -167,7 +167,7 @@ func TestCLIObservability(t *testing.T) {
 	if err == nil {
 		t.Fatalf("perturbed check should exit nonzero\n%s", out)
 	}
-	if !strings.Contains(string(out), "sat.conflicts") {
+	if !strings.Contains(string(out), "check.fecs") {
 		t.Fatalf("-metrics output missing from stderr:\n%s", out)
 	}
 	for _, counter := range []string{
@@ -353,13 +353,16 @@ func TestCLIBackendGolden(t *testing.T) {
 	}
 	// Check runs one loop whatever the worker count, and fix's per-FEC
 	// work is a pure function of the FEC: its placement count cannot
-	// depend on the worker count either. Neither runs a solver.
-	for _, name := range []string{"fix.placements", "sat.decisions", "sat.propagations", "sat.conflicts"} {
-		if got, want := counters[name], counters1[name]; got != want {
-			t.Errorf("at 8 workers: %s = %d, one worker has %d", name, got, want)
-		}
-		if strings.HasPrefix(name, "sat.") && counters[name] != 0 {
-			t.Errorf("%s = %d: check and fix run no solver", name, counters[name])
+	// depend on the worker count either. Neither runs a solver, so no
+	// sat.* counter exists at any worker count.
+	if got, want := counters["fix.placements"], counters1["fix.placements"]; got != want {
+		t.Errorf("at 8 workers: fix.placements = %d, one worker has %d", got, want)
+	}
+	for _, cs := range []map[string]int64{counters1, counters} {
+		for name := range cs {
+			if strings.HasPrefix(name, "sat.") {
+				t.Errorf("%s written: check and fix run no solver", name)
+			}
 		}
 	}
 

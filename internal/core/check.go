@@ -150,9 +150,6 @@ func (e *Engine) CheckContext(callCtx context.Context) *CheckResult {
 	o.Gauge("impact.affected_fecs").Set(int64(res.Stats.AffectedFECs))
 
 	o.Gauge("check.path_shapes").Set(ctx.pathShapes)
-	// The check runs no solver: its sat.* counters read 0 in the metrics
-	// rather than vanish from them.
-	recordSolverStats(o, &res.SolverStats, sat.Stats{})
 	if e.Opts.Forensics || e.Opts.DecisionLog != nil {
 		ctx.sampleHeap()
 		res.PeakHeapBytes = ctx.peakHeap

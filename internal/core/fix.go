@@ -186,6 +186,7 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 		obs.KV("placements", placements), obs.KV("path_shapes", len(ix.shapes)), obs.KV("distinct_acls", len(ix.acls)))
 	if len(blocked) > 0 {
 		sortUnknown(blocked)
+		o.Counter("fec.unknown").Add(int64(len(blocked)))
 		return fail(&ErrUnknownVerdicts{Stage: "fix", FECs: blocked})
 	}
 	// Placement reads only the Before/After snapshots, never the fixed
@@ -203,9 +204,9 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 			a, bst := simplifyBounded(b.Iface.ACL(b.Dir))
 			b.Iface.SetACL(b.Dir, a)
 			st.Cube += bst.Cube
-			st.SAT += bst.SAT
+			st.OverBudget += bst.OverBudget
 		}
-		sim.End(obs.KV("touched", len(touched)), obs.KV("exact_cube", st.Cube), obs.KV("exact_sat", st.SAT))
+		sim.End(obs.KV("touched", len(touched)), obs.KV("exact_cube", st.Cube), obs.KV("over_budget", st.OverBudget))
 	}
 
 	res.Fixed = fixed

@@ -18,7 +18,6 @@ import (
 	"jinjing/internal/obs"
 	"jinjing/internal/papernet"
 	"jinjing/internal/pset"
-	"jinjing/internal/sat"
 	"jinjing/internal/smt"
 	"jinjing/internal/topo"
 )
@@ -284,8 +283,7 @@ func refSolveNeighborhood(e *Engine, fec topo.FEC, nb header.Match, allowSet map
 			costs = append(costs, vars[id])
 		}
 	}
-	_, r := s.SolveMinimizeLimited(sat.Budget{}, costs)
-	if r.Outcome != sat.Sat {
+	if _, ok := s.SolveMinimize(costs); !ok {
 		return out, nil
 	}
 	out.ok = true
@@ -1069,8 +1067,8 @@ func (c placementCase) solverCost() (ok bool, cost int) {
 		}
 		s.Assert(b.Iff(lhs, b.Const(c.desired[j])))
 	}
-	cost, r := s.SolveMinimizeLimited(sat.Budget{}, costs)
-	return r.Outcome == sat.Sat, cost
+	cost, ok = s.SolveMinimize(costs)
+	return ok, cost
 }
 
 // placeCase runs the closed form on the case and returns the changed

@@ -390,12 +390,13 @@ func TestForensicsGatedOff(t *testing.T) {
 
 // TestLedgerFixDeadlineRefusal pins that a fix refused under an expired
 // deadline leaves its record: fix names the FECs it could not decide as
-// cancelled, and the ledger holds one fix record carrying the refusal and
-// no plan.
+// cancelled, counts each once in fec.unknown, and the ledger holds one
+// fix record carrying the refusal and no plan.
 func TestLedgerFixDeadlineRefusal(t *testing.T) {
 	l, path := openTestLedger(t)
 	opts := core.DefaultOptions()
 	opts.DecisionLog = l
+	_, _, m := obsHarness(&opts)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	res, err := newRunningEngine(t, opts).FixContext(ctx)
@@ -407,6 +408,9 @@ func TestLedgerFixDeadlineRefusal(t *testing.T) {
 		if u.Reason != "cancelled" {
 			t.Fatalf("FEC %d blocked as %q, want cancelled", u.FEC, u.Reason)
 		}
+	}
+	if n := m.Snapshot().Counters["fec.unknown"]; n != int64(len(uv.FECs)) {
+		t.Fatalf("fec.unknown = %d, want the %d blocking FECs", n, len(uv.FECs))
 	}
 	l.Close()
 	recs, _, rerr := declog.ReadFile(path)

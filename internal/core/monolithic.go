@@ -84,7 +84,16 @@ func (e *Engine) CheckMonolithic() *CheckResult {
 		res.Consistent = false
 		res.Violations = append(res.Violations, Violation{Packet: solver.Packet(pv)})
 	}
-	recordSolverStats(o, &res.SolverStats, solver.Stats())
+	// The solver's counters, mirrored into the sat.* metrics, which no
+	// other call writes: check, fix and generate run no solver.
+	st := solver.Stats()
+	res.SolverStats = st
+	o.Counter("sat.decisions").Add(st.Decisions)
+	o.Counter("sat.propagations").Add(st.Propagations)
+	o.Counter("sat.conflicts").Add(st.Conflicts)
+	o.Counter("sat.restarts").Add(st.Restarts)
+	o.Counter("sat.learned").Add(st.Learned)
+	o.Counter("sat.deleted").Add(st.Deleted)
 	sp.End(obs.KV("violations", len(res.Violations)))
 	root.SetAttr("consistent", res.Consistent)
 	root.End()

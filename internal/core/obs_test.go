@@ -43,7 +43,8 @@ func decodeSpans(t *testing.T, trace *bytes.Buffer) map[string][]obs.SpanRecord 
 // TestCheckObservability runs the sequential check under a full observer
 // and cross-checks spans, metrics, progress, and the result against each
 // other. The check decides in the set algebra and runs no solver: its
-// solver stats are zero and it reports no sat.* counter and no formula.
+// solver stats are zero and its metrics carry no sat.* key and no
+// formula.
 func TestCheckObservability(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.FindAllViolations = true
@@ -78,9 +79,9 @@ func TestCheckObservability(t *testing.T) {
 	if got := snap.Counters["check.fecs"]; got != int64(res.FECs) {
 		t.Fatalf("check.fecs counter %d != result FECs %d", got, res.FECs)
 	}
-	for name, n := range snap.Counters {
-		if strings.HasPrefix(name, "sat.") && n != 0 {
-			t.Fatalf("%s = %d after a check", name, n)
+	for name := range snap.Counters {
+		if strings.HasPrefix(name, "sat.") {
+			t.Fatalf("the check wrote %s", name)
 		}
 	}
 	if got := snap.Histograms["check.fec_solve_ns"].Count; got != int64(res.SolvedFECs) {
@@ -252,6 +253,11 @@ func TestFixObservability(t *testing.T) {
 	if snap.Counters["fix.neighborhoods"] != int64(len(res.Neighborhoods)) {
 		t.Fatalf("fix.neighborhoods %d != %d", snap.Counters["fix.neighborhoods"], len(res.Neighborhoods))
 	}
+	for name := range snap.Counters {
+		if strings.HasPrefix(name, "sat.") {
+			t.Fatalf("fix (or its verification check) wrote %s", name)
+		}
+	}
 	spans := decodeSpans(t, trace)
 	if len(spans["fix"]) != 1 {
 		t.Fatalf("want one fix root span, got %+v", spans["fix"])
@@ -314,9 +320,9 @@ func TestFixObservability(t *testing.T) {
 	// decision is exact, and all of them fit the cube budget.
 	simplify := child("simplify")
 	cube, _ := simplify.Attrs["exact_cube"].(float64)
-	sat, hasSAT := simplify.Attrs["exact_sat"].(float64)
-	if cube <= 0 || !hasSAT || sat != 0 {
-		t.Fatalf("simplify span attrs %v: want exact_cube > 0 and exact_sat = 0", simplify.Attrs)
+	over, hasOver := simplify.Attrs["over_budget"].(float64)
+	if cube <= 0 || !hasOver || over != 0 {
+		t.Fatalf("simplify span attrs %v: want exact_cube > 0 and over_budget = 0", simplify.Attrs)
 	}
 }
 

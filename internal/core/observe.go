@@ -1,14 +1,10 @@
 package core
 
-import (
-	"jinjing/internal/obs"
-	"jinjing/internal/sat"
-)
+import "jinjing/internal/obs"
 
 // This file is the engine's glue to the observability layer
-// (internal/obs): primitive root spans, and solver-stats aggregation into
-// CheckResult and the metrics registry. A phase is a plain child
-// span of its primitive's root. Everything here is nil-safe — with
+// (internal/obs): primitive root spans. A phase is a plain child span of
+// its primitive's root. Everything here is nil-safe — with
 // Options.Obs unset the spans are no-op.
 
 // obsv returns the engine's observer (nil when observability is off).
@@ -21,20 +17,4 @@ func (e *Engine) startSpan(name string, attrs ...obs.Attr) *obs.Span {
 		return e.parentSpan.Child(name, attrs...)
 	}
 	return e.obsv().StartSpan(name, attrs...)
-}
-
-// recordSolverStats folds one solver's counters into the primitive's
-// aggregate and mirrors them into the sat.* metrics counters.
-func recordSolverStats(o *obs.Observer, agg *sat.Stats, st sat.Stats) {
-	agg.Add(st)
-	m := o.Metrics()
-	if m == nil {
-		return
-	}
-	m.Counter("sat.decisions").Add(st.Decisions)
-	m.Counter("sat.propagations").Add(st.Propagations)
-	m.Counter("sat.conflicts").Add(st.Conflicts)
-	m.Counter("sat.restarts").Add(st.Restarts)
-	m.Counter("sat.learned").Add(st.Learned)
-	m.Counter("sat.deleted").Add(st.Deleted)
 }

@@ -14,7 +14,6 @@ import (
 	"jinjing/internal/lai"
 	"jinjing/internal/netgen"
 	"jinjing/internal/papernet"
-	"jinjing/internal/sat"
 	"jinjing/internal/topo"
 )
 
@@ -150,8 +149,8 @@ func TestFaultUnknownNeverCachedAndRepaired(t *testing.T) {
 			t.Fatal("no Unknown FECs reported")
 		}
 		for _, u := range res1.Unknown {
-			if u.Reason != sat.ReasonInterrupted {
-				t.Fatalf("Unknown reason = %q, want %q", u.Reason, sat.ReasonInterrupted)
+			if u.Reason != "interrupted" {
+				t.Fatalf("Unknown reason = %q, want \"interrupted\"", u.Reason)
 			}
 		}
 		if n := m.Snapshot().Counters["fec.unknown"]; n != int64(len(res1.Unknown)) {
@@ -382,8 +381,8 @@ func TestFaultGenerateRefusesUnknownVerdicts(t *testing.T) {
 		if i > 0 && uv.AECs[i-1].AEC >= u.AEC {
 			t.Fatalf("blocking AECs not ascending: %v", uv.AECs)
 		}
-		if u.Reason != sat.ReasonInterrupted {
-			t.Fatalf("blocking AEC %d reason = %q, want %q", u.AEC, u.Reason, sat.ReasonInterrupted)
+		if u.Reason != "interrupted" {
+			t.Fatalf("blocking AEC %d reason = %q, want \"interrupted\"", u.AEC, u.Reason)
 		}
 	}
 }

@@ -1,5 +1,5 @@
 // Package faultinject is a test-only fault-injection registry for
-// exercising the pipeline's recovery paths: solver timeouts, worker
+// exercising the pipeline's recovery paths: decision timeouts, worker
 // panics, and transient errors at named sites.
 //
 // It follows the same nil-safe, zero-cost-when-disabled pattern as
@@ -75,8 +75,9 @@ const (
 	None Kind = iota
 	// Panic makes the site panic, simulating a crashed worker.
 	Panic
-	// Timeout makes the site behave as if its solver ran out of time:
-	// the solver is interrupted and the call returns Unknown.
+	// Timeout makes the site behave as if it ran out of time: a decision
+	// is abandoned as Unknown ("interrupted"), a daemon job runs under an
+	// expired deadline, a snapshot write fails (see each site).
 	Timeout
 	// Transient makes the site fail with a retryable error.
 	Transient

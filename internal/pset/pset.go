@@ -732,10 +732,10 @@ func EquivalentACLsWitness(a, b *acl.ACL) (equal bool, witness header.Packet) {
 }
 
 // SimplifyStats counts the per-rule redundancy decisions one Simplify
-// call made, by decider.
+// call made.
 type SimplifyStats struct {
-	Cube int // decided on cubes
-	SAT  int // cube budget overflowed: decided by acl.Equivalent
+	Cube       int // decided on cubes
+	OverBudget int // fragments outgrew the cube budget: the rule was kept
 }
 
 // simplifyMaxCubes bounds the fragment list of one redundancy decision.
@@ -746,8 +746,9 @@ const simplifyMaxCubes = 2048
 // cubes instead of by a solver query: rule i is removable iff the region
 // it effectively claims, its match minus the matches above it, gets rule
 // i's action from what follows. A decision whose fragments outgrow the
-// cube budget falls back to acl.Equivalent; both deciders are exact, so
-// the result is acl.Simplify's, rule for rule.
+// cube budget keeps its rule, which never changes the decision model;
+// within the budget the decider is exact, so wherever no decision
+// overflows the result is acl.Simplify's, rule for rule.
 func Simplify(a *acl.ACL) (*acl.ACL, SimplifyStats) {
 	var st SimplifyStats
 	cur := a.Clone()
@@ -758,11 +759,7 @@ func Simplify(a *acl.ACL) (*acl.ACL, SimplifyStats) {
 			if decided {
 				st.Cube++
 			} else {
-				st.SAT++
-				trial := &acl.ACL{Default: cur.Default}
-				trial.Rules = append(trial.Rules, cur.Rules[:i]...)
-				trial.Rules = append(trial.Rules, cur.Rules[i+1:]...)
-				redundant = acl.Equivalent(cur, trial)
+				st.OverBudget++
 			}
 			if redundant {
 				cur.Rules = append(cur.Rules[:i], cur.Rules[i+1:]...) // drop rule i; do not advance

@@ -23,7 +23,7 @@ func TestSimplifyGuardUnlocksEarlierRule(t *testing.T) {
 	if len(got.Rules) != 1 || got.Rules[0].Match.Dst != pfx("6.0.0.0/8") {
 		t.Fatalf("simplified to %v, want just the 6/8 deny", got)
 	}
-	if st.SAT != 0 || st.Cube < 5 {
+	if st.OverBudget != 0 || st.Cube < 5 {
 		t.Fatalf("decisions %+v: want two passes, all on cubes", st)
 	}
 }
@@ -71,11 +71,12 @@ func TestQuickSimplifyMatchesSAT(t *testing.T) {
 	}
 }
 
-// TestSimplifyFallsBackOnCubeOverflow: a catch-all under 63 pairwise
+// TestSimplifyKeepsRuleOnCubeOverflow: a catch-all under 63 pairwise
 // disjoint point rules claims the header space minus 63 points — some
-// 4,400 fragments, past the cube budget — so that one decision goes to
-// the solver; the answer is still acl.Simplify's.
-func TestSimplifyFallsBackOnCubeOverflow(t *testing.T) {
+// 4,400 fragments, past the cube budget — so that one decision is not
+// made, and its rule is kept. The catch-all is needed anyway: all 64
+// rules stay and the decision model is unchanged.
+func TestSimplifyKeepsRuleOnCubeOverflow(t *testing.T) {
 	a := &acl.ACL{Default: acl.Permit}
 	for i := 0; i < 63; i++ {
 		a.Rules = append(a.Rules, acl.Rule{Action: acl.Permit, Match: header.Match{
@@ -88,11 +89,14 @@ func TestSimplifyFallsBackOnCubeOverflow(t *testing.T) {
 	}
 	a.Rules = append(a.Rules, acl.Rule{Action: acl.Deny, Match: header.MatchAll})
 	got, st := pset.Simplify(a)
-	if st.SAT == 0 {
+	if st.OverBudget == 0 {
 		t.Fatalf("decisions %+v: the catch-all was meant to overflow the cube budget", st)
 	}
 	if len(got.Rules) != 64 {
 		t.Fatalf("kept %d of 64 rules; every one is needed", len(got.Rules))
+	}
+	if !pset.EquivalentACLs(a, got) {
+		t.Fatalf("simplify changed the decision model: %v", got)
 	}
 }
 

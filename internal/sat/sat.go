@@ -2,7 +2,11 @@
 // solver in pure Go. It stands in for the SAT core of the SMT solver the
 // paper uses (Z3): Jinjing's formulas are purely boolean over the 104
 // packet-header bits, so after Tseitin conversion (package smt) every
-// check/fix/generate query is a propositional satisfiability problem.
+// query is a propositional satisfiability problem. Check, fix and
+// generate decide in the packet-set algebra (package pset) and never
+// reach it; it decides the monolithic baseline (core's CheckMonolithic),
+// the ACL equivalence and simplification references (acl.Equivalent,
+// acl.Simplify), and the tests' solver oracles.
 //
 // The solver implements the standard modern architecture: two-watched-
 // literal propagation, VSIDS variable activity with phase saving, first-UIP
@@ -14,7 +18,6 @@ package sat
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 )
 
 // Var is a boolean variable index, numbered from 0.
@@ -88,18 +91,6 @@ type Stats struct {
 	Deleted      int64 `json:"deleted"`
 }
 
-// Add accumulates o's counters into s; engines use it to aggregate
-// stats across the many solvers one primitive spins up (witness,
-// per-neighborhood, per-AEC).
-func (s *Stats) Add(o Stats) {
-	s.Decisions += o.Decisions
-	s.Propagations += o.Propagations
-	s.Conflicts += o.Conflicts
-	s.Restarts += o.Restarts
-	s.Learned += o.Learned
-	s.Deleted += o.Deleted
-}
-
 // Solver is a CDCL SAT solver. The zero value is not usable; call New.
 type Solver struct {
 	clauses []*clause // problem clauses
@@ -128,14 +119,6 @@ type Solver struct {
 	model []bool // last satisfying assignment
 
 	ok bool // false once the clause DB is unsat at level 0
-
-	// Cooperative stopping (see budget.go). interrupt may be set from
-	// another goroutine; the limits are absolute Stats thresholds valid
-	// for the current SolveLimited call only (0 = none).
-	interrupt  atomic.Bool
-	confLimit  int64
-	propLimit  int64
-	stopReason string
 
 	Stats Stats
 }
@@ -510,30 +493,36 @@ const restartBase = 100
 // Solve decides satisfiability of the clause database under the given
 // assumption literals. It returns true (SAT) or false (UNSAT under the
 // assumptions). The solver can be reused: more clauses and variables may
-// be added afterwards, and Solve called again.
-//
-// Solve runs without a budget, so it can only be stopped by Interrupt —
-// an outcome its boolean result cannot express soundly. Callers that
-// may be interrupted must use SolveLimited; Solve panics if stopped.
+// be added afterwards, and Solve called again; learned clauses and
+// variable activity carry over.
 func (s *Solver) Solve(assumptions ...Lit) bool {
-	r := s.SolveLimited(Budget{}, assumptions...)
-	if r.Outcome == Unknown {
-		panic("sat: unbudgeted Solve interrupted; use SolveLimited for cancellable solving")
+	if !s.ok {
+		return false
 	}
-	return r.Outcome == Sat
+	s.backtrackTo(0)
+	maxLearnts := float64(len(s.clauses))/3 + 500
+	var restarts int64
+	for {
+		restarts++
+		limit := luby(restarts) * restartBase
+		switch s.search(assumptions, limit, &maxLearnts) {
+		case lTrue:
+			s.saveModelAndReset()
+			return true
+		case lFalse:
+			s.backtrackTo(0)
+			return false
+		}
+		s.Stats.Restarts++
+		maxLearnts *= 1.1
+	}
 }
 
 // search runs CDCL until SAT, UNSAT, or the per-restart conflict budget
-// is exhausted (returning lUndef to signal a restart). It also returns
-// lUndef with s.stopReason set when the call-level budget runs out or
-// the solver is interrupted (see budget.go).
+// is exhausted (returning lUndef to signal a restart).
 func (s *Solver) search(assumptions []Lit, budget int64, maxLearnts *float64) lbool {
 	var conflicts int64
 	for {
-		if s.stopRequested() {
-			s.backtrackTo(0)
-			return lUndef
-		}
 		confl := s.propagate()
 		if confl != nil {
 			s.Stats.Conflicts++
@@ -635,18 +624,3 @@ func (s *Solver) ValueInModel(v Var) bool {
 	}
 	return s.model[v]
 }
-
-// Model returns a copy of the most recent satisfying assignment, or nil
-// if none exists.
-func (s *Solver) Model() []bool {
-	if s.model == nil {
-		return nil
-	}
-	out := make([]bool, len(s.model))
-	copy(out, s.model)
-	return out
-}
-
-// Okay reports whether the clause database is still possibly satisfiable
-// (false once a level-0 conflict has been derived).
-func (s *Solver) Okay() bool { return s.ok }

@@ -385,8 +385,8 @@ func TestRandomWithAssumptionsAgainstDPLL(t *testing.T) {
 			t.Fatalf("iter %d: cdcl=%v dpll=%v assumps=%v", iter, got, want, assumps)
 		}
 		// The solver must remain reusable after assumption solving.
-		if !s.Okay() && s.Solve() {
-			t.Fatal("Okay false but Solve true")
+		if !s.ok && s.Solve() {
+			t.Fatal("clause database unsat at level 0, yet Solve true")
 		}
 	}
 }

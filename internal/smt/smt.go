@@ -1,16 +1,18 @@
-// Package smt provides the formula layer between Jinjing's algorithms and
-// the CDCL SAT core (package sat). It plays the role Z3 plays in the
-// paper: Jinjing's queries (Equations 3, 6, and 10) are boolean formulas
-// over the 104 packet-header bits, which this package represents as a
-// hash-consed and-inverter graph (AIG), converts to CNF via the Tseitin
-// transformation, and solves.
+// Package smt provides the formula layer over the CDCL SAT core
+// (package sat). It plays the role Z3 plays in the paper: a query such as
+// Equation 3 is a boolean formula over the 104 packet-header bits, which
+// this package represents as a hash-consed and-inverter graph (AIG),
+// converts to CNF via the Tseitin transformation, and solves. Check, fix
+// and generate decide in the packet-set algebra instead; the formulas
+// serve the monolithic baseline, the ACL equivalence and simplification
+// references in package acl, and the tests' solver oracles.
 //
 // Beyond plain satisfiability the package offers:
 //
 //   - bit-vector views of the five header fields with prefix, range, and
 //     equality predicates (the m_k(h) match functions);
-//   - AtMostK cardinality circuits (sequential-counter encoding), used for
-//     the fix primitive's minimal-change objective;
+//   - AtMostK cardinality circuits (sequential-counter encoding) and
+//     SolveMinimize, the fix oracle's minimal-change reference;
 //   - model extraction back to concrete packets (counterexamples).
 package smt
 
@@ -119,18 +121,6 @@ func (b *Builder) And(a, c F) F {
 
 // Or returns the disjunction of a and b.
 func (b *Builder) Or(a, c F) F { return b.And(a.Not(), c.Not()).Not() }
-
-// OrAll folds Or over fs (False for the empty list).
-func (b *Builder) OrAll(fs ...F) F {
-	out := False
-	for _, f := range fs {
-		out = b.Or(out, f)
-	}
-	return out
-}
-
-// Implies returns a → c.
-func (b *Builder) Implies(a, c F) F { return b.Or(a.Not(), c) }
 
 // Xor returns a ⊕ c.
 func (b *Builder) Xor(a, c F) F {
@@ -283,19 +273,6 @@ func (s *Solver) Solve(assumptions ...F) bool {
 	return true
 }
 
-// Decide is Solve without model extraction: it answers the SAT/UNSAT
-// question and discards the assignment. Detection loops that only need
-// the verdict (a later canonical pass re-derives the witnesses) use it
-// to skip the per-query model-map allocation.
-func (s *Solver) Decide(assumptions ...F) bool {
-	lits := make([]sat.Lit, len(assumptions))
-	for i, f := range assumptions {
-		lits[i] = s.litFor(f)
-	}
-	s.model = nil
-	return s.sat.Solve(lits...)
-}
-
 // Value returns variable f's value in the last model. Variables that
 // never reached the SAT solver are unconstrained and read as false.
 func (s *Solver) Value(f F) bool {
@@ -321,7 +298,7 @@ func (s *Solver) Stats() sat.Stats { return s.sat.Stats }
 
 // AtMostK builds a circuit that is true iff at most k of the given
 // formulas are true, using the sequential-counter encoding (Sinz 2005).
-// It is used for the fix primitive's minimize-changes objective.
+// SolveMinimize bounds its descent with it.
 func (b *Builder) AtMostK(fs []F, k int) F {
 	n := len(fs)
 	if k >= n {
@@ -359,11 +336,6 @@ func (b *Builder) AtMostK(fs []F, k int) F {
 		prev = cur
 	}
 	return ok
-}
-
-// ExactlyOne builds a circuit true iff exactly one of fs is true.
-func (b *Builder) ExactlyOne(fs []F) F {
-	return b.And(b.OrAll(fs...), b.AtMostK(fs, 1))
 }
 
 // SolveMinimize finds a model of the asserted constraints plus the given
@@ -512,19 +484,6 @@ func (b *Builder) MatchPred(pv *PacketVars, m header.Match) F {
 	}
 	if !norm.Proto.IsAny() {
 		out = b.And(out, b.protoPred(pv, norm.Proto))
-	}
-	return out
-}
-
-// PacketPred constrains pv to equal the concrete packet p exactly.
-func (b *Builder) PacketPred(pv *PacketVars, p header.Packet) F {
-	out := True
-	for i := 0; i < header.NumBits; i++ {
-		if p.Bit(i) {
-			out = b.And(out, pv.Bits[i])
-		} else {
-			out = b.And(out, pv.Bits[i].Not())
-		}
 	}
 	return out
 }
