@@ -12,6 +12,7 @@ import (
 	"jinjing/internal/obs"
 	"jinjing/internal/obs/declog"
 	"jinjing/internal/obs/stats"
+	"jinjing/internal/pset"
 	daemon "jinjing/internal/serve"
 	"jinjing/internal/topo"
 )
@@ -101,11 +102,16 @@ func MustParseACL(text string) *ACL { return acl.MustParse(text) }
 func PermitAll() *ACL { return acl.PermitAll() }
 
 // EquivalentACLs reports whether two ACLs have the same decision model,
-// decided by the SMT backend.
-func EquivalentACLs(a, b *ACL) bool { return acl.Equivalent(a, b) }
+// decided exactly by comparing their permitted packet sets.
+func EquivalentACLs(a, b *ACL) bool { return pset.EquivalentACLs(a, b) }
 
 // SimplifyACL removes redundant rules while preserving the decision model.
-func SimplifyACL(a *ACL) *ACL { return acl.Simplify(a) }
+// Each rule's redundancy is decided on packet sets; a rule whose decision
+// outgrows the set algebra's budget is kept.
+func SimplifyACL(a *ACL) *ACL {
+	s, _ := pset.Simplify(a)
+	return s
+}
 
 // ParsePrefix parses "a.b.c.d/len" (or "all").
 func ParsePrefix(s string) (Prefix, error) { return header.ParsePrefix(s) }

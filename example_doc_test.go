@@ -35,7 +35,7 @@ check
 	// consistent: false
 }
 
-// ExampleEquivalentACLs shows SMT-backed ACL equivalence.
+// ExampleEquivalentACLs shows ACL equivalence, decided on packet sets.
 func ExampleEquivalentACLs() {
 	a := jinjing.MustParseACL("deny dst 1.0.0.0/8, permit all")
 	b := jinjing.MustParseACL("deny dst 1.0.0.0/9, deny dst 1.128.0.0/9, permit all")

@@ -1,9 +1,9 @@
 // Package acl models in-network Access Control Lists: ordered lists of
 // permit/deny rules with first-match semantics (§2.1 of the paper), their
 // boolean decision models f_ξ(h), and the rule-set manipulations Jinjing's
-// primitives depend on — differential rules (Definition 4.1), related-rule
-// filtering (Definition 4.2 / Theorem 4.1), redundant-rule simplification,
-// and equivalence checking.
+// primitives depend on — differential rules (Definition 4.1), the
+// destination index, redundant-rule simplification, and equivalence
+// checking.
 package acl
 
 import (

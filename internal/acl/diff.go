@@ -68,32 +68,3 @@ func Differential(l, lp *ACL) []Rule {
 	}
 	return out
 }
-
-// Related filters L down to the rules overlapping at least one rule in
-// diff (Definition 4.2): R(L, S) = {k ∈ L : ∃k' ∈ S, m_k ∧ m_k'
-// satisfiable}. The satisfiability test is decided syntactically by
-// header.Match.Overlaps, on diff's destination index (NewDstIndex over
-// the differential rules), so a rule is tested only against the
-// differential rules its destination meets. The default action is
-// preserved, so the result is a valid ACL whose decisions agree with L
-// on every packet covered by diff (Theorem 4.1).
-func Related(l *ACL, diff *DstIndex) *ACL {
-	out := &ACL{Default: l.Default}
-	for _, r := range l.Rules {
-		if diff.AnyOverlapping(r.Match) {
-			out.Rules = append(out.Rules, r)
-		}
-	}
-	return out
-}
-
-// MatchedByAny reports whether packet p is matched by any rule in rules
-// (the h ∈ H membership test from the proof of Theorem 4.1).
-func MatchedByAny(rules []Rule, p header.Packet) bool {
-	for _, r := range rules {
-		if r.Match.Matches(p) {
-			return true
-		}
-	}
-	return false
-}

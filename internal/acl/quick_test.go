@@ -50,59 +50,6 @@ func TestQuickDifferentialProperties(t *testing.T) {
 	}
 }
 
-// TestQuickRelatedSubset: related rules are exactly Definition 4.2's —
-// the input's rules overlapping some differential rule, found here by a
-// linear scan — a subsequence of the input preserving order, and
-// unrelated packets decide identically before and after filtering.
-func TestQuickRelatedSubset(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		l := randomACL(r, 1+r.Intn(10))
-		lp := perturb(r, l)
-		diff := Differential(l, lp)
-		rel := Related(l, NewDstIndex(diff))
-		if rel.Default != l.Default {
-			return false
-		}
-		var want []Rule
-		for _, k := range l.Rules {
-			if slices.ContainsFunc(diff, func(d Rule) bool { return k.Match.Overlaps(d.Match) }) {
-				want = append(want, k)
-			}
-		}
-		if !slices.EqualFunc(rel.Rules, want, ruleEq) {
-			return false
-		}
-		// Subsequence check.
-		i := 0
-		for _, rr := range rel.Rules {
-			found := false
-			for ; i < len(l.Rules); i++ {
-				if ruleEq(l.Rules[i], rr) {
-					found = true
-					i++
-					break
-				}
-			}
-			if !found {
-				return false
-			}
-		}
-		// Packets matched by a related rule decide the same in l and rel
-		// when the matched rule is first in both — spot-check samples.
-		for j := 0; j < 20; j++ {
-			p := randomPacket(r)
-			if MatchedByAny(diff, p) && l.Decide(p) != rel.Decide(p) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestQuickSimplifyFastIdempotent: SimplifyFast is idempotent and never
 // grows the rule list.
 func TestQuickSimplifyFastIdempotent(t *testing.T) {

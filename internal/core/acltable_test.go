@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"jinjing/internal/acl"
+	"jinjing/internal/header"
 	"jinjing/internal/papernet"
 	"jinjing/internal/topo"
 )
@@ -72,6 +73,9 @@ func TestACLTableConcurrent(t *testing.T) {
 						got[g] = append(got[g], id)
 					}
 					_ = tab.view()[id].Len()
+					if a, x := tab.index(id); a != tab.view()[id] || x.FirstContaining(header.MatchAll) > a.Len() {
+						t.Errorf("content %d indexed off its representative", id)
+					}
 				}
 			}
 		}()
@@ -86,6 +90,12 @@ func TestACLTableConcurrent(t *testing.T) {
 	}
 	if n := len(tab.view()); n != len(texts) {
 		t.Fatalf("%d IDs for %d contents", n, len(texts))
+	}
+	for id := range int32(len(texts)) {
+		_, x := tab.index(id)
+		if _, y := tab.index(id); y != x {
+			t.Fatalf("content %d indexed twice", id)
+		}
 	}
 
 	// Two engines bound to one cache, checking from two goroutines: both

@@ -80,7 +80,7 @@ func refPathViolations(e *Engine, ctx *checkCtx, fec topo.FEC) (flips []pset.Set
 	permitted := func(id int32) (pset.Set, bool) {
 		s, ok := within[id]
 		if !ok {
-			if s, _, ok = pset.NewIndex(ctx.acls[id]).PermittedSetWithin(region, refCubeBudget); ok {
+			if s, _, ok = pset.NewIndex(ctx.tab.index(id)).PermittedSetWithin(region, refCubeBudget); ok {
 				within[id] = s
 			}
 		}

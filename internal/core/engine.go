@@ -60,8 +60,11 @@ func (c Control) AppliesTo(p topo.Path) bool {
 // and OptimizeSynthesis carry the paper's with/without-optimization
 // comparisons (Figures 4a–4c).
 type Options struct {
-	// UseDifferential enables the Theorem 4.1 preprocessing: ACLs are
-	// filtered to differential-related rules before encoding.
+	// UseDifferential enables the Theorem 4.1 preprocessing: a FEC whose
+	// traffic no differential rule (or control) matches is skipped, since
+	// nothing there can flip, and an update that changes no rule is
+	// consistent at once. ACLs are decided as written either way; the set
+	// algebra confines every decision to the differential rules' matches.
 	UseDifferential bool
 	// FindAllViolations makes Check enumerate one violation per FEC
 	// instead of returning at the first (fix needs them all).

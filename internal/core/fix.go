@@ -79,8 +79,8 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 	pre := root.Child("preprocess")
 
 	// Fix shares the check pipeline's generation — differential rules,
-	// related-filtered encoding pairs as ACL-table IDs, and the
-	// incremental per-FEC state — so a check earlier on this engine has
+	// each binding's ACL pair as ACL-table IDs, and the incremental
+	// per-FEC state — so a check earlier on this engine has
 	// already settled what it decided, and what fix decides warms the
 	// verdict cache exactly as a check would.
 	ctx := e.checkContext()

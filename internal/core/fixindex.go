@@ -62,7 +62,8 @@ func (e *Engine) compileFix(ctx *checkCtx) *fixIndex {
 	ix := &fixIndex{ctrls: e.Controls}
 
 	// Distinct ACLs, by table ID: an update clones the bindings it leaves
-	// alone, and one template is stamped on many.
+	// alone, and one template is stamped on many. The table's trie for a
+	// content serves every fix call and the check before it.
 	tab := e.aclTable()
 	local := map[int32]int32{} // table ID -> index into ix.acls
 	aclOf := func(a *acl.ACL) int32 {
@@ -73,7 +74,9 @@ func (e *Engine) compileFix(ctx *checkCtx) *fixIndex {
 		i, ok := local[id]
 		if !ok {
 			i = int32(len(ix.acls))
-			ix.acls = append(ix.acls, newHitIndexer(a, true))
+			h := &hitIndexer{}
+			h.acl, h.tree = tab.index(id)
+			ix.acls = append(ix.acls, h)
 			local[id] = i
 		}
 		return i

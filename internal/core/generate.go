@@ -302,7 +302,11 @@ func (e *Engine) deriveAECs(encBindings []topo.ACLBinding, classes []header.Matc
 		if !ok {
 			k = len(indexers)
 			local[id] = k
-			indexers = append(indexers, newHitIndexer(a, e.Opts.OptimizeSynthesis))
+			h := &hitIndexer{acl: a}
+			if e.Opts.OptimizeSynthesis {
+				h.acl, h.tree = tab.index(id)
+			}
+			indexers = append(indexers, h)
 		}
 		aclOf[i] = k
 	}

@@ -155,11 +155,10 @@ func NewVerdictCache() *VerdictCache { return &VerdictCache{} }
 
 // cacheConfig digests the engine state a cached verdict depends on
 // beyond the FEC content key: the control intents. (UseDifferential is
-// deliberately absent — the key names the contents of the ACLs as
-// encoded, related-filtered or not, so equal keys mean equal formulas
-// either way. Whether a verdict was decided whole or split is absent for
-// the same reason: both decide the same query exactly. Workers and
-// FindAllViolations cannot change any verdict.)
+// deliberately absent — it only skips FECs, which are never cached, and
+// the key names the ACLs as written either way. Whether a verdict was
+// decided whole or split is absent too: both decide the same query
+// exactly. Workers and FindAllViolations cannot change any verdict.)
 func (e *Engine) cacheConfig() string {
 	var b strings.Builder
 	for _, c := range e.Controls {

@@ -7,6 +7,7 @@ import (
 	"jinjing/internal/acl"
 	"jinjing/internal/core"
 	"jinjing/internal/header"
+	"jinjing/internal/netgen"
 	"jinjing/internal/papernet"
 	"jinjing/internal/topo"
 )
@@ -39,9 +40,10 @@ func TestWarmRecheckMatchesColdAfterEdit(t *testing.T) {
 	before := papernet.Build()
 	after := runningExampleUpdate(before)
 	opts := core.DefaultOptions()
-	// Without the differential filter the encoded pairs are the full
-	// ACLs, so change-impact is exactly "the FECs through the edited
-	// binding" — the localized-invalidation property this test pins.
+	// Without the Theorem 4.1 skip every FEC is decided, so every FEC
+	// the edit misses must replay — the localized-invalidation property
+	// this test pins (TestEditRedecidesOnlyCrossingFECs pins it under the
+	// default options).
 	opts.UseDifferential = false
 	opts.FindAllViolations = true
 	opts.Verdicts = core.NewVerdictCache()
@@ -325,4 +327,62 @@ func TestVerdictCacheKeysAreContentExact(t *testing.T) {
 			t.Fatalf("restored check of B diverged from cold:\nrestored:\n%s\ncold:\n%s", sig, want)
 		}
 	})
+}
+
+// TestEditRedecidesOnlyCrossingFECs pins the localized invalidation of
+// DESIGN §4c under the default options on the medium WAN at 3%: after
+// one binding's ACL is edited, every FEC the first check decided whose
+// paths miss that binding replays its verdict from the cache or is
+// skipped. A binding's key word names its ACLs as written, so an edit
+// elsewhere, which grows the differential rule set, leaves the FEC's key
+// as it was.
+func TestEditRedecidesOnlyCrossingFECs(t *testing.T) {
+	for _, iface := range []string{"agg0:d0", "edge0:ext"} {
+		t.Run(iface, func(t *testing.T) {
+			w := netgen.Build(netgen.DefaultConfig(netgen.Medium, 42))
+			opts := core.DefaultOptions()
+			opts.FindAllViolations, opts.Forensics = true, true
+			opts.Verdicts = core.NewVerdictCache()
+			e := core.WANFix(w, 3, opts)
+			decided := map[int]bool{}
+			for _, f := range e.Check().Forensics {
+				if f.Route == "pset" || f.Route == "pset-split" {
+					decided[f.FEC] = true
+				}
+			}
+			e.UpdateAfter(editAfter(t, e.After, iface, w.AllPrefixes()[0]))
+			res := e.Check()
+			fecs := e.FECs()
+			crosses := func(fec topo.FEC) bool {
+				for _, p := range fec.Paths {
+					for _, h := range p.Hops {
+						if h.In.ID() == iface {
+							return true
+						}
+					}
+				}
+				return false
+			}
+			away, crossing := 0, 0
+			for _, f := range res.Forensics {
+				switch {
+				case !decided[f.FEC]:
+				case crosses(fecs[f.FEC]):
+					crossing++
+				case f.Route == "cache" || f.Route == "skip":
+					away++
+				default:
+					t.Errorf("FEC %d misses %s:in, yet the re-check decided it again (route %s)", f.FEC, iface, f.Route)
+				}
+			}
+			if away == 0 || crossing == 0 {
+				t.Fatalf("%d decided FECs away from the edit, %d crossing it: the case pins nothing", away, crossing)
+			}
+			if res.Stats.AffectedFECs >= res.FECs {
+				t.Errorf("one edited binding affected all %d FECs", res.FECs)
+			}
+			t.Logf("%d FECs replayed or skipped away from the edit, %d cross it; %d hits, %d of %d FECs affected",
+				away, crossing, res.Stats.FECCacheHits, res.Stats.AffectedFECs, res.FECs)
+		})
+	}
 }

@@ -13,11 +13,11 @@ import (
 
 // checkCtx is one generation of the check pipeline — the derived state
 // for the engine's current Before/After pair: differential rules, each
-// in-scope binding's related-filtered encoding pair as ACL-table IDs, and
-// the per-FEC incremental resolution state (see resolveFEC). It is cached
-// on the engine and dropped by UpdateAfter and ReleaseSession, and
-// everything it holds dies with it — the set algebra's lazy indexes
-// included.
+// in-scope binding's (before, after) ACLs as written, as ACL-table IDs,
+// and the per-FEC incremental resolution state (see resolveFEC). It is
+// cached on the engine and dropped by UpdateAfter and ReleaseSession, and
+// everything it holds dies with it; the ACL table, and the destination
+// indexes it owns, outlive it.
 type checkCtx struct {
 	// tab is the ACL table the generation's IDs were drawn from.
 	tab *aclTable
@@ -69,14 +69,12 @@ type checkCtx struct {
 
 	// walk interns what the generation's paths cross for the set
 	// algebra, and encPairs is the table of distinct encoded pairs its
-	// indices point into (see pathWalk). aclIx indexes each ACL-table
-	// ID's rules by destination and diffIx each changed pair's
-	// differential rules (see permittedWithin and diffWithin); folded
-	// counts the rules their folds visit. All grow as FECs reach a
+	// indices point into (see pathWalk). diffIx indexes each changed
+	// pair's differential rules by destination (see diffWithin); folded
+	// counts the rules the region folds visit. All grow as FECs reach a
 	// procedure; none is shared across goroutines.
 	walk     *pathInterner
 	encPairs []encPair
-	aclIx    []*pset.Index
 	diffIx   map[[2]int32]*pset.Index
 	folded   int64
 
@@ -90,9 +88,13 @@ type checkCtx struct {
 func (ctx *checkCtx) fec(i int) topo.FEC { return ctx.fecs[i] }
 
 // checkContext returns the engine's cached per-generation check state,
-// deriving it on first use: Theorem 4.1 preprocessing (differential
-// rules and related-rule filtering) and each binding's encoded pair as
-// the ACL-table IDs every later stage and the verdict cache key on.
+// deriving it on first use: with UseDifferential, the differential rules
+// the Theorem 4.1 FEC skip reads (fecTouchesDiff) and the fast path of an
+// update that changes nothing; then each binding's full before and after
+// ACLs as the ACL-table IDs every later stage and the verdict cache key
+// on. No ACL is rewritten: the set algebra confines each FEC's decision
+// to its flip region (flipRegion), so an ID names a binding's content as
+// written, whatever else the update changed.
 func (e *Engine) checkContext() *checkCtx {
 	if e.ckctx != nil {
 		return e.ckctx
@@ -106,9 +108,9 @@ func (e *Engine) checkContext() *checkCtx {
 		for _, p := range pairs {
 			ctx.diff = append(ctx.diff, acl.Differential(orPermitAll(p.before), orPermitAll(p.after))...)
 		}
-		// §6: control-related prefixes join the differential set so their
-		// related rules survive filtering — an `all` control like any
-		// other, which leaves nothing filtered and no FEC skipped.
+		// §6: a control's match joins the differential set, so no FEC
+		// whose traffic it governs is skipped — an `all` control like any
+		// other, which skips none.
 		for _, c := range e.Controls {
 			ctx.diff = append(ctx.diff, acl.Rule{Action: acl.Permit, Match: c.Match})
 		}
@@ -119,16 +121,11 @@ func (e *Engine) checkContext() *checkCtx {
 		}
 	}
 	ctx.ids = make(map[string][2]int32, len(pairs))
-	diff := acl.NewDstIndex(ctx.diff)
 	for _, p := range pairs {
-		before, after := orPermitAll(p.before), orPermitAll(p.after)
-		if e.Opts.UseDifferential {
-			before, after = acl.Related(before, diff), acl.Related(after, diff)
-		}
-		ctx.ids[p.binding.ID()] = [2]int32{tab.intern(before), tab.intern(after)}
+		ctx.ids[p.binding.ID()] = [2]int32{tab.intern(p.before), tab.intern(p.after)}
 	}
 	ctx.acls = tab.view()
-	ctx.aclIx, ctx.diffIx = make([]*pset.Index, len(ctx.acls)), map[[2]int32]*pset.Index{}
+	ctx.diffIx = map[[2]int32]*pset.Index{}
 	ctx.diffRules = len(ctx.diff)
 	e.ckctx = ctx
 	return ctx

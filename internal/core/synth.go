@@ -124,18 +124,11 @@ func groupRules(rules []acl.Rule, enabled bool) ruleGrouping {
 // hitIndexer finds, per traffic class, the first rule of an ACL that
 // contains it. With the §5.5 search tree enabled, candidate rules are
 // found by walking a destination-prefix trie from the root to the class's
-// destination instead of scanning the whole rule list.
+// destination instead of scanning the whole rule list. Both come from the
+// ACL table (aclTable.index), which builds each content's trie once.
 type hitIndexer struct {
 	acl  *acl.ACL
 	tree *acl.DstIndex // nil: linear scan (OptimizeSynthesis off)
-}
-
-func newHitIndexer(a *acl.ACL, useTree bool) *hitIndexer {
-	h := &hitIndexer{acl: a}
-	if useTree {
-		h.tree = acl.NewDstIndex(a.Rules)
-	}
-	return h
 }
 
 // atomHits is one ACL's first-match candidates for the classes of one

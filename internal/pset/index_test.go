@@ -72,7 +72,7 @@ func TestIndexMatchesLinearFold(t *testing.T) {
 		for n := 1 + r.Intn(60); n > 0; n-- {
 			a.Rules = append(a.Rules, indexRule(r))
 		}
-		x := NewIndex(a)
+		x := NewIndex(a, acl.NewDstIndex(a.Rules))
 		ms := make([]header.Match, len(a.Rules))
 		for i, rule := range a.Rules {
 			ms[i] = rule.Match
@@ -144,7 +144,7 @@ func BenchmarkPermittedSetWithin(b *testing.B) {
 		}
 		a.Rules = append(a.Rules, acl.Rule{Action: acl.Action(r.Intn(2) == 0), Match: m})
 	}
-	x := NewIndex(a)
+	x := NewIndex(a, acl.NewDstIndex(a.Rules))
 	for _, bc := range []struct {
 		name string
 		dst  string

@@ -562,9 +562,11 @@ type Index struct {
 	dst *acl.DstIndex
 }
 
-// NewIndex indexes a's rules.
-func NewIndex(a *acl.ACL) *Index {
-	return &Index{acl: a, dst: acl.NewDstIndex(a.Rules)}
+// NewIndex pairs a with dst, its rules indexed by destination
+// (acl.NewDstIndex over a.Rules), so an index built once serves every
+// region operation on the ACL.
+func NewIndex(a *acl.ACL, dst *acl.DstIndex) *Index {
+	return &Index{acl: a, dst: dst}
 }
 
 // overlapping returns the ascending positions of the rules whose

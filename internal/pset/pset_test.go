@@ -288,7 +288,7 @@ func TestPermittedSetWithin(t *testing.T) {
 		a := randomACL(r, 1+r.Intn(7))
 		region := pset.PermittedSet(randomACL(r, 1+r.Intn(4))).Union(pset.PermittedSet(randomACL(r, 1+r.Intn(4))))
 		budget := []int{2, 64}[r.Intn(2)]
-		got, _, ok := pset.NewIndex(a).PermittedSetWithin(region, budget)
+		got, _, ok := pset.NewIndex(a, acl.NewDstIndex(a.Rules)).PermittedSetWithin(region, budget)
 		if !ok {
 			declined++
 			continue

@@ -30,7 +30,6 @@ var solverImporters = map[string]bool{
 // may call the solver-backed acl.Equivalent or acl.Simplify.
 var aclSolverCallers = map[string]bool{
 	"internal/acl": true,
-	"api.go":       true,
 }
 
 // guardAdmits reports whether list names path or its directory.
