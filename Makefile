@@ -75,9 +75,12 @@ faults:
 # jinjing binary — hence no -short), the concurrency/admission tests,
 # the restart-recovery suite, the process-level crash-and-restart chaos
 # tests (TestChaos*), and the serve.job fault scenarios, all under the
-# race detector.
+# race detector; then 30 seconds of open-ended native fuzzing over the
+# request decode, which holds the one-pass decode to the strict decoder
+# on every input.
 daemon-test:
 	$(GO) test -race -count=1 ./internal/serve ./internal/obs/stats
+	$(GO) test -run '^$$' -fuzz FuzzSessionRequest -fuzztime 30s ./internal/serve
 
 # Formatting + static checks; fails when any file needs gofmt.
 lint:

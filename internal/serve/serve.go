@@ -514,7 +514,7 @@ func (s *Server) handleSessionPut(w http.ResponseWriter, r *http.Request) {
 	}
 	body, apiErr := readBody(w, r)
 	if apiErr != nil {
-		writeError(w, http.StatusBadRequest, apiErr)
+		writeError(w, statusFor(apiErr), apiErr)
 		return
 	}
 	req, err := DecodeSessionRequest(body)
@@ -664,7 +664,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request, kind string) 
 	}
 	body, apiErr := readBody(w, r)
 	if apiErr != nil {
-		writeError(w, http.StatusBadRequest, apiErr)
+		writeError(w, statusFor(apiErr), apiErr)
 		return
 	}
 	req, err := DecodeJobRequest(body)
@@ -754,11 +754,51 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 
 // ---- plumbing ----
 
-// readBody reads a bounded request body.
+// readBody reads a bounded request body. One declared longer than
+// MaxBodyBytes is refused before any of it is read, a body of declared
+// length is read by readDeclared, and a chunked body through
+// http.MaxBytesReader.
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, *APIError) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	if r.ContentLength > MaxBodyBytes {
+		return nil, &APIError{Code: "payload_too_large", Message: fmt.Sprintf(
+			"request body of %d bytes exceeds the %d-byte limit", r.ContentLength, MaxBodyBytes)}
+	}
+	var body []byte
+	var err error
+	if r.ContentLength >= 0 {
+		body, err = readDeclared(r.Body, r.ContentLength)
+	} else {
+		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	}
 	if err != nil {
 		return nil, &APIError{Code: "bad_request", Message: fmt.Sprintf("reading body: %v", err)}
+	}
+	return body, nil
+}
+
+// bodyChunk is the most readDeclared allocates ahead of the bytes that
+// have arrived.
+const bodyChunk = 1 << 20
+
+// readDeclared reads a body of n declared bytes. Its buffer starts at
+// min(n, bodyChunk) bytes and doubles, capped at n, each time it fills:
+// memory follows the bytes that arrive, not the length a client
+// declares, and a body of up to bodyChunk bytes is read into one buffer
+// of its length. A body that ends short of n is an io.ErrUnexpectedEOF.
+func readDeclared(rd io.Reader, n int64) ([]byte, error) {
+	body := make([]byte, 0, min(n, bodyChunk))
+	for int64(len(body)) < n {
+		if len(body) == cap(body) {
+			body = append(make([]byte, 0, min(2*int64(cap(body)), n)), body...)
+		}
+		k, err := io.ReadFull(rd, body[len(body):cap(body)])
+		body = body[:len(body)+k]
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
 	return body, nil
 }
@@ -774,6 +814,8 @@ func statusFor(e *APIError) int {
 		return http.StatusConflict
 	case "saturated", "quota_exhausted":
 		return http.StatusTooManyRequests
+	case "payload_too_large":
+		return http.StatusRequestEntityTooLarge
 	case "unknown_verdicts":
 		return http.StatusUnprocessableEntity
 	case "transient_fault", "canceled", "draining":

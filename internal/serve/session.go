@@ -76,8 +76,8 @@ type jobCaps struct {
 // The returned session has already derived its paths and FECs — PUT is
 // the cold-start moment; jobs run against warm structures.
 func newSession(name string, req *SessionRequest, o *obs.Observer, ledger *declog.Logger, ledgerPath string) (*session, error) {
-	base := topo.NewNetwork()
-	if err := base.UnmarshalJSON(req.Topology); err != nil {
+	base, err := loadNetwork(req.Topology, req.topology)
+	if err != nil {
 		return nil, fmt.Errorf("topology: %v", err)
 	}
 	prog, err := lai.Parse(req.Program)
@@ -86,12 +86,12 @@ func newSession(name string, req *SessionRequest, o *obs.Observer, ledger *declo
 	}
 	var ropts lai.ResolveOptions
 	if len(req.Updated) > 0 {
-		u := topo.NewNetwork()
-		if err := u.UnmarshalJSON(req.Updated); err != nil {
+		if ropts.Updated, err = loadNetwork(req.Updated, req.updated); err != nil {
 			return nil, fmt.Errorf("updated: %v", err)
 		}
-		ropts.Updated = u
 	}
+	// The recipe keeps the request's bytes, not their plain reads.
+	req.topology, req.updated = nil, nil
 	resolved, err := lai.Resolve(prog, base, ropts)
 	if err != nil {
 		return nil, fmt.Errorf("program: %v", err)
@@ -173,8 +173,8 @@ func (s *session) runLocked(ctx context.Context, jobID, kind string, req *JobReq
 	}
 
 	if len(req.Updated) > 0 {
-		u := topo.NewNetwork()
-		if err := u.UnmarshalJSON(req.Updated); err != nil {
+		u, err := loadNetwork(req.Updated, req.updated)
+		if err != nil {
 			return nil, &APIError{Code: "bad_request", Message: fmt.Sprintf("updated: %v", err)}
 		}
 		r, err := lai.Resolve(s.program, s.base, lai.ResolveOptions{Updated: u})

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"jinjing/internal/core"
+	"jinjing/internal/topo"
 )
 
 // Wire formats of the /v1 API. Decoding is strict — unknown fields,
@@ -100,6 +103,10 @@ type SessionRequest struct {
 	Program  string          `json:"program"`
 	Updated  json.RawMessage `json:"updated,omitempty"`
 	Defaults *JobOverrides   `json:"defaults,omitempty"`
+
+	// The plain reads decodeOnce made of Topology and Updated; nil for a
+	// member it left to decodeStrict.
+	topology, updated *topo.Plain
 }
 
 // JobRequest is the POST /v1/sessions/{name}/{check|fix|generate} body.
@@ -109,6 +116,26 @@ type SessionRequest struct {
 type JobRequest struct {
 	Updated json.RawMessage `json:"updated,omitempty"`
 	JobOverrides
+
+	// The plain read decodeOnce made of Updated; nil when it left the
+	// member to decodeStrict.
+	updated *topo.Plain
+}
+
+// loadNetwork builds the network raw holds: from plain, the read
+// decodeOnce made of raw, when there is one, or else by a load of raw.
+// The build is left to where the request is used (newSession,
+// runLocked; a job's after admission), so a decoded request holds no
+// built network.
+func loadNetwork(raw json.RawMessage, plain *topo.Plain) (*topo.Network, error) {
+	if plain != nil {
+		return plain.Build()
+	}
+	n := topo.NewNetwork()
+	if err := n.UnmarshalJSON(raw); err != nil {
+		return nil, err
+	}
+	return n, nil
 }
 
 // decodeStrict unmarshals into v rejecting unknown fields and trailing
@@ -125,20 +152,198 @@ func decodeStrict(data []byte, v any) error {
 	return nil
 }
 
+// netMember is a network member of a request type: its key, the field
+// holding its value's bytes, and the field holding its plain read.
+type netMember struct {
+	key   string
+	raw   *json.RawMessage
+	plain **topo.Plain
+}
+
+// decodeOnce decodes a request body into *v as decodeStrict does, but
+// reads each network member's value once, where it sits in the body:
+// splitNetworks reads each with topo's plain reader, and decodeStrict
+// decodes the rest of the body with those values replaced by null. The
+// raw fields then hold copies of the values' bytes, as decodeStrict
+// leaves them (a copy, so a request kept as a session's recipe does not
+// keep the whole body), and the plain fields the reads.
+//
+// A body splitNetworks cannot vouch for, or whose spliced envelope
+// decodeStrict refuses, is decoded by decodeStrict whole, so every
+// error is the one decodeStrict gives for the body.
+func decodeOnce[T any](data []byte, v *T, members ...netMember) error {
+	envelope, values, ok := splitNetworks(data, members)
+	if ok && values != nil {
+		if decodeStrict(envelope, v) == nil {
+			for i, m := range members {
+				if values[i].end > 0 {
+					*m.raw = bytes.Clone(data[values[i].start:values[i].end])
+					*m.plain = values[i].plain
+				}
+			}
+			return nil
+		}
+		var zero T
+		*v = zero
+	}
+	return decodeStrict(data, v)
+}
+
+// netValue is where a network member's value sits in a body, and its
+// plain read. end is 0 for a member the body lacks.
+type netValue struct {
+	start, end int
+	plain      *topo.Plain
+}
+
+// splitNetworks scans the members of a request body's top-level object,
+// reads the value of each member whose key names a network member with
+// topo.ReadPlainAt, and returns the body with those values replaced by
+// null, with per network member where its value sat (values is nil when
+// the body holds none; the envelope is then the body itself). Keys
+// match as encoding/json matches them, ignoring case, and the last of
+// repeated keys wins.
+//
+// The other members' values are skipped, not checked: decodeStrict
+// checks the envelope, and a well-formed envelope means the scan read
+// the body right. ok is false for a body the scan cannot vouch for: one
+// that is not an object, a key with an escape or a non-ASCII byte (it
+// might name a network member once decoded), or a network value that
+// is not in the plain form.
+func splitNetworks(data []byte, members []netMember) (envelope []byte, values []netValue, ok bool) {
+	i := skipSpace(data, 0)
+	if i == len(data) || data[i] != '{' {
+		return nil, nil, false
+	}
+	last := 0
+	for first := true; ; first = false {
+		i = skipSpace(data, i+1)
+		if first && i < len(data) && data[i] == '}' {
+			break
+		}
+		key, next, ok := plainKey(data, i)
+		if !ok {
+			return nil, nil, false
+		}
+		k := slices.IndexFunc(members, func(m netMember) bool { return strings.EqualFold(m.key, key) })
+		if k < 0 {
+			i = skipValue(data, next)
+		} else {
+			p, end, ok := topo.ReadPlainAt(data, next)
+			if !ok {
+				return nil, nil, false
+			}
+			if values == nil {
+				values = make([]netValue, len(members))
+			}
+			values[k] = netValue{start: next, end: end, plain: p}
+			envelope = append(append(envelope, data[last:next]...), "null"...)
+			last, i = end, end
+		}
+		i = skipSpace(data, i)
+		if i >= len(data) || data[i] != ',' && data[i] != '}' {
+			return nil, nil, false
+		}
+		if data[i] == '}' {
+			break
+		}
+	}
+	if values == nil {
+		return data, nil, true
+	}
+	return append(envelope, data[last:]...), values, true
+}
+
+// skipSpace returns the offset of the first non-whitespace byte of
+// data at or after i.
+func skipSpace(data []byte, i int) int {
+	for i < len(data) && (data[i] == ' ' || data[i] == '\t' || data[i] == '\n' || data[i] == '\r') {
+		i++
+	}
+	return i
+}
+
+// plainKey reads the member key at data[i], a string of printable
+// ASCII with no escapes, and its colon, returning the offset of the
+// member's value.
+func plainKey(data []byte, i int) (key string, next int, ok bool) {
+	if i == len(data) || data[i] != '"' {
+		return "", 0, false
+	}
+	j := i + 1
+	for j < len(data) && data[j] >= ' ' && data[j] <= '~' && data[j] != '"' && data[j] != '\\' {
+		j++
+	}
+	if j == len(data) || data[j] != '"' {
+		return "", 0, false
+	}
+	next = skipSpace(data, j+1)
+	if next == len(data) || data[next] != ':' {
+		return "", 0, false
+	}
+	return string(data[i+1 : j]), skipSpace(data, next+1), true
+}
+
+// skipValue returns the offset just past the JSON value at data[i],
+// or, for a number or a literal, of the byte that ends it. It trusts
+// the value to be well formed; on other input its answer is some
+// offset, and decodeStrict refuses the envelope.
+func skipValue(data []byte, i int) int {
+	depth := 0
+	for ; i < len(data); i++ {
+		switch data[i] {
+		case '"':
+			for i++; i < len(data) && data[i] != '"'; i++ {
+				if data[i] == '\\' {
+					i++
+				}
+			}
+			if depth == 0 {
+				return min(i+1, len(data))
+			}
+		case '{', '[':
+			depth++
+		case '}', ']':
+			if depth == 0 {
+				return i
+			}
+			if depth--; depth == 0 {
+				return i + 1
+			}
+		case ',':
+			if depth == 0 {
+				return i
+			}
+		}
+	}
+	return i
+}
+
+// validate checks a decoded session request's required fields and
+// defaults.
+func (req *SessionRequest) validate() error {
+	if len(req.Topology) == 0 {
+		return fmt.Errorf("topology: required")
+	}
+	if req.Program == "" {
+		return fmt.Errorf("program: required")
+	}
+	if err := req.Defaults.validate(); err != nil {
+		return fmt.Errorf("defaults: %v", err)
+	}
+	return nil
+}
+
 // DecodeSessionRequest parses and validates a PUT session body.
 func DecodeSessionRequest(data []byte) (*SessionRequest, error) {
 	var req SessionRequest
-	if err := decodeStrict(data, &req); err != nil {
+	if err := decodeOnce(data, &req,
+		netMember{"topology", &req.Topology, &req.topology},
+		netMember{"updated", &req.Updated, &req.updated}); err != nil {
 		return nil, err
 	}
-	if len(req.Topology) == 0 {
-		return nil, fmt.Errorf("topology: required")
-	}
-	if req.Program == "" {
-		return nil, fmt.Errorf("program: required")
-	}
-	if err := req.Defaults.validate(); err != nil {
-		return nil, fmt.Errorf("defaults: %v", err)
+	if err := req.validate(); err != nil {
+		return nil, err
 	}
 	return &req, nil
 }
@@ -150,7 +355,7 @@ func DecodeJobRequest(data []byte) (*JobRequest, error) {
 	if len(bytes.TrimSpace(data)) == 0 {
 		return &req, nil
 	}
-	if err := decodeStrict(data, &req); err != nil {
+	if err := decodeOnce(data, &req, netMember{"updated", &req.Updated, &req.updated}); err != nil {
 		return nil, err
 	}
 	if err := req.JobOverrides.validate(); err != nil {
@@ -184,6 +389,7 @@ func validSessionName(name string) bool {
 // APIError is the structured error payload of every non-2xx response.
 type APIError struct {
 	// Code is a stable machine-readable cause: "bad_request",
+	// "payload_too_large" (a body declared longer than MaxBodyBytes),
 	// "not_found", "conflict", "saturated", "quota_exhausted",
 	// "unknown_verdicts", "job_panic", "transient_fault", "canceled",
 	// "draining" (the daemon is shutting down; retry against its

@@ -162,11 +162,38 @@ func (n *Network) build(in *networkJSON) error {
 // that encoding/json decodes to the same networkJSON.
 func readPlain(data []byte, in *networkJSON) bool {
 	r := plainReader{data: data}
-	if !r.null() && !(r.consume('{') && r.network(in)) {
+	if !r.value(in) {
 		return false
 	}
 	r.space()
 	return r.off == len(r.data)
+}
+
+// Plain is a network value read in the plain form and not yet built.
+type Plain struct{ in networkJSON }
+
+// ReadPlainAt reads the network value that starts at data[off], for a
+// value embedded in a larger document (a request body), as readPlain
+// reads a whole document, and reports the offset just past it. ok is
+// false when the value is not plain; the caller then decodes the
+// document another way.
+func ReadPlainAt(data []byte, off int) (p *Plain, end int, ok bool) {
+	p = new(Plain)
+	r := plainReader{data: data, off: off}
+	if !r.value(&p.in) {
+		return nil, 0, false
+	}
+	return p, r.off, true
+}
+
+// Build builds the network p holds. Its error is the one UnmarshalJSON
+// returns for the value's bytes.
+func (p *Plain) Build() (*Network, error) {
+	n := NewNetwork()
+	if err := n.build(&p.in); err != nil {
+		return nil, err
+	}
+	return n, nil
 }
 
 // plainReader is a cursor over a document being read by readPlain.
@@ -312,6 +339,11 @@ func plainArray[T any](r *plainReader, dst *[]T, elem func(*plainReader, *T) boo
 			return false
 		}
 	}
+}
+
+// value reads a network document: null or the network object.
+func (r *plainReader) value(in *networkJSON) bool {
+	return r.null() || r.consume('{') && r.network(in)
 }
 
 // The schema's objects, read after their opening brace.
