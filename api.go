@@ -157,8 +157,11 @@ type (
 	GenerateResult = core.GenerateResult
 	// Report is the outcome of running a whole LAI program.
 	Report = core.Report
-	// Control is a resolved §6 reachability intent.
+	// Control is a resolved §6 reachability intent. Its From and To are
+	// sets over the engine's Before network (see NewIfaceSet).
 	Control = core.Control
+	// IfaceSet is a set of one network's interfaces.
+	IfaceSet = core.IfaceSet
 	// VerdictCache caches per-FEC check verdicts across engines and
 	// snapshots, making a session's re-checks after edits incremental
 	// (set Options.Verdicts; Run installs none).
@@ -184,6 +187,10 @@ const (
 	Open     = core.Open
 	Maintain = core.Maintain
 )
+
+// NewIfaceSet returns the set of the given interfaces, all of one
+// network: a Control's From or To.
+func NewIfaceSet(ifaces ...*Interface) IfaceSet { return core.NewIfaceSet(ifaces...) }
 
 // DefaultOptions returns the paper's full optimization configuration.
 func DefaultOptions() Options { return core.DefaultOptions() }

@@ -109,10 +109,11 @@ func TestFacadeControlGenerate(t *testing.T) {
 	net := buildTinyNet()
 	e := jinjing.NewEngine(net, net.Clone(), jinjing.NewScope("R1", "R2"), jinjing.DefaultOptions())
 	r1in, _ := net.LookupInterface("R1:in")
+	r2out, _ := net.LookupInterface("R2:out")
 	e.Allow = []jinjing.ACLBinding{{Iface: r1in, Dir: jinjing.In}}
 	e.Controls = []jinjing.Control{{
-		From:  map[string]bool{"R1:in": true},
-		To:    map[string]bool{"R2:out": true},
+		From:  jinjing.NewIfaceSet(r1in),
+		To:    jinjing.NewIfaceSet(r2out),
 		Mode:  jinjing.Open,
 		Match: jinjing.DstMatch(jinjing.MustParsePrefix("10.1.0.0/16")),
 	}}

@@ -64,16 +64,18 @@ func (e *Engine) pathWalk(ctx *checkCtx) *pathInterner {
 	if ctx.walk != nil {
 		return ctx.walk
 	}
-	index := map[[2]int32]int32{}
-	ctx.walk = &pathInterner{controls: e.Controls, resolve: func(id string) int32 {
-		ids, bound := ctx.ids[id]
-		if !bound {
+	index := map[uint64]int32{}
+	words := ctx.words.on(e.Before)
+	ctx.walk = &pathInterner{resolve: func(b topo.ACLBinding) int32 {
+		w := words[bindingOrd(b)]
+		if w == 0 {
 			return -1
 		}
-		i, ok := index[ids]
+		i, ok := index[w]
 		if !ok {
 			i = int32(len(ctx.encPairs))
-			index[ids] = i
+			index[w] = i
+			ids := wordPair(w)
 			ctx.encPairs = append(ctx.encPairs, encPair{ids: ids, unchanged: ids[0] == ids[1]})
 		}
 		return i
@@ -94,7 +96,7 @@ func (e *Engine) compileShapes(ctx *checkCtx, fec topo.FEC) []checkShape {
 		pairs = walk.crossed(pairs[:0], p)
 		slices.Sort(pairs)
 		pairs = slices.Compact(pairs)
-		ctrls := walk.ctrls(p)
+		ctrls := e.ctrlsOn(ctx.ctrlsOf, p)
 		if _, fresh := set.add(pairs, ctrls); fresh {
 			shapes = append(shapes, checkShape{pairs: slices.Clone(pairs), ctrls: ctrls})
 		}
@@ -459,14 +461,16 @@ func (e *Engine) psetWitnessFEC(ctx *checkCtx, fec topo.FEC, pkt header.Packet) 
 // the concrete evaluation of desiredFormula's Ite chain.
 func (e *Engine) pathFlipsDesired(ctx *checkCtx, memo *bindingTable[int8], p topo.Path, pkt header.Packet) bool {
 	// memo bits: 1 = before permits, 2 = after permits, 4 = resolved.
-	at := memo.of(p)
+	at, words := memo.of(p), ctx.words.of(p)
 	before, after := true, true
 	for _, h := range p.Hops {
 		for _, b := range [2]topo.ACLBinding{{Iface: h.In, Dir: topo.In}, {Iface: h.Out, Dir: topo.Out}} {
-			d := &at[bindingOrd(b)]
+			k := bindingOrd(b)
+			d := &at[k]
 			if *d == 0 {
 				*d = 4 | 1 | 2 // unbound in both snapshots: permit-all either way
-				if ids, bound := ctx.ids[b.ID()]; bound {
+				if w := words[k]; w != 0 {
+					ids := wordPair(w)
 					*d = 4
 					if ctx.acls[ids[0]].Permits(pkt) {
 						*d |= 1

@@ -35,7 +35,8 @@ const refCubeBudget = 512
 func refShapeKey(e *Engine, ctx *checkCtx, p topo.Path) string {
 	var pairs []string
 	for _, b := range p.Bindings() {
-		if ids, ok := ctx.ids[b.ID()]; ok {
+		if w := *ctx.words.at(b); w != 0 {
+			ids := wordPair(w)
 			pairs = append(pairs, ctx.acls[ids[0]].String()+" => "+ctx.acls[ids[1]].String())
 		}
 	}
@@ -97,7 +98,7 @@ func refPathViolations(e *Engine, ctx *checkCtx, fec topo.FEC) (flips []pset.Set
 			}
 			before, after = before.Intersect(wb), after.Intersect(wa)
 		}
-		ctrls := e.ctrlsOn(p)
+		ctrls := e.ctrlsOn(map[uint64][]int32{}, p)
 		desired := before
 		for k := len(ctrls) - 1; k >= 0; k-- {
 			c := e.Controls[ctrls[k]]
@@ -134,14 +135,15 @@ func refPathsViolationFormula(e *Engine, ctx *checkCtx, b *smt.Builder, pv *smt.
 	for _, p := range fec.Paths {
 		before, after := smt.True, smt.True
 		for _, bind := range p.Bindings() {
-			pair, ok := ctx.ids[bind.ID()]
-			if !ok {
+			w := *ctx.words.at(bind)
+			if w == 0 {
 				continue // no ACL in either snapshot
 			}
+			pair := wordPair(w)
 			before = b.And(before, encode(pair[0]))
 			after = b.And(after, encode(pair[1]))
 		}
-		desired := e.desiredFormula(b, pv, e.ctrlsOn(p), before)
+		desired := e.desiredFormula(b, pv, e.ctrlsOn(map[uint64][]int32{}, p), before)
 		out = b.Or(out, b.Iff(desired, after).Not())
 	}
 	return b.And(out, classPred(b, pv, fec.Classes))
@@ -392,8 +394,9 @@ func overflowNet(fixable bool) (before, after *topo.Network) {
 // reference's, and the check must stay fast. Fix, on the fixable variant,
 // must find a plan that verifies in the split's counterexamples.
 func TestPsetOverflowSplits(t *testing.T) {
+	ref := papernet.Build() // overflowNet's Before numbers its interfaces alike
 	maintain2 := Control{
-		From: map[string]bool{"A:1": true}, To: map[string]bool{"D:3": true},
+		From: IfacesNamed(ref, "A:1"), To: IfacesNamed(ref, "D:3"),
 		Mode: Maintain, Match: header.DstMatch(papernet.Traffic(2)),
 	}
 	for _, c := range []struct {
@@ -466,8 +469,9 @@ func TestPsetOverflowSplits(t *testing.T) {
 // whose region splits included — Unknown("cancelled") and uncached, and
 // the next call on the same engine decides them as a cold check does.
 func TestFaultCancelledSplitIsUnknown(t *testing.T) {
+	ref := papernet.Build() // overflowNet's Before numbers its interfaces alike
 	maintain2 := Control{
-		From: map[string]bool{"A:1": true}, To: map[string]bool{"D:3": true},
+		From: IfacesNamed(ref, "A:1"), To: IfacesNamed(ref, "D:3"),
 		Mode: Maintain, Match: header.DstMatch(papernet.Traffic(2)),
 	}
 	engine := func() *Engine {
@@ -518,13 +522,13 @@ func TestBindingTableRejectsForeignPath(t *testing.T) {
 		t.Helper()
 		feed(mine)
 		defer func() {
-			if r := recover(); r != "core: a binding table fed a path of another network" {
+			if r := recover(); r != "core: a binding table fed another network's binding" {
 				t.Fatalf("%s: recovered %v", what, r)
 			}
 		}()
 		feed(foreign)
 	}
-	walk := &pathInterner{resolve: func(string) int32 { return 0 }}
+	walk := &pathInterner{resolve: func(topo.ACLBinding) int32 { return 0 }}
 	expectPanic("interner", func(p topo.Path) { walk.crossed(nil, p) })
 	var memo bindingTable[int8]
 	expectPanic("witness memo", func(p topo.Path) { memo.of(p) })

@@ -99,7 +99,7 @@ func (e *Engine) CheckContext(callCtx context.Context) *CheckResult {
 		e.logCheckDecision(ls, res)
 		return res
 	}
-	pre.End(obs.KV("diff_rules", ctx.diffRules), obs.KV("acl_pairs", ctx.aclPairs))
+	pre.End(obs.KV("diff_rules", len(ctx.diff)), obs.KV("acl_pairs", len(ctx.pairs)))
 
 	fp := root.Child("fec")
 	e.prepareIncremental(ctx)

@@ -23,8 +23,8 @@ func TestControlOpenCheck(t *testing.T) {
 	a1.SetACL(topo.In, acl.PermitAll())
 
 	ctrl := core.Control{
-		From:  map[string]bool{"A:1": true},
-		To:    map[string]bool{"D:3": true},
+		From:  core.IfacesNamed(before, "A:1"),
+		To:    core.IfacesNamed(before, "D:3"),
 		Mode:  core.Open,
 		Match: header.DstMatch(pfx("6.0.0.0/8")),
 	}
@@ -56,8 +56,8 @@ func TestControlOpenSideEffectCaught(t *testing.T) {
 	a1.SetACL(topo.In, acl.MustParse("deny dst 1.0.0.0/8, permit all"))
 	e := core.New(before, after, papernet.Scope(), core.DefaultOptions())
 	e.Controls = []core.Control{{
-		From:  map[string]bool{"A:1": true},
-		To:    map[string]bool{"D:3": true},
+		From:  core.IfacesNamed(before, "A:1"),
+		To:    core.IfacesNamed(before, "D:3"),
 		Mode:  core.Open,
 		Match: header.DstMatch(pfx("6.0.0.0/8")),
 	}}
@@ -80,8 +80,8 @@ func TestControlFixRestoresDesiredReachability(t *testing.T) {
 		{Iface: a2, Dir: topo.Out},
 	}
 	e.Controls = []core.Control{{
-		From:  map[string]bool{"A:1": true},
-		To:    map[string]bool{"D:3": true},
+		From:  core.IfacesNamed(before, "A:1"),
+		To:    core.IfacesNamed(before, "D:3"),
 		Mode:  core.Isolate,
 		Match: header.DstMatch(pfx("5.0.0.0/8")),
 	}}
@@ -147,11 +147,11 @@ func TestMaintainShieldsFromIsolate(t *testing.T) {
 	a1.SetACL(topo.In, acl.MustParse("permit dst 2.0.0.0/8, deny all"))
 
 	maintain2 := core.Control{
-		From: map[string]bool{"A:1": true}, To: map[string]bool{"D:3": true},
+		From: core.IfacesNamed(before, "A:1"), To: core.IfacesNamed(before, "D:3"),
 		Mode: core.Maintain, Match: header.DstMatch(pfx("2.0.0.0/8")),
 	}
 	isolateAll := core.Control{
-		From: map[string]bool{"A:1": true}, To: map[string]bool{"D:3": true},
+		From: core.IfacesNamed(before, "A:1"), To: core.IfacesNamed(before, "D:3"),
 		Mode: core.Isolate, Match: header.MatchAll,
 	}
 
@@ -178,9 +178,11 @@ func TestMaintainShieldsFromIsolate(t *testing.T) {
 // other (§6): with no ACL change at all, "isolate all from A:1 to D:3"
 // is violated by every reachable class on that pair, and check, fix and
 // a warm re-check must all see it whatever the optimization switches.
-var isolateAllA1D3 = core.Control{
-	From: map[string]bool{"A:1": true}, To: map[string]bool{"D:3": true},
-	Mode: core.Isolate, Match: header.MatchAll,
+func isolateAllA1D3(before *topo.Network) core.Control {
+	return core.Control{
+		From: core.IfacesNamed(before, "A:1"), To: core.IfacesNamed(before, "D:3"),
+		Mode: core.Isolate, Match: header.MatchAll,
+	}
 }
 
 func TestControlIsolateAllCheck(t *testing.T) {
@@ -199,7 +201,7 @@ func TestControlIsolateAllCheck(t *testing.T) {
 		c.opts.Forensics = true
 		before := papernet.Build()
 		e := core.New(before, before.Clone(), papernet.Scope(), c.opts)
-		e.Controls = []core.Control{isolateAllA1D3}
+		e.Controls = []core.Control{isolateAllA1D3(before)}
 		res := e.Check()
 		if res.Consistent || len(res.Violations) == 0 {
 			t.Fatalf("%s: an unchanged network cannot satisfy isolate-all", c.name)
@@ -233,7 +235,7 @@ func TestControlIsolateAllFix(t *testing.T) {
 	e := core.New(before, before.Clone(), papernet.Scope(), core.DefaultOptions())
 	a1, _ := before.LookupInterface("A:1")
 	e.Allow = []topo.ACLBinding{{Iface: a1, Dir: topo.In}}
-	e.Controls = []core.Control{isolateAllA1D3}
+	e.Controls = []core.Control{isolateAllA1D3(before)}
 	res, err := e.Fix()
 	if err != nil {
 		t.Fatal(err)
@@ -254,7 +256,7 @@ func TestControlIsolateAllWarmRecheck(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.Verdicts = core.NewVerdictCache()
 	e := core.New(before, isolated, papernet.Scope(), opts)
-	e.Controls = []core.Control{isolateAllA1D3}
+	e.Controls = []core.Control{isolateAllA1D3(before)}
 	if res := e.Check(); !res.Consistent {
 		t.Fatalf("deny-all at A:1 satisfies isolate-all: %+v", res.Violations)
 	}
@@ -272,9 +274,10 @@ func TestControlIsolateAllWarmRecheck(t *testing.T) {
 // region; every FEC's verdict must still be the per-path SAT
 // reference's.
 func TestControlsMissingClassesMatchSAT(t *testing.T) {
+	before := papernet.Build() // every Build numbers its interfaces alike
 	controls := []core.Control{
-		{From: map[string]bool{"A:1": true}, To: map[string]bool{"D:3": true}, Mode: core.Open, Match: header.DstMatch(pfx("6.0.0.0/8"))},
-		{From: map[string]bool{"A:1": true}, To: map[string]bool{"D:3": true}, Mode: core.Isolate, Match: header.DstMatch(pfx("4.0.0.0/8"))},
+		{From: core.IfacesNamed(before, "A:1"), To: core.IfacesNamed(before, "D:3"), Mode: core.Open, Match: header.DstMatch(pfx("6.0.0.0/8"))},
+		{From: core.IfacesNamed(before, "A:1"), To: core.IfacesNamed(before, "D:3"), Mode: core.Isolate, Match: header.DstMatch(pfx("4.0.0.0/8"))},
 	}
 	missesControls := func(classes []header.Prefix) bool {
 		for _, c := range classes {

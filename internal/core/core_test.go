@@ -381,8 +381,8 @@ func TestControlIsolateGenerate(t *testing.T) {
 		e.Allow = append(e.Allow, topo.ACLBinding{Iface: iface, Dir: topo.In})
 	}
 	e.Controls = []core.Control{{
-		From:  map[string]bool{"A:1": true},
-		To:    map[string]bool{"D:3": true},
+		From:  core.IfacesNamed(before, "A:1"),
+		To:    core.IfacesNamed(before, "D:3"),
 		Mode:  core.Isolate,
 		Match: header.DstMatch(pfx("5.0.0.0/8")),
 	}}
@@ -421,8 +421,8 @@ func TestControlOpenGenerate(t *testing.T) {
 	a1, _ := before.LookupInterface("A:1")
 	e.Allow = []topo.ACLBinding{{Iface: a1, Dir: topo.In}}
 	e.Controls = []core.Control{{
-		From:  map[string]bool{"A:1": true},
-		To:    map[string]bool{"D:3": true},
+		From:  core.IfacesNamed(before, "A:1"),
+		To:    core.IfacesNamed(before, "D:3"),
 		Mode:  core.Open,
 		Match: header.DstMatch(pfx("6.0.0.0/8")),
 	}}
@@ -456,8 +456,8 @@ func TestControlCheckDesiredReachability(t *testing.T) {
 	a1.SetACL(topo.In, acl.MustParse("deny dst 5.0.0.0/8, deny dst 6.0.0.0/8, permit all"))
 	e := core.New(before, after, papernet.Scope(), core.DefaultOptions())
 	e.Controls = []core.Control{{
-		From:  map[string]bool{"A:1": true},
-		To:    map[string]bool{"D:3": true, "C:3": true},
+		From:  core.IfacesNamed(before, "A:1"),
+		To:    core.IfacesNamed(before, "D:3", "C:3"),
 		Mode:  core.Isolate,
 		Match: header.DstMatch(pfx("5.0.0.0/8")),
 	}}
@@ -482,11 +482,11 @@ func TestControlMaintainPrecedence(t *testing.T) {
 	}
 	e.Controls = []core.Control{
 		{
-			From: map[string]bool{"A:1": true}, To: map[string]bool{"C:3": true},
+			From: core.IfacesNamed(before, "A:1"), To: core.IfacesNamed(before, "C:3"),
 			Mode: core.Maintain, Match: header.DstMatch(pfx("7.0.0.0/8")),
 		},
 		{
-			From: map[string]bool{"A:1": true}, To: map[string]bool{"C:3": true},
+			From: core.IfacesNamed(before, "A:1"), To: core.IfacesNamed(before, "C:3"),
 			Mode: core.Isolate, Match: header.MatchAll,
 		},
 	}

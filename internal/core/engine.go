@@ -7,44 +7,35 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"jinjing/internal/acl"
 	"jinjing/internal/header"
+	"jinjing/internal/lai"
 	"jinjing/internal/obs"
 	"jinjing/internal/obs/declog"
 	"jinjing/internal/topo"
 )
 
-// ControlMode is a §6 reachability-update verb.
-type ControlMode int
+// ControlMode is a §6 reachability-update verb: LAI's.
+type ControlMode = lai.ControlMode
 
 // The control modes.
 const (
-	Isolate ControlMode = iota
-	Open
-	Maintain
+	Isolate  = lai.Isolate
+	Open     = lai.Open
+	Maintain = lai.Maintain
 )
-
-// String renders the mode keyword.
-func (m ControlMode) String() string {
-	switch m {
-	case Isolate:
-		return "isolate"
-	case Open:
-		return "open"
-	default:
-		return "maintain"
-	}
-}
 
 // Control is a resolved reachability intent: traffic matching Match from
 // any of the From border interfaces to any of the To border interfaces is
-// isolated, opened, or maintained. Earlier controls take precedence over
-// later ones (§6).
+// isolated, opened, or maintained. From and To are sets over the
+// engine's Before snapshot (see IfaceSet). Earlier controls take
+// precedence over later ones (§6).
 type Control struct {
-	From  map[string]bool // border interface IDs
-	To    map[string]bool
+	From  IfaceSet
+	To    IfaceSet
 	Mode  ControlMode
 	Match header.Match
 }
@@ -52,7 +43,29 @@ type Control struct {
 // AppliesTo reports whether the control governs paths from p's entry
 // border interface to its exit border interface.
 func (c Control) AppliesTo(p topo.Path) bool {
-	return c.From[p.Src().ID()] && c.To[p.Dst().ID()]
+	return c.From.Has(p.Src()) && c.To.Has(p.Dst())
+}
+
+// IfaceSet is a set of one network's interfaces: a bit per ordinal.
+type IfaceSet []uint64
+
+// NewIfaceSet returns the set of the given interfaces, all of one network.
+func NewIfaceSet(ifaces ...*topo.Interface) IfaceSet {
+	var s IfaceSet
+	for _, i := range ifaces {
+		o := i.Ord()
+		for len(s) <= o/64 {
+			s = append(s, 0)
+		}
+		s[o/64] |= 1 << (o % 64)
+	}
+	return s
+}
+
+// Has reports whether i is in the set.
+func (s IfaceSet) Has(i *topo.Interface) bool {
+	o := i.Ord()
+	return o/64 < len(s) && s[o/64]&(1<<(o%64)) != 0
 }
 
 // Options tune the engine. The zero value disables every optimization;
@@ -300,44 +313,48 @@ func (e *Engine) fecSource() *topo.FECSource {
 // NumFECs returns the number of forwarding equivalence classes.
 func (e *Engine) NumFECs() int { return len(e.FECs()) }
 
-// bindingACL returns the ACL bound at the binding's position in the given
-// network (nil when unbound there).
-func bindingACL(n *topo.Network, b topo.ACLBinding) *acl.ACL {
+// moveBinding returns the binding at b's position in network n, found by
+// name: ordinals of two networks are unrelated (see bindingTable), so a
+// binding crosses from one network to another only here.
+func moveBinding(b topo.ACLBinding, n *topo.Network) (topo.ACLBinding, error) {
+	if b.Iface.Device.Network() == n {
+		return b, nil
+	}
 	i, err := n.LookupInterface(b.Iface.ID())
 	if err != nil {
-		return nil
+		return topo.ACLBinding{}, err
 	}
-	return i.ACL(b.Dir)
+	return topo.ACLBinding{Iface: i, Dir: b.Dir}, nil
 }
 
-// aclPair is the before/after ACLs at one binding.
+// aclPair is the before/after ACLs at one binding, and their table IDs.
 type aclPair struct {
-	binding topo.ACLBinding
-	before  *acl.ACL // nil = permit all
+	binding topo.ACLBinding // Before's, or After's where Before lacks the interface
+	before  *acl.ACL        // nil = permit all
 	after   *acl.ACL
+	ids     [2]int32
 }
 
 // scopeACLPairs collects the before/after ACL pair at every binding that
-// carries an ACL in either snapshot.
+// carries an ACL in either snapshot: Before's bindings, then those only
+// After binds.
 func (e *Engine) scopeACLPairs() []aclPair {
-	seen := map[string]bool{}
+	var seen bindingTable[bool]
 	var out []aclPair
-	collect := func(n *topo.Network) {
-		for _, b := range n.ACLGroup(e.Scope) {
-			id := b.ID()
-			if seen[id] {
-				continue
+	for _, a := range slices.Concat(e.Before.ACLGroup(e.Scope), e.After.ACLGroup(e.Scope)) {
+		b, err := moveBinding(a, e.Before)
+		switch {
+		case err != nil: // on no path of Before: it only joins the differential set
+			out = append(out, aclPair{binding: a, after: a.Iface.ACL(a.Dir)})
+		case !*seen.at(b):
+			*seen.at(b) = true
+			p := aclPair{binding: b, before: b.Iface.ACL(b.Dir)}
+			if a, err := moveBinding(b, e.After); err == nil {
+				p.after = a.Iface.ACL(a.Dir)
 			}
-			seen[id] = true
-			out = append(out, aclPair{
-				binding: b,
-				before:  bindingACL(e.Before, b),
-				after:   bindingACL(e.After, b),
-			})
+			out = append(out, p)
 		}
 	}
-	collect(e.Before)
-	collect(e.After)
 	return out
 }
 

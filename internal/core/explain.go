@@ -57,14 +57,11 @@ func (e *Engine) Explain(v Violation) []Explanation {
 func tracePath(n *topo.Network, p topo.Path, pkt header.Packet) PathTrace {
 	tr := PathTrace{Path: p, Permitted: true}
 	for _, b := range p.Bindings() {
-		iface, err := n.LookupInterface(b.Iface.ID())
-		if err != nil {
+		nb, err := moveBinding(b, n)
+		if err != nil || nb.Iface.ACL(nb.Dir) == nil {
 			continue
 		}
-		a := iface.ACL(b.Dir)
-		if a == nil {
-			continue
-		}
+		a := nb.Iface.ACL(nb.Dir)
 		hop := HopTrace{
 			BindingID: b.ID(),
 			Rule:      "(default)",

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"jinjing/internal/header"
+	"jinjing/internal/topo"
 )
 
 // SetCubeBudget lowers the set algebra's cube budget to n, so that small
@@ -55,4 +56,18 @@ func ShapeCompiler(e *Engine) func() int {
 		e.compileFix(ctx)
 		return n
 	}
+}
+
+// IfacesNamed returns the set of n's interfaces with the given
+// "device:interface" names; it panics on a name n lacks.
+func IfacesNamed(n *topo.Network, ids ...string) IfaceSet {
+	var is []*topo.Interface
+	for _, id := range ids {
+		i, err := n.LookupInterface(id)
+		if err != nil {
+			panic(err)
+		}
+		is = append(is, i)
+	}
+	return NewIfaceSet(is...)
 }

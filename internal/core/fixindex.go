@@ -36,11 +36,11 @@ type fixIndex struct {
 }
 
 // fixBinding is one crossed binding that carries an ACL in either
-// snapshot or is open to the plan, resolved once: its ACL in each
-// snapshot as an index into fixIndex.acls (-1: unbound there, permits),
-// and whether the plan may place rules on it.
+// snapshot or is open to the plan, resolved once: the binding (Before's),
+// its ACL in each snapshot as an index into fixIndex.acls (-1: unbound
+// there, permits), and whether the plan may place rules on it.
 type fixBinding struct {
-	id            string
+	b             topo.ACLBinding
 	before, after int32
 	allowed       bool
 	// err is set when an allowed binding does not resolve on the After
@@ -61,58 +61,53 @@ type fixShape struct {
 func (e *Engine) compileFix(ctx *checkCtx) *fixIndex {
 	ix := &fixIndex{ctrls: e.Controls}
 
-	// Distinct ACLs, by table ID: an update clones the bindings it leaves
-	// alone, and one template is stamped on many. The table's trie for a
-	// content serves every fix call and the check before it.
-	tab := e.aclTable()
-	local := map[int32]int32{} // table ID -> index into ix.acls
-	aclOf := func(a *acl.ACL) int32 {
-		if a == nil {
-			return -1
-		}
-		id := tab.intern(a)
-		i, ok := local[id]
-		if !ok {
-			i = int32(len(ix.acls))
-			h := &hitIndexer{}
-			h.acl, h.tree = tab.index(id)
-			ix.acls = append(ix.acls, h)
-			local[id] = i
-		}
-		return i
-	}
-	type pairACLs struct{ before, after int32 }
-	pairOf := make(map[string]pairACLs, len(ctx.pairs))
+	// Distinct ACLs, by the table IDs the check context drew: an update
+	// clones the bindings it leaves alone, and one template is stamped on
+	// many. The table's trie for a content serves every fix call and the
+	// check before it.
+	local := make([]int32, len(ctx.acls)) // table ID -> 1 + index into ix.acls
 	for _, p := range ctx.pairs {
-		pairOf[p.binding.ID()] = pairACLs{aclOf(p.before), aclOf(p.after)}
+		for side, a := range [2]*acl.ACL{p.before, p.after} {
+			if id := p.ids[side]; a != nil && local[id] == 0 {
+				h := &hitIndexer{}
+				h.acl, h.tree = ctx.tab.index(id)
+				ix.acls = append(ix.acls, h)
+				local[id] = int32(len(ix.acls))
+			}
+		}
 	}
 	ix.computeBounds()
 
-	allow := make(map[string]bool, len(e.Allow))
+	var allowed bindingTable[bool]
 	for _, b := range e.Allow {
-		allow[b.ID()] = true
-	}
-	walk := &pathInterner{controls: e.Controls, resolve: func(id string) int32 {
-		p, bound := pairOf[id]
-		if !bound {
-			if !allow[id] {
-				// Unbound in both snapshots and closed to the plan: it
-				// permits whatever the neighborhood, so no constraint reads it.
-				return -1
-			}
-			p = pairACLs{-1, -1}
+		if b, err := moveBinding(b, e.Before); err == nil {
+			*allowed.at(b) = true
 		}
-		fb := fixBinding{id: id, before: p.before, after: p.after, allowed: allow[id]}
+	}
+	words := ctx.words.on(e.Before)
+	walk := &pathInterner{resolve: func(b topo.ACLBinding) int32 {
+		fb := fixBinding{b: b, before: -1, after: -1, allowed: *allowed.at(b)}
+		if w := words[bindingOrd(b)]; w != 0 {
+			// An unbound side is the permit-all content, which local
+			// knows only where some binding carries it: -1 permits alike.
+			ids := wordPair(w)
+			fb.before, fb.after = local[ids[0]]-1, local[ids[1]]-1
+		} else if !fb.allowed {
+			// Unbound in both snapshots and closed to the plan: it
+			// permits whatever the neighborhood, so no constraint reads it.
+			return -1
+		}
 		if fb.allowed {
-			_, fb.err = lookupBinding(e.After, id)
+			_, fb.err = moveBinding(b, e.After)
 		}
 		ix.bindings = append(ix.bindings, fb)
 		return int32(len(ix.bindings) - 1)
 	}}
 	var crossed []int32
+	ctrlsOf := map[uint64][]int32{}
 	for _, p := range ctx.src.Paths() {
 		crossed = walk.crossed(crossed[:0], p)
-		ctrls := walk.ctrls(p)
+		ctrls := e.ctrlsOn(ctrlsOf, p)
 		if _, fresh := ix.add(crossed, ctrls); fresh {
 			ix.shapes = append(ix.shapes, fixShape{bindings: slices.Clone(crossed), ctrls: ctrls})
 		}

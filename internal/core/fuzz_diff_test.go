@@ -451,20 +451,20 @@ func TestFuzzBackendThreeWay(t *testing.T) {
 // a destination from the network's prefix pool, and one entry → exit
 // border pair.
 func fuzzControl(r *rand.Rand, n *topo.Network, nPref int) core.Control {
-	var entries, exits []string
+	var entries, exits []*topo.Interface
 	for _, d := range n.SortedDevices() {
 		for _, i := range d.SortedInterfaces() {
 			switch i.Name {
 			case "e":
-				entries = append(entries, i.ID())
+				entries = append(entries, i)
 			case "x":
-				exits = append(exits, i.ID())
+				exits = append(exits, i)
 			}
 		}
 	}
 	return core.Control{
-		From:  map[string]bool{entries[r.Intn(len(entries))]: true},
-		To:    map[string]bool{exits[r.Intn(len(exits))]: true},
+		From:  core.NewIfaceSet(entries[r.Intn(len(entries))]),
+		To:    core.NewIfaceSet(exits[r.Intn(len(exits))]),
 		Mode:  core.ControlMode(r.Intn(3)),
 		Match: header.DstMatch(fuzzPrefix(r.Intn(nPref))),
 	}

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
+	"strings"
 
 	"jinjing/internal/acl"
 	"jinjing/internal/faultinject"
@@ -55,16 +55,16 @@ type aec struct {
 	// lookups deriveAECs makes.
 	hits [][]int32
 
-	solved bool            // true when one decision per target suffices
-	dec    map[string]bool // target binding ID -> permit?
-	decs   []*decGroup     // DEC-level decisions when !solved
+	solved bool        // true when one decision per target suffices
+	dec    []bool      // per target (genIndex.targets): permit?
+	decs   []*decGroup // DEC-level decisions when !solved
 }
 
 // decGroup is one dataplane equivalence class of an AEC: the member
 // classes sharing a forwarding behavior, with their own decisions.
 type decGroup struct {
 	classes []header.Match
-	dec     map[string]bool
+	dec     []bool
 }
 
 // Generate runs the generate primitive (§5): it removes the ACLs at
@@ -127,7 +127,10 @@ func (e *Engine) GenerateContext(callCtx context.Context, sources []topo.ACLBind
 	sp := root.Child("solve")
 	task := o.StartTask("generate: AECs", int64(len(aecs)))
 	src := e.fecSource()
-	ix := e.compileGenerate(src.Paths(), sources, encBindings)
+	ix, err := e.compileGenerate(src.Paths(), sources, encBindings)
+	if err != nil {
+		return fail(err)
+	}
 	type aecOutcome struct {
 		decSplit   bool
 		unsolvable []header.Match
@@ -219,14 +222,14 @@ func (e *Engine) GenerateContext(callCtx context.Context, sources []topo.ACLBind
 	if err != nil {
 		return fail(err)
 	}
-	for _, id := range ix.targetIDs {
-		synth, generated := e.synthesizeTarget(id, table)
+	for t := range ix.targets {
+		synth, generated := e.synthesizeTarget(t, table)
 		res.RulesGenerated += generated
 		if e.Opts.OptimizeSynthesis {
 			synth, _ = simplifyBounded(synth)
 		}
 		res.RulesAfterSimplify += len(synth.Rules)
-		res.ACLs[id] = synth
+		res.ACLs[ix.targetIDs[t]] = synth
 	}
 	rows := table.vectors()
 	o.Gauge("generate.rows").Set(int64(rows))
@@ -237,18 +240,18 @@ func (e *Engine) GenerateContext(callCtx context.Context, sources []topo.ACLBind
 	// Build the generated network.
 	gen := e.Before.Clone()
 	for _, b := range sources {
-		gb, err := lookupBinding(gen, b.ID())
+		gb, err := moveBinding(b, gen)
 		if err != nil {
 			return fail(err)
 		}
 		gb.Iface.SetACL(gb.Dir, acl.PermitAll())
 	}
-	for id, a := range res.ACLs {
-		gb, err := lookupBinding(gen, id)
+	for t, b := range ix.targets {
+		gb, err := moveBinding(b, gen)
 		if err != nil {
 			return fail(err)
 		}
-		gb.Iface.SetACL(gb.Dir, a)
+		gb.Iface.SetACL(gb.Dir, res.ACLs[ix.targetIDs[t]])
 	}
 	res.Generated = gen
 
@@ -325,8 +328,8 @@ func (e *Engine) deriveAECs(encBindings []topo.ACLBinding, classes []header.Matc
 				h.walk(c.Dst, &atom[k])
 			}
 			ctrls = ctrls[:0]
-			for j, ctrl := range e.Controls {
-				if ctrl.Match.Dst.Overlaps(c.Dst) {
+			for j := range e.Controls {
+				if e.Controls[j].Match.Dst.Overlaps(c.Dst) {
 					ctrls = append(ctrls, j)
 				} else {
 					key[nEnc+j] = '0'
@@ -396,83 +399,72 @@ func (e *Engine) deriveAECs(encBindings []topo.ACLBinding, classes []header.Matc
 // decide reads one constraint per shape. Read-only once built: the AEC
 // loop shares it across workers.
 type genIndex struct {
-	targetIDs []string    // distinct Allow binding IDs, sorted
-	controls  []Control   // the engine's, for their modes
-	shapes    []pathShape // distinct, in first-occurrence order over the paths
-	shapeSet              // per path: its index into shapes
-	allShapes []int32     // 0..len(shapes)-1: the shapes of the full path set
+	targets   []topo.ACLBinding // distinct Allow bindings, on Before, in name order
+	targetIDs []string          // their names
+	controls  []Control         // the engine's, for their modes
+	shapes    []pathShape       // distinct, in first-occurrence order over the paths
+	shapeSet                    // per path: its index into shapes
+	allShapes []int32           // 0..len(shapes)-1: the shapes of the full path set
 }
 
 // pathShape is the part of a path the AEC constraint reads. Every list is
 // in traversal order except ctrls, which is in control (precedence) order.
 type pathShape struct {
-	targets []int32 // target bindings crossed, as indices into targetIDs
+	targets []int32 // target bindings crossed, as indices into genIndex.targets
 	others  []int32 // encoding bindings crossed that are neither target nor source
 	enc     []int32 // every encoding binding crossed (the original path decision)
 	ctrls   []int32 // controls applying to the path's (entry, exit) pair
 }
 
-// compileGenerate builds the index: each binding is resolved to its roles
-// once, each (entry, exit) border pair to its controls once (pathInterner),
-// and each path to a shape by integer walks over those.
-func (e *Engine) compileGenerate(paths []topo.Path, sources, encBindings []topo.ACLBinding) *genIndex {
-	ix := &genIndex{controls: e.Controls}
+// compileGenerate builds the index: each binding's roles are set once, in
+// a table over Before's bindings, where the paths run (the sources, which
+// are the After snapshot's, move there by name), and each path is reduced
+// to a shape by an integer walk over it.
+func (e *Engine) compileGenerate(paths []topo.Path, sources, encBindings []topo.ACLBinding) (*genIndex, error) {
+	targets, ids, err := e.generateTargets()
+	if err != nil {
+		return nil, err
+	}
+	ix := &genIndex{targets: targets, targetIDs: ids, controls: e.Controls}
 	type role struct {
-		target, enc int32 // -1: not one
+		target, enc int32 // 1 + index; 0: not one
 		source      bool
 	}
-	var roles []role
-	roleOf := map[string]int32{}
-	roleFor := func(id string) *role {
-		i, ok := roleOf[id]
-		if !ok {
-			i = int32(len(roles))
-			roleOf[id] = i
-			roles = append(roles, role{target: -1, enc: -1})
-		}
-		return &roles[i]
-	}
-	for _, b := range e.Allow {
-		ix.targetIDs = append(ix.targetIDs, b.ID())
-	}
-	sort.Strings(ix.targetIDs)
-	ix.targetIDs = slices.Compact(ix.targetIDs)
-	for i, id := range ix.targetIDs {
-		roleFor(id).target = int32(i)
+	var roles bindingTable[role]
+	for t, b := range ix.targets {
+		roles.at(b).target = int32(t) + 1
 	}
 	for _, b := range sources {
-		roleFor(b.ID()).source = true
+		if b, err := moveBinding(b, e.Before); err == nil {
+			roles.at(b).source = true
+		}
 	}
 	for i, b := range encBindings {
-		roleFor(b.ID()).enc = int32(i)
+		roles.at(b).enc = int32(i) + 1
 	}
 
-	walk := &pathInterner{controls: e.Controls, resolve: func(id string) int32 {
-		if i, ok := roleOf[id]; ok {
-			return i
-		}
-		return -1 // a binding in no set
-	}}
 	var sh pathShape
-	var crossed []int32
+	ctrlsOf := map[uint64][]int32{}
 	for _, p := range paths {
-		crossed = walk.crossed(crossed[:0], p)
+		at := roles.of(p)
 		sh.targets, sh.others, sh.enc = sh.targets[:0], sh.others[:0], sh.enc[:0]
-		for _, ri := range crossed {
-			r := &roles[ri]
-			if r.enc >= 0 {
-				sh.enc = append(sh.enc, r.enc)
-			}
-			switch {
-			case r.target >= 0:
-				sh.targets = append(sh.targets, r.target)
-			case r.source:
-				// Source interfaces permit all traffic after migration.
-			case r.enc >= 0:
-				sh.others = append(sh.others, r.enc)
+		for _, h := range p.Hops {
+			for _, b := range [2]topo.ACLBinding{{Iface: h.In, Dir: topo.In}, {Iface: h.Out, Dir: topo.Out}} {
+				r := at[bindingOrd(b)]
+				if r.enc > 0 {
+					sh.enc = append(sh.enc, r.enc-1)
+				}
+				switch {
+				case r.target > 0:
+					sh.targets = append(sh.targets, r.target-1)
+				case r.source:
+					// Source interfaces permit all traffic after migration.
+				case r.enc > 0:
+					sh.others = append(sh.others, r.enc-1)
+				}
 			}
 		}
-		sh.ctrls = walk.ctrls(p)
+		sh.ctrls = e.ctrlsOn(ctrlsOf, p)
 		if si, fresh := ix.add(sh.targets, sh.others, sh.enc, sh.ctrls); fresh {
 			ix.allShapes = append(ix.allShapes, si)
 			ix.shapes = append(ix.shapes, pathShape{
@@ -481,7 +473,28 @@ func (e *Engine) compileGenerate(paths []topo.Path, sources, encBindings []topo.
 			})
 		}
 	}
-	return ix
+	return ix, nil
+}
+
+// generateTargets returns the distinct Allow bindings, moved to Before,
+// and their names, in name order: the generated ACLs are reported by
+// name, and denyTargets breaks ties by this order.
+func (e *Engine) generateTargets() ([]topo.ACLBinding, []string, error) {
+	var ts []topo.ACLBinding
+	for _, b := range e.Allow {
+		b, err := moveBinding(b, e.Before)
+		if err != nil {
+			return nil, nil, err
+		}
+		ts = append(ts, b)
+	}
+	slices.SortFunc(ts, func(x, y topo.ACLBinding) int { return strings.Compare(x.ID(), y.ID()) })
+	ts = slices.Compact(ts)
+	ids := make([]string, len(ts))
+	for t, b := range ts {
+		ids[t] = b.ID()
+	}
+	return ts, ids, nil
 }
 
 // decide finds per-target decisions for one AEC (or DEC group) over the
@@ -494,7 +507,7 @@ func (e *Engine) compileGenerate(paths []topo.Path, sources, encBindings []topo.
 // clause "one of its targets denies" (desired deny). denyTargets then
 // picks the denying targets.
 func (ix *genIndex) decide(a *aec, shapes []int32) bool {
-	forced := make([]bool, len(ix.targetIDs))
+	forced := make([]bool, len(ix.targets))
 	var clauses [][]int32
 	for _, si := range shapes {
 		sh := &ix.shapes[si]
@@ -517,9 +530,9 @@ func (ix *genIndex) decide(a *aec, shapes []int32) bool {
 	if !ok {
 		return false
 	}
-	a.dec = make(map[string]bool, len(ix.targetIDs))
-	for i, id := range ix.targetIDs {
-		a.dec[id] = !deny[i]
+	a.dec = make([]bool, len(deny))
+	for t, d := range deny {
+		a.dec[t] = !d
 	}
 	return true
 }

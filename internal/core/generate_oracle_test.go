@@ -45,14 +45,25 @@ type refAEC struct {
 	ctrlIn    []bool
 }
 
+// refSets holds the reference's binding roles by name. The paths it is
+// asked about may be another engine's, so role resolves a binding by its
+// name, once per binding it is shown (memo).
 type refSets struct {
 	encIdx         map[string]int
 	srcSet, tgtSet map[string]bool
 	targetIDs      []string
+	memo           map[topo.ACLBinding]refRole
+}
+
+// refRole is a binding's roles: its index in targetIDs and among the
+// encoding bindings (-1: not one), and whether it is a source.
+type refRole struct {
+	tgt, enc int
+	src      bool
 }
 
 func refSetsOf(e *Engine, sources, encBindings []topo.ACLBinding) refSets {
-	rs := refSets{encIdx: map[string]int{}, srcSet: map[string]bool{}, tgtSet: map[string]bool{}}
+	rs := refSets{encIdx: map[string]int{}, srcSet: map[string]bool{}, tgtSet: map[string]bool{}, memo: map[topo.ACLBinding]refRole{}}
 	for _, b := range sources {
 		rs.srcSet[b.ID()] = true
 	}
@@ -67,6 +78,22 @@ func refSetsOf(e *Engine, sources, encBindings []topo.ACLBinding) refSets {
 		rs.encIdx[b.ID()] = i
 	}
 	return rs
+}
+
+func (rs refSets) role(b topo.ACLBinding) refRole {
+	r, ok := rs.memo[b]
+	if !ok {
+		id := b.ID()
+		r = refRole{tgt: -1, enc: -1, src: rs.srcSet[id]}
+		if rs.tgtSet[id] {
+			r.tgt, _ = slices.BinarySearch(rs.targetIDs, id)
+		}
+		if i, ok := rs.encIdx[id]; ok {
+			r.enc = i
+		}
+		rs.memo[b] = r
+	}
+	return r
 }
 
 func refClassDecisions(t *testing.T, bindings []topo.ACLBinding, class header.Match) []acl.Action {
@@ -122,15 +149,16 @@ func refDeriveAECs(t *testing.T, e *Engine, encBindings []topo.ACLBinding, class
 	return out
 }
 
-func refDesired(e *Engine, a *refAEC, p topo.Path, encIdx map[string]int) bool {
+func refDesired(e *Engine, a *refAEC, p topo.Path, rs refSets) bool {
 	orig := true
 	for _, bind := range p.Bindings() {
-		if i, ok := encIdx[bind.ID()]; ok && a.decisions[i] == acl.Deny {
+		if i := rs.role(bind).enc; i >= 0 && a.decisions[i] == acl.Deny {
 			orig = false
 			break
 		}
 	}
-	for i, ctrl := range e.Controls {
+	for i := range e.Controls {
+		ctrl := &e.Controls[i]
 		if !ctrl.AppliesTo(p) || !a.ctrlIn[i] {
 			continue
 		}
@@ -147,24 +175,21 @@ func refDesired(e *Engine, a *refAEC, p topo.Path, encIdx map[string]int) bool {
 }
 
 // refConstraints returns one formula per path, in path order.
-func refConstraints(e *Engine, b *smt.Builder, denyVars map[string]smt.F, a *refAEC, paths []topo.Path, rs refSets) []smt.F {
+func refConstraints(e *Engine, b *smt.Builder, denyVars []smt.F, a *refAEC, paths []topo.Path, rs refSets) []smt.F {
 	var out []smt.F
 	for _, p := range paths {
 		lhs := smt.True
 		for _, bind := range p.Bindings() {
-			id := bind.ID()
-			switch {
-			case rs.tgtSet[id]:
-				lhs = b.And(lhs, denyVars[id].Not())
-			case rs.srcSet[id]:
+			switch r := rs.role(bind); {
+			case r.tgt >= 0:
+				lhs = b.And(lhs, denyVars[r.tgt].Not())
+			case r.src:
 				// Source interfaces permit all traffic after migration.
-			default:
-				if i, ok := rs.encIdx[id]; ok {
-					lhs = b.And(lhs, b.Const(a.decisions[i] == acl.Permit))
-				}
+			case r.enc >= 0:
+				lhs = b.And(lhs, b.Const(a.decisions[r.enc] == acl.Permit))
 			}
 		}
-		out = append(out, b.Iff(lhs, b.Const(refDesired(e, a, p, rs.encIdx))))
+		out = append(out, b.Iff(lhs, b.Const(refDesired(e, a, p, rs))))
 	}
 	return out
 }
@@ -286,12 +311,12 @@ func seqLess(a, b []int) bool {
 // refSynthesizeTarget is synthesizeTarget as it was when the table held
 // one row per vector, kept word for word (a reference row names its AEC
 // by index into the engine's solved AECs).
-func refSynthesizeTarget(targetID string, rows []refRow, aecs []*aec) *acl.ACL {
+func refSynthesizeTarget(target int, rows []refRow, aecs []*aec) *acl.ACL {
 	out := &acl.ACL{Default: acl.Permit}
 	for _, r := range rows {
 		a := aecs[r.aec]
 		if a.solved {
-			act := acl.Action(a.dec[targetID])
+			act := acl.Action(a.dec[target])
 			for _, ov := range r.overlaps {
 				out.Rules = append(out.Rules, acl.Rule{Action: act, Match: ov})
 			}
@@ -300,7 +325,7 @@ func refSynthesizeTarget(targetID string, rows []refRow, aecs []*aec) *acl.ACL {
 		// DEC-split AEC: uniform if all groups agree at this target.
 		permits, denies := 0, 0
 		for _, g := range a.decs {
-			if g.dec[targetID] {
+			if g.dec[target] {
 				permits++
 			} else {
 				denies++
@@ -316,7 +341,7 @@ func refSynthesizeTarget(targetID string, rows []refRow, aecs []*aec) *acl.ACL {
 			// permit* handling: insert denies for the denied DECs'
 			// classes before the partial permit (§5.4 step 4).
 			for _, g := range a.decs {
-				if g.dec[targetID] {
+				if g.dec[target] {
 					continue
 				}
 				for _, c := range g.classes {
@@ -387,20 +412,16 @@ func refClauses(e *Engine, a *refAEC, paths []topo.Path, rs refSets) (forced []b
 		var targets []int32
 		denied := false
 		for _, bind := range p.Bindings() {
-			id := bind.ID()
-			switch {
-			case rs.tgtSet[id]:
-				i, _ := slices.BinarySearch(rs.targetIDs, id)
-				targets = append(targets, int32(i))
-			case rs.srcSet[id]:
+			switch r := rs.role(bind); {
+			case r.tgt >= 0:
+				targets = append(targets, int32(r.tgt))
+			case r.src:
 				// Source interfaces permit all traffic after migration.
-			default:
-				if i, ok := rs.encIdx[id]; ok && a.decisions[i] == acl.Deny {
-					denied = true
-				}
+			case r.enc >= 0 && a.decisions[r.enc] == acl.Deny:
+				denied = true
 			}
 		}
-		switch desired := refDesired(e, a, p, rs.encIdx); {
+		switch desired := refDesired(e, a, p, rs); {
 		case denied:
 			if desired {
 				return nil, nil, false
@@ -427,13 +448,11 @@ func compareSolve(t *testing.T, what string, e *Engine, ix *genIndex, rs refSets
 	t.Helper()
 	s := smt.NewSolver()
 	b := s.B
-	byID := map[string]smt.F{}
 	vars := make([]smt.F, len(rs.targetIDs))
-	for i, id := range rs.targetIDs {
+	for i := range rs.targetIDs {
 		vars[i] = b.Var()
-		byID[id] = vars[i]
 	}
-	ref := refConstraints(e, b, byID, ra, paths, rs)
+	ref := refConstraints(e, b, vars, ra, paths, rs)
 	got := make([]smt.F, 0, len(shapes))
 	for _, si := range shapes {
 		got = append(got, shapeConstraint(ix, b, vars, a, &ix.shapes[si]))
@@ -465,8 +484,8 @@ func compareSolve(t *testing.T, what string, e *Engine, ix *genIndex, rs refSets
 	}
 	assign := make(map[smt.F]bool, len(vars))
 	for i, id := range rs.targetIDs {
-		if a.dec[id] == deny[i] {
-			t.Fatalf("%s: decision at %s = %v, reference %v", what, id, a.dec[id], !deny[i])
+		if a.dec[i] == deny[i] {
+			t.Fatalf("%s: decision at %s = %v, reference %v", what, id, a.dec[i], !deny[i])
 		}
 		assign[vars[i]] = deny[i]
 	}
@@ -543,9 +562,9 @@ func compareTable(t *testing.T, what string, table *synthTable, aecs []*aec, wan
 func compareSynthesis(t *testing.T, what string, e *Engine, ix *genIndex, table *synthTable, aecs []*aec, want []refRow) (acls map[string]*acl.ACL, generated int) {
 	t.Helper()
 	acls = map[string]*acl.ACL{}
-	for _, id := range ix.targetIDs {
-		got, n := e.synthesizeTarget(id, table)
-		ref := refSynthesizeTarget(id, want, aecs)
+	for k, id := range ix.targetIDs {
+		got, n := e.synthesizeTarget(k, table)
+		ref := refSynthesizeTarget(k, want, aecs)
 		if n != len(ref.Rules) {
 			t.Fatalf("%s: %s counts %d generated rules, reference emits %d", what, id, n, len(ref.Rules))
 		}
@@ -611,7 +630,10 @@ func runOracleCase(t *testing.T, c oracleCase) {
 		// the optimized engine.
 		if optimize {
 			src := e.fecSource()
-			ix := e.compileGenerate(src.Paths(), sources, enc)
+			ix, err := e.compileGenerate(src.Paths(), sources, enc)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if !slices.Equal(ix.targetIDs, rs.targetIDs) {
 				t.Fatalf("targets %v, reference %v", ix.targetIDs, rs.targetIDs)
 			}
@@ -659,7 +681,10 @@ func runOracleCase(t *testing.T, c oracleCase) {
 		// for row (it is not).
 		refE.Opts.OptimizeSynthesis = optimize
 		want := refBuildRows(refE, refAECs, refEnc)
-		ix := e.compileGenerate(nil, sources, enc) // for the target IDs
+		ix, err := e.compileGenerate(nil, sources, enc) // for the target IDs
+		if err != nil {
+			t.Fatal(err)
+		}
 		table, err := e.buildRows(aecs, enc)
 		if err != nil {
 			t.Fatal(err)
@@ -706,8 +731,8 @@ func papernetBindings(n *topo.Network, dir topo.Direction, ids ...string) []topo
 }
 
 func papernetCases() []oracleCase {
-	pair := func(from, to string) (map[string]bool, map[string]bool) {
-		return map[string]bool{from: true}, map[string]bool{to: true}
+	pair := func(n *topo.Network, from, to string) (IfaceSet, IfaceSet) {
+		return IfacesNamed(n, from), IfacesNamed(n, to)
 	}
 	mk := func(name string, set func(e *Engine) []topo.ACLBinding) oracleCase {
 		return oracleCase{"papernet/" + name, func(opts Options) (*Engine, []topo.ACLBinding) {
@@ -723,19 +748,19 @@ func papernetCases() []oracleCase {
 		}),
 		mk("isolate", func(e *Engine) []topo.ACLBinding {
 			e.Allow = papernetBindings(e.Before, topo.In, "B:1", "B:2")
-			from, to := pair("A:1", "D:3")
+			from, to := pair(e.Before, "A:1", "D:3")
 			e.Controls = []Control{{From: from, To: to, Mode: Isolate, Match: header.DstMatch(papernet.Traffic(5))}}
 			return nil
 		}),
 		mk("open", func(e *Engine) []topo.ACLBinding {
 			e.Allow = papernetBindings(e.Before, topo.In, "A:1")
-			from, to := pair("A:1", "D:3")
+			from, to := pair(e.Before, "A:1", "D:3")
 			e.Controls = []Control{{From: from, To: to, Mode: Open, Match: header.DstMatch(papernet.Traffic(6))}}
 			return papernetBindings(e.Before, topo.In, "A:1")
 		}),
 		mk("maintain", func(e *Engine) []topo.ACLBinding {
 			e.Allow = papernetBindings(e.Before, topo.Out, "A:2", "A:3")
-			from, to := pair("A:1", "C:3")
+			from, to := pair(e.Before, "A:1", "C:3")
 			e.Controls = []Control{
 				{From: from, To: to, Mode: Maintain, Match: header.DstMatch(papernet.Traffic(7))},
 				{From: from, To: to, Mode: Isolate, Match: header.MatchAll},
@@ -792,13 +817,14 @@ func VerifyCheckOf(e *Engine, res *GenerateResult) func() *CheckResult {
 // from the core uplinks to the edge customer side, regenerating the core
 // and aggregation ACLs.
 func WANOpen(w *netgen.WAN, perDevice int, opts Options) (*Engine, []topo.ACLBinding) {
-	from, to := map[string]bool{}, map[string]bool{}
+	var fromIDs, toIDs []string
 	for _, cn := range w.CoreNames {
-		from[cn+":up"] = true
+		fromIDs = append(fromIDs, cn+":up")
 	}
 	for _, en := range w.EdgeNames {
-		to[en+":ext"] = true
+		toIDs = append(toIDs, en+":ext")
 	}
+	from, to := IfacesNamed(w.Net, fromIDs...), IfacesNamed(w.Net, toIDs...)
 	srcs, err := netgen.Bindings(w.Net, append(slices.Clone(w.CoreACLs), w.AggACLs...))
 	if err != nil {
 		panic(err)
@@ -953,14 +979,14 @@ func oracleMesh(seed int64, opts Options) (*Engine, []topo.ACLBinding) {
 	if len(e.Allow) == 0 {
 		e.Allow = []topo.ACLBinding{all[r.Intn(len(all))]}
 	}
-	subset := func(ids []string) map[string]bool {
-		out := map[string]bool{ids[r.Intn(len(ids))]: true}
+	subset := func(ids []string) IfaceSet {
+		picked := []string{ids[r.Intn(len(ids))]}
 		for _, id := range ids {
 			if r.Intn(2) == 0 {
-				out[id] = true
+				picked = append(picked, id)
 			}
 		}
-		return out
+		return IfacesNamed(n, picked...)
 	}
 	for k := r.Intn(5); k > 0; k-- {
 		m := randMatch()
@@ -1030,11 +1056,11 @@ func fiveFieldCase() oracleCase {
 			"deny dst 11.0.0.0/8 sport 0-1023 proto tcp, permit dst 11.1.0.0/16 src 10.0.0.0/8, "+
 				"deny dst 11.0.0.0/8 dport 443, permit all"))
 		eng := New(n, n.Clone(), topo.NewScope("R1", "R2").WithEntries("R1:e"), opts)
-		from := map[string]bool{"R1:e": true}
+		from := IfacesNamed(n, "R1:e")
 		eng.Controls = []Control{
-			{From: from, To: map[string]bool{"R2:x": true}, Mode: Open, Match: match("src 172.16.0.0/12 dst 10.1.0.0/16 dport 22 proto tcp")},
-			{From: from, To: map[string]bool{"R2:x": true, "R2:y": true}, Mode: Isolate, Match: match("sport 53 proto udp")},
-			{From: from, To: map[string]bool{"R2:y": true}, Mode: Maintain, Match: match("src 192.168.0.0/16 dst 11.1.0.0/16 dport 8000-8999")},
+			{From: from, To: IfacesNamed(n, "R2:x"), Mode: Open, Match: match("src 172.16.0.0/12 dst 10.1.0.0/16 dport 22 proto tcp")},
+			{From: from, To: IfacesNamed(n, "R2:x", "R2:y"), Mode: Isolate, Match: match("sport 53 proto udp")},
+			{From: from, To: IfacesNamed(n, "R2:y"), Mode: Maintain, Match: match("src 192.168.0.0/16 dst 11.1.0.0/16 dport 8000-8999")},
 		}
 		eng.Allow = []topo.ACLBinding{{Iface: d, Dir: topo.Out}, {Iface: u, Dir: topo.In}}
 		return eng, []topo.ACLBinding{{Iface: e, Dir: topo.In}, {Iface: x, Dir: topo.Out}, {Iface: y, Dir: topo.Out}}
@@ -1199,7 +1225,10 @@ func TestGenerateOracleMeshesCoverTheHardCases(t *testing.T) {
 		e, sources := oracleMesh(int64(i), DefaultOptions())
 		enc := e.Before.ACLGroup(e.Scope)
 		src := e.fecSource()
-		ix := e.compileGenerate(src.Paths(), sources, enc)
+		ix, err := e.compileGenerate(src.Paths(), sources, enc)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(ix.shapes) < len(ix.shapeOf) {
 			shapesShared++
 		}

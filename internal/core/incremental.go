@@ -136,10 +136,10 @@ type VerdictCache struct {
 	// comparison resolving hash collisions.
 	byFEC []map[uint64][]*fecVerdict
 
-	// lastPairs is each binding's encoded ID pair in the last committed
-	// check: the baseline the change-impact analysis measures an edit
-	// against.
-	lastPairs map[string][2]int32
+	// lastWords is each binding's key word in the last committed check,
+	// by bindingOrd over the bound Before: the baseline the change-impact
+	// analysis measures an edit against.
+	lastWords []uint64
 
 	// acls is the ACL table of every engine bound to the cache; key words
 	// name its IDs (see pairWord). It has its own lock and survives bind
@@ -162,16 +162,20 @@ func NewVerdictCache() *VerdictCache { return &VerdictCache{} }
 func (e *Engine) cacheConfig() string {
 	var b strings.Builder
 	for _, c := range e.Controls {
-		fmt.Fprintf(&b, ";%v %v from=%s to=%s", c.Mode, c.Match,
-			sortedIDs(c.From), sortedIDs(c.To))
+		fmt.Fprintf(&b, ";%v %v from=%s to=%s", c.Mode, c.Match, c.From.names(e.Before), c.To.names(e.Before))
 	}
 	return b.String()
 }
 
-func sortedIDs(m map[string]bool) string {
-	ids := make([]string, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
+// names lists the set's interfaces of n by name, sorted, comma-separated.
+func (s IfaceSet) names(n *topo.Network) string {
+	var ids []string
+	for _, d := range n.Devices {
+		for _, i := range d.Interfaces {
+			if s.Has(i) {
+				ids = append(ids, i.ID())
+			}
+		}
 	}
 	sort.Strings(ids)
 	return strings.Join(ids, ",")
@@ -190,7 +194,7 @@ func (vc *VerdictCache) bind(e *Engine, nfec int) {
 	vc.bound = true
 	vc.before, vc.scope, vc.cfg = e.Before, e.Scope, cfg
 	vc.byFEC = make([]map[uint64][]*fecVerdict, nfec)
-	vc.lastPairs = nil
+	vc.lastWords = nil
 }
 
 // pairWord is a bound binding's key word: its encoded (before, after)
@@ -329,87 +333,60 @@ func (e *Engine) prepareIncremental(ctx *checkCtx) {
 	vc.bind(e, n)
 	ctx.vc = vc
 
-	// Resolve the generation's key word for every indexed binding, so
-	// fecKey derives keys by slice indexing instead of per-binding string
-	// building and map hashing.
-	bi := e.bindingIndex()
-	ctx.binds = bi.binds
-	ctx.bindWord = make([]uint64, len(bi.ids))
-	for id, ids := range ctx.ids {
-		if j, ok := bi.ids[id]; ok {
-			ctx.bindWord[j] = pairWord(ids)
-		}
-	}
-
 	vc.mu.Lock()
-	lastPairs := vc.lastPairs
+	last := vc.lastWords
 	vc.mu.Unlock()
-	if lastPairs == nil {
+	if last == nil {
 		return
 	}
-	// Change-impact analysis: a binding changed when its encoded ID pair
-	// differs from the previous generation's (including bindings present
-	// in only one of the two); the affected FECs are those whose binding
-	// list holds a changed binding.
-	changed := make([]uint64, (len(bi.ids)+63)/64)
-	mark := func(id string) {
-		ctx.stats.ChangedBindings++
-		if j, ok := bi.ids[id]; ok {
-			changed[j/64] |= 1 << (j % 64)
+	// Change-impact analysis: a binding changed when its key word differs
+	// from the previous generation's (including a binding bound in only
+	// one of the two); the affected FECs are those whose binding list
+	// holds a changed binding. (Before only grows, so the last
+	// generation's table is no longer.)
+	words := ctx.words.vals
+	changed := make([]bool, len(words))
+	for o, w := range words {
+		if changed[o] = o >= len(last) && w != 0 || o < len(last) && w != last[o]; changed[o] {
+			ctx.stats.ChangedBindings++
 		}
 	}
-	for id, ids := range ctx.ids {
-		if old, ok := lastPairs[id]; !ok || old != ids {
-			mark(id)
+	for _, binds := range e.bindingIndex().binds {
+		if slices.ContainsFunc(binds, func(o int32) bool { return changed[o] }) {
+			ctx.stats.AffectedFECs++
 		}
 	}
-	for id := range lastPairs {
-		if _, ok := ctx.ids[id]; !ok {
-			mark(id)
-		}
-	}
-	naff := 0
-	for _, binds := range bi.binds {
-		for _, j := range binds {
-			if changed[j/64]&(1<<(j%64)) != 0 {
-				naff++
-				break
-			}
-		}
-	}
-	ctx.stats.AffectedFECs = naff
 }
 
 // bindingIndex is the Before-derived index of the bindings the FECs'
-// paths cross: ids assigns every on-path binding ID a dense index, binds[i]
-// lists FEC i's distinct bindings in first-crossing order as indices into
-// ids, and structure digests what a key's meaning rests on — every path's
-// binding sequence and every FEC's classes. Built once per engine and
-// shared across generations and with derived verification engines.
+// paths cross: binds[i] lists FEC i's distinct bindings in first-crossing
+// order, by bindingOrd over Before, and structure digests what a key's
+// meaning rests on — every path's binding sequence and every FEC's
+// classes. Built once per engine and shared across generations and with
+// derived verification engines.
 type bindingIndex struct {
-	ids       map[string]int32
 	binds     [][]int32
 	structure uint64
 }
 
 // bindingIndex builds (once) the engine's binding index in one walk of
 // the FECs' paths. Called from FECs when a cache is installed and from
-// the single-goroutine resolve setup (prepareIncremental).
+// the single-goroutine resolve path (prepareIncremental, fecKey).
 func (e *Engine) bindingIndex() *bindingIndex {
 	if e.bindIdx != nil {
 		return e.bindIdx
 	}
 	fecs := e.FECs()
-	bi := &bindingIndex{ids: map[string]int32{}, binds: make([][]int32, len(fecs))}
+	bi := &bindingIndex{binds: make([][]int32, len(fecs))}
 	h := uint64(offset64)
 	mix := func(v uint64) {
 		h ^= v
 		h *= prime64
 	}
-	// Intern by binding identity (interface ordinal + direction) so the ID
-	// string is built once per binding, not once per path crossing — paths
-	// share *Interface values.
-	var byBind bindingTable[int32] // 1 + the binding's dense index; 0: not yet seen
+	// The structure word numbers the bindings densely in first-crossing
+	// order and digests each one's name once, when first crossed: a
+	// snapshot's digest must not depend on interface numbering.
+	var dense bindingTable[int32] // 1 + the binding's dense index; 0: not yet seen
 	// stamp[j] is 1 + the last FEC that listed binding j: the per-FEC
 	// deduplication, without sorting.
 	var stamp []int32
@@ -422,16 +399,16 @@ func (e *Engine) bindingIndex() *bindingIndex {
 		var binds []int32
 		for _, p := range fec.Paths {
 			mix(uint64(len(p.Hops)))
-			at := byBind.of(p)
+			at := dense.of(p)
 			for _, hop := range p.Hops {
 				for _, b := range [2]topo.ACLBinding{{Iface: hop.In, Dir: topo.In}, {Iface: hop.Out, Dir: topo.Out}} {
-					j := at[bindingOrd(b)] - 1
+					o := bindingOrd(b)
+					j := at[o] - 1
 					if j < 0 {
 						j = int32(len(stamp))
-						at[bindingOrd(b)] = j + 1
-						id := b.ID()
-						bi.ids[id] = j
+						at[o] = j + 1
 						stamp = append(stamp, 0)
+						id := b.ID()
 						for k := 0; k < len(id); k++ {
 							mix(uint64(id[k]))
 						}
@@ -440,7 +417,7 @@ func (e *Engine) bindingIndex() *bindingIndex {
 					mix(uint64(j))
 					if stamp[j] != int32(i+1) {
 						stamp[j] = int32(i + 1)
-						binds = append(binds, j)
+						binds = append(binds, int32(o))
 					}
 				}
 			}
@@ -460,11 +437,11 @@ func (e *Engine) bindingIndex() *bindingIndex {
 // equal keys mean the check pipeline encodes identical formulas for this
 // FEC — same verdict, same canonical counterexample. Each call allocates
 // the key afresh; a cache entry stores it as is.
-func (ctx *checkCtx) fecKey(i int) []uint64 {
-	binds := ctx.binds[i]
+func (e *Engine) fecKey(ctx *checkCtx, i int) []uint64 {
+	binds := e.bindingIndex().binds[i]
 	key := make([]uint64, len(binds))
-	for k, j := range binds {
-		key[k] = ctx.bindWord[j]
+	for k, o := range binds {
+		key[k] = ctx.words.vals[o]
 	}
 	return key
 }
@@ -488,7 +465,7 @@ func (e *Engine) resolveFEC(c *solveCall, i int) fecState {
 	}
 	var key []uint64
 	if ctx.vc != nil {
-		key = ctx.fecKey(i)
+		key = e.fecKey(ctx, i)
 		if ent := ctx.vc.lookup(i, key); ent != nil {
 			return ctx.adopt(i, ent)
 		}
@@ -636,7 +613,7 @@ func (e *Engine) witnessFor(ctx *checkCtx, i int) (Violation, bool) {
 	return v, false
 }
 
-// commitGeneration publishes this generation's binding pairs as the
+// commitGeneration publishes this generation's key words as the
 // baseline the next change-impact analysis measures against. Idempotent;
 // the last committing engine (an operator check, a fix verification)
 // wins, which is exactly the snapshot the next edit diffs against.
@@ -645,6 +622,6 @@ func (ctx *checkCtx) commitGeneration() {
 		return
 	}
 	ctx.vc.mu.Lock()
-	ctx.vc.lastPairs = ctx.ids
+	ctx.vc.lastWords = ctx.words.vals
 	ctx.vc.mu.Unlock()
 }

@@ -158,8 +158,7 @@ func TestVerdictCacheResetsOnConfigChange(t *testing.T) {
 	// cold and stays correct.
 	ctl := opts
 	withCtl := core.New(before, after, papernet.Scope(), ctl)
-	withCtl.Controls = []core.Control{{
-		From: map[string]bool{"A:e1": true}, To: map[string]bool{"E:x": true},
+	withCtl.Controls = []core.Control{{ // on no border pair
 		Mode: core.Isolate, Match: header.DstMatch(papernet.Traffic(1)),
 	}}
 	res := withCtl.Check()

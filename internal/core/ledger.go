@@ -57,11 +57,7 @@ func (e *Engine) networkFingerprint(n *topo.Network) string {
 			continue
 		}
 		ids = append(ids, id)
-		if a := bindingACL(n, b); a != nil {
-			fps[id] = a.Fingerprint()
-		} else {
-			fps[id] = 0
-		}
+		fps[id] = b.Iface.ACL(b.Dir).Fingerprint()
 	}
 	sort.Strings(ids)
 	h := uint64(offset64)

@@ -4,7 +4,6 @@ import (
 	"jinjing/internal/header"
 	"jinjing/internal/obs"
 	"jinjing/internal/smt"
-	"jinjing/internal/topo"
 )
 
 // CheckMonolithic is the Minesweeper-style baseline the paper compares
@@ -20,17 +19,12 @@ func (e *Engine) CheckMonolithic() *CheckResult {
 	res := &CheckResult{Consistent: true, Complete: true}
 
 	ep := root.Child("encode")
-	tab := e.aclTable()
-	pairs := e.scopeACLPairs()
-	ids := make(map[string][2]int32, len(pairs))
-	for _, p := range pairs {
-		ids[p.binding.ID()] = [2]int32{tab.intern(p.before), tab.intern(p.after)}
-	}
+	ctx := e.checkContext() // its binding words name the pairs' ACL-table IDs
 
 	// The baseline's decision models are the full sequential ones (§4.1),
 	// not the engine's tournament circuits: one per ACL-table ID.
 	b := smt.NewBuilder()
-	pv, acls, seq := b.NewPacketVars(), tab.view(), map[int32]smt.F{}
+	pv, acls, seq := b.NewPacketVars(), ctx.acls, map[int32]smt.F{}
 	encodeSeq := func(id int32) smt.F {
 		if _, ok := seq[id]; !ok {
 			seq[id] = acls[id].EncodeSeq(b, pv)
@@ -43,7 +37,7 @@ func (e *Engine) CheckMonolithic() *CheckResult {
 	// decides exactly the same property as the per-FEC decomposition).
 	fecs := e.FECs()
 	res.FECs = len(fecs)
-	perPath := map[string]smt.F{}
+	perPath, ctrlsOf := map[string]smt.F{}, map[uint64][]int32{}
 	for _, fec := range fecs {
 		pred := classPred(b, pv, fec.Classes)
 		for _, p := range fec.Paths {
@@ -66,12 +60,13 @@ func (e *Engine) CheckMonolithic() *CheckResult {
 		}
 		before, after := smt.True, smt.True
 		for _, bind := range p.Bindings() {
-			if pair, ok := ids[bind.ID()]; ok {
+			if w := *ctx.words.at(bind); w != 0 {
+				pair := wordPair(w)
 				before = b.And(before, encodeSeq(pair[0]))
 				after = b.And(after, encodeSeq(pair[1]))
 			}
 		}
-		desired := e.desiredFormula(b, pv, e.ctrlsOn(p), before)
+		desired := e.desiredFormula(b, pv, e.ctrlsOn(ctrlsOf, p), before)
 		viol = b.Or(viol, b.And(b.Iff(desired, after).Not(), psi))
 	}
 	// The formula DAG's size: a proxy for encoding work.
@@ -98,17 +93,6 @@ func (e *Engine) CheckMonolithic() *CheckResult {
 	root.SetAttr("consistent", res.Consistent)
 	root.End()
 	return res
-}
-
-// ctrlsOn lists the controls governing p, in precedence order.
-func (e *Engine) ctrlsOn(p topo.Path) []int32 {
-	var cs []int32
-	for i, c := range e.Controls {
-		if c.AppliesTo(p) {
-			cs = append(cs, int32(i))
-		}
-	}
-	return cs
 }
 
 // desiredFormula composes the §6 reachability-update model r_p over the

@@ -24,19 +24,12 @@ type checkCtx struct {
 
 	pairs []aclPair
 	diff  []acl.Rule
-	// ids resolves each in-scope binding to its encoded (before, after)
-	// ACL IDs, and acls the IDs to their contents.
-	ids  map[string][2]int32
-	acls []*acl.ACL
-	// binds aliases the engine's per-FEC distinct binding lists (see
-	// bindingIndex), and bindWord resolves a dense binding index to its key
-	// word for this generation (see pairWord; 0 = unbound). Built by
-	// prepareIncremental, read-only after.
-	binds     [][]int32
-	bindWord  []uint64
-	fastPath  bool
-	diffRules int
-	aclPairs  int
+	// words holds each Before binding's key word for this generation: its
+	// encoded (before, after) ACL IDs (see pairWord), 0 where neither
+	// snapshot binds an ACL. acls resolves the IDs to their contents.
+	words    bindingTable[uint64]
+	acls     []*acl.ACL
+	fastPath bool
 
 	// src is the engine's forwarding index, fecs its materialization
 	// (e.FECs()) and nfec their count.
@@ -68,13 +61,15 @@ type checkCtx struct {
 	witPkt map[int]header.Packet
 
 	// walk interns what the generation's paths cross for the set
-	// algebra, and encPairs is the table of distinct encoded pairs its
-	// indices point into (see pathWalk). diffIx indexes each changed
-	// pair's differential rules by destination (see diffWithin); folded
-	// counts the rules the region folds visit. All grow as FECs reach a
+	// algebra, encPairs is the table of distinct encoded pairs its
+	// indices point into (see pathWalk), and ctrlsOf holds each border
+	// pair's controls (see ctrlsOn). diffIx indexes each changed pair's
+	// differential rules by destination (see diffWithin); folded counts
+	// the rules the region folds visit. All grow as FECs reach a
 	// procedure; none is shared across goroutines.
 	walk     *pathInterner
 	encPairs []encPair
+	ctrlsOf  map[uint64][]int32
 	diffIx   map[[2]int32]*pset.Index
 	folded   int64
 
@@ -88,24 +83,31 @@ type checkCtx struct {
 func (ctx *checkCtx) fec(i int) topo.FEC { return ctx.fecs[i] }
 
 // checkContext returns the engine's cached per-generation check state,
-// deriving it on first use: with UseDifferential, the differential rules
-// the Theorem 4.1 FEC skip reads (fecTouchesDiff) and the fast path of an
-// update that changes nothing; then each binding's full before and after
-// ACLs as the ACL-table IDs every later stage and the verdict cache key
-// on. No ACL is rewritten: the set algebra confines each FEC's decision
-// to its flip region (flipRegion), so an ID names a binding's content as
-// written, whatever else the update changed.
+// deriving it on first use: each binding's full before and after ACLs as
+// the ACL-table IDs every later stage and the verdict cache key on, then,
+// with UseDifferential, the differential rules the Theorem 4.1 FEC skip
+// reads (fecTouchesDiff) and the fast path of an update that changes
+// nothing. No ACL is rewritten: the set algebra confines each FEC's
+// decision to its flip region (flipRegion), so an ID names a binding's
+// content as written, whatever else the update changed.
 func (e *Engine) checkContext() *checkCtx {
 	if e.ckctx != nil {
 		return e.ckctx
 	}
 	tab := e.aclTable()
-	ctx := &checkCtx{tab: tab}
-	pairs := e.scopeACLPairs()
-	ctx.pairs = pairs
-	ctx.aclPairs = len(pairs)
+	ctx := &checkCtx{tab: tab, pairs: e.scopeACLPairs()}
+	words := ctx.words.on(e.Before)
+	for k := range ctx.pairs {
+		p := &ctx.pairs[k]
+		p.ids = [2]int32{tab.intern(p.before), tab.intern(p.after)}
+		if b := p.binding; b.Iface.Device.Network() == e.Before {
+			words[bindingOrd(b)] = pairWord(p.ids)
+		}
+	}
+	ctx.acls = tab.view()
+	e.ckctx = ctx
 	if e.Opts.UseDifferential {
-		for _, p := range pairs {
+		for _, p := range ctx.pairs {
 			ctx.diff = append(ctx.diff, acl.Differential(orPermitAll(p.before), orPermitAll(p.after))...)
 		}
 		// §6: a control's match joins the differential set, so no FEC
@@ -116,18 +118,11 @@ func (e *Engine) checkContext() *checkCtx {
 		}
 		if len(ctx.diff) == 0 && len(e.Controls) == 0 {
 			ctx.fastPath = true
-			e.ckctx = ctx
 			return ctx
 		}
 	}
-	ctx.ids = make(map[string][2]int32, len(pairs))
-	for _, p := range pairs {
-		ctx.ids[p.binding.ID()] = [2]int32{tab.intern(p.before), tab.intern(p.after)}
-	}
-	ctx.acls = tab.view()
 	ctx.diffIx = map[[2]int32]*pset.Index{}
-	ctx.diffRules = len(ctx.diff)
-	e.ckctx = ctx
+	ctx.ctrlsOf = map[uint64][]int32{}
 	return ctx
 }
 

@@ -28,26 +28,10 @@ func FromResolved(r *lai.Resolved, opts Options) *Engine {
 	e := New(r.Before, r.After, r.Scope, opts)
 	e.Allow = r.Allow
 	for _, c := range r.Controls {
-		ctrl := Control{
-			From:  map[string]bool{},
-			To:    map[string]bool{},
-			Match: c.Match,
-		}
-		switch c.Mode {
-		case lai.Isolate:
-			ctrl.Mode = Isolate
-		case lai.Open:
-			ctrl.Mode = Open
-		case lai.Maintain:
-			ctrl.Mode = Maintain
-		}
-		for _, i := range c.From {
-			ctrl.From[i.ID()] = true
-		}
-		for _, i := range c.To {
-			ctrl.To[i.ID()] = true
-		}
-		e.Controls = append(e.Controls, ctrl)
+		e.Controls = append(e.Controls, Control{
+			From: NewIfaceSet(c.From...), To: NewIfaceSet(c.To...),
+			Mode: c.Mode, Match: c.Match,
+		})
 	}
 	return e
 }

@@ -8,19 +8,16 @@ import (
 
 // Generate and fix both compile the network once per call: a placement
 // constraint reads of a path only which bindings it crosses and which
-// controls govern it — its shape — and a WAN's thousands of paths share a
-// few dozen. pathInterner and shapeSet are the two halves of that
-// reduction; what a shape's lists hold is the caller's business.
+// controls govern it (ctrlsOn) — its shape — and a WAN's thousands of
+// paths share a few dozen. pathInterner and shapeSet are the two halves
+// of that reduction; what a shape's lists hold is the caller's business.
 
-// pathInterner resolves what a path crosses to integers, each thing once:
-// a binding to the caller's index for it (resolve sees the "dev:if:dir"
-// ID, as the engine's binding sets are keyed, the first time the binding
-// is crossed), an (entry, exit) border pair to the controls applying to it.
+// pathInterner resolves the bindings a path crosses to the caller's
+// indices for them, each binding once: resolve sees the binding the first
+// time it is crossed.
 type pathInterner struct {
-	resolve  func(id string) int32 // the caller's index for a binding; negative: of no interest
-	controls []Control
-	bindings bindingTable[int32] // 0: not yet resolved; 1: of no interest; else index+2
-	ctrlsOf  map[uint64][]int32  // by the packed (entry, exit) ordinals
+	resolve  func(b topo.ACLBinding) int32 // the caller's index for a binding; negative: of no interest
+	bindings bindingTable[int32]           // 0: not yet resolved; 1: of no interest; else index+2
 }
 
 // crossed appends to dst the indices of the bindings p crosses, in
@@ -31,7 +28,7 @@ func (pi *pathInterner) crossed(dst []int32, p topo.Path) []int32 {
 		for _, b := range [2]topo.ACLBinding{{Iface: h.In, Dir: topo.In}, {Iface: h.Out, Dir: topo.Out}} {
 			k := bindingOrd(b)
 			if at[k] == 0 {
-				at[k] = max(pi.resolve(b.ID()), -1) + 2
+				at[k] = max(pi.resolve(b), -1) + 2
 			}
 			if i := at[k]; i > 1 {
 				dst = append(dst, i-2)
@@ -41,51 +38,57 @@ func (pi *pathInterner) crossed(dst []int32, p topo.Path) []int32 {
 	return dst
 }
 
-// ctrls returns the controls applying to p's (entry, exit) pair, in
-// control (precedence) order, nil when there are none. Paths of one pair
-// share the slice; the cache keys on ordinals, as crossed's table does.
-func (pi *pathInterner) ctrls(p topo.Path) []int32 {
-	if len(pi.controls) == 0 {
+// ctrlsOn returns the controls governing p's (entry, exit) pair, in
+// control (precedence) order, nil when there are none. It computes a
+// pair's list once, into cache under the packed ordinals, and the paths
+// of the pair share it.
+func (e *Engine) ctrlsOn(cache map[uint64][]int32, p topo.Path) []int32 {
+	if len(e.Controls) == 0 {
 		return nil
 	}
 	src, dst := p.Src(), p.Dst()
 	pair := uint64(src.Ord())<<32 | uint64(dst.Ord())
-	cs, ok := pi.ctrlsOf[pair]
+	cs, ok := cache[pair]
 	if !ok {
-		from, to := src.ID(), dst.ID()
-		for i, c := range pi.controls {
-			if c.From[from] && c.To[to] {
+		for i := range e.Controls {
+			if c := &e.Controls[i]; c.From.Has(src) && c.To.Has(dst) {
 				cs = append(cs, int32(i))
 			}
 		}
-		if pi.ctrlsOf == nil {
-			pi.ctrlsOf = map[uint64][]int32{}
-		}
-		pi.ctrlsOf[pair] = cs
+		cache[pair] = cs
 	}
 	return cs
 }
 
-// bindingTable holds a value per binding at bindingOrd, so a path walk
-// indexes a slice where it would hash. Ordinals of two networks are
-// unrelated: it serves the first path's network and panics on another's.
+// bindingTable holds a value per binding of one network at bindingOrd,
+// so a lookup indexes a slice where it would hash. Within a network core
+// keys a binding this way; ordinals of two networks are unrelated, so
+// the table serves the first network it is asked for and panics on
+// another's (a binding crosses networks by name, in moveBinding).
 type bindingTable[T any] struct {
-	net *topo.Network
-	at  []T
+	net  *topo.Network
+	vals []T
 }
 
-// of returns the table sized for p's network; entries never set are zero.
-func (t *bindingTable[T]) of(p topo.Path) []T {
-	n := p.Src().Device.Network()
+// on returns the table sized for network n; entries never set are zero.
+func (t *bindingTable[T]) on(n *topo.Network) []T {
 	if t.net == nil {
 		t.net = n
 	} else if n != t.net {
-		panic("core: a binding table fed a path of another network")
+		panic("core: a binding table fed another network's binding")
 	}
-	if k := 2 * n.NumInterfaces(); len(t.at) < k {
-		t.at = append(t.at, make([]T, k-len(t.at))...)
+	if k := 2 * n.NumInterfaces(); len(t.vals) < k {
+		t.vals = append(t.vals, make([]T, k-len(t.vals))...)
 	}
-	return t.at
+	return t.vals
+}
+
+// of returns the table sized for p's network.
+func (t *bindingTable[T]) of(p topo.Path) []T { return t.on(p.Src().Device.Network()) }
+
+// at returns b's entry.
+func (t *bindingTable[T]) at(b topo.ACLBinding) *T {
+	return &t.on(b.Iface.Device.Network())[bindingOrd(b)]
 }
 
 // bindingOrd is a binding's index in a bindingTable.

@@ -28,7 +28,7 @@ import (
 // engine encodes the same contents.
 //
 // A snapshot holds verdicts only. The change-impact baseline
-// (lastPairs) is not carried, so the first post-restore check reports
+// (lastWords) is not carried, so the first post-restore check reports
 // no edit scope; unknown verdicts are never cached, in memory or on
 // disk; and memoized witnesses are not carried, so a restored violating
 // FEC re-derives its counterexample exactly as a cold run does.
@@ -220,7 +220,7 @@ func (vc *VerdictCache) Import(e *Engine, snap *VerdictSnapshot) error {
 	vc.bound = true
 	vc.before, vc.scope, vc.cfg = e.Before, e.Scope, cfg
 	vc.byFEC = make([]map[uint64][]*fecVerdict, nfec)
-	vc.lastPairs = nil
+	vc.lastWords = nil
 	if snap.NFEC != nfec || len(snap.Entries) != nfec {
 		return fmt.Errorf("core: verdict snapshot has %d FECs, engine has %d", snap.NFEC, nfec)
 	}

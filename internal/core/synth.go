@@ -397,11 +397,11 @@ func containsMatch(ms []header.Match, m header.Match) bool {
 // decision over its overlap matches, with deny insertions for
 // partially-denied DEC-split rows. generated is the rule count of the
 // unmerged table: every row's group times the vectors it stands for.
-func (e *Engine) synthesizeTarget(targetID string, t *synthTable) (out *acl.ACL, generated int) {
+func (e *Engine) synthesizeTarget(target int, t *synthTable) (out *acl.ACL, generated int) {
 	out = &acl.ACL{Default: acl.Permit}
 	for _, p := range t.order {
 		before := len(out.Rules)
-		out.Rules = appendRowRules(out.Rules, targetID, p.r)
+		out.Rules = appendRowRules(out.Rules, target, p.r)
 		if !p.last {
 			generated += p.r.n * (len(out.Rules) - before)
 		}
@@ -410,9 +410,9 @@ func (e *Engine) synthesizeTarget(targetID string, t *synthTable) (out *acl.ACL,
 }
 
 // appendRowRules appends the rule group of one row at one target.
-func appendRowRules(rules []acl.Rule, targetID string, r *row) []acl.Rule {
+func appendRowRules(rules []acl.Rule, target int, r *row) []acl.Rule {
 	if r.a.solved {
-		act := acl.Action(r.a.dec[targetID])
+		act := acl.Action(r.a.dec[target])
 		for _, ov := range r.overlaps {
 			rules = append(rules, acl.Rule{Action: act, Match: ov})
 		}
@@ -421,7 +421,7 @@ func appendRowRules(rules []acl.Rule, targetID string, r *row) []acl.Rule {
 	// DEC-split AEC: uniform if all groups agree at this target.
 	permits, denies := 0, 0
 	for _, g := range r.a.decs {
-		if g.dec[targetID] {
+		if g.dec[target] {
 			permits++
 		} else {
 			denies++
@@ -437,7 +437,7 @@ func appendRowRules(rules []acl.Rule, targetID string, r *row) []acl.Rule {
 		// permit* handling: insert denies for the denied DECs'
 		// classes before the partial permit (§5.4 step 4).
 		for _, g := range r.a.decs {
-			if g.dec[targetID] {
+			if g.dec[target] {
 				continue
 			}
 			for _, c := range g.classes {

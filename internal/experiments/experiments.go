@@ -349,18 +349,17 @@ func genRow(size netgen.Size, label string, optimized bool, res *core.GenerateRe
 func OpenSetup(size netgen.Size, perDevice int) (*core.Engine, []topo.ACLBinding) {
 	w := GetWAN(size)
 	sel := w.OpenSelections(Seed, perDevice)
-	from := map[string]bool{}
+	var from, to []*topo.Interface
 	for _, cn := range w.CoreNames {
-		from[cn+":up"] = true
+		from = append(from, w.Net.Devices[cn].Interfaces["up"])
 	}
-	to := map[string]bool{}
 	for _, en := range w.EdgeNames {
-		to[en+":ext"] = true
+		to = append(to, w.Net.Devices[en].Interfaces["ext"])
 	}
 	var ctrls []core.Control
 	for _, p := range sel {
 		ctrls = append(ctrls, core.Control{
-			From: from, To: to, Mode: core.Open, Match: header.DstMatch(p),
+			From: core.NewIfaceSet(from...), To: core.NewIfaceSet(to...), Mode: core.Open, Match: header.DstMatch(p),
 		})
 	}
 	srcIDs := append(append([]string{}, w.CoreACLs...), w.AggACLs...)

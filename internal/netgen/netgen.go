@@ -14,6 +14,7 @@ package netgen
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"jinjing/internal/acl"
 	"jinjing/internal/header"
@@ -435,22 +436,13 @@ func Bindings(n *topo.Network, ids []string) ([]topo.ACLBinding, error) {
 }
 
 func lookup(n *topo.Network, id string) (topo.ACLBinding, error) {
-	dir := topo.In
-	base := id
-	switch {
-	case len(id) > 4 && id[len(id)-4:] == ":out":
-		dir = topo.Out
-		base = id[:len(id)-4]
-	case len(id) > 3 && id[len(id)-3:] == ":in":
-		base = id[:len(id)-3]
-	default:
-		return topo.ACLBinding{}, fmt.Errorf("netgen: malformed binding ID %q", id)
+	for _, dir := range []topo.Direction{topo.In, topo.Out} {
+		if base, ok := strings.CutSuffix(id, ":"+dir.String()); ok && base != "" {
+			iface, err := n.LookupInterface(base)
+			return topo.ACLBinding{Iface: iface, Dir: dir}, err
+		}
 	}
-	iface, err := n.LookupInterface(base)
-	if err != nil {
-		return topo.ACLBinding{}, err
-	}
-	return topo.ACLBinding{Iface: iface, Dir: dir}, nil
+	return topo.ACLBinding{}, fmt.Errorf("netgen: malformed binding ID %q", id)
 }
 
 // OpenSelections picks k announced prefixes per edge device for the

@@ -12,8 +12,10 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"jinjing/internal/netgen"
 	"jinjing/internal/topo"
@@ -38,6 +40,56 @@ func TestDaemonOnePassMatchesFallback(t *testing.T) {
 	for i := range plain {
 		if plain[i] != escaped[i] {
 			t.Errorf("answer %d differs:\nplain   %s\nescaped %s", i, plain[i], escaped[i])
+		}
+	}
+}
+
+// TestDaemonRenumberedUpdateMatches replays the edit sequence with each
+// updated snapshot listing its devices, and each device's interfaces, in
+// reverse order, so that the network it builds numbers its interfaces in
+// the reverse of the topology's order. Every answer must be the one the
+// plain sequence gets; only the stored recipe, which keeps the bytes
+// sent, differs.
+func TestDaemonRenumberedUpdateMatches(t *testing.T) {
+	reverse := func(body []byte) []byte {
+		var env map[string]json.RawMessage
+		if err := json.Unmarshal(body, &env); err != nil {
+			t.Fatal(err)
+		}
+		if len(env["updated"]) == 0 {
+			return body
+		}
+		var n struct {
+			Devices []struct {
+				Name       string            `json:"name"`
+				Interfaces []json.RawMessage `json:"interfaces"`
+				Routes     []json.RawMessage `json:"routes,omitempty"`
+			} `json:"devices"`
+			Links []json.RawMessage `json:"links"`
+		}
+		if err := json.Unmarshal(env["updated"], &n); err != nil {
+			t.Fatal(err)
+		}
+		slices.Reverse(n.Devices)
+		for _, d := range n.Devices {
+			slices.Reverse(d.Interfaces)
+		}
+		var err error
+		if env["updated"], err = json.Marshal(n); err != nil {
+			t.Fatal(err)
+		}
+		if body, err = json.Marshal(env); err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	plain, reversed := replayEdits(t, func(b []byte) []byte { return b }), replayEdits(t, reverse)
+	if len(plain) != len(reversed) {
+		t.Fatalf("%d answers plain, %d reversed", len(plain), len(reversed))
+	}
+	for i := range plain {
+		if plain[i] != reversed[i] && !strings.HasPrefix(plain[i], "manifest: ") {
+			t.Errorf("answer %d differs:\nplain    %s\nreversed %s", i, plain[i], reversed[i])
 		}
 	}
 }
@@ -158,6 +210,90 @@ func TestDaemonRefusesOversizedBody(t *testing.T) {
 	}
 }
 
+// TestDaemonTimesOutStalledClients lowers the connection timeouts and
+// stalls a raw connection at each: a body declared and never finished
+// gets a 400 naming the timeout and then the connection closes, whether
+// the handler reads the body (a PUT) or refuses the request first (a
+// job for a session that does not exist, which does not); headers never
+// finished, and a keep-alive connection left idle, are closed. A job
+// that runs past the body timeout once its body is in still answers in
+// full.
+func TestDaemonTimesOutStalledClients(t *testing.T) {
+	oldHeader, oldBody, oldIdle := headerTimeout, bodyTimeout, idleTimeout
+	t.Cleanup(func() { headerTimeout, bodyTimeout, idleTimeout = oldHeader, oldBody, oldIdle })
+	headerTimeout, bodyTimeout, idleTimeout = 200*time.Millisecond, 200*time.Millisecond, 200*time.Millisecond
+	srv := New(Config{})
+	srv.testGate = func(string, string) { time.Sleep(2 * bodyTimeout) }
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() }) //nolint:errcheck // test teardown
+	dial := func(request string) (net.Conn, *bufio.Reader) {
+		t.Helper()
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		conn.SetDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck // a test bound, not the server's
+		fmt.Fprint(conn, request)
+		return conn, bufio.NewReader(conn)
+	}
+	closedBy := func(what string, br *bufio.Reader) {
+		t.Helper()
+		if _, err := br.ReadByte(); err != io.EOF {
+			t.Fatalf("%s: the server kept the connection open (%v)", what, err)
+		}
+	}
+
+	for _, c := range []struct {
+		target string
+		status int
+	}{{"PUT /v1/sessions/slow", http.StatusBadRequest}, {"POST /v1/sessions/none/check", http.StatusNotFound}} {
+		_, br := dial(c.target + " HTTP/1.1\r\nHost: jinjingd\r\nContent-Type: application/json\r\nContent-Length: 100\r\n\r\n{")
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", c.target, err)
+		}
+		var eb errorBody
+		err = json.NewDecoder(resp.Body).Decode(&eb)
+		resp.Body.Close()
+		if resp.StatusCode != c.status || err != nil || c.status == http.StatusBadRequest && !strings.Contains(eb.Error.Message, "timeout") {
+			t.Fatalf("%s: status %d, error %+v (%v); want %d, a 400 naming the timeout", c.target, resp.StatusCode, eb.Error, err, c.status)
+		}
+		closedBy(c.target, br)
+	}
+	_, br := dial("GET /healthz HTTP/1.1\r\nHost: jinjingd\r\n")
+	closedBy("unfinished headers", br)
+	_, br = dial("GET /healthz HTTP/1.1\r\nHost: jinjingd\r\n\r\n")
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz: %v", err)
+	}
+	io.Copy(io.Discard, resp.Body) //nolint:errcheck // drained to reach the idle connection
+	resp.Body.Close()
+	closedBy("an idle keep-alive connection", br)
+
+	// Chunked, so the body is read to its end and the server starts
+	// watching the connection while the job runs.
+	putSession(t, &httptest.Server{URL: "http://" + addr}, "fig1", edit1)
+	req, err := http.NewRequest(http.MethodPost, "http://"+addr+"/v1/sessions/fig1/check", io.MultiReader(strings.NewReader("{}")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cr CheckResponse
+	err = json.NewDecoder(resp.Body).Decode(&cr)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || err != nil || !cr.Complete {
+		t.Fatalf("a job outliving the body timeout: status %d, complete %v (%v)", resp.StatusCode, cr.Complete, err)
+	}
+}
+
 // stalledBody is a request body that hands out sent in pieces of at most
 // 64 KiB and then fails, as a connection that stalls and is closed does.
 type stalledBody struct{ sent []byte }
@@ -222,6 +358,40 @@ func BenchmarkDecodeJobRequest(b *testing.B) {
 		var u *topo.Network
 		if u, err = loadNetwork(req.Updated, req.updated); err != nil || len(u.Devices) == 0 {
 			b.Fatalf("load: %v", err)
+		}
+	}
+}
+
+// BenchmarkLoadManifest is a restored session's decode: a manifest whose
+// request carries the large WAN as both topology and updated snapshot,
+// read from disk and decoded, and both networks loaded (what newSession
+// builds the session from).
+func BenchmarkLoadManifest(b *testing.B) {
+	snap, err := json.Marshal(netgen.Build(netgen.DefaultConfig(netgen.Large, 1)).Net)
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, err := newStateStore(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := st.saveManifest("large", &SessionRequest{Topology: snap, Updated: snap, Program: "check"}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req, err := st.loadManifest("large")
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, n := range []struct {
+			raw   json.RawMessage
+			plain *topo.Plain
+		}{{req.Topology, req.topology}, {req.Updated, req.updated}} {
+			if u, err := loadNetwork(n.raw, n.plain); err != nil || len(u.Devices) == 0 {
+				b.Fatalf("load: %v", err)
+			}
 		}
 	}
 }

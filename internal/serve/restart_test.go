@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -570,6 +571,41 @@ func TestDaemonRetryAfterJitter(t *testing.T) {
 		}
 		if eb.Error.RetryAfterSec != want {
 			t.Fatalf("RetryAfterSec = %d, want %d", eb.Error.RetryAfterSec, want)
+		}
+	}
+}
+
+// TestLoadManifestRefusesDamage writes manifests with a wrong version, no
+// request, a null request, a damaged network and a truncated body: each
+// is refused with an error naming the manifest, and an intact one loads.
+func TestLoadManifestRefusesDamage(t *testing.T) {
+	st, err := newStateStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := string(marshalNet(t, figure1()))
+	for _, c := range []struct {
+		manifest string
+		ok       bool
+	}{
+		{`{"version":1,"request":{"topology":` + net + `,"program":"check"}}`, true},
+		{`{"request":{"topology":` + net + `,"program":"check"},"version":1}`, true},
+		{`{"version":2,"request":{"topology":` + net + `,"program":"check"}}`, false},
+		{`{"version":1}`, false},
+		{`{"version":1,"request":null}`, false},
+		{`{"version":1,"request":{"topology":{"devices":[}],"program":"check"}}`, false},
+		{`{"version":1,"request":{"topology":` + net + `,"program":""}}`, false},
+		{`{"version":1,"request":{"topology":` + net, false},
+	} {
+		if err := os.WriteFile(st.manifestPath("m"), []byte(c.manifest), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		req, err := st.loadManifest("m")
+		if c.ok != (err == nil) || !c.ok && !strings.HasPrefix(err.Error(), "manifest m: ") {
+			t.Errorf("%.60s...: loaded %v, error %v", c.manifest, req != nil, err)
+		}
+		if c.ok && req.topology == nil {
+			t.Errorf("%.60s...: the topology was not read where it sits", c.manifest)
 		}
 	}
 }

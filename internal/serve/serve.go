@@ -98,6 +98,18 @@ const (
 	retryJitterSpan = 3
 )
 
+// The daemon's connection timeouts: for a request's headers, for its body
+// (withBodyDeadline), and for an idle keep-alive connection. Each is far
+// above what the largest accepted body takes over loopback, and above the
+// 10 s the operator benchmark allows a request. No write timeout: /events
+// streams answer for as long as they run. Variables only so that tests
+// can lower them.
+var (
+	headerTimeout = 30 * time.Second
+	bodyTimeout   = 2 * time.Minute
+	idleTimeout   = 5 * time.Minute
+)
+
 // Server is one daemon instance. Construct with New, bind with Listen
 // (or mount Handler under a test harness), stop with Close.
 type Server struct {
@@ -213,7 +225,7 @@ func (s *Server) retrySec(base int) int { return base + s.retryJitter(retryJitte
 
 // Handler returns the daemon's route table, for mounting under an
 // httptest server.
-func (s *Server) Handler() http.Handler { return s.mux }
+func (s *Server) Handler() http.Handler { return withBodyDeadline(s.mux) }
 
 // Observer returns the daemon's observer (spans, metrics, progress all
 // fan out to /metrics and /events).
@@ -232,7 +244,7 @@ func (s *Server) Listen(addr string) (string, error) {
 		return "", err
 	}
 	s.lis = lis
-	s.srv = &http.Server{Handler: s.mux}
+	s.srv = &http.Server{Handler: s.Handler(), ReadHeaderTimeout: headerTimeout, IdleTimeout: idleTimeout}
 	s.done = make(chan struct{})
 	go func() {
 		defer close(s.done)
@@ -774,6 +786,18 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, *APIError) {
 		return nil, &APIError{Code: "bad_request", Message: fmt.Sprintf("reading body: %v", err)}
 	}
 	return body, nil
+}
+
+// withBodyDeadline gives a request that carries a body bodyTimeout to send
+// it, read or not; net/http clears the deadline once the body is read to
+// its end. A request without a body (an /events stream) gets none.
+func withBodyDeadline(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.ContentLength != 0 { // declared, or chunked (-1)
+			http.NewResponseController(w).SetReadDeadline(time.Now().Add(bodyTimeout)) //nolint:errcheck // no connection, no deadline
+		}
+		h.ServeHTTP(w, r)
+	})
 }
 
 // bodyChunk is the most readDeclared allocates ahead of the bytes that

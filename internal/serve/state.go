@@ -74,25 +74,38 @@ func (st *stateStore) loadManifest(name string) (*SessionRequest, error) {
 	if err != nil {
 		return nil, err
 	}
-	var m sessionManifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("manifest %s: %w", name, err)
-	}
-	if m.Version != manifestVersion {
-		return nil, fmt.Errorf("manifest %s: version %d (want %d)", name, m.Version, manifestVersion)
-	}
-	if m.Request == nil {
-		return nil, fmt.Errorf("manifest %s: missing session request", name)
-	}
-	reenc, err := json.Marshal(m.Request)
-	if err != nil {
-		return nil, fmt.Errorf("manifest %s: %w", name, err)
-	}
-	req, err := DecodeSessionRequest(reenc)
+	req, err := decodeManifest(data)
 	if err != nil {
 		return nil, fmt.Errorf("manifest %s: %w", name, err)
 	}
 	return req, nil
+}
+
+// decodeManifest decodes a manifest: its request member where it sits, as
+// DecodeSessionRequest decodes a body but leniently (a key an older daemon
+// stored is dropped, not refused), and the rest by encoding/json, with the
+// request replaced by null unless splitMembers cannot vouch for the walk.
+func decodeManifest(data []byte) (*SessionRequest, error) {
+	var m struct {
+		Version int             `json:"version"`
+		Request json.RawMessage `json:"request"`
+	}
+	envelope, spans, _ := splitMembers(data, []netMember{{key: "request"}}, func(_, at int) (int, bool) {
+		return skipValue(data, at), true
+	})
+	if err := json.Unmarshal(envelope, &m); err != nil {
+		return nil, err
+	}
+	if spans != nil {
+		m.Request = data[spans[0][0]:spans[0][1]]
+	}
+	if m.Version != manifestVersion {
+		return nil, fmt.Errorf("version %d (want %d)", m.Version, manifestVersion)
+	}
+	if len(m.Request) == 0 || string(m.Request) == "null" {
+		return nil, fmt.Errorf("missing session request")
+	}
+	return decodeSessionRequest(m.Request, json.Unmarshal)
 }
 
 func (st *stateStore) saveSnapshot(name string, snap *core.VerdictSnapshot) error {

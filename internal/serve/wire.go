@@ -152,33 +152,40 @@ func decodeStrict(data []byte, v any) error {
 	return nil
 }
 
-// netMember is a network member of a request type: its key, the field
-// holding its value's bytes, and the field holding its plain read.
+// netMember is a member splitMembers cuts out of a body: its key, and for
+// a network member of a request type the field holding its value's bytes
+// and the field holding its plain read.
 type netMember struct {
 	key   string
 	raw   *json.RawMessage
 	plain **topo.Plain
 }
 
-// decodeOnce decodes a request body into *v as decodeStrict does, but
-// reads each network member's value once, where it sits in the body:
-// splitNetworks reads each with topo's plain reader, and decodeStrict
-// decodes the rest of the body with those values replaced by null. The
-// raw fields then hold copies of the values' bytes, as decodeStrict
-// leaves them (a copy, so a request kept as a session's recipe does not
-// keep the whole body), and the plain fields the reads.
+// decodeOnce decodes a request body into *v as decode (decodeStrict, or
+// json.Unmarshal for a stored manifest's request) does, but reads each
+// network member's value once, where it sits in the body: splitMembers
+// has topo's plain reader read each, and decode decodes the rest of the
+// body with those values replaced by null. The raw fields then hold
+// copies of the values' bytes, as decode leaves them (a copy, so a
+// request kept as a session's recipe does not keep the whole body), and
+// the plain fields the reads.
 //
-// A body splitNetworks cannot vouch for, or whose spliced envelope
-// decodeStrict refuses, is decoded by decodeStrict whole, so every
-// error is the one decodeStrict gives for the body.
-func decodeOnce[T any](data []byte, v *T, members ...netMember) error {
-	envelope, values, ok := splitNetworks(data, members)
-	if ok && values != nil {
-		if decodeStrict(envelope, v) == nil {
-			for i, m := range members {
-				if values[i].end > 0 {
-					*m.raw = bytes.Clone(data[values[i].start:values[i].end])
-					*m.plain = values[i].plain
+// A body splitMembers cannot vouch for, or whose spliced envelope
+// decode refuses, is decoded by decode whole, so every error is the one
+// decode gives for the body.
+func decodeOnce[T any](data []byte, v *T, decode func([]byte, any) error, members ...netMember) error {
+	plains := make([]*topo.Plain, len(members))
+	envelope, spans, ok := splitMembers(data, members, func(k, at int) (int, bool) {
+		p, end, ok := topo.ReadPlainAt(data, at)
+		plains[k] = p
+		return end, ok
+	})
+	if ok && spans != nil {
+		if decode(envelope, v) == nil {
+			for k, m := range members {
+				if sp := spans[k]; sp[1] > 0 {
+					*m.raw = bytes.Clone(data[sp[0]:sp[1]])
+					*m.plain = plains[k]
 				}
 			}
 			return nil
@@ -186,34 +193,26 @@ func decodeOnce[T any](data []byte, v *T, members ...netMember) error {
 		var zero T
 		*v = zero
 	}
-	return decodeStrict(data, v)
+	return decode(data, v)
 }
 
-// netValue is where a network member's value sits in a body, and its
-// plain read. end is 0 for a member the body lacks.
-type netValue struct {
-	start, end int
-	plain      *topo.Plain
-}
-
-// splitNetworks scans the members of a request body's top-level object,
-// reads the value of each member whose key names a network member with
-// topo.ReadPlainAt, and returns the body with those values replaced by
-// null, with per network member where its value sat (values is nil when
-// the body holds none; the envelope is then the body itself). Keys
-// match as encoding/json matches them, ignoring case, and the last of
-// repeated keys wins.
+// splitMembers scans the members of a JSON object's top level, has read
+// read the value of each member whose key is members[k]'s (matched as
+// encoding/json matches keys, ignoring case; the last of repeated keys
+// wins) and say where it ends, and returns the object with those values
+// replaced by null, with per member where its value sat (spans is nil
+// when the object holds none of them, and [0, 0) for one it lacks). The
+// envelope is data itself when spans is nil or ok is false.
 //
-// The other members' values are skipped, not checked: decodeStrict
-// checks the envelope, and a well-formed envelope means the scan read
-// the body right. ok is false for a body the scan cannot vouch for: one
+// The other members' values are skipped, not checked: the caller decodes
+// the envelope, and a well-formed envelope means the scan read the
+// object right. ok is false for data the scan cannot vouch for: data
 // that is not an object, a key with an escape or a non-ASCII byte (it
-// might name a network member once decoded), or a network value that
-// is not in the plain form.
-func splitNetworks(data []byte, members []netMember) (envelope []byte, values []netValue, ok bool) {
+// might be one of the keys once decoded), or a value read refuses.
+func splitMembers(data []byte, members []netMember, read func(k, at int) (end int, ok bool)) (envelope []byte, spans [][2]int, ok bool) {
 	i := skipSpace(data, 0)
 	if i == len(data) || data[i] != '{' {
-		return nil, nil, false
+		return data, nil, false
 	}
 	last := 0
 	for first := true; ; first = false {
@@ -223,35 +222,35 @@ func splitNetworks(data []byte, members []netMember) (envelope []byte, values []
 		}
 		key, next, ok := plainKey(data, i)
 		if !ok {
-			return nil, nil, false
+			return data, nil, false
 		}
 		k := slices.IndexFunc(members, func(m netMember) bool { return strings.EqualFold(m.key, key) })
 		if k < 0 {
 			i = skipValue(data, next)
 		} else {
-			p, end, ok := topo.ReadPlainAt(data, next)
+			end, ok := read(k, next)
 			if !ok {
-				return nil, nil, false
+				return data, nil, false
 			}
-			if values == nil {
-				values = make([]netValue, len(members))
+			if spans == nil {
+				spans = make([][2]int, len(members))
 			}
-			values[k] = netValue{start: next, end: end, plain: p}
+			spans[k] = [2]int{next, end}
 			envelope = append(append(envelope, data[last:next]...), "null"...)
 			last, i = end, end
 		}
 		i = skipSpace(data, i)
 		if i >= len(data) || data[i] != ',' && data[i] != '}' {
-			return nil, nil, false
+			return data, nil, false
 		}
 		if data[i] == '}' {
 			break
 		}
 	}
-	if values == nil {
+	if spans == nil {
 		return data, nil, true
 	}
-	return append(envelope, data[last:]...), values, true
+	return append(envelope, data[last:]...), spans, true
 }
 
 // skipSpace returns the offset of the first non-whitespace byte of
@@ -336,8 +335,14 @@ func (req *SessionRequest) validate() error {
 
 // DecodeSessionRequest parses and validates a PUT session body.
 func DecodeSessionRequest(data []byte) (*SessionRequest, error) {
+	return decodeSessionRequest(data, decodeStrict)
+}
+
+// decodeSessionRequest is DecodeSessionRequest with the envelope decoded
+// by decode.
+func decodeSessionRequest(data []byte, decode func([]byte, any) error) (*SessionRequest, error) {
 	var req SessionRequest
-	if err := decodeOnce(data, &req,
+	if err := decodeOnce(data, &req, decode,
 		netMember{"topology", &req.Topology, &req.topology},
 		netMember{"updated", &req.Updated, &req.updated}); err != nil {
 		return nil, err
@@ -355,7 +360,7 @@ func DecodeJobRequest(data []byte) (*JobRequest, error) {
 	if len(bytes.TrimSpace(data)) == 0 {
 		return &req, nil
 	}
-	if err := decodeOnce(data, &req, netMember{"updated", &req.Updated, &req.updated}); err != nil {
+	if err := decodeOnce(data, &req, decodeStrict, netMember{"updated", &req.Updated, &req.updated}); err != nil {
 		return nil, err
 	}
 	if err := req.JobOverrides.validate(); err != nil {
