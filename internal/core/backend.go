@@ -121,15 +121,76 @@ func (ctx *checkCtx) permittedWithin(id int32, region pset.Set) (pset.Set, bool)
 // never built: canonicalizing it is quadratic in a rule count that
 // synthesis can push past 10^4.
 func (ctx *checkCtx) diffWithin(ids [2]int32, region pset.Set) pset.Set {
+	s, n := ctx.diffIndex(ids).MatchesWithin(region)
+	ctx.folded += int64(n)
+	return s
+}
+
+// diffIndex indexes the pair's differential rules by destination, once.
+func (ctx *checkCtx) diffIndex(ids [2]int32) *pset.Index {
 	x, ok := ctx.diffIx[ids]
 	if !ok {
 		diff := acl.Differential(ctx.acls[ids[0]], ctx.acls[ids[1]])
 		x = pset.NewIndex(&acl.ACL{Rules: diff}, acl.NewDstIndex(diff))
 		ctx.diffIx[ids] = x
 	}
-	s, n := x.MatchesWithin(region)
-	ctx.folded += int64(n)
-	return s
+	return x
+}
+
+// keptVerdict is Theorem 4.1 between the fix loop's After and the fixed
+// snapshot. Before, the controls and so the desired decisions are the
+// loop's, so FEC i keeps the loop's exact state (route kept) when every
+// binding its paths cross decides its class region alike in After and
+// Fixed: two ACLs differ only inside their differential rules, and there
+// their permitted sets are compared. false — a binding may flip it, is
+// bound in only one of the two, or would pass the cube budget — leaves
+// FEC i to be decided on Before→Fixed.
+func (e *Engine) keptVerdict(ctx *checkCtx, fec topo.FEC, i int) bool {
+	k := e.kept
+	was, now := k.ctx.words.vals, ctx.words.vals
+	if k.changed == nil {
+		k.changed = make([]bool, len(k.ix.bindings))
+		for bi, fb := range k.ix.bindings {
+			o := bindingOrd(fb.b)
+			k.changed[bi] = was[o] != now[o]
+		}
+	}
+	st := k.ctx.states[i]
+	if st != fecOK && st != fecSkipped && st != fecViolating {
+		return false
+	}
+	var region pset.Set // the class region, built at the first changed binding
+	var tested []int32
+	for _, pi := range ctx.src.PathIndices(i) {
+		for _, bi := range k.ix.shapes[k.ix.shapeOf[pi]].bindings {
+			if !k.changed[bi] || slices.Contains(tested, bi) {
+				continue
+			}
+			tested = append(tested, bi)
+			o := bindingOrd(k.ix.bindings[bi].b)
+			if was[o] == 0 || now[o] == 0 {
+				return false
+			}
+			if region.IsEmpty() {
+				region = fecRegion(fec)
+			}
+			ids := [2]int32{wordPair(was[o])[1], wordPair(now[o])[1]}
+			if n := ctx.diffIndex(ids).MeetingWithin(region); n == 0 {
+				continue
+			} else if n > psetCubeBudget {
+				return false // the part would start past the cube budget
+			}
+			part := ctx.diffWithin(ids, region)
+			after, okA := ctx.permittedWithin(ids[0], part)
+			fixed, okF := ctx.permittedWithin(ids[1], part)
+			if !okA || !okF || !after.Equal(fixed) {
+				return false
+			}
+		}
+	}
+	ctx.states[i], ctx.routes[i] = st, routeKept
+	k.kept++
+	return true
 }
 
 // regionSets memoizes, for one FEC, each crossed pair's before and after

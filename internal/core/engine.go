@@ -198,6 +198,9 @@ type Engine struct {
 	// tab is the lineage's ACL table when no verdict cache is installed
 	// (see aclTable); shared with derived engines.
 	tab *aclTable
+	// kept, set on a fix's verification engine, holds the verdicts it
+	// keeps on every FEC the plan cannot flip (see keptVerdict).
+	kept *fixVerdicts
 }
 
 // New builds an engine. after may equal before (for pure generate tasks).

@@ -213,17 +213,18 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 
 	res.Fixed = fixed
 
-	// Verify: the fixed snapshot must pass check. The verification
-	// engine is derived from this one — same binding index, ACL table
-	// and verdict cache, when one is installed — so a session re-solves
-	// only the FECs the fixing plan touched and replays the rest.
+	// Verify: the fixed snapshot must pass check, on an engine derived
+	// from this one (same binding index, ACL table and verdict cache)
+	// that keeps this loop's verdict on every FEC the plan cannot flip.
 	recordCacheStats(o, res.Stats) // fix's own scan; the check records its own
 	vp := root.Child("verify")
 	ver := e.derived(fixed, vp)
+	ver.kept = &fixVerdicts{ctx: ctx, ix: ix}
 	cr := ver.CheckContext(callCtx)
 	res.Verified = cr.Consistent && cr.Complete
 	res.Stats.add(cr.Stats)
-	vp.End(obs.KV("verified", res.Verified))
+	vp.End(obs.KV("verified", res.Verified), obs.KV("kept", ver.kept.kept),
+		obs.KV("decided", cr.Stats.PsetDecided+cr.Stats.PsetBailout))
 
 	o.Counter("fix.neighborhoods").Add(int64(len(res.Neighborhoods)))
 	o.Counter("fix.actions").Add(int64(len(res.Actions)))
@@ -232,6 +233,18 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 	root.End()
 	e.logFixDecision(ls, res, nil)
 	return res, nil
+}
+
+// fixVerdicts is what a fix hands its verification engine: the loop's
+// generation, which decided every FEC on Before→After, and its index,
+// whose shapes list each path's bindings that carry an ACL or are
+// allowed: every binding the plan can change. changed marks the changed
+// ones at the verification's first FEC; kept counts the FECs kept.
+type fixVerdicts struct {
+	ctx     *checkCtx
+	ix      *fixIndex
+	changed []bool
+	kept    int
 }
 
 // simplifyBounded applies exact simplification to small ACLs and the fast

@@ -22,6 +22,7 @@ const (
 	routeCache          // verdict-cache replay under a full key match
 	routePset           // packet-set algebra decision on the flip region whole
 	routeSplit          // the flip region overflowed; decided piece by piece
+	routeKept           // a fix's verification kept the fix loop's verdict
 )
 
 func (r fecRoute) String() string {
@@ -34,6 +35,8 @@ func (r fecRoute) String() string {
 		return "pset"
 	case routeSplit:
 		return "pset-split"
+	case routeKept:
+		return "kept"
 	}
 	return "none"
 }

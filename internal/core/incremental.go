@@ -446,18 +446,21 @@ func (e *Engine) fecKey(ctx *checkCtx, i int) []uint64 {
 	return key
 }
 
-// resolveFEC classifies FEC i for this generation: the differential
-// skip first (never cached — it depends on the global diff), then the
-// verdict cache under the FEC's full content key, and only then the set
-// algebra (violations). Must be called from one goroutine at a time; the
-// resulting state is memoized, except that an Unknown left by a
-// cancelled or interrupted earlier call is resolved again.
+// resolveFEC classifies FEC i for this generation: a fix verification's
+// kept verdict, the differential skip (never cached — it depends on the
+// global diff), the verdict cache under the full content key, then the
+// set algebra (violations). Must be called from one goroutine at a time;
+// the state is memoized, except that an Unknown left by a cancelled or
+// interrupted earlier call is resolved again.
 func (e *Engine) resolveFEC(c *solveCall, i int) fecState {
 	ctx := c.ctx
 	if st := ctx.states[i]; st != fecUnresolved && st != fecUnknown {
 		return st
 	}
 	fec := ctx.fec(i)
+	if e.kept != nil && e.Opts.UseDifferential && e.keptVerdict(ctx, fec, i) {
+		return ctx.states[i]
+	}
 	if e.Opts.UseDifferential && !e.fecTouchesDiff(fec, ctx.diff) {
 		ctx.states[i] = fecSkipped
 		ctx.routes[i] = routeSkip

@@ -324,6 +324,27 @@ func TestFixObservability(t *testing.T) {
 	if cube <= 0 || !hasOver || over != 0 {
 		t.Fatalf("simplify span attrs %v: want exact_cube > 0 and over_budget = 0", simplify.Attrs)
 	}
+	// The verification reports the FECs it kept from the fix loop and the
+	// ones it decided, the latter as its own check's solve span does.
+	verify := child("verify")
+	kept, okK := verify.Attrs["kept"].(float64)
+	decided, okD := verify.Attrs["decided"].(float64)
+	if !okK || !okD || kept+decided > float64(e.NumFECs()) {
+		t.Fatalf("verify span attrs %v: want kept and decided, at most %d FECs together", verify.Attrs, e.NumFECs())
+	}
+	nested := 0
+	for _, c := range spans["check"] {
+		for _, s := range spans["solve"] {
+			if c.Parent == verify.ID && s.Parent == c.ID {
+				if nested++; s.Attrs["decided"] != decided {
+					t.Fatalf("verify span says decided=%v, its check's solve span %v", decided, s.Attrs["decided"])
+				}
+			}
+		}
+	}
+	if nested != 1 {
+		t.Fatalf("want one solve span in the verification check, got %d", nested)
+	}
 }
 
 // TestGenerateObservability exercises the generate pipeline's spans and

@@ -233,13 +233,15 @@ func (w *WAN) buildRoutes(r *rand.Rand, edgeAggs map[string][]string) {
 	cfg := w.Config
 	n := w.Net
 
-	// Owner lookup: prefix -> owning edge.
+	// Owner lookup: prefix -> owning edge. Routes go in in AllPrefixes
+	// order, so a size and seed build the same FIBs in every process.
 	owner := map[header.Prefix]string{}
 	for en, ps := range w.EdgePrefixes {
 		for _, p := range ps {
 			owner[p] = en
 		}
 	}
+	prefixes := w.AllPrefixes()
 	// Per-prefix ECMP core subset (stable per prefix).
 	coreSubset := func(p header.Prefix) []int {
 		k := cfg.ECMPCores
@@ -259,16 +261,16 @@ func (w *WAN) buildRoutes(r *rand.Rand, edgeAggs map[string][]string) {
 		aggIdx[an] = i
 	}
 	attachedEdges := map[string][]string{} // agg -> edges below it
-	for en, aggs := range edgeAggs {
-		for _, an := range aggs {
+	for _, en := range w.EdgeNames {
+		for _, an := range edgeAggs[en] {
 			attachedEdges[an] = append(attachedEdges[an], en)
 		}
 	}
 
 	for _, en := range w.EdgeNames {
 		edge := n.Devices[en]
-		for p, own := range owner {
-			if own == en {
+		for _, p := range prefixes {
+			if owner[p] == en {
 				edge.AddRoute(p, edge.Interfaces["ext"])
 				continue
 			}
@@ -286,13 +288,12 @@ func (w *WAN) buildRoutes(r *rand.Rand, edgeAggs map[string][]string) {
 		for _, en := range attachedEdges[an] {
 			below[en] = true
 		}
-		for p, own := range owner {
-			if below[own] {
-				// Down to the owning edge.
-				for iname, iface := range agg.Interfaces {
-					_ = iname
+		for _, p := range prefixes {
+			if below[owner[p]] {
+				// Down to the owning edge (one link per agg and edge).
+				for _, iface := range agg.Interfaces {
 					peer := n.Peer(iface)
-					if peer != nil && peer.Device.Name == own {
+					if peer != nil && peer.Device.Name == owner[p] {
 						agg.AddRoute(p, iface)
 					}
 				}
@@ -307,9 +308,9 @@ func (w *WAN) buildRoutes(r *rand.Rand, edgeAggs map[string][]string) {
 
 	for _, cn := range w.CoreNames {
 		core := n.Devices[cn]
-		for p, own := range owner {
+		for _, p := range prefixes {
 			// Down to the owner's aggs.
-			for _, an := range edgeAggs[own] {
+			for _, an := range edgeAggs[owner[p]] {
 				core.AddRoute(p, core.Interfaces[fmt.Sprintf("d%d", aggIdx[an])])
 			}
 		}

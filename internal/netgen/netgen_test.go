@@ -1,6 +1,8 @@
 package netgen_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
 	"jinjing/internal/header"
@@ -182,5 +184,32 @@ func TestScopeCoversAllDevices(t *testing.T) {
 	borders := w.Net.BorderInterfaces(w.Scope)
 	if len(borders) != w.Config.Edges+w.Config.Cores {
 		t.Errorf("borders = %d, want ext+up = %d", len(borders), w.Config.Edges+w.Config.Cores)
+	}
+}
+
+// TestBuildBytesDeterministic pins that a size and seed write the same
+// network bytes every time: every device's FIB is filled in a fixed
+// order, so two builds in one process (where map order differs from
+// range to range) marshal identically.
+func TestBuildBytesDeterministic(t *testing.T) {
+	for _, size := range []netgen.Size{netgen.Small, netgen.Medium} {
+		cfg := netgen.DefaultConfig(size, 42)
+		a, err := json.Marshal(netgen.Build(cfg).Net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for run := 0; run < 3; run++ {
+			b, err := json.Marshal(netgen.Build(cfg).Net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a, b) {
+				k := 0
+				for k < len(a) && k < len(b) && a[k] == b[k] {
+					k++
+				}
+				t.Fatalf("%v seed 42: two builds differ from byte %d on", size, k)
+			}
+		}
 	}
 }

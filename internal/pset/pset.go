@@ -616,6 +616,18 @@ func (x *Index) MatchesWithin(region Set) (s Set, folded int) {
 	return region.IntersectMatches(ms), len(ms)
 }
 
+// MeetingWithin counts the rules whose match meets the region — those
+// whose fragments MatchesWithin canonicalizes — without building a set.
+func (x *Index) MeetingWithin(region Set) int {
+	n := 0
+	for _, p := range x.overlapping(region) {
+		if region.Overlaps(x.acl.Rules[p].Match) {
+			n++
+		}
+	}
+	return n
+}
+
 // disjointCubes rewrites a cube list into pairwise-disjoint cubes
 // denoting the same union: each cube contributes the fragments left
 // after subtracting everything already emitted. Canonical Sets may hold
