@@ -82,11 +82,13 @@ daemon-test:
 	$(GO) test -race -count=1 ./internal/serve ./internal/obs/stats
 	$(GO) test -run '^$$' -fuzz FuzzSessionRequest -fuzztime 30s ./internal/serve
 
-# Formatting + static checks; fails when any file needs gofmt.
+# Formatting + static checks; fails when any file needs gofmt. The
+# benchmark is its own module, so it is vetted from its directory.
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
+	cd benchmark && $(GO) vet ./...
 
 # The operator benchmark (benchmark/README.md names the workloads): one
 # 10-second untraced run of workload W on the real binaries, appended to

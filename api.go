@@ -147,7 +147,8 @@ type (
 	// CheckResult reports a check outcome.
 	CheckResult = core.CheckResult
 	// Violation is one reachability inconsistency: a counterexample
-	// packet, its traffic classes, and the paths that changed decision.
+	// packet, its FEC and traffic classes, and the paths that changed
+	// decision.
 	Violation = core.Violation
 	// FixResult reports a fixing plan.
 	FixResult = core.FixResult

@@ -126,11 +126,22 @@ func (ctx *checkCtx) diffWithin(ids [2]int32, region pset.Set) pset.Set {
 	return s
 }
 
+// differential returns the pair's differential rules (Theorem 4.1),
+// computed once per generation.
+func (ctx *checkCtx) differential(ids [2]int32) []acl.Rule {
+	diff, ok := ctx.diffs[ids]
+	if !ok {
+		diff = acl.Differential(ctx.acls[ids[0]], ctx.acls[ids[1]])
+		ctx.diffs[ids] = diff
+	}
+	return diff
+}
+
 // diffIndex indexes the pair's differential rules by destination, once.
 func (ctx *checkCtx) diffIndex(ids [2]int32) *pset.Index {
 	x, ok := ctx.diffIx[ids]
 	if !ok {
-		diff := acl.Differential(ctx.acls[ids[0]], ctx.acls[ids[1]])
+		diff := ctx.differential(ids)
 		x = pset.NewIndex(&acl.ACL{Rules: diff}, acl.NewDstIndex(diff))
 		ctx.diffIx[ids] = x
 	}
@@ -499,13 +510,18 @@ func cutRange(lo, mlo, mhi uint16) (loHi, hiLo uint16) {
 	return mhi, mhi + 1
 }
 
-// psetWitnessFEC completes a violating FEC's counterexample packet: the
+// psetWitnessFEC completes violating FEC i's counterexample packet: the
 // FEC's paths that flip on it, by concrete evaluation.
-func (e *Engine) psetWitnessFEC(ctx *checkCtx, fec topo.FEC, pkt header.Packet) Violation {
-	v := Violation{Packet: pkt, Classes: fec.Classes}
+func (e *Engine) psetWitnessFEC(ctx *checkCtx, i int, pkt header.Packet) Violation {
+	fec := ctx.fec(i)
+	v := Violation{FEC: i, Packet: pkt, Classes: fec.Classes}
+	in := make([]bool, len(e.Controls)) // per control: its match covers pkt
+	for k, c := range e.Controls {
+		in[k] = c.Match.Matches(pkt)
+	}
 	var memo bindingTable[int8]
 	for _, p := range fec.Paths {
-		if e.pathFlipsDesired(ctx, &memo, p, pkt) {
+		if e.pathFlipsDesired(ctx, &memo, in, p, pkt) {
 			v.Paths = append(v.Paths, p)
 		}
 	}
@@ -517,10 +533,10 @@ func (e *Engine) psetWitnessFEC(ctx *checkCtx, fec topo.FEC, pkt header.Packet) 
 
 // pathFlipsDesired reports whether the path decides pkt differently from
 // its desired decision, by direct rule-list evaluation: the
-// desired decision is the before conjunction rewritten by the first
-// (highest-priority) applicable control whose match covers the packet —
-// the concrete evaluation of desiredFormula's Ite chain.
-func (e *Engine) pathFlipsDesired(ctx *checkCtx, memo *bindingTable[int8], p topo.Path, pkt header.Packet) bool {
+// desired decision is the before conjunction under the controls on the
+// path's border pair that cover the packet (in) — the concrete
+// evaluation of desiredFormula's Ite chain.
+func (e *Engine) pathFlipsDesired(ctx *checkCtx, memo *bindingTable[int8], in []bool, p topo.Path, pkt header.Packet) bool {
 	// memo bits: 1 = before permits, 2 = after permits, 4 = resolved.
 	at, words := memo.of(p), ctx.words.of(p)
 	before, after := true, true
@@ -545,22 +561,7 @@ func (e *Engine) pathFlipsDesired(ctx *checkCtx, memo *bindingTable[int8], p top
 			after = after && *d&2 != 0
 		}
 	}
-	desired := before
-	for _, c := range e.Controls {
-		if !c.AppliesTo(p) || !c.Match.Matches(pkt) {
-			continue
-		}
-		switch c.Mode {
-		case Isolate:
-			desired = false
-		case Open:
-			desired = true
-		case Maintain:
-			desired = before
-		}
-		break
-	}
-	return desired != after
+	return controlled(e.Controls, e.ctrlsOn(ctx.ctrlsOf, p), in, before) != after
 }
 
 // desiredSet is desiredFormula in the set algebra: the applying controls

@@ -14,6 +14,7 @@ import (
 // counterexample packet, the FEC it belongs to, and the paths whose
 // decision on it changed.
 type Violation struct {
+	FEC     int // the index of the FEC it was found in; -1 from CheckMonolithic
 	Packet  header.Packet
 	Classes []header.Prefix // the FEC's traffic classes
 	Paths   []topo.Path     // paths that decide differently after the update

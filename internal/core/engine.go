@@ -360,11 +360,3 @@ func (e *Engine) scopeACLPairs() []aclPair {
 	}
 	return out
 }
-
-// orPermitAll treats a nil ACL as permit-all for diffing and encoding.
-func orPermitAll(a *acl.ACL) *acl.ACL {
-	if a == nil {
-		return acl.PermitAll()
-	}
-	return a
-}

@@ -262,8 +262,8 @@ func simplifyBounded(a *acl.ACL) (*acl.ACL, pset.SimplifyStats) {
 
 // nbOutcome is the solved placement for one neighborhood: the fixing
 // actions (empty when the after decisions already suffice) and their
-// bindings, or
-// ok=false when no placement exists under the allow constraints.
+// bindings, or ok=false when no placement exists under the allow
+// constraints.
 // unknown != "" means the call was cancelled during the placement
 // search — the FEC blocks the plan. solved says the placement was
 // decided here rather than read from the FEC's memo.
@@ -324,6 +324,7 @@ func (e *Engine) fixFEC(call context.Context, ctx *checkCtx, ix *fixIndex, i int
 	shapes := ix.shapesOn(ctx.src.PathIndices(i))
 	cons := ix.constancyOn(fec)
 	memo := map[string]placed{}
+	var pl placement
 	for len(out.entries) < budget {
 		h, found := viol.MinPacket()
 		if !found {
@@ -333,7 +334,7 @@ func (e *Engine) fixFEC(call context.Context, ctx *checkCtx, ix *fixIndex, i int
 		if e.Opts.NoExpansion == 0 {
 			nb = expandNeighborhood(h, fec, cons)
 		}
-		no, err := e.solveNeighborhood(call, ix, shapes, nb, memo)
+		no, err := e.solveNeighborhood(call, ix, &pl, shapes, nb, memo)
 		if err != nil {
 			out.err = err
 			break
@@ -388,85 +389,48 @@ func (ix *fixIndex) placementKey(shapes []int32, nb header.Match) ([]byte, error
 }
 
 // place decides a placement problem (Equation 7) in closed form from its
-// key: per shape, the conjunction of its crossed bindings' decisions must
-// equal the shape's desired decision, and the plan changes the fewest
-// bindings, all of them allowed ones. A shape desiring permit forces every
-// binding it crosses to permit: an allowed one is changed to permit where
-// it denies, and a closed one that denies leaves no placement. Every other
-// allowed binding keeps its after decision — an unforced deny costs
-// nothing and only helps. A shape desiring deny that nothing denies yet
-// is then the clause "one of its unforced, after-permit allowed bindings
-// denies"; an empty clause leaves no placement. The forced changes are
-// the same in every placement, so the least cost denies a minimum set
-// hitting every clause, and of the minima the first in crossing order
-// (minHittingSet). The error is the call's when it was cancelled during
-// the search.
-func (ix *fixIndex) place(call context.Context, shapes []int32, key []byte) (placed, error) {
-	n := len(ix.bindings)
-	after := make([]bool, n)  // per binding crossed: the update's decision
-	forced := make([]bool, n) // per allowed binding: a shape desiring permit crosses it
-	desired := make([]bool, len(shapes))
-	closedDeny := false // a shape desiring permit crosses a closed deny
+// key, on pl (see placement): the allowed bindings are the changeable
+// ones, each with its after decision, and the plan changes the fewest of
+// them. The forced changes are the same in every placement, so the least
+// cost denies a minimum set hitting every clause, the first in crossing
+// order (minHittingSet). The error is the call's when it was cancelled.
+func (ix *fixIndex) place(call context.Context, pl *placement, shapes []int32, key []byte) (placed, error) {
+	denies := slices.Grow(pl.denies[:0], len(ix.bindings))[:len(ix.bindings)] // per binding crossed: the update denies
+	pl.denies, pl.shapes = denies, slices.Grow(pl.shapes[:0], len(shapes))
+	pl.members = slices.Grow(pl.members[:0], len(ix.bindings))
 	k := 0
 	bit := func() bool {
 		v := key[k/8]&(1<<(k%8)) != 0
 		k++
 		return v
 	}
-	for j, si := range shapes {
-		bs := ix.shapes[si].bindings
-		for _, bi := range bs {
-			after[bi] = bit()
-			if fb := &ix.bindings[bi]; fb.allowed && fb.err != nil {
+	for _, si := range shapes {
+		sh := &ix.shapes[si]
+		closedDeny, lo := false, len(pl.members)
+		for _, bi := range sh.bindings {
+			denies[bi] = !bit()
+			switch fb := &ix.bindings[bi]; {
+			case fb.allowed && fb.err != nil:
 				return placed{}, fb.err
+			case fb.allowed:
+				pl.members = append(pl.members, bi)
+			case denies[bi]:
+				closedDeny = true
 			}
 		}
-		if desired[j] = bit(); desired[j] {
-			for _, bi := range bs {
-				if ix.bindings[bi].allowed {
-					forced[bi] = true
-				} else if !after[bi] {
-					closedDeny = true
-				}
-			}
-		}
+		pl.shapes = append(pl.shapes, placeShape{desired: bit(), closedDeny: closedDeny, free: pl.members[lo:]})
 	}
-	if closedDeny {
+	if !pl.reduce() {
 		return placed{}, nil
 	}
-	var clauses [][]int32
-	for j, si := range shapes {
-		if desired[j] {
-			continue
-		}
-		var free []int32
-		met := false
-		for _, bi := range ix.shapes[si].bindings {
-			switch {
-			case forced[bi]:
-			case !after[bi]:
-				met = true
-			case ix.bindings[bi].allowed:
-				free = append(free, bi)
-			}
-		}
-		if met {
-			continue
-		}
-		if len(free) == 0 {
-			return placed{}, nil
-		}
-		slices.Sort(free)
-		clauses = append(clauses, slices.Compact(free))
-	}
-	deny, ok := minHittingSet(call, clauses)
+	deny, ok := minHittingSet(call, pl.clauses)
 	if !ok {
 		return placed{}, call.Err()
 	}
 
 	p := placed{ok: true}
-	for bi := range forced {
-		if forced[bi] && !after[bi] {
+	for bi, f := range pl.forced {
+		if f && denies[bi] {
 			p.changes = append(p.changes, placedRule{int32(bi), acl.Permit})
 		}
 	}
@@ -476,68 +440,14 @@ func (ix *fixIndex) place(call context.Context, shapes []int32, key []byte) (pla
 	return p, nil
 }
 
-// minHittingSet returns the least, as a sorted list, of the
-// minimum-cardinality sets that meet every clause (each sorted and
-// non-empty). It deepens the size k from 0: at size k it branches on the
-// first clause the chosen set misses, over that clause's members. Every
-// hitting set of size k contains a member of that clause, so every one is
-// reached, and the first k that reaches one is the minimum; the search is
-// O(d^k) for clauses of d members. ok is false when the call is cancelled
-// first: the search polls it at every branch.
-func minHittingSet(call context.Context, clauses [][]int32) (best []int32, ok bool) {
-	slices.SortFunc(clauses, slices.Compare[[]int32])
-	clauses = slices.CompactFunc(clauses, slices.Equal[[]int32])
-	var chosen []int32
-	found := false
-	var search func(k int) bool // false: cancelled
-	search = func(k int) bool {
-		if call.Err() != nil {
-			return false
-		}
-		i := slices.IndexFunc(clauses, func(c []int32) bool {
-			return !slices.ContainsFunc(c, func(t int32) bool { return slices.Contains(chosen, t) })
-		})
-		if i < 0 {
-			set := slices.Clone(chosen)
-			slices.Sort(set)
-			if !found || slices.Compare(set, best) < 0 {
-				best, found = set, true
-			}
-			return true
-		}
-		if k == 0 {
-			return true
-		}
-		for _, t := range clauses[i] {
-			chosen = append(chosen, t)
-			if !search(k - 1) {
-				return false
-			}
-			chosen = chosen[:len(chosen)-1]
-		}
-		return true
-	}
-	for k := 0; !found; k++ {
-		if !search(k) {
-			return nil, false
-		}
-	}
-	return best, true
-}
-
 // solveNeighborhood solves the placement problem for one neighborhood
-// (Equations 3 and 7): find per-binding decisions D_{[h]_N}(ξ) on the
-// FEC's paths that restore the desired decision, minimizing the number
-// of bindings changed, honoring the allow constraints. It reads only the
-// index and returns the plan instead of applying it, so sequential and
-// parallel fix paths share it.
-//
-// Many neighborhoods of a FEC pose the same problem, so a placement is
-// kept in the FEC's memo under its placement key and reused with the new
-// neighborhood's match: place reads the key alone. The memo is the FEC's
-// own, so what it saves is a function of the FEC, like the rest of its
-// outcome.
-func (e *Engine) solveNeighborhood(call context.Context, ix *fixIndex, shapes []int32, nb header.Match, memo map[string]placed) (nbOutcome, error) {
+// (Equations 3 and 7) and returns the plan instead of applying it, so
+// sequential and parallel fix share it. Many neighborhoods of a FEC pose
+// the same problem, so a placement is kept in the FEC's memo under its
+// placement key, which is all place reads, and reused with the new
+// neighborhood's match. The memo and pl, the scratch place reuses, are
+// the FEC's own, so what they save is a function of the FEC.
+func (e *Engine) solveNeighborhood(call context.Context, ix *fixIndex, pl *placement, shapes []int32, nb header.Match, memo map[string]placed) (nbOutcome, error) {
 	out := nbOutcome{nb: nb}
 	key, err := ix.placementKey(shapes, nb)
 	if err != nil {
@@ -545,7 +455,7 @@ func (e *Engine) solveNeighborhood(call context.Context, ix *fixIndex, shapes []
 	}
 	p, hit := memo[string(key)]
 	if !hit {
-		if p, err = ix.place(call, shapes, key); err != nil {
+		if p, err = ix.place(call, pl, shapes, key); err != nil {
 			if errors.Is(err, call.Err()) {
 				out.unknown = reasonCancelled
 				return out, nil

@@ -463,7 +463,7 @@ func runFixOracleCase(t *testing.T, c fixOracleCase) fixOracleStats {
 			if err != nil {
 				t.Fatalf("%s: reference placement: %v", what, err)
 			}
-			got, err := e.solveNeighborhood(context.Background(), ix, shapes, nb, map[string]placed{})
+			got, err := e.solveNeighborhood(context.Background(), ix, &placement{}, shapes, nb, map[string]placed{})
 			if err != nil {
 				t.Fatalf("%s: %v", what, err)
 			}
@@ -478,7 +478,7 @@ func runFixOracleCase(t *testing.T, c fixOracleCase) fixOracleStats {
 			}
 			// Through the FEC's memo, as fixFEC asks: a hit must give the
 			// same plan for this neighborhood, decided nowhere.
-			memoed, err := e.solveNeighborhood(context.Background(), ix, shapes, nb, memo)
+			memoed, err := e.solveNeighborhood(context.Background(), ix, &placement{}, shapes, nb, memo)
 			if err != nil {
 				t.Fatalf("%s: memoized: %v", what, err)
 			}
@@ -942,7 +942,7 @@ func TestPlacementOnStraddlingMatchIsAnError(t *testing.T) {
 	straddler := header.DstMatch(header.Prefix{Addr: 0, Len: 5})
 	for i := 0; i < ctx.nfec; i++ {
 		shapes := ix.shapesOn(ctx.src.PathIndices(i))
-		_, err := e.solveNeighborhood(context.Background(), ix, shapes, straddler, map[string]placed{})
+		_, err := e.solveNeighborhood(context.Background(), ix, &placement{}, shapes, straddler, map[string]placed{})
 		if err == nil {
 			continue // this FEC's paths cross no ACL with a rule inside the region
 		}
@@ -1076,7 +1076,7 @@ func (c placementCase) solverCost() (ok bool, cost int) {
 func placeCase(t *testing.T, c placementCase) (ok bool, changed []int32) {
 	t.Helper()
 	ix, shapes, key := c.index()
-	p, err := ix.place(context.Background(), shapes, key)
+	p, err := ix.place(context.Background(), &placement{}, shapes, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1183,7 +1183,7 @@ func TestPlacementTieBreak(t *testing.T) {
 	}.index()
 	call, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ix.place(call, shapes, key); !errors.Is(err, context.Canceled) {
+	if _, err := ix.place(call, &placement{}, shapes, key); !errors.Is(err, context.Canceled) {
 		t.Fatalf("place under a cancelled call: err %v", err)
 	}
 }
@@ -1253,4 +1253,12 @@ func refBindingACL(n *topo.Network, b topo.ACLBinding) *acl.ACL {
 		return nil
 	}
 	return i.ACL(b.Dir)
+}
+
+// orPermitAll treats a nil ACL as permit-all.
+func orPermitAll(a *acl.ACL) *acl.ACL {
+	if a == nil {
+		return acl.PermitAll()
+	}
+	return a
 }

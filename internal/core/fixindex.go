@@ -253,8 +253,8 @@ func (d *nbDecisions) decide(ai int32) (acl.Action, error) {
 }
 
 // desired computes the desired (constant) decision of a shape's paths on
-// the neighborhood: the original path decision, overridden by the first
-// applicable control covering the neighborhood (§6).
+// the neighborhood: the original path decision, unless a control
+// covering the neighborhood says otherwise (§6).
 func (d *nbDecisions) desired(sh *fixShape) (bool, error) {
 	orig := true
 	for _, bi := range sh.bindings {
@@ -267,17 +267,5 @@ func (d *nbDecisions) desired(sh *fixShape) (bool, error) {
 			break
 		}
 	}
-	for _, ci := range sh.ctrls {
-		if !d.ctrlIn[ci] {
-			continue
-		}
-		switch d.ix.ctrls[ci].Mode {
-		case Isolate:
-			return false, nil
-		case Open:
-			return true, nil
-		}
-		break // Maintain keeps the original decision
-	}
-	return orig, nil
+	return controlled(d.ix.ctrls, sh.ctrls, d.ctrlIn, orig), nil
 }

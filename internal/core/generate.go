@@ -138,6 +138,7 @@ func (e *Engine) GenerateContext(callCtx context.Context, sources []topo.ACLBind
 	}
 	solveOne := func(a *aec) aecOutcome {
 		var out aecOutcome
+		var pl placement
 		if call.Err() != nil {
 			out.unknown = reasonCancelled
 			return out
@@ -147,8 +148,8 @@ func (e *Engine) GenerateContext(callCtx context.Context, sources []topo.ACLBind
 		if out.unknown = faultReason(faultinject.GenerateAEC); out.unknown != "" {
 			return out
 		}
-		if ix.decide(a, ix.allShapes) {
-			a.solved = true
+		if dec, ok := ix.decide(&pl, a, ix.allShapes); ok {
+			a.solved, a.dec = true, dec
 			return out
 		}
 		// DEC split: group the AEC's classes by forwarding behavior — the
@@ -172,12 +173,11 @@ func (e *Engine) GenerateContext(callCtx context.Context, sources []topo.ACLBind
 			if key >= 0 {
 				shapes = ix.shapesOn(src.PathIndices(key))
 			}
-			sub := &aec{decisions: a.decisions, ctrlIn: a.ctrlIn}
-			if !ix.decide(sub, shapes) {
+			var ok bool
+			if g.dec, ok = ix.decide(&pl, a, shapes); !ok {
 				out.unsolvable = append(out.unsolvable, g.classes...)
 				continue
 			}
-			g.dec = sub.dec
 			a.decs = append(a.decs, g)
 		}
 		return out
@@ -402,6 +402,7 @@ type genIndex struct {
 	targets   []topo.ACLBinding // distinct Allow bindings, on Before, in name order
 	targetIDs []string          // their names
 	controls  []Control         // the engine's, for their modes
+	noDenies  []bool            // per target: false, as no target denies before the plan
 	shapes    []pathShape       // distinct, in first-occurrence order over the paths
 	shapeSet                    // per path: its index into shapes
 	allShapes []int32           // 0..len(shapes)-1: the shapes of the full path set
@@ -425,7 +426,7 @@ func (e *Engine) compileGenerate(paths []topo.Path, sources, encBindings []topo.
 	if err != nil {
 		return nil, err
 	}
-	ix := &genIndex{targets: targets, targetIDs: ids, controls: e.Controls}
+	ix := &genIndex{targets: targets, targetIDs: ids, controls: e.Controls, noDenies: make([]bool, len(targets))}
 	type role struct {
 		target, enc int32 // 1 + index; 0: not one
 		source      bool
@@ -497,112 +498,35 @@ func (e *Engine) generateTargets() ([]topo.ACLBinding, []string, error) {
 	return ts, ids, nil
 }
 
-// decide finds per-target decisions for one AEC (or DEC group) over the
-// paths of the given shapes, per Equations 8–10, and reports whether any
-// exist. With the non-target decisions fixed by the AEC's signature, each
-// shape's constraint is one of three things. A shape crossing a binding
-// outside the targets and sources that denies the AEC has a false
-// left-hand side: it holds iff its desired decision is deny. Otherwise it
-// forces every target it crosses to permit (desired permit), or it is the
-// clause "one of its targets denies" (desired deny). denyTargets then
-// picks the denying targets.
-func (ix *genIndex) decide(a *aec, shapes []int32) bool {
-	forced := make([]bool, len(ix.targets))
-	var clauses [][]int32
+// decide finds per-target decisions (permit?) for one AEC, or a DEC group
+// of it, over the paths of the given shapes, per Equations 8–10, on pl;
+// ok is false when none exist. The targets are the changeable bindings,
+// each permitting until the plan says otherwise; a binding outside the
+// targets and sources denying the AEC is a closed deny; the sources
+// permit all after migration. denyTargets picks the denying targets.
+func (ix *genIndex) decide(pl *placement, a *aec, shapes []int32) (dec []bool, ok bool) {
+	pl.denies, pl.shapes, pl.members = ix.noDenies, slices.Grow(pl.shapes[:0], len(shapes)), pl.members[:0]
 	for _, si := range shapes {
 		sh := &ix.shapes[si]
-		desired := ix.desired(a, sh)
-		if slices.ContainsFunc(sh.others, func(i int32) bool { return a.decisions[i] == acl.Deny }) {
-			if desired {
-				return false
-			}
-			continue
-		}
-		if !desired {
-			clauses = append(clauses, sh.targets)
-			continue
-		}
-		for _, t := range sh.targets {
-			forced[t] = true
-		}
+		pl.shapes = append(pl.shapes, placeShape{
+			desired:    ix.desired(a, sh),
+			closedDeny: slices.ContainsFunc(sh.others, func(i int32) bool { return a.decisions[i] == acl.Deny }),
+			free:       sh.targets,
+		})
 	}
-	deny, ok := denyTargets(forced, clauses)
-	if !ok {
-		return false
+	if !pl.reduce() {
+		return nil, false
 	}
-	a.dec = make([]bool, len(deny))
-	for t, d := range deny {
-		a.dec[t] = !d
+	dec = denyTargets(len(ix.targets), pl.clauses)
+	for t, d := range dec {
+		dec[t] = !d
 	}
-	return true
+	return dec, true
 }
 
 // desired is a shape's desired decision for an AEC: the original path
-// decision, unless the first applicable control whose match covers the
-// AEC says otherwise (§6).
+// decision, unless a control covering the AEC says otherwise (§6).
 func (ix *genIndex) desired(a *aec, sh *pathShape) bool {
-	for _, i := range sh.ctrls {
-		if !a.ctrlIn[i] {
-			continue
-		}
-		switch ix.controls[i].Mode {
-		case Isolate:
-			return false
-		case Open:
-			return true
-		}
-		break // Maintain keeps the original decision
-	}
-	return !slices.ContainsFunc(sh.enc, func(i int32) bool { return a.decisions[i] == acl.Deny })
-}
-
-// denyTargets chooses the targets that deny so that every clause has a
-// denying member and no forced target denies; ok is false when some
-// clause has no unforced member. Each clause is reduced to its unforced
-// targets and counted once however many paths pose it, so the choice does
-// not depend on path multiplicity. A target that is the only unforced one
-// of a clause denies; then, while a clause is unmet, the target meeting
-// the most unmet clauses denies, the lowest index on a tie. Every other
-// target permits.
-func denyTargets(forced []bool, clauses [][]int32) (deny []bool, ok bool) {
-	open := make([][]int32, 0, len(clauses))
-	for _, c := range clauses {
-		var free []int32
-		for _, t := range c {
-			if !forced[t] {
-				free = append(free, t)
-			}
-		}
-		if len(free) == 0 {
-			return nil, false
-		}
-		slices.Sort(free)
-		open = append(open, slices.Compact(free))
-	}
-	slices.SortFunc(open, slices.Compare[[]int32])
-	open = slices.CompactFunc(open, slices.Equal[[]int32])
-	deny = make([]bool, len(forced))
-	for _, c := range open {
-		if len(c) == 1 {
-			deny[c[0]] = true
-		}
-	}
-	met := func(c []int32) bool { return slices.ContainsFunc(c, func(t int32) bool { return deny[t] }) }
-	count := make([]int, len(forced))
-	for open = slices.DeleteFunc(open, met); len(open) > 0; open = slices.DeleteFunc(open, met) {
-		clear(count)
-		for _, c := range open {
-			for _, t := range c {
-				count[t]++
-			}
-		}
-		best := 0
-		for t, n := range count {
-			if n > count[best] {
-				best = t
-			}
-		}
-		deny[best] = true
-	}
-	return deny, true
+	orig := !slices.ContainsFunc(sh.enc, func(i int32) bool { return a.decisions[i] == acl.Deny })
+	return controlled(ix.controls, sh.ctrls, a.ctrlIn, orig)
 }

@@ -400,14 +400,13 @@ func shapeConstraint(ix *genIndex, b *smt.Builder, denyVars []smt.F, a *aec, sh 
 	return b.Iff(lhs, b.Const(ix.desired(a, sh)))
 }
 
-// refClauses reads the reference's per-path constraints the way the
-// closed form takes them: the targets forced to permit (paths whose
-// desired decision is permit) and one clause per path whose desired
-// decision is deny, its targets as indices into rs.targetIDs. ok is
-// false when a path already denied outside the targets and sources
-// wants permit.
-func refClauses(e *Engine, a *refAEC, paths []topo.Path, rs refSets) (forced []bool, clauses [][]int32, ok bool) {
-	forced = make([]bool, len(rs.targetIDs))
+// refPlacement reads the reference's per-path constraints the way the
+// closed form takes them: one placement shape per path — its desired
+// decision, whether a binding outside the targets and sources denies the
+// AEC on it, and its targets as indices into rs.targetIDs, every one
+// permitting until the plan says otherwise.
+func refPlacement(e *Engine, a *refAEC, paths []topo.Path, rs refSets) *placement {
+	pl := &placement{denies: make([]bool, len(rs.targetIDs))}
 	for _, p := range paths {
 		var targets []int32
 		denied := false
@@ -421,29 +420,19 @@ func refClauses(e *Engine, a *refAEC, paths []topo.Path, rs refSets) (forced []b
 				denied = true
 			}
 		}
-		switch desired := refDesired(e, a, p, rs); {
-		case denied:
-			if desired {
-				return nil, nil, false
-			}
-		case desired:
-			for _, t := range targets {
-				forced[t] = true
-			}
-		default:
-			clauses = append(clauses, targets)
-		}
+		pl.shapes = append(pl.shapes, placeShape{desired: refDesired(e, a, p, rs), closedDeny: denied, free: targets})
 	}
-	return forced, clauses, true
+	return pl
 }
 
 // compareSolve builds the reference and the per-shape constraints of one
 // AEC (or DEC group) in one builder and requires them equal after
 // dropping repeats. It then decides the AEC through genIndex.decide and
 // requires the reference's verdict and decisions: the closed form
-// (denyTargets) applied to the reference's own per-path clauses. The
-// reference's SAT solve cross-checks both: it must agree on solvability,
-// and the engine's decisions must satisfy every per-path formula.
+// (placement.reduce, then denyTargets) applied to the reference's own
+// per-path shapes. The reference's SAT solve cross-checks both: it must
+// agree on solvability, and the engine's decisions must satisfy every
+// per-path formula.
 func compareSolve(t *testing.T, what string, e *Engine, ix *genIndex, rs refSets, ra *refAEC, a *aec, paths []topo.Path, shapes []int32) bool {
 	t.Helper()
 	s := smt.NewSolver()
@@ -461,12 +450,14 @@ func compareSolve(t *testing.T, what string, e *Engine, ix *genIndex, rs refSets
 		t.Fatalf("%s: constraint sequences differ\nreference (%d paths -> %d distinct): %v\ncompiled  (%d shapes -> %d distinct): %v",
 			what, len(paths), len(want), want, len(shapes), len(have), have)
 	}
-	forced, clauses, refOK := refClauses(e, ra, paths, rs)
+	refPl := refPlacement(e, ra, paths, rs)
 	var deny []bool
+	refOK := refPl.reduce()
 	if refOK {
-		deny, refOK = denyTargets(forced, clauses)
+		deny = denyTargets(len(rs.targetIDs), refPl.clauses)
 	}
-	ok := ix.decide(a, shapes)
+	dec, ok := ix.decide(&placement{}, a, shapes)
+	a.dec = dec
 	if ok != refOK {
 		t.Fatalf("%s: solvable=%v, reference %v", what, ok, refOK)
 	}

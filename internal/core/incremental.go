@@ -608,7 +608,7 @@ func (e *Engine) witnessFor(ctx *checkCtx, i int) (Violation, bool) {
 			panic("core: set algebra disagrees with the violating verdict")
 		}
 	}
-	v := e.psetWitnessFEC(ctx, fec, pkt)
+	v := e.psetWitnessFEC(ctx, i, pkt)
 	ctx.wit[i] = &v
 	if ent != nil && ctx.vc != nil {
 		ctx.vc.memoWitness(ent, &v)

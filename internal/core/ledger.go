@@ -94,22 +94,11 @@ func fecDecisions(fs []FECForensics) (all, unknown []declog.FECDecision) {
 	return all, unknown
 }
 
-// ledgerWitnesses renders the reported violations. Violations are in
-// ascending FEC order (one per violating FEC), so they pair with the
-// violating entries of the forensics in order.
+// ledgerWitnesses renders the reported violations.
 func ledgerWitnesses(res *CheckResult) []declog.Witness {
-	violating := make([]int, 0, len(res.Violations))
-	for _, f := range res.Forensics {
-		if f.Verdict == "violating" {
-			violating = append(violating, f.FEC)
-		}
-	}
 	out := make([]declog.Witness, 0, len(res.Violations))
-	for i, v := range res.Violations {
-		w := declog.Witness{FEC: -1, Packet: v.Packet.String()}
-		if i < len(violating) {
-			w.FEC = violating[i]
-		}
+	for _, v := range res.Violations {
+		w := declog.Witness{FEC: v.FEC, Packet: v.Packet.String()}
 		for _, c := range v.Classes {
 			w.Classes = append(w.Classes, c.String())
 		}

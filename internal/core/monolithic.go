@@ -77,7 +77,7 @@ func (e *Engine) CheckMonolithic() *CheckResult {
 	res.SolvedFECs = res.FECs // everything reaches the solver at once
 	if solver.Solve(viol) {
 		res.Consistent = false
-		res.Violations = append(res.Violations, Violation{Packet: solver.Packet(pv)})
+		res.Violations = append(res.Violations, Violation{FEC: -1, Packet: solver.Packet(pv)})
 	}
 	// The solver's counters, mirrored into the sat.* metrics, which no
 	// other call writes: check, fix and generate run no solver.

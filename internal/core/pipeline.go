@@ -23,7 +23,8 @@ type checkCtx struct {
 	tab *aclTable
 
 	pairs []aclPair
-	diff  []acl.Rule
+	diff  []acl.Rule              // the Theorem 4.1 skip's rules: each changed ID pair's differential once, and the controls' matches
+	diffs map[[2]int32][]acl.Rule // per changed ID pair: its differential rules (see differential)
 	// words holds each Before binding's key word for this generation: its
 	// encoded (before, after) ACL IDs (see pairWord), 0 where neither
 	// snapshot binds an ACL. acls resolves the IDs to their contents.
@@ -95,7 +96,7 @@ func (e *Engine) checkContext() *checkCtx {
 		return e.ckctx
 	}
 	tab := e.aclTable()
-	ctx := &checkCtx{tab: tab, pairs: e.scopeACLPairs()}
+	ctx := &checkCtx{tab: tab, pairs: e.scopeACLPairs(), diffs: map[[2]int32][]acl.Rule{}}
 	words := ctx.words.on(e.Before)
 	for k := range ctx.pairs {
 		p := &ctx.pairs[k]
@@ -108,7 +109,9 @@ func (e *Engine) checkContext() *checkCtx {
 	e.ckctx = ctx
 	if e.Opts.UseDifferential {
 		for _, p := range ctx.pairs {
-			ctx.diff = append(ctx.diff, acl.Differential(orPermitAll(p.before), orPermitAll(p.after))...)
+			if _, seen := ctx.diffs[p.ids]; !seen && p.ids[0] != p.ids[1] {
+				ctx.diff = append(ctx.diff, ctx.differential(p.ids)...)
+			}
 		}
 		// §6: a control's match joins the differential set, so no FEC
 		// whose traffic it governs is skipped — an `all` control like any

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
@@ -24,8 +25,9 @@ type JobInfo struct {
 	WallNS    int64     `json:"wall_ns,omitempty"`
 	Error     *APIError `json:"error,omitempty"`
 	// Result is the job's response body once done (a CheckResponse,
-	// FixResponse, or GenerateResponse).
-	Result any `json:"result,omitempty"`
+	// FixResponse, or GenerateResponse), compact, while the registry
+	// retains it (see maxRetainedResultBytes).
+	Result json.RawMessage `json:"result,omitempty"`
 }
 
 // jobEvent is the "job" SSE payload published on every state
@@ -43,6 +45,12 @@ type jobEvent struct {
 // maxRetainedJobs bounds the registry: the oldest finished jobs are
 // evicted first so a long-lived daemon cannot grow without bound.
 const maxRetainedJobs = 1024
+
+// maxRetainedResultBytes bounds the encoded results the registry keeps:
+// a fix or generate result embeds a network (0.9 MB for the large
+// netgen WAN), so maxRetainedJobs of them would pin about a gigabyte.
+// Past it the oldest results are dropped; their jobs keep their summaries.
+const maxRetainedResultBytes = 64 << 20
 
 // jobRegistry assigns job IDs and retains recent job records.
 type jobRegistry struct {
@@ -78,23 +86,18 @@ func (r *jobRegistry) begin(session, kind string) *JobInfo {
 // Running jobs are never evicted.
 func (r *jobRegistry) evictLocked() {
 	for len(r.byID) > maxRetainedJobs {
-		evicted := false
-		for i, id := range r.order {
-			if j := r.byID[id]; j != nil && j.State != JobRunning {
-				delete(r.byID, id)
-				r.order = append(r.order[:i:i], r.order[i+1:]...)
-				evicted = true
-				break
-			}
-		}
-		if !evicted {
+		i := slices.IndexFunc(r.order, func(id string) bool { return r.byID[id].State != JobRunning })
+		if i < 0 {
 			return // everything running; let it grow
 		}
+		delete(r.byID, r.order[i])
+		r.order = slices.Delete(r.order, i, i+1)
 	}
 }
 
-// finish records a job's terminal state.
-func (r *jobRegistry) finish(id string, wallNS int64, result any, apiErr *APIError) {
+// finish records a job's terminal state: with no error, result is the
+// response body, compact.
+func (r *jobRegistry) finish(id string, wallNS int64, result []byte, apiErr *APIError) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	j := r.byID[id]
@@ -108,6 +111,16 @@ func (r *jobRegistry) finish(id string, wallNS int64, result any, apiErr *APIErr
 	} else {
 		j.State = JobDone
 		j.Result = result
+	}
+	// The newest results that fit stay; the first that does not, and
+	// every older one, go.
+	kept := 0
+	for i := len(r.order) - 1; i >= 0; i-- {
+		if j := r.byID[r.order[i]]; j != nil {
+			if kept += len(j.Result); kept > maxRetainedResultBytes {
+				j.Result = nil
+			}
+		}
 	}
 }
 

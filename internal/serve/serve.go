@@ -715,7 +715,10 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request, kind string) 
 	start := time.Now()
 	result, apiErr := s.execute(r.Context(), sess, job.ID, kind, req)
 	wall := time.Since(start).Nanoseconds()
-	s.jobs.finish(job.ID, wall, result, apiErr)
+	// The registry keeps the result compact; a result is a plain value,
+	// so encoding it cannot fail.
+	out, _ := json.Marshal(result)
+	s.jobs.finish(job.ID, wall, out, apiErr)
 	if apiErr != nil {
 		s.observer.Counter("daemon.jobs.failed").Inc()
 		s.hub.Publish("job", eventJSON(job, JobFailed, apiErr))
@@ -724,7 +727,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request, kind string) 
 	}
 	s.observer.Counter("daemon.jobs.done").Inc()
 	s.hub.Publish("job", eventJSON(job, JobDone, nil))
-	writeJSON(w, http.StatusOK, result)
+	writeJSON(w, http.StatusOK, json.RawMessage(out))
 }
 
 // execute runs one job inside the session's critical section,
