@@ -125,7 +125,9 @@ type (
 	Program = lai.Program
 	// Resolved is a program bound to a concrete network.
 	Resolved = lai.Resolved
-	// ResolveOptions supplies the out-of-band inputs of a program.
+	// ResolveOptions supplies the out-of-band inputs of a program: its
+	// Updated snapshot, of which only the ACLs of modified bindings are
+	// read.
 	ResolveOptions = lai.ResolveOptions
 )
 

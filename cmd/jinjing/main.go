@@ -14,7 +14,7 @@
 //
 // The LAI program expresses the update intent; when it contains
 // "modify X to X'" statements taking ACLs from a hand-written update,
-// the -updated snapshot supplies them.
+// the -updated snapshot supplies them; only their ACLs are read from it.
 package main
 
 import (
@@ -45,7 +45,7 @@ func main() {
 		configsDir  = flag.String("configs", "", "directory of Cisco-IOS-style device configs (*.cfg)")
 		linksPath   = flag.String("links", "", "cable plan JSON for -configs")
 		programPath = flag.String("program", "", "LAI program file (required)")
-		updatedPath = flag.String("updated", "", "post-update network JSON for 'modify X to X'' statements")
+		updatedPath = flag.String("updated", "", "post-update network JSON for 'modify X to X'' statements (only the ACLs of modified bindings are read)")
 		noDiff      = flag.Bool("no-differential", false, "disable the Theorem 4.1 differential-rules optimization")
 		noOpt       = flag.Bool("no-optimizations", false, "disable the differential-rules and synthesis optimizations (basic Algorithm 1)")
 		findAll     = flag.Bool("all-violations", false, "report one violation per forwarding equivalence class")
@@ -109,7 +109,7 @@ func main() {
 	if *configsDir != "" {
 		net, err = in.configs(*configsDir, *linksPath)
 	} else {
-		net, err = in.network(*topoPath)
+		net, err = in.network(*topoPath, topo.Load)
 	}
 	if err != nil {
 		fail(err)
@@ -125,7 +125,7 @@ func main() {
 
 	var opts lai.ResolveOptions
 	if *updatedPath != "" {
-		updated, err := in.network(*updatedPath)
+		updated, err := in.network(*updatedPath, topo.LoadView)
 		if err != nil {
 			fail(err)
 		}
@@ -402,16 +402,16 @@ func (in *inputs) read(path string) ([]byte, error) {
 	return data, err
 }
 
-// network reads a topology snapshot in the internal/topo JSON schema.
-// It calls UnmarshalJSON on the bytes directly: json.Unmarshal would
-// validate and skip the whole document before calling it.
-func (in *inputs) network(path string) (*topo.Network, error) {
+// network reads a snapshot in the internal/topo JSON schema with load
+// (topo.Load, or topo.LoadView for -updated) on the bytes directly:
+// json.Unmarshal would validate and skip the whole document first.
+func (in *inputs) network(path string, load func([]byte) (*topo.Network, error)) (*topo.Network, error) {
 	data, err := in.read(path)
 	if err != nil {
 		return nil, err
 	}
-	n := topo.NewNetwork()
-	if err := n.UnmarshalJSON(data); err != nil {
+	n, err := load(data)
+	if err != nil {
 		return nil, fmt.Errorf("%s: %v", path, err)
 	}
 	return n, nil

@@ -45,7 +45,8 @@ type Resolved struct {
 type ResolveOptions struct {
 	// Updated supplies the post-update ACLs for "modify X to X'"
 	// statements (the operator's hand-written update plan). May be nil
-	// when no FromUpdated modify occurs.
+	// when no FromUpdated modify occurs. Only the ACLs of modified
+	// bindings are read (and cloned) from it: topo.LoadView suffices.
 	Updated *topo.Network
 }
 

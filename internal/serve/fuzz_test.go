@@ -18,7 +18,10 @@ import (
 // produces an out-of-range knob; and the one-pass decode agrees with
 // decodeStrict over the whole body: the same error text, or the same
 // request with the same network bytes and the same loaded networks (or
-// build errors). Run open-endedly in the daemon lane (-fuzz FuzzSessionRequest).
+// build errors): for topology the network topo.Load builds from the
+// bytes, and for updated the view topo.LoadView builds (FuzzNetworkJSON
+// ties that view to the full load). Run open-endedly in the daemon lane
+// (-fuzz FuzzSessionRequest).
 func FuzzSessionRequest(f *testing.F) {
 	seeds := []string{
 		// Well-formed session bodies.
@@ -88,8 +91,8 @@ func FuzzSessionRequest(f *testing.F) {
 			if sr.Program != ref.Program || !reflect.DeepEqual(sr.Defaults, ref.Defaults) {
 				t.Fatalf("session %q: decoded %+v, decodeStrict %+v", data, sr, ref)
 			}
-			sameNetwork(t, "topology", sr.topology, sr.Topology, ref.Topology)
-			sameNetwork(t, "updated", sr.updated, sr.Updated, ref.Updated)
+			sameNetwork(t, "topology", sr.topology, sr.Topology, ref.Topology, topo.Load)
+			sameNetwork(t, "updated", sr.updated, sr.Updated, ref.Updated, topo.LoadView)
 		}
 
 		jr, err := DecodeJobRequest(data)
@@ -100,7 +103,7 @@ func FuzzSessionRequest(f *testing.F) {
 			if !reflect.DeepEqual(jr.JobOverrides, jref.JobOverrides) {
 				t.Fatalf("job %q: decoded %+v, decodeStrict %+v", data, jr.JobOverrides, jref.JobOverrides)
 			}
-			sameNetwork(t, "updated", jr.updated, jr.Updated, jref.Updated)
+			sameNetwork(t, "updated", jr.updated, jr.Updated, jref.Updated, topo.LoadView)
 		}
 	})
 }
@@ -142,8 +145,11 @@ var onePassCases = []struct {
 	// Trailing bytes and an unknown key after the network.
 	{`{"updated":` + net1 + `} {}`, false},
 	{`{"updated":` + net1 + `,"bogus":[1,{"updated":2}]}`, false},
-	// A link naming a missing interface: the load fails in building.
+	// A link naming a missing interface, and a malformed prefix: a
+	// topology fails in building, an updated snapshot's view reads
+	// neither.
 	{`{"updated":{"devices":[{"name":"A","interfaces":[{"name":"1"}]}],"links":[{"from":"A:1","to":"B:9"}]}}`, true},
+	{`{"updated":{"devices":[{"name":"A","interfaces":[{"name":"1"}],"routes":[{"prefix":"999.0.0.0/8","out":"2"}]}]}}`, true},
 	// Session bodies: both networks read in one pass, or neither.
 	{`{"topology":` + net1 + `,"program":"scope A:*\nentry A:1\ncheck","updated":` + net1 + `,"defaults":{"workers":2}}`, true},
 	{`{"program":"scope A:*\ncheck","defaults":{"deadline":"1s"},"topology":` + net1 + `}`, true},
@@ -193,9 +199,9 @@ func sameError(t *testing.T, what string, err, want error) {
 }
 
 // sameNetwork fails the test unless a decoded network member holds the
-// reference's bytes and loads to the network (or the error) loading the
-// reference's bytes gives.
-func sameNetwork(t *testing.T, member string, got *topo.Plain, raw, want json.RawMessage) {
+// reference's bytes and loads to the network (or the error) load gives
+// on the reference's bytes.
+func sameNetwork(t *testing.T, member string, got *topo.Plain, raw, want json.RawMessage, load func([]byte) (*topo.Network, error)) {
 	t.Helper()
 	if !bytes.Equal(raw, want) || (raw == nil) != (want == nil) {
 		t.Fatalf("%s: raw %q, decodeStrict %q", member, raw, want)
@@ -206,8 +212,8 @@ func sameNetwork(t *testing.T, member string, got *topo.Plain, raw, want json.Ra
 		}
 		return
 	}
-	gn, gerr := loadNetwork(raw, got)
-	wn, werr := loadNetwork(want, nil)
+	gn, gerr := loadNetwork(raw, got, load)
+	wn, werr := load(want)
 	if errText(gerr) != errText(werr) {
 		t.Fatalf("%s: load error %q, reference %q", member, errText(gerr), errText(werr))
 	}

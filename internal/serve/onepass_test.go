@@ -131,7 +131,9 @@ func replayEdits(t *testing.T, rewrite func([]byte) []byte) []string {
 	send(http.MethodPost, "/v1/sessions/fig1/check", JobRequest{})
 	send(http.MethodPost, "/v1/sessions/fig1/check", JobRequest{Updated: marshalNet(t, editNet(t, edit2))})
 	send(http.MethodPost, "/v1/sessions/fig1/fix", JobRequest{Updated: marshalNet(t, editNet(t, edit1))})
-	// A snapshot whose link names a missing interface fails to load.
+	// A snapshot whose link names a missing interface: its ACL view
+	// reads no link, and the job fails on the modified binding C:1 the
+	// snapshot lacks.
 	broken := json.RawMessage(`{"devices":[{"name":"A","interfaces":[{"name":"1"}]}],"links":[{"from":"A:1","to":"Z:9"}]}`)
 	send(http.MethodPost, "/v1/sessions/fig1/check", JobRequest{Updated: broken})
 	send(http.MethodPost, "/v1/sessions/fig1/check", JobRequest{
@@ -337,7 +339,7 @@ func TestReadBodyFollowsArrivedBytes(t *testing.T) {
 }
 
 // BenchmarkDecodeJobRequest is a re-check's decode: a POST body carrying
-// the large WAN as its updated snapshot, decoded and its network loaded
+// the large WAN as its updated snapshot, decoded and its ACL view built
 // (what runLocked resolves against). The body is the one the operator
 // benchmark posts: the snapshot as json.Marshal writes it, inside
 // {"updated":...}.
@@ -356,7 +358,7 @@ func BenchmarkDecodeJobRequest(b *testing.B) {
 			b.Fatal(err)
 		}
 		var u *topo.Network
-		if u, err = loadNetwork(req.Updated, req.updated); err != nil || len(u.Devices) == 0 {
+		if u, err = loadNetwork(req.Updated, req.updated, topo.LoadView); err != nil || len(u.Devices) == 0 {
 			b.Fatalf("load: %v", err)
 		}
 	}
@@ -364,8 +366,8 @@ func BenchmarkDecodeJobRequest(b *testing.B) {
 
 // BenchmarkLoadManifest is a restored session's decode: a manifest whose
 // request carries the large WAN as both topology and updated snapshot,
-// read from disk and decoded, and both networks loaded (what newSession
-// builds the session from).
+// read from disk and decoded, the topology loaded and the snapshot's ACL
+// view built (what newSession builds the session from).
 func BenchmarkLoadManifest(b *testing.B) {
 	snap, err := json.Marshal(netgen.Build(netgen.DefaultConfig(netgen.Large, 1)).Net)
 	if err != nil {
@@ -388,8 +390,9 @@ func BenchmarkLoadManifest(b *testing.B) {
 		for _, n := range []struct {
 			raw   json.RawMessage
 			plain *topo.Plain
-		}{{req.Topology, req.topology}, {req.Updated, req.updated}} {
-			if u, err := loadNetwork(n.raw, n.plain); err != nil || len(u.Devices) == 0 {
+			load  func([]byte) (*topo.Network, error)
+		}{{req.Topology, req.topology, topo.Load}, {req.Updated, req.updated, topo.LoadView}} {
+			if u, err := loadNetwork(n.raw, n.plain, n.load); err != nil || len(u.Devices) == 0 {
 				b.Fatalf("load: %v", err)
 			}
 		}

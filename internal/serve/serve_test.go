@@ -341,6 +341,82 @@ func TestDaemonMatchesColdCLI(t *testing.T) {
 	}
 }
 
+// TestUpdatedReadForACLsOnly: an updated snapshot is read for the ACLs
+// of modified bindings only. One whose route prefix is malformed and
+// whose link dangles gets the report the clean snapshot gets, from the
+// CLI's -updated and from a daemon job; a bad ACL text is still
+// refused, with exit 2 from the CLI and a 400 starting "updated:" from
+// the daemon.
+func TestUpdatedReadForACLsOnly(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the jinjing binary; skipped in -short mode")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "jinjing")
+	if out, err := exec.Command("go", "build", "-o", bin, "jinjing/cmd/jinjing").CombinedOutput(); err != nil {
+		t.Fatalf("building jinjing: %v\n%s", err, out)
+	}
+	clean := marshalNet(t, editNet(t, edit2))
+	dirty := bytes.Replace(clean, []byte(`"prefix":"7.0.0.0/8"`), []byte(`"prefix":"7.0.0.999/8"`), 1)
+	dirty = bytes.Replace(dirty, []byte(`"links":[`), []byte(`"links":[{"from":"A:1","to":"Z:9"},`), 1)
+	badACL := bytes.Replace(clean, []byte(`"deny dst 4.0.0.0/8`), []byte(`"frobnicate dst 4.0.0.0/8`), 1)
+	for _, snap := range [][]byte{dirty, badACL} {
+		if _, err := topo.Load(snap); err == nil {
+			t.Fatalf("the full load accepts the damaged snapshot %s", snap)
+		}
+	}
+	topoPath, progPath := filepath.Join(dir, "net.json"), filepath.Join(dir, "prog.lai")
+	if err := os.WriteFile(topoPath, marshalNet(t, figure1()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(progPath, []byte(daemonProgram), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// cli runs a check against snap and returns its stdout and exit code.
+	cli := func(name string, snap []byte) (string, int) {
+		path := filepath.Join(dir, name+".json")
+		if err := os.WriteFile(path, snap, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out, err := exec.Command(bin, "-all-violations", "-topo", topoPath, "-program", progPath, "-updated", path).Output()
+		var ee *exec.ExitError
+		if errors.As(err, &ee) {
+			return string(out), ee.ExitCode()
+		} else if err != nil {
+			t.Fatalf("jinjing: %v", err)
+		}
+		return string(out), 0
+	}
+
+	_, ts := newTestDaemon(t, Config{})
+	putSession(t, ts, "fig1", edit1)
+	want, code := cli("clean", clean)
+	if code != 1 || want == "" {
+		t.Fatalf("clean snapshot: exit %d, report %q; want an inconsistent check", code, want)
+	}
+	for _, snap := range []struct {
+		name string
+		data []byte
+	}{{"clean", clean}, {"dirty", dirty}} {
+		status, resp, raw := postCheck(t, ts, "fig1", &JobRequest{Updated: snap.data})
+		if status != http.StatusOK || resp.Report != want {
+			t.Errorf("daemon, %s snapshot: status %d, body %s; want the report\n%s", snap.name, status, raw, want)
+		}
+		if got, code := cli(snap.name, snap.data); got != want || code != 1 {
+			t.Errorf("CLI, %s snapshot: exit %d, report\n%s\nwant exit 1 and\n%s", snap.name, code, got, want)
+		}
+	}
+
+	if _, code := cli("bad-acl", badACL); code != 2 {
+		t.Errorf("CLI, bad ACL text: exit %d, want 2", code)
+	}
+	status, _, raw := postCheck(t, ts, "fig1", &JobRequest{Updated: badACL})
+	var eb errorBody
+	if err := json.Unmarshal(raw, &eb); err != nil || status != http.StatusBadRequest || !strings.HasPrefix(eb.Error.Message, "updated: ") {
+		t.Errorf("daemon, bad ACL text: status %d, body %s; want a 400 starting \"updated: \"", status, raw)
+	}
+}
+
 // TestDaemonSessionLifecycle covers load/inspect/replace/unload and the
 // not-found and bad-name paths.
 func TestDaemonSessionLifecycle(t *testing.T) {

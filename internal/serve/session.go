@@ -76,7 +76,7 @@ type jobCaps struct {
 // The returned session has already derived its paths and FECs — PUT is
 // the cold-start moment; jobs run against warm structures.
 func newSession(name string, req *SessionRequest, o *obs.Observer, ledger *declog.Logger, ledgerPath string) (*session, error) {
-	base, err := loadNetwork(req.Topology, req.topology)
+	base, err := loadNetwork(req.Topology, req.topology, topo.Load)
 	if err != nil {
 		return nil, fmt.Errorf("topology: %v", err)
 	}
@@ -86,7 +86,7 @@ func newSession(name string, req *SessionRequest, o *obs.Observer, ledger *declo
 	}
 	var ropts lai.ResolveOptions
 	if len(req.Updated) > 0 {
-		if ropts.Updated, err = loadNetwork(req.Updated, req.updated); err != nil {
+		if ropts.Updated, err = loadNetwork(req.Updated, req.updated, topo.LoadView); err != nil {
 			return nil, fmt.Errorf("updated: %v", err)
 		}
 	}
@@ -173,7 +173,7 @@ func (s *session) runLocked(ctx context.Context, jobID, kind string, req *JobReq
 	}
 
 	if len(req.Updated) > 0 {
-		u, err := loadNetwork(req.Updated, req.updated)
+		u, err := loadNetwork(req.Updated, req.updated, topo.LoadView)
 		if err != nil {
 			return nil, &APIError{Code: "bad_request", Message: fmt.Sprintf("updated: %v", err)}
 		}

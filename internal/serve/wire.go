@@ -104,8 +104,8 @@ type SessionRequest struct {
 	Updated  json.RawMessage `json:"updated,omitempty"`
 	Defaults *JobOverrides   `json:"defaults,omitempty"`
 
-	// The plain reads decodeOnce made of Topology and Updated; nil for a
-	// member it left to decodeStrict.
+	// The plain reads decodeOnce made of Topology and of Updated's ACL
+	// view; nil for a member it left to decodeStrict.
 	topology, updated *topo.Plain
 }
 
@@ -117,25 +117,21 @@ type JobRequest struct {
 	Updated json.RawMessage `json:"updated,omitempty"`
 	JobOverrides
 
-	// The plain read decodeOnce made of Updated; nil when it left the
-	// member to decodeStrict.
+	// The plain read decodeOnce made of Updated's ACL view; nil when it
+	// left the member to decodeStrict.
 	updated *topo.Plain
 }
 
 // loadNetwork builds the network raw holds: from plain, the read
-// decodeOnce made of raw, when there is one, or else by a load of raw.
-// The build is left to where the request is used (newSession,
-// runLocked; a job's after admission), so a decoded request holds no
-// built network.
-func loadNetwork(raw json.RawMessage, plain *topo.Plain) (*topo.Network, error) {
+// decodeOnce made of raw, when there is one, or else by load (topo.Load,
+// or topo.LoadView for an updated snapshot) of raw. The build is left
+// to where the request is used (newSession, runLocked; a job's after
+// admission), so a decoded request holds no built network.
+func loadNetwork(raw json.RawMessage, plain *topo.Plain, load func([]byte) (*topo.Network, error)) (*topo.Network, error) {
 	if plain != nil {
 		return plain.Build()
 	}
-	n := topo.NewNetwork()
-	if err := n.UnmarshalJSON(raw); err != nil {
-		return nil, err
-	}
-	return n, nil
+	return load(raw)
 }
 
 // decodeStrict unmarshals into v rejecting unknown fields and trailing
@@ -153,12 +149,14 @@ func decodeStrict(data []byte, v any) error {
 }
 
 // netMember is a member splitMembers cuts out of a body: its key, and for
-// a network member of a request type the field holding its value's bytes
-// and the field holding its plain read.
+// a network member of a request type the field holding its value's bytes,
+// the field holding its plain read, and the reader that makes it
+// (topo.ReadPlainAt, or topo.ReadViewAt for an updated snapshot).
 type netMember struct {
 	key   string
 	raw   *json.RawMessage
 	plain **topo.Plain
+	read  func(data []byte, off int) (*topo.Plain, int, bool)
 }
 
 // decodeOnce decodes a request body into *v as decode (decodeStrict, or
@@ -176,7 +174,7 @@ type netMember struct {
 func decodeOnce[T any](data []byte, v *T, decode func([]byte, any) error, members ...netMember) error {
 	plains := make([]*topo.Plain, len(members))
 	envelope, spans, ok := splitMembers(data, members, func(k, at int) (int, bool) {
-		p, end, ok := topo.ReadPlainAt(data, at)
+		p, end, ok := members[k].read(data, at)
 		plains[k] = p
 		return end, ok
 	})
@@ -343,8 +341,8 @@ func DecodeSessionRequest(data []byte) (*SessionRequest, error) {
 func decodeSessionRequest(data []byte, decode func([]byte, any) error) (*SessionRequest, error) {
 	var req SessionRequest
 	if err := decodeOnce(data, &req, decode,
-		netMember{"topology", &req.Topology, &req.topology},
-		netMember{"updated", &req.Updated, &req.updated}); err != nil {
+		netMember{"topology", &req.Topology, &req.topology, topo.ReadPlainAt},
+		netMember{"updated", &req.Updated, &req.updated, topo.ReadViewAt}); err != nil {
 		return nil, err
 	}
 	if err := req.validate(); err != nil {
@@ -360,7 +358,7 @@ func DecodeJobRequest(data []byte) (*JobRequest, error) {
 	if len(bytes.TrimSpace(data)) == 0 {
 		return &req, nil
 	}
-	if err := decodeOnce(data, &req, decodeStrict, netMember{"updated", &req.Updated, &req.updated}); err != nil {
+	if err := decodeOnce(data, &req, decodeStrict, netMember{"updated", &req.Updated, &req.updated, topo.ReadViewAt}); err != nil {
 		return nil, err
 	}
 	if err := req.JobOverrides.validate(); err != nil {

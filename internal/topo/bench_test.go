@@ -132,22 +132,28 @@ func BenchmarkClone(b *testing.B) {
 
 // BenchmarkLoadNetwork is topo.load: one snapshot marshaled once, as
 // jinjing-netgen writes it, and decoded per iteration through
-// UnmarshalJSON, the call the CLI and the daemon make on the bytes they
-// read.
+// UnmarshalJSON, the call the CLI and the daemon make on the bytes of
+// a topology, and (the -view arms) through LoadView, the call they
+// make on the bytes of an updated snapshot.
 func BenchmarkLoadNetwork(b *testing.B) {
 	for _, size := range wanSizes {
 		data, err := json.Marshal(netgen.Build(netgen.DefaultConfig(size, 1)).Net)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(size.String(), func(b *testing.B) {
-			b.SetBytes(int64(len(data)))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := topo.NewNetwork().UnmarshalJSON(data); err != nil {
-					b.Fatal(err)
+		for _, arm := range []struct {
+			name string
+			load func([]byte) (*topo.Network, error)
+		}{{"", topo.Load}, {"-view", topo.LoadView}} {
+			b.Run(size.String()+arm.name, func(b *testing.B) {
+				b.SetBytes(int64(len(data)))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := arm.load(data); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }

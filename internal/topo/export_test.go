@@ -8,16 +8,37 @@ type NetworkJSON = networkJSON
 
 // ReadPlain runs the plain reader alone.
 func ReadPlain(data []byte) (NetworkJSON, bool) {
-	var in networkJSON
-	ok := readPlain(data, &in)
-	return in, ok
+	p, ok := readPlain(data, false)
+	if !ok {
+		return NetworkJSON{}, false
+	}
+	return p.in, true
 }
 
 // BuildNetwork runs the build step UnmarshalJSON shares between its
 // readers on an already decoded document.
 func BuildNetwork(in *NetworkJSON) (*Network, error) {
-	n := NewNetwork()
-	return n, n.build(in)
+	return (&Plain{in: *in}).Build()
+}
+
+// LoadViewPlain is LoadView with its plain reader alone: ok is false
+// when the reader declines the document.
+func LoadViewPlain(data []byte) (n *Network, err error, ok bool) {
+	p, ok := readPlain(data, true)
+	if !ok {
+		return nil, nil, false
+	}
+	n, err = p.Build()
+	return n, err, true
+}
+
+// LoadViewStd is LoadView with encoding/json alone.
+func LoadViewStd(data []byte) (*Network, error) {
+	p, err := decodeStd(data, true)
+	if err != nil {
+		return nil, err
+	}
+	return p.Build()
 }
 
 // SweepEgress resolves every class's egress interfaces on d through the

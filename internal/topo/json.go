@@ -77,50 +77,97 @@ func (n *Network) MarshalJSON() ([]byte, error) {
 // this directly: json.Unmarshal(data, n) first validates and skips the
 // whole document before it gets here.
 func (n *Network) UnmarshalJSON(data []byte) error {
-	var in networkJSON
-	if !readPlain(data, &in) {
-		in = networkJSON{}
-		if err := json.Unmarshal(data, &in); err != nil {
-			return err
-		}
+	p, err := load(data, false)
+	if err != nil {
+		return err
 	}
-	return n.build(&in)
+	return n.build(&p.in, false)
+}
+
+// Load builds the network data holds, as UnmarshalJSON does.
+func Load(data []byte) (*Network, error) { return loadBuilt(data, false) }
+
+// LoadView builds the ACL view of the network document data: the
+// devices and interfaces Load builds (one named only as a route's out
+// included) and their ACLs, parsed as Load parses them, but no FIB and
+// no link, so malformed prefixes and dangling links go unread. Its
+// bindings share one *acl.ACL per distinct text: lai.Resolve, which
+// reads only modified bindings' ACLs from a snapshot, clones them.
+func LoadView(data []byte) (*Network, error) { return loadBuilt(data, true) }
+
+func loadBuilt(data []byte, view bool) (*Network, error) {
+	p, err := load(data, view)
+	if err != nil {
+		return nil, err
+	}
+	return p.Build()
+}
+
+// load reads data in one pass when it is plain, and else decodes it
+// with encoding/json (for a view, into the schema without links).
+func load(data []byte, view bool) (*Plain, error) {
+	if p, ok := readPlain(data, view); ok {
+		return p, nil
+	}
+	return decodeStd(data, view)
+}
+
+func decodeStd(data []byte, view bool) (*Plain, error) {
+	p := &Plain{view: view}
+	if !view {
+		return p, json.Unmarshal(data, &p.in)
+	}
+	var v struct {
+		Devices []deviceJSON `json:"devices"`
+	}
+	err := json.Unmarshal(data, &v)
+	p.in.Devices = v.Devices
+	return p, err
 }
 
 // build adds the decoded devices, interfaces, ACLs, routes and links to
-// n, whichever reader filled in.
-func (n *Network) build(in *networkJSON) error {
+// n, whichever reader filled in. A view (whose in.Links is nil) gets no
+// route, only the interface each names, and one ACL per distinct text.
+func (n *Network) build(in *networkJSON, view bool) error {
 	if n.Devices == nil {
 		*n = *NewNetwork()
 	}
+	parsed := map[string]*acl.ACL{} // a view's ACLs by text
 	for _, dj := range in.Devices {
 		d := n.Device(dj.Name)
 		for _, ij := range dj.Interfaces {
 			iface := d.Interface(ij.Name)
-			if ij.InACL != "" {
-				a, err := acl.Parse(ij.InACL)
-				if err != nil {
-					return fmt.Errorf("topo: device %s interface %s in-ACL: %v", dj.Name, ij.Name, err)
+			for dir, text := range [...]string{In: ij.InACL, Out: ij.OutACL} {
+				if text == "" {
+					continue
 				}
-				iface.SetACL(In, a)
-			}
-			if ij.OutACL != "" {
-				a, err := acl.Parse(ij.OutACL)
-				if err != nil {
-					return fmt.Errorf("topo: device %s interface %s out-ACL: %v", dj.Name, ij.Name, err)
+				a := parsed[text]
+				if a == nil {
+					var err error
+					if a, err = acl.Parse(text); err != nil {
+						return fmt.Errorf("topo: device %s interface %s %v-ACL: %v", dj.Name, ij.Name, Direction(dir), err)
+					}
 				}
-				iface.SetACL(Out, a)
+				if view {
+					parsed[text] = a
+				}
+				iface.SetACL(Direction(dir), a)
 			}
 		}
-		d.FIB = slices.Grow(d.FIB, len(dj.Routes))
+		if !view {
+			d.FIB = slices.Grow(d.FIB, len(dj.Routes))
+		}
 		var out *Interface
 		for _, rj := range dj.Routes {
+			if out == nil || out.Name != rj.Out {
+				out = d.Interface(rj.Out)
+			}
+			if view {
+				continue
+			}
 			p, err := header.ParsePrefix(rj.Prefix)
 			if err != nil {
 				return fmt.Errorf("topo: device %s route: %v", dj.Name, err)
-			}
-			if out == nil || out.Name != rj.Out {
-				out = d.Interface(rj.Out)
 			}
 			d.AddRoute(p, out)
 		}
@@ -145,9 +192,9 @@ func (n *Network) build(in *networkJSON) error {
 	return nil
 }
 
-// readPlain fills in from data when data is in the plain form of the
-// network schema, the form MarshalJSON and every generator in this
-// repository write:
+// readPlain reads data when it is in the plain form of the network
+// schema, the form MarshalJSON and every generator in this repository
+// write:
 //
 //   - objects hold only the schema's keys, in exact case, each at most
 //     once;
@@ -157,20 +204,22 @@ func (n *Network) build(in *networkJSON) error {
 //
 // On any other input (escapes, non-ASCII, unknown, duplicate or
 // case-variant keys, numbers, booleans, malformed JSON) it reports
-// false, leaving in partly filled, and the caller decodes data with
-// encoding/json instead. Everything readPlain accepts is valid JSON
-// that encoding/json decodes to the same networkJSON.
-func readPlain(data []byte, in *networkJSON) bool {
-	r := plainReader{data: data}
-	if !r.value(in) {
-		return false
-	}
+// false, and the caller decodes data with encoding/json instead.
+// Everything readPlain accepts is valid JSON that encoding/json decodes
+// to the same networkJSON. A view reads the same documents, but keeps
+// no link, and one route, its out alone, per distinct out.
+func readPlain(data []byte, view bool) (*Plain, bool) {
+	p, end, ok := readPlainAt(data, 0, view)
+	r := plainReader{data: data, off: end}
 	r.space()
-	return r.off == len(r.data)
+	return p, ok && r.off == len(data)
 }
 
 // Plain is a network value read in the plain form and not yet built.
-type Plain struct{ in networkJSON }
+type Plain struct {
+	in   networkJSON
+	view bool
+}
 
 // ReadPlainAt reads the network value that starts at data[off], for a
 // value embedded in a larger document (a request body), as readPlain
@@ -178,19 +227,28 @@ type Plain struct{ in networkJSON }
 // false when the value is not plain; the caller then decodes the
 // document another way.
 func ReadPlainAt(data []byte, off int) (p *Plain, end int, ok bool) {
-	p = new(Plain)
-	r := plainReader{data: data, off: off}
+	return readPlainAt(data, off, false)
+}
+
+// ReadViewAt is ReadPlainAt for the value's ACL view (see LoadView).
+func ReadViewAt(data []byte, off int) (p *Plain, end int, ok bool) {
+	return readPlainAt(data, off, true)
+}
+
+func readPlainAt(data []byte, off int, view bool) (*Plain, int, bool) {
+	p := &Plain{view: view}
+	r := plainReader{data: data, off: off, view: view}
 	if !r.value(&p.in) {
 		return nil, 0, false
 	}
 	return p, r.off, true
 }
 
-// Build builds the network p holds. Its error is the one UnmarshalJSON
-// returns for the value's bytes.
+// Build builds the network p holds, or its view. Its error is the one
+// Load, or LoadView, returns for the value's bytes.
 func (p *Plain) Build() (*Network, error) {
 	n := NewNetwork()
-	if err := n.build(&p.in); err != nil {
+	if err := n.build(&p.in, p.view); err != nil {
 		return nil, err
 	}
 	return n, nil
@@ -201,6 +259,7 @@ func (p *Plain) Build() (*Network, error) {
 type plainReader struct {
 	data []byte
 	off  int
+	view bool
 }
 
 // space skips JSON whitespace.
@@ -303,14 +362,41 @@ func (r *plainReader) object(member func(key []byte) (bit uint8, ok bool)) bool 
 	}
 }
 
+// strOrNil reads null, as nil, or a plain string.
+func (r *plainReader) strOrNil() ([]byte, bool) {
+	if r.null() {
+		return nil, true
+	}
+	return r.str()
+}
+
 // strOrNull reads null or a plain string into dst.
 func (r *plainReader) strOrNull(dst *string) bool {
+	s, ok := r.strOrNil()
+	*dst = string(s)
+	return ok
+}
+
+// array reads null or an array of objects, calling elem for each
+// element: after an object's opening brace, or with null set for a
+// null element.
+func (r *plainReader) array(elem func(null bool) bool) bool {
 	if r.null() {
 		return true
 	}
-	s, ok := r.str()
-	*dst = string(s)
-	return ok
+	if !r.consume('[') {
+		return false
+	}
+	for first := true; ; first = false {
+		done, ok := r.next(']', first)
+		if !ok || done {
+			return ok
+		}
+		null := r.null()
+		if !null && !r.consume('{') || !elem(null) {
+			return false
+		}
+	}
 }
 
 // plainArray reads null or an array of objects, each read by elem, into
@@ -320,25 +406,15 @@ func plainArray[T any](r *plainReader, dst *[]T, elem func(*plainReader, *T) boo
 	if r.null() {
 		return true
 	}
-	if !r.consume('[') {
+	out := []T{}
+	if !r.array(func(null bool) bool {
+		out = append(out, *new(T))
+		return null || elem(r, &out[len(out)-1])
+	}) {
 		return false
 	}
-	out := []T{}
-	for first := true; ; first = false {
-		done, ok := r.next(']', first)
-		if !ok {
-			return false
-		}
-		if done {
-			*dst = out
-			return true
-		}
-		var zero T
-		out = append(out, zero)
-		if !r.null() && !(r.consume('{') && elem(r, &out[len(out)-1])) {
-			return false
-		}
-	}
+	*dst = out
+	return true
 }
 
 // value reads a network document: null or the network object.
@@ -354,6 +430,15 @@ func (r *plainReader) network(in *networkJSON) bool {
 		case "devices":
 			return 1, plainArray(r, &in.Devices, (*plainReader).device)
 		case "links":
+			if r.view {
+				return 2, r.array(func(null bool) bool {
+					if null {
+						return true
+					}
+					_, _, ok := r.pair("from", "to")
+					return ok
+				})
+			}
 			return 2, plainArray(r, &in.Links, (*plainReader).link)
 		}
 		return 0, false
@@ -368,9 +453,33 @@ func (r *plainReader) device(dj *deviceJSON) bool {
 		case "interfaces":
 			return 2, plainArray(r, &dj.Interfaces, (*plainReader).iface)
 		case "routes":
+			if r.view {
+				return 4, r.outs(&dj.Routes)
+			}
 			return 4, plainArray(r, &dj.Routes, (*plainReader).route)
 		}
 		return 0, false
+	})
+}
+
+// outs reads a device's routes for a view: each in the plain form, of
+// which it keeps one per distinct out, with the out alone, in the order
+// the outs first appear (the order build creates their interfaces in).
+// A null route's out is empty, as build reads it.
+func (r *plainReader) outs(dst *[]routeJSON) bool {
+	return r.array(func(null bool) bool {
+		var out []byte
+		ok := null
+		if !null {
+			_, out, ok = r.pair("prefix", "out")
+		}
+		for _, rj := range *dst {
+			if rj.Out == string(out) {
+				return ok
+			}
+		}
+		*dst = append(*dst, routeJSON{Out: string(out)})
+		return ok
 	})
 }
 
@@ -389,25 +498,62 @@ func (r *plainReader) iface(ij *interfaceJSON) bool {
 }
 
 func (r *plainReader) route(rj *routeJSON) bool {
-	return r.object(func(key []byte) (uint8, bool) {
-		switch string(key) {
-		case "prefix":
-			return 1, r.strOrNull(&rj.Prefix)
-		case "out":
-			return 2, r.strOrNull(&rj.Out)
-		}
-		return 0, false
-	})
+	prefix, out, ok := r.pair("prefix", "out")
+	rj.Prefix, rj.Out = string(prefix), string(out)
+	return ok
 }
 
 func (r *plainReader) link(lj *linkJSON) bool {
-	return r.object(func(key []byte) (uint8, bool) {
+	from, to, ok := r.pair("from", "to")
+	lj.From, lj.To = string(from), string(to)
+	return ok
+}
+
+// pair reads an object whose members are a and b, each null or a
+// string, and returns their values (nil for null or absent).
+func (r *plainReader) pair(a, b string) (va, vb []byte, ok bool) {
+	if va, vb, ok = r.compactPair(a, b); ok {
+		return va, vb, ok
+	}
+	ok = r.object(func(key []byte) (uint8, bool) {
+		var ok bool
 		switch string(key) {
-		case "from":
-			return 1, r.strOrNull(&lj.From)
-		case "to":
-			return 2, r.strOrNull(&lj.To)
+		case a:
+			va, ok = r.strOrNil()
+			return 1, ok
+		case b:
+			vb, ok = r.strOrNil()
+			return 2, ok
 		}
 		return 0, false
 	})
+	return va, vb, ok
+}
+
+// compactPair is pair's fast path, for the form json.Marshal writes:
+// {"a":"…","b":"…"} with no whitespace. On any other input it reports
+// false and leaves the cursor where it was.
+func (r *plainReader) compactPair(a, b string) (va, vb []byte, ok bool) {
+	d, i := r.data, r.off
+	var v [2][]byte
+	for k, key := range [2]string{a, b} {
+		lead := [2]string{`"`, `","`}[k]
+		if !hasAt(d, i, lead) || !hasAt(d, i+len(lead), key) || !hasAt(d, i+len(lead)+len(key), `":"`) {
+			return nil, nil, false
+		}
+		start := i + len(lead) + len(key) + 3
+		for i = start; i < len(d) && plainByte[d[i]]; i++ {
+		}
+		v[k] = d[start:i]
+	}
+	if !hasAt(d, i, `"}`) {
+		return nil, nil, false
+	}
+	r.off = i + 2
+	return v[0], v[1], true
+}
+
+// hasAt reports whether d holds s at offset i.
+func hasAt(d []byte, i int, s string) bool {
+	return len(d)-i >= len(s) && string(d[i:i+len(s)]) == s
 }

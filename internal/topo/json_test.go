@@ -76,14 +76,19 @@ func TestJSONRoundTrip(t *testing.T) {
 // the error text is encoding/json's (or, for the repeated key, the one
 // its merge of both "routes" arrays produces): documents that look
 // plain but are malformed must not get an error of the plain reader's
-// own making.
+// own making. LoadView fails with the same text, except on a document
+// whose only fault is in a route's prefix or a link (viewOK), which the
+// view does not read.
 func TestJSONErrors(t *testing.T) {
-	bad := []struct{ in, want string }{
+	bad := []struct {
+		in, want string
+		viewOK   bool
+	}{
 		{in: `{"devices":[{"name":"A","interfaces":[{"name":"1","in_acl":"frobnicate"}]}]}`},
-		{in: `{"devices":[{"name":"A","interfaces":[{"name":"1"}],"routes":[{"prefix":"999.0.0.0/8","out":"1"}]}]}`},
-		{in: `{"links":[{"from":"X:1","to":"Y:1"}]}`},
+		{in: `{"devices":[{"name":"A","interfaces":[{"name":"1"}],"routes":[{"prefix":"999.0.0.0/8","out":"1"}]}]}`, viewOK: true},
+		{in: `{"links":[{"from":"X:1","to":"Y:1"}]}`, viewOK: true},
 		{in: `{"devices":[{"name":"A","interfaces":[{"name":"1"},{"name":"2"}]}],"links":[{"from":"A:1","to":"A:2"}]}`,
-			want: "topo: link: A:1 and A:2 are on the same device"},
+			want: "topo: link: A:1 and A:2 are on the same device", viewOK: true},
 		{in: `{not json`},
 		{in: `{"devices":[]}x`, want: "invalid character 'x' after top-level value"},
 		{in: `{"devices":[{"name":"A`, want: "unexpected end of JSON input"},
@@ -92,7 +97,7 @@ func TestJSONErrors(t *testing.T) {
 		// encoding/json decodes the second "routes" into the first's
 		// elements, so the route keeps its bad prefix.
 		{in: `{"devices":[{"name":"A","interfaces":[{"name":"1"}],"routes":[{"prefix":"999.0.0.0/8","out":"1"}],"routes":[{"out":"1"}]}]}`,
-			want: `topo: device A route: header: bad IPv4 octet in "999.0.0.0/8"`},
+			want: `topo: device A route: header: bad IPv4 octet in "999.0.0.0/8"`, viewOK: true},
 	}
 	for _, c := range bad {
 		viaJSON := json.Unmarshal([]byte(c.in), topo.NewNetwork())
@@ -107,6 +112,9 @@ func TestJSONErrors(t *testing.T) {
 		if c.want != "" && direct.Error() != c.want {
 			t.Errorf("%q: err = %q, want %q", c.in, direct, c.want)
 		}
+		if _, err := topo.LoadView([]byte(c.in)); c.viewOK && err != nil || !c.viewOK && (err == nil || err.Error() != direct.Error()) {
+			t.Errorf("%q: LoadView err = %v, load err = %q, view reads it: %v", c.in, err, direct, c.viewOK)
+		}
 	}
 }
 
@@ -115,6 +123,12 @@ func TestJSONErrors(t *testing.T) {
 // the same networkJSON. On every input, UnmarshalJSON (both entry
 // points) and a reference that decodes with encoding/json alone return
 // the same error text, or networks that marshal to the same bytes.
+//
+// It holds the ACL view (LoadView) to the same readers: its plain
+// reader accepts exactly the documents the full one does, and builds
+// the view encoding/json's decode builds, or fails with its error
+// text; and wherever UnmarshalJSON succeeds, the view succeeds with
+// the same devices, interfaces and ACLs, and no route and no link.
 func FuzzNetworkJSON(f *testing.F) {
 	paper := papernet.Build()
 	indented, err := paper.MarshalJSON()
@@ -156,6 +170,14 @@ func FuzzNetworkJSON(f *testing.F) {
 		`{"devices":[{"name":"A","interfaces":[null,{"name":null,"in_acl":null,"out_acl":null}],"routes":[null]}]}`,
 		`{"devices":[{"name":"A","interfaces":[{"name":"1"}],"routes":[{"prefix":null,"out":null}]}]}`,
 		`{"devices":[{"name":"A","interfaces":[{"name":"1"}]}],"links":[{"from":null,"to":"A:1"}]}`,
+		// What the view reads differently from the full load: an
+		// interface named only as a route's out, a malformed prefix, a
+		// dangling link, a null route, and a bad ACL text.
+		`{"devices":[{"name":"A","interfaces":[{"name":"1","in_acl":"permit all"}],"routes":[{"prefix":"10.0.0.0/8","out":"9"},{"prefix":"11.0.0.0/8","out":"1"},{"prefix":"12.0.0.0/8","out":"9"}]}]}`,
+		`{"devices":[{"name":"A","interfaces":[{"name":"1","in_acl":"permit all"}],"routes":[{"prefix":"999.0.0.0/8","out":"1"}]}]}`,
+		`{"devices":[{"name":"A","interfaces":[{"name":"1","in_acl":"permit all"}]}],"links":[{"from":"A:1","to":"Z:9"}]}`,
+		`{"devices":[{"name":"A","interfaces":[{"name":"1"}],"routes":[null,{"prefix":"10.0.0.0/8","out":"1"}]}]}`,
+		`{"devices":[{"name":"A","interfaces":[{"name":"1","in_acl":"permit all"},{"name":"2","out_acl":"frobnicate"}]}]}`,
 	} {
 		f.Add([]byte(s))
 	}
@@ -174,7 +196,79 @@ func FuzzNetworkJSON(f *testing.F) {
 		sameLoad(t, "UnmarshalJSON", direct, direct.UnmarshalJSON(data), want, wantErr)
 		viaJSON := topo.NewNetwork()
 		sameLoad(t, "json.Unmarshal", viaJSON, json.Unmarshal(data, viaJSON), want, wantErr)
+
+		view, viewErr := topo.LoadView(data)
+		std, stdErr := topo.LoadViewStd(data)
+		plain, plainErr, plainOK := topo.LoadViewPlain(data)
+		if _, ok := topo.ReadPlain(data); ok != plainOK {
+			t.Fatalf("plain reader accepted %v, its view reader %v", ok, plainOK)
+		}
+		if plainOK {
+			sameView(t, "plain view", plain, plainErr, std, stdErr)
+			sameView(t, "LoadView", view, viewErr, plain, plainErr)
+		} else {
+			sameView(t, "LoadView", view, viewErr, std, stdErr)
+		}
+		if wantErr == nil {
+			sameView(t, "view of the load", view, viewErr, want, nil)
+		}
 	})
+}
+
+// sameView fails the test unless got and want fail with the same text,
+// or got is the ACL view of want: the same devices, the same interfaces
+// with the same ordinals and the same ACL texts, and neither a route
+// nor a link.
+func sameView(t *testing.T, what string, got *topo.Network, gotErr error, want *topo.Network, wantErr error) {
+	t.Helper()
+	if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+		t.Fatalf("%s err = %v, reference err = %v", what, gotErr, wantErr)
+	}
+	if gotErr != nil {
+		return
+	}
+	if len(got.Devices) != len(want.Devices) {
+		t.Fatalf("%s: %d devices, reference %d", what, len(got.Devices), len(want.Devices))
+	}
+	for name, wd := range want.Devices {
+		gd := got.Devices[name]
+		if gd == nil || len(gd.Interfaces) != len(wd.Interfaces) || len(gd.FIB) != 0 {
+			t.Fatalf("%s: device %q is %+v, reference %+v", what, name, gd, wd)
+		}
+		for iname, wi := range wd.Interfaces {
+			gi := gd.Interfaces[iname]
+			if gi == nil || gi.Ord() != wi.Ord() || got.Peer(gi) != nil {
+				t.Fatalf("%s: interface %s:%s is %+v, reference %+v", what, name, iname, gi, wi)
+			}
+			for _, dir := range []topo.Direction{topo.In, topo.Out} {
+				if g, w := gi.ACL(dir), wi.ACL(dir); (g == nil) != (w == nil) || g != nil && g.String() != w.String() {
+					t.Fatalf("%s: %s:%s %v-ACL %v, reference %v", what, name, iname, dir, g, w)
+				}
+			}
+		}
+	}
+}
+
+// TestLoadViewSharesACLs: the view parses each distinct ACL text once
+// and shares it between the bindings that carry it; the full load
+// gives every binding its own, since fix and netgen's perturbation
+// rewrite an ACL's rules in place.
+func TestLoadViewSharesACLs(t *testing.T) {
+	data := []byte(`{"devices":[{"name":"A","interfaces":[{"name":"1","in_acl":"deny dst 6.0.0.0/8, permit all","out_acl":"deny dst 6.0.0.0/8, permit all"}]},` +
+		`{"name":"B","interfaces":[{"name":"1","in_acl":"deny dst 6.0.0.0/8, permit all"}]}]}`)
+	for _, c := range []struct {
+		load   func([]byte) (*topo.Network, error)
+		shared bool
+	}{{topo.LoadView, true}, {topo.LoadViewStd, true}, {topo.Load, false}} {
+		n, err := c.load(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a1, b1 := n.Devices["A"].Interfaces["1"], n.Devices["B"].Interfaces["1"]
+		if got := a1.ACL(topo.In) == a1.ACL(topo.Out) && a1.ACL(topo.In) == b1.ACL(topo.In); got != c.shared {
+			t.Errorf("ACLs shared: %v, want %v", got, c.shared)
+		}
+	}
 }
 
 // TestPlainReaderScope pins which documents take the one-pass route:
