@@ -357,14 +357,18 @@ func TestUpdatedReadForACLsOnly(t *testing.T) {
 		t.Fatalf("building jinjing: %v\n%s", err, out)
 	}
 	clean := marshalNet(t, editNet(t, edit2))
-	dirty := bytes.Replace(clean, []byte(`"prefix":"7.0.0.0/8"`), []byte(`"prefix":"7.0.0.999/8"`), 1)
-	dirty = bytes.Replace(dirty, []byte(`"links":[`), []byte(`"links":[{"from":"A:1","to":"Z:9"},`), 1)
-	badACL := bytes.Replace(clean, []byte(`"deny dst 4.0.0.0/8`), []byte(`"frobnicate dst 4.0.0.0/8`), 1)
-	for _, snap := range [][]byte{dirty, badACL} {
-		if _, err := topo.Load(snap); err == nil {
-			t.Fatalf("the full load accepts the damaged snapshot %s", snap)
+	// replace damages one thing in clean, which the full load refuses.
+	replace := func(in []byte, from, to string) []byte {
+		t.Helper()
+		out := bytes.Replace(in, []byte(from), []byte(to), 1)
+		if _, err := topo.Load(bytes.Replace(clean, []byte(from), []byte(to), 1)); bytes.Equal(out, in) || err == nil {
+			t.Fatalf("replacing %s with %s: not in the snapshot, or the full load accepts it", from, to)
 		}
+		return out
 	}
+	dirty := replace(clean, `"prefix":"7.0.0.0/8"`, `"prefix":"7.0.0.999/8"`)
+	dirty = replace(dirty, `"links":[`, `"links":[{"from":"A:1","to":"Z:9"},`)
+	badACL := replace(clean, `"deny dst 4.0.0.0/8`, `"frobnicate dst 4.0.0.0/8`)
 	topoPath, progPath := filepath.Join(dir, "net.json"), filepath.Join(dir, "prog.lai")
 	if err := os.WriteFile(topoPath, marshalNet(t, figure1()), 0o644); err != nil {
 		t.Fatal(err)

@@ -18,7 +18,8 @@ func ReadPlain(data []byte) (NetworkJSON, bool) {
 // BuildNetwork runs the build step UnmarshalJSON shares between its
 // readers on an already decoded document.
 func BuildNetwork(in *NetworkJSON) (*Network, error) {
-	return (&Plain{in: *in}).Build()
+	n := NewNetwork()
+	return n, n.build(in)
 }
 
 // LoadViewPlain is LoadView with its plain reader alone: ok is false

@@ -81,7 +81,7 @@ func (n *Network) UnmarshalJSON(data []byte) error {
 	if err != nil {
 		return err
 	}
-	return n.build(&p.in, false)
+	return n.build(&p.in)
 }
 
 // Load builds the network data holds, as UnmarshalJSON does.
@@ -89,10 +89,9 @@ func Load(data []byte) (*Network, error) { return loadBuilt(data, false) }
 
 // LoadView builds the ACL view of the network document data: the
 // devices and interfaces Load builds (one named only as a route's out
-// included) and their ACLs, parsed as Load parses them, but no FIB and
-// no link, so malformed prefixes and dangling links go unread. Its
-// bindings share one *acl.ACL per distinct text: lai.Resolve, which
-// reads only modified bindings' ACLs from a snapshot, clones them.
+// included, in the same order) and their ACLs, parsed as Load parses
+// them, but no FIB and no link, so malformed prefixes and dangling
+// links go unread.
 func LoadView(data []byte) (*Network, error) { return loadBuilt(data, true) }
 
 func loadBuilt(data []byte, view bool) (*Network, error) {
@@ -112,8 +111,10 @@ func load(data []byte, view bool) (*Plain, error) {
 	return decodeStd(data, view)
 }
 
+// decodeStd decodes data with encoding/json; a view folds each route's
+// out into its device's interfaces (see addOut) and keeps no route.
 func decodeStd(data []byte, view bool) (*Plain, error) {
-	p := &Plain{view: view}
+	p := new(Plain)
 	if !view {
 		return p, json.Unmarshal(data, &p.in)
 	}
@@ -121,53 +122,63 @@ func decodeStd(data []byte, view bool) (*Plain, error) {
 		Devices []deviceJSON `json:"devices"`
 	}
 	err := json.Unmarshal(data, &v)
+	for i := range v.Devices {
+		dj, seen := &v.Devices[i], map[string]bool{}
+		for _, rj := range dj.Routes {
+			dj.Interfaces = addOut(dj.Interfaces, seen, []byte(rj.Out))
+		}
+		dj.Routes = nil
+	}
 	p.in.Devices = v.Devices
 	return p, err
 }
 
+// addOut adds to a view's interfaces the one a route's out names, the
+// first time seen meets the name: build's get-or-create then makes
+// every route's interface in the order the full build does.
+func addOut(ifaces []interfaceJSON, seen map[string]bool, out []byte) []interfaceJSON {
+	if seen[string(out)] {
+		return ifaces
+	}
+	name := string(out)
+	seen[name] = true
+	return append(ifaces, interfaceJSON{Name: name})
+}
+
 // build adds the decoded devices, interfaces, ACLs, routes and links to
-// n, whichever reader filled in. A view (whose in.Links is nil) gets no
-// route, only the interface each names, and one ACL per distinct text.
-func (n *Network) build(in *networkJSON, view bool) error {
+// n, whichever reader filled in.
+func (n *Network) build(in *networkJSON) error {
 	if n.Devices == nil {
 		*n = *NewNetwork()
 	}
-	parsed := map[string]*acl.ACL{} // a view's ACLs by text
 	for _, dj := range in.Devices {
 		d := n.Device(dj.Name)
 		for _, ij := range dj.Interfaces {
 			iface := d.Interface(ij.Name)
-			for dir, text := range [...]string{In: ij.InACL, Out: ij.OutACL} {
-				if text == "" {
-					continue
+			if ij.InACL != "" {
+				a, err := acl.Parse(ij.InACL)
+				if err != nil {
+					return fmt.Errorf("topo: device %s interface %s in-ACL: %v", dj.Name, ij.Name, err)
 				}
-				a := parsed[text]
-				if a == nil {
-					var err error
-					if a, err = acl.Parse(text); err != nil {
-						return fmt.Errorf("topo: device %s interface %s %v-ACL: %v", dj.Name, ij.Name, Direction(dir), err)
-					}
+				iface.SetACL(In, a)
+			}
+			if ij.OutACL != "" {
+				a, err := acl.Parse(ij.OutACL)
+				if err != nil {
+					return fmt.Errorf("topo: device %s interface %s out-ACL: %v", dj.Name, ij.Name, err)
 				}
-				if view {
-					parsed[text] = a
-				}
-				iface.SetACL(Direction(dir), a)
+				iface.SetACL(Out, a)
 			}
 		}
-		if !view {
-			d.FIB = slices.Grow(d.FIB, len(dj.Routes))
-		}
+		d.FIB = slices.Grow(d.FIB, len(dj.Routes))
 		var out *Interface
 		for _, rj := range dj.Routes {
-			if out == nil || out.Name != rj.Out {
-				out = d.Interface(rj.Out)
-			}
-			if view {
-				continue
-			}
 			p, err := header.ParsePrefix(rj.Prefix)
 			if err != nil {
 				return fmt.Errorf("topo: device %s route: %v", dj.Name, err)
+			}
+			if out == nil || out.Name != rj.Out {
+				out = d.Interface(rj.Out)
 			}
 			d.AddRoute(p, out)
 		}
@@ -206,8 +217,9 @@ func (n *Network) build(in *networkJSON, view bool) error {
 // case-variant keys, numbers, booleans, malformed JSON) it reports
 // false, and the caller decodes data with encoding/json instead.
 // Everything readPlain accepts is valid JSON that encoding/json decodes
-// to the same networkJSON. A view reads the same documents, but keeps
-// no link, and one route, its out alone, per distinct out.
+// to the same networkJSON. A view reads the same documents into what
+// decodeStd's view makes of them: no route and no link, and each
+// route's out as an interface of its device.
 func readPlain(data []byte, view bool) (*Plain, bool) {
 	p, end, ok := readPlainAt(data, 0, view)
 	r := plainReader{data: data, off: end}
@@ -216,10 +228,7 @@ func readPlain(data []byte, view bool) (*Plain, bool) {
 }
 
 // Plain is a network value read in the plain form and not yet built.
-type Plain struct {
-	in   networkJSON
-	view bool
-}
+type Plain struct{ in networkJSON }
 
 // ReadPlainAt reads the network value that starts at data[off], for a
 // value embedded in a larger document (a request body), as readPlain
@@ -236,7 +245,7 @@ func ReadViewAt(data []byte, off int) (p *Plain, end int, ok bool) {
 }
 
 func readPlainAt(data []byte, off int, view bool) (*Plain, int, bool) {
-	p := &Plain{view: view}
+	p := new(Plain)
 	r := plainReader{data: data, off: off, view: view}
 	if !r.value(&p.in) {
 		return nil, 0, false
@@ -248,7 +257,7 @@ func readPlainAt(data []byte, off int, view bool) (*Plain, int, bool) {
 // Load, or LoadView, returns for the value's bytes.
 func (p *Plain) Build() (*Network, error) {
 	n := NewNetwork()
-	if err := n.build(&p.in, p.view); err != nil {
+	if err := n.build(&p.in); err != nil {
 		return nil, err
 	}
 	return n, nil
@@ -430,23 +439,19 @@ func (r *plainReader) network(in *networkJSON) bool {
 		case "devices":
 			return 1, plainArray(r, &in.Devices, (*plainReader).device)
 		case "links":
+			links := &in.Links
 			if r.view {
-				return 2, r.array(func(null bool) bool {
-					if null {
-						return true
-					}
-					_, _, ok := r.pair("from", "to")
-					return ok
-				})
+				links = new([]linkJSON) // checked, then dropped
 			}
-			return 2, plainArray(r, &in.Links, (*plainReader).link)
+			return 2, plainArray(r, links, (*plainReader).link)
 		}
 		return 0, false
 	})
 }
 
 func (r *plainReader) device(dj *deviceJSON) bool {
-	return r.object(func(key []byte) (uint8, bool) {
+	var outs []interfaceJSON // a view's route outs
+	ok := r.object(func(key []byte) (uint8, bool) {
 		switch string(key) {
 		case "name":
 			return 1, r.strOrNull(&dj.Name)
@@ -454,31 +459,28 @@ func (r *plainReader) device(dj *deviceJSON) bool {
 			return 2, plainArray(r, &dj.Interfaces, (*plainReader).iface)
 		case "routes":
 			if r.view {
-				return 4, r.outs(&dj.Routes)
+				return 4, r.outs(&outs)
 			}
 			return 4, plainArray(r, &dj.Routes, (*plainReader).route)
 		}
 		return 0, false
 	})
+	dj.Interfaces = append(dj.Interfaces, outs...)
+	return ok
 }
 
-// outs reads a device's routes for a view: each in the plain form, of
-// which it keeps one per distinct out, with the out alone, in the order
-// the outs first appear (the order build creates their interfaces in).
-// A null route's out is empty, as build reads it.
-func (r *plainReader) outs(dst *[]routeJSON) bool {
+// outs reads a device's routes for a view, each in the plain form, and
+// adds the interface each names to dst (see addOut). A null route's
+// out is empty, as build reads it.
+func (r *plainReader) outs(dst *[]interfaceJSON) bool {
+	seen := map[string]bool{}
 	return r.array(func(null bool) bool {
 		var out []byte
 		ok := null
 		if !null {
-			_, out, ok = r.pair("prefix", "out")
+			out, ok = r.routeOut()
 		}
-		for _, rj := range *dst {
-			if rj.Out == string(out) {
-				return ok
-			}
-		}
-		*dst = append(*dst, routeJSON{Out: string(out)})
+		*dst = addOut(*dst, seen, out)
 		return ok
 	})
 }
@@ -498,62 +500,43 @@ func (r *plainReader) iface(ij *interfaceJSON) bool {
 }
 
 func (r *plainReader) route(rj *routeJSON) bool {
-	prefix, out, ok := r.pair("prefix", "out")
-	rj.Prefix, rj.Out = string(prefix), string(out)
-	return ok
+	return r.object(func(key []byte) (uint8, bool) {
+		switch string(key) {
+		case "prefix":
+			return 1, r.strOrNull(&rj.Prefix)
+		case "out":
+			return 2, r.strOrNull(&rj.Out)
+		}
+		return 0, false
+	})
 }
 
-func (r *plainReader) link(lj *linkJSON) bool {
-	from, to, ok := r.pair("from", "to")
-	lj.From, lj.To = string(from), string(to)
-	return ok
-}
-
-// pair reads an object whose members are a and b, each null or a
-// string, and returns their values (nil for null or absent).
-func (r *plainReader) pair(a, b string) (va, vb []byte, ok bool) {
-	if va, vb, ok = r.compactPair(a, b); ok {
-		return va, vb, ok
-	}
+// routeOut reads a route as route does, but keeps only its out: the
+// prefix is checked for the plain form and dropped.
+func (r *plainReader) routeOut() (out []byte, ok bool) {
 	ok = r.object(func(key []byte) (uint8, bool) {
 		var ok bool
 		switch string(key) {
-		case a:
-			va, ok = r.strOrNil()
+		case "prefix":
+			_, ok = r.strOrNil()
 			return 1, ok
-		case b:
-			vb, ok = r.strOrNil()
+		case "out":
+			out, ok = r.strOrNil()
 			return 2, ok
 		}
 		return 0, false
 	})
-	return va, vb, ok
+	return out, ok
 }
 
-// compactPair is pair's fast path, for the form json.Marshal writes:
-// {"a":"…","b":"…"} with no whitespace. On any other input it reports
-// false and leaves the cursor where it was.
-func (r *plainReader) compactPair(a, b string) (va, vb []byte, ok bool) {
-	d, i := r.data, r.off
-	var v [2][]byte
-	for k, key := range [2]string{a, b} {
-		lead := [2]string{`"`, `","`}[k]
-		if !hasAt(d, i, lead) || !hasAt(d, i+len(lead), key) || !hasAt(d, i+len(lead)+len(key), `":"`) {
-			return nil, nil, false
+func (r *plainReader) link(lj *linkJSON) bool {
+	return r.object(func(key []byte) (uint8, bool) {
+		switch string(key) {
+		case "from":
+			return 1, r.strOrNull(&lj.From)
+		case "to":
+			return 2, r.strOrNull(&lj.To)
 		}
-		start := i + len(lead) + len(key) + 3
-		for i = start; i < len(d) && plainByte[d[i]]; i++ {
-		}
-		v[k] = d[start:i]
-	}
-	if !hasAt(d, i, `"}`) {
-		return nil, nil, false
-	}
-	r.off = i + 2
-	return v[0], v[1], true
-}
-
-// hasAt reports whether d holds s at offset i.
-func hasAt(d []byte, i int, s string) bool {
-	return len(d)-i >= len(s) && string(d[i:i+len(s)]) == s
+		return 0, false
+	})
 }

@@ -3,8 +3,11 @@ package topo_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"jinjing/internal/netgen"
 	"jinjing/internal/papernet"
@@ -249,24 +252,41 @@ func sameView(t *testing.T, what string, got *topo.Network, gotErr error, want *
 	}
 }
 
-// TestLoadViewSharesACLs: the view parses each distinct ACL text once
-// and shares it between the bindings that carry it; the full load
-// gives every binding its own, since fix and netgen's perturbation
-// rewrite an ACL's rules in place.
-func TestLoadViewSharesACLs(t *testing.T) {
-	data := []byte(`{"devices":[{"name":"A","interfaces":[{"name":"1","in_acl":"deny dst 6.0.0.0/8, permit all","out_acl":"deny dst 6.0.0.0/8, permit all"}]},` +
-		`{"name":"B","interfaces":[{"name":"1","in_acl":"deny dst 6.0.0.0/8, permit all"}]}]}`)
-	for _, c := range []struct {
-		load   func([]byte) (*topo.Network, error)
-		shared bool
-	}{{topo.LoadView, true}, {topo.LoadViewStd, true}, {topo.Load, false}} {
-		n, err := c.load(data)
-		if err != nil {
-			t.Fatal(err)
+// TestLoadViewDistinctOuts: a view reads a device whose routes each
+// name a new out in time linear in the routes, plain and through
+// encoding/json: eight times the routes must not take anywhere near
+// 64 times as long.
+func TestLoadViewDistinctOuts(t *testing.T) {
+	doc := func(routes int) []byte {
+		var b strings.Builder
+		b.WriteString(`{"devices":[{"name":"A","routes":[`)
+		for i := 0; i < routes; i++ {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			fmt.Fprintf(&b, `{"prefix":"","out":"%d"}`, i)
 		}
-		a1, b1 := n.Devices["A"].Interfaces["1"], n.Devices["B"].Interfaces["1"]
-		if got := a1.ACL(topo.In) == a1.ACL(topo.Out) && a1.ACL(topo.In) == b1.ACL(topo.In); got != c.shared {
-			t.Errorf("ACLs shared: %v, want %v", got, c.shared)
+		b.WriteString(`]}]}`)
+		return []byte(b.String())
+	}
+	for _, load := range []func([]byte) (*topo.Network, error){topo.LoadView, topo.LoadViewStd} {
+		best := func(data []byte) time.Duration {
+			best := time.Duration(1 << 62)
+			for range 3 {
+				start := time.Now()
+				n, err := load(data)
+				if d := time.Since(start); d < best {
+					best = d
+				}
+				if err != nil || len(n.Devices["A"].Interfaces) != bytes.Count(data, []byte(`"out"`)) {
+					t.Fatalf("view: err %v, want one interface per out", err)
+				}
+			}
+			return best
+		}
+		small, large := best(doc(2000)), best(doc(16000))
+		if large > 24*small {
+			t.Errorf("8x the distinct outs took %v against %v: not linear", large, small)
 		}
 	}
 }
