@@ -90,8 +90,8 @@ func Load(data []byte) (*Network, error) { return loadBuilt(data, false) }
 // LoadView builds the ACL view of the network document data: the
 // devices and interfaces Load builds (one named only as a route's out
 // included, in the same order) and their ACLs, parsed as Load parses
-// them, but no FIB and no link, so malformed prefixes and dangling
-// links go unread.
+// them, but no FIB and no link, so a malformed prefix or a dangling
+// link is no error.
 func LoadView(data []byte) (*Network, error) { return loadBuilt(data, true) }
 
 func loadBuilt(data []byte, view bool) (*Network, error) {
