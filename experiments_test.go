@@ -77,8 +77,8 @@ func TestExperimentFig4bNoExpansionAblation(t *testing.T) {
 	if row.Verified {
 		t.Error("per-packet fixing should not converge within the cap")
 	}
-	if row.Neighborhoods < experiments.NoExpansionCap {
-		t.Errorf("expected the cap to bind, got %d iterations", row.Neighborhoods)
+	if row.Regions < experiments.NoExpansionCap {
+		t.Errorf("expected the cap to bind, got %d regions", row.Regions)
 	}
 }
 

@@ -18,8 +18,8 @@ import (
 // violations), so the algebra answers every FEC and the check runs no
 // solver. A violating FEC's counterexample is the least packet of the
 // set it was decided on, with or without controls, and that set is what
-// fix seeks neighborhoods in. Both are pure functions of the FEC and the
-// ACL contents.
+// fix splits into placement regions. Both are pure functions of the FEC
+// and the ACL contents.
 
 // psetCubeBudget bounds every set the algebra builds for a FEC: a set
 // construction or per-shape difference that exceeds it abandons the
@@ -344,9 +344,9 @@ func fecRegion(fec topo.FEC) pset.Set {
 // The check's witness is the set's least packet: shapes are in
 // first-path order, so on a region decided whole it is the least packet
 // the first violating path flips on, and on a split one the least such
-// packet of the first violating piece, in a fixed piece order. Fix seeks
-// neighborhoods in the find-all union, which has no cube cap (see
-// FixContext). The procedure is pure, so both are functions of the FEC
+// packet of the first violating piece, in a fixed piece order. Fix
+// splits the find-all union, which has no cube cap, into placement
+// regions (see FixContext). The procedure is pure, so both are functions of the FEC
 // and the encoded ACL contents alone.
 //
 // The call's context is polled before each piece, so Deadline bounds a

@@ -459,7 +459,7 @@ func TestPsetOverflowSplits(t *testing.T) {
 			if fix.Stats.PsetBailout < 1 || !fix.Verified || len(fix.Actions) == 0 || len(fix.Unfixable) != 0 {
 				t.Fatalf("fix: %+v, verified=%v, %d actions, %d unfixable", fix.Stats, fix.Verified, len(fix.Actions), len(fix.Unfixable))
 			}
-			t.Logf("fix: %d neighborhoods, %d actions in %v", len(fix.Neighborhoods), len(fix.Actions), time.Since(start))
+			t.Logf("fix: %d regions, %d actions in %v", len(fix.Regions), len(fix.Actions), time.Since(start))
 		})
 	}
 }

@@ -196,7 +196,7 @@ func BenchmarkFixWAN(b *testing.B) {
 			opts := core.DefaultOptions()
 			m := obs.NewMetrics()
 			opts.Obs = obs.NewObserver(nil, m, nil)
-			var neighborhoods int
+			var regions, rules int
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				res, err := core.WANFix(w, pct, opts).Fix()
@@ -206,9 +206,10 @@ func BenchmarkFixWAN(b *testing.B) {
 				if !res.Verified {
 					b.Fatalf("fix must verify (%d unfixable)", len(res.Unfixable))
 				}
-				neighborhoods = len(res.Neighborhoods)
+				regions, rules = len(res.Regions), len(res.Actions)
 			}
-			b.ReportMetric(float64(neighborhoods), "neighborhoods")
+			b.ReportMetric(float64(regions), "regions")
+			b.ReportMetric(float64(rules), "rules")
 			b.ReportMetric(float64(m.Snapshot().Counters["fix.placements"])/float64(b.N), "placements")
 			b.ReportMetric(float64(m.Snapshot().Gauges["fix.path_shapes"]), "path_shapes")
 		})

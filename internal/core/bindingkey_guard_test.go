@@ -16,7 +16,7 @@ import (
 // or crosses to another network.
 var bindingNameReaders = map[string]string{
 	"moveBinding":               "a binding crosses to another network",
-	"Engine.solveNeighborhood":  "FixAction.BindingID",
+	"fixIndex.emit":             "FixAction.BindingID",
 	"Engine.generateTargets":    "GenerateResult.ACLs keys",
 	"tracePath":                 "Explain",
 	"Engine.networkFingerprint": "the ledger's configuration fingerprints",

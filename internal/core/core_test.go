@@ -3,6 +3,7 @@ package core_test
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -146,19 +147,18 @@ func TestRunningExampleFix(t *testing.T) {
 		t.Fatalf("fixed network must pass check; actions: %v", res.Actions)
 	}
 	if len(res.Unfixable) != 0 {
-		t.Fatalf("unfixable neighborhoods: %v", res.Unfixable)
+		t.Fatalf("unfixable regions: %v", res.Unfixable)
 	}
-	// Two neighborhoods: traffic 1 and traffic 2 (§4.2's example).
-	if len(res.Neighborhoods) != 2 {
-		t.Errorf("neighborhoods = %v, want 2", res.Neighborhoods)
-	}
+	// The rules fix traffic 1 and traffic 2 (§4.2's example), each whole.
 	var dsts []string
-	for _, nb := range res.Neighborhoods {
-		dsts = append(dsts, nb.Dst.String())
+	for _, a := range res.Actions {
+		if d := a.Rule.Match.Dst.String(); !slices.Contains(dsts, d) {
+			dsts = append(dsts, d)
+		}
 	}
 	sort.Strings(dsts)
 	if strings.Join(dsts, ",") != "1.0.0.0/8,2.0.0.0/8" {
-		t.Errorf("neighborhood dsts = %v", dsts)
+		t.Errorf("rule destinations = %v, want 1.0.0.0/8 and 2.0.0.0/8", dsts)
 	}
 	// All fixing rules must sit on allowed devices (A or B).
 	for _, a := range res.Actions {
@@ -621,7 +621,7 @@ func TestMonolithicAgreesWithCheck(t *testing.T) {
 }
 
 func TestFixWithoutExpansionAblation(t *testing.T) {
-	// §4.2: without neighborhood enlargement, fix degenerates to
+	// §4.2: with every region cut down to one packet, fix degenerates to
 	// per-packet exclusion and cannot converge; the cap must kick in.
 	opts := core.DefaultOptions()
 	opts.NoExpansion = 50
@@ -630,15 +630,16 @@ func TestFixWithoutExpansionAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Neighborhoods) < 50 {
-		t.Fatalf("expected the cap to bind, got %d neighborhoods", len(res.Neighborhoods))
+	if len(res.Regions)+len(res.Unfixable) != 50 {
+		t.Fatalf("expected the cap to bind, got %d regions and %d unfixable", len(res.Regions), len(res.Unfixable))
 	}
 	if res.Verified {
 		t.Fatal("per-packet fixing cannot finish within the cap")
 	}
-	for _, nb := range res.Neighborhoods {
-		if nb.Dst.Len != 32 {
-			t.Fatalf("expansion disabled but neighborhood %v is not a singleton", nb)
+	for _, r := range slices.Concat(res.Regions, res.Unfixable) {
+		if c := r[0]; len(r) != 1 || c.Src.Len != 32 || c.Dst.Len != 32 ||
+			c.SrcPort.Lo != c.SrcPort.Hi || c.DstPort.Lo != c.DstPort.Hi || c.Proto.Lo != c.Proto.Hi {
+			t.Fatalf("expansion disabled but region %v is not a single packet", r)
 		}
 	}
 }

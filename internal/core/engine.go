@@ -1,7 +1,8 @@
 // Package core implements the Jinjing engine — the paper's contribution:
 // the check primitive (§4.1, Algorithm 1 with the differential-rules
-// optimization of Theorem 4.1), the fix primitive (§4.2, counterexample
-// neighborhoods and SMT-placed fixing rules), the generate primitive
+// optimization of Theorem 4.1), the fix primitive (§4.2, counterexamples
+// split into placement regions, each placed in closed form), the
+// generate primitive
 // (§5, ACL/dataplane equivalence classes and ACL synthesis), and the
 // control extension (§6, desired-reachability consistency).
 package core
@@ -87,13 +88,13 @@ type Options struct {
 	// ACLs fix and generate produce (§5.5 "generating fewer ACL rules",
 	// §4.2 "simplifying the final ACL").
 	OptimizeSynthesis bool
-	// NoExpansion, when positive, makes fix treat each counterexample
-	// packet as its own neighborhood — the strawman §4.2 warns needs over
-	// 10^31 iterations in the worst case — and stop after that many
-	// neighborhoods. Exists only for the ablation experiment.
+	// NoExpansion, when positive, makes fix cut each placement region
+	// down to its least packet — the strawman §4.2 warns needs over 10^31
+	// iterations in the worst case — and stop after that many regions.
+	// Exists only for the ablation experiment.
 	NoExpansion int
-	// Workers > 1 fans fix's per-FEC neighborhood seeking and generate's
-	// per-AEC synthesis out across that many goroutines. Results merge in
+	// Workers > 1 fans fix's per-FEC region split and placement and
+	// generate's per-AEC synthesis out across that many goroutines. Results merge in
 	// deterministic FEC/AEC order, so fixing plans and generated ACLs are
 	// byte-identical for every worker count (pinned by the differential
 	// fuzz harness and the CLI golden test). Check ignores it: its one
@@ -107,7 +108,7 @@ type Options struct {
 	// Deadline, when positive, bounds each primitive call's wall-clock
 	// time: the call runs under a context with this timeout, and on
 	// expiry the check stops before its next FEC, or its next piece of a
-	// split one, fix before its next neighborhood or placement branch,
+	// split one, fix before its next region or placement branch,
 	// and generate before its next AEC. It is the only bound: none of
 	// the three runs a solver. Check reports the
 	// undecided FECs in CheckResult.Unknown (partial results stay in

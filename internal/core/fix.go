@@ -4,8 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
-	"sort"
 	"strings"
 
 	"jinjing/internal/acl"
@@ -14,9 +14,6 @@ import (
 	"jinjing/internal/pset"
 	"jinjing/internal/topo"
 )
-
-// maxNeighborhoods caps the fix loop's neighborhoods as a safety valve.
-const maxNeighborhoods = 10000
 
 // FixAction is one fixing-plan entry: prepend Rule to the ACL at Binding.
 type FixAction struct {
@@ -34,13 +31,17 @@ type FixResult struct {
 	// Fixed is the After snapshot with the fixing plan applied.
 	Fixed *topo.Network
 	// Actions is the fixing plan: high-priority rules added on top of
-	// existing ACLs (§4.2).
+	// existing ACLs (§4.2). Per binding, in name order, they are the
+	// canonical cubes of the packets the binding must now deny, then of
+	// those it must now permit.
 	Actions []FixAction
-	// Neighborhoods are the counterexample regions that required fixing.
-	Neighborhoods []header.Match
-	// Unfixable lists neighborhoods with no solution under the allow
+	// Regions are the placement regions that required fixing, each as
+	// its canonical cube list: within one violating FEC, the packets on
+	// which every ACL and control its paths read decide alike.
+	Regions [][]header.Match
+	// Unfixable lists the regions with no placement under the allow
 	// constraints.
-	Unfixable []header.Match
+	Unfixable [][]header.Match
 	// Verified reports whether re-running Check on the fixed snapshot
 	// confirmed consistency.
 	Verified bool
@@ -52,16 +53,17 @@ type FixResult struct {
 }
 
 // Fix runs the fix primitive (§4.2): it decides every FEC on the check
-// pipeline's loop, enumerates counterexample neighborhoods inside the
-// violating ones and synthesizes a minimal fixing plan restricted to the
-// engine's Allow bindings, then verifies the result.
+// pipeline's loop, splits each violating FEC's counterexamples into
+// placement regions, places each region in closed form restricted to the
+// engine's Allow bindings, emits the plan as rules, and verifies the
+// result.
 func (e *Engine) Fix() (*FixResult, error) {
 	return e.FixContext(context.Background())
 }
 
 // FixContext is Fix under a cancellation scope: ctx's cancellation (and
 // Options.Deadline, whichever fires first) stops the check loop, the
-// seek and the placement search in flight. A fixing plan is
+// region split and the placement search in flight. A fixing plan is
 // all-or-nothing — if any FEC is left Unknown, no plan is emitted and the
 // returned error is an *ErrUnknownVerdicts naming the blocking FECs in
 // canonical order: a plan built on unknown verdicts could silently skip
@@ -91,7 +93,7 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 
 	fixed := e.After.Clone()
 
-	maxN := maxNeighborhoods
+	maxN := math.MaxInt // regions: only the ablation caps them
 	if e.Opts.NoExpansion > 0 {
 		maxN = e.Opts.NoExpansion
 	}
@@ -103,9 +105,9 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 	}
 
 	// The check pipeline's loop establishes every FEC's verdict, in
-	// find-all mode, exactly as a check does: §4.2 seeks neighborhoods
-	// only inside the FECs it finds violating. A FEC it leaves Unknown
-	// blocks the plan.
+	// find-all mode, exactly as a check does: §4.2 places rules only
+	// inside the FECs it finds violating. A FEC it leaves Unknown blocks
+	// the plan.
 	sp := root.Child("solve")
 	statsBase := ctx.stats
 	hits, _ := e.decide(call, ctx, sp, true)
@@ -117,7 +119,7 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 	// decides it on — split, with no cube cap, where it overflows —
 	// computed here: the check context's lazy indexes are
 	// single-goroutine. A cancellation can leave a set incomplete, but
-	// fixFEC then refuses to seek in it.
+	// fixFEC then refuses to place in it.
 	seeds := make([]pset.Set, len(hits))
 	for k, i := range hits {
 		fec := ctx.fec(i)
@@ -125,51 +127,56 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 	}
 	task := o.StartTask("fix: FECs", int64(len(hits)))
 
-	var probes, placements int64
-	var planBinds []topo.ACLBinding // per action: its binding on Before
+	var placements int64
+	plan := make([][2][]header.Match, len(ix.bindings)) // per binding: the cubes it must deny, then permit
 	apply := func(out fecFixOutcome) {
-		// Merge one FEC's entries in discovery order, honoring the
-		// global neighborhood budget.
-		probes += out.probes
-		for _, nb := range out.entries {
-			if len(res.Neighborhoods)+len(res.Unfixable) >= maxN {
+		// Merge one FEC's regions in discovery order, honoring the
+		// ablation's region budget.
+		for _, r := range out.regions {
+			if len(res.Regions)+len(res.Unfixable) >= maxN {
 				break
 			}
-			if nb.solved {
+			if r.solved {
 				placements++
 			}
-			if !nb.ok {
-				res.Unfixable = append(res.Unfixable, nb.nb)
+			cubes := r.region.CubeList()
+			if !r.ok {
+				res.Unfixable = append(res.Unfixable, cubes)
 				continue
 			}
-			res.Neighborhoods = append(res.Neighborhoods, nb.nb)
-			res.Actions = append(res.Actions, nb.actions...)
-			planBinds = append(planBinds, nb.binds...)
+			res.Regions = append(res.Regions, cubes)
+			for _, c := range r.changes {
+				k := 0
+				if c.act == acl.Permit {
+					k = 1
+				}
+				plan[c.bi][k] = append(plan[c.bi][k], cubes...)
+			}
 		}
 	}
 
 	// Each per-FEC sub-problem is independent (FEC destination classes
-	// are disjoint atoms, so cross-FEC neighborhoods never overlap) and
+	// are disjoint atoms, so regions of two FECs never overlap) and
 	// solved from its own seed with its own placement memo, making every
 	// outcome a pure function of the FEC alone. Both execution modes use the same
 	// function and merge in FEC order, so the fixing plan is byte-for-byte
 	// identical for every worker count — the property the CLI golden test
 	// pins. (A budget-b prefix of a budget-maxN run equals the budget-b
-	// run: the seek loop's iterations don't depend on the budget.)
+	// run: the split loop's iterations don't depend on the budget.)
 	workers := e.Opts.Workers
-	seek := func(k, budget int) fecFixOutcome {
+	split := func(k, budget int) fecFixOutcome {
 		out := e.fixFEC(call, ctx, ix, hits[k], seeds[k], budget)
 		task.Add(1)
 		return out
 	}
 	outcomes := make([]fecFixOutcome, len(hits))
 	if workers > 1 {
-		runParallel(o, workers, len(hits), func(k int) { outcomes[k] = seek(k, maxN) })
+		runParallel(o, workers, len(hits), func(k int) { outcomes[k] = split(k, maxN) })
 	}
 	for k, i := range hits {
 		out := outcomes[k]
 		if workers <= 1 {
-			out = seek(k, maxN-len(res.Neighborhoods)-len(res.Unfixable))
+			out = split(k, maxN-len(res.Regions)-len(res.Unfixable))
 		}
 		if out.err != nil {
 			return fail(out.err)
@@ -182,9 +189,8 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 	}
 	task.Done()
 	o.Gauge("fix.path_shapes").Set(int64(len(ix.shapes)))
-	o.Counter("fix.expand.probes").Add(probes)
 	o.Counter("fix.placements").Add(placements)
-	sp.End(obs.KV("neighborhoods", len(res.Neighborhoods)), obs.KV("unfixable", len(res.Unfixable)),
+	sp.End(obs.KV("neighborhoods", len(res.Regions)), obs.KV("unfixable", len(res.Unfixable)),
 		obs.KV("placements", placements), obs.KV("path_shapes", len(ix.shapes)), obs.KV("distinct_acls", len(ix.acls)))
 	if len(blocked) > 0 {
 		sortUnknown(blocked)
@@ -193,6 +199,8 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 	}
 	// Placement reads only the Before/After snapshots, never the fixed
 	// one, so the whole plan is applied at once.
+	var planBinds []topo.ACLBinding // per action: its binding on Before
+	res.Actions, planBinds = ix.emit(plan)
 	touched, err := applyFixActions(fixed, planBinds, res.Actions)
 	if err != nil {
 		return fail(err)
@@ -226,7 +234,7 @@ func (e *Engine) FixContext(callCtx context.Context) (*FixResult, error) {
 	vp.End(obs.KV("verified", res.Verified), obs.KV("kept", ver.kept.kept),
 		obs.KV("decided", cr.Stats.PsetDecided+cr.Stats.PsetBailout))
 
-	o.Counter("fix.neighborhoods").Add(int64(len(res.Neighborhoods)))
+	o.Counter("fix.neighborhoods").Add(int64(len(res.Regions)))
 	o.Counter("fix.actions").Add(int64(len(res.Actions)))
 	o.Counter("fix.unfixable").Add(int64(len(res.Unfixable)))
 	root.SetAttr("verified", res.Verified)
@@ -260,23 +268,7 @@ func simplifyBounded(a *acl.ACL) (*acl.ACL, pset.SimplifyStats) {
 	return fast, pset.SimplifyStats{}
 }
 
-// nbOutcome is the solved placement for one neighborhood: the fixing
-// actions (empty when the after decisions already suffice) and their
-// bindings, or ok=false when no placement exists under the allow
-// constraints.
-// unknown != "" means the call was cancelled during the placement
-// search — the FEC blocks the plan. solved says the placement was
-// decided here rather than read from the FEC's memo.
-type nbOutcome struct {
-	nb      header.Match
-	ok      bool
-	actions []FixAction
-	binds   []topo.ACLBinding // per action
-	solved  bool
-	unknown string
-}
-
-// placed is a solved placement as the FEC's memo keeps it: ok, and the
+// placed is a decided placement as the FEC's memo keeps it: ok, and the
 // bindings whose decision the plan changes with their new action.
 type placed struct {
 	ok      bool
@@ -288,77 +280,101 @@ type placedRule struct {
 	act acl.Action
 }
 
-// fecFixOutcome is one FEC's complete fix sub-result: neighborhood
-// outcomes in discovery order and the validity queries expansion asked.
-// unknown != "" means the call was cancelled, and says so; the FEC
-// blocks the whole plan (see FixContext). err fails the call.
+// regionOutcome is one placement region and its placement; solved says
+// the placement was decided here rather than read from the FEC's memo.
+type regionOutcome struct {
+	region pset.Set
+	placed
+	solved bool
+}
+
+// fecFixOutcome is one FEC's complete fix sub-result: its regions in
+// discovery order. unknown != "" means the call was cancelled, and says
+// so; the FEC blocks the whole plan (see FixContext). err fails the call.
 type fecFixOutcome struct {
-	entries []nbOutcome
-	probes  int64
+	regions []regionOutcome
 	err     error
 	unknown string
 }
 
-// fixFEC runs the §4.2 loop for one FEC the check loop found violating:
-// take the least packet of the FEC's remaining counterexamples (viol, the
-// set the algebra decided the FEC on), enlarge it, solve its placement
-// over the FEC's path shapes, exclude the neighborhood, and repeat until
-// none is left or budget outcomes have accumulated. It reads the check
-// context and the fix index only, and its placement memo is its own, so
-// the outcome, its placement count included, is a pure function of the
-// FEC — independent of the other FECs, of scheduling, and of worker
-// count — which is what makes the sequential and parallel fix plans
-// identical. The verdict that sent the FEC here is the check
-// loop's, so a seek never consults or writes the verdict cache.
+// fixFEC runs the §4.2 loop for one FEC the check loop found violating,
+// on placement regions: take the least packet of the FEC's remaining
+// counterexamples (viol, the set the algebra decided the FEC on), split
+// off its placement region (regionOf), place the region over the FEC's
+// path shapes, subtract it, and repeat until none is left or budget
+// regions have accumulated. Under the NoExpansion ablation the region is
+// the packet alone. It reads the check context and the fix index only,
+// and its placement memo is its own, so the outcome, its placement count
+// included, is a pure function of the FEC — independent of the other
+// FECs, of scheduling, and of worker count — which is what makes the
+// sequential and parallel fix plans identical. The verdict that sent the
+// FEC here is the check loop's, so the loop never consults or writes the
+// verdict cache. The call's context is polled before each region.
 func (e *Engine) fixFEC(call context.Context, ctx *checkCtx, ix *fixIndex, i int, viol pset.Set, budget int) fecFixOutcome {
 	var out fecFixOutcome
 	if budget <= 0 {
 		return out
 	}
-	if call.Err() != nil {
-		// The call is dead, and viol may be incomplete: don't seek in it.
-		out.unknown = reasonCancelled
-		return out
-	}
-	fec := ctx.fec(i)
 	shapes := ix.shapesOn(ctx.src.PathIndices(i))
-	cons := ix.constancyOn(fec)
+	reads := ix.readsOn(shapes, viol)
 	memo := map[string]placed{}
 	var pl placement
-	for len(out.entries) < budget {
-		h, found := viol.MinPacket()
+	for len(out.regions) < budget {
+		if call.Err() != nil {
+			// The call is dead, and viol may be incomplete: don't place in it.
+			out.unknown = reasonCancelled
+			return out
+		}
+		p, found := viol.MinPacket()
 		if !found {
 			break
 		}
-		nb := exactMatch(h)
-		if e.Opts.NoExpansion == 0 {
-			nb = expandNeighborhood(h, fec, cons)
+		within := viol
+		if e.Opts.NoExpansion > 0 {
+			within = pset.FromMatch(exactMatch(p))
 		}
-		no, err := e.solveNeighborhood(call, ix, &pl, shapes, nb, memo)
-		if err != nil {
-			out.err = err
-			break
+		var r regionOutcome
+		var dec regionDecisions
+		r.region, dec = ix.regionOf(within, p, reads)
+		var err error
+		if r.placed, r.solved, err = ix.solve(call, &pl, shapes, dec, memo); err != nil {
+			if errors.Is(err, call.Err()) {
+				out.unknown = reasonCancelled
+			} else {
+				out.err = err
+			}
+			return out
 		}
-		if no.unknown != "" {
-			out.unknown = no.unknown
-			break
-		}
-		out.entries = append(out.entries, no)
-		// Later neighborhoods must stay disjoint from this one, or
-		// their fixing rules would shadow each other.
-		cons.priors = append(cons.priors, nb)
-		viol = viol.Subtract(pset.FromMatch(nb))
+		out.regions = append(out.regions, r)
+		viol = viol.Subtract(r.region)
 	}
-	out.probes = cons.probes
 	return out
 }
 
-// placementKey decides a neighborhood's placement problem on the FEC's
-// shapes once, packed one bit per decision: per shape in order, each
-// crossed binding's after decision, then the shape's desired decision.
-// The width is fixed for the FEC, and place reads nothing else.
-func (ix *fixIndex) placementKey(shapes []int32, nb header.Match) ([]byte, error) {
-	dec := ix.decisionsOn(nb)
+// solve decides a region's placement problem (Equations 3 and 7). Many
+// regions of a FEC pose the same problem, so a placement is kept in the
+// FEC's memo under its placement key, which is all place reads. The memo
+// and pl, the scratch place reuses, are the FEC's own, so what they save
+// is a function of the FEC. solved says the placement was decided here.
+// The error is the call's when it was cancelled; a cancelled search is
+// not kept.
+func (ix *fixIndex) solve(call context.Context, pl *placement, shapes []int32, dec regionDecisions, memo map[string]placed) (p placed, solved bool, err error) {
+	key := ix.placementKey(shapes, dec)
+	if p, hit := memo[string(key)]; hit {
+		return p, false, nil
+	}
+	if p, err = ix.place(call, pl, shapes, key); err != nil {
+		return p, false, err
+	}
+	memo[string(key)] = p
+	return p, true, nil
+}
+
+// placementKey packs a region's placement problem on the FEC's shapes,
+// one bit per decision: per shape in order, each crossed binding's after
+// decision, then the shape's desired decision. The width is fixed for
+// the FEC, and place reads nothing else.
+func (ix *fixIndex) placementKey(shapes []int32, dec regionDecisions) []byte {
 	var key []byte
 	k := 0
 	put := func(v bool) {
@@ -373,19 +389,11 @@ func (ix *fixIndex) placementKey(shapes []int32, nb header.Match) ([]byte, error
 	for _, si := range shapes {
 		sh := &ix.shapes[si]
 		for _, bi := range sh.bindings {
-			after, err := dec.decide(ix.bindings[bi].after)
-			if err != nil {
-				return nil, err
-			}
-			put(bool(after))
+			put(dec.permits(ix.bindings[bi].after))
 		}
-		desired, err := dec.desired(sh)
-		if err != nil {
-			return nil, err
-		}
-		put(desired)
+		put(dec.desired(ix, sh))
 	}
-	return key, nil
+	return key
 }
 
 // place decides a placement problem (Equation 7) in closed form from its
@@ -440,42 +448,36 @@ func (ix *fixIndex) place(call context.Context, pl *placement, shapes []int32, k
 	return p, nil
 }
 
-// solveNeighborhood solves the placement problem for one neighborhood
-// (Equations 3 and 7) and returns the plan instead of applying it, so
-// sequential and parallel fix share it. Many neighborhoods of a FEC pose
-// the same problem, so a placement is kept in the FEC's memo under its
-// placement key, which is all place reads, and reused with the new
-// neighborhood's match. The memo and pl, the scratch place reuses, are
-// the FEC's own, so what they save is a function of the FEC.
-func (e *Engine) solveNeighborhood(call context.Context, ix *fixIndex, pl *placement, shapes []int32, nb header.Match, memo map[string]placed) (nbOutcome, error) {
-	out := nbOutcome{nb: nb}
-	key, err := ix.placementKey(shapes, nb)
-	if err != nil {
-		return out, err
+// emit turns the plan into rules: per binding, in name order, one rule
+// per canonical cube of the union of what it must deny, then of what it
+// must permit, each union built over the regions in FEC order. The two
+// sets are disjoint — the regions of a FEC are, and the FECs' destination
+// classes are — so neither their order nor the order applyFixActions
+// stacks them in changes a decision. It returns each action's binding,
+// on Before, alongside.
+func (ix *fixIndex) emit(plan [][2][]header.Match) ([]FixAction, []topo.ACLBinding) {
+	type target struct {
+		bi int32
+		id string
 	}
-	p, hit := memo[string(key)]
-	if !hit {
-		if p, err = ix.place(call, pl, shapes, key); err != nil {
-			if errors.Is(err, call.Err()) {
-				out.unknown = reasonCancelled
-				return out, nil
-			}
-			return out, err
+	var targets []target
+	for bi, cubes := range plan {
+		if len(cubes[0])+len(cubes[1]) > 0 {
+			targets = append(targets, target{int32(bi), ix.bindings[bi].b.ID()})
 		}
-		// A plan names its bindings, in name order.
-		slices.SortFunc(p.changes, func(x, y placedRule) int {
-			return strings.Compare(ix.bindings[x.bi].b.ID(), ix.bindings[y.bi].b.ID())
-		})
-		out.solved = true
-		memo[string(key)] = p
 	}
-	out.ok = p.ok
-	for _, c := range p.changes {
-		b := ix.bindings[c.bi].b
-		out.actions = append(out.actions, FixAction{BindingID: b.ID(), Rule: acl.Rule{Action: c.act, Match: nb}})
-		out.binds = append(out.binds, b)
+	slices.SortFunc(targets, func(x, y target) int { return strings.Compare(x.id, y.id) })
+	var actions []FixAction
+	var binds []topo.ACLBinding
+	for _, t := range targets {
+		for k, act := range [2]acl.Action{acl.Deny, acl.Permit} {
+			for _, c := range pset.FromMatches(plan[t.bi][k]).CubeList() {
+				actions = append(actions, FixAction{BindingID: t.id, Rule: acl.Rule{Action: act, Match: c}})
+				binds = append(binds, ix.bindings[t.bi].b)
+			}
+		}
 	}
-	return out, nil
+	return actions, binds
 }
 
 // applyFixActions prepends the plan's rules to their bindings' ACLs on
@@ -520,83 +522,4 @@ func exactMatch(h header.Packet) header.Match {
 		DstPort: header.PortRange{Lo: h.DstPort, Hi: h.DstPort},
 		Proto:   header.Proto(h.Proto),
 	}
-}
-
-// expandNeighborhood enlarges the counterexample packet h into a maximal
-// 5-tuple region [h]_N on which every decision model in F_Ω ∪ F'_Ω is
-// constant and which stays inside h's FEC (Equation 6), field by field:
-// destination, source, ports, protocol. Validity is downward closed along
-// a prefix chain — first-match atomicity holds on subsets, and a control
-// that straddles a region or a prior that overlaps it does the same to
-// every superset — so the shortest valid destination length (no shorter
-// than h's FEC class, the ψ bound) and then source length are each found
-// by bisection: the paper's binary search over field masks.
-func expandNeighborhood(h header.Packet, fec topo.FEC, cons *constancy) header.Match {
-	m := exactMatch(h)
-	valid := cons.valid
-	var class header.Prefix
-	for _, c := range fec.Classes {
-		if c.Matches(h.DstIP) {
-			class = c
-			break
-		}
-	}
-	m = shortestPrefix(m, false, class.Len, valid)
-	m = shortestPrefix(m, true, 0, valid)
-	m.DstPort = expandPort(m, h.DstPort, false, valid, cons.ix.dstLos, cons.ix.dstHis)
-	m.SrcPort = expandPort(m, h.SrcPort, true, valid, cons.ix.srcLos, cons.ix.srcHis)
-	cand := m
-	cand.Proto = header.AnyProto // protocol: all-or-exact
-	if valid(cand) {
-		m = cand
-	}
-	return m
-}
-
-// shortestPrefix widens m's destination (or, with src, source) /32 to
-// the shortest prefix of length floor or more on which m stays valid, by
-// bisection over a validity that holds at /32 and is downward closed.
-func shortestPrefix(m header.Match, src bool, floor int, valid func(header.Match) bool) header.Match {
-	field := &m.Dst
-	if src {
-		field = &m.Src
-	}
-	addr := field.Addr
-	at := func(n int) header.Match {
-		*field = header.Prefix{Addr: addr, Len: n}.Canonical()
-		return m
-	}
-	return at(floor + sort.Search(32-floor, func(k int) bool { return valid(at(floor + k)) }))
-}
-
-// expandPort widens one port field around the packet's port to the
-// largest range passing the validity criterion: try the full range
-// first, then greedily pick the widest valid [lo, hi] whose endpoints
-// come from the precomputed rule boundaries (los ascending, his
-// descending).
-func expandPort(m header.Match, port uint16, src bool, valid func(header.Match) bool, los, his []uint16) header.PortRange {
-	field := &m.DstPort
-	if src {
-		field = &m.SrcPort
-	}
-	at := func(r header.PortRange) header.Match {
-		*field = r
-		return m
-	}
-	if valid(at(header.AnyPort)) {
-		return header.AnyPort
-	}
-	bestLo := port
-	for _, lo := range los {
-		if lo <= port && valid(at(header.PortRange{Lo: lo, Hi: port})) {
-			bestLo = lo
-			break
-		}
-	}
-	for _, hi := range his {
-		if hi >= port && valid(at(header.PortRange{Lo: bestLo, Hi: hi})) {
-			return header.PortRange{Lo: bestLo, Hi: hi}
-		}
-	}
-	return header.PortRange{Lo: port, Hi: port}
 }

@@ -4,13 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"slices"
 	"sort"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"jinjing/internal/acl"
 	"jinjing/internal/header"
@@ -23,20 +23,20 @@ import (
 )
 
 // This file is the oracle for fix's per-call index (fixIndex), its
-// closed-form placement and the cube-decided exact simplify. The
-// reference below is the code fix ran before the index existed, kept word
-// for word: neighborhood validity by a linear acl.DecideMatch over every
-// in-scope ACL instance, one placement constraint per path with every
-// binding resolved by its "dev:if:dir" string and every decision
-// re-derived by DecideMatch, the desired decision from Control.AppliesTo
-// per path, Equation 7 minimized on a SAT solver, one prepend per action,
-// and acl.Simplify's solver query per candidate rule. The engine must
-// agree with it on every FEC: the same neighborhoods in the same order;
-// per neighborhood the same feasibility and the same number of changed
-// bindings (Equation 7's cost), with the engine's placement satisfying
-// every path's constraint (among several optima the solver's pick is
-// arbitrary, so the bindings named may differ); and the same simplified
-// ACL text for the engine's plan.
+// placement regions and its closed-form placement. The reference below
+// is the fix loop before regions and the index existed: neighborhood
+// expansion (Equation 6) by a linear acl.DecideMatch over every in-scope
+// ACL instance, one placement constraint per path with every binding
+// resolved by its "dev:if:dir" string and every decision re-derived by
+// DecideMatch, the desired decision from Control.AppliesTo per path,
+// Equation 7 minimized on a SAT solver, and one prepend per action. Per
+// neighborhood the engine's placement must have the reference's
+// feasibility and cost (among several optima the solver's pick is
+// arbitrary, so the bindings named may differ) and satisfy every path's
+// constraint, and the neighborhood must lie in one of the engine's
+// placement regions of its FEC, which places it alike. For the whole
+// call, the engine's fixed network must permit, at every binding, what
+// the reference plan's does, and verify alike.
 
 // --- reference implementation (the pre-index fix path) ---
 
@@ -232,10 +232,16 @@ func refDesiredOnClass(e *Engine, p topo.Path, nb header.Match) bool {
 	return orig
 }
 
+// refOutcome is a neighborhood's placement: feasible, and the actions.
+type refOutcome struct {
+	ok      bool
+	actions []FixAction
+}
+
 // refSolveNeighborhood states the placement per path on a SAT solver and
 // minimizes the changed bindings.
-func refSolveNeighborhood(e *Engine, fec topo.FEC, nb header.Match, allowSet map[string]bool) (nbOutcome, error) {
-	out := nbOutcome{nb: nb}
+func refSolveNeighborhood(e *Engine, fec topo.FEC, nb header.Match, allowSet map[string]bool) (refOutcome, error) {
+	var out refOutcome
 	s := smt.NewSolver()
 	b := s.B
 
@@ -352,15 +358,6 @@ func refApplyFixActions(fixed *topo.Network, actions []FixAction) error {
 	return nil
 }
 
-func refSimplifyBounded(a *acl.ACL) *acl.ACL {
-	const exactLimit = 64
-	fast := acl.SimplifyFast(a)
-	if len(fast.Rules) <= exactLimit {
-		return acl.Simplify(fast)
-	}
-	return fast
-}
-
 // --- the comparison ---
 
 // fixOracleCase builds one engine; it is called once for the per-FEC
@@ -371,29 +368,36 @@ type fixOracleCase struct {
 	mustFix bool // the case is there for its neighborhoods: finding none is a failure
 }
 
-// aclTexts renders every bound ACL of a network, keyed by binding ID.
-func aclTexts(n *topo.Network) map[string]string {
-	out := map[string]string{}
-	for _, d := range n.SortedDevices() {
+// samePermitted fails unless the two networks permit the same packets
+// at every binding (an unbound side permits all): equal texts first,
+// then the set algebra.
+func samePermitted(t *testing.T, got, want *topo.Network) {
+	t.Helper()
+	for _, d := range want.SortedDevices() {
 		for _, i := range d.SortedInterfaces() {
+			gi, err := got.LookupInterface(d.Name + ":" + i.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, dir := range []topo.Direction{topo.In, topo.Out} {
-				if a := i.ACL(dir); a != nil {
-					out[topo.ACLBinding{Iface: i, Dir: dir}.ID()] = a.String()
+				a, b := orPermitAll(gi.ACL(dir)), orPermitAll(i.ACL(dir))
+				if a.String() != b.String() && !pset.PermittedSet(a).Equal(pset.PermittedSet(b)) {
+					t.Fatalf("fixed ACL at %s permits otherwise:\n  %s\nreference:\n  %s",
+						topo.ACLBinding{Iface: i, Dir: dir}.ID(), a, b)
 				}
 			}
 		}
 	}
-	return out
 }
 
 // fixOracleStats is what one case saw, for the coverage test.
 type fixOracleStats struct {
 	neighborhoods, unfixable, actions int
-	multiNeighborhoodFEC              bool // a FEC with several neighborhoods: priors mattered
+	multiRegionFEC                    bool // a FEC with several regions
 	ctrlOnFixedFEC                    bool // a control applied to a shape of a FEC that needed fixing
 	shapesShared                      bool // a fixed FEC's paths outnumber its shapes
-	portNeighborhood                  bool // a neighborhood narrower than "any" in a port
-	memoHit                           bool // a neighborhood whose placement its FEC had solved before
+	portRegion                        bool // a region narrower than "any" in a port
+	memoHit                           bool // a placement read from its FEC's memo, for a region or a neighborhood
 }
 
 // refConstancyOf is the reference validity oracle over every before and
@@ -407,6 +411,16 @@ func refConstancyOf(e *Engine, ctx *checkCtx) refConstancy {
 	return ref
 }
 
+// actionsOn is a placement's plan for one neighborhood, as the reference
+// states it: one rule on the neighborhood per changed binding.
+func actionsOn(ix *fixIndex, p placed, nb header.Match) []FixAction {
+	var out []FixAction
+	for _, c := range p.changes {
+		out = append(out, FixAction{BindingID: ix.bindings[c.bi].b.ID(), Rule: acl.Rule{Action: c.act, Match: nb}})
+	}
+	return out
+}
+
 func runFixOracleCase(t *testing.T, c fixOracleCase) fixOracleStats {
 	t.Helper()
 	var st fixOracleStats
@@ -416,16 +430,11 @@ func runFixOracleCase(t *testing.T, c fixOracleCase) fixOracleStats {
 	ix := e.compileFix(ctx)
 
 	ref := refConstancyOf(e, ctx)
-	if !slices.Equal(ref.dstLos, ix.dstLos) || !slices.Equal(ref.dstHis, ix.dstHis) ||
-		!slices.Equal(ref.srcLos, ix.srcLos) || !slices.Equal(ref.srcHis, ix.srcHis) {
-		t.Fatalf("port boundaries differ from reference")
-	}
 	allowSet := map[string]bool{}
 	for _, b := range e.Allow {
 		allowSet[b.ID()] = true
 	}
 
-	var wantNbs, wantUnfixable []header.Match
 	var wantActions []FixAction
 	var wantPlacements int64 // distinct placement keys, FEC by FEC
 	for i := 0; i < ctx.nfec; i++ {
@@ -435,7 +444,8 @@ func runFixOracleCase(t *testing.T, c fixOracleCase) fixOracleStats {
 		}
 		shapes := ix.shapesOn(ctx.src.PathIndices(i))
 		// The FEC's counterexamples, path by path (refPathViolations); the
-		// seek takes their least packet and excludes each neighborhood.
+		// reference takes their least packet and excludes each
+		// neighborhood, the engine splits them into regions.
 		perPath, ok := refPathViolations(e, ctx, fec)
 		if !ok {
 			t.Fatalf("FEC %d: the per-path reference overflows the cube budget", i)
@@ -444,9 +454,27 @@ func runFixOracleCase(t *testing.T, c fixOracleCase) fixOracleStats {
 		for _, f := range perPath {
 			viol = viol.Union(f)
 		}
+		reads := ix.readsOn(shapes, viol)
+		regions := e.fixFEC(context.Background(), ctx, ix, i, viol, math.MaxInt)
+		if regions.err != nil || regions.unknown != "" {
+			t.Fatalf("FEC %d: split: %v %s", i, regions.err, regions.unknown)
+		}
+		tiled := pset.Empty()
+		for k, r := range regions.regions {
+			if tiled.Intersect(r.region).Cubes() > 0 {
+				t.Fatalf("FEC %d: region %d overlaps an earlier one", i, k)
+			}
+			tiled = tiled.Union(r.region)
+			st.memoHit = st.memoHit || !r.solved
+			for _, c := range r.region.CubeList() {
+				st.portRegion = st.portRegion || !c.DstPort.IsAny() || !c.SrcPort.IsAny()
+			}
+		}
+		if !tiled.Equal(viol) {
+			t.Fatalf("FEC %d: the regions do not tile the counterexamples", i)
+		}
 		refCons := ref
 		refCons.priors = nil
-		cons := ix.constancyOn(fec)
 		memo := map[string]placed{}
 		found := 0
 		for h, more := viol.MinPacket(); more; h, more = viol.MinPacket() {
@@ -455,68 +483,78 @@ func runFixOracleCase(t *testing.T, c fixOracleCase) fixOracleStats {
 			}
 			what := fmt.Sprintf("FEC %d neighborhood %d", i, found)
 			nb := refExpandNeighborhood(h, fec, &refCons)
-			if got := expandNeighborhood(h, fec, cons); got != nb {
-				t.Fatalf("%s: expanded %v to %v, reference %v", what, h, got, nb)
+			// Every ACL and control decides the neighborhood alike, so it
+			// is its own region.
+			region, dec := ix.regionOf(pset.FromMatch(nb), h, reads)
+			if !region.Equal(pset.FromMatch(nb)) {
+				t.Fatalf("%s: %v splits into %v", what, nb, region.CubeList())
 			}
 
 			want, err := refSolveNeighborhood(e, fec, nb, allowSet)
 			if err != nil {
 				t.Fatalf("%s: reference placement: %v", what, err)
 			}
-			got, err := e.solveNeighborhood(context.Background(), ix, &placement{}, shapes, nb, map[string]placed{})
+			got, _, err := ix.solve(context.Background(), &placement{}, shapes, dec, map[string]placed{})
 			if err != nil {
 				t.Fatalf("%s: %v", what, err)
 			}
-			if got.ok != want.ok || len(got.actions) != len(want.actions) {
+			gotActions := actionsOn(ix, got, nb)
+			if got.ok != want.ok || len(gotActions) != len(want.actions) {
 				t.Fatalf("%s: placement ok=%v actions=%v\nreference ok=%v actions=%v",
-					what, got.ok, got.actions, want.ok, want.actions)
+					what, got.ok, gotActions, want.ok, want.actions)
 			}
 			if got.ok {
-				if err := refSatisfies(e, fec, nb, allowSet, got.actions); err != nil {
-					t.Fatalf("%s: placement %v: %v", what, got.actions, err)
+				if err := refSatisfies(e, fec, nb, allowSet, gotActions); err != nil {
+					t.Fatalf("%s: placement %v: %v", what, gotActions, err)
 				}
 			}
 			// Through the FEC's memo, as fixFEC asks: a hit must give the
-			// same plan for this neighborhood, decided nowhere.
-			memoed, err := e.solveNeighborhood(context.Background(), ix, &placement{}, shapes, nb, memo)
+			// same plan, decided nowhere.
+			memoed, solved, err := ix.solve(context.Background(), &placement{}, shapes, dec, memo)
 			if err != nil {
 				t.Fatalf("%s: memoized: %v", what, err)
 			}
-			if memoed.ok != got.ok || !slices.Equal(memoed.actions, got.actions) {
-				t.Fatalf("%s: memoized placement ok=%v solved=%v actions=%v\nunmemoized ok=%v actions=%v",
-					what, memoed.ok, memoed.solved, memoed.actions, got.ok, got.actions)
+			if memoed.ok != got.ok || !slices.Equal(memoed.changes, got.changes) {
+				t.Fatalf("%s: memoized placement ok=%v changes=%v\nunmemoized ok=%v changes=%v",
+					what, memoed.ok, memoed.changes, got.ok, got.changes)
 			}
-			st.memoHit = st.memoHit || !memoed.solved
-			if memoed.solved {
+			st.memoHit = st.memoHit || !solved
+			if solved {
 				wantPlacements++
 			}
-			if got.ok {
-				wantNbs = append(wantNbs, nb)
-				wantActions = append(wantActions, got.actions...)
-			} else {
-				wantUnfixable = append(wantUnfixable, nb)
+			// The tiling: the region of the engine's split holding the
+			// neighborhood holds all of it and places it alike.
+			k := slices.IndexFunc(regions.regions, func(r regionOutcome) bool { return r.region.Contains(h) })
+			if k < 0 || !pset.FromMatch(nb).Subtract(regions.regions[k].region).IsEmpty() {
+				t.Fatalf("%s: %v lies in no one region", what, nb)
 			}
-			if !nb.DstPort.IsAny() || !nb.SrcPort.IsAny() {
-				st.portNeighborhood = true
+			if r := regions.regions[k]; r.ok != got.ok || !slices.Equal(r.changes, got.changes) {
+				t.Fatalf("%s: its region %d places ok=%v changes=%v, the neighborhood ok=%v changes=%v",
+					what, k, r.ok, r.changes, got.ok, got.changes)
+			}
+			if got.ok {
+				wantActions = append(wantActions, gotActions...)
+				st.neighborhoods++
+			} else {
+				st.unfixable++
 			}
 			refCons.priors = append(refCons.priors, nb)
-			cons.priors = append(cons.priors, nb)
 			viol = viol.Subtract(pset.FromMatch(nb))
 			found++
 		}
 		if found > 0 {
-			st.multiNeighborhoodFEC = st.multiNeighborhoodFEC || found > 1
+			st.multiRegionFEC = st.multiRegionFEC || len(regions.regions) > 1
 			st.shapesShared = st.shapesShared || len(shapes) < len(fec.Paths)
 			for _, si := range shapes {
 				st.ctrlOnFixedFEC = st.ctrlOnFixedFEC || len(ix.shapes[si].ctrls) > 0
 			}
 		}
 	}
-	st.neighborhoods, st.unfixable, st.actions = len(wantNbs), len(wantUnfixable), len(wantActions)
+	st.actions = len(wantActions)
 
-	// The whole call: the same neighborhoods in FEC order, the plan the
-	// placements above make, and the same ACL text after apply +
-	// simplify.
+	// The whole call: the placements its regions pose, and a fixed
+	// network that permits, at every binding, what the reference plan's
+	// does, and that verifies alike.
 	e2 := c.mk()
 	m := obs.NewMetrics()
 	e2.Opts.Obs = obs.NewObserver(nil, m, nil)
@@ -524,46 +562,25 @@ func runFixOracleCase(t *testing.T, c fixOracleCase) fixOracleStats {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Placements are solved once per distinct key of a FEC: no fewer (a
-	// memo shared across FECs) and no more (a memo that misses).
+	// Placements are decided once per distinct key of a FEC: no fewer (a
+	// memo shared across FECs) and no more (a memo that misses). A
+	// region's key is that of the neighborhoods inside it.
 	if got := m.Snapshot().Counters["fix.placements"]; got != wantPlacements {
-		t.Fatalf("fix.placements = %d, the per-FEC reference solved %d", got, wantPlacements)
+		t.Fatalf("fix.placements = %d, the per-FEC reference decided %d", got, wantPlacements)
 	}
-	if !slices.Equal(res.Neighborhoods, wantNbs) {
-		t.Fatalf("neighborhoods %v\nreference     %v", res.Neighborhoods, wantNbs)
-	}
-	if !slices.Equal(res.Unfixable, wantUnfixable) {
-		t.Fatalf("unfixable %v\nreference %v", res.Unfixable, wantUnfixable)
-	}
-	if !slices.Equal(res.Actions, wantActions) {
-		t.Fatalf("actions %v\nreference %v", res.Actions, wantActions)
+	if (len(res.Regions) == 0) != (st.neighborhoods == 0) || (len(res.Unfixable) == 0) != (st.unfixable == 0) {
+		t.Fatalf("%d regions and %d unfixable, reference %d neighborhoods and %d unfixable",
+			len(res.Regions), len(res.Unfixable), st.neighborhoods, st.unfixable)
 	}
 	refFixed := e2.After.Clone()
 	if err := refApplyFixActions(refFixed, wantActions); err != nil {
 		t.Fatal(err)
 	}
-	if e2.Opts.OptimizeSynthesis {
-		touched := map[string]bool{}
-		for _, a := range wantActions {
-			if touched[a.BindingID] {
-				continue
-			}
-			touched[a.BindingID] = true
-			b, err := refLookupBinding(refFixed, a.BindingID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b.Iface.SetACL(b.Dir, refSimplifyBounded(b.Iface.ACL(b.Dir)))
-		}
-	}
-	want, got := aclTexts(refFixed), aclTexts(res.Fixed)
-	for id, text := range want {
-		if got[id] != text {
-			t.Fatalf("fixed ACL at %s:\n  %s\nreference:\n  %s", id, got[id], text)
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("fixed network binds %d ACLs, reference %d", len(got), len(want))
+	samePermitted(t, res.Fixed, refFixed)
+	ver := c.mk()
+	ver.UpdateAfter(refFixed)
+	if cr := ver.Check(); res.Verified != (cr.Consistent && cr.Complete) {
+		t.Fatalf("verified=%v, reference verified=%v", res.Verified, cr.Consistent && cr.Complete)
 	}
 	return st
 }
@@ -767,10 +784,12 @@ func TestFixIndexMatchesPerPathOracle(t *testing.T) {
 	cases = append(cases, wanFixCases(netgen.Small, []int64{1, 2, 42}, 1, 3, 5)...)
 	// The reference is the old linear scan and per-path walk, so a medium
 	// case costs what fix used to: seconds. The default suite runs one
-	// medium seed at 1%; the weekly full lane (make test-full) runs more.
+	// medium seed at 1%; the weekly full lane (make test-full) runs more,
+	// and the large WAN.
 	switch {
 	case os.Getenv("JINJING_EXPERIMENTS_LARGE") != "":
 		cases = append(cases, wanFixCases(netgen.Medium, []int64{1, 2, 42}, 1, 3, 5)...)
+		cases = append(cases, wanFixCases(netgen.Large, []int64{42}, 1, 3, 5)...)
 	case !testing.Short():
 		cases = append(cases, wanFixCases(netgen.Medium, []int64{42}, 1)...)
 	}
@@ -786,83 +805,43 @@ func TestFixIndexMatchesPerPathOracle(t *testing.T) {
 	}
 }
 
-// TestQuickExpandMatchesLinearWalk holds expandNeighborhood's bisection
-// to the reference's bit-by-bit walk from any packet of a FEC, not only
-// from the least remaining counterexample the seek expands: random
-// packets in random classes of random FECs of netgen small and medium
-// (half of them with a source from a rule's source prefix and a
-// destination port at a rule boundary), each against a random subset of
-// what earlier draws on the same FEC expanded to as priors.
-func TestQuickExpandMatchesLinearWalk(t *testing.T) {
-	for _, size := range []netgen.Size{netgen.Small, netgen.Medium} {
-		t.Run(fmt.Sprint(size), func(t *testing.T) {
-			e := WANFix(netgen.Build(netgen.DefaultConfig(size, 42)), 5, DefaultOptions())
-			ctx := e.checkContext()
-			e.prepareIncremental(ctx)
-			ix := e.compileFix(ctx)
-			ref := refConstancyOf(e, ctx)
-			var srcs []header.Prefix
-			for _, a := range ref.acls {
-				for _, r := range a.Rules {
-					if !r.Match.Src.IsAny() {
-						srcs = append(srcs, r.Match.Src)
-					}
-				}
-			}
-			history := make([][]header.Match, ctx.nfec) // per FEC: what earlier draws expanded to
-			inside := func(p header.Prefix, bits uint32) uint32 {
-				return p.Addr | bits&^header.Prefix{Addr: ^uint32(0), Len: p.Len}.Canonical().Addr
-			}
-			var bounded, withPriors int
-			prop := func(fecPick, classPick, dst, src, srcPick uint32, sport, dport uint16, proto uint8, priorMask uint64) bool {
-				i := int(fecPick % uint32(ctx.nfec))
-				fec := ctx.fec(i)
-				h := header.Packet{DstIP: inside(fec.Classes[int(classPick%uint32(len(fec.Classes)))], dst),
-					SrcIP: src, SrcPort: sport, DstPort: dport, Proto: proto}
-				if srcPick%2 == 0 && len(srcs) > 0 {
-					h.SrcIP = inside(srcs[int(srcPick/2)%len(srcs)], src)
-					h.DstPort = ix.dstLos[int(dport)%len(ix.dstLos)]
-				}
-				cons, refCons := ix.constancyOn(fec), ref
-				refCons.priors = nil
-				for k, p := range history[i] {
-					if priorMask>>(k%64)&1 == 1 && !p.Matches(h) {
-						cons.priors = append(cons.priors, p)
-						refCons.priors = append(refCons.priors, p)
-					}
-				}
-				got, want := expandNeighborhood(h, fec, cons), refExpandNeighborhood(h, fec, &refCons)
-				if got != want {
-					t.Logf("FEC %d, packet %v, %d priors: expanded to %v, reference %v", i, h, len(cons.priors), got, want)
-					return false
-				}
-				if 0 < got.Src.Len && got.Src.Len < 32 {
-					bounded++
-				}
-				if len(cons.priors) > 0 {
-					withPriors++
-				}
-				history[i] = append(history[i], got)
-				return true
-			}
-			if err := quick.Check(prop, &quick.Config{MaxCount: 1000, Rand: rand.New(rand.NewSource(int64(size) + 1))}); err != nil {
-				t.Fatal(err)
-			}
-			// The draws must reach what the bisection can get wrong: a
-			// source stopped between /0 and /32, and priors in the way.
-			if bounded < 200 || withPriors < 300 {
-				t.Fatalf("of 1000 draws, %d stopped inside the source range and %d had priors", bounded, withPriors)
-			}
-		})
+// TestFixRegionsUnderASmallCubeBudget takes the split's overflow path:
+// at a cube budget of two the region folds overflow and narrow to the
+// piece holding the packet (holding), so a FEC splits into more regions,
+// yet the fixed network permits what it does at the default budget at
+// every binding, and verifies alike. Not parallel: it lowers the
+// package's cube budget.
+func TestFixRegionsUnderASmallCubeBudget(t *testing.T) {
+	cases := wanFixCases(netgen.Small, []int64{1, 42}, 5)
+	cases = append(cases, wanFixCases(netgen.Medium, []int64{42}, 5)...)
+	for _, c := range cases {
+		base, err := c.mk().Fix()
+		if err != nil {
+			t.Fatal(err)
+		}
+		restore := SetCubeBudget(t, 2)
+		split, err := c.mk().Fix()
+		restore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%s: %d regions, %d at a budget of two", c.name, len(base.Regions), len(split.Regions))
+		if len(split.Regions) <= len(base.Regions) {
+			t.Fatalf("%s: %d regions at a budget of two, %d at the default: the budget did not bind", c.name, len(split.Regions), len(base.Regions))
+		}
+		samePermitted(t, split.Fixed, base.Fixed)
+		if split.Verified != base.Verified {
+			t.Fatalf("%s: verified=%v at a budget of two, %v at the default", c.name, split.Verified, base.Verified)
+		}
 	}
 }
 
 // TestFixMemoKeepsWorkerCountsEqual pins what keeps the placement memo
-// per FEC: on netgen small at 5%, where most neighborhoods reuse a
-// placement, Fix at 1 and 8 workers gives the same actions and
-// neighborhoods and decides the same number of placements (the
-// fix.placements counter). A memo shared across FECs would let
-// scheduling decide which FEC pays for a shared placement.
+// per FEC: on netgen small at 5%, Fix at 1 and 8 workers gives the same
+// actions and regions and decides the same number of placements (the
+// fix.placements counter), no more than it has regions. A memo shared
+// across FECs would let scheduling decide which FEC pays for a shared
+// placement.
 func TestFixMemoKeepsWorkerCountsEqual(t *testing.T) {
 	w := netgen.Build(netgen.DefaultConfig(netgen.Small, 42))
 	var res [2]*FixResult
@@ -878,12 +857,12 @@ func TestFixMemoKeepsWorkerCountsEqual(t *testing.T) {
 		}
 		placements[k] = m.Snapshot().Counters["fix.placements"]
 	}
-	if n := int64(len(res[0].Neighborhoods)); placements[0] <= 0 || 2*placements[0] > n || placements[1] != placements[0] {
-		t.Fatalf("placements %v for %d neighborhoods: want equal, and at most half", placements, n)
+	if n := int64(len(res[0].Regions)); placements[0] <= 0 || placements[0] > n || placements[1] != placements[0] {
+		t.Fatalf("placements %v for %d regions: want equal, and at most one per region", placements, n)
 	}
-	if !slices.Equal(res[0].Actions, res[1].Actions) || !slices.Equal(res[0].Neighborhoods, res[1].Neighborhoods) {
-		t.Fatalf("plans differ between 1 and 8 workers: %d/%d actions, %d/%d neighborhoods",
-			len(res[0].Actions), len(res[1].Actions), len(res[0].Neighborhoods), len(res[1].Neighborhoods))
+	if !slices.Equal(res[0].Actions, res[1].Actions) || !slices.EqualFunc(res[0].Regions, res[1].Regions, slices.Equal[[]header.Match]) {
+		t.Fatalf("plans differ between 1 and 8 workers: %d/%d actions, %d/%d regions",
+			len(res[0].Actions), len(res[1].Actions), len(res[0].Regions), len(res[1].Regions))
 	}
 }
 
@@ -898,14 +877,14 @@ func TestFixOracleMeshesCoverTheHardCases(t *testing.T) {
 	for _, c := range meshFixCases() {
 		st := runFixOracleCase(t, c)
 		for name, hit := range map[string]bool{
-			"a neighborhood":                   st.neighborhoods > 0,
-			"a fixing action":                  st.actions > 0,
-			"an unfixable neighborhood":        st.unfixable > 0,
-			"several neighborhoods in one FEC": st.multiNeighborhoodFEC,
-			"a control on a fixed FEC":         st.ctrlOnFixedFEC,
-			"shared shapes on a fixed FEC":     st.shapesShared,
-			"a port-bounded region":            st.portNeighborhood,
-			"a placement memo hit":             st.memoHit,
+			"a neighborhood":               st.neighborhoods > 0,
+			"a fixing action":              st.actions > 0,
+			"an unfixable neighborhood":    st.unfixable > 0,
+			"several regions in one FEC":   st.multiRegionFEC,
+			"a control on a fixed FEC":     st.ctrlOnFixedFEC,
+			"shared shapes on a fixed FEC": st.shapesShared,
+			"a port-bounded region":        st.portRegion,
+			"a placement memo hit":         st.memoHit,
 		} {
 			n := 0
 			if hit {
@@ -926,32 +905,6 @@ func TestFixOracleMeshesCoverTheHardCases(t *testing.T) {
 			t.Errorf("only %d of 240 faulty meshes have %s", n, name)
 		}
 	}
-}
-
-// TestPlacementOnStraddlingMatchIsAnError pins the structured failure of
-// the one state only a bug can produce: a placement asked about a region
-// that is not atomic with respect to an on-path ACL returns an error —
-// through solveNeighborhood, the way fixFEC and FixContext carry it —
-// instead of panicking the worker.
-func TestPlacementOnStraddlingMatchIsAnError(t *testing.T) {
-	e := papernetFixCases()[0].mk()
-	ctx := e.checkContext()
-	e.prepareIncremental(ctx)
-	ix := e.compileFix(ctx)
-	// 0.0.0.0/5 covers 1/8..7/8: it straddles every "deny dst N.0.0.0/8".
-	straddler := header.DstMatch(header.Prefix{Addr: 0, Len: 5})
-	for i := 0; i < ctx.nfec; i++ {
-		shapes := ix.shapesOn(ctx.src.PathIndices(i))
-		_, err := e.solveNeighborhood(context.Background(), ix, &placement{}, shapes, straddler, map[string]placed{})
-		if err == nil {
-			continue // this FEC's paths cross no ACL with a rule inside the region
-		}
-		if !strings.Contains(err.Error(), "not atomic") || !strings.Contains(err.Error(), straddler.String()) {
-			t.Fatalf("unexpected error text: %v", err)
-		}
-		return
-	}
-	t.Fatal("no FEC rejected the straddling region")
 }
 
 // --- the closed-form placement against enumeration and the solver ---

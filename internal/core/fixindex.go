@@ -1,38 +1,38 @@
 package core
 
 import (
-	"fmt"
 	"slices"
 
 	"jinjing/internal/acl"
 	"jinjing/internal/header"
+	"jinjing/internal/pset"
 	"jinjing/internal/topo"
 )
 
 // fixIndex is what one FixContext call resolves before its FEC loop:
-// everything neighborhood expansion (Equation 6) and placement (Equation
-// 7) need of the network that does not depend on the neighborhood. A
-// large WAN binds a few dozen distinct ACLs at a hundred places and
-// routes a FEC over hundreds of paths of a few dozen shapes, and fix asks
-// its two questions — is this region constant under every ACL, what does
-// this binding decide on it — hundreds of times per call; the index
-// answers each from a first-match trie per distinct ACL and asserts one
-// placement constraint per shape. Read-only once built: the FEC loop
-// shares it across workers.
+// everything the region split and placement (Equation 7) need of the
+// network that does not depend on the region. A large WAN binds a few
+// dozen distinct ACLs at a hundred places and routes a FEC over hundreds
+// of paths of a few dozen shapes; the index keeps one region index per
+// distinct ACL and asserts one placement constraint per shape. Read-only
+// once built: the FEC loop shares it across workers.
 type fixIndex struct {
 	// acls are the distinct decision models of F_Ω ∪ F'_Ω (the full ACLs
 	// of every in-scope binding, before and after), ctrls the engine's
-	// controls, and the port lists the distinct boundaries of both — the
-	// only places validity can flip during port expansion (los ascending,
-	// his descending).
-	acls           []*hitIndexer
-	ctrls          []Control
-	dstLos, dstHis []uint16
-	srcLos, srcHis []uint16
+	// controls.
+	acls  []fixACL
+	ctrls []Control
 
 	bindings []fixBinding // the bindings a constraint can read, in first-crossing order
 	shapes   []fixShape   // distinct, in first-occurrence order over the paths
 	shapeSet              // per path: its index into shapes
+}
+
+// fixACL is one distinct ACL: its rules, and its region index over the
+// destination index the ACL table builds once per content.
+type fixACL struct {
+	acl *acl.ACL
+	set *pset.Index
 }
 
 // fixBinding is one crossed binding that carries an ACL in either
@@ -69,14 +69,12 @@ func (e *Engine) compileFix(ctx *checkCtx) *fixIndex {
 	for _, p := range ctx.pairs {
 		for side, a := range [2]*acl.ACL{p.before, p.after} {
 			if id := p.ids[side]; a != nil && local[id] == 0 {
-				h := &hitIndexer{}
-				h.acl, h.tree = ctx.tab.index(id)
-				ix.acls = append(ix.acls, h)
+				a, dst := ctx.tab.index(id)
+				ix.acls = append(ix.acls, fixACL{acl: a, set: pset.NewIndex(a, dst)})
 				local[id] = int32(len(ix.acls))
 			}
 		}
 	}
-	ix.computeBounds()
 
 	var allowed bindingTable[bool]
 	for _, b := range e.Allow {
@@ -94,7 +92,7 @@ func (e *Engine) compileFix(ctx *checkCtx) *fixIndex {
 			fb.before, fb.after = local[ids[0]]-1, local[ids[1]]-1
 		} else if !fb.allowed {
 			// Unbound in both snapshots and closed to the plan: it
-			// permits whatever the neighborhood, so no constraint reads it.
+			// permits whatever the region, so no constraint reads it.
 			return -1
 		}
 		if fb.allowed {
@@ -115,157 +113,156 @@ func (e *Engine) compileFix(ctx *checkCtx) *fixIndex {
 	return ix
 }
 
-// computeBounds harvests the distinct port boundaries of every rule and
-// control match.
-func (ix *fixIndex) computeBounds() {
-	dLo := map[uint16]bool{0: true}
-	dHi := map[uint16]bool{65535: true}
-	sLo := map[uint16]bool{0: true}
-	sHi := map[uint16]bool{65535: true}
-	add := func(lo, hi map[uint16]bool, r header.PortRange) {
-		if r.IsAny() {
-			return
-		}
-		lo[r.Lo] = true
-		if r.Hi < 65535 {
-			lo[r.Hi+1] = true
-		}
-		hi[r.Hi] = true
-		if r.Lo > 0 {
-			hi[r.Lo-1] = true
-		}
-	}
-	for _, a := range ix.acls {
-		for _, r := range a.acl.Rules {
-			add(dLo, dHi, r.Match.DstPort)
-			add(sLo, sHi, r.Match.SrcPort)
-		}
-	}
-	for _, c := range ix.ctrls {
-		add(dLo, dHi, c.Match.DstPort)
-		add(sLo, sHi, c.Match.SrcPort)
-	}
-	toSorted := func(m map[uint16]bool, desc bool) []uint16 {
-		out := make([]uint16, 0, len(m))
-		for k := range m {
-			out = append(out, k)
-		}
-		slices.Sort(out)
-		if desc {
-			slices.Reverse(out)
-		}
-		return out
-	}
-	ix.dstLos, ix.dstHis = toSorted(dLo, false), toSorted(dHi, true)
-	ix.srcLos, ix.srcHis = toSorted(sLo, false), toSorted(sHi, true)
+// fecReads is what the placement keys of a FEC read: the distinct ACLs
+// its shapes' bindings carry in either snapshot (indices into
+// fixIndex.acls, in first-crossing order) and the distinct controls on
+// its shapes. One that decides all of the FEC's counterexamples alike
+// decides each of its regions so: it is decided once, in fixed, and
+// only the others (acls, ctrls) split regions.
+type fecReads struct {
+	acls, ctrls []int32
+	fixed       regionDecisions
 }
 
-// constancy is the Equation 6 validity oracle for one FEC's neighborhood
-// expansion: a candidate region is valid when every decision model in
-// F_Ω ∪ F'_Ω is constant on it (each ACL's first containing rule is
-// reached with no straddling rule before it), every control match
-// contains it or is disjoint from it, and it avoids every previously
-// fixed neighborhood.
-type constancy struct {
-	ix *fixIndex
-	// acls are the ix.acls with a rule overlapping the FEC's classes: a
-	// candidate never leaves its class, so every other ACL decides it by
-	// default, atomically.
-	acls []*hitIndexer
-	// priors holds the neighborhoods already fixed within the FEC;
-	// cross-FEC neighborhoods are disjoint by construction (FEC
-	// destination classes are disjoint atoms), so each FEC starts empty.
-	priors []header.Match
-	probes int64 // validity queries asked
-}
-
-// constancyOn returns the validity oracle for one FEC.
-func (ix *fixIndex) constancyOn(fec topo.FEC) *constancy {
-	cn := &constancy{ix: ix}
-	for _, a := range ix.acls {
-		for _, c := range fec.Classes {
-			if a.tree.AnyOverlapping(header.DstMatch(c)) {
-				cn.acls = append(cn.acls, a)
-				break
+// readsOn lists what a FEC on shapes reads, split over viol, its
+// counterexamples.
+func (ix *fixIndex) readsOn(shapes []int32, viol pset.Set) fecReads {
+	r := fecReads{fixed: regionDecisions{permit: make([]bool, len(ix.acls)), ctrlIn: make([]bool, len(ix.ctrls))}}
+	seenACL, seenCtrl := make([]bool, len(ix.acls)), make([]bool, len(ix.ctrls))
+	for _, si := range shapes {
+		sh := &ix.shapes[si]
+		for _, bi := range sh.bindings {
+			for _, ai := range [2]int32{ix.bindings[bi].before, ix.bindings[bi].after} {
+				if ai < 0 || seenACL[ai] {
+					continue
+				}
+				seenACL[ai] = true
+				if permit, uniform := ix.acls[ai].uniformOn(viol); uniform {
+					r.fixed.permit[ai] = permit
+				} else {
+					r.acls = append(r.acls, ai)
+				}
+			}
+		}
+		for _, ci := range sh.ctrls {
+			if seenCtrl[ci] {
+				continue
+			}
+			seenCtrl[ci] = true
+			m := ix.ctrls[ci].Match
+			switch {
+			case !viol.Overlaps(m):
+			case viol.Subtract(pset.FromMatch(m)).IsEmpty():
+				r.fixed.ctrlIn[ci] = true
+			default:
+				r.ctrls = append(r.ctrls, ci)
 			}
 		}
 	}
-	return cn
+	return r
 }
 
-func (cn *constancy) valid(c header.Match) bool {
-	cn.probes++
-	for _, a := range cn.acls {
-		if _, ok := a.decide(c); !ok {
-			return false
-		}
+// uniformOn reports whether the ACL decides all of set alike, and
+// whether it permits it: where no rule meets the set its default decides
+// it, and otherwise its permitted part is all of the set or none.
+func (a *fixACL) uniformOn(set pset.Set) (permit, uniform bool) {
+	if a.set.MeetingWithin(set) == 0 {
+		return a.acl.Default == acl.Permit, true
 	}
-	for _, ctrl := range cn.ix.ctrls {
-		if !ctrl.Match.Contains(c) && ctrl.Match.Overlaps(c) {
-			return false
-		}
+	permitted, _, ok := a.set.PermittedSetWithin(set, psetCubeBudget)
+	if !ok {
+		return false, false
 	}
-	for _, p := range cn.priors {
-		if p.Overlaps(c) {
-			return false
-		}
+	if permitted.IsEmpty() {
+		return false, true
 	}
-	return true
+	all := set.Subtract(permitted).IsEmpty()
+	return all, all
 }
 
-// nbDecisions are the decisions of one neighborhood, each made once: per
-// distinct ACL through its first-match index, per control by containment.
-type nbDecisions struct {
-	ix     *fixIndex
-	nb     header.Match
-	acls   []int8 // per distinct ACL: 0 undecided, 1 permit, 2 deny
-	ctrlIn []bool // per control: its match contains the neighborhood
-}
-
-func (ix *fixIndex) decisionsOn(nb header.Match) *nbDecisions {
-	d := &nbDecisions{ix: ix, nb: nb, acls: make([]int8, len(ix.acls)), ctrlIn: make([]bool, len(ix.ctrls))}
-	for i, c := range ix.ctrls {
-		d.ctrlIn[i] = c.Match.Contains(nb)
-	}
-	return d
-}
-
-// decide returns ACL ai's uniform decision on the neighborhood. The
-// neighborhood is atomic with respect to every in-scope ACL by
-// construction (constancy.valid, or a single packet); a straddling rule
-// here is a bug in that construction, reported as an error so the call
-// fails instead of the process.
-func (d *nbDecisions) decide(ai int32) (acl.Action, error) {
-	if ai < 0 {
-		return acl.Permit, nil
-	}
-	if d.acls[ai] == 0 {
-		act, ok := d.ix.acls[ai].decide(d.nb)
-		if !ok {
-			return false, fmt.Errorf("core: fix: neighborhood %v is not atomic with respect to ACL %v", d.nb, d.ix.acls[ai].acl)
+// regionOf returns p's placement region within set, which holds p: the
+// packets of set that every ACL and control in reads decides as it
+// decides p, with those decisions. Each ACL's permitted part is folded
+// within the region narrowed so far, and the region keeps the part, or
+// the rest, that holds p; a fold past the cube budget narrows the region
+// to the piece of a split that holds p (holding) and folds again. So a
+// region is one decision vector's packets of set, or a piece of them.
+func (ix *fixIndex) regionOf(set pset.Set, p header.Packet, reads fecReads) (pset.Set, regionDecisions) {
+	dec := regionDecisions{permit: slices.Clone(reads.fixed.permit), ctrlIn: slices.Clone(reads.fixed.ctrlIn)}
+	region := set
+	for _, ai := range reads.acls {
+		a := &ix.acls[ai]
+		permitted, _, ok := a.set.PermittedSetWithin(region, psetCubeBudget)
+		for !ok {
+			region = holding(region, p, a.acl.Rules)
+			permitted, _, ok = a.set.PermittedSetWithin(region, psetCubeBudget)
 		}
-		d.acls[ai] = 2
-		if act == acl.Permit {
-			d.acls[ai] = 1
+		if dec.permit[ai] = permitted.Contains(p); dec.permit[ai] {
+			region = permitted
+		} else {
+			region = region.Subtract(permitted)
 		}
 	}
-	return d.acls[ai] == 1, nil
+	for _, ci := range reads.ctrls {
+		m := ix.ctrls[ci].Match
+		if dec.ctrlIn[ci] = m.Matches(p); dec.ctrlIn[ci] {
+			region = region.IntersectMatches([]header.Match{m})
+		} else {
+			region = region.Subtract(pset.FromMatch(m))
+		}
+	}
+	return region, dec
+}
+
+// holding splits a region whose fold overflowed the cube budget as the
+// check splits a flip region (splitRegion), and returns the piece that
+// holds p: a region of several cubes splits into the halves of its cube
+// list, and a one-cube region on the first of the ACL's rules that meets
+// it without containing it. Were no rule to straddle the cube, the ACL
+// would permit all of it or none, and its fold could not overflow.
+func holding(region pset.Set, p header.Packet, rules []acl.Rule) pset.Set {
+	var lo, hi pset.Set
+	if c, one := region.Cube(); one {
+		k := slices.IndexFunc(rules, func(r acl.Rule) bool { return r.Match.Overlaps(c) && !r.Match.Contains(c) })
+		if k < 0 {
+			panic("core: a cube no rule straddles overflowed the cube budget")
+		}
+		lo, hi = cutCube(c, rules[k].Match)
+	} else {
+		lo, hi = region.Halves()
+	}
+	if lo.Contains(p) {
+		return lo
+	}
+	return hi
+}
+
+// regionDecisions are the decisions of one placement region, made once
+// by its FEC's reads and its split: per distinct ACL whether it permits,
+// per control whether its match holds the region. Only the ACLs and
+// controls the region's FEC reads are set, and only those does its
+// placement key ask.
+type regionDecisions struct {
+	permit []bool
+	ctrlIn []bool
+}
+
+// permits returns ACL ai's decision on the region; -1, an unbound side,
+// permits.
+func (d regionDecisions) permits(ai int32) bool {
+	return ai < 0 || d.permit[ai]
 }
 
 // desired computes the desired (constant) decision of a shape's paths on
-// the neighborhood: the original path decision, unless a control
-// covering the neighborhood says otherwise (§6).
-func (d *nbDecisions) desired(sh *fixShape) (bool, error) {
+// the region: the original path decision, unless a control covering the
+// region says otherwise (§6).
+func (d regionDecisions) desired(ix *fixIndex, sh *fixShape) bool {
 	orig := true
 	for _, bi := range sh.bindings {
-		act, err := d.decide(d.ix.bindings[bi].before)
-		if err != nil {
-			return false, err
-		}
-		if act == acl.Deny {
+		if !d.permits(ix.bindings[bi].before) {
 			orig = false
 			break
 		}
 	}
-	return controlled(d.ix.ctrls, sh.ctrls, d.ctrlIn, orig), nil
+	return controlled(ix.ctrls, sh.ctrls, d.ctrlIn, orig)
 }

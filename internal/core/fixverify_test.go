@@ -204,7 +204,7 @@ func prependAt(t *testing.T, n *topo.Network, b topo.ACLBinding, rule acl.Rule) 
 
 // TestFixVerificationCatchesAlteredBinding is the mutation guard of the
 // kept route. The fixed snapshot is altered at a binding the plan
-// touched, in a FEC no neighborhood of the plan meets: a deny of the
+// touched, in a FEC no region of the plan meets: a deny of the
 // FEC's traffic lands on top of the simplified ACL. A shortcut that
 // trusted simplify and kept every FEC without a plan rule in its region
 // would keep that FEC consistent; the verification must decide it and
@@ -217,8 +217,10 @@ func TestFixVerificationCatchesAlteredBinding(t *testing.T) {
 	}
 	b := touched[0]
 	planned := func(fec topo.FEC) bool {
-		return slices.ContainsFunc(res.Neighborhoods, func(nb header.Match) bool {
-			return slices.ContainsFunc(fec.Classes, func(c header.Prefix) bool { return header.DstMatch(c).Overlaps(nb) })
+		return slices.ContainsFunc(res.Regions, func(r []header.Match) bool {
+			return slices.ContainsFunc(r, func(nb header.Match) bool {
+				return slices.ContainsFunc(fec.Classes, func(c header.Prefix) bool { return header.DstMatch(c).Overlaps(nb) })
+			})
 		})
 	}
 	for _, i := range crossers(e, b) {
@@ -232,7 +234,7 @@ func TestFixVerificationCatchesAlteredBinding(t *testing.T) {
 		}
 		ver, _ := fixVerification(e, fixed)
 		if ver.Consistent {
-			t.Fatalf("a deny of FEC %d's traffic added at %s, outside every neighborhood, was not caught", i, b.ID())
+			t.Fatalf("a deny of FEC %d's traffic added at %s, outside every region, was not caught", i, b.ID())
 		}
 		for _, f := range ver.Forensics {
 			if f.FEC == i && f.Route == "kept" {

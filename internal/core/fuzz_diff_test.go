@@ -557,9 +557,9 @@ func TestFixParallelMatchesSequential(t *testing.T) {
 			if len(sres.Unfixable) != 0 || len(pres.Unfixable) != 0 {
 				t.Fatalf("iter %d: unfixable seq=%v par=%v", iter, sres.Unfixable, pres.Unfixable)
 			}
-			if len(sres.Neighborhoods) != len(pres.Neighborhoods) {
-				t.Fatalf("iter %d: neighborhood count seq=%d par=%d",
-					iter, len(sres.Neighborhoods), len(pres.Neighborhoods))
+			if len(sres.Regions) != len(pres.Regions) {
+				t.Fatalf("iter %d: region count seq=%d par=%d",
+					iter, len(sres.Regions), len(pres.Regions))
 			}
 			// Exact plan equality: both paths solve each FEC with the same
 			// pure per-FEC function and merge in FEC order, so the plans are
@@ -591,9 +591,9 @@ func TestFixParallelMatchesSequential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(rres.Actions) != 0 || len(rres.Neighborhoods) != 0 || !rres.Verified {
-					t.Fatalf("iter %d: re-fix not a no-op: actions=%v neighborhoods=%v verified=%v",
-						iter, rres.Actions, rres.Neighborhoods, rres.Verified)
+				if len(rres.Actions) != 0 || len(rres.Regions) != 0 || !rres.Verified {
+					t.Fatalf("iter %d: re-fix not a no-op: actions=%v regions=%v verified=%v",
+						iter, rres.Actions, rres.Regions, rres.Verified)
 				}
 			}
 			restore()

@@ -213,8 +213,8 @@ func TestFixSkipsCachedConsistentFECs(t *testing.T) {
 				} else if plan != coldPlan {
 					t.Fatalf("plan after a check differs from the cold plan:\n%s\nwant:\n%s", plan, coldPlan)
 				}
-				if n := m.Snapshot().Counters["fix.neighborhoods"]; n != int64(len(res.Neighborhoods)) || n < int64(violating) {
-					t.Fatalf("fix.neighborhoods = %d for %d neighborhoods in %d violating FECs", n, len(res.Neighborhoods), violating)
+				if n := m.Snapshot().Counters["fix.neighborhoods"]; n != int64(len(res.Regions)) || n < int64(violating) {
+					t.Fatalf("fix.neighborhoods = %d for %d regions in %d violating FECs", n, len(res.Regions), violating)
 				}
 			})
 		}

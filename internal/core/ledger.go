@@ -146,7 +146,7 @@ func (e *Engine) logFixDecision(ls *ledgerStart, res *FixResult, err error) {
 	if res != nil {
 		verified := res.Verified
 		rec.Verified = &verified
-		rec.Neighborhoods = len(res.Neighborhoods)
+		rec.Neighborhoods = len(res.Regions)
 		rec.Unfixable = len(res.Unfixable)
 		for _, a := range res.Actions {
 			rec.Actions = append(rec.Actions, a.String())

@@ -312,8 +312,8 @@ func TestLedgerFixSingleRecord(t *testing.T) {
 				t.Fatalf("action %d: %q != %q", i, rec.Actions[i], a.String())
 			}
 		}
-		if rec.Neighborhoods != len(res.Neighborhoods) {
-			t.Fatalf("neighborhoods %d != %d", rec.Neighborhoods, len(res.Neighborhoods))
+		if rec.Neighborhoods != len(res.Regions) {
+			t.Fatalf("neighborhoods %d != %d regions", rec.Neighborhoods, len(res.Regions))
 		}
 		return
 	}

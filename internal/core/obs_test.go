@@ -247,11 +247,11 @@ func TestFixObservability(t *testing.T) {
 		t.Fatal("fix must verify on the running example")
 	}
 	snap := m.Snapshot()
-	if len(res.Neighborhoods) == 0 {
+	if len(res.Regions) == 0 {
 		t.Fatal("the running example needs fixing")
 	}
-	if snap.Counters["fix.neighborhoods"] != int64(len(res.Neighborhoods)) {
-		t.Fatalf("fix.neighborhoods %d != %d", snap.Counters["fix.neighborhoods"], len(res.Neighborhoods))
+	if snap.Counters["fix.neighborhoods"] != int64(len(res.Regions)) {
+		t.Fatalf("fix.neighborhoods %d != %d regions", snap.Counters["fix.neighborhoods"], len(res.Regions))
 	}
 	for name := range snap.Counters {
 		if strings.HasPrefix(name, "sat.") {
@@ -296,7 +296,7 @@ func TestFixObservability(t *testing.T) {
 		return obs.SpanRecord{}
 	}
 	// The per-call index: shapes and distinct ACLs on the solve span and
-	// as a gauge; the validity queries expansion asked as a counter.
+	// as a gauge.
 	solve := child("solve")
 	shapes, _ := solve.Attrs["path_shapes"].(float64)
 	distinct, _ := solve.Attrs["distinct_acls"].(float64)
@@ -306,15 +306,11 @@ func TestFixObservability(t *testing.T) {
 	if got := snap.Gauges["fix.path_shapes"]; got != int64(shapes) {
 		t.Fatalf("fix.path_shapes gauge %d, solve span says %v", got, shapes)
 	}
-	// Each neighborhood's placement is solved or read from its FEC's memo,
-	// and the counter and the solve span agree on how many were solved.
+	// Each region's placement is decided or read from its FEC's memo,
+	// and the counter and the solve span agree on how many were decided.
 	placements := snap.Counters["fix.placements"]
-	if attr, _ := solve.Attrs["placements"].(float64); placements <= 0 || placements > int64(len(res.Neighborhoods)) || int64(attr) != placements {
-		t.Fatalf("fix.placements = %d (solve span says %v) for %d neighborhoods", placements, solve.Attrs["placements"], len(res.Neighborhoods))
-	}
-	// Every neighborhood is the product of at least one probe per field.
-	if got := snap.Counters["fix.expand.probes"]; got < 5*int64(len(res.Neighborhoods)) {
-		t.Fatalf("fix.expand.probes = %d for %d neighborhoods", got, len(res.Neighborhoods))
+	if attr, _ := solve.Attrs["placements"].(float64); placements <= 0 || placements > int64(len(res.Regions)) || int64(attr) != placements {
+		t.Fatalf("fix.placements = %d (solve span says %v) for %d regions", placements, solve.Attrs["placements"], len(res.Regions))
 	}
 	// The running example's touched ACLs are small: every redundancy
 	// decision is exact, and all of them fit the cube budget.

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"slices"
 	"testing"
 
 	"jinjing/internal/acl"
@@ -117,7 +118,7 @@ func TestPlacementRefusals(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				refused, verified = res.Unfixable, res.Verified
+				refused, verified = slices.Concat(res.Unfixable...), res.Verified
 			}
 			if c.refused == (header.Prefix{}) {
 				if len(refused) > 0 || !verified {

@@ -132,12 +132,15 @@ func TestFixAlwaysVerifiesOnRandomInjections(t *testing.T) {
 		if len(res.Unfixable) > 0 {
 			t.Fatalf("iter %d: unfixable with unrestricted allow: %v", iter, res.Unfixable)
 		}
-		// Neighborhoods must be pairwise disjoint.
-		for i := range res.Neighborhoods {
-			for j := i + 1; j < len(res.Neighborhoods); j++ {
-				if res.Neighborhoods[i].Overlaps(res.Neighborhoods[j]) {
-					t.Fatalf("iter %d: neighborhoods %v and %v overlap", iter,
-						res.Neighborhoods[i], res.Neighborhoods[j])
+		// Regions must be pairwise disjoint.
+		for i := range res.Regions {
+			for j := i + 1; j < len(res.Regions); j++ {
+				for _, a := range res.Regions[i] {
+					for _, b := range res.Regions[j] {
+						if a.Overlaps(b) {
+							t.Fatalf("iter %d: regions %v and %v overlap", iter, res.Regions[i], res.Regions[j])
+						}
+					}
 				}
 			}
 		}

@@ -87,7 +87,7 @@ func (e *ErrUnknownVerdicts) Error() string {
 // Options.Deadline applied, and the func releasing its timer. Check, fix
 // and generate poll the returned context's Err between units of work —
 // the check between FECs and between the pieces of a split flip region
-// (see violations), fix between neighborhoods and at every branch of a
+// (see violations), fix between regions and at every branch of a
 // placement search (minHittingSet), generate between AECs — so an expired
 // deadline is seen at the next poll, the first one included.
 func (e *Engine) beginCall(ctx context.Context) (context.Context, context.CancelFunc) {

@@ -116,13 +116,15 @@ func (rep *Report) Print(w io.Writer) {
 		}
 	}
 	for _, f := range rep.Fixes {
-		fmt.Fprintf(w, "fix: %d neighborhoods, %d rules added, verified=%v\n",
-			len(f.Neighborhoods), len(f.Actions), f.Verified)
+		fmt.Fprintf(w, "fix: %d regions, %d rules added, verified=%v\n",
+			len(f.Regions), len(f.Actions), f.Verified)
 		for _, a := range f.Actions {
 			fmt.Fprintf(w, "  %s\n", a)
 		}
-		for _, nb := range f.Unfixable {
-			fmt.Fprintf(w, "  UNFIXABLE neighborhood %v\n", nb)
+		for _, r := range f.Unfixable {
+			for _, c := range r {
+				fmt.Fprintf(w, "  UNFIXABLE region %v\n", c)
+			}
 		}
 	}
 	for _, g := range rep.Generates {

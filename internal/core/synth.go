@@ -183,14 +183,6 @@ func (h *hitIndexer) hit(w *atomHits, class header.Match) int32 {
 	return w.fallback
 }
 
-// decide is acl.DecideMatch through the search tree (which it requires):
-// the ACL's decision on the class, and whether the class is atomic with
-// respect to the ACL — no rule before its first containing one straddles it.
-func (h *hitIndexer) decide(class header.Match) (acl.Action, bool) {
-	pos, atomic := h.tree.FirstMatch(class)
-	return h.action(pos), atomic
-}
-
 // action returns the ACL's decision on a class whose first match is hit.
 func (h *hitIndexer) action(hit int) acl.Action {
 	if hit < len(h.acl.Rules) {

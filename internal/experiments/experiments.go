@@ -34,8 +34,8 @@ import (
 // Seed fixes all workloads; change it to resample.
 const Seed = 42
 
-// NoExpansionCap is the neighborhood count at which the §4.2
-// no-expansion strawman (Fig4bNoExpansion) stops.
+// NoExpansionCap is the region count at which the §4.2 no-expansion
+// strawman (Fig4bNoExpansion) stops.
 const NoExpansionCap = 2000
 
 // Observer, when set, instruments every experiment engine
@@ -180,28 +180,28 @@ func Fig4aCheck(sizes []netgen.Size) []CheckRow {
 
 // FixRow is one Fig. 4b measurement.
 type FixRow struct {
-	Size          netgen.Size   `json:"size"`
-	PerturbPct    float64       `json:"perturb_pct"`
-	Mode          string        `json:"mode"`
-	Neighborhoods int           `json:"neighborhoods"`
-	Actions       int           `json:"actions"`
-	Verified      bool          `json:"verified"`
-	Elapsed       time.Duration `json:"elapsed_ns"`
-	Preprocess    time.Duration `json:"preprocess_ns"`
-	Solve         time.Duration `json:"solve_ns"`
-	Simplify      time.Duration `json:"simplify_ns"`
-	VerifyPhase   time.Duration `json:"verify_ns"`
+	Size        netgen.Size   `json:"size"`
+	PerturbPct  float64       `json:"perturb_pct"`
+	Mode        string        `json:"mode"`
+	Regions     int           `json:"neighborhoods"` // placement regions
+	Rules       int           `json:"actions"`       // rules the plan adds
+	Verified    bool          `json:"verified"`
+	Elapsed     time.Duration `json:"elapsed_ns"`
+	Preprocess  time.Duration `json:"preprocess_ns"`
+	Solve       time.Duration `json:"solve_ns"`
+	Simplify    time.Duration `json:"simplify_ns"`
+	VerifyPhase time.Duration `json:"verify_ns"`
 }
 
 // fixRow fills a FixRow from one Fix call's result and phase times.
 func fixRow(size netgen.Size, pct float64, mode string, res *core.FixResult, ph *phaseTimes, elapsed time.Duration) FixRow {
 	return FixRow{
 		Size: size, PerturbPct: pct, Mode: mode,
-		Neighborhoods: len(res.Neighborhoods),
-		Actions:       len(res.Actions),
-		Verified:      res.Verified,
-		Elapsed:       elapsed,
-		Preprocess:    ph.get("preprocess"), Solve: ph.get("solve"),
+		Regions:    len(res.Regions),
+		Rules:      len(res.Actions),
+		Verified:   res.Verified,
+		Elapsed:    elapsed,
+		Preprocess: ph.get("preprocess"), Solve: ph.get("solve"),
 		Simplify: ph.get("simplify"), VerifyPhase: ph.get("verify"),
 	}
 }
@@ -224,11 +224,11 @@ func FixEngine(size netgen.Size, pct float64, optimized bool) *core.Engine {
 	return e
 }
 
-// Fig4bNoExpansion is the §4.2 strawman ablation: fix with neighborhood
-// enlargement disabled degenerates to per-packet exclusion and cannot
-// converge (the paper estimates over 10^31 iterations in the worst
-// case); the run is capped at NoExpansionCap neighborhoods and reported
-// unverified, with the iteration count showing the non-convergence.
+// Fig4bNoExpansion is the §4.2 strawman ablation: fix with every region
+// cut down to its least packet degenerates to per-packet exclusion and
+// cannot converge (the paper estimates over 10^31 iterations in the
+// worst case); the run is capped at NoExpansionCap regions and reported
+// unverified, with the region count showing the non-convergence.
 func Fig4bNoExpansion(size netgen.Size) FixRow {
 	w := GetWAN(size)
 	after := w.Perturb(Seed+10, 1)
@@ -503,11 +503,11 @@ func PrintCheckRows(w io.Writer, rows []CheckRow) {
 // PrintFixRows formats Fig. 4b results.
 func PrintFixRows(w io.Writer, rows []FixRow) {
 	fmt.Fprintf(w, "Figure 4b — fix turnaround (size × perturbation × mode)\n")
-	fmt.Fprintf(w, "%-8s %5s %-12s %6s %8s %9s %12s  (preprocess/solve/simplify/verify)\n",
-		"size", "pct", "mode", "nbhds", "actions", "verified", "time")
+	fmt.Fprintf(w, "%-8s %5s %-12s %7s %6s %9s %12s  (preprocess/solve/simplify/verify)\n",
+		"size", "pct", "mode", "regions", "rules", "verified", "time")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-8s %4.0f%% %-12s %6d %8d %9v %12v  (%v/%v/%v/%v)\n",
-			r.Size, r.PerturbPct, r.Mode, r.Neighborhoods, r.Actions, r.Verified,
+		fmt.Fprintf(w, "%-8s %4.0f%% %-12s %7d %6d %9v %12v  (%v/%v/%v/%v)\n",
+			r.Size, r.PerturbPct, r.Mode, r.Regions, r.Rules, r.Verified,
 			r.Elapsed.Round(time.Millisecond),
 			r.Preprocess.Round(time.Millisecond), r.Solve.Round(time.Millisecond),
 			r.Simplify.Round(time.Millisecond), r.VerifyPhase.Round(time.Millisecond))

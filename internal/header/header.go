@@ -402,14 +402,15 @@ func (m ProtoMatch) String() string {
 
 // Match is a 5-tuple predicate: the conjunction of per-field constraints.
 // It is the matching part of an ACL rule, and also the representation of a
-// traffic class, a fix neighborhood, and an overlap field in ACL
+// traffic class, a cube of a fix region, and an overlap field in ACL
 // synthesis.
 //
 // Note that the zero value constrains ports and protocol to exactly 0
 // (PortRange and ProtoMatch zero values are the singleton ranges {0});
 // use MatchAll, NewMatch, DstMatch, or SrcMatch to build wildcard
 // matches. Keeping the zero values unambiguous matters: the fix
-// primitive's neighborhoods must be able to denote "exactly port 0".
+// primitive's single-packet regions must be able to denote "exactly port
+// 0".
 type Match struct {
 	Src     Prefix
 	Dst     Prefix

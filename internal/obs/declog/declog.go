@@ -71,13 +71,15 @@ type Record struct {
 	Unknown    []FECDecision `json:"unknown,omitempty"`
 
 	// Fix / generate outcome.
-	Verified      *bool    `json:"verified,omitempty"`
-	Actions       []string `json:"actions,omitempty"`
-	Neighborhoods int      `json:"neighborhoods,omitempty"`
-	Unfixable     int      `json:"unfixable,omitempty"`
-	Classes       int      `json:"classes,omitempty"`
-	AECs          int      `json:"aecs,omitempty"`
-	Rules         int      `json:"rules,omitempty"`
+	Verified *bool    `json:"verified,omitempty"`
+	Actions  []string `json:"actions,omitempty"`
+	// Neighborhoods and Unfixable count a fix's placement regions,
+	// fixed and refused.
+	Neighborhoods int `json:"neighborhoods,omitempty"`
+	Unfixable     int `json:"unfixable,omitempty"`
+	Classes       int `json:"classes,omitempty"`
+	AECs          int `json:"aecs,omitempty"`
+	Rules         int `json:"rules,omitempty"`
 
 	// Resource story.
 	WallNS int64  `json:"wall_ns"`

@@ -47,6 +47,9 @@ func (s Set) IsEmpty() bool { return len(s.cubes) == 0 }
 // Cubes returns the number of cubes (a size measure for tests).
 func (s Set) Cubes() int { return len(s.cubes) }
 
+// CubeList returns the set's canonical cubes, a copy the caller owns.
+func (s Set) CubeList() []header.Match { return slices.Clone(s.cubes) }
+
 // Halves splits a set of two or more cubes into the lower and the upper
 // half of its canonical cube list: two sets whose union is s.
 func (s Set) Halves() (lo, hi Set) {

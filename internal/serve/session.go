@@ -303,7 +303,7 @@ func (s *session) fixResponse(jobID string, fr *core.FixResult, wallNS int64) *F
 		Job:           jobID,
 		Session:       s.name,
 		Verified:      fr.Verified,
-		Neighborhoods: len(fr.Neighborhoods),
+		Neighborhoods: len(fr.Regions),
 		Unfixable:     len(fr.Unfixable),
 		Stats:         fr.Stats,
 		Report:        renderReport(&core.Report{Fixes: []*core.FixResult{fr}}),

@@ -467,10 +467,12 @@ type CheckResponse struct {
 
 // FixResponse is the POST .../fix body.
 type FixResponse struct {
-	Job           string          `json:"job"`
-	Session       string          `json:"session"`
-	Verified      bool            `json:"verified"`
-	Actions       []string        `json:"actions,omitempty"`
+	Job      string   `json:"job"`
+	Session  string   `json:"session"`
+	Verified bool     `json:"verified"`
+	Actions  []string `json:"actions,omitempty"`
+	// Neighborhoods and Unfixable count the fix's placement regions,
+	// fixed and refused (core.FixResult.Regions, .Unfixable).
 	Neighborhoods int             `json:"neighborhoods"`
 	Unfixable     int             `json:"unfixable"`
 	Stats         core.CacheStats `json:"stats"`
